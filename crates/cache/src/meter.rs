@@ -9,17 +9,76 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use ww_model::{DocId, NodeId};
-use ww_stats::Ewma;
+use ww_model::{shift_columns, DocId, NodeId};
+
+/// The per-meter state of a windowed rate estimator: the open window,
+/// its event count, and the EWMA over the closed windows' rates. The
+/// window length and the smoothing factor are *not* stored here — a
+/// [`RateMeter`] carries them beside its one cell, a [`DenseFlowTable`]
+/// once for its whole grid — so a grid cell is 32 bytes, not 48.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct MeterCell {
+    window_start: f64,
+    count_in_window: u64,
+    /// The smoothed rate; `None` until one full window has elapsed.
+    smoothed: Option<f64>,
+}
+
+impl MeterCell {
+    fn anchored(start: f64) -> Self {
+        MeterCell {
+            window_start: start,
+            count_in_window: 0,
+            smoothed: None,
+        }
+    }
+
+    /// Advances the window to contain `now`, closing out any completed
+    /// windows (including empty ones, which correctly pull the rate
+    /// down). The first closed window initializes the average.
+    #[inline]
+    fn roll_to(&mut self, now: f64, window_secs: f64, alpha: f64) {
+        while now >= self.window_start + window_secs {
+            let rate = self.count_in_window as f64 / window_secs;
+            self.smoothed = Some(match self.smoothed {
+                None => rate,
+                Some(v) => v + alpha * (rate - v),
+            });
+            self.count_in_window = 0;
+            self.window_start += window_secs;
+        }
+    }
+
+    #[inline]
+    fn record(&mut self, now: f64, window_secs: f64, alpha: f64) {
+        self.roll_to(now, window_secs, alpha);
+        self.count_in_window += 1;
+    }
+
+    #[inline]
+    fn rate_or_zero(&self) -> f64 {
+        self.smoothed.unwrap_or(0.0)
+    }
+
+    fn reset(&mut self) {
+        self.count_in_window = 0;
+        self.smoothed = None;
+    }
+}
+
+/// Checks the two constants every meter shares.
+fn assert_meter_constants(window_secs: f64, alpha: f64) {
+    assert!(window_secs > 0.0, "window must be positive");
+    assert!(alpha > 0.0 && alpha <= 1.0, "alpha in (0, 1]");
+}
 
 /// A windowed rate estimator: counts events per fixed window and smooths
 /// successive window rates with an EWMA.
 #[derive(Debug, Clone)]
 pub struct RateMeter {
     window_secs: f64,
-    window_start: f64,
-    count_in_window: u64,
-    smoothed: Ewma,
+    alpha: f64,
+    cell: MeterCell,
 }
 
 impl RateMeter {
@@ -41,50 +100,42 @@ impl RateMeter {
     ///
     /// Panics if `window_secs <= 0` or `alpha` is outside `(0, 1]`.
     pub fn new_anchored(window_secs: f64, alpha: f64, start: f64) -> Self {
-        assert!(window_secs > 0.0, "window must be positive");
+        assert_meter_constants(window_secs, alpha);
         RateMeter {
             window_secs,
-            window_start: start,
-            count_in_window: 0,
-            smoothed: Ewma::new(alpha),
+            alpha,
+            cell: MeterCell::anchored(start),
         }
     }
 
     /// Records one event at time `now` (seconds). Rolls the window forward
     /// as needed, feeding completed windows into the smoother.
     pub fn record(&mut self, now: f64) {
-        self.roll_to(now);
-        self.count_in_window += 1;
+        self.cell.record(now, self.window_secs, self.alpha);
     }
 
     /// Advances the window to contain `now`, closing out any completed
     /// windows (including empty ones, which correctly pull the rate down).
     pub fn roll_to(&mut self, now: f64) {
-        while now >= self.window_start + self.window_secs {
-            let rate = self.count_in_window as f64 / self.window_secs;
-            self.smoothed.observe(rate);
-            self.count_in_window = 0;
-            self.window_start += self.window_secs;
-        }
+        self.cell.roll_to(now, self.window_secs, self.alpha);
     }
 
     /// The smoothed rate estimate (events/second); `None` until one full
     /// window has elapsed.
     pub fn rate(&self) -> Option<f64> {
-        self.smoothed.value()
+        self.cell.smoothed
     }
 
     /// The smoothed rate, defaulting to 0.0 before the first window closes.
     pub fn rate_or_zero(&self) -> f64 {
-        self.smoothed.value().unwrap_or(0.0)
+        self.cell.rate_or_zero()
     }
 
     /// Forgets every sample (the window stays anchored where it is).
     /// Used when the measured quantity is invalidated wholesale — e.g. a
     /// document re-publish voids every serve-rate estimate for it.
     pub fn reset(&mut self) {
-        self.count_in_window = 0;
-        self.smoothed.reset();
+        self.cell.reset();
     }
 }
 
@@ -119,8 +170,7 @@ impl FlowTable {
     ///
     /// Panics if `window_secs <= 0` or `alpha` outside `(0, 1]`.
     pub fn new(window_secs: f64, alpha: f64) -> Self {
-        assert!(window_secs > 0.0, "window must be positive");
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha in (0, 1]");
+        assert_meter_constants(window_secs, alpha);
         FlowTable {
             window_secs,
             alpha,
@@ -185,16 +235,21 @@ impl FlowTable {
     }
 }
 
-/// A dense, preallocated flow table: one [`RateMeter`] per `(row, dense
-/// document index)` cell of a fixed grid.
+/// A dense, preallocated flow table: one rate meter per `(row, dense
+/// document index)` cell of a grid.
 ///
 /// [`FlowTable`] keys every meter by `(NodeId, DocId)` in a `HashMap`, so
 /// each record costs a hash + probe and every aggregate (`child_total`,
 /// `child_doc_rates`) scans and re-allocates. On the packet-level hot path
 /// a node touches its meters once per packet; `DenseFlowTable` instead
-/// addresses them by `row * docs + index` — rows are the node's local
+/// addresses them by `row * stride + index` — rows are the node's local
 /// child slots (or just row 0 for per-node tables), indices come from the
 /// simulation's [`ww_model::DocTable`].
+///
+/// The row stride is a column *capacity*, equal to the column count at
+/// construction. It exceeds it only once [`DenseFlowTable::grow_docs`]
+/// has grown the table, which reserves room so that the next appended
+/// document columns cost one cell per row and no allocation.
 ///
 /// Totals are accumulated in ascending index order, which under a
 /// `DocTable` is ascending [`DocId`] order — a fixed, deterministic float
@@ -215,10 +270,26 @@ impl FlowTable {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DenseFlowTable {
+    rows: usize,
     docs: usize,
+    /// Cells between the starts of consecutive rows (`>= docs`); the
+    /// cells of a row past `docs` are unused spare columns.
+    stride: usize,
     window_secs: f64,
     alpha: f64,
-    meters: Vec<RateMeter>,
+    cells: Vec<MeterCell>,
+}
+
+/// Equality of the measured state: constants, shape, and every live
+/// cell. Spare columns hold no state and are not compared.
+impl PartialEq for DenseFlowTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows
+            && self.docs == other.docs
+            && self.window_secs == other.window_secs
+            && self.alpha == other.alpha
+            && (0..self.rows).all(|row| self.row(row) == other.row(row))
+    }
 }
 
 impl DenseFlowTable {
@@ -246,13 +317,14 @@ impl DenseFlowTable {
         docs: usize,
         start: f64,
     ) -> Self {
-        assert!(window_secs > 0.0, "window must be positive");
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha in (0, 1]");
+        assert_meter_constants(window_secs, alpha);
         DenseFlowTable {
+            rows,
             docs,
+            stride: docs,
             window_secs,
             alpha,
-            meters: vec![RateMeter::new_anchored(window_secs, alpha, start); rows * docs],
+            cells: vec![MeterCell::anchored(start); rows * docs],
         }
     }
 
@@ -262,7 +334,13 @@ impl DenseFlowTable {
         // index would otherwise alias into the next row's cells instead
         // of panicking as documented.
         assert!((index as usize) < self.docs, "doc index out of range");
-        row * self.docs + index as usize
+        row * self.stride + index as usize
+    }
+
+    /// The live cells of `row`.
+    #[inline]
+    fn row(&self, row: usize) -> &[MeterCell] {
+        &self.cells[row * self.stride..row * self.stride + self.docs]
     }
 
     /// Records one event for `(row, index)` at time `now`.
@@ -273,13 +351,17 @@ impl DenseFlowTable {
     #[inline]
     pub fn record(&mut self, row: usize, index: u32, now: f64) {
         let cell = self.cell(row, index);
-        self.meters[cell].record(now);
+        self.cells[cell].record(now, self.window_secs, self.alpha);
     }
 
     /// Rolls every meter's window forward to `now`.
     pub fn roll_to(&mut self, now: f64) {
-        for m in &mut self.meters {
-            m.roll_to(now);
+        let (window_secs, alpha) = (self.window_secs, self.alpha);
+        for row in 0..self.rows {
+            let start = row * self.stride;
+            for cell in &mut self.cells[start..start + self.docs] {
+                cell.roll_to(now, window_secs, alpha);
+            }
         }
     }
 
@@ -290,7 +372,7 @@ impl DenseFlowTable {
     /// Panics if the cell is outside the grid.
     #[inline]
     pub fn rate(&self, row: usize, index: u32) -> f64 {
-        self.meters[self.cell(row, index)].rate_or_zero()
+        self.cells[self.cell(row, index)].rate_or_zero()
     }
 
     /// Aggregate rate across all documents of `row`, accumulated in
@@ -300,10 +382,7 @@ impl DenseFlowTable {
     ///
     /// Panics if `row` is outside the grid.
     pub fn row_total(&self, row: usize) -> f64 {
-        self.meters[row * self.docs..(row + 1) * self.docs]
-            .iter()
-            .map(RateMeter::rate_or_zero)
-            .sum()
+        self.row(row).iter().map(MeterCell::rate_or_zero).sum()
     }
 
     /// Appends `(index, rate)` pairs with positive rate for `row` to
@@ -316,10 +395,7 @@ impl DenseFlowTable {
     /// Panics if `row` is outside the grid.
     pub fn row_doc_rates(&self, row: usize, out: &mut Vec<(u32, f64)>) {
         out.clear();
-        for (k, m) in self.meters[row * self.docs..(row + 1) * self.docs]
-            .iter()
-            .enumerate()
-        {
+        for (k, m) in self.row(row).iter().enumerate() {
             let r = m.rate_or_zero();
             if r > 0.0 {
                 out.push((k as u32, r));
@@ -337,9 +413,10 @@ impl DenseFlowTable {
         self.docs
     }
 
-    /// Number of rows in the grid.
+    /// Number of rows in the grid (kept even when the grid has no
+    /// document columns yet).
     pub fn row_count(&self) -> usize {
-        self.meters.len().checked_div(self.docs).unwrap_or(0)
+        self.rows
     }
 
     /// Rebuilds the grid's rows from a mapping: `map[new_row]` names the
@@ -348,53 +425,85 @@ impl DenseFlowTable {
     /// duplicated, or permuted — this is the per-child-slot surgery a
     /// topology change applies when a node's child list is renumbered.
     pub fn reorder_rows(&mut self, map: &[Option<usize>], now: f64) {
-        let old_rows = self.row_count();
-        let mut meters = Vec::with_capacity(map.len() * self.docs);
-        for &src in map {
-            match src {
-                Some(old) => {
-                    assert!(old < old_rows, "row {old} out of range ({old_rows} rows)");
-                    meters.extend_from_slice(&self.meters[old * self.docs..(old + 1) * self.docs]);
-                }
-                None => {
-                    for _ in 0..self.docs {
-                        meters.push(RateMeter::new_anchored(self.window_secs, self.alpha, now));
-                    }
-                }
+        let mut cells = vec![MeterCell::anchored(now); map.len() * self.stride];
+        for (new, &src) in map.iter().enumerate() {
+            if let Some(old) = src {
+                assert!(
+                    old < self.rows,
+                    "row {old} out of range ({} rows)",
+                    self.rows
+                );
+                cells[new * self.stride..new * self.stride + self.docs]
+                    .copy_from_slice(self.row(old));
             }
         }
-        self.meters = meters;
+        self.rows = map.len();
+        self.cells = cells;
     }
 
-    /// Rebuilds the grid's document columns from a mapping:
-    /// `old_to_new[old_index]` names the column an existing document
-    /// moves to, and every unmapped new column gets fresh meters
-    /// anchored at `now`. This is how a growing document universe (a
-    /// publish, a shifted mix with new ids) shifts every dense
-    /// per-document table while measured history survives.
+    /// Grows the grid's document columns **in place**: the column of old
+    /// index `old` moves to `old_to_new[old]`, and every other one of
+    /// the `new_docs` columns starts as fresh meters anchored at `now`.
+    /// This is how a growing document universe (a publish, a shifted mix
+    /// with new ids) reaches every dense per-document table while
+    /// measured history survives.
+    ///
+    /// A universe grows in ascending-id order, so `old_to_new` is
+    /// strictly increasing and the columns shift inside the existing
+    /// buffer, last row first and back to front. When the row stride is
+    /// exhausted it at least doubles, so a run of publishes pays for one
+    /// reallocation per table, and each later append anchors one cell
+    /// per row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `old_to_new` does not cover the old columns or is not
+    /// strictly increasing into `0..new_docs`.
+    pub fn grow_docs(&mut self, old_to_new: &[u32], new_docs: usize, now: f64) {
+        assert_eq!(old_to_new.len(), self.docs, "mapping must cover old docs");
+        let fresh = MeterCell::anchored(now);
+        let old_stride = self.stride;
+        if new_docs > self.stride {
+            self.stride = new_docs.max(2 * self.stride);
+            self.cells.resize(self.rows * self.stride, fresh);
+        }
+        for row in (0..self.rows).rev() {
+            shift_columns(
+                &mut self.cells,
+                row * old_stride,
+                row * self.stride,
+                old_to_new,
+                new_docs,
+                fresh,
+            );
+        }
+        self.docs = new_docs;
+    }
+
+    /// [`DenseFlowTable::grow_docs`] by construction of a **new** grid of
+    /// exactly `new_docs` columns, for any injective mapping. The plain
+    /// definition the in-place form is tested against; simulations use
+    /// `grow_docs`.
     ///
     /// # Panics
     ///
     /// Panics if the mapping is not injective into `new_docs` columns.
     pub fn remap_docs(&mut self, old_to_new: &[u32], new_docs: usize, now: f64) {
         assert_eq!(old_to_new.len(), self.docs, "mapping must cover old docs");
-        let rows = self.row_count();
-        let fresh = RateMeter::new_anchored(self.window_secs, self.alpha, now);
-        let mut meters = vec![fresh; rows * new_docs];
+        let mut cells = vec![MeterCell::anchored(now); self.rows * new_docs];
         let mut seen = vec![false; new_docs];
-        for row in 0..rows {
-            for (old, &new) in old_to_new.iter().enumerate() {
-                let new = new as usize;
-                assert!(new < new_docs, "mapped column {new} out of range");
-                if row == 0 {
-                    assert!(!seen[new], "mapping must be injective");
-                    seen[new] = true;
-                }
-                meters[row * new_docs + new] = self.meters[row * self.docs + old].clone();
+        for (old, &new) in old_to_new.iter().enumerate() {
+            let new = new as usize;
+            assert!(new < new_docs, "mapped column {new} out of range");
+            assert!(!seen[new], "mapping must be injective");
+            seen[new] = true;
+            for row in 0..self.rows {
+                cells[row * new_docs + new] = self.cells[row * self.stride + old];
             }
         }
         self.docs = new_docs;
-        self.meters = meters;
+        self.stride = new_docs;
+        self.cells = cells;
     }
 
     /// Resets the meters of one document column across every row —
@@ -406,9 +515,8 @@ impl DenseFlowTable {
     /// Panics if `index` is outside the grid.
     pub fn clear_doc(&mut self, index: u32) {
         assert!((index as usize) < self.docs, "doc index out of range");
-        let rows = self.meters.len() / self.docs.max(1);
-        for row in 0..rows {
-            self.meters[row * self.docs + index as usize].reset();
+        for row in 0..self.rows {
+            self.cells[row * self.stride + index as usize].reset();
         }
     }
 }
@@ -604,6 +712,50 @@ mod tests {
         t.record(0, 1, 1.5);
         t.roll_to(2.0);
         assert!((t.rate(0, 1) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn grow_docs_shifts_in_place_and_reserves_room() {
+        let mut t = DenseFlowTable::new(1.0, 1.0, 2, 2);
+        t.record(0, 0, 0.1);
+        t.record(1, 1, 0.2);
+        t.roll_to(1.0);
+        let mut oracle = t.clone();
+        // Insert a new column between the two old ones: 0 -> 0, 1 -> 2.
+        t.grow_docs(&[0, 2], 3, 1.0);
+        oracle.remap_docs(&[0, 2], 3, 1.0);
+        assert_eq!(t, oracle);
+        assert_eq!((t.row_count(), t.doc_count()), (2, 3));
+        assert!((t.rate(1, 2) - 1.0).abs() < 1e-9);
+        // The stride doubled to 4, so the next append finds room.
+        let reserved = t.cells.capacity();
+        t.grow_docs(&[0, 1, 2], 4, 2.0);
+        oracle.remap_docs(&[0, 1, 2], 4, 2.0);
+        assert_eq!(t, oracle);
+        assert_eq!(t.cells.capacity(), reserved);
+        // The fresh column meters from its anchor point onward.
+        t.record(0, 3, 2.5);
+        t.roll_to(3.0);
+        assert!((t.rate(0, 3) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_table_without_columns_keeps_its_rows() {
+        let mut t = DenseFlowTable::new(1.0, 1.0, 3, 0);
+        assert_eq!((t.row_count(), t.doc_count()), (3, 0));
+        assert_eq!(t.row_total(2), 0.0);
+        t.roll_to(5.0);
+        t.grow_docs(&[], 1, 5.0);
+        assert_eq!((t.row_count(), t.doc_count()), (3, 1));
+        t.record(2, 0, 5.5);
+        t.roll_to(6.0);
+        assert!((t.rate(2, 0) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_grid_cell_is_four_words() {
+        // The per-table constants live once per table, not per cell.
+        assert_eq!(std::mem::size_of::<MeterCell>(), 32);
     }
 
     #[test]

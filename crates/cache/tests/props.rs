@@ -121,4 +121,55 @@ proptest! {
             prop_assert!((rate - count as f64).abs() < 1e-9);
         }
     }
+
+    /// In-place column growth equals rebuilding the grid, cell for cell:
+    /// append and insert-before mappings, one row and many, with and
+    /// without the spare capacity an earlier growth left behind — and
+    /// the tables keep measuring identically afterwards.
+    #[test]
+    fn grow_docs_in_place_equals_a_rebuilt_grid(
+        rows in 0usize..4,
+        first in proptest::collection::vec(any::<bool>(), 0..10),
+        second in proptest::collection::vec(0usize..16, 0..6),
+        events in proptest::collection::vec((0usize..4, 0u32..16, 0.0f64..3.0), 0..60),
+    ) {
+        use ww_cache::DenseFlowTable;
+        // `keep[new]` marks the columns of the grown grid that existed
+        // before; the rest are fresh.
+        let mapping = |keep: &[bool]| -> Vec<u32> {
+            (0..keep.len() as u32).filter(|&k| keep[k as usize]).collect()
+        };
+        let feed = |t: &mut DenseFlowTable, salt: f64| {
+            if t.row_count() == 0 || t.doc_count() == 0 {
+                return;
+            }
+            for &(row, k, at) in &events {
+                t.record(row % t.row_count(), k % t.doc_count() as u32, salt + at);
+            }
+            t.roll_to(salt + 3.0);
+        };
+        let first_map = mapping(&first);
+        let mut in_place = DenseFlowTable::new(1.0, 0.5, rows, first_map.len());
+        feed(&mut in_place, 0.0);
+        let mut rebuilt = in_place.clone();
+        in_place.grow_docs(&first_map, first.len(), 3.0);
+        rebuilt.remap_docs(&first_map, first.len(), 3.0);
+        prop_assert_eq!(&in_place, &rebuilt);
+        feed(&mut in_place, 3.0);
+        feed(&mut rebuilt, 3.0);
+        prop_assert_eq!(&in_place, &rebuilt);
+        // A second growth, `second` deciding where the new columns
+        // interleave. `in_place` may now hold spare columns.
+        let mut keep = vec![true; first.len()];
+        for &at in &second {
+            keep.insert(at % (keep.len() + 1), false);
+        }
+        let second_map = mapping(&keep);
+        in_place.grow_docs(&second_map, keep.len(), 6.0);
+        rebuilt.remap_docs(&second_map, keep.len(), 6.0);
+        prop_assert_eq!(&in_place, &rebuilt);
+        feed(&mut in_place, 6.0);
+        feed(&mut rebuilt, 6.0);
+        prop_assert_eq!(&in_place, &rebuilt);
+    }
 }

@@ -34,7 +34,9 @@
 use crate::fold::IncrementalFold;
 use ww_cache::{plan_push_dense, plan_shed_dense, DenseFlowTable, DenseRateSlice};
 use ww_diffusion::safe_alpha;
-use ww_model::{DocId, DocSet, DocTable, LeafRemoval, ModelError, NodeId, RateVector, Tree};
+use ww_model::{
+    shift_columns, DocId, DocSet, DocTable, LeafRemoval, ModelError, NodeId, RateVector, Tree,
+};
 use ww_net::{DocRequest, DocResponse, RequestId, TrafficClass, TrafficLedger};
 use ww_sim::{exp_delay, SimQueue, SimRng, SimTime, TimerRing};
 use ww_stats::ExactSum;
@@ -157,9 +159,39 @@ pub struct WorldTel {
     pub refresh_ns: u64,
     /// Refresh spans recorded (only when `timed`).
     pub refresh_count: u64,
-    /// Whether refreshes read the monotonic clock (full-span telemetry
-    /// requested by the owning driver).
+    /// Accumulated time the barrier mutators spent on the world's own
+    /// structural state — tree, mix, universe, child slots, demand
+    /// streams; everything but the oracle refresh (only when `timed`).
+    pub structural_ns: u64,
+    /// Structural spans recorded: one per accepted join, leave, publish
+    /// or shift (only when `timed`).
+    pub structural_count: u64,
+    /// Whether the spans above read the monotonic clock (full-span
+    /// telemetry requested by the owning driver).
     pub timed: bool,
+}
+
+impl WorldTel {
+    /// Opens a span when timing is on.
+    fn begin(&self) -> Option<std::time::Instant> {
+        self.timed.then(std::time::Instant::now)
+    }
+
+    fn end_refresh(&mut self, span: Option<std::time::Instant>) {
+        credit(span, &mut self.refresh_ns, &mut self.refresh_count);
+    }
+
+    fn end_structural(&mut self, span: Option<std::time::Instant>) {
+        credit(span, &mut self.structural_ns, &mut self.structural_count);
+    }
+}
+
+/// Closes a [`WorldTel`] span into its `(total ns, span count)` pair.
+fn credit(span: Option<std::time::Instant>, ns: &mut u64, count: &mut u64) {
+    if let Some(t0) = span {
+        *ns += t0.elapsed().as_nanos() as u64;
+        *count += 1;
+    }
 }
 
 impl PacketWorld {
@@ -198,7 +230,8 @@ impl PacketWorld {
                 ..WorldTel::default()
             },
         };
-        world.refresh_derived();
+        world.refresh_structural();
+        world.refresh_oracle();
         assert!(
             world.alpha > 0.0 && world.alpha < 1.0,
             "alpha must lie in (0, 1)"
@@ -206,14 +239,46 @@ impl PacketWorld {
         world
     }
 
-    /// Recomputes everything derived from `(tree, mix, table)`. Called
-    /// at construction and after every barrier mutation. The structural
-    /// half (demand streams, child-slot index) always runs — mutations
-    /// later in the same barrier read it — while the expensive oracle
-    /// half is deferred to [`PacketWorld::end_batch`] when a batch is
-    /// open, so a K-event barrier pays for one refold instead of K.
-    fn refresh_derived(&mut self) {
-        self.refresh_structural();
+    /// Derives the child-slot index and every node's demand streams
+    /// from `(tree, mix, table)`, from scratch. Construction only: the
+    /// barrier mutators maintain both in place, touching what their
+    /// operation touched.
+    fn refresh_structural(&mut self) {
+        let n = self.tree.len();
+        self.child_slot = vec![0usize; n];
+        for u in 0..n {
+            self.reslot_children(NodeId::new(u));
+        }
+        self.demand = vec![Vec::new(); n];
+        for i in 0..n {
+            self.derive_demand(i);
+        }
+    }
+
+    /// Re-derives the child-slot index of `parent`'s children.
+    fn reslot_children(&mut self, parent: NodeId) {
+        for (slot, &c) in self.tree.children(parent).iter().enumerate() {
+            self.child_slot[c.index()] = slot;
+        }
+    }
+
+    /// Re-derives node `i`'s demand streams from its mix row, into the
+    /// buffer the streams already occupy.
+    fn derive_demand(&mut self, i: usize) {
+        let table = &self.table;
+        let streams = &mut self.demand[i];
+        streams.clear();
+        streams.extend(self.mix.demands_of(NodeId::new(i)).iter().map(|&(d, r)| {
+            let index = table.index_of(d).expect("demand doc in universe");
+            (d, index, r)
+        }));
+    }
+
+    /// A barrier mutation changed the offered demand or the topology:
+    /// refresh the oracle now, or once at [`PacketWorld::end_batch`]
+    /// when a batch is open, so a K-event barrier pays for one refold
+    /// instead of K.
+    fn oracle_changed(&mut self) {
         if self.batched {
             self.batch_dirty = true;
         } else {
@@ -221,54 +286,21 @@ impl PacketWorld {
         }
     }
 
-    /// The cheap structural half: child-slot index and demand streams.
-    fn refresh_structural(&mut self) {
-        let n = self.tree.len();
-        self.child_slot = vec![0usize; n];
-        for u in self.tree.nodes() {
-            for (slot, &c) in self.tree.children(u).iter().enumerate() {
-                self.child_slot[c.index()] = slot;
-            }
-        }
-        self.demand = (0..n)
-            .map(|i| {
-                self.mix
-                    .demands_of(NodeId::new(i))
-                    .iter()
-                    .map(|&(d, r)| {
-                        (
-                            d,
-                            self.table.index_of(d).expect("demand doc in universe"),
-                            r,
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-    }
-
     /// The expensive half: diffusion parameter and WebFold oracle, the
     /// latter through the incremental refold cache.
     fn refresh_oracle(&mut self) {
-        let t0 = if self.tel.timed {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
+        let span = self.tel.begin();
         self.alpha = self.config.alpha.unwrap_or_else(|| safe_alpha(&self.tree));
         let spontaneous = self.mix.spontaneous();
         self.oracle = self.fold.refold_path(&self.tree, &spontaneous).into_load();
         self.tel.refolds += 1;
-        if let Some(t0) = t0 {
-            self.tel.refresh_ns += t0.elapsed().as_nanos() as u64;
-            self.tel.refresh_count += 1;
-        }
+        self.tel.end_refresh(span);
     }
 
-    /// Opens a barrier batch: subsequent mutations keep refreshing the
-    /// structural derived state eagerly (later mutations in the batch
-    /// depend on it) but defer the oracle/alpha refresh until
-    /// [`PacketWorld::end_batch`].
+    /// Opens a barrier batch: subsequent mutations keep the structural
+    /// derived state (child slots, demand streams) current — later
+    /// mutations in the batch depend on it — but defer the oracle/alpha
+    /// refresh until [`PacketWorld::end_batch`].
     ///
     /// # Panics
     ///
@@ -293,15 +325,16 @@ impl PacketWorld {
         }
     }
 
-    /// Enables or disables span timing of oracle refreshes. Observation
-    /// only: the flag gates reads of the monotonic clock, never anything
-    /// the simulation computes.
+    /// Enables or disables span timing of oracle refreshes and of the
+    /// mutators' structural work. Observation only: the flag gates
+    /// reads of the monotonic clock, never anything the simulation
+    /// computes.
     pub fn set_telemetry_timing(&mut self, timed: bool) {
         self.tel.timed = timed;
     }
 
-    /// The observation-only oracle-maintenance counters (refolds, full
-    /// sweeps, refresh spans). See `docs/observability.md`.
+    /// The observation-only maintenance counters (refolds, full sweeps,
+    /// refresh and structural spans). See `docs/observability.md`.
     pub fn oracle_telemetry(&self) -> &WorldTel {
         &self.tel
     }
@@ -330,13 +363,14 @@ impl PacketWorld {
                 value: rate,
             });
         }
+        let span = self.tel.begin();
         // Per-document global demand, accumulated in one pass over the
-        // mix (node order per document — the same float order a per-doc
-        // `doc_total` scan produces, without the m × n binary searches).
+        // demand streams (node order per document — the same float
+        // order a per-doc `doc_total` scan over the mix produces; the
+        // streams already carry each document's dense index).
         let mut totals = vec![0.0f64; self.table.len()];
-        for i in 0..self.mix.len() {
-            for &(d, r) in self.mix.demands_of(NodeId::new(i)) {
-                let k = self.table.index_of(d).expect("mix doc in universe");
+        for streams in &self.demand {
+            for &(_, k, r) in streams {
                 totals[k as usize] += r;
             }
         }
@@ -359,8 +393,14 @@ impl PacketWorld {
                 }
             }
         }
+        // The newcomer holds the highest id, so it closes its parent's
+        // child list; nobody else's slot or streams moved.
+        self.child_slot.push(self.tree.children(parent).len() - 1);
+        self.demand.push(Vec::new());
+        self.derive_demand(id.index());
         self.generation += 1;
-        self.refresh_derived();
+        self.tel.end_structural(span);
+        self.oracle_changed();
         Ok(id)
     }
 
@@ -376,6 +416,7 @@ impl PacketWorld {
     /// As [`Tree::remove_leaf`]: unknown id, the root, or an interior
     /// node.
     pub fn leave(&mut self, node: NodeId) -> Result<LeafRemoval, ModelError> {
+        let span = self.tel.begin();
         let removal = self.tree.remove_leaf(node)?;
         self.fold.on_leave(&self.tree, &removal);
         let departed = self.mix.swap_remove_node(node);
@@ -384,8 +425,18 @@ impl PacketWorld {
                 self.mix.add_rate(removal.parent, d, r);
             }
         }
+        // Mirror the id compaction, then repair what it touched: the
+        // child lists of the (at most two) renumbered parents, and the
+        // streams of the parent that inherited the departed demand.
+        self.child_slot.swap_remove(node.index());
+        self.demand.swap_remove(node.index());
+        for p in parents_to_remap(&self.tree, &removal) {
+            self.reslot_children(p);
+        }
+        self.derive_demand(removal.parent.index());
         self.generation += 1;
-        self.refresh_derived();
+        self.tel.end_structural(span);
+        self.oracle_changed();
         Ok(removal)
     }
 
@@ -419,10 +470,22 @@ impl PacketWorld {
                 value: rate,
             });
         }
+        let span = self.tel.begin();
         let growth = self.grow_universe([doc].into_iter());
         self.mix.add_rate(origin, doc, rate);
+        // An appended document leaves every other stream's dense index
+        // alone; a smaller id shifts the columns at and above it.
+        if let Some(g) = growth.as_ref().filter(|g| !g.is_append()) {
+            for streams in &mut self.demand {
+                for (_, index, _) in streams {
+                    *index = g.old_to_new[*index as usize];
+                }
+            }
+        }
+        self.derive_demand(origin.index());
         self.generation += 1;
-        self.refresh_derived();
+        self.tel.end_structural(span);
+        self.oracle_changed();
         Ok(growth)
     }
 
@@ -444,10 +507,15 @@ impl PacketWorld {
                 actual: mix.len(),
             });
         }
+        let span = self.tel.begin();
         let growth = self.grow_universe(mix.documents().into_iter());
-        self.mix = mix.clone();
+        self.mix.clone_from(mix);
+        for i in 0..n {
+            self.derive_demand(i);
+        }
         self.generation += 1;
-        self.refresh_derived();
+        self.tel.end_structural(span);
+        self.oracle_changed();
         Ok(growth)
     }
 
@@ -525,6 +593,16 @@ pub struct UniverseGrowth {
     pub fresh: Vec<u32>,
     /// Size of the grown universe.
     pub new_len: usize,
+}
+
+impl UniverseGrowth {
+    /// `true` when every new document sorts after every old one, so no
+    /// existing column moved (`old_to_new` is the identity).
+    pub fn is_append(&self) -> bool {
+        self.fresh
+            .first()
+            .is_none_or(|&k| k as usize >= self.old_to_new.len())
+    }
 }
 
 /// One barrier-time mutation, in the uniform shape every packet driver
@@ -625,7 +703,7 @@ pub fn apply_surgery(ev: PacketEvent, steps: &[SurgeryStep]) -> Option<PacketEve
 }
 
 /// A token bucket shaping one document's serve rate.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TokenBucket {
     rate: f64,
     tokens: f64,
@@ -698,13 +776,22 @@ pub struct NodeState {
 /// streams never depend on shard layout or global construction order,
 /// before or after a barrier rebuild.
 pub fn arrival_stream_rng(world: &PacketWorld, node: usize, doc: DocId) -> SimRng {
-    let base = SimRng::seed(world.config.seed)
-        .fork(STREAM_ARRIVAL ^ (node as u64))
-        .fork(doc.value());
-    if world.generation == 0 {
+    stream_rng(&node_arrival_rng(world, node), world.generation, doc)
+}
+
+/// The per-node prefix of [`arrival_stream_rng`], shared by all of the
+/// node's streams.
+fn node_arrival_rng(world: &PacketWorld, node: usize) -> SimRng {
+    SimRng::seed(world.config.seed).fork(STREAM_ARRIVAL ^ (node as u64))
+}
+
+/// The per-stream suffix of [`arrival_stream_rng`].
+fn stream_rng(node_rng: &SimRng, generation: u64, doc: DocId) -> SimRng {
+    let base = node_rng.fork(doc.value());
+    if generation == 0 {
         base
     } else {
-        base.fork(STREAM_REBUILD ^ world.generation)
+        base.fork(STREAM_REBUILD ^ generation)
     }
 }
 
@@ -741,8 +828,7 @@ pub fn init_state_at(world: &PacketWorld, node: NodeId, at: f64) -> NodeState {
     } else {
         world.table.empty_set()
     };
-    let table =
-        |rows: usize| DenseFlowTable::new_anchored(config.measure_window, 0.5, rows, m.max(1), at);
+    let table = |rows: usize| DenseFlowTable::new_anchored(config.measure_window, 0.5, rows, m, at);
     NodeState {
         copies,
         filter: world.table.empty_set(),
@@ -795,6 +881,11 @@ pub fn initial_arrivals(
 /// driver must have dropped the node's stale [`PacketEvent::Arrival`]
 /// events from its queue first (the whole-queue pass of
 /// [`remap_for_rebuild`] / [`renumber_for_leave`]).
+///
+/// This pass is `O(streams)` by contract — the generation is folded
+/// into *every* stream's RNG, so every stream restarts at every bump —
+/// which is why it refills the node's RNG list in place and forks the
+/// per-node prefix once, rather than allocating per node.
 pub fn rebuild_node_arrivals(
     world: &PacketWorld,
     state: &mut NodeState,
@@ -803,14 +894,12 @@ pub fn rebuild_node_arrivals(
     out: &mut Vec<(SimTime, PacketEvent)>,
 ) {
     let i = node.index();
-    state.arrival_rng = world.demand[i]
-        .iter()
-        .map(|&(doc, _, _)| arrival_stream_rng(world, i, doc))
-        .collect();
-    for stream in 0..world.demand[i].len() {
-        let (doc, index, rate) = world.demand[i][stream];
+    let node_rng = node_arrival_rng(world, i);
+    state.arrival_rng.clear();
+    for (stream, &(doc, index, rate)) in world.demand[i].iter().enumerate() {
+        let mut rng = stream_rng(&node_rng, world.generation, doc);
         if rate > 0.0 {
-            let gap = exp_delay(&mut state.arrival_rng[stream], 1.0 / rate);
+            let gap = exp_delay(&mut rng, 1.0 / rate);
             out.push((
                 at + SimTime::from_secs(gap),
                 PacketEvent::Arrival {
@@ -822,6 +911,7 @@ pub fn rebuild_node_arrivals(
                 },
             ));
         }
+        state.arrival_rng.push(rng);
     }
 }
 
@@ -976,40 +1066,47 @@ pub fn renumber_for_leave(
     }
 }
 
-/// Remaps one node's per-document state after the universe grew:
-/// bitsets, token buckets, and flow meters move to their shifted
-/// columns; fresh columns start empty, anchored at `at`. The home
-/// server additionally receives the only copy of each new document.
+/// Moves one node's per-document state to a grown universe, in place:
+/// bitsets, token buckets, and flow meters shift to their new columns
+/// inside the buffers they already occupy; fresh columns start empty,
+/// anchored at `at`. The home server additionally receives the only
+/// copy of each new document. An appended document — the common
+/// publish — moves nothing: each table anchors one fresh cell per row,
+/// within the room an earlier growth reserved.
 pub fn grow_node_state(state: &mut NodeState, growth: &UniverseGrowth, at: f64, is_root: bool) {
-    let shift_set = |set: &DocSet| {
-        let mut grown = DocSet::new(growth.new_len);
-        for idx in set.iter() {
-            grown.insert(growth.old_to_new[idx as usize]);
+    let grow_set = |set: &mut DocSet| {
+        set.grow(growth.new_len);
+        if !growth.is_append() {
+            // Ascending mapping: moving members highest first never
+            // lands one on a member still waiting to move.
+            for (old, &new) in growth.old_to_new.iter().enumerate().rev() {
+                if new as usize != old && set.remove(old as u32) {
+                    set.insert(new);
+                }
+            }
         }
-        grown
     };
-    state.copies = shift_set(&state.copies);
-    state.filter = shift_set(&state.filter);
-    state.alloc_set = shift_set(&state.alloc_set);
+    grow_set(&mut state.copies);
+    grow_set(&mut state.filter);
+    grow_set(&mut state.alloc_set);
     if is_root {
         for &k in &growth.fresh {
             state.copies.insert(k);
         }
     }
-    let mut alloc = vec![TokenBucket::new(0.0, at); growth.new_len];
-    for (old, &new) in growth.old_to_new.iter().enumerate() {
-        alloc[new as usize] = state.alloc[old];
+    let fresh = TokenBucket::new(0.0, at);
+    state.alloc.resize(growth.new_len, fresh);
+    shift_columns(
+        &mut state.alloc,
+        0,
+        0,
+        &growth.old_to_new,
+        growth.new_len,
+        fresh,
+    );
+    for table in [&mut state.flows, &mut state.seen, &mut state.served] {
+        table.grow_docs(&growth.old_to_new, growth.new_len, at);
     }
-    state.alloc = alloc;
-    state
-        .flows
-        .remap_docs(&growth.old_to_new, growth.new_len, at);
-    state
-        .seen
-        .remap_docs(&growth.old_to_new, growth.new_len, at);
-    state
-        .served
-        .remap_docs(&growth.old_to_new, growth.new_len, at);
 }
 
 /// Rebuilds one node's per-child-slot state (flow meter rows and gossip
@@ -1045,38 +1142,42 @@ pub fn join_slot_map(old_children: usize) -> Vec<Option<usize>> {
 /// moved node's parent (one of its children changed id, so its sort
 /// position among the siblings may have). Shared by both drivers so
 /// their leave surgery cannot diverge.
-pub fn parents_to_remap(tree: &Tree, removal: &LeafRemoval) -> Vec<NodeId> {
-    let mut parents = vec![removal.parent];
-    if removal.moved.is_some() {
-        if let Some(mp) = tree.parent(removal.removed) {
-            if !parents.contains(&mp) {
-                parents.push(mp);
-            }
-        }
-    }
-    parents
+pub fn parents_to_remap(tree: &Tree, removal: &LeafRemoval) -> impl Iterator<Item = NodeId> {
+    let moved_parent = removal
+        .moved
+        .and_then(|_| tree.parent(removal.removed))
+        .filter(|&p| p != removal.parent);
+    std::iter::once(removal.parent).chain(moved_parent)
 }
 
 /// The per-child slot mapping of `parent` after a leave renumbered the
 /// tree: for each child in the *new* child list, the slot it occupied
-/// under the old numbering (`old_child_slot`), with `moved -> removed`
-/// renumbering already applied to the child ids.
-pub fn child_slot_map(
-    tree: &Tree,
-    parent: NodeId,
-    removed: NodeId,
-    moved: Option<NodeId>,
-    old_child_slot: &[usize],
-) -> Vec<Option<usize>> {
-    tree.children(parent)
+/// before the leave.
+///
+/// Read off the new tree alone. The old list held the same children in
+/// the same relative order, except that (a) the departed leaf `removed`
+/// sat at its sorted position if `parent` was its parent, and (b) the
+/// moved node, which then held the highest id in the tree, sat last if
+/// it is `parent`'s child — today it sorts in as `removed`.
+pub fn child_slot_map(tree: &Tree, parent: NodeId, removal: &LeafRemoval) -> Vec<Option<usize>> {
+    let removed = removal.removed;
+    let children = tree.children(parent);
+    let lost_child = parent == removal.parent;
+    let holds_moved = removal.moved.is_some() && tree.parent(removed) == Some(parent);
+    let old_len = children.len() + usize::from(lost_child);
+    children
         .iter()
-        .map(|&c| {
-            let old_id = if c == removed {
-                moved.expect("only the moved node now holds the vacated id")
+        .enumerate()
+        .map(|(slot, &c)| {
+            Some(if holds_moved && c == removed {
+                old_len - 1
             } else {
-                c
-            };
-            Some(old_child_slot[old_id.index()])
+                // Among children that sort after the vacated id: one
+                // slot back for the moved node now ahead of them, one
+                // slot on for the departed leaf then ahead of them.
+                let after = usize::from(c > removed);
+                slot - after * usize::from(holds_moved) + after * usize::from(lost_child)
+            })
         })
         .collect()
 }

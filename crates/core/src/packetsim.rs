@@ -64,8 +64,14 @@ const K_SURGERY_SWEEPS: usize = 1;
 const K_SURGERY_REMOVED: usize = 2;
 
 /// Phase-name table of the sequential core driver.
-pub static CORE_PHASES: &[&str] = &["core.phase.arrival_rebuild"];
+pub static CORE_PHASES: &[&str] = &[
+    "core.phase.arrival_rebuild",
+    "core.phase.queue_surgery",
+    "core.phase.universe_growth",
+];
 const P_ARRIVAL_REBUILD: usize = 0;
+const P_QUEUE_SURGERY: usize = 1;
+const P_UNIVERSE_GROWTH: usize = 2;
 
 /// Outcome of a finished packet-level run.
 #[derive(Debug, Clone)]
@@ -269,6 +275,13 @@ impl<Q: SimQueue<PacketEvent> + Default> GenericPacketSim<Q> {
                 PhaseStat {
                     ns: self.world.tel.refresh_ns,
                     count: self.world.tel.refresh_count,
+                },
+            );
+            snap.push_phase(
+                "core.phase.structural",
+                PhaseStat {
+                    ns: self.world.tel.structural_ns,
+                    count: self.world.tel.structural_count,
                 },
             );
             self.tel_phases.snapshot_into(&mut snap);
@@ -503,19 +516,20 @@ impl<Q: SimQueue<PacketEvent> + Default> GenericPacketSim<Q> {
     /// in node order — the canonical recipe the parallel driver repeats
     /// per shard.
     fn rebuild_arrivals(&mut self, growth: Option<&UniverseGrowth>) {
-        let before = self.queue.len();
-        self.queue
-            .filter_map_events(|ev| packet::remap_for_rebuild(ev, growth));
-        self.note_surgery(before);
+        self.queue_surgery(|ev| packet::remap_for_rebuild(ev, growth));
         self.reschedule_arrivals();
     }
 
-    /// Credits one queue-surgery sweep that shrank the queue from
-    /// `before` to its current length.
-    fn note_surgery(&mut self, before: usize) {
+    /// One queue-surgery sweep: filters every pending event through
+    /// `f`, timing the sweep and crediting what it removed.
+    fn queue_surgery(&mut self, f: impl FnMut(PacketEvent) -> Option<PacketEvent>) {
+        let span = self.tel_phases.begin();
+        let before = self.queue.len();
+        self.queue.filter_map_events(f);
         self.tel.add(K_SURGERY_SWEEPS, 1);
         self.tel
             .add(K_SURGERY_REMOVED, (before - self.queue.len()) as u64);
+        self.tel_phases.end(P_QUEUE_SURGERY, span);
     }
 
     /// The scheduling half of [`PacketSim::rebuild_arrivals`], for
@@ -588,7 +602,6 @@ impl<Q: SimQueue<PacketEvent> + Default> GenericPacketSim<Q> {
     /// node.
     pub fn remove_leaf(&mut self, node: NodeId) -> Result<LeafRemoval, ModelError> {
         let at = self.queue.now();
-        let old_child_slot = self.world.child_slot.clone();
         let removal = self.world.leave(node)?;
         let i = removal.removed.index();
         self.nodes.swap_remove(i);
@@ -601,20 +614,10 @@ impl<Q: SimQueue<PacketEvent> + Default> GenericPacketSim<Q> {
                 moved: removal.moved,
             });
         } else {
-            let before = self.queue.len();
-            self.queue.filter_map_events(|ev| {
-                packet::renumber_for_leave(ev, removal.removed, removal.moved)
-            });
-            self.note_surgery(before);
+            self.queue_surgery(|ev| packet::renumber_for_leave(ev, removal.removed, removal.moved));
         }
         for p in packet::parents_to_remap(&self.world.tree, &removal) {
-            let map = packet::child_slot_map(
-                &self.world.tree,
-                p,
-                removal.removed,
-                removal.moved,
-                &old_child_slot,
-            );
+            let map = packet::child_slot_map(&self.world.tree, p, &removal);
             packet::remap_children(&mut self.nodes[p.index()], &map, at.as_secs());
         }
         // The renumbering pass above already dropped the stale arrivals;
@@ -632,10 +635,12 @@ impl<Q: SimQueue<PacketEvent> + Default> GenericPacketSim<Q> {
     fn apply_growth(&mut self, growth: Option<UniverseGrowth>) {
         let at = self.queue.now().as_secs();
         if let Some(g) = &growth {
+            let span = self.tel_phases.begin();
             let root = self.world.tree.root();
             for j in 0..self.world.len() {
                 packet::grow_node_state(&mut self.nodes[j], g, at, NodeId::new(j) == root);
             }
+            self.tel_phases.end(P_UNIVERSE_GROWTH, span);
         }
         if let Some(steps) = &mut self.batch {
             steps.push(SurgeryStep::Rebuild(growth));
@@ -700,10 +705,7 @@ impl<Q: SimQueue<PacketEvent> + Default> GenericPacketSim<Q> {
         let steps = self.batch.take().expect("no open barrier batch");
         self.world.end_batch();
         if !steps.is_empty() {
-            let before = self.queue.len();
-            self.queue
-                .filter_map_events(|ev| packet::apply_surgery(ev, &steps));
-            self.note_surgery(before);
+            self.queue_surgery(|ev| packet::apply_surgery(ev, &steps));
             self.reschedule_arrivals();
         }
     }

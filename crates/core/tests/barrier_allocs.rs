@@ -1,0 +1,135 @@
+//! Allocation budget of the barrier path — a timing-free guard for
+//! "a barrier operation costs what it touches".
+//!
+//! A join or a leave touches one root path and one or two child lists,
+//! so the number of allocations a churn storm performs must not grow
+//! with the node count; and once a universe growth has reserved spare
+//! document columns, appending the next document must not allocate per
+//! node at all. Both used to fail by construction: every barrier op
+//! rebuilt one `Vec` per node (demand streams, arrival RNGs), and every
+//! growth rebuilt ten.
+//!
+//! The counting allocator is this test binary's own; counts are kept per
+//! thread, so the tests stay independent under the parallel test runner.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use ww_core::packet::BarrierOp;
+use ww_core::packetsim::{PacketSim, PacketSimConfig};
+use ww_model::{DocId, NodeId};
+
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note() {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a
+// const-initialized thread-local `Cell` without a destructor, so
+// touching it never allocates or re-enters the allocator.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller's obligations are passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` via this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller's obligations are passed through as is.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: `ptr` came from `System` via this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Allocations (and reallocations) `f` performs on this thread.
+fn allocations_of<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let result = f();
+    (ALLOCATIONS.with(Cell::get) - before, result)
+}
+
+/// A CDN-shaped world (`regions` regional caches, `leaves` edge caches
+/// under each), a few gossip rounds into its run.
+fn cdn(regions: usize, leaves: usize) -> PacketSim {
+    let tree = ww_topology::two_level(regions, leaves);
+    let rates = ww_workload::leaf_only(&tree, 1.0);
+    let mix = ww_workload::shared_zipf_mix(&tree, &rates, 8, 1.0);
+    let mut sim = PacketSim::new(&tree, &mix, PacketSimConfig::default());
+    sim.run(0.25);
+    sim
+}
+
+/// Allocations of one batched join + leave storm.
+fn churn_storm_allocations(regions: usize, leaves: usize) -> u64 {
+    let mut sim = cdn(regions, leaves);
+    let storm = [
+        BarrierOp::AddLeaf {
+            parent: NodeId::new(1),
+            rate: 40.0,
+        },
+        BarrierOp::RemoveLeaf {
+            node: NodeId::new(regions + 5),
+        },
+    ];
+    let (allocations, results) = allocations_of(|| sim.apply_all(&storm));
+    assert!(results.iter().all(Result::is_ok), "{results:?}");
+    allocations
+}
+
+#[test]
+fn churn_storm_allocations_do_not_scale_with_the_node_count() {
+    let small = churn_storm_allocations(60, 60); // 3,661 nodes
+    let large = churn_storm_allocations(120, 120); // 14,521 nodes
+    assert!(
+        large as f64 <= 1.5 * small as f64,
+        "a join + leave storm allocated {small} times on 3,661 nodes \
+         but {large} times on 14,521: the count follows the node count"
+    );
+}
+
+#[test]
+fn appending_a_document_within_reserved_capacity_allocates_per_storm_not_per_node() {
+    let mut sim = cdn(60, 60);
+    let nodes = sim.tree().len() as u64;
+    let publish = |doc: u64| BarrierOp::PublishDoc {
+        doc: DocId::new(doc),
+        origin: NodeId::new(100),
+        rate: 20.0,
+    };
+    // The first growth finds every table exactly full and reserves
+    // spare columns, node by node.
+    let (first, results) = allocations_of(|| sim.apply_all(&[publish(100)]));
+    assert!(results[0].is_ok());
+    assert!(
+        first >= nodes,
+        "the first growth reallocates per node ({first})"
+    );
+    sim.run(0.5);
+    // The second appends into that room.
+    let (second, results) = allocations_of(|| sim.apply_all(&[publish(101)]));
+    assert!(results[0].is_ok());
+    assert!(
+        second < nodes / 8,
+        "appending a document allocated {second} times on {nodes} nodes"
+    );
+}

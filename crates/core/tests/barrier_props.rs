@@ -1,12 +1,22 @@
 //! Property tests for barrier-time event application on the packet
 //! engine's mutable world: churn round-trips, shift idempotence, and
-//! universe-growth invariants, over randomized topologies and demand.
+//! universe-growth invariants, over randomized topologies and demand —
+//! and the in-place barrier forms against the from-scratch definitions
+//! they replaced (a fresh `PacketWorld::new`, a rebuilt `DenseFlowTable`
+//! grid, the pre-leave child-slot index).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ww_core::packetsim::{PacketSim, PacketSimConfig};
-use ww_model::{DocId, NodeId};
+use ww_core::packet::{
+    self, BarrierOp, NodeCtx, NodeState, PacketCounters, PacketEvent, PacketWorld, Scratch,
+    UniverseGrowth,
+};
+use ww_core::packetsim::{PacketSim, PacketSimConfig, PacketSimReport};
+use ww_model::{DocId, DocSet, NodeId, Tree};
+use ww_net::{DocRequest, RequestId, TrafficLedger};
+use ww_sim::SimTime;
+use ww_workload::DocMix;
 
 /// A small random world: tree, Zipf demand, configured simulator.
 fn build_sim(nodes: usize, docs: usize, seed: u64) -> PacketSim {
@@ -17,8 +27,362 @@ fn build_sim(nodes: usize, docs: usize, seed: u64) -> PacketSim {
     PacketSim::new(&tree, &mix, PacketSimConfig::default())
 }
 
+/// One barrier operation before it meets a concrete tree: node picks are
+/// reduced modulo the node count *as of the op*, so a script stays
+/// meaningful while the tree churns under it. Picks are deliberately
+/// not filtered for validity — a `Remove` of an interior node or the
+/// root, or an `Invalidate` of an unknown document, must be rejected and
+/// mutate nothing.
+#[derive(Debug, Clone)]
+enum Pick {
+    Add {
+        parent: usize,
+        rate: f64,
+    },
+    Remove {
+        node: usize,
+    },
+    Publish {
+        doc: u64,
+        origin: usize,
+        rate: f64,
+    },
+    Shift {
+        first_doc: u64,
+        docs: usize,
+        every: usize,
+    },
+    Link {
+        node: usize,
+        fail: bool,
+    },
+    Invalidate {
+        doc: u64,
+    },
+}
+
+/// Decodes raw draws into a pick, weighting churn and publishes.
+fn arb_pick() -> impl Strategy<Value = Pick> {
+    (0u8..12, 0usize..1000, 0u64..24, 0.0f64..60.0).prop_map(|(kind, node, doc, rate)| match kind {
+        0..=2 => Pick::Add { parent: node, rate },
+        3..=5 => Pick::Remove { node },
+        // Ids both below and above the initial universe `0..docs`:
+        // insert-before and append growths, and re-publishes.
+        6..=8 => Pick::Publish {
+            doc,
+            origin: node,
+            rate: rate / 2.0,
+        },
+        9 => Pick::Shift {
+            first_doc: doc % 20,
+            docs: 1 + node % 5,
+            every: 1 + node % 3,
+        },
+        10 => Pick::Link {
+            node,
+            fail: doc % 2 == 0,
+        },
+        _ => Pick::Invalidate { doc },
+    })
+}
+
+/// Turns a pick into the op it means on `shadow`, and applies the op's
+/// topology change to `shadow` exactly when the engines will accept it.
+fn materialize(pick: &Pick, shadow: &mut Tree) -> BarrierOp {
+    let n = shadow.len();
+    match *pick {
+        Pick::Add { parent, rate } => {
+            let parent = NodeId::new(parent % n);
+            shadow.add_leaf(parent).expect("parent exists");
+            BarrierOp::AddLeaf { parent, rate }
+        }
+        Pick::Remove { node } => {
+            let node = NodeId::new(node % n);
+            let _ = shadow.remove_leaf(node);
+            BarrierOp::RemoveLeaf { node }
+        }
+        Pick::Publish { doc, origin, rate } => BarrierOp::PublishDoc {
+            doc: DocId::new(doc),
+            origin: NodeId::new(origin % n),
+            rate,
+        },
+        Pick::Shift {
+            first_doc,
+            docs,
+            every,
+        } => {
+            let mut mix = DocMix::new(n);
+            for i in (0..n).step_by(every) {
+                for k in 0..docs {
+                    let doc = DocId::new(first_doc + 3 * k as u64);
+                    mix.set(NodeId::new(i), doc, 4.0 / (k + 1) as f64);
+                }
+            }
+            BarrierOp::SetMix { mix }
+        }
+        Pick::Link { node, fail } => {
+            let node = NodeId::new(node % n);
+            if shadow.parent(node).is_none() {
+                // The root has no uplink; the typed methods panic on it.
+                BarrierOp::Invalidate {
+                    doc: DocId::new(node.index() as u64),
+                }
+            } else if fail {
+                BarrierOp::FailLink { node }
+            } else {
+                BarrierOp::HealLink { node }
+            }
+        }
+        Pick::Invalidate { doc } => BarrierOp::Invalidate {
+            doc: DocId::new(doc),
+        },
+    }
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Everything the world derives from `(tree, mix)` equals what a world
+/// built from scratch over the same tree and mix derives.
+fn assert_world_matches_fresh(world: &PacketWorld) {
+    let rebuilt = Tree::from_parents(&world.tree.to_parents()).expect("still a tree");
+    prop_assert_eq!(&world.tree, &rebuilt);
+    let fresh = PacketWorld::new(&world.tree, &world.mix, world.config);
+    prop_assert_eq!(&world.child_slot, &fresh.child_slot);
+    // A universe never shrinks: the live table may keep documents a
+    // shift dropped from the mix, so the streams' dense indices are
+    // compared through it.
+    for &doc in fresh.table.docs() {
+        prop_assert!(
+            world.table.index_of(doc).is_some(),
+            "{doc:?} left the universe"
+        );
+    }
+    let through_live_table: Vec<Vec<(DocId, u32, f64)>> = fresh
+        .demand
+        .iter()
+        .map(|streams| {
+            streams
+                .iter()
+                .map(|&(d, _, r)| (d, world.table.index_of(d).expect("checked above"), r))
+                .collect()
+        })
+        .collect();
+    prop_assert_eq!(&world.demand, &through_live_table);
+    prop_assert_eq!(world.alpha.to_bits(), fresh.alpha.to_bits());
+    prop_assert_eq!(bits(world.oracle.as_slice()), bits(fresh.oracle.as_slice()));
+}
+
+fn report_bits(r: &PacketSimReport) -> (Vec<u64>, Vec<u64>, u64, u64, u64) {
+    (
+        bits(r.trace.distances()),
+        bits(r.served_rates.as_slice()),
+        r.served_requests,
+        r.processed_events,
+        r.copy_pushes,
+    )
+}
+
+/// Drives `state` through a fixed little history, so its bitsets, token
+/// buckets and meters all hold something worth preserving.
+fn exercise(world: &PacketWorld, state: &mut NodeState, node: NodeId, salt: u32) {
+    let failed_up = vec![false; world.len()];
+    let (mut ledger, mut counters) = (TrafficLedger::new(), PacketCounters::default());
+    let (mut out, mut scratch) = (Vec::new(), Scratch::default());
+    let mut ctx = NodeCtx {
+        world,
+        failed_up: &failed_up,
+        ledger: &mut ledger,
+        counters: &mut counters,
+        out: &mut out,
+        scratch: &mut scratch,
+    };
+    let m = world.table.len() as u32;
+    let children = world.tree.children(node).to_vec();
+    for step in 0..40u32 {
+        let t = SimTime::from_secs(0.05 * step as f64);
+        let index = (step.wrapping_mul(7) ^ salt) % m;
+        let event = if step % 5 == 0 {
+            PacketEvent::CopyInstall {
+                node,
+                index,
+                rate: 1.0 + step as f64,
+            }
+        } else {
+            let from = children.get(step as usize % (children.len() + 1)).copied();
+            let doc = world.table.doc(index);
+            PacketEvent::Packet {
+                node,
+                from,
+                request: DocRequest::new(RequestId::new(step as u64), doc, from.unwrap_or(node)),
+                index,
+            }
+        };
+        packet::handle(&mut ctx, state, t, event);
+    }
+}
+
+/// The universe growth the in-place form replaced: every per-document
+/// structure is built anew at the grown size and the old cells copied
+/// over.
+fn grow_by_rebuilding(state: &mut NodeState, g: &UniverseGrowth, at: f64, cold: &NodeState) {
+    let shift = |set: &DocSet| {
+        let mut grown = DocSet::new(g.new_len);
+        for idx in set.iter() {
+            grown.insert(g.old_to_new[idx as usize]);
+        }
+        grown
+    };
+    state.copies = shift(&state.copies);
+    state.filter = shift(&state.filter);
+    state.alloc_set = shift(&state.alloc_set);
+    // A node created at `at` holds exactly the fresh token buckets.
+    let mut alloc = cold.alloc.clone();
+    for (old, &new) in g.old_to_new.iter().enumerate() {
+        alloc[new as usize] = state.alloc[old];
+    }
+    state.alloc = alloc;
+    state.flows.remap_docs(&g.old_to_new, g.new_len, at);
+    state.seen.remap_docs(&g.old_to_new, g.new_len, at);
+    state.served.remap_docs(&g.old_to_new, g.new_len, at);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// After any script of barrier ops — applied as `apply_all` storms
+    /// on one simulator, one `apply_op` at a time on another — the
+    /// world's maintained state (tree, child slots, demand streams,
+    /// universe, alpha, oracle) equals a world built from scratch over
+    /// the same tree and mix; the two simulators accept and reject the
+    /// same ops and then run on bit-identically.
+    #[test]
+    fn in_place_barriers_match_a_fresh_world(
+        nodes in 4usize..24,
+        docs in 1usize..6,
+        seed in 0u64..1000,
+        storms in proptest::collection::vec(proptest::collection::vec(arb_pick(), 1..7), 1..4),
+    ) {
+        let mut batched = build_sim(nodes, docs, seed);
+        let mut one_by_one = build_sim(nodes, docs, seed);
+        let mut horizon = 0.0;
+        for storm in &storms {
+            horizon += 1.0;
+            batched.run(horizon);
+            one_by_one.run(horizon);
+            let mut shadow = batched.tree().clone();
+            let ops: Vec<BarrierOp> =
+                storm.iter().map(|pick| materialize(pick, &mut shadow)).collect();
+            let results = batched.apply_all(&ops);
+            for (op, expect) in ops.iter().zip(&results) {
+                prop_assert_eq!(&one_by_one.apply_op(op), expect);
+                assert_world_matches_fresh(one_by_one.world());
+            }
+            prop_assert_eq!(batched.tree(), &shadow);
+            assert_world_matches_fresh(batched.world());
+        }
+        let (a, b) = (batched.run(horizon + 2.0), one_by_one.run(horizon + 2.0));
+        prop_assert_eq!(report_bits(&a), report_bits(&b));
+    }
+
+    /// Growing a node's per-document state in place — bitsets, token
+    /// buckets, the three meter grids — equals rebuilding each structure
+    /// at the grown size, for appended and inserted-before documents,
+    /// on a first growth and on one that finds spare capacity.
+    #[test]
+    fn node_state_grows_in_place_like_a_rebuild(
+        seed in 0u64..1000,
+        salt in any::<u32>(),
+        published in proptest::collection::vec(0u64..40, 1..4),
+    ) {
+        // Documents 10, 12, .. leave room below, between and above.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let tree = ww_topology::random_tree_of_depth(&mut rng, 9, 3);
+        let mut mix = DocMix::new(tree.len());
+        for i in 0..tree.len() {
+            for k in 0..4u64 {
+                mix.set(NodeId::new(i), DocId::new(10 + 2 * k), 3.0);
+            }
+        }
+        let mut world = PacketWorld::new(&tree, &mix, PacketSimConfig::default());
+        let node = NodeId::new((salt as usize) % tree.len());
+        let is_root = node == tree.root();
+        let mut in_place = packet::init_state(&world, node);
+        let mut rebuilt = packet::init_state(&world, node);
+        exercise(&world, &mut in_place, node, salt);
+        exercise(&world, &mut rebuilt, node, salt);
+        for (round, &doc) in published.iter().enumerate() {
+            let at = 2.0 + round as f64;
+            let Some(growth) = world
+                .publish(DocId::new(doc), node, 1.0)
+                .expect("publish applies")
+            else {
+                continue;
+            };
+            let cold = packet::init_state_at(&world, node, at);
+            packet::grow_node_state(&mut in_place, &growth, at, is_root);
+            grow_by_rebuilding(&mut rebuilt, &growth, at, &cold);
+            if is_root {
+                for &k in &growth.fresh {
+                    rebuilt.copies.insert(k);
+                }
+            }
+            prop_assert_eq!(&in_place.copies, &rebuilt.copies);
+            prop_assert_eq!(&in_place.filter, &rebuilt.filter);
+            prop_assert_eq!(&in_place.alloc_set, &rebuilt.alloc_set);
+            prop_assert_eq!(&in_place.alloc, &rebuilt.alloc);
+            prop_assert_eq!(&in_place.flows, &rebuilt.flows);
+            prop_assert_eq!(&in_place.seen, &rebuilt.seen);
+            prop_assert_eq!(&in_place.served, &rebuilt.served);
+        }
+    }
+
+    /// The slot map a leave hands the drivers — read off the tree
+    /// *after* the leave — names, for every child of a renumbered
+    /// parent, the slot a child-slot index taken *before* the leave
+    /// held for it.
+    #[test]
+    fn leave_slot_maps_match_the_index_before_the_leave(
+        seed in 0u64..2000,
+        nodes in 3usize..40,
+        churn in proptest::collection::vec(0usize..1000, 1..12),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut tree = ww_topology::random_tree_of_depth(&mut rng, nodes, 4.min(nodes - 1));
+        for pick in churn {
+            let leaves: Vec<NodeId> = tree
+                .nodes()
+                .filter(|&u| tree.is_leaf(u) && u != tree.root())
+                .collect();
+            if leaves.is_empty() {
+                break;
+            }
+            let mut slot_before = vec![0usize; tree.len()];
+            for u in tree.nodes() {
+                for (slot, &c) in tree.children(u).iter().enumerate() {
+                    slot_before[c.index()] = slot;
+                }
+            }
+            let removal = tree
+                .remove_leaf(leaves[pick % leaves.len()])
+                .expect("a non-root leaf departs");
+            for p in packet::parents_to_remap(&tree, &removal) {
+                let expect: Vec<Option<usize>> = tree
+                    .children(p)
+                    .iter()
+                    .map(|&c| {
+                        let id_before = match removal.moved {
+                            Some(last) if c == removal.removed => last,
+                            _ => c,
+                        };
+                        Some(slot_before[id_before.index()])
+                    })
+                    .collect();
+                prop_assert_eq!(packet::child_slot_map(&tree, p, &removal), expect);
+            }
+        }
+    }
 
     /// Join-then-leave round-trips the world: removing the leaf that
     /// just joined restores the tree shape, the demand mix, and the
@@ -182,4 +546,35 @@ fn rejoiner_starts_cold() {
     // And the simulation keeps running fine afterwards.
     let report = sim.run(12.0);
     assert!(report.served_requests > 0);
+}
+
+/// The first publish into a world that carries no document at all: the
+/// per-node tables start with no columns (not a phantom one the growth
+/// mapping would not cover), so the universe grows from zero like from
+/// any other size — directly and through a batch.
+#[test]
+fn first_publish_into_an_empty_universe() {
+    let tree = Tree::from_parents(&[None, Some(0), Some(0), Some(1)]).unwrap();
+    let run = |batched: bool| {
+        let mut sim = PacketSim::new(&tree, &DocMix::new(4), PacketSimConfig::default());
+        sim.run(1.0);
+        assert!(sim.doc_table().is_empty());
+        let op = BarrierOp::PublishDoc {
+            doc: DocId::new(7),
+            origin: NodeId::new(3),
+            rate: 40.0,
+        };
+        if batched {
+            let results = sim.apply_all(std::slice::from_ref(&op));
+            assert!(results.iter().all(Result::is_ok), "{results:?}");
+        } else {
+            sim.publish_doc(DocId::new(7), NodeId::new(3), 40.0)
+                .expect("publish applies");
+        }
+        assert_eq!(sim.doc_table().docs(), &[DocId::new(7)]);
+        let report = sim.run(6.0);
+        assert!(report.served_requests > 0, "the new demand is served");
+        report_bits(&report)
+    };
+    assert_eq!(run(false), run(true));
 }

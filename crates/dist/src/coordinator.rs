@@ -802,6 +802,15 @@ impl DistPacketSim {
                 },
             );
         }
+        if self.options.telemetry.spans_on() && world_tel.structural_count > 0 {
+            snap.push_phase(
+                "core.phase.structural",
+                PhaseStat {
+                    ns: world_tel.structural_ns,
+                    count: world_tel.structural_count,
+                },
+            );
+        }
         snap
     }
 

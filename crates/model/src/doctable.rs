@@ -11,8 +11,9 @@
 //!
 //! # Invariants
 //!
-//! * A table is **immutable** after construction: the document universe is
-//!   fixed for the lifetime of a simulation, so dense indices never move.
+//! * A table is **immutable** after construction. A simulation whose
+//!   universe grows (a publish) builds a new table and moves its dense
+//!   state with [`DocSet::grow`] and [`shift_columns`], in place.
 //! * Indices are assigned in **ascending [`DocId`] order** and are
 //!   contiguous in `0..len`. Iterating `0..len` therefore visits documents
 //!   in sorted id order — engines rely on this for deterministic,
@@ -106,7 +107,50 @@ impl DocTable {
     }
 }
 
-/// A fixed-universe bitset over dense document indices.
+/// Moves one dense per-document row to its place in a grown universe,
+/// inside the buffer it already lives in: the `old_to_new.len()` cells at
+/// `cells[src..]` land at `cells[dst + old_to_new[old]]`, and every other
+/// cell of `cells[dst..dst + new_len]` becomes `fresh`.
+///
+/// A growing [`DocTable`] keeps ascending-id order, so `old_to_new` is
+/// strictly increasing; with `dst >= src` no cell is overwritten before
+/// it is read when the row is walked back to front. Rows of a strided
+/// grid must therefore be moved last row first. The walk stops as soon
+/// as the remaining cells are already in place, so appending one column
+/// to a row that stays where it is writes one cell.
+///
+/// # Panics
+///
+/// Panics if `dst < src`, if `old_to_new` is not strictly increasing
+/// into `0..new_len`, or if either row is outside `cells`.
+pub fn shift_columns<T: Copy>(
+    cells: &mut [T],
+    src: usize,
+    dst: usize,
+    old_to_new: &[u32],
+    new_len: usize,
+    fresh: T,
+) {
+    assert!(dst >= src, "rows only move toward the back");
+    assert!(
+        old_to_new.windows(2).all(|w| w[0] < w[1])
+            && old_to_new.last().is_none_or(|&k| (k as usize) < new_len),
+        "columns must map in ascending order into the grown universe"
+    );
+    let (mut old, mut new) = (old_to_new.len(), new_len);
+    while new > 0 && !(dst == src && new == old) {
+        new -= 1;
+        cells[dst + new] = if old > 0 && old_to_new[old - 1] as usize == new {
+            old -= 1;
+            cells[src + old]
+        } else {
+            fresh
+        };
+    }
+}
+
+/// A bitset over the dense document indices of one universe (which only
+/// ever grows, by [`DocSet::grow`]).
 ///
 /// Replaces `HashSet<DocId>` on simulation hot paths: membership is one
 /// shift + mask, iteration walks set bits in ascending index order (which
@@ -144,6 +188,18 @@ impl DocSet {
     /// The universe size this set was created for.
     pub fn universe(&self) -> usize {
         self.universe
+    }
+
+    /// Grows the universe to `universe` indices in place; members keep
+    /// their indices and the new indices start absent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `universe` is smaller than the current universe.
+    pub fn grow(&mut self, universe: usize) {
+        assert!(universe >= self.universe, "a universe never shrinks");
+        self.words.resize(universe.div_ceil(64), 0);
+        self.universe = universe;
     }
 
     /// `true` when `idx` is a member.

@@ -49,7 +49,7 @@ pub mod tree;
 
 pub use assignment::LoadAssignment;
 pub use doc::{Catalog, Document};
-pub use doctable::{DocSet, DocTable};
+pub use doctable::{shift_columns, DocSet, DocTable};
 pub use error::ModelError;
 pub use ids::{DocId, NodeId};
 pub use load::RateVector;

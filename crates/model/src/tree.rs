@@ -9,11 +9,13 @@
 use crate::{ModelError, NodeId, Result};
 use serde::{Deserialize, Serialize};
 
-/// An immutable rooted routing tree.
+/// A rooted routing tree.
 ///
 /// Construction validates that the parent pointers describe a single tree:
 /// exactly one root, no cycles, no unreachable nodes. All per-node queries
-/// are `O(1)`; traversal orders are precomputed.
+/// are `O(1)`; traversal orders are precomputed, and kept up to date in
+/// place by the two churn mutators, [`Tree::add_leaf`] and
+/// [`Tree::remove_leaf`].
 ///
 /// # Example
 ///
@@ -323,15 +325,35 @@ impl Tree {
         self.parent.iter().map(|p| p.map(NodeId::index)).collect()
     }
 
-    /// Rebuilds every derived structure (children, depths, subtree sizes,
-    /// BFS order) from a mutated parent array. `O(n)`; mutations are rare
-    /// events, not hot-path operations.
-    fn rebuild(parents: Vec<Option<usize>>) -> Self {
-        Tree::from_parents(&parents).expect("mutation preserved tree validity")
+    /// Position of `node` in the BFS order, searching from `from`.
+    fn bfs_position(&self, node: NodeId, from: usize) -> usize {
+        from + self.bfs[from..]
+            .iter()
+            .position(|&u| u == node)
+            .expect("every node appears in the BFS order")
+    }
+
+    /// Recomputes the BFS order into the existing buffer (no allocation).
+    fn refill_bfs(&mut self) {
+        self.bfs.clear();
+        self.bfs.push(self.root);
+        let mut head = 0;
+        while head < self.bfs.len() {
+            let u = self.bfs[head];
+            head += 1;
+            self.bfs.extend_from_slice(&self.children[u.index()]);
+        }
     }
 
     /// Grows the tree by one leaf under `parent` (a cache server joining
     /// the routing tree). The new node takes the next id, `self.len()`.
+    ///
+    /// In place: the newcomer is appended to the per-node tables and to
+    /// its parent's child list (it holds the highest id, so the list
+    /// stays sorted), subtree sizes grow along the root path, and the
+    /// BFS order is spliced — `O(depth)` plus one scan and one shift of
+    /// the BFS array. Churn barriers call this once per joining server,
+    /// so it must not cost a rebuild of the whole tree.
     ///
     /// # Errors
     ///
@@ -344,10 +366,35 @@ impl Tree {
                 len: self.len(),
             });
         }
-        let mut parents = self.to_parents();
-        let id = NodeId::new(parents.len());
-        parents.push(Some(parent.index()));
-        *self = Tree::rebuild(parents);
+        let id = NodeId::new(self.len());
+        // BFS lists each node's children, in id order, in the order the
+        // parents themselves appear. The newcomer therefore follows the
+        // last child of the latest node at or before `parent` that has
+        // any; only a lone root has no such node.
+        let at = self.bfs_position(parent, 0);
+        let spot = match self.bfs[..=at]
+            .iter()
+            .rposition(|&u| !self.children[u.index()].is_empty())
+        {
+            Some(j) => {
+                let last = *self.children[self.bfs[j].index()]
+                    .last()
+                    .expect("non-empty child list");
+                self.bfs_position(last, j + 1) + 1
+            }
+            None => 1,
+        };
+        self.bfs.insert(spot, id);
+        self.parent.push(Some(parent));
+        self.depth.push(self.depth[parent.index()] + 1);
+        self.subtree_size.push(1);
+        self.children.push(Vec::new());
+        self.children[parent.index()].push(id);
+        let mut up = Some(parent);
+        while let Some(u) = up {
+            self.subtree_size[u.index()] += 1;
+            up = self.parent[u.index()];
+        }
         Ok(id)
     }
 
@@ -358,6 +405,14 @@ impl Tree {
     /// The returned [`LeafRemoval`] names the renumbering so callers can
     /// apply the *same* `swap_remove` to their per-node vectors and keep
     /// id-addressed state aligned.
+    ///
+    /// In place, like [`Tree::add_leaf`]: the per-node tables are
+    /// swap-removed, the two touched child lists re-sorted, subtree
+    /// sizes shrunk along the root path, and the BFS order spliced. Only
+    /// when the renumbered node is an *interior* node that changes its
+    /// position among its siblings — its whole subtree then moves within
+    /// every BFS level below — is the BFS order recomputed, into the
+    /// existing buffer.
     ///
     /// # Errors
     ///
@@ -381,16 +436,59 @@ impl Tree {
         }
         let parent = self.parent(node).expect("non-root has a parent");
         let last = NodeId::new(n - 1);
-        let mut parents = self.to_parents();
+
+        // Detach the leaf, under the old numbering.
+        let siblings = &mut self.children[parent.index()];
+        let slot = siblings
+            .binary_search(&node)
+            .expect("a node is listed among its parent's children");
+        siblings.remove(slot);
+        let mut up = Some(parent);
+        while let Some(u) = up {
+            self.subtree_size[u.index()] -= 1;
+            up = self.parent[u.index()];
+        }
+        let at = self.bfs_position(node, 0);
+        self.bfs.remove(at);
+
         // Swap-remove: the former last node (if distinct) takes the
         // removed id; every reference to it is renumbered.
-        parents.swap_remove(node.index());
-        for p in parents.iter_mut().flatten() {
-            if *p == last.index() {
-                *p = node.index();
+        let i = node.index();
+        self.parent.swap_remove(i);
+        self.depth.swap_remove(i);
+        self.subtree_size.swap_remove(i);
+        self.children.swap_remove(i);
+        if node != last {
+            for k in 0..self.children[i].len() {
+                let c = self.children[i][k];
+                self.parent[c.index()] = Some(node);
+            }
+            match self.parent[i] {
+                None => {
+                    self.root = node;
+                    self.bfs[0] = node;
+                }
+                Some(p) => {
+                    // `last` held the highest id, so it closed its
+                    // parent's child list; as `node` it sorts in earlier.
+                    let siblings = &mut self.children[p.index()];
+                    let old_slot = siblings.len() - 1;
+                    debug_assert_eq!(siblings[old_slot], last);
+                    siblings.pop();
+                    let new_slot = siblings.partition_point(|&c| c < node);
+                    siblings.insert(new_slot, node);
+                    if new_slot == old_slot || self.children[i].is_empty() {
+                        // Siblings are adjacent in BFS order, and no
+                        // subtree hangs below the renumbered node.
+                        let end = self.bfs_position(last, 0);
+                        self.bfs[end] = node;
+                        self.bfs[end - (old_slot - new_slot)..=end].rotate_right(1);
+                    } else {
+                        self.refill_bfs();
+                    }
+                }
             }
         }
-        *self = Tree::rebuild(parents);
         Ok(LeafRemoval {
             removed: node,
             parent: if parent == last { node } else { parent },

@@ -195,4 +195,98 @@ proptest! {
         sorted.sort_unstable();
         prop_assert_eq!(dense.iter().collect::<Vec<_>>(), sorted);
     }
+
+    /// The in-place churn mutators keep every derived structure — child
+    /// lists, depths, subtree sizes, BFS order — equal to a from-scratch
+    /// build over the same parent array, under arbitrary numberings
+    /// (the root and interior nodes get renumbered too).
+    #[test]
+    fn churn_in_place_matches_a_rebuild(
+        tree in arb_tree(),
+        shuffle in any::<u64>(),
+        ops in proptest::collection::vec((any::<bool>(), 0usize..1000), 1..40),
+    ) {
+        // Renumber the generated tree by a seeded permutation, so the
+        // root is not always id 0 and parents need not precede children.
+        let n = tree.len();
+        let mut perm: Vec<usize> = (0..n).collect();
+        let mut state = shuffle | 1;
+        for i in (1..n).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            perm.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        let mut parents = vec![None; n];
+        for (i, p) in tree.to_parents().into_iter().enumerate() {
+            parents[perm[i]] = p.map(|p| perm[p]);
+        }
+        let mut tree = Tree::from_parents(&parents).expect("a permuted tree is a tree");
+        for (add, pick) in ops {
+            if add {
+                let id = tree.add_leaf(NodeId::new(pick % tree.len())).expect("parent exists");
+                prop_assert_eq!(id.index(), tree.len() - 1);
+            } else {
+                let leaves: Vec<NodeId> = tree
+                    .nodes()
+                    .filter(|&u| tree.is_leaf(u) && u != tree.root())
+                    .collect();
+                if leaves.is_empty() {
+                    continue;
+                }
+                let before = tree.clone();
+                let leaf = leaves[pick % leaves.len()];
+                let removal = tree.remove_leaf(leaf).expect("a non-root leaf departs");
+                prop_assert_eq!(removal.removed, leaf);
+                prop_assert_eq!(before.parent(leaf), Some(removal.parent_before()));
+            }
+            let rebuilt = Tree::from_parents(&tree.to_parents()).expect("still a tree");
+            prop_assert_eq!(&tree, &rebuilt);
+        }
+    }
+
+    /// `shift_columns` equals scattering into a fresh row, for any
+    /// ascending mapping, any row offsets, and any slack behind the row.
+    #[test]
+    fn shift_columns_matches_a_fresh_scatter(
+        keep in proptest::collection::vec(any::<bool>(), 0..24),
+        lead in 0usize..5,
+        push in 0usize..5,
+    ) {
+        // `keep[new]` marks the new columns that existed before.
+        let new_len = keep.len();
+        let old_to_new: Vec<u32> =
+            (0..new_len as u32).filter(|&k| keep[k as usize]).collect();
+        let old_len = old_to_new.len();
+        let (src, dst) = (lead, lead + push);
+        let mut cells = vec![-1i64; dst + new_len + old_len];
+        for old in 0..old_len {
+            cells[src + old] = 100 + old as i64;
+        }
+        let mut expect = vec![0i64; new_len];
+        for (old, &new) in old_to_new.iter().enumerate() {
+            expect[new as usize] = 100 + old as i64;
+        }
+        ww_model::shift_columns(&mut cells, src, dst, &old_to_new, new_len, 0);
+        prop_assert_eq!(&cells[dst..dst + new_len], &expect[..]);
+    }
+
+    /// Growing a set keeps every member and adds none.
+    #[test]
+    fn doc_set_grow_keeps_members(
+        members in proptest::collection::vec(0u32..100, 0..40),
+        extra in 0usize..200,
+    ) {
+        let mut set = ww_model::DocSet::new(100);
+        for &k in &members {
+            set.insert(k);
+        }
+        let before: Vec<u32> = set.iter().collect();
+        set.grow(100 + extra);
+        prop_assert_eq!(set.universe(), 100 + extra);
+        prop_assert_eq!(set.iter().collect::<Vec<_>>(), before);
+        if extra > 0 {
+            prop_assert!(!set.contains(100 + extra as u32 - 1));
+        }
+    }
 }

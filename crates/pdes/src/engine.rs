@@ -1174,6 +1174,15 @@ impl<Q: SimQueue<PacketEvent> + Default + Send> GenericParPacketSim<Q> {
                     },
                 );
             }
+            if world_tel.structural_count > 0 {
+                snap.push_phase(
+                    "core.phase.structural",
+                    PhaseStat {
+                        ns: world_tel.structural_ns,
+                        count: world_tel.structural_count,
+                    },
+                );
+            }
             let mut phases = Phases::new(PDES_PHASES, self.tel_level);
             for shard in &self.shards {
                 phases.merge_from(&shard.tel_phases);

@@ -175,7 +175,8 @@ fn reschedule_arrivals<Q: SimQueue<PacketEvent>>(
     store: &mut impl ShardStore<Q>,
 ) {
     let at = core.horizon;
-    let mut outbox = Vec::new();
+    // A node has at most one stream per document of the universe.
+    let mut outbox = Vec::with_capacity(core.world.table.len());
     for j in 0..core.world.len() {
         let s = core.partition.shard_of[j];
         let li = core.partition.local_index[j] as usize;
@@ -251,7 +252,6 @@ pub(crate) fn remove_leaf<Q: SimQueue<PacketEvent>>(
     node: NodeId,
 ) -> Result<LeafRemoval, ModelError> {
     let at = core.horizon;
-    let old_child_slot = core.world.child_slot.clone();
     let removal = core.world.leave(node)?;
     let r = removal.removed.index();
     let (s, li) = core.partition.swap_remove_node(r);
@@ -275,13 +275,7 @@ pub(crate) fn remove_leaf<Q: SimQueue<PacketEvent>>(
         });
     }
     for p in packet::parents_to_remap(&core.world.tree, &removal) {
-        let map = packet::child_slot_map(
-            &core.world.tree,
-            p,
-            removal.removed,
-            removal.moved,
-            &old_child_slot,
-        );
+        let map = packet::child_slot_map(&core.world.tree, p, &removal);
         if let Some(state) = state_mut(core, store, p.index()) {
             packet::remap_children(state, &map, at.as_secs());
         }

@@ -493,10 +493,7 @@ mod tests {
         let plan = rebalance_plan(&tree, &p, &load);
         let shard_of = apply(&p, &plan);
         for s in 0..p.shards() {
-            assert!(
-                shard_of.contains(&s),
-                "shard {s} emptied by the plan"
-            );
+            assert!(shard_of.contains(&s), "shard {s} emptied by the plan");
         }
     }
 }

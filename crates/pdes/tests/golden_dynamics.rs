@@ -520,3 +520,34 @@ fn stepped_horizons_with_churn_match_one_shot_grouping() {
         bits(b.served_rates.as_slice())
     );
 }
+
+#[test]
+fn first_publish_into_an_empty_universe_matches_sequential() {
+    // A world that starts with no document at all: the per-node tables
+    // have no columns, and the first publish grows the universe from
+    // zero — on two workers exactly as on the sequential engine.
+    let tree = Tree::from_parents(&[None, Some(0), Some(0), Some(1), Some(2)]).unwrap();
+    let mix = DocMix::new(tree.len());
+    let config = PacketSimConfig::default();
+    let publish = BarrierOp::PublishDoc {
+        doc: DocId::new(7),
+        origin: NodeId::new(3),
+        rate: 40.0,
+    };
+    let mut seq = PacketSim::new(&tree, &mix, config);
+    let mut par = ParPacketSim::new(&tree, &mix, config, 2);
+    seq.run(1.0);
+    par.run(1.0);
+    assert!(seq.apply_all(std::slice::from_ref(&publish))[0].is_ok());
+    assert!(par.apply_all(std::slice::from_ref(&publish))[0].is_ok());
+    seq.run(3.0);
+    par.run(3.0);
+    // A second, smaller id shifts the one existing column.
+    seq.publish_doc(DocId::new(2), NodeId::new(4), 25.0)
+        .unwrap();
+    par.publish_doc(DocId::new(2), NodeId::new(4), 25.0)
+        .unwrap();
+    let (a, b) = (seq.run(8.0), par.run(8.0));
+    assert!(a.served_requests > 0, "the published demand is served");
+    assert_reports_identical(&a, &b, "first publish, 2 workers");
+}

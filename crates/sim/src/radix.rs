@@ -63,6 +63,10 @@ const BUCKETS: usize = 129;
 /// rebase stays rare (each one needs this many below-pivot inserts).
 const BUCKET0_REBASE: usize = 64;
 
+/// Largest emptied bucket buffer, in entries, that a redistribution
+/// keeps for the bucket's next fill instead of freeing it.
+const RETAIN_ENTRIES: usize = 1024;
+
 /// Packs `(time, seq)` into one radix key. For non-negative finite
 /// `f64`, `to_bits` is strictly monotone, so integer comparison of the
 /// packed key equals lexicographic `(time, seq)` comparison.
@@ -187,11 +191,19 @@ impl<E> RadixQueue<E> {
         // Every key in the bucket exceeds the old pivot, so the new
         // pivot only grows.
         self.last = min;
-        let drained = std::mem::take(&mut self.buckets[b]);
-        for (key, event) in drained {
+        let mut drained = std::mem::take(&mut self.buckets[b]);
+        for (key, event) in drained.drain(..) {
             let nb = self.bucket_of(key);
             debug_assert!(nb < b, "redistribution must strictly descend");
             self.buckets[nb].push((key, event));
+        }
+        // The low buckets fill and empty every few pops: they keep
+        // their small buffers, or the event loop would allocate about
+        // once per event. Big buffers go back to the allocator, so the
+        // queue's footprint stays near one copy of its contents (at
+        // most `BUCKETS * RETAIN_ENTRIES` spare entries).
+        if drained.capacity() <= RETAIN_ENTRIES {
+            self.buckets[b] = drained;
         }
     }
 
@@ -282,18 +294,23 @@ impl<E> SimQueue<E> for RadixQueue<E> {
     }
 
     fn filter_map_events(&mut self, mut f: impl FnMut(E) -> Option<E>) {
-        // Drain in bucket order (0 first, which holds the minimum), so
-        // the reinsertion's pivot rebase lands near the true minimum
-        // and bucket 0 stays small.
-        let mut drained: Vec<(u128, E)> = Vec::with_capacity(self.len);
-        for b in 0..BUCKETS {
-            drained.append(&mut self.buckets[b]);
-        }
+        // Bucket by bucket, in place: an entry's bucket depends only on
+        // its key and the pivot, and neither changes here, so survivors
+        // stay where they are. Each bucket drains through one scratch
+        // list and takes its survivors straight back into its own
+        // buffer — no queue-sized copy, and a barrier sweep that drops
+        // almost everything (stale arrivals) moves almost nothing.
+        // `f` sees the events in bucket order, then insertion order.
+        let mut kept: Vec<(u128, E)> = Vec::new();
         self.len = 0;
-        for (key, event) in drained {
-            if let Some(event) = f(event) {
-                self.insert(key, event);
+        for bucket in &mut self.buckets {
+            for (key, event) in bucket.drain(..) {
+                if let Some(event) = f(event) {
+                    kept.push((key, event));
+                }
             }
+            bucket.append(&mut kept);
+            self.len += bucket.len();
         }
         self.normalize();
     }

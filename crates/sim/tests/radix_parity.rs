@@ -135,4 +135,47 @@ proptest! {
             prop_assert_eq!(heap.pop(), SimQueue::<u16>::pop(&mut radix));
         }
     }
+
+    /// Barrier-shaped surgery on a populated queue: a wide fill (many
+    /// radix buckets in use), some pops (the pivot has moved), then a
+    /// random filter that may drop nearly everything — bucket 0
+    /// included — and a refill at the barrier instant. Peeks and the
+    /// full drain must stay equal to the heap's.
+    #[test]
+    fn radix_matches_heap_across_in_place_surgery(
+        fill in proptest::collection::vec(0u32..4000, 1..400),
+        pops in 0usize..60,
+        keep_per_mille in 0u32..1000,
+        salt in any::<u32>(),
+        refill in proptest::collection::vec(0u32..4000, 0..100),
+    ) {
+        let mut heap: EventQueue<u32> = EventQueue::new();
+        let mut radix: RadixQueue<u32> = RadixQueue::new();
+        let at = |ms: u32| SimTime::from_secs(ms as f64 * 1e-3);
+        for (i, &ms) in fill.iter().enumerate() {
+            heap.schedule(at(ms), i as u32);
+            radix.schedule(at(ms), i as u32);
+        }
+        for _ in 0..pops.min(fill.len()) {
+            prop_assert_eq!(heap.pop(), SimQueue::<u32>::pop(&mut radix));
+        }
+        let survives = |e: u32| {
+            let h = (e ^ salt).wrapping_mul(0x9E37_79B9) >> 16;
+            (h % 1000 < keep_per_mille).then_some(e + 10_000)
+        };
+        heap.filter_map_events(survives);
+        radix.filter_map_events(survives);
+        prop_assert_eq!(heap.len(), SimQueue::<u32>::len(&radix));
+        prop_assert_eq!(heap.peek_entry(), SimQueue::<u32>::peek_entry(&radix));
+        for (i, &ms) in refill.iter().enumerate() {
+            let t = heap.now() + at(ms);
+            heap.schedule(t, 20_000 + i as u32);
+            radix.schedule(t, 20_000 + i as u32);
+        }
+        loop {
+            let a = heap.pop();
+            prop_assert_eq!(a, SimQueue::<u32>::pop(&mut radix));
+            if a.is_none() { break; }
+        }
+    }
 }

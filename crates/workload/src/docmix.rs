@@ -26,10 +26,25 @@ use ww_model::{DocId, NodeId, RateVector, Tree};
 /// assert_eq!(mix.node_total(NodeId::new(1)), 12.0);
 /// assert_eq!(mix.spontaneous().as_slice(), &[0.0, 12.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct DocMix {
     /// Per node: sorted list of (doc, rate) pairs.
     demands: Vec<Vec<(DocId, f64)>>,
+}
+
+impl Clone for DocMix {
+    fn clone(&self) -> Self {
+        DocMix {
+            demands: self.demands.clone(),
+        }
+    }
+
+    /// Overwrites this mix row by row, reusing the rows' buffers — a
+    /// workload shift replaces a live mix of the same shape, and should
+    /// not pay one allocation per node for it.
+    fn clone_from(&mut self, source: &Self) {
+        self.demands.clone_from(&source.demands);
+    }
 }
 
 impl DocMix {
@@ -106,14 +121,28 @@ impl DocMix {
     }
 
     /// The set of distinct documents appearing anywhere in the mix, sorted.
+    ///
+    /// Streams the rows into one sorted, duplicate-free list instead of
+    /// collecting and sorting every `(node, doc)` pair: each row is
+    /// itself sorted, so one forward cursor per row finds every document
+    /// already listed, and only first sightings insert. Linear in the
+    /// mix for the shared universes the engines run on (insertion makes
+    /// it quadratic in the number of *distinct* documents, which the
+    /// dense per-document tables keep small anyway).
     pub fn documents(&self) -> Vec<DocId> {
-        let mut docs: Vec<DocId> = self
-            .demands
-            .iter()
-            .flat_map(|l| l.iter().map(|&(d, _)| d))
-            .collect();
-        docs.sort_unstable();
-        docs.dedup();
+        let mut docs: Vec<DocId> = Vec::new();
+        for list in &self.demands {
+            let mut at = 0;
+            for &(d, _) in list {
+                if docs.get(at) != Some(&d) {
+                    at += docs[at..].partition_point(|&known| known < d);
+                    if docs.get(at) != Some(&d) {
+                        docs.insert(at, d);
+                    }
+                }
+                at += 1;
+            }
+        }
         docs
     }
 

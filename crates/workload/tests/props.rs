@@ -141,4 +141,37 @@ proptest! {
             prop_assert!((v0[id] - v24[id]).abs() < 1e-9, "not periodic at n{u}");
         }
     }
+
+    /// The streaming `documents()` equals collecting, sorting and
+    /// deduplicating every `(node, doc)` pair, for rows with arbitrary
+    /// (overlapping, disjoint, empty) document subsets; and `clone_from`
+    /// into a live mix of another shape equals a fresh clone.
+    #[test]
+    fn documents_streams_the_sorted_distinct_set(
+        rows in proptest::collection::vec(
+            proptest::collection::vec((0u64..40, 0.0f64..9.0), 0..12),
+            1..20,
+        ),
+        stale_rows in 0usize..30,
+    ) {
+        use ww_model::DocId;
+        let mut mix = ww_workload::DocMix::new(rows.len());
+        let mut all: Vec<DocId> = Vec::new();
+        for (i, row) in rows.iter().enumerate() {
+            for &(d, r) in row {
+                mix.set(NodeId::new(i), DocId::new(d), r);
+                all.push(DocId::new(d));
+            }
+        }
+        all.sort_unstable();
+        all.dedup();
+        prop_assert_eq!(mix.documents(), all);
+
+        let mut live = ww_workload::DocMix::new(stale_rows);
+        for i in 0..stale_rows {
+            live.set(NodeId::new(i), DocId::new(99), 1.0);
+        }
+        live.clone_from(&mix);
+        prop_assert_eq!(&live, &mix);
+    }
 }
