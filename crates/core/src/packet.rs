@@ -38,8 +38,9 @@ use ww_model::{
     shift_columns, DocId, DocSet, DocTable, LeafRemoval, ModelError, NodeId, RateVector, Tree,
 };
 use ww_net::{DocRequest, DocResponse, RequestId, TrafficClass, TrafficLedger};
-use ww_sim::{exp_delay, SimQueue, SimRng, SimTime, TimerRing};
+use ww_sim::{exp_delay, LaneStats, SimQueue, SimRng, SimTime, TimerRing};
 use ww_stats::ExactSum;
+use ww_telemetry::Snapshot;
 use ww_workload::DocMix;
 
 /// Stream tag of per-node arrival randomness.
@@ -1394,17 +1395,53 @@ pub fn next_source<Q: SimQueue<PacketEvent>>(
     gossip_ring: &TimerRing,
     diffusion_ring: &TimerRing,
 ) -> Option<(SimTime, u64, DriverSource)> {
-    let heap = queue.peek_entry().map(|(t, s)| (t, s, DriverSource::Heap));
-    let gossip = gossip_ring
-        .peek()
-        .map(|(t, s, _)| (t, s, DriverSource::Gossip));
-    let diffusion = diffusion_ring
-        .peek()
-        .map(|(t, s, _)| (t, s, DriverSource::Diffusion));
-    [heap, gossip, diffusion]
-        .into_iter()
-        .flatten()
-        .min_by_key(|&(t, s, _)| (t, s))
+    let mut best = queue.peek_entry().map(|(t, s)| (t, s, DriverSource::Heap));
+    for (ring, source) in [
+        (gossip_ring, DriverSource::Gossip),
+        (diffusion_ring, DriverSource::Diffusion),
+    ] {
+        if let Some((t, s, _)) = ring.peek() {
+            if best.is_none_or(|(bt, bs, _)| (t, s) < (bt, bs)) {
+                best = Some((t, s, source));
+            }
+        }
+    }
+    best
+}
+
+/// Hands one follow-up event from a handler's outbox to the driver's
+/// queue — the single routing point of both outbox drains (the
+/// sequential driver's and the sharded one's, which `ww-dist` workers
+/// run too), so the engines cannot disagree on which events ride the
+/// queue's in-order lanes. Handlers schedule every message at
+/// `now + link_delay` or at `now`, so everything but the next Poisson
+/// [`PacketEvent::Arrival`] is emitted in key order and says so; an
+/// arrival lands at a random distance and is sorted. Barrier-time
+/// re-resolution (arrival rebuilds, migration replay) is not an outbox
+/// drain and keeps plain [`SimQueue::schedule`].
+pub fn enqueue<Q: SimQueue<PacketEvent>>(queue: &mut Q, at: SimTime, event: PacketEvent) {
+    match event {
+        PacketEvent::Arrival { .. } => queue.schedule(at, event),
+        _ => queue.schedule_in_order(at, event),
+    }
+}
+
+/// Appends a queue's lane counters to a telemetry snapshot as
+/// `{prefix}.queue.lane_admitted`, `.lane_fallback`, `.lane_hw`,
+/// `.radix_hw` and `.lane_len` (`core` for the sequential driver,
+/// `pdes` for the shard-merged figures). `lane_admitted / (lane_admitted +
+/// lane_fallback)` is the share of outbox traffic that really was in
+/// key order — the input property the lanes' speed depends on.
+pub fn push_queue_counters(snap: &mut Snapshot, prefix: &str, stats: LaneStats) {
+    for (name, value) in [
+        ("lane_admitted", stats.admitted),
+        ("lane_fallback", stats.fell_back),
+        ("lane_hw", stats.lane_high_water),
+        ("radix_hw", stats.radix_high_water),
+        ("lane_len", stats.lane_len),
+    ] {
+        snap.push_counter(&format!("{prefix}.queue.{name}"), value);
+    }
 }
 
 /// The measured load of a node: its served rate over the rolling window.

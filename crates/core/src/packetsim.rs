@@ -20,7 +20,7 @@
 //!
 //! # Performance
 //!
-//! Two hot-path structures are dense:
+//! The hot path avoids hashing and sorting:
 //!
 //! * All per-document state is addressed through the simulation's
 //!   [`DocTable`](ww_model::DocTable): token buckets live in flat
@@ -28,9 +28,13 @@
 //!   [`DocSet`](ww_model::DocSet) bitsets, and the three flow meters are
 //!   [`DenseFlowTable`](ww_cache::DenseFlowTable) grids — no hashing on
 //!   the per-packet path.
-//! * The two strictly periodic timer streams live in
-//!   [`TimerRing`]s outside the event heap. Ring fires carry sequence
-//!   numbers from the queue's global counter, so the merged `(time, seq)`
+//! * Pending events sit in the cheapest structure that keeps their
+//!   class sorted, merged by `(time, seq)`: the two strictly periodic
+//!   timer streams in [`TimerRing`]s; every message a handler emits at
+//!   `now + link_delay` or at `now` — already in key order — in the
+//!   queue's FIFO lanes (routed by [`packet::enqueue`]); only the next
+//!   Poisson arrival of each stream in the radix heap. Ring fires carry
+//!   sequence numbers from the queue's global counter, so the merged
 //!   order is exactly what one combined heap would produce.
 //!
 //! The convergence trace is sampled once per diffusion epoch (at
@@ -180,9 +184,10 @@ pub struct GenericPacketSim<Q> {
     tel_phases: Phases,
 }
 
-/// The standard sequential packet simulator: event storage is the
-/// radix-bucketed [`RadixQueue`], O(1) amortized on the simulation's
-/// near-monotone schedule.
+/// The standard sequential packet simulator: event storage is
+/// [`RadixQueue`] — FIFO lanes for in-order messages beside a radix
+/// heap that is O(1) amortized on the simulation's near-monotone
+/// schedule.
 pub type PacketSim = GenericPacketSim<RadixQueue<PacketEvent>>;
 
 /// The reference backend: the comparison-based `BinaryHeap`
@@ -269,6 +274,7 @@ impl<Q: SimQueue<PacketEvent> + Default> GenericPacketSim<Q> {
         snap.push_counter("core.oracle.refolds", self.world.tel.refolds);
         snap.push_counter("core.oracle.full_sweeps", self.world.tel.full_sweeps);
         self.tel.snapshot_into(&mut snap);
+        packet::push_queue_counters(&mut snap, "core", self.queue.lane_stats());
         if self.tel_level.spans_on() {
             snap.push_phase(
                 "core.phase.oracle_refresh",
@@ -326,7 +332,7 @@ impl<Q: SimQueue<PacketEvent> + Default> GenericPacketSim<Q> {
         };
         handler(&mut ctx, &mut self.nodes[i]);
         for (at, ev) in self.outbox.drain(..) {
-            self.queue.schedule(at, ev);
+            packet::enqueue(&mut self.queue, at, ev);
         }
     }
 

@@ -77,7 +77,7 @@ use ww_core::packet::{
 use ww_core::packetsim::PacketSimReport;
 use ww_model::{DocId, LeafRemoval, ModelError, NodeId, RateVector, Tree};
 use ww_net::TrafficLedger;
-use ww_sim::{EventQueue, RadixQueue, SimQueue, SimTime, TimerRing};
+use ww_sim::{EventQueue, LaneStats, RadixQueue, SimQueue, SimTime, TimerRing};
 use ww_stats::{ConvergenceTrace, ExactSum};
 use ww_telemetry::{Counters, Key, Level, PhaseStat, Phases, Snapshot};
 use ww_workload::DocMix;
@@ -456,7 +456,7 @@ impl<Q: SimQueue<PacketEvent>> Shard<Q> {
         for (at, ev) in out.drain(..) {
             let target = sh.partition.shard_of[ev.node().index()];
             if target == self.id {
-                self.queue.schedule(at, ev);
+                packet::enqueue(&mut self.queue, at, ev);
             } else {
                 let li = self.out_for[target];
                 debug_assert_ne!(li, usize::MAX, "send to non-adjacent shard");
@@ -1129,6 +1129,11 @@ impl<Q: SimQueue<PacketEvent> + Default + Send> GenericParPacketSim<Q> {
             merged.merge_from(&shard.tel);
         }
         merged.snapshot_into(&mut snap);
+        let mut lanes = LaneStats::default();
+        for shard in &self.shards {
+            lanes.merge(&shard.queue.lane_stats());
+        }
+        packet::push_queue_counters(&mut snap, "pdes", lanes);
         let mut parks = self.retired_parks;
         let mut peak = self.retired_peak_parked;
         for shard in &self.shards {

@@ -363,6 +363,97 @@ fn skewed_run_actually_migrates_and_stays_identical() {
 }
 
 #[test]
+fn barriers_that_meet_loaded_lanes_stay_identical() {
+    // The queue keeps in-flight messages (`Packet`, `CopyInstall`,
+    // `GossipDeliver`) in FIFO lanes beside its radix heap, and every
+    // barrier path must cover both: a leave renumbers or drops them, a
+    // universe-growing publish remaps the document index each carries,
+    // a rebalance extracts a migrant's share and replays it elsewhere.
+    // A long link delay keeps the lanes well stocked (one Little's-law
+    // worth of every stream), the counters prove they were non-empty at
+    // each barrier, and the result must still be the sequential bits.
+    let (tree, dense) = skewed_mix(0x1A9E5, 48);
+    // Spread the ids out (1, 3, 5, ...) so a first-time id can land in
+    // front of them all.
+    let mut mix = DocMix::new(tree.len());
+    for u in tree.nodes() {
+        for &(doc, rate) in dense.demands_of(u) {
+            mix.set(u, DocId::new(2 * doc.value() + 1), rate);
+        }
+    }
+    let config = PacketSimConfig {
+        seed: 31,
+        link_delay: 0.08,
+        ..PacketSimConfig::default()
+    };
+    // The busiest leaf: its own packets are in flight toward its parent
+    // when it leaves.
+    let leaf = tree
+        .nodes()
+        .filter(|&u| tree.is_leaf(u))
+        .max_by(|&a, &b| mix.node_total(a).total_cmp(&mix.node_total(b)))
+        .expect("tree has a leaf");
+    let barrier_ops = |driver: &mut dyn Driver| {
+        driver.remove_leaf(leaf);
+        // A first-time id below every existing one: the universe grows
+        // at the front, so *every* in-flight index shifts.
+        driver.publish_doc(DocId::new(0), NodeId::new(1), 60.0);
+        assert_eq!(driver.tree().len(), tree.len() - 1);
+    };
+    let lanes_loaded = |snap: &ww_telemetry::Snapshot, prefix: &str, at: &str| {
+        let held = snap
+            .counter(&format!("{prefix}.queue.lane_len"))
+            .expect("lane occupancy counter present");
+        assert!(held > 0, "{prefix}: lanes empty at the {at} barrier");
+        held
+    };
+
+    let mut seq = PacketSim::new(&tree, &mix, config);
+    seq.set_telemetry(Level::Counters);
+    seq.run(2.5);
+    let seq_held = lanes_loaded(&seq.telemetry_snapshot(), "core", "churn");
+    let universe = seq.doc_table().len();
+    barrier_ops(&mut seq);
+    assert_eq!(seq.doc_table().len(), universe + 1, "the publish grows it");
+    assert_eq!(seq.doc_table().index_of(DocId::new(0)), Some(0));
+    let seq_report = seq.run(6.0);
+
+    for workers in [2, 4] {
+        let mut par = ParPacketSim::new(&tree, &mix, config, workers);
+        par.set_telemetry(Level::Counters);
+        par.set_rebalance(Some(eager()));
+        par.run(2.5);
+        let snap = par.telemetry_snapshot();
+        // Cross-shard messages in flight sit keyed in the radix heaps,
+        // so the shards' lanes hold at most what the one queue holds.
+        let held = lanes_loaded(&snap, "pdes", "churn");
+        assert!(held <= seq_held, "workers={workers}: {held} > {seq_held}");
+        barrier_ops(&mut par);
+        let par_report = par.run(6.0);
+        assert_reports_identical(
+            &seq_report,
+            &par_report,
+            &format!("loaded lanes, workers={workers}"),
+        );
+        let snap = par.telemetry_snapshot();
+        lanes_loaded(&snap, "pdes", "final");
+        assert!(
+            snap.counter("pdes.rebalance.nodes_migrated")
+                .expect("migration counter present")
+                >= 1,
+            "workers={workers}: the eager rebalancer must migrate loaded nodes"
+        );
+        let admitted = snap.counter("pdes.queue.lane_admitted").unwrap_or(0);
+        let fallback = snap.counter("pdes.queue.lane_fallback").unwrap_or(0);
+        assert!(
+            admitted > 10 * fallback.max(1),
+            "workers={workers}: constant-delay traffic must ride the lanes \
+             ({admitted} admitted, {fallback} fell back)"
+        );
+    }
+}
+
+#[test]
 fn min_epoch_gap_is_honored() {
     // With the trigger floored at 1.0 every window close counts as an
     // evaluation, so the evaluations counter measures the cadence: a

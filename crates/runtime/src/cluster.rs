@@ -58,7 +58,11 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             alpha: None,
-            rounds: 4000,
+            // Long enough that a run outlasts a scheduler time slice: at
+            // 4000 rounds (1-2 ms) a server could finish before a
+            // descheduled neighbour ran at all, and the loads stopped
+            // wherever that left them.
+            rounds: 40_000,
             channel_capacity: 1024,
         }
     }

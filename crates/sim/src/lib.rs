@@ -39,7 +39,7 @@ pub mod wheel;
 
 pub use engine::EventQueue;
 pub use queue::SimQueue;
-pub use radix::RadixQueue;
+pub use radix::{LaneStats, RadixQueue};
 pub use rng::{exp_delay, SimRng};
 pub use time::SimTime;
 pub use wheel::TimerRing;

@@ -3,14 +3,16 @@
 //! [`SimQueue`] abstracts the full [`EventQueue`](crate::EventQueue)
 //! surface the simulation drivers use, so a driver can be generic over
 //! its pending-event structure: the comparison-based `BinaryHeap`
-//! queue, or the radix-bucketed [`RadixQueue`](crate::RadixQueue) tuned
-//! for the near-monotone access pattern of a conservative PDES. Every
+//! queue (the reference, one structure, no hints), or
+//! [`RadixQueue`](crate::RadixQueue), a merge of a radix heap and
+//! in-order lanes tuned for the near-monotone access pattern of a
+//! conservative PDES. Every
 //! implementation must deliver events in exactly `(time, seq)` order —
 //! the parity property tests in `tests/radix_parity.rs` pin the two
 //! implementations pop-for-pop identical, so swapping one for the other
 //! cannot change a single bit of a simulation.
 
-use crate::SimTime;
+use crate::{LaneStats, SimTime};
 
 /// A deterministic discrete-event queue: events fire in `(time, seq)`
 /// order, `seq` ties broken by a queue-owned counter unless the caller
@@ -23,6 +25,16 @@ use crate::SimTime;
 pub trait SimQueue<E> {
     /// Schedules `event` at `at` under the next counter-allocated `seq`.
     fn schedule(&mut self, at: SimTime, event: E);
+
+    /// [`schedule`](SimQueue::schedule) with a hint: the caller emits
+    /// such events in non-decreasing time order (a constant delay added
+    /// to a clock that never runs backwards), so a queue with FIFO
+    /// lanes may append instead of sorting. Same `seq` allocation and
+    /// the same pop order as `schedule` whether or not the hint holds —
+    /// it buys speed, never order. The default ignores it.
+    fn schedule_in_order(&mut self, at: SimTime, event: E) {
+        self.schedule(at, event);
+    }
 
     /// Schedules `event` to fire `delay` after the current time.
     fn schedule_after(&mut self, delay: SimTime, event: E);
@@ -64,6 +76,12 @@ pub trait SimQueue<E> {
 
     /// Total number of events processed so far.
     fn processed(&self) -> u64;
+
+    /// Push-path counters of the in-order lanes; all zero for a queue
+    /// without lanes.
+    fn lane_stats(&self) -> LaneStats {
+        LaneStats::default()
+    }
 
     /// Rewrites pending events in place, keeping survivors' `(time,
     /// seq)` keys and never rewinding the sequence counter.

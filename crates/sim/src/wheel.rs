@@ -1,22 +1,26 @@
 //! Wheel-style scheduling for strictly periodic event streams.
 //!
-//! A discrete-event simulation of WebWave carries two kinds of events:
-//! *irregular* ones (Poisson arrivals, packet hops, message deliveries)
-//! and *strictly periodic* ones (each node's gossip timer and diffusion
-//! timer). Keeping the periodic streams in the binary heap makes every
-//! heap operation pay `O(log total)` for events whose firing order is
-//! actually **fixed and cyclic**: all members of a stream share one
-//! period, so once sorted by phase they fire forever in the same rotation.
+//! A discrete-event simulation of WebWave carries three classes of
+//! pending events, and each gets the cheapest structure that keeps it
+//! sorted (see the [`radix`](crate::radix) module docs for the other
+//! two): *irregular* ones (Poisson arrivals, keyed cross-shard
+//! messages) are radix-sorted, *in-order* ones (messages over
+//! constant-latency links) ride FIFO lanes, and the *strictly periodic*
+//! ones — each node's gossip timer and diffusion timer — live here.
+//! Their firing order is **fixed and cyclic**: all members of a stream
+//! share one period, so once sorted by phase they fire forever in the
+//! same rotation, and keeping them in a priority queue would make every
+//! queue operation pay for sorting that has nothing to decide.
 //!
-//! [`TimerRing`] exploits that: it stores one `next_fire` per member and a
-//! rotation deque. `peek`/`pop`/`rearm` are all `O(1)` (insert is
-//! `O(members)` once at setup), and the main heap stays smaller — so the
-//! *irregular* events get cheaper too.
+//! [`TimerRing`] stores one `next_fire` per member and a rotation
+//! deque. `peek` is a field read (the front fire is cached), `pop` and
+//! `rearm` are `O(1)`, membership is one flag per member, and `insert`
+//! is `O(1)` when members arrive in ascending phase order — the order
+//! every driver primes in — and a search from the back otherwise.
 //!
-//! To merge ring events with heap events deterministically, every fire
-//! carries a sequence number allocated from the owning
-//! [`EventQueue`](crate::EventQueue) (see
-//! [`EventQueue::alloc_seq`](crate::EventQueue::alloc_seq)); comparing
+//! To merge ring events with queue events deterministically, every fire
+//! carries a sequence number allocated from the owning queue (see
+//! [`SimQueue::alloc_seq`](crate::SimQueue::alloc_seq)); comparing
 //! `(time, seq)` across sources reproduces exactly the total order a
 //! single all-in-one heap would have produced — which is what keeps
 //! simulation traces identical to the pre-ring implementation.
@@ -48,10 +52,16 @@ pub struct TimerRing {
     next: Vec<SimTime>,
     /// Sequence number of the pending fire per member (merge tie-break).
     seq: Vec<u64>,
+    /// Per member: is it in `order`? (Popped-not-yet-rearmed members
+    /// and fresh [`TimerRing::add_member`]s are not.)
+    armed: Vec<bool>,
     /// Members in firing order. Because all members share `period`, a
     /// rearmed member always belongs at the back, keeping this sorted by
     /// `(next, seq)` without any per-event sorting.
     order: VecDeque<usize>,
+    /// The fire at the front of `order`, so the per-event merge reads
+    /// one field instead of chasing `order` into `next` and `seq`.
+    front: Option<(SimTime, u64, usize)>,
 }
 
 impl TimerRing {
@@ -67,13 +77,33 @@ impl TimerRing {
             period,
             next: vec![SimTime::ZERO; members],
             seq: vec![0; members],
+            armed: vec![false; members],
             order: VecDeque::with_capacity(members),
+            front: None,
         }
     }
 
     /// The shared period of all members.
     pub fn period(&self) -> SimTime {
         self.period
+    }
+
+    /// Re-reads the cached front fire from the rotation.
+    fn refresh_front(&mut self) {
+        self.front = self.order.front().map(|&m| (self.next[m], self.seq[m], m));
+    }
+
+    /// Where a fire keyed `(first_fire, seq)` belongs in `order`, which
+    /// is sorted by `(next, seq)`. Scanning from the back makes the
+    /// common setup pattern — members inserted in ascending phase order
+    /// — one comparison per insert instead of a full front scan: the
+    /// search examines `order.len() - pos` entries, plus the one that
+    /// stops it.
+    fn insert_position(&self, first_fire: SimTime, seq: u64) -> usize {
+        self.order
+            .iter()
+            .rposition(|&m| (self.next[m], self.seq[m]) < (first_fire, seq))
+            .map_or(0, |p| p + 1)
     }
 
     /// Arms `member` for its first fire at `first_fire` with merge
@@ -84,26 +114,20 @@ impl TimerRing {
     /// Panics if `member` is out of range or already armed.
     pub fn insert(&mut self, member: usize, first_fire: SimTime, seq: u64) {
         assert!(member < self.next.len(), "member out of range");
-        assert!(
-            !self.order.contains(&member),
-            "member {member} is already armed"
-        );
+        assert!(!self.armed[member], "member {member} is already armed");
+        self.armed[member] = true;
         self.next[member] = first_fire;
         self.seq[member] = seq;
-        // Keep `order` sorted by (next, seq). Scanning from the back makes
-        // the common setup pattern — members inserted in ascending phase
-        // order — O(1) per insert instead of a full front scan.
-        let pos = self
-            .order
-            .iter()
-            .rposition(|&m| (self.next[m], self.seq[m]) < (first_fire, seq))
-            .map_or(0, |p| p + 1);
+        let pos = self.insert_position(first_fire, seq);
         self.order.insert(pos, member);
+        if pos == 0 {
+            self.front = Some((first_fire, seq, member));
+        }
     }
 
     /// The next fire as `(time, seq, member)`, if any member is armed.
     pub fn peek(&self) -> Option<(SimTime, u64, usize)> {
-        self.order.front().map(|&m| (self.next[m], self.seq[m], m))
+        self.front
     }
 
     /// Takes the front fire, leaving its member *disarmed*; the caller
@@ -112,6 +136,8 @@ impl TimerRing {
     /// sequence numbers match the historical all-heap order).
     pub fn pop(&mut self) -> Option<(SimTime, usize)> {
         let m = self.order.pop_front()?;
+        self.armed[m] = false;
+        self.refresh_front();
         Some((self.next[m], m))
     }
 
@@ -123,21 +149,23 @@ impl TimerRing {
     /// Panics if `member` is out of range or still armed.
     pub fn rearm(&mut self, member: usize, seq: u64) {
         assert!(member < self.next.len(), "member out of range");
-        debug_assert!(
-            !self.order.contains(&member),
-            "member {member} is already armed"
-        );
-        self.next[member] = self.next[member] + self.period;
+        assert!(!self.armed[member], "member {member} is already armed");
+        self.armed[member] = true;
+        let fire = self.next[member] + self.period;
+        self.next[member] = fire;
         self.seq[member] = seq;
-        self.order.push_back(member);
+        // Sorted before, so sorted after iff the newcomer is not below
+        // the old back.
         debug_assert!(
-            self.order.len() < 2
-                || (0..self.order.len() - 1).all(|i| {
-                    let (a, b) = (self.order[i], self.order[i + 1]);
-                    (self.next[a], self.seq[a]) <= (self.next[b], self.seq[b])
-                }),
+            self.order
+                .back()
+                .is_none_or(|&b| (self.next[b], self.seq[b]) <= (fire, seq)),
             "ring rotation out of order"
         );
+        if self.order.is_empty() {
+            self.front = Some((fire, seq, member));
+        }
+        self.order.push_back(member);
     }
 
     /// Grows the ring by one (disarmed) member, returning its id. Arm it
@@ -146,6 +174,7 @@ impl TimerRing {
     pub fn add_member(&mut self) -> usize {
         self.next.push(SimTime::ZERO);
         self.seq.push(0);
+        self.armed.push(false);
         self.next.len() - 1
     }
 
@@ -161,18 +190,26 @@ impl TimerRing {
     pub fn swap_remove_member(&mut self, member: usize) {
         assert!(member < self.next.len(), "member out of range");
         let last = self.next.len() - 1;
-        if let Some(pos) = self.order.iter().position(|&m| m == member) {
+        if self.armed[member] {
+            let pos = self
+                .order
+                .iter()
+                .position(|&m| m == member)
+                .expect("an armed member is in the rotation");
             self.order.remove(pos);
         }
         self.next.swap_remove(member);
         self.seq.swap_remove(member);
-        if member != last {
+        self.armed.swap_remove(member);
+        // `member` now names the former `last`, flag included.
+        if member != last && self.armed[member] {
             for m in self.order.iter_mut() {
                 if *m == last {
                     *m = member;
                 }
             }
         }
+        self.refresh_front();
     }
 
     /// The pending `(fire time, merge seq)` of `member`, or `None` if
@@ -185,9 +222,7 @@ impl TimerRing {
     /// Panics if `member` is out of range.
     pub fn fire_entry(&self, member: usize) -> Option<(SimTime, u64)> {
         assert!(member < self.next.len(), "member out of range");
-        self.order
-            .contains(&member)
-            .then(|| (self.next[member], self.seq[member]))
+        self.armed[member].then(|| (self.next[member], self.seq[member]))
     }
 
     /// Total member count (armed or not).
@@ -311,6 +346,33 @@ mod tests {
     }
 
     #[test]
+    fn swap_remove_of_a_disarmed_member_still_renumbers_last() {
+        let mut ring = TimerRing::new(SimTime::from_secs(1.0), 3);
+        ring.insert(0, SimTime::from_secs(0.1), 0);
+        ring.insert(1, SimTime::from_secs(0.5), 1);
+        ring.insert(2, SimTime::from_secs(0.9), 2);
+        // Member 0 fires and leaves before it rearms; member 2 (armed)
+        // takes id 0 and keeps its 0.9 fire.
+        assert_eq!(ring.pop().unwrap().1, 0);
+        ring.swap_remove_member(0);
+        assert_eq!(ring.fire_entry(0), Some((SimTime::from_secs(0.9), 2)));
+        assert_eq!(ring.pop().unwrap().1, 1);
+        assert_eq!(ring.pop().unwrap(), (SimTime::from_secs(0.9), 0));
+        // And the mirror: an armed member leaves while the last one is
+        // mid-fire (disarmed) — nothing in the rotation names it.
+        let mut ring = TimerRing::new(SimTime::from_secs(1.0), 3);
+        ring.insert(2, SimTime::from_secs(0.1), 0);
+        ring.insert(0, SimTime::from_secs(0.5), 1);
+        ring.insert(1, SimTime::from_secs(0.9), 2);
+        assert_eq!(ring.pop().unwrap().1, 2);
+        ring.swap_remove_member(0);
+        assert_eq!(ring.fire_entry(0), None);
+        ring.rearm(0, 3); // the former member 2, one period after 0.1
+        assert_eq!(ring.pop().unwrap().1, 1);
+        assert_eq!(ring.pop().unwrap(), (SimTime::from_secs(1.1), 0));
+    }
+
+    #[test]
     fn swap_remove_last_member_truncates() {
         let mut ring = TimerRing::new(SimTime::from_secs(1.0), 2);
         ring.insert(0, SimTime::from_secs(0.1), 0);
@@ -319,6 +381,82 @@ mod tests {
         assert_eq!(ring.members(), 1);
         assert_eq!(ring.len(), 1);
         assert_eq!(ring.pop().unwrap().1, 0);
+    }
+
+    /// Rotation entries `insert` examines to place `(fire, seq)`.
+    fn probes(ring: &TimerRing, fire: SimTime, seq: u64) -> usize {
+        let pos = ring.insert_position(fire, seq);
+        ring.order.len() - pos + pos.min(1)
+    }
+
+    #[test]
+    fn priming_in_ascending_phase_is_linear() {
+        // The drivers prime one member per node in ascending phase. With
+        // the membership flag the only per-insert work left that depends
+        // on the ring's size is the position search, and it must stop at
+        // the back: one probe per member, so 4x the members is 4x the
+        // work (the old `order.contains` made it 16x).
+        let work = |members: usize| {
+            let mut ring = TimerRing::new(SimTime::from_secs(1.0), members);
+            let mut work = 0;
+            for m in 0..members {
+                let fire = SimTime::from_secs((m + 1) as f64 / (members + 1) as f64);
+                work += probes(&ring, fire, m as u64);
+                ring.insert(m, fire, m as u64);
+            }
+            assert_eq!(ring.len(), members);
+            work
+        };
+        assert!(work(50_000) <= 50_000);
+        assert!(work(40_000) <= 6 * work(10_000));
+    }
+
+    #[test]
+    fn popped_member_has_no_fire_entry_until_rearmed() {
+        let mut ring = TimerRing::new(SimTime::from_secs(1.0), 2);
+        ring.insert(0, SimTime::from_secs(0.1), 0);
+        ring.insert(1, SimTime::from_secs(0.5), 1);
+        assert_eq!(ring.fire_entry(0), Some((SimTime::from_secs(0.1), 0)));
+        let (_, m) = ring.pop().unwrap();
+        assert_eq!(m, 0);
+        assert_eq!(ring.fire_entry(0), None);
+        assert_eq!(ring.fire_entry(1), Some((SimTime::from_secs(0.5), 1)));
+        ring.rearm(0, 2);
+        assert_eq!(ring.fire_entry(0), Some((SimTime::from_secs(1.1), 2)));
+        // A member added at a barrier is disarmed until inserted.
+        let fresh = ring.add_member();
+        assert_eq!(ring.fire_entry(fresh), None);
+    }
+
+    #[test]
+    fn cached_front_follows_every_mutation() {
+        let front = |ring: &TimerRing| ring.order.front().map(|&m| (ring.next[m], ring.seq[m], m));
+        let mut ring = TimerRing::new(SimTime::from_secs(1.0), 3);
+        assert_eq!(ring.peek(), None);
+        ring.insert(1, SimTime::from_secs(0.5), 0);
+        assert_eq!(ring.peek(), front(&ring));
+        ring.insert(0, SimTime::from_secs(0.2), 1); // new front
+        assert_eq!(ring.peek(), front(&ring));
+        ring.insert(2, SimTime::from_secs(0.9), 2); // not the front
+        assert_eq!(ring.peek().unwrap().2, 0);
+        ring.swap_remove_member(0); // front leaves, member 2 becomes 0
+        assert_eq!(ring.peek(), front(&ring));
+        assert_eq!(ring.peek().unwrap().0, SimTime::from_secs(0.5));
+        let (_, a) = ring.pop().unwrap();
+        let (_, b) = ring.pop().unwrap();
+        assert_eq!(ring.peek(), None);
+        ring.rearm(a, 3); // rearm into an empty rotation
+        assert_eq!(ring.peek(), front(&ring));
+        ring.rearm(b, 4);
+        assert_eq!(ring.peek().unwrap().2, a);
+    }
+
+    #[test]
+    #[should_panic(expected = "already armed")]
+    fn double_rearm_panics() {
+        let mut ring = TimerRing::new(SimTime::from_secs(1.0), 1);
+        ring.insert(0, SimTime::ZERO, 0);
+        ring.rearm(0, 1);
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Property harness pinning [`RadixQueue`] behaviorally identical to
 //! the `BinaryHeap`-backed [`EventQueue`] — the correctness argument
 //! for swapping the radix queue into the packet engines: if every
-//! observable (pop order, clock, length, processed count, peeks) is
-//! equal under arbitrary operation scripts, the swap cannot change a
-//! simulation by a single bit.
+//! observable (pop order, clock, length, processed count, peeks,
+//! extracted lists) is equal under arbitrary operation scripts, the
+//! swap cannot change a simulation by a single bit. `RadixQueue` is a
+//! merge of a radix heap and in-order lanes; `EventQueue` ignores the
+//! in-order hint, so the scripts also pin "a hint never changes order",
+//! whether the hinted times are in order, out of order, or equal.
 
 use proptest::prelude::*;
 use ww_sim::{EventQueue, RadixQueue, SimQueue, SimTime};
@@ -13,33 +16,61 @@ use ww_sim::{EventQueue, RadixQueue, SimQueue, SimTime};
 /// timestamp, exercising the tie-break path.
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    Schedule { slot: u8 },
-    ScheduleKeyed { slot: u8, high_key: bool },
+    Schedule {
+        slot: u8,
+    },
+    /// The lane path: `slot` picks `now`, `now` + one fixed delay (ties
+    /// and in-order runs, what the two lanes are for), or an arbitrary
+    /// offset (out of order: second lane, then the radix fallback).
+    ScheduleInOrder {
+        slot: u8,
+    },
+    ScheduleKeyed {
+        slot: u8,
+        high_key: bool,
+    },
     AllocSeq,
     Pop,
-    AdvanceTo { slot: u8 },
-    FastForward { slot: u8 },
-    FilterMap { modulus: u8 },
+    AdvanceTo {
+        slot: u8,
+    },
+    FastForward {
+        slot: u8,
+    },
+    FilterMap {
+        modulus: u8,
+    },
+    Extract {
+        modulus: u8,
+    },
 }
 
 /// Decodes a raw `(selector, slot)` pair into an operation, weighting
 /// schedules and pops heavily.
 fn decode(selector: u8, slot: u8) -> Op {
-    match selector % 16 {
-        0..=5 => Op::Schedule { slot },
-        6..=7 => Op::ScheduleKeyed {
+    match selector % 24 {
+        0..=3 => Op::Schedule { slot },
+        4..=10 => Op::ScheduleInOrder { slot },
+        11..=12 => Op::ScheduleKeyed {
             slot,
             high_key: selector & 1 == 0,
         },
-        8 => Op::AllocSeq,
-        9..=12 => Op::Pop,
-        13 => Op::AdvanceTo { slot },
-        14 => Op::FastForward { slot },
-        _ => Op::FilterMap {
+        13 => Op::AllocSeq,
+        14..=19 => Op::Pop,
+        20 => Op::AdvanceTo { slot },
+        21 => Op::FastForward { slot },
+        22 => Op::FilterMap {
+            modulus: 2 + slot % 3,
+        },
+        _ => Op::Extract {
             modulus: 2 + slot % 3,
         },
     }
 }
+
+/// What one op let the script observe: a popped `(time bits, event)`,
+/// an allocated seq, or an extracted `(time bits, key, event)` list.
+type Observed = (Option<(u64, u32)>, Option<u64>, Vec<(u64, u64, u32)>);
 
 /// Runs one op against a queue. `i` (the op index) makes keyed
 /// sequence numbers unique: duplicate `(time, seq)` keys would leave
@@ -47,12 +78,25 @@ fn decode(selector: u8, slot: u8) -> Op {
 /// produce them. The high bit mimics the PDES inbound-message keyspace;
 /// `high_key: false` exercises keys *below* previously popped ones (the
 /// relaxed-monotonicity corner).
-fn apply<Q: SimQueue<u32>>(q: &mut Q, op: Op, i: u64) -> (Option<(u64, u32)>, Option<u64>) {
+fn apply<Q: SimQueue<u32>>(q: &mut Q, op: Op, i: u64) -> Observed {
     let offset = |slot: u8| SimTime::from_secs(slot as f64 * 0.25);
+    let nothing = (None, None, Vec::new());
     match op {
         Op::Schedule { slot } => {
             q.schedule(q.now() + offset(slot), i as u32);
-            (None, None)
+            nothing
+        }
+        Op::ScheduleInOrder { slot } => {
+            // Three quarters of the hinted events use one of two fixed
+            // delays (what a lane is for: 0 and 1.0 s); the rest land
+            // anywhere, so some fit neither lane and fall back.
+            let at = match slot % 8 {
+                0..=2 => q.now(),
+                3..=5 => q.now() + offset(4),
+                _ => q.now() + offset(slot),
+            };
+            q.schedule_in_order(at, i as u32);
+            nothing
         }
         Op::ScheduleKeyed { slot, high_key } => {
             let seq = if high_key {
@@ -61,10 +105,14 @@ fn apply<Q: SimQueue<u32>>(q: &mut Q, op: Op, i: u64) -> (Option<(u64, u32)>, Op
                 (1 << 40) | i
             };
             q.schedule_keyed(q.now() + offset(slot), seq, i as u32);
-            (None, None)
+            nothing
         }
-        Op::AllocSeq => (None, Some(q.alloc_seq())),
-        Op::Pop => (q.pop().map(|(t, e)| (t.as_secs().to_bits(), e)), None),
+        Op::AllocSeq => (None, Some(q.alloc_seq()), Vec::new()),
+        Op::Pop => (
+            q.pop().map(|(t, e)| (t.as_secs().to_bits(), e)),
+            None,
+            Vec::new(),
+        ),
         Op::AdvanceTo { slot } => {
             // Only valid up to the next pending event (the drivers
             // advance to merged timer fires, never past the queue head).
@@ -72,23 +120,54 @@ fn apply<Q: SimQueue<u32>>(q: &mut Q, op: Op, i: u64) -> (Option<(u64, u32)>, Op
             let bound = q.peek_time().unwrap_or(t);
             // max(now): a FastForward may have coasted past the head.
             q.advance_to(t.min(bound).max(q.now()));
-            (None, None)
+            nothing
         }
         Op::FastForward { slot } => {
             q.fast_forward(q.now() + offset(slot));
-            (None, None)
+            nothing
         }
         Op::FilterMap { modulus } => {
             // Drop one residue class and rewrite the rest, like the
             // barrier-time arrival surgery.
             q.filter_map_events(|e| (e % modulus as u32 != 0).then_some(e.wrapping_add(1000)));
-            (None, None)
+            nothing
+        }
+        Op::Extract { modulus } => {
+            // Pull one residue class out, like a shard migration; the
+            // list must come back in delivery order on both queues.
+            let taken = q.extract_events(|e| e % modulus as u32 == 0);
+            let taken = taken
+                .into_iter()
+                .map(|(t, key, e)| (t.as_secs().to_bits(), key, e))
+                .collect();
+            (None, None, taken)
         }
     }
 }
 
+/// Pops both queues dry, demanding identical `(time, event)` streams.
+fn drain_equal(heap: &mut EventQueue<u32>, radix: &mut RadixQueue<u32>) {
+    loop {
+        let a = heap.pop();
+        assert_eq!(a, SimQueue::<u32>::pop(radix));
+        assert_eq!(heap.len(), SimQueue::<u32>::len(radix));
+        if a.is_none() {
+            return;
+        }
+    }
+}
+
+/// Cases per property: `PROPTEST_CASES` when set (CI soaks with 2000),
+/// else enough for a tier-1 run.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(192)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// Arbitrary op scripts: every observable of the two queues stays
     /// equal after every step, and a final full drain pops identical
@@ -109,13 +188,62 @@ proptest! {
             prop_assert_eq!(heap.processed(), SimQueue::<u32>::processed(&radix));
             prop_assert_eq!(heap.peek_entry(), SimQueue::<u32>::peek_entry(&radix));
         }
-        loop {
-            let a = heap.pop();
-            let b = SimQueue::<u32>::pop(&mut radix);
-            prop_assert_eq!(a.map(|(t, e)| (t.as_secs().to_bits(), e)),
-                            b.map(|(t, e)| (t.as_secs().to_bits(), e)));
-            if a.is_none() { break; }
+        drain_equal(&mut heap, &mut radix);
+    }
+
+    /// The lanes on their own: only hinted events (no plain schedule
+    /// ever seeds the radix side, so every fallback inserts into an
+    /// *empty or lane-shadowed* heap and rebases its pivot while the
+    /// lanes hold earlier and later keys), interleaved with pops and
+    /// both kinds of surgery.
+    #[test]
+    fn lanes_match_heap_while_the_radix_side_runs_dry(
+        raw in proptest::collection::vec((0u8..=255, 0u8..=31), 1..160),
+    ) {
+        let mut heap: EventQueue<u32> = EventQueue::new();
+        let mut radix: RadixQueue<u32> = RadixQueue::new();
+        for (i, &(selector, slot)) in raw.iter().enumerate() {
+            let op = match selector % 16 {
+                0..=8 => Op::ScheduleInOrder { slot },
+                9..=13 => Op::Pop,
+                14 => Op::FilterMap { modulus: 2 + slot % 3 },
+                _ => Op::Extract { modulus: 2 + slot % 3 },
+            };
+            let a = apply(&mut heap, op, i as u64);
+            let b = apply(&mut radix, op, i as u64);
+            prop_assert_eq!(a, b, "op {:?} diverged", op);
+            prop_assert_eq!(heap.len(), SimQueue::<u32>::len(&radix));
+            prop_assert_eq!(heap.peek_entry(), SimQueue::<u32>::peek_entry(&radix));
         }
+        let stats = radix.lane_stats();
+        let hinted = raw.iter().filter(|&&(s, _)| s % 16 <= 8).count() as u64;
+        prop_assert_eq!(stats.admitted + stats.fell_back, hinted);
+        drain_equal(&mut heap, &mut radix);
+    }
+
+    /// Every hinted event falls back: strictly decreasing times fit no
+    /// lane after the first two, so the lanes hold one entry each and
+    /// the radix heap sorts the rest — the hint is useless, the order
+    /// is still exact.
+    #[test]
+    fn a_wrong_hint_costs_speed_not_order(
+        steps in proptest::collection::vec(1u32..50, 3..120),
+    ) {
+        let mut heap: EventQueue<u32> = EventQueue::new();
+        let mut radix: RadixQueue<u32> = RadixQueue::new();
+        let mut ms: u32 = steps.iter().sum::<u32>() + 1;
+        for (i, &step) in steps.iter().enumerate() {
+            ms -= step;
+            let t = SimTime::from_secs(ms as f64 * 1e-3);
+            heap.schedule_in_order(t, i as u32);
+            radix.schedule_in_order(t, i as u32);
+        }
+        let stats = radix.lane_stats();
+        prop_assert_eq!(stats.admitted, 2);
+        prop_assert_eq!(stats.fell_back, steps.len() as u64 - 2);
+        prop_assert_eq!(stats.lane_high_water, 2);
+        prop_assert_eq!(stats.radix_high_water, steps.len() as u64 - 2);
+        drain_equal(&mut heap, &mut radix);
     }
 
     /// Dense tie storm: many events on a tiny quantized time grid, so
@@ -172,10 +300,67 @@ proptest! {
             heap.schedule(t, 20_000 + i as u32);
             radix.schedule(t, 20_000 + i as u32);
         }
-        loop {
-            let a = heap.pop();
-            prop_assert_eq!(a, SimQueue::<u32>::pop(&mut radix));
-            if a.is_none() { break; }
-        }
+        drain_equal(&mut heap, &mut radix);
     }
+}
+
+/// Admission is `back.time <= time`, not `<`: a same-timestamp burst
+/// (one gossip fire reporting to every neighbour) and a constant-delay
+/// stream both stay in one lane. On `<` every tie would spill to the
+/// second lane and then into the radix heap — still the right order
+/// (the parity properties cannot see it), but the lanes would stop
+/// paying; this pins the counters instead.
+#[test]
+fn ties_and_constant_delays_are_admitted() {
+    let mut q: RadixQueue<u32> = RadixQueue::new();
+    let delay = SimTime::from_millis(5.0);
+    for i in 0..100u32 {
+        q.schedule(SimTime::from_secs(1.0 + i as f64), i);
+    }
+    let mut hinted = 0;
+    for _ in 0..50 {
+        let (t, e) = q.pop().unwrap();
+        // A burst of four at one timestamp, then one at the same time
+        // as the pop itself — two delays, two lanes.
+        for k in 0..4 {
+            q.schedule_in_order(t + delay, 1000 + e * 4 + k);
+        }
+        q.schedule_in_order(t, 9000 + e);
+        hinted += 5;
+    }
+    let stats = q.lane_stats();
+    assert_eq!((stats.admitted, stats.fell_back), (hinted, 0));
+    assert!(stats.lane_high_water >= 5);
+    assert_eq!(stats.radix_high_water, 100);
+}
+
+/// Lane storage follows occupancy across chunk boundaries: fill well
+/// past one chunk, drain, refill — order exact throughout, and surgery
+/// in the middle keeps survivors in order.
+#[test]
+fn long_lanes_cross_chunk_boundaries_in_order() {
+    let mut q: RadixQueue<u32> = RadixQueue::new();
+    let n = 5000u32;
+    for round in 0..3u32 {
+        let base = SimQueue::<u32>::now(&q);
+        for i in 0..n {
+            q.schedule_in_order(base + SimTime::from_millis(i as f64), round * n + i);
+        }
+        assert_eq!(SimQueue::<u32>::len(&q), n as usize);
+        q.filter_map_events(|e| (e % 3 != 1).then_some(e));
+        let taken = q.extract_events(|&e| e % 3 == 2);
+        assert!(taken
+            .windows(2)
+            .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+        assert_eq!(
+            taken.len(),
+            (0..n).filter(|i| (round * n + i) % 3 == 2).count()
+        );
+        let mut expect = (0..n).map(|i| round * n + i).filter(|e| e % 3 == 0);
+        while let Some((_, e)) = q.pop() {
+            assert_eq!(Some(e), expect.next());
+        }
+        assert!(expect.next().is_none());
+    }
+    assert_eq!(q.lane_stats().fell_back, 0);
 }
