@@ -66,9 +66,7 @@ fn bench(c: &mut Criterion) {
     group.finish();
 }
 
-/// Dense-state `RateWave` vs the naive clone-per-round reference — the
-/// perf-trajectory comparison recorded by `webwave-bench` in
-/// `BENCH_webfold_scaling.json`.
+/// Dense-state `RateWave` vs the naive clone-per-round reference.
 fn bench_rate_wave_engines(c: &mut Criterion) {
     use ww_core::reference::NaiveRateWave;
     use ww_core::wave::{RateWave, WaveConfig};

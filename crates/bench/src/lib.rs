@@ -1,14 +1,7 @@
-//! Shared scenario builders and timing helpers for the WebWave benchmark
-//! suite.
-//!
-//! Two consumers:
-//!
-//! * the criterion benches under `benches/` (relative measurements during
-//!   development), and
-//! * the `webwave-bench` binary, which measures the dense-state engines
-//!   against the naive reference engines
-//!   ([`ww_core::reference`]) and records the results in
-//!   `BENCH_webfold_scaling.json` — the repo's perf trajectory.
+//! Shared scenario builders and timing helpers for the criterion benches
+//! under `benches/` (relative measurements during development). The
+//! repo's recorded benchmark is `ww-sysbench` — see
+//! `benchmark/README.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -47,7 +47,7 @@ pub mod wave;
 
 pub use docsim::{DocSim, DocSimConfig, DocSimStats};
 pub use fold::{webfold, webfold_with_order, FoldEvent, FoldOrder, FoldedTree};
-pub use packetsim::{GenericPacketSim, HeapPacketSim, PacketSim, PacketSimConfig, PacketSimReport};
+pub use packetsim::{PacketBackend, PacketSim, PacketSimConfig, PacketSimReport};
 pub use throughput::{
     capacity_sweep, saturation_capacity, throughput_at_capacity, ThroughputReport,
 };

@@ -690,6 +690,27 @@ pub enum SurgeryStep {
     },
 }
 
+/// Sets the failed state of the control link between `node` and its
+/// parent in a driver's failed-link map; `true` when the state changed.
+/// While failed, gossip stops crossing the link (estimates on both sides
+/// go stale), no copies are pushed or tunneled across, and the node's
+/// diffusion step ignores its parent. Request packets — the data plane —
+/// keep flowing.
+///
+/// # Errors
+///
+/// [`ModelError::NodeOutOfRange`] for an unknown id,
+/// [`ModelError::NoUplink`] for the root; the map is untouched.
+pub fn set_link(
+    tree: &Tree,
+    failed_up: &mut [bool],
+    node: NodeId,
+    failed: bool,
+) -> Result<bool, ModelError> {
+    tree.uplink(node)?;
+    Ok(std::mem::replace(&mut failed_up[node.index()], failed) != failed)
+}
+
 /// Applies a batch's surgery steps to one queued event, in batch order.
 /// `None` drops the event.
 pub fn apply_surgery(ev: PacketEvent, steps: &[SurgeryStep]) -> Option<PacketEvent> {

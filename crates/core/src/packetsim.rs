@@ -48,7 +48,7 @@ use crate::packet::{
 };
 use ww_model::{DocId, LeafRemoval, ModelError, NodeId, RateVector, Tree};
 use ww_net::{TrafficClass, TrafficLedger};
-use ww_sim::{EventQueue, RadixQueue, SimQueue, SimTime, TimerRing};
+use ww_sim::{RadixQueue, SimQueue, SimTime, TimerRing};
 use ww_stats::ConvergenceTrace;
 use ww_telemetry::{Counters, Key, Level, PhaseStat, Phases, Snapshot};
 use ww_workload::DocMix;
@@ -129,14 +129,10 @@ pub struct PacketSimReport {
     pub imbalance: f64,
 }
 
-/// The sequential packet-level simulator, generic over its pending-event
-/// structure `Q`.
-///
-/// Use the [`PacketSim`] alias (radix-bucketed queue, the fast default)
-/// or [`HeapPacketSim`] (`BinaryHeap` reference backend). The two
-/// backends deliver events in exactly the same `(time, seq)` order —
-/// `ww-sim`'s parity property tests pin that — so every reported number
-/// is bit-identical between them.
+/// The sequential packet-level simulator: one event loop over the whole
+/// tree. Event storage is [`RadixQueue`] — FIFO lanes for in-order
+/// messages beside a radix heap that is O(1) amortized on the
+/// simulation's near-monotone schedule.
 ///
 /// # Example
 ///
@@ -155,9 +151,9 @@ pub struct PacketSimReport {
 /// assert!(report.final_distance < report.trace.initial().unwrap());
 /// ```
 #[derive(Debug)]
-pub struct GenericPacketSim<Q> {
+pub struct PacketSim {
     world: PacketWorld,
-    queue: Q,
+    queue: RadixQueue<PacketEvent>,
     gossip_ring: TimerRing,
     diffusion_ring: TimerRing,
     nodes: Vec<NodeState>,
@@ -172,11 +168,11 @@ pub struct GenericPacketSim<Q> {
     trace: ConvergenceTrace,
     /// Diffusion-epoch samples taken so far (next at `(k+1) * period`).
     epochs_sampled: u64,
-    /// Open barrier batch: the queue-surgery steps accumulated so far
-    /// (`None` when applying unbatched). See
-    /// [`GenericPacketSim::begin_batch`].
-    batch: Option<Vec<SurgeryStep>>,
-    /// Telemetry level requested via [`GenericPacketSim::set_telemetry`].
+    /// Whether a barrier batch is open (see [`PacketBackend::begin_batch`]).
+    batch_open: bool,
+    /// Queue-surgery steps the open batch has accumulated.
+    batch: Vec<SurgeryStep>,
+    /// Telemetry level requested via [`PacketSim::set_telemetry`].
     tel_level: Level,
     /// Barrier-path counter slab over [`CORE_KEYS`].
     tel: Counters,
@@ -184,18 +180,7 @@ pub struct GenericPacketSim<Q> {
     tel_phases: Phases,
 }
 
-/// The standard sequential packet simulator: event storage is
-/// [`RadixQueue`] — FIFO lanes for in-order messages beside a radix
-/// heap that is O(1) amortized on the simulation's near-monotone
-/// schedule.
-pub type PacketSim = GenericPacketSim<RadixQueue<PacketEvent>>;
-
-/// The reference backend: the comparison-based `BinaryHeap`
-/// [`EventQueue`]. Bit-identical to [`PacketSim`] (kept for the
-/// old-vs-new hot-path benchmarks and as the parity anchor).
-pub type HeapPacketSim = GenericPacketSim<EventQueue<PacketEvent>>;
-
-impl<Q: SimQueue<PacketEvent> + Default> GenericPacketSim<Q> {
+impl PacketSim {
     /// Builds a simulator for `tree` under the per-node document demand
     /// `mix`.
     ///
@@ -211,7 +196,7 @@ impl<Q: SimQueue<PacketEvent> + Default> GenericPacketSim<Q> {
             .map(|u| packet::init_state(&world, u))
             .collect();
 
-        let mut queue = Q::default();
+        let mut queue = RadixQueue::default();
         let mut gossip_ring = TimerRing::new(SimTime::from_secs(config.gossip_period), n);
         let mut diffusion_ring = TimerRing::new(SimTime::from_secs(config.diffusion_period), n);
 
@@ -231,7 +216,7 @@ impl<Q: SimQueue<PacketEvent> + Default> GenericPacketSim<Q> {
             diffusion_ring.insert(i, world.diffusion_phase(i), diffusion_seq);
         }
 
-        GenericPacketSim {
+        PacketSim {
             world,
             queue,
             gossip_ring,
@@ -244,7 +229,8 @@ impl<Q: SimQueue<PacketEvent> + Default> GenericPacketSim<Q> {
             outbox,
             trace: ConvergenceTrace::new(),
             epochs_sampled: 0,
-            batch: None,
+            batch_open: false,
+            batch: Vec::new(),
             tel_level: Level::Off,
             tel: Counters::off(CORE_KEYS),
             tel_phases: Phases::new(CORE_PHASES, Level::Off),
@@ -427,6 +413,11 @@ impl<Q: SimQueue<PacketEvent> + Default> GenericPacketSim<Q> {
         &self.world.oracle
     }
 
+    /// The routing tree this simulation runs on.
+    pub fn tree(&self) -> &Tree {
+        &self.world.tree
+    }
+
     /// The dense document table of this simulation's universe.
     pub fn doc_table(&self) -> &ww_model::DocTable {
         &self.world.table
@@ -441,11 +432,6 @@ impl<Q: SimQueue<PacketEvent> + Default> GenericPacketSim<Q> {
         self.nodes[node.index()].served_total
     }
 
-    /// The routing tree this simulation runs on.
-    pub fn tree(&self) -> &Tree {
-        &self.world.tree
-    }
-
     /// Whether the control link from `node` to its parent is failed.
     ///
     /// # Panics
@@ -455,37 +441,6 @@ impl<Q: SimQueue<PacketEvent> + Default> GenericPacketSim<Q> {
         self.failed_up[node.index()]
     }
 
-    /// Fails the control link between `node` and its parent: gossip stops
-    /// crossing it (estimates on both sides go stale), no copies are
-    /// pushed or tunneled across, and the node's diffusion step ignores
-    /// its parent until [`PacketSim::heal_link`]. Request packets — the
-    /// data plane — keep flowing. Returns `false` when already failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or is the root.
-    pub fn fail_link(&mut self, node: NodeId) -> bool {
-        assert!(
-            self.world.tree.parent(node).is_some(),
-            "the root has no uplink to fail"
-        );
-        !std::mem::replace(&mut self.failed_up[node.index()], true)
-    }
-
-    /// Restores the control link between `node` and its parent. Returns
-    /// `false` when the link was not failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or is the root.
-    pub fn heal_link(&mut self, node: NodeId) -> bool {
-        assert!(
-            self.world.tree.parent(node).is_some(),
-            "the root has no uplink to heal"
-        );
-        std::mem::replace(&mut self.failed_up[node.index()], false)
-    }
-
     /// Re-publish (update) a document: every cached copy outside the home
     /// server is invalidated — copies, filters, and serve allocations for
     /// `doc` vanish, and the stale serve-rate estimates for it are reset.
@@ -493,12 +448,7 @@ impl<Q: SimQueue<PacketEvent> + Default> GenericPacketSim<Q> {
     /// (control traffic from the root, paying the node's depth in hops).
     /// Demand is unchanged; requests fall back to the home server until
     /// diffusion re-spreads the new version.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::UnknownDocument`] when `doc` is outside the
-    /// simulated universe.
-    pub fn invalidate(&mut self, doc: DocId) -> Result<(), ModelError> {
+    fn invalidate(&mut self, doc: DocId) -> Result<(), ModelError> {
         let Some(k) = self.world.table.index_of(doc) else {
             return Err(ModelError::UnknownDocument { doc: doc.value() });
         };
@@ -516,32 +466,245 @@ impl<Q: SimQueue<PacketEvent> + Default> GenericPacketSim<Q> {
         Ok(())
     }
 
-    /// Re-resolves the arrival stage after a barrier mutation: drops
-    /// stale arrival events (remapping surviving document indices when
-    /// the universe grew) and schedules each node's fresh first arrival,
-    /// in node order — the canonical recipe the parallel driver repeats
-    /// per shard.
-    fn rebuild_arrivals(&mut self, growth: Option<&UniverseGrowth>) {
-        self.queue_surgery(|ev| packet::remap_for_rebuild(ev, growth));
-        self.reschedule_arrivals();
+    /// A cache server joins as a new leaf under `parent`, bringing
+    /// `rate` req/s of demand split across the universe proportionally
+    /// to current document popularity. The newcomer takes the next id,
+    /// starts cold (no copies), and its gossip/diffusion timers arm
+    /// phase-staggered after the barrier.
+    fn add_leaf(&mut self, parent: NodeId, rate: f64) -> Result<NodeId, ModelError> {
+        let at = self.queue.now();
+        let id = self.world.join(parent, rate)?;
+        let i = id.index();
+        let map = packet::join_slot_map(self.world.tree.children(parent).len() - 1);
+        packet::remap_children(&mut self.nodes[parent.index()], &map, at.as_secs());
+        self.nodes
+            .push(packet::init_state_at(&self.world, id, at.as_secs()));
+        self.failed_up.push(false);
+        self.batch.push(SurgeryStep::Rebuild(None));
+        assert_eq!(self.gossip_ring.add_member(), i);
+        assert_eq!(self.diffusion_ring.add_member(), i);
+        let gossip_seq = self.queue.alloc_seq();
+        self.gossip_ring
+            .insert(i, at + self.world.gossip_phase(i), gossip_seq);
+        let diffusion_seq = self.queue.alloc_seq();
+        self.diffusion_ring
+            .insert(i, at + self.world.diffusion_phase(i), diffusion_seq);
+        Ok(id)
     }
 
-    /// One queue-surgery sweep: filters every pending event through
-    /// `f`, timing the sweep and crediting what it removed.
-    fn queue_surgery(&mut self, f: impl FnMut(PacketEvent) -> Option<PacketEvent>) {
+    /// A leaf cache server departs: its demand re-homes to its parent,
+    /// ids compact by swap-remove (the returned [`LeafRemoval`] names
+    /// the renumbering), and the commit sweep drops in-flight events
+    /// involving the departed node.
+    fn remove_leaf(&mut self, node: NodeId) -> Result<LeafRemoval, ModelError> {
+        let at = self.queue.now();
+        let removal = self.world.leave(node)?;
+        let i = removal.removed.index();
+        self.nodes.swap_remove(i);
+        self.failed_up.swap_remove(i);
+        self.gossip_ring.swap_remove_member(i);
+        self.diffusion_ring.swap_remove_member(i);
+        self.batch.push(SurgeryStep::Leave {
+            removed: removal.removed,
+            moved: removal.moved,
+        });
+        for p in packet::parents_to_remap(&self.world.tree, &removal) {
+            let map = packet::child_slot_map(&self.world.tree, p, &removal);
+            packet::remap_children(&mut self.nodes[p.index()], &map, at.as_secs());
+        }
+        Ok(removal)
+    }
+
+    /// Applies a universe growth to every node's per-document state (the
+    /// home server also receives the only copy of each new document) —
+    /// the shared tail of every demand-changing barrier operation
+    /// (publish, mix replacement).
+    fn apply_growth(&mut self, growth: Option<UniverseGrowth>) {
+        let at = self.queue.now().as_secs();
+        if let Some(g) = &growth {
+            let span = self.tel_phases.begin();
+            let root = self.world.tree.root();
+            for j in 0..self.world.len() {
+                packet::grow_node_state(&mut self.nodes[j], g, at, NodeId::new(j) == root);
+            }
+            self.tel_phases.end(P_UNIVERSE_GROWTH, span);
+        }
+        self.batch.push(SurgeryStep::Rebuild(growth));
+    }
+
+    /// [`PacketBackend::apply_all`], for callers without the trait in
+    /// scope: an in-process batch always opens and closes, so only the
+    /// per-op results remain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a batch is already open.
+    pub fn apply_all(&mut self, ops: &[BarrierOp]) -> Vec<Result<BarrierOutcome, ModelError>> {
+        PacketBackend::apply_all(self, ops).expect("an in-process batch opens and closes")
+    }
+
+    /// The shared world (topology, mix, oracle, configuration) as the
+    /// simulation currently sees it.
+    pub fn world(&self) -> &PacketWorld {
+        &self.world
+    }
+}
+
+/// The one surface every packet-level engine — this sequential driver,
+/// the sharded `ww-pdes` driver, the multi-process `ww-dist` driver —
+/// offers its callers: advance simulated time, report, and mutate the
+/// world at a barrier through [`BarrierOp`]s. The engines are pinned
+/// bit-identical to each other, so code written against this trait (the
+/// scenario adapter, the cross-backend tests) runs unchanged on all
+/// three.
+///
+/// Every call can fail with [`PacketBackend::Error`] because the
+/// distributed engine's workers can die; the in-process engines only
+/// ever return the model's rejection of a [`BarrierOp`].
+pub trait PacketBackend {
+    /// What a call can fail with: at least the model's rejection of an
+    /// op, plus whatever the engine's transport can produce.
+    type Error: From<ModelError> + std::fmt::Display;
+
+    /// Runs up to `duration` simulated seconds and reports. May be
+    /// called repeatedly with increasing horizons.
+    fn run(&mut self, duration: f64) -> Result<PacketSimReport, Self::Error>;
+
+    /// The report at the current horizon.
+    fn report(&mut self) -> Result<PacketSimReport, Self::Error>;
+
+    /// The TLB oracle for the offered demand.
+    fn oracle(&self) -> &RateVector;
+
+    /// The routing tree as the run currently sees it.
+    fn tree(&self) -> &Tree;
+
+    /// Opens a barrier batch: ops applied until
+    /// [`PacketBackend::commit_batch`] share one oracle refresh, one
+    /// queue-surgery sweep and one arrival re-resolution.
+    fn begin_batch(&mut self) -> Result<(), Self::Error>;
+
+    /// Applies one op at the current barrier — into the open batch, or
+    /// as a batch of one. A rejected op mutates nothing.
+    fn apply_op(&mut self, op: &BarrierOp) -> Result<BarrierOutcome, Self::Error>;
+
+    /// Closes the open batch.
+    fn commit_batch(&mut self) -> Result<(), Self::Error>;
+
+    /// Applies a same-barrier storm as one batch. The outer error is a
+    /// batch that could not open or close; per-op rejections land in
+    /// the vector and do not stop the batch.
+    #[allow(clippy::type_complexity)]
+    fn apply_all(
+        &mut self,
+        ops: &[BarrierOp],
+    ) -> Result<Vec<Result<BarrierOutcome, Self::Error>>, Self::Error> {
+        self.begin_batch()?;
+        let results = ops.iter().map(|op| self.apply_op(op)).collect();
+        self.commit_batch()?;
+        Ok(results)
+    }
+
+    /// Sets the observation level (observation only: no level changes a
+    /// simulated bit).
+    fn set_telemetry(&mut self, level: Level);
+
+    /// Everything recorded since [`PacketBackend::set_telemetry`].
+    fn telemetry_snapshot(&self) -> Snapshot;
+}
+
+impl PacketBackend for PacketSim {
+    type Error = ModelError;
+
+    fn run(&mut self, duration: f64) -> Result<PacketSimReport, ModelError> {
+        Ok(PacketSim::run(self, duration))
+    }
+
+    fn report(&mut self) -> Result<PacketSimReport, ModelError> {
+        Ok(PacketSim::report(self))
+    }
+
+    fn oracle(&self) -> &RateVector {
+        PacketSim::oracle(self)
+    }
+
+    fn tree(&self) -> &Tree {
+        PacketSim::tree(self)
+    }
+
+    /// # Panics
+    ///
+    /// Panics if a batch is already open.
+    fn begin_batch(&mut self) -> Result<(), ModelError> {
+        assert!(!self.batch_open, "a barrier batch is already open");
+        self.world.begin_batch();
+        self.batch_open = true;
+        Ok(())
+    }
+
+    fn apply_op(&mut self, op: &BarrierOp) -> Result<BarrierOutcome, ModelError> {
+        let lone = !self.batch_open;
+        if lone {
+            self.begin_batch()?;
+        }
+        self.tel.add(K_BARRIER_OPS, 1);
+        let result = match op {
+            BarrierOp::AddLeaf { parent, rate } => {
+                self.add_leaf(*parent, *rate).map(BarrierOutcome::Added)
+            }
+            BarrierOp::RemoveLeaf { node } => self.remove_leaf(*node).map(BarrierOutcome::Removed),
+            BarrierOp::PublishDoc { doc, origin, rate } => {
+                self.world.publish(*doc, *origin, *rate).map(|growth| {
+                    self.apply_growth(growth);
+                    BarrierOutcome::Done
+                })
+            }
+            BarrierOp::SetMix { mix } => self.world.set_mix(mix).map(|growth| {
+                self.apply_growth(growth);
+                BarrierOutcome::Done
+            }),
+            BarrierOp::FailLink { node } => {
+                packet::set_link(&self.world.tree, &mut self.failed_up, *node, true)
+                    .map(BarrierOutcome::Toggled)
+            }
+            BarrierOp::HealLink { node } => {
+                packet::set_link(&self.world.tree, &mut self.failed_up, *node, false)
+                    .map(BarrierOutcome::Toggled)
+            }
+            BarrierOp::Invalidate { doc } => self.invalidate(*doc).map(|()| BarrierOutcome::Done),
+        };
+        if lone {
+            self.commit_batch()?;
+        }
+        result
+    }
+
+    /// One `filter_map_events` sweep applies the accumulated surgery
+    /// steps (stale arrivals drop, surviving events are renumbered and
+    /// remapped), then each node's fresh first arrival is scheduled, in
+    /// node order — the canonical recipe the parallel driver repeats
+    /// per shard.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no batch is open.
+    fn commit_batch(&mut self) -> Result<(), ModelError> {
+        assert!(self.batch_open, "no open barrier batch");
+        self.batch_open = false;
+        self.world.end_batch();
+        if self.batch.is_empty() {
+            return Ok(());
+        }
+        let steps = std::mem::take(&mut self.batch);
         let span = self.tel_phases.begin();
         let before = self.queue.len();
-        self.queue.filter_map_events(f);
+        self.queue
+            .filter_map_events(|ev| packet::apply_surgery(ev, &steps));
         self.tel.add(K_SURGERY_SWEEPS, 1);
         self.tel
             .add(K_SURGERY_REMOVED, (before - self.queue.len()) as u64);
         self.tel_phases.end(P_QUEUE_SURGERY, span);
-    }
 
-    /// The scheduling half of [`PacketSim::rebuild_arrivals`], for
-    /// callers whose own queue surgery already dropped the stale
-    /// arrivals (a leave's [`packet::renumber_for_leave`] pass).
-    fn reschedule_arrivals(&mut self) {
         let span = self.tel_phases.begin();
         let at = self.queue.now();
         for i in 0..self.world.len() {
@@ -557,213 +720,15 @@ impl<Q: SimQueue<PacketEvent> + Default> GenericPacketSim<Q> {
             }
         }
         self.tel_phases.end(P_ARRIVAL_REBUILD, span);
-    }
-
-    /// A cache server joins as a new leaf under `parent` at the current
-    /// barrier, bringing `rate` req/s of demand split across the
-    /// universe proportionally to current document popularity. The
-    /// newcomer takes the next id, starts cold (no copies), and its
-    /// gossip/diffusion timers arm phase-staggered after the barrier;
-    /// every arrival stream is re-resolved.
-    ///
-    /// # Errors
-    ///
-    /// As [`PacketWorld::join`]: unknown parent or invalid rate.
-    pub fn add_leaf(&mut self, parent: NodeId, rate: f64) -> Result<NodeId, ModelError> {
-        let at = self.queue.now();
-        let id = self.world.join(parent, rate)?;
-        let i = id.index();
-        let map = packet::join_slot_map(self.world.tree.children(parent).len() - 1);
-        packet::remap_children(&mut self.nodes[parent.index()], &map, at.as_secs());
-        self.nodes
-            .push(packet::init_state_at(&self.world, id, at.as_secs()));
-        self.failed_up.push(false);
-        if let Some(steps) = &mut self.batch {
-            steps.push(SurgeryStep::Rebuild(None));
-        } else {
-            self.rebuild_arrivals(None);
-        }
-        // Arm the newcomer's timers (after the arrival pass, mirroring
-        // the construction-time per-node order).
-        assert_eq!(self.gossip_ring.add_member(), i);
-        assert_eq!(self.diffusion_ring.add_member(), i);
-        let gossip_seq = self.queue.alloc_seq();
-        self.gossip_ring
-            .insert(i, at + self.world.gossip_phase(i), gossip_seq);
-        let diffusion_seq = self.queue.alloc_seq();
-        self.diffusion_ring
-            .insert(i, at + self.world.diffusion_phase(i), diffusion_seq);
-        Ok(id)
-    }
-
-    /// A leaf cache server departs at the current barrier: its demand
-    /// re-homes to its parent, ids compact by swap-remove (the returned
-    /// [`LeafRemoval`] names the renumbering), in-flight events
-    /// involving the departed node are dropped, and every arrival
-    /// stream is re-resolved.
-    ///
-    /// # Errors
-    ///
-    /// As [`PacketWorld::leave`]: unknown id, the root, or an interior
-    /// node.
-    pub fn remove_leaf(&mut self, node: NodeId) -> Result<LeafRemoval, ModelError> {
-        let at = self.queue.now();
-        let removal = self.world.leave(node)?;
-        let i = removal.removed.index();
-        self.nodes.swap_remove(i);
-        self.failed_up.swap_remove(i);
-        self.gossip_ring.swap_remove_member(i);
-        self.diffusion_ring.swap_remove_member(i);
-        if let Some(steps) = &mut self.batch {
-            steps.push(SurgeryStep::Leave {
-                removed: removal.removed,
-                moved: removal.moved,
-            });
-        } else {
-            self.queue_surgery(|ev| packet::renumber_for_leave(ev, removal.removed, removal.moved));
-        }
-        for p in packet::parents_to_remap(&self.world.tree, &removal) {
-            let map = packet::child_slot_map(&self.world.tree, p, &removal);
-            packet::remap_children(&mut self.nodes[p.index()], &map, at.as_secs());
-        }
-        // The renumbering pass above already dropped the stale arrivals;
-        // only the rescheduling half remains (deferred while batched).
-        if self.batch.is_none() {
-            self.reschedule_arrivals();
-        }
-        Ok(removal)
-    }
-
-    /// Applies a universe growth to every node's per-document state (the
-    /// home server also receives the only copy of each new document),
-    /// then re-resolves the arrival stage — the shared tail of every
-    /// demand-changing barrier operation.
-    fn apply_growth(&mut self, growth: Option<UniverseGrowth>) {
-        let at = self.queue.now().as_secs();
-        if let Some(g) = &growth {
-            let span = self.tel_phases.begin();
-            let root = self.world.tree.root();
-            for j in 0..self.world.len() {
-                packet::grow_node_state(&mut self.nodes[j], g, at, NodeId::new(j) == root);
-            }
-            self.tel_phases.end(P_UNIVERSE_GROWTH, span);
-        }
-        if let Some(steps) = &mut self.batch {
-            steps.push(SurgeryStep::Rebuild(growth));
-        } else {
-            self.rebuild_arrivals(growth.as_ref());
-        }
-    }
-
-    /// Publishes a document at the current barrier: demand for `doc`
-    /// appears at `origin`, a first-time id grows the dense universe
-    /// (every node's per-document state shifts columns; the home server
-    /// receives the only copy), and every arrival stream is re-resolved.
-    ///
-    /// # Errors
-    ///
-    /// As [`PacketWorld::publish`]: unknown origin or invalid rate.
-    pub fn publish_doc(&mut self, doc: DocId, origin: NodeId, rate: f64) -> Result<(), ModelError> {
-        let growth = self.world.publish(doc, origin, rate)?;
-        self.apply_growth(growth);
         Ok(())
     }
 
-    /// Replaces the whole demand mix at the current barrier (hot-set
-    /// rotation, Zipf re-skew). Copies and serve allocations survive;
-    /// first-time document ids grow the universe; every arrival stream
-    /// is re-resolved against the new mix.
-    ///
-    /// # Errors
-    ///
-    /// As [`PacketWorld::set_mix`]: a mix not covering the current tree.
-    pub fn set_mix(&mut self, mix: &DocMix) -> Result<(), ModelError> {
-        let growth = self.world.set_mix(mix)?;
-        self.apply_growth(growth);
-        Ok(())
+    fn set_telemetry(&mut self, level: Level) {
+        PacketSim::set_telemetry(self, level);
     }
 
-    /// Opens a barrier batch: subsequent barrier mutations apply their
-    /// primary state changes eagerly but defer the oracle refresh, the
-    /// queue-surgery sweep, and the arrival re-resolution to one shared
-    /// pass in [`GenericPacketSim::commit_batch`]. A K-event batch ends
-    /// bit-identical to K unbatched applications at a fraction of the
-    /// cost (one refold, one sweep, one re-resolution instead of K).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a batch is already open.
-    pub fn begin_batch(&mut self) {
-        assert!(self.batch.is_none(), "a barrier batch is already open");
-        self.world.begin_batch();
-        self.batch = Some(Vec::new());
-    }
-
-    /// Closes the batch: performs the single deferred oracle refresh,
-    /// applies the accumulated queue-surgery steps in one
-    /// `filter_map_events` sweep, and re-resolves the arrival stage
-    /// once, in node order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no batch is open.
-    pub fn commit_batch(&mut self) {
-        let steps = self.batch.take().expect("no open barrier batch");
-        self.world.end_batch();
-        if !steps.is_empty() {
-            self.queue_surgery(|ev| packet::apply_surgery(ev, &steps));
-            self.reschedule_arrivals();
-        }
-    }
-
-    /// Applies one uniform [`BarrierOp`] through the matching typed
-    /// method (honoring an open batch).
-    ///
-    /// # Errors
-    ///
-    /// As the matching typed method; a failed op mutates nothing.
-    ///
-    /// # Panics
-    ///
-    /// As the matching typed method — [`BarrierOp::FailLink`] /
-    /// [`BarrierOp::HealLink`] on the root or out of range.
-    pub fn apply_op(&mut self, op: &BarrierOp) -> Result<BarrierOutcome, ModelError> {
-        self.tel.add(K_BARRIER_OPS, 1);
-        match op {
-            BarrierOp::AddLeaf { parent, rate } => {
-                self.add_leaf(*parent, *rate).map(BarrierOutcome::Added)
-            }
-            BarrierOp::RemoveLeaf { node } => self.remove_leaf(*node).map(BarrierOutcome::Removed),
-            BarrierOp::PublishDoc { doc, origin, rate } => self
-                .publish_doc(*doc, *origin, *rate)
-                .map(|()| BarrierOutcome::Done),
-            BarrierOp::SetMix { mix } => self.set_mix(mix).map(|()| BarrierOutcome::Done),
-            BarrierOp::FailLink { node } => Ok(BarrierOutcome::Toggled(self.fail_link(*node))),
-            BarrierOp::HealLink { node } => Ok(BarrierOutcome::Toggled(self.heal_link(*node))),
-            BarrierOp::Invalidate { doc } => self.invalidate(*doc).map(|()| BarrierOutcome::Done),
-        }
-    }
-
-    /// Applies every op of a same-barrier storm as one batch: per-op
-    /// results mirror sequential application (a rejected op mutates
-    /// nothing and the batch continues), but the oracle refresh, queue
-    /// surgery, and arrival re-resolution run once at the end.
-    ///
-    /// # Panics
-    ///
-    /// As [`GenericPacketSim::apply_op`], and if a batch is already
-    /// open.
-    pub fn apply_all(&mut self, ops: &[BarrierOp]) -> Vec<Result<BarrierOutcome, ModelError>> {
-        self.begin_batch();
-        let results = ops.iter().map(|op| self.apply_op(op)).collect();
-        self.commit_batch();
-        results
-    }
-
-    /// The shared world (topology, mix, oracle, configuration) as the
-    /// simulation currently sees it.
-    pub fn world(&self) -> &PacketWorld {
-        &self.world
+    fn telemetry_snapshot(&self) -> Snapshot {
+        PacketSim::telemetry_snapshot(self)
     }
 }
 
@@ -960,7 +925,10 @@ mod tests {
         sim.run(30.0);
         // The hot documents have spread; revoke one and check the error
         // path for unknown ids.
-        assert!(sim.invalidate(DocId::new(1)).is_ok());
-        assert!(sim.invalidate(DocId::new(999)).is_err());
+        let revoke = |doc| BarrierOp::Invalidate {
+            doc: DocId::new(doc),
+        };
+        assert!(sim.apply_op(&revoke(1)).is_ok());
+        assert!(sim.apply_op(&revoke(999)).is_err());
     }
 }

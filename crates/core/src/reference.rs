@@ -12,10 +12,9 @@
 //!    bit-identical convergence traces and statistics (see
 //!    `crates/core/tests/golden_traces.rs`), which pins the refactor to
 //!    the paper-validated semantics.
-//! 2. **Measured speedups**: the `webwave-bench` runner and the
-//!    `webfold_scaling` criterion bench report dense-vs-naive throughput,
-//!    so every future PR has a perf trajectory
-//!    (`BENCH_webfold_scaling.json`).
+//! 2. **Measured speedups**: the `webfold_scaling` criterion bench
+//!    reports dense-vs-naive throughput during development (the repo's
+//!    recorded benchmark is `ww-sysbench`, `benchmark/README.md`).
 //!
 //! Wherever the original code iterated a `HashMap` in arbitrary order into
 //! an order-insensitive consumer, the reference iterates in ascending

@@ -9,10 +9,10 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ww_core::packet::{
-    self, BarrierOp, NodeCtx, NodeState, PacketCounters, PacketEvent, PacketWorld, Scratch,
-    UniverseGrowth,
+    self, BarrierOp, BarrierOutcome, NodeCtx, NodeState, PacketCounters, PacketEvent, PacketWorld,
+    Scratch, UniverseGrowth,
 };
-use ww_core::packetsim::{PacketSim, PacketSimConfig, PacketSimReport};
+use ww_core::packetsim::{PacketBackend, PacketSim, PacketSimConfig, PacketSimReport};
 use ww_model::{DocId, DocSet, NodeId, Tree};
 use ww_net::{DocRequest, RequestId, TrafficLedger};
 use ww_sim::SimTime;
@@ -27,12 +27,29 @@ fn build_sim(nodes: usize, docs: usize, seed: u64) -> PacketSim {
     PacketSim::new(&tree, &mix, PacketSimConfig::default())
 }
 
+/// A lone join; the id the newcomer took.
+fn join(sim: &mut PacketSim, parent: NodeId, rate: f64) -> NodeId {
+    match sim.apply_op(&BarrierOp::AddLeaf { parent, rate }) {
+        Ok(BarrierOutcome::Added(id)) => id,
+        other => panic!("join applies, got {other:?}"),
+    }
+}
+
+/// A lone leave of `node`.
+fn leave(sim: &mut PacketSim, node: NodeId) -> ww_model::LeafRemoval {
+    match sim.apply_op(&BarrierOp::RemoveLeaf { node }) {
+        Ok(BarrierOutcome::Removed(removal)) => removal,
+        other => panic!("leave applies, got {other:?}"),
+    }
+}
+
 /// One barrier operation before it meets a concrete tree: node picks are
 /// reduced modulo the node count *as of the op*, so a script stays
 /// meaningful while the tree churns under it. Picks are deliberately
 /// not filtered for validity — a `Remove` of an interior node or the
-/// root, or an `Invalidate` of an unknown document, must be rejected and
-/// mutate nothing.
+/// root, a `Link` op on the root or one past the tree, or an
+/// `Invalidate` of an unknown document, must be rejected and mutate
+/// nothing.
 #[derive(Debug, Clone)]
 enum Pick {
     Add {
@@ -121,13 +138,9 @@ fn materialize(pick: &Pick, shadow: &mut Tree) -> BarrierOp {
             BarrierOp::SetMix { mix }
         }
         Pick::Link { node, fail } => {
-            let node = NodeId::new(node % n);
-            if shadow.parent(node).is_none() {
-                // The root has no uplink; the typed methods panic on it.
-                BarrierOp::Invalidate {
-                    doc: DocId::new(node.index() as u64),
-                }
-            } else if fail {
+            // `n` itself is one past the tree; the root is in range.
+            let node = NodeId::new(node % (n + 1));
+            if fail {
                 BarrierOp::FailLink { node }
             } else {
                 BarrierOp::HealLink { node }
@@ -401,9 +414,9 @@ proptest! {
         let before_parents = sim.tree().to_parents();
         let before_mix = sim.world().mix.clone();
         let parent = NodeId::new(parent_pick % sim.tree().len());
-        let id = sim.add_leaf(parent, rate).expect("join applies");
+        let id = join(&mut sim, parent, rate);
         prop_assert_eq!(id.index(), before_parents.len());
-        let removal = sim.remove_leaf(id).expect("the new leaf departs");
+        let removal = leave(&mut sim, id);
         // The newest id is the highest, so no renumbering can occur...
         prop_assert!(removal.moved.is_none());
         // ...and the tree is exactly restored.
@@ -446,12 +459,13 @@ proptest! {
         let tree = sim.tree().clone();
         let rates = ww_workload::uniform(&tree, 12.0);
         let mix = ww_workload::shared_zipf_mix(&tree, &rates, new_docs, theta);
-        sim.set_mix(&mix).expect("shift applies");
+        let shift = BarrierOp::SetMix { mix };
+        sim.apply_op(&shift).expect("shift applies");
         let once_mix = sim.world().mix.clone();
         let once_oracle: Vec<u64> =
             sim.world().oracle.as_slice().iter().map(|x| x.to_bits()).collect();
         let once_docs = sim.doc_table().docs().to_vec();
-        sim.set_mix(&mix).expect("shift re-applies");
+        sim.apply_op(&shift).expect("shift re-applies");
         prop_assert_eq!(&sim.world().mix, &once_mix);
         let twice_oracle: Vec<u64> =
             sim.world().oracle.as_slice().iter().map(|x| x.to_bits()).collect();
@@ -475,7 +489,12 @@ proptest! {
         let before_docs = sim.doc_table().docs().to_vec();
         let before_total = sim.world().mix.spontaneous().total();
         let origin = NodeId::new(origin_pick % sim.tree().len());
-        sim.publish_doc(DocId::new(new_doc), origin, rate).expect("publish applies");
+        let publish = |rate| BarrierOp::PublishDoc {
+            doc: DocId::new(new_doc),
+            origin,
+            rate,
+        };
+        sim.apply_op(&publish(rate)).expect("publish applies");
         let after_docs = sim.doc_table().docs();
         prop_assert_eq!(after_docs.len(), before_docs.len() + 1);
         for d in &before_docs {
@@ -485,7 +504,7 @@ proptest! {
         let after_total = sim.world().mix.spontaneous().total();
         prop_assert!((after_total - (before_total + rate)).abs() < 1e-6 * (1.0 + after_total));
         // Publishing the same doc again only adds demand.
-        sim.publish_doc(DocId::new(new_doc), origin, 1.0).expect("re-publish applies");
+        sim.apply_op(&publish(1.0)).expect("re-publish applies");
         prop_assert_eq!(sim.doc_table().docs().len(), before_docs.len() + 1);
     }
 
@@ -499,10 +518,10 @@ proptest! {
         let run = || {
             let mut sim = build_sim(nodes, 4, seed);
             sim.run(2.0);
-            sim.add_leaf(NodeId::new(0), 30.0).expect("join");
+            join(&mut sim, NodeId::new(0), 30.0);
             sim.run(4.0);
             let leaf = NodeId::new(sim.tree().len() - 1);
-            sim.remove_leaf(leaf).expect("leave");
+            leave(&mut sim, leaf);
             let r = sim.run(6.0);
             (
                 r.served_requests,
@@ -520,7 +539,11 @@ fn join_reports_unknown_parent_before_rate_problems() {
     let tree = ww_model::Tree::from_parents(&[None, Some(0)]).unwrap();
     let mix = ww_workload::DocMix::new(2); // zero demand everywhere
     let mut sim = PacketSim::new(&tree, &mix, PacketSimConfig::default());
-    match sim.add_leaf(NodeId::new(99), 5.0) {
+    let op = BarrierOp::AddLeaf {
+        parent: NodeId::new(99),
+        rate: 5.0,
+    };
+    match sim.apply_op(&op) {
         Err(ww_model::ModelError::NodeOutOfRange { node, len }) => {
             assert_eq!((node.index(), len), (99, 2));
         }
@@ -535,11 +558,11 @@ fn rejoiner_starts_cold() {
     let mut sim = build_sim(12, 4, 9);
     sim.run(5.0);
     let parent = NodeId::new(0);
-    let id = sim.add_leaf(parent, 25.0).expect("join");
+    let id = join(&mut sim, parent, 25.0);
     sim.run(8.0);
     let served_before = sim.served_total(id);
-    sim.remove_leaf(id).expect("leave");
-    let id2 = sim.add_leaf(parent, 25.0).expect("rejoin");
+    leave(&mut sim, id);
+    let id2 = join(&mut sim, parent, 25.0);
     assert_eq!(id, id2, "the vacated id is reused");
     assert_eq!(sim.served_total(id2), 0, "rejoiner starts cold");
     let _ = served_before;
@@ -551,7 +574,7 @@ fn rejoiner_starts_cold() {
 /// The first publish into a world that carries no document at all: the
 /// per-node tables start with no columns (not a phantom one the growth
 /// mapping would not cover), so the universe grows from zero like from
-/// any other size — directly and through a batch.
+/// any other size — as a lone op and through a batch.
 #[test]
 fn first_publish_into_an_empty_universe() {
     let tree = Tree::from_parents(&[None, Some(0), Some(0), Some(1)]).unwrap();
@@ -568,8 +591,7 @@ fn first_publish_into_an_empty_universe() {
             let results = sim.apply_all(std::slice::from_ref(&op));
             assert!(results.iter().all(Result::is_ok), "{results:?}");
         } else {
-            sim.publish_doc(DocId::new(7), NodeId::new(3), 40.0)
-                .expect("publish applies");
+            sim.apply_op(&op).expect("publish applies");
         }
         assert_eq!(sim.doc_table().docs(), &[DocId::new(7)]);
         let report = sim.run(6.0);

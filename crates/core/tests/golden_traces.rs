@@ -177,3 +177,32 @@ fn docsim_matches_reference_on_zipf_mix() {
     assert_eq!(dense.stats(), naive.stats());
     assert_eq!(dense.load().as_slice(), naive.load().as_slice());
 }
+
+#[test]
+fn both_engines_match_reference_on_a_random_scaling_tree() {
+    // Far from the hand-crafted figures: a 1000-node random tree of
+    // depth 12 under uniform random demand, with and without stale
+    // gossip, and a 64-document Zipf universe for the document engine.
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1000);
+    let tree = ww_topology::random_tree_of_depth(&mut rng, 1000, 12);
+    let rates = ww_workload::random_uniform(&mut rng, &tree, 0.0, 100.0);
+    for staleness in [0, 3] {
+        let cfg = WaveConfig {
+            alpha: None,
+            staleness,
+        };
+        let mut dense = RateWave::new(&tree, &rates, cfg);
+        let mut naive = NaiveRateWave::new(&tree, &rates, cfg);
+        dense.run(50);
+        naive.run(50);
+        assert_traces_bit_identical(dense.trace(), naive.trace());
+    }
+    let mix = ww_workload::shared_zipf_mix(&tree, &rates, 64, 1.0);
+    let mut dense = DocSim::new(&tree, &mix, DocSimConfig::default());
+    let mut naive = NaiveDocSim::new(&tree, &mix, DocSimConfig::default());
+    dense.run(10);
+    naive.run(10);
+    assert_traces_bit_identical(dense.trace(), naive.trace());
+    assert_eq!(dense.stats(), naive.stats());
+}

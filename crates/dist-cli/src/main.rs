@@ -189,30 +189,7 @@ fn load_spec(args: &[String]) -> Result<ScenarioSpec, CliError> {
 /// in every knob, run in-process by `PacketSim`.
 fn sequential_twin(spec: &mut ScenarioSpec) -> Result<(), CliError> {
     spec.engine = match &spec.engine {
-        EngineSpec::PacketSimDist {
-            alpha,
-            tunneling,
-            barrier_patience,
-            link_delay,
-            gossip_period,
-            diffusion_period,
-            measure_window,
-            gossip_loss,
-            hysteresis,
-            noise_sigmas,
-            workers: _,
-        } => EngineSpec::PacketSim {
-            alpha: *alpha,
-            tunneling: *tunneling,
-            barrier_patience: *barrier_patience,
-            link_delay: *link_delay,
-            gossip_period: *gossip_period,
-            diffusion_period: *diffusion_period,
-            measure_window: *measure_window,
-            gossip_loss: *gossip_loss,
-            hysteresis: *hysteresis,
-            noise_sigmas: *noise_sigmas,
-        },
+        EngineSpec::PacketSimDist { knobs, .. } => EngineSpec::PacketSim { knobs: *knobs },
         other => {
             return Err(CliError::Run(format!(
                 "--sequential applies to packet_sim_dist specs, not {}",

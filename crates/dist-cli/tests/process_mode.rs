@@ -10,7 +10,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
-use ww_core::packetsim::{PacketSim, PacketSimConfig, PacketSimReport};
+use ww_core::packet::{BarrierOp, BarrierOutcome};
+use ww_core::packetsim::{PacketBackend, PacketSim, PacketSimConfig, PacketSimReport};
 use ww_dist::{DistMode, DistOptions, DistPacketSim};
 use ww_model::{DocId, NodeId, Tree};
 use ww_net::TrafficClass;
@@ -109,38 +110,52 @@ fn worker_processes_match_sequential_at_1_2_4_workers() {
     }
 }
 
+/// Link failure, healing, invalidation, churn, and a publish, all
+/// mid-run, on any backend; the final report and the id the joiner took.
+fn churn_and_failures<B: PacketBackend>(sim: &mut B) -> (PacketSimReport, NodeId)
+where
+    B::Error: std::fmt::Debug,
+{
+    let link = NodeId::new(2);
+    sim.run(4.0).unwrap();
+    let failed = sim.apply_op(&BarrierOp::FailLink { node: link }).unwrap();
+    assert_eq!(failed, BarrierOutcome::Toggled(true));
+    sim.apply_op(&BarrierOp::Invalidate { doc: DocId::new(1) })
+        .unwrap();
+    sim.run(8.0).unwrap();
+    let healed = sim.apply_op(&BarrierOp::HealLink { node: link }).unwrap();
+    assert_eq!(healed, BarrierOutcome::Toggled(true));
+    let join = BarrierOp::AddLeaf {
+        parent: NodeId::new(1),
+        rate: 40.0,
+    };
+    let BarrierOutcome::Added(newcomer) = sim.apply_op(&join).unwrap() else {
+        panic!("a join reports the id it took");
+    };
+    let publish = BarrierOp::PublishDoc {
+        doc: DocId::new(9),
+        origin: NodeId::new(0),
+        rate: 25.0,
+    };
+    sim.apply_op(&publish).unwrap();
+    sim.run(12.0).unwrap();
+    sim.apply_op(&BarrierOp::RemoveLeaf { node: newcomer })
+        .unwrap();
+    (sim.run(16.0).unwrap(), newcomer)
+}
+
 #[test]
 fn worker_processes_replay_churn_bit_for_bit() {
     let (tree, mix) = fig7_mix();
     let config = PacketSimConfig::default();
 
     let mut seq = PacketSim::new(&tree, &mix, config);
-    seq.run(4.0);
-    seq.fail_link(NodeId::new(2));
-    seq.invalidate(DocId::new(1)).unwrap();
-    seq.run(8.0);
-    seq.heal_link(NodeId::new(2));
-    let newcomer = seq.add_leaf(NodeId::new(1), 40.0).unwrap();
-    seq.publish_doc(DocId::new(9), NodeId::new(0), 25.0)
-        .unwrap();
-    seq.run(12.0);
-    seq.remove_leaf(newcomer).unwrap();
-    let a = seq.run(16.0);
+    let (a, newcomer) = churn_and_failures(&mut seq);
 
     for workers in [1, 2, 4] {
         let mut dist = DistPacketSim::launch(&tree, &mix, config, workers, procs()).unwrap();
-        dist.run(4.0).unwrap();
-        assert!(dist.fail_link(NodeId::new(2)).unwrap());
-        dist.invalidate(DocId::new(1)).unwrap();
-        dist.run(8.0).unwrap();
-        assert!(dist.heal_link(NodeId::new(2)).unwrap());
-        let got = dist.add_leaf(NodeId::new(1), 40.0).unwrap();
+        let (b, got) = churn_and_failures(&mut dist);
         assert_eq!(got, newcomer, "churn ids agree across drivers");
-        dist.publish_doc(DocId::new(9), NodeId::new(0), 25.0)
-            .unwrap();
-        dist.run(12.0).unwrap();
-        dist.remove_leaf(newcomer).unwrap();
-        let b = dist.run(16.0).unwrap();
         assert_reports_identical(&a, &b, &format!("churn process workers={workers}"));
     }
 }

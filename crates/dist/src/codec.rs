@@ -20,11 +20,12 @@
 //! does not know is a [`CodecError::BadTag`], not a skippable extension.
 
 use std::fmt;
-use ww_core::packet::{PacketEvent, PacketSimConfig};
+use ww_core::packet::{BarrierOp, PacketEvent, PacketSimConfig};
 use ww_model::{DocId, NodeId};
 use ww_net::{DocRequest, RequestId};
 use ww_pdes::Wire;
 use ww_sim::SimTime;
+use ww_workload::DocMix;
 
 /// Hard cap on one frame's payload, bytes. A length prefix above this is
 /// treated as stream corruption ([`CodecError::Oversize`]) rather than
@@ -85,9 +86,6 @@ pub struct Assign {
     /// shard count can be lower on small trees; surplus workers receive
     /// [`Msg::Surplus`] instead of an assignment.
     pub shard_hint: usize,
-    /// Window batching for the outbound wires (bit-identical either
-    /// way; wall-clock tuning only).
-    pub batching: bool,
     /// Stall timeout for the worker's epochs, milliseconds; `None`
     /// disables stall detection.
     pub stall_ms: Option<u64>,
@@ -103,62 +101,6 @@ pub struct Assign {
     /// Data-plane listener of every shard, as `(shard, address)` —
     /// the worker dials the peers it is adjacent to.
     pub peers: Vec<(usize, String)>,
-}
-
-/// A barrier-time mutation broadcast by the coordinator. Workers apply
-/// it to their [`ShardHost`](ww_pdes::ShardHost) with the exact
-/// per-node logic of the in-process engines.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ApplyCmd {
-    /// Fail the uplink of `node`.
-    FailLink {
-        /// The node whose parent link fails.
-        node: usize,
-    },
-    /// Heal the uplink of `node`.
-    HealLink {
-        /// The node whose parent link heals.
-        node: usize,
-    },
-    /// Invalidate every cached copy of a document.
-    Invalidate {
-        /// The document's raw id.
-        doc: u64,
-    },
-    /// A new leaf joins under `parent`.
-    AddLeaf {
-        /// The parent node.
-        parent: usize,
-        /// The newcomer's client demand rate.
-        rate: f64,
-    },
-    /// The leaf `node` departs.
-    RemoveLeaf {
-        /// The departing leaf.
-        node: usize,
-    },
-    /// Publish a document at `origin`.
-    PublishDoc {
-        /// The document's raw id.
-        doc: u64,
-        /// Its home server.
-        origin: usize,
-        /// Its initial demand rate.
-        rate: f64,
-    },
-    /// Replace the whole demand mix.
-    SetMix {
-        /// Node count of the replacement mix.
-        nodes: usize,
-        /// The mix as `(node, doc, rate)` triples.
-        demands: Vec<(usize, u64, f64)>,
-    },
-    /// Open a barrier batch: mutations until [`ApplyCmd::BatchCommit`]
-    /// defer their oracle refresh, queue surgery, and arrival
-    /// re-resolution to one shared pass at commit.
-    BatchBegin,
-    /// Close the open barrier batch.
-    BatchCommit,
 }
 
 /// A worker's slice of the final report, returned for
@@ -223,10 +165,18 @@ pub enum Msg {
         /// [`ExactSum`](ww_stats::ExactSum) limbs), when sampling.
         partial: Option<Vec<u64>>,
     },
-    /// Coordinator → worker: apply a barrier mutation.
-    Apply(ApplyCmd),
-    /// Worker → coordinator: the barrier mutation was applied (or
-    /// rejected by the model with the given message).
+    /// Coordinator → worker: open a barrier batch — ops until
+    /// [`Msg::BatchCommit`] defer their oracle refresh, queue surgery,
+    /// and arrival re-resolution to one shared pass at commit.
+    BatchBegin,
+    /// Coordinator → worker: apply one barrier op to the worker's
+    /// [`ShardHost`](ww_pdes::ShardHost) — into the open batch, or as a
+    /// batch of one.
+    Apply(BarrierOp),
+    /// Coordinator → worker: close the open barrier batch.
+    BatchCommit,
+    /// Worker → coordinator: the batch message or barrier op was applied
+    /// (or the op rejected by the model with the given message).
     Applied {
         /// `None` on success; the model's error text otherwise.
         err: Option<String>,
@@ -431,6 +381,8 @@ const TAG_REPORT_REQUEST: u8 = 24;
 const TAG_REPORT: u8 = 25;
 const TAG_SHUTDOWN: u8 = 26;
 const TAG_FATAL: u8 = 27;
+const TAG_BATCH_BEGIN: u8 = 28;
+const TAG_BATCH_COMMIT: u8 = 29;
 
 // PacketEvent variant subtags, in declaration order.
 const EV_ARRIVAL: u8 = 0;
@@ -440,16 +392,14 @@ const EV_COPY: u8 = 3;
 const EV_PROBE: u8 = 4;
 const EV_GRANT: u8 = 5;
 
-// ApplyCmd variant subtags.
-const CMD_FAIL: u8 = 0;
-const CMD_HEAL: u8 = 1;
-const CMD_INVALIDATE: u8 = 2;
-const CMD_ADD_LEAF: u8 = 3;
-const CMD_REMOVE_LEAF: u8 = 4;
-const CMD_PUBLISH: u8 = 5;
-const CMD_SET_MIX: u8 = 6;
-const CMD_BATCH_BEGIN: u8 = 7;
-const CMD_BATCH_COMMIT: u8 = 8;
+// BarrierOp variant subtags.
+const OP_FAIL: u8 = 0;
+const OP_HEAL: u8 = 1;
+const OP_INVALIDATE: u8 = 2;
+const OP_ADD_LEAF: u8 = 3;
+const OP_REMOVE_LEAF: u8 = 4;
+const OP_PUBLISH: u8 = 5;
+const OP_SET_MIX: u8 = 6;
 
 fn put_event(out: &mut Vec<u8>, ev: &PacketEvent) {
     match ev {
@@ -635,6 +585,98 @@ fn read_demands(r: &mut Rd<'_>) -> Result<Vec<(usize, u64, f64)>, CodecError> {
     Ok(demands)
 }
 
+fn put_op(out: &mut Vec<u8>, op: &BarrierOp) {
+    match op {
+        BarrierOp::FailLink { node } => {
+            put_u8(out, OP_FAIL);
+            put_usize(out, node.index());
+        }
+        BarrierOp::HealLink { node } => {
+            put_u8(out, OP_HEAL);
+            put_usize(out, node.index());
+        }
+        BarrierOp::Invalidate { doc } => {
+            put_u8(out, OP_INVALIDATE);
+            put_u64(out, doc.value());
+        }
+        BarrierOp::AddLeaf { parent, rate } => {
+            put_u8(out, OP_ADD_LEAF);
+            put_usize(out, parent.index());
+            put_f64(out, *rate);
+        }
+        BarrierOp::RemoveLeaf { node } => {
+            put_u8(out, OP_REMOVE_LEAF);
+            put_usize(out, node.index());
+        }
+        BarrierOp::PublishDoc { doc, origin, rate } => {
+            put_u8(out, OP_PUBLISH);
+            put_u64(out, doc.value());
+            put_usize(out, origin.index());
+            put_f64(out, *rate);
+        }
+        BarrierOp::SetMix { mix } => {
+            put_u8(out, OP_SET_MIX);
+            put_usize(out, mix.len());
+            put_demands(out, &mix_demands(mix));
+        }
+    }
+}
+
+fn read_op(r: &mut Rd<'_>) -> Result<BarrierOp, CodecError> {
+    Ok(match r.u8()? {
+        OP_FAIL => BarrierOp::FailLink {
+            node: read_node(r)?,
+        },
+        OP_HEAL => BarrierOp::HealLink {
+            node: read_node(r)?,
+        },
+        OP_INVALIDATE => BarrierOp::Invalidate {
+            doc: DocId::new(r.u64()?),
+        },
+        OP_ADD_LEAF => BarrierOp::AddLeaf {
+            parent: read_node(r)?,
+            rate: r.f64()?,
+        },
+        OP_REMOVE_LEAF => BarrierOp::RemoveLeaf {
+            node: read_node(r)?,
+        },
+        OP_PUBLISH => BarrierOp::PublishDoc {
+            doc: DocId::new(r.u64()?),
+            origin: read_node(r)?,
+            rate: r.f64()?,
+        },
+        OP_SET_MIX => {
+            // One row is allocated per node before any demand is read;
+            // a tree the protocol could assign has far fewer nodes (its
+            // `Assign` frame spends 9 bytes on every parent pointer).
+            let nodes = r.usize()?;
+            if nodes > MAX_FRAME / 8 {
+                return Err(CodecError::BadValue { what: "mix nodes" });
+            }
+            let mut mix = DocMix::new(nodes);
+            for (node, doc, rate) in read_demands(r)? {
+                if node >= nodes || !rate.is_finite() || rate < 0.0 {
+                    return Err(CodecError::BadValue { what: "mix demand" });
+                }
+                mix.set(NodeId::new(node), DocId::new(doc), rate);
+            }
+            BarrierOp::SetMix { mix }
+        }
+        tag => return Err(CodecError::BadTag { tag }),
+    })
+}
+
+/// The demand mix as canonical `(node, doc, rate)` triples, node-major.
+pub(crate) fn mix_demands(mix: &DocMix) -> Vec<(usize, u64, f64)> {
+    let mut demands = Vec::new();
+    for j in 0..mix.len() {
+        for &(doc, rate) in mix.demands_of(NodeId::new(j)) {
+            demands.push((j, doc.value(), rate));
+        }
+    }
+    demands
+}
+
 fn put_body(out: &mut Vec<u8>, msg: &Msg) {
     match msg {
         Msg::Wire(Wire::Event { at, counter, ev }) => {
@@ -660,7 +702,6 @@ fn put_body(out: &mut Vec<u8>, msg: &Msg) {
             put_u8(out, TAG_ASSIGN);
             put_usize(out, a.shard_id);
             put_usize(out, a.shard_hint);
-            put_bool(out, a.batching);
             put_opt_u64(out, a.stall_ms);
             put_u32(out, a.parents.len() as u32);
             for p in &a.parents {
@@ -695,45 +736,12 @@ fn put_body(out: &mut Vec<u8>, msg: &Msg) {
                 }
             }
         }
-        Msg::Apply(cmd) => {
+        Msg::BatchBegin => put_u8(out, TAG_BATCH_BEGIN),
+        Msg::Apply(op) => {
             put_u8(out, TAG_APPLY);
-            match cmd {
-                ApplyCmd::FailLink { node } => {
-                    put_u8(out, CMD_FAIL);
-                    put_usize(out, *node);
-                }
-                ApplyCmd::HealLink { node } => {
-                    put_u8(out, CMD_HEAL);
-                    put_usize(out, *node);
-                }
-                ApplyCmd::Invalidate { doc } => {
-                    put_u8(out, CMD_INVALIDATE);
-                    put_u64(out, *doc);
-                }
-                ApplyCmd::AddLeaf { parent, rate } => {
-                    put_u8(out, CMD_ADD_LEAF);
-                    put_usize(out, *parent);
-                    put_f64(out, *rate);
-                }
-                ApplyCmd::RemoveLeaf { node } => {
-                    put_u8(out, CMD_REMOVE_LEAF);
-                    put_usize(out, *node);
-                }
-                ApplyCmd::PublishDoc { doc, origin, rate } => {
-                    put_u8(out, CMD_PUBLISH);
-                    put_u64(out, *doc);
-                    put_usize(out, *origin);
-                    put_f64(out, *rate);
-                }
-                ApplyCmd::SetMix { nodes, demands } => {
-                    put_u8(out, CMD_SET_MIX);
-                    put_usize(out, *nodes);
-                    put_demands(out, demands);
-                }
-                ApplyCmd::BatchBegin => put_u8(out, CMD_BATCH_BEGIN),
-                ApplyCmd::BatchCommit => put_u8(out, CMD_BATCH_COMMIT),
-            }
+            put_op(out, op);
         }
+        Msg::BatchCommit => put_u8(out, TAG_BATCH_COMMIT),
         Msg::Applied { err } => {
             put_u8(out, TAG_APPLIED);
             match err {
@@ -822,7 +830,6 @@ pub fn decode_msg(body: &[u8]) -> Result<Msg, CodecError> {
         TAG_ASSIGN => {
             let shard_id = r.usize()?;
             let shard_hint = r.usize()?;
-            let batching = r.bool()?;
             let stall_ms = r.opt_u64()?;
             let n = r.len(1)?;
             let mut parents = Vec::with_capacity(n);
@@ -845,7 +852,6 @@ pub fn decode_msg(body: &[u8]) -> Result<Msg, CodecError> {
             Msg::Assign(Assign {
                 shard_id,
                 shard_hint,
-                batching,
                 stall_ms,
                 parents,
                 mix_nodes,
@@ -879,32 +885,9 @@ pub fn decode_msg(body: &[u8]) -> Result<Msg, CodecError> {
             };
             Msg::EpochDone { partial }
         }
-        TAG_APPLY => {
-            let sub = r.u8()?;
-            let cmd = match sub {
-                CMD_FAIL => ApplyCmd::FailLink { node: r.usize()? },
-                CMD_HEAL => ApplyCmd::HealLink { node: r.usize()? },
-                CMD_INVALIDATE => ApplyCmd::Invalidate { doc: r.u64()? },
-                CMD_ADD_LEAF => ApplyCmd::AddLeaf {
-                    parent: r.usize()?,
-                    rate: r.f64()?,
-                },
-                CMD_REMOVE_LEAF => ApplyCmd::RemoveLeaf { node: r.usize()? },
-                CMD_PUBLISH => ApplyCmd::PublishDoc {
-                    doc: r.u64()?,
-                    origin: r.usize()?,
-                    rate: r.f64()?,
-                },
-                CMD_SET_MIX => ApplyCmd::SetMix {
-                    nodes: r.usize()?,
-                    demands: read_demands(&mut r)?,
-                },
-                CMD_BATCH_BEGIN => ApplyCmd::BatchBegin,
-                CMD_BATCH_COMMIT => ApplyCmd::BatchCommit,
-                tag => return Err(CodecError::BadTag { tag }),
-            };
-            Msg::Apply(cmd)
-        }
+        TAG_BATCH_BEGIN => Msg::BatchBegin,
+        TAG_APPLY => Msg::Apply(read_op(&mut r)?),
+        TAG_BATCH_COMMIT => Msg::BatchCommit,
         TAG_APPLIED => {
             let err = match r.u8()? {
                 0 => None,

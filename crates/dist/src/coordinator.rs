@@ -6,7 +6,7 @@
 //! The coordinator holds **no shard**. It keeps a
 //! [`ShardHost`]-replica of the shared bookkeeping (world, partition,
 //! horizon), drives epochs by broadcasting `RunEpoch` and merging the
-//! returned exact trace partials, mirrors every barrier mutation onto
+//! returned exact trace partials, mirrors every [`BarrierOp`] onto
 //! the replica and broadcasts it to the workers, and assembles the
 //! final [`PacketSimReport`] from per-worker slices. Determinism: the
 //! sample instants, the barrier schedule, and all mutation arguments
@@ -16,7 +16,7 @@
 //! distributed run is bit-identical to the sequential and threaded
 //! ones, which the golden tests pin at several worker counts.
 
-use crate::codec::{ApplyCmd, Assign, Msg, WorkerReport};
+use crate::codec::{mix_demands, Assign, Msg, WorkerReport};
 use crate::error::DistError;
 use crate::framed::FramedStream;
 use crate::spawn::{find_worker_bin, DistMode};
@@ -28,10 +28,10 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ww_core::packet::{BarrierOp, BarrierOutcome, PacketCounters, PacketSimConfig};
-use ww_core::packetsim::PacketSimReport;
-use ww_model::{DocId, LeafRemoval, NodeId, RateVector, Tree};
+use ww_core::packetsim::{PacketBackend, PacketSimReport};
+use ww_model::{NodeId, RateVector, Tree};
 use ww_net::TrafficLedger;
-use ww_pdes::{PacketShardHost, ShardHost, DEFAULT_STALL_TIMEOUT};
+use ww_pdes::{ShardHost, DEFAULT_STALL_TIMEOUT};
 use ww_sim::SimTime;
 use ww_stats::{ConvergenceTrace, ExactSum};
 use ww_telemetry::{Histogram, Level, PhaseStat, Snapshot};
@@ -57,8 +57,6 @@ pub struct DistOptions {
     /// Worker *death* is detected immediately via EOF regardless of
     /// this timeout.
     pub reply_timeout: Duration,
-    /// Window batching for the workers' outbound wires.
-    pub batching: bool,
     /// Observation level of the coordinator's control plane (handshake
     /// and round-trip latencies, framed bytes per link). Observation
     /// only: the reported simulation numbers are bit-identical at every
@@ -73,7 +71,6 @@ impl Default for DistOptions {
             listen: "127.0.0.1:0".to_string(),
             stall_timeout: Some(DEFAULT_STALL_TIMEOUT),
             reply_timeout: Duration::from_secs(120),
-            batching: true,
             telemetry: Level::Off,
         }
     }
@@ -94,7 +91,7 @@ struct WorkerCtl {
 /// construction see [`DistPacketSim::launch`].
 #[derive(Debug)]
 pub struct DistPacketSim {
-    replica: PacketShardHost,
+    replica: ShardHost,
     workers: Vec<WorkerCtl>,
     children: Vec<Child>,
     trace: ConvergenceTrace,
@@ -130,7 +127,7 @@ impl DistPacketSim {
     ///
     /// # Panics
     ///
-    /// As [`ParPacketSim::new`](ww_pdes::GenericParPacketSim::new):
+    /// As [`ParPacketSim::new`](ww_pdes::ParPacketSim::new):
     /// zero workers, a non-trivial partition without positive link
     /// delay, or invalid world inputs.
     pub fn launch(
@@ -142,7 +139,7 @@ impl DistPacketSim {
     ) -> Result<Self, DistError> {
         assert!(workers > 0, "need at least one worker");
         let t_handshake = options.telemetry.counters_on().then(Instant::now);
-        let mut replica: PacketShardHost = ShardHost::replica(tree, mix, config, workers);
+        let mut replica = ShardHost::replica(tree, mix, config, workers);
         replica.set_telemetry_timing(options.telemetry.spans_on());
         let shards = replica.shards();
 
@@ -235,7 +232,6 @@ impl DistPacketSim {
             framed.write_msg(&Msg::Assign(Assign {
                 shard_id: shard,
                 shard_hint: workers,
-                batching: options.batching,
                 stall_ms: options.stall_timeout.map(|d| d.as_millis() as u64),
                 parents: parents.clone(),
                 mix_nodes: mix.len(),
@@ -428,7 +424,7 @@ impl DistPacketSim {
 
     /// Runs the simulation up to `duration` simulated seconds and
     /// reports — the epoch schedule, sample instants, and final barrier
-    /// are exactly [`ParPacketSim::run`](ww_pdes::GenericParPacketSim::run)'s.
+    /// are exactly [`ParPacketSim::run`](ww_pdes::ParPacketSim::run)'s.
     /// May be called repeatedly with increasing horizons.
     ///
     /// # Errors
@@ -540,14 +536,14 @@ impl DistPacketSim {
         })
     }
 
-    /// Broadcasts one barrier mutation and requires every worker to
+    /// Broadcasts one barrier message and requires every worker to
     /// apply it cleanly (the replica already has — same arguments, same
     /// state, same pure logic — so a worker-side rejection is a
     /// protocol desync, not a user error).
-    fn apply(&mut self, cmd: ApplyCmd) -> Result<(), DistError> {
+    fn broadcast(&mut self, msg: &Msg) -> Result<(), DistError> {
         let t0 = self.apply_rtt.is_on().then(Instant::now);
         for shard in 0..self.workers.len() {
-            self.send(shard, &Msg::Apply(cmd.clone()))?;
+            self.send(shard, msg)?;
         }
         for shard in 0..self.workers.len() {
             match self.wait(shard)? {
@@ -580,167 +576,8 @@ impl DistPacketSim {
         self.replica.link_failed(node)
     }
 
-    /// Fails the control link between `node` and its parent at the
-    /// current barrier, on every participant. Returns `false` when
-    /// already failed.
-    ///
-    /// # Errors
-    ///
-    /// [`DistError`] when a worker is gone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or is the root.
-    pub fn fail_link(&mut self, node: NodeId) -> Result<bool, DistError> {
-        let local = self.replica.fail_link(node);
-        self.apply(ApplyCmd::FailLink { node: node.index() })?;
-        Ok(local)
-    }
-
-    /// Restores the control link between `node` and its parent.
-    /// Returns `false` when the link was not failed.
-    ///
-    /// # Errors
-    ///
-    /// [`DistError`] when a worker is gone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or is the root.
-    pub fn heal_link(&mut self, node: NodeId) -> Result<bool, DistError> {
-        let local = self.replica.heal_link(node);
-        self.apply(ApplyCmd::HealLink { node: node.index() })?;
-        Ok(local)
-    }
-
-    /// Invalidates every cached copy of `doc` outside the home server.
-    ///
-    /// # Errors
-    ///
-    /// [`DistError::Model`] when the model rejects the operation (then
-    /// nothing was broadcast — all participants still agree), any other
-    /// [`DistError`] when a worker is gone.
-    pub fn invalidate(&mut self, doc: DocId) -> Result<(), DistError> {
-        self.replica.invalidate(doc)?;
-        self.apply(ApplyCmd::Invalidate { doc: doc.value() })
-    }
-
-    /// A cache server joins as a new leaf under `parent` at the current
-    /// barrier.
-    ///
-    /// # Errors
-    ///
-    /// As [`DistPacketSim::invalidate`].
-    pub fn add_leaf(&mut self, parent: NodeId, rate: f64) -> Result<NodeId, DistError> {
-        let id = self.replica.add_leaf(parent, rate)?;
-        self.apply(ApplyCmd::AddLeaf {
-            parent: parent.index(),
-            rate,
-        })?;
-        Ok(id)
-    }
-
-    /// The leaf `node` departs at the current barrier.
-    ///
-    /// # Errors
-    ///
-    /// As [`DistPacketSim::invalidate`].
-    pub fn remove_leaf(&mut self, node: NodeId) -> Result<LeafRemoval, DistError> {
-        let removal = self.replica.remove_leaf(node)?;
-        self.apply(ApplyCmd::RemoveLeaf { node: node.index() })?;
-        Ok(removal)
-    }
-
-    /// Publishes a document at the current barrier.
-    ///
-    /// # Errors
-    ///
-    /// As [`DistPacketSim::invalidate`].
-    pub fn publish_doc(&mut self, doc: DocId, origin: NodeId, rate: f64) -> Result<(), DistError> {
-        self.replica.publish_doc(doc, origin, rate)?;
-        self.apply(ApplyCmd::PublishDoc {
-            doc: doc.value(),
-            origin: origin.index(),
-            rate,
-        })
-    }
-
-    /// Replaces the whole demand mix at the current barrier.
-    ///
-    /// # Errors
-    ///
-    /// As [`DistPacketSim::invalidate`].
-    pub fn set_mix(&mut self, mix: &DocMix) -> Result<(), DistError> {
-        self.replica.set_mix(mix)?;
-        self.apply(ApplyCmd::SetMix {
-            nodes: mix.len(),
-            demands: mix_demands(mix),
-        })
-    }
-
-    /// Opens a batched barrier window on every participant: subsequent
-    /// barrier mutations still apply their structural effects eagerly,
-    /// but the oracle refresh and the event-queue surgery are deferred
-    /// until [`DistPacketSim::commit_batch`].
-    ///
-    /// # Errors
-    ///
-    /// [`DistError`] when a worker is gone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a batch is already open.
-    pub fn begin_batch(&mut self) -> Result<(), DistError> {
-        self.replica.begin_batch();
-        self.apply(ApplyCmd::BatchBegin)
-    }
-
-    /// Closes the batched window on every participant: one oracle
-    /// refresh, one composed queue-surgery pass, and one arrival
-    /// re-resolution, regardless of how many mutations the batch held.
-    ///
-    /// # Errors
-    ///
-    /// [`DistError`] when a worker is gone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no batch is open.
-    pub fn commit_batch(&mut self) -> Result<(), DistError> {
-        self.replica.commit_batch();
-        self.apply(ApplyCmd::BatchCommit)
-    }
-
-    /// Applies one [`BarrierOp`] by dispatching to the corresponding
-    /// typed method.
-    ///
-    /// # Errors
-    ///
-    /// [`DistError::Model`] when the model rejects the operation, any
-    /// other [`DistError`] when a worker is gone.
-    ///
-    /// # Panics
-    ///
-    /// As the typed methods (node/doc arguments out of range).
-    pub fn apply_op(&mut self, op: &BarrierOp) -> Result<BarrierOutcome, DistError> {
-        match op {
-            BarrierOp::AddLeaf { parent, rate } => {
-                self.add_leaf(*parent, *rate).map(BarrierOutcome::Added)
-            }
-            BarrierOp::RemoveLeaf { node } => self.remove_leaf(*node).map(BarrierOutcome::Removed),
-            BarrierOp::PublishDoc { doc, origin, rate } => self
-                .publish_doc(*doc, *origin, *rate)
-                .map(|()| BarrierOutcome::Done),
-            BarrierOp::SetMix { mix } => self.set_mix(mix).map(|()| BarrierOutcome::Done),
-            BarrierOp::FailLink { node } => Ok(BarrierOutcome::Toggled(self.fail_link(*node)?)),
-            BarrierOp::HealLink { node } => Ok(BarrierOutcome::Toggled(self.heal_link(*node)?)),
-            BarrierOp::Invalidate { doc } => self.invalidate(*doc).map(|()| BarrierOutcome::Done),
-        }
-    }
-
-    /// Applies every operation of one barrier as a single batch: the
-    /// outcome vector matches `ops` one-for-one, and the deferred
-    /// refresh work is paid once at commit instead of once per op.
+    /// [`PacketBackend::apply_all`], for callers without the trait in
+    /// scope.
     ///
     /// # Errors
     ///
@@ -750,10 +587,7 @@ impl DistPacketSim {
         &mut self,
         ops: &[BarrierOp],
     ) -> Result<Vec<Result<BarrierOutcome, DistError>>, DistError> {
-        self.begin_batch()?;
-        let results = ops.iter().map(|op| self.apply_op(op)).collect();
-        self.commit_batch()?;
-        Ok(results)
+        PacketBackend::apply_all(self, ops)
     }
 
     /// A deterministic snapshot of the coordinator-side observations:
@@ -864,13 +698,62 @@ impl Drop for DistPacketSim {
     }
 }
 
-/// The demand mix as canonical `(node, doc, rate)` triples, node-major.
-fn mix_demands(mix: &DocMix) -> Vec<(usize, u64, f64)> {
-    let mut demands = Vec::new();
-    for j in 0..mix.len() {
-        for &(doc, rate) in mix.demands_of(NodeId::new(j)) {
-            demands.push((j, doc.value(), rate));
-        }
+impl PacketBackend for DistPacketSim {
+    type Error = DistError;
+
+    fn run(&mut self, duration: f64) -> Result<PacketSimReport, DistError> {
+        DistPacketSim::run(self, duration)
     }
-    demands
+
+    fn report(&mut self) -> Result<PacketSimReport, DistError> {
+        DistPacketSim::report(self)
+    }
+
+    fn oracle(&self) -> &RateVector {
+        DistPacketSim::oracle(self)
+    }
+
+    fn tree(&self) -> &Tree {
+        DistPacketSim::tree(self)
+    }
+
+    /// Opens the batch on the replica, then on every worker.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a batch is already open.
+    fn begin_batch(&mut self) -> Result<(), DistError> {
+        self.replica.begin_batch();
+        self.broadcast(&Msg::BatchBegin)
+    }
+
+    /// First on the replica, then — only if the replica accepted it —
+    /// broadcast as one frame. With no batch open every participant
+    /// runs it as a batch of one locally, so a lone op costs one round
+    /// trip. A [`DistError::Model`] rejection was never broadcast: all
+    /// participants still agree.
+    fn apply_op(&mut self, op: &BarrierOp) -> Result<BarrierOutcome, DistError> {
+        let outcome = self.replica.apply_op(op)?;
+        self.broadcast(&Msg::Apply(op.clone()))?;
+        Ok(outcome)
+    }
+
+    /// Closes the batch on the replica, then on every worker.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no batch is open.
+    fn commit_batch(&mut self) -> Result<(), DistError> {
+        self.replica.commit_batch();
+        self.broadcast(&Msg::BatchCommit)
+    }
+
+    /// A no-op: the level is fixed at launch through
+    /// [`DistOptions::telemetry`], because it decides whether the worker
+    /// handshake is timed.
+    fn set_telemetry(&mut self, _level: Level) {}
+
+    fn telemetry_snapshot(&self) -> Snapshot {
+        DistPacketSim::telemetry_snapshot(self)
+    }
 }

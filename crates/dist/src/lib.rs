@@ -3,8 +3,9 @@
 //!
 //! The conservative engine in [`ww_pdes`] already speaks a minimal wire
 //! protocol ([`Wire`](ww_pdes::Wire): events, lookahead promises, epoch
-//! barriers) through the [`Transport`](ww_pdes::Transport) abstraction.
-//! This crate carries that protocol over real sockets:
+//! barriers) through the [`WireSender`](ww_pdes::WireSender) /
+//! [`WireReceiver`](ww_pdes::WireReceiver) pair. This crate carries
+//! that protocol over real sockets:
 //!
 //! - [`codec`] — a length-prefixed little-endian binary framing for
 //!   every message (data plane and control plane). Floats travel as raw
@@ -38,7 +39,7 @@ pub mod spawn;
 pub mod worker;
 
 pub use codec::{
-    decode_msg, encode_msg, ApplyCmd, Assign, CodecError, FrameBuffer, Msg, WorkerReport, MAX_FRAME,
+    decode_msg, encode_msg, Assign, CodecError, FrameBuffer, Msg, WorkerReport, MAX_FRAME,
 };
 pub use coordinator::{DistOptions, DistPacketSim};
 pub use error::DistError;

@@ -7,10 +7,10 @@
 //! derive the partition locally → establish the shard-to-shard data
 //! mesh (the lower shard id dials, the higher accepts; the first frame
 //! on every data connection is a `DataHello` identifying the dialer) →
-//! `Ready` → serve `RunEpoch` / `Apply` / `ReportRequest` until
-//! `Shutdown`.
+//! `Ready` → serve `RunEpoch` / `BatchBegin` / `Apply` / `BatchCommit`
+//! / `ReportRequest` until `Shutdown`.
 
-use crate::codec::{ApplyCmd, Assign, Msg, WorkerReport};
+use crate::codec::{Assign, Msg, WorkerReport};
 use crate::error::DistError;
 use crate::framed::FramedStream;
 use crate::link::{split_wires, SocketReceiver, SocketSender};
@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 use ww_model::{DocId, NodeId, Tree};
-use ww_pdes::{partition_subtrees, PacketShardHost, ShardHost};
+use ww_pdes::{partition_subtrees, ShardHost};
 use ww_workload::DocMix;
 
 fn protocol(detail: String) -> DistError {
@@ -60,7 +60,7 @@ pub fn run_worker(connect: &str) -> Result<(), DistError> {
 /// Rebuilds the world from the assignment, derives the partition (the
 /// same pure function the coordinator ran), wires up the data mesh, and
 /// constructs the shard host.
-fn build_host(assign: &Assign, listener: &TcpListener) -> Result<PacketShardHost, DistError> {
+fn build_host(assign: &Assign, listener: &TcpListener) -> Result<ShardHost, DistError> {
     let me = assign.shard_id;
     let tree = Tree::from_parents(&assign.parents)?;
     let mut mix = DocMix::new(assign.mix_nodes);
@@ -144,7 +144,6 @@ fn build_host(assign: &Assign, listener: &TcpListener) -> Result<PacketShardHost
         assign.config,
         assign.shard_hint,
         me,
-        assign.batching,
         assign.stall_ms.map(Duration::from_millis),
         |dst| Box::new(senders.remove(&dst).expect("sender for adjacent shard")),
         |src| Box::new(receivers.remove(&src).expect("receiver for adjacent shard")),
@@ -169,7 +168,7 @@ fn dial(addr: &str) -> Result<TcpStream, DistError> {
 
 /// The steady-state control loop: epochs, barrier mutations, the final
 /// report, shutdown.
-fn serve(ctrl: &mut FramedStream, host: &mut PacketShardHost, me: usize) -> Result<(), DistError> {
+fn serve(ctrl: &mut FramedStream, host: &mut ShardHost, me: usize) -> Result<(), DistError> {
     loop {
         match ctrl.read_msg()? {
             Msg::RunEpoch { t_end, sample } => match host.run_epoch(t_end, sample) {
@@ -185,9 +184,17 @@ fn serve(ctrl: &mut FramedStream, host: &mut PacketShardHost, me: usize) -> Resu
                     });
                 }
             },
-            Msg::Apply(cmd) => {
-                let err = apply(host, &cmd).err().map(|e| e.to_string());
+            Msg::BatchBegin => {
+                host.begin_batch();
+                ctrl.write_msg(&Msg::Applied { err: None })?;
+            }
+            Msg::Apply(op) => {
+                let err = host.apply_op(&op).err().map(|e| e.to_string());
                 ctrl.write_msg(&Msg::Applied { err })?;
+            }
+            Msg::BatchCommit => {
+                host.commit_batch();
+                ctrl.write_msg(&Msg::Applied { err: None })?;
             }
             Msg::ReportRequest { now } => {
                 let rates = host.member_rates(now);
@@ -212,37 +219,4 @@ fn serve(ctrl: &mut FramedStream, host: &mut PacketShardHost, me: usize) -> Resu
             other => return Err(protocol(format!("unexpected control message {other:?}"))),
         }
     }
-}
-
-/// Applies one barrier mutation to the host — the worker-side mirror of
-/// the coordinator's replica application.
-fn apply(host: &mut PacketShardHost, cmd: &ApplyCmd) -> Result<(), ww_model::ModelError> {
-    match cmd {
-        ApplyCmd::FailLink { node } => {
-            host.fail_link(NodeId::new(*node));
-        }
-        ApplyCmd::HealLink { node } => {
-            host.heal_link(NodeId::new(*node));
-        }
-        ApplyCmd::Invalidate { doc } => host.invalidate(DocId::new(*doc))?,
-        ApplyCmd::AddLeaf { parent, rate } => {
-            host.add_leaf(NodeId::new(*parent), *rate)?;
-        }
-        ApplyCmd::RemoveLeaf { node } => {
-            host.remove_leaf(NodeId::new(*node))?;
-        }
-        ApplyCmd::PublishDoc { doc, origin, rate } => {
-            host.publish_doc(DocId::new(*doc), NodeId::new(*origin), *rate)?;
-        }
-        ApplyCmd::SetMix { nodes, demands } => {
-            let mut mix = DocMix::new(*nodes);
-            for &(node, doc, rate) in demands {
-                mix.set(NodeId::new(node), DocId::new(doc), rate);
-            }
-            host.set_mix(&mix)?;
-        }
-        ApplyCmd::BatchBegin => host.begin_batch(),
-        ApplyCmd::BatchCommit => host.commit_batch(),
-    }
-    Ok(())
 }

@@ -3,14 +3,13 @@
 //! and malformed frames always yield typed errors, never panics.
 
 use proptest::prelude::*;
-use ww_core::packet::{PacketEvent, PacketSimConfig};
-use ww_dist::{
-    decode_msg, encode_msg, ApplyCmd, Assign, CodecError, FrameBuffer, Msg, WorkerReport,
-};
+use ww_core::packet::{BarrierOp, PacketEvent, PacketSimConfig};
+use ww_dist::{decode_msg, encode_msg, Assign, CodecError, FrameBuffer, Msg, WorkerReport};
 use ww_model::{DocId, NodeId};
 use ww_net::{DocRequest, RequestId};
 use ww_pdes::Wire;
 use ww_sim::SimTime;
+use ww_workload::DocMix;
 
 fn arb_time() -> impl Strategy<Value = SimTime> {
     (0.0f64..1.0e9).prop_map(SimTime::from_secs)
@@ -128,56 +127,54 @@ fn arb_demands() -> impl Strategy<Value = Vec<(usize, u64, f64)>> {
     proptest::collection::vec((0usize..200, 0u64..200, arb_f64()), 0..16)
 }
 
-fn arb_apply() -> BoxedStrategy<ApplyCmd> {
-    (0u8..9)
-        .prop_flat_map(|variant| match variant {
-            0 => (0usize..1000)
-                .prop_map(|node| ApplyCmd::FailLink { node })
+/// A mix over `1..200` nodes (some rows empty), demands folded into
+/// its node range and onto valid rates.
+fn arb_mix() -> impl Strategy<Value = DocMix> {
+    (1usize..200, arb_demands()).prop_map(|(nodes, demands)| {
+        let mut mix = DocMix::new(nodes);
+        for (node, doc, rate) in demands {
+            mix.set(NodeId::new(node % nodes), DocId::new(doc), rate.abs());
+        }
+        mix
+    })
+}
+
+fn arb_op() -> BoxedStrategy<BarrierOp> {
+    let node = || (0usize..1000).prop_map(NodeId::new);
+    let doc = || (0u64..1000).prop_map(DocId::new);
+    (0u8..7)
+        .prop_flat_map(move |variant| match variant {
+            0 => node().prop_map(|node| BarrierOp::FailLink { node }).boxed(),
+            1 => node().prop_map(|node| BarrierOp::HealLink { node }).boxed(),
+            2 => doc().prop_map(|doc| BarrierOp::Invalidate { doc }).boxed(),
+            3 => (node(), arb_f64())
+                .prop_map(|(parent, rate)| BarrierOp::AddLeaf { parent, rate })
                 .boxed(),
-            1 => (0usize..1000)
-                .prop_map(|node| ApplyCmd::HealLink { node })
+            4 => node()
+                .prop_map(|node| BarrierOp::RemoveLeaf { node })
                 .boxed(),
-            2 => (0u64..1000)
-                .prop_map(|doc| ApplyCmd::Invalidate { doc })
+            5 => (doc(), node(), arb_f64())
+                .prop_map(|(doc, origin, rate)| BarrierOp::PublishDoc { doc, origin, rate })
                 .boxed(),
-            3 => (0usize..1000, arb_f64())
-                .prop_map(|(parent, rate)| ApplyCmd::AddLeaf { parent, rate })
-                .boxed(),
-            4 => (0usize..1000)
-                .prop_map(|node| ApplyCmd::RemoveLeaf { node })
-                .boxed(),
-            5 => (0u64..1000, 0usize..1000, arb_f64())
-                .prop_map(|(doc, origin, rate)| ApplyCmd::PublishDoc { doc, origin, rate })
-                .boxed(),
-            6 => (0usize..200, arb_demands())
-                .prop_map(|(nodes, demands)| ApplyCmd::SetMix { nodes, demands })
-                .boxed(),
-            7 => Just(ApplyCmd::BatchBegin).boxed(),
-            _ => Just(ApplyCmd::BatchCommit).boxed(),
+            _ => arb_mix().prop_map(|mix| BarrierOp::SetMix { mix }).boxed(),
         })
         .boxed()
 }
 
 fn arb_assign() -> impl Strategy<Value = Assign> {
     (
-        (
-            0usize..8,
-            1usize..9,
-            any::<bool>(),
-            proptest::option::of(0u64..100_000),
-        ),
+        (0usize..8, 1usize..9, proptest::option::of(0u64..100_000)),
         proptest::collection::vec(proptest::option::of(0usize..64), 0..24),
         arb_demands(),
         (any::<u64>(), 0.0001f64..10.0, 0.001f64..10.0),
         proptest::collection::vec((0usize..8, arb_string()), 0..8),
     )
         .prop_map(
-            |((shard_id, shard_hint, batching, stall_ms), parents, demands, cfg, peers)| {
+            |((shard_id, shard_hint, stall_ms), parents, demands, cfg, peers)| {
                 let (seed, link_delay, diffusion_period) = cfg;
                 Assign {
                     shard_id,
                     shard_hint,
-                    batching,
                     stall_ms,
                     mix_nodes: parents.len(),
                     parents,
@@ -220,7 +217,7 @@ fn arb_report() -> impl Strategy<Value = WorkerReport> {
 
 /// One message of any protocol variant.
 fn arb_msg() -> BoxedStrategy<Msg> {
-    (0u8..14)
+    (0u8..16)
         .prop_flat_map(|variant| match variant {
             0 => arb_wire().prop_map(Msg::Wire).boxed(),
             1 => (0usize..16)
@@ -238,13 +235,15 @@ fn arb_msg() -> BoxedStrategy<Msg> {
             7 => proptest::option::of(proptest::collection::vec(any::<u64>(), 0..40))
                 .prop_map(|partial| Msg::EpochDone { partial })
                 .boxed(),
-            8 => arb_apply().prop_map(Msg::Apply).boxed(),
+            8 => arb_op().prop_map(Msg::Apply).boxed(),
             9 => proptest::option::of(arb_string())
                 .prop_map(|err| Msg::Applied { err })
                 .boxed(),
             10 => arb_f64().prop_map(|now| Msg::ReportRequest { now }).boxed(),
             11 => arb_report().prop_map(Msg::Report).boxed(),
             12 => Just(Msg::Shutdown).boxed(),
+            13 => Just(Msg::BatchBegin).boxed(),
+            14 => Just(Msg::BatchCommit).boxed(),
             _ => arb_string().prop_map(|msg| Msg::Fatal { msg }).boxed(),
         })
         .boxed()
@@ -368,6 +367,30 @@ fn bad_tag_and_bad_values_are_typed() {
         decode_msg(&body),
         Err(CodecError::BadValue { what: "sim time" })
     );
+
+    // A mix whose demand names a node outside it (or carries a rate
+    // `DocMix` would refuse): a typed error, not a worker panic.
+    let mut mix = DocMix::new(2);
+    mix.set(NodeId::new(1), DocId::new(5), 3.0);
+    let mut frame = Vec::new();
+    encode_msg(&Msg::Apply(BarrierOp::SetMix { mix }), &mut frame);
+    let body = &frame[4..];
+    // tag, subtag, nodes: u64, demand count: u32, then the demand.
+    let (node_at, rate_at) = (14, 14 + 16);
+    let mut stray = body.to_vec();
+    stray[node_at] = 2;
+    let mut negative = body.to_vec();
+    negative[rate_at..rate_at + 8].copy_from_slice(&(-3.0f64).to_bits().to_le_bytes());
+    let mut huge = body.to_vec();
+    huge[2..10].copy_from_slice(&(1u64 << 31).to_le_bytes());
+    assert!(decode_msg(body).is_ok());
+    for (bad, what) in [
+        (stray, "mix demand"),
+        (negative, "mix demand"),
+        (huge, "mix nodes"),
+    ] {
+        assert_eq!(decode_msg(&bad), Err(CodecError::BadValue { what }));
+    }
 
     // Trailing garbage after a complete message.
     let mut frame = Vec::new();

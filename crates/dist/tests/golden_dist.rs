@@ -11,11 +11,12 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ww_core::packet::BarrierOp;
-use ww_core::packetsim::{PacketSim, PacketSimConfig, PacketSimReport};
-use ww_dist::{DistMode, DistOptions, DistPacketSim};
-use ww_model::{DocId, NodeId, Tree};
+use ww_core::packet::{BarrierOp, BarrierOutcome};
+use ww_core::packetsim::{PacketBackend, PacketSim, PacketSimConfig, PacketSimReport};
+use ww_dist::{DistError, DistMode, DistOptions, DistPacketSim};
+use ww_model::{DocId, ModelError, NodeId, Tree};
 use ww_net::TrafficClass;
+use ww_pdes::ParPacketSim;
 use ww_topology::paper;
 use ww_workload::DocMix;
 
@@ -124,6 +125,40 @@ fn random_tree_matches_sequential() {
     }
 }
 
+/// Link failure, healing, invalidation, churn, and a publish, all
+/// mid-run, on any backend; the final report and the id the joiner took.
+fn churn_and_failures<B: PacketBackend>(sim: &mut B) -> (PacketSimReport, NodeId)
+where
+    B::Error: std::fmt::Debug,
+{
+    let link = NodeId::new(2);
+    sim.run(4.0).unwrap();
+    let failed = sim.apply_op(&BarrierOp::FailLink { node: link }).unwrap();
+    assert_eq!(failed, BarrierOutcome::Toggled(true));
+    sim.apply_op(&BarrierOp::Invalidate { doc: DocId::new(1) })
+        .unwrap();
+    sim.run(8.0).unwrap();
+    let healed = sim.apply_op(&BarrierOp::HealLink { node: link }).unwrap();
+    assert_eq!(healed, BarrierOutcome::Toggled(true));
+    let join = BarrierOp::AddLeaf {
+        parent: NodeId::new(1),
+        rate: 40.0,
+    };
+    let BarrierOutcome::Added(newcomer) = sim.apply_op(&join).unwrap() else {
+        panic!("a join reports the id it took");
+    };
+    let publish = BarrierOp::PublishDoc {
+        doc: DocId::new(9),
+        origin: NodeId::new(0),
+        rate: 25.0,
+    };
+    sim.apply_op(&publish).unwrap();
+    sim.run(12.0).unwrap();
+    sim.apply_op(&BarrierOp::RemoveLeaf { node: newcomer })
+        .unwrap();
+    (sim.run(16.0).unwrap(), newcomer)
+}
+
 #[test]
 fn churn_and_failures_match_sequential() {
     // The acceptance pin for barrier mutations: link failure, healing,
@@ -133,32 +168,12 @@ fn churn_and_failures_match_sequential() {
     let config = PacketSimConfig::default();
 
     let mut seq = PacketSim::new(&tree, &mix, config);
-    seq.run(4.0);
-    seq.fail_link(NodeId::new(2));
-    seq.invalidate(DocId::new(1)).unwrap();
-    seq.run(8.0);
-    seq.heal_link(NodeId::new(2));
-    let newcomer = seq.add_leaf(NodeId::new(1), 40.0).unwrap();
-    seq.publish_doc(DocId::new(9), NodeId::new(0), 25.0)
-        .unwrap();
-    seq.run(12.0);
-    seq.remove_leaf(newcomer).unwrap();
-    let a = seq.run(16.0);
+    let (a, newcomer) = churn_and_failures(&mut seq);
 
     for workers in [1, 2, 4] {
         let mut dist = DistPacketSim::launch(&tree, &mix, config, workers, threads()).unwrap();
-        dist.run(4.0).unwrap();
-        assert!(dist.fail_link(NodeId::new(2)).unwrap());
-        dist.invalidate(DocId::new(1)).unwrap();
-        dist.run(8.0).unwrap();
-        assert!(dist.heal_link(NodeId::new(2)).unwrap());
-        let got = dist.add_leaf(NodeId::new(1), 40.0).unwrap();
+        let (b, got) = churn_and_failures(&mut dist);
         assert_eq!(got, newcomer, "churn ids agree across drivers");
-        dist.publish_doc(DocId::new(9), NodeId::new(0), 25.0)
-            .unwrap();
-        dist.run(12.0).unwrap();
-        dist.remove_leaf(newcomer).unwrap();
-        let b = dist.run(16.0).unwrap();
         assert_reports_identical(&a, &b, &format!("churn workers={workers}"));
     }
 }
@@ -255,14 +270,98 @@ fn rejected_mutations_keep_participants_in_agreement() {
     let (tree, mix) = fig7_mix();
     let config = PacketSimConfig::default();
 
+    let unknown = BarrierOp::Invalidate {
+        doc: DocId::new(424242),
+    };
     let mut seq = PacketSim::new(&tree, &mix, config);
     seq.run(4.0);
-    assert!(seq.invalidate(DocId::new(424242)).is_err());
+    assert!(seq.apply_op(&unknown).is_err());
     let a = seq.run(8.0);
 
     let mut dist = DistPacketSim::launch(&tree, &mix, config, 2, threads()).unwrap();
     dist.run(4.0).unwrap();
-    assert!(dist.invalidate(DocId::new(424242)).is_err());
+    assert!(matches!(
+        dist.apply_op(&unknown),
+        Err(DistError::Model(ModelError::UnknownDocument { .. }))
+    ));
     let b = dist.run(8.0).unwrap();
     assert_reports_identical(&a, &b, "rejected mutation");
+}
+
+/// One script over the whole mutation surface — all seven op kinds, a
+/// lone `apply_op`, a multi-op `apply_all` with rejected ops in the
+/// middle (an unknown document, link ops on the root and past the
+/// tree) — on any backend: the per-op verdicts of the storm and the
+/// final report.
+fn one_script<B: PacketBackend>(sim: &mut B) -> (Vec<Option<BarrierOutcome>>, PacketSimReport)
+where
+    B::Error: std::fmt::Debug,
+{
+    let node = NodeId::new;
+    sim.run(3.0).unwrap();
+    sim.apply_op(&BarrierOp::FailLink { node: node(1) })
+        .unwrap();
+    sim.run(5.0).unwrap();
+    let root = sim.tree().root();
+    let past = node(sim.tree().len() + 7);
+    let storm = [
+        BarrierOp::AddLeaf {
+            parent: node(3),
+            rate: 50.0,
+        },
+        BarrierOp::AddLeaf {
+            parent: node(4),
+            rate: 30.0,
+        },
+        BarrierOp::Invalidate {
+            doc: DocId::new(424242),
+        },
+        BarrierOp::FailLink { node: root },
+        BarrierOp::RemoveLeaf { node: node(2) },
+        BarrierOp::PublishDoc {
+            doc: DocId::new(901),
+            origin: node(1),
+            rate: 20.0,
+        },
+        BarrierOp::HealLink { node: past },
+        BarrierOp::Invalidate { doc: DocId::new(1) },
+        BarrierOp::HealLink { node: node(1) },
+    ];
+    let verdicts: Vec<Option<BarrierOutcome>> = sim
+        .apply_all(&storm)
+        .expect("the batch opens and closes")
+        .into_iter()
+        .map(Result::ok)
+        .collect();
+    sim.run(8.0).unwrap();
+    let rates = ww_workload::uniform(sim.tree(), 15.0);
+    let mix = ww_workload::shared_zipf_mix(sim.tree(), &rates, 6, 0.8);
+    sim.apply_op(&BarrierOp::SetMix { mix }).unwrap();
+    (verdicts, sim.run(12.0).unwrap())
+}
+
+#[test]
+fn one_barrier_op_script_is_bit_identical_on_every_backend() {
+    let (tree, mix) = fig7_mix();
+    let config = PacketSimConfig::default();
+    let (verdicts, seq) = one_script(&mut PacketSim::new(&tree, &mix, config));
+    let accepted: Vec<bool> = verdicts.iter().map(Option::is_some).collect();
+    assert_eq!(
+        accepted,
+        [true, true, false, false, true, true, false, true, true],
+        "the unknown document and the two bad link ops are rejected"
+    );
+    assert!(seq.served_requests > 500, "the script does real work");
+    for workers in [1, 2, 4] {
+        let mut par = ParPacketSim::new(&tree, &mix, config, workers);
+        let (got, rep) = one_script(&mut par);
+        assert_eq!(got, verdicts, "par verdicts, workers={workers}");
+        assert_reports_identical(&seq, &rep, &format!("script par workers={workers}"));
+    }
+    for workers in [1, 2] {
+        let mut dist = DistPacketSim::launch(&tree, &mix, config, workers, threads()).unwrap();
+        let (got, rep) = one_script(&mut dist);
+        assert_eq!(got, verdicts, "dist verdicts, workers={workers}");
+        assert_reports_identical(&seq, &rep, &format!("script dist workers={workers}"));
+    }
 }

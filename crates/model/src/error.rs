@@ -84,6 +84,11 @@ pub enum ModelError {
         /// Number of nodes in the tree.
         len: usize,
     },
+    /// A link operation named the root, which has no parent link.
+    NoUplink {
+        /// The root node.
+        node: NodeId,
+    },
 }
 
 impl fmt::Display for ModelError {
@@ -133,6 +138,7 @@ impl fmt::Display for ModelError {
             ModelError::NodeOutOfRange { node, len } => {
                 write!(f, "node {node} is outside the {len}-node tree")
             }
+            ModelError::NoUplink { node } => write!(f, "the root {node} has no uplink"),
         }
     }
 }

@@ -204,6 +204,24 @@ impl Tree {
         self.parent[node.index()]
     }
 
+    /// The parent `node`'s control link leads to — the checked form of
+    /// [`Tree::parent`] for operations that need an uplink to exist.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::NodeOutOfRange`] for an unknown id,
+    /// [`ModelError::NoUplink`] for the root.
+    pub fn uplink(&self, node: NodeId) -> Result<NodeId> {
+        match self.parent.get(node.index()) {
+            None => Err(ModelError::NodeOutOfRange {
+                node,
+                len: self.len(),
+            }),
+            Some(None) => Err(ModelError::NoUplink { node }),
+            Some(Some(parent)) => Ok(*parent),
+        }
+    }
+
     /// Children of `node` in increasing id order.
     ///
     /// # Panics

@@ -29,21 +29,19 @@
 //! # Transport
 //!
 //! The event loop sees its wires only through the
-//! [`WireSender`]/[`WireReceiver`] traits of [`crate::transport`]. By
-//! default each directed wire is a bounded lock-free single-producer
+//! [`WireSender`]/[`WireReceiver`] traits of [`crate::transport`].
+//! In-process, each directed wire is a bounded lock-free single-producer
 //! single-consumer ring ([`spsc`]): the hot path publishes a whole
 //! lookahead window's worth of events with a single atomic release
-//! store per window ([`PdesTuning::batching`]), and a shard never
-//! blocks on a full ring — excess messages park in an unbounded
-//! per-wire overflow queue, drained ahead of new traffic so per-wire
-//! FIFO is preserved (the park count and peak depth surface in the
-//! report). A shard consumes inbound events through a one-event *merge
-//! stage* per wire: only the head of each wire competes in the shard's
-//! `(time, key)` event merge, so cross-shard arrivals never churn the
-//! main queue at all. The legacy mutex-channel transport
-//! ([`TransportKind::MpmcChannel`], one send per event, no staging) is
-//! kept selectable for benchmarks, and the `ww-dist` crate supplies
-//! socket-backed wires so shards can live in different OS processes.
+//! store per window, and a shard never blocks on a full ring — excess
+//! messages park in an unbounded per-wire overflow queue, drained ahead
+//! of new traffic so per-wire FIFO is preserved (the park count and
+//! peak depth surface in the report). A shard consumes inbound events
+//! through a one-event *merge stage* per wire: only the head of each
+//! wire competes in the shard's `(time, key)` event merge, so
+//! cross-shard arrivals never churn the main queue at all. The
+//! `ww-dist` crate supplies socket-backed wires so shards can live in
+//! different OS processes.
 //!
 //! # Determinism
 //!
@@ -57,27 +55,25 @@
 //! every pending event would. The packet protocol's handlers are
 //! node-local and all its randomness is content-keyed per node, so the
 //! full run is a pure function of `(world, seed)`: independent of
-//! thread scheduling, of the worker count, of the transport *and* of
-//! batching, and bit-identical to the sequential `PacketSim` (traces,
+//! thread scheduling, of the worker count and of the transport, and
+//! bit-identical to the sequential `PacketSim` (traces,
 //! served rates, ledger, counters, processed-event counts). The golden
 //! tests in this crate and in `ww-scenario` pin exactly that.
 
 use crate::ops::{self, ShardStore, SimCore};
 use crate::partition::partition_subtrees;
 use crate::rebalance::{rebalance_plan, LoadSummary, RebalanceConfig};
-use crate::transport::{
-    LinkError, StageError, Transport, TransportKind, Wire, WireReceiver, WireSender,
-};
+use crate::transport::{open_ring, LinkError, StageError, Wire, WireReceiver, WireSender};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 use ww_core::packet::{
     self, BarrierOp, BarrierOutcome, DriverSource, NodeCtx, NodeState, PacketCounters, PacketEvent,
     PacketSimConfig, PacketWorld, Scratch,
 };
-use ww_core::packetsim::PacketSimReport;
-use ww_model::{DocId, LeafRemoval, ModelError, NodeId, RateVector, Tree};
+use ww_core::packetsim::{PacketBackend, PacketSimReport};
+use ww_model::{ModelError, NodeId, RateVector, Tree};
 use ww_net::TrafficLedger;
-use ww_sim::{EventQueue, LaneStats, RadixQueue, SimQueue, SimTime, TimerRing};
+use ww_sim::{LaneStats, RadixQueue, SimQueue, SimTime, TimerRing};
 use ww_stats::{ConvergenceTrace, ExactSum};
 use ww_telemetry::{Counters, Key, Level, PhaseStat, Phases, Snapshot};
 use ww_workload::DocMix;
@@ -113,53 +109,12 @@ pub static PDES_PHASES: &[&str] = &["pdes.phase.epoch_compute", "pdes.phase.barr
 const P_EPOCH_COMPUTE: usize = 0;
 const P_BARRIER_WAIT: usize = 1;
 
-/// Hot-path tuning knobs for [`ParPacketSim`]. Every combination is
-/// bit-identical in simulation output; the knobs trade only wall-clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PdesTuning {
-    /// Wire transport between shards.
-    pub transport: TransportKind,
-    /// `true` (default): outbound events are staged and published once
-    /// per lookahead window with a single release store. `false`: every
-    /// event is published individually (only meaningful on
-    /// [`TransportKind::SpscRing`]; the channel transport always sends
-    /// per event).
-    pub batching: bool,
-}
-
-impl Default for PdesTuning {
-    fn default() -> Self {
-        PdesTuning {
-            transport: TransportKind::SpscRing,
-            batching: true,
-        }
-    }
-}
-
-impl PdesTuning {
-    /// The default tuning with overrides from the environment:
-    /// `WW_PDES_TRANSPORT` (`spsc` | `mpmc`) and `WW_PDES_BATCH`
-    /// (`1`/`on`/`true` | `0`/`off`/`false`). Unknown values are
-    /// ignored.
-    pub fn from_env() -> Self {
-        let mut tuning = PdesTuning::default();
-        if let Ok(v) = std::env::var("WW_PDES_TRANSPORT") {
-            match v.as_str() {
-                "spsc" => tuning.transport = TransportKind::SpscRing,
-                "mpmc" => tuning.transport = TransportKind::MpmcChannel,
-                _ => {}
-            }
-        }
-        if let Ok(v) = std::env::var("WW_PDES_BATCH") {
-            match v.as_str() {
-                "1" | "on" | "true" => tuning.batching = true,
-                "0" | "off" | "false" => tuning.batching = false,
-                _ => {}
-            }
-        }
-        tuning
-    }
-}
+/// Placeholder argument of [`ParPacketSim::with_tuning`]: the hot path
+/// has one configuration (SPSC rings, one release store per lookahead
+/// window), so there is nothing left to tune. Remove with the next
+/// `benchmark` PR — only caller `benchmark/src/rep.rs:90`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PdesTuning;
 
 /// Sending side of one directed cut.
 #[derive(Debug)]
@@ -289,10 +244,10 @@ enum Source {
 /// One subtree shard: its nodes' states, its event loop machinery, and
 /// its links to adjacent shards.
 #[derive(Debug)]
-pub(crate) struct Shard<Q> {
+pub(crate) struct Shard {
     pub(crate) id: usize,
     pub(crate) states: Vec<NodeState>,
-    pub(crate) queue: Q,
+    pub(crate) queue: RadixQueue<PacketEvent>,
     pub(crate) gossip_ring: TimerRing,
     pub(crate) diffusion_ring: TimerRing,
     pub(crate) ledger: TrafficLedger,
@@ -303,8 +258,6 @@ pub(crate) struct Shard<Q> {
     pub(crate) in_links: Vec<InLink>,
     /// Shard id -> index into `out_links` (`usize::MAX`: not adjacent).
     pub(crate) out_for: Vec<usize>,
-    /// One release store per lookahead window instead of per event.
-    pub(crate) batching: bool,
     /// The cut-edge latency, constant for the simulation's lifetime.
     pub(crate) lookahead: SimTime,
     /// The current epoch boundary (set at each epoch entry).
@@ -352,22 +305,21 @@ impl<'a> Shared<'a> {
 /// timer rings, and initial arrivals resolved — the construction shared
 /// by the in-process simulator (all shards) and a distributed worker
 /// (exactly one shard).
-pub(crate) fn build_shard<Q: SimQueue<PacketEvent> + Default>(
+pub(crate) fn build_shard(
     world: &PacketWorld,
     partition: &crate::partition::Partition,
     id: usize,
     outs: Vec<OutLink>,
     ins: Vec<InLink>,
-    batching: bool,
     stall_timeout: Option<Duration>,
-) -> Shard<Q> {
+) -> Shard {
     let config = &world.config;
     let members = &partition.members[id];
     let mut states: Vec<NodeState> = members
         .iter()
         .map(|&u| packet::init_state(world, u))
         .collect();
-    let mut queue = Q::default();
+    let mut queue = RadixQueue::default();
     let mut gossip_ring = TimerRing::new(SimTime::from_secs(config.gossip_period), members.len());
     let mut diffusion_ring =
         TimerRing::new(SimTime::from_secs(config.diffusion_period), members.len());
@@ -399,7 +351,6 @@ pub(crate) fn build_shard<Q: SimQueue<PacketEvent> + Default>(
         out_links: outs,
         in_links: ins,
         out_for,
-        batching,
         lookahead: SimTime::from_secs(config.link_delay),
         t_end: SimTime::ZERO,
         stall_timeout,
@@ -410,7 +361,7 @@ pub(crate) fn build_shard<Q: SimQueue<PacketEvent> + Default>(
     }
 }
 
-impl<Q: SimQueue<PacketEvent>> Shard<Q> {
+impl Shard {
     /// (Re)arms the shard's telemetry slabs at `level`, zeroing any
     /// prior observations. Observation only — never read back by the
     /// event loop.
@@ -468,9 +419,6 @@ impl<Q: SimQueue<PacketEvent>> Shard<Q> {
                     counter: link.counter,
                     ev,
                 })?;
-                if !self.batching {
-                    link.publish()?;
-                }
             }
         }
         self.outbox = out;
@@ -696,7 +644,7 @@ impl<Q: SimQueue<PacketEvent>> Shard<Q> {
 /// normally clears immediately; the retry bound only guards against a
 /// *second* dead peer, in which case the original panic still wins.
 /// Link errors are swallowed — the release is advisory.
-fn release_peers<Q>(shard: &mut Shard<Q>, t_end: SimTime) {
+fn release_peers(shard: &mut Shard, t_end: SimTime) {
     let until = t_end + shard.lookahead;
     for link in &mut shard.out_links {
         let _ = link.push(Wire::Promise { until });
@@ -731,9 +679,9 @@ fn release_peers<Q>(shard: &mut Shard<Q>, t_end: SimTime) {
 /// epoch-end handshake (the worker's return value). The driver's
 /// per-epoch work thus shrinks from an `O(n)` pass over every node to
 /// an `O(shards)` merge, and because the fold is exact, the merged
-/// value is bit-identical to the old driver-side pass in node order.
-pub(crate) fn run_shard<Q: SimQueue<PacketEvent>>(
-    shard: &mut Shard<Q>,
+/// value is bit-identical to a driver-side pass in node order.
+pub(crate) fn run_shard(
+    shard: &mut Shard,
     sh: &Shared<'_>,
     t_end: SimTime,
     sample: bool,
@@ -757,8 +705,8 @@ pub(crate) fn run_shard<Q: SimQueue<PacketEvent>>(
 
 /// The epoch body of [`run_shard`] (split out so the panic/error release
 /// can wrap it).
-fn run_epoch<Q: SimQueue<PacketEvent>>(
-    shard: &mut Shard<Q>,
+fn run_epoch(
+    shard: &mut Shard,
     sh: &Shared<'_>,
     t_end: SimTime,
     sample: bool,
@@ -902,25 +850,41 @@ fn run_epoch<Q: SimQueue<PacketEvent>>(
     }
 }
 
-/// The sharded parallel packet-level simulator, generic over its event
-/// queue (any [`SimQueue`] implementation). Use the [`ParPacketSim`]
-/// alias unless you are pinning queue implementations against each
-/// other; [`HeapParPacketSim`] is the `BinaryHeap`-backed twin.
+/// The sharded parallel packet-level simulator: radix event queues,
+/// SPSC ring wires, one release store per lookahead window.
+///
+/// Drop-in equivalent of [`ww_core::packetsim::PacketSim`]: same
+/// constructor inputs plus a worker count, same [`PacketSimReport`], and
+/// — by construction — the same bits in every reported number.
+///
+/// # Example
+///
+/// ```
+/// use ww_model::{DocId, NodeId, Tree};
+/// use ww_workload::DocMix;
+/// use ww_core::packetsim::{PacketSim, PacketSimConfig};
+/// use ww_pdes::ParPacketSim;
+///
+/// let tree = Tree::from_parents(&[None, Some(0), Some(1), Some(1)]).unwrap();
+/// let mut mix = DocMix::new(4);
+/// mix.set(NodeId::new(2), DocId::new(1), 120.0);
+/// mix.set(NodeId::new(3), DocId::new(2), 60.0);
+/// let config = PacketSimConfig::default();
+/// let seq = PacketSim::new(&tree, &mix, config).run(10.0);
+/// let par = ParPacketSim::new(&tree, &mix, config, 2).run(10.0);
+/// assert_eq!(seq.served_requests, par.served_requests);
+/// assert_eq!(seq.processed_events, par.processed_events);
+/// assert_eq!(seq.trace.distances(), par.trace.distances());
+/// ```
 #[derive(Debug)]
-pub struct GenericParPacketSim<Q> {
+pub struct ParPacketSim {
     core: SimCore,
-    shards: Vec<Shard<Q>>,
+    shards: Vec<Shard>,
     trace: ConvergenceTrace,
     epochs_sampled: u64,
-    /// `true` (default): workers fold the per-epoch trace partial and
-    /// the driver merges `O(shards)`. `false`: the driver performs the
-    /// pre-fold `O(n)` node-order pass itself — kept as the reference
-    /// the fold is pinned bit-identical against.
-    fold_trace: bool,
-    tuning: PdesTuning,
     /// Observation level the shards record at (see
-    /// [`GenericParPacketSim::set_telemetry`]). Never read by the
-    /// simulation itself.
+    /// [`ParPacketSim::set_telemetry`]). Never read by the simulation
+    /// itself.
     tel_level: Level,
     /// Adaptive rebalancing knobs (`None`: static partition).
     rebalance: Option<RebalanceConfig>,
@@ -950,42 +914,9 @@ pub struct GenericParPacketSim<Q> {
     retired_peak_parked: u64,
 }
 
-/// The default parallel simulator: radix event queue, SPSC ring
-/// transport, window batching (see [`PdesTuning`]).
-///
-/// Drop-in equivalent of [`ww_core::packetsim::PacketSim`]: same
-/// constructor inputs plus a worker count, same [`PacketSimReport`], and
-/// — by construction — the same bits in every reported number.
-///
-/// # Example
-///
-/// ```
-/// use ww_model::{DocId, NodeId, Tree};
-/// use ww_workload::DocMix;
-/// use ww_core::packetsim::{PacketSim, PacketSimConfig};
-/// use ww_pdes::ParPacketSim;
-///
-/// let tree = Tree::from_parents(&[None, Some(0), Some(1), Some(1)]).unwrap();
-/// let mut mix = DocMix::new(4);
-/// mix.set(NodeId::new(2), DocId::new(1), 120.0);
-/// mix.set(NodeId::new(3), DocId::new(2), 60.0);
-/// let config = PacketSimConfig::default();
-/// let seq = PacketSim::new(&tree, &mix, config).run(10.0);
-/// let par = ParPacketSim::new(&tree, &mix, config, 2).run(10.0);
-/// assert_eq!(seq.served_requests, par.served_requests);
-/// assert_eq!(seq.processed_events, par.processed_events);
-/// assert_eq!(seq.trace.distances(), par.trace.distances());
-/// ```
-pub type ParPacketSim = GenericParPacketSim<RadixQueue<PacketEvent>>;
-
-/// The `BinaryHeap`-backed parallel simulator, pinned bit-identical to
-/// [`ParPacketSim`] by the golden tests.
-pub type HeapParPacketSim = GenericParPacketSim<EventQueue<PacketEvent>>;
-
-impl<Q: SimQueue<PacketEvent> + Default + Send> GenericParPacketSim<Q> {
+impl ParPacketSim {
     /// Builds a parallel simulator over `workers` subtree shards (capped
-    /// by what the topology yields), tuned from the environment — see
-    /// [`PdesTuning::from_env`].
+    /// by what the topology yields).
     ///
     /// # Panics
     ///
@@ -994,19 +925,6 @@ impl<Q: SimQueue<PacketEvent> + Default + Send> GenericParPacketSim<Q> {
     /// synchronization could not advance), or on any input
     /// [`PacketWorld::new`] rejects.
     pub fn new(tree: &Tree, mix: &DocMix, config: PacketSimConfig, workers: usize) -> Self {
-        Self::with_tuning(tree, mix, config, workers, PdesTuning::from_env())
-    }
-
-    /// [`GenericParPacketSim::new`] with explicit hot-path tuning
-    /// (transport and batching). Output bits do not depend on the
-    /// tuning; only wall-clock does.
-    pub fn with_tuning(
-        tree: &Tree,
-        mix: &DocMix,
-        config: PacketSimConfig,
-        workers: usize,
-        tuning: PdesTuning,
-    ) -> Self {
         assert!(workers > 0, "need at least one worker");
         let world = PacketWorld::new(tree, mix, config);
         let partition = partition_subtrees(tree, workers);
@@ -1017,11 +935,10 @@ impl<Q: SimQueue<PacketEvent> + Default + Send> GenericParPacketSim<Q> {
         );
 
         let shards_n = partition.shards();
-        let mut transport = tuning.transport;
         let mut out_links: Vec<Vec<OutLink>> = (0..shards_n).map(|_| Vec::new()).collect();
         let mut in_links: Vec<Vec<InLink>> = (0..shards_n).map(|_| Vec::new()).collect();
         for (src, dst) in partition.cut_pairs(tree) {
-            let (tx, rx) = transport.open_wire(src, dst);
+            let (tx, rx) = open_ring();
             out_links[src].push(OutLink::new(dst, tx));
             in_links[dst].push(InLink::new(src, rx));
         }
@@ -1030,24 +947,14 @@ impl<Q: SimQueue<PacketEvent> + Default + Send> GenericParPacketSim<Q> {
             .into_iter()
             .zip(in_links)
             .enumerate()
-            .map(|(id, (outs, ins))| {
-                build_shard(&world, &partition, id, outs, ins, tuning.batching, None)
-            })
+            .map(|(id, (outs, ins))| build_shard(&world, &partition, id, outs, ins, None))
             .collect();
 
-        GenericParPacketSim {
-            core: SimCore {
-                failed_up: vec![false; world.len()],
-                world,
-                partition,
-                horizon: SimTime::ZERO,
-                batch: None,
-            },
+        ParPacketSim {
+            core: SimCore::new(world, partition),
             shards,
             trace: ConvergenceTrace::new(),
             epochs_sampled: 0,
-            fold_trace: true,
-            tuning,
             tel_level: Level::Off,
             rebalance: None,
             window_base: vec![0; shards_n],
@@ -1061,6 +968,19 @@ impl<Q: SimQueue<PacketEvent> + Default + Send> GenericParPacketSim<Q> {
             retired_parks: 0,
             retired_peak_parked: 0,
         }
+    }
+
+    /// [`ParPacketSim::new`]; the tuning argument carries nothing.
+    /// Remove with the next `benchmark` PR — only caller
+    /// `benchmark/src/rep.rs:90`.
+    pub fn with_tuning(
+        tree: &Tree,
+        mix: &DocMix,
+        config: PacketSimConfig,
+        workers: usize,
+        _tuning: PdesTuning,
+    ) -> Self {
+        Self::new(tree, mix, config, workers)
     }
 
     /// Enables (`Some`) or disables (`None`) adaptive shard
@@ -1202,21 +1122,6 @@ impl<Q: SimQueue<PacketEvent> + Default + Send> GenericParPacketSim<Q> {
         self.shards.len()
     }
 
-    /// The hot-path tuning this simulator was built with.
-    pub fn tuning(&self) -> PdesTuning {
-        self.tuning
-    }
-
-    /// Selects how the per-epoch convergence sample is computed:
-    /// `false` (the default) folds per-shard partials inside the workers
-    /// and merges them `O(shards)` on the driver; `true` restores the
-    /// pre-fold driver-side `O(n)` pass. The two are bit-identical — the
-    /// fold uses an exact accumulator — and the golden tests pin exactly
-    /// that, which is why the reference path stays available.
-    pub fn set_driver_side_trace(&mut self, driver_side: bool) {
-        self.fold_trace = !driver_side;
-    }
-
     /// Advances every shard to `t_end` (one scoped worker thread per
     /// shard) and moves the horizon there. With `sample` set, each
     /// worker folds its trace partial at the quiesced boundary and the
@@ -1273,21 +1178,6 @@ impl<Q: SimQueue<PacketEvent> + Default + Send> GenericParPacketSim<Q> {
         SimTime::from_secs(
             (self.epochs_sampled + 1) as f64 * self.core.world.config.diffusion_period,
         )
-    }
-
-    /// The pre-fold reference sample: the driver itself rolls every
-    /// node's serve meter at the barrier, in node order, folding the
-    /// same exact accumulator the workers use.
-    fn driver_side_partial(&mut self, at: SimTime) -> ExactSum {
-        let now = at.as_secs();
-        let mut sum = ExactSum::new();
-        for j in 0..self.core.world.len() {
-            let s = self.core.partition.shard_of[j];
-            let li = self.core.partition.local_index[j] as usize;
-            let r = packet::sample_served_rate(&mut self.shards[s].states[li], now);
-            sum.add_square(r - self.core.world.oracle[NodeId::new(j)]);
-        }
-        sum
     }
 
     /// Observation only: folds this epoch's per-shard event-count
@@ -1388,13 +1278,12 @@ impl<Q: SimQueue<PacketEvent> + Default + Send> GenericParPacketSim<Q> {
             }
         }
         let shards_n = self.shards.len();
-        let mut transport = self.tuning.transport;
         let mut out_links: Vec<Vec<OutLink>> = (0..shards_n).map(|_| Vec::new()).collect();
         let mut in_links: Vec<Vec<InLink>> = (0..shards_n).map(|_| Vec::new()).collect();
         let lookahead = SimTime::from_secs(self.core.world.config.link_delay);
         let fresh_promise = self.core.horizon + lookahead;
         for (src, dst) in self.core.partition.cut_pairs(&self.core.world.tree) {
-            let (tx, rx) = transport.open_wire(src, dst);
+            let (tx, rx) = open_ring();
             let mut out = OutLink::new(dst, tx);
             out.counter = self.wire_counters.get(&(src, dst)).copied().unwrap_or(0);
             out_links[src].push(out);
@@ -1417,7 +1306,7 @@ impl<Q: SimQueue<PacketEvent> + Default + Send> GenericParPacketSim<Q> {
     }
 
     /// Runs the simulation up to `duration` simulated seconds and
-    /// reports, exactly as [`PacketSim::run`](ww_core::packetsim::GenericPacketSim::run):
+    /// reports, exactly as [`PacketSim::run`](ww_core::packetsim::PacketSim::run):
     /// one barrier + sample per diffusion epoch boundary, then a final
     /// barrier at the horizon. May be called repeatedly with increasing
     /// horizons.
@@ -1425,13 +1314,9 @@ impl<Q: SimQueue<PacketEvent> + Default + Send> GenericParPacketSim<Q> {
         let deadline = SimTime::from_secs(duration);
         while self.next_sample() <= deadline {
             let at = self.next_sample();
-            let sum = if self.fold_trace {
-                self.advance_all(at, true)
-                    .expect("sample barriers always advance the horizon")
-            } else {
-                self.advance_all(at, false);
-                self.driver_side_partial(at)
-            };
+            let sum = self
+                .advance_all(at, true)
+                .expect("sample barriers always advance the horizon");
             self.trace.push(sum.value().sqrt());
             self.epochs_sampled += 1;
             self.observe_epoch();
@@ -1534,156 +1419,16 @@ impl<Q: SimQueue<PacketEvent> + Default + Send> GenericParPacketSim<Q> {
         self.core.failed_up[node.index()]
     }
 
-    /// Fails the control link between `node` and its parent (applied at
-    /// the current barrier; takes effect for all later epochs). Returns
-    /// `false` when already failed. See
-    /// [`PacketSim::fail_link`](ww_core::packetsim::GenericPacketSim::fail_link).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or is the root.
-    pub fn fail_link(&mut self, node: NodeId) -> bool {
-        ops::fail_link(&mut self.core, node)
-    }
-
-    /// Restores the control link between `node` and its parent. Returns
-    /// `false` when the link was not failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or is the root.
-    pub fn heal_link(&mut self, node: NodeId) -> bool {
-        ops::heal_link(&mut self.core, node)
-    }
-
-    /// Re-publish (update) a document at the current barrier: every
-    /// cached copy outside the home server is invalidated, exactly as
-    /// [`PacketSim::invalidate`](ww_core::packetsim::GenericPacketSim::invalidate)
-    /// (one charged invalidation message per revoked copy).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::UnknownDocument`] when `doc` is outside the
-    /// simulated universe.
-    pub fn invalidate(&mut self, doc: DocId) -> Result<(), ModelError> {
-        ops::invalidate(&mut self.core, &mut self.shards, doc)
-    }
-
-    /// A cache server joins as a new leaf under `parent` at the current
-    /// barrier — the parallel twin of
-    /// [`PacketSim::add_leaf`](ww_core::packetsim::GenericPacketSim::add_leaf).
-    /// The newcomer is hosted by its parent's shard (subtree
-    /// connectivity, and therefore the cut-edge lookahead, is
-    /// preserved), its timers arm phase-staggered after the barrier, and
-    /// every arrival stream is re-resolved.
-    ///
-    /// # Errors
-    ///
-    /// As [`PacketWorld::join`]: unknown parent or invalid rate.
-    pub fn add_leaf(&mut self, parent: NodeId, rate: f64) -> Result<NodeId, ModelError> {
-        ops::add_leaf(&mut self.core, &mut self.shards, parent, rate)
-    }
-
-    /// A leaf cache server departs at the current barrier — the
-    /// parallel twin of
-    /// [`PacketSim::remove_leaf`](ww_core::packetsim::GenericPacketSim::remove_leaf).
-    /// Ids compact by swap-remove; the renumbered former-last node stays
-    /// on its own shard, so the compaction is a pure bookkeeping move —
-    /// no node state crosses a shard boundary. Every shard applies the
-    /// same event surgery to its queue, and the arrival stage rebuilds.
-    ///
-    /// # Errors
-    ///
-    /// As [`PacketWorld::leave`]: unknown id, the root, or an interior
-    /// node.
-    pub fn remove_leaf(&mut self, node: NodeId) -> Result<LeafRemoval, ModelError> {
-        ops::remove_leaf(&mut self.core, &mut self.shards, node)
-    }
-
-    /// Publishes a document at the current barrier — the parallel twin
-    /// of [`PacketSim::publish_doc`](ww_core::packetsim::GenericPacketSim::publish_doc).
-    ///
-    /// # Errors
-    ///
-    /// As [`PacketWorld::publish`]: unknown origin or invalid rate.
-    pub fn publish_doc(&mut self, doc: DocId, origin: NodeId, rate: f64) -> Result<(), ModelError> {
-        ops::publish_doc(&mut self.core, &mut self.shards, doc, origin, rate)
-    }
-
-    /// Replaces the whole demand mix at the current barrier — the
-    /// parallel twin of
-    /// [`PacketSim::set_mix`](ww_core::packetsim::GenericPacketSim::set_mix).
-    ///
-    /// # Errors
-    ///
-    /// As [`PacketWorld::set_mix`]: a mix not covering the current tree.
-    pub fn set_mix(&mut self, mix: &DocMix) -> Result<(), ModelError> {
-        ops::set_mix(&mut self.core, &mut self.shards, mix)
-    }
-
-    /// Opens a barrier batch — the parallel twin of
-    /// [`PacketSim::begin_batch`](ww_core::packetsim::GenericPacketSim::begin_batch):
-    /// barrier mutations until [`GenericParPacketSim::commit_batch`]
-    /// defer their oracle refresh, queue surgery, and arrival
-    /// re-resolution to one shared pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a batch is already open.
-    pub fn begin_batch(&mut self) {
-        ops::begin_batch(&mut self.core);
-    }
-
-    /// Closes the batch; the result is bit-identical to unbatched
-    /// application.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no batch is open.
-    pub fn commit_batch(&mut self) {
-        ops::commit_batch(&mut self.core, &mut self.shards);
-    }
-
-    /// Applies one uniform [`BarrierOp`] through the matching typed
-    /// method (honoring an open batch).
-    ///
-    /// # Errors
-    ///
-    /// As the matching typed method; a failed op mutates nothing.
-    ///
-    /// # Panics
-    ///
-    /// As the matching typed method — [`BarrierOp::FailLink`] /
-    /// [`BarrierOp::HealLink`] on the root or out of range.
-    pub fn apply_op(&mut self, op: &BarrierOp) -> Result<BarrierOutcome, ModelError> {
-        match op {
-            BarrierOp::AddLeaf { parent, rate } => {
-                self.add_leaf(*parent, *rate).map(BarrierOutcome::Added)
-            }
-            BarrierOp::RemoveLeaf { node } => self.remove_leaf(*node).map(BarrierOutcome::Removed),
-            BarrierOp::PublishDoc { doc, origin, rate } => self
-                .publish_doc(*doc, *origin, *rate)
-                .map(|()| BarrierOutcome::Done),
-            BarrierOp::SetMix { mix } => self.set_mix(mix).map(|()| BarrierOutcome::Done),
-            BarrierOp::FailLink { node } => Ok(BarrierOutcome::Toggled(self.fail_link(*node))),
-            BarrierOp::HealLink { node } => Ok(BarrierOutcome::Toggled(self.heal_link(*node))),
-            BarrierOp::Invalidate { doc } => self.invalidate(*doc).map(|()| BarrierOutcome::Done),
-        }
-    }
-
-    /// Applies a same-barrier storm as one batch, mirroring
-    /// [`PacketSim::apply_all`](ww_core::packetsim::GenericPacketSim::apply_all)
+    /// [`PacketBackend::apply_all`], for callers without the trait in
+    /// scope — mirrors
+    /// [`PacketSim::apply_all`](ww_core::packetsim::PacketSim::apply_all)
     /// bit for bit at any worker count.
     ///
     /// # Panics
     ///
-    /// As [`GenericParPacketSim::apply_op`], and if a batch is already
-    /// open.
+    /// Panics if a batch is already open.
     pub fn apply_all(&mut self, ops: &[BarrierOp]) -> Vec<Result<BarrierOutcome, ModelError>> {
-        self.begin_batch();
-        let results = ops.iter().map(|op| self.apply_op(op)).collect();
-        self.commit_batch();
-        results
+        PacketBackend::apply_all(self, ops).expect("an in-process batch opens and closes")
     }
 
     /// The shared world (topology, mix, oracle, configuration) as the
@@ -1693,14 +1438,70 @@ impl<Q: SimQueue<PacketEvent> + Default + Send> GenericParPacketSim<Q> {
     }
 }
 
-impl<Q> ShardStore<Q> for Vec<Shard<Q>> {
-    fn shard_mut(&mut self, id: usize) -> Option<&mut Shard<Q>> {
+impl ShardStore for Vec<Shard> {
+    fn shard_mut(&mut self, id: usize) -> Option<&mut Shard> {
         self.get_mut(id)
     }
 
-    fn for_each(&mut self, f: &mut dyn FnMut(&mut Shard<Q>)) {
+    fn for_each(&mut self, f: &mut dyn FnMut(&mut Shard)) {
         for shard in self.iter_mut() {
             f(shard);
         }
+    }
+}
+
+impl PacketBackend for ParPacketSim {
+    type Error = ModelError;
+
+    fn run(&mut self, duration: f64) -> Result<PacketSimReport, ModelError> {
+        Ok(ParPacketSim::run(self, duration))
+    }
+
+    fn report(&mut self) -> Result<PacketSimReport, ModelError> {
+        Ok(ParPacketSim::report(self))
+    }
+
+    fn oracle(&self) -> &RateVector {
+        ParPacketSim::oracle(self)
+    }
+
+    fn tree(&self) -> &Tree {
+        ParPacketSim::tree(self)
+    }
+
+    /// # Panics
+    ///
+    /// Panics if a batch is already open.
+    fn begin_batch(&mut self) -> Result<(), ModelError> {
+        ops::begin_batch(&mut self.core);
+        Ok(())
+    }
+
+    /// A joining leaf is hosted by its parent's shard (subtree
+    /// connectivity, and therefore the cut-edge lookahead, is
+    /// preserved); a leave compacts ids by swap-remove with the
+    /// renumbered former-last node staying on its own shard — no node
+    /// state crosses a shard boundary.
+    fn apply_op(&mut self, op: &BarrierOp) -> Result<BarrierOutcome, ModelError> {
+        ops::apply_op(&mut self.core, &mut self.shards, op)
+    }
+
+    /// Every shard applies the same composed event surgery to its queue
+    /// and the arrival stage rebuilds once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no batch is open.
+    fn commit_batch(&mut self) -> Result<(), ModelError> {
+        ops::commit_batch(&mut self.core, &mut self.shards);
+        Ok(())
+    }
+
+    fn set_telemetry(&mut self, level: Level) {
+        ParPacketSim::set_telemetry(self, level);
+    }
+
+    fn telemetry_snapshot(&self) -> Snapshot {
+        ParPacketSim::telemetry_snapshot(self)
     }
 }

@@ -9,7 +9,7 @@
 //! mutations and assemble reports. `ShardHost` is the harness both
 //! sides use. It owns a `SimCore`-equivalent plus the optional shard,
 //! runs epochs over externally supplied wires (sockets, in the
-//! `ww-dist` crate), and applies every barrier operation with the exact
+//! `ww-dist` crate), and applies every [`BarrierOp`] with the exact
 //! per-node logic of the in-process engine — so a distributed run is
 //! bit-identical to the threaded and sequential ones by construction.
 //!
@@ -18,14 +18,14 @@
 //! pure function — no partition data ever crosses the network.
 
 use crate::engine::{build_shard, run_shard, InLink, OutLink, Shared};
-use crate::ops::{self, ShardStore, SimCore, SingleStore};
+use crate::ops::{self, SimCore, SingleStore};
 use crate::partition::{partition_subtrees, Partition};
 use crate::transport::{LinkError, WireReceiver, WireSender};
 use std::time::Duration;
-use ww_core::packet::{PacketCounters, PacketEvent, PacketSimConfig, PacketWorld};
-use ww_model::{DocId, LeafRemoval, ModelError, NodeId, Tree};
+use ww_core::packet::{BarrierOp, BarrierOutcome, PacketCounters, PacketSimConfig, PacketWorld};
+use ww_model::{ModelError, NodeId, Tree};
 use ww_net::TrafficLedger;
-use ww_sim::{RadixQueue, SimQueue, SimTime};
+use ww_sim::{SimQueue, SimTime};
 use ww_stats::ExactSum;
 use ww_workload::DocMix;
 
@@ -36,20 +36,16 @@ use ww_workload::DocMix;
 /// propagates on its own.
 pub const DEFAULT_STALL_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// The shard host with the production event queue — what distributed
-/// workers run.
-pub type PacketShardHost = ShardHost<RadixQueue<PacketEvent>>;
-
 /// One participant of a partitioned packet-level run: the replicated
 /// shared state plus at most one locally held shard. See the module
 /// docs.
 #[derive(Debug)]
-pub struct ShardHost<Q> {
+pub struct ShardHost {
     core: SimCore,
-    store: SingleStore<Q>,
+    store: SingleStore,
 }
 
-impl<Q: SimQueue<PacketEvent> + Default + Send> ShardHost<Q> {
+impl ShardHost {
     /// A host holding **no** shard: the coordinator's replica. It
     /// mirrors barrier mutations and serves world/partition metadata;
     /// [`ShardHost::run_epoch`] only advances its horizon.
@@ -62,13 +58,7 @@ impl<Q: SimQueue<PacketEvent> + Default + Send> ShardHost<Q> {
         let world = PacketWorld::new(tree, mix, config);
         let partition = partition_subtrees(tree, shard_hint);
         ShardHost {
-            core: SimCore {
-                failed_up: vec![false; world.len()],
-                world,
-                partition,
-                horizon: SimTime::ZERO,
-                batch: None,
-            },
+            core: SimCore::new(world, partition),
             store: SingleStore {
                 id: usize::MAX,
                 shard: None,
@@ -96,7 +86,6 @@ impl<Q: SimQueue<PacketEvent> + Default + Send> ShardHost<Q> {
         config: PacketSimConfig,
         shard_hint: usize,
         id: usize,
-        batching: bool,
         stall_timeout: Option<Duration>,
         mut wire_out: impl FnMut(usize) -> Box<dyn WireSender>,
         mut wire_in: impl FnMut(usize) -> Box<dyn WireReceiver>,
@@ -124,15 +113,9 @@ impl<Q: SimQueue<PacketEvent> + Default + Send> ShardHost<Q> {
                 ins.push(InLink::new(src, wire_in(src)));
             }
         }
-        let shard = build_shard(&world, &partition, id, outs, ins, batching, stall_timeout);
+        let shard = build_shard(&world, &partition, id, outs, ins, stall_timeout);
         ShardHost {
-            core: SimCore {
-                failed_up: vec![false; world.len()],
-                world,
-                partition,
-                horizon: SimTime::ZERO,
-                batch: None,
-            },
+            core: SimCore::new(world, partition),
             store: SingleStore {
                 id,
                 shard: Some(shard),
@@ -275,86 +258,9 @@ impl<Q: SimQueue<PacketEvent> + Default + Send> ShardHost<Q> {
         self.core.failed_up[node.index()]
     }
 
-    /// Fails the control link between `node` and its parent. Returns
-    /// `false` when already failed. Must be applied on **every**
-    /// participant at the same barrier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or is the root.
-    pub fn fail_link(&mut self, node: NodeId) -> bool {
-        ops::fail_link(&mut self.core, node)
-    }
-
-    /// Restores the control link between `node` and its parent. Returns
-    /// `false` when the link was not failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or is the root.
-    pub fn heal_link(&mut self, node: NodeId) -> bool {
-        ops::heal_link(&mut self.core, node)
-    }
-
-    /// Invalidates every cached copy of `doc` outside the home server —
-    /// the barrier-replicated twin of
-    /// [`ParPacketSim::invalidate`](crate::GenericParPacketSim::invalidate).
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::UnknownDocument`] when `doc` is outside the
-    /// simulated universe.
-    pub fn invalidate(&mut self, doc: DocId) -> Result<(), ModelError> {
-        ops::invalidate(&mut self.core, &mut self.store, doc)
-    }
-
-    /// A cache server joins as a new leaf under `parent` at the current
-    /// barrier — the barrier-replicated twin of
-    /// [`ParPacketSim::add_leaf`](crate::GenericParPacketSim::add_leaf).
-    ///
-    /// # Errors
-    ///
-    /// As [`PacketWorld::join`]: unknown parent or invalid rate.
-    pub fn add_leaf(&mut self, parent: NodeId, rate: f64) -> Result<NodeId, ModelError> {
-        ops::add_leaf(&mut self.core, &mut self.store, parent, rate)
-    }
-
-    /// A leaf cache server departs at the current barrier — the
-    /// barrier-replicated twin of
-    /// [`ParPacketSim::remove_leaf`](crate::GenericParPacketSim::remove_leaf).
-    ///
-    /// # Errors
-    ///
-    /// As [`PacketWorld::leave`]: unknown id, the root, or an interior
-    /// node.
-    pub fn remove_leaf(&mut self, node: NodeId) -> Result<LeafRemoval, ModelError> {
-        ops::remove_leaf(&mut self.core, &mut self.store, node)
-    }
-
-    /// Publishes a document at the current barrier — the
-    /// barrier-replicated twin of
-    /// [`ParPacketSim::publish_doc`](crate::GenericParPacketSim::publish_doc).
-    ///
-    /// # Errors
-    ///
-    /// As [`PacketWorld::publish`]: unknown origin or invalid rate.
-    pub fn publish_doc(&mut self, doc: DocId, origin: NodeId, rate: f64) -> Result<(), ModelError> {
-        ops::publish_doc(&mut self.core, &mut self.store, doc, origin, rate)
-    }
-
-    /// Replaces the whole demand mix at the current barrier — the
-    /// barrier-replicated twin of
-    /// [`ParPacketSim::set_mix`](crate::GenericParPacketSim::set_mix).
-    ///
-    /// # Errors
-    ///
-    /// As [`PacketWorld::set_mix`]: a mix not covering the current tree.
-    pub fn set_mix(&mut self, mix: &DocMix) -> Result<(), ModelError> {
-        ops::set_mix(&mut self.core, &mut self.store, mix)
-    }
-
     /// Opens a barrier batch — the barrier-replicated twin of
-    /// [`ParPacketSim::begin_batch`](crate::GenericParPacketSim::begin_batch).
+    /// [`ParPacketSim`](crate::ParPacketSim)'s
+    /// [`begin_batch`](ww_core::packetsim::PacketBackend::begin_batch).
     /// Every participant of a distributed run opens and commits the same
     /// batch so their replicated state stays bit-identical.
     ///
@@ -376,28 +282,18 @@ impl<Q: SimQueue<PacketEvent> + Default + Send> ShardHost<Q> {
         ops::commit_batch(&mut self.core, &mut self.store);
     }
 
-    /// Applies a rebalance plan to the replicated bookkeeping — the
-    /// barrier-replicated twin of the in-process controller's
-    /// migration step. Only a *replica* (a host holding no shard) can
-    /// mirror a plan: migration moves state between two shards, and a
-    /// single-shard worker holds at most one side. The distributed
-    /// runtime therefore rejects the rebalance knob at launch with a
-    /// typed `ww_dist::DistError::Unsupported`; this entry point
-    /// exists so a coordinator replica *could* track an in-process
-    /// rebalanced run's partition.
+    /// Applies one [`BarrierOp`] at the current barrier — the
+    /// barrier-replicated twin of [`ParPacketSim`](crate::ParPacketSim)'s
+    /// [`apply_op`](ww_core::packetsim::PacketBackend::apply_op). Must be
+    /// applied on **every** participant at the same barrier, in the same
+    /// order; with no batch open it runs as a batch of one locally.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a barrier batch is open, or if this host holds a shard
-    /// touched by any migration (one-sided migration is unsupported by
-    /// construction).
-    pub fn apply_rebalance(&mut self, plan: &crate::rebalance::RebalancePlan) {
-        for m in &plan.moves {
-            assert!(
-                self.store.shard_mut(m.from).is_none() && self.store.shard_mut(m.to).is_none(),
-                "a single-shard host cannot apply migrations touching its shard"
-            );
-        }
-        ops::apply_rebalance(&mut self.core, &mut self.store, plan);
+    /// The model's rejection of the op — the same on every participant,
+    /// since the check reads only replicated state. A rejected op
+    /// mutates nothing.
+    pub fn apply_op(&mut self, op: &BarrierOp) -> Result<BarrierOutcome, ModelError> {
+        ops::apply_op(&mut self.core, &mut self.store, op)
     }
 }

@@ -14,8 +14,7 @@
 //!   (Chandy–Misra–Bryant), quiescing at every diffusion-epoch boundary
 //!   to sample the convergence trace. The shard-to-shard hot path rides
 //!   lock-free SPSC rings with per-lookahead-window batching and a
-//!   one-event merge stage per wire (see [`PdesTuning`]); the legacy
-//!   channel transport stays selectable for comparison;
+//!   one-event merge stage per wire;
 //! * [`rebalance`] makes the partition *adaptive*: at epoch barriers a
 //!   pure function of the deterministic per-shard event counters can
 //!   re-peel the tree by observed load and migrate subtree ownership —
@@ -54,10 +53,8 @@ pub mod partition;
 pub mod rebalance;
 pub mod transport;
 
-pub use engine::{GenericParPacketSim, HeapParPacketSim, ParPacketSim, PdesTuning};
-pub use host::{PacketShardHost, ShardHost, DEFAULT_STALL_TIMEOUT};
+pub use engine::{ParPacketSim, PdesTuning};
+pub use host::{ShardHost, DEFAULT_STALL_TIMEOUT};
 pub use partition::{partition_subtrees, Partition};
 pub use rebalance::{rebalance_plan, LoadSummary, Migration, RebalanceConfig, RebalancePlan};
-pub use transport::{
-    LinkError, StageError, Transport, TransportKind, Wire, WireReceiver, WireSender,
-};
+pub use transport::{LinkError, StageError, Wire, WireReceiver, WireSender};

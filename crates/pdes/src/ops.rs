@@ -23,7 +23,10 @@
 
 use crate::engine::Shard;
 use crate::partition::Partition;
-use ww_core::packet::{self, NodeState, PacketEvent, PacketWorld, SurgeryStep, UniverseGrowth};
+use ww_core::packet::{
+    self, BarrierOp, BarrierOutcome, NodeState, PacketEvent, PacketWorld, SurgeryStep,
+    UniverseGrowth,
+};
 use ww_model::{DocId, LeafRemoval, ModelError, NodeId};
 use ww_net::TrafficClass;
 use ww_sim::{SimQueue, SimTime};
@@ -38,41 +41,56 @@ pub(crate) struct SimCore {
     pub(crate) failed_up: Vec<bool>,
     /// Simulated time the run has reached (last barrier).
     pub(crate) horizon: SimTime,
-    /// Open barrier batch: accumulated queue-surgery steps (`None` when
-    /// applying unbatched). Replicated state like the rest of the core —
-    /// every participant of a distributed run opens and commits the same
-    /// batch.
-    pub(crate) batch: Option<Vec<SurgeryStep>>,
+    /// Whether a barrier batch is open. Replicated state like the rest
+    /// of the core — every participant of a distributed run opens and
+    /// commits the same batch.
+    pub(crate) batch_open: bool,
+    /// Queue-surgery steps the open batch has accumulated.
+    pub(crate) batch: Vec<SurgeryStep>,
+}
+
+impl SimCore {
+    /// The core of a fresh run over `world` split by `partition`.
+    pub(crate) fn new(world: PacketWorld, partition: Partition) -> Self {
+        SimCore {
+            failed_up: vec![false; world.len()],
+            world,
+            partition,
+            horizon: SimTime::ZERO,
+            batch_open: false,
+            batch: Vec::new(),
+        }
+    }
 }
 
 /// Shard ownership: which of the partition's shards this participant
 /// holds in memory. Operations skip nodes of shards `shard_mut` returns
 /// `None` for.
-pub(crate) trait ShardStore<Q> {
+pub(crate) trait ShardStore {
     /// The shard with id `id`, if held.
-    fn shard_mut(&mut self, id: usize) -> Option<&mut Shard<Q>>;
+    fn shard_mut(&mut self, id: usize) -> Option<&mut Shard>;
 
     /// Visits every held shard.
-    fn for_each(&mut self, f: &mut dyn FnMut(&mut Shard<Q>));
+    fn for_each(&mut self, f: &mut dyn FnMut(&mut Shard));
 }
 
 /// A store holding at most one shard — a distributed worker (exactly
 /// one) or the coordinator's replica (none).
 #[derive(Debug)]
-pub(crate) struct SingleStore<Q> {
+pub(crate) struct SingleStore {
     pub(crate) id: usize,
-    pub(crate) shard: Option<Shard<Q>>,
+    pub(crate) shard: Option<Shard>,
 }
 
-impl<Q> ShardStore<Q> for SingleStore<Q> {
-    fn shard_mut(&mut self, id: usize) -> Option<&mut Shard<Q>> {
+impl ShardStore for SingleStore {
+    fn shard_mut(&mut self, id: usize) -> Option<&mut Shard> {
         match &mut self.shard {
             Some(shard) if id == self.id => Some(shard),
             _ => None,
         }
     }
 
-    fn for_each(&mut self, f: &mut dyn FnMut(&mut Shard<Q>)) {
+    fn for_each(&mut self, f: &mut dyn FnMut(&mut Shard)) {
         if let Some(shard) = &mut self.shard {
             f(shard);
         }
@@ -80,9 +98,9 @@ impl<Q> ShardStore<Q> for SingleStore<Q> {
 }
 
 /// The state of node `j`, when its shard is held.
-fn state_mut<'a, Q: 'a>(
+fn state_mut<'a>(
     core: &SimCore,
-    store: &'a mut impl ShardStore<Q>,
+    store: &'a mut impl ShardStore,
     j: usize,
 ) -> Option<&'a mut NodeState> {
     let s = core.partition.shard_of[j];
@@ -90,39 +108,11 @@ fn state_mut<'a, Q: 'a>(
     store.shard_mut(s).map(|shard| &mut shard.states[li])
 }
 
-/// Fails the control link between `node` and its parent. Returns `false`
-/// when already failed.
-///
-/// # Panics
-///
-/// Panics if `node` is out of range or is the root.
-pub(crate) fn fail_link(core: &mut SimCore, node: NodeId) -> bool {
-    assert!(
-        core.world.tree.parent(node).is_some(),
-        "the root has no uplink to fail"
-    );
-    !std::mem::replace(&mut core.failed_up[node.index()], true)
-}
-
-/// Restores the control link between `node` and its parent. Returns
-/// `false` when the link was not failed.
-///
-/// # Panics
-///
-/// Panics if `node` is out of range or is the root.
-pub(crate) fn heal_link(core: &mut SimCore, node: NodeId) -> bool {
-    assert!(
-        core.world.tree.parent(node).is_some(),
-        "the root has no uplink to heal"
-    );
-    std::mem::replace(&mut core.failed_up[node.index()], false)
-}
-
 /// Invalidates every cached copy of `doc` outside the home server (one
 /// charged invalidation message per revoked copy).
-pub(crate) fn invalidate<Q: SimQueue<PacketEvent>>(
+fn invalidate(
     core: &mut SimCore,
-    store: &mut impl ShardStore<Q>,
+    store: &mut impl ShardStore,
     doc: DocId,
 ) -> Result<(), ModelError> {
     let Some(k) = core.world.table.index_of(doc) else {
@@ -148,59 +138,11 @@ pub(crate) fn invalidate<Q: SimQueue<PacketEvent>>(
     Ok(())
 }
 
-/// Re-resolves the arrival stage after a barrier mutation, exactly as
-/// the sequential driver: per held shard, stale arrivals are dropped
-/// (surviving events' document indices remapped when the universe grew)
-/// and fresh first arrivals are scheduled in global node order — so each
-/// node's events keep the same relative order they get in the sequential
-/// queue.
-fn rebuild_arrivals<Q: SimQueue<PacketEvent>>(
-    core: &mut SimCore,
-    store: &mut impl ShardStore<Q>,
-    growth: Option<&UniverseGrowth>,
-) {
-    store.for_each(&mut |shard| {
-        shard
-            .queue
-            .filter_map_events(|ev| packet::remap_for_rebuild(ev, growth));
-    });
-    reschedule_arrivals(core, store);
-}
-
-/// The scheduling half of [`rebuild_arrivals`], for callers whose own
-/// queue surgery already dropped the stale arrivals (a leave's
-/// [`packet::renumber_for_leave`] pass).
-fn reschedule_arrivals<Q: SimQueue<PacketEvent>>(
-    core: &mut SimCore,
-    store: &mut impl ShardStore<Q>,
-) {
-    let at = core.horizon;
-    // A node has at most one stream per document of the universe.
-    let mut outbox = Vec::with_capacity(core.world.table.len());
-    for j in 0..core.world.len() {
-        let s = core.partition.shard_of[j];
-        let li = core.partition.local_index[j] as usize;
-        let Some(shard) = store.shard_mut(s) else {
-            continue;
-        };
-        packet::rebuild_node_arrivals(
-            &core.world,
-            &mut shard.states[li],
-            NodeId::new(j),
-            at,
-            &mut outbox,
-        );
-        for (t, ev) in outbox.drain(..) {
-            shard.queue.schedule(t, ev);
-        }
-    }
-}
-
 /// A cache server joins as a new leaf under `parent` at the current
 /// barrier. The newcomer is hosted by its parent's shard.
-pub(crate) fn add_leaf<Q: SimQueue<PacketEvent>>(
+fn add_leaf(
     core: &mut SimCore,
-    store: &mut impl ShardStore<Q>,
+    store: &mut impl ShardStore,
     parent: NodeId,
     rate: f64,
 ) -> Result<NodeId, ModelError> {
@@ -222,11 +164,7 @@ pub(crate) fn add_leaf<Q: SimQueue<PacketEvent>>(
         shard.window_events.push(0);
     }
     core.failed_up.push(false);
-    if let Some(steps) = &mut core.batch {
-        steps.push(SurgeryStep::Rebuild(None));
-    } else {
-        rebuild_arrivals(core, store, None);
-    }
+    core.batch.push(SurgeryStep::Rebuild(None));
     if let Some(shard) = store.shard_mut(ps) {
         assert_eq!(shard.gossip_ring.add_member(), li);
         assert_eq!(shard.diffusion_ring.add_member(), li);
@@ -246,9 +184,9 @@ pub(crate) fn add_leaf<Q: SimQueue<PacketEvent>>(
 /// swap-remove; the renumbered former-last node stays on its own shard,
 /// so the compaction is a pure bookkeeping move — no node state crosses
 /// a shard boundary.
-pub(crate) fn remove_leaf<Q: SimQueue<PacketEvent>>(
+fn remove_leaf(
     core: &mut SimCore,
-    store: &mut impl ShardStore<Q>,
+    store: &mut impl ShardStore,
     node: NodeId,
 ) -> Result<LeafRemoval, ModelError> {
     let at = core.horizon;
@@ -262,41 +200,24 @@ pub(crate) fn remove_leaf<Q: SimQueue<PacketEvent>>(
         shard.window_events.swap_remove(li);
     }
     core.failed_up.swap_remove(r);
-    if let Some(steps) = &mut core.batch {
-        steps.push(SurgeryStep::Leave {
-            removed: removal.removed,
-            moved: removal.moved,
-        });
-    } else {
-        store.for_each(&mut |shard| {
-            shard.queue.filter_map_events(|ev| {
-                packet::renumber_for_leave(ev, removal.removed, removal.moved)
-            });
-        });
-    }
+    core.batch.push(SurgeryStep::Leave {
+        removed: removal.removed,
+        moved: removal.moved,
+    });
     for p in packet::parents_to_remap(&core.world.tree, &removal) {
         let map = packet::child_slot_map(&core.world.tree, p, &removal);
         if let Some(state) = state_mut(core, store, p.index()) {
             packet::remap_children(state, &map, at.as_secs());
         }
     }
-    // The renumbering pass above already dropped the stale arrivals;
-    // only the rescheduling half remains (deferred while batched).
-    if core.batch.is_none() {
-        reschedule_arrivals(core, store);
-    }
     Ok(removal)
 }
 
 /// Applies a universe growth to every held node's per-document state
-/// (the home server also receives the only copy of each new document),
-/// then re-resolves the arrival stage — the shared tail of every
-/// demand-changing barrier operation.
-fn apply_growth<Q: SimQueue<PacketEvent>>(
-    core: &mut SimCore,
-    store: &mut impl ShardStore<Q>,
-    growth: Option<UniverseGrowth>,
-) {
+/// (the home server also receives the only copy of each new document) —
+/// the shared tail of every demand-changing barrier operation (publish,
+/// mix replacement).
+fn apply_growth(core: &mut SimCore, store: &mut impl ShardStore, growth: Option<UniverseGrowth>) {
     let at = core.horizon.as_secs();
     if let Some(g) = &growth {
         let root = core.world.tree.root();
@@ -307,35 +228,7 @@ fn apply_growth<Q: SimQueue<PacketEvent>>(
             }
         }
     }
-    if let Some(steps) = &mut core.batch {
-        steps.push(SurgeryStep::Rebuild(growth));
-    } else {
-        rebuild_arrivals(core, store, growth.as_ref());
-    }
-}
-
-/// Publishes a document at the current barrier.
-pub(crate) fn publish_doc<Q: SimQueue<PacketEvent>>(
-    core: &mut SimCore,
-    store: &mut impl ShardStore<Q>,
-    doc: DocId,
-    origin: NodeId,
-    rate: f64,
-) -> Result<(), ModelError> {
-    let growth = core.world.publish(doc, origin, rate)?;
-    apply_growth(core, store, growth);
-    Ok(())
-}
-
-/// Replaces the whole demand mix at the current barrier.
-pub(crate) fn set_mix<Q: SimQueue<PacketEvent>>(
-    core: &mut SimCore,
-    store: &mut impl ShardStore<Q>,
-    mix: &ww_workload::DocMix,
-) -> Result<(), ModelError> {
-    let growth = core.world.set_mix(mix)?;
-    apply_growth(core, store, growth);
-    Ok(())
+    core.batch.push(SurgeryStep::Rebuild(growth));
 }
 
 /// Applies a rebalance plan at the current barrier: each migrating
@@ -362,13 +255,13 @@ pub(crate) fn set_mix<Q: SimQueue<PacketEvent>>(
 ///
 /// Panics if a barrier batch is open, or if exactly one side of a
 /// migration is held.
-pub(crate) fn apply_rebalance<Q: SimQueue<PacketEvent>>(
+pub(crate) fn apply_rebalance(
     core: &mut SimCore,
-    store: &mut impl ShardStore<Q>,
+    store: &mut impl ShardStore,
     plan: &crate::rebalance::RebalancePlan,
 ) {
     assert!(
-        core.batch.is_none(),
+        !core.batch_open,
         "cannot rebalance inside an open barrier batch"
     );
     // A migrant's pending work, keyed for deterministic re-insertion.
@@ -469,38 +362,110 @@ pub(crate) fn apply_rebalance<Q: SimQueue<PacketEvent>>(
     }
 }
 
-/// Opens a barrier batch on this participant: subsequent operations
-/// apply their primary mutations eagerly but defer the oracle refresh,
-/// queue surgery, and arrival re-resolution to [`commit_batch`].
+/// Opens a barrier batch on this participant: until [`commit_batch`],
+/// every [`apply_op`] applies its primary mutation eagerly and defers
+/// the oracle refresh, queue surgery, and arrival re-resolution to one
+/// shared pass at commit.
 ///
 /// # Panics
 ///
 /// Panics if a batch is already open.
 pub(crate) fn begin_batch(core: &mut SimCore) {
-    assert!(core.batch.is_none(), "a barrier batch is already open");
+    assert!(!core.batch_open, "a barrier batch is already open");
     core.world.begin_batch();
-    core.batch = Some(Vec::new());
+    core.batch_open = true;
 }
 
 /// Closes the batch: one deferred oracle refresh, one composed
-/// queue-surgery sweep over every held shard, one arrival re-resolution
-/// in global node order — bit-identical to unbatched application.
+/// queue-surgery sweep over every held shard, and fresh first arrivals
+/// scheduled in global node order — so each node's events keep the
+/// relative order they get in the sequential queue.
 ///
 /// # Panics
 ///
 /// Panics if no batch is open.
-pub(crate) fn commit_batch<Q: SimQueue<PacketEvent>>(
-    core: &mut SimCore,
-    store: &mut impl ShardStore<Q>,
-) {
-    let steps = core.batch.take().expect("no open barrier batch");
+pub(crate) fn commit_batch(core: &mut SimCore, store: &mut impl ShardStore) {
+    assert!(core.batch_open, "no open barrier batch");
+    core.batch_open = false;
     core.world.end_batch();
-    if !steps.is_empty() {
-        store.for_each(&mut |shard| {
-            shard
-                .queue
-                .filter_map_events(|ev| packet::apply_surgery(ev, &steps));
-        });
-        reschedule_arrivals(core, store);
+    if core.batch.is_empty() {
+        return;
     }
+    let steps = std::mem::take(&mut core.batch);
+    store.for_each(&mut |shard| {
+        shard
+            .queue
+            .filter_map_events(|ev| packet::apply_surgery(ev, &steps));
+    });
+    let at = core.horizon;
+    // A node has at most one stream per document of the universe.
+    let mut outbox = Vec::with_capacity(core.world.table.len());
+    for j in 0..core.world.len() {
+        let s = core.partition.shard_of[j];
+        let li = core.partition.local_index[j] as usize;
+        let Some(shard) = store.shard_mut(s) else {
+            continue;
+        };
+        packet::rebuild_node_arrivals(
+            &core.world,
+            &mut shard.states[li],
+            NodeId::new(j),
+            at,
+            &mut outbox,
+        );
+        for (t, ev) in outbox.drain(..) {
+            shard.queue.schedule(t, ev);
+        }
+    }
+}
+
+/// Applies one [`BarrierOp`] on this participant — into the open batch,
+/// or as a batch of one. Every participant of a run applies the same
+/// ops in the same order; a rejected op mutates nothing anywhere.
+///
+/// # Errors
+///
+/// The model's rejection of the op.
+pub(crate) fn apply_op(
+    core: &mut SimCore,
+    store: &mut impl ShardStore,
+    op: &BarrierOp,
+) -> Result<BarrierOutcome, ModelError> {
+    let lone = !core.batch_open;
+    if lone {
+        begin_batch(core);
+    }
+    let result = match op {
+        BarrierOp::AddLeaf { parent, rate } => {
+            add_leaf(core, store, *parent, *rate).map(BarrierOutcome::Added)
+        }
+        BarrierOp::RemoveLeaf { node } => {
+            remove_leaf(core, store, *node).map(BarrierOutcome::Removed)
+        }
+        BarrierOp::PublishDoc { doc, origin, rate } => {
+            core.world.publish(*doc, *origin, *rate).map(|growth| {
+                apply_growth(core, store, growth);
+                BarrierOutcome::Done
+            })
+        }
+        BarrierOp::SetMix { mix } => core.world.set_mix(mix).map(|growth| {
+            apply_growth(core, store, growth);
+            BarrierOutcome::Done
+        }),
+        BarrierOp::FailLink { node } => {
+            packet::set_link(&core.world.tree, &mut core.failed_up, *node, true)
+                .map(BarrierOutcome::Toggled)
+        }
+        BarrierOp::HealLink { node } => {
+            packet::set_link(&core.world.tree, &mut core.failed_up, *node, false)
+                .map(BarrierOutcome::Toggled)
+        }
+        BarrierOp::Invalidate { doc } => {
+            invalidate(core, store, *doc).map(|()| BarrierOutcome::Done)
+        }
+    };
+    if lone {
+        commit_batch(core, store);
+    }
+    result
 }

@@ -6,21 +6,20 @@
 //! promise, or the epoch-end handshake. The event loop in
 //! [`crate::engine`] is generic over *how* those messages travel — it
 //! only sees the [`WireSender`] / [`WireReceiver`] traits — so the same
-//! loop runs over lock-free in-process rings, legacy MPMC channels, or
-//! (via the `ww-dist` crate) framed TCP sockets between OS processes.
+//! loop runs over lock-free in-process rings or (via the `ww-dist`
+//! crate) framed TCP sockets between OS processes.
 //!
 //! The determinism contract a transport must honor is exactly one
 //! property: **per-wire FIFO**. Messages staged on one wire arrive in
 //! the order they were staged. Every ordering decision the engine makes
 //! is derived from message *content* (`(time, sending shard, per-wire
-//! counter)`), never from arrival timing, so any FIFO transport — ring,
-//! channel, or TCP stream — produces bit-identical simulations.
+//! counter)`), never from arrival timing, so any FIFO transport — ring
+//! or TCP stream — produces bit-identical simulations.
 //!
 //! In-process transports are infallible; socket transports surface peer
 //! death and stalls as [`LinkError`]s, which the event loop propagates
 //! instead of hanging.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::fmt;
 use std::time::Duration;
 use ww_core::packet::PacketEvent;
@@ -104,8 +103,8 @@ pub enum StageError {
 ///
 /// `stage` makes a message *pending*; `commit` publishes everything
 /// pending to the consumer with whatever batching the transport
-/// supports. A transport with no staging concept (channels, sockets
-/// with their own writer thread) simply publishes in `stage` and makes
+/// supports. A transport with no staging concept (sockets with their
+/// own writer thread) simply publishes in `stage` and makes
 /// `commit` a no-op — the engine calls both in the right places either
 /// way. Staged messages must reach the consumer in stage order
 /// (per-wire FIFO).
@@ -154,68 +153,13 @@ impl WireReceiver for spsc::Consumer<Wire> {
     }
 }
 
-impl WireSender for Sender<Wire> {
-    fn stage(&mut self, msg: Wire) -> Result<(), StageError> {
-        // The channel is unbounded, so the only failure is disconnection.
-        self.send(msg).map_err(|_| {
-            StageError::Link(LinkError::Closed {
-                detail: "peer shard dropped its channel receiver".into(),
-            })
-        })
-    }
-
-    fn commit(&mut self) -> Result<(), LinkError> {
-        Ok(())
-    }
-}
-
-impl WireReceiver for Receiver<Wire> {
-    fn try_recv(&mut self) -> Result<Option<Wire>, LinkError> {
-        Ok(Receiver::try_recv(self).ok())
-    }
-}
-
-/// A factory for the wires of one simulation: called once per directed
-/// cut edge at construction time. Implemented by [`TransportKind`] for
-/// the in-process paths; the `ww-dist` crate supplies socket-backed
-/// endpoints per cut edge directly (each end of a cut lives in a
-/// different process, so no single factory can hand out both halves).
-pub trait Transport {
-    /// Creates the two endpoints of one directed wire from shard `src`
-    /// to shard `dst`.
-    fn open_wire(&mut self, src: usize, dst: usize)
-        -> (Box<dyn WireSender>, Box<dyn WireReceiver>);
-}
-
-/// The in-process wire transports between adjacent shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TransportKind {
-    /// Bounded lock-free SPSC ring per directed cut, with an unbounded
-    /// overflow queue behind it (the default hot path).
-    #[default]
-    SpscRing,
-    /// The legacy mutex-based channel, one send per event. Kept
-    /// selectable so benchmarks can measure the old hot path.
-    MpmcChannel,
-}
-
-impl Transport for TransportKind {
-    fn open_wire(
-        &mut self,
-        _src: usize,
-        _dst: usize,
-    ) -> (Box<dyn WireSender>, Box<dyn WireReceiver>) {
-        match self {
-            TransportKind::SpscRing => {
-                let (p, c) = spsc::ring(RING_CAPACITY);
-                (Box::new(p), Box::new(c))
-            }
-            TransportKind::MpmcChannel => {
-                let (tx, rx) = unbounded();
-                (Box::new(tx), Box::new(rx))
-            }
-        }
-    }
+/// Opens one in-process directed wire: a bounded lock-free SPSC ring
+/// (the engine keeps an unbounded overflow queue behind it). The
+/// `ww-dist` crate supplies socket-backed endpoints per cut edge
+/// directly — each end of a cut lives in a different process.
+pub(crate) fn open_ring() -> (Box<dyn WireSender>, Box<dyn WireReceiver>) {
+    let (p, c) = spsc::ring(RING_CAPACITY);
+    (Box::new(p), Box::new(c))
 }
 
 #[cfg(test)]
@@ -230,7 +174,7 @@ mod tests {
 
     #[test]
     fn ring_endpoints_preserve_fifo_and_batching() {
-        let (mut tx, mut rx) = TransportKind::SpscRing.open_wire(0, 1);
+        let (mut tx, mut rx) = open_ring();
         tx.stage(promise(1.0)).unwrap();
         tx.stage(promise(2.0)).unwrap();
         // Staged but uncommitted: invisible.
@@ -243,30 +187,13 @@ mod tests {
 
     #[test]
     fn ring_full_hands_message_back() {
-        let (mut tx, _rx) = TransportKind::SpscRing.open_wire(0, 1);
+        let (mut tx, _rx) = open_ring();
         for _ in 0..RING_CAPACITY {
             tx.stage(Wire::EpochEnd).unwrap();
         }
         match tx.stage(promise(9.0)) {
             Err(StageError::Full(m)) => assert_eq!(m, promise(9.0)),
             other => panic!("expected Full, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn channel_endpoints_send_immediately() {
-        let (mut tx, mut rx) = TransportKind::MpmcChannel.open_wire(0, 1);
-        tx.stage(promise(3.0)).unwrap();
-        assert_eq!(rx.try_recv().unwrap(), Some(promise(3.0)));
-    }
-
-    #[test]
-    fn channel_disconnect_is_a_typed_error() {
-        let (mut tx, rx) = TransportKind::MpmcChannel.open_wire(0, 1);
-        drop(rx);
-        match tx.stage(Wire::EpochEnd) {
-            Err(StageError::Link(LinkError::Closed { .. })) => {}
-            other => panic!("expected Closed, got {other:?}"),
         }
     }
 }

@@ -2,17 +2,16 @@
 //! simulator must replay the sequential `PacketSim` bit for bit at every
 //! worker count while the world churns — nodes join and leave, the
 //! workload shifts, documents are published and invalidated, links fail
-//! and heal — all applied at epoch barriers through the shared barrier
-//! pipeline. Also pins the worker-folded convergence-trace sample
-//! bit-identical to the pre-fold driver-side `O(n)` pass.
+//! and heal — all applied at epoch barriers as `BarrierOp`s through the
+//! one `PacketBackend` surface both drivers implement.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ww_core::packet::BarrierOp;
-use ww_core::packetsim::{PacketSim, PacketSimConfig, PacketSimReport};
-use ww_model::{DocId, NodeId, Tree};
+use ww_core::packetsim::{PacketBackend, PacketSim, PacketSimConfig, PacketSimReport};
+use ww_model::{DocId, ModelError, NodeId, Tree};
 use ww_net::TrafficClass;
-use ww_pdes::{ParPacketSim, PdesTuning, TransportKind};
+use ww_pdes::{ParPacketSim, ShardHost, WireReceiver, WireSender};
 use ww_topology::paper;
 use ww_workload::DocMix;
 
@@ -99,100 +98,82 @@ enum Op {
     Heal { node: usize },
 }
 
-/// Replays the script against either driver through a tiny trait shim.
-trait Driver {
-    fn run(&mut self, horizon: f64) -> PacketSimReport;
-    fn tree(&self) -> &Tree;
-    fn add_leaf(&mut self, parent: NodeId, rate: f64);
-    fn remove_leaf(&mut self, node: NodeId);
-    fn set_mix(&mut self, mix: &DocMix);
-    fn publish_doc(&mut self, doc: DocId, origin: NodeId, rate: f64);
-    fn invalidate(&mut self, doc: DocId);
-    fn fail_link(&mut self, node: NodeId);
-    fn heal_link(&mut self, node: NodeId);
-}
+/// Either in-process driver, behind the one backend surface.
+type Driver<'a> = &'a mut dyn PacketBackend<Error = ModelError>;
 
-impl Driver for PacketSim {
-    fn run(&mut self, horizon: f64) -> PacketSimReport {
-        PacketSim::run(self, horizon)
-    }
-    fn tree(&self) -> &Tree {
-        PacketSim::tree(self)
-    }
-    fn add_leaf(&mut self, parent: NodeId, rate: f64) {
-        PacketSim::add_leaf(self, parent, rate).expect("join applies");
-    }
-    fn remove_leaf(&mut self, node: NodeId) {
-        PacketSim::remove_leaf(self, node).expect("leave applies");
-    }
-    fn set_mix(&mut self, mix: &DocMix) {
-        PacketSim::set_mix(self, mix).expect("shift applies");
-    }
-    fn publish_doc(&mut self, doc: DocId, origin: NodeId, rate: f64) {
-        PacketSim::publish_doc(self, doc, origin, rate).expect("publish applies");
-    }
-    fn invalidate(&mut self, doc: DocId) {
-        PacketSim::invalidate(self, doc).expect("invalidate applies");
-    }
-    fn fail_link(&mut self, node: NodeId) {
-        PacketSim::fail_link(self, node);
-    }
-    fn heal_link(&mut self, node: NodeId) {
-        PacketSim::heal_link(self, node);
-    }
-}
-
-impl Driver for ParPacketSim {
-    fn run(&mut self, horizon: f64) -> PacketSimReport {
-        ParPacketSim::run(self, horizon)
-    }
-    fn tree(&self) -> &Tree {
-        ParPacketSim::tree(self)
-    }
-    fn add_leaf(&mut self, parent: NodeId, rate: f64) {
-        ParPacketSim::add_leaf(self, parent, rate).expect("join applies");
-    }
-    fn remove_leaf(&mut self, node: NodeId) {
-        ParPacketSim::remove_leaf(self, node).expect("leave applies");
-    }
-    fn set_mix(&mut self, mix: &DocMix) {
-        ParPacketSim::set_mix(self, mix).expect("shift applies");
-    }
-    fn publish_doc(&mut self, doc: DocId, origin: NodeId, rate: f64) {
-        ParPacketSim::publish_doc(self, doc, origin, rate).expect("publish applies");
-    }
-    fn invalidate(&mut self, doc: DocId) {
-        ParPacketSim::invalidate(self, doc).expect("invalidate applies");
-    }
-    fn fail_link(&mut self, node: NodeId) {
-        ParPacketSim::fail_link(self, node);
-    }
-    fn heal_link(&mut self, node: NodeId) {
-        ParPacketSim::heal_link(self, node);
+/// The `BarrierOp` a scripted mutation means on the driver's current
+/// (possibly churned) tree.
+fn barrier_op(driver: &dyn PacketBackend<Error = ModelError>, op: &Op) -> BarrierOp {
+    match *op {
+        Op::Run(_) => unreachable!("runs are not mutations"),
+        Op::Join { parent, rate } => BarrierOp::AddLeaf {
+            parent: NodeId::new(parent),
+            rate,
+        },
+        Op::Leave { node } => BarrierOp::RemoveLeaf {
+            node: NodeId::new(node),
+        },
+        Op::Shift { docs, theta } => {
+            // Re-derive a shifted mix from the *current* (churned)
+            // tree: same spontaneous totals, new document split.
+            let tree = driver.tree();
+            let rates = ww_workload::uniform(tree, 15.0);
+            BarrierOp::SetMix {
+                mix: ww_workload::shared_zipf_mix(tree, &rates, docs, theta),
+            }
+        }
+        Op::Publish { doc, origin, rate } => BarrierOp::PublishDoc {
+            doc: DocId::new(doc),
+            origin: NodeId::new(origin),
+            rate,
+        },
+        Op::Invalidate { doc } => BarrierOp::Invalidate {
+            doc: DocId::new(doc),
+        },
+        Op::Fail { node } => BarrierOp::FailLink {
+            node: NodeId::new(node),
+        },
+        Op::Heal { node } => BarrierOp::HealLink {
+            node: NodeId::new(node),
+        },
     }
 }
 
-fn replay(driver: &mut dyn Driver, script: &[Op]) -> PacketSimReport {
+/// Replays the script, every mutation a lone `apply_op`.
+fn replay(driver: Driver<'_>, script: &[Op]) -> PacketSimReport {
     let mut report = None;
     for op in script {
-        match *op {
-            Op::Run(h) => report = Some(driver.run(h)),
-            Op::Join { parent, rate } => driver.add_leaf(NodeId::new(parent), rate),
-            Op::Leave { node } => driver.remove_leaf(NodeId::new(node)),
-            Op::Shift { docs, theta } => {
-                // Re-derive a shifted mix from the *current* (churned)
-                // tree: same spontaneous totals, new document split.
-                let tree = driver.tree().clone();
-                let rates = ww_workload::uniform(&tree, 15.0);
-                let mix = ww_workload::shared_zipf_mix(&tree, &rates, docs, theta);
-                driver.set_mix(&mix);
+        match op {
+            Op::Run(h) => report = Some(driver.run(*h).expect("in-process runs cannot fail")),
+            _ => {
+                let op = barrier_op(driver, op);
+                driver.apply_op(&op).expect("scripted op applies");
             }
-            Op::Publish { doc, origin, rate } => {
-                driver.publish_doc(DocId::new(doc), NodeId::new(origin), rate);
+        }
+    }
+    report.expect("script ends with a run")
+}
+
+/// Replays the script with the mutations between two runs opened and
+/// committed as one barrier batch.
+fn replay_batched(driver: Driver<'_>, script: &[Op]) -> PacketSimReport {
+    let mut report = None;
+    let mut open = false;
+    for op in script {
+        match op {
+            Op::Run(h) => {
+                if std::mem::take(&mut open) {
+                    driver.commit_batch().expect("batch commits");
+                }
+                report = Some(driver.run(*h).expect("in-process runs cannot fail"));
             }
-            Op::Invalidate { doc } => driver.invalidate(DocId::new(doc)),
-            Op::Fail { node } => driver.fail_link(NodeId::new(node)),
-            Op::Heal { node } => driver.heal_link(NodeId::new(node)),
+            _ => {
+                if !std::mem::replace(&mut open, true) {
+                    driver.begin_batch().expect("batch opens");
+                }
+                let op = barrier_op(driver, op);
+                driver.apply_op(&op).expect("scripted op applies");
+            }
         }
     }
     report.expect("script ends with a run")
@@ -271,8 +252,8 @@ fn churned_run_matches_sequential_at_every_worker_count() {
 
 #[test]
 fn churned_run_matches_sequential_with_batching_on_and_off() {
-    // Full dynamics at packet fidelity, with the lookahead-window batch
-    // publish both enabled and disabled: neither mode may shift a bit.
+    // Full dynamics at packet fidelity, with each barrier's mutations
+    // applied one by one and as one batch: neither may shift a bit.
     let (tree, mix) = random_mix(0xD11B, 30);
     let config = PacketSimConfig {
         seed: 3,
@@ -283,12 +264,12 @@ fn churned_run_matches_sequential_with_batching_on_and_off() {
     let seq_report = replay(&mut seq, &script);
     for workers in [1, 2, 4, 8] {
         for batching in [true, false] {
-            let tuning = PdesTuning {
-                transport: TransportKind::SpscRing,
-                batching,
+            let mut par = ParPacketSim::new(&tree, &mix, config, workers);
+            let par_report = if batching {
+                replay_batched(&mut par, &script)
+            } else {
+                replay(&mut par, &script)
             };
-            let mut par = ParPacketSim::with_tuning(&tree, &mix, config, workers, tuning);
-            let par_report = replay(&mut par, &script);
             assert_reports_identical(
                 &seq_report,
                 &par_report,
@@ -458,43 +439,6 @@ fn rejected_op_mid_batch_leaves_survivors_identical() {
 }
 
 #[test]
-fn folded_trace_sample_matches_driver_side_pass_event_free() {
-    // The acceptance pin: on an event-free run, the worker-folded trace
-    // sample is bit-identical to the pre-fold driver-side O(n) pass.
-    let (tree, mix) = random_mix(0xF01D, 60);
-    let config = PacketSimConfig {
-        seed: 5,
-        ..PacketSimConfig::default()
-    };
-    for workers in [2, 4, 8] {
-        let mut folded = ParPacketSim::new(&tree, &mix, config, workers);
-        let mut reference = ParPacketSim::new(&tree, &mix, config, workers);
-        reference.set_driver_side_trace(true);
-        let a = folded.run(10.0);
-        let b = reference.run(10.0);
-        assert_eq!(
-            bits(a.trace.distances()),
-            bits(b.trace.distances()),
-            "folded vs driver-side trace diverges at workers={workers}"
-        );
-        assert_reports_identical(&a, &b, &format!("fold reference workers={workers}"));
-    }
-}
-
-#[test]
-fn folded_trace_sample_matches_driver_side_pass_under_churn() {
-    let (tree, mix) = random_mix(0xF01E, 30);
-    let config = PacketSimConfig::default();
-    let script = full_dynamics_script(&tree);
-    let mut folded = ParPacketSim::new(&tree, &mix, config, 4);
-    let mut reference = ParPacketSim::new(&tree, &mix, config, 4);
-    reference.set_driver_side_trace(true);
-    let a = replay(&mut folded, &script);
-    let b = replay(&mut reference, &script);
-    assert_reports_identical(&a, &b, "fold reference under churn");
-}
-
-#[test]
 fn stepped_horizons_with_churn_match_one_shot_grouping() {
     // Epoch-by-epoch stepping (the scenario adapter's pattern) with a
     // join in the middle replays the same script driven in larger runs.
@@ -504,14 +448,18 @@ fn stepped_horizons_with_churn_match_one_shot_grouping() {
     for k in 1..=4 {
         stepped.run(k as f64);
     }
-    stepped.add_leaf(NodeId::new(1), 45.0).unwrap();
+    let join = BarrierOp::AddLeaf {
+        parent: NodeId::new(1),
+        rate: 45.0,
+    };
+    stepped.apply_op(&join).unwrap();
     for k in 5..=10 {
         stepped.run(k as f64);
     }
     let a = stepped.report();
     let mut grouped = ParPacketSim::new(&tree, &mix, config, 2);
     grouped.run(4.0);
-    grouped.add_leaf(NodeId::new(1), 45.0).unwrap();
+    grouped.apply_op(&join).unwrap();
     let b = grouped.run(10.0);
     assert_eq!(a.served_requests, b.served_requests);
     assert_eq!(bits(a.trace.distances()), bits(b.trace.distances()));
@@ -543,11 +491,49 @@ fn first_publish_into_an_empty_universe_matches_sequential() {
     seq.run(3.0);
     par.run(3.0);
     // A second, smaller id shifts the one existing column.
-    seq.publish_doc(DocId::new(2), NodeId::new(4), 25.0)
-        .unwrap();
-    par.publish_doc(DocId::new(2), NodeId::new(4), 25.0)
-        .unwrap();
+    let publish = BarrierOp::PublishDoc {
+        doc: DocId::new(2),
+        origin: NodeId::new(4),
+        rate: 25.0,
+    };
+    seq.apply_op(&publish).unwrap();
+    par.apply_op(&publish).unwrap();
     let (a, b) = (seq.run(8.0), par.run(8.0));
     assert!(a.served_requests > 0, "the published demand is served");
     assert_reports_identical(&a, &b, "first publish, 2 workers");
+}
+
+#[test]
+fn a_worker_host_rejects_bad_link_ops_with_a_typed_error() {
+    // What a distributed worker runs when a frame names the root or a
+    // node past the tree: a rejection, not a panic — and nothing moved.
+    let (tree, mix) = fig7_mix();
+    let mut host = ShardHost::worker(
+        &tree,
+        &mix,
+        PacketSimConfig::default(),
+        1,
+        0,
+        None,
+        |_| -> Box<dyn WireSender> { unreachable!("one shard has no cut edge") },
+        |_| -> Box<dyn WireReceiver> { unreachable!("one shard has no cut edge") },
+    );
+    let (root, past) = (tree.root(), NodeId::new(tree.len()));
+    for node in [root, past] {
+        for op in [BarrierOp::FailLink { node }, BarrierOp::HealLink { node }] {
+            let expect = if node == root {
+                ModelError::NoUplink { node }
+            } else {
+                ModelError::NodeOutOfRange {
+                    node,
+                    len: tree.len(),
+                }
+            };
+            assert_eq!(host.apply_op(&op), Err(expect.clone()), "lone {op:?}");
+            host.begin_batch();
+            assert_eq!(host.apply_op(&op), Err(expect), "batched {op:?}");
+            host.commit_batch();
+        }
+    }
+    assert!(tree.nodes().all(|u| !host.link_failed(u)));
 }

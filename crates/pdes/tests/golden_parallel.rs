@@ -4,10 +4,11 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ww_core::packetsim::{PacketSim, PacketSimConfig, PacketSimReport};
-use ww_model::{DocId, NodeId, Tree};
+use ww_core::packet::BarrierOp;
+use ww_core::packetsim::{PacketBackend, PacketSim, PacketSimConfig, PacketSimReport};
+use ww_model::{DocId, ModelError, NodeId, Tree};
 use ww_net::TrafficClass;
-use ww_pdes::{HeapParPacketSim, ParPacketSim, PdesTuning, TransportKind};
+use ww_pdes::ParPacketSim;
 use ww_topology::paper;
 use ww_workload::DocMix;
 
@@ -112,52 +113,6 @@ fn random_tree_matches_sequential_at_every_worker_count() {
 }
 
 #[test]
-fn tuning_matrix_matches_sequential() {
-    // The acceptance pin for the transport rework: every combination of
-    // worker count, transport, and window batching replays the
-    // sequential engine bit for bit — including the processed-event
-    // count.
-    let (tree, mix) = fig7_mix();
-    let config = PacketSimConfig::default();
-    let seq = PacketSim::new(&tree, &mix, config).run(12.0);
-    for workers in [1, 2, 4, 8] {
-        for batching in [true, false] {
-            let tuning = PdesTuning {
-                transport: TransportKind::SpscRing,
-                batching,
-            };
-            let par = ParPacketSim::with_tuning(&tree, &mix, config, workers, tuning).run(12.0);
-            assert_reports_identical(
-                &seq,
-                &par,
-                &format!("spsc workers={workers} batching={batching}"),
-            );
-        }
-    }
-    // The legacy per-event channel transport stays bit-identical too.
-    let tuning = PdesTuning {
-        transport: TransportKind::MpmcChannel,
-        batching: false,
-    };
-    let par = ParPacketSim::with_tuning(&tree, &mix, config, 4, tuning).run(12.0);
-    assert_reports_identical(&seq, &par, "mpmc workers=4");
-}
-
-#[test]
-fn heap_queue_engine_matches_radix_engine() {
-    // Queue-implementation independence: the BinaryHeap-backed engine
-    // replays the radix-backed default bit for bit.
-    let (tree, mix) = random_mix(0xBEEF);
-    let config = PacketSimConfig {
-        seed: 9,
-        ..PacketSimConfig::default()
-    };
-    let a = ParPacketSim::new(&tree, &mix, config, 4).run(6.0);
-    let b = HeapParPacketSim::new(&tree, &mix, config, 4).run(6.0);
-    assert_reports_identical(&a, &b, "heap vs radix engine");
-}
-
-#[test]
 fn gossip_loss_randomness_is_shard_independent() {
     let (tree, mix) = random_mix(7);
     let config = PacketSimConfig {
@@ -193,21 +148,20 @@ fn link_failures_and_invalidation_match_sequential() {
     let (tree, mix) = fig7_mix();
     let config = PacketSimConfig::default();
 
+    let node = NodeId::new(2);
+    let faulted = |sim: &mut dyn PacketBackend<Error = ModelError>| {
+        sim.run(6.0).unwrap();
+        sim.apply_op(&BarrierOp::FailLink { node }).unwrap();
+        sim.run(12.0).unwrap();
+        sim.apply_op(&BarrierOp::HealLink { node }).unwrap();
+        sim.apply_op(&BarrierOp::Invalidate { doc: DocId::new(1) })
+            .unwrap();
+        sim.run(18.0).unwrap()
+    };
     let mut seq = PacketSim::new(&tree, &mix, config);
-    seq.run(6.0);
-    seq.fail_link(NodeId::new(2));
-    seq.run(12.0);
-    seq.heal_link(NodeId::new(2));
-    seq.invalidate(DocId::new(1)).unwrap();
-    let a = seq.run(18.0);
-
+    let a = faulted(&mut seq);
     let mut par = ParPacketSim::new(&tree, &mix, config, 3);
-    par.run(6.0);
-    par.fail_link(NodeId::new(2));
-    par.run(12.0);
-    par.heal_link(NodeId::new(2));
-    par.invalidate(DocId::new(1)).unwrap();
-    let b = par.run(18.0);
+    let b = faulted(&mut par);
 
     assert_reports_identical(&a, &b, "faulted run");
     assert_eq!(

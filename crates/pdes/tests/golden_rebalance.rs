@@ -8,8 +8,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ww_core::packetsim::{PacketSim, PacketSimConfig, PacketSimReport};
-use ww_model::{DocId, NodeId, Tree};
+use ww_core::packet::BarrierOp;
+use ww_core::packetsim::{PacketBackend, PacketSim, PacketSimConfig, PacketSimReport};
+use ww_model::{DocId, ModelError, NodeId, Tree};
 use ww_net::TrafficClass;
 use ww_pdes::{ParPacketSim, RebalanceConfig};
 use ww_telemetry::Level;
@@ -148,98 +149,47 @@ enum Op {
     Heal { node: usize },
 }
 
-trait Driver {
-    fn run(&mut self, horizon: f64) -> PacketSimReport;
-    fn tree(&self) -> &Tree;
-    fn add_leaf(&mut self, parent: NodeId, rate: f64);
-    fn remove_leaf(&mut self, node: NodeId);
-    fn set_mix(&mut self, mix: &DocMix);
-    fn publish_doc(&mut self, doc: DocId, origin: NodeId, rate: f64);
-    fn invalidate(&mut self, doc: DocId);
-    fn fail_link(&mut self, node: NodeId);
-    fn heal_link(&mut self, node: NodeId);
-}
+/// Either in-process driver, behind the one backend surface.
+type Driver<'a> = &'a mut dyn PacketBackend<Error = ModelError>;
 
-impl Driver for PacketSim {
-    fn run(&mut self, horizon: f64) -> PacketSimReport {
-        PacketSim::run(self, horizon)
-    }
-    fn tree(&self) -> &Tree {
-        PacketSim::tree(self)
-    }
-    fn add_leaf(&mut self, parent: NodeId, rate: f64) {
-        PacketSim::add_leaf(self, parent, rate).expect("join applies");
-    }
-    fn remove_leaf(&mut self, node: NodeId) {
-        PacketSim::remove_leaf(self, node).expect("leave applies");
-    }
-    fn set_mix(&mut self, mix: &DocMix) {
-        PacketSim::set_mix(self, mix).expect("shift applies");
-    }
-    fn publish_doc(&mut self, doc: DocId, origin: NodeId, rate: f64) {
-        PacketSim::publish_doc(self, doc, origin, rate).expect("publish applies");
-    }
-    fn invalidate(&mut self, doc: DocId) {
-        PacketSim::invalidate(self, doc).expect("invalidate applies");
-    }
-    fn fail_link(&mut self, node: NodeId) {
-        PacketSim::fail_link(self, node);
-    }
-    fn heal_link(&mut self, node: NodeId) {
-        PacketSim::heal_link(self, node);
-    }
-}
-
-impl Driver for ParPacketSim {
-    fn run(&mut self, horizon: f64) -> PacketSimReport {
-        ParPacketSim::run(self, horizon)
-    }
-    fn tree(&self) -> &Tree {
-        ParPacketSim::tree(self)
-    }
-    fn add_leaf(&mut self, parent: NodeId, rate: f64) {
-        ParPacketSim::add_leaf(self, parent, rate).expect("join applies");
-    }
-    fn remove_leaf(&mut self, node: NodeId) {
-        ParPacketSim::remove_leaf(self, node).expect("leave applies");
-    }
-    fn set_mix(&mut self, mix: &DocMix) {
-        ParPacketSim::set_mix(self, mix).expect("shift applies");
-    }
-    fn publish_doc(&mut self, doc: DocId, origin: NodeId, rate: f64) {
-        ParPacketSim::publish_doc(self, doc, origin, rate).expect("publish applies");
-    }
-    fn invalidate(&mut self, doc: DocId) {
-        ParPacketSim::invalidate(self, doc).expect("invalidate applies");
-    }
-    fn fail_link(&mut self, node: NodeId) {
-        ParPacketSim::fail_link(self, node);
-    }
-    fn heal_link(&mut self, node: NodeId) {
-        ParPacketSim::heal_link(self, node);
-    }
-}
-
-fn replay(driver: &mut dyn Driver, script: &[Op]) -> PacketSimReport {
+fn replay(driver: Driver<'_>, script: &[Op]) -> PacketSimReport {
     let mut report = None;
     for op in script {
-        match *op {
-            Op::Run(h) => report = Some(driver.run(h)),
-            Op::Join { parent, rate } => driver.add_leaf(NodeId::new(parent), rate),
-            Op::Leave { node } => driver.remove_leaf(NodeId::new(node)),
+        let op = match *op {
+            Op::Run(h) => {
+                report = Some(driver.run(h).expect("in-process runs cannot fail"));
+                continue;
+            }
+            Op::Join { parent, rate } => BarrierOp::AddLeaf {
+                parent: NodeId::new(parent),
+                rate,
+            },
+            Op::Leave { node } => BarrierOp::RemoveLeaf {
+                node: NodeId::new(node),
+            },
             Op::Shift { docs, theta } => {
-                let tree = driver.tree().clone();
-                let rates = ww_workload::uniform(&tree, 15.0);
-                let mix = ww_workload::shared_zipf_mix(&tree, &rates, docs, theta);
-                driver.set_mix(&mix);
+                let tree = driver.tree();
+                let rates = ww_workload::uniform(tree, 15.0);
+                BarrierOp::SetMix {
+                    mix: ww_workload::shared_zipf_mix(tree, &rates, docs, theta),
+                }
             }
-            Op::Publish { doc, origin, rate } => {
-                driver.publish_doc(DocId::new(doc), NodeId::new(origin), rate);
-            }
-            Op::Invalidate { doc } => driver.invalidate(DocId::new(doc)),
-            Op::Fail { node } => driver.fail_link(NodeId::new(node)),
-            Op::Heal { node } => driver.heal_link(NodeId::new(node)),
-        }
+            Op::Publish { doc, origin, rate } => BarrierOp::PublishDoc {
+                doc: DocId::new(doc),
+                origin: NodeId::new(origin),
+                rate,
+            },
+            Op::Invalidate { doc } => BarrierOp::Invalidate {
+                doc: DocId::new(doc),
+            },
+            Op::Fail { node } => BarrierOp::FailLink {
+                node: NodeId::new(node),
+            },
+            Op::Heal { node } => BarrierOp::HealLink {
+                node: NodeId::new(node),
+            },
+        };
+        driver.apply_op(&op).expect("scripted op applies");
     }
     report.expect("script ends with a run")
 }
@@ -393,11 +343,18 @@ fn barriers_that_meet_loaded_lanes_stay_identical() {
         .filter(|&u| tree.is_leaf(u))
         .max_by(|&a, &b| mix.node_total(a).total_cmp(&mix.node_total(b)))
         .expect("tree has a leaf");
-    let barrier_ops = |driver: &mut dyn Driver| {
-        driver.remove_leaf(leaf);
+    let barrier_ops = |driver: Driver<'_>| {
+        driver
+            .apply_op(&BarrierOp::RemoveLeaf { node: leaf })
+            .expect("leave applies");
         // A first-time id below every existing one: the universe grows
         // at the front, so *every* in-flight index shifts.
-        driver.publish_doc(DocId::new(0), NodeId::new(1), 60.0);
+        let publish = BarrierOp::PublishDoc {
+            doc: DocId::new(0),
+            origin: NodeId::new(1),
+            rate: 60.0,
+        };
+        driver.apply_op(&publish).expect("publish applies");
         assert_eq!(driver.tree().len(), tree.len() - 1);
     };
     let lanes_loaded = |snap: &ww_telemetry::Snapshot, prefix: &str, at: &str| {

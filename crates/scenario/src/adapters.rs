@@ -2,10 +2,10 @@
 //! and the baseline schemes.
 //!
 //! The round-stepped engines (`RateWave`, `DocSim`, `ForestWave`)
-//! implement the trait directly. The packet simulators advance one
-//! diffusion period of simulated time per engine round — sequentially
-//! ([`PacketEngine`]) or across subtree shards ([`ParPacketEngine`],
-//! bit-identical at every worker count); the threaded cluster
+//! implement the trait directly. The packet simulators — sequential,
+//! sharded, distributed, bit-identical to each other — advance one
+//! diffusion period of simulated time per engine round behind the one
+//! [`PacketAdapter`]; the threaded cluster
 //! ([`ClusterEngine`]) and the baseline schemes ([`BaselineEngine`]) are
 //! one-shot engines that do all their work in a single step and then
 //! report [`StepOutcome::Done`].
@@ -15,12 +15,11 @@ use crate::events::{Event, EventError};
 use crate::spec::BaselineScheme;
 use ww_baselines::SchemeReport;
 use ww_core::docsim::DocSim;
-use ww_core::packetsim::{PacketSim, PacketSimConfig, PacketSimReport};
+use ww_core::packet::BarrierOp;
+use ww_core::packetsim::{PacketBackend, PacketSimReport};
 use ww_core::wave::RateWave;
-use ww_dist::{DistOptions, DistPacketSim};
 use ww_forest::ForestWave;
 use ww_model::{NodeId, RateVector, Tree};
-use ww_pdes::ParPacketSim;
 use ww_runtime::{run_cluster, ClusterConfig, ClusterReport};
 use ww_telemetry::{Level, Snapshot};
 
@@ -35,16 +34,7 @@ fn invalid(event: &Event, reason: impl std::fmt::Display) -> EventError {
 /// Validates that `node` has an uplink in `tree` (exists and is not the
 /// root), so link events can be applied without panicking.
 fn check_uplink(tree: &Tree, node: NodeId, event: &Event) -> Result<(), EventError> {
-    if node.index() >= tree.len() {
-        return Err(invalid(
-            event,
-            format!("node {node} is outside the {}-node tree", tree.len()),
-        ));
-    }
-    if tree.parent(node).is_none() {
-        return Err(invalid(event, format!("the root {node} has no uplink")));
-    }
-    Ok(())
+    tree.uplink(node).map(drop).map_err(|e| invalid(event, e))
 }
 
 /// Shared event handling for the one-shot engines (cluster, baselines):
@@ -369,377 +359,78 @@ impl Engine for ForestWave {
     }
 }
 
-/// The packet-level simulator behind the unified API: one engine round
-/// advances the event-driven simulation by one diffusion period of
-/// simulated time.
-#[derive(Debug)]
-pub struct PacketEngine {
-    sim: PacketSim,
-    diffusion_period: f64,
-    epochs: usize,
-    last: Option<PacketSimReport>,
-}
-
-impl PacketEngine {
-    /// Wraps a configured simulator; `config.diffusion_period` becomes
-    /// the engine-round length.
-    pub fn new(tree: &Tree, mix: &ww_workload::DocMix, config: PacketSimConfig) -> Self {
-        PacketEngine {
-            sim: PacketSim::new(tree, mix, config),
-            diffusion_period: config.diffusion_period,
-            epochs: 0,
-            last: None,
-        }
-    }
-
-    /// The most recent full packet-level report, if any step has run.
-    pub fn last_report(&self) -> Option<&PacketSimReport> {
-        self.last.as_ref()
-    }
-}
-
-impl Engine for PacketEngine {
-    fn kind(&self) -> &'static str {
-        "packet_sim"
-    }
-
-    fn step(&mut self) -> StepOutcome {
-        self.epochs += 1;
-        let deadline = self.diffusion_period * self.epochs as f64;
-        self.last = Some(self.sim.run(deadline));
-        StepOutcome::Running
-    }
-
-    fn round(&self) -> usize {
-        self.epochs
-    }
-
-    fn convergence(&self) -> Option<f64> {
-        self.last.as_ref().map(|r| r.final_distance)
-    }
-
-    fn load(&self) -> Option<RateVector> {
-        self.last.as_ref().map(|r| r.served_rates.clone())
-    }
-
-    fn max_load(&self) -> Option<f64> {
-        self.last.as_ref().map(|r| r.served_rates.max())
-    }
-
-    fn oracle(&self) -> Option<RateVector> {
-        Some(self.sim.oracle().clone())
-    }
-
-    fn trace(&self) -> Option<Vec<f64>> {
-        self.last.as_ref().map(|r| r.trace.distances().to_vec())
-    }
-
-    fn metrics(&self, sink: &mut dyn MetricSink) {
-        if let Some(r) = &self.last {
-            sink.metric("final_distance", r.final_distance);
-            sink.metric("served_requests", r.served_requests as f64);
-            sink.metric("mean_hops", r.mean_hops);
-            sink.metric("copy_pushes", r.copy_pushes as f64);
-            sink.metric("tunnel_fetches", r.tunnel_fetches as f64);
-            sink.metric(
-                "control_msgs_per_request",
-                r.ledger.control_overhead_per_request(),
-            );
-        }
-    }
-
-    /// The packet engine honors the full event grammar: churn, link
-    /// failures, document lifecycle, and workload shifts (which need a
-    /// `doc_mix` — rates alone cannot parameterize Poisson arrival
-    /// streams). Churn and shifts apply through the barrier pipeline:
-    /// the arrival stage is re-resolved at the epoch boundary between
-    /// engine rounds.
-    fn apply(&mut self, event: &Event) -> Result<(), EventError> {
-        match event {
-            Event::NodeJoin { parent, rate } => self
-                .sim
-                .add_leaf(*parent, *rate)
-                .map(|_| ())
-                .map_err(|e| invalid(event, e)),
-            Event::NodeLeave { node } => self
-                .sim
-                .remove_leaf(*node)
-                .map(|_| ())
-                .map_err(|e| invalid(event, e)),
-            Event::DocPublish { doc, origin, rate } => self
-                .sim
-                .publish_doc(*doc, *origin, *rate)
-                .map_err(|e| invalid(event, e)),
-            Event::DocUpdate { doc } => self.sim.invalidate(*doc).map_err(|e| invalid(event, e)),
-            Event::LinkFail { node } => {
-                check_uplink(self.sim.tree(), *node, event)?;
-                self.sim.fail_link(*node);
-                Ok(())
-            }
-            Event::LinkHeal { node } => {
-                check_uplink(self.sim.tree(), *node, event)?;
-                self.sim.heal_link(*node);
-                Ok(())
-            }
-            Event::WorkloadShift {
-                doc_mix: Some(mix), ..
-            } => self.sim.set_mix(mix).map_err(|e| invalid(event, e)),
-            Event::WorkloadShift { doc_mix: None, .. } => Err(invalid(
-                event,
-                "the packet_sim engine needs a doc_mix in a workload_shift",
-            )),
-        }
-    }
-
-    fn barrier_begin(&mut self) {
-        self.sim.begin_batch();
-    }
-
-    fn barrier_commit(&mut self) {
-        self.sim.commit_batch();
-    }
-
-    fn set_telemetry(&mut self, level: Level) {
-        self.sim.set_telemetry(level);
-    }
-
-    fn telemetry(&self) -> Option<Snapshot> {
-        let snap = self.sim.telemetry_snapshot();
-        (!snap.is_empty()).then_some(snap)
-    }
-}
-
-/// The sharded parallel packet simulator behind the unified API: one
-/// engine round advances every subtree shard by one diffusion period and
-/// quiesces at the epoch barrier. Reported numbers are bit-identical to
-/// [`PacketEngine`] at every worker count.
-#[derive(Debug)]
-pub struct ParPacketEngine {
-    sim: ParPacketSim,
-    diffusion_period: f64,
-    epochs: usize,
-    last: Option<PacketSimReport>,
-}
-
-impl ParPacketEngine {
-    /// Wraps a configured parallel simulator; `config.diffusion_period`
-    /// becomes the engine-round length.
-    pub fn new(
-        tree: &Tree,
-        mix: &ww_workload::DocMix,
-        config: PacketSimConfig,
-        workers: usize,
-    ) -> Self {
-        ParPacketEngine {
-            sim: ParPacketSim::new(tree, mix, config, workers),
-            diffusion_period: config.diffusion_period,
-            epochs: 0,
-            last: None,
-        }
-    }
-
-    /// Like [`ParPacketEngine::new`], with adaptive shard rebalancing
-    /// armed when `rebalance` is `Some`. The knob changes which thread
-    /// executes which node, never the simulated trace — reported bits
-    /// stay identical to the sequential engine either way.
-    pub fn with_rebalance(
-        tree: &Tree,
-        mix: &ww_workload::DocMix,
-        config: PacketSimConfig,
-        workers: usize,
-        rebalance: Option<ww_pdes::RebalanceConfig>,
-    ) -> Self {
-        let mut engine = ParPacketEngine::new(tree, mix, config, workers);
-        engine.sim.set_rebalance(rebalance);
-        engine
-    }
-
-    /// The most recent full packet-level report, if any step has run.
-    pub fn last_report(&self) -> Option<&PacketSimReport> {
-        self.last.as_ref()
-    }
-
-    /// Number of subtree shards (worker threads) the run uses.
-    pub fn shard_count(&self) -> usize {
-        self.sim.shard_count()
-    }
-}
-
-impl Engine for ParPacketEngine {
-    fn kind(&self) -> &'static str {
-        "packet_sim_par"
-    }
-
-    fn step(&mut self) -> StepOutcome {
-        self.epochs += 1;
-        let deadline = self.diffusion_period * self.epochs as f64;
-        self.last = Some(self.sim.run(deadline));
-        StepOutcome::Running
-    }
-
-    fn round(&self) -> usize {
-        self.epochs
-    }
-
-    fn convergence(&self) -> Option<f64> {
-        self.last.as_ref().map(|r| r.final_distance)
-    }
-
-    fn load(&self) -> Option<RateVector> {
-        self.last.as_ref().map(|r| r.served_rates.clone())
-    }
-
-    fn max_load(&self) -> Option<f64> {
-        self.last.as_ref().map(|r| r.served_rates.max())
-    }
-
-    fn oracle(&self) -> Option<RateVector> {
-        Some(self.sim.oracle().clone())
-    }
-
-    fn trace(&self) -> Option<Vec<f64>> {
-        self.last.as_ref().map(|r| r.trace.distances().to_vec())
-    }
-
-    fn metrics(&self, sink: &mut dyn MetricSink) {
-        if let Some(r) = &self.last {
-            sink.metric("final_distance", r.final_distance);
-            sink.metric("served_requests", r.served_requests as f64);
-            sink.metric("mean_hops", r.mean_hops);
-            sink.metric("copy_pushes", r.copy_pushes as f64);
-            sink.metric("tunnel_fetches", r.tunnel_fetches as f64);
-            sink.metric(
-                "control_msgs_per_request",
-                r.ledger.control_overhead_per_request(),
-            );
-        }
-    }
-
-    /// The full event grammar of the sequential packet engine, applied
-    /// at the epoch barrier between rounds through the same shared
-    /// barrier pipeline — a given dynamics spec therefore reports
-    /// identical bits at every worker count.
-    fn apply(&mut self, event: &Event) -> Result<(), EventError> {
-        match event {
-            Event::NodeJoin { parent, rate } => self
-                .sim
-                .add_leaf(*parent, *rate)
-                .map(|_| ())
-                .map_err(|e| invalid(event, e)),
-            Event::NodeLeave { node } => self
-                .sim
-                .remove_leaf(*node)
-                .map(|_| ())
-                .map_err(|e| invalid(event, e)),
-            Event::DocPublish { doc, origin, rate } => self
-                .sim
-                .publish_doc(*doc, *origin, *rate)
-                .map_err(|e| invalid(event, e)),
-            Event::DocUpdate { doc } => self.sim.invalidate(*doc).map_err(|e| invalid(event, e)),
-            Event::LinkFail { node } => {
-                check_uplink(self.sim.tree(), *node, event)?;
-                self.sim.fail_link(*node);
-                Ok(())
-            }
-            Event::LinkHeal { node } => {
-                check_uplink(self.sim.tree(), *node, event)?;
-                self.sim.heal_link(*node);
-                Ok(())
-            }
-            Event::WorkloadShift {
-                doc_mix: Some(mix), ..
-            } => self.sim.set_mix(mix).map_err(|e| invalid(event, e)),
-            Event::WorkloadShift { doc_mix: None, .. } => Err(invalid(
-                event,
-                "the packet_sim_par engine needs a doc_mix in a workload_shift",
-            )),
-        }
-    }
-
-    fn barrier_begin(&mut self) {
-        self.sim.begin_batch();
-    }
-
-    fn barrier_commit(&mut self) {
-        self.sim.commit_batch();
-    }
-
-    fn set_telemetry(&mut self, level: Level) {
-        self.sim.set_telemetry(level);
-    }
-
-    fn telemetry(&self) -> Option<Snapshot> {
-        let snap = self.sim.telemetry_snapshot();
-        (!snap.is_empty()).then_some(snap)
-    }
-}
-
-/// The distributed packet simulator behind the unified API: the shards
-/// live in other OS processes (or threads) and speak the PDES wire
-/// protocol over TCP — reported numbers stay bit-identical to
-/// [`PacketEngine`] at every worker count.
+/// Any packet-level simulator behind the unified API: one engine round
+/// advances the backend by one diffusion period of simulated time and
+/// quiesces at the epoch barrier, where events apply as [`BarrierOp`]s.
+/// The three backends ([`ww_core::packetsim::PacketSim`],
+/// [`ww_pdes::ParPacketSim`], [`ww_dist::DistPacketSim`]) report
+/// identical bits, so a spec reads the same on each.
 ///
-/// The [`Engine`] trait has no error channel in `step`, so a transport
-/// failure mid-run (worker death, stalled wire) panics with the typed
-/// [`DistError`](ww_dist::DistError)'s message; the scenario runner has
-/// no way to continue a run whose workers are gone.
+/// The [`Engine`] trait has no error channel in `step` or the barrier
+/// hooks, so a backend failure there (a distributed worker died, a wire
+/// stalled) panics with the typed error's message; the scenario runner
+/// has no way to continue a run whose workers are gone. A failure while
+/// applying an event surfaces as the event's rejection.
 #[derive(Debug)]
-pub struct DistPacketEngine {
-    sim: DistPacketSim,
+pub struct PacketAdapter<B> {
+    kind: &'static str,
+    sim: B,
     diffusion_period: f64,
     epochs: usize,
     last: Option<PacketSimReport>,
 }
 
-impl DistPacketEngine {
-    /// Launches the distributed run; `config.diffusion_period` becomes
-    /// the engine-round length.
-    ///
-    /// # Errors
-    ///
-    /// [`ww_dist::DistError`] when the workers cannot be brought up, or
-    /// `DistError::Unsupported` when `rebalance` is `Some` — adaptive
-    /// shard rebalancing would migrate node state between single-shard
-    /// worker processes, which the wire protocol does not carry. The
-    /// knob is rejected up front rather than silently dropped, so a
-    /// distributed run can never quietly diverge from what was asked.
-    pub fn launch(
-        tree: &Tree,
-        mix: &ww_workload::DocMix,
-        config: PacketSimConfig,
-        workers: usize,
-        options: DistOptions,
-        rebalance: Option<ww_pdes::RebalanceConfig>,
-    ) -> Result<Self, ww_dist::DistError> {
-        if rebalance.is_some() {
-            return Err(ww_dist::DistError::Unsupported {
-                detail: "adaptive shard rebalancing (drop the `rebalance` block, or run \
-                         in-process with `packet_sim_par`)"
-                    .into(),
-            });
-        }
-        Ok(DistPacketEngine {
-            sim: DistPacketSim::launch(tree, mix, config, workers, options)?,
-            diffusion_period: config.diffusion_period,
+impl<B: PacketBackend> PacketAdapter<B> {
+    /// Wraps a built backend under the engine spelling `kind`;
+    /// `diffusion_period` (the backend's own) becomes the engine-round
+    /// length.
+    pub fn new(kind: &'static str, sim: B, diffusion_period: f64) -> Self {
+        PacketAdapter {
+            kind,
+            sim,
+            diffusion_period,
             epochs: 0,
             last: None,
+        }
+    }
+
+    /// The one place a scenario [`Event`] becomes the packet engines'
+    /// mutation vocabulary. A workload shift needs a `doc_mix` — rates
+    /// alone cannot parameterize Poisson arrival streams.
+    fn barrier_op(&self, event: &Event) -> Result<BarrierOp, EventError> {
+        Ok(match event {
+            Event::NodeJoin { parent, rate } => BarrierOp::AddLeaf {
+                parent: *parent,
+                rate: *rate,
+            },
+            Event::NodeLeave { node } => BarrierOp::RemoveLeaf { node: *node },
+            Event::DocPublish { doc, origin, rate } => BarrierOp::PublishDoc {
+                doc: *doc,
+                origin: *origin,
+                rate: *rate,
+            },
+            Event::DocUpdate { doc } => BarrierOp::Invalidate { doc: *doc },
+            Event::LinkFail { node } => BarrierOp::FailLink { node: *node },
+            Event::LinkHeal { node } => BarrierOp::HealLink { node: *node },
+            Event::WorkloadShift {
+                doc_mix: Some(mix), ..
+            } => BarrierOp::SetMix { mix: mix.clone() },
+            Event::WorkloadShift { doc_mix: None, .. } => {
+                return Err(invalid(
+                    event,
+                    format!(
+                        "the {} engine needs a doc_mix in a workload_shift",
+                        self.kind
+                    ),
+                ))
+            }
         })
     }
-
-    /// The most recent full packet-level report, if any step has run.
-    pub fn last_report(&self) -> Option<&PacketSimReport> {
-        self.last.as_ref()
-    }
-
-    /// Number of subtree shards (worker processes) the run uses.
-    pub fn shard_count(&self) -> usize {
-        self.sim.shard_count()
-    }
 }
 
-impl Engine for DistPacketEngine {
+impl<B: PacketBackend> Engine for PacketAdapter<B> {
     fn kind(&self) -> &'static str {
-        "packet_sim_dist"
+        self.kind
     }
 
     fn step(&mut self) -> StepOutcome {
@@ -747,7 +438,7 @@ impl Engine for DistPacketEngine {
         let deadline = self.diffusion_period * self.epochs as f64;
         match self.sim.run(deadline) {
             Ok(report) => self.last = Some(report),
-            Err(e) => panic!("distributed run failed: {e}"),
+            Err(e) => panic!("{} run failed: {e}", self.kind),
         }
         StepOutcome::Running
     }
@@ -790,66 +481,33 @@ impl Engine for DistPacketEngine {
         }
     }
 
-    /// The full event grammar of the sequential packet engine, applied
-    /// at the epoch barrier and broadcast to every worker process. A
-    /// dead worker during an event surfaces as the event's rejection
-    /// (the run cannot continue either way).
+    /// The packet engines honor the full event grammar: churn, link
+    /// failures, document lifecycle, and workload shifts, each applied
+    /// at the epoch barrier between engine rounds — into the open
+    /// barrier batch, or as a batch of one.
     fn apply(&mut self, event: &Event) -> Result<(), EventError> {
-        match event {
-            Event::NodeJoin { parent, rate } => self
-                .sim
-                .add_leaf(*parent, *rate)
-                .map(|_| ())
-                .map_err(|e| invalid(event, e)),
-            Event::NodeLeave { node } => self
-                .sim
-                .remove_leaf(*node)
-                .map(|_| ())
-                .map_err(|e| invalid(event, e)),
-            Event::DocPublish { doc, origin, rate } => self
-                .sim
-                .publish_doc(*doc, *origin, *rate)
-                .map_err(|e| invalid(event, e)),
-            Event::DocUpdate { doc } => self.sim.invalidate(*doc).map_err(|e| invalid(event, e)),
-            Event::LinkFail { node } => {
-                check_uplink(self.sim.tree(), *node, event)?;
-                self.sim.fail_link(*node).map_err(|e| invalid(event, e))?;
-                Ok(())
-            }
-            Event::LinkHeal { node } => {
-                check_uplink(self.sim.tree(), *node, event)?;
-                self.sim.heal_link(*node).map_err(|e| invalid(event, e))?;
-                Ok(())
-            }
-            Event::WorkloadShift {
-                doc_mix: Some(mix), ..
-            } => self.sim.set_mix(mix).map_err(|e| invalid(event, e)),
-            Event::WorkloadShift { doc_mix: None, .. } => Err(invalid(
-                event,
-                "the packet_sim_dist engine needs a doc_mix in a workload_shift",
-            )),
-        }
+        let op = self.barrier_op(event)?;
+        self.sim
+            .apply_op(&op)
+            .map(drop)
+            .map_err(|e| invalid(event, e))
     }
 
-    /// The [`Engine`] hooks have no error channel; as with
-    /// [`DistPacketEngine::step`], a transport failure while opening or
-    /// closing the batch window panics with the typed error's message.
     fn barrier_begin(&mut self) {
         if let Err(e) = self.sim.begin_batch() {
-            panic!("distributed batch begin failed: {e}");
+            panic!("{} batch begin failed: {e}", self.kind);
         }
     }
 
     fn barrier_commit(&mut self) {
         if let Err(e) = self.sim.commit_batch() {
-            panic!("distributed batch commit failed: {e}");
+            panic!("{} batch commit failed: {e}", self.kind);
         }
     }
 
-    /// A no-op: the distributed level is fixed at launch through
-    /// [`DistOptions::telemetry`] (the runner sets it before resolving
-    /// the engine), because it decides handshake timing capture.
-    fn set_telemetry(&mut self, _level: Level) {}
+    fn set_telemetry(&mut self, level: Level) {
+        self.sim.set_telemetry(level);
+    }
 
     fn telemetry(&self) -> Option<Snapshot> {
         let snap = self.sim.telemetry_snapshot();

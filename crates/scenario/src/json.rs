@@ -10,8 +10,9 @@
 use crate::error::SpecError;
 use crate::events::{EventKindSpec, EventSpec, EventsSpec, DEFAULT_RECOVERY_THRESHOLD};
 use crate::spec::{
-    BaselineScheme, DocMixSpec, EngineSpec, PaperFigure, RatesSpec, RebalanceSpec, ScenarioSpec,
-    Sweep, SweepParam, TelemetrySpec, Termination, TopologySpec, WorkloadSpec, DEFAULT_SEED,
+    BaselineScheme, DocMixSpec, EngineSpec, PacketKnobs, PaperFigure, RatesSpec, RebalanceSpec,
+    ScenarioSpec, Sweep, SweepParam, TelemetrySpec, Termination, TopologySpec, WorkloadSpec,
+    DEFAULT_SEED,
 };
 use serde_json::{Map, Value};
 use ww_telemetry::Level;
@@ -479,6 +480,42 @@ fn parse_doc_mix(value: &Value, path: &str) -> Result<DocMixSpec, SpecError> {
     }
 }
 
+/// The JSON field names of [`PacketKnobs`].
+const PACKET_KNOB_FIELDS: [&str; 10] = [
+    "alpha",
+    "tunneling",
+    "barrier_patience",
+    "link_delay",
+    "gossip_period",
+    "diffusion_period",
+    "measure_window",
+    "gossip_loss",
+    "hysteresis",
+    "noise_sigmas",
+];
+
+/// The knobs every packet engine shares; `extra` names the fields the
+/// engine at hand takes on top.
+fn parse_packet_knobs(map: &Map, path: &str, extra: &[&str]) -> Result<PacketKnobs, SpecError> {
+    let mut known = vec!["kind"];
+    known.extend(PACKET_KNOB_FIELDS);
+    known.extend(extra);
+    reject_unknown(map, &known, path)?;
+    let d = PacketKnobs::default();
+    Ok(PacketKnobs {
+        alpha: opt_alpha(map, path)?,
+        tunneling: opt_bool(map, "tunneling", path, d.tunneling)?,
+        barrier_patience: opt_usize(map, "barrier_patience", path, d.barrier_patience)?,
+        link_delay: opt_f64(map, "link_delay", path, d.link_delay)?,
+        gossip_period: opt_f64(map, "gossip_period", path, d.gossip_period)?,
+        diffusion_period: opt_f64(map, "diffusion_period", path, d.diffusion_period)?,
+        measure_window: opt_f64(map, "measure_window", path, d.measure_window)?,
+        gossip_loss: opt_f64(map, "gossip_loss", path, d.gossip_loss)?,
+        hysteresis: opt_f64(map, "hysteresis", path, d.hysteresis)?,
+        noise_sigmas: opt_f64(map, "noise_sigmas", path, d.noise_sigmas)?,
+    })
+}
+
 fn parse_engine(value: &Value) -> Result<EngineSpec, SpecError> {
     let path = "engine";
     let map = as_object(value, path)?;
@@ -498,130 +535,20 @@ fn parse_engine(value: &Value) -> Result<EngineSpec, SpecError> {
                 barrier_patience: opt_usize(map, "barrier_patience", path, 2)?,
             })
         }
-        "packet_sim" => {
-            reject_unknown(
-                map,
-                &[
-                    "kind",
-                    "alpha",
-                    "tunneling",
-                    "barrier_patience",
-                    "link_delay",
-                    "gossip_period",
-                    "diffusion_period",
-                    "measure_window",
-                    "gossip_loss",
-                    "hysteresis",
-                    "noise_sigmas",
-                ],
-                path,
-            )?;
-            Ok(EngineSpec::PacketSim {
-                alpha: opt_alpha(map, path)?,
-                tunneling: opt_bool(map, "tunneling", path, true)?,
-                barrier_patience: opt_usize(map, "barrier_patience", path, 2)?,
-                link_delay: opt_f64(map, "link_delay", path, 0.005)?,
-                gossip_period: opt_f64(map, "gossip_period", path, 0.5)?,
-                diffusion_period: opt_f64(map, "diffusion_period", path, 1.0)?,
-                measure_window: opt_f64(map, "measure_window", path, 1.0)?,
-                gossip_loss: opt_f64(map, "gossip_loss", path, 0.0)?,
-                hysteresis: opt_f64(map, "hysteresis", path, 0.05)?,
-                noise_sigmas: opt_f64(map, "noise_sigmas", path, 3.0)?,
-            })
-        }
+        "packet_sim" => Ok(EngineSpec::PacketSim {
+            knobs: parse_packet_knobs(map, path, &[])?,
+        }),
         "packet_sim_par" => {
-            reject_unknown(
-                map,
-                &[
-                    "kind",
-                    "alpha",
-                    "tunneling",
-                    "barrier_patience",
-                    "link_delay",
-                    "gossip_period",
-                    "diffusion_period",
-                    "measure_window",
-                    "gossip_loss",
-                    "hysteresis",
-                    "noise_sigmas",
-                    "workers",
-                ],
-                path,
-            )?;
-            let link_delay = opt_f64(map, "link_delay", path, 0.005)?;
-            if link_delay <= 0.0 {
-                return Err(SpecError::at(
-                    "engine.link_delay",
-                    format!(
-                        "the parallel engine needs a positive link delay \
-                         (its conservative lookahead), got {link_delay}"
-                    ),
-                ));
-            }
+            let knobs = parse_packet_knobs(map, path, &["workers"])?;
             let workers = opt_usize(map, "workers", path, 4)?;
-            if workers == 0 {
-                return Err(SpecError::at("engine.workers", "must be at least 1"));
-            }
-            Ok(EngineSpec::PacketSimPar {
-                alpha: opt_alpha(map, path)?,
-                tunneling: opt_bool(map, "tunneling", path, true)?,
-                barrier_patience: opt_usize(map, "barrier_patience", path, 2)?,
-                link_delay,
-                gossip_period: opt_f64(map, "gossip_period", path, 0.5)?,
-                diffusion_period: opt_f64(map, "diffusion_period", path, 1.0)?,
-                measure_window: opt_f64(map, "measure_window", path, 1.0)?,
-                gossip_loss: opt_f64(map, "gossip_loss", path, 0.0)?,
-                hysteresis: opt_f64(map, "hysteresis", path, 0.05)?,
-                noise_sigmas: opt_f64(map, "noise_sigmas", path, 3.0)?,
-                workers,
-            })
+            knobs.check_sharded("parallel", workers)?;
+            Ok(EngineSpec::PacketSimPar { knobs, workers })
         }
         "packet_sim_dist" => {
-            reject_unknown(
-                map,
-                &[
-                    "kind",
-                    "alpha",
-                    "tunneling",
-                    "barrier_patience",
-                    "link_delay",
-                    "gossip_period",
-                    "diffusion_period",
-                    "measure_window",
-                    "gossip_loss",
-                    "hysteresis",
-                    "noise_sigmas",
-                    "workers",
-                ],
-                path,
-            )?;
-            let link_delay = opt_f64(map, "link_delay", path, 0.005)?;
-            if link_delay <= 0.0 {
-                return Err(SpecError::at(
-                    "engine.link_delay",
-                    format!(
-                        "the distributed engine needs a positive link delay \
-                         (its conservative lookahead), got {link_delay}"
-                    ),
-                ));
-            }
+            let knobs = parse_packet_knobs(map, path, &["workers"])?;
             let workers = opt_usize(map, "workers", path, 2)?;
-            if workers == 0 {
-                return Err(SpecError::at("engine.workers", "must be at least 1"));
-            }
-            Ok(EngineSpec::PacketSimDist {
-                alpha: opt_alpha(map, path)?,
-                tunneling: opt_bool(map, "tunneling", path, true)?,
-                barrier_patience: opt_usize(map, "barrier_patience", path, 2)?,
-                link_delay,
-                gossip_period: opt_f64(map, "gossip_period", path, 0.5)?,
-                diffusion_period: opt_f64(map, "diffusion_period", path, 1.0)?,
-                measure_window: opt_f64(map, "measure_window", path, 1.0)?,
-                gossip_loss: opt_f64(map, "gossip_loss", path, 0.0)?,
-                hysteresis: opt_f64(map, "hysteresis", path, 0.05)?,
-                noise_sigmas: opt_f64(map, "noise_sigmas", path, 3.0)?,
-                workers,
-            })
+            knobs.check_sharded("distributed", workers)?;
+            Ok(EngineSpec::PacketSimDist { knobs, workers })
         }
         "forest_wave" => {
             reject_unknown(map, &["kind", "alpha", "coupled", "roots"], path)?;
@@ -1113,6 +1040,24 @@ fn alpha_value(alpha: &Option<f64>) -> Value {
     }
 }
 
+fn packet_engine_value(kind: &'static str, k: &PacketKnobs, workers: Option<usize>) -> Value {
+    let mut fields = vec![
+        ("kind", Value::from(kind)),
+        ("alpha", alpha_value(&k.alpha)),
+        ("tunneling", Value::Bool(k.tunneling)),
+        ("barrier_patience", unum(k.barrier_patience)),
+        ("link_delay", num(k.link_delay)),
+        ("gossip_period", num(k.gossip_period)),
+        ("diffusion_period", num(k.diffusion_period)),
+        ("measure_window", num(k.measure_window)),
+        ("gossip_loss", num(k.gossip_loss)),
+        ("hysteresis", num(k.hysteresis)),
+        ("noise_sigmas", num(k.noise_sigmas)),
+    ];
+    fields.extend(workers.map(|w| ("workers", unum(w))));
+    obj(fields)
+}
+
 fn engine_value(e: &EngineSpec) -> Value {
     match e {
         EngineSpec::RateWave { alpha, staleness } => obj(vec![
@@ -1130,82 +1075,13 @@ fn engine_value(e: &EngineSpec) -> Value {
             ("tunneling", Value::Bool(*tunneling)),
             ("barrier_patience", unum(*barrier_patience)),
         ]),
-        EngineSpec::PacketSim {
-            alpha,
-            tunneling,
-            barrier_patience,
-            link_delay,
-            gossip_period,
-            diffusion_period,
-            measure_window,
-            gossip_loss,
-            hysteresis,
-            noise_sigmas,
-        } => obj(vec![
-            ("kind", Value::from("packet_sim")),
-            ("alpha", alpha_value(alpha)),
-            ("tunneling", Value::Bool(*tunneling)),
-            ("barrier_patience", unum(*barrier_patience)),
-            ("link_delay", num(*link_delay)),
-            ("gossip_period", num(*gossip_period)),
-            ("diffusion_period", num(*diffusion_period)),
-            ("measure_window", num(*measure_window)),
-            ("gossip_loss", num(*gossip_loss)),
-            ("hysteresis", num(*hysteresis)),
-            ("noise_sigmas", num(*noise_sigmas)),
-        ]),
-        EngineSpec::PacketSimPar {
-            alpha,
-            tunneling,
-            barrier_patience,
-            link_delay,
-            gossip_period,
-            diffusion_period,
-            measure_window,
-            gossip_loss,
-            hysteresis,
-            noise_sigmas,
-            workers,
-        } => obj(vec![
-            ("kind", Value::from("packet_sim_par")),
-            ("alpha", alpha_value(alpha)),
-            ("tunneling", Value::Bool(*tunneling)),
-            ("barrier_patience", unum(*barrier_patience)),
-            ("link_delay", num(*link_delay)),
-            ("gossip_period", num(*gossip_period)),
-            ("diffusion_period", num(*diffusion_period)),
-            ("measure_window", num(*measure_window)),
-            ("gossip_loss", num(*gossip_loss)),
-            ("hysteresis", num(*hysteresis)),
-            ("noise_sigmas", num(*noise_sigmas)),
-            ("workers", unum(*workers)),
-        ]),
-        EngineSpec::PacketSimDist {
-            alpha,
-            tunneling,
-            barrier_patience,
-            link_delay,
-            gossip_period,
-            diffusion_period,
-            measure_window,
-            gossip_loss,
-            hysteresis,
-            noise_sigmas,
-            workers,
-        } => obj(vec![
-            ("kind", Value::from("packet_sim_dist")),
-            ("alpha", alpha_value(alpha)),
-            ("tunneling", Value::Bool(*tunneling)),
-            ("barrier_patience", unum(*barrier_patience)),
-            ("link_delay", num(*link_delay)),
-            ("gossip_period", num(*gossip_period)),
-            ("diffusion_period", num(*diffusion_period)),
-            ("measure_window", num(*measure_window)),
-            ("gossip_loss", num(*gossip_loss)),
-            ("hysteresis", num(*hysteresis)),
-            ("noise_sigmas", num(*noise_sigmas)),
-            ("workers", unum(*workers)),
-        ]),
+        EngineSpec::PacketSim { knobs } => packet_engine_value("packet_sim", knobs, None),
+        EngineSpec::PacketSimPar { knobs, workers } => {
+            packet_engine_value("packet_sim_par", knobs, Some(*workers))
+        }
+        EngineSpec::PacketSimDist { knobs, workers } => {
+            packet_engine_value("packet_sim_dist", knobs, Some(*workers))
+        }
         EngineSpec::ForestWave {
             alpha,
             coupled,

@@ -88,9 +88,7 @@ pub mod json;
 pub mod runner;
 pub mod spec;
 
-pub use adapters::{
-    BaselineEngine, BaselineParams, ClusterEngine, DistPacketEngine, PacketEngine, ParPacketEngine,
-};
+pub use adapters::{BaselineEngine, BaselineParams, ClusterEngine, PacketAdapter};
 pub use engine::{Engine, EngineReport, MetricSink, NullObserver, Observer, StepOutcome};
 pub use error::SpecError;
 pub use events::{
@@ -99,6 +97,7 @@ pub use events::{
 };
 pub use runner::{drive, DriveResult, RunRow, Runner, ScenarioReport};
 pub use spec::{
-    BaselineScheme, DocMixSpec, EngineSpec, PaperFigure, RatesSpec, RebalanceSpec, ScenarioSpec,
-    Sweep, SweepParam, TelemetrySpec, Termination, TopologySpec, WorkloadSpec, DEFAULT_SEED,
+    BaselineScheme, DocMixSpec, EngineSpec, PacketKnobs, PaperFigure, RatesSpec, RebalanceSpec,
+    ScenarioSpec, Sweep, SweepParam, TelemetrySpec, Termination, TopologySpec, WorkloadSpec,
+    DEFAULT_SEED,
 };

@@ -16,14 +16,13 @@
 //! run's metric stream and text report. Static specs are driven by the
 //! untouched pre-dynamics loop, so their traces stay bit-identical.
 
-use crate::adapters::{
-    BaselineEngine, BaselineParams, ClusterEngine, DistPacketEngine, PacketEngine, ParPacketEngine,
-};
+use crate::adapters::{BaselineEngine, BaselineParams, ClusterEngine, PacketAdapter};
 use crate::engine::{Engine, EngineReport, NullObserver, Observer, StepOutcome};
 use crate::error::SpecError;
 use crate::events::{Event, EventError, EventKindSpec, EventMarker, EventSpec, EventsSpec};
 use crate::spec::{
-    DocMixSpec, EngineSpec, PaperFigure, RatesSpec, ScenarioSpec, Termination, TopologySpec,
+    DocMixSpec, EngineSpec, PacketKnobs, PaperFigure, RatesSpec, ScenarioSpec, Termination,
+    TopologySpec,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,11 +30,12 @@ use serde_json::{Map, Value};
 use std::fmt::Write as _;
 use std::time::Instant;
 use ww_core::docsim::{DocSim, DocSimConfig};
-use ww_core::packetsim::PacketSimConfig;
+use ww_core::packetsim::{PacketSim, PacketSimConfig};
 use ww_core::wave::{RateWave, WaveConfig};
-use ww_dist::DistOptions;
+use ww_dist::{DistError, DistOptions, DistPacketSim};
 use ww_forest::{Coupling, Forest, ForestWave, ForestWaveConfig};
 use ww_model::{NodeId, RateVector, Tree};
+use ww_pdes::ParPacketSim;
 use ww_runtime::ClusterConfig;
 use ww_telemetry::TraceWriter;
 use ww_topology::{paper, Graph};
@@ -995,6 +995,26 @@ fn rebalance_config(spec: &ScenarioSpec) -> Option<ww_pdes::RebalanceConfig> {
     })
 }
 
+/// Spec-level packet knobs → the engine-level config.
+fn packet_config(knobs: &PacketKnobs, seed: u64) -> Result<PacketSimConfig, SpecError> {
+    if knobs.diffusion_period <= 0.0 {
+        return Err(SpecError::at("engine.diffusion_period", "must be positive"));
+    }
+    Ok(PacketSimConfig {
+        seed,
+        link_delay: knobs.link_delay,
+        gossip_period: knobs.gossip_period,
+        diffusion_period: knobs.diffusion_period,
+        measure_window: knobs.measure_window,
+        alpha: knobs.alpha,
+        tunneling: knobs.tunneling,
+        barrier_patience: knobs.barrier_patience,
+        gossip_loss: knobs.gossip_loss,
+        hysteresis: knobs.hysteresis,
+        noise_sigmas: knobs.noise_sigmas,
+    })
+}
+
 /// Spec → engine, with the spec's seed driving topology, workload, and
 /// engine randomness (in that order, from one generator — so a seed
 /// pins the whole run).
@@ -1029,134 +1049,50 @@ fn resolve_engine(spec: &ScenarioSpec, dist: &DistOptions) -> Result<Box<dyn Eng
                 },
             ))
         }
-        EngineSpec::PacketSim {
-            alpha,
-            tunneling,
-            barrier_patience,
-            link_delay,
-            gossip_period,
-            diffusion_period,
-            measure_window,
-            gossip_loss,
-            hysteresis,
-            noise_sigmas,
-        } => {
+        EngineSpec::PacketSim { knobs } => {
             let mix = require_mix(mix, "packet_sim")?;
-            if *diffusion_period <= 0.0 {
-                return Err(SpecError::at("engine.diffusion_period", "must be positive"));
-            }
-            Box::new(PacketEngine::new(
-                &topo.tree,
-                &mix,
-                PacketSimConfig {
-                    seed: spec.seed,
-                    link_delay: *link_delay,
-                    gossip_period: *gossip_period,
-                    diffusion_period: *diffusion_period,
-                    measure_window: *measure_window,
-                    alpha: *alpha,
-                    tunneling: *tunneling,
-                    barrier_patience: *barrier_patience,
-                    gossip_loss: *gossip_loss,
-                    hysteresis: *hysteresis,
-                    noise_sigmas: *noise_sigmas,
-                },
+            let config = packet_config(knobs, spec.seed)?;
+            Box::new(PacketAdapter::new(
+                "packet_sim",
+                PacketSim::new(&topo.tree, &mix, config),
+                config.diffusion_period,
             ))
         }
-        EngineSpec::PacketSimPar {
-            alpha,
-            tunneling,
-            barrier_patience,
-            link_delay,
-            gossip_period,
-            diffusion_period,
-            measure_window,
-            gossip_loss,
-            hysteresis,
-            noise_sigmas,
-            workers,
-        } => {
+        EngineSpec::PacketSimPar { knobs, workers } => {
             let mix = require_mix(mix, "packet_sim_par")?;
-            if *diffusion_period <= 0.0 {
-                return Err(SpecError::at("engine.diffusion_period", "must be positive"));
-            }
-            if *link_delay <= 0.0 {
-                return Err(SpecError::at(
-                    "engine.link_delay",
-                    "the parallel engine needs a positive link delay (its conservative lookahead)",
-                ));
-            }
-            if *workers == 0 {
-                return Err(SpecError::at("engine.workers", "must be at least 1"));
-            }
-            Box::new(ParPacketEngine::with_rebalance(
-                &topo.tree,
-                &mix,
-                PacketSimConfig {
-                    seed: spec.seed,
-                    link_delay: *link_delay,
-                    gossip_period: *gossip_period,
-                    diffusion_period: *diffusion_period,
-                    measure_window: *measure_window,
-                    alpha: *alpha,
-                    tunneling: *tunneling,
-                    barrier_patience: *barrier_patience,
-                    gossip_loss: *gossip_loss,
-                    hysteresis: *hysteresis,
-                    noise_sigmas: *noise_sigmas,
-                },
-                *workers,
-                rebalance_config(spec),
+            let config = packet_config(knobs, spec.seed)?;
+            knobs.check_sharded("parallel", *workers)?;
+            let mut sim = ParPacketSim::new(&topo.tree, &mix, config, *workers);
+            sim.set_rebalance(rebalance_config(spec));
+            Box::new(PacketAdapter::new(
+                "packet_sim_par",
+                sim,
+                config.diffusion_period,
             ))
         }
-        EngineSpec::PacketSimDist {
-            alpha,
-            tunneling,
-            barrier_patience,
-            link_delay,
-            gossip_period,
-            diffusion_period,
-            measure_window,
-            gossip_loss,
-            hysteresis,
-            noise_sigmas,
-            workers,
-        } => {
+        EngineSpec::PacketSimDist { knobs, workers } => {
             let mix = require_mix(mix, "packet_sim_dist")?;
-            if *diffusion_period <= 0.0 {
-                return Err(SpecError::at("engine.diffusion_period", "must be positive"));
-            }
-            if *link_delay <= 0.0 {
-                return Err(SpecError::at(
-                    "engine.link_delay",
-                    "the distributed engine needs a positive link delay (its conservative lookahead)",
-                ));
-            }
-            if *workers == 0 {
-                return Err(SpecError::at("engine.workers", "must be at least 1"));
-            }
-            let engine = DistPacketEngine::launch(
-                &topo.tree,
-                &mix,
-                PacketSimConfig {
-                    seed: spec.seed,
-                    link_delay: *link_delay,
-                    gossip_period: *gossip_period,
-                    diffusion_period: *diffusion_period,
-                    measure_window: *measure_window,
-                    alpha: *alpha,
-                    tunneling: *tunneling,
-                    barrier_patience: *barrier_patience,
-                    gossip_loss: *gossip_loss,
-                    hysteresis: *hysteresis,
-                    noise_sigmas: *noise_sigmas,
-                },
-                *workers,
-                dist.clone(),
-                rebalance_config(spec),
-            )
-            .map_err(|e| SpecError::at("engine", format!("distributed launch failed: {e}")))?;
-            Box::new(engine)
+            let config = packet_config(knobs, spec.seed)?;
+            knobs.check_sharded("distributed", *workers)?;
+            // Adaptive rebalancing would migrate node state between
+            // single-shard worker processes, which the wire protocol does
+            // not carry: rejected up front rather than silently dropped.
+            let launched = if spec.rebalance.is_some() {
+                Err(DistError::Unsupported {
+                    detail: "adaptive shard rebalancing (drop the `rebalance` block, or run \
+                             in-process with `packet_sim_par`)"
+                        .into(),
+                })
+            } else {
+                DistPacketSim::launch(&topo.tree, &mix, config, *workers, dist.clone())
+            };
+            let sim = launched
+                .map_err(|e| SpecError::at("engine", format!("distributed launch failed: {e}")))?;
+            Box::new(PacketAdapter::new(
+                "packet_sim_dist",
+                sim,
+                config.diffusion_period,
+            ))
         }
         EngineSpec::ForestWave {
             alpha,

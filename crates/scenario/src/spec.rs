@@ -262,26 +262,8 @@ pub enum EngineSpec {
     /// ([`ww_core::packetsim::PacketSim`]); one engine round is one
     /// diffusion period of simulated time.
     PacketSim {
-        /// Diffusion parameter override.
-        alpha: Option<f64>,
-        /// Enable tunneling.
-        tunneling: bool,
-        /// Underloaded periods tolerated before tunneling.
-        barrier_patience: usize,
-        /// One-way per-hop link latency, seconds.
-        link_delay: f64,
-        /// Gossip period, seconds.
-        gossip_period: f64,
-        /// Diffusion period, seconds (also the engine-round length).
-        diffusion_period: f64,
-        /// Rate-measurement window, seconds.
-        measure_window: f64,
-        /// Gossip-loss probability (failure injection).
-        gossip_loss: f64,
-        /// Relative hysteresis deadband.
-        hysteresis: f64,
-        /// Absolute deadband in Poisson sigmas.
-        noise_sigmas: f64,
+        /// The protocol knobs.
+        knobs: PacketKnobs,
     },
     /// Sharded parallel packet-level WebWave
     /// ([`ww_pdes::ParPacketSim`]): the same protocol as `packet_sim`,
@@ -289,27 +271,9 @@ pub enum EngineSpec {
     /// synchronization — bit-identical to `packet_sim` at every worker
     /// count. One engine round is one diffusion period.
     PacketSimPar {
-        /// Diffusion parameter override.
-        alpha: Option<f64>,
-        /// Enable tunneling.
-        tunneling: bool,
-        /// Underloaded periods tolerated before tunneling.
-        barrier_patience: usize,
-        /// One-way per-hop link latency, seconds (must be positive: it
-        /// is the conservative lookahead between shards).
-        link_delay: f64,
-        /// Gossip period, seconds.
-        gossip_period: f64,
-        /// Diffusion period, seconds (also the engine-round length).
-        diffusion_period: f64,
-        /// Rate-measurement window, seconds.
-        measure_window: f64,
-        /// Gossip-loss probability (failure injection).
-        gossip_loss: f64,
-        /// Relative hysteresis deadband.
-        hysteresis: f64,
-        /// Absolute deadband in Poisson sigmas.
-        noise_sigmas: f64,
+        /// The protocol knobs; `link_delay` must be positive (it is the
+        /// conservative lookahead between shards).
+        knobs: PacketKnobs,
         /// Worker threads (= subtree shards, capped by the topology).
         workers: usize,
     },
@@ -320,27 +284,9 @@ pub enum EngineSpec {
     /// `packet_sim` at every worker count. One engine round is one
     /// diffusion period.
     PacketSimDist {
-        /// Diffusion parameter override.
-        alpha: Option<f64>,
-        /// Enable tunneling.
-        tunneling: bool,
-        /// Underloaded periods tolerated before tunneling.
-        barrier_patience: usize,
-        /// One-way per-hop link latency, seconds (must be positive: it
-        /// is the conservative lookahead between shards).
-        link_delay: f64,
-        /// Gossip period, seconds.
-        gossip_period: f64,
-        /// Diffusion period, seconds (also the engine-round length).
-        diffusion_period: f64,
-        /// Rate-measurement window, seconds.
-        measure_window: f64,
-        /// Gossip-loss probability (failure injection).
-        gossip_loss: f64,
-        /// Relative hysteresis deadband.
-        hysteresis: f64,
-        /// Absolute deadband in Poisson sigmas.
-        noise_sigmas: f64,
+        /// The protocol knobs; `link_delay` must be positive (it is the
+        /// conservative lookahead between shards).
+        knobs: PacketKnobs,
         /// Worker processes (= subtree shards, capped by the topology).
         workers: usize,
     },
@@ -382,6 +328,72 @@ pub enum EngineSpec {
         /// Gossip messages per second amortized into the WebWave row.
         gossip_per_second: f64,
     },
+}
+
+/// The protocol knobs the three packet engines share (`packet_sim`,
+/// `packet_sim_par`, `packet_sim_dist`). The default is the JSON
+/// default of every field.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PacketKnobs {
+    /// Diffusion parameter override.
+    pub alpha: Option<f64>,
+    /// Enable tunneling.
+    pub tunneling: bool,
+    /// Underloaded periods tolerated before tunneling.
+    pub barrier_patience: usize,
+    /// One-way per-hop link latency, seconds.
+    pub link_delay: f64,
+    /// Gossip period, seconds.
+    pub gossip_period: f64,
+    /// Diffusion period, seconds (also the engine-round length).
+    pub diffusion_period: f64,
+    /// Rate-measurement window, seconds.
+    pub measure_window: f64,
+    /// Gossip-loss probability (failure injection).
+    pub gossip_loss: f64,
+    /// Relative hysteresis deadband.
+    pub hysteresis: f64,
+    /// Absolute deadband in Poisson sigmas.
+    pub noise_sigmas: f64,
+}
+
+impl Default for PacketKnobs {
+    fn default() -> Self {
+        PacketKnobs {
+            alpha: None,
+            tunneling: true,
+            barrier_patience: 2,
+            link_delay: 0.005,
+            gossip_period: 0.5,
+            diffusion_period: 1.0,
+            measure_window: 1.0,
+            gossip_loss: 0.0,
+            hysteresis: 0.05,
+            noise_sigmas: 3.0,
+        }
+    }
+}
+
+impl PacketKnobs {
+    /// The extra range rules of a sharded packet engine (`flavor` names
+    /// it in the message): shards synchronize on the cut-edge latency,
+    /// and there must be at least one.
+    pub(crate) fn check_sharded(&self, flavor: &str, workers: usize) -> Result<(), SpecError> {
+        if self.link_delay <= 0.0 {
+            return Err(SpecError::at(
+                "engine.link_delay",
+                format!(
+                    "the {flavor} engine needs a positive link delay \
+                     (its conservative lookahead), got {}",
+                    self.link_delay
+                ),
+            ));
+        }
+        if workers == 0 {
+            return Err(SpecError::at("engine.workers", "must be at least 1"));
+        }
+        Ok(())
+    }
 }
 
 impl EngineSpec {
@@ -554,11 +566,11 @@ impl Sweep {
                 let slot = match &mut spec.engine {
                     EngineSpec::RateWave { alpha, .. }
                     | EngineSpec::DocSim { alpha, .. }
-                    | EngineSpec::PacketSim { alpha, .. }
-                    | EngineSpec::PacketSimPar { alpha, .. }
-                    | EngineSpec::PacketSimDist { alpha, .. }
                     | EngineSpec::ForestWave { alpha, .. }
                     | EngineSpec::Cluster { alpha, .. } => alpha,
+                    EngineSpec::PacketSim { knobs }
+                    | EngineSpec::PacketSimPar { knobs, .. }
+                    | EngineSpec::PacketSimDist { knobs, .. } => &mut knobs.alpha,
                     EngineSpec::Baselines { .. } => {
                         return Err(SpecError::at(
                             "sweep.param",
@@ -569,30 +581,29 @@ impl Sweep {
                 *slot = Some(value);
             }
             SweepParam::Tunneling => {
-                match &mut spec.engine {
-                    EngineSpec::DocSim { tunneling, .. }
-                    | EngineSpec::PacketSim { tunneling, .. }
-                    | EngineSpec::PacketSimPar { tunneling, .. }
-                    | EngineSpec::PacketSimDist { tunneling, .. } => {
-                        *tunneling = value != 0.0;
-                    }
+                let slot = match &mut spec.engine {
+                    EngineSpec::DocSim { tunneling, .. } => tunneling,
+                    EngineSpec::PacketSim { knobs }
+                    | EngineSpec::PacketSimPar { knobs, .. }
+                    | EngineSpec::PacketSimDist { knobs, .. } => &mut knobs.tunneling,
                     _ => return Err(SpecError::at(
                         "sweep.param",
                         "\"tunneling\" applies only to the doc_sim / packet_sim family of engines",
                     )),
-                }
+                };
+                *slot = value != 0.0;
             }
             SweepParam::GossipLoss => match &mut spec.engine {
-                EngineSpec::PacketSim { gossip_loss, .. }
-                | EngineSpec::PacketSimPar { gossip_loss, .. }
-                | EngineSpec::PacketSimDist { gossip_loss, .. } => {
+                EngineSpec::PacketSim { knobs }
+                | EngineSpec::PacketSimPar { knobs, .. }
+                | EngineSpec::PacketSimDist { knobs, .. } => {
                     if !(0.0..=1.0).contains(&value) {
                         return Err(SpecError::at(
                             "sweep.values",
                             format!("gossip_loss is a probability, got {value}"),
                         ));
                     }
-                    *gossip_loss = value;
+                    knobs.gossip_loss = value;
                 }
                 _ => {
                     return Err(SpecError::at(

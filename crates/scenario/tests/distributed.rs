@@ -15,30 +15,7 @@ use ww_scenario::{EngineReport, EngineSpec, Runner, ScenarioSpec};
 fn sequential_twin(spec: &ScenarioSpec) -> ScenarioSpec {
     let mut twin = spec.clone();
     twin.engine = match &spec.engine {
-        EngineSpec::PacketSimDist {
-            alpha,
-            tunneling,
-            barrier_patience,
-            link_delay,
-            gossip_period,
-            diffusion_period,
-            measure_window,
-            gossip_loss,
-            hysteresis,
-            noise_sigmas,
-            workers: _,
-        } => EngineSpec::PacketSim {
-            alpha: *alpha,
-            tunneling: *tunneling,
-            barrier_patience: *barrier_patience,
-            link_delay: *link_delay,
-            gossip_period: *gossip_period,
-            diffusion_period: *diffusion_period,
-            measure_window: *measure_window,
-            gossip_loss: *gossip_loss,
-            hysteresis: *hysteresis,
-            noise_sigmas: *noise_sigmas,
-        },
+        EngineSpec::PacketSimDist { knobs, .. } => EngineSpec::PacketSim { knobs: *knobs },
         other => panic!("not a packet_sim_dist spec: {other:?}"),
     };
     twin

@@ -18,30 +18,7 @@ use ww_scenario::{EngineReport, EngineSpec, Runner, ScenarioSpec};
 fn sequential_twin(spec: &ScenarioSpec) -> ScenarioSpec {
     let mut twin = spec.clone();
     twin.engine = match &spec.engine {
-        EngineSpec::PacketSimPar {
-            alpha,
-            tunneling,
-            barrier_patience,
-            link_delay,
-            gossip_period,
-            diffusion_period,
-            measure_window,
-            gossip_loss,
-            hysteresis,
-            noise_sigmas,
-            workers: _,
-        } => EngineSpec::PacketSim {
-            alpha: *alpha,
-            tunneling: *tunneling,
-            barrier_patience: *barrier_patience,
-            link_delay: *link_delay,
-            gossip_period: *gossip_period,
-            diffusion_period: *diffusion_period,
-            measure_window: *measure_window,
-            gossip_loss: *gossip_loss,
-            hysteresis: *hysteresis,
-            noise_sigmas: *noise_sigmas,
-        },
+        EngineSpec::PacketSimPar { knobs, .. } => EngineSpec::PacketSim { knobs: *knobs },
         other => panic!("not a packet_sim_par spec: {other:?}"),
     };
     twin
@@ -90,28 +67,8 @@ fn parallel_twin_of_flash_crowd() -> ScenarioSpec {
     let spec = load_spec("flash_crowd.json");
     let mut par = spec.clone();
     par.engine = match &spec.engine {
-        EngineSpec::PacketSim {
-            alpha,
-            tunneling,
-            barrier_patience,
-            link_delay,
-            gossip_period,
-            diffusion_period,
-            measure_window,
-            gossip_loss,
-            hysteresis,
-            noise_sigmas,
-        } => EngineSpec::PacketSimPar {
-            alpha: *alpha,
-            tunneling: *tunneling,
-            barrier_patience: *barrier_patience,
-            link_delay: *link_delay,
-            gossip_period: *gossip_period,
-            diffusion_period: *diffusion_period,
-            measure_window: *measure_window,
-            gossip_loss: *gossip_loss,
-            hysteresis: *hysteresis,
-            noise_sigmas: *noise_sigmas,
+        EngineSpec::PacketSim { knobs } => EngineSpec::PacketSimPar {
+            knobs: *knobs,
             workers: 4,
         },
         other => panic!("flash_crowd should be packet_sim, found {other:?}"),

@@ -3,9 +3,9 @@
 
 use proptest::prelude::*;
 use ww_scenario::{
-    BaselineScheme, DocMixSpec, EngineSpec, EventKindSpec, EventSpec, EventsSpec, PaperFigure,
-    RatesSpec, RebalanceSpec, ScenarioSpec, Sweep, SweepParam, TelemetrySpec, Termination,
-    TopologySpec, WorkloadSpec,
+    BaselineScheme, DocMixSpec, EngineSpec, EventKindSpec, EventSpec, EventsSpec, PacketKnobs,
+    PaperFigure, RatesSpec, RebalanceSpec, ScenarioSpec, Sweep, SweepParam, TelemetrySpec,
+    Termination, TopologySpec, WorkloadSpec,
 };
 use ww_telemetry::Level;
 
@@ -117,70 +117,41 @@ fn arb_alpha() -> BoxedStrategy<Option<f64>> {
         .boxed()
 }
 
+fn arb_knobs() -> impl Strategy<Value = PacketKnobs> {
+    (
+        arb_alpha(),
+        0usize..2,
+        (0.001f64..0.1, 0.1f64..2.0, 0.1f64..2.0),
+        (0.0f64..0.5, 0.0f64..0.2, 0.0f64..5.0),
+    )
+        .prop_map(
+            |(
+                alpha,
+                t,
+                (link_delay, gossip_period, diffusion_period),
+                (gossip_loss, hysteresis, noise_sigmas),
+            )| PacketKnobs {
+                alpha,
+                tunneling: t == 1,
+                link_delay,
+                gossip_period,
+                diffusion_period,
+                gossip_loss,
+                hysteresis,
+                noise_sigmas,
+                ..PacketKnobs::default()
+            },
+        )
+}
+
 fn arb_engine() -> BoxedStrategy<EngineSpec> {
     (0usize..8)
         .prop_flat_map(|choice| match choice {
-            7 => (
-                arb_alpha(),
-                0usize..2,
-                1usize..8,
-                (0.001f64..0.1, 0.1f64..2.0, 0.1f64..2.0),
-                (0.0f64..0.5, 0.0f64..0.2, 0.0f64..5.0),
-            )
-                .prop_map(
-                    |(
-                        alpha,
-                        t,
-                        workers,
-                        (link_delay, gossip_period, diffusion_period),
-                        (gossip_loss, hysteresis, noise_sigmas),
-                    )| {
-                        EngineSpec::PacketSimDist {
-                            alpha,
-                            tunneling: t == 1,
-                            barrier_patience: 2,
-                            link_delay,
-                            gossip_period,
-                            diffusion_period,
-                            measure_window: 1.0,
-                            gossip_loss,
-                            hysteresis,
-                            noise_sigmas,
-                            workers,
-                        }
-                    },
-                )
+            7 => (arb_knobs(), 1usize..8)
+                .prop_map(|(knobs, workers)| EngineSpec::PacketSimDist { knobs, workers })
                 .boxed(),
-            6 => (
-                arb_alpha(),
-                0usize..2,
-                1usize..16,
-                (0.001f64..0.1, 0.1f64..2.0, 0.1f64..2.0),
-                (0.0f64..0.5, 0.0f64..0.2, 0.0f64..5.0),
-            )
-                .prop_map(
-                    |(
-                        alpha,
-                        t,
-                        workers,
-                        (link_delay, gossip_period, diffusion_period),
-                        (gossip_loss, hysteresis, noise_sigmas),
-                    )| {
-                        EngineSpec::PacketSimPar {
-                            alpha,
-                            tunneling: t == 1,
-                            barrier_patience: 2,
-                            link_delay,
-                            gossip_period,
-                            diffusion_period,
-                            measure_window: 1.0,
-                            gossip_loss,
-                            hysteresis,
-                            noise_sigmas,
-                            workers,
-                        }
-                    },
-                )
+            6 => (arb_knobs(), 1usize..16)
+                .prop_map(|(knobs, workers)| EngineSpec::PacketSimPar { knobs, workers })
                 .boxed(),
             0 => (arb_alpha(), 0usize..10)
                 .prop_map(|(alpha, staleness)| EngineSpec::RateWave { alpha, staleness })
@@ -192,33 +163,8 @@ fn arb_engine() -> BoxedStrategy<EngineSpec> {
                     barrier_patience,
                 })
                 .boxed(),
-            2 => (
-                arb_alpha(),
-                0usize..2,
-                (0.001f64..0.1, 0.1f64..2.0, 0.1f64..2.0),
-                (0.0f64..0.5, 0.0f64..0.2, 0.0f64..5.0),
-            )
-                .prop_map(
-                    |(
-                        alpha,
-                        t,
-                        (link_delay, gossip_period, diffusion_period),
-                        (gossip_loss, hysteresis, noise_sigmas),
-                    )| {
-                        EngineSpec::PacketSim {
-                            alpha,
-                            tunneling: t == 1,
-                            barrier_patience: 2,
-                            link_delay,
-                            gossip_period,
-                            diffusion_period,
-                            measure_window: 1.0,
-                            gossip_loss,
-                            hysteresis,
-                            noise_sigmas,
-                        }
-                    },
-                )
+            2 => arb_knobs()
+                .prop_map(|knobs| EngineSpec::PacketSim { knobs })
                 .boxed(),
             3 => (
                 arb_alpha(),
@@ -686,13 +632,9 @@ fn packet_sim_par_parses_with_defaults_and_round_trips() {
     )
     .unwrap();
     match &spec.engine {
-        EngineSpec::PacketSimPar {
-            workers,
-            link_delay,
-            ..
-        } => {
+        EngineSpec::PacketSimPar { knobs, workers } => {
             assert_eq!(*workers, 3);
-            assert_eq!(*link_delay, 0.005);
+            assert_eq!(knobs.link_delay, 0.005);
         }
         other => panic!("parsed {other:?}"),
     }
