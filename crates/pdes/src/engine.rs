@@ -109,6 +109,15 @@ pub static PDES_PHASES: &[&str] = &["pdes.phase.epoch_compute", "pdes.phase.barr
 const P_EPOCH_COMPUTE: usize = 0;
 const P_BARRIER_WAIT: usize = 1;
 
+/// Driver-side phase timers of the rebalance controller (recorded only
+/// at [`Level::Full`], reported only while a controller is armed):
+/// computing a plan, and applying one — the migration itself plus the
+/// wire re-dial.
+static PDES_REBALANCE_PHASES: &[&str] =
+    &["pdes.phase.rebalance_plan", "pdes.phase.rebalance_apply"];
+const P_REBALANCE_PLAN: usize = 0;
+const P_REBALANCE_APPLY: usize = 1;
+
 /// Placeholder argument of [`ParPacketSim::with_tuning`]: the hot path
 /// has one configuration (SPSC rings, one release store per lookahead
 /// window), so there is nothing left to tune. Remove with the next
@@ -903,6 +912,10 @@ pub struct ParPacketSim {
     rebalance_evals: u64,
     rebalance_applied: u64,
     nodes_migrated: u64,
+    /// Queue events migrations re-homed (observation only).
+    events_moved: u64,
+    /// Observation-only timers over [`PDES_REBALANCE_PHASES`].
+    rebalance_phases: Phases,
     /// Per-directed-cut outbound message counters, persisted across
     /// wire re-dials: inbound merge keys embed this counter, so a
     /// re-dialed wire must continue — never restart — its stream to
@@ -964,6 +977,8 @@ impl ParPacketSim {
             rebalance_evals: 0,
             rebalance_applied: 0,
             nodes_migrated: 0,
+            events_moved: 0,
+            rebalance_phases: Phases::new(PDES_REBALANCE_PHASES, Level::Off),
             wire_counters: std::collections::BTreeMap::new(),
             retired_parks: 0,
             retired_peak_parked: 0,
@@ -1026,6 +1041,7 @@ impl ParPacketSim {
     pub fn set_telemetry(&mut self, level: Level) {
         self.tel_level = level;
         self.core.world.set_telemetry_timing(level.spans_on());
+        self.rebalance_phases = Phases::new(PDES_REBALANCE_PHASES, level);
         for shard in &mut self.shards {
             shard.set_telemetry(level);
         }
@@ -1079,6 +1095,7 @@ impl ParPacketSim {
             snap.push_counter("pdes.rebalance.evaluations", self.rebalance_evals);
             snap.push_counter("pdes.rebalance.applied", self.rebalance_applied);
             snap.push_counter("pdes.rebalance.nodes_migrated", self.nodes_migrated);
+            snap.push_counter("pdes.rebalance.events_moved", self.events_moved);
         }
         for shard in &self.shards {
             for link in &shard.out_links {
@@ -1113,6 +1130,9 @@ impl ParPacketSim {
                 phases.merge_from(&shard.tel_phases);
             }
             phases.snapshot_into(&mut snap);
+            if self.rebalance.is_some() {
+                self.rebalance_phases.snapshot_into(&mut snap);
+            }
         }
         snap
     }
@@ -1120,6 +1140,16 @@ impl ParPacketSim {
     /// Number of subtree shards (= worker threads) this run uses.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
+    }
+
+    /// The shard that currently hosts `node` — it changes only when the
+    /// rebalance controller applies a plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range.
+    pub fn shard_of(&self, node: NodeId) -> usize {
+        self.core.partition.shard_of[node.index()]
     }
 
     /// Advances every shard to `t_end` (one scoped worker thread per
@@ -1237,12 +1267,16 @@ impl ParPacketSim {
                 let li = self.core.partition.local_index[j] as usize;
                 *count = self.shards[s].window_events[li];
             }
+            let span = self.rebalance_phases.begin();
             let plan = rebalance_plan(&self.core.world.tree, &self.core.partition, &node_events);
+            self.rebalance_phases.end(P_REBALANCE_PLAN, span);
             if !plan.is_empty() {
                 self.rebalance_applied += 1;
                 self.nodes_migrated += plan.moves.len() as u64;
-                ops::apply_rebalance(&mut self.core, &mut self.shards, &plan);
+                let span = self.rebalance_phases.begin();
+                self.events_moved += ops::apply_rebalance(&mut self.core, &mut self.shards, &plan);
                 self.rebuild_wires();
+                self.rebalance_phases.end(P_REBALANCE_APPLY, span);
             }
             // Per-node attribution restarts only after an evaluation
             // actually spent it — zeroing is O(n), and paying it on
@@ -1435,6 +1469,13 @@ impl ParPacketSim {
     /// simulation currently sees it.
     pub fn world(&self) -> &PacketWorld {
         &self.core.world
+    }
+
+    /// The replicated core and the shards, for in-crate tests that
+    /// drive [`ops`] directly.
+    #[cfg(test)]
+    pub(crate) fn parts_mut(&mut self) -> (&mut SimCore, &mut Vec<Shard>) {
+        (&mut self.core, &mut self.shards)
     }
 }
 

@@ -48,6 +48,8 @@
 
 pub mod engine;
 pub mod host;
+#[cfg(test)]
+mod migration_props;
 mod ops;
 pub mod partition;
 pub mod rebalance;

@@ -23,13 +23,14 @@
 
 use crate::engine::Shard;
 use crate::partition::Partition;
+use crate::rebalance::RebalancePlan;
 use ww_core::packet::{
     self, BarrierOp, BarrierOutcome, NodeState, PacketEvent, PacketWorld, SurgeryStep,
     UniverseGrowth,
 };
 use ww_model::{DocId, LeafRemoval, ModelError, NodeId};
 use ww_net::TrafficClass;
-use ww_sim::{SimQueue, SimTime};
+use ww_sim::{SimQueue, SimTime, TimerRing};
 
 /// The replicated, shard-independent half of a partitioned simulation:
 /// the shared world, the node→shard partition, the failed-link map, and
@@ -231,19 +232,112 @@ fn apply_growth(core: &mut SimCore, store: &mut impl ShardStore, growth: Option<
     core.batch.push(SurgeryStep::Rebuild(growth));
 }
 
+/// A migrant's pending work, keyed for deterministic re-insertion.
+enum Pending {
+    Event(PacketEvent),
+    Gossip(SimTime),
+    Diffusion(SimTime),
+}
+
+/// A migrant's queue events, in the donor's delivery order.
+type Backlog = Vec<(SimTime, u64, PacketEvent)>;
+
+/// Pulls every migrant's pending events out of its donor's queue: one
+/// extraction sweep per donor shard, not per migrant (`extract_events`
+/// rebuilds the whole queue, so per-move extraction would cost
+/// `O(moves x queue)` on a large plan). The barrier guarantees every
+/// in-flight event for a migrant already sits in its donor's queue, so
+/// sweeping before any move is complete. `move_of` maps a node to its
+/// index in `plan.moves` (`u32::MAX`: stays); the result has one
+/// backlog per move.
+fn extract_backlogs(
+    store: &mut impl ShardStore,
+    plan: &RebalancePlan,
+    move_of: &[u32],
+) -> Vec<Backlog> {
+    let mut backlogs: Vec<Backlog> = Vec::new();
+    backlogs.resize_with(plan.moves.len(), Vec::new);
+    let mut donors: Vec<usize> = plan.moves.iter().map(|m| m.from).collect();
+    donors.sort_unstable();
+    donors.dedup();
+    for &from in &donors {
+        if let Some(shard) = store.shard_mut(from) {
+            for (t, key, ev) in shard
+                .queue
+                .extract_events(|ev| move_of[ev.node().index()] != u32::MAX)
+            {
+                let b = move_of[ev.node().index()] as usize;
+                debug_assert_eq!(plan.moves[b].from, from, "event outside its owner's queue");
+                backlogs[b].push((t, key, ev));
+            }
+        }
+    }
+    backlogs
+}
+
+/// Node id -> index in `plan.moves`, `u32::MAX` for nodes that stay.
+fn move_index(core: &SimCore, plan: &RebalancePlan) -> Vec<u32> {
+    let mut move_of = vec![u32::MAX; core.partition.shard_of.len()];
+    for (i, m) in plan.moves.iter().enumerate() {
+        move_of[m.node.index()] = i as u32;
+    }
+    move_of
+}
+
+/// Reorders `v` in place so that the entry at `i` ends up at `dest[i]`
+/// (`dest` is a permutation of `0..v.len()`), by swaps along its cycles:
+/// every swap puts one entry in its final slot, so `O(len)` swaps and no
+/// second vector.
+fn permute<T>(v: &mut [T], mut dest: Vec<usize>) {
+    debug_assert_eq!(v.len(), dest.len());
+    for i in 0..v.len() {
+        while dest[i] != i {
+            let d = dest[i];
+            v.swap(i, d);
+            dest.swap(i, d);
+        }
+    }
+}
+
 /// Applies a rebalance plan at the current barrier: each migrating
 /// node's state, pending queue events, and pending timer fires move
-/// from its donor shard to its recipient shard, in plan order
-/// (ascending node id).
+/// from its donor shard to its recipient shard. Returns how many queue
+/// events were re-homed.
+///
+/// The cost is what the plan moves, not `moves x members`: after one
+/// extraction sweep per donor queue it runs in three bulk phases.
+///
+/// 1. **Read.** Every migrant's two armed timer fires, by its
+///    donor-local index, before any ring is edited.
+/// 2. **Compact each donor once.** One `remove_members` pass per ring,
+///    the matching stable compaction of `window_events` and — as one
+///    in-place permutation that also parks the migrants behind the
+///    survivors — of `states`, then one [`Partition::move_nodes`] for
+///    the whole plan. Survivors keep their relative order; which local
+///    index a node ends up with is unobservable — trace partials fold
+///    through an exact sum, reports and arrival rebuilds walk global
+///    ids, the ring rotation is keyed by `(next, seq)` — as long as
+///    `members[s][li]`, `states[li]`, ring member `li` and
+///    `window_events[li]` keep naming the same node.
+/// 3. **Append to each recipient, merge its rings once.** Migrants are
+///    replayed one at a time in plan order (ascending node id), each
+///    one's items in the `(time, key)` order the donor would have
+///    delivered them, drawing fresh sequence numbers from the
+///    recipient's counter — `schedule` for an event, `alloc_seq` for a
+///    timer fire — so every shard's counter ends where one-at-a-time
+///    moves would have left it. The fires are only collected here; one
+///    `insert_many` per ring per recipient then merges them into the
+///    rotation, which is sorted by `(next, seq)` and therefore the same
+///    whichever way it was built.
 ///
 /// Correctness rests on the barrier guarantees: wires are drained and
 /// merge stages empty, so *every* in-flight event targeting a node
-/// lives in its current owner's queue — extraction is complete. Within
-/// the recipient, a migrant's items are re-inserted in the exact
-/// `(time, key)` order the donor would have delivered them, drawing
-/// fresh sequence numbers from the recipient's counter; per-node
-/// relative order (the only order the node-local protocol can observe)
-/// is therefore preserved bit-for-bit.
+/// lives in its current owner's queue — extraction is complete. All of
+/// a migrant's keys came from one merge domain (the donor's counter
+/// plus content-derived inbound keys), so they are unique and
+/// `(time, key)` is the donor's delivery order; per-node relative order
+/// (the only order the node-local protocol can observe) is therefore
+/// preserved bit-for-bit.
 ///
 /// Unlike churn ops, migration is all-or-nothing per move: the caller
 /// must hold **both** the donor and the recipient shard, or neither
@@ -258,106 +352,190 @@ fn apply_growth(core: &mut SimCore, store: &mut impl ShardStore, growth: Option<
 pub(crate) fn apply_rebalance(
     core: &mut SimCore,
     store: &mut impl ShardStore,
-    plan: &crate::rebalance::RebalancePlan,
-) {
+    plan: &RebalancePlan,
+) -> u64 {
     assert!(
         !core.batch_open,
         "cannot rebalance inside an open barrier batch"
     );
-    // A migrant's pending work, keyed for deterministic re-insertion.
-    enum Pending {
-        Event(PacketEvent),
-        Gossip(SimTime),
-        Diffusion(SimTime),
+    const CO_HOSTED: &str = "migration donor and recipient must be co-hosted (or neither)";
+    let moves = &plan.moves;
+    let shards = core.partition.shards();
+    let move_of = move_index(core, plan);
+    let mut backlogs = extract_backlogs(store, plan, &move_of);
+    let events_moved = backlogs.iter().map(|b| b.len() as u64).sum();
+
+    // Phase 1: at a barrier every member's timers are armed (handlers
+    // rearm immediately after each pop).
+    let mut leaving: Vec<Vec<usize>> = vec![Vec::new(); shards];
+    let mut fires: Vec<Option<[(SimTime, u64); 2]>> = Vec::with_capacity(moves.len());
+    for m in moves {
+        let li = core.partition.local_index[m.node.index()] as usize;
+        leaving[m.from].push(li);
+        fires.push(store.shard_mut(m.from).map(|shard| {
+            [
+                shard
+                    .gossip_ring
+                    .fire_entry(li)
+                    .expect("gossip timer armed at the barrier"),
+                shard
+                    .diffusion_ring
+                    .fire_entry(li)
+                    .expect("diffusion timer armed at the barrier"),
+            ]
+        }));
     }
-    // One extraction sweep per donor shard, not per migrant:
-    // `extract_events` rebuilds the whole queue, so per-move extraction
-    // would cost O(moves x queue) on a large plan. The barrier
-    // guarantees every in-flight event for a migrant already sits in
-    // its donor's queue, so sweeping before any move is complete; the
-    // per-move replay below then drains the buckets in plan order,
-    // exactly as per-move extraction would have.
-    let mut bucket_of = vec![u32::MAX; core.partition.shard_of.len()];
-    for (i, m) in plan.moves.iter().enumerate() {
-        bucket_of[m.node.index()] = i as u32;
-    }
-    let mut buckets: Vec<Vec<(SimTime, u64, PacketEvent)>> = Vec::new();
-    buckets.resize_with(plan.moves.len(), Vec::new);
-    let mut donors: Vec<usize> = plan.moves.iter().map(|m| m.from).collect();
-    donors.sort_unstable();
-    donors.dedup();
-    for &from in &donors {
-        if let Some(shard) = store.shard_mut(from) {
-            for (t, key, ev) in shard
-                .queue
-                .extract_events(|ev| bucket_of[ev.node().index()] != u32::MAX)
-            {
-                let b = bucket_of[ev.node().index()] as usize;
-                debug_assert_eq!(plan.moves[b].from, from, "event outside its owner's queue");
-                buckets[b].push((t, key, ev));
-            }
+
+    // Phase 2. A donor's `states` are permuted in place — survivors
+    // first, in order; its migrants behind them in reverse plan order —
+    // and detached, so that phase 3 pops each migrant straight into its
+    // recipient: no state is ever held anywhere but in one of the two
+    // shards' own vectors.
+    let mut detached: Vec<Option<Vec<NodeState>>> = Vec::new();
+    detached.resize_with(shards, || None);
+    for (s, gone) in leaving.iter().enumerate() {
+        if gone.is_empty() {
+            continue;
         }
-    }
-    for (i, m) in plan.moves.iter().enumerate() {
-        let node = m.node.index();
-        debug_assert_eq!(core.partition.shard_of[node], m.from, "stale plan");
-        let old_li = core.partition.local_index[node] as usize;
-        let mut carried: Vec<(SimTime, u64, Pending)> = Vec::new();
-        let mut state: Option<NodeState> = None;
-        if let Some(shard) = store.shard_mut(m.from) {
-            for (t, key, ev) in buckets[i].drain(..) {
-                carried.push((t, key, Pending::Event(ev)));
-            }
-            // At a barrier every member's timers are armed (handlers
-            // rearm immediately after each pop).
-            let (gt, gseq) = shard
-                .gossip_ring
-                .fire_entry(old_li)
-                .expect("gossip timer armed at the barrier");
-            carried.push((gt, gseq, Pending::Gossip(gt)));
-            let (dt, dseq) = shard
-                .diffusion_ring
-                .fire_entry(old_li)
-                .expect("diffusion timer armed at the barrier");
-            carried.push((dt, dseq, Pending::Diffusion(dt)));
-            // All keys came from one merge domain (the donor's counter
-            // plus content-derived inbound keys), so they are unique
-            // and (time, key) is the donor's delivery order.
-            carried.sort_unstable_by_key(|&(at, key, _)| (at, key));
-            state = Some(shard.states.swap_remove(old_li));
-            shard.gossip_ring.swap_remove_member(old_li);
-            shard.diffusion_ring.swap_remove_member(old_li);
-            shard.window_events.swap_remove(old_li);
+        let Some(shard) = store.shard_mut(s) else {
+            continue;
+        };
+        let mut new_id = shard.gossip_ring.remove_members(gone);
+        let same = shard.diffusion_ring.remove_members(gone);
+        debug_assert_eq!(new_id, same, "the two rings compact alike");
+        let mut li = 0;
+        shard.window_events.retain(|_| {
+            li += 1;
+            new_id[li - 1] != TimerRing::REMOVED
+        });
+        // `gone` lists this donor's migrants in plan order.
+        let last = new_id.len() - 1;
+        for (rank, &li) in gone.iter().enumerate() {
+            new_id[li] = last - rank;
         }
-        let (from, li, new_li) = core.partition.move_node(node, m.to);
-        debug_assert_eq!((from, li), (m.from, old_li));
-        match store.shard_mut(m.to) {
-            Some(shard) => {
-                let state =
-                    state.expect("migration donor and recipient must be co-hosted (or neither)");
-                debug_assert_eq!(new_li, shard.states.len());
-                shard.states.push(state);
-                assert_eq!(shard.gossip_ring.add_member(), new_li);
-                assert_eq!(shard.diffusion_ring.add_member(), new_li);
-                shard.window_events.push(0);
-                for (t, _key, item) in carried {
-                    match item {
-                        Pending::Event(ev) => shard.queue.schedule(t, ev),
-                        Pending::Gossip(fire) => {
-                            let seq = shard.queue.alloc_seq();
-                            shard.gossip_ring.insert(new_li, fire, seq);
-                        }
-                        Pending::Diffusion(fire) => {
-                            let seq = shard.queue.alloc_seq();
-                            shard.diffusion_ring.insert(new_li, fire, seq);
-                        }
-                    }
+        let mut states = std::mem::take(&mut shard.states);
+        permute(&mut states, new_id);
+        detached[s] = Some(states);
+    }
+    core.partition.move_nodes(moves);
+
+    // Phase 3.
+    let mut gossip_in: Vec<Vec<(usize, SimTime, u64)>> = vec![Vec::new(); shards];
+    let mut diffusion_in: Vec<Vec<(usize, SimTime, u64)>> = vec![Vec::new(); shards];
+    let mut carried: Vec<(SimTime, u64, Pending)> = Vec::new();
+    for (i, m) in moves.iter().enumerate() {
+        let li = core.partition.local_index[m.node.index()] as usize;
+        let state = detached[m.from]
+            .as_mut()
+            .map(|states| states.pop().expect("one state per migrant"));
+        let Some(shard) = store.shard_mut(m.to) else {
+            assert!(state.is_none(), "{CO_HOSTED}");
+            continue;
+        };
+        let [(gossip_at, gossip_key), (diffusion_at, diffusion_key)] = fires[i].expect(CO_HOSTED);
+        // A recipient that is also a donor collects its newcomers in the
+        // (empty) vector its detached one left behind.
+        debug_assert_eq!(li, shard.window_events.len());
+        shard.states.push(state.expect(CO_HOSTED));
+        shard.window_events.push(0);
+        assert_eq!(shard.gossip_ring.add_member(), li);
+        assert_eq!(shard.diffusion_ring.add_member(), li);
+        // Taking the backlog frees it move by move.
+        carried.extend(
+            std::mem::take(&mut backlogs[i])
+                .into_iter()
+                .map(|(t, key, ev)| (t, key, Pending::Event(ev))),
+        );
+        carried.push((gossip_at, gossip_key, Pending::Gossip(gossip_at)));
+        carried.push((
+            diffusion_at,
+            diffusion_key,
+            Pending::Diffusion(diffusion_at),
+        ));
+        carried.sort_unstable_by_key(|&(at, key, _)| (at, key));
+        for (t, _key, item) in carried.drain(..) {
+            match item {
+                Pending::Event(ev) => shard.queue.schedule(t, ev),
+                Pending::Gossip(fire) => {
+                    gossip_in[m.to].push((li, fire, shard.queue.alloc_seq()));
+                }
+                Pending::Diffusion(fire) => {
+                    diffusion_in[m.to].push((li, fire, shard.queue.alloc_seq()));
                 }
             }
-            None => assert!(
-                state.is_none(),
-                "migration donor and recipient must be co-hosted (or neither)"
-            ),
+        }
+    }
+    for (s, survivors) in detached.into_iter().enumerate() {
+        if let Some(mut states) = survivors {
+            let shard = store.shard_mut(s).expect("detached from this shard");
+            states.append(&mut shard.states);
+            shard.states = states;
+        }
+    }
+    for (s, (gossip, diffusion)) in gossip_in.iter_mut().zip(&mut diffusion_in).enumerate() {
+        if gossip.is_empty() {
+            continue;
+        }
+        let shard = store.shard_mut(s).expect("fires were drawn on this shard");
+        shard.gossip_ring.insert_many(gossip);
+        shard.diffusion_ring.insert_many(diffusion);
+    }
+    events_moved
+}
+
+/// [`apply_rebalance`] as it was before it became a bulk operation: one
+/// swap-remove per ring, state vector and member list and one ring
+/// `insert` per fire, *per move*. Kept as the reference the migration
+/// property test compares the bulk form against.
+#[cfg(test)]
+pub(crate) fn apply_rebalance_per_move(
+    core: &mut SimCore,
+    store: &mut impl ShardStore,
+    plan: &RebalancePlan,
+) {
+    assert!(!core.batch_open);
+    let move_of = move_index(core, plan);
+    let mut backlogs = extract_backlogs(store, plan, &move_of);
+    for (i, m) in plan.moves.iter().enumerate() {
+        let node = m.node.index();
+        assert_eq!(core.partition.shard_of[node], m.from, "stale plan");
+        let old_li = core.partition.local_index[node] as usize;
+        let shard = store
+            .shard_mut(m.from)
+            .expect("reference holds every shard");
+        let mut carried: Vec<(SimTime, u64, Pending)> = backlogs[i]
+            .drain(..)
+            .map(|(t, key, ev)| (t, key, Pending::Event(ev)))
+            .collect();
+        let (gt, gseq) = shard.gossip_ring.fire_entry(old_li).expect("armed");
+        carried.push((gt, gseq, Pending::Gossip(gt)));
+        let (dt, dseq) = shard.diffusion_ring.fire_entry(old_li).expect("armed");
+        carried.push((dt, dseq, Pending::Diffusion(dt)));
+        carried.sort_unstable_by_key(|&(at, key, _)| (at, key));
+        let state = shard.states.swap_remove(old_li);
+        shard.gossip_ring.swap_remove_member(old_li);
+        shard.diffusion_ring.swap_remove_member(old_li);
+        shard.window_events.swap_remove(old_li);
+        let (from, li, new_li) = core.partition.move_node(node, m.to);
+        assert_eq!((from, li), (m.from, old_li));
+        let shard = store.shard_mut(m.to).expect("reference holds every shard");
+        assert_eq!(new_li, shard.states.len());
+        shard.states.push(state);
+        assert_eq!(shard.gossip_ring.add_member(), new_li);
+        assert_eq!(shard.diffusion_ring.add_member(), new_li);
+        shard.window_events.push(0);
+        for (t, _key, item) in carried {
+            match item {
+                Pending::Event(ev) => shard.queue.schedule(t, ev),
+                Pending::Gossip(fire) => {
+                    let seq = shard.queue.alloc_seq();
+                    shard.gossip_ring.insert(new_li, fire, seq);
+                }
+                Pending::Diffusion(fire) => {
+                    let seq = shard.queue.alloc_seq();
+                    shard.diffusion_ring.insert(new_li, fire, seq);
+                }
+            }
         }
     }
 }

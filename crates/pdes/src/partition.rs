@@ -13,6 +13,7 @@
 //! randomness, no iteration-order dependence — so every run of a given
 //! scenario shards identically.
 
+use crate::rebalance::Migration;
 use ww_model::{NodeId, Tree};
 
 /// A partition of the tree's nodes into connected subtree shards.
@@ -23,9 +24,10 @@ pub struct Partition {
     /// Index of every node within its shard's `members` list.
     pub local_index: Vec<u32>,
     /// Nodes of each shard. Freshly peeled partitions list members in
-    /// ascending node-id order; churn and migration compact by
-    /// swap-remove and append at the back, so the order is merely
-    /// *deterministic*, not sorted — no consumer may rely on sortedness.
+    /// ascending node-id order; churn compacts by swap-remove, migration
+    /// by a stable retain, and both append at the back, so the order is
+    /// merely *deterministic*, not sorted — no consumer may rely on
+    /// sortedness.
     pub members: Vec<Vec<NodeId>>,
 }
 
@@ -77,22 +79,64 @@ impl Partition {
         (s, li)
     }
 
-    /// Moves `node` to shard `to`, compacting the donor's member list
-    /// by swap-remove and appending to the recipient's. Returns
-    /// `(donor shard, donor local index, recipient local index)`; the
-    /// caller must apply the identical swap-remove/push to the two
-    /// shards' state vectors and timer rings. Connectivity of the
-    /// resulting shards is the *caller's* obligation — rebalancing only
-    /// ever moves whole subtree regions, so every intermediate single
-    /// move here is just bookkeeping.
+    /// Applies a whole migration plan in one pass per touched shard:
+    /// every donor's member list drops its migrants with one `retain`
+    /// — survivors keep their relative order and take local indices
+    /// `0..survivors` — and every migrant is then appended to its
+    /// recipient in `moves` order. The caller must apply the identical
+    /// stable compaction and appends to the shards' state vectors and
+    /// timer rings (`TimerRing::remove_members` compacts the same way).
+    /// Connectivity of the resulting shards is the *caller's*
+    /// obligation — rebalancing only ever moves whole subtree regions.
     ///
     /// # Panics
     ///
-    /// Panics if `node` or `to` is out of range, or if `node` already
-    /// lives on shard `to` (a no-op migration is a planner bug).
-    pub fn move_node(&mut self, node: usize, to: usize) -> (usize, usize, usize) {
-        assert!(node < self.shard_of.len(), "node out of range");
-        assert!(to < self.members.len(), "shard out of range");
+    /// Panics if `moves` is not in strictly ascending node order, names
+    /// a node or shard out of range, a node that does not live on its
+    /// `from` shard (a stale plan), or a no-op move (`from == to`: a
+    /// planner bug).
+    pub fn move_nodes(&mut self, moves: &[Migration]) {
+        assert!(
+            moves
+                .windows(2)
+                .all(|w| w[0].node.index() < w[1].node.index()),
+            "plan moves must be in ascending node order"
+        );
+        let mut donor = vec![false; self.members.len()];
+        for m in moves {
+            let node = m.node.index();
+            assert!(node < self.shard_of.len(), "node out of range");
+            assert!(m.to < self.members.len(), "shard out of range");
+            assert_eq!(self.shard_of[node], m.from, "stale plan for node {node}");
+            assert_ne!(m.from, m.to, "no-op migration for node {node}");
+            self.shard_of[node] = m.to;
+            donor[m.from] = true;
+        }
+        let Partition {
+            shard_of,
+            local_index,
+            members,
+        } = self;
+        for (s, list) in members.iter_mut().enumerate() {
+            if donor[s] {
+                list.retain(|u| shard_of[u.index()] == s);
+                for (li, u) in list.iter().enumerate() {
+                    local_index[u.index()] = li as u32;
+                }
+            }
+        }
+        for m in moves {
+            local_index[m.node.index()] = members[m.to].len() as u32;
+            members[m.to].push(m.node);
+        }
+    }
+
+    /// Moves one node by swap-remove and append — the one-at-a-time
+    /// form [`Partition::move_nodes`] replaced, kept as the reference
+    /// the migration property test replays plans through. Returns
+    /// `(donor shard, donor local index, recipient local index)`.
+    #[cfg(test)]
+    pub(crate) fn move_node(&mut self, node: usize, to: usize) -> (usize, usize, usize) {
         let from = self.shard_of[node];
         assert_ne!(from, to, "no-op migration for node {node}");
         let li = self.local_index[node] as usize;
@@ -357,6 +401,66 @@ mod tests {
         let mut q = partition_subtrees(&tree, 3);
         q.swap_remove_node(n - 1);
         check_indexes(&q);
+    }
+
+    #[test]
+    fn move_nodes_compacts_donors_stably_and_appends_in_plan_order() {
+        let tree = ww_topology::k_ary(2, 5);
+        let mut p = partition_subtrees(&tree, 3);
+        // Shard 1 gives two members to shard 2 and takes one from
+        // shard 0 — donor and recipient in one plan.
+        let pick = |p: &Partition, s: usize, li: usize| p.members[s][li];
+        let mut moves = vec![
+            Migration {
+                node: pick(&p, 1, 0),
+                from: 1,
+                to: 2,
+            },
+            Migration {
+                node: pick(&p, 1, 2),
+                from: 1,
+                to: 2,
+            },
+            Migration {
+                node: pick(&p, 0, 1),
+                from: 0,
+                to: 1,
+            },
+        ];
+        moves.sort_unstable_by_key(|m| m.node.index());
+        let survivors_of_1: Vec<NodeId> = p.members[1]
+            .iter()
+            .copied()
+            .filter(|u| moves.iter().all(|m| m.node != *u))
+            .collect();
+        let old_len_2 = p.members[2].len();
+        p.move_nodes(&moves);
+        check_indexes(&p);
+        let kept = survivors_of_1.len();
+        assert_eq!(p.members[1][..kept], survivors_of_1[..], "stable retain");
+        assert_eq!(
+            p.members[1][kept..],
+            [moves.iter().find(|m| m.to == 1).unwrap().node]
+        );
+        let to_2: Vec<NodeId> = moves.iter().filter(|m| m.to == 2).map(|m| m.node).collect();
+        assert_eq!(
+            p.members[2][old_len_2..],
+            to_2[..],
+            "appended in plan order"
+        );
+    }
+
+    #[test]
+    fn one_connected_subtree_per_shard_caps_the_two_level_split() {
+        // A measured ceiling, pinned so the PR that lifts it has a
+        // number to move (docs/parallel.md, "Performance notes"): the
+        // peel hands each extra shard ONE connected subtree, and under
+        // the root of a two-level CDN the largest one is a single
+        // region — so two workers split `seq_cdn`'s tree 32,400 / 181.
+        let tree = ww_topology::two_level(180, 180);
+        let p = partition_subtrees(&tree, 2);
+        let sizes: Vec<usize> = p.members.iter().map(Vec::len).collect();
+        assert_eq!(sizes, [32_400, 181]);
     }
 
     #[test]

@@ -313,6 +313,122 @@ fn skewed_run_actually_migrates_and_stays_identical() {
 }
 
 #[test]
+fn a_tree_the_cut_cannot_split_is_left_alone() {
+    // `two_level(180, 180)` at two workers: the cut severs one parent
+    // edge, and under the root of a two-level tree that frees a single
+    // 181-node region out of 32,581 nodes, whichever region it picks —
+    // imbalance 1.99 before and after. "Strictly better" used to let
+    // the controller swap that region for a sibling whose window count
+    // happened to be higher at every one of these eight barriers (362
+    // nodes each, for a predicted gain under 0.001); a plan now has to
+    // remove a material share of the excess.
+    let tree = ww_topology::two_level(180, 180);
+    let rates = ww_workload::leaf_only(&tree, 0.25);
+    let mix = ww_workload::shared_zipf_mix(&tree, &rates, 4, 1.0);
+    let config = PacketSimConfig {
+        seed: 19,
+        ..PacketSimConfig::default()
+    };
+    let seq = PacketSim::new(&tree, &mix, config).run(8.0);
+    let mut par = ParPacketSim::new(&tree, &mix, config, 2);
+    par.set_telemetry(Level::Counters);
+    par.set_rebalance(Some(RebalanceConfig {
+        trigger_imbalance: 1.2,
+        min_epoch_gap: 1,
+    }));
+    let rep = par.run(8.0);
+    assert_reports_identical(&seq, &rep, "two-level CDN, armed");
+    assert!(rep.imbalance > 1.9, "the split really is lopsided");
+    let snap = par.telemetry_snapshot();
+    let counter = |key: &str| snap.counter(key).expect("rebalance counters present");
+    assert_eq!(
+        counter("pdes.rebalance.evaluations"),
+        8,
+        "every window crosses the trigger"
+    );
+    assert_eq!(counter("pdes.rebalance.applied"), 0, "nothing worth a move");
+    assert_eq!(counter("pdes.rebalance.nodes_migrated"), 0);
+}
+
+#[test]
+fn churn_right_after_a_migration_stays_identical() {
+    // A bulk move leaves a donor compacted in place and a recipient
+    // with its newcomers appended; the very next thing to touch that
+    // layout here is not an epoch but a churn storm aimed at it: a
+    // join under a node that just migrated (`add_node` behind the
+    // appended members), the departure of a leaf that just migrated
+    // (`swap_remove_node` across them) and a first-time publish
+    // (`grow_node_state` over every moved state).
+    let (tree, mix) = skewed_mix(0x5702, 72);
+    let config = PacketSimConfig {
+        seed: 41,
+        ..PacketSimConfig::default()
+    };
+    for workers in [2, 4] {
+        let mut par = ParPacketSim::new(&tree, &mix, config, workers);
+        par.set_telemetry(Level::Counters);
+        par.set_rebalance(Some(eager()));
+        let home: Vec<usize> = tree.nodes().map(|u| par.shard_of(u)).collect();
+        // Epoch by epoch up to the barrier that applies the first plan.
+        let mut at = 0.0;
+        while par
+            .telemetry_snapshot()
+            .counter("pdes.rebalance.applied")
+            .expect("counter present")
+            == 0
+        {
+            at += 1.0;
+            assert!(at <= 6.0, "workers={workers}: the skew must trigger a plan");
+            par.run(at);
+        }
+        let migrated: Vec<NodeId> = tree
+            .nodes()
+            .filter(|&u| par.shard_of(u) != home[u.index()])
+            .collect();
+        let leaf = *migrated
+            .iter()
+            .find(|&&u| tree.is_leaf(u))
+            .expect("a migrated leaf");
+        let parent = *migrated
+            .iter()
+            .find(|&&u| u != leaf)
+            .expect("a second migrated node");
+        let storm = [
+            BarrierOp::AddLeaf { parent, rate: 35.0 },
+            BarrierOp::RemoveLeaf { node: leaf },
+            BarrierOp::PublishDoc {
+                doc: DocId::new(4242),
+                origin: parent,
+                rate: 50.0,
+            },
+        ];
+        for outcome in par.apply_all(&storm) {
+            outcome.expect("storm op applies");
+        }
+        let par_report = par.run(at + 4.0);
+
+        let mut seq = PacketSim::new(&tree, &mix, config);
+        seq.run(at);
+        for outcome in seq.apply_all(&storm) {
+            outcome.expect("storm op applies");
+        }
+        let seq_report = seq.run(at + 4.0);
+        assert_reports_identical(
+            &seq_report,
+            &par_report,
+            &format!("storm after migration, workers={workers}"),
+        );
+        for j in 0..seq.tree().len() {
+            assert_eq!(
+                seq.served_total(NodeId::new(j)),
+                par.served_total(NodeId::new(j)),
+                "served_total diverges at node {j}, workers={workers}"
+            );
+        }
+    }
+}
+
+#[test]
 fn barriers_that_meet_loaded_lanes_stay_identical() {
     // The queue keeps in-flight messages (`Packet`, `CopyInstall`,
     // `GossipDeliver`) in FIFO lanes beside its radix heap, and every

@@ -169,6 +169,61 @@ fn churn_run_bit_identical_across_levels_and_engines() {
     assert_matrix_bit_identical(CHURN_EVENTS);
 }
 
+/// The rebalance controller's own observations — the plan / apply phase
+/// timers and the events-moved counter — are observation-only too: a
+/// skewed world with an eager controller renders the sequential
+/// telemetry-off bytes at every level, and what the snapshot says about
+/// migrations agrees with itself.
+#[test]
+fn armed_rebalancer_bit_identical_across_levels() {
+    let spec = |engine: &str, rebalance: &str| {
+        let text = format!(
+            r#"{{
+              "name": "telemetry-rebalance",
+              "topology": {{"kind": "random_depth", "nodes": 96, "depth": 7}},
+              "workload": {{
+                "rates": {{"kind": "zipf_nodes", "total": 2400, "theta": 1.1}},
+                "doc_mix": {{"kind": "shared_zipf", "docs": 8, "theta": 1.0}}
+              }},
+              "engine": {engine},
+              "termination": {{"kind": "rounds", "max": 6}},
+              "seed": 2026{rebalance}
+            }}"#
+        );
+        ScenarioSpec::from_json(&text).expect("spec parses")
+    };
+    let baseline = canonical(&run_one(&spec(r#"{"kind": "packet_sim"}"#, "")));
+    let armed = spec(
+        r#"{"kind": "packet_sim_par", "workers": 4}"#,
+        r#", "rebalance": {"trigger_imbalance": 1.05, "min_epoch_gap": 1}"#,
+    );
+    for level in [Level::Off, Level::Counters, Level::Full] {
+        let outcome = run_one(&with_level(&armed, level));
+        assert_eq!(canonical(&outcome), baseline, "armed at level {level}");
+        let Some(snap) = outcome.telemetry.as_ref() else {
+            assert_eq!(level, Level::Off);
+            continue;
+        };
+        let counter = |key: &str| snap.counter(key).unwrap_or_else(|| panic!("{key} missing"));
+        let applied = counter("pdes.rebalance.applied");
+        assert!(applied >= 1, "the skewed world migrates");
+        assert!(counter("pdes.rebalance.nodes_migrated") >= applied);
+        // Every node with demand has an arrival pending at any barrier.
+        assert!(counter("pdes.rebalance.events_moved") >= 1);
+        let spans = |key: &str| snap.phase(key).map(|stat| stat.count);
+        if level == Level::Full {
+            assert_eq!(
+                spans("pdes.phase.rebalance_plan"),
+                Some(counter("pdes.rebalance.evaluations"))
+            );
+            assert_eq!(spans("pdes.phase.rebalance_apply"), Some(applied));
+        } else {
+            assert_eq!(spans("pdes.phase.rebalance_plan"), None);
+            assert_eq!(spans("pdes.phase.rebalance_apply"), None);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // JSONL traces
 

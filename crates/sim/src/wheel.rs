@@ -17,6 +17,10 @@
 //! `rearm` are `O(1)`, membership is one flag per member, and `insert`
 //! is `O(1)` when members arrive in ascending phase order — the order
 //! every driver primes in — and a search from the back otherwise.
+//! Shard migration edits many members at one barrier, so the two
+//! `O(members)` edits also come in bulk: `remove_members` compacts the
+//! ring once for any number of leavers and `insert_many` merges any
+//! number of newcomers in one pass.
 //!
 //! To merge ring events with queue events deterministically, every fire
 //! carries a sequence number allocated from the owning queue (see
@@ -65,6 +69,9 @@ pub struct TimerRing {
 }
 
 impl TimerRing {
+    /// The id [`TimerRing::remove_members`] maps a departed member to.
+    pub const REMOVED: usize = usize::MAX;
+
     /// Creates a ring with the given `period` for up to `members` members
     /// (ids `0..members`).
     ///
@@ -209,6 +216,93 @@ impl TimerRing {
                 }
             }
         }
+        self.refresh_front();
+    }
+
+    /// Removes every member listed in `leaving` — armed or not — in one
+    /// pass, compacting ids **stably**: survivors keep their relative
+    /// order (and their fire times, sequence numbers and places in the
+    /// rotation) and take ids `0..survivors`. Returns the old→new id map,
+    /// [`TimerRing::REMOVED`] for the members that left.
+    ///
+    /// The rotation afterwards is the one a
+    /// [`swap_remove_member`](TimerRing::swap_remove_member) per leaver
+    /// would have left, up to the renaming: the same `(next, seq)` fires
+    /// in the same order. `O(members)` however many leave, where the
+    /// one-at-a-time form pays that per leaver.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `leaving` names a member twice or one out of range.
+    pub fn remove_members(&mut self, leaving: &[usize]) -> Vec<usize> {
+        let members = self.next.len();
+        let mut new_id = vec![0; members];
+        for &m in leaving {
+            assert!(m < members, "member out of range");
+            assert!(new_id[m] != Self::REMOVED, "member {m} leaves twice");
+            new_id[m] = Self::REMOVED;
+        }
+        let mut kept = 0;
+        for (m, id) in new_id.iter_mut().enumerate() {
+            if *id != Self::REMOVED {
+                *id = kept;
+                self.next[kept] = self.next[m];
+                self.seq[kept] = self.seq[m];
+                self.armed[kept] = self.armed[m];
+                kept += 1;
+            }
+        }
+        self.next.truncate(kept);
+        self.seq.truncate(kept);
+        self.armed.truncate(kept);
+        self.order.retain_mut(|m| {
+            *m = new_id[*m];
+            *m != Self::REMOVED
+        });
+        self.refresh_front();
+        new_id
+    }
+
+    /// Arms every `(member, first_fire, seq)` of `fires` in one merge —
+    /// the rotation afterwards is exactly what an
+    /// [`insert`](TimerRing::insert) per entry would have built, because
+    /// the rotation is sorted by `(next, seq)` and the keys are unique.
+    /// Sorts `fires` by that key, then merges from the back, so the cost
+    /// is `O(k log k)` plus the stretch of the rotation at or after the
+    /// earliest newcomer — not `O(k × members)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a member is out of range or already armed.
+    pub fn insert_many(&mut self, fires: &mut [(usize, SimTime, u64)]) {
+        fires.sort_unstable_by_key(|&(_, at, seq)| (at, seq));
+        for &(member, at, seq) in fires.iter() {
+            assert!(member < self.next.len(), "member out of range");
+            assert!(!self.armed[member], "member {member} is already armed");
+            self.armed[member] = true;
+            self.next[member] = at;
+            self.seq[member] = seq;
+        }
+        // Backward merge in place: `old` walks the rotation as it was,
+        // `write` the grown one; every newcomer placed ends the walk
+        // one step sooner.
+        let mut old = self.order.len();
+        self.order.resize(old + fires.len(), 0);
+        let mut write = self.order.len();
+        for &(member, at, seq) in fires.iter().rev() {
+            while old > 0 {
+                let m = self.order[old - 1];
+                if (self.next[m], self.seq[m]) < (at, seq) {
+                    break;
+                }
+                old -= 1;
+                write -= 1;
+                self.order[write] = m;
+            }
+            write -= 1;
+            self.order[write] = member;
+        }
+        debug_assert_eq!(old, write, "the untouched prefix stays in place");
         self.refresh_front();
     }
 
