@@ -753,6 +753,27 @@ mod tests {
     }
 
     #[test]
+    fn a_table_without_rows_survives_every_table_operation() {
+        // A leaf's per-child table: no rows until it gains a child.
+        let mut t = DenseFlowTable::new(1.0, 1.0, 0, 2);
+        t.roll_to(3.0);
+        t.grow_docs(&[0, 2], 3, 3.0);
+        assert_eq!((t.row_count(), t.doc_count()), (0, 3));
+        t.reorder_rows(&[], 3.0);
+        assert_eq!(t.row_count(), 0);
+        // The first child arrives: one fresh row, anchored at its join.
+        t.reorder_rows(&[None], 4.0);
+        assert_eq!((t.row_count(), t.doc_count()), (1, 3));
+        t.record(0, 2, 4.5);
+        t.roll_to(5.0);
+        assert!((t.rate(0, 2) - 1.0).abs() < 1e-9);
+        // ...and departs again.
+        t.reorder_rows(&[], 5.0);
+        assert_eq!(t.row_count(), 0);
+        t.roll_to(9.0);
+    }
+
+    #[test]
     fn a_grid_cell_is_four_words() {
         // The per-table constants live once per table, not per cell.
         assert_eq!(std::mem::size_of::<MeterCell>(), 32);

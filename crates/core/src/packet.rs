@@ -854,7 +854,7 @@ pub fn init_state_at(world: &PacketWorld, node: NodeId, at: f64) -> NodeState {
     NodeState {
         copies,
         filter: world.table.empty_set(),
-        flows: table(world.tree.children(node).len().max(1)),
+        flows: table(world.tree.children(node).len()),
         seen: table(1),
         served: table(1),
         alloc: vec![TokenBucket::new(0.0, at); m],
@@ -1136,12 +1136,7 @@ pub fn grow_node_state(state: &mut NodeState, growth: &UniverseGrowth, at: f64, 
 /// slot whose history the new slot keeps, `None` starts fresh (anchored
 /// at `at`). Applied when churn renumbers a node's child list.
 pub fn remap_children(state: &mut NodeState, map: &[Option<usize>], at: f64) {
-    let rows: Vec<Option<usize>> = if map.is_empty() {
-        vec![None]
-    } else {
-        map.to_vec()
-    };
-    state.flows.reorder_rows(&rows, at);
+    state.flows.reorder_rows(map, at);
     let old_est = std::mem::take(&mut state.child_est);
     state.child_est = map
         .iter()

@@ -600,3 +600,50 @@ fn first_publish_into_an_empty_universe() {
     };
     assert_eq!(run(false), run(true));
 }
+
+/// A leaf gains its first child and loses its last one: it owns no
+/// per-child state until the join, meters the newcomer's forwarded
+/// requests from the join on, and is a plain leaf again after the
+/// leave — batched and op by op alike.
+#[test]
+fn a_leaf_gains_its_first_child_and_loses_its_last() {
+    let tree = Tree::from_parents(&[None, Some(0), Some(0), Some(1)]).unwrap();
+    let mut mix = DocMix::new(4);
+    for (node, rate) in [(2, 60.0), (3, 90.0)] {
+        mix.set(NodeId::new(node), DocId::new(1), rate);
+        mix.set(NodeId::new(node), DocId::new(2), rate / 3.0);
+    }
+    let leaf = NodeId::new(2);
+    let run = |batched: bool| {
+        let mut sim = PacketSim::new(&tree, &mix, PacketSimConfig::default());
+        sim.run(2.0);
+        assert!(sim.tree().is_leaf(leaf));
+        let child = join(&mut sim, leaf, 120.0);
+        assert_eq!(sim.tree().children(leaf), &[child]);
+        let mid = sim.run(6.0);
+        assert!(sim.served_total(child) + sim.served_total(leaf) > 0);
+        // The only child leaves and, in the same storm or the next op,
+        // another one joins: the per-child state restarts from nothing.
+        let storm = [
+            BarrierOp::RemoveLeaf { node: child },
+            BarrierOp::AddLeaf {
+                parent: leaf,
+                rate: 30.0,
+            },
+            BarrierOp::RemoveLeaf { node: child },
+        ];
+        if batched {
+            let results = sim.apply_all(&storm);
+            assert!(results.iter().all(Result::is_ok), "{results:?}");
+        } else {
+            for op in &storm {
+                sim.apply_op(op).expect("the storm applies");
+            }
+        }
+        assert!(sim.tree().is_leaf(leaf));
+        let end = sim.run(10.0);
+        assert!(end.served_requests > mid.served_requests);
+        (report_bits(&mid), report_bits(&end))
+    };
+    assert_eq!(run(false), run(true));
+}
