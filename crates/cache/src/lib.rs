@@ -41,7 +41,7 @@ pub mod meter;
 pub mod policy;
 pub mod store;
 
-pub use meter::{DenseFlowTable, FlowSnapshot, FlowTable, RateMeter};
+pub use meter::{DenseFlowTable, FlowSnapshot, FlowTable, MeterCell, RateMeter};
 pub use policy::{
     plan_push, plan_push_dense, plan_shed, plan_shed_dense, plan_total, DenseRateSlice, RateSlice,
 };

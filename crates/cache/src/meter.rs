@@ -9,15 +9,19 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use ww_model::{shift_columns, DocId, NodeId};
+use ww_model::{DocGrid, DocId, NodeId};
 
 /// The per-meter state of a windowed rate estimator: the open window,
 /// its event count, and the EWMA over the closed windows' rates. The
 /// window length and the smoothing factor are *not* stored here — a
 /// [`RateMeter`] carries them beside its one cell, a [`DenseFlowTable`]
 /// once for its whole grid — so a grid cell is 32 bytes, not 48.
+///
+/// Opaque outside this module: a cell can be copied between tables
+/// ([`DenseFlowTable::row`] / [`DenseFlowTable::row_mut`]) and compared,
+/// which is all a row migration or a cell-for-cell test needs.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct MeterCell {
+pub struct MeterCell {
     window_start: f64,
     count_in_window: u64,
     /// The smoothed rate; `None` until one full window has elapsed.
@@ -236,20 +240,16 @@ impl FlowTable {
 }
 
 /// A dense, preallocated flow table: one rate meter per `(row, dense
-/// document index)` cell of a grid.
+/// document index)` cell of a [`DocGrid`].
 ///
 /// [`FlowTable`] keys every meter by `(NodeId, DocId)` in a `HashMap`, so
 /// each record costs a hash + probe and every aggregate (`child_total`,
 /// `child_doc_rates`) scans and re-allocates. On the packet-level hot path
 /// a node touches its meters once per packet; `DenseFlowTable` instead
-/// addresses them by `row * stride + index` — rows are the node's local
-/// child slots (or just row 0 for per-node tables), indices come from the
-/// simulation's [`ww_model::DocTable`].
-///
-/// The row stride is a column *capacity*, equal to the column count at
-/// construction. It exceeds it only once [`DenseFlowTable::grow_docs`]
-/// has grown the table, which reserves room so that the next appended
-/// document columns cost one cell per row and no allocation.
+/// addresses them by `row * stride + index` — rows are the nodes of one
+/// driver's slab (or an interior node's child slots), indices come from
+/// the simulation's [`ww_model::DocTable`]. The measurement window and
+/// the smoothing factor are stored once for the whole grid.
 ///
 /// Totals are accumulated in ascending index order, which under a
 /// `DocTable` is ascending [`DocId`] order — a fixed, deterministic float
@@ -270,25 +270,18 @@ impl FlowTable {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DenseFlowTable {
-    rows: usize,
-    docs: usize,
-    /// Cells between the starts of consecutive rows (`>= docs`); the
-    /// cells of a row past `docs` are unused spare columns.
-    stride: usize,
     window_secs: f64,
     alpha: f64,
-    cells: Vec<MeterCell>,
+    grid: DocGrid<MeterCell>,
 }
 
 /// Equality of the measured state: constants, shape, and every live
 /// cell. Spare columns hold no state and are not compared.
 impl PartialEq for DenseFlowTable {
     fn eq(&self, other: &Self) -> bool {
-        self.rows == other.rows
-            && self.docs == other.docs
-            && self.window_secs == other.window_secs
+        self.window_secs == other.window_secs
             && self.alpha == other.alpha
-            && (0..self.rows).all(|row| self.row(row) == other.row(row))
+            && self.grid == other.grid
     }
 }
 
@@ -304,8 +297,8 @@ impl DenseFlowTable {
     }
 
     /// A grid whose meters open their first window at `start` instead of
-    /// time zero — for per-node state created mid-simulation (a joining
-    /// node), mirroring [`RateMeter::new_anchored`].
+    /// time zero — for state created mid-simulation, mirroring
+    /// [`RateMeter::new_anchored`].
     ///
     /// # Panics
     ///
@@ -319,28 +312,10 @@ impl DenseFlowTable {
     ) -> Self {
         assert_meter_constants(window_secs, alpha);
         DenseFlowTable {
-            rows,
-            docs,
-            stride: docs,
             window_secs,
             alpha,
-            cells: vec![MeterCell::anchored(start); rows * docs],
+            grid: DocGrid::new(rows, docs, MeterCell::anchored(start)),
         }
-    }
-
-    #[inline]
-    fn cell(&self, row: usize, index: u32) -> usize {
-        // A real assert, not debug_assert: in release an out-of-range doc
-        // index would otherwise alias into the next row's cells instead
-        // of panicking as documented.
-        assert!((index as usize) < self.docs, "doc index out of range");
-        row * self.stride + index as usize
-    }
-
-    /// The live cells of `row`.
-    #[inline]
-    fn row(&self, row: usize) -> &[MeterCell] {
-        &self.cells[row * self.stride..row * self.stride + self.docs]
     }
 
     /// Records one event for `(row, index)` at time `now`.
@@ -350,18 +325,29 @@ impl DenseFlowTable {
     /// Panics if the cell is outside the grid.
     #[inline]
     pub fn record(&mut self, row: usize, index: u32, now: f64) {
-        let cell = self.cell(row, index);
-        self.cells[cell].record(now, self.window_secs, self.alpha);
+        let (window_secs, alpha) = (self.window_secs, self.alpha);
+        self.grid
+            .get_mut(row, index)
+            .record(now, window_secs, alpha);
     }
 
     /// Rolls every meter's window forward to `now`.
     pub fn roll_to(&mut self, now: f64) {
+        for row in 0..self.grid.row_count() {
+            self.roll_row_to(row, now);
+        }
+    }
+
+    /// Rolls the meters of one row forward to `now` — a node rolling
+    /// its own row of a slab it shares with every other node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is outside the grid.
+    pub fn roll_row_to(&mut self, row: usize, now: f64) {
         let (window_secs, alpha) = (self.window_secs, self.alpha);
-        for row in 0..self.rows {
-            let start = row * self.stride;
-            for cell in &mut self.cells[start..start + self.docs] {
-                cell.roll_to(now, window_secs, alpha);
-            }
+        for cell in self.grid.row_mut(row) {
+            cell.roll_to(now, window_secs, alpha);
         }
     }
 
@@ -372,7 +358,7 @@ impl DenseFlowTable {
     /// Panics if the cell is outside the grid.
     #[inline]
     pub fn rate(&self, row: usize, index: u32) -> f64 {
-        self.cells[self.cell(row, index)].rate_or_zero()
+        self.grid.get(row, index).rate_or_zero()
     }
 
     /// Aggregate rate across all documents of `row`, accumulated in
@@ -382,7 +368,7 @@ impl DenseFlowTable {
     ///
     /// Panics if `row` is outside the grid.
     pub fn row_total(&self, row: usize) -> f64 {
-        self.row(row).iter().map(MeterCell::rate_or_zero).sum()
+        self.grid.row(row).iter().map(MeterCell::rate_or_zero).sum()
     }
 
     /// Appends `(index, rate)` pairs with positive rate for `row` to
@@ -395,7 +381,7 @@ impl DenseFlowTable {
     /// Panics if `row` is outside the grid.
     pub fn row_doc_rates(&self, row: usize, out: &mut Vec<(u32, f64)>) {
         out.clear();
-        for (k, m) in self.row(row).iter().enumerate() {
+        for (k, m) in self.grid.row(row).iter().enumerate() {
             let r = m.rate_or_zero();
             if r > 0.0 {
                 out.push((k as u32, r));
@@ -410,114 +396,107 @@ impl DenseFlowTable {
 
     /// Number of document columns in the grid.
     pub fn doc_count(&self) -> usize {
-        self.docs
+        self.grid.doc_count()
     }
 
     /// Number of rows in the grid (kept even when the grid has no
     /// document columns yet).
     pub fn row_count(&self) -> usize {
-        self.rows
+        self.grid.row_count()
     }
 
-    /// Rebuilds the grid's rows from a mapping: `map[new_row]` names the
-    /// old row whose meters (history included) the new row keeps, or
-    /// `None` for a fresh row anchored at `now`. Rows may be dropped,
-    /// duplicated, or permuted — this is the per-child-slot surgery a
-    /// topology change applies when a node's child list is renumbered.
+    /// Bytes the grid's buffer holds (capacity, spare cells included).
+    pub fn capacity_bytes(&self) -> usize {
+        self.grid.capacity_bytes()
+    }
+
+    /// The live cells of `row`: window starts, open counts and smoothed
+    /// rates — everything the row has measured.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is outside the grid.
+    pub fn row(&self, row: usize) -> &[MeterCell] {
+        self.grid.row(row)
+    }
+
+    /// The live cells of `row`, to be overwritten with cells copied from
+    /// another table's row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is outside the grid.
+    pub fn row_mut(&mut self, row: usize) -> &mut [MeterCell] {
+        self.grid.row_mut(row)
+    }
+
+    /// Appends a row of fresh meters anchored at `now` (a joining node,
+    /// a node's new child slot).
+    pub fn push_row(&mut self, now: f64) {
+        self.grid.push_row(MeterCell::anchored(now));
+    }
+
+    /// Appends a row holding a copy of `cells`, history included (a
+    /// node's row arriving from another shard's table).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cells` does not cover the document columns.
+    pub fn push_row_from(&mut self, cells: &[MeterCell]) {
+        self.grid.push_row_from(cells, MeterCell::anchored(0.0));
+    }
+
+    /// Removes `row`, moving the last row into its place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is outside the grid.
+    pub fn swap_remove_row(&mut self, row: usize) {
+        self.grid.swap_remove_row(row);
+    }
+
+    /// Keeps the rows for which `keep(row)` holds, in order.
+    pub fn retain_rows(&mut self, keep: impl FnMut(usize) -> bool) {
+        self.grid.retain_rows(keep);
+    }
+
+    /// Reorders the grid's rows in place from a mapping: `map[new_row]`
+    /// names the old row whose meters (history included) the new row
+    /// keeps, or `None` for a fresh row anchored at `now`; unnamed old
+    /// rows are dropped. See [`DocGrid::reorder_rows`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if an entry names a row outside the grid or two entries
+    /// name the same row.
     pub fn reorder_rows(&mut self, map: &[Option<usize>], now: f64) {
-        let mut cells = vec![MeterCell::anchored(now); map.len() * self.stride];
-        for (new, &src) in map.iter().enumerate() {
-            if let Some(old) = src {
-                assert!(
-                    old < self.rows,
-                    "row {old} out of range ({} rows)",
-                    self.rows
-                );
-                cells[new * self.stride..new * self.stride + self.docs]
-                    .copy_from_slice(self.row(old));
-            }
-        }
-        self.rows = map.len();
-        self.cells = cells;
+        self.grid.reorder_rows(map, MeterCell::anchored(now));
     }
 
     /// Grows the grid's document columns **in place**: the column of old
     /// index `old` moves to `old_to_new[old]`, and every other one of
     /// the `new_docs` columns starts as fresh meters anchored at `now`.
-    /// This is how a growing document universe (a publish, a shifted mix
-    /// with new ids) reaches every dense per-document table while
-    /// measured history survives.
-    ///
-    /// A universe grows in ascending-id order, so `old_to_new` is
-    /// strictly increasing and the columns shift inside the existing
-    /// buffer, last row first and back to front. When the row stride is
-    /// exhausted it at least doubles, so a run of publishes pays for one
-    /// reallocation per table, and each later append anchors one cell
-    /// per row.
+    /// Measured history survives; see [`DocGrid::grow_docs`] for the
+    /// stride policy.
     ///
     /// # Panics
     ///
     /// Panics if `old_to_new` does not cover the old columns or is not
     /// strictly increasing into `0..new_docs`.
     pub fn grow_docs(&mut self, old_to_new: &[u32], new_docs: usize, now: f64) {
-        assert_eq!(old_to_new.len(), self.docs, "mapping must cover old docs");
-        let fresh = MeterCell::anchored(now);
-        let old_stride = self.stride;
-        if new_docs > self.stride {
-            self.stride = new_docs.max(2 * self.stride);
-            self.cells.resize(self.rows * self.stride, fresh);
-        }
-        for row in (0..self.rows).rev() {
-            shift_columns(
-                &mut self.cells,
-                row * old_stride,
-                row * self.stride,
-                old_to_new,
-                new_docs,
-                fresh,
-            );
-        }
-        self.docs = new_docs;
+        self.grid
+            .grow_docs(old_to_new, new_docs, MeterCell::anchored(now));
     }
 
-    /// [`DenseFlowTable::grow_docs`] by construction of a **new** grid of
-    /// exactly `new_docs` columns, for any injective mapping. The plain
-    /// definition the in-place form is tested against; simulations use
-    /// `grow_docs`.
+    /// Resets the meter of one cell — cache-invalidation support: a
+    /// re-published document voids the rate a node measured for its old
+    /// version.
     ///
     /// # Panics
     ///
-    /// Panics if the mapping is not injective into `new_docs` columns.
-    pub fn remap_docs(&mut self, old_to_new: &[u32], new_docs: usize, now: f64) {
-        assert_eq!(old_to_new.len(), self.docs, "mapping must cover old docs");
-        let mut cells = vec![MeterCell::anchored(now); self.rows * new_docs];
-        let mut seen = vec![false; new_docs];
-        for (old, &new) in old_to_new.iter().enumerate() {
-            let new = new as usize;
-            assert!(new < new_docs, "mapped column {new} out of range");
-            assert!(!seen[new], "mapping must be injective");
-            seen[new] = true;
-            for row in 0..self.rows {
-                cells[row * new_docs + new] = self.cells[row * self.stride + old];
-            }
-        }
-        self.docs = new_docs;
-        self.stride = new_docs;
-        self.cells = cells;
-    }
-
-    /// Resets the meters of one document column across every row —
-    /// cache-invalidation support: a re-published document voids all
-    /// measured rates for its old version.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is outside the grid.
-    pub fn clear_doc(&mut self, index: u32) {
-        assert!((index as usize) < self.docs, "doc index out of range");
-        for row in 0..self.rows {
-            self.cells[row * self.stride + index as usize].reset();
-        }
+    /// Panics if the cell is outside the grid.
+    pub fn clear_cell(&mut self, row: usize, index: u32) {
+        self.grid.get_mut(row, index).reset();
     }
 }
 
@@ -697,46 +676,63 @@ mod tests {
     }
 
     #[test]
-    fn remap_docs_shifts_columns_and_keeps_history() {
-        let mut t = DenseFlowTable::new(1.0, 1.0, 2, 2);
-        t.record(0, 0, 0.1);
-        t.record(1, 1, 0.2);
-        t.roll_to(1.0);
-        // Insert a new column between the two old ones: 0 -> 0, 1 -> 2.
-        t.remap_docs(&[0, 2], 3, 1.0);
-        assert_eq!(t.doc_count(), 3);
-        assert!((t.rate(0, 0) - 1.0).abs() < 1e-9);
-        assert_eq!(t.rate(0, 1), 0.0);
-        assert!((t.rate(1, 2) - 1.0).abs() < 1e-9);
-        // The fresh column meters from the anchor point onward.
-        t.record(0, 1, 1.5);
-        t.roll_to(2.0);
-        assert!((t.rate(0, 1) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn grow_docs_shifts_in_place_and_reserves_room() {
         let mut t = DenseFlowTable::new(1.0, 1.0, 2, 2);
         t.record(0, 0, 0.1);
         t.record(1, 1, 0.2);
         t.roll_to(1.0);
-        let mut oracle = t.clone();
         // Insert a new column between the two old ones: 0 -> 0, 1 -> 2.
         t.grow_docs(&[0, 2], 3, 1.0);
-        oracle.remap_docs(&[0, 2], 3, 1.0);
-        assert_eq!(t, oracle);
         assert_eq!((t.row_count(), t.doc_count()), (2, 3));
+        assert!((t.rate(0, 0) - 1.0).abs() < 1e-9);
+        assert_eq!(t.rate(0, 1), 0.0);
         assert!((t.rate(1, 2) - 1.0).abs() < 1e-9);
         // The stride doubled to 4, so the next append finds room.
-        let reserved = t.cells.capacity();
+        let reserved = t.capacity_bytes();
         t.grow_docs(&[0, 1, 2], 4, 2.0);
-        oracle.remap_docs(&[0, 1, 2], 4, 2.0);
-        assert_eq!(t, oracle);
-        assert_eq!(t.cells.capacity(), reserved);
+        assert_eq!(t.capacity_bytes(), reserved);
+        assert!((t.rate(1, 2) - 1.0).abs() < 1e-9);
         // The fresh column meters from its anchor point onward.
         t.record(0, 3, 2.5);
         t.roll_to(3.0);
         assert!((t.rate(0, 3) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn rows_join_leave_and_migrate_with_their_history() {
+        let mut t = DenseFlowTable::new(1.0, 1.0, 2, 2);
+        t.record(0, 0, 0.1);
+        t.record(1, 1, 0.2);
+        t.record(1, 1, 0.3);
+        t.roll_row_to(1, 1.0);
+        assert_eq!(t.rate(0, 0), 0.0, "row 0 was not rolled");
+        assert!((t.rate(1, 1) - 2.0).abs() < 1e-9);
+        // A joiner's row is anchored at its join.
+        t.push_row(1.0);
+        t.record(2, 0, 1.5);
+        // Row 1 migrates to another table, history included.
+        let mut other = DenseFlowTable::new(1.0, 1.0, 0, 2);
+        other.push_row_from(t.row(1));
+        t.swap_remove_row(1);
+        assert_eq!(t.row_count(), 2);
+        t.roll_to(2.0);
+        other.roll_to(2.0);
+        assert!(
+            (t.rate(0, 0) - 0.0).abs() < 1e-9,
+            "two windows, the second empty"
+        );
+        assert!(
+            (t.rate(1, 0) - 1.0).abs() < 1e-9,
+            "the joiner moved into the gap"
+        );
+        assert!((other.rate(0, 1) - 0.0).abs() < 1e-9);
+        // One cell resets; its neighbours keep their estimate.
+        t.record(1, 0, 2.1);
+        t.record(1, 1, 2.2);
+        t.roll_to(3.0);
+        t.clear_cell(1, 0);
+        assert_eq!(t.rate(1, 0), 0.0);
+        assert!((t.rate(1, 1) - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -153,7 +153,7 @@ proptest! {
         feed(&mut in_place, 0.0);
         let mut rebuilt = in_place.clone();
         in_place.grow_docs(&first_map, first.len(), 3.0);
-        rebuilt.remap_docs(&first_map, first.len(), 3.0);
+        rebuilt = remap_docs(&rebuilt, &first_map, first.len(), 3.0);
         prop_assert_eq!(&in_place, &rebuilt);
         feed(&mut in_place, 3.0);
         feed(&mut rebuilt, 3.0);
@@ -166,10 +166,54 @@ proptest! {
         }
         let second_map = mapping(&keep);
         in_place.grow_docs(&second_map, keep.len(), 6.0);
-        rebuilt.remap_docs(&second_map, keep.len(), 6.0);
+        rebuilt = remap_docs(&rebuilt, &second_map, keep.len(), 6.0);
         prop_assert_eq!(&in_place, &rebuilt);
         feed(&mut in_place, 6.0);
         feed(&mut rebuilt, 6.0);
         prop_assert_eq!(&in_place, &rebuilt);
     }
+}
+
+/// [`DenseFlowTable::grow_docs`] by construction of a **new** grid of
+/// exactly `new_docs` columns, for any injective mapping: the plain
+/// definition the in-place form is tested against.
+fn remap_docs(
+    table: &ww_cache::DenseFlowTable,
+    old_to_new: &[u32],
+    new_docs: usize,
+    now: f64,
+) -> ww_cache::DenseFlowTable {
+    assert_eq!(old_to_new.len(), table.doc_count());
+    // The tests' tables all measure with these constants.
+    let mut grown =
+        ww_cache::DenseFlowTable::new_anchored(1.0, 0.5, table.row_count(), new_docs, now);
+    let mut seen = vec![false; new_docs];
+    for (old, &new) in old_to_new.iter().enumerate() {
+        assert!(
+            !std::mem::replace(&mut seen[new as usize], true),
+            "mapping must be injective"
+        );
+        for row in 0..table.row_count() {
+            grown.row_mut(row)[new as usize] = table.row(row)[old];
+        }
+    }
+    grown
+}
+
+#[test]
+fn remap_docs_shifts_columns_and_keeps_history() {
+    let mut t = ww_cache::DenseFlowTable::new(1.0, 0.5, 2, 2);
+    t.record(0, 0, 0.1);
+    t.record(1, 1, 0.2);
+    t.roll_to(1.0);
+    // Insert a new column between the two old ones: 0 -> 0, 1 -> 2.
+    let mut t = remap_docs(&t, &[0, 2], 3, 1.0);
+    assert_eq!(t.doc_count(), 3);
+    assert!((t.rate(0, 0) - 1.0).abs() < 1e-9);
+    assert_eq!(t.rate(0, 1), 0.0);
+    assert!((t.rate(1, 2) - 1.0).abs() < 1e-9);
+    // The fresh column meters from the anchor point onward.
+    t.record(0, 1, 1.5);
+    t.roll_to(2.0);
+    assert!((t.rate(0, 1) - 1.0).abs() < 1e-9);
 }

@@ -3,10 +3,11 @@
 //! Both packet-level drivers — the sequential [`PacketSim`] and the
 //! sharded parallel engine in the `ww-pdes` crate — execute exactly this
 //! module's handlers. Everything here is **node-local by construction**:
-//! a handler may read the static [`PacketWorld`], mutate the one
-//! [`NodeState`] the event targets, append follow-up events to the
+//! a handler may read the static [`PacketWorld`], mutate the one row of
+//! its driver's [`NodeSlab`] the event targets (handed to it as a
+//! borrowed [`NodeMut`] view), append follow-up events to the
 //! [`NodeCtx`] outbox, and bump shard-mergeable counters — and nothing
-//! else. No handler reads another node's state, so the global event
+//! else. No handler reads another node's row, so the global event
 //! interleaving across nodes cannot influence any node's evolution, which
 //! is what lets a sharded run replay the sequential run bit for bit.
 //!
@@ -17,8 +18,9 @@
 //!    and consumed in node-local event order — never from global
 //!    sequence counters (which would depend on the cross-node
 //!    interleaving and therefore on the sharding).
-//! 2. **Message-passing only.** Cross-node effects travel as timestamped
-//!    events along tree edges, each paying at least one
+//! 2. **Message-passing only.** A handler touches the one row the event
+//!    targets; cross-node effects travel as timestamped events along
+//!    tree edges, each paying at least one
 //!    [`PacketSimConfig::link_delay`]. Tunneling, which used to inspect
 //!    ancestor caches synchronously, is a [`PacketEvent::TunnelProbe`]
 //!    climbing hop by hop and a [`PacketEvent::TunnelGrant`] descending
@@ -31,12 +33,14 @@
 //!
 //! [`PacketSim`]: crate::packetsim::PacketSim
 
+mod slab;
+
+pub use slab::{ChildState, NodeHead, NodeMut, NodeRef, NodeSlab, Set, TokenBucket};
+
 use crate::fold::IncrementalFold;
-use ww_cache::{plan_push_dense, plan_shed_dense, DenseFlowTable, DenseRateSlice};
+use ww_cache::{plan_push_dense, plan_shed_dense, DenseRateSlice};
 use ww_diffusion::safe_alpha;
-use ww_model::{
-    shift_columns, DocId, DocSet, DocTable, LeafRemoval, ModelError, NodeId, RateVector, Tree,
-};
+use ww_model::{DocId, DocTable, LeafRemoval, ModelError, NodeId, RateVector, Tree};
 use ww_net::{DocRequest, DocResponse, RequestId, TrafficClass, TrafficLedger};
 use ww_sim::{exp_delay, LaneStats, SimQueue, SimRng, SimTime, TimerRing};
 use ww_stats::ExactSum;
@@ -724,74 +728,6 @@ pub fn apply_surgery(ev: PacketEvent, steps: &[SurgeryStep]) -> Option<PacketEve
     Some(ev)
 }
 
-/// A token bucket shaping one document's serve rate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TokenBucket {
-    rate: f64,
-    tokens: f64,
-    last: f64,
-}
-
-impl TokenBucket {
-    const BURST: f64 = 2.0;
-
-    fn new(rate: f64, now: f64) -> Self {
-        TokenBucket {
-            rate,
-            tokens: 1.0,
-            last: now,
-        }
-    }
-
-    fn try_take(&mut self, now: f64) -> bool {
-        self.tokens = (self.tokens + self.rate * (now - self.last)).min(Self::BURST);
-        self.last = now;
-        if self.tokens >= 1.0 {
-            self.tokens -= 1.0;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// Per-node protocol state, all per-document tables dense. Owned by
-/// whichever driver shard hosts the node; handlers only ever touch the
-/// state of the event's target node.
-#[derive(Debug)]
-pub struct NodeState {
-    /// Documents this node holds a copy of.
-    pub copies: DocSet,
-    /// Documents this node's router filter intercepts.
-    pub filter: DocSet,
-    /// Per-child-slot, per-doc forwarded-rate meters.
-    pub flows: DenseFlowTable,
-    /// Per-doc rate of all requests seen at this node (own + children).
-    pub seen: DenseFlowTable,
-    /// Per-doc rate this node actually served.
-    pub served: DenseFlowTable,
-    /// Serve allocations in req/s per held document (token buckets),
-    /// one slab cell per dense index; `alloc_set` marks live buckets.
-    pub alloc: Vec<TokenBucket>,
-    /// Marks live token buckets.
-    pub alloc_set: DocSet,
-    /// Latest gossiped load estimate of the parent.
-    pub parent_est: Option<f64>,
-    /// Latest gossiped load estimates of children, by child slot.
-    pub child_est: Vec<Option<f64>>,
-    /// Total requests served (lifetime).
-    pub served_total: u64,
-    /// Consecutive underloaded periods without a successful takeover.
-    pub underload_streak: usize,
-    /// Per-demand-stream arrival randomness, forked purely from
-    /// `(master seed, node, doc)` — independent of any global counter.
-    pub arrival_rng: Vec<SimRng>,
-    /// Gossip-loss randomness, forked purely from `(master seed, node)`.
-    pub gossip_rng: SimRng,
-    /// Node-local request counter (request ids are `(node, counter)`).
-    pub next_request: u64,
-}
-
 /// The RNG of one arrival stream: a pure function of
 /// `(master seed, node, doc)` at generation zero, with the world's
 /// arrival generation folded in once the stage has been rebuilt — so
@@ -820,120 +756,12 @@ fn stream_rng(node_rng: &SimRng, generation: u64, doc: DocId) -> SimRng {
 /// The gossip-loss RNG of one node. Nodes that join mid-run fold the
 /// generation they joined at into the fork, so a joiner reusing a
 /// previously compacted id never resumes a departed node's stream.
-fn gossip_stream_rng(world: &PacketWorld, node: usize) -> SimRng {
+pub fn gossip_stream_rng(world: &PacketWorld, node: usize) -> SimRng {
     let base = SimRng::seed(world.config.seed).fork(STREAM_GOSSIP ^ (node as u64));
     if world.generation == 0 {
         base
     } else {
         base.fork(STREAM_REBUILD ^ world.generation)
-    }
-}
-
-/// Builds the initial state of `node`. The home server (root) starts
-/// holding every document.
-pub fn init_state(world: &PacketWorld, node: NodeId) -> NodeState {
-    init_state_at(world, node, 0.0)
-}
-
-/// [`init_state`] for a node created mid-run (a barrier-time join): its
-/// rate meters anchor their first window at `at` instead of time zero.
-pub fn init_state_at(world: &PacketWorld, node: NodeId, at: f64) -> NodeState {
-    let m = world.table.len();
-    let config = &world.config;
-    let i = node.index();
-    let arrival_rng = world.demand[i]
-        .iter()
-        .map(|&(doc, _, _)| arrival_stream_rng(world, i, doc))
-        .collect();
-    let copies = if node == world.tree.root() {
-        world.table.full_set()
-    } else {
-        world.table.empty_set()
-    };
-    let table = |rows: usize| DenseFlowTable::new_anchored(config.measure_window, 0.5, rows, m, at);
-    NodeState {
-        copies,
-        filter: world.table.empty_set(),
-        flows: table(world.tree.children(node).len()),
-        seen: table(1),
-        served: table(1),
-        alloc: vec![TokenBucket::new(0.0, at); m],
-        alloc_set: world.table.empty_set(),
-        parent_est: None,
-        child_est: vec![None; world.tree.children(node).len()],
-        served_total: 0,
-        underload_streak: 0,
-        arrival_rng,
-        gossip_rng: gossip_stream_rng(world, i),
-        next_request: 0,
-    }
-}
-
-/// The initial arrival events of `node`, in demand-stream order. The
-/// first inter-arrival gap is drawn from the stream's own RNG, so the
-/// schedule is independent of which shard primes it.
-pub fn initial_arrivals(
-    world: &PacketWorld,
-    state: &mut NodeState,
-    node: NodeId,
-    out: &mut Vec<(SimTime, PacketEvent)>,
-) {
-    let i = node.index();
-    for stream in 0..world.demand[i].len() {
-        let (doc, index, rate) = world.demand[i][stream];
-        if rate > 0.0 {
-            let gap = exp_delay(&mut state.arrival_rng[stream], 1.0 / rate);
-            out.push((
-                SimTime::from_secs(gap),
-                PacketEvent::Arrival {
-                    node,
-                    doc,
-                    index,
-                    stream: stream as u32,
-                    rate,
-                },
-            ));
-        }
-    }
-}
-
-/// Re-resolves one node's arrival streams after a barrier mutation:
-/// fresh stream RNGs forked from `(seed, node, doc, generation)`, and
-/// one first arrival per positive-rate stream scheduled after `at`. The
-/// driver must have dropped the node's stale [`PacketEvent::Arrival`]
-/// events from its queue first (the whole-queue pass of
-/// [`remap_for_rebuild`] / [`renumber_for_leave`]).
-///
-/// This pass is `O(streams)` by contract — the generation is folded
-/// into *every* stream's RNG, so every stream restarts at every bump —
-/// which is why it refills the node's RNG list in place and forks the
-/// per-node prefix once, rather than allocating per node.
-pub fn rebuild_node_arrivals(
-    world: &PacketWorld,
-    state: &mut NodeState,
-    node: NodeId,
-    at: SimTime,
-    out: &mut Vec<(SimTime, PacketEvent)>,
-) {
-    let i = node.index();
-    let node_rng = node_arrival_rng(world, i);
-    state.arrival_rng.clear();
-    for (stream, &(doc, index, rate)) in world.demand[i].iter().enumerate() {
-        let mut rng = stream_rng(&node_rng, world.generation, doc);
-        if rate > 0.0 {
-            let gap = exp_delay(&mut rng, 1.0 / rate);
-            out.push((
-                at + SimTime::from_secs(gap),
-                PacketEvent::Arrival {
-                    node,
-                    doc,
-                    index,
-                    stream: stream as u32,
-                    rate,
-                },
-            ));
-        }
-        state.arrival_rng.push(rng);
     }
 }
 
@@ -1088,72 +916,6 @@ pub fn renumber_for_leave(
     }
 }
 
-/// Moves one node's per-document state to a grown universe, in place:
-/// bitsets, token buckets, and flow meters shift to their new columns
-/// inside the buffers they already occupy; fresh columns start empty,
-/// anchored at `at`. The home server additionally receives the only
-/// copy of each new document. An appended document — the common
-/// publish — moves nothing: each table anchors one fresh cell per row,
-/// within the room an earlier growth reserved.
-pub fn grow_node_state(state: &mut NodeState, growth: &UniverseGrowth, at: f64, is_root: bool) {
-    let grow_set = |set: &mut DocSet| {
-        set.grow(growth.new_len);
-        if !growth.is_append() {
-            // Ascending mapping: moving members highest first never
-            // lands one on a member still waiting to move.
-            for (old, &new) in growth.old_to_new.iter().enumerate().rev() {
-                if new as usize != old && set.remove(old as u32) {
-                    set.insert(new);
-                }
-            }
-        }
-    };
-    grow_set(&mut state.copies);
-    grow_set(&mut state.filter);
-    grow_set(&mut state.alloc_set);
-    if is_root {
-        for &k in &growth.fresh {
-            state.copies.insert(k);
-        }
-    }
-    let fresh = TokenBucket::new(0.0, at);
-    state.alloc.resize(growth.new_len, fresh);
-    shift_columns(
-        &mut state.alloc,
-        0,
-        0,
-        &growth.old_to_new,
-        growth.new_len,
-        fresh,
-    );
-    for table in [&mut state.flows, &mut state.seen, &mut state.served] {
-        table.grow_docs(&growth.old_to_new, growth.new_len, at);
-    }
-}
-
-/// Rebuilds one node's per-child-slot state (flow meter rows and gossip
-/// child estimates) from a slot mapping: `map[new_slot]` names the old
-/// slot whose history the new slot keeps, `None` starts fresh (anchored
-/// at `at`). Applied when churn renumbers a node's child list.
-pub fn remap_children(state: &mut NodeState, map: &[Option<usize>], at: f64) {
-    state.flows.reorder_rows(map, at);
-    let old_est = std::mem::take(&mut state.child_est);
-    state.child_est = map
-        .iter()
-        .map(|&src| src.and_then(|s| old_est.get(s).copied().flatten()))
-        .collect();
-}
-
-/// The per-child slot mapping of a parent that just gained a leaf: the
-/// newcomer holds the highest id, so it sorts into the last slot and
-/// every existing slot keeps its history. Shared by both drivers so
-/// their join surgery cannot diverge.
-pub fn join_slot_map(old_children: usize) -> Vec<Option<usize>> {
-    let mut map: Vec<Option<usize>> = (0..old_children).map(Some).collect();
-    map.push(None);
-    map
-}
-
 /// The (at most two) parents whose child lists a leave renumbered: the
 /// departed leaf's parent, and — when the compaction moved a node — the
 /// moved node's parent (one of its children changed id, so its sort
@@ -1200,19 +962,21 @@ pub fn child_slot_map(tree: &Tree, parent: NodeId, removal: &LeafRemoval) -> Vec
 }
 
 /// The worker-side fold of the convergence-trace sample: rolls each
-/// offered node's serve meter to `now` and accumulates the squared
-/// distance to the oracle into an [`ExactSum`]. Because the accumulator
-/// is exact, per-shard partials merged in any order reproduce — bit for
-/// bit — the single driver-side pass over all nodes in node order.
-pub fn trace_partial<'a>(
+/// hosted node's serve meter to `now` and accumulates the squared
+/// distance to the oracle into an [`ExactSum`]. `ids[row]` is the global
+/// id of the slab's local node `row`. Because the accumulator is exact,
+/// per-shard partials merged in any order reproduce — bit for bit — the
+/// single driver-side pass over all nodes in node order.
+pub fn trace_partial(
     oracle: &RateVector,
-    nodes: impl Iterator<Item = (usize, &'a mut NodeState)>,
+    nodes: &mut NodeSlab,
+    ids: impl Iterator<Item = NodeId>,
     now: f64,
 ) -> ExactSum {
     let mut sum = ExactSum::new();
-    for (j, state) in nodes {
-        let r = sample_served_rate(state, now);
-        sum.add_square(r - oracle[NodeId::new(j)]);
+    for (row, j) in ids.enumerate() {
+        let r = nodes.measured_load(row, now);
+        sum.add_square(r - oracle[j]);
     }
     sum
 }
@@ -1460,34 +1224,22 @@ pub fn push_queue_counters(snap: &mut Snapshot, prefix: &str, stats: LaneStats) 
     }
 }
 
-/// The measured load of a node: its served rate over the rolling window.
-pub fn measured_load(state: &mut NodeState, now: f64) -> f64 {
-    state.served.roll_to(now);
-    state.served.row_total(0)
-}
-
-/// Rolls the node's serve meter to `now` and returns its total rate —
-/// the per-node quantity behind the convergence trace and the final
-/// report. Drivers must call this at the *same* instants (epoch
-/// boundaries, report time) for traces to match across drivers.
-pub fn sample_served_rate(state: &mut NodeState, now: f64) -> f64 {
-    measured_load(state, now)
-}
-
-/// Revokes the cached copy of dense index `k` at a (non-home) node:
-/// copy, filter membership, serve allocation, and the stale serve-rate
-/// estimate all vanish. Returns `true` when a copy was actually removed
-/// (the caller charges the invalidation message).
-pub fn invalidate_node(state: &mut NodeState, k: u32) -> bool {
-    if state.copies.remove(k) {
-        state.filter.remove(k);
-        state.alloc_set.remove(k);
-        state.alloc[k as usize].rate = 0.0;
-        state.served.clear_doc(k);
-        true
-    } else {
-        false
-    }
+/// Appends the size of a driver's node state to a telemetry snapshot as
+/// `{prefix}.state.bytes` (capacity bytes of the slabs and of the
+/// interior nodes' child state, see [`NodeSlab::state_bytes`]) and
+/// `{prefix}.state.nodes` (`core` for the sequential driver, `pdes`
+/// summed over shards). Read at snapshot time; nothing on the event
+/// path.
+pub fn push_state_counters<'a>(
+    snap: &mut Snapshot,
+    prefix: &str,
+    slabs: impl Iterator<Item = &'a NodeSlab>,
+) {
+    let (bytes, nodes) = slabs.fold((0, 0), |(bytes, nodes), slab| {
+        (bytes + slab.state_bytes(), nodes + slab.len())
+    });
+    snap.push_counter(&format!("{prefix}.state.bytes"), bytes as u64);
+    snap.push_counter(&format!("{prefix}.state.nodes"), nodes as u64);
 }
 
 /// The child of `cur` on the tree path down to `target`.
@@ -1507,7 +1259,7 @@ pub fn next_toward(tree: &Tree, cur: NodeId, target: NodeId) -> NodeId {
 }
 
 /// Dispatches one irregular event to its handler.
-pub fn handle(ctx: &mut NodeCtx<'_>, state: &mut NodeState, t: SimTime, event: PacketEvent) {
+pub fn handle(ctx: &mut NodeCtx<'_>, state: &mut NodeMut<'_>, t: SimTime, event: PacketEvent) {
     match event {
         PacketEvent::Arrival {
             node,
@@ -1524,10 +1276,10 @@ pub fn handle(ctx: &mut NodeCtx<'_>, state: &mut NodeState, t: SimTime, event: P
         } => on_packet(ctx, state, t, node, from, request, index),
         PacketEvent::GossipDeliver { to, from, load } => {
             if ctx.world.tree.parent(to) == Some(from) {
-                state.parent_est = Some(load);
+                state.head.parent_est = Some(load);
             } else {
                 let slot = ctx.world.child_slot[from.index()];
-                state.child_est[slot] = Some(load);
+                state.kids().est[slot] = Some(load);
             }
         }
         PacketEvent::CopyInstall { node, index, rate } => {
@@ -1568,7 +1320,7 @@ pub fn handle(ctx: &mut NodeCtx<'_>, state: &mut NodeState, t: SimTime, event: P
 #[allow(clippy::too_many_arguments)]
 fn on_arrival(
     ctx: &mut NodeCtx<'_>,
-    state: &mut NodeState,
+    state: &mut NodeMut<'_>,
     t: SimTime,
     node: NodeId,
     doc: DocId,
@@ -1577,8 +1329,8 @@ fn on_arrival(
     rate: f64,
 ) {
     // Issue the request packet at this node; ids are (node, counter).
-    let id = RequestId::new(((node.index() as u64) << 32) | state.next_request);
-    state.next_request += 1;
+    let id = RequestId::new(((node.index() as u64) << 32) | state.head.next_request);
+    state.head.next_request += 1;
     let request = DocRequest::new(id, doc, node);
     ctx.ledger
         .record(TrafficClass::Request, request.wire_bytes(), 0);
@@ -1593,7 +1345,7 @@ fn on_arrival(
     ));
     // Schedule the next arrival from the stream's own RNG — a pure
     // function of (seed, node, doc) and the stream's draw count.
-    let gap = exp_delay(&mut state.arrival_rng[stream as usize], 1.0 / rate);
+    let gap = exp_delay(&mut state.rngs[stream as usize], 1.0 / rate);
     ctx.out.push((
         t + SimTime::from_secs(gap),
         PacketEvent::Arrival {
@@ -1608,7 +1360,7 @@ fn on_arrival(
 
 fn on_packet(
     ctx: &mut NodeCtx<'_>,
-    state: &mut NodeState,
+    state: &mut NodeMut<'_>,
     t: SimTime,
     node: NodeId,
     from: Option<NodeId>,
@@ -1618,19 +1370,19 @@ fn on_packet(
     let now = t.as_secs();
     if let Some(child) = from {
         let slot = ctx.world.child_slot[child.index()];
-        state.flows.record(slot, index, now);
+        state.kids().flows.record(slot, index, now);
     }
-    state.seen.record(0, index, now);
+    state.record_seen(index, now);
 
     let is_root = ctx.world.tree.parent(node).is_none();
     let should_serve = if is_root {
         true
-    } else if state.filter.contains(index) {
+    } else if state.has(Set::Filter, index) {
         // Intercepted: serve if the token bucket grants it; otherwise
         // put the packet back on its path (a filter false-positive in
         // rate terms).
-        if state.alloc_set.contains(index) {
-            state.alloc[index as usize].try_take(now)
+        if state.has(Set::Alloc, index) {
+            state.buckets[index as usize].try_take(now)
         } else {
             false
         }
@@ -1640,8 +1392,8 @@ fn on_packet(
 
     if should_serve {
         let response = DocResponse::serve(&request, node);
-        state.served.record(0, index, now);
-        state.served_total += 1;
+        state.record_served(index, now);
+        state.head.served_total += 1;
         ctx.counters.hops_sum += u64::from(response.up_hops);
         ctx.counters.served_requests += 1;
         ctx.ledger
@@ -1665,9 +1417,9 @@ fn on_packet(
 /// The gossip timer of `node` fires: report the measured load to the
 /// parent first, then the children (the historical neighbor order). The
 /// driver re-arms the timer after draining the outbox.
-pub fn on_gossip_timer(ctx: &mut NodeCtx<'_>, state: &mut NodeState, t: SimTime, node: NodeId) {
+pub fn on_gossip_timer(ctx: &mut NodeCtx<'_>, state: &mut NodeMut<'_>, t: SimTime, node: NodeId) {
     let now = t.as_secs();
-    let load = measured_load(state, now);
+    let load = state.measured_load(now);
     if let Some(p) = ctx.world.tree.parent(node) {
         gossip_to(ctx, state, t, node, p, load);
     }
@@ -1682,7 +1434,7 @@ pub fn on_gossip_timer(ctx: &mut NodeCtx<'_>, state: &mut NodeState, t: SimTime,
 /// nothing — the sender knows the link is down.
 fn gossip_to(
     ctx: &mut NodeCtx<'_>,
-    state: &mut NodeState,
+    state: &mut NodeMut<'_>,
     t: SimTime,
     node: NodeId,
     nbr: NodeId,
@@ -1693,7 +1445,7 @@ fn gossip_to(
     }
     ctx.ledger.record(TrafficClass::Gossip, 32, 1);
     let loss = ctx.world.config.gossip_loss;
-    let lost = loss > 0.0 && rand::Rng::gen::<f64>(&mut state.gossip_rng) < loss;
+    let lost = loss > 0.0 && rand::Rng::gen::<f64>(&mut state.head.gossip_rng) < loss;
     if !lost {
         ctx.out.push((
             t + ctx.delay(),
@@ -1709,12 +1461,14 @@ fn gossip_to(
 /// The diffusion timer of `node` fires: push load down to lighter
 /// children, take over or shed load against the parent, and eventually
 /// tunnel. The driver re-arms the timer after draining the outbox.
-pub fn on_diffusion(ctx: &mut NodeCtx<'_>, state: &mut NodeState, t: SimTime, node: NodeId) {
+pub fn on_diffusion(ctx: &mut NodeCtx<'_>, state: &mut NodeMut<'_>, t: SimTime, node: NodeId) {
     let now = t.as_secs();
     let m = ctx.world.table.len();
-    state.flows.roll_to(now);
-    state.seen.roll_to(now);
-    let my_load = measured_load(state, now);
+    if let Some(kids) = state.kids_opt() {
+        kids.flows.roll_to(now);
+    }
+    state.roll_seen(now);
+    let my_load = state.measured_load(now);
 
     // Push load down to any child that gossiped a lower load.
     let is_root = ctx.world.tree.parent(node).is_none();
@@ -1724,13 +1478,13 @@ pub fn on_diffusion(ctx: &mut NodeCtx<'_>, state: &mut NodeState, t: SimTime, no
             // Control link down: no copies move to this child.
             continue;
         }
-        let Some(child_load) = state.child_est[slot] else {
+        let Some(child_load) = state.kids().est[slot] else {
             continue;
         };
         if !ctx.significant_imbalance(my_load, child_load) {
             continue;
         }
-        let a_c = state.flows.row_total(slot);
+        let a_c = state.kids().flows.row_total(slot);
         let target = (ctx.world.alpha * (my_load - child_load)).min(a_c);
         if target <= 0.0 {
             continue;
@@ -1739,15 +1493,18 @@ pub fn on_diffusion(ctx: &mut NodeCtx<'_>, state: &mut NodeState, t: SimTime, no
         if is_root {
             // The root serves everything that reaches it; it can push
             // any doc the child forwards.
-            state.flows.row_doc_rates(slot, &mut ctx.scratch.cand);
+            state
+                .kids()
+                .flows
+                .row_doc_rates(slot, &mut ctx.scratch.cand);
         } else {
             ctx.scratch.cand.clear();
             for k in 0..m as u32 {
-                let s = state.served.rate(0, k);
+                let s = state.served_rate(k);
                 if s <= 0.0 {
                     continue;
                 }
-                let f = state.flows.rate(slot, k);
+                let f = state.kids().flows.rate(slot, k);
                 let cap = s.min(f);
                 if cap > 0.0 {
                     ctx.scratch.cand.push((k, cap));
@@ -1774,8 +1531,8 @@ pub fn on_diffusion(ctx: &mut NodeCtx<'_>, state: &mut NodeState, t: SimTime, no
             ));
             if !is_root {
                 // Give up the corresponding share of our own allocation.
-                if state.alloc_set.contains(slice.index) {
-                    let b = &mut state.alloc[slice.index as usize];
+                if state.has(Set::Alloc, slice.index) {
+                    let b = &mut state.buckets[slice.index as usize];
                     b.rate = (b.rate - slice.rate).max(0.0);
                 }
             }
@@ -1786,17 +1543,17 @@ pub fn on_diffusion(ctx: &mut NodeCtx<'_>, state: &mut NodeState, t: SimTime, no
     // eventually tunnel. A failed uplink suspends all of it (tunneling
     // included — the fetch path runs through the dead control link).
     if ctx.world.tree.parent(node).is_some() && !ctx.failed_up[node.index()] {
-        if let Some(pl) = state.parent_est {
+        if let Some(pl) = state.head.parent_est {
             if ctx.significant_imbalance(pl, my_load) {
                 let want = ctx.world.alpha * (pl - my_load);
                 // Take over flow for documents we already hold.
                 ctx.scratch.cand.clear();
                 for k in 0..m as u32 {
-                    let seen_rate = state.seen.rate(0, k);
-                    if seen_rate <= 0.0 || !state.copies.contains(k) {
+                    let seen_rate = state.seen_rate(k);
+                    if seen_rate <= 0.0 || !state.has(Set::Copies, k) {
                         continue;
                     }
-                    let served = state.served.rate(0, k);
+                    let served = state.served_rate(k);
                     let headroom = (seen_rate - served).max(0.0);
                     if headroom > 0.0 {
                         ctx.scratch.cand.push((k, headroom));
@@ -1812,27 +1569,27 @@ pub fn on_diffusion(ctx: &mut NodeCtx<'_>, state: &mut NodeState, t: SimTime, no
                 for pi in 0..ctx.scratch.plan.len() {
                     let slice = ctx.scratch.plan[pi];
                     let k = slice.index;
-                    if state.alloc_set.insert(k) {
-                        state.alloc[k as usize] = TokenBucket::new(0.0, now);
+                    if state.insert(Set::Alloc, k) {
+                        state.buckets[k as usize] = TokenBucket::new(0.0, now);
                     }
-                    state.alloc[k as usize].rate += slice.rate;
+                    state.buckets[k as usize].rate += slice.rate;
                     taken += slice.rate;
                 }
                 if taken <= 1e-9 {
-                    state.underload_streak += 1;
+                    state.head.underload_streak += 1;
                     if ctx.world.config.tunneling
-                        && state.underload_streak > ctx.world.config.barrier_patience
+                        && state.head.underload_streak > ctx.world.config.barrier_patience
                     {
                         start_tunnel(ctx, state, t, node, want);
-                        state.underload_streak = 0;
+                        state.head.underload_streak = 0;
                     }
                 } else {
-                    state.underload_streak = 0;
+                    state.head.underload_streak = 0;
                 }
             } else if ctx.significant_imbalance(my_load, pl) {
                 // Shed upward: reduce allocations, coldest docs first.
                 let shed_target = ctx.world.alpha * (my_load - pl);
-                state.served.row_doc_rates(0, &mut ctx.scratch.cand);
+                state.served_doc_rates(&mut ctx.scratch.cand);
                 plan_shed_dense(
                     &ctx.scratch.cand,
                     shed_target,
@@ -1841,12 +1598,12 @@ pub fn on_diffusion(ctx: &mut NodeCtx<'_>, state: &mut NodeState, t: SimTime, no
                 );
                 for pi in 0..ctx.scratch.plan.len() {
                     let slice = ctx.scratch.plan[pi];
-                    if state.alloc_set.contains(slice.index) {
-                        let b = &mut state.alloc[slice.index as usize];
+                    if state.has(Set::Alloc, slice.index) {
+                        let b = &mut state.buckets[slice.index as usize];
                         b.rate = (b.rate - slice.rate).max(0.0);
                     }
                 }
-                state.underload_streak = 0;
+                state.head.underload_streak = 0;
             }
         }
     }
@@ -1857,14 +1614,20 @@ pub fn on_diffusion(ctx: &mut NodeCtx<'_>, state: &mut NodeState, t: SimTime, no
 /// ([`PacketEvent::TunnelProbe`]); the nearest holder answers with a
 /// [`PacketEvent::TunnelGrant`] descending the same path, so the copy
 /// lands after the full round trip.
-fn start_tunnel(ctx: &mut NodeCtx<'_>, state: &mut NodeState, t: SimTime, node: NodeId, want: f64) {
+fn start_tunnel(
+    ctx: &mut NodeCtx<'_>,
+    state: &mut NodeMut<'_>,
+    t: SimTime,
+    node: NodeId,
+    want: f64,
+) {
     let m = ctx.world.table.len();
     // Hottest seen-but-not-held document; ties break toward the
     // smaller index (= smaller id), matching the sparse sort order.
     let mut best: Option<(u32, f64)> = None;
     for k in 0..m as u32 {
-        let r = state.seen.rate(0, k);
-        if r <= 0.0 || state.copies.contains(k) {
+        let r = state.seen_rate(k);
+        if r <= 0.0 || state.has(Set::Copies, k) {
             continue;
         }
         if best.is_none_or(|(_, br)| r > br) {
@@ -1893,7 +1656,7 @@ fn start_tunnel(ctx: &mut NodeCtx<'_>, state: &mut NodeState, t: SimTime, node: 
 #[allow(clippy::too_many_arguments)]
 fn on_tunnel_probe(
     ctx: &mut NodeCtx<'_>,
-    state: &mut NodeState,
+    state: &mut NodeMut<'_>,
     t: SimTime,
     node: NodeId,
     origin: NodeId,
@@ -1902,7 +1665,7 @@ fn on_tunnel_probe(
     hops: u32,
 ) {
     let is_root = ctx.world.tree.parent(node).is_none();
-    if state.copies.contains(index) || is_root {
+    if state.has(Set::Copies, index) || is_root {
         // Found the nearest upstream holder: charge the round trip and
         // send the copy back down the path.
         ctx.ledger.record(TrafficClass::Tunnel, 16 * 1024, hops * 2);
@@ -1931,15 +1694,15 @@ fn on_tunnel_probe(
     }
 }
 
-fn on_copy_install(state: &mut NodeState, t: SimTime, index: u32, rate: f64) {
+fn on_copy_install(state: &mut NodeMut<'_>, t: SimTime, index: u32, rate: f64) {
     let now = t.as_secs();
-    if state.copies.insert(index) {
-        state.filter.insert(index);
+    if state.insert(Set::Copies, index) {
+        state.insert(Set::Filter, index);
     }
-    if state.alloc_set.insert(index) {
-        state.alloc[index as usize] = TokenBucket::new(0.0, now);
+    if state.insert(Set::Alloc, index) {
+        state.buckets[index as usize] = TokenBucket::new(0.0, now);
     }
-    state.alloc[index as usize].rate += rate;
+    state.buckets[index as usize].rate += rate;
 }
 
 #[cfg(test)]
@@ -1981,13 +1744,19 @@ mod tests {
         mix.set(NodeId::new(1), DocId::new(7), 10.0);
         mix.set(NodeId::new(2), DocId::new(7), 20.0);
         let world = PacketWorld::new(&tree, &mix, PacketSimConfig::default());
-        let mut a = init_state(&world, NodeId::new(2));
-        let mut b = init_state(&world, NodeId::new(2));
+        // The whole tree on one slab, and node 2 alone on a shard's.
+        let all: Vec<NodeId> = tree.nodes().collect();
+        let mut a = NodeSlab::new(&world, &all);
+        let mut b = NodeSlab::new(&world, &all[2..]);
         let mut out_a = Vec::new();
         let mut out_b = Vec::new();
-        initial_arrivals(&world, &mut a, NodeId::new(2), &mut out_a);
-        initial_arrivals(&world, &mut b, NodeId::new(2), &mut out_b);
-        assert_eq!(out_a.len(), 1);
-        assert_eq!(out_a[0].0, out_b[0].0);
+        for (row, &node) in all.iter().enumerate() {
+            a.resolve_node_arrivals(&world, row, node, SimTime::ZERO, &mut out_a);
+        }
+        b.resolve_node_arrivals(&world, 0, all[2], SimTime::ZERO, &mut out_b);
+        assert_eq!(out_a.len(), 2);
+        assert_eq!(out_b.len(), 1);
+        assert_eq!(out_a[1], out_b[0]);
+        assert_eq!(a.node(2), b.node(0));
     }
 }

@@ -23,11 +23,11 @@
 //! The hot path avoids hashing and sorting:
 //!
 //! * All per-document state is addressed through the simulation's
-//!   [`DocTable`](ww_model::DocTable): token buckets live in flat
-//!   per-node slabs, copy/filter membership in
-//!   [`DocSet`](ww_model::DocSet) bitsets, and the three flow meters are
-//!   [`DenseFlowTable`](ww_cache::DenseFlowTable) grids — no hashing on
-//!   the per-packet path.
+//!   [`DocTable`](ww_model::DocTable) on one
+//!   [`NodeSlab`] for the whole tree: meter
+//!   cells, token buckets and copy/filter bits sit at
+//!   `node x stride + doc` of a handful of slabs — no hashing and no
+//!   per-node header on the per-packet path.
 //! * Pending events sit in the cheapest structure that keeps their
 //!   class sorted, merged by `(time, seq)`: the two strictly periodic
 //!   timer streams in [`TimerRing`]s; every message a handler emits at
@@ -43,8 +43,8 @@
 //! topologies.
 
 use crate::packet::{
-    self, BarrierOp, BarrierOutcome, DriverSource, NodeCtx, NodeState, PacketCounters, PacketEvent,
-    PacketWorld, Scratch, SurgeryStep, UniverseGrowth,
+    self, BarrierOp, BarrierOutcome, DriverSource, NodeCtx, NodeMut, NodeSlab, PacketCounters,
+    PacketEvent, PacketWorld, Scratch, SurgeryStep, UniverseGrowth,
 };
 use ww_model::{DocId, LeafRemoval, ModelError, NodeId, RateVector, Tree};
 use ww_net::{TrafficClass, TrafficLedger};
@@ -156,7 +156,8 @@ pub struct PacketSim {
     queue: RadixQueue<PacketEvent>,
     gossip_ring: TimerRing,
     diffusion_ring: TimerRing,
-    nodes: Vec<NodeState>,
+    /// Every node's protocol state; row = node id.
+    nodes: NodeSlab,
     /// Per node: `true` when the control link to its parent is failed.
     /// Gossip, copy pushes, and diffusion decisions stop crossing the
     /// edge; request packets (the data plane) keep flowing.
@@ -191,10 +192,8 @@ impl PacketSim {
     pub fn new(tree: &Tree, mix: &DocMix, config: PacketSimConfig) -> Self {
         let world = PacketWorld::new(tree, mix, config);
         let n = world.len();
-        let mut nodes: Vec<NodeState> = tree
-            .nodes()
-            .map(|u| packet::init_state(&world, u))
-            .collect();
+        let ids: Vec<NodeId> = tree.nodes().collect();
+        let mut nodes = NodeSlab::new(&world, &ids);
 
         let mut queue = RadixQueue::default();
         let mut gossip_ring = TimerRing::new(SimTime::from_secs(config.gossip_period), n);
@@ -204,9 +203,8 @@ impl PacketSim {
         // order (the same relative seq order the parallel driver
         // reproduces per shard).
         let mut outbox = Vec::new();
-        for (i, state) in nodes.iter_mut().enumerate() {
-            let node = NodeId::new(i);
-            packet::initial_arrivals(&world, state, node, &mut outbox);
+        for (i, &node) in ids.iter().enumerate() {
+            nodes.resolve_node_arrivals(&world, i, node, SimTime::ZERO, &mut outbox);
             for (at, ev) in outbox.drain(..) {
                 queue.schedule(at, ev);
             }
@@ -261,6 +259,7 @@ impl PacketSim {
         snap.push_counter("core.oracle.full_sweeps", self.world.tel.full_sweeps);
         self.tel.snapshot_into(&mut snap);
         packet::push_queue_counters(&mut snap, "core", self.queue.lane_stats());
+        packet::push_state_counters(&mut snap, "core", std::iter::once(&self.nodes));
         if self.tel_level.spans_on() {
             snap.push_phase(
                 "core.phase.oracle_refresh",
@@ -299,7 +298,12 @@ impl PacketSim {
     /// the barrier; exactness is what makes the two bit-identical.
     fn sample_epoch(&mut self, at: SimTime) {
         let now = at.as_secs();
-        let sum = packet::trace_partial(&self.world.oracle, self.nodes.iter_mut().enumerate(), now);
+        let sum = packet::trace_partial(
+            &self.world.oracle,
+            &mut self.nodes,
+            self.world.tree.nodes(),
+            now,
+        );
         self.trace.push(sum.value().sqrt());
         self.epochs_sampled += 1;
     }
@@ -307,7 +311,7 @@ impl PacketSim {
     /// Runs `handler` for node `i` with a freshly assembled [`NodeCtx`],
     /// then drains the produced outbox into the queue in push order —
     /// the one event-execution shape shared by all three sources.
-    fn with_node(&mut self, i: usize, handler: impl FnOnce(&mut NodeCtx<'_>, &mut NodeState)) {
+    fn with_node(&mut self, i: usize, handler: impl FnOnce(&mut NodeCtx<'_>, &mut NodeMut<'_>)) {
         let mut ctx = NodeCtx {
             world: &self.world,
             failed_up: &self.failed_up,
@@ -316,7 +320,7 @@ impl PacketSim {
             out: &mut self.outbox,
             scratch: &mut self.scratch,
         };
-        handler(&mut ctx, &mut self.nodes[i]);
+        handler(&mut ctx, &mut self.nodes.node_mut(i));
         for (at, ev) in self.outbox.drain(..) {
             packet::enqueue(&mut self.queue, at, ev);
         }
@@ -382,7 +386,7 @@ impl PacketSim {
     pub fn report(&mut self) -> PacketSimReport {
         let now = self.queue.now().as_secs();
         let rates: Vec<f64> = (0..self.world.len())
-            .map(|j| packet::sample_served_rate(&mut self.nodes[j], now.max(1e-9)))
+            .map(|j| self.nodes.measured_load(j, now.max(1e-9)))
             .collect();
         let served_rates = RateVector::from(rates);
         let final_distance = served_rates.euclidean_distance(&self.world.oracle);
@@ -429,7 +433,7 @@ impl PacketSim {
     ///
     /// Panics if `node` is out of range.
     pub fn served_total(&self, node: NodeId) -> u64 {
-        self.nodes[node.index()].served_total
+        self.nodes.served_total(node.index())
     }
 
     /// Whether the control link from `node` to its parent is failed.
@@ -458,7 +462,7 @@ impl PacketSim {
             if node == root {
                 continue;
             }
-            if packet::invalidate_node(&mut self.nodes[j], k) {
+            if self.nodes.invalidate_row(j, k) {
                 self.ledger
                     .record(TrafficClass::Gossip, 64, self.world.tree.depth(node) as u32);
             }
@@ -475,10 +479,8 @@ impl PacketSim {
         let at = self.queue.now();
         let id = self.world.join(parent, rate)?;
         let i = id.index();
-        let map = packet::join_slot_map(self.world.tree.children(parent).len() - 1);
-        packet::remap_children(&mut self.nodes[parent.index()], &map, at.as_secs());
-        self.nodes
-            .push(packet::init_state_at(&self.world, id, at.as_secs()));
+        self.nodes.push_child(parent.index(), at.as_secs());
+        self.nodes.push_node(&self.world, id, at.as_secs());
         self.failed_up.push(false);
         self.batch.push(SurgeryStep::Rebuild(None));
         assert_eq!(self.gossip_ring.add_member(), i);
@@ -500,7 +502,7 @@ impl PacketSim {
         let at = self.queue.now();
         let removal = self.world.leave(node)?;
         let i = removal.removed.index();
-        self.nodes.swap_remove(i);
+        self.nodes.swap_remove_node(i);
         self.failed_up.swap_remove(i);
         self.gossip_ring.swap_remove_member(i);
         self.diffusion_ring.swap_remove_member(i);
@@ -510,7 +512,7 @@ impl PacketSim {
         });
         for p in packet::parents_to_remap(&self.world.tree, &removal) {
             let map = packet::child_slot_map(&self.world.tree, p, &removal);
-            packet::remap_children(&mut self.nodes[p.index()], &map, at.as_secs());
+            self.nodes.remap_children(p.index(), &map, at.as_secs());
         }
         Ok(removal)
     }
@@ -523,10 +525,7 @@ impl PacketSim {
         let at = self.queue.now().as_secs();
         if let Some(g) = &growth {
             let span = self.tel_phases.begin();
-            let root = self.world.tree.root();
-            for j in 0..self.world.len() {
-                packet::grow_node_state(&mut self.nodes[j], g, at, NodeId::new(j) == root);
-            }
+            self.nodes.grow(g, at, Some(self.world.tree.root().index()));
             self.tel_phases.end(P_UNIVERSE_GROWTH, span);
         }
         self.batch.push(SurgeryStep::Rebuild(growth));
@@ -547,6 +546,11 @@ impl PacketSim {
     /// simulation currently sees it.
     pub fn world(&self) -> &PacketWorld {
         &self.world
+    }
+
+    /// Every node's protocol state; row = node id.
+    pub fn nodes(&self) -> &NodeSlab {
+        &self.nodes
     }
 }
 
@@ -707,14 +711,10 @@ impl PacketBackend for PacketSim {
 
         let span = self.tel_phases.begin();
         let at = self.queue.now();
+        self.nodes.clear_arrivals();
         for i in 0..self.world.len() {
-            packet::rebuild_node_arrivals(
-                &self.world,
-                &mut self.nodes[i],
-                NodeId::new(i),
-                at,
-                &mut self.outbox,
-            );
+            self.nodes
+                .resolve_node_arrivals(&self.world, i, NodeId::new(i), at, &mut self.outbox);
             for (t, ev) in self.outbox.drain(..) {
                 self.queue.schedule(t, ev);
             }

@@ -3,17 +3,21 @@
 //! universe-growth invariants, over randomized topologies and demand —
 //! and the in-place barrier forms against the from-scratch definitions
 //! they replaced (a fresh `PacketWorld::new`, a rebuilt `DenseFlowTable`
-//! grid, the pre-leave child-slot index).
+//! grid, the pre-leave child-slot index) — and the node-state slabs
+//! against the per-node owning layout they replaced (`per_node`).
 
+mod per_node;
+
+use per_node::Reference;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ww_core::packet::{
-    self, BarrierOp, BarrierOutcome, NodeCtx, NodeState, PacketCounters, PacketEvent, PacketWorld,
-    Scratch, UniverseGrowth,
+    self, BarrierOp, BarrierOutcome, NodeCtx, NodeMut, NodeSlab, PacketCounters, PacketEvent,
+    PacketWorld, Scratch,
 };
 use ww_core::packetsim::{PacketBackend, PacketSim, PacketSimConfig, PacketSimReport};
-use ww_model::{DocId, DocSet, NodeId, Tree};
+use ww_model::{DocId, NodeId, Tree};
 use ww_net::{DocRequest, RequestId, TrafficLedger};
 use ww_sim::SimTime;
 use ww_workload::DocMix;
@@ -25,6 +29,20 @@ fn build_sim(nodes: usize, docs: usize, seed: u64) -> PacketSim {
     let rates = ww_workload::zipf_nodes(&mut rng, &tree, 10.0 * nodes as f64, 1.0);
     let mix = ww_workload::shared_zipf_mix(&tree, &rates, docs, 1.0);
     PacketSim::new(&tree, &mix, PacketSimConfig::default())
+}
+
+/// [`build_sim`] over a universe with gaps: document `d` becomes id
+/// `3 d + 1`, so publishes land before, between and after the initial
+/// documents and existing columns shift.
+fn build_spaced_sim(nodes: usize, docs: usize, seed: u64) -> PacketSim {
+    let dense = build_sim(nodes, docs, seed);
+    let mut mix = DocMix::new(nodes);
+    for node in dense.tree().nodes() {
+        for &(doc, rate) in dense.world().mix.demands_of(node) {
+            mix.set(node, DocId::new(3 * doc.value() + 1), rate);
+        }
+    }
+    PacketSim::new(dense.tree(), &mix, dense.world().config)
 }
 
 /// A lone join; the id the newcomer took.
@@ -105,7 +123,9 @@ fn arb_pick() -> impl Strategy<Value = Pick> {
 
 /// Turns a pick into the op it means on `shadow`, and applies the op's
 /// topology change to `shadow` exactly when the engines will accept it.
-fn materialize(pick: &Pick, shadow: &mut Tree) -> BarrierOp {
+/// Document ids are multiplied by `stretch`, to reach across a universe
+/// wider than the picks' `0..24`.
+fn materialize(pick: &Pick, shadow: &mut Tree, stretch: u64) -> BarrierOp {
     let n = shadow.len();
     match *pick {
         Pick::Add { parent, rate } => {
@@ -119,7 +139,7 @@ fn materialize(pick: &Pick, shadow: &mut Tree) -> BarrierOp {
             BarrierOp::RemoveLeaf { node }
         }
         Pick::Publish { doc, origin, rate } => BarrierOp::PublishDoc {
-            doc: DocId::new(doc),
+            doc: DocId::new(doc * stretch),
             origin: NodeId::new(origin % n),
             rate,
         },
@@ -131,7 +151,7 @@ fn materialize(pick: &Pick, shadow: &mut Tree) -> BarrierOp {
             let mut mix = DocMix::new(n);
             for i in (0..n).step_by(every) {
                 for k in 0..docs {
-                    let doc = DocId::new(first_doc + 3 * k as u64);
+                    let doc = DocId::new((first_doc + 3 * k as u64) * stretch);
                     mix.set(NodeId::new(i), doc, 4.0 / (k + 1) as f64);
                 }
             }
@@ -147,7 +167,7 @@ fn materialize(pick: &Pick, shadow: &mut Tree) -> BarrierOp {
             }
         }
         Pick::Invalidate { doc } => BarrierOp::Invalidate {
-            doc: DocId::new(doc),
+            doc: DocId::new(doc * stretch),
         },
     }
 }
@@ -199,7 +219,7 @@ fn report_bits(r: &PacketSimReport) -> (Vec<u64>, Vec<u64>, u64, u64, u64) {
 
 /// Drives `state` through a fixed little history, so its bitsets, token
 /// buckets and meters all hold something worth preserving.
-fn exercise(world: &PacketWorld, state: &mut NodeState, node: NodeId, salt: u32) {
+fn exercise(world: &PacketWorld, state: &mut NodeMut<'_>, node: NodeId, salt: u32) {
     let failed_up = vec![false; world.len()];
     let (mut ledger, mut counters) = (TrafficLedger::new(), PacketCounters::default());
     let (mut out, mut scratch) = (Vec::new(), Scratch::default());
@@ -236,31 +256,6 @@ fn exercise(world: &PacketWorld, state: &mut NodeState, node: NodeId, salt: u32)
     }
 }
 
-/// The universe growth the in-place form replaced: every per-document
-/// structure is built anew at the grown size and the old cells copied
-/// over.
-fn grow_by_rebuilding(state: &mut NodeState, g: &UniverseGrowth, at: f64, cold: &NodeState) {
-    let shift = |set: &DocSet| {
-        let mut grown = DocSet::new(g.new_len);
-        for idx in set.iter() {
-            grown.insert(g.old_to_new[idx as usize]);
-        }
-        grown
-    };
-    state.copies = shift(&state.copies);
-    state.filter = shift(&state.filter);
-    state.alloc_set = shift(&state.alloc_set);
-    // A node created at `at` holds exactly the fresh token buckets.
-    let mut alloc = cold.alloc.clone();
-    for (old, &new) in g.old_to_new.iter().enumerate() {
-        alloc[new as usize] = state.alloc[old];
-    }
-    state.alloc = alloc;
-    state.flows.remap_docs(&g.old_to_new, g.new_len, at);
-    state.seen.remap_docs(&g.old_to_new, g.new_len, at);
-    state.served.remap_docs(&g.old_to_new, g.new_len, at);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -286,7 +281,7 @@ proptest! {
             one_by_one.run(horizon);
             let mut shadow = batched.tree().clone();
             let ops: Vec<BarrierOp> =
-                storm.iter().map(|pick| materialize(pick, &mut shadow)).collect();
+                storm.iter().map(|pick| materialize(pick, &mut shadow, 1)).collect();
             let results = batched.apply_all(&ops);
             for (op, expect) in ops.iter().zip(&results) {
                 prop_assert_eq!(&one_by_one.apply_op(op), expect);
@@ -299,10 +294,58 @@ proptest! {
         prop_assert_eq!(report_bits(&a), report_bits(&b));
     }
 
-    /// Growing a node's per-document state in place — bitsets, token
-    /// buckets, the three meter grids — equals rebuilding each structure
-    /// at the grown size, for appended and inserted-before documents,
-    /// on a first growth and on one that finds spare capacity.
+    /// After every op of a random script — all seven kinds, invalid
+    /// picks included, applied as `apply_all` storms on one simulator
+    /// and one `apply_op` at a time on another, over universes that
+    /// start below, at and above the 64 documents a head's inline bitset
+    /// words hold, with publishes that shift existing columns — every
+    /// row of the node-state slab equals the per-node reference that
+    /// followed the same ops struct by struct; and the two simulators
+    /// then run on bit-identically.
+    #[test]
+    fn slab_rows_match_the_per_node_reference(
+        nodes in 4usize..20,
+        docs in (any::<bool>(), 1usize..6, 60usize..67),
+        seed in 0u64..1000,
+        storms in proptest::collection::vec(proptest::collection::vec(arb_pick(), 1..7), 1..4),
+    ) {
+        let docs = if docs.0 { docs.2 } else { docs.1 };
+        let mut batched = build_spaced_sim(nodes, docs, seed);
+        let mut one_by_one = build_spaced_sim(nodes, docs, seed);
+        let mut horizon = 0.0;
+        for storm in &storms {
+            horizon += 1.0;
+            batched.run(horizon);
+            one_by_one.run(horizon);
+            let mut shadow = batched.tree().clone();
+            let ops: Vec<BarrierOp> =
+                storm.iter().map(|pick| materialize(pick, &mut shadow, 9)).collect();
+
+            let mut reference = Reference::capture(batched.world(), batched.nodes());
+            let results = batched.apply_all(&ops);
+            for (op, result) in ops.iter().zip(&results) {
+                prop_assert_eq!(reference.apply(op, horizon).is_ok(), result.is_ok(), "{:?}", op);
+            }
+            reference.commit();
+            reference.assert_matches(batched.nodes());
+
+            let mut reference = Reference::capture(one_by_one.world(), one_by_one.nodes());
+            for (op, expect) in ops.iter().zip(&results) {
+                prop_assert_eq!(&one_by_one.apply_op(op), expect);
+                let _ = reference.apply(op, horizon);
+                reference.commit();
+                reference.assert_matches(one_by_one.nodes());
+            }
+        }
+        let (a, b) = (batched.run(horizon + 2.0), one_by_one.run(horizon + 2.0));
+        prop_assert_eq!(report_bits(&a), report_bits(&b));
+    }
+
+    /// Growing the slabs in place — bitset words, token buckets, the
+    /// meter grids — equals rebuilding each node's structures at the
+    /// grown size, for appended and inserted-before documents, on a
+    /// first growth and on one that finds spare capacity, for a node
+    /// whose bitsets, buckets and meters all hold history.
     #[test]
     fn node_state_grows_in_place_like_a_rebuild(
         seed in 0u64..1000,
@@ -319,35 +362,22 @@ proptest! {
             }
         }
         let mut world = PacketWorld::new(&tree, &mix, PacketSimConfig::default());
+        let ids: Vec<NodeId> = tree.nodes().collect();
+        let mut slab = NodeSlab::new(&world, &ids);
         let node = NodeId::new((salt as usize) % tree.len());
-        let is_root = node == tree.root();
-        let mut in_place = packet::init_state(&world, node);
-        let mut rebuilt = packet::init_state(&world, node);
-        exercise(&world, &mut in_place, node, salt);
-        exercise(&world, &mut rebuilt, node, salt);
+        exercise(&world, &mut slab.node_mut(node.index()), node, salt);
+        let mut rebuilt = Reference::capture(&world, &slab);
         for (round, &doc) in published.iter().enumerate() {
             let at = 2.0 + round as f64;
-            let Some(growth) = world
+            let op = BarrierOp::PublishDoc { doc: DocId::new(doc), origin: node, rate: 1.0 };
+            rebuilt.apply(&op, at).expect("publish applies");
+            if let Some(growth) = world
                 .publish(DocId::new(doc), node, 1.0)
                 .expect("publish applies")
-            else {
-                continue;
-            };
-            let cold = packet::init_state_at(&world, node, at);
-            packet::grow_node_state(&mut in_place, &growth, at, is_root);
-            grow_by_rebuilding(&mut rebuilt, &growth, at, &cold);
-            if is_root {
-                for &k in &growth.fresh {
-                    rebuilt.copies.insert(k);
-                }
+            {
+                slab.grow(&growth, at, Some(tree.root().index()));
             }
-            prop_assert_eq!(&in_place.copies, &rebuilt.copies);
-            prop_assert_eq!(&in_place.filter, &rebuilt.filter);
-            prop_assert_eq!(&in_place.alloc_set, &rebuilt.alloc_set);
-            prop_assert_eq!(&in_place.alloc, &rebuilt.alloc);
-            prop_assert_eq!(&in_place.flows, &rebuilt.flows);
-            prop_assert_eq!(&in_place.seen, &rebuilt.seen);
-            prop_assert_eq!(&in_place.served, &rebuilt.served);
+            rebuilt.assert_matches(&slab);
         }
     }
 

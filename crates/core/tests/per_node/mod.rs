@@ -1,0 +1,334 @@
+//! The per-node owning layout the slabs replaced, kept as the tests'
+//! reference: one struct of `DocSet`s, `DenseFlowTable`s and `Vec`s per
+//! node, and the barrier operations written node by node the way the
+//! drivers used to run them — a join builds a struct, a leave
+//! swap-removes one, a universe growth rebuilds every per-document
+//! structure at the grown size. [`Reference`] captures a simulator's
+//! slab into that layout, follows the same [`BarrierOp`]s, and checks
+//! that every row of the slab still equals its node, field for field.
+
+use ww_cache::{DenseFlowTable, MeterCell};
+use ww_core::packet::{
+    self, BarrierOp, NodeRef, NodeSlab, PacketWorld, Set, TokenBucket, UniverseGrowth,
+};
+use ww_model::{DocId, DocSet, ModelError, NodeId};
+use ww_sim::{exp_delay, SimRng};
+
+/// EWMA factor of the packet engine's meters.
+const ALPHA: f64 = 0.5;
+
+/// Per-node protocol state, all per-document tables dense and owned.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NodeState {
+    pub copies: DocSet,
+    pub filter: DocSet,
+    pub flows: DenseFlowTable,
+    pub seen: DenseFlowTable,
+    pub served: DenseFlowTable,
+    pub alloc: Vec<TokenBucket>,
+    pub alloc_set: DocSet,
+    pub parent_est: Option<f64>,
+    pub child_est: Vec<Option<f64>>,
+    pub served_total: u64,
+    pub underload_streak: usize,
+    pub arrival_rng: Vec<SimRng>,
+    pub gossip_rng: SimRng,
+    pub next_request: u64,
+}
+
+fn table(world: &PacketWorld, rows: usize, at: f64) -> DenseFlowTable {
+    DenseFlowTable::new_anchored(
+        world.config.measure_window,
+        ALPHA,
+        rows,
+        world.table.len(),
+        at,
+    )
+}
+
+/// The state of a node created at `at`.
+pub fn init_state_at(world: &PacketWorld, node: NodeId, at: f64) -> NodeState {
+    let i = node.index();
+    let children = world.tree.children(node).len();
+    NodeState {
+        copies: if node == world.tree.root() {
+            world.table.full_set()
+        } else {
+            world.table.empty_set()
+        },
+        filter: world.table.empty_set(),
+        flows: table(world, children, at),
+        seen: table(world, 1, at),
+        served: table(world, 1, at),
+        alloc: vec![TokenBucket::new(0.0, at); world.table.len()],
+        alloc_set: world.table.empty_set(),
+        parent_est: None,
+        child_est: vec![None; children],
+        served_total: 0,
+        underload_streak: 0,
+        arrival_rng: world.demand[i]
+            .iter()
+            .map(|&(doc, _, _)| packet::arrival_stream_rng(world, i, doc))
+            .collect(),
+        gossip_rng: packet::gossip_stream_rng(world, i),
+        next_request: 0,
+    }
+}
+
+/// One slab row as an owning struct.
+pub fn capture_node(world: &PacketWorld, row: NodeRef<'_>) -> NodeState {
+    let set = |s: Set| {
+        let mut members = world.table.empty_set();
+        for k in row.members(s) {
+            members.insert(k);
+        }
+        members
+    };
+    let one_row = |cells: &[MeterCell]| {
+        let mut t = table(world, 1, 0.0);
+        t.row_mut(0).copy_from_slice(cells);
+        t
+    };
+    NodeState {
+        copies: set(Set::Copies),
+        filter: set(Set::Filter),
+        flows: row
+            .kids()
+            .map_or_else(|| table(world, 0, 0.0), |k| k.flows.clone()),
+        seen: one_row(row.seen),
+        served: one_row(row.served),
+        alloc: row.buckets.to_vec(),
+        alloc_set: set(Set::Alloc),
+        parent_est: row.head.parent_est,
+        child_est: row.kids().map_or_else(Vec::new, |k| k.est.clone()),
+        served_total: row.head.served_total,
+        underload_streak: row.head.underload_streak,
+        arrival_rng: row.rngs.to_vec(),
+        gossip_rng: row.head.gossip_rng.clone(),
+        next_request: row.head.next_request,
+    }
+}
+
+/// Universe growth by construction: every per-document structure is
+/// built anew at the grown size and the old cells copied over.
+pub fn grow_by_rebuilding(
+    world: &PacketWorld,
+    state: &mut NodeState,
+    g: &UniverseGrowth,
+    at: f64,
+    is_root: bool,
+) {
+    let shift = |set: &DocSet| {
+        let mut grown = DocSet::new(g.new_len);
+        for idx in set.iter() {
+            grown.insert(g.old_to_new[idx as usize]);
+        }
+        grown
+    };
+    state.copies = shift(&state.copies);
+    state.filter = shift(&state.filter);
+    state.alloc_set = shift(&state.alloc_set);
+    if is_root {
+        for &k in &g.fresh {
+            state.copies.insert(k);
+        }
+    }
+    let mut alloc = vec![TokenBucket::new(0.0, at); g.new_len];
+    for (old, &new) in g.old_to_new.iter().enumerate() {
+        alloc[new as usize] = state.alloc[old];
+    }
+    state.alloc = alloc;
+    for t in [&mut state.flows, &mut state.seen, &mut state.served] {
+        let mut grown = table(world, t.row_count(), at);
+        for row in 0..t.row_count() {
+            for (old, &new) in g.old_to_new.iter().enumerate() {
+                grown.row_mut(row)[new as usize] = t.row(row)[old];
+            }
+        }
+        *t = grown;
+    }
+}
+
+/// Rebuilds a node's per-child-slot state from a slot mapping by
+/// construction: `map[new_slot]` names the old slot the new slot keeps,
+/// `None` starts fresh at `at`.
+fn remap_children(world: &PacketWorld, state: &mut NodeState, map: &[Option<usize>], at: f64) {
+    let mut flows = table(world, map.len(), at);
+    for (new, &src) in map.iter().enumerate() {
+        if let Some(old) = src {
+            flows.row_mut(new).copy_from_slice(state.flows.row(old));
+        }
+    }
+    state.flows = flows;
+    state.child_est = map
+        .iter()
+        .map(|&src| src.and_then(|s| state.child_est[s]))
+        .collect();
+}
+
+/// A simulator's node state in the per-node layout, with a world replica
+/// to follow barrier operations on.
+pub struct Reference {
+    pub world: PacketWorld,
+    pub nodes: Vec<NodeState>,
+    /// An accepted op re-resolves the arrival streams at the commit.
+    stale_arrivals: bool,
+}
+
+impl Reference {
+    /// Captures every row of `slab`, hosted over `world` with row = node
+    /// id.
+    pub fn capture(world: &PacketWorld, slab: &NodeSlab) -> Self {
+        assert_eq!(slab.len(), world.len());
+        Reference {
+            world: world.clone(),
+            nodes: (0..slab.len())
+                .map(|i| capture_node(world, slab.node(i)))
+                .collect(),
+            stale_arrivals: false,
+        }
+    }
+
+    /// Applies `op` at time `at` the way the per-node drivers did.
+    pub fn apply(&mut self, op: &BarrierOp, at: f64) -> Result<(), ModelError> {
+        match op {
+            BarrierOp::AddLeaf { parent, rate } => {
+                let id = self.world.join(*parent, *rate)?;
+                let slots = self.world.tree.children(*parent).len();
+                let mut map: Vec<Option<usize>> = (0..slots - 1).map(Some).collect();
+                map.push(None);
+                remap_children(&self.world, &mut self.nodes[parent.index()], &map, at);
+                self.nodes.push(init_state_at(&self.world, id, at));
+            }
+            BarrierOp::RemoveLeaf { node } => {
+                let removal = self.world.leave(*node)?;
+                self.nodes.swap_remove(removal.removed.index());
+                for p in packet::parents_to_remap(&self.world.tree, &removal) {
+                    let map = packet::child_slot_map(&self.world.tree, p, &removal);
+                    remap_children(&self.world, &mut self.nodes[p.index()], &map, at);
+                }
+            }
+            BarrierOp::PublishDoc { doc, origin, rate } => {
+                let growth = self.world.publish(*doc, *origin, *rate)?;
+                self.grow(growth, at);
+            }
+            BarrierOp::SetMix { mix } => {
+                let growth = self.world.set_mix(mix)?;
+                self.grow(growth, at);
+            }
+            BarrierOp::Invalidate { doc } => {
+                self.invalidate(*doc)?;
+                return Ok(());
+            }
+            // Link state is the driver's, not a node's.
+            BarrierOp::FailLink { .. } | BarrierOp::HealLink { .. } => return Ok(()),
+        }
+        self.stale_arrivals = true;
+        Ok(())
+    }
+
+    fn grow(&mut self, growth: Option<UniverseGrowth>, at: f64) {
+        if let Some(g) = growth {
+            let root = self.world.tree.root().index();
+            for (i, state) in self.nodes.iter_mut().enumerate() {
+                grow_by_rebuilding(&self.world, state, &g, at, i == root);
+            }
+        }
+    }
+
+    fn invalidate(&mut self, doc: DocId) -> Result<(), ModelError> {
+        let Some(k) = self.world.table.index_of(doc) else {
+            return Err(ModelError::UnknownDocument { doc: doc.value() });
+        };
+        let root = self.world.tree.root().index();
+        for (i, state) in self.nodes.iter_mut().enumerate() {
+            if i != root && state.copies.remove(k) {
+                state.filter.remove(k);
+                state.alloc_set.remove(k);
+                state.alloc[k as usize].rate = 0.0;
+                // One cell of a one-row table is its whole column.
+                state.served.clear_cell(0, k);
+            }
+        }
+        Ok(())
+    }
+
+    /// The batch commit: every stream restarts from a fresh fork and
+    /// draws its first gap.
+    pub fn commit(&mut self) {
+        if !std::mem::take(&mut self.stale_arrivals) {
+            return;
+        }
+        for (i, state) in self.nodes.iter_mut().enumerate() {
+            state.arrival_rng = self.world.demand[i]
+                .iter()
+                .map(|&(doc, _, rate)| {
+                    let mut rng = packet::arrival_stream_rng(&self.world, i, doc);
+                    if rate > 0.0 {
+                        exp_delay(&mut rng, 1.0 / rate);
+                    }
+                    rng
+                })
+                .collect();
+        }
+    }
+
+    /// Every row of `slab` equals its node, field for field.
+    pub fn assert_matches(&self, slab: &NodeSlab) {
+        assert_eq!(slab.len(), self.nodes.len(), "row count");
+        for (i, expect) in self.nodes.iter().enumerate() {
+            assert_node_eq(expect, slab.node(i), i);
+        }
+    }
+}
+
+/// `row` holds exactly `expect`: meter cells including window starts,
+/// bucket `rate / tokens / last`, bitset members, RNG states, and — for
+/// an interior node — child rows and estimates.
+pub fn assert_node_eq(expect: &NodeState, row: NodeRef<'_>, i: usize) {
+    let bits = |x: Option<f64>| x.map(f64::to_bits);
+    for (set, members) in [
+        (Set::Copies, &expect.copies),
+        (Set::Filter, &expect.filter),
+        (Set::Alloc, &expect.alloc_set),
+    ] {
+        assert!(members.iter().eq(row.members(set)), "node {i}: {set:?}");
+    }
+    assert_eq!(expect.seen.row(0), row.seen, "node {i}: seen");
+    assert_eq!(expect.served.row(0), row.served, "node {i}: served");
+    assert_eq!(&expect.alloc[..], row.buckets, "node {i}: buckets");
+    assert_eq!(
+        bits(expect.parent_est),
+        bits(row.head.parent_est),
+        "node {i}: parent_est"
+    );
+    assert_eq!(expect.served_total, row.head.served_total, "node {i}");
+    assert_eq!(
+        expect.underload_streak, row.head.underload_streak,
+        "node {i}"
+    );
+    assert_eq!(expect.next_request, row.head.next_request, "node {i}");
+    assert_eq!(
+        expect.gossip_rng, row.head.gossip_rng,
+        "node {i}: gossip rng"
+    );
+    assert_eq!(&expect.arrival_rng[..], row.rngs, "node {i}: arrival rngs");
+    match row.kids() {
+        None => {
+            assert_eq!(expect.flows.row_count(), 0, "node {i}: a leaf has no flows");
+            assert!(
+                expect.child_est.is_empty(),
+                "node {i}: a leaf has no estimates"
+            );
+        }
+        Some(kids) => {
+            assert_eq!(expect.flows, kids.flows, "node {i}: flows");
+            let est = |v: &[Option<f64>]| v.iter().map(|&x| bits(x)).collect::<Vec<_>>();
+            assert_eq!(
+                est(&expect.child_est),
+                est(&kids.est),
+                "node {i}: child_est"
+            );
+        }
+    }
+}

@@ -41,6 +41,7 @@
 
 pub mod assignment;
 pub mod doc;
+pub mod docgrid;
 pub mod doctable;
 pub mod error;
 pub mod ids;
@@ -49,6 +50,7 @@ pub mod tree;
 
 pub use assignment::LoadAssignment;
 pub use doc::{Catalog, Document};
+pub use docgrid::{reserve_slack, DocGrid};
 pub use doctable::{shift_columns, DocSet, DocTable};
 pub use error::ModelError;
 pub use ids::{DocId, NodeId};

@@ -271,6 +271,91 @@ proptest! {
         prop_assert_eq!(&cells[dst..dst + new_len], &expect[..]);
     }
 
+    /// Every row operation of a `DocGrid` — on a stride an earlier
+    /// growth may have widened — equals the same operation on a plain
+    /// `Vec` of rows.
+    #[test]
+    fn doc_grid_row_operations_match_a_vec_of_rows(
+        rows in 0usize..7,
+        docs in 0usize..5,
+        widen in any::<bool>(),
+        ops in proptest::collection::vec((0u8..4, any::<u64>()), 1..12),
+    ) {
+        let mut grid = ww_model::DocGrid::new(rows, docs, 0u32);
+        let mut model: Vec<Vec<u32>> = vec![vec![0; docs]; rows];
+        let mut next = 1u32;
+        let mut stamp = |grid: &mut ww_model::DocGrid<u32>, model: &mut Vec<Vec<u32>>| {
+            for (row, cells) in model.iter_mut().enumerate() {
+                for (k, cell) in cells.iter_mut().enumerate() {
+                    *cell = next;
+                    *grid.get_mut(row, k as u32) = next;
+                    next += 1;
+                }
+            }
+        };
+        let mut docs = docs;
+        if widen {
+            // One inserted column in front: the stride now exceeds `docs`.
+            let map: Vec<u32> = (1..=docs as u32).collect();
+            grid.grow_docs(&map, docs + 1, 0);
+            for cells in &mut model {
+                cells.insert(0, 0);
+            }
+            docs += 1;
+        }
+        stamp(&mut grid, &mut model);
+        for (kind, pick) in ops {
+            let n = model.len();
+            match kind {
+                0 => {
+                    grid.push_row(9);
+                    model.push(vec![9; docs]);
+                }
+                1 if n > 0 => {
+                    let row = pick as usize % n;
+                    grid.swap_remove_row(row);
+                    model.swap_remove(row);
+                }
+                2 => {
+                    let keep = |row: usize| (pick >> (row % 64)) & 1 == 1;
+                    grid.retain_rows(keep);
+                    let mut row = 0;
+                    model.retain(|_| {
+                        row += 1;
+                        keep(row - 1)
+                    });
+                }
+                3 => {
+                    // A random partial injection: walk the old rows in a
+                    // rotated order, keeping, dropping or interleaving a
+                    // fresh row by two bits of `pick` each.
+                    let mut map = Vec::new();
+                    for i in 0..n {
+                        let old = (i + pick as usize) % n;
+                        match (pick >> (2 * (i % 32))) & 3 {
+                            0 => {}
+                            1 => map.extend([None, Some(old)]),
+                            _ => map.push(Some(old)),
+                        }
+                    }
+                    if n == 0 && pick % 2 == 0 {
+                        map.push(None);
+                    }
+                    grid.reorder_rows(&map, 7);
+                    model = map
+                        .iter()
+                        .map(|src| src.map_or(vec![7; docs], |old| model[old].clone()))
+                        .collect();
+                }
+                _ => {}
+            }
+            prop_assert_eq!(grid.row_count(), model.len());
+            for (row, cells) in model.iter().enumerate() {
+                prop_assert_eq!(grid.row(row), &cells[..]);
+            }
+        }
+    }
+
     /// Growing a set keeps every member and adds none.
     #[test]
     fn doc_set_grow_keeps_members(

@@ -19,7 +19,11 @@
 //! (its own timestamp) and on explicit null messages
 //! (`min(next local event, inbound safe time) + lookahead`), the
 //! classic Chandy–Misra–Bryant recipe; positive lookahead makes the
-//! null-message ratchet terminate.
+//! null-message ratchet terminate. A shard with work sends its null
+//! message every quarter lookahead of simulated time rather than once
+//! per safe window, so a neighbor's answer is normally in hand before
+//! the window runs out, and a shard seldom idles on a promise's round
+//! trip — a wait whose frequency the host's scheduler decided.
 //!
 //! Once per diffusion period every shard quiesces at the epoch boundary
 //! (`EpochEnd` handshake), and the driver samples the global distance to
@@ -31,9 +35,9 @@
 //! The event loop sees its wires only through the
 //! [`WireSender`]/[`WireReceiver`] traits of [`crate::transport`].
 //! In-process, each directed wire is a bounded lock-free single-producer
-//! single-consumer ring ([`spsc`]): the hot path publishes a whole
-//! lookahead window's worth of events with a single atomic release
-//! store per window, and a shard never blocks on a full ring — excess
+//! single-consumer ring ([`spsc`]): the hot path publishes a promise
+//! quantum's worth of events (a quarter lookahead) with a single atomic
+//! release store, and a shard never blocks on a full ring — excess
 //! messages park in an unbounded per-wire overflow queue, drained ahead
 //! of new traffic so per-wire FIFO is preserved (the park count and
 //! peak depth surface in the report). A shard consumes inbound events
@@ -67,8 +71,8 @@ use crate::transport::{open_ring, LinkError, StageError, Wire, WireReceiver, Wir
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 use ww_core::packet::{
-    self, BarrierOp, BarrierOutcome, DriverSource, NodeCtx, NodeState, PacketCounters, PacketEvent,
-    PacketSimConfig, PacketWorld, Scratch,
+    self, BarrierOp, BarrierOutcome, DriverSource, NodeCtx, NodeMut, NodeSlab, PacketCounters,
+    PacketEvent, PacketSimConfig, PacketWorld, Scratch,
 };
 use ww_core::packetsim::{PacketBackend, PacketSimReport};
 use ww_model::{ModelError, NodeId, RateVector, Tree};
@@ -84,6 +88,17 @@ use ww_workload::DocMix;
 pub(crate) const INBOUND: u64 = 1 << 63;
 /// Bits reserved for the per-channel message counter.
 pub(crate) const COUNTER_BITS: u32 = 40;
+
+/// Null messages per lookahead of simulated time on a shard that has
+/// work. A shard that promised only when it had exhausted its safe
+/// window had exactly one window of compute to hide the promise's round
+/// trip behind; whenever the window was shorter than the trip (a few
+/// hundred microseconds over sockets) the shard sat idle, and how often
+/// that happened was decided by the host's scheduler, not by the run —
+/// 1 to 29 % of the loaded shard's epoch on `dist_cdn_w2`. Promising
+/// every quarter lookahead keeps the peer's answer about two lookaheads
+/// ahead of the clock, for three more null messages per window.
+const PROMISE_QUANTA: f64 = 4.0;
 
 /// Counter key table of the PDES hot path. Each shard owns a dense slab
 /// over this table (lock-free by ownership); the driver merges the
@@ -119,8 +134,8 @@ const P_REBALANCE_PLAN: usize = 0;
 const P_REBALANCE_APPLY: usize = 1;
 
 /// Placeholder argument of [`ParPacketSim::with_tuning`]: the hot path
-/// has one configuration (SPSC rings, one release store per lookahead
-/// window), so there is nothing left to tune. Remove with the next
+/// has one configuration (SPSC rings, one release store per promise
+/// quantum), so there is nothing left to tune. Remove with the next
 /// `benchmark` PR — only caller `benchmark/src/rep.rs:90`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PdesTuning;
@@ -250,12 +265,12 @@ enum Source {
     Staged(usize),
 }
 
-/// One subtree shard: its nodes' states, its event loop machinery, and
-/// its links to adjacent shards.
+/// One subtree shard: its members' state (one [`NodeSlab`], row = local
+/// index), its event loop machinery, and its links to adjacent shards.
 #[derive(Debug)]
 pub(crate) struct Shard {
     pub(crate) id: usize,
-    pub(crate) states: Vec<NodeState>,
+    pub(crate) nodes: NodeSlab,
     pub(crate) queue: RadixQueue<PacketEvent>,
     pub(crate) gossip_ring: TimerRing,
     pub(crate) diffusion_ring: TimerRing,
@@ -285,7 +300,7 @@ pub(crate) struct Shard {
     /// attribution. Off (the default), the hot path pays one branch.
     pub(crate) track_loads: bool,
     /// Events executed per local node since the last rebalance
-    /// evaluation window opened (parallel to `states`). Deterministic:
+    /// evaluation window opened (parallel to `nodes`' rows). Deterministic:
     /// every event is attributed to the node whose handler ran it, and
     /// which events run is partition-invariant.
     pub(crate) window_events: Vec<u64>,
@@ -324,17 +339,14 @@ pub(crate) fn build_shard(
 ) -> Shard {
     let config = &world.config;
     let members = &partition.members[id];
-    let mut states: Vec<NodeState> = members
-        .iter()
-        .map(|&u| packet::init_state(world, u))
-        .collect();
+    let mut nodes = NodeSlab::new(world, members);
     let mut queue = RadixQueue::default();
     let mut gossip_ring = TimerRing::new(SimTime::from_secs(config.gossip_period), members.len());
     let mut diffusion_ring =
         TimerRing::new(SimTime::from_secs(config.diffusion_period), members.len());
     let mut outbox = Vec::new();
     for (local, &u) in members.iter().enumerate() {
-        packet::initial_arrivals(world, &mut states[local], u, &mut outbox);
+        nodes.resolve_node_arrivals(world, local, u, SimTime::ZERO, &mut outbox);
         for (at, ev) in outbox.drain(..) {
             queue.schedule(at, ev);
         }
@@ -349,7 +361,7 @@ pub(crate) fn build_shard(
     }
     Shard {
         id,
-        states,
+        nodes,
         queue,
         gossip_ring,
         diffusion_ring,
@@ -441,7 +453,7 @@ impl Shard {
         &mut self,
         sh: &Shared<'_>,
         li: usize,
-        handler: impl FnOnce(&mut NodeCtx<'_>, &mut NodeState),
+        handler: impl FnOnce(&mut NodeCtx<'_>, &mut NodeMut<'_>),
     ) -> Result<(), LinkError> {
         let mut ctx = NodeCtx {
             world: sh.world,
@@ -451,7 +463,7 @@ impl Shard {
             out: &mut self.outbox,
             scratch: &mut self.scratch,
         };
-        handler(&mut ctx, &mut self.states[li]);
+        handler(&mut ctx, &mut self.nodes.node_mut(li));
         self.route_outbox(sh)
     }
 
@@ -721,6 +733,7 @@ fn run_epoch(
     sample: bool,
 ) -> Result<Option<ExactSum>, LinkError> {
     let lookahead = shard.lookahead;
+    let promise_quantum = SimTime::from_secs(lookahead.as_secs() / PROMISE_QUANTA);
     let stall_timeout = shard.stall_timeout;
     let mut idle_spins = 0u32;
     let mut idle_since: Option<Instant> = None;
@@ -732,10 +745,19 @@ fn run_epoch(
         let mut progressed = shard.poll_inbound()?;
 
         let safe = shard.in_links.iter().map(|l| l.promise).min();
-        let bound = match safe {
+        let mut bound = match safe {
             Some(s) => s.min(t_end),
             None => t_end,
         };
+        // A shard with neighbors works through its safe window a promise
+        // quantum at a time, so the null message below goes out several
+        // times per lookahead and the peer's answer to one is in hand
+        // before the window it opens is needed.
+        if safe.is_some() {
+            if let Some(next) = shard.next_time() {
+                bound = bound.min(next + promise_quantum);
+            }
+        }
         progressed |= shard.process_until(sh, bound)?;
 
         // Publish the window's outbound batch *before* promising: a
@@ -780,10 +802,8 @@ fn run_epoch(
             let partial = sample.then(|| {
                 packet::trace_partial(
                     &sh.world.oracle,
-                    sh.partition.members[shard.id]
-                        .iter()
-                        .map(|u| u.index())
-                        .zip(shard.states.iter_mut()),
+                    &mut shard.nodes,
+                    sh.partition.members[shard.id].iter().copied(),
                     t_end.as_secs(),
                 )
             });
@@ -860,7 +880,7 @@ fn run_epoch(
 }
 
 /// The sharded parallel packet-level simulator: radix event queues,
-/// SPSC ring wires, one release store per lookahead window.
+/// SPSC ring wires, one release store per promise quantum.
 ///
 /// Drop-in equivalent of [`ww_core::packetsim::PacketSim`]: same
 /// constructor inputs plus a worker count, same [`PacketSimReport`], and
@@ -1070,6 +1090,7 @@ impl ParPacketSim {
             lanes.merge(&shard.queue.lane_stats());
         }
         packet::push_queue_counters(&mut snap, "pdes", lanes);
+        packet::push_state_counters(&mut snap, "pdes", self.shards.iter().map(|s| &s.nodes));
         let mut parks = self.retired_parks;
         let mut peak = self.retired_peak_parked;
         for shard in &self.shards {
@@ -1370,7 +1391,7 @@ impl ParPacketSim {
             .map(|j| {
                 let s = self.core.partition.shard_of[j];
                 let li = self.core.partition.local_index[j] as usize;
-                packet::sample_served_rate(&mut self.shards[s].states[li], now)
+                self.shards[s].nodes.measured_load(li, now)
             })
             .collect();
         let served_rates = RateVector::from(rates);
@@ -1441,7 +1462,7 @@ impl ParPacketSim {
     pub fn served_total(&self, node: NodeId) -> u64 {
         let s = self.core.partition.shard_of[node.index()];
         let li = self.core.partition.local_index[node.index()] as usize;
-        self.shards[s].states[li].served_total
+        self.shards[s].nodes.served_total(li)
     }
 
     /// Whether the control link from `node` to its parent is failed.

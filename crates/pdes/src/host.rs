@@ -193,10 +193,8 @@ impl ShardHost {
     /// for a replica.
     pub fn member_rates(&mut self, now: f64) -> Vec<f64> {
         match &mut self.store.shard {
-            Some(shard) => shard
-                .states
-                .iter_mut()
-                .map(|state| ww_core::packet::sample_served_rate(state, now))
+            Some(shard) => (0..shard.nodes.len())
+                .map(|li| shard.nodes.measured_load(li, now))
                 .collect(),
             None => Vec::new(),
         }

@@ -5,13 +5,21 @@
 //! loop it replaced. On random trees, skews, worker counts and plans —
 //! plans in which shards are donor and recipient at once, connected or
 //! not — the two must leave every shard with the same nodes, the same
-//! `NodeState` bits, the same pending events under the same keys, the
-//! same ring fires under the same sequence numbers, and the same
-//! sequence counter. Local indices may differ (the bulk form compacts
-//! stably, the reference by swap-remove), so shards are compared as
-//! sets keyed by global node id, and each side separately must keep
-//! `members[s][li]`, `states[li]`, ring member `li` and
-//! `window_events[li]` naming one node.
+//! node-state rows bit for bit, the same pending events under the same
+//! keys, the same ring fires under the same sequence numbers, and the
+//! same sequence counter. Local indices may differ (the bulk form
+//! compacts stably, the reference by swap-remove), so shards are
+//! compared as sets keyed by global node id, and each side separately
+//! must keep `members[s][li]`, row `li` of the shard's slab, ring member
+//! `li` and `window_events[li]` naming one node.
+//!
+//! Rows move, not structs: a node's row is read through
+//! [`NodeSlab::node`](ww_core::packet::NodeSlab::node) before and after
+//! — meter cells with their window starts, token buckets, bitset
+//! members (inline words at 6 documents, the word slab at 70), RNG
+//! states out of the shared RNG slab, and an interior node's child rows
+//! and estimates — so a row that arrives next to another node's bucket
+//! row or RNG range shows as a node wearing another node's state.
 
 use crate::engine::ParPacketSim;
 use crate::ops::{self, SimCore};
@@ -25,11 +33,17 @@ use ww_sim::SimQueue;
 
 /// A small skewed world, driven to a barrier with per-node event
 /// attribution on (so `window_events` has something to misplace).
-fn sim_at_barrier(seed: u64, nodes: usize, theta: f64, workers: usize) -> ParPacketSim {
+fn sim_at_barrier(
+    seed: u64,
+    nodes: usize,
+    docs: usize,
+    theta: f64,
+    workers: usize,
+) -> ParPacketSim {
     let mut rng = StdRng::seed_from_u64(seed);
     let tree = ww_topology::random_tree_of_depth(&mut rng, nodes, 5);
     let rates = ww_workload::zipf_nodes(&mut rng, &tree, 25.0 * nodes as f64, theta);
-    let mix = ww_workload::shared_zipf_mix(&tree, &rates, 6, 1.0);
+    let mix = ww_workload::shared_zipf_mix(&tree, &rates, docs, 1.0);
     let config = PacketSimConfig {
         seed: seed ^ 0x5EED,
         // Long enough that lanes and radix heap hold packets in flight.
@@ -76,8 +90,9 @@ type Fires = ((u64, u64), (u64, u64));
 #[derive(Debug, Clone, PartialEq)]
 struct NodeView {
     shard: usize,
-    /// `NodeState`'s `Debug` rendering: every float prints in its
-    /// shortest round-trip form, so equal strings are equal bits.
+    /// The row's `Debug` rendering — every field of the node: every
+    /// float prints in its shortest round-trip form, so equal strings
+    /// are equal bits.
     state: String,
     fires: Fires,
     window_events: u64,
@@ -100,7 +115,7 @@ fn node_views(sim: &mut ParPacketSim) -> Vec<NodeView> {
             };
             NodeView {
                 shard: s,
-                state: format!("{:?}", shard.states[li]),
+                state: format!("{:?}", shard.nodes.node(li)),
                 fires: (fire(&shard.gossip_ring), fire(&shard.diffusion_ring)),
                 window_events: shard.window_events[li],
             }
@@ -127,7 +142,7 @@ fn queue_views(sim: &mut ParPacketSim) -> Vec<QueueView> {
         .enumerate()
         .map(|(s, shard)| {
             let members = core.partition.members[s].len();
-            assert_eq!(shard.states.len(), members);
+            assert_eq!(shard.nodes.len(), members);
             assert_eq!(shard.window_events.len(), members);
             assert_eq!(shard.gossip_ring.members(), members);
             assert_eq!(shard.diffusion_ring.members(), members);
@@ -168,13 +183,16 @@ proptest! {
     fn bulk_migration_matches_one_move_at_a_time(
         seed in 0u64..u64::MAX,
         nodes in 12usize..56,
+        wide in any::<bool>(),
         theta in 0.4f64..1.6,
         workers in 0usize..4,
         share in 0u8..=255,
     ) {
         let workers = [2, 3, 4, 8][workers];
-        let mut bulk = sim_at_barrier(seed, nodes, theta, workers);
-        let mut single = sim_at_barrier(seed, nodes, theta, workers);
+        // Bitsets in the heads' inline words, or in the word slab.
+        let docs = if wide { 70 } else { 6 };
+        let mut bulk = sim_at_barrier(seed, nodes, docs, theta, workers);
+        let mut single = sim_at_barrier(seed, nodes, docs, theta, workers);
         prop_assert!(bulk.shard_count() >= 2, "a leaf always fits the peel budget");
         let before = node_views(&mut bulk);
         prop_assert_eq!(&before, &node_views(&mut single));
@@ -204,6 +222,10 @@ proptest! {
         }
         // Bulk == reference, node by node and queue by queue.
         prop_assert_eq!(&after, &node_views(&mut single));
+        // The slabs hold exactly their members' rows.
+        for (s, shard) in bulk.parts_mut().1.iter().enumerate() {
+            prop_assert_eq!(shard.nodes.len(), after.iter().filter(|v| v.shard == s).count());
+        }
         let queues = queue_views(&mut bulk);
         prop_assert_eq!(&queues, &queue_views(&mut single));
         // The returned count is the migrants' share of those queues.

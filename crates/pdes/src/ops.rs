@@ -25,7 +25,7 @@ use crate::engine::Shard;
 use crate::partition::Partition;
 use crate::rebalance::RebalancePlan;
 use ww_core::packet::{
-    self, BarrierOp, BarrierOutcome, NodeState, PacketEvent, PacketWorld, SurgeryStep,
+    self, BarrierOp, BarrierOutcome, NodeSlab, PacketEvent, PacketWorld, SurgeryStep,
     UniverseGrowth,
 };
 use ww_model::{DocId, LeafRemoval, ModelError, NodeId};
@@ -98,15 +98,15 @@ impl ShardStore for SingleStore {
     }
 }
 
-/// The state of node `j`, when its shard is held.
-fn state_mut<'a>(
+/// The shard hosting node `j` and the node's row there, when held.
+fn row_of<'a>(
     core: &SimCore,
     store: &'a mut impl ShardStore,
     j: usize,
-) -> Option<&'a mut NodeState> {
+) -> Option<(&'a mut Shard, usize)> {
     let s = core.partition.shard_of[j];
     let li = core.partition.local_index[j] as usize;
-    store.shard_mut(s).map(|shard| &mut shard.states[li])
+    store.shard_mut(s).map(|shard| (shard, li))
 }
 
 /// Invalidates every cached copy of `doc` outside the home server (one
@@ -125,12 +125,10 @@ fn invalidate(
         if node == root {
             continue;
         }
-        let s = core.partition.shard_of[j];
-        let li = core.partition.local_index[j] as usize;
-        let Some(shard) = store.shard_mut(s) else {
+        let Some((shard, li)) = row_of(core, store, j) else {
             continue;
         };
-        if packet::invalidate_node(&mut shard.states[li], k) {
+        if shard.nodes.invalidate_row(li, k) {
             shard
                 .ledger
                 .record(TrafficClass::Gossip, 64, core.world.tree.depth(node) as u32);
@@ -152,16 +150,11 @@ fn add_leaf(
     let i = id.index();
     let ps = core.partition.shard_of[parent.index()];
     let pli = core.partition.local_index[parent.index()] as usize;
-    let map = packet::join_slot_map(core.world.tree.children(parent).len() - 1);
-    if let Some(shard) = store.shard_mut(ps) {
-        packet::remap_children(&mut shard.states[pli], &map, at.as_secs());
-    }
     let li = core.partition.add_node(ps);
     if let Some(shard) = store.shard_mut(ps) {
-        debug_assert_eq!(li, shard.states.len());
-        shard
-            .states
-            .push(packet::init_state_at(&core.world, id, at.as_secs()));
+        debug_assert_eq!(li, shard.nodes.len());
+        shard.nodes.push_child(pli, at.as_secs());
+        shard.nodes.push_node(&core.world, id, at.as_secs());
         shard.window_events.push(0);
     }
     core.failed_up.push(false);
@@ -195,7 +188,7 @@ fn remove_leaf(
     let r = removal.removed.index();
     let (s, li) = core.partition.swap_remove_node(r);
     if let Some(shard) = store.shard_mut(s) {
-        shard.states.swap_remove(li);
+        shard.nodes.swap_remove_node(li);
         shard.gossip_ring.swap_remove_member(li);
         shard.diffusion_ring.swap_remove_member(li);
         shard.window_events.swap_remove(li);
@@ -207,8 +200,8 @@ fn remove_leaf(
     });
     for p in packet::parents_to_remap(&core.world.tree, &removal) {
         let map = packet::child_slot_map(&core.world.tree, p, &removal);
-        if let Some(state) = state_mut(core, store, p.index()) {
-            packet::remap_children(state, &map, at.as_secs());
+        if let Some((shard, li)) = row_of(core, store, p.index()) {
+            shard.nodes.remap_children(li, &map, at.as_secs());
         }
     }
     Ok(removal)
@@ -221,13 +214,15 @@ fn remove_leaf(
 fn apply_growth(core: &mut SimCore, store: &mut impl ShardStore, growth: Option<UniverseGrowth>) {
     let at = core.horizon.as_secs();
     if let Some(g) = &growth {
-        let root = core.world.tree.root();
-        for j in 0..core.world.len() {
-            let is_root = NodeId::new(j) == root;
-            if let Some(state) = state_mut(core, store, j) {
-                packet::grow_node_state(state, g, at, is_root);
-            }
-        }
+        let root = core.world.tree.root().index();
+        let (home_shard, home) = (
+            core.partition.shard_of[root],
+            core.partition.local_index[root] as usize,
+        );
+        store.for_each(&mut |shard| {
+            let home = (shard.id == home_shard).then_some(home);
+            shard.nodes.grow(g, at, home);
+        });
     }
     core.batch.push(SurgeryStep::Rebuild(growth));
 }
@@ -284,21 +279,6 @@ fn move_index(core: &SimCore, plan: &RebalancePlan) -> Vec<u32> {
     move_of
 }
 
-/// Reorders `v` in place so that the entry at `i` ends up at `dest[i]`
-/// (`dest` is a permutation of `0..v.len()`), by swaps along its cycles:
-/// every swap puts one entry in its final slot, so `O(len)` swaps and no
-/// second vector.
-fn permute<T>(v: &mut [T], mut dest: Vec<usize>) {
-    debug_assert_eq!(v.len(), dest.len());
-    for i in 0..v.len() {
-        while dest[i] != i {
-            let d = dest[i];
-            v.swap(i, d);
-            dest.swap(i, d);
-        }
-    }
-}
-
 /// Applies a rebalance plan at the current barrier: each migrating
 /// node's state, pending queue events, and pending timer fires move
 /// from its donor shard to its recipient shard. Returns how many queue
@@ -310,17 +290,20 @@ fn permute<T>(v: &mut [T], mut dest: Vec<usize>) {
 /// 1. **Read.** Every migrant's two armed timer fires, by its
 ///    donor-local index, before any ring is edited.
 /// 2. **Compact each donor once.** One `remove_members` pass per ring,
-///    the matching stable compaction of `window_events` and — as one
-///    in-place permutation that also parks the migrants behind the
-///    survivors — of `states`, then one [`Partition::move_nodes`] for
-///    the whole plan. Survivors keep their relative order; which local
+///    the matching stable compaction of `window_events`, and one
+///    [`NodeSlab::take_rows`]: the migrants' rows leave for a detached
+///    slab in plan order and the survivors' rows close the gaps in one
+///    stable pass per slab; then one [`Partition::move_nodes`] for the
+///    whole plan. Survivors keep their relative order; which local
 ///    index a node ends up with is unobservable — trace partials fold
 ///    through an exact sum, reports and arrival rebuilds walk global
 ///    ids, the ring rotation is keyed by `(next, seq)` — as long as
-///    `members[s][li]`, `states[li]`, ring member `li` and
+///    `members[s][li]`, row `li` of `nodes`, ring member `li` and
 ///    `window_events[li]` keep naming the same node.
 /// 3. **Append to each recipient, merge its rings once.** Migrants are
-///    replayed one at a time in plan order (ascending node id), each
+///    replayed one at a time in plan order (ascending node id) — each
+///    one's row appended to the recipient's slab
+///    ([`NodeSlab::push_row_from`]: rows move, not structs), each
 ///    one's items in the `(time, key)` order the donor would have
 ///    delivered them, drawing fresh sequence numbers from the
 ///    recipient's counter — `schedule` for an event, `alloc_seq` for a
@@ -386,12 +369,9 @@ pub(crate) fn apply_rebalance(
         }));
     }
 
-    // Phase 2. A donor's `states` are permuted in place — survivors
-    // first, in order; its migrants behind them in reverse plan order —
-    // and detached, so that phase 3 pops each migrant straight into its
-    // recipient: no state is ever held anywhere but in one of the two
-    // shards' own vectors.
-    let mut detached: Vec<Option<Vec<NodeState>>> = Vec::new();
+    // Phase 2. `gone` lists a donor's migrants in plan order, so its
+    // detached slab holds them in the order phase 3 asks for them.
+    let mut detached: Vec<Option<NodeSlab>> = Vec::new();
     detached.resize_with(shards, || None);
     for (s, gone) in leaving.iter().enumerate() {
         if gone.is_empty() {
@@ -400,7 +380,7 @@ pub(crate) fn apply_rebalance(
         let Some(shard) = store.shard_mut(s) else {
             continue;
         };
-        let mut new_id = shard.gossip_ring.remove_members(gone);
+        let new_id = shard.gossip_ring.remove_members(gone);
         let same = shard.diffusion_ring.remove_members(gone);
         debug_assert_eq!(new_id, same, "the two rings compact alike");
         let mut li = 0;
@@ -408,14 +388,7 @@ pub(crate) fn apply_rebalance(
             li += 1;
             new_id[li - 1] != TimerRing::REMOVED
         });
-        // `gone` lists this donor's migrants in plan order.
-        let last = new_id.len() - 1;
-        for (rank, &li) in gone.iter().enumerate() {
-            new_id[li] = last - rank;
-        }
-        let mut states = std::mem::take(&mut shard.states);
-        permute(&mut states, new_id);
-        detached[s] = Some(states);
+        detached[s] = Some(shard.nodes.take_rows(gone));
     }
     core.partition.move_nodes(moves);
 
@@ -423,20 +396,18 @@ pub(crate) fn apply_rebalance(
     let mut gossip_in: Vec<Vec<(usize, SimTime, u64)>> = vec![Vec::new(); shards];
     let mut diffusion_in: Vec<Vec<(usize, SimTime, u64)>> = vec![Vec::new(); shards];
     let mut carried: Vec<(SimTime, u64, Pending)> = Vec::new();
+    let mut next_row = vec![0usize; shards];
     for (i, m) in moves.iter().enumerate() {
         let li = core.partition.local_index[m.node.index()] as usize;
-        let state = detached[m.from]
-            .as_mut()
-            .map(|states| states.pop().expect("one state per migrant"));
         let Some(shard) = store.shard_mut(m.to) else {
-            assert!(state.is_none(), "{CO_HOSTED}");
+            assert!(detached[m.from].is_none(), "{CO_HOSTED}");
             continue;
         };
         let [(gossip_at, gossip_key), (diffusion_at, diffusion_key)] = fires[i].expect(CO_HOSTED);
-        // A recipient that is also a donor collects its newcomers in the
-        // (empty) vector its detached one left behind.
-        debug_assert_eq!(li, shard.window_events.len());
-        shard.states.push(state.expect(CO_HOSTED));
+        debug_assert_eq!(li, shard.nodes.len());
+        let from = detached[m.from].as_mut().expect(CO_HOSTED);
+        shard.nodes.push_row_from(from, next_row[m.from]);
+        next_row[m.from] += 1;
         shard.window_events.push(0);
         assert_eq!(shard.gossip_ring.add_member(), li);
         assert_eq!(shard.diffusion_ring.add_member(), li);
@@ -463,13 +434,6 @@ pub(crate) fn apply_rebalance(
                     diffusion_in[m.to].push((li, fire, shard.queue.alloc_seq()));
                 }
             }
-        }
-    }
-    for (s, survivors) in detached.into_iter().enumerate() {
-        if let Some(mut states) = survivors {
-            let shard = store.shard_mut(s).expect("detached from this shard");
-            states.append(&mut shard.states);
-            shard.states = states;
         }
     }
     for (s, (gossip, diffusion)) in gossip_in.iter_mut().zip(&mut diffusion_in).enumerate() {
@@ -512,15 +476,18 @@ pub(crate) fn apply_rebalance_per_move(
         let (dt, dseq) = shard.diffusion_ring.fire_entry(old_li).expect("armed");
         carried.push((dt, dseq, Pending::Diffusion(dt)));
         carried.sort_unstable_by_key(|&(at, key, _)| (at, key));
-        let state = shard.states.swap_remove(old_li);
+        // An empty slab over the same universe, to carry the one row.
+        let mut moved = shard.nodes.take_rows(&[]);
+        moved.push_row_from(&mut shard.nodes, old_li);
+        shard.nodes.swap_remove_node(old_li);
         shard.gossip_ring.swap_remove_member(old_li);
         shard.diffusion_ring.swap_remove_member(old_li);
         shard.window_events.swap_remove(old_li);
         let (from, li, new_li) = core.partition.move_node(node, m.to);
         assert_eq!((from, li), (m.from, old_li));
         let shard = store.shard_mut(m.to).expect("reference holds every shard");
-        assert_eq!(new_li, shard.states.len());
-        shard.states.push(state);
+        assert_eq!(new_li, shard.nodes.len());
+        shard.nodes.push_row_from(&mut moved, 0);
         assert_eq!(shard.gossip_ring.add_member(), new_li);
         assert_eq!(shard.diffusion_ring.add_member(), new_li);
         shard.window_events.push(0);
@@ -578,19 +545,16 @@ pub(crate) fn commit_batch(core: &mut SimCore, store: &mut impl ShardStore) {
     let at = core.horizon;
     // A node has at most one stream per document of the universe.
     let mut outbox = Vec::with_capacity(core.world.table.len());
+    store.for_each(&mut |shard| shard.nodes.clear_arrivals());
     for j in 0..core.world.len() {
         let s = core.partition.shard_of[j];
         let li = core.partition.local_index[j] as usize;
         let Some(shard) = store.shard_mut(s) else {
             continue;
         };
-        packet::rebuild_node_arrivals(
-            &core.world,
-            &mut shard.states[li],
-            NodeId::new(j),
-            at,
-            &mut outbox,
-        );
+        shard
+            .nodes
+            .resolve_node_arrivals(&core.world, li, NodeId::new(j), at, &mut outbox);
         for (t, ev) in outbox.drain(..) {
             shard.queue.schedule(t, ev);
         }

@@ -142,6 +142,22 @@ fn assert_matrix_bit_identical(events: &str) {
                     for (key, _) in &snap.counters {
                         assert!(valid_metric_key(key), "{label}: bad counter key {key:?}");
                     }
+                    // The in-process engines say how big their node
+                    // state is; both event blocks end on 40 nodes.
+                    let prefix = match label.split('/').next() {
+                        Some("packet_sim") => Some("core"),
+                        Some("packet_sim_par") => Some("pdes"),
+                        _ => None,
+                    };
+                    if let Some(prefix) = prefix {
+                        let nodes = snap.counter(&format!("{prefix}.state.nodes"));
+                        assert_eq!(nodes, Some(40), "{label}: {prefix}.state.nodes");
+                        let bytes = snap.counter(&format!("{prefix}.state.bytes"));
+                        assert!(
+                            bytes.is_some_and(|b| b >= 40 * 512),
+                            "{label}: {prefix}.state.bytes {bytes:?}"
+                        );
+                    }
                 }
             }
             if level == Level::Full {

@@ -24,7 +24,7 @@ use rand::{Rng, RngCore, SeedableRng};
 /// assert_eq!(x1, x2);          // same stream id => same stream
 /// assert_ne!(x1, b.gen::<u64>()); // different stream id => independent
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimRng {
     seed: u64,
     inner: StdRng,
