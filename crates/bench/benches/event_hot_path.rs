@@ -6,8 +6,8 @@
 //!   at 1k / 100k / 1M pending events — the near-monotone access
 //!   pattern both packet engines generate.
 //! * `wire_transfer`: per-event cost of moving a wire-sized message
-//!   through the legacy MPMC channel vs the lock-free SPSC ring,
-//!   per-event publish vs one batched commit per window.
+//!   through the lock-free SPSC ring, per-event publish vs one batched
+//!   commit per window.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -77,21 +77,6 @@ fn bench_transfer(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2))
         .warm_up_time(Duration::from_millis(300))
         .sample_size(10);
-
-    // Legacy transport: one mutex-protected send per event.
-    let (tx, rx) = crossbeam::channel::unbounded::<Msg>();
-    group.bench_function("mpmc_per_event", |b| {
-        b.iter(|| {
-            for i in 0..WINDOW as u64 {
-                tx.send((i as f64, i, i)).expect("receiver alive");
-            }
-            let mut sum = 0u64;
-            while let Ok((_, _, ev)) = rx.try_recv() {
-                sum += ev;
-            }
-            std::hint::black_box(sum)
-        });
-    });
 
     // SPSC ring, published event by event.
     let (mut ptx, mut prx) = spsc::ring::<Msg>(4096);

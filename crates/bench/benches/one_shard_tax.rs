@@ -1,0 +1,54 @@
+//! The synchronisation tax of a shard that has nobody to synchronise
+//! with: the sequential `PacketSim` against `ParPacketSim::new(.., 1)`
+//! on the same world, one simulated second per iteration.
+//!
+//! Both are the shard driver of `ww_core::packet::driver` over the same
+//! one-shard partition — `PacketSim` calls `run_until` to each sample
+//! boundary itself, the parallel engine reaches the same call through
+//! `run_epoch` with an empty link set — so the ratio reads ≈ 1.0 by
+//! construction (0.94–0.96 before the two loops were one; CHANGES.md,
+//! PR 21). A reading away from 1.0 means the loops have forked again.
+
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::time::Duration;
+use ww_core::packetsim::{PacketSim, PacketSimConfig};
+use ww_pdes::ParPacketSim;
+
+fn bench(c: &mut Criterion) {
+    let tree = ww_topology::two_level(60, 60);
+    let rates = ww_workload::leaf_only(&tree, 1.0);
+    let mix = ww_workload::shared_zipf_mix(&tree, &rates, 8, 1.0);
+    let config = PacketSimConfig::default();
+
+    let mut group = c.benchmark_group("one_shard_tax");
+    group
+        .measurement_time(Duration::from_secs(3))
+        .warm_up_time(Duration::from_millis(500))
+        .sample_size(10);
+
+    // Each iteration advances the same run by one diffusion epoch, so
+    // the engines stay in the protocol's steady state. Two alternating
+    // rounds: on a shared host the spread between a side's two readings
+    // is the noise the difference between the sides has to beat.
+    let mut seq = PacketSim::new(&tree, &mix, config);
+    let mut par = ParPacketSim::new(&tree, &mix, config, 1);
+    let (mut seq_horizon, mut par_horizon) = (0.0, 0.0);
+    for round in 1..=2 {
+        group.bench_function(BenchmarkId::new("packet_sim", round), |b| {
+            b.iter(|| {
+                seq_horizon += 1.0;
+                std::hint::black_box(seq.run(seq_horizon).processed_events)
+            });
+        });
+        group.bench_function(BenchmarkId::new("par_packet_sim_w1", round), |b| {
+            b.iter(|| {
+                par_horizon += 1.0;
+                std::hint::black_box(par.run(par_horizon).processed_events)
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench);
+criterion_main!(benches);

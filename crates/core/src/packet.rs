@@ -1,8 +1,9 @@
 //! Shared node logic of the packet-level WebWave protocol.
 //!
-//! Both packet-level drivers — the sequential [`PacketSim`] and the
-//! sharded parallel engine in the `ww-pdes` crate — execute exactly this
-//! module's handlers. Everything here is **node-local by construction**:
+//! Every packet-level engine — the sequential [`PacketSim`], the sharded
+//! parallel engine in the `ww-pdes` crate, a `ww-dist` worker — runs the
+//! one shard driver of [`driver`], which executes exactly this module's
+//! handlers. Everything here is **node-local by construction**:
 //! a handler may read the static [`PacketWorld`], mutate the one row of
 //! its driver's [`NodeSlab`] the event targets (handed to it as a
 //! borrowed [`NodeMut`] view), append follow-up events to the
@@ -33,6 +34,7 @@
 //!
 //! [`PacketSim`]: crate::packetsim::PacketSim
 
+pub mod driver;
 mod slab;
 
 pub use slab::{ChildState, NodeHead, NodeMut, NodeRef, NodeSlab, Set, TokenBucket};
@@ -42,9 +44,8 @@ use ww_cache::{plan_push_dense, plan_shed_dense, DenseRateSlice};
 use ww_diffusion::safe_alpha;
 use ww_model::{DocId, DocTable, LeafRemoval, ModelError, NodeId, RateVector, Tree};
 use ww_net::{DocRequest, DocResponse, RequestId, TrafficClass, TrafficLedger};
-use ww_sim::{exp_delay, LaneStats, SimQueue, SimRng, SimTime, TimerRing};
-use ww_stats::ExactSum;
-use ww_telemetry::Snapshot;
+use ww_sim::{exp_delay, LaneStats, SimQueue, SimRng, SimTime};
+use ww_telemetry::{PhaseStat, Snapshot};
 use ww_workload::DocMix;
 
 /// Stream tag of per-node arrival randomness.
@@ -189,6 +190,30 @@ impl WorldTel {
     fn end_structural(&mut self, span: Option<std::time::Instant>) {
         credit(span, &mut self.structural_ns, &mut self.structural_count);
     }
+
+    /// Appends the oracle-maintenance counters and — with `spans` — the
+    /// refresh and structural phases that recorded at least one span (a
+    /// run without barrier mutations has neither).
+    pub fn snapshot_into(&self, snap: &mut Snapshot, spans: bool) {
+        snap.push_counter("core.oracle.refolds", self.refolds);
+        snap.push_counter("core.oracle.full_sweeps", self.full_sweeps);
+        for (name, ns, count) in [
+            (
+                "core.phase.oracle_refresh",
+                self.refresh_ns,
+                self.refresh_count,
+            ),
+            (
+                "core.phase.structural",
+                self.structural_ns,
+                self.structural_count,
+            ),
+        ] {
+            if spans && count > 0 {
+                snap.push_phase(name, PhaseStat { ns, count });
+            }
+        }
+    }
 }
 
 /// Closes a [`WorldTel`] span into its `(total ns, span count)` pair.
@@ -311,8 +336,14 @@ impl PacketWorld {
     ///
     /// Panics if a batch is already open.
     pub fn begin_batch(&mut self) {
-        assert!(!self.batched, "a world batch is already open");
+        assert!(!self.batched, "a barrier batch is already open");
         self.batched = true;
+    }
+
+    /// Whether a barrier batch is open — the one place that is tracked,
+    /// for the world and for every driver built on it.
+    pub fn batch_open(&self) -> bool {
+        self.batched
     }
 
     /// Closes the batch, performing the deferred oracle refresh once if
@@ -323,7 +354,7 @@ impl PacketWorld {
     ///
     /// Panics if no batch is open.
     pub fn end_batch(&mut self) {
-        assert!(self.batched, "no open world batch");
+        assert!(self.batched, "no open barrier batch");
         self.batched = false;
         if std::mem::take(&mut self.batch_dirty) {
             self.refresh_oracle();
@@ -961,29 +992,9 @@ pub fn child_slot_map(tree: &Tree, parent: NodeId, removal: &LeafRemoval) -> Vec
         .collect()
 }
 
-/// The worker-side fold of the convergence-trace sample: rolls each
-/// hosted node's serve meter to `now` and accumulates the squared
-/// distance to the oracle into an [`ExactSum`]. `ids[row]` is the global
-/// id of the slab's local node `row`. Because the accumulator is exact,
-/// per-shard partials merged in any order reproduce — bit for bit — the
-/// single driver-side pass over all nodes in node order.
-pub fn trace_partial(
-    oracle: &RateVector,
-    nodes: &mut NodeSlab,
-    ids: impl Iterator<Item = NodeId>,
-    now: f64,
-) -> ExactSum {
-    let mut sum = ExactSum::new();
-    for (row, j) in ids.enumerate() {
-        let r = nodes.measured_load(row, now);
-        sum.add_square(r - oracle[j]);
-    }
-    sum
-}
-
 /// Irregular events of the packet-level protocol. The two periodic timer
 /// streams are not events at all — they live in
-/// [`TimerRing`]s owned by the driver.
+/// [`TimerRing`](ww_sim::TimerRing)s owned by the driver.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PacketEvent {
     /// A client at `node` issues a request for the document at dense
@@ -1153,47 +1164,11 @@ impl NodeCtx<'_> {
     }
 }
 
-/// Which driver event source holds the earliest pending `(time, seq)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DriverSource {
-    /// The irregular-event heap.
-    Heap,
-    /// The gossip timer ring.
-    Gossip,
-    /// The diffusion timer ring.
-    Diffusion,
-}
-
-/// The earliest pending `(time, seq, source)` across a driver's event
-/// queue and its two timer rings — the same total order one combined
-/// heap would produce. Both the sequential and the sharded driver merge
-/// through this one function (generic over the [`SimQueue`] backend, so
-/// the `BinaryHeap` and radix queues share it), so their tie-breaking
-/// can never diverge.
-pub fn next_source<Q: SimQueue<PacketEvent>>(
-    queue: &Q,
-    gossip_ring: &TimerRing,
-    diffusion_ring: &TimerRing,
-) -> Option<(SimTime, u64, DriverSource)> {
-    let mut best = queue.peek_entry().map(|(t, s)| (t, s, DriverSource::Heap));
-    for (ring, source) in [
-        (gossip_ring, DriverSource::Gossip),
-        (diffusion_ring, DriverSource::Diffusion),
-    ] {
-        if let Some((t, s, _)) = ring.peek() {
-            if best.is_none_or(|(bt, bs, _)| (t, s) < (bt, bs)) {
-                best = Some((t, s, source));
-            }
-        }
-    }
-    best
-}
-
 /// Hands one follow-up event from a handler's outbox to the driver's
-/// queue — the single routing point of both outbox drains (the
-/// sequential driver's and the sharded one's, which `ww-dist` workers
-/// run too), so the engines cannot disagree on which events ride the
-/// queue's in-order lanes. Handlers schedule every message at
+/// queue — the single routing point of the one outbox drain
+/// ([`driver::ShardCore`]'s), so the engines cannot disagree on which
+/// events ride the queue's in-order lanes. Handlers schedule every
+/// message at
 /// `now + link_delay` or at `now`, so everything but the next Poisson
 /// [`PacketEvent::Arrival`] is emitted in key order and says so; an
 /// arrival lands at a random distance and is sorted. Barrier-time

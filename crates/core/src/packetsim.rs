@@ -1,4 +1,4 @@
-//! Packet-level, event-driven WebWave — the sequential driver.
+//! Packet-level, event-driven WebWave — the sequential engine.
 //!
 //! The other engines exchange *rates*; this one exchanges *packets*. Each
 //! node runs a router with a packet-filter membership set, a cache of
@@ -11,12 +11,16 @@
 //! holder and the granted copy descends back, paying the round trip hop
 //! by hop.
 //!
-//! The node-level protocol itself lives in [`crate::packet`], shared with
-//! the sharded parallel driver in the `ww-pdes` crate: every handler is
-//! node-local, every random draw is content-keyed, and every cross-node
-//! effect is a timestamped message. This sequential driver is simply one
-//! event loop over the whole tree; the parallel driver runs one loop per
-//! subtree shard and produces bit-identical results.
+//! The node-level protocol lives in [`crate::packet`] and the event loop,
+//! the barrier operations and the report fold in
+//! [`crate::packet::driver`], shared with the sharded parallel engine in
+//! the `ww-pdes` crate and the multi-process one in `ww-dist`: every
+//! handler is node-local, every random draw is content-keyed, and every
+//! cross-node effect is a timestamped message. [`PacketSim`] is the
+//! one-shard, zero-wire case of that driver — a [`SimCore`] over
+//! [`Partition::single`], the one [`ShardCore`] it names, and the
+//! convergence trace. The parallel engine runs one such shard per
+//! subtree and produces bit-identical results.
 //!
 //! # Performance
 //!
@@ -30,9 +34,10 @@
 //!   per-node header on the per-packet path.
 //! * Pending events sit in the cheapest structure that keeps their
 //!   class sorted, merged by `(time, seq)`: the two strictly periodic
-//!   timer streams in [`TimerRing`]s; every message a handler emits at
-//!   `now + link_delay` or at `now` — already in key order — in the
-//!   queue's FIFO lanes (routed by [`packet::enqueue`]); only the next
+//!   timer streams in [`TimerRing`](ww_sim::TimerRing)s; every message a
+//!   handler emits at `now + link_delay` or at `now` — already in key
+//!   order — in the queue's FIFO lanes (routed by
+//!   [`packet::enqueue`]); only the next
 //!   Poisson arrival of each stream in the radix heap. Ring fires carry
 //!   sequence numbers from the queue's global counter, so the merged
 //!   order is exactly what one combined heap would produce.
@@ -42,40 +47,17 @@
 //! per-fire observer cost `O(n²)` per period, which dominated large
 //! topologies.
 
-use crate::packet::{
-    self, BarrierOp, BarrierOutcome, DriverSource, NodeCtx, NodeMut, NodeSlab, PacketCounters,
-    PacketEvent, PacketWorld, Scratch, SurgeryStep, UniverseGrowth,
-};
-use ww_model::{DocId, LeafRemoval, ModelError, NodeId, RateVector, Tree};
-use ww_net::{TrafficClass, TrafficLedger};
-use ww_sim::{RadixQueue, SimQueue, SimTime, TimerRing};
+use crate::packet::driver::{Partition, ShardCore, SimCore};
+use crate::packet::{self, BarrierOp, BarrierOutcome, NodeSlab, PacketCounters, PacketWorld};
+use ww_model::{ModelError, NodeId, RateVector, Tree};
+use ww_net::TrafficLedger;
+use ww_sim::{SimQueue, SimTime};
 use ww_stats::ConvergenceTrace;
-use ww_telemetry::{Counters, Key, Level, PhaseStat, Phases, Snapshot};
+use ww_telemetry::{Level, Snapshot};
 use ww_workload::DocMix;
 
+pub use crate::packet::driver::{CORE_KEYS, CORE_PHASES};
 pub use crate::packet::PacketSimConfig;
-
-/// Counter key table of the sequential core driver (dense slots; see
-/// `docs/observability.md` for the naming scheme). Everything here is
-/// barrier-path bookkeeping — the per-packet hot loop records nothing.
-pub static CORE_KEYS: &[Key] = &[
-    Key::sum("core.barrier.ops"),
-    Key::sum("core.surgery.sweeps"),
-    Key::sum("core.surgery.removed"),
-];
-const K_BARRIER_OPS: usize = 0;
-const K_SURGERY_SWEEPS: usize = 1;
-const K_SURGERY_REMOVED: usize = 2;
-
-/// Phase-name table of the sequential core driver.
-pub static CORE_PHASES: &[&str] = &[
-    "core.phase.arrival_rebuild",
-    "core.phase.queue_surgery",
-    "core.phase.universe_growth",
-];
-const P_ARRIVAL_REBUILD: usize = 0;
-const P_QUEUE_SURGERY: usize = 1;
-const P_UNIVERSE_GROWTH: usize = 2;
 
 /// Outcome of a finished packet-level run.
 #[derive(Debug, Clone)]
@@ -129,10 +111,61 @@ pub struct PacketSimReport {
     pub imbalance: f64,
 }
 
-/// The sequential packet-level simulator: one event loop over the whole
-/// tree. Event storage is [`RadixQueue`] — FIFO lanes for in-order
-/// messages beside a radix heap that is O(1) amortized on the
-/// simulation's near-monotone schedule.
+/// The max/mean ratio of per-shard event counts: `1.0` is perfectly
+/// balanced. An event-free (or shard-free) run reports `1.0` — nothing
+/// to balance.
+pub fn imbalance(shard_events: &[u64]) -> f64 {
+    let total: u64 = shard_events.iter().sum();
+    if total == 0 {
+        return 1.0;
+    }
+    let mean = total as f64 / shard_events.len() as f64;
+    let max = shard_events.iter().copied().max().unwrap_or(0);
+    max as f64 / mean
+}
+
+impl PacketSimReport {
+    /// Assembles the report every engine hands back, from the pieces it
+    /// gathered its own way — out of slab rows in process, out of
+    /// worker frames over sockets: `rates` is the measured served rate
+    /// per node in node order, `ledger` and `counters` the merge over
+    /// shards, `shard_events` each shard's processed-event count and
+    /// `overflow` the wires' `(parks, peak parked)`.
+    pub fn assemble(
+        oracle: &RateVector,
+        trace: &ConvergenceTrace,
+        rates: Vec<f64>,
+        ledger: TrafficLedger,
+        counters: PacketCounters,
+        shard_events: Vec<u64>,
+        overflow: (u64, u64),
+    ) -> Self {
+        let served_rates = RateVector::from(rates);
+        PacketSimReport {
+            final_distance: served_rates.euclidean_distance(oracle),
+            served_rates,
+            oracle: oracle.clone(),
+            trace: trace.clone(),
+            ledger,
+            mean_hops: if counters.served_requests == 0 {
+                0.0
+            } else {
+                counters.hops_sum as f64 / counters.served_requests as f64
+            },
+            copy_pushes: counters.copy_pushes,
+            tunnel_fetches: counters.tunnel_fetches,
+            served_requests: counters.served_requests,
+            processed_events: shard_events.iter().sum(),
+            overflow_parks: overflow.0,
+            overflow_peak_parked: overflow.1,
+            imbalance: imbalance(&shard_events),
+            shard_event_counts: shard_events,
+        }
+    }
+}
+
+/// The sequential packet-level simulator: the shard driver of
+/// [`crate::packet::driver`] over the whole tree — one shard, no wires.
 ///
 /// # Example
 ///
@@ -152,33 +185,12 @@ pub struct PacketSimReport {
 /// ```
 #[derive(Debug)]
 pub struct PacketSim {
-    world: PacketWorld,
-    queue: RadixQueue<PacketEvent>,
-    gossip_ring: TimerRing,
-    diffusion_ring: TimerRing,
-    /// Every node's protocol state; row = node id.
-    nodes: NodeSlab,
-    /// Per node: `true` when the control link to its parent is failed.
-    /// Gossip, copy pushes, and diffusion decisions stop crossing the
-    /// edge; request packets (the data plane) keep flowing.
-    failed_up: Vec<bool>,
-    ledger: TrafficLedger,
-    counters: PacketCounters,
-    scratch: Scratch,
-    outbox: Vec<(SimTime, PacketEvent)>,
+    core: SimCore,
+    /// The whole tree; row = node id.
+    shard: ShardCore,
     trace: ConvergenceTrace,
     /// Diffusion-epoch samples taken so far (next at `(k+1) * period`).
     epochs_sampled: u64,
-    /// Whether a barrier batch is open (see [`PacketBackend::begin_batch`]).
-    batch_open: bool,
-    /// Queue-surgery steps the open batch has accumulated.
-    batch: Vec<SurgeryStep>,
-    /// Telemetry level requested via [`PacketSim::set_telemetry`].
-    tel_level: Level,
-    /// Barrier-path counter slab over [`CORE_KEYS`].
-    tel: Counters,
-    /// Phase timers over [`CORE_PHASES`] (active at full spans only).
-    tel_phases: Phases,
 }
 
 impl PacketSim {
@@ -191,47 +203,13 @@ impl PacketSim {
     /// range.
     pub fn new(tree: &Tree, mix: &DocMix, config: PacketSimConfig) -> Self {
         let world = PacketWorld::new(tree, mix, config);
-        let n = world.len();
-        let ids: Vec<NodeId> = tree.nodes().collect();
-        let mut nodes = NodeSlab::new(&world, &ids);
-
-        let mut queue = RadixQueue::default();
-        let mut gossip_ring = TimerRing::new(SimTime::from_secs(config.gossip_period), n);
-        let mut diffusion_ring = TimerRing::new(SimTime::from_secs(config.diffusion_period), n);
-
-        // Prime: first arrivals, then the two staggered timers, in node
-        // order (the same relative seq order the parallel driver
-        // reproduces per shard).
-        let mut outbox = Vec::new();
-        for (i, &node) in ids.iter().enumerate() {
-            nodes.resolve_node_arrivals(&world, i, node, SimTime::ZERO, &mut outbox);
-            for (at, ev) in outbox.drain(..) {
-                queue.schedule(at, ev);
-            }
-            let gossip_seq = queue.alloc_seq();
-            gossip_ring.insert(i, world.gossip_phase(i), gossip_seq);
-            let diffusion_seq = queue.alloc_seq();
-            diffusion_ring.insert(i, world.diffusion_phase(i), diffusion_seq);
-        }
-
+        let partition = Partition::single(world.len());
+        let shard = ShardCore::new(&world, &partition, 0);
         PacketSim {
-            world,
-            queue,
-            gossip_ring,
-            diffusion_ring,
-            nodes,
-            failed_up: vec![false; n],
-            ledger: TrafficLedger::new(),
-            counters: PacketCounters::default(),
-            scratch: Scratch::default(),
-            outbox,
+            core: SimCore::new(world, partition),
+            shard,
             trace: ConvergenceTrace::new(),
             epochs_sampled: 0,
-            batch_open: false,
-            batch: Vec::new(),
-            tel_level: Level::Off,
-            tel: Counters::off(CORE_KEYS),
-            tel_phases: Phases::new(CORE_PHASES, Level::Off),
         }
     }
 
@@ -240,10 +218,7 @@ impl PacketSim {
     /// is untouched (telemetry is observation-only, pinned by the golden
     /// on-vs-off tests).
     pub fn set_telemetry(&mut self, level: Level) {
-        self.tel_level = level;
-        self.tel = Counters::new(CORE_KEYS, level);
-        self.tel_phases = Phases::new(CORE_PHASES, level);
-        self.world.tel.timed = level.spans_on();
+        self.core.set_telemetry(level);
     }
 
     /// Everything this driver recorded since
@@ -252,179 +227,68 @@ impl PacketSim {
     /// [`Level::Off`].
     pub fn telemetry_snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::new();
-        if !self.tel_level.counters_on() {
-            return snap;
-        }
-        snap.push_counter("core.oracle.refolds", self.world.tel.refolds);
-        snap.push_counter("core.oracle.full_sweeps", self.world.tel.full_sweeps);
-        self.tel.snapshot_into(&mut snap);
-        packet::push_queue_counters(&mut snap, "core", self.queue.lane_stats());
-        packet::push_state_counters(&mut snap, "core", std::iter::once(&self.nodes));
-        if self.tel_level.spans_on() {
-            snap.push_phase(
-                "core.phase.oracle_refresh",
-                PhaseStat {
-                    ns: self.world.tel.refresh_ns,
-                    count: self.world.tel.refresh_count,
-                },
-            );
-            snap.push_phase(
-                "core.phase.structural",
-                PhaseStat {
-                    ns: self.world.tel.structural_ns,
-                    count: self.world.tel.structural_count,
-                },
-            );
-            self.tel_phases.snapshot_into(&mut snap);
+        if self.core.telemetry_level().counters_on() {
+            self.core.push_telemetry(&mut snap);
+            packet::push_queue_counters(&mut snap, "core", self.shard.queue.lane_stats());
+            packet::push_state_counters(&mut snap, "core", std::iter::once(&self.shard.nodes));
         }
         snap
     }
 
-    /// The earliest pending `(time, seq, source)` across the heap and the
-    /// two timer rings (see [`packet::next_source`]).
-    fn next_source(&self) -> Option<(SimTime, u64, DriverSource)> {
-        packet::next_source(&self.queue, &self.gossip_ring, &self.diffusion_ring)
-    }
-
-    /// The next pending epoch-boundary sample time.
-    fn next_sample(&self) -> SimTime {
-        SimTime::from_secs((self.epochs_sampled + 1) as f64 * self.world.config.diffusion_period)
-    }
-
-    /// Samples the global distance to the oracle at time `at` and pushes
-    /// it onto the trace. Rolls every node's serve meter to `at` and
-    /// accumulates through the exact [`ww_stats::ExactSum`] — the same
-    /// fold the parallel driver's workers compute per shard and merge at
-    /// the barrier; exactness is what makes the two bit-identical.
-    fn sample_epoch(&mut self, at: SimTime) {
-        let now = at.as_secs();
-        let sum = packet::trace_partial(
-            &self.world.oracle,
-            &mut self.nodes,
-            self.world.tree.nodes(),
-            now,
-        );
-        self.trace.push(sum.value().sqrt());
-        self.epochs_sampled += 1;
-    }
-
-    /// Runs `handler` for node `i` with a freshly assembled [`NodeCtx`],
-    /// then drains the produced outbox into the queue in push order —
-    /// the one event-execution shape shared by all three sources.
-    fn with_node(&mut self, i: usize, handler: impl FnOnce(&mut NodeCtx<'_>, &mut NodeMut<'_>)) {
-        let mut ctx = NodeCtx {
-            world: &self.world,
-            failed_up: &self.failed_up,
-            ledger: &mut self.ledger,
-            counters: &mut self.counters,
-            out: &mut self.outbox,
-            scratch: &mut self.scratch,
-        };
-        handler(&mut ctx, &mut self.nodes.node_mut(i));
-        for (at, ev) in self.outbox.drain(..) {
-            packet::enqueue(&mut self.queue, at, ev);
-        }
-    }
-
     /// Runs the simulation up to `duration` simulated seconds and
-    /// reports. May be called repeatedly with increasing horizons; each
-    /// call processes the events in `(previous, duration]`.
+    /// reports: advance to each diffusion-epoch boundary and sample the
+    /// global distance to the oracle there — every event at or before
+    /// the boundary first, then the observation — then advance to the
+    /// deadline. The schedule of every engine. May be called repeatedly
+    /// with increasing horizons; each call processes the events in
+    /// `(previous, duration]`.
     pub fn run(&mut self, duration: f64) -> PacketSimReport {
         let deadline = SimTime::from_secs(duration);
+        let period = self.core.world.config.diffusion_period;
         loop {
-            let next = self.next_source();
-            // Epoch samples fire between events: all events at or before
-            // the boundary are processed first, then the boundary is
-            // observed.
-            let due = next.map(|(t, _, _)| t);
-            while self.next_sample() <= deadline && due.is_none_or(|t| t > self.next_sample()) {
-                let at = self.next_sample();
-                self.sample_epoch(at);
-            }
-            let Some((at, _, source)) = next else {
-                break;
-            };
+            let at = SimTime::from_secs((self.epochs_sampled + 1) as f64 * period);
             if at > deadline {
                 break;
             }
-            match source {
-                DriverSource::Heap => {
-                    let (t, event) = self.queue.pop().expect("peeked event exists");
-                    let i = event.node().index();
-                    self.with_node(i, |ctx, state| packet::handle(ctx, state, t, event));
-                }
-                DriverSource::Gossip => {
-                    let (t, member) = self.gossip_ring.pop().expect("peeked fire exists");
-                    self.queue.advance_to(t);
-                    let node = NodeId::new(member);
-                    self.with_node(member, |ctx, state| {
-                        packet::on_gossip_timer(ctx, state, t, node);
-                    });
-                    let seq = self.queue.alloc_seq();
-                    self.gossip_ring.rearm(member, seq);
-                }
-                DriverSource::Diffusion => {
-                    let (t, member) = self.diffusion_ring.pop().expect("peeked fire exists");
-                    self.queue.advance_to(t);
-                    let node = NodeId::new(member);
-                    self.with_node(member, |ctx, state| {
-                        packet::on_diffusion(ctx, state, t, node);
-                    });
-                    let seq = self.queue.alloc_seq();
-                    self.diffusion_ring.rearm(member, seq);
-                }
-            }
+            self.advance(at);
+            let sum = self.shard.trace_partial(&self.core, at.as_secs());
+            self.trace.push(sum.value().sqrt());
+            self.epochs_sampled += 1;
         }
-        // The horizon itself is the observation instant: the clock coasts
-        // to it so the report is taken at `duration` exactly, matching
-        // the parallel driver's barrier.
-        self.queue.fast_forward(deadline);
+        self.advance(deadline);
         self.report()
     }
 
-    /// Produces the final report (also usable mid-run).
-    pub fn report(&mut self) -> PacketSimReport {
-        let now = self.queue.now().as_secs();
-        let rates: Vec<f64> = (0..self.world.len())
-            .map(|j| self.nodes.measured_load(j, now.max(1e-9)))
-            .collect();
-        let served_rates = RateVector::from(rates);
-        let final_distance = served_rates.euclidean_distance(&self.world.oracle);
-        PacketSimReport {
-            final_distance,
-            served_rates,
-            oracle: self.world.oracle.clone(),
-            trace: self.trace.clone(),
-            ledger: self.ledger.clone(),
-            mean_hops: if self.counters.served_requests == 0 {
-                0.0
-            } else {
-                self.counters.hops_sum as f64 / self.counters.served_requests as f64
-            },
-            copy_pushes: self.counters.copy_pushes,
-            tunnel_fetches: self.counters.tunnel_fetches,
-            served_requests: self.counters.served_requests,
-            processed_events: self.queue.processed(),
-            overflow_parks: 0,
-            overflow_peak_parked: 0,
-            shard_event_counts: vec![self.queue.processed()],
-            imbalance: 1.0,
+    /// Advances the shard to `t_end` and moves the horizon there. With
+    /// no other shard, nothing can arrive from outside: the bound is the
+    /// barrier itself.
+    fn advance(&mut self, t_end: SimTime) {
+        if t_end > self.core.horizon {
+            self.shard.run_until(&self.core, t_end);
+            debug_assert!(self.shard.remote.is_empty(), "one shard hosts every node");
+            self.core.horizon = t_end;
         }
+    }
+
+    /// Produces the report at the current horizon (also usable mid-run).
+    pub fn report(&mut self) -> PacketSimReport {
+        self.core
+            .report(std::slice::from_mut(&mut self.shard), &self.trace, (0, 0))
     }
 
     /// The TLB oracle for the offered demand.
     pub fn oracle(&self) -> &RateVector {
-        &self.world.oracle
+        &self.core.world.oracle
     }
 
     /// The routing tree this simulation runs on.
     pub fn tree(&self) -> &Tree {
-        &self.world.tree
+        &self.core.world.tree
     }
 
     /// The dense document table of this simulation's universe.
     pub fn doc_table(&self) -> &ww_model::DocTable {
-        &self.world.table
+        &self.core.world.table
     }
 
     /// Lifetime served-request count of one node.
@@ -433,7 +297,7 @@ impl PacketSim {
     ///
     /// Panics if `node` is out of range.
     pub fn served_total(&self, node: NodeId) -> u64 {
-        self.nodes.served_total(node.index())
+        self.shard.nodes.served_total(node.index())
     }
 
     /// Whether the control link from `node` to its parent is failed.
@@ -442,93 +306,7 @@ impl PacketSim {
     ///
     /// Panics if `node` is out of range.
     pub fn link_failed(&self, node: NodeId) -> bool {
-        self.failed_up[node.index()]
-    }
-
-    /// Re-publish (update) a document: every cached copy outside the home
-    /// server is invalidated — copies, filters, and serve allocations for
-    /// `doc` vanish, and the stale serve-rate estimates for it are reset.
-    /// One invalidation message per revoked copy is charged to the ledger
-    /// (control traffic from the root, paying the node's depth in hops).
-    /// Demand is unchanged; requests fall back to the home server until
-    /// diffusion re-spreads the new version.
-    fn invalidate(&mut self, doc: DocId) -> Result<(), ModelError> {
-        let Some(k) = self.world.table.index_of(doc) else {
-            return Err(ModelError::UnknownDocument { doc: doc.value() });
-        };
-        let root = self.world.tree.root();
-        for j in 0..self.world.len() {
-            let node = NodeId::new(j);
-            if node == root {
-                continue;
-            }
-            if self.nodes.invalidate_row(j, k) {
-                self.ledger
-                    .record(TrafficClass::Gossip, 64, self.world.tree.depth(node) as u32);
-            }
-        }
-        Ok(())
-    }
-
-    /// A cache server joins as a new leaf under `parent`, bringing
-    /// `rate` req/s of demand split across the universe proportionally
-    /// to current document popularity. The newcomer takes the next id,
-    /// starts cold (no copies), and its gossip/diffusion timers arm
-    /// phase-staggered after the barrier.
-    fn add_leaf(&mut self, parent: NodeId, rate: f64) -> Result<NodeId, ModelError> {
-        let at = self.queue.now();
-        let id = self.world.join(parent, rate)?;
-        let i = id.index();
-        self.nodes.push_child(parent.index(), at.as_secs());
-        self.nodes.push_node(&self.world, id, at.as_secs());
-        self.failed_up.push(false);
-        self.batch.push(SurgeryStep::Rebuild(None));
-        assert_eq!(self.gossip_ring.add_member(), i);
-        assert_eq!(self.diffusion_ring.add_member(), i);
-        let gossip_seq = self.queue.alloc_seq();
-        self.gossip_ring
-            .insert(i, at + self.world.gossip_phase(i), gossip_seq);
-        let diffusion_seq = self.queue.alloc_seq();
-        self.diffusion_ring
-            .insert(i, at + self.world.diffusion_phase(i), diffusion_seq);
-        Ok(id)
-    }
-
-    /// A leaf cache server departs: its demand re-homes to its parent,
-    /// ids compact by swap-remove (the returned [`LeafRemoval`] names
-    /// the renumbering), and the commit sweep drops in-flight events
-    /// involving the departed node.
-    fn remove_leaf(&mut self, node: NodeId) -> Result<LeafRemoval, ModelError> {
-        let at = self.queue.now();
-        let removal = self.world.leave(node)?;
-        let i = removal.removed.index();
-        self.nodes.swap_remove_node(i);
-        self.failed_up.swap_remove(i);
-        self.gossip_ring.swap_remove_member(i);
-        self.diffusion_ring.swap_remove_member(i);
-        self.batch.push(SurgeryStep::Leave {
-            removed: removal.removed,
-            moved: removal.moved,
-        });
-        for p in packet::parents_to_remap(&self.world.tree, &removal) {
-            let map = packet::child_slot_map(&self.world.tree, p, &removal);
-            self.nodes.remap_children(p.index(), &map, at.as_secs());
-        }
-        Ok(removal)
-    }
-
-    /// Applies a universe growth to every node's per-document state (the
-    /// home server also receives the only copy of each new document) —
-    /// the shared tail of every demand-changing barrier operation
-    /// (publish, mix replacement).
-    fn apply_growth(&mut self, growth: Option<UniverseGrowth>) {
-        let at = self.queue.now().as_secs();
-        if let Some(g) = &growth {
-            let span = self.tel_phases.begin();
-            self.nodes.grow(g, at, Some(self.world.tree.root().index()));
-            self.tel_phases.end(P_UNIVERSE_GROWTH, span);
-        }
-        self.batch.push(SurgeryStep::Rebuild(growth));
+        self.core.failed_up[node.index()]
     }
 
     /// [`PacketBackend::apply_all`], for callers without the trait in
@@ -545,12 +323,12 @@ impl PacketSim {
     /// The shared world (topology, mix, oracle, configuration) as the
     /// simulation currently sees it.
     pub fn world(&self) -> &PacketWorld {
-        &self.world
+        &self.core.world
     }
 
     /// Every node's protocol state; row = node id.
     pub fn nodes(&self) -> &NodeSlab {
-        &self.nodes
+        &self.shard.nodes
     }
 }
 
@@ -586,6 +364,10 @@ pub trait PacketBackend {
     /// Opens a barrier batch: ops applied until
     /// [`PacketBackend::commit_batch`] share one oracle refresh, one
     /// queue-surgery sweep and one arrival re-resolution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a batch is already open.
     fn begin_batch(&mut self) -> Result<(), Self::Error>;
 
     /// Applies one op at the current barrier — into the open batch, or
@@ -593,6 +375,10 @@ pub trait PacketBackend {
     fn apply_op(&mut self, op: &BarrierOp) -> Result<BarrierOutcome, Self::Error>;
 
     /// Closes the open batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no batch is open.
     fn commit_batch(&mut self) -> Result<(), Self::Error>;
 
     /// Applies a same-barrier storm as one batch. The outer error is a
@@ -636,90 +422,19 @@ impl PacketBackend for PacketSim {
         PacketSim::tree(self)
     }
 
-    /// # Panics
-    ///
-    /// Panics if a batch is already open.
     fn begin_batch(&mut self) -> Result<(), ModelError> {
-        assert!(!self.batch_open, "a barrier batch is already open");
-        self.world.begin_batch();
-        self.batch_open = true;
+        self.core.begin_batch();
         Ok(())
     }
 
     fn apply_op(&mut self, op: &BarrierOp) -> Result<BarrierOutcome, ModelError> {
-        let lone = !self.batch_open;
-        if lone {
-            self.begin_batch()?;
-        }
-        self.tel.add(K_BARRIER_OPS, 1);
-        let result = match op {
-            BarrierOp::AddLeaf { parent, rate } => {
-                self.add_leaf(*parent, *rate).map(BarrierOutcome::Added)
-            }
-            BarrierOp::RemoveLeaf { node } => self.remove_leaf(*node).map(BarrierOutcome::Removed),
-            BarrierOp::PublishDoc { doc, origin, rate } => {
-                self.world.publish(*doc, *origin, *rate).map(|growth| {
-                    self.apply_growth(growth);
-                    BarrierOutcome::Done
-                })
-            }
-            BarrierOp::SetMix { mix } => self.world.set_mix(mix).map(|growth| {
-                self.apply_growth(growth);
-                BarrierOutcome::Done
-            }),
-            BarrierOp::FailLink { node } => {
-                packet::set_link(&self.world.tree, &mut self.failed_up, *node, true)
-                    .map(BarrierOutcome::Toggled)
-            }
-            BarrierOp::HealLink { node } => {
-                packet::set_link(&self.world.tree, &mut self.failed_up, *node, false)
-                    .map(BarrierOutcome::Toggled)
-            }
-            BarrierOp::Invalidate { doc } => self.invalidate(*doc).map(|()| BarrierOutcome::Done),
-        };
-        if lone {
-            self.commit_batch()?;
-        }
-        result
+        self.core
+            .apply_op(std::slice::from_mut(&mut self.shard), op)
     }
 
-    /// One `filter_map_events` sweep applies the accumulated surgery
-    /// steps (stale arrivals drop, surviving events are renumbered and
-    /// remapped), then each node's fresh first arrival is scheduled, in
-    /// node order — the canonical recipe the parallel driver repeats
-    /// per shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no batch is open.
     fn commit_batch(&mut self) -> Result<(), ModelError> {
-        assert!(self.batch_open, "no open barrier batch");
-        self.batch_open = false;
-        self.world.end_batch();
-        if self.batch.is_empty() {
-            return Ok(());
-        }
-        let steps = std::mem::take(&mut self.batch);
-        let span = self.tel_phases.begin();
-        let before = self.queue.len();
-        self.queue
-            .filter_map_events(|ev| packet::apply_surgery(ev, &steps));
-        self.tel.add(K_SURGERY_SWEEPS, 1);
-        self.tel
-            .add(K_SURGERY_REMOVED, (before - self.queue.len()) as u64);
-        self.tel_phases.end(P_QUEUE_SURGERY, span);
-
-        let span = self.tel_phases.begin();
-        let at = self.queue.now();
-        self.nodes.clear_arrivals();
-        for i in 0..self.world.len() {
-            self.nodes
-                .resolve_node_arrivals(&self.world, i, NodeId::new(i), at, &mut self.outbox);
-            for (t, ev) in self.outbox.drain(..) {
-                self.queue.schedule(t, ev);
-            }
-        }
-        self.tel_phases.end(P_ARRIVAL_REBUILD, span);
+        self.core
+            .commit_batch(std::slice::from_mut(&mut self.shard));
         Ok(())
     }
 
@@ -736,6 +451,7 @@ impl PacketBackend for PacketSim {
 mod tests {
     use super::*;
     use ww_model::DocId;
+    use ww_net::TrafficClass;
     use ww_topology::paper;
 
     fn fig7_mix() -> (Tree, DocMix) {
@@ -916,6 +632,24 @@ mod tests {
         assert_eq!(a.served_requests, b.served_requests);
         assert_eq!(a.trace.distances(), b.trace.distances());
         assert_eq!(a.served_rates.as_slice(), b.served_rates.as_slice());
+    }
+
+    #[test]
+    fn events_at_the_deadline_run_before_the_report() {
+        // `run(d)` processes `(previous, d]`, boundary included — which
+        // is also why a trace sample sees its boundary's own events. On
+        // a demand-free three-node chain the only events are timer fires
+        // and gossip deliveries, and node 1's gossip timer (0.25 + 0.5 k)
+        // and diffusion timer (0.75 + k) both fire at exactly 0.75.
+        let tree = Tree::from_parents(&[None, Some(0), Some(1)]).unwrap();
+        let sim = || PacketSim::new(&tree, &DocMix::new(3), PacketSimConfig::default());
+        let (mut at, mut short) = (sim(), sim());
+        let on_the_dot = at.run(0.75).processed_events;
+        assert_eq!(on_the_dot, short.run(0.7499).processed_events + 2);
+        assert_eq!(
+            at.run(1.0).processed_events,
+            short.run(1.0).processed_events
+        );
     }
 
     #[test]

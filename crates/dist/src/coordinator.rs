@@ -34,7 +34,7 @@ use ww_net::TrafficLedger;
 use ww_pdes::{ShardHost, DEFAULT_STALL_TIMEOUT};
 use ww_sim::SimTime;
 use ww_stats::{ConvergenceTrace, ExactSum};
-use ww_telemetry::{Histogram, Level, PhaseStat, Snapshot};
+use ww_telemetry::{Histogram, Level, Snapshot};
 use ww_workload::DocMix;
 
 /// Tuning of a distributed launch.
@@ -472,10 +472,8 @@ impl DistPacketSim {
         let mut rates = vec![0.0f64; n];
         let mut ledger = TrafficLedger::new();
         let mut counters = PacketCounters::default();
-        let mut processed = 0u64;
-        let mut overflow_parks = 0u64;
-        let mut overflow_peak_parked = 0u64;
-        let mut shard_event_counts = vec![0u64; slices.len()];
+        let mut overflow = (0u64, 0u64);
+        let mut shard_events = Vec::with_capacity(slices.len());
         for (shard, rep) in slices.iter().enumerate() {
             let members = &self.replica.partition().members[shard];
             if rep.rates.len() != members.len() {
@@ -499,41 +497,19 @@ impl DistPacketSim {
                 hops_sum,
                 served_requests,
             });
-            processed += rep.processed;
-            shard_event_counts[shard] = rep.processed;
-            overflow_parks += rep.parks;
-            overflow_peak_parked = overflow_peak_parked.max(rep.peak_parked);
+            shard_events.push(rep.processed);
+            overflow = (overflow.0 + rep.parks, overflow.1.max(rep.peak_parked));
         }
-        let imbalance = if processed == 0 || shard_event_counts.is_empty() {
-            1.0
-        } else {
-            let mean = processed as f64 / shard_event_counts.len() as f64;
-            shard_event_counts.iter().copied().max().unwrap_or(0) as f64 / mean
-        };
-
-        self.last_worker_parks = (overflow_parks, overflow_peak_parked);
-        let served_rates = RateVector::from(rates);
-        let final_distance = served_rates.euclidean_distance(&self.replica.world().oracle);
-        Ok(PacketSimReport {
-            final_distance,
-            served_rates,
-            oracle: self.replica.world().oracle.clone(),
-            trace: self.trace.clone(),
+        self.last_worker_parks = overflow;
+        Ok(PacketSimReport::assemble(
+            &self.replica.world().oracle,
+            &self.trace,
+            rates,
             ledger,
-            mean_hops: if counters.served_requests == 0 {
-                0.0
-            } else {
-                counters.hops_sum as f64 / counters.served_requests as f64
-            },
-            copy_pushes: counters.copy_pushes,
-            tunnel_fetches: counters.tunnel_fetches,
-            served_requests: counters.served_requests,
-            processed_events: processed,
-            overflow_parks,
-            overflow_peak_parked,
-            shard_event_counts,
-            imbalance,
-        })
+            counters,
+            shard_events,
+            overflow,
+        ))
     }
 
     /// Broadcasts one barrier message and requires every worker to
@@ -601,9 +577,10 @@ impl DistPacketSim {
         if !self.options.telemetry.counters_on() {
             return snap;
         }
-        let world_tel = self.replica.world().oracle_telemetry();
-        snap.push_counter("core.oracle.refolds", world_tel.refolds);
-        snap.push_counter("core.oracle.full_sweeps", world_tel.full_sweeps);
+        self.replica
+            .world()
+            .oracle_telemetry()
+            .snapshot_into(&mut snap, self.options.telemetry.spans_on());
         snap.push_counter("pdes.overflow.parks", self.last_worker_parks.0);
         snap.push_counter("pdes.overflow.peak_parked", self.last_worker_parks.1);
         snap.push_counter("dist.handshake_ns", self.handshake_ns);
@@ -627,24 +604,6 @@ impl DistPacketSim {
         }
         self.epoch_rtt.snapshot_into("dist.epoch_rtt", &mut snap);
         self.apply_rtt.snapshot_into("dist.apply_rtt", &mut snap);
-        if self.options.telemetry.spans_on() && world_tel.refresh_count > 0 {
-            snap.push_phase(
-                "core.phase.oracle_refresh",
-                PhaseStat {
-                    ns: world_tel.refresh_ns,
-                    count: world_tel.refresh_count,
-                },
-            );
-        }
-        if self.options.telemetry.spans_on() && world_tel.structural_count > 0 {
-            snap.push_phase(
-                "core.phase.structural",
-                PhaseStat {
-                    ns: world_tel.structural_ns,
-                    count: world_tel.structural_count,
-                },
-            );
-        }
         snap
     }
 

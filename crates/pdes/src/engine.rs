@@ -1,10 +1,15 @@
 //! The sharded, conservatively synchronized parallel packet simulator.
 //!
-//! [`ParPacketSim`] runs the exact node logic of
-//! [`ww_core::packet`] — the same handlers the sequential
-//! [`PacketSim`](ww_core::packetsim::PacketSim) drives — but splits the
-//! tree into connected subtree shards (see [`crate::partition`]) and
-//! runs one event loop per shard on its own worker thread.
+//! [`ParPacketSim`] runs the shard driver of
+//! [`ww_core::packet::driver`] — the very event loop, barrier operations
+//! and report fold the sequential
+//! [`PacketSim`](ww_core::packetsim::PacketSim) is the one-shard case
+//! of — but splits the tree into connected subtree shards (see
+//! [`crate::partition`]) and runs one `ShardCore` per shard on its own
+//! worker thread. What this module adds is only what a single shard has
+//! no use for: the links between shards (`ShardLinks`: wires, promises,
+//! the one-event merge stage), the epoch loop that synchronizes over
+//! them, the thread scope, and the rebalance controller.
 //!
 //! # Synchronization
 //!
@@ -64,22 +69,19 @@
 //! served rates, ledger, counters, processed-event counts). The golden
 //! tests in this crate and in `ww-scenario` pin exactly that.
 
-use crate::ops::{self, ShardStore, SimCore};
+use crate::ops;
 use crate::partition::partition_subtrees;
 use crate::rebalance::{rebalance_plan, LoadSummary, RebalanceConfig};
 use crate::transport::{open_ring, LinkError, StageError, Wire, WireReceiver, WireSender};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
-use ww_core::packet::{
-    self, BarrierOp, BarrierOutcome, DriverSource, NodeCtx, NodeMut, NodeSlab, PacketCounters,
-    PacketEvent, PacketSimConfig, PacketWorld, Scratch,
-};
+use ww_core::packet::driver::{ShardCore, SimCore};
+use ww_core::packet::{self, BarrierOp, BarrierOutcome, PacketEvent, PacketSimConfig, PacketWorld};
 use ww_core::packetsim::{PacketBackend, PacketSimReport};
 use ww_model::{ModelError, NodeId, RateVector, Tree};
-use ww_net::TrafficLedger;
-use ww_sim::{LaneStats, RadixQueue, SimQueue, SimTime, TimerRing};
+use ww_sim::{LaneStats, SimQueue, SimTime};
 use ww_stats::{ConvergenceTrace, ExactSum};
-use ww_telemetry::{Counters, Key, Level, PhaseStat, Phases, Snapshot};
+use ww_telemetry::{Counters, Key, Level, Phases, Snapshot};
 use ww_workload::DocMix;
 
 /// Tie-break bit marking inbound (cross-shard) events: at equal
@@ -257,286 +259,154 @@ impl InLink {
     }
 }
 
-/// Which merge candidate won: a local driver source or the staged head
-/// of inbound wire `li`.
-#[derive(Debug, Clone, Copy)]
-enum Source {
-    Driver(DriverSource),
-    Staged(usize),
-}
-
-/// One subtree shard: its members' state (one [`NodeSlab`], row = local
-/// index), its event loop machinery, and its links to adjacent shards.
+/// What a shard needs beyond its [`ShardCore`] once it has neighbors:
+/// the links to adjacent shards and the state of the conservative
+/// synchronization over them. A one-shard run has an empty set.
 #[derive(Debug)]
-pub(crate) struct Shard {
-    pub(crate) id: usize,
-    pub(crate) nodes: NodeSlab,
-    pub(crate) queue: RadixQueue<PacketEvent>,
-    pub(crate) gossip_ring: TimerRing,
-    pub(crate) diffusion_ring: TimerRing,
-    pub(crate) ledger: TrafficLedger,
-    pub(crate) counters: PacketCounters,
-    pub(crate) scratch: Scratch,
-    pub(crate) outbox: Vec<(SimTime, PacketEvent)>,
+pub(crate) struct ShardLinks {
     pub(crate) out_links: Vec<OutLink>,
     pub(crate) in_links: Vec<InLink>,
     /// Shard id -> index into `out_links` (`usize::MAX`: not adjacent).
-    pub(crate) out_for: Vec<usize>,
+    out_for: Vec<usize>,
     /// The cut-edge latency, constant for the simulation's lifetime.
-    pub(crate) lookahead: SimTime,
+    lookahead: SimTime,
     /// The current epoch boundary (set at each epoch entry).
-    pub(crate) t_end: SimTime,
+    t_end: SimTime,
     /// Abort with [`LinkError::Stalled`] after this long without any
     /// progress (`None`: spin forever — correct in-process, where the
     /// only way a peer goes quiet is a panic that propagates anyway).
-    pub(crate) stall_timeout: Option<Duration>,
+    stall_timeout: Option<Duration>,
     /// Observation-only hot-path counters over [`PDES_KEYS`]. Owned by
     /// the shard, so recording is a plain indexed add — no atomics, no
     /// sharing; the driver merges slabs at snapshot time.
-    pub(crate) tel: Counters,
+    tel: Counters,
     /// Observation-only phase timers over [`PDES_PHASES`].
-    pub(crate) tel_phases: Phases,
-    /// `true` while the rebalance controller needs per-node event
-    /// attribution. Off (the default), the hot path pays one branch.
-    pub(crate) track_loads: bool,
-    /// Events executed per local node since the last rebalance
-    /// evaluation window opened (parallel to `nodes`' rows). Deterministic:
-    /// every event is attributed to the node whose handler ran it, and
-    /// which events run is partition-invariant.
-    pub(crate) window_events: Vec<u64>,
+    tel_phases: Phases,
 }
 
-/// Read-only state shared by all workers during an epoch.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Shared<'a> {
-    pub(crate) world: &'a PacketWorld,
-    pub(crate) partition: &'a crate::partition::Partition,
-    pub(crate) failed_up: &'a [bool],
-}
+impl ShardLinks {
+    /// The links of one shard of a `shards`-way partition over `world`.
+    pub(crate) fn new(
+        world: &PacketWorld,
+        shards: usize,
+        outs: Vec<OutLink>,
+        ins: Vec<InLink>,
+        stall_timeout: Option<Duration>,
+    ) -> Self {
+        let mut links = ShardLinks {
+            out_links: Vec::new(),
+            in_links: Vec::new(),
+            out_for: Vec::new(),
+            lookahead: SimTime::from_secs(world.config.link_delay),
+            t_end: SimTime::ZERO,
+            stall_timeout,
+            tel: Counters::off(PDES_KEYS),
+            tel_phases: Phases::new(PDES_PHASES, Level::Off),
+        };
+        links.dial(shards, outs, ins);
+        links
+    }
 
-impl<'a> Shared<'a> {
-    /// The worker-visible view of a [`SimCore`].
-    pub(crate) fn of(core: &'a SimCore) -> Self {
-        Shared {
-            world: &core.world,
-            partition: &core.partition,
-            failed_up: &core.failed_up,
+    /// Replaces the wires (construction, and the re-dial after a
+    /// rebalance).
+    fn dial(&mut self, shards: usize, outs: Vec<OutLink>, ins: Vec<InLink>) {
+        self.out_for = vec![usize::MAX; shards];
+        for (li, link) in outs.iter().enumerate() {
+            self.out_for[link.peer] = li;
         }
+        self.out_links = outs;
+        self.in_links = ins;
     }
-}
 
-/// Builds one shard of `partition` over `world`, with its event queue,
-/// timer rings, and initial arrivals resolved — the construction shared
-/// by the in-process simulator (all shards) and a distributed worker
-/// (exactly one shard).
-pub(crate) fn build_shard(
-    world: &PacketWorld,
-    partition: &crate::partition::Partition,
-    id: usize,
-    outs: Vec<OutLink>,
-    ins: Vec<InLink>,
-    stall_timeout: Option<Duration>,
-) -> Shard {
-    let config = &world.config;
-    let members = &partition.members[id];
-    let mut nodes = NodeSlab::new(world, members);
-    let mut queue = RadixQueue::default();
-    let mut gossip_ring = TimerRing::new(SimTime::from_secs(config.gossip_period), members.len());
-    let mut diffusion_ring =
-        TimerRing::new(SimTime::from_secs(config.diffusion_period), members.len());
-    let mut outbox = Vec::new();
-    for (local, &u) in members.iter().enumerate() {
-        nodes.resolve_node_arrivals(world, local, u, SimTime::ZERO, &mut outbox);
-        for (at, ev) in outbox.drain(..) {
-            queue.schedule(at, ev);
-        }
-        let gossip_seq = queue.alloc_seq();
-        gossip_ring.insert(local, world.gossip_phase(u.index()), gossip_seq);
-        let diffusion_seq = queue.alloc_seq();
-        diffusion_ring.insert(local, world.diffusion_phase(u.index()), diffusion_seq);
-    }
-    let mut out_for = vec![usize::MAX; partition.shards()];
-    for (li, link) in outs.iter().enumerate() {
-        out_for[link.peer] = li;
-    }
-    Shard {
-        id,
-        nodes,
-        queue,
-        gossip_ring,
-        diffusion_ring,
-        ledger: TrafficLedger::new(),
-        counters: PacketCounters::default(),
-        scratch: Scratch::default(),
-        outbox,
-        out_links: outs,
-        in_links: ins,
-        out_for,
-        lookahead: SimTime::from_secs(config.link_delay),
-        t_end: SimTime::ZERO,
-        stall_timeout,
-        tel: Counters::off(PDES_KEYS),
-        tel_phases: Phases::new(PDES_PHASES, Level::Off),
-        track_loads: false,
-        window_events: vec![0; members.len()],
-    }
-}
-
-impl Shard {
-    /// (Re)arms the shard's telemetry slabs at `level`, zeroing any
-    /// prior observations. Observation only — never read back by the
-    /// event loop.
-    pub(crate) fn set_telemetry(&mut self, level: Level) {
+    /// (Re)arms the telemetry slabs at `level`, zeroing any prior
+    /// observations. Observation only — never read back by the event
+    /// loop.
+    fn set_telemetry(&mut self, level: Level) {
         self.tel = Counters::new(PDES_KEYS, level);
         self.tel_phases = Phases::new(PDES_PHASES, level);
     }
 
-    /// The earliest pending `(time, seq, source)` across the heap and
-    /// the two timer rings — the shared merge of
-    /// [`packet::next_source`], so tie-breaking can never diverge from
-    /// the sequential driver.
-    fn next_source(&self) -> Option<(SimTime, u64, DriverSource)> {
-        packet::next_source(&self.queue, &self.gossip_ring, &self.diffusion_ring)
+    /// `(total messages ever parked, peak depth of any overflow queue)`
+    /// over the outbound wires.
+    pub(crate) fn wire_stats(&self) -> (u64, u64) {
+        self.out_links.iter().fold((0, 0), |(parks, peak), link| {
+            (parks + link.parks, peak.max(link.peak_parked))
+        })
     }
 
-    /// The earliest pending `(time, key)` across the local sources *and*
-    /// every wire's staged head — the full merge the shard executes in.
-    fn next_any(&self) -> Option<(SimTime, u64, Source)> {
-        let mut best = self
-            .next_source()
-            .map(|(t, s, src)| (t, s, Source::Driver(src)));
-        for (li, link) in self.in_links.iter().enumerate() {
-            if let Some(s) = &link.staged {
-                if best.is_none_or(|(bt, bk, _)| (s.at, s.key) < (bt, bk)) {
-                    best = Some((s.at, s.key, Source::Staged(li)));
-                }
-            }
+    /// The wire whose staged head is the earliest inbound `(time, key)`.
+    fn next_staged(&self) -> Option<(SimTime, u64, usize)> {
+        self.in_links
+            .iter()
+            .enumerate()
+            .filter_map(|(li, link)| link.staged.as_ref().map(|s| (s.at, s.key, li)))
+            .min()
+    }
+
+    /// Time of the earliest pending event, staged heads included.
+    fn next_time(&self, core: &ShardCore) -> Option<SimTime> {
+        let local = core.next_source().map(|(t, _, _)| t);
+        let staged = self.next_staged().map(|(t, _, _)| t);
+        match (local, staged) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
         }
-        best
     }
 
-    /// Time of the earliest pending event (staged heads included).
-    fn next_time(&self) -> Option<SimTime> {
-        self.next_any().map(|(t, _, _)| t)
-    }
-
-    /// Routes the outbox: local targets into the shard queue (drawing
-    /// local sequence numbers in push order), remote targets staged onto
-    /// their wire with the next per-channel counter.
-    fn route_outbox(&mut self, sh: &Shared<'_>) -> Result<(), LinkError> {
-        let mut out = std::mem::take(&mut self.outbox);
-        for (at, ev) in out.drain(..) {
-            let target = sh.partition.shard_of[ev.node().index()];
-            if target == self.id {
-                packet::enqueue(&mut self.queue, at, ev);
-            } else {
-                let li = self.out_for[target];
-                debug_assert_ne!(li, usize::MAX, "send to non-adjacent shard");
-                let link = &mut self.out_links[li];
-                link.counter += 1;
-                debug_assert!(link.counter < (1 << COUNTER_BITS));
-                link.push(Wire::Event {
-                    at,
-                    counter: link.counter,
-                    ev,
-                })?;
-            }
+    /// Puts what the core left for other shards on their wires, each
+    /// message under the next per-channel counter. Emission order is the
+    /// core's push order, so the counters are the ones a per-event
+    /// drain would have drawn.
+    fn route_remote(&mut self, core: &mut ShardCore, sim: &SimCore) -> Result<(), LinkError> {
+        for (at, ev) in core.remote.drain(..) {
+            let li = self.out_for[sim.partition.shard_of[ev.node().index()]];
+            debug_assert_ne!(li, usize::MAX, "send to non-adjacent shard");
+            let link = &mut self.out_links[li];
+            link.counter += 1;
+            debug_assert!(link.counter < (1 << COUNTER_BITS));
+            link.push(Wire::Event {
+                at,
+                counter: link.counter,
+                ev,
+            })?;
         }
-        self.outbox = out;
         Ok(())
     }
 
-    /// Runs `handler` for the node at local index `li` with a freshly
-    /// assembled [`NodeCtx`], then routes the produced outbox — the one
-    /// event-execution shape shared by all sources.
-    fn with_node(
-        &mut self,
-        sh: &Shared<'_>,
-        li: usize,
-        handler: impl FnOnce(&mut NodeCtx<'_>, &mut NodeMut<'_>),
-    ) -> Result<(), LinkError> {
-        let mut ctx = NodeCtx {
-            world: sh.world,
-            failed_up: sh.failed_up,
-            ledger: &mut self.ledger,
-            counters: &mut self.counters,
-            out: &mut self.outbox,
-            scratch: &mut self.scratch,
-        };
-        handler(&mut ctx, &mut self.nodes.node_mut(li));
-        self.route_outbox(sh)
-    }
-
     /// Processes every pending event with `time <= bound`, in
-    /// `(time, key)` order across local sources and staged wire heads.
-    /// Returns whether anything was processed.
-    fn process_until(&mut self, sh: &Shared<'_>, bound: SimTime) -> Result<bool, LinkError> {
-        let mut any = false;
-        let mut popped = 0u64;
-        while let Some((t, _, source)) = self.next_any() {
-            if t > bound {
-                break;
-            }
-            popped += 1;
-            match source {
-                Source::Driver(DriverSource::Heap) => {
-                    let (t, event) = self.queue.pop().expect("peeked event exists");
-                    let li = sh.partition.local_index[event.node().index()] as usize;
-                    if self.track_loads {
-                        self.window_events[li] += 1;
-                    }
-                    self.with_node(sh, li, |ctx, state| packet::handle(ctx, state, t, event))?;
-                }
-                Source::Driver(DriverSource::Gossip) => {
-                    let (t, member) = self.gossip_ring.pop().expect("peeked fire exists");
-                    self.queue.advance_to(t);
-                    let node = sh.partition.members[self.id][member];
-                    if self.track_loads {
-                        self.window_events[member] += 1;
-                    }
-                    self.with_node(sh, member, |ctx, state| {
-                        packet::on_gossip_timer(ctx, state, t, node);
-                    })?;
-                    let seq = self.queue.alloc_seq();
-                    self.gossip_ring.rearm(member, seq);
-                }
-                Source::Driver(DriverSource::Diffusion) => {
-                    let (t, member) = self.diffusion_ring.pop().expect("peeked fire exists");
-                    self.queue.advance_to(t);
-                    let node = sh.partition.members[self.id][member];
-                    if self.track_loads {
-                        self.window_events[member] += 1;
-                    }
-                    self.with_node(sh, member, |ctx, state| {
-                        packet::on_diffusion(ctx, state, t, node);
-                    })?;
-                    let seq = self.queue.alloc_seq();
-                    self.diffusion_ring.rearm(member, seq);
-                }
-                Source::Staged(li) => {
-                    let staged = self.in_links[li].staged.take().expect("staged head exists");
-                    // The clock advance counts the inbound event as
-                    // processed, mirroring the pop the sequential driver
-                    // performs for the same event.
-                    self.queue.advance_to(staged.at);
-                    let local = sh.partition.local_index[staged.ev.node().index()] as usize;
-                    if self.track_loads {
-                        self.window_events[local] += 1;
-                    }
-                    self.with_node(sh, local, |ctx, state| {
-                        packet::handle(ctx, state, staged.at, staged.ev);
-                    })?;
-                    // Refill the merge stage so the wire's next event
-                    // competes in the very next merge round.
-                    self.poll_link(li)?;
-                }
-            }
-            any = true;
+    /// `(time, key)` order across the core's local sources and the
+    /// staged wire heads: the core runs alone up to the earliest staged
+    /// head (an inbound key orders after every local key of its instant,
+    /// so "up to" includes it), that head is delivered, its wire refills
+    /// the stage, and so on — the order a single queue holding every
+    /// pending event would produce. Returns whether anything was
+    /// processed.
+    fn process_until(
+        &mut self,
+        core: &mut ShardCore,
+        sim: &SimCore,
+        bound: SimTime,
+    ) -> Result<bool, LinkError> {
+        let before = core.queue.processed();
+        loop {
+            let staged = self.next_staged().filter(|&(at, _, _)| at <= bound);
+            core.run_until(sim, staged.map_or(bound, |(at, _, _)| at));
+            let Some((_, _, li)) = staged else { break };
+            let staged = self.in_links[li].staged.take().expect("staged head exists");
+            // The clock advance counts the inbound event as processed,
+            // mirroring the pop a one-shard run performs for it.
+            core.queue.advance_to(staged.at);
+            core.deliver(sim, staged.at, staged.ev);
+            // Refill the merge stage so the wire's next event competes
+            // in the very next merge round.
+            self.poll_link(li)?;
         }
+        self.route_remote(core, sim)?;
+        let popped = core.queue.processed() - before;
         if popped > 0 {
             self.tel.add(K_EVENTS_POPPED, popped);
         }
-        Ok(any)
+        Ok(popped > 0)
     }
 
     /// Reads wire `li` until its merge stage holds an event (or the
@@ -594,13 +464,13 @@ impl Shard {
     /// handshake, where every in-flight event targets a time past the
     /// boundary: afterwards the queue holds the complete pending set,
     /// so barrier-time event surgery sees everything.
-    fn spill_inbound(&mut self) -> Result<bool, LinkError> {
+    fn spill_inbound(&mut self, core: &mut ShardCore) -> Result<bool, LinkError> {
         let t_end = self.t_end;
         let lookahead = self.lookahead;
         let mut any = false;
         for li in 0..self.in_links.len() {
             if let Some(staged) = self.in_links[li].staged.take() {
-                self.queue.schedule_keyed(staged.at, staged.key, staged.ev);
+                core.queue.schedule_keyed(staged.at, staged.key, staged.ev);
                 any = true;
             }
             loop {
@@ -615,7 +485,7 @@ impl Shard {
                         if at > link.promise {
                             link.promise = at;
                         }
-                        self.queue.schedule_keyed(at, key, ev);
+                        core.queue.schedule_keyed(at, key, ev);
                     }
                     Wire::Promise { until } => {
                         if until > link.promise {
@@ -665,15 +535,15 @@ impl Shard {
 /// normally clears immediately; the retry bound only guards against a
 /// *second* dead peer, in which case the original panic still wins.
 /// Link errors are swallowed — the release is advisory.
-fn release_peers(shard: &mut Shard, t_end: SimTime) {
-    let until = t_end + shard.lookahead;
-    for link in &mut shard.out_links {
+fn release_peers(links: &mut ShardLinks, t_end: SimTime) {
+    let until = t_end + links.lookahead;
+    for link in &mut links.out_links {
         let _ = link.push(Wire::Promise { until });
         let _ = link.push(Wire::EpochEnd);
     }
     for _ in 0..1_000_000 {
         let mut parked = false;
-        for link in &mut shard.out_links {
+        for link in &mut links.out_links {
             let _ = link.publish();
             parked |= !link.overflow.is_empty();
         }
@@ -702,23 +572,24 @@ fn release_peers(shard: &mut Shard, t_end: SimTime) {
 /// an `O(shards)` merge, and because the fold is exact, the merged
 /// value is bit-identical to a driver-side pass in node order.
 pub(crate) fn run_shard(
-    shard: &mut Shard,
-    sh: &Shared<'_>,
+    core: &mut ShardCore,
+    links: &mut ShardLinks,
+    sim: &SimCore,
     t_end: SimTime,
     sample: bool,
 ) -> Result<Option<ExactSum>, LinkError> {
-    shard.t_end = t_end;
+    links.t_end = t_end;
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_epoch(shard, sh, t_end, sample)
+        run_epoch(core, links, sim, t_end, sample)
     }));
     match caught {
         Ok(Ok(partial)) => Ok(partial),
         Ok(Err(link_error)) => {
-            release_peers(shard, t_end);
+            release_peers(links, t_end);
             Err(link_error)
         }
         Err(payload) => {
-            release_peers(shard, t_end);
+            release_peers(links, t_end);
             std::panic::resume_unwind(payload);
         }
     }
@@ -727,24 +598,23 @@ pub(crate) fn run_shard(
 /// The epoch body of [`run_shard`] (split out so the panic/error release
 /// can wrap it).
 fn run_epoch(
-    shard: &mut Shard,
-    sh: &Shared<'_>,
+    core: &mut ShardCore,
+    links: &mut ShardLinks,
+    sim: &SimCore,
     t_end: SimTime,
     sample: bool,
 ) -> Result<Option<ExactSum>, LinkError> {
-    let lookahead = shard.lookahead;
+    let lookahead = links.lookahead;
     let promise_quantum = SimTime::from_secs(lookahead.as_secs() / PROMISE_QUANTA);
-    let stall_timeout = shard.stall_timeout;
+    let stall_timeout = links.stall_timeout;
     let mut idle_spins = 0u32;
     let mut idle_since: Option<Instant> = None;
-    shard
-        .tel
-        .record_max(K_QUEUE_DEPTH, shard.queue.len() as u64);
-    let compute_span = shard.tel_phases.begin();
+    links.tel.record_max(K_QUEUE_DEPTH, core.queue.len() as u64);
+    let compute_span = links.tel_phases.begin();
     loop {
-        let mut progressed = shard.poll_inbound()?;
+        let mut progressed = links.poll_inbound()?;
 
-        let safe = shard.in_links.iter().map(|l| l.promise).min();
+        let safe = links.in_links.iter().map(|l| l.promise).min();
         let mut bound = match safe {
             Some(s) => s.min(t_end),
             None => t_end,
@@ -754,19 +624,19 @@ fn run_epoch(
         // times per lookahead and the peer's answer to one is in hand
         // before the window it opens is needed.
         if safe.is_some() {
-            if let Some(next) = shard.next_time() {
+            if let Some(next) = links.next_time(core) {
                 bound = bound.min(next + promise_quantum);
             }
         }
-        progressed |= shard.process_until(sh, bound)?;
+        progressed |= links.process_until(core, sim, bound)?;
 
         // Publish the window's outbound batch *before* promising: a
         // visible promise must never have unpublished events behind it.
-        progressed |= shard.flush_out()?;
+        progressed |= links.flush_out()?;
 
         // Null message: the earliest we could possibly send anything new
         // is one lookahead past the earliest thing we might yet process.
-        let next_local = shard.next_time();
+        let next_local = links.next_time(core);
         let mut basis = match (next_local, safe) {
             (Some(a), Some(b)) => a.min(b),
             (Some(a), None) => a,
@@ -778,7 +648,7 @@ fn run_epoch(
         }
         let promise = basis + lookahead;
         let mut promises = 0u64;
-        for link in &mut shard.out_links {
+        for link in &mut links.out_links {
             if promise > link.last_promise {
                 link.last_promise = promise;
                 link.push(Wire::Promise { until: promise })?;
@@ -788,26 +658,19 @@ fn run_epoch(
             }
         }
         if promises > 0 {
-            shard.tel.add(K_PROMISES_SENT, promises);
+            links.tel.add(K_PROMISES_SENT, promises);
         }
 
-        let local_done = shard.next_time().is_none_or(|t| t > t_end);
-        let inbound_done = shard.in_links.iter().all(|l| l.promise > t_end);
+        let local_done = next_local.is_none_or(|t| t > t_end);
+        let inbound_done = links.in_links.iter().all(|l| l.promise > t_end);
         if local_done && inbound_done {
-            shard.tel_phases.end(P_EPOCH_COMPUTE, compute_span);
-            let wait_span = shard.tel_phases.begin();
+            links.tel_phases.end(P_EPOCH_COMPUTE, compute_span);
+            let wait_span = links.tel_phases.begin();
             // Every event at or before the boundary has executed, so the
             // shard's nodes are exactly at the barrier instant: fold the
             // trace partial now, shipping it with the epoch end.
-            let partial = sample.then(|| {
-                packet::trace_partial(
-                    &sh.world.oracle,
-                    &mut shard.nodes,
-                    sh.partition.members[shard.id].iter().copied(),
-                    t_end.as_secs(),
-                )
-            });
-            for link in &mut shard.out_links {
+            let partial = sample.then(|| core.trace_partial(sim, t_end.as_secs()));
+            for link in &mut links.out_links {
                 link.push(Wire::EpochEnd)?;
                 link.publish()?;
             }
@@ -821,10 +684,10 @@ fn run_epoch(
             let mut wait_spins = 0u32;
             let mut wait_since: Option<Instant> = None;
             loop {
-                let mut moved = shard.spill_inbound()?;
-                moved |= shard.flush_out()?;
-                let peers_done = shard.in_links.iter().all(|l| l.epoch_ended);
-                let sent_all = shard.out_links.iter().all(|l| l.overflow.is_empty());
+                let mut moved = links.spill_inbound(core)?;
+                moved |= links.flush_out()?;
+                let peers_done = links.in_links.iter().all(|l| l.epoch_ended);
+                let sent_all = links.out_links.iter().all(|l| l.overflow.is_empty());
                 if peers_done && sent_all {
                     break;
                 }
@@ -848,11 +711,11 @@ fn run_epoch(
                     }
                 }
             }
-            for link in &mut shard.in_links {
+            for link in &mut links.in_links {
                 link.epoch_ended = false;
                 debug_assert!(link.staged.is_none(), "merge stage empty at the barrier");
             }
-            shard.tel_phases.end(P_BARRIER_WAIT, wait_span);
+            links.tel_phases.end(P_BARRIER_WAIT, wait_span);
             return Ok(partial);
         }
 
@@ -860,7 +723,7 @@ fn run_epoch(
             idle_spins = 0;
             idle_since = None;
         } else {
-            shard.tel.add(K_MERGE_STALLS, 1);
+            links.tel.add(K_MERGE_STALLS, 1);
             idle_spins += 1;
             if idle_spins > 64 {
                 if let Some(limit) = stall_timeout {
@@ -908,13 +771,12 @@ fn run_epoch(
 #[derive(Debug)]
 pub struct ParPacketSim {
     core: SimCore,
-    shards: Vec<Shard>,
+    /// One driver shard per worker thread; position = shard id.
+    shards: Vec<ShardCore>,
+    /// Each shard's links, parallel to `shards`.
+    links: Vec<ShardLinks>,
     trace: ConvergenceTrace,
     epochs_sampled: u64,
-    /// Observation level the shards record at (see
-    /// [`ParPacketSim::set_telemetry`]). Never read by the simulation
-    /// itself.
-    tel_level: Level,
     /// Adaptive rebalancing knobs (`None`: static partition).
     rebalance: Option<RebalanceConfig>,
     /// Per-shard `queue.processed()` baseline at the start of the
@@ -947,6 +809,9 @@ pub struct ParPacketSim {
     retired_peak_parked: u64,
 }
 
+/// The shard count's worth of `(outbound, inbound)` wire ends.
+type WireEnds = Vec<(Vec<OutLink>, Vec<InLink>)>;
+
 impl ParPacketSim {
     /// Builds a parallel simulator over `workers` subtree shards (capped
     /// by what the topology yields).
@@ -966,29 +831,16 @@ impl ParPacketSim {
             "the parallel packet engine needs a positive link delay: \
              cut-edge latency is its conservative lookahead"
         );
-
         let shards_n = partition.shards();
-        let mut out_links: Vec<Vec<OutLink>> = (0..shards_n).map(|_| Vec::new()).collect();
-        let mut in_links: Vec<Vec<InLink>> = (0..shards_n).map(|_| Vec::new()).collect();
-        for (src, dst) in partition.cut_pairs(tree) {
-            let (tx, rx) = open_ring();
-            out_links[src].push(OutLink::new(dst, tx));
-            in_links[dst].push(InLink::new(src, rx));
-        }
-
-        let shards = out_links
-            .into_iter()
-            .zip(in_links)
-            .enumerate()
-            .map(|(id, (outs, ins))| build_shard(&world, &partition, id, outs, ins, None))
+        let shards = (0..shards_n)
+            .map(|id| ShardCore::new(&world, &partition, id))
             .collect();
-
-        ParPacketSim {
+        let mut sim = ParPacketSim {
             core: SimCore::new(world, partition),
             shards,
+            links: Vec::new(),
             trace: ConvergenceTrace::new(),
             epochs_sampled: 0,
-            tel_level: Level::Off,
             rebalance: None,
             window_base: vec![0; shards_n],
             window_start_epoch: 0,
@@ -1002,7 +854,13 @@ impl ParPacketSim {
             wire_counters: std::collections::BTreeMap::new(),
             retired_parks: 0,
             retired_peak_parked: 0,
-        }
+        };
+        sim.links = sim
+            .open_wires(SimTime::ZERO)
+            .into_iter()
+            .map(|(outs, ins)| ShardLinks::new(&sim.core.world, shards_n, outs, ins, None))
+            .collect();
+        sim
     }
 
     /// [`ParPacketSim::new`]; the tuning argument carries nothing.
@@ -1059,46 +917,46 @@ impl ParPacketSim {
     /// reported simulation number is bit-identical at every level; the
     /// golden tests in `ww-scenario` pin exactly that.
     pub fn set_telemetry(&mut self, level: Level) {
-        self.tel_level = level;
-        self.core.world.set_telemetry_timing(level.spans_on());
+        self.core.set_telemetry(level);
         self.rebalance_phases = Phases::new(PDES_REBALANCE_PHASES, level);
-        for shard in &mut self.shards {
-            shard.set_telemetry(level);
+        for links in &mut self.links {
+            links.set_telemetry(level);
         }
     }
 
+    /// `(parks, peak parked)` over every wire the run ever had.
+    fn wire_stats(&self) -> (u64, u64) {
+        self.links.iter().map(ShardLinks::wire_stats).fold(
+            (self.retired_parks, self.retired_peak_parked),
+            |(parks, peak), (p, k)| (parks + p, peak.max(k)),
+        )
+    }
+
     /// A merged, deterministic snapshot of everything the run recorded:
-    /// the shards' hot-path counters (kind-aware merge: sums add,
-    /// high-water marks max), per-link overflow parks, the world's
+    /// the barrier path's counters (the shard driver's, summed over
+    /// shards), the shards' hot-path counters (kind-aware merge: sums
+    /// add, high-water marks max), per-link overflow parks, the world's
     /// oracle-maintenance counters, and — at [`Level::Full`] — the
-    /// epoch phase timers. Empty when telemetry is off.
+    /// barrier and epoch phase timers. Empty when telemetry is off.
     pub fn telemetry_snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::new();
-        if !self.tel_level.counters_on() {
+        let level = self.core.telemetry_level();
+        if !level.counters_on() {
             return snap;
         }
-        let world_tel = self.core.world.oracle_telemetry();
-        snap.push_counter("core.oracle.refolds", world_tel.refolds);
-        snap.push_counter("core.oracle.full_sweeps", world_tel.full_sweeps);
-        let mut merged = Counters::new(PDES_KEYS, self.tel_level);
-        for shard in &self.shards {
-            merged.merge_from(&shard.tel);
-        }
-        merged.snapshot_into(&mut snap);
+        self.core.push_telemetry(&mut snap);
+        let mut merged = Counters::new(PDES_KEYS, level);
+        let mut phases = Phases::new(PDES_PHASES, level);
         let mut lanes = LaneStats::default();
-        for shard in &self.shards {
+        for (shard, links) in self.shards.iter().zip(&self.links) {
+            merged.merge_from(&links.tel);
+            phases.merge_from(&links.tel_phases);
             lanes.merge(&shard.queue.lane_stats());
         }
+        merged.snapshot_into(&mut snap);
         packet::push_queue_counters(&mut snap, "pdes", lanes);
         packet::push_state_counters(&mut snap, "pdes", self.shards.iter().map(|s| &s.nodes));
-        let mut parks = self.retired_parks;
-        let mut peak = self.retired_peak_parked;
-        for shard in &self.shards {
-            for link in &shard.out_links {
-                parks += link.parks;
-                peak = peak.max(link.peak_parked);
-            }
-        }
+        let (parks, peak) = self.wire_stats();
         snap.push_counter("pdes.overflow.parks", parks);
         snap.push_counter("pdes.overflow.peak_parked", peak);
         for shard in &self.shards {
@@ -1118,42 +976,16 @@ impl ParPacketSim {
             snap.push_counter("pdes.rebalance.nodes_migrated", self.nodes_migrated);
             snap.push_counter("pdes.rebalance.events_moved", self.events_moved);
         }
-        for shard in &self.shards {
-            for link in &shard.out_links {
-                if link.parks > 0 {
-                    let wire = format!("pdes.link.{}-{}", shard.id, link.peer);
-                    snap.push_counter(&format!("{wire}.parks"), link.parks);
-                    snap.push_counter(&format!("{wire}.peak_parked"), link.peak_parked);
-                }
+        for (id, links) in self.links.iter().enumerate() {
+            for link in links.out_links.iter().filter(|link| link.parks > 0) {
+                let wire = format!("pdes.link.{id}-{}", link.peer);
+                snap.push_counter(&format!("{wire}.parks"), link.parks);
+                snap.push_counter(&format!("{wire}.peak_parked"), link.peak_parked);
             }
         }
-        if self.tel_level.spans_on() {
-            if world_tel.refresh_count > 0 {
-                snap.push_phase(
-                    "core.phase.oracle_refresh",
-                    PhaseStat {
-                        ns: world_tel.refresh_ns,
-                        count: world_tel.refresh_count,
-                    },
-                );
-            }
-            if world_tel.structural_count > 0 {
-                snap.push_phase(
-                    "core.phase.structural",
-                    PhaseStat {
-                        ns: world_tel.structural_ns,
-                        count: world_tel.structural_count,
-                    },
-                );
-            }
-            let mut phases = Phases::new(PDES_PHASES, self.tel_level);
-            for shard in &self.shards {
-                phases.merge_from(&shard.tel_phases);
-            }
-            phases.snapshot_into(&mut snap);
-            if self.rebalance.is_some() {
-                self.rebalance_phases.snapshot_into(&mut snap);
-            }
+        phases.snapshot_into(&mut snap);
+        if self.rebalance.is_some() {
+            self.rebalance_phases.snapshot_into(&mut snap);
         }
         snap
     }
@@ -1174,50 +1006,38 @@ impl ParPacketSim {
     }
 
     /// Advances every shard to `t_end` (one scoped worker thread per
-    /// shard) and moves the horizon there. With `sample` set, each
-    /// worker folds its trace partial at the quiesced boundary and the
-    /// merged exact sum is returned.
+    /// shard; a lone shard runs on the caller's) and moves the horizon
+    /// there. With `sample` set, each worker folds its trace partial at
+    /// the quiesced boundary and the merged exact sum is returned.
     fn advance_all(&mut self, t_end: SimTime, sample: bool) -> Option<ExactSum> {
         if t_end <= self.core.horizon {
             return None;
         }
-        let shared = Shared::of(&self.core);
-        let mut merged = sample.then(ExactSum::new);
-        if self.shards.len() == 1 {
-            let partial = run_shard(&mut self.shards[0], &shared, t_end, sample)
-                .unwrap_or_else(|e| panic!("in-process wire failed: {e}"));
-            if let Some(p) = partial {
-                merged
-                    .as_mut()
-                    .expect("sampled run returns partials")
-                    .merge(&p);
-            }
+        let sim = &self.core;
+        let mut pairs = self.shards.iter_mut().zip(&mut self.links);
+        let partials: Vec<_> = if pairs.len() == 1 {
+            let (shard, links) = pairs.next().expect("one shard");
+            vec![run_shard(shard, links, sim, t_end, sample)]
         } else {
-            let partials = std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .map(|shard| {
-                        let sh = &shared;
-                        scope.spawn(move || run_shard(shard, sh, t_end, sample))
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = pairs
+                    .map(|(shard, links)| {
+                        scope.spawn(move || run_shard(shard, links, sim, t_end, sample))
                     })
                     .collect();
                 handles
                     .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(Ok(partial)) => partial,
-                        Ok(Err(e)) => panic!("in-process wire failed: {e}"),
-                        Err(panic) => std::panic::resume_unwind(panic),
-                    })
-                    .collect::<Vec<_>>()
-            });
-            // Exactness makes the merge order irrelevant; shard order is
-            // used for definiteness.
-            for p in partials.into_iter().flatten() {
-                merged
-                    .as_mut()
-                    .expect("sampled run returns partials")
-                    .merge(&p);
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            })
+        };
+        // Exactness makes the merge order irrelevant; shard order is
+        // used for definiteness.
+        let mut merged = sample.then(ExactSum::new);
+        for partial in partials {
+            let partial = partial.unwrap_or_else(|e| panic!("in-process wire failed: {e}"));
+            if let (Some(sum), Some(p)) = (&mut merged, partial) {
+                sum.merge(&p);
             }
         }
         self.core.horizon = t_end;
@@ -1311,6 +1131,24 @@ impl ParPacketSim {
         self.window_start_epoch = self.epochs_sampled;
     }
 
+    /// One ring per directed cut of the current partition: per-cut
+    /// message counters continue where `wire_counters` left them, and
+    /// every inbound end starts from `promise`.
+    fn open_wires(&self, promise: SimTime) -> WireEnds {
+        let mut ends: WireEnds = Vec::new();
+        ends.resize_with(self.shards.len(), Default::default);
+        for (src, dst) in self.core.partition.cut_pairs(&self.core.world.tree) {
+            let (tx, rx) = open_ring();
+            let mut out = OutLink::new(dst, tx);
+            out.counter = self.wire_counters.get(&(src, dst)).copied().unwrap_or(0);
+            ends[src].0.push(out);
+            let mut inl = InLink::new(src, rx);
+            inl.promise = promise;
+            ends[dst].1.push(inl);
+        }
+        ends
+    }
+
     /// Tears down every inter-shard wire and re-dials the cut pairs of
     /// the (just rebalanced) partition. Safe exactly at a barrier: the
     /// `EpochEnd` handshake drained every wire, overflow queue, and
@@ -1320,43 +1158,21 @@ impl ParPacketSim {
     /// them), and fresh promises start at the truthful
     /// `horizon + lookahead` every sender already guarantees.
     fn rebuild_wires(&mut self) {
-        for shard in &self.shards {
-            for link in &shard.out_links {
+        (self.retired_parks, self.retired_peak_parked) = self.wire_stats();
+        for (id, links) in self.links.iter().enumerate() {
+            for link in &links.out_links {
                 debug_assert!(link.overflow.is_empty(), "overflow drained at the barrier");
-                self.wire_counters
-                    .insert((shard.id, link.peer), link.counter);
-                self.retired_parks += link.parks;
-                self.retired_peak_parked = self.retired_peak_parked.max(link.peak_parked);
+                self.wire_counters.insert((id, link.peer), link.counter);
             }
-            for link in &shard.in_links {
+            for link in &links.in_links {
                 debug_assert!(link.staged.is_none(), "merge stage empty at the barrier");
             }
         }
-        let shards_n = self.shards.len();
-        let mut out_links: Vec<Vec<OutLink>> = (0..shards_n).map(|_| Vec::new()).collect();
-        let mut in_links: Vec<Vec<InLink>> = (0..shards_n).map(|_| Vec::new()).collect();
         let lookahead = SimTime::from_secs(self.core.world.config.link_delay);
-        let fresh_promise = self.core.horizon + lookahead;
-        for (src, dst) in self.core.partition.cut_pairs(&self.core.world.tree) {
-            let (tx, rx) = open_ring();
-            let mut out = OutLink::new(dst, tx);
-            out.counter = self.wire_counters.get(&(src, dst)).copied().unwrap_or(0);
-            out_links[src].push(out);
-            let mut inl = InLink::new(src, rx);
-            inl.promise = fresh_promise;
-            in_links[dst].push(inl);
-        }
-        for (shard, (outs, ins)) in self
-            .shards
-            .iter_mut()
-            .zip(out_links.into_iter().zip(in_links))
-        {
-            shard.out_links = outs;
-            shard.in_links = ins;
-            shard.out_for = vec![usize::MAX; shards_n];
-            for (li, link) in shard.out_links.iter().enumerate() {
-                shard.out_for[link.peer] = li;
-            }
+        let ends = self.open_wires(self.core.horizon + lookahead);
+        let shards_n = self.shards.len();
+        for (links, (outs, ins)) in self.links.iter_mut().zip(ends) {
+            links.dial(shards_n, outs, ins);
         }
     }
 
@@ -1378,65 +1194,13 @@ impl ParPacketSim {
             self.maybe_rebalance();
         }
         self.advance_all(deadline, false);
-        if deadline > self.core.horizon {
-            self.core.horizon = deadline;
-        }
         self.report()
     }
 
     /// Produces the report at the current horizon (also usable mid-run).
     pub fn report(&mut self) -> PacketSimReport {
-        let now = self.core.horizon.as_secs().max(1e-9);
-        let rates: Vec<f64> = (0..self.core.world.len())
-            .map(|j| {
-                let s = self.core.partition.shard_of[j];
-                let li = self.core.partition.local_index[j] as usize;
-                self.shards[s].nodes.measured_load(li, now)
-            })
-            .collect();
-        let served_rates = RateVector::from(rates);
-        let final_distance = served_rates.euclidean_distance(&self.core.world.oracle);
-        let mut ledger = TrafficLedger::new();
-        let mut counters = PacketCounters::default();
-        let mut overflow_parks = self.retired_parks;
-        let mut overflow_peak_parked = self.retired_peak_parked;
-        for shard in &self.shards {
-            ledger.merge(&shard.ledger);
-            counters.merge(&shard.counters);
-            for link in &shard.out_links {
-                overflow_parks += link.parks;
-                overflow_peak_parked = overflow_peak_parked.max(link.peak_parked);
-            }
-        }
-        let shard_event_counts: Vec<u64> =
-            self.shards.iter().map(|s| s.queue.processed()).collect();
-        let imbalance = LoadSummary {
-            shard_events: shard_event_counts.clone(),
-        }
-        .imbalance();
-        PacketSimReport {
-            final_distance,
-            served_rates,
-            oracle: self.core.world.oracle.clone(),
-            trace: self.trace.clone(),
-            ledger,
-            mean_hops: if counters.served_requests == 0 {
-                0.0
-            } else {
-                counters.hops_sum as f64 / counters.served_requests as f64
-            },
-            copy_pushes: counters.copy_pushes,
-            tunnel_fetches: counters.tunnel_fetches,
-            served_requests: counters.served_requests,
-            // Every event is processed by exactly one shard (local pops,
-            // timer fires, and inbound clock advances), so the sum
-            // matches the sequential driver's count bit-for-bit.
-            processed_events: shard_event_counts.iter().sum(),
-            overflow_parks,
-            overflow_peak_parked,
-            shard_event_counts,
-            imbalance,
-        }
+        let overflow = self.wire_stats();
+        self.core.report(&mut self.shards, &self.trace, overflow)
     }
 
     /// The TLB oracle for the offered demand.
@@ -1495,20 +1259,8 @@ impl ParPacketSim {
     /// The replicated core and the shards, for in-crate tests that
     /// drive [`ops`] directly.
     #[cfg(test)]
-    pub(crate) fn parts_mut(&mut self) -> (&mut SimCore, &mut Vec<Shard>) {
+    pub(crate) fn parts_mut(&mut self) -> (&mut SimCore, &mut Vec<ShardCore>) {
         (&mut self.core, &mut self.shards)
-    }
-}
-
-impl ShardStore for Vec<Shard> {
-    fn shard_mut(&mut self, id: usize) -> Option<&mut Shard> {
-        self.get_mut(id)
-    }
-
-    fn for_each(&mut self, f: &mut dyn FnMut(&mut Shard)) {
-        for shard in self.iter_mut() {
-            f(shard);
-        }
     }
 }
 
@@ -1531,11 +1283,8 @@ impl PacketBackend for ParPacketSim {
         ParPacketSim::tree(self)
     }
 
-    /// # Panics
-    ///
-    /// Panics if a batch is already open.
     fn begin_batch(&mut self) -> Result<(), ModelError> {
-        ops::begin_batch(&mut self.core);
+        self.core.begin_batch();
         Ok(())
     }
 
@@ -1545,17 +1294,13 @@ impl PacketBackend for ParPacketSim {
     /// renumbered former-last node staying on its own shard — no node
     /// state crosses a shard boundary.
     fn apply_op(&mut self, op: &BarrierOp) -> Result<BarrierOutcome, ModelError> {
-        ops::apply_op(&mut self.core, &mut self.shards, op)
+        self.core.apply_op(&mut self.shards, op)
     }
 
     /// Every shard applies the same composed event surgery to its queue
     /// and the arrival stage rebuilds once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no batch is open.
     fn commit_batch(&mut self) -> Result<(), ModelError> {
-        ops::commit_batch(&mut self.core, &mut self.shards);
+        self.core.commit_batch(&mut self.shards);
         Ok(())
     }
 

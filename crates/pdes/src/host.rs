@@ -7,21 +7,22 @@
 //! shard, and the coordinator hosts none — it keeps a replica of the
 //! shared bookkeeping (world, partition, horizon) to mirror barrier
 //! mutations and assemble reports. `ShardHost` is the harness both
-//! sides use. It owns a `SimCore`-equivalent plus the optional shard,
-//! runs epochs over externally supplied wires (sockets, in the
-//! `ww-dist` crate), and applies every [`BarrierOp`] with the exact
-//! per-node logic of the in-process engine — so a distributed run is
-//! bit-identical to the threaded and sequential ones by construction.
+//! sides use. It owns the shard driver's `SimCore` plus the shards it
+//! holds (one `ShardCore` with its links, or none), runs epochs over
+//! externally supplied wires (sockets, in the `ww-dist` crate), and
+//! applies every [`BarrierOp`] through the one barrier path of
+//! `ww_core::packet::driver` — so a distributed run is bit-identical to
+//! the threaded and sequential ones by construction.
 //!
 //! Every participant derives the partition from the same
 //! `(tree, shard_hint)` pair via [`partition_subtrees`], which is a
 //! pure function — no partition data ever crosses the network.
 
-use crate::engine::{build_shard, run_shard, InLink, OutLink, Shared};
-use crate::ops::{self, SimCore, SingleStore};
+use crate::engine::{run_shard, InLink, OutLink, ShardLinks};
 use crate::partition::{partition_subtrees, Partition};
 use crate::transport::{LinkError, WireReceiver, WireSender};
 use std::time::Duration;
+use ww_core::packet::driver::{ShardCore, SimCore};
 use ww_core::packet::{BarrierOp, BarrierOutcome, PacketCounters, PacketSimConfig, PacketWorld};
 use ww_model::{ModelError, NodeId, Tree};
 use ww_net::TrafficLedger;
@@ -42,7 +43,10 @@ pub const DEFAULT_STALL_TIMEOUT: Duration = Duration::from_secs(10);
 #[derive(Debug)]
 pub struct ShardHost {
     core: SimCore,
-    store: SingleStore,
+    /// The shards this participant holds: one (with its links) on a
+    /// worker, none on the coordinator's replica.
+    held: Vec<ShardCore>,
+    links: Option<ShardLinks>,
 }
 
 impl ShardHost {
@@ -59,10 +63,8 @@ impl ShardHost {
         let partition = partition_subtrees(tree, shard_hint);
         ShardHost {
             core: SimCore::new(world, partition),
-            store: SingleStore {
-                id: usize::MAX,
-                shard: None,
-            },
+            held: Vec::new(),
+            links: None,
         }
     }
 
@@ -90,9 +92,10 @@ impl ShardHost {
         mut wire_out: impl FnMut(usize) -> Box<dyn WireSender>,
         mut wire_in: impl FnMut(usize) -> Box<dyn WireReceiver>,
     ) -> Self {
-        assert!(shard_hint > 0, "need at least one shard");
-        let world = PacketWorld::new(tree, mix, config);
-        let partition = partition_subtrees(tree, shard_hint);
+        let mut host = Self::replica(tree, mix, config, shard_hint);
+        let SimCore {
+            world, partition, ..
+        } = &host.core;
         assert!(
             id < partition.shards(),
             "shard {id} out of range: the partition has {} shards",
@@ -113,19 +116,20 @@ impl ShardHost {
                 ins.push(InLink::new(src, wire_in(src)));
             }
         }
-        let shard = build_shard(&world, &partition, id, outs, ins, stall_timeout);
-        ShardHost {
-            core: SimCore::new(world, partition),
-            store: SingleStore {
-                id,
-                shard: Some(shard),
-            },
-        }
+        host.links = Some(ShardLinks::new(
+            world,
+            partition.shards(),
+            outs,
+            ins,
+            stall_timeout,
+        ));
+        host.held.push(ShardCore::new(world, partition, id));
+        host
     }
 
     /// The shard this host holds, if any.
     pub fn owned_shard(&self) -> Option<usize> {
-        self.store.shard.as_ref().map(|_| self.store.id)
+        self.held.first().map(|shard| shard.id)
     }
 
     /// Number of shards in the (derived) partition — the worker count
@@ -177,12 +181,9 @@ impl ShardHost {
         if t_end <= self.core.horizon {
             return Ok(None);
         }
-        let partial = match &mut self.store.shard {
-            Some(shard) => {
-                let shared = Shared::of(&self.core);
-                run_shard(shard, &shared, t_end, sample)?
-            }
-            None => None,
+        let partial = match (self.held.first_mut(), &mut self.links) {
+            (Some(shard), Some(links)) => run_shard(shard, links, &self.core, t_end, sample)?,
+            _ => None,
         };
         self.core.horizon = t_end;
         Ok(partial)
@@ -192,59 +193,45 @@ impl ShardHost {
     /// in member order — the worker's slice of the final report. Empty
     /// for a replica.
     pub fn member_rates(&mut self, now: f64) -> Vec<f64> {
-        match &mut self.store.shard {
-            Some(shard) => (0..shard.nodes.len())
+        self.held.first_mut().map_or_else(Vec::new, |shard| {
+            (0..shard.nodes.len())
                 .map(|li| shard.nodes.measured_load(li, now))
-                .collect(),
-            None => Vec::new(),
-        }
+                .collect()
+        })
     }
 
     /// Global node ids of the held shard's members, in the same order
     /// as [`ShardHost::member_rates`].
     pub fn members(&self) -> &[NodeId] {
-        match self.store.shard {
-            Some(_) => &self.core.partition.members[self.store.id],
+        match self.held.first() {
+            Some(shard) => &self.core.partition.members[shard.id],
             None => &[],
         }
     }
 
     /// The held shard's traffic ledger (empty for a replica).
     pub fn ledger(&self) -> TrafficLedger {
-        match &self.store.shard {
-            Some(shard) => shard.ledger.clone(),
-            None => TrafficLedger::new(),
-        }
+        self.held
+            .first()
+            .map_or_else(TrafficLedger::new, |shard| shard.ledger.clone())
     }
 
     /// The held shard's protocol counters (zero for a replica).
     pub fn counters(&self) -> PacketCounters {
-        match &self.store.shard {
-            Some(shard) => shard.counters,
-            None => PacketCounters::default(),
-        }
+        self.held
+            .first()
+            .map_or_else(PacketCounters::default, |shard| shard.counters)
     }
 
     /// Events the held shard has processed so far.
     pub fn processed_events(&self) -> u64 {
-        match &self.store.shard {
-            Some(shard) => shard.queue.processed(),
-            None => 0,
-        }
+        self.held.first().map_or(0, |shard| shard.queue.processed())
     }
 
     /// Back-pressure observability of the held shard's outbound wires:
     /// `(total messages ever parked, peak depth of any overflow queue)`.
     pub fn wire_stats(&self) -> (u64, u64) {
-        let mut parks = 0u64;
-        let mut peak = 0u64;
-        if let Some(shard) = &self.store.shard {
-            for link in &shard.out_links {
-                parks += link.parks;
-                peak = peak.max(link.peak_parked);
-            }
-        }
-        (parks, peak)
+        self.links.as_ref().map_or((0, 0), ShardLinks::wire_stats)
     }
 
     /// Whether the control link from `node` to its parent is failed.
@@ -266,7 +253,7 @@ impl ShardHost {
     ///
     /// Panics if a batch is already open.
     pub fn begin_batch(&mut self) {
-        ops::begin_batch(&mut self.core);
+        self.core.begin_batch();
     }
 
     /// Closes the batch: one deferred oracle refresh, one composed
@@ -277,7 +264,7 @@ impl ShardHost {
     ///
     /// Panics if no batch is open.
     pub fn commit_batch(&mut self) {
-        ops::commit_batch(&mut self.core, &mut self.store);
+        self.core.commit_batch(&mut self.held);
     }
 
     /// Applies one [`BarrierOp`] at the current barrier — the
@@ -292,6 +279,6 @@ impl ShardHost {
     /// since the check reads only replicated state. A rejected op
     /// mutates nothing.
     pub fn apply_op(&mut self, op: &BarrierOp) -> Result<BarrierOutcome, ModelError> {
-        ops::apply_op(&mut self.core, &mut self.store, op)
+        self.core.apply_op(&mut self.held, op)
     }
 }

@@ -22,11 +22,12 @@
 //! row or RNG range shows as a node wearing another node's state.
 
 use crate::engine::ParPacketSim;
-use crate::ops::{self, SimCore};
+use crate::ops;
 use crate::rebalance::{Migration, RebalanceConfig, RebalancePlan};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use ww_core::packet::driver::SimCore;
 use ww_core::packet::PacketSimConfig;
 use ww_model::NodeId;
 use ww_sim::SimQueue;

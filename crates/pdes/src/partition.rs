@@ -12,184 +12,32 @@
 //! procedure is a pure function of `(tree, shard count)` — no
 //! randomness, no iteration-order dependence — so every run of a given
 //! scenario shards identically.
+//!
+//! The [`Partition`] it produces — the node → (shard, row) map — is the
+//! shard driver's own (`ww_core::packet::driver`), re-exported here.
 
-use crate::rebalance::Migration;
 use ww_model::{NodeId, Tree};
 
-/// A partition of the tree's nodes into connected subtree shards.
-#[derive(Debug, Clone)]
-pub struct Partition {
-    /// Shard of every node.
-    pub shard_of: Vec<usize>,
-    /// Index of every node within its shard's `members` list.
-    pub local_index: Vec<u32>,
-    /// Nodes of each shard. Freshly peeled partitions list members in
-    /// ascending node-id order; churn compacts by swap-remove, migration
-    /// by a stable retain, and both append at the back, so the order is
-    /// merely *deterministic*, not sorted — no consumer may rely on
-    /// sortedness.
-    pub members: Vec<Vec<NodeId>>,
-}
+pub use ww_core::packet::driver::Partition;
 
-impl Partition {
-    /// Number of shards (≥ 1; at most the requested count).
-    pub fn shards(&self) -> usize {
-        self.members.len()
+/// Moves one node by swap-remove and append — the one-at-a-time form
+/// [`Partition::move_nodes`] replaced, kept as the reference the
+/// migration property test replays plans through. Returns
+/// `(donor shard, donor local index, recipient local index)`.
+#[cfg(test)]
+pub(crate) fn move_node(p: &mut Partition, node: usize, to: usize) -> (usize, usize, usize) {
+    let from = p.shard_of[node];
+    assert_ne!(from, to, "no-op migration for node {node}");
+    let li = p.local_index[node] as usize;
+    p.members[from].swap_remove(li);
+    if let Some(&w) = p.members[from].get(li) {
+        p.local_index[w.index()] = li as u32;
     }
-
-    /// Registers a node joining the simulated world: the newcomer takes
-    /// the next global id and the last local slot of `shard` (its
-    /// parent's shard, so subtree connectivity is preserved). Returns
-    /// the local index. The caller appends the matching entries to the
-    /// shard's state vector and timer rings.
-    pub fn add_node(&mut self, shard: usize) -> usize {
-        let id = self.shard_of.len();
-        let li = self.members[shard].len();
-        self.shard_of.push(shard);
-        self.local_index.push(li as u32);
-        self.members[shard].push(NodeId::new(id));
-        li
-    }
-
-    /// Registers a node leaving: global ids compact by swap-remove (the
-    /// former last id renumbers into `node`, staying on its own shard —
-    /// no state crosses a shard boundary), and the hosting shard's
-    /// member list compacts the same way. Returns the departed node's
-    /// `(shard, local index)`; the caller must apply the identical
-    /// swap-remove to that shard's state vector and timer rings.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn swap_remove_node(&mut self, node: usize) -> (usize, usize) {
-        let s = self.shard_of[node];
-        let li = self.local_index[node] as usize;
-        self.members[s].swap_remove(li);
-        if let Some(&w) = self.members[s].get(li) {
-            self.local_index[w.index()] = li as u32;
-        }
-        self.shard_of.swap_remove(node);
-        self.local_index.swap_remove(node);
-        if node < self.shard_of.len() {
-            // The renumbered former-last id: rewrite its member entry.
-            let ms = self.shard_of[node];
-            let mli = self.local_index[node] as usize;
-            self.members[ms][mli] = NodeId::new(node);
-        }
-        (s, li)
-    }
-
-    /// Applies a whole migration plan in one pass per touched shard:
-    /// every donor's member list drops its migrants with one `retain`
-    /// — survivors keep their relative order and take local indices
-    /// `0..survivors` — and every migrant is then appended to its
-    /// recipient in `moves` order. The caller must apply the identical
-    /// stable compaction and appends to the shards' state vectors and
-    /// timer rings (`TimerRing::remove_members` compacts the same way).
-    /// Connectivity of the resulting shards is the *caller's*
-    /// obligation — rebalancing only ever moves whole subtree regions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `moves` is not in strictly ascending node order, names
-    /// a node or shard out of range, a node that does not live on its
-    /// `from` shard (a stale plan), or a no-op move (`from == to`: a
-    /// planner bug).
-    pub fn move_nodes(&mut self, moves: &[Migration]) {
-        assert!(
-            moves
-                .windows(2)
-                .all(|w| w[0].node.index() < w[1].node.index()),
-            "plan moves must be in ascending node order"
-        );
-        let mut donor = vec![false; self.members.len()];
-        for m in moves {
-            let node = m.node.index();
-            assert!(node < self.shard_of.len(), "node out of range");
-            assert!(m.to < self.members.len(), "shard out of range");
-            assert_eq!(self.shard_of[node], m.from, "stale plan for node {node}");
-            assert_ne!(m.from, m.to, "no-op migration for node {node}");
-            self.shard_of[node] = m.to;
-            donor[m.from] = true;
-        }
-        let Partition {
-            shard_of,
-            local_index,
-            members,
-        } = self;
-        for (s, list) in members.iter_mut().enumerate() {
-            if donor[s] {
-                list.retain(|u| shard_of[u.index()] == s);
-                for (li, u) in list.iter().enumerate() {
-                    local_index[u.index()] = li as u32;
-                }
-            }
-        }
-        for m in moves {
-            local_index[m.node.index()] = members[m.to].len() as u32;
-            members[m.to].push(m.node);
-        }
-    }
-
-    /// Moves one node by swap-remove and append — the one-at-a-time
-    /// form [`Partition::move_nodes`] replaced, kept as the reference
-    /// the migration property test replays plans through. Returns
-    /// `(donor shard, donor local index, recipient local index)`.
-    #[cfg(test)]
-    pub(crate) fn move_node(&mut self, node: usize, to: usize) -> (usize, usize, usize) {
-        let from = self.shard_of[node];
-        assert_ne!(from, to, "no-op migration for node {node}");
-        let li = self.local_index[node] as usize;
-        self.members[from].swap_remove(li);
-        if let Some(&w) = self.members[from].get(li) {
-            self.local_index[w.index()] = li as u32;
-        }
-        let new_li = self.members[to].len();
-        self.members[to].push(NodeId::new(node));
-        self.shard_of[node] = to;
-        self.local_index[node] = new_li as u32;
-        (from, li, new_li)
-    }
-
-    /// Sums `node_events` (one count per global node id) into the
-    /// per-shard load summary rebalancing decisions are made from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node_events` is shorter than the node count.
-    pub fn load_summary(&self, node_events: &[u64]) -> crate::rebalance::LoadSummary {
-        assert!(node_events.len() >= self.shard_of.len(), "count per node");
-        let mut shard_events = vec![0u64; self.shards()];
-        for (u, &s) in self.shard_of.iter().enumerate() {
-            shard_events[s] += node_events[u];
-        }
-        crate::rebalance::LoadSummary { shard_events }
-    }
-
-    /// The ordered list of shard pairs connected by at least one tree
-    /// edge, as `(child_side_shard, parent_side_shard)` — each listed
-    /// once per unordered pair per direction of the underlying edges.
-    pub fn cut_pairs(&self, tree: &Tree) -> Vec<(usize, usize)> {
-        let mut pairs = Vec::new();
-        for u in tree.nodes() {
-            if let Some(p) = tree.parent(u) {
-                let (a, b) = (self.shard_of[u.index()], self.shard_of[p.index()]);
-                if a != b {
-                    // Traffic crosses every cut edge in both directions
-                    // (requests climb, gossip and copies descend), so both
-                    // directed pairs carry a channel.
-                    if !pairs.contains(&(a, b)) {
-                        pairs.push((a, b));
-                    }
-                    if !pairs.contains(&(b, a)) {
-                        pairs.push((b, a));
-                    }
-                }
-            }
-        }
-        pairs.sort_unstable();
-        pairs
-    }
+    let new_li = p.members[to].len();
+    p.members[to].push(NodeId::new(node));
+    p.shard_of[node] = to;
+    p.local_index[node] = new_li as u32;
+    (from, li, new_li)
 }
 
 /// Splits `tree` into at most `max_shards` connected subtree shards of
@@ -293,6 +141,7 @@ pub fn partition_subtrees(tree: &Tree, max_shards: usize) -> Partition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rebalance::Migration;
 
     fn check_connected_subtrees(tree: &Tree, p: &Partition) {
         // Every non-root node either shares its parent's shard, or is the

@@ -28,6 +28,8 @@
 use crate::partition::Partition;
 use ww_model::{NodeId, Tree};
 
+pub use ww_core::packet::driver::Migration;
+
 /// Configuration of the barrier-time rebalancing controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RebalanceConfig {
@@ -49,6 +51,24 @@ pub struct LoadSummary {
 }
 
 impl LoadSummary {
+    /// Sums `node_events` (one count per global node id) by the shard
+    /// `partition` puts each node on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node_events` is shorter than the node count.
+    pub fn of(partition: &Partition, node_events: &[u64]) -> LoadSummary {
+        assert!(
+            node_events.len() >= partition.shard_of.len(),
+            "count per node"
+        );
+        let mut shard_events = vec![0u64; partition.shards()];
+        for (u, &s) in partition.shard_of.iter().enumerate() {
+            shard_events[s] += node_events[u];
+        }
+        LoadSummary { shard_events }
+    }
+
     /// Total events across all shards.
     pub fn total(&self) -> u64 {
         self.shard_events.iter().sum()
@@ -58,25 +78,8 @@ impl LoadSummary {
     /// event-free (or shard-free) summary reports 1.0 — nothing to
     /// balance.
     pub fn imbalance(&self) -> f64 {
-        let total = self.total();
-        if total == 0 || self.shard_events.is_empty() {
-            return 1.0;
-        }
-        let mean = total as f64 / self.shard_events.len() as f64;
-        let max = self.shard_events.iter().copied().max().unwrap_or(0);
-        max as f64 / mean
+        ww_core::packetsim::imbalance(&self.shard_events)
     }
-}
-
-/// One node changing shards, `from` → `to`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Migration {
-    /// The node that moves.
-    pub node: NodeId,
-    /// Its current shard.
-    pub from: usize,
-    /// Its new shard.
-    pub to: usize,
 }
 
 /// A barrier-time migration plan: which nodes move where, and the
@@ -131,7 +134,7 @@ pub fn rebalance_plan(tree: &Tree, partition: &Partition, node_events: &[u64]) -
     assert!(node_events.len() >= n, "one event count per node");
     assert_eq!(partition.shard_of.len(), n, "partition covers the tree");
     let shards = partition.shards();
-    let before = partition.load_summary(node_events);
+    let before = LoadSummary::of(partition, node_events);
     let imbalance_before = before.imbalance();
     if shards < 2 || before.total() == 0 {
         return RebalancePlan::noop(imbalance_before);
@@ -486,7 +489,7 @@ mod tests {
         let tree = ww_topology::path(6);
         let p = partition_subtrees(&tree, 2);
         let load: Vec<u64> = (0..6).collect();
-        let summary = p.load_summary(&load);
+        let summary = LoadSummary::of(&p, &load);
         assert_eq!(summary.total(), 15);
         assert_eq!(summary.shard_events.len(), 2);
         assert!(summary.imbalance() >= 1.0);

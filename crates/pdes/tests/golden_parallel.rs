@@ -9,6 +9,7 @@ use ww_core::packetsim::{PacketBackend, PacketSim, PacketSimConfig, PacketSimRep
 use ww_model::{DocId, ModelError, NodeId, Tree};
 use ww_net::TrafficClass;
 use ww_pdes::ParPacketSim;
+use ww_telemetry::Level;
 use ww_topology::paper;
 use ww_workload::DocMix;
 
@@ -197,4 +198,108 @@ fn zero_link_delay_rejected_for_multi_shard() {
         ..PacketSimConfig::default()
     };
     let _ = ParPacketSim::new(&tree, &mix, config, 4);
+}
+
+/// Drives a seven-kind `BarrierOp` script — a batched storm, lone ops,
+/// a rejected op inside the batch — between epochs, with counters on.
+fn churned_cdn_run<B: PacketBackend>(sim: &mut B, tree: &Tree) -> (Vec<bool>, PacketSimReport)
+where
+    B::Error: std::fmt::Debug,
+{
+    sim.set_telemetry(Level::Counters);
+    sim.run(2.0).unwrap();
+    let leaf = NodeId::new(tree.len() - 1);
+    let storm = [
+        BarrierOp::AddLeaf {
+            parent: NodeId::new(3),
+            rate: 40.0,
+        },
+        BarrierOp::RemoveLeaf { node: leaf },
+        // Interior: rejected, and must leave the batch intact.
+        BarrierOp::RemoveLeaf {
+            node: NodeId::new(1),
+        },
+        // A ninth document: the universe — and every slab's stride —
+        // grows.
+        BarrierOp::PublishDoc {
+            doc: DocId::new(100),
+            origin: NodeId::new(20),
+            rate: 25.0,
+        },
+        BarrierOp::FailLink {
+            node: NodeId::new(2),
+        },
+    ];
+    let mut verdicts: Vec<bool> = sim
+        .apply_all(&storm)
+        .unwrap()
+        .iter()
+        .map(Result::is_ok)
+        .collect();
+    sim.run(4.0).unwrap();
+    let rates = ww_workload::leaf_only(PacketBackend::tree(sim), 2.0);
+    let mix = ww_workload::shared_zipf_mix(PacketBackend::tree(sim), &rates, 6, 0.8);
+    for op in [
+        BarrierOp::HealLink {
+            node: NodeId::new(2),
+        },
+        BarrierOp::Invalidate { doc: DocId::new(1) },
+        BarrierOp::SetMix { mix },
+    ] {
+        verdicts.push(sim.apply_op(&op).is_ok());
+    }
+    (verdicts, sim.run(6.0).unwrap())
+}
+
+#[test]
+fn one_shard_run_is_the_sequential_run_structurally() {
+    // `PacketSim` and a one-worker `ParPacketSim` are the same driver
+    // over the same one-shard partition, so beyond the report they must
+    // agree on what no report shows: which events rode the queue's
+    // lanes, how big the node state grew, what the barrier path did.
+    let tree = ww_topology::two_level(12, 12);
+    let rates = ww_workload::leaf_only(&tree, 1.5);
+    let mix = ww_workload::shared_zipf_mix(&tree, &rates, 8, 1.0);
+    let config = PacketSimConfig::default();
+    let mut seq = PacketSim::new(&tree, &mix, config);
+    let mut par = ParPacketSim::new(&tree, &mix, config, 1);
+    let (seq_verdicts, a) = churned_cdn_run(&mut seq, &tree);
+    let (par_verdicts, b) = churned_cdn_run(&mut par, &tree);
+    assert_eq!(
+        seq_verdicts,
+        [true, true, false, true, true, true, true, true],
+        "only the interior removal is rejected"
+    );
+    assert_eq!(seq_verdicts, par_verdicts);
+    assert!(a.served_requests > 500, "the script does real work");
+    assert_reports_identical(&a, &b, "one shard");
+    assert_eq!(a.shard_event_counts, b.shard_event_counts);
+    assert_eq!(a.imbalance.to_bits(), b.imbalance.to_bits());
+
+    let (seq_snap, par_snap) = (seq.telemetry_snapshot(), par.telemetry_snapshot());
+    for key in [
+        "queue.lane_admitted",
+        "queue.lane_fallback",
+        "queue.lane_hw",
+        "queue.radix_hw",
+        "queue.lane_len",
+        "state.bytes",
+        "state.nodes",
+    ] {
+        let ours = seq_snap.counter(&format!("core.{key}"));
+        assert!(ours.is_some(), "core.{key} reported");
+        assert_eq!(ours, par_snap.counter(&format!("pdes.{key}")), "{key}");
+    }
+    for key in [
+        "core.barrier.ops",
+        "core.surgery.sweeps",
+        "core.surgery.removed",
+        "core.oracle.refolds",
+        "core.oracle.full_sweeps",
+    ] {
+        let ours = seq_snap.counter(key);
+        assert!(ours.is_some_and(|v| v > 0), "{key} recorded");
+        assert_eq!(ours, par_snap.counter(key), "{key}");
+    }
+    assert_eq!(seq_snap.counter("core.barrier.ops"), Some(8));
 }
