@@ -8,6 +8,13 @@
 //! `run_epoch` with an empty link set — so the ratio reads ≈ 1.0 by
 //! construction (0.94–0.96 before the two loops were one; CHANGES.md,
 //! PR 21). A reading away from 1.0 means the loops have forked again.
+//!
+//! A third row, `par_packet_sim_w2`, runs the same world on two workers
+//! (static partition, no controller): "two workers ÷ sequential on a
+//! CDN tree", the in-process number ROADMAP item 1 asks for. A shard is
+//! a set of sibling regions, so the two halves are 30 regions each; a
+//! reading under ~1.5× on a two-core host is what the wires cost
+//! (`pdes.promises_per_kevent`, `pdes.merge_stalls_per_kevent`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -32,7 +39,8 @@ fn bench(c: &mut Criterion) {
     // is the noise the difference between the sides has to beat.
     let mut seq = PacketSim::new(&tree, &mix, config);
     let mut par = ParPacketSim::new(&tree, &mix, config, 1);
-    let (mut seq_horizon, mut par_horizon) = (0.0, 0.0);
+    let mut par2 = ParPacketSim::new(&tree, &mix, config, 2);
+    let (mut seq_horizon, mut par_horizon, mut par2_horizon) = (0.0, 0.0, 0.0);
     for round in 1..=2 {
         group.bench_function(BenchmarkId::new("packet_sim", round), |b| {
             b.iter(|| {
@@ -44,6 +52,12 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 par_horizon += 1.0;
                 std::hint::black_box(par.run(par_horizon).processed_events)
+            });
+        });
+        group.bench_function(BenchmarkId::new("par_packet_sim_w2", round), |b| {
+            b.iter(|| {
+                par2_horizon += 1.0;
+                std::hint::black_box(par2.run(par2_horizon).processed_events)
             });
         });
     }

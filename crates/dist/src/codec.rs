@@ -77,7 +77,7 @@ impl std::error::Error for CodecError {}
 /// collected every [`Msg::Hello`]: which shard to run, the scenario
 /// world to build (every participant derives the partition from the
 /// same `(tree, shard_hint)` pair — no partition data crosses the
-/// wire), and where to dial the peer shards.
+/// wire, only its digest), and where to dial the peer shards.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Assign {
     /// The shard this worker runs.
@@ -86,6 +86,11 @@ pub struct Assign {
     /// shard count can be lower on small trees; surplus workers receive
     /// [`Msg::Surplus`] instead of an assignment.
     pub shard_hint: usize,
+    /// [`partition_digest`] of the coordinator's node → shard map. A
+    /// worker whose own derivation digests differently — a binary one
+    /// build apart — refuses the assignment instead of running a
+    /// permuted partition.
+    pub partition_digest: u64,
     /// Stall timeout for the worker's epochs, milliseconds; `None`
     /// disables stall detection.
     pub stall_ms: Option<u64>,
@@ -123,6 +128,25 @@ pub struct WorkerReport {
     pub parks: u64,
     /// Peak depth of any outbound overflow queue.
     pub peak_parked: u64,
+    /// Messages this shard staged on its outbound data wires.
+    pub data_msgs: u64,
+    /// Bytes this shard wrote to its outbound data wires.
+    pub data_bytes: u64,
+}
+
+/// A 64-bit FNV-1a digest of a node → shard map (length, then every
+/// entry as a little-endian `u64`): what [`Assign::partition_digest`]
+/// carries, so that a coordinator and a worker which derive different
+/// partitions from the same `(tree, shard_hint)` find out at the
+/// handshake.
+pub fn partition_digest(shard_of: &[usize]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for word in std::iter::once(shard_of.len()).chain(shard_of.iter().copied()) {
+        for byte in (word as u64).to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
 }
 
 /// Every message of the distributed protocol — data plane and control
@@ -702,6 +726,7 @@ fn put_body(out: &mut Vec<u8>, msg: &Msg) {
             put_u8(out, TAG_ASSIGN);
             put_usize(out, a.shard_id);
             put_usize(out, a.shard_hint);
+            put_u64(out, a.partition_digest);
             put_opt_u64(out, a.stall_ms);
             put_u32(out, a.parents.len() as u32);
             for p in &a.parents {
@@ -778,6 +803,8 @@ fn put_body(out: &mut Vec<u8>, msg: &Msg) {
             put_u64(out, rep.processed);
             put_u64(out, rep.parks);
             put_u64(out, rep.peak_parked);
+            put_u64(out, rep.data_msgs);
+            put_u64(out, rep.data_bytes);
         }
         Msg::Shutdown => put_u8(out, TAG_SHUTDOWN),
         Msg::Fatal { msg } => {
@@ -830,6 +857,7 @@ pub fn decode_msg(body: &[u8]) -> Result<Msg, CodecError> {
         TAG_ASSIGN => {
             let shard_id = r.usize()?;
             let shard_hint = r.usize()?;
+            let partition_digest = r.u64()?;
             let stall_ms = r.opt_u64()?;
             let n = r.len(1)?;
             let mut parents = Vec::with_capacity(n);
@@ -852,6 +880,7 @@ pub fn decode_msg(body: &[u8]) -> Result<Msg, CodecError> {
             Msg::Assign(Assign {
                 shard_id,
                 shard_hint,
+                partition_digest,
                 stall_ms,
                 parents,
                 mix_nodes,
@@ -924,6 +953,8 @@ pub fn decode_msg(body: &[u8]) -> Result<Msg, CodecError> {
                 processed: r.u64()?,
                 parks: r.u64()?,
                 peak_parked: r.u64()?,
+                data_msgs: r.u64()?,
+                data_bytes: r.u64()?,
             })
         }
         TAG_SHUTDOWN => Msg::Shutdown,

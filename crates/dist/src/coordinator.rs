@@ -16,7 +16,7 @@
 //! distributed run is bit-identical to the sequential and threaded
 //! ones, which the golden tests pin at several worker counts.
 
-use crate::codec::{mix_demands, Assign, Msg, WorkerReport};
+use crate::codec::{mix_demands, partition_digest, Assign, Msg, WorkerReport};
 use crate::error::DistError;
 use crate::framed::FramedStream;
 use crate::spawn::{find_worker_bin, DistMode};
@@ -109,6 +109,9 @@ pub struct DistPacketSim {
     /// Worker overflow back-pressure totals `(parks, peak depth)` from
     /// the most recent report assembly.
     last_worker_parks: (u64, u64),
+    /// Each worker's data-wire `(messages, bytes)` written, from the
+    /// most recent report assembly.
+    last_worker_data: Vec<(u64, u64)>,
 }
 
 impl DistPacketSim {
@@ -223,6 +226,7 @@ impl DistPacketSim {
             .collect();
         let demands = mix_demands(mix);
         let parents = tree.to_parents();
+        let digest = partition_digest(&replica.partition().shard_of);
         let mut assigned = Vec::new();
         for (shard, (mut framed, _)) in conns.into_iter().enumerate() {
             if shard >= shards {
@@ -232,6 +236,7 @@ impl DistPacketSim {
             framed.write_msg(&Msg::Assign(Assign {
                 shard_id: shard,
                 shard_hint: workers,
+                partition_digest: digest,
                 stall_ms: options.stall_timeout.map(|d| d.as_millis() as u64),
                 parents: parents.clone(),
                 mix_nodes: mix.len(),
@@ -287,11 +292,20 @@ impl DistPacketSim {
             epoch_rtt: Histogram::new(level),
             apply_rtt: Histogram::new(level),
             last_worker_parks: (0, 0),
+            last_worker_data: Vec::new(),
         };
 
-        // Wait for every worker's data mesh to come up.
+        // Wait for every worker's data mesh to come up. A worker that
+        // answers `Fatal` here has refused its assignment (its own
+        // partition digests differently, or a peer would not connect).
         for shard in 0..sim.workers.len() {
-            match sim.wait(shard)? {
+            let reply = sim.wait(shard).map_err(|e| match e {
+                DistError::WorkerFailed { worker, detail } => DistError::Protocol {
+                    detail: format!("worker {worker} refused its assignment: {detail}"),
+                },
+                other => other,
+            })?;
+            match reply {
                 Msg::Ready => {}
                 other => {
                     return Err(DistError::Protocol {
@@ -501,6 +515,10 @@ impl DistPacketSim {
             overflow = (overflow.0 + rep.parks, overflow.1.max(rep.peak_parked));
         }
         self.last_worker_parks = overflow;
+        self.last_worker_data = slices
+            .iter()
+            .map(|rep| (rep.data_msgs, rep.data_bytes))
+            .collect();
         Ok(PacketSimReport::assemble(
             &self.replica.world().oracle,
             &self.trace,
@@ -567,11 +585,12 @@ impl DistPacketSim {
     }
 
     /// A deterministic snapshot of the coordinator-side observations:
-    /// the replica's oracle-maintenance counters, worker back-pressure
-    /// totals from the last report, the launch-handshake wall-clock,
-    /// framed control-plane bytes per worker link, and the epoch/apply
-    /// round-trip histograms. Empty when [`DistOptions::telemetry`] is
-    /// [`Level::Off`]. Observation only — never fed back into the run.
+    /// the replica's oracle-maintenance counters, the partition's shape,
+    /// worker back-pressure and data-wire totals from the last report,
+    /// the launch-handshake wall-clock, framed control-plane bytes per
+    /// worker link, and the epoch/apply round-trip histograms. Empty
+    /// when [`DistOptions::telemetry`] is [`Level::Off`]. Observation
+    /// only — never fed back into the run.
     pub fn telemetry_snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::new();
         if !self.options.telemetry.counters_on() {
@@ -583,6 +602,7 @@ impl DistPacketSim {
             .snapshot_into(&mut snap, self.options.telemetry.spans_on());
         snap.push_counter("pdes.overflow.parks", self.last_worker_parks.0);
         snap.push_counter("pdes.overflow.peak_parked", self.last_worker_parks.1);
+        self.replica.partition_shape().snapshot_into(&mut snap);
         snap.push_counter("dist.handshake_ns", self.handshake_ns);
         let mut sent = 0u64;
         let mut received = 0u64;
@@ -601,6 +621,16 @@ impl DistPacketSim {
                 &format!("dist.link.{shard}.bytes_received"),
                 ctl.rx_bytes.load(Ordering::Relaxed),
             );
+        }
+        // The data plane, as of the last report: what the workers wrote
+        // to their shard-to-shard wires (`dist.bytes.*` above count the
+        // control connections only).
+        let (msgs, bytes) = (self.last_worker_data.iter())
+            .fold((0, 0), |(m, b), &(msgs, bytes)| (m + msgs, b + bytes));
+        snap.push_counter("dist.data.msgs", msgs);
+        snap.push_counter("dist.data.bytes", bytes);
+        for (shard, &(_, bytes)) in self.last_worker_data.iter().enumerate() {
+            snap.push_counter(&format!("dist.link.{shard}.data_bytes"), bytes);
         }
         self.epoch_rtt.snapshot_into("dist.epoch_rtt", &mut snap);
         self.apply_rtt.snapshot_into("dist.apply_rtt", &mut snap);

@@ -1,5 +1,6 @@
 //! Blocking framed message I/O over one TCP stream — the control-plane
-//! counterpart of the threaded data-plane endpoints in [`crate::link`].
+//! counterpart of the nonblocking data-plane endpoints in
+//! [`crate::link`].
 
 use crate::codec::{encode_msg, FrameBuffer, Msg};
 use crate::error::DistError;

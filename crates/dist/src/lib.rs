@@ -11,9 +11,10 @@
 //!   every message (data plane and control plane). Floats travel as raw
 //!   IEEE-754 bits, so nothing is lost to text formatting and runs stay
 //!   bit-identical across the wire.
-//! - [`link`] — data-plane endpoints: one TCP connection per adjacent
-//!   shard pair, with writer/reader threads that coalesce bursts and
-//!   turn peer death into typed [`LinkError`](ww_pdes::LinkError)s.
+//! - [`link`] — data-plane endpoints: one nonblocking TCP connection
+//!   per adjacent shard pair, driven by the shard's own thread (a
+//!   window's messages leave in one `write`), with peer death turned
+//!   into typed [`LinkError`](ww_pdes::LinkError)s.
 //! - [`coordinator`] / [`worker`] — the control plane:
 //!   [`DistPacketSim`] drives `W` workers (spawned processes, threads,
 //!   or externally launched peers) through the handshake, the epoch

@@ -1,124 +1,209 @@
 //! Socket-backed wire endpoints: [`WireSender`]/[`WireReceiver`] over a
-//! TCP stream, with one writer and one reader thread per connection.
+//! nonblocking TCP stream, owned and driven by the shard's own thread.
 //!
 //! One TCP connection carries **both** directed wires of an adjacent
-//! shard pair (TCP is full duplex). The writer thread drains an
-//! unbounded in-process queue, coalescing whatever is immediately
-//! available into one `write_all` — so the shard's event loop never
-//! blocks on the socket, and a lookahead window's worth of messages
-//! costs one syscall, mirroring the SPSC ring's batched publication.
-//! The reader thread reassembles frames and hands [`Wire`] messages to
-//! the consuming shard through a second queue.
+//! shard pair (TCP is full duplex). Neither end owns a thread or a
+//! queue: [`SocketSender::stage`] encodes the frame into a user-space
+//! buffer, [`commit`](WireSender::commit) writes what the socket takes
+//! and keeps the rest for the next `commit` — the epoch loop commits on
+//! every pass, its idle branch and its epoch-end wait included, so a
+//! short write is retried without anyone waiting on it — and
+//! [`SocketReceiver::try_recv`] decodes from its [`FrameBuffer`],
+//! refilling it with one nonblocking `read` when it runs dry. A
+//! lookahead window's worth of messages costs one `write`, mirroring
+//! the SPSC ring's batched publication; a worker runs on exactly one
+//! thread, so on a two-core host nothing preempts two workers that both
+//! have work.
 //!
-//! TCP preserves per-connection byte order, the framing preserves
-//! message boundaries, and both in-process queues are FIFO — so the
-//! per-wire FIFO contract of [`ww_pdes::transport`] holds end to end,
-//! which is all the engine needs for bit-identical runs (every merge
-//! decision is content-derived, never timing-derived).
+//! `stage` never blocks and never reports back-pressure — a peer that
+//! is not reading only makes the user-space buffer grow — so the
+//! engine's deadlock-freedom argument (sends never block) is unchanged.
+//! TCP preserves byte order and the framing preserves message
+//! boundaries, so the per-wire FIFO contract of [`ww_pdes::transport`]
+//! is literally TCP's, which is all the engine needs for bit-identical
+//! runs (every merge decision is content-derived, never
+//! timing-derived).
 //!
-//! Peer death is detected, never waited out: an EOF or I/O error on
-//! either thread latches a shared *dead* flag with a human-readable
-//! detail, and every subsequent `stage`/`try_recv` returns
-//! [`LinkError::Closed`]. Silence (a peer that is alive but wedged) is
-//! the shard's own stall timeout's job.
+//! Peer death is detected, never waited out: a write error, or an EOF,
+//! read error or corrupt frame *after* every buffered frame has been
+//! delivered, latches a human-readable detail, and every subsequent
+//! call on that endpoint returns [`LinkError::Closed`]. Silence (a peer
+//! that is alive but wedged) is the shard's own stall timeout's job.
+//! Dropping a sender flushes what it still can, for a bounded time, and
+//! half-closes, so the peer sees a FIN rather than a hang.
 
 use crate::codec::{encode_msg, FrameBuffer, Msg};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 use ww_pdes::{LinkError, StageError, Wire, WireReceiver, WireSender};
 
-/// Shared liveness state of one direction of a connection.
-#[derive(Debug, Default)]
-struct LinkState {
-    dead: AtomicBool,
-    detail: Mutex<String>,
-}
+/// Pending bytes past which [`SocketSender::stage`] writes early
+/// instead of waiting for the window's `commit`.
+const EARLY_FLUSH: usize = 32 * 1024;
 
-impl LinkState {
-    fn mark_dead(&self, detail: String) {
-        let mut d = self.detail.lock().unwrap_or_else(|e| e.into_inner());
-        if !self.dead.swap(true, Ordering::Release) {
-            *d = detail;
-        }
-    }
+/// Bytes asked of the socket per refill of a dry receiver.
+const READ_CHUNK: usize = 64 * 1024;
 
-    fn error(&self) -> LinkError {
-        let d = self.detail.lock().unwrap_or_else(|e| e.into_inner());
-        LinkError::Closed {
-            detail: if d.is_empty() {
-                "peer connection closed".to_string()
-            } else {
-                d.clone()
-            },
-        }
-    }
+/// How long a dropped sender keeps trying to hand its last bytes to a
+/// peer that is not reading.
+const DROP_FLUSH: Duration = Duration::from_millis(500);
 
-    fn is_dead(&self) -> bool {
-        self.dead.load(Ordering::Acquire)
-    }
-}
-
-/// The sending half of one directed socket wire. `stage` enqueues to
-/// the writer thread and never blocks; `commit` is a no-op (the writer
-/// publishes continuously, coalescing bursts).
+/// The sending half of one directed socket wire.
 #[derive(Debug)]
 pub struct SocketSender {
-    tx: Sender<Wire>,
-    state: Arc<LinkState>,
+    stream: TcpStream,
+    peer: String,
+    /// Encoded frames; `buf[written..]` has not reached the socket yet.
+    buf: Vec<u8>,
+    written: usize,
+    /// What every call returns once the wire is dead.
+    dead: Option<LinkError>,
+    /// Messages staged and bytes handed to the socket (observability).
+    msgs: u64,
+    bytes: u64,
+}
+
+impl SocketSender {
+    /// Writes as much of the pending bytes as the socket takes now.
+    fn write_pending(&mut self) -> Result<(), LinkError> {
+        if let Some(error) = &self.dead {
+            return Err(error.clone());
+        }
+        while self.written < self.buf.len() {
+            match self.stream.write(&self.buf[self.written..]) {
+                Ok(0) => return Err(self.die("wrote zero bytes".to_string())),
+                Ok(n) => {
+                    self.written += n;
+                    self.bytes += n as u64;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Err(self.die(e.to_string())),
+            }
+        }
+        if self.written == self.buf.len() {
+            self.buf.clear();
+            self.written = 0;
+        } else if self.written >= self.buf.len() - self.written {
+            // Compact once the written prefix outweighs the backlog:
+            // each byte moves at most once per byte written.
+            self.buf.drain(..self.written);
+            self.written = 0;
+        }
+        Ok(())
+    }
+
+    fn die(&mut self, why: String) -> LinkError {
+        let detail = format!("write to shard {} failed: {why}", self.peer);
+        self.dead.insert(LinkError::Closed { detail }).clone()
+    }
 }
 
 impl WireSender for SocketSender {
     fn stage(&mut self, msg: Wire) -> Result<(), StageError> {
-        if self.state.is_dead() {
-            return Err(StageError::Link(self.state.error()));
+        if let Some(error) = &self.dead {
+            return Err(StageError::Link(error.clone()));
         }
-        self.tx
-            .send(msg)
-            .map_err(|_| StageError::Link(self.state.error()))
-    }
-
-    fn commit(&mut self) -> Result<(), LinkError> {
-        if self.state.is_dead() {
-            return Err(self.state.error());
+        encode_msg(&Msg::Wire(msg), &mut self.buf);
+        self.msgs += 1;
+        if self.buf.len() - self.written >= EARLY_FLUSH {
+            self.write_pending().map_err(StageError::Link)?;
         }
         Ok(())
     }
+
+    fn commit(&mut self) -> Result<(), LinkError> {
+        self.write_pending()
+    }
+
+    fn backlog(&self) -> usize {
+        self.buf.len() - self.written
+    }
+
+    fn traffic(&self) -> (u64, u64) {
+        (self.msgs, self.bytes)
+    }
 }
 
-/// The receiving half of one directed socket wire, fed by the
-/// connection's reader thread.
+impl Drop for SocketSender {
+    fn drop(&mut self) {
+        // The run is over on our side. Hand over what the peer will
+        // still take, then half-close so it sees EOF, not silence.
+        let deadline = Instant::now() + DROP_FLUSH;
+        while self.write_pending().is_ok() && self.backlog() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        let _ = self.stream.shutdown(Shutdown::Write);
+    }
+}
+
+/// The receiving half of one directed socket wire.
 #[derive(Debug)]
 pub struct SocketReceiver {
-    rx: Receiver<Wire>,
-    state: Arc<LinkState>,
+    stream: TcpStream,
+    peer: String,
+    frames: FrameBuffer,
+    chunk: Box<[u8]>,
+    /// The peer's FIN has been read; what `frames` still holds is all
+    /// there will ever be.
+    eof: bool,
+    /// What every call returns once the wire is dead.
+    dead: Option<LinkError>,
+}
+
+impl SocketReceiver {
+    fn die(&mut self, detail: String) -> LinkError {
+        self.dead.insert(LinkError::Closed { detail }).clone()
+    }
 }
 
 impl WireReceiver for SocketReceiver {
     fn try_recv(&mut self) -> Result<Option<Wire>, LinkError> {
-        match self.rx.try_recv() {
-            Ok(msg) => Ok(Some(msg)),
-            Err(TryRecvError::Empty) => {
-                // Buffered messages drain before death surfaces, so
-                // nothing the peer managed to send is lost.
-                if self.state.is_dead() {
-                    Err(self.state.error())
-                } else {
-                    Ok(None)
+        if let Some(error) = &self.dead {
+            return Err(error.clone());
+        }
+        loop {
+            // Buffered frames drain before a refill — and before death
+            // surfaces, so nothing the peer managed to send is lost.
+            match self.frames.next_msg() {
+                Ok(Some(Msg::Wire(w))) => return Ok(Some(w)),
+                Ok(Some(other)) => {
+                    let detail = format!(
+                        "shard {} sent a control message on a data wire: {other:?}",
+                        self.peer
+                    );
+                    return Err(self.die(detail));
+                }
+                Ok(None) => {}
+                Err(e) => {
+                    let detail = format!("frame from shard {} corrupt: {e}", self.peer);
+                    return Err(self.die(detail));
                 }
             }
-            Err(TryRecvError::Disconnected) => Err(self.state.error()),
+            if self.eof {
+                let detail = format!("shard {} closed the connection", self.peer);
+                return Err(self.die(detail));
+            }
+            match self.stream.read(&mut self.chunk) {
+                Ok(0) => self.eof = true,
+                Ok(n) => self.frames.feed(&self.chunk[..n]),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => {
+                    let detail = format!("read from shard {} failed: {e}", self.peer);
+                    return Err(self.die(detail));
+                }
+            }
         }
     }
 }
 
 /// Splits one established shard-to-shard connection into its two wire
 /// endpoints: our outbound sender and our inbound receiver (the peer
-/// holds the mirror pair on its end). Spawns the connection's writer
-/// and reader threads; both exit on their own when the run ends (clean
-/// shutdown sends a TCP FIN) or the peer dies.
+/// holds the mirror pair on its end). The socket is switched to
+/// nonblocking mode — a property of the open file description, so both
+/// halves share it.
 ///
 /// # Errors
 ///
@@ -128,103 +213,27 @@ pub fn split_wires(
     peer: &str,
 ) -> std::io::Result<(SocketSender, SocketReceiver)> {
     stream.set_nodelay(true)?;
+    stream.set_nonblocking(true)?;
     let write_half = stream.try_clone()?;
-    let read_half = stream;
-
-    let out_state = Arc::new(LinkState::default());
-    let in_state = Arc::new(LinkState::default());
-    let (out_tx, out_rx) = channel::<Wire>();
-    let (in_tx, in_rx) = channel::<Wire>();
-
-    let wstate = Arc::clone(&out_state);
-    let wpeer = peer.to_string();
-    std::thread::Builder::new()
-        .name(format!("ww-dist-writer-{peer}"))
-        .spawn(move || writer_loop(write_half, out_rx, &wstate, &wpeer))?;
-
-    let rstate = Arc::clone(&in_state);
-    let rpeer = peer.to_string();
-    std::thread::Builder::new()
-        .name(format!("ww-dist-reader-{peer}"))
-        .spawn(move || reader_loop(read_half, in_tx, &rstate, &rpeer))?;
-
     Ok((
         SocketSender {
-            tx: out_tx,
-            state: out_state,
+            stream: write_half,
+            peer: peer.to_string(),
+            buf: Vec::with_capacity(2 * EARLY_FLUSH),
+            written: 0,
+            dead: None,
+            msgs: 0,
+            bytes: 0,
         },
         SocketReceiver {
-            rx: in_rx,
-            state: in_state,
+            stream,
+            peer: peer.to_string(),
+            frames: FrameBuffer::new(),
+            chunk: vec![0u8; READ_CHUNK].into_boxed_slice(),
+            eof: false,
+            dead: None,
         },
     ))
-}
-
-fn writer_loop(mut stream: TcpStream, rx: Receiver<Wire>, state: &LinkState, peer: &str) {
-    let mut buf = Vec::with_capacity(64 * 1024);
-    loop {
-        // Block for the next message, then coalesce the burst behind it
-        // into a single write.
-        let Ok(first) = rx.recv() else {
-            // Sender dropped: the run is over on our side. Half-close so
-            // the peer's reader sees EOF instead of blocking forever.
-            let _ = stream.shutdown(Shutdown::Write);
-            return;
-        };
-        buf.clear();
-        encode_msg(&Msg::Wire(first), &mut buf);
-        while let Ok(more) = rx.try_recv() {
-            encode_msg(&Msg::Wire(more), &mut buf);
-        }
-        if let Err(e) = stream.write_all(&buf) {
-            state.mark_dead(format!("write to shard {peer} failed: {e}"));
-            // Drain until our sender notices and drops.
-            while rx.recv().is_ok() {}
-            return;
-        }
-    }
-}
-
-fn reader_loop(mut stream: TcpStream, tx: Sender<Wire>, state: &LinkState, peer: &str) {
-    let mut frames = FrameBuffer::new();
-    let mut chunk = [0u8; 64 * 1024];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                state.mark_dead(format!("shard {peer} closed the connection"));
-                return;
-            }
-            Ok(n) => {
-                frames.feed(&chunk[..n]);
-                loop {
-                    match frames.next_msg() {
-                        Ok(Some(Msg::Wire(w))) => {
-                            if tx.send(w).is_err() {
-                                // Our consumer is gone; stop reading.
-                                return;
-                            }
-                        }
-                        Ok(Some(other)) => {
-                            state.mark_dead(format!(
-                                "shard {peer} sent a control message on a data wire: {other:?}"
-                            ));
-                            return;
-                        }
-                        Ok(None) => break,
-                        Err(e) => {
-                            state.mark_dead(format!("frame from shard {peer} corrupt: {e}"));
-                            return;
-                        }
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => {
-                state.mark_dead(format!("read from shard {peer} failed: {e}"));
-                return;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -308,5 +317,179 @@ mod tests {
             }
         }
         assert!(saw_error, "writer never noticed the dead peer");
+    }
+
+    fn gossip(i: u64) -> Wire {
+        Wire::Event {
+            at: SimTime::from_secs(i as f64 * 1e-3),
+            counter: i,
+            ev: ww_core::packet::PacketEvent::GossipDeliver {
+                to: ww_model::NodeId::new((i % 1000) as usize),
+                from: ww_model::NodeId::new((i % 997) as usize),
+                load: i as f64,
+            },
+        }
+    }
+
+    fn frame(msg: Wire) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        encode_msg(&Msg::Wire(msg), &mut bytes);
+        bytes
+    }
+
+    #[test]
+    fn back_pressure_grows_the_backlog_and_loses_nothing() {
+        let (a, b) = pair();
+        let (mut tx, _rx_a) = split_wires(a, "1").unwrap();
+        let (_tx_b, mut rx) = split_wires(b, "0").unwrap();
+        // Well past what the kernel buffers of a loopback connection
+        // hold, with the peer not reading: every `stage` returns (the
+        // socket is nonblocking, so it cannot wait), and what the
+        // kernel refused is still ours.
+        let frame_len = frame(gossip(0)).len() as u64;
+        let total = (8u64 << 20).div_ceil(frame_len);
+        for i in 0..total {
+            tx.stage(gossip(i)).unwrap();
+        }
+        tx.commit().unwrap();
+        assert!(tx.backlog() > 0, "the kernel took all 8 MiB");
+        assert_eq!(tx.traffic().0, total);
+        assert_eq!(tx.traffic().1 + tx.backlog() as u64, total * frame_len);
+
+        // Drain: the sender only ever gets `commit` calls, as from the
+        // epoch loop.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        let mut next = 0u64;
+        while next < total {
+            tx.commit().unwrap();
+            while let Some(w) = rx.try_recv().unwrap() {
+                assert_eq!(w, gossip(next), "message {next} out of order");
+                next += 1;
+            }
+            assert!(std::time::Instant::now() < deadline, "timed out at {next}");
+        }
+        assert_eq!(tx.backlog(), 0);
+        assert_eq!(tx.traffic().1, total * frame_len);
+        assert_eq!(rx.try_recv().unwrap(), None);
+    }
+
+    #[test]
+    fn frames_buffered_before_eof_all_arrive_before_closed() {
+        let (a, b) = pair();
+        let (mut tx, rx_a) = split_wires(a, "1").unwrap();
+        let (_tx_b, mut rx) = split_wires(b, "0").unwrap();
+        for i in 0..500 {
+            tx.stage(gossip(i)).unwrap();
+        }
+        // Never committed: dropping the sender flushes, then sends FIN.
+        drop(tx);
+        drop(rx_a);
+        // Wait until the FIN itself has been read, with frames still
+        // undelivered in the buffer behind it.
+        assert_eq!(rx.try_recv().unwrap(), Some(gossip(0)));
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        let mut chunk = [0u8; 4096];
+        while !rx.eof {
+            match rx.stream.read(&mut chunk) {
+                Ok(0) => rx.eof = true,
+                Ok(n) => rx.frames.feed(&chunk[..n]),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::yield_now(),
+                Err(e) => panic!("read failed: {e}"),
+            }
+            assert!(std::time::Instant::now() < deadline, "no FIN");
+        }
+        assert!(
+            rx.frames.pending() > 0,
+            "frames are buffered behind the EOF"
+        );
+        for i in 1..500 {
+            assert_eq!(rx.try_recv().unwrap(), Some(gossip(i)), "message {i}");
+        }
+        for _ in 0..2 {
+            match rx.try_recv() {
+                Err(LinkError::Closed { detail }) => {
+                    assert_eq!(detail, "shard 0 closed the connection");
+                }
+                other => panic!("expected Closed, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_frame_split_at_any_byte_offset_reassembles() {
+        let msgs = [promise(1.5), gossip(7), Wire::EpochEnd];
+        let frames: Vec<Vec<u8>> = msgs.iter().cloned().map(frame).collect();
+        let bytes = frames.concat();
+        for split in 1..bytes.len() {
+            let (mut raw, b) = pair();
+            raw.set_nodelay(true).unwrap();
+            let (_tx, mut rx) = split_wires(b, "0").unwrap();
+            // Whole frames and the partial one's prefix inside the
+            // first `split` bytes.
+            let mut whole = 0;
+            let mut partial = split;
+            while whole < frames.len() && partial >= frames[whole].len() {
+                partial -= frames[whole].len();
+                whole += 1;
+            }
+            raw.write_all(&bytes[..split]).unwrap();
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            let mut got = Vec::new();
+            // The first part is in when its whole frames are delivered
+            // and its tail sits in the reassembly buffer.
+            while got.len() < whole || rx.frames.pending() < partial {
+                if let Some(w) = rx.try_recv().unwrap() {
+                    got.push(w);
+                }
+                assert!(std::time::Instant::now() < deadline, "split {split}");
+            }
+            assert_eq!(rx.try_recv().unwrap(), None, "split {split}: half a frame");
+            raw.write_all(&bytes[split..]).unwrap();
+            while got.len() < msgs.len() {
+                if let Some(w) = rx.try_recv().unwrap() {
+                    got.push(w);
+                }
+                assert!(std::time::Instant::now() < deadline, "split {split}");
+            }
+            assert_eq!(got, msgs, "split {split}");
+        }
+    }
+
+    #[test]
+    fn a_control_message_or_a_corrupt_frame_on_a_data_wire_is_typed() {
+        let mut hello = Vec::new();
+        encode_msg(&Msg::DataHello { from_shard: 3 }, &mut hello);
+        let oversize = ((crate::codec::MAX_FRAME + 1) as u32)
+            .to_le_bytes()
+            .to_vec();
+        for (bytes, expect) in [
+            (hello, "shard 0 sent a control message on a data wire"),
+            (oversize, "frame from shard 0 corrupt"),
+        ] {
+            let (mut raw, b) = pair();
+            let (_tx, mut rx) = split_wires(b, "0").unwrap();
+            raw.write_all(&frame(promise(1.0))).unwrap();
+            raw.write_all(&bytes).unwrap();
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            let mut delivered = 0;
+            loop {
+                match rx.try_recv() {
+                    Ok(Some(w)) => {
+                        assert_eq!(w, promise(1.0));
+                        delivered += 1;
+                    }
+                    Ok(None) => {
+                        assert!(std::time::Instant::now() < deadline, "no typed error");
+                        std::thread::yield_now();
+                    }
+                    Err(LinkError::Closed { detail }) => {
+                        assert!(detail.starts_with(expect), "detail: {detail}");
+                        break;
+                    }
+                    Err(other) => panic!("expected Closed, got {other:?}"),
+                }
+            }
+            assert_eq!(delivered, 1, "the frame ahead of the bad one arrives");
+        }
     }
 }

@@ -3,14 +3,18 @@
 //!
 //! Lifecycle: connect to the coordinator → `Hello` (carrying the
 //! address of our data-plane listener) → receive `Assign` (or
-//! `Surplus`, and exit) → rebuild the world from the assignment and
-//! derive the partition locally → establish the shard-to-shard data
+//! `Surplus`, and exit) → rebuild the world from the assignment,
+//! derive the partition locally and check its digest against the
+//! coordinator's (a mismatch — two builds apart — is answered with
+//! `Fatal`, never run) → establish the shard-to-shard data
 //! mesh (the lower shard id dials, the higher accepts; the first frame
 //! on every data connection is a `DataHello` identifying the dialer) →
 //! `Ready` → serve `RunEpoch` / `BatchBegin` / `Apply` / `BatchCommit`
-//! / `ReportRequest` until `Shutdown`.
+//! / `ReportRequest` until `Shutdown`. All of it on the calling thread:
+//! the data wires ([`crate::link`]) are nonblocking endpoints the epoch
+//! loop drives itself.
 
-use crate::codec::{Assign, Msg, WorkerReport};
+use crate::codec::{partition_digest, Assign, Msg, WorkerReport};
 use crate::error::DistError;
 use crate::framed::FramedStream;
 use crate::link::{split_wires, SocketReceiver, SocketSender};
@@ -52,7 +56,14 @@ pub fn run_worker(connect: &str) -> Result<(), DistError> {
         }
     };
     let me = assign.shard_id;
-    let mut host = build_host(&assign, &listener)?;
+    let mut host = match build_host(&assign, &listener) {
+        Ok(host) => host,
+        Err(e) => {
+            // Best effort: tell the coordinator why before leaving.
+            let _ = ctrl.write_msg(&Msg::Fatal { msg: e.to_string() });
+            return Err(e);
+        }
+    };
     ctrl.write_msg(&Msg::Ready)?;
     serve(&mut ctrl, &mut host, me)
 }
@@ -68,6 +79,15 @@ fn build_host(assign: &Assign, listener: &TcpListener) -> Result<ShardHost, Dist
         mix.set(NodeId::new(node), DocId::new(doc), rate);
     }
     let partition = partition_subtrees(&tree, assign.shard_hint);
+    let digest = partition_digest(&partition.shard_of);
+    if digest != assign.partition_digest {
+        return Err(protocol(format!(
+            "partition mismatch: the coordinator's node-to-shard map digests to {:#018x}, \
+             this worker derives {digest:#018x} from the same tree at {} shards — \
+             are both ends the same build?",
+            assign.partition_digest, assign.shard_hint
+        )));
+    }
     if me >= partition.shards() {
         return Err(protocol(format!(
             "assigned shard {me} but the derived partition has {} shards",
@@ -201,6 +221,7 @@ fn serve(ctrl: &mut FramedStream, host: &mut ShardHost, me: usize) -> Result<(),
                 let (counts, bytes, hops) = host.ledger().to_raw();
                 let c = host.counters();
                 let (parks, peak_parked) = host.wire_stats();
+                let (data_msgs, data_bytes) = host.wire_traffic();
                 ctrl.write_msg(&Msg::Report(WorkerReport {
                     rates,
                     ledger: (counts, bytes, hops),
@@ -213,6 +234,8 @@ fn serve(ctrl: &mut FramedStream, host: &mut ShardHost, me: usize) -> Result<(),
                     processed: host.processed_events(),
                     parks,
                     peak_parked,
+                    data_msgs,
+                    data_bytes,
                 }))?;
             }
             Msg::Shutdown => return Ok(()),

@@ -166,15 +166,16 @@ fn arb_assign() -> impl Strategy<Value = Assign> {
         (0usize..8, 1usize..9, proptest::option::of(0u64..100_000)),
         proptest::collection::vec(proptest::option::of(0usize..64), 0..24),
         arb_demands(),
-        (any::<u64>(), 0.0001f64..10.0, 0.001f64..10.0),
+        (any::<u64>(), 0.0001f64..10.0, 0.001f64..10.0, any::<u64>()),
         proptest::collection::vec((0usize..8, arb_string()), 0..8),
     )
         .prop_map(
             |((shard_id, shard_hint, stall_ms), parents, demands, cfg, peers)| {
-                let (seed, link_delay, diffusion_period) = cfg;
+                let (seed, link_delay, diffusion_period, partition_digest) = cfg;
                 Assign {
                     shard_id,
                     shard_hint,
+                    partition_digest,
                     stall_ms,
                     mix_nodes: parents.len(),
                     parents,
@@ -196,14 +197,20 @@ fn arb_report() -> impl Strategy<Value = WorkerReport> {
         proptest::collection::vec(arb_f64(), 0..32),
         proptest::collection::vec(any::<u64>(), 13..=13),
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        (any::<u64>(), any::<u64>(), any::<u64>()),
+        (
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+        ),
     )
         .prop_map(|(rates, raw, counters, rest)| {
             let mut counts = [0u64; 6];
             let mut bytes = [0u64; 6];
             counts.copy_from_slice(&raw[0..6]);
             bytes.copy_from_slice(&raw[6..12]);
-            let (processed, parks, peak_parked) = rest;
+            let (processed, parks, peak_parked, data_msgs, data_bytes) = rest;
             WorkerReport {
                 rates,
                 ledger: (counts, bytes, raw[12]),
@@ -211,6 +218,8 @@ fn arb_report() -> impl Strategy<Value = WorkerReport> {
                 processed,
                 parks,
                 peak_parked,
+                data_msgs,
+                data_bytes,
             }
         })
 }

@@ -4,18 +4,20 @@
 //! [`ww_core::packet::driver`] — the very event loop, barrier operations
 //! and report fold the sequential
 //! [`PacketSim`](ww_core::packetsim::PacketSim) is the one-shard case
-//! of — but splits the tree into connected subtree shards (see
-//! [`crate::partition`]) and runs one `ShardCore` per shard on its own
-//! worker thread. What this module adds is only what a single shard has
-//! no use for: the links between shards (`ShardLinks`: wires, promises,
-//! the one-event merge stage), the epoch loop that synchronizes over
-//! them, the thread scope, and the rebalance controller.
+//! of — but splits the tree into shards, each a set of subtree pieces
+//! (see [`crate::partition`]), and runs one `ShardCore` per shard on its
+//! own worker thread. What this module adds is only what a single shard
+//! has no use for: the links between shards (`ShardLinks`: wires,
+//! promises, the one-event merge stage), the epoch loop that
+//! synchronizes over them, the thread scope, and the rebalance
+//! controller.
 //!
 //! # Synchronization
 //!
 //! Shards exchange timestamped messages over wires, one directed wire
-//! per adjacent shard pair. Every cross-shard effect travels a cut tree
-//! edge and therefore arrives at least one
+//! per adjacent shard pair — however many tree edges cross between the
+//! two. Every cross-shard effect travels a cut tree edge and therefore
+//! arrives at least one
 //! [`link_delay`](ww_core::packet::PacketSimConfig::link_delay) after it
 //! was sent — that latency is the **lookahead**. A shard may safely
 //! process local events up to the minimum *promise* across its inbound
@@ -70,7 +72,7 @@
 //! tests in this crate and in `ww-scenario` pin exactly that.
 
 use crate::ops;
-use crate::partition::partition_subtrees;
+use crate::partition::{partition_forest, PartitionShape};
 use crate::rebalance::{rebalance_plan, LoadSummary, RebalanceConfig};
 use crate::transport::{open_ring, LinkError, StageError, Wire, WireReceiver, WireSender};
 use std::collections::VecDeque;
@@ -217,11 +219,17 @@ impl OutLink {
         Ok(any)
     }
 
-    /// Flushes the overflow and publishes everything staged.
+    /// Flushes the overflow and publishes what is staged.
     fn publish(&mut self) -> Result<bool, LinkError> {
         let any = self.try_flush()?;
         self.tx.commit()?;
         Ok(any)
+    }
+
+    /// Whether everything pushed has left this end: nothing parked
+    /// behind a full ring, nothing a socket has yet to take.
+    fn is_drained(&self) -> bool {
+        self.overflow.is_empty() && self.tx.backlog() == 0
     }
 }
 
@@ -331,6 +339,15 @@ impl ShardLinks {
     pub(crate) fn wire_stats(&self) -> (u64, u64) {
         self.out_links.iter().fold((0, 0), |(parks, peak), link| {
             (parks + link.parks, peak.max(link.peak_parked))
+        })
+    }
+
+    /// `(messages, bytes)` the outbound wires have put on out-of-process
+    /// transports (zero in process).
+    pub(crate) fn traffic(&self) -> (u64, u64) {
+        self.out_links.iter().fold((0, 0), |(msgs, bytes), link| {
+            let (m, b) = link.tx.traffic();
+            (msgs + m, bytes + b)
         })
     }
 
@@ -545,7 +562,7 @@ fn release_peers(links: &mut ShardLinks, t_end: SimTime) {
         let mut parked = false;
         for link in &mut links.out_links {
             let _ = link.publish();
-            parked |= !link.overflow.is_empty();
+            parked |= !link.is_drained();
         }
         if !parked {
             return;
@@ -676,18 +693,19 @@ fn run_epoch(
             }
             // Late messages of this epoch all target times past t_end;
             // spill them into the queue until every neighbor has closed
-            // the epoch too and everything we owe them has left the
-            // overflow (our own `EpochEnd` may be parked behind a full
-            // ring). Neighbors in the same loop drain constantly, so
-            // back-pressure clears; back off when nothing moves, and on
-            // a socket transport give up after the stall timeout.
+            // the epoch too and everything we owe them has left this end
+            // (our own `EpochEnd` may be parked behind a full ring, or
+            // in a socket's backlog). Neighbors in the same loop drain
+            // constantly, so back-pressure clears; back off when nothing
+            // moves, and on a socket transport give up after the stall
+            // timeout.
             let mut wait_spins = 0u32;
             let mut wait_since: Option<Instant> = None;
             loop {
                 let mut moved = links.spill_inbound(core)?;
                 moved |= links.flush_out()?;
                 let peers_done = links.in_links.iter().all(|l| l.epoch_ended);
-                let sent_all = links.out_links.iter().all(|l| l.overflow.is_empty());
+                let sent_all = links.out_links.iter().all(OutLink::is_drained);
                 if peers_done && sent_all {
                     break;
                 }
@@ -798,6 +816,9 @@ pub struct ParPacketSim {
     events_moved: u64,
     /// Observation-only timers over [`PDES_REBALANCE_PHASES`].
     rebalance_phases: Phases,
+    /// What the packer made of the tree, at construction or at the last
+    /// applied plan (observation only).
+    shape: PartitionShape,
     /// Per-directed-cut outbound message counters, persisted across
     /// wire re-dials: inbound merge keys embed this counter, so a
     /// re-dialed wire must continue — never restart — its stream to
@@ -813,7 +834,7 @@ pub struct ParPacketSim {
 type WireEnds = Vec<(Vec<OutLink>, Vec<InLink>)>;
 
 impl ParPacketSim {
-    /// Builds a parallel simulator over `workers` subtree shards (capped
+    /// Builds a parallel simulator over `workers` shards (capped
     /// by what the topology yields).
     ///
     /// # Panics
@@ -825,7 +846,7 @@ impl ParPacketSim {
     pub fn new(tree: &Tree, mix: &DocMix, config: PacketSimConfig, workers: usize) -> Self {
         assert!(workers > 0, "need at least one worker");
         let world = PacketWorld::new(tree, mix, config);
-        let partition = partition_subtrees(tree, workers);
+        let (partition, shape) = partition_forest(tree, workers);
         assert!(
             partition.shards() == 1 || config.link_delay > 0.0,
             "the parallel packet engine needs a positive link delay: \
@@ -851,6 +872,7 @@ impl ParPacketSim {
             nodes_migrated: 0,
             events_moved: 0,
             rebalance_phases: Phases::new(PDES_REBALANCE_PHASES, Level::Off),
+            shape,
             wire_counters: std::collections::BTreeMap::new(),
             retired_parks: 0,
             retired_peak_parked: 0,
@@ -959,6 +981,7 @@ impl ParPacketSim {
         let (parks, peak) = self.wire_stats();
         snap.push_counter("pdes.overflow.parks", parks);
         snap.push_counter("pdes.overflow.peak_parked", peak);
+        self.shape.snapshot_into(&mut snap);
         for shard in &self.shards {
             snap.push_counter(
                 &format!("pdes.shard.{}.events", shard.id),
@@ -990,7 +1013,7 @@ impl ParPacketSim {
         snap
     }
 
-    /// Number of subtree shards (= worker threads) this run uses.
+    /// Number of shards (= worker threads) this run uses.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -1114,6 +1137,7 @@ impl ParPacketSim {
             if !plan.is_empty() {
                 self.rebalance_applied += 1;
                 self.nodes_migrated += plan.moves.len() as u64;
+                self.shape = plan.shape;
                 let span = self.rebalance_phases.begin();
                 self.events_moved += ops::apply_rebalance(&mut self.core, &mut self.shards, &plan);
                 self.rebuild_wires();
@@ -1288,11 +1312,10 @@ impl PacketBackend for ParPacketSim {
         Ok(())
     }
 
-    /// A joining leaf is hosted by its parent's shard (subtree
-    /// connectivity, and therefore the cut-edge lookahead, is
-    /// preserved); a leave compacts ids by swap-remove with the
-    /// renumbered former-last node staying on its own shard — no node
-    /// state crosses a shard boundary.
+    /// A joining leaf is hosted by its parent's shard (no new cut
+    /// edge, so no new wire); a leave compacts ids by swap-remove with
+    /// the renumbered former-last node staying on its own shard — no
+    /// node state crosses a shard boundary.
     fn apply_op(&mut self, op: &BarrierOp) -> Result<BarrierOutcome, ModelError> {
         self.core.apply_op(&mut self.shards, op)
     }

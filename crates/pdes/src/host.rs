@@ -15,11 +15,13 @@
 //! the threaded and sequential ones by construction.
 //!
 //! Every participant derives the partition from the same
-//! `(tree, shard_hint)` pair via [`partition_subtrees`], which is a
-//! pure function — no partition data ever crosses the network.
+//! `(tree, shard_hint)` pair via [`partition_forest`], which is a pure
+//! function of the parent array — no partition data ever crosses the
+//! network, only a digest of it, so that two builds which disagree fail
+//! at the handshake instead of diverging silently.
 
 use crate::engine::{run_shard, InLink, OutLink, ShardLinks};
-use crate::partition::{partition_subtrees, Partition};
+use crate::partition::{partition_forest, Partition, PartitionShape};
 use crate::transport::{LinkError, WireReceiver, WireSender};
 use std::time::Duration;
 use ww_core::packet::driver::{ShardCore, SimCore};
@@ -47,6 +49,8 @@ pub struct ShardHost {
     /// worker, none on the coordinator's replica.
     held: Vec<ShardCore>,
     links: Option<ShardLinks>,
+    /// What the packer made of the tree (observation only).
+    shape: PartitionShape,
 }
 
 impl ShardHost {
@@ -60,11 +64,12 @@ impl ShardHost {
     pub fn replica(tree: &Tree, mix: &DocMix, config: PacketSimConfig, shard_hint: usize) -> Self {
         assert!(shard_hint > 0, "need at least one shard");
         let world = PacketWorld::new(tree, mix, config);
-        let partition = partition_subtrees(tree, shard_hint);
+        let (partition, shape) = partition_forest(tree, shard_hint);
         ShardHost {
             core: SimCore::new(world, partition),
             held: Vec::new(),
             links: None,
+            shape,
         }
     }
 
@@ -141,6 +146,12 @@ impl ShardHost {
     /// The node→shard partition every participant derived.
     pub fn partition(&self) -> &Partition {
         &self.core.partition
+    }
+
+    /// What the packer made of the tree when the partition was derived
+    /// (observability: `pdes.partition.{pieces,cut_edges}`).
+    pub fn partition_shape(&self) -> PartitionShape {
+        self.shape
     }
 
     /// The shared world (topology, mix, oracle, configuration) as this
@@ -232,6 +243,12 @@ impl ShardHost {
     /// `(total messages ever parked, peak depth of any overflow queue)`.
     pub fn wire_stats(&self) -> (u64, u64) {
         self.links.as_ref().map_or((0, 0), ShardLinks::wire_stats)
+    }
+
+    /// `(messages, bytes)` the held shard has written to its outbound
+    /// data wires (zero for a replica, or over in-process wires).
+    pub fn wire_traffic(&self) -> (u64, u64) {
+        self.links.as_ref().map_or((0, 0), ShardLinks::traffic)
     }
 
     /// Whether the control link from `node` to its parent is failed.

@@ -6,9 +6,9 @@
 //! (the node-local handlers of [`ww_core::packet`]) across worker
 //! threads:
 //!
-//! * [`partition`] splits the routing tree into connected subtree shards
-//!   of roughly equal size — cut edges are tree edges, whose link
-//!   latency is the conservative lookahead between shards;
+//! * [`partition`] packs the routing tree onto shards of roughly equal
+//!   size, each a set of subtree pieces — cut edges are tree edges,
+//!   whose link latency is the conservative lookahead between shards;
 //! * [`ParPacketSim`] runs one event loop per shard, synchronizing via
 //!   timestamped wire messages with null-message promises
 //!   (Chandy–Misra–Bryant), quiescing at every diffusion-epoch boundary
@@ -16,9 +16,10 @@
 //!   lock-free SPSC rings with per-lookahead-window batching and a
 //!   one-event merge stage per wire;
 //! * [`rebalance`] makes the partition *adaptive*: at epoch barriers a
-//!   pure function of the deterministic per-shard event counters can
-//!   re-peel the tree by observed load and migrate subtree ownership —
-//!   without changing a single bit of the simulated trace.
+//!   pure function of the deterministic per-node event counters can
+//!   re-pack the tree by observed load (the same packer, event
+//!   weights) and migrate subtree ownership — without changing a
+//!   single bit of the simulated trace.
 //!
 //! The result is **bit-identical** to the sequential simulator at every
 //! worker count: all randomness is content-keyed per node, all
@@ -51,12 +52,14 @@ pub mod host;
 #[cfg(test)]
 mod migration_props;
 mod ops;
+#[cfg(test)]
+mod packer_props;
 pub mod partition;
 pub mod rebalance;
 pub mod transport;
 
 pub use engine::{ParPacketSim, PdesTuning};
 pub use host::{ShardHost, DEFAULT_STALL_TIMEOUT};
-pub use partition::{partition_subtrees, Partition};
+pub use partition::{partition_forest, partition_subtrees, Partition, PartitionShape};
 pub use rebalance::{rebalance_plan, LoadSummary, Migration, RebalanceConfig, RebalancePlan};
 pub use transport::{LinkError, StageError, Wire, WireReceiver, WireSender};

@@ -81,6 +81,7 @@ fn random_plan(core: &SimCore, rng: &mut StdRng, share: u8) -> RebalancePlan {
         moves,
         imbalance_before: 1.0,
         predicted_imbalance: 1.0,
+        shape: Default::default(),
     }
 }
 
@@ -194,7 +195,7 @@ proptest! {
         let docs = if wide { 70 } else { 6 };
         let mut bulk = sim_at_barrier(seed, nodes, docs, theta, workers);
         let mut single = sim_at_barrier(seed, nodes, docs, theta, workers);
-        prop_assert!(bulk.shard_count() >= 2, "a leaf always fits the peel budget");
+        prop_assert!(bulk.shard_count() >= 2, "twelve nodes fill two shards");
         let before = node_views(&mut bulk);
         prop_assert_eq!(&before, &node_views(&mut single));
         let plan = random_plan(bulk.parts_mut().0, &mut StdRng::seed_from_u64(!seed), share);

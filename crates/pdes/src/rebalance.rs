@@ -7,16 +7,20 @@
 //! deterministic epoch-boundary event counters, a migration plan that
 //! moves subtree ownership toward the mean load:
 //!
-//! - [`rebalance_plan`] re-cuts the tree with per-node weights equal
-//!   to observed event counts: a binary search on the bottleneck (the
-//!   heaviest region allowed) drives a bottom-up cut-when-full sweep,
-//!   so the hottest subtree is split *internally* instead of being
-//!   handed whole to one shard. The resulting regions are relabeled to
-//!   the old shard ids by maximum member overlap so that quiet shards
-//!   keep most of their nodes in place.
+//! - [`rebalance_plan`] re-packs the tree with the partitioner's own
+//!   packer ([`crate::partition`]) under per-node weights equal to
+//!   observed event counts (plus one, so load-free regions stay
+//!   movable and the event-free limit is node-count balancing). A
+//!   subtree too hot for one shard is a piece too heavy for a fair
+//!   share, so the packer *opens* it and spreads its child subtrees —
+//!   the interior split, by the same rule that opens the root. The
+//!   resulting regions are relabeled to the old shard ids by maximum
+//!   member overlap so that quiet shards keep most of their nodes in
+//!   place.
 //! - The plan is empty unless it is predicted to remove a material
 //!   share (a tenth) of the excess max/mean imbalance, so steady
-//!   workloads — and trees the cut cannot split — never migrate.
+//!   workloads — and loads no packing can split, one node carrying most
+//!   of the events — never migrate.
 //!
 //! Everything here is observation-in, plan-out: the inputs are
 //! `queue.processed()`-derived counters (bit-identical at every worker
@@ -25,7 +29,7 @@
 //! the simulated trace at all — node state is shard-location-agnostic
 //! and migration is pure ownership movement (see `docs/parallel.md`).
 
-use crate::partition::Partition;
+use crate::partition::{pack, Partition, PartitionShape};
 use ww_model::{NodeId, Tree};
 
 pub use ww_core::packet::driver::Migration;
@@ -93,6 +97,9 @@ pub struct RebalancePlan {
     pub imbalance_before: f64,
     /// Max/mean imbalance of the same window under the new map.
     pub predicted_imbalance: f64,
+    /// What the packer made of the tree (observability only; default
+    /// for an empty plan).
+    pub shape: PartitionShape,
 }
 
 impl RebalancePlan {
@@ -106,6 +113,7 @@ impl RebalancePlan {
             moves: Vec::new(),
             imbalance_before: imbalance,
             predicted_imbalance: imbalance,
+            shape: PartitionShape::default(),
         }
     }
 }
@@ -119,11 +127,15 @@ const MIN_GAIN_SHARE: f64 = 0.1;
 /// pure function of `(tree, partition, node_events)`: no randomness,
 /// no clocks, deterministic tie-breaks by node id.
 ///
-/// The plan keeps the shard *count* fixed (shards are worker threads),
-/// keeps every shard a connected subtree (so cut-edge lookahead stays
-/// valid), and is empty unless the weighted re-peel is predicted to
-/// remove at least a tenth of the window's excess max/mean imbalance
-/// (`before - predicted >= 0.1 * (before - 1.0)`).
+/// The plan keeps the shard *count* fixed (shards are worker threads)
+/// and every shard a set of whole pieces (see [`crate::partition`]),
+/// and is empty unless the re-packing is predicted to remove at least a
+/// tenth of the window's excess max/mean imbalance
+/// (`before - predicted >= 0.1 * (before - 1.0)`). The packing itself
+/// does not depend on the current map, so re-planning right after
+/// applying, from the same counts, relabels the same regions onto
+/// themselves; across windows the counts differ, and what keeps the
+/// controller from thrashing is the material-gain rule.
 ///
 /// # Panics
 ///
@@ -140,12 +152,16 @@ pub fn rebalance_plan(tree: &Tree, partition: &Partition, node_events: &[u64]) -
         return RebalancePlan::noop(imbalance_before);
     }
 
-    // Re-cut by weight. Every node carries +1 on top of its event
-    // count so load-free regions stay cuttable and the event-free
-    // limit degenerates to node-count balancing.
-    let Some(region_of) = peel_weighted(tree, shards, node_events) else {
+    // Re-pack by weight. Every node carries +1 on top of its event
+    // count so load-free regions stay movable and the event-free limit
+    // degenerates to node-count balancing. A packing that leaves a
+    // shard empty (fewer pieces than shards: atomic hot nodes) would
+    // shrink the shard count; keep the current partition instead.
+    let packing = pack(tree, |u| node_events[u] + 1, shards);
+    if packing.loads.contains(&0) {
         return RebalancePlan::noop(imbalance_before);
-    };
+    }
+    let region_of = packing.shard_of;
 
     // Relabel regions to old shard ids by maximum member overlap, so a
     // region that mostly *is* an old shard keeps its id and its nodes
@@ -201,164 +217,15 @@ pub fn rebalance_plan(tree: &Tree, partition: &Partition, node_events: &[u64]) -
         moves,
         imbalance_before,
         predicted_imbalance: predicted,
+        shape: packing.shape,
     }
-}
-
-/// The weighted analogue of the static subtree peel: splits the tree
-/// into exactly `shards` connected regions by cutting `shards - 1`
-/// parent edges, minimizing (to the precision of the greedy sweep) the
-/// heaviest region's weight (`node_events + 1` per node). Region 0
-/// holds the root. Returns `None` when the cut cannot produce `shards`
-/// non-empty regions (degenerate shapes) — the caller then keeps the
-/// current partition.
-///
-/// A binary search on the bottleneck `b` wraps a bottom-up sweep: each
-/// node accumulates its still-attached subtree weight, and whenever
-/// the accumulation exceeds `b` the heaviest child chunks are cut off
-/// (ties toward the smaller node id) until it fits. Unlike a greedy
-/// "largest subtree that fits" peel, this splits a hot subtree at
-/// interior edges instead of leaving its remainder fused to the root
-/// region, so one flash-crowd subtree ends up spread across several
-/// shards. The sweep is a deterministic pure function of
-/// `(tree, node_events, shards)`: re-running it on the post-migration
-/// partition *with the same counts* reproduces the same regions, which
-/// relabel back onto themselves. The next window's counts differ, so
-/// what keeps the controller from thrashing across windows is the
-/// material-gain rule in [`rebalance_plan`], not this fixed point.
-fn peel_weighted(tree: &Tree, shards: usize, node_events: &[u64]) -> Option<Vec<usize>> {
-    let n = tree.len();
-    let weight = |i: usize| node_events[i] + 1;
-    let total_w: u64 = node_events.iter().take(n).sum::<u64>() + n as u64;
-    let max_w = (0..n).map(weight).max()?;
-    let order: Vec<NodeId> = tree.bottom_up().collect();
-
-    // One bottom-up cut-when-full sweep under bottleneck `b`. Returns
-    // the cut nodes (each roots a new region) and, per node, the
-    // weight of its still-attached subtree chunk.
-    let sweep = |b: u64| -> Option<(Vec<usize>, Vec<u64>)> {
-        let mut acc = vec![0u64; n];
-        let mut cuts: Vec<usize> = Vec::new();
-        for &u in &order {
-            let ui = u.index();
-            let mut a = weight(ui);
-            let kids = tree.children(u);
-            a += kids.iter().map(|c| acc[c.index()]).sum::<u64>();
-            if a > b {
-                let mut child_accs: Vec<(u64, usize)> =
-                    kids.iter().map(|c| (acc[c.index()], c.index())).collect();
-                child_accs.sort_unstable_by(|x, y| (y.0, x.1).cmp(&(x.0, y.1)));
-                for &(ca, ci) in &child_accs {
-                    if a <= b {
-                        break;
-                    }
-                    a -= ca;
-                    cuts.push(ci);
-                }
-                if a > b {
-                    return None;
-                }
-            }
-            acc[ui] = a;
-        }
-        Some((cuts, acc))
-    };
-
-    // Smallest bottleneck the sweep can honor with at most shards - 1
-    // cuts. `hi` is always feasible (no cuts at all fit under total_w),
-    // so the search converges to a feasible bound even where the greedy
-    // sweep's cut count is not perfectly monotone in `b`.
-    let feasible = |b: u64| matches!(sweep(b), Some((ref cuts, _)) if cuts.len() < shards);
-    let mut lo = max_w;
-    let mut hi = total_w;
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if feasible(mid) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    let (mut cuts, mut acc) = sweep(lo)?;
-    if cuts.len() >= shards {
-        return None;
-    }
-
-    // The sweep may need fewer cuts than shards - 1; shard count is
-    // fixed, so pad deterministically by splitting the heaviest
-    // remaining chunk (ties toward the smaller node id), deflating the
-    // chunk's ancestors so later picks see post-split weights.
-    let root = tree.root();
-    let mut is_cut = vec![false; n];
-    for &c in &cuts {
-        is_cut[c] = true;
-    }
-    while cuts.len() < shards - 1 {
-        let mut best: Option<(u64, usize)> = None;
-        for i in 0..n {
-            if is_cut[i] || NodeId::new(i) == root {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some((bw, bi)) => acc[i] > bw || (acc[i] == bw && i < bi),
-            };
-            if better {
-                best = Some((acc[i], i));
-            }
-        }
-        let (chunk, u) = best?;
-        is_cut[u] = true;
-        cuts.push(u);
-        let mut a = NodeId::new(u);
-        while let Some(p) = tree.parent(a) {
-            acc[p.index()] -= chunk;
-            if is_cut[p.index()] {
-                break;
-            }
-            a = p;
-        }
-    }
-
-    // Region 0 is the root's chunk; cut nodes take regions 1.. in
-    // ascending node-id order. Top-down fill (reverse of bottom-up).
-    cuts.sort_unstable();
-    let mut region_root = vec![usize::MAX; n];
-    for (r, &c) in cuts.iter().enumerate() {
-        region_root[c] = r + 1;
-    }
-    let mut region_of = vec![usize::MAX; n];
-    for &u in order.iter().rev() {
-        let ui = u.index();
-        region_of[ui] = if region_root[ui] != usize::MAX {
-            region_root[ui]
-        } else {
-            match tree.parent(u) {
-                None => 0,
-                Some(p) => region_of[p.index()],
-            }
-        };
-    }
-    Some(region_of)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::check_forest;
     use crate::partition_subtrees;
-
-    fn check_connected(tree: &Tree, shard_of: &[usize], shards: usize) {
-        for s in 0..shards {
-            let entries = tree
-                .nodes()
-                .filter(|&u| shard_of[u.index()] == s)
-                .filter(|&u| match tree.parent(u) {
-                    None => true,
-                    Some(p) => shard_of[p.index()] != s,
-                })
-                .count();
-            assert_eq!(entries, 1, "shard {s} must be one connected subtree");
-        }
-    }
 
     fn apply(partition: &Partition, plan: &RebalancePlan) -> Vec<usize> {
         let mut shard_of = partition.shard_of.clone();
@@ -391,7 +258,7 @@ mod tests {
     }
 
     #[test]
-    fn skewed_load_shrinks_imbalance_and_stays_connected() {
+    fn skewed_load_shrinks_imbalance_and_stays_a_forest() {
         let tree = ww_topology::k_ary(2, 8);
         let p = partition_subtrees(&tree, 4);
         let load = skewed_load(&tree, 1);
@@ -404,7 +271,7 @@ mod tests {
             plan.imbalance_before
         );
         let new_shard_of = apply(&p, &plan);
-        check_connected(&tree, &new_shard_of, p.shards());
+        check_forest(&tree, &new_shard_of, p.shards(), plan.shape);
         // The prediction is honest: recompute from scratch.
         let mut after = vec![0u64; p.shards()];
         for (u, &s) in new_shard_of.iter().enumerate() {
@@ -439,10 +306,9 @@ mod tests {
 
     #[test]
     fn balanced_load_plans_nothing() {
-        // Uniform load on a shape whose size-based partition is already
-        // bottleneck-optimal (three heads peeled, root keeps the
-        // fourth): the weighted cut cannot strictly improve it, so the
-        // hysteresis gate returns an empty plan — nothing moves.
+        // Uniform load scales the unit weights the static partition was
+        // packed under, and the packer is scale-free: the same regions
+        // come back, relabel onto themselves, and nothing moves.
         let tree = ww_topology::two_level(4, 7);
         let p = partition_subtrees(&tree, 4);
         let load = vec![7u64; tree.len()];
@@ -452,10 +318,10 @@ mod tests {
 
     #[test]
     fn applied_plan_is_a_fixed_point() {
-        // The cut is a pure function of (tree, load, shard count) —
-        // independent of the current map — so re-planning right after
-        // applying, from the same counts, relabels the same regions
-        // onto themselves.
+        // The packing is a pure function of (tree, load, shard count)
+        // — independent of the current map — so re-planning right
+        // after applying, from the same counts, relabels the same
+        // regions onto themselves.
         let tree = ww_topology::k_ary(2, 8);
         let mut p = partition_subtrees(&tree, 4);
         let load = skewed_load(&tree, 1);
@@ -497,9 +363,9 @@ mod tests {
 
     #[test]
     fn shard_count_is_preserved_or_plan_is_empty() {
-        // A star-ish degenerate shape where the weighted peel may fail
-        // to find enough fitting subtrees: the plan must come back
-        // empty rather than shrink the shard count.
+        // A star-ish degenerate shape with an atomic hot root, where a
+        // packing may have fewer pieces than shards: the plan must come
+        // back empty rather than shrink the shard count.
         let tree = ww_topology::two_level(3, 1);
         let p = partition_subtrees(&tree, 3);
         let mut load = vec![0u64; tree.len()];

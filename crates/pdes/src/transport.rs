@@ -18,7 +18,8 @@
 //!
 //! In-process transports are infallible; socket transports surface peer
 //! death and stalls as [`LinkError`]s, which the event loop propagates
-//! instead of hanging.
+//! instead of hanging. No transport owns a thread: a wire end is driven
+//! entirely by the shard that holds it.
 
 use std::fmt;
 use std::time::Duration;
@@ -101,20 +102,39 @@ pub enum StageError {
 
 /// Producer half of one directed wire.
 ///
-/// `stage` makes a message *pending*; `commit` publishes everything
+/// `stage` makes a message *pending*; `commit` publishes what is
 /// pending to the consumer with whatever batching the transport
-/// supports. A transport with no staging concept (sockets with their
-/// own writer thread) simply publishes in `stage` and makes
-/// `commit` a no-op — the engine calls both in the right places either
-/// way. Staged messages must reach the consumer in stage order
-/// (per-wire FIFO).
+/// supports: the SPSC ring publishes a window's worth with one release
+/// store, the `ww-dist` socket endpoint encodes into a user-space
+/// buffer in `stage` and hands it to the nonblocking socket in
+/// `commit`. A `commit` may fall short (a socket that takes only part
+/// of the buffer); the remainder is the sender's [`backlog`], and the
+/// engine — which commits on every pass of its epoch loop — does not
+/// leave an epoch while any is left. Staged messages must reach the
+/// consumer in stage order (per-wire FIFO).
+///
+/// [`backlog`]: WireSender::backlog
 pub trait WireSender: Send + fmt::Debug {
     /// Stages a message. [`StageError::Full`] hands it back on
     /// back-pressure; [`StageError::Link`] means the wire is dead.
     fn stage(&mut self, msg: Wire) -> Result<(), StageError>;
 
-    /// Publishes everything staged.
+    /// Publishes what is staged, as far as the transport takes it now.
     fn commit(&mut self) -> Result<(), LinkError>;
+
+    /// Bytes accepted by `stage` that `commit` has not yet been able to
+    /// publish. Always 0 (the default) for a transport whose `commit`
+    /// publishes everything.
+    fn backlog(&self) -> usize {
+        0
+    }
+
+    /// `(messages, bytes)` this sender has put on an out-of-process
+    /// wire, for data-plane telemetry; `(0, 0)` (the default) in
+    /// process.
+    fn traffic(&self) -> (u64, u64) {
+        (0, 0)
+    }
 
     /// A cheap, conservative estimate of how many messages currently sit
     /// in the transport's bounded buffer, for ring-occupancy high-water

@@ -57,13 +57,13 @@ pub struct ScenarioSpec {
 /// Adaptive shard rebalancing knobs: when the per-shard event-count
 /// imbalance (max over mean) observed across a window of
 /// `min_epoch_gap` epochs reaches `trigger_imbalance`, the partition is
-/// re-peeled around the observed per-node loads and nodes migrate at
-/// the epoch barrier. Both the observation and the re-peel are pure
+/// re-packed around the observed per-node loads and nodes migrate at
+/// the epoch barrier. Both the observation and the re-packing are pure
 /// functions of deterministic event counts, so the decision sequence is
 /// identical on every run and at every worker count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RebalanceSpec {
-    /// Max-over-mean per-shard event ratio that arms a re-peel (≥ 1;
+    /// Max-over-mean per-shard event ratio that arms a re-packing (≥ 1;
     /// e.g. `1.2` tolerates 20% skew).
     pub trigger_imbalance: f64,
     /// Epochs per observation window (≥ 1): rebalancing is evaluated at

@@ -158,6 +158,28 @@ fn assert_matrix_bit_identical(events: &str) {
                             "{label}: {prefix}.state.bytes {bytes:?}"
                         );
                     }
+                    // Every sharded engine says what the packer made
+                    // of the tree, and a distributed one what its
+                    // workers put on their shard-to-shard wires.
+                    let (engine, workers) = label.split_once("/w").unwrap_or((&label, "1"));
+                    if workers != "1" {
+                        let pieces = snap.counter("pdes.partition.pieces");
+                        let cut = snap.counter("pdes.partition.cut_edges");
+                        assert!(
+                            cut >= Some(1) && cut < pieces,
+                            "{label}: {cut:?} cut edges, {pieces:?} pieces"
+                        );
+                        if engine == "packet_sim_dist" {
+                            let msgs = snap.counter("dist.data.msgs");
+                            let bytes = snap.counter("dist.data.bytes");
+                            assert!(msgs > Some(0), "{label}: dist.data.msgs {msgs:?}");
+                            assert!(bytes > msgs, "{label}: dist.data.bytes {bytes:?}");
+                            let per_link: u64 = (0..4)
+                                .filter_map(|s| snap.counter(&format!("dist.link.{s}.data_bytes")))
+                                .sum();
+                            assert_eq!(Some(per_link), bytes, "{label}: per-link data bytes");
+                        }
+                    }
                 }
             }
             if level == Level::Full {
