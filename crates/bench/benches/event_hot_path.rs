@@ -5,13 +5,22 @@
 //!   the `BinaryHeap`-backed `EventQueue` vs the monotone `RadixQueue`
 //!   at 1k / 100k / 1M pending events — the near-monotone access
 //!   pattern both packet engines generate.
+//! * `arrival_path`: the hold model of a Poisson arrival firing, at 32 k
+//!   rows of 8 and of 70 streams — `front_rows`, the packet driver's
+//!   shape (every stream's next arrival a 16-byte key in its node's
+//!   row, one head per row in the calendar: pop head → draw gap → store
+//!   key → scan the row → re-head), against `entry_per_stream`, the
+//!   shape it replaced (one 80-byte calendar entry per stream: pop →
+//!   draw gap → `schedule`). The "front" row of the hold probe.
 //! * `wire_transfer`: per-event cost of moving a wire-sized message
 //!   through the lock-free SPSC ring, per-event publish vs one batched
 //!   commit per window.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
-use ww_sim::{EventQueue, RadixQueue, SimQueue, SimTime};
+use ww_sim::{
+    exp_delay, key_of, time_of, EventQueue, RadixQueue, SimQueue, SimRng, SimTime, StreamRng,
+};
 
 /// Deterministic 64-bit LCG; the high bits pick the next event offset.
 fn lcg(state: &mut u64) -> u64 {
@@ -66,6 +75,102 @@ fn bench_queues(c: &mut Criterion) {
     group.finish();
 }
 
+/// A calendar payload the size of a `PacketEvent` (64 bytes), naming a
+/// stream of a row.
+#[derive(Clone, Copy)]
+struct Fire {
+    row: u32,
+    stream: u32,
+    _body: [u64; 7],
+}
+
+fn fire(row: usize, stream: usize) -> Fire {
+    Fire {
+        row: row as u32,
+        stream: stream as u32,
+        _body: [0; 7],
+    }
+}
+
+/// Every row fires once per simulated second in total, like a leaf of
+/// the benchmark worlds.
+const ROWS: usize = 32 * 1024;
+
+/// One generator per stream of every row, and each stream's first gap.
+fn streams(per_row: usize) -> (Vec<StreamRng>, Vec<f64>) {
+    let master = SimRng::seed(1997);
+    let mut rngs: Vec<StreamRng> = (0..ROWS * per_row)
+        .map(|i| master.fork(i as u64).into_stream())
+        .collect();
+    let gaps = rngs
+        .iter_mut()
+        .map(|rng| exp_delay(rng, per_row as f64))
+        .collect();
+    (rngs, gaps)
+}
+
+/// The earliest key of a row and its stream.
+fn front(keys: &[u128]) -> (u128, usize) {
+    let (stream, &key) = keys
+        .iter()
+        .enumerate()
+        .min_by_key(|&(_, &key)| key)
+        .expect("a row has streams");
+    (key, stream)
+}
+
+fn bench_arrivals(c: &mut Criterion) {
+    let mut group = c.benchmark_group("arrival_path");
+    group
+        .measurement_time(Duration::from_secs(2))
+        .warm_up_time(Duration::from_millis(300))
+        .sample_size(10);
+    for &per_row in &[8usize, 70] {
+        // One side alive at a time: at 70 streams a side is ~200 MB.
+        {
+            let (mut rngs, gaps) = streams(per_row);
+            let mut queue: RadixQueue<Fire> = RadixQueue::new();
+            let mut next: Vec<u128> = gaps
+                .iter()
+                .map(|&gap| key_of(SimTime::from_secs(gap), queue.alloc_seq()))
+                .collect();
+            for (row, keys) in next.chunks_exact(per_row).enumerate() {
+                let (key, stream) = front(keys);
+                queue.schedule_keyed(time_of(key), key as u64, fire(row, stream));
+            }
+            group.bench_function(BenchmarkId::new("front_rows", per_row), |b| {
+                b.iter(|| {
+                    let (t, head) = queue.pop().expect("every row keeps a head");
+                    let (row, at) = (head.row as usize, head.row as usize * per_row);
+                    let gap = exp_delay(&mut rngs[at + head.stream as usize], per_row as f64);
+                    next[at + head.stream as usize] =
+                        key_of(t + SimTime::from_secs(gap), queue.alloc_seq());
+                    let (key, stream) = front(&next[at..at + per_row]);
+                    queue.schedule_keyed(time_of(key), key as u64, fire(row, stream));
+                    std::hint::black_box(row)
+                });
+            });
+        }
+        {
+            let (mut rngs, gaps) = streams(per_row);
+            let mut queue: RadixQueue<Fire> = RadixQueue::new();
+            for (i, &gap) in gaps.iter().enumerate() {
+                queue.schedule(SimTime::from_secs(gap), fire(i / per_row, i % per_row));
+            }
+            group.bench_function(BenchmarkId::new("entry_per_stream", per_row), |b| {
+                b.iter(|| {
+                    let (t, head) = queue.pop().expect("every stream keeps an entry");
+                    let at = head.row as usize * per_row + head.stream as usize;
+                    let gap = exp_delay(&mut rngs[at], per_row as f64);
+                    queue.schedule(t + SimTime::from_secs(gap), head);
+                    std::hint::black_box(head.row)
+                });
+            });
+        }
+    }
+    group.finish();
+}
+
 /// A wire-sized payload (timestamp, counter, event word).
 type Msg = (f64, u64, u64);
 
@@ -115,6 +220,7 @@ fn bench_transfer(c: &mut Criterion) {
 
 fn bench(c: &mut Criterion) {
     bench_queues(c);
+    bench_arrivals(c);
     bench_transfer(c);
 }
 

@@ -37,7 +37,7 @@
 pub mod driver;
 mod slab;
 
-pub use slab::{ChildState, NodeHead, NodeMut, NodeRef, NodeSlab, Set, TokenBucket};
+pub use slab::{ChildState, NodeHead, NodeMut, NodeRef, NodeSlab, Set, StreamCell, TokenBucket};
 
 use crate::fold::IncrementalFold;
 use ww_cache::{plan_push_dense, plan_shed_dense, DenseRateSlice};
@@ -707,15 +707,15 @@ pub enum BarrierOutcome {
 /// open. At commit the accumulated steps compose into a **single**
 /// `filter_map_events` sweep: applying them to an event in order is
 /// exactly the function composition of the per-op sweeps — every step
-/// drops arrival events, so the one fresh arrival re-resolution at the
-/// end of the batch sees the same survivors the sequential K-pass path
-/// produces.
+/// drops the rows' arrival heads, so the one fresh arrival
+/// re-resolution at the end of the batch sees the same survivors the
+/// sequential K-pass path produces.
 #[derive(Debug, Clone)]
 pub enum SurgeryStep {
     /// The sweep of a demand re-resolution (join/publish/shift): drop
-    /// arrivals, remap document indices when the universe grew.
+    /// arrival heads, remap document indices when the universe grew.
     Rebuild(Option<UniverseGrowth>),
-    /// The sweep of a leave: drop arrivals and the departed node's
+    /// The sweep of a leave: drop arrival heads and the departed node's
     /// events, renumber the compacted former-last id.
     Leave {
         /// Id the departed leaf held.
@@ -797,7 +797,8 @@ pub fn gossip_stream_rng(world: &PacketWorld, node: usize) -> SimRng {
 }
 
 /// Queue surgery for a generation bump without churn (publish, shift):
-/// stale arrivals vanish — their streams are re-resolved — and, when the
+/// stale arrival heads vanish — every row's streams are re-resolved and
+/// re-headed — and, when the
 /// universe grew, surviving events' dense document indices shift to
 /// their new columns. Everything else keeps its `(time, seq)` key.
 pub fn remap_for_rebuild(ev: PacketEvent, growth: Option<&UniverseGrowth>) -> Option<PacketEvent> {
@@ -848,7 +849,7 @@ pub fn remap_for_rebuild(ev: PacketEvent, growth: Option<&UniverseGrowth>) -> Op
     }
 }
 
-/// Queue surgery for a barrier-time leave: stale arrivals vanish, every
+/// Queue surgery for a barrier-time leave: stale arrival heads vanish, every
 /// event that still involves the departed node — as target, source,
 /// requester, or tunnel origin/target — is dropped (its state is gone,
 /// its clients re-homed), and all references to the renumbered
@@ -997,20 +998,18 @@ pub fn child_slot_map(tree: &Tree, parent: NodeId, removal: &LeafRemoval) -> Vec
 /// [`TimerRing`](ww_sim::TimerRing)s owned by the driver.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PacketEvent {
-    /// A client at `node` issues a request for the document at dense
-    /// index `index`; `stream` names the node's arrival stream (for its
-    /// RNG) and `rate` its constant arrival rate.
+    /// A client at `node` issues a request on the node's arrival stream
+    /// `stream`, whose [`StreamCell`] holds the document, the rate and
+    /// the generator. In a calendar this is the **head** of the node's
+    /// row of pending arrivals — the row's earliest stream under that
+    /// stream's own key, at most one per node; in a handler's outbox it
+    /// is the fired stream's next arrival, which the driver stores in
+    /// the row. It never crosses a wire.
     Arrival {
         /// Requesting node.
         node: NodeId,
-        /// The document.
-        doc: DocId,
-        /// Dense index of the document.
-        index: u32,
         /// Index of the arrival stream within the node's demand list.
         stream: u32,
-        /// Arrival rate of the stream.
-        rate: f64,
     },
     /// A request packet arrives at `node`'s router, possibly from a child.
     Packet {
@@ -1122,8 +1121,9 @@ pub struct Scratch {
 /// ledger/counters/scratch, and the outbox of follow-up events.
 ///
 /// Outbox entries are `(fire time, event)`; the driver routes each to
-/// the shard hosting [`PacketEvent::node`] and must preserve push order
-/// when assigning tie-breaking sequence numbers.
+/// the shard hosting [`PacketEvent::node`] — a next
+/// [`PacketEvent::Arrival`] into the node's own row — and must preserve
+/// push order when assigning tie-breaking sequence numbers.
 #[derive(Debug)]
 pub struct NodeCtx<'a> {
     /// The static world.
@@ -1164,21 +1164,17 @@ impl NodeCtx<'_> {
     }
 }
 
-/// Hands one follow-up event from a handler's outbox to the driver's
-/// queue — the single routing point of the one outbox drain
+/// Hands one message from a handler's outbox to the driver's queue —
+/// the single routing point of the one outbox drain
 /// ([`driver::ShardCore`]'s), so the engines cannot disagree on which
 /// events ride the queue's in-order lanes. Handlers schedule every
-/// message at
-/// `now + link_delay` or at `now`, so everything but the next Poisson
-/// [`PacketEvent::Arrival`] is emitted in key order and says so; an
-/// arrival lands at a random distance and is sorted. Barrier-time
-/// re-resolution (arrival rebuilds, migration replay) is not an outbox
+/// message at `now + link_delay` or at `now`, so every event that
+/// reaches this function is emitted in key order and says so (the next
+/// Poisson arrival, the one event that lands at a random distance, goes
+/// into its node's row instead). Migration replay is not an outbox
 /// drain and keeps plain [`SimQueue::schedule`].
 pub fn enqueue<Q: SimQueue<PacketEvent>>(queue: &mut Q, at: SimTime, event: PacketEvent) {
-    match event {
-        PacketEvent::Arrival { .. } => queue.schedule(at, event),
-        _ => queue.schedule_in_order(at, event),
-    }
+    queue.schedule_in_order(at, event);
 }
 
 /// Appends a queue's lane counters to a telemetry snapshot as
@@ -1236,13 +1232,7 @@ pub fn next_toward(tree: &Tree, cur: NodeId, target: NodeId) -> NodeId {
 /// Dispatches one irregular event to its handler.
 pub fn handle(ctx: &mut NodeCtx<'_>, state: &mut NodeMut<'_>, t: SimTime, event: PacketEvent) {
     match event {
-        PacketEvent::Arrival {
-            node,
-            doc,
-            index,
-            stream,
-            rate,
-        } => on_arrival(ctx, state, t, node, doc, index, stream, rate),
+        PacketEvent::Arrival { node, stream } => on_arrival(ctx, state, t, node, stream),
         PacketEvent::Packet {
             node,
             from,
@@ -1292,21 +1282,22 @@ pub fn handle(ctx: &mut NodeCtx<'_>, state: &mut NodeMut<'_>, t: SimTime, event:
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn on_arrival(
     ctx: &mut NodeCtx<'_>,
     state: &mut NodeMut<'_>,
     t: SimTime,
     node: NodeId,
-    doc: DocId,
-    index: u32,
     stream: u32,
-    rate: f64,
 ) {
+    // The stream's next arrival, from its own RNG — a pure function of
+    // (seed, node, doc) and the stream's draw count.
+    let cell = state.stream_mut(stream);
+    let index = cell.index;
+    let gap = exp_delay(&mut cell.rng, 1.0 / cell.rate);
     // Issue the request packet at this node; ids are (node, counter).
     let id = RequestId::new(((node.index() as u64) << 32) | state.head.next_request);
     state.head.next_request += 1;
-    let request = DocRequest::new(id, doc, node);
+    let request = DocRequest::new(id, ctx.world.table.doc(index), node);
     ctx.ledger
         .record(TrafficClass::Request, request.wire_bytes(), 0);
     ctx.out.push((
@@ -1318,18 +1309,11 @@ fn on_arrival(
             index,
         },
     ));
-    // Schedule the next arrival from the stream's own RNG — a pure
-    // function of (seed, node, doc) and the stream's draw count.
-    let gap = exp_delay(&mut state.rngs[stream as usize], 1.0 / rate);
+    // The driver's outbox drain keys the next arrival and stores it in
+    // the node's row.
     ctx.out.push((
         t + SimTime::from_secs(gap),
-        PacketEvent::Arrival {
-            node,
-            doc,
-            index,
-            stream,
-            rate,
-        },
+        PacketEvent::Arrival { node, stream },
     ));
 }
 
@@ -1723,15 +1707,17 @@ mod tests {
         let all: Vec<NodeId> = tree.nodes().collect();
         let mut a = NodeSlab::new(&world, &all);
         let mut b = NodeSlab::new(&world, &all[2..]);
-        let mut out_a = Vec::new();
-        let mut out_b = Vec::new();
-        for (row, &node) in all.iter().enumerate() {
-            a.resolve_node_arrivals(&world, row, node, SimTime::ZERO, &mut out_a);
-        }
-        b.resolve_node_arrivals(&world, 0, all[2], SimTime::ZERO, &mut out_b);
-        assert_eq!(out_a.len(), 2);
-        assert_eq!(out_b.len(), 1);
-        assert_eq!(out_a[1], out_b[0]);
+        // Sequence numbers are the calendar's: keep them out of the
+        // comparison.
+        let fronts_a: Vec<_> = all
+            .iter()
+            .enumerate()
+            .map(|(row, &node)| a.resolve_node_arrivals(&world, row, node, SimTime::ZERO, || 0))
+            .collect();
+        let front_b = b.resolve_node_arrivals(&world, 0, all[2], SimTime::ZERO, || 0);
+        assert_eq!(fronts_a[0], None, "the root has no demand");
+        assert!(fronts_a[1].is_some());
+        assert_eq!(fronts_a[2], front_b);
         assert_eq!(a.node(2), b.node(0));
     }
 }

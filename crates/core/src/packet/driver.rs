@@ -4,8 +4,23 @@
 //! owns the rows of the nodes it hosts (one [`NodeSlab`]), their pending
 //! events ([`RadixQueue`] plus the two [`TimerRing`]s) and the
 //! shard-mergeable ledger and counters, and executes events in
-//! `(time, seq)` order through the handlers of [`crate::packet`]. A
-//! [`SimCore`] is the bookkeeping every participant of a run replicates
+//! `(time, seq)` order through the handlers of [`crate::packet`].
+//!
+//! Pending **arrivals** are not queue entries. Every stream's next
+//! Poisson arrival is a 16-byte `(time, seq)` key in its node's row of
+//! the slab, and the queue holds one [`PacketEvent::Arrival`] per row:
+//! the **head**, the row's earliest stream under that stream's own key
+//! (`schedule_keyed`), so the merge with lanes, rings and inbound wires
+//! sees exactly the key the stream's own queue entry used to carry. When
+//! a head fires, its handler pushes the stream's next arrival onto the
+//! outbox like any other follow-up; the outbox drain — the one place
+//! sequence numbers are drawn — keys it with `alloc_seq`, stores it in
+//! the row and schedules the row's new minimum. The queue is therefore
+//! `O(nodes + messages in flight)`, never `O(streams)`, and the
+//! invariant ([`ShardCore::check_fronts`]) is: one head per row that has
+//! a finite key, carrying the row's minimum and naming its stream.
+//!
+//! A [`SimCore`] is the bookkeeping every participant of a run replicates
 //! — the world, the node → (shard, row) map, the failed-link flags, the
 //! barrier horizon, the open batch — and applies [`BarrierOp`]s over
 //! *the shards this participant holds*:
@@ -32,7 +47,7 @@ use super::{
 use crate::packetsim::PacketSimReport;
 use ww_model::{DocId, LeafRemoval, ModelError, NodeId, Tree};
 use ww_net::{TrafficClass, TrafficLedger};
-use ww_sim::{RadixQueue, SimQueue, SimTime, TimerRing};
+use ww_sim::{key_of, time_of, RadixQueue, SimQueue, SimTime, TimerRing, NO_KEY};
 use ww_stats::{ConvergenceTrace, ExactSum};
 use ww_telemetry::{Counters, Key, Level, Phases, Snapshot};
 
@@ -267,7 +282,9 @@ pub struct ShardCore {
     /// This shard's id in the run's [`Partition`].
     pub id: usize,
     /// Pending irregular events: FIFO lanes for in-order messages beside
-    /// a radix heap that is O(1) amortized on the near-monotone schedule.
+    /// a radix heap — one arrival head per row, inbound messages spilled
+    /// at a barrier — that is O(1) amortized on the near-monotone
+    /// schedule.
     pub queue: RadixQueue<PacketEvent>,
     /// The strictly periodic gossip timers.
     pub gossip_ring: TimerRing,
@@ -302,9 +319,10 @@ pub struct ShardCore {
 
 impl ShardCore {
     /// Builds shard `id` of `partition` over `world` and primes it:
-    /// each member's first arrivals, then its two staggered timers, in
-    /// member order — so a node's events draw sequence numbers in the
-    /// same relative order on every partition.
+    /// each member's first arrivals (keys into its row, the row's head
+    /// into the queue), then its two staggered timers, in member order —
+    /// so a node's events draw sequence numbers in the same relative
+    /// order on every partition.
     pub fn new(world: &PacketWorld, partition: &Partition, id: usize) -> Self {
         let members = &partition.members[id];
         let period = |secs| SimTime::from_secs(secs);
@@ -329,13 +347,15 @@ impl ShardCore {
         shard
     }
 
-    /// Schedules the fresh first arrival of each of `node`'s streams.
+    /// Writes the fresh first arrival of each of `node`'s streams into
+    /// its row — one sequence number per positive-rate stream, in
+    /// stream order — and schedules the row's head.
     fn resolve_arrivals(&mut self, world: &PacketWorld, row: usize, node: NodeId, at: SimTime) {
-        self.nodes
-            .resolve_node_arrivals(world, row, node, at, &mut self.outbox);
-        for (t, ev) in self.outbox.drain(..) {
-            self.queue.schedule(t, ev);
-        }
+        let queue = &mut self.queue;
+        let front = self
+            .nodes
+            .resolve_node_arrivals(world, row, node, at, || queue.alloc_seq());
+        schedule_head(queue, node, front);
     }
 
     /// Arms `node`'s gossip and diffusion timers, phase-staggered past
@@ -372,9 +392,11 @@ impl ShardCore {
     }
 
     /// Runs `handler` against row `row` with a freshly assembled
-    /// [`NodeCtx`], then drains the produced outbox in push order:
-    /// events for hosted nodes into the queue (through [`enqueue`], so
-    /// in-order messages ride the lanes), the rest onto `remote`.
+    /// [`NodeCtx`], then drains the produced outbox in push order: the
+    /// fired stream's next arrival into the row under a fresh sequence
+    /// number (and the row's new head into the queue), messages for
+    /// hosted nodes into the queue (through [`enqueue`], so they ride
+    /// the lanes), the rest onto `remote`.
     ///
     /// This, [`ShardCore::deliver`] and [`ShardCore::step`] are forced
     /// inline into [`ShardCore::run_until`]: left to the inliner they
@@ -400,7 +422,11 @@ impl ShardCore {
         };
         handler(&mut ctx, &mut self.nodes.node_mut(row));
         for (at, ev) in self.outbox.drain(..) {
-            if sim.partition.home(ev.node().index()).0 == self.id {
+            if let PacketEvent::Arrival { node, stream } = ev {
+                let key = key_of(at, self.queue.alloc_seq());
+                self.nodes.set_arrival_key(row, stream, key);
+                schedule_head(&mut self.queue, node, self.nodes.front(row));
+            } else if sim.partition.home(ev.node().index()).0 == self.id {
                 enqueue(&mut self.queue, at, ev);
             } else {
                 self.remote.push((at, ev));
@@ -425,6 +451,12 @@ impl ShardCore {
         match source {
             DriverSource::Heap => {
                 let (t, event) = self.queue.pop().expect("peeked event exists");
+                if let PacketEvent::Arrival { node, stream } = event {
+                    // A row fires about once per simulated second, so
+                    // its lines are cold: start all three loads now.
+                    let (_, row) = sim.partition.home(node.index());
+                    self.nodes.touch_arrival(row, stream);
+                }
                 self.deliver(sim, t, event);
             }
             DriverSource::Gossip => {
@@ -458,6 +490,53 @@ impl ShardCore {
         }
     }
 
+    /// Checks the front invariant at a barrier (`sim.horizon`): every
+    /// positive-rate stream of every row holds a key at or past the
+    /// horizon and every zero-rate stream [`NO_KEY`]; the queue holds
+    /// exactly one [`PacketEvent::Arrival`] for each row with a finite
+    /// key — under the row's minimum key, naming that stream — and none
+    /// for the others. What the property tests assert after every
+    /// barrier operation and migration.
+    ///
+    /// # Errors
+    ///
+    /// The first violation found, in words.
+    pub fn check_fronts(&self, sim: &SimCore) -> Result<(), String> {
+        let mut heads: Vec<Option<(u128, u32)>> = vec![None; self.nodes.len()];
+        for (key, event) in self.queue.entries() {
+            if let PacketEvent::Arrival { node, stream } = *event {
+                let (shard, row) = sim.partition.home(node.index());
+                if shard != self.id {
+                    return Err(format!(
+                        "shard {}: a head for {node} of shard {shard}",
+                        self.id
+                    ));
+                }
+                if heads[row].replace((key, stream)).is_some() {
+                    return Err(format!("{node}: two heads in the queue"));
+                }
+            }
+        }
+        for (row, head) in heads.into_iter().enumerate() {
+            let node = sim.partition.node_at(self.id, row);
+            let view = self.nodes.node(row);
+            for (stream, (cell, &key)) in view.streams.iter().zip(view.next).enumerate() {
+                let armed = key != NO_KEY && time_of(key) >= sim.horizon;
+                if (cell.rate > 0.0 && !armed) || (cell.rate <= 0.0 && key != NO_KEY) {
+                    return Err(format!(
+                        "{node} stream {stream}: rate {} with key {key:#x}",
+                        cell.rate
+                    ));
+                }
+            }
+            let front = self.nodes.front(row);
+            if head != front {
+                return Err(format!("{node}: head {head:?}, row front {front:?}"));
+            }
+        }
+        Ok(())
+    }
+
     /// This shard's partial of the convergence-trace sample: rolls each
     /// hosted node's serve meter to `now` and folds the squared distance
     /// to the oracle into an [`ExactSum`]. Because the accumulator is
@@ -470,6 +549,21 @@ impl ShardCore {
             sum.add_square(r - sim.world.oracle[j]);
         }
         sum
+    }
+}
+
+/// Puts `front` — the `(key, stream)` of a row's earliest pending
+/// arrival ([`NodeSlab::front`]) — into `queue` as `node`'s head, under
+/// that stream's own key.
+#[inline]
+pub fn schedule_head(
+    queue: &mut RadixQueue<PacketEvent>,
+    node: NodeId,
+    front: Option<(u128, u32)>,
+) {
+    if let Some((key, stream)) = front {
+        let head = PacketEvent::Arrival { node, stream };
+        queue.schedule_keyed(time_of(key), key as u64, head);
     }
 }
 
@@ -662,11 +756,12 @@ impl SimCore {
     }
 
     /// Closes the batch: one deferred oracle refresh, one composed
-    /// `filter_map_events` sweep over every held shard's queue (stale
-    /// arrivals drop, surviving events are renumbered and remapped),
-    /// then each node's fresh first arrival, scheduled in **global node
-    /// order** — so each node's events keep the relative order they get
-    /// in a one-shard queue.
+    /// `filter_map_events` sweep over every held shard's queue (the
+    /// rows' stale heads drop, surviving events are renumbered and
+    /// remapped), then every row refilled in place with its streams'
+    /// fresh first arrivals and re-headed, in **global node order** —
+    /// so each node's events keep the relative order they get in a
+    /// one-shard queue.
     ///
     /// # Panics
     ///

@@ -9,11 +9,27 @@
 //!
 //! | slab | row holds | bytes per node |
 //! | --- | --- | --- |
-//! | `heads: Vec<NodeHead>` | the scalars, the gossip RNG, the three bitsets' words while the universe fits 64 documents, the arrival-RNG range, the child-state pointer | 120 |
+//! | `heads: Vec<NodeHead>` | the scalars, the gossip RNG, the three bitsets' words while the universe fits 64 documents, the child-state pointer | 112 |
 //! | `seen`, `served`: [`DenseFlowTable`] | one meter cell per document | 2 x 32 m |
 //! | `buckets`: [`DocGrid`]`<TokenBucket>` | one token bucket per document | 24 m |
 //! | `words`: [`DocGrid`]`<u64>` | the three bitsets beyond 64 documents, `3 x ceil(m / 64)` words | 0 or 24 ceil(m / 64) |
-//! | `rngs: Vec<SimRng>` | one RNG per arrival stream, at the head's `(start, len)` | 40 per stream |
+//! | `ranges: Vec<(u32, u32)>` | the `(start, len)` of the row's arrival streams in the two slabs below | 8 |
+//! | `streams: Vec<StreamCell>` | one cell per arrival stream: its generator, its rate, its document's dense index | 48 per stream |
+//! | `next: Vec<u128>` | each stream's **pending arrival**, as the calendar's packed `(time, seq)` key ([`NO_KEY`] for a zero-rate stream) | 16 per stream |
+//!
+//! A pending arrival lives nowhere else. The calendar holds one
+//! [`PacketEvent::Arrival`] per row — the row's earliest stream, under
+//! that stream's own key — so it is `O(nodes + messages in flight)`
+//! whatever the number of streams; the driver re-heads a row when its
+//! head fires ([`NodeSlab::set_arrival_key`], [`NodeSlab::front`]: a
+//! scan of the row's 8–70 contiguous keys). Streams are a flat
+//! `(start, len)`-addressed array rather than a [`DocGrid`] row because
+//! demand is sparse (a `leaf_only` workload gives interior nodes none)
+//! and a grid would spend 64 bytes x documents on every node without
+//! streams. The ranges sit in a table of their own, not in the head, so
+//! the three lines an arrival touches — key row, stream cell, head —
+//! have addresses that wait on nothing but the dense 8-byte table
+//! ([`NodeSlab::touch_arrival`]).
 //!
 //! Only a node that has children owns anything else: a boxed
 //! [`ChildState`] (its per-child-slot `flows` grid and child load
@@ -30,10 +46,10 @@
 //! [`NodeSlab::take_rows`] on the donor and [`NodeSlab::push_row_from`]
 //! on the recipient.
 
-use super::{stream_rng, PacketEvent, PacketWorld, UniverseGrowth};
+use super::{stream_rng, PacketWorld, UniverseGrowth};
 use ww_cache::{DenseFlowTable, MeterCell};
 use ww_model::{reserve_slack, DocGrid, NodeId};
-use ww_sim::{exp_delay, SimRng, SimTime};
+use ww_sim::{exp_delay, key_of, SimRng, SimTime, StreamRng, NO_KEY};
 
 /// EWMA factor of every packet-level rate meter.
 const METER_ALPHA: f64 = 0.5;
@@ -98,6 +114,22 @@ pub struct ChildState {
     pub est: Vec<Option<f64>>,
 }
 
+/// One arrival stream of a node: its generator and the two constants a
+/// fire needs, on one line. The document id is
+/// `world.table.doc(index)`; the stream's pending arrival is its entry
+/// in the slab's key row.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StreamCell {
+    /// Inter-arrival randomness, forked purely from
+    /// `(master seed, node, doc, generation)` — independent of any
+    /// global counter.
+    pub rng: StreamRng,
+    /// Constant arrival rate, req/s.
+    pub rate: f64,
+    /// Dense index of the stream's document.
+    pub index: u32,
+}
+
 /// The fixed-size part of one node's protocol state.
 #[derive(Debug, Clone)]
 pub struct NodeHead {
@@ -113,9 +145,6 @@ pub struct NodeHead {
     pub gossip_rng: SimRng,
     /// The three bitsets' words while the universe fits one word each.
     sets: [u64; SETS],
-    /// This node's range of the slab's arrival RNGs.
-    rng_start: u32,
-    rng_len: u32,
     /// Per-child state; `None` for a leaf.
     kids: Option<Box<ChildState>>,
 }
@@ -129,8 +158,6 @@ impl NodeHead {
             next_request: 0,
             gossip_rng,
             sets: [0; SETS],
-            rng_start: 0,
-            rng_len: 0,
             kids: None,
         }
     }
@@ -152,7 +179,11 @@ pub struct NodeSlab {
     seen: DenseFlowTable,
     served: DenseFlowTable,
     buckets: DocGrid<TokenBucket>,
-    rngs: Vec<SimRng>,
+    /// `(start, len)` of each row's streams in `streams` and `next`.
+    ranges: Vec<(u32, u32)>,
+    streams: Vec<StreamCell>,
+    /// Each stream's pending arrival as a packed `(time, seq)` key.
+    next: Vec<u128>,
 }
 
 /// Words per bitset a universe of `docs` documents needs in the word
@@ -178,6 +209,17 @@ fn shift_members(words: &mut [u64], old_to_new: &[u32]) {
     }
 }
 
+/// Drops the entries of `rows` whose row is marked in `gone`, keeping
+/// the others in order, and hands the surplus capacity back.
+fn retain_rows<T>(rows: &mut Vec<T>, gone: &[bool]) {
+    let mut row = 0;
+    rows.retain(|_| {
+        row += 1;
+        !gone[row - 1]
+    });
+    rows.shrink_to_fit();
+}
+
 /// The served rate of `row` over the rolling window ending at `now`.
 fn load_of(served: &mut DenseFlowTable, row: usize, now: f64) -> f64 {
     served.roll_row_to(row, now);
@@ -195,7 +237,7 @@ fn members(words: &[u64]) -> impl Iterator<Item = u32> + '_ {
 
 impl NodeSlab {
     /// `rows` nodes over a universe of `docs` documents, heads and
-    /// arrival RNGs still to be pushed.
+    /// arrival streams still to be pushed.
     fn with_rows(window: f64, rows: usize, docs: usize) -> Self {
         NodeSlab {
             heads: Vec::with_capacity(rows),
@@ -205,7 +247,9 @@ impl NodeSlab {
             seen: DenseFlowTable::new(window, METER_ALPHA, rows, docs),
             served: DenseFlowTable::new(window, METER_ALPHA, rows, docs),
             buckets: DocGrid::new(rows, docs, TokenBucket::new(0.0, 0.0)),
-            rngs: Vec::new(),
+            ranges: Vec::with_capacity(rows),
+            streams: Vec::new(),
+            next: Vec::new(),
         }
     }
 
@@ -219,8 +263,9 @@ impl NodeSlab {
             members.len(),
             world.table.len(),
         );
-        slab.rngs
-            .reserve_exact(members.iter().map(|u| world.demand[u.index()].len()).sum());
+        let streams = members.iter().map(|u| world.demand[u.index()].len()).sum();
+        slab.streams.reserve_exact(streams);
+        slab.next.reserve_exact(streams);
         for &node in members {
             slab.push_head(world, node, 0.0);
         }
@@ -247,6 +292,8 @@ impl NodeSlab {
         }
         reserve_slack(&mut self.heads, 1);
         self.heads.push(head);
+        reserve_slack(&mut self.ranges, 1);
+        self.ranges.push((0, 0));
         if node == world.tree.root() {
             let row = self.heads.len() - 1;
             let docs = self.docs as u32;
@@ -285,7 +332,9 @@ impl NodeSlab {
             + self.seen.capacity_bytes()
             + self.served.capacity_bytes()
             + self.buckets.capacity_bytes()
-            + self.rngs.capacity() * std::mem::size_of::<SimRng>()
+            + self.ranges.capacity() * std::mem::size_of::<(u32, u32)>()
+            + self.streams.capacity() * std::mem::size_of::<StreamCell>()
+            + self.next.capacity() * std::mem::size_of::<u128>()
             + kids
     }
 
@@ -296,17 +345,16 @@ impl NodeSlab {
     /// Panics if `row` is out of range.
     #[inline]
     pub fn node_mut(&mut self, row: usize) -> NodeMut<'_> {
-        let head = &mut self.heads[row];
-        let (start, len) = (head.rng_start as usize, head.rng_len as usize);
         NodeMut {
-            head,
+            head: &mut self.heads[row],
             row,
             docs: self.docs,
             words: self.words.row_mut(row),
             seen: &mut self.seen,
             served: &mut self.served,
             buckets: self.buckets.row_mut(row),
-            rngs: &mut self.rngs[start..start + len],
+            ranges: &self.ranges,
+            streams: &mut self.streams,
         }
     }
 
@@ -317,7 +365,7 @@ impl NodeSlab {
     /// Panics if `row` is out of range.
     pub fn node(&self, row: usize) -> NodeRef<'_> {
         let head = &self.heads[row];
-        let (start, len) = (head.rng_start as usize, head.rng_len as usize);
+        let streams = self.stream_range(row);
         NodeRef {
             head,
             docs: self.docs,
@@ -329,8 +377,61 @@ impl NodeSlab {
             seen: self.seen.row(row),
             served: self.served.row(row),
             buckets: self.buckets.row(row),
-            rngs: &self.rngs[start..start + len],
+            streams: &self.streams[streams.clone()],
+            next: &self.next[streams],
         }
+    }
+
+    /// Where the streams of local node `row` sit in `streams` / `next`.
+    #[inline]
+    fn stream_range(&self, row: usize) -> std::ops::Range<usize> {
+        let (start, len) = self.ranges[row];
+        start as usize..(start + len) as usize
+    }
+
+    /// Starts the three loads the arrival of `stream` at local node
+    /// `row` is about to wait for — the row's first key, the stream's
+    /// cell, the head — before its handler runs. Their addresses depend
+    /// on nothing but the dense range table, so the three misses (a
+    /// leaf fires about once per simulated second: its lines are always
+    /// cold) overlap instead of queueing behind one another through the
+    /// handler. Plain loads whose values go nowhere.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` or `stream` is out of range.
+    #[inline]
+    pub fn touch_arrival(&self, row: usize, stream: u32) {
+        let start = self.ranges[row].0 as usize;
+        std::hint::black_box(self.next[start]);
+        std::hint::black_box(self.streams[start + stream as usize].rate);
+        std::hint::black_box(self.heads[row].next_request);
+    }
+
+    /// Stores `key` as the pending arrival of `stream` at local node
+    /// `row`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` or `stream` is out of range.
+    #[inline]
+    pub fn set_arrival_key(&mut self, row: usize, stream: u32, key: u128) {
+        let streams = self.stream_range(row);
+        self.next[streams][stream as usize] = key;
+    }
+
+    /// The front of local node `row`: its earliest pending arrival as
+    /// `(key, stream)` — what the calendar holds for the row. `None`
+    /// for a row without a positive-rate stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
+    #[inline]
+    pub fn front(&self, row: usize) -> Option<(u128, u32)> {
+        let keys = &self.next[self.stream_range(row)];
+        let (stream, &key) = keys.iter().enumerate().min_by_key(|&(_, &key)| key)?;
+        (key != NO_KEY).then_some((key, stream as u32))
     }
 
     /// Lifetime served-request count of local node `row`.
@@ -356,7 +457,7 @@ impl NodeSlab {
     }
 
     /// A node joins as the slab's last row, cold, its meters anchored at
-    /// `at`. Its arrival range starts empty: the join's batch commit
+    /// `at`. Its stream range starts empty: the join's batch commit
     /// re-resolves every node's streams.
     pub fn push_node(&mut self, world: &PacketWorld, node: NodeId, at: f64) {
         self.words.push_row(0);
@@ -402,13 +503,14 @@ impl NodeSlab {
 
     /// Removes local node `row`, moving the last row into its place —
     /// the id compaction a leave applies to the tree. The departed
-    /// node's arrival range is reclaimed by the commit's re-resolution.
+    /// node's streams are reclaimed by the commit's re-resolution.
     ///
     /// # Panics
     ///
     /// Panics if `row` is out of range.
     pub fn swap_remove_node(&mut self, row: usize) {
         self.heads.swap_remove(row);
+        self.ranges.swap_remove(row);
         self.words.swap_remove_row(row);
         self.seen.swap_remove_row(row);
         self.served.swap_remove_row(row);
@@ -491,59 +593,56 @@ impl NodeSlab {
         true
     }
 
-    /// Forgets every arrival RNG. The arrival re-resolution restarts
-    /// *every* stream (the generation is folded into every fork), so it
-    /// clears the slab once and then refills it node by node through
+    /// Forgets every arrival stream and pending arrival. The arrival
+    /// re-resolution restarts *every* stream (the generation is folded
+    /// into every fork), so it clears the two slabs once and then
+    /// refills them node by node through
     /// [`NodeSlab::resolve_node_arrivals`].
     pub fn clear_arrivals(&mut self) {
-        self.rngs.clear();
+        self.streams.clear();
+        self.next.clear();
     }
 
     /// Resolves the arrival streams of local node `row` (global id
-    /// `node`): one RNG per demand stream, forked from
-    /// `(seed, node, doc, generation)` and appended to the RNG slab, and
-    /// one first arrival per positive-rate stream scheduled after `at`,
-    /// pushed to `out` in stream order. The first inter-arrival gap is
-    /// drawn from the stream's own RNG, so the schedule is independent
-    /// of which shard resolves it.
+    /// `node`): one cell per demand stream, its generator forked from
+    /// `(seed, node, doc, generation)`, appended to the stream slab, and
+    /// beside it the stream's first arrival after `at` — under the next
+    /// sequence number `alloc_seq` hands out, in stream order, for a
+    /// positive-rate stream; [`NO_KEY`] for the others. The first
+    /// inter-arrival gap is drawn from the stream's own generator, so
+    /// the schedule is independent of which shard resolves it. Returns
+    /// the row's [`front`](NodeSlab::front), for the caller's calendar.
     ///
-    /// At a barrier the driver must have dropped the node's stale
-    /// [`PacketEvent::Arrival`] events from its queue and called
-    /// [`NodeSlab::clear_arrivals`] first. This pass is `O(streams)` by
-    /// contract, which is why it forks the per-node prefix once and
-    /// appends to one slab rather than allocating per node.
+    /// At a barrier the driver must have dropped every stale
+    /// [`PacketEvent::Arrival`](super::PacketEvent::Arrival) head from
+    /// its queue and called [`NodeSlab::clear_arrivals`] first. The
+    /// pass writes 64 bytes per stream into the rows and touches no
+    /// queue; it forks the per-node prefix once.
     pub fn resolve_node_arrivals(
         &mut self,
         world: &PacketWorld,
         row: usize,
         node: NodeId,
         at: SimTime,
-        out: &mut Vec<(SimTime, PacketEvent)>,
-    ) {
-        let i = node.index();
-        let node_rng = super::node_arrival_rng(world, i);
-        let start = self.rngs.len();
-        reserve_slack(&mut self.rngs, world.demand[i].len());
-        for (stream, &(doc, index, rate)) in world.demand[i].iter().enumerate() {
-            let mut rng = stream_rng(&node_rng, world.generation, doc);
-            if rate > 0.0 {
+        mut alloc_seq: impl FnMut() -> u64,
+    ) -> Option<(u128, u32)> {
+        let demand = &world.demand[node.index()];
+        let node_rng = super::node_arrival_rng(world, node.index());
+        let start = u32::try_from(self.streams.len()).expect("arrival streams fit 32 bits");
+        reserve_slack(&mut self.streams, demand.len());
+        reserve_slack(&mut self.next, demand.len());
+        for &(doc, index, rate) in demand {
+            let mut rng = stream_rng(&node_rng, world.generation, doc).into_stream();
+            self.next.push(if rate > 0.0 {
                 let gap = exp_delay(&mut rng, 1.0 / rate);
-                out.push((
-                    at + SimTime::from_secs(gap),
-                    PacketEvent::Arrival {
-                        node,
-                        doc,
-                        index,
-                        stream: stream as u32,
-                        rate,
-                    },
-                ));
-            }
-            self.rngs.push(rng);
+                key_of(at + SimTime::from_secs(gap), alloc_seq())
+            } else {
+                NO_KEY
+            });
+            self.streams.push(StreamCell { rng, rate, index });
         }
-        let head = &mut self.heads[row];
-        head.rng_start = u32::try_from(start).expect("arrival streams fit 32 bits");
-        head.rng_len = (self.rngs.len() - start) as u32;
+        self.ranges[row] = (start, demand.len() as u32);
+        self.front(row)
     }
 
     /// Detaches the rows `gone` (distinct, any order) into a slab of
@@ -564,30 +663,33 @@ impl NodeSlab {
             );
             taken.push_row_from(self, row);
         }
-        let mut row = 0;
-        self.heads.retain(|_| {
-            row += 1;
-            !leaves[row - 1]
-        });
-        self.heads.shrink_to_fit();
+        retain_rows(&mut self.heads, &leaves);
+        retain_rows(&mut self.ranges, &leaves);
         self.words.retain_rows(|row| !leaves[row]);
         self.seen.retain_rows(|row| !leaves[row]);
         self.served.retain_rows(|row| !leaves[row]);
         self.buckets.retain_rows(|row| !leaves[row]);
-        // The survivors' arrival ranges, packed in row order.
-        let mut rngs = Vec::with_capacity(self.heads.iter().map(|h| h.rng_len as usize).sum());
-        for head in &mut self.heads {
-            let (start, len) = (head.rng_start as usize, head.rng_len as usize);
-            head.rng_start = rngs.len() as u32;
-            rngs.extend_from_slice(&self.rngs[start..start + len]);
+        // The survivors' streams and pending arrivals, packed in row
+        // order.
+        let kept = self.ranges.iter().map(|r| r.1 as usize).sum();
+        let mut streams = Vec::with_capacity(kept);
+        let mut next = Vec::with_capacity(kept);
+        for range in &mut self.ranges {
+            let old = range.0 as usize..(range.0 + range.1) as usize;
+            range.0 = streams.len() as u32;
+            streams.extend_from_slice(&self.streams[old.clone()]);
+            next.extend_from_slice(&self.next[old]);
         }
-        self.rngs = rngs;
+        self.streams = streams;
+        self.next = next;
         taken
     }
 
     /// Moves row `row` of `from` to the end of this slab — the recipient
-    /// side of a shard migration. `from`'s row is left hollow (no child
-    /// state, default scalars): the caller discards or compacts it.
+    /// side of a shard migration; the row's pending arrivals travel
+    /// with it, still under the donor's sequence numbers. `from`'s row
+    /// is left hollow (no child state, default scalars): the caller
+    /// discards or compacts it.
     ///
     /// # Panics
     ///
@@ -596,11 +698,15 @@ impl NodeSlab {
     pub fn push_row_from(&mut self, from: &mut NodeSlab, row: usize) {
         assert_eq!(self.docs, from.docs, "shards grow with one universe");
         let hollow = NodeHead::new(from.heads[row].gossip_rng.clone());
-        let mut head = std::mem::replace(&mut from.heads[row], hollow);
-        let (start, len) = (head.rng_start as usize, head.rng_len as usize);
-        head.rng_start = u32::try_from(self.rngs.len()).expect("arrival streams fit 32 bits");
-        reserve_slack(&mut self.rngs, len);
-        self.rngs.extend_from_slice(&from.rngs[start..start + len]);
+        let head = std::mem::replace(&mut from.heads[row], hollow);
+        let moved = from.stream_range(row);
+        let start = u32::try_from(self.streams.len()).expect("arrival streams fit 32 bits");
+        reserve_slack(&mut self.streams, moved.len());
+        reserve_slack(&mut self.next, moved.len());
+        self.streams.extend_from_slice(&from.streams[moved.clone()]);
+        self.next.extend_from_slice(&from.next[moved.clone()]);
+        reserve_slack(&mut self.ranges, 1);
+        self.ranges.push((start, moved.len() as u32));
         reserve_slack(&mut self.heads, 1);
         self.heads.push(head);
         self.words.push_row_from(from.words.row(row), 0);
@@ -627,9 +733,11 @@ pub struct NodeMut<'a> {
     /// Serve allocations, one token bucket per dense index;
     /// [`Set::Alloc`] marks the live ones.
     pub buckets: &'a mut [TokenBucket],
-    /// Per-demand-stream arrival randomness, forked purely from
-    /// `(master seed, node, doc)` — independent of any global counter.
-    pub rngs: &'a mut [SimRng],
+    /// Every row's stream range and the stream slab: only an arrival
+    /// resolves the node's own cells ([`NodeMut::stream_mut`]), so no
+    /// other event pays for the range lookup.
+    ranges: &'a [(u32, u32)],
+    streams: &'a mut [StreamCell],
 }
 
 impl NodeMut<'_> {
@@ -687,6 +795,19 @@ impl NodeMut<'_> {
         let present = *word & bit != 0;
         *word &= !bit;
         present
+    }
+
+    /// The node's arrival stream `stream` (its index in the node's
+    /// demand list).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node has no such stream.
+    #[inline]
+    pub fn stream_mut(&mut self, stream: u32) -> &mut StreamCell {
+        let (start, len) = self.ranges[self.row];
+        assert!(stream < len, "stream out of the node's range");
+        &mut self.streams[(start + stream) as usize]
     }
 
     /// Records one request for dense index `k` seen at this node.
@@ -764,8 +885,11 @@ pub struct NodeRef<'a> {
     pub served: &'a [MeterCell],
     /// Token buckets, one per dense index.
     pub buckets: &'a [TokenBucket],
-    /// Arrival RNGs, one per demand stream.
-    pub rngs: &'a [SimRng],
+    /// Arrival streams, one per demand stream.
+    pub streams: &'a [StreamCell],
+    /// Each stream's pending arrival as a packed `(time, seq)` key
+    /// ([`NO_KEY`] for a zero-rate stream).
+    pub next: &'a [u128],
 }
 
 impl<'a> NodeRef<'a> {
@@ -798,13 +922,17 @@ impl PartialEq for NodeRef<'_> {
             && self.seen == other.seen
             && self.served == other.served
             && self.buckets == other.buckets
-            && self.rngs == other.rngs
+            && self.streams == other.streams
+            && self.next == other.next
             && self.kids() == other.kids()
     }
 }
 
 /// Every field, floats in their shortest round-trip form — equal
-/// renderings are equal bits.
+/// renderings are equal bits — bar the pending-arrival keys: their
+/// sequence halves belong to the hosting shard's calendar (a migration
+/// redraws them, as it does the timer fires'), so they are compared as
+/// keys, through [`NodeRef::next`].
 impl std::fmt::Debug for NodeRef<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let set = |s| self.members(s).collect::<Vec<_>>();
@@ -820,7 +948,7 @@ impl std::fmt::Debug for NodeRef<'_> {
             .field("seen", &self.seen)
             .field("served", &self.served)
             .field("buckets", &self.buckets)
-            .field("rngs", &self.rngs)
+            .field("streams", &self.streams)
             .field("kids", &self.kids())
             .finish()
     }
@@ -831,12 +959,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_head_is_fifteen_words() {
+    fn a_head_is_fourteen_words() {
         // The fixed per-node cost the layout table in
-        // `docs/architecture.md` quotes; a leaf owns nothing else.
-        assert_eq!(std::mem::size_of::<NodeHead>(), 120);
+        // `docs/architecture.md` quotes; a leaf owns nothing else, and
+        // a stream costs a 48-byte cell and a 16-byte key.
+        assert_eq!(std::mem::size_of::<NodeHead>(), 112);
         assert_eq!(std::mem::size_of::<ChildState>(), 88);
         assert_eq!(std::mem::size_of::<TokenBucket>(), 24);
+        assert_eq!(std::mem::size_of::<StreamCell>(), 48);
         assert_eq!(std::mem::size_of::<SimRng>(), 40);
     }
 }

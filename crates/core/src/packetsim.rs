@@ -37,8 +37,9 @@
 //!   timer streams in [`TimerRing`](ww_sim::TimerRing)s; every message a
 //!   handler emits at `now + link_delay` or at `now` — already in key
 //!   order — in the queue's FIFO lanes (routed by
-//!   [`packet::enqueue`]); only the next
-//!   Poisson arrival of each stream in the radix heap. Ring fires carry
+//!   [`packet::enqueue`]); the next Poisson arrival of each stream as a
+//!   16-byte key in its node's slab row, with only each row's earliest
+//!   in the radix heap. Ring fires carry
 //!   sequence numbers from the queue's global counter, so the merged
 //!   order is exactly what one combined heap would produce.
 //!
@@ -329,6 +330,13 @@ impl PacketSim {
     /// Every node's protocol state; row = node id.
     pub fn nodes(&self) -> &NodeSlab {
         &self.shard.nodes
+    }
+
+    /// The one shard this engine runs, with the core it runs under —
+    /// for checks that read the calendar beside the rows
+    /// ([`ShardCore::check_fronts`]).
+    pub fn parts(&self) -> (&SimCore, &ShardCore) {
+        (&self.core, &self.shard)
     }
 }
 

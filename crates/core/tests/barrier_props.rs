@@ -172,6 +172,23 @@ fn materialize(pick: &Pick, shadow: &mut Tree, stretch: u64) -> BarrierOp {
     }
 }
 
+/// The per-node reference of `sim`'s rows, beside its calendar's
+/// sequence counter.
+fn capture(sim: &PacketSim) -> Reference {
+    let (_, shard) = sim.parts();
+    Reference::capture(sim.world(), sim.nodes(), shard.queue.next_seq())
+}
+
+/// The front invariant: the calendar holds one arrival head per row
+/// with a pending arrival — under the row's minimum key, naming its
+/// stream — and every stream's key agrees with its rate.
+fn assert_fronts(sim: &PacketSim) {
+    let (core, shard) = sim.parts();
+    if let Err(violation) = shard.check_fronts(core) {
+        panic!("front invariant: {violation}");
+    }
+}
+
 fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
@@ -289,6 +306,7 @@ proptest! {
             }
             prop_assert_eq!(batched.tree(), &shadow);
             assert_world_matches_fresh(batched.world());
+            assert_fronts(&batched);
         }
         let (a, b) = (batched.run(horizon + 2.0), one_by_one.run(horizon + 2.0));
         prop_assert_eq!(report_bits(&a), report_bits(&b));
@@ -300,8 +318,10 @@ proptest! {
     /// start below, at and above the 64 documents a head's inline bitset
     /// words hold, with publishes that shift existing columns — every
     /// row of the node-state slab equals the per-node reference that
-    /// followed the same ops struct by struct; and the two simulators
-    /// then run on bit-identically.
+    /// followed the same ops struct by struct, pending-arrival keys
+    /// included, and the front invariant holds (one arrival head per
+    /// row in the calendar, under the row's minimum key); and the two
+    /// simulators then run on bit-identically.
     #[test]
     fn slab_rows_match_the_per_node_reference(
         nodes in 4usize..20,
@@ -317,28 +337,35 @@ proptest! {
             horizon += 1.0;
             batched.run(horizon);
             one_by_one.run(horizon);
+            // After a second of fires and re-heads, and then after
+            // every op.
+            assert_fronts(&batched);
             let mut shadow = batched.tree().clone();
             let ops: Vec<BarrierOp> =
                 storm.iter().map(|pick| materialize(pick, &mut shadow, 9)).collect();
 
-            let mut reference = Reference::capture(batched.world(), batched.nodes());
+            let mut reference = capture(&batched);
             let results = batched.apply_all(&ops);
             for (op, result) in ops.iter().zip(&results) {
                 prop_assert_eq!(reference.apply(op, horizon).is_ok(), result.is_ok(), "{:?}", op);
             }
-            reference.commit();
+            reference.commit(horizon);
             reference.assert_matches(batched.nodes());
+            assert_fronts(&batched);
 
-            let mut reference = Reference::capture(one_by_one.world(), one_by_one.nodes());
+            let mut reference = capture(&one_by_one);
             for (op, expect) in ops.iter().zip(&results) {
                 prop_assert_eq!(&one_by_one.apply_op(op), expect);
                 let _ = reference.apply(op, horizon);
-                reference.commit();
+                reference.commit(horizon);
                 reference.assert_matches(one_by_one.nodes());
+                assert_fronts(&one_by_one);
             }
         }
         let (a, b) = (batched.run(horizon + 2.0), one_by_one.run(horizon + 2.0));
         prop_assert_eq!(report_bits(&a), report_bits(&b));
+        assert_fronts(&batched);
+        assert_fronts(&one_by_one);
     }
 
     /// Growing the slabs in place — bitset words, token buckets, the
@@ -366,7 +393,7 @@ proptest! {
         let mut slab = NodeSlab::new(&world, &ids);
         let node = NodeId::new((salt as usize) % tree.len());
         exercise(&world, &mut slab.node_mut(node.index()), node, salt);
-        let mut rebuilt = Reference::capture(&world, &slab);
+        let mut rebuilt = Reference::capture(&world, &slab, 0);
         for (round, &doc) in published.iter().enumerate() {
             let at = 2.0 + round as f64;
             let op = BarrierOp::PublishDoc { doc: DocId::new(doc), origin: node, rate: 1.0 };

@@ -3,16 +3,18 @@
 //! node, and the barrier operations written node by node the way the
 //! drivers used to run them — a join builds a struct, a leave
 //! swap-removes one, a universe growth rebuilds every per-document
-//! structure at the grown size. [`Reference`] captures a simulator's
-//! slab into that layout, follows the same [`BarrierOp`]s, and checks
-//! that every row of the slab still equals its node, field for field.
+//! structure at the grown size, a commit restarts every stream and keys
+//! its first arrival under the calendar's next sequence number.
+//! [`Reference`] captures a simulator's slab into that layout, follows
+//! the same [`BarrierOp`]s, and checks that every row of the slab still
+//! equals its node, field for field — pending-arrival keys included.
 
 use ww_cache::{DenseFlowTable, MeterCell};
 use ww_core::packet::{
-    self, BarrierOp, NodeRef, NodeSlab, PacketWorld, Set, TokenBucket, UniverseGrowth,
+    self, BarrierOp, NodeRef, NodeSlab, PacketWorld, Set, StreamCell, TokenBucket, UniverseGrowth,
 };
 use ww_model::{DocId, DocSet, ModelError, NodeId};
-use ww_sim::{exp_delay, SimRng};
+use ww_sim::{exp_delay, key_of, SimRng, SimTime, NO_KEY};
 
 /// EWMA factor of the packet engine's meters.
 const ALPHA: f64 = 0.5;
@@ -31,7 +33,8 @@ pub struct NodeState {
     pub child_est: Vec<Option<f64>>,
     pub served_total: u64,
     pub underload_streak: usize,
-    pub arrival_rng: Vec<SimRng>,
+    /// Each arrival stream with its pending arrival's `(time, seq)` key.
+    pub arrivals: Vec<(StreamCell, u128)>,
     pub gossip_rng: SimRng,
     pub next_request: u64,
 }
@@ -66,10 +69,8 @@ pub fn init_state_at(world: &PacketWorld, node: NodeId, at: f64) -> NodeState {
         child_est: vec![None; children],
         served_total: 0,
         underload_streak: 0,
-        arrival_rng: world.demand[i]
-            .iter()
-            .map(|&(doc, _, _)| packet::arrival_stream_rng(world, i, doc))
-            .collect(),
+        // A joiner's streams start at the commit, like everyone's.
+        arrivals: Vec::new(),
         gossip_rng: packet::gossip_stream_rng(world, i),
         next_request: 0,
     }
@@ -103,7 +104,12 @@ pub fn capture_node(world: &PacketWorld, row: NodeRef<'_>) -> NodeState {
         child_est: row.kids().map_or_else(Vec::new, |k| k.est.clone()),
         served_total: row.head.served_total,
         underload_streak: row.head.underload_streak,
-        arrival_rng: row.rngs.to_vec(),
+        arrivals: row
+            .streams
+            .iter()
+            .cloned()
+            .zip(row.next.iter().copied())
+            .collect(),
         gossip_rng: row.head.gossip_rng.clone(),
         next_request: row.head.next_request,
     }
@@ -173,12 +179,14 @@ pub struct Reference {
     pub nodes: Vec<NodeState>,
     /// An accepted op re-resolves the arrival streams at the commit.
     stale_arrivals: bool,
+    /// The calendar's sequence counter, followed draw by draw.
+    next_seq: u64,
 }
 
 impl Reference {
     /// Captures every row of `slab`, hosted over `world` with row = node
-    /// id.
-    pub fn capture(world: &PacketWorld, slab: &NodeSlab) -> Self {
+    /// id, beside a calendar whose next sequence number is `next_seq`.
+    pub fn capture(world: &PacketWorld, slab: &NodeSlab, next_seq: u64) -> Self {
         assert_eq!(slab.len(), world.len());
         Reference {
             world: world.clone(),
@@ -186,6 +194,7 @@ impl Reference {
                 .map(|i| capture_node(world, slab.node(i)))
                 .collect(),
             stale_arrivals: false,
+            next_seq,
         }
     }
 
@@ -199,6 +208,8 @@ impl Reference {
                 map.push(None);
                 remap_children(&self.world, &mut self.nodes[parent.index()], &map, at);
                 self.nodes.push(init_state_at(&self.world, id, at));
+                // The joiner's two timers are armed on the spot.
+                self.next_seq += 2;
             }
             BarrierOp::RemoveLeaf { node } => {
                 let removal = self.world.leave(*node)?;
@@ -253,21 +264,27 @@ impl Reference {
         Ok(())
     }
 
-    /// The batch commit: every stream restarts from a fresh fork and
-    /// draws its first gap.
-    pub fn commit(&mut self) {
+    /// The batch commit at time `at`: every stream restarts from a
+    /// fresh fork and draws its first gap; node by node and stream by
+    /// stream, each positive-rate stream's first arrival takes the next
+    /// sequence number.
+    pub fn commit(&mut self, at: f64) {
         if !std::mem::take(&mut self.stale_arrivals) {
             return;
         }
+        let at = SimTime::from_secs(at);
         for (i, state) in self.nodes.iter_mut().enumerate() {
-            state.arrival_rng = self.world.demand[i]
+            state.arrivals = self.world.demand[i]
                 .iter()
-                .map(|&(doc, _, rate)| {
-                    let mut rng = packet::arrival_stream_rng(&self.world, i, doc);
+                .map(|&(doc, index, rate)| {
+                    let mut rng = packet::arrival_stream_rng(&self.world, i, doc).into_stream();
+                    let mut key = NO_KEY;
                     if rate > 0.0 {
-                        exp_delay(&mut rng, 1.0 / rate);
+                        let gap = exp_delay(&mut rng, 1.0 / rate);
+                        key = key_of(at + SimTime::from_secs(gap), self.next_seq);
+                        self.next_seq += 1;
                     }
-                    rng
+                    (StreamCell { rng, rate, index }, key)
                 })
                 .collect();
         }
@@ -283,8 +300,9 @@ impl Reference {
 }
 
 /// `row` holds exactly `expect`: meter cells including window starts,
-/// bucket `rate / tokens / last`, bitset members, RNG states, and — for
-/// an interior node — child rows and estimates.
+/// bucket `rate / tokens / last`, bitset members, RNG states, stream
+/// cells with their pending-arrival keys, and — for an interior node —
+/// child rows and estimates.
 pub fn assert_node_eq(expect: &NodeState, row: NodeRef<'_>, i: usize) {
     let bits = |x: Option<f64>| x.map(f64::to_bits);
     for (set, members) in [
@@ -312,7 +330,9 @@ pub fn assert_node_eq(expect: &NodeState, row: NodeRef<'_>, i: usize) {
         expect.gossip_rng, row.head.gossip_rng,
         "node {i}: gossip rng"
     );
-    assert_eq!(&expect.arrival_rng[..], row.rngs, "node {i}: arrival rngs");
+    let (streams, next): (Vec<_>, Vec<_>) = expect.arrivals.iter().cloned().unzip();
+    assert_eq!(&streams[..], row.streams, "node {i}: arrival streams");
+    assert_eq!(&next[..], row.next, "node {i}: pending arrivals");
     match row.kids() {
         None => {
             assert_eq!(expect.flows.row_count(), 0, "node {i}: a leaf has no flows");

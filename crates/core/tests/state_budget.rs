@@ -5,10 +5,12 @@
 //! slabs ([`NodeSlab`]); only a node that has children owns anything of
 //! its own. So building the state of a tree must allocate per *interior*
 //! node, never per leaf, a leaf must cost about its payload (a head, two
-//! meter rows, a bucket row, its arrival RNGs), and a universe growth
-//! that doubles the row stride must grow slab by slab, never holding a
-//! second copy of the whole state. A join + leave storm's allocation
-//! ceiling is `barrier_allocs.rs`'s.
+//! meter rows, a bucket row, 64 bytes per arrival stream), a pending
+//! arrival must cost its 16-byte key in the row and nothing in the
+//! event calendar, and a universe growth that doubles the row stride
+//! must grow slab by slab, never holding a second copy of the whole
+//! state. A join + leave storm's allocation ceiling is
+//! `barrier_allocs.rs`'s.
 
 mod alloc_counter;
 
@@ -16,6 +18,7 @@ use alloc_counter::{heap_use_of, live_now, CountingAlloc};
 use ww_core::packet::{BarrierOp, NodeSlab, PacketWorld};
 use ww_core::packetsim::{PacketSim, PacketSimConfig};
 use ww_model::{DocId, NodeId, Tree};
+use ww_telemetry::Level;
 use ww_workload::DocMix;
 
 #[global_allocator]
@@ -86,15 +89,72 @@ fn a_leaf_costs_its_payload_and_no_allocation() {
             built.allocations,
             edge.len()
         );
-        // A head, two meter rows, a bucket row and eight arrival RNGs
-        // (the per-node layout requested about 1.9 KiB).
+        // A 112-byte head and its 8-byte stream range, two 32-byte
+        // meter cells and a 24-byte bucket per document, a 48-byte cell
+        // and a 16-byte key per arrival stream: 1,336 bytes at eight
+        // documents (the per-node layout requested about 1.9 KiB
+        // without the pending arrivals, which sat in the calendar).
+        let (docs, streams) = (8, 8);
+        let payload = 112 + 8 + docs * (2 * 32 + 24) + streams * (48 + 16);
         let per_leaf = built.requested as f64 / edge.len() as f64;
         assert!(
-            per_leaf <= 1.2 * 1024.0,
-            "{per_leaf:.0} bytes of node state per leaf"
+            per_leaf <= 1.02 * payload as f64,
+            "{per_leaf:.0} bytes of node state per leaf, payload {payload}"
         );
         assert_eq!(built.requested as usize, slab.state_bytes());
     }
+}
+
+/// What `PacketSim::new` keeps on the heap beyond its world's own, on
+/// `two_level(60, 60)` over a universe of 16 documents of which every
+/// leaf requests the first `streams`; and the calendar's radix
+/// high-water after priming.
+fn engine_bytes_and_radix_high_water(streams: usize) -> (i64, u64) {
+    let tree = ww_topology::two_level(60, 60);
+    let rates = ww_workload::leaf_only(&tree, 1.0);
+    let full = ww_workload::shared_zipf_mix(&tree, &rates, 16, 1.0);
+    let mut mix = DocMix::new(tree.len());
+    for node in tree.nodes() {
+        for &(doc, rate) in full.demands_of(node).iter().take(streams) {
+            mix.set(node, doc, rate);
+        }
+    }
+    // The root's clients ask for everything: the universe stays at 16
+    // documents whatever the leaves request.
+    for doc in full.documents() {
+        mix.set(tree.root(), doc, 0.5);
+    }
+    let config = PacketSimConfig::default();
+    let (world, _) = heap_use_of(|| PacketWorld::new(&tree, &mix, config));
+    let (engine, mut sim) = heap_use_of(|| PacketSim::new(&tree, &mix, config));
+    assert_eq!(sim.doc_table().len(), 16);
+    sim.set_telemetry(Level::Counters);
+    let radix_hw = sim.telemetry_snapshot().counter("core.queue.radix_hw");
+    (
+        engine.retained - world.retained,
+        radix_hw.expect("reported"),
+    )
+}
+
+#[test]
+fn pending_arrivals_cost_a_key_not_a_calendar_entry() {
+    let (eight, radix_hw) = engine_bytes_and_radix_high_water(8);
+    // One head per node with demand (3,600 leaves and the root), not
+    // one entry per stream (28,816).
+    assert!(
+        radix_hw <= 3_601,
+        "the calendar's radix heap reached {radix_hw} entries"
+    );
+    let (sixteen, radix_hw) = engine_bytes_and_radix_high_water(16);
+    assert!(radix_hw <= 3_601, "{radix_hw} entries at 16 streams a leaf");
+    // Eight more streams on each of 3,600 leaves: a 48-byte cell and a
+    // 16-byte key each, and nothing that grows with them in the queue
+    // (a calendar entry alone is 80 bytes).
+    let per_stream = (sixteen - eight) as f64 / (3_600.0 * 8.0);
+    assert!(
+        per_stream <= 80.0,
+        "{per_stream:.1} bytes of engine per added arrival stream"
+    );
 }
 
 #[test]

@@ -427,19 +427,12 @@ const OP_SET_MIX: u8 = 6;
 
 fn put_event(out: &mut Vec<u8>, ev: &PacketEvent) {
     match ev {
-        PacketEvent::Arrival {
-            node,
-            doc,
-            index,
-            stream,
-            rate,
-        } => {
+        // Never on a wire (an arrival targets its own node); encoded
+        // for completeness of the event codec.
+        PacketEvent::Arrival { node, stream } => {
             put_u8(out, EV_ARRIVAL);
             put_usize(out, node.index());
-            put_u64(out, doc.value());
-            put_u32(out, *index);
             put_u32(out, *stream);
-            put_f64(out, *rate);
         }
         PacketEvent::Packet {
             node,
@@ -506,10 +499,7 @@ fn read_event(r: &mut Rd<'_>) -> Result<PacketEvent, CodecError> {
     Ok(match tag {
         EV_ARRIVAL => PacketEvent::Arrival {
             node: read_node(r)?,
-            doc: DocId::new(r.u64()?),
-            index: r.u32()?,
             stream: r.u32()?,
-            rate: r.f64()?,
         },
         EV_PACKET => {
             let node = read_node(r)?;

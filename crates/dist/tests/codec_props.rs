@@ -30,19 +30,10 @@ fn arb_string() -> impl Strategy<Value = String> {
 fn arb_event() -> BoxedStrategy<PacketEvent> {
     (0u8..6)
         .prop_flat_map(|variant| match variant {
-            0 => (
-                0usize..1000,
-                0u64..1000,
-                any::<u32>(),
-                any::<u32>(),
-                arb_f64(),
-            )
-                .prop_map(|(node, doc, index, stream, rate)| PacketEvent::Arrival {
+            0 => (0usize..1000, any::<u32>())
+                .prop_map(|(node, stream)| PacketEvent::Arrival {
                     node: NodeId::new(node),
-                    doc: DocId::new(doc),
-                    index,
                     stream,
-                    rate,
                 })
                 .boxed(),
             1 => (

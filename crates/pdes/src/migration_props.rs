@@ -6,8 +6,10 @@
 //! plans in which shards are donor and recipient at once, connected or
 //! not — the two must leave every shard with the same nodes, the same
 //! node-state rows bit for bit, the same pending events under the same
-//! keys, the same ring fires under the same sequence numbers, and the
-//! same sequence counter. Local indices may differ (the bulk form
+//! keys — the arrivals in the rows and the one head per row in the
+//! queue (the front invariant, checked on both sides) included — the
+//! same ring fires under the same sequence numbers, and the same
+//! sequence counter. Local indices may differ (the bulk form
 //! compacts stably, the reference by swap-remove), so shards are
 //! compared as sets keyed by global node id, and each side separately
 //! must keep `members[s][li]`, row `li` of the shard's slab, ring member
@@ -16,10 +18,12 @@
 //! Rows move, not structs: a node's row is read through
 //! [`NodeSlab::node`](ww_core::packet::NodeSlab::node) before and after
 //! — meter cells with their window starts, token buckets, bitset
-//! members (inline words at 6 documents, the word slab at 70), RNG
-//! states out of the shared RNG slab, and an interior node's child rows
-//! and estimates — so a row that arrives next to another node's bucket
-//! row or RNG range shows as a node wearing another node's state.
+//! members (inline words at 6 documents, the word slab at 70), stream
+//! cells and pending-arrival keys out of the shared stream slabs (a
+//! 70-key row is what the re-head scan walks), and an interior node's
+//! child rows and estimates — so a row that arrives next to another
+//! node's bucket row or stream range shows as a node wearing another
+//! node's state.
 
 use crate::engine::ParPacketSim;
 use crate::ops;
@@ -96,6 +100,9 @@ struct NodeView {
     /// float prints in its shortest round-trip form, so equal strings
     /// are equal bits.
     state: String,
+    /// The row's pending arrivals, each `(time bits, seq)`;
+    /// `(u64::MAX, u64::MAX)` for a zero-rate stream.
+    arrivals: Vec<(u64, u64)>,
     fires: Fires,
     window_events: u64,
 }
@@ -118,6 +125,13 @@ fn node_views(sim: &mut ParPacketSim) -> Vec<NodeView> {
             NodeView {
                 shard: s,
                 state: format!("{:?}", shard.nodes.node(li)),
+                arrivals: shard
+                    .nodes
+                    .node(li)
+                    .next
+                    .iter()
+                    .map(|&key| ((key >> 64) as u64, key as u64))
+                    .collect(),
                 fires: (fire(&shard.gossip_ring), fire(&shard.diffusion_ring)),
                 window_events: shard.window_events[li],
             }
@@ -133,6 +147,17 @@ struct QueueView {
     members: usize,
     pending: Vec<(u64, u64, usize, String)>,
     next_seq: u64,
+}
+
+/// The front invariant on every shard: one arrival head per row with a
+/// pending arrival, under the row's minimum key.
+fn assert_fronts(sim: &mut ParPacketSim) {
+    let (core, shards) = sim.parts_mut();
+    for shard in shards.iter() {
+        if let Err(violation) = shard.check_fronts(core) {
+            panic!("front invariant on shard {}: {violation}", shard.id);
+        }
+    }
 }
 
 /// Every shard's [`QueueView`]. Destructive (empties the queues), so
@@ -198,6 +223,7 @@ proptest! {
         prop_assert!(bulk.shard_count() >= 2, "twelve nodes fill two shards");
         let before = node_views(&mut bulk);
         prop_assert_eq!(&before, &node_views(&mut single));
+        assert_fronts(&mut bulk);
         let plan = random_plan(bulk.parts_mut().0, &mut StdRng::seed_from_u64(!seed), share);
 
         let (core, shards) = bulk.parts_mut();
@@ -206,12 +232,17 @@ proptest! {
         ops::apply_rebalance_per_move(core, shards, &plan);
 
         // Each side keeps its tables aligned: every node still wears
-        // its own state and fire times; only migrants changed shard,
-        // drew fresh sequence numbers and restarted their window count.
+        // its own state, arrival times and fire times; only migrants
+        // changed shard, drew fresh sequence numbers and restarted their
+        // window count.
         let after = node_views(&mut bulk);
+        assert_fronts(&mut bulk);
+        assert_fronts(&mut single);
+        let times = |view: &NodeView| view.arrivals.iter().map(|a| a.0).collect::<Vec<_>>();
         for (node, (was, is)) in before.iter().zip(&after).enumerate() {
             let migrated = plan.moves.iter().find(|m| m.node.index() == node);
             prop_assert_eq!(&was.state, &is.state, "node {} wears another state", node);
+            prop_assert_eq!(times(was), times(is), "node {} fires at other times", node);
             prop_assert_eq!((was.fires.0).0, (is.fires.0).0);
             prop_assert_eq!((was.fires.1).0, (is.fires.1).0);
             match migrated {
@@ -230,12 +261,22 @@ proptest! {
         }
         let queues = queue_views(&mut bulk);
         prop_assert_eq!(&queues, &queue_views(&mut single));
-        // The returned count is the migrants' share of those queues.
+        // The returned count is what was pending for the migrants:
+        // their share of those queues bar the heads, which are derived,
+        // plus the arrivals their rows carried.
+        let migrates = |node: usize| plan.moves.iter().any(|m| m.node.index() == node);
         let migrant_events = queues
             .iter()
             .flat_map(|view| &view.pending)
-            .filter(|&&(_, _, node, _)| plan.moves.iter().any(|m| m.node.index() == node))
+            .filter(|(_, _, node, ev)| migrates(*node) && !ev.starts_with("Arrival"))
             .count();
-        prop_assert_eq!(events_moved, migrant_events as u64);
+        let migrant_arrivals = after
+            .iter()
+            .enumerate()
+            .filter(|&(node, _)| migrates(node))
+            .flat_map(|(_, view)| &view.arrivals)
+            .filter(|&&(time, _)| time != u64::MAX)
+            .count();
+        prop_assert_eq!(events_moved, (migrant_events + migrant_arrivals) as u64);
     }
 }

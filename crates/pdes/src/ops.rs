@@ -9,15 +9,45 @@
 //! on a pure replica — never on a single-shard distributed worker.
 
 use crate::rebalance::RebalancePlan;
-use ww_core::packet::driver::{held_mut, ShardCore, SimCore};
+use ww_core::packet::driver::{held_mut, schedule_head, ShardCore, SimCore};
 use ww_core::packet::{NodeSlab, PacketEvent};
-use ww_sim::{SimQueue, SimTime, TimerRing};
+use ww_sim::{key_of, time_of, SimQueue, SimTime, TimerRing, NO_KEY};
 
 /// A migrant's pending work, keyed for deterministic re-insertion.
 enum Pending {
     Event(PacketEvent),
+    /// The pending arrival of this stream of the migrant's row.
+    Arrival(u32),
     Gossip(SimTime),
     Diffusion(SimTime),
+}
+
+/// Fills `carried` with everything pending for the migrant at row `li`
+/// of `shard`, in the `(time, key)` order its donor would have delivered
+/// it: its queue events, the arrivals its row holds, its two timer
+/// fires.
+fn carry(
+    carried: &mut Vec<(SimTime, u64, Pending)>,
+    shard: &ShardCore,
+    li: usize,
+    backlog: Backlog,
+    [(gossip_at, gossip_key), (diffusion_at, diffusion_key)]: [(SimTime, u64); 2],
+) {
+    let events = backlog.into_iter();
+    carried.extend(events.map(|(t, key, ev)| (t, key, Pending::Event(ev))));
+    let arrivals = shard.nodes.node(li).next.iter().enumerate();
+    carried.extend(
+        arrivals
+            .filter(|&(_, &key)| key != NO_KEY)
+            .map(|(stream, &key)| (time_of(key), key as u64, Pending::Arrival(stream as u32))),
+    );
+    carried.push((gossip_at, gossip_key, Pending::Gossip(gossip_at)));
+    carried.push((
+        diffusion_at,
+        diffusion_key,
+        Pending::Diffusion(diffusion_at),
+    ));
+    carried.sort_unstable_by_key(|&(at, key, _)| (at, key));
 }
 
 /// A migrant's queue events, in the donor's delivery order.
@@ -26,9 +56,11 @@ type Backlog = Vec<(SimTime, u64, PacketEvent)>;
 /// Pulls every migrant's pending events out of its donor's queue: one
 /// extraction sweep per donor shard, not per migrant (`extract_events`
 /// rebuilds the whole queue, so per-move extraction would cost
-/// `O(moves x queue)` on a large plan). The barrier guarantees every
-/// in-flight event for a migrant already sits in its donor's queue, so
-/// sweeping before any move is complete. `move_of` maps a node to its
+/// `O(moves x queue)` on a large plan). A migrant's arrival head is
+/// swept out and discarded — derived state: its pending arrivals travel
+/// in its row, and the recipient re-heads it. The barrier guarantees
+/// every in-flight event for a migrant already sits in its donor's
+/// queue, so sweeping before any move is complete. `move_of` maps a node to its
 /// index in `plan.moves` (`u32::MAX`: stays); the result has one
 /// backlog per move.
 fn extract_backlogs(
@@ -49,7 +81,9 @@ fn extract_backlogs(
             {
                 let b = move_of[ev.node().index()] as usize;
                 debug_assert_eq!(plan.moves[b].from, from, "event outside its owner's queue");
-                backlogs[b].push((t, key, ev));
+                if !matches!(ev, PacketEvent::Arrival { .. }) {
+                    backlogs[b].push((t, key, ev));
+                }
             }
         }
     }
@@ -66,9 +100,11 @@ fn move_index(core: &SimCore, plan: &RebalancePlan) -> Vec<u32> {
 }
 
 /// Applies a rebalance plan at the current barrier: each migrating
-/// node's state, pending queue events, and pending timer fires move
-/// from its donor shard to its recipient shard. Returns how many queue
-/// events were re-homed.
+/// node's state — its row, pending arrivals included — pending queue
+/// events, and pending timer fires move from its donor shard to its
+/// recipient shard. Returns how many pending items were re-homed: queue
+/// events plus the arrivals the rows carried (heads, which are derived,
+/// excluded).
 ///
 /// The cost is what the plan moves, not `moves x members`: after one
 /// extraction sweep per donor queue it runs in three bulk phases.
@@ -90,11 +126,14 @@ fn move_index(core: &SimCore, plan: &RebalancePlan) -> Vec<u32> {
 ///    replayed one at a time in plan order (ascending node id) — each
 ///    one's row appended to the recipient's slab
 ///    ([`NodeSlab::push_row_from`]: rows move, not structs), each
-///    one's items in the `(time, key)` order the donor would have
-///    delivered them, drawing fresh sequence numbers from the
-///    recipient's counter — `schedule` for an event, `alloc_seq` for a
-///    timer fire — so every shard's counter ends where one-at-a-time
-///    moves would have left it. The fires are only collected here; one
+///    one's items — queue events, the pending arrivals read off its
+///    row, two timer fires — in the `(time, key)` order the donor would
+///    have delivered them, drawing fresh sequence numbers from the
+///    recipient's counter — `schedule` for an event, `alloc_seq` for an
+///    arrival (its re-keyed entry written back to the row) or a timer
+///    fire — so every shard's counter ends where one-at-a-time moves
+///    would have left it; then the row's head goes into the recipient's
+///    queue. The fires are only collected here; one
 ///    `insert_many` per ring per recipient then merges them into the
 ///    rotation, which is sorted by `(next, seq)` and therefore the same
 ///    whichever way it was built.
@@ -132,7 +171,7 @@ pub(crate) fn apply_rebalance(
     let shard_count = core.partition.shards();
     let move_of = move_index(core, plan);
     let mut backlogs = extract_backlogs(shards, plan, &move_of);
-    let events_moved = backlogs.iter().map(|b| b.len() as u64).sum();
+    let mut events_moved = 0;
 
     // Phase 1: at a barrier every member's timers are armed (handlers
     // rearm immediately after each pop).
@@ -189,7 +228,7 @@ pub(crate) fn apply_rebalance(
             assert!(detached[m.from].is_none(), "{CO_HOSTED}");
             continue;
         };
-        let [(gossip_at, gossip_key), (diffusion_at, diffusion_key)] = fires[i].expect(CO_HOSTED);
+        let fires = fires[i].expect(CO_HOSTED);
         debug_assert_eq!(li, shard.nodes.len());
         let from = detached[m.from].as_mut().expect(CO_HOSTED);
         shard.nodes.push_row_from(from, next_row[m.from]);
@@ -198,21 +237,22 @@ pub(crate) fn apply_rebalance(
         assert_eq!(shard.gossip_ring.add_member(), li);
         assert_eq!(shard.diffusion_ring.add_member(), li);
         // Taking the backlog frees it move by move.
-        carried.extend(
-            std::mem::take(&mut backlogs[i])
-                .into_iter()
-                .map(|(t, key, ev)| (t, key, Pending::Event(ev))),
+        carry(
+            &mut carried,
+            shard,
+            li,
+            std::mem::take(&mut backlogs[i]),
+            fires,
         );
-        carried.push((gossip_at, gossip_key, Pending::Gossip(gossip_at)));
-        carried.push((
-            diffusion_at,
-            diffusion_key,
-            Pending::Diffusion(diffusion_at),
-        ));
-        carried.sort_unstable_by_key(|&(at, key, _)| (at, key));
+        // Everything carried but the two fires was a pending event.
+        events_moved += carried.len() as u64 - 2;
         for (t, _key, item) in carried.drain(..) {
             match item {
                 Pending::Event(ev) => shard.queue.schedule(t, ev),
+                Pending::Arrival(stream) => {
+                    let key = key_of(t, shard.queue.alloc_seq());
+                    shard.nodes.set_arrival_key(li, stream, key);
+                }
                 Pending::Gossip(fire) => {
                     gossip_in[m.to].push((li, fire, shard.queue.alloc_seq()));
                 }
@@ -221,6 +261,7 @@ pub(crate) fn apply_rebalance(
                 }
             }
         }
+        schedule_head(&mut shard.queue, m.node, shard.nodes.front(li));
     }
     for (s, (gossip, diffusion)) in gossip_in.iter_mut().zip(&mut diffusion_in).enumerate() {
         if gossip.is_empty() {
@@ -251,15 +292,18 @@ pub(crate) fn apply_rebalance_per_move(
         assert_eq!(core.partition.shard_of[node], m.from, "stale plan");
         let old_li = core.partition.local_index[node] as usize;
         let shard = held_mut(shards, m.from).expect("reference holds every shard");
-        let mut carried: Vec<(SimTime, u64, Pending)> = backlogs[i]
-            .drain(..)
-            .map(|(t, key, ev)| (t, key, Pending::Event(ev)))
-            .collect();
-        let (gt, gseq) = shard.gossip_ring.fire_entry(old_li).expect("armed");
-        carried.push((gt, gseq, Pending::Gossip(gt)));
-        let (dt, dseq) = shard.diffusion_ring.fire_entry(old_li).expect("armed");
-        carried.push((dt, dseq, Pending::Diffusion(dt)));
-        carried.sort_unstable_by_key(|&(at, key, _)| (at, key));
+        let fires = [
+            shard.gossip_ring.fire_entry(old_li).expect("armed"),
+            shard.diffusion_ring.fire_entry(old_li).expect("armed"),
+        ];
+        let mut carried = Vec::new();
+        carry(
+            &mut carried,
+            shard,
+            old_li,
+            std::mem::take(&mut backlogs[i]),
+            fires,
+        );
         // An empty slab over the same universe, to carry the one row.
         let mut moved = shard.nodes.take_rows(&[]);
         moved.push_row_from(&mut shard.nodes, old_li);
@@ -278,6 +322,10 @@ pub(crate) fn apply_rebalance_per_move(
         for (t, _key, item) in carried {
             match item {
                 Pending::Event(ev) => shard.queue.schedule(t, ev),
+                Pending::Arrival(stream) => {
+                    let key = key_of(t, shard.queue.alloc_seq());
+                    shard.nodes.set_arrival_key(new_li, stream, key);
+                }
                 Pending::Gossip(fire) => {
                     let seq = shard.queue.alloc_seq();
                     shard.gossip_ring.insert(new_li, fire, seq);
@@ -288,5 +336,6 @@ pub(crate) fn apply_rebalance_per_move(
                 }
             }
         }
+        schedule_head(&mut shard.queue, m.node, shard.nodes.front(new_li));
     }
 }

@@ -39,7 +39,7 @@ pub mod wheel;
 
 pub use engine::EventQueue;
 pub use queue::SimQueue;
-pub use radix::{LaneStats, RadixQueue};
-pub use rng::{exp_delay, SimRng};
+pub use radix::{key_of, time_of, LaneStats, RadixQueue, NO_KEY};
+pub use rng::{exp_delay, SimRng, StreamRng};
 pub use time::SimTime;
 pub use wheel::TimerRing;

@@ -21,10 +21,13 @@
 //!   delay emits keys already sorted. [`SimQueue::schedule_in_order`]
 //!   appends such an event to one of two FIFO **lanes**; popping a lane
 //!   is a `pop_front`.
-//! * **irregular** (Poisson arrivals, keyed cross-shard inbound
-//!   messages) go through [`SimQueue::schedule`] /
-//!   [`SimQueue::schedule_keyed`] into the **radix heap** below, the
-//!   only source that sorts.
+//! * **irregular** (one head per node's row of pending Poisson
+//!   arrivals — the packet driver keeps every stream's next arrival as
+//!   a packed key ([`key_of`]) in the node's row and exposes only the
+//!   row's earliest under that stream's own key — and keyed cross-shard
+//!   inbound messages spilled at a barrier) go through
+//!   [`SimQueue::schedule`] / [`SimQueue::schedule_keyed`] into the
+//!   **radix heap** below, the only source that sorts.
 //!
 //! # Lanes
 //!
@@ -120,19 +123,21 @@ const LANES: usize = 2;
 /// Entries per lane chunk.
 const CHUNK: usize = 1024;
 
-/// The key of an empty source. No event can carry it: its time half is
-/// a NaN bit pattern, which [`SimTime`] rejects.
-const NO_KEY: u128 = u128::MAX;
+/// The key of an empty source — and, for a caller that stores packed
+/// keys of its own, of "nothing pending". No event can carry it: its
+/// time half is a NaN bit pattern, which [`SimTime`] rejects.
+pub const NO_KEY: u128 = u128::MAX;
 
 /// Packs `(time, seq)` into one radix key. For non-negative finite
 /// `f64`, `to_bits` is strictly monotone, so integer comparison of the
 /// packed key equals lexicographic `(time, seq)` comparison.
-fn key_of(at: SimTime, seq: u64) -> u128 {
+pub fn key_of(at: SimTime, seq: u64) -> u128 {
     ((at.as_secs().to_bits() as u128) << 64) | seq as u128
 }
 
-/// Unpacks the time half of a radix key.
-fn time_of(key: u128) -> SimTime {
+/// Unpacks the time half of a radix key (the sequence number is the
+/// low 64 bits: `key as u64`).
+pub fn time_of(key: u128) -> SimTime {
     SimTime::from_secs(f64::from_bits((key >> 64) as u64))
 }
 
@@ -311,6 +316,26 @@ impl<E> RadixQueue<E> {
     /// Creates an empty queue at time zero.
     pub fn new() -> Self {
         RadixQueue::default()
+    }
+
+    /// The sequence number the next [`SimQueue::alloc_seq`] will hand
+    /// out.
+    pub fn next_seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// Every pending entry as `(packed key, event)`, in no particular
+    /// order — a read-only walk for invariant checks.
+    pub fn entries(&self) -> impl Iterator<Item = (u128, &E)> {
+        let lanes = self
+            .lanes
+            .iter()
+            .flat_map(|lane| lane.chunks.iter().flatten());
+        self.buckets
+            .iter()
+            .flatten()
+            .chain(lanes)
+            .map(|(key, event)| (*key, event))
     }
 
     /// Files `(key, event)` under the bucket the current pivot assigns

@@ -57,11 +57,29 @@ impl SimRng {
         }
     }
 
-    /// The seed this stream was created from.
-    pub fn stream_seed(&self) -> u64 {
-        self.seed
+    /// This stream as a [`StreamRng`]: the generator alone, for a stream
+    /// that is stored by the thousand and never forks again.
+    pub fn into_stream(self) -> StreamRng {
+        StreamRng(self.inner)
     }
 }
+
+/// A leaf of the fork tree: the 32-byte generator of a [`SimRng`]
+/// without the seed only [`SimRng::fork`] needs. It draws exactly what
+/// the `SimRng` it came from would have drawn.
+///
+/// # Example
+///
+/// ```
+/// use ww_sim::SimRng;
+/// use rand::Rng;
+///
+/// let mut forked = SimRng::seed(42).fork(7);
+/// let mut stored = forked.clone().into_stream();
+/// assert_eq!(forked.gen::<u64>(), stored.gen::<u64>());
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StreamRng(StdRng);
 
 impl RngCore for SimRng {
     fn next_u32(&mut self) -> u32 {
@@ -78,6 +96,24 @@ impl RngCore for SimRng {
 
     fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
         self.inner.try_fill_bytes(dest)
+    }
+}
+
+impl RngCore for StreamRng {
+    fn next_u32(&mut self) -> u32 {
+        self.0.next_u32()
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        self.0.next_u64()
+    }
+
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        self.0.fill_bytes(dest)
+    }
+
+    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
+        self.0.try_fill_bytes(dest)
     }
 }
 
@@ -114,6 +150,16 @@ mod tests {
         let mut f1 = master.fork(5);
         let mut f2 = m2.fork(5);
         assert_eq!(f1.next_u64(), f2.next_u64());
+    }
+
+    #[test]
+    fn a_stored_stream_is_the_generator_alone() {
+        assert_eq!(std::mem::size_of::<StreamRng>(), 32);
+        let mut forked = SimRng::seed(11).fork(3);
+        let mut stored = forked.clone().into_stream();
+        for _ in 0..100 {
+            assert_eq!(forked.next_u64(), stored.next_u64());
+        }
     }
 
     #[test]
