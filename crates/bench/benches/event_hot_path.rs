@@ -12,12 +12,19 @@
 //!   key → scan the row → re-head), against `entry_per_stream`, the
 //!   shape it replaced (one 80-byte calendar entry per stream: pop →
 //!   draw gap → `schedule`). The "front" row of the hold probe.
+//! * `meter_roll`: one node rolling its row of per-document meters one
+//!   window on, at 32 k rows of 8 and of 70 cells — `quiet` (no event
+//!   since the last roll, the average at zero: a leaf's `served` row)
+//!   and `busy` (every cell took an event, recorded inside the timed
+//!   step) on `ww-cache`'s three-word cell, against `*_four_word`, the
+//!   32-byte cell and always-dividing roll it replaced, carried here.
 //! * `wire_transfer`: per-event cost of moving a wire-sized message
 //!   through the lock-free SPSC ring, per-event publish vs one batched
 //!   commit per window.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
+use ww_cache::DenseFlowTable;
 use ww_sim::{
     exp_delay, key_of, time_of, EventQueue, RadixQueue, SimQueue, SimRng, SimTime, StreamRng,
 };
@@ -171,6 +178,96 @@ fn bench_arrivals(c: &mut Criterion) {
     group.finish();
 }
 
+/// The meter cell `ww-cache` had before the three-word one: an `Option`
+/// tag word beside the average, and a division for every closed window.
+#[derive(Clone, Copy)]
+struct FourWordCell {
+    window_start: f64,
+    count_in_window: u64,
+    smoothed: Option<f64>,
+}
+
+impl FourWordCell {
+    fn roll_to(&mut self, now: f64, window_secs: f64, alpha: f64) {
+        while now >= self.window_start + window_secs {
+            let rate = self.count_in_window as f64 / window_secs;
+            self.smoothed = Some(match self.smoothed {
+                None => rate,
+                Some(v) => v + alpha * (rate - v),
+            });
+            self.count_in_window = 0;
+            self.window_start += window_secs;
+        }
+    }
+
+    fn record(&mut self, now: f64, window_secs: f64, alpha: f64) {
+        self.roll_to(now, window_secs, alpha);
+        self.count_in_window += 1;
+    }
+}
+
+fn bench_meter_roll(c: &mut Criterion) {
+    let mut group = c.benchmark_group("meter_roll");
+    group
+        .measurement_time(Duration::from_secs(2))
+        .warm_up_time(Duration::from_millis(300))
+        .sample_size(10);
+    let (window, alpha) = (1.0, 0.5);
+    // Rows roll in id order, each once per window — the diffusion
+    // timers' phase sweep: step `i` rolls row `i % ROWS` at the instant
+    // its `i / ROWS + 1`-th window closes.
+    let at = |step: usize| (step / ROWS + 1) as f64 * window;
+    for &per_row in &[8usize, 70] {
+        for busy in [false, true] {
+            let name = if busy { "busy" } else { "quiet" };
+            {
+                let mut table = DenseFlowTable::new(window, alpha, ROWS, per_row);
+                let mut step = 0;
+                group.bench_function(BenchmarkId::new(name, per_row), |b| {
+                    b.iter(|| {
+                        let (row, now) = (step % ROWS, at(step));
+                        step += 1;
+                        if busy {
+                            for k in 0..per_row as u32 {
+                                table.record(row, k, now - 0.5 * window);
+                            }
+                        }
+                        table.roll_row_to(row, now);
+                        std::hint::black_box(table.rate(row, 0))
+                    });
+                });
+            }
+            {
+                let fresh = FourWordCell {
+                    window_start: 0.0,
+                    count_in_window: 0,
+                    smoothed: None,
+                };
+                let mut cells = vec![fresh; ROWS * per_row];
+                let mut step = 0;
+                let id = BenchmarkId::new(format!("{name}_four_word"), per_row);
+                group.bench_function(id, |b| {
+                    b.iter(|| {
+                        let (row, now) = (step % ROWS, at(step));
+                        step += 1;
+                        let cells = &mut cells[row * per_row..(row + 1) * per_row];
+                        if busy {
+                            for cell in cells.iter_mut() {
+                                cell.record(now - 0.5 * window, window, alpha);
+                            }
+                        }
+                        for cell in cells.iter_mut() {
+                            cell.roll_to(now, window, alpha);
+                        }
+                        std::hint::black_box(cells[0].smoothed)
+                    });
+                });
+            }
+        }
+    }
+    group.finish();
+}
+
 /// A wire-sized payload (timestamp, counter, event word).
 type Msg = (f64, u64, u64);
 
@@ -221,6 +318,7 @@ fn bench_transfer(c: &mut Criterion) {
 fn bench(c: &mut Criterion) {
     bench_queues(c);
     bench_arrivals(c);
+    bench_meter_roll(c);
     bench_transfer(c);
 }
 

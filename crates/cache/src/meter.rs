@@ -6,49 +6,74 @@
 //! it, because NSS only lets it delegate to a child the load that child's
 //! subtree itself forwards — and only for documents that subtree actually
 //! requests.
+//!
+//! Those meters are the protocol's memory footprint, so the cell every
+//! dense table holds ([`MeterCell`]) is three words — window start,
+//! smoothed rate, and the open count with "one full window has elapsed"
+//! in its top bit — and a window nothing was recorded in closes without
+//! a division. `tests/old_cell` keeps the four-word cell and its
+//! always-dividing roll as the reference both are held to, bit for bit.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use ww_model::{DocGrid, DocId, NodeId};
 
 /// The per-meter state of a windowed rate estimator: the open window,
-/// its event count, and the EWMA over the closed windows' rates. The
-/// window length and the smoothing factor are *not* stored here — a
-/// [`RateMeter`] carries them beside its one cell, a [`DenseFlowTable`]
-/// once for its whole grid — so a grid cell is 32 bytes, not 48.
+/// its event count, and the EWMA over the closed windows' rates — three
+/// words. The window length and the smoothing factor are *not* stored
+/// here — a [`RateMeter`] carries them beside its one cell, a
+/// [`DenseFlowTable`] once for its whole grid — and "one full window
+/// has elapsed" is the top bit of the count word, not an `Option` tag,
+/// so a grid cell is 24 bytes.
 ///
 /// Opaque outside this module: a cell can be copied between tables
 /// ([`DenseFlowTable::row`] / [`DenseFlowTable::row_mut`]) and compared,
 /// which is all a row migration or a cell-for-cell test needs.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Clone, Copy, PartialEq)]
 pub struct MeterCell {
     window_start: f64,
-    count_in_window: u64,
-    /// The smoothed rate; `None` until one full window has elapsed.
-    smoothed: Option<f64>,
+    /// The smoothed rate; `+0.0` until one full window has elapsed.
+    smoothed: f64,
+    /// The open window's event count, with [`WARM`] set once one full
+    /// window has elapsed. A count reaches the flag after 2^63 records.
+    state: u64,
 }
+
+/// The bit of [`MeterCell::state`] that says the average is live.
+const WARM: u64 = 1 << 63;
 
 impl MeterCell {
     fn anchored(start: f64) -> Self {
         MeterCell {
             window_start: start,
-            count_in_window: 0,
-            smoothed: None,
+            smoothed: 0.0,
+            state: 0,
         }
     }
 
     /// Advances the window to contain `now`, closing out any completed
     /// windows (including empty ones, which correctly pull the rate
     /// down). The first closed window initializes the average.
+    ///
+    /// A quiet window closes without dividing: its rate is exactly
+    /// `+0.0`, which is what a cold average already holds and what a
+    /// warm average of zero bits stays at; any other average decays by
+    /// the same expression a busy window runs.
     #[inline]
     fn roll_to(&mut self, now: f64, window_secs: f64, alpha: f64) {
         while now >= self.window_start + window_secs {
-            let rate = self.count_in_window as f64 / window_secs;
-            self.smoothed = Some(match self.smoothed {
-                None => rate,
-                Some(v) => v + alpha * (rate - v),
-            });
-            self.count_in_window = 0;
+            let count = self.state & !WARM;
+            if count != 0 {
+                let rate = count as f64 / window_secs;
+                self.smoothed = if self.state & WARM == 0 {
+                    rate
+                } else {
+                    self.smoothed + alpha * (rate - self.smoothed)
+                };
+            } else if self.smoothed.to_bits() != 0 {
+                self.smoothed += alpha * (0.0 - self.smoothed);
+            }
+            self.state = WARM;
             self.window_start += window_secs;
         }
     }
@@ -56,17 +81,33 @@ impl MeterCell {
     #[inline]
     fn record(&mut self, now: f64, window_secs: f64, alpha: f64) {
         self.roll_to(now, window_secs, alpha);
-        self.count_in_window += 1;
+        self.state += 1;
+    }
+
+    /// The smoothed rate; `None` until one full window has elapsed.
+    #[inline]
+    fn rate(&self) -> Option<f64> {
+        (self.state & WARM != 0).then_some(self.smoothed)
     }
 
     #[inline]
     fn rate_or_zero(&self) -> f64 {
-        self.smoothed.unwrap_or(0.0)
+        self.smoothed
     }
 
     fn reset(&mut self) {
-        self.count_in_window = 0;
-        self.smoothed = None;
+        self.state = 0;
+        self.smoothed = 0.0;
+    }
+}
+
+impl std::fmt::Debug for MeterCell {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MeterCell")
+            .field("window_start", &self.window_start)
+            .field("count_in_window", &(self.state & !WARM))
+            .field("smoothed", &self.rate())
+            .finish()
     }
 }
 
@@ -127,7 +168,7 @@ impl RateMeter {
     /// The smoothed rate estimate (events/second); `None` until one full
     /// window has elapsed.
     pub fn rate(&self) -> Option<f64> {
-        self.cell.smoothed
+        self.cell.rate()
     }
 
     /// The smoothed rate, defaulting to 0.0 before the first window closes.
@@ -521,8 +562,114 @@ impl FlowSnapshot {
 }
 
 #[cfg(test)]
+#[path = "../tests/old_cell/mod.rs"]
+mod old_cell;
+
+#[cfg(test)]
 mod tests {
+    use super::old_cell::OldCell;
     use super::*;
+    use proptest::prelude::*;
+
+    /// One step of a meter's life; time advances in windows.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// Advance, then record one event.
+        Record(f64),
+        /// Record this many events at the current instant.
+        Burst(u8),
+        /// Advance, then roll.
+        Roll(f64),
+        /// Roll across this many windows at once.
+        Quiet(u16),
+        Reset,
+        Reanchor,
+        /// Overwrites the live average with `SEEDS[i]`: awkward bit
+        /// patterns the public API only reaches through long histories
+        /// (or not at all), which the quiet path must still not skip.
+        Seed(usize),
+    }
+
+    const SEEDS: [f64; 6] = [-0.0, 0.0, 5e-324, f64::MIN_POSITIVE, 1e-300, 3.5];
+
+    /// Mostly records and short rolls (gaps of 0–5 windows), with the
+    /// occasional burst, long quiet run, reset, re-anchor and seed.
+    fn step() -> impl Strategy<Value = Step> {
+        (0u32..12, 0.0f64..5.0, 6u16..400).prop_map(|(kind, advance, windows)| match kind {
+            0..=3 => Step::Record(advance),
+            4 | 5 => Step::Burst(1 + (windows % 40) as u8),
+            6 | 7 => Step::Roll(advance),
+            8 => Step::Quiet(windows),
+            9 => Step::Reset,
+            10 => Step::Reanchor,
+            _ => Step::Seed(windows as usize % SEEDS.len()),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The three-word cell is the four-word cell: same rate, same
+        /// window, same count after every step of any history, by bits.
+        #[test]
+        fn new_roll_is_old_roll_bit_for_bit(
+            (wide, sharp, late) in (any::<bool>(), any::<bool>(), any::<bool>()),
+            start in 0.0f64..50.0,
+            steps in proptest::collection::vec(step(), 1..60),
+        ) {
+            let window = if wide { 1.0 } else { 0.3 };
+            let alpha = if sharp { 1.0 } else { 0.5 };
+            let start = if late { start } else { 0.0 };
+            let (mut new, mut old) = (MeterCell::anchored(start), OldCell::anchored(start));
+            let mut now = start;
+            for (i, step) in steps.iter().enumerate() {
+                match *step {
+                    Step::Record(advance) => {
+                        now += advance * window;
+                        new.record(now, window, alpha);
+                        old.record(now, window, alpha);
+                    }
+                    Step::Burst(events) => {
+                        for _ in 0..events {
+                            new.record(now, window, alpha);
+                            old.record(now, window, alpha);
+                        }
+                    }
+                    Step::Roll(advance) => {
+                        now += advance * window;
+                        new.roll_to(now, window, alpha);
+                        old.roll_to(now, window, alpha);
+                    }
+                    Step::Quiet(windows) => {
+                        now += f64::from(windows) * window;
+                        new.roll_to(now, window, alpha);
+                        old.roll_to(now, window, alpha);
+                    }
+                    Step::Reset => {
+                        new.reset();
+                        old.reset();
+                    }
+                    Step::Reanchor => {
+                        new = MeterCell::anchored(now);
+                        old = OldCell::anchored(now);
+                    }
+                    Step::Seed(pattern) => {
+                        new.smoothed = SEEDS[pattern];
+                        new.state |= WARM;
+                        old.smoothed = Some(SEEDS[pattern]);
+                    }
+                }
+                prop_assert_eq!(
+                    new.rate().map(f64::to_bits),
+                    old.smoothed.map(f64::to_bits),
+                    "rate after step {} ({:?})", i, step
+                );
+                prop_assert_eq!(new.rate_or_zero().to_bits(), old.rate_or_zero().to_bits());
+                prop_assert_eq!(new.window_start.to_bits(), old.window_start.to_bits());
+                prop_assert_eq!(new.state & !WARM, old.count_in_window);
+            }
+        }
+    }
 
     #[test]
     fn meter_measures_steady_rate() {
@@ -770,9 +917,11 @@ mod tests {
     }
 
     #[test]
-    fn a_grid_cell_is_four_words() {
-        // The per-table constants live once per table, not per cell.
-        assert_eq!(std::mem::size_of::<MeterCell>(), 32);
+    fn a_grid_cell_is_three_words() {
+        // The per-table constants live once per table, not per cell,
+        // and "warm" is a bit of the count, not an `Option` tag.
+        assert_eq!(std::mem::size_of::<MeterCell>(), 24);
+        assert_eq!(std::mem::size_of::<OldCell>(), 32);
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Property-based tests for the cache-server substrate.
 
+mod old_cell;
+
+use old_cell::OldCell;
 use proptest::prelude::*;
-use ww_cache::{plan_push, plan_shed, plan_total, CacheStore, FlowTable};
+use ww_cache::{plan_push, plan_shed, plan_total, CacheStore, DenseFlowTable, FlowTable};
 use ww_model::{DocId, NodeId};
 
 proptest! {
@@ -133,7 +136,6 @@ proptest! {
         second in proptest::collection::vec(0usize..16, 0..6),
         events in proptest::collection::vec((0usize..4, 0u32..16, 0.0f64..3.0), 0..60),
     ) {
-        use ww_cache::DenseFlowTable;
         // `keep[new]` marks the columns of the grown grid that existed
         // before; the rest are fresh.
         let mapping = |keep: &[bool]| -> Vec<u32> {
@@ -171,6 +173,91 @@ proptest! {
         feed(&mut in_place, 6.0);
         feed(&mut rebuilt, 6.0);
         prop_assert_eq!(&in_place, &rebuilt);
+    }
+
+    /// A grid of three-word cells measures what a grid of four-word
+    /// cells measured: after every record, row roll, whole-table roll,
+    /// cell reset and fresh row of any script — gaps of 0–5 windows,
+    /// bursts, long quiet runs — every rate, `row_total` and
+    /// `row_doc_rates` agree with the old formula's, by bits.
+    #[test]
+    fn dense_rolls_match_the_four_word_cell(
+        (wide, sharp) in (any::<bool>(), any::<bool>()),
+        (rows, docs) in (1usize..4, 1usize..9),
+        script in proptest::collection::vec(
+            (0u32..10, 0usize..8, 0u32..16, 0.0f64..5.0, 6u32..300),
+            1..80,
+        ),
+    ) {
+        let window = if wide { 1.0 } else { 0.3 };
+        let alpha = if sharp { 1.0 } else { 0.5 };
+        let mut table = DenseFlowTable::new(window, alpha, rows, docs);
+        let mut model = vec![vec![OldCell::anchored(0.0); docs]; rows];
+        let (mut now, mut rates) = (0.0f64, Vec::new());
+        for &(kind, row, k, advance, quiet) in &script {
+            let (row, k) = (row % model.len(), k % docs as u32);
+            match kind {
+                0..=2 => {
+                    now += advance * window;
+                    table.record(row, k, now);
+                    model[row][k as usize].record(now, window, alpha);
+                }
+                3 => {
+                    for _ in 0..quiet % 40 {
+                        table.record(row, k, now);
+                        model[row][k as usize].record(now, window, alpha);
+                    }
+                }
+                4 | 5 => {
+                    now += advance * window;
+                    table.roll_row_to(row, now);
+                    for cell in &mut model[row] {
+                        cell.roll_to(now, window, alpha);
+                    }
+                }
+                7 => {
+                    table.clear_cell(row, k);
+                    model[row][k as usize].reset();
+                }
+                8 => {
+                    table.push_row(now);
+                    model.push(vec![OldCell::anchored(now); docs]);
+                }
+                // The whole table rolls: a short gap, or (6) a long
+                // quiet run.
+                _ => {
+                    now += if kind == 6 { f64::from(quiet) } else { advance } * window;
+                    table.roll_to(now);
+                    for cell in model.iter_mut().flatten() {
+                        cell.roll_to(now, window, alpha);
+                    }
+                }
+            }
+            for (row, cells) in model.iter().enumerate() {
+                for (k, cell) in cells.iter().enumerate() {
+                    prop_assert_eq!(
+                        table.rate(row, k as u32).to_bits(),
+                        cell.rate_or_zero().to_bits(),
+                        "cell ({}, {}) at {}", row, k, now
+                    );
+                }
+                let total: f64 = cells.iter().map(OldCell::rate_or_zero).sum();
+                prop_assert_eq!(table.row_total(row).to_bits(), total.to_bits());
+                let mut expect: Vec<(u32, u64)> = cells
+                    .iter()
+                    .enumerate()
+                    .map(|(k, cell)| (k as u32, cell.rate_or_zero()))
+                    .filter(|&(_, r)| r > 0.0)
+                    .map(|(k, r)| (k, r.to_bits()))
+                    .collect();
+                // Descending rate (positive floats order as their
+                // bits), ascending index on ties.
+                expect.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                table.row_doc_rates(row, &mut rates);
+                let got: Vec<(u32, u64)> = rates.iter().map(|&(k, r)| (k, r.to_bits())).collect();
+                prop_assert_eq!(got, expect, "row {}", row);
+            }
+        }
     }
 }
 

@@ -44,7 +44,7 @@ use ww_cache::{plan_push_dense, plan_shed_dense, DenseRateSlice};
 use ww_diffusion::safe_alpha;
 use ww_model::{DocId, DocTable, LeafRemoval, ModelError, NodeId, RateVector, Tree};
 use ww_net::{DocRequest, DocResponse, RequestId, TrafficClass, TrafficLedger};
-use ww_sim::{exp_delay, LaneStats, SimQueue, SimRng, SimTime};
+use ww_sim::{exp_delay, LaneStats, SimQueue, SimRng, SimTime, StreamRng};
 use ww_telemetry::{PhaseStat, Snapshot};
 use ww_workload::DocMix;
 
@@ -123,11 +123,10 @@ pub struct PacketWorld {
     pub table: DocTable,
     /// Slot of each node within its parent's child list (root: unused 0).
     pub child_slot: Vec<usize>,
-    /// The live per-node, per-document demand mix (authoritative;
-    /// `demand` is derived from it).
+    /// The live per-node, per-document demand mix — the one copy of the
+    /// offered demand; a node's arrival streams are derived from it
+    /// where they are resolved ([`PacketWorld::streams_of`]).
     pub mix: DocMix,
-    /// Per node: `(doc, dense index, rate)` arrival streams.
-    pub demand: Vec<Vec<(DocId, u32, f64)>>,
     /// The WebFold oracle for the offered demand.
     pub oracle: RateVector,
     /// Run configuration.
@@ -166,8 +165,8 @@ pub struct WorldTel {
     /// Refresh spans recorded (only when `timed`).
     pub refresh_count: u64,
     /// Accumulated time the barrier mutators spent on the world's own
-    /// structural state — tree, mix, universe, child slots, demand
-    /// streams; everything but the oracle refresh (only when `timed`).
+    /// structural state — tree, mix, universe, child slots; everything
+    /// but the oracle refresh (only when `timed`).
     pub structural_ns: u64,
     /// Structural spans recorded: one per accepted join, leave, publish
     /// or shift (only when `timed`).
@@ -245,7 +244,6 @@ impl PacketWorld {
             table,
             child_slot: Vec::new(),
             mix: mix.clone(),
-            demand: Vec::new(),
             oracle: RateVector::zeros(tree.len()),
             config,
             alpha: 0.5,
@@ -269,19 +267,14 @@ impl PacketWorld {
         world
     }
 
-    /// Derives the child-slot index and every node's demand streams
-    /// from `(tree, mix, table)`, from scratch. Construction only: the
-    /// barrier mutators maintain both in place, touching what their
-    /// operation touched.
+    /// Derives the child-slot index from the tree, from scratch.
+    /// Construction only: the barrier mutators maintain it in place,
+    /// touching what their operation touched.
     fn refresh_structural(&mut self) {
         let n = self.tree.len();
         self.child_slot = vec![0usize; n];
         for u in 0..n {
             self.reslot_children(NodeId::new(u));
-        }
-        self.demand = vec![Vec::new(); n];
-        for i in 0..n {
-            self.derive_demand(i);
         }
     }
 
@@ -292,16 +285,33 @@ impl PacketWorld {
         }
     }
 
-    /// Re-derives node `i`'s demand streams from its mix row, into the
-    /// buffer the streams already occupy.
-    fn derive_demand(&mut self, i: usize) {
-        let table = &self.table;
-        let streams = &mut self.demand[i];
-        streams.clear();
-        streams.extend(self.mix.demands_of(NodeId::new(i)).iter().map(|&(d, r)| {
-            let index = table.index_of(d).expect("demand doc in universe");
-            (d, index, r)
-        }));
+    /// The arrival streams of `node` as `(doc, dense index, rate)`, in
+    /// ascending document order: its mix row walked against the
+    /// universe. Both lists ascend, so each document is searched for
+    /// past the previous hit — a full row costs a comparison per
+    /// stream, a three-stream row in a 10,000-document universe three
+    /// short binary searches, never `O(m)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range; the iterator panics on a
+    /// demanded document outside the universe (the mutators grow the
+    /// universe before they touch the mix).
+    pub fn streams_of(
+        &self,
+        node: NodeId,
+    ) -> impl ExactSizeIterator<Item = (DocId, u32, f64)> + '_ {
+        let universe = self.table.docs();
+        let mut at = 0;
+        self.mix.demands_of(node).iter().map(move |&(doc, rate)| {
+            if universe.get(at) != Some(&doc) {
+                at += universe[at..].partition_point(|&known| known < doc);
+                assert_eq!(universe.get(at), Some(&doc), "demand doc in universe");
+            }
+            let index = at as u32;
+            at += 1;
+            (doc, index, rate)
+        })
     }
 
     /// A barrier mutation changed the offered demand or the topology:
@@ -328,7 +338,7 @@ impl PacketWorld {
     }
 
     /// Opens a barrier batch: subsequent mutations keep the structural
-    /// derived state (child slots, demand streams) current — later
+    /// derived state (child slots) current — later
     /// mutations in the batch depend on it — but defer the oracle/alpha
     /// refresh until [`PacketWorld::end_batch`].
     ///
@@ -401,12 +411,11 @@ impl PacketWorld {
         }
         let span = self.tel.begin();
         // Per-document global demand, accumulated in one pass over the
-        // demand streams (node order per document — the same float
-        // order a per-doc `doc_total` scan over the mix produces; the
-        // streams already carry each document's dense index).
+        // nodes' streams (node order per document — the same float
+        // order a per-doc `doc_total` scan over the mix produces).
         let mut totals = vec![0.0f64; self.table.len()];
-        for streams in &self.demand {
-            for &(_, k, r) in streams {
+        for node in self.tree.nodes() {
+            for (_, k, r) in self.streams_of(node) {
                 totals[k as usize] += r;
             }
         }
@@ -430,10 +439,8 @@ impl PacketWorld {
             }
         }
         // The newcomer holds the highest id, so it closes its parent's
-        // child list; nobody else's slot or streams moved.
+        // child list; nobody else's slot moved.
         self.child_slot.push(self.tree.children(parent).len() - 1);
-        self.demand.push(Vec::new());
-        self.derive_demand(id.index());
         self.generation += 1;
         self.tel.end_structural(span);
         self.oracle_changed();
@@ -462,14 +469,11 @@ impl PacketWorld {
             }
         }
         // Mirror the id compaction, then repair what it touched: the
-        // child lists of the (at most two) renumbered parents, and the
-        // streams of the parent that inherited the departed demand.
+        // child lists of the (at most two) renumbered parents.
         self.child_slot.swap_remove(node.index());
-        self.demand.swap_remove(node.index());
         for p in parents_to_remap(&self.tree, &removal) {
             self.reslot_children(p);
         }
-        self.derive_demand(removal.parent.index());
         self.generation += 1;
         self.tel.end_structural(span);
         self.oracle_changed();
@@ -509,16 +513,6 @@ impl PacketWorld {
         let span = self.tel.begin();
         let growth = self.grow_universe([doc].into_iter());
         self.mix.add_rate(origin, doc, rate);
-        // An appended document leaves every other stream's dense index
-        // alone; a smaller id shifts the columns at and above it.
-        if let Some(g) = growth.as_ref().filter(|g| !g.is_append()) {
-            for streams in &mut self.demand {
-                for (_, index, _) in streams {
-                    *index = g.old_to_new[*index as usize];
-                }
-            }
-        }
-        self.derive_demand(origin.index());
         self.generation += 1;
         self.tel.end_structural(span);
         self.oracle_changed();
@@ -546,9 +540,6 @@ impl PacketWorld {
         let span = self.tel.begin();
         let growth = self.grow_universe(mix.documents().into_iter());
         self.mix.clone_from(mix);
-        for i in 0..n {
-            self.derive_demand(i);
-        }
         self.generation += 1;
         self.tel.end_structural(span);
         self.oracle_changed();
@@ -784,16 +775,18 @@ fn stream_rng(node_rng: &SimRng, generation: u64, doc: DocId) -> SimRng {
     }
 }
 
-/// The gossip-loss RNG of one node. Nodes that join mid-run fold the
+/// The gossip-loss RNG of one node, as the generator alone (it never
+/// forks again). Nodes that join mid-run fold the
 /// generation they joined at into the fork, so a joiner reusing a
 /// previously compacted id never resumes a departed node's stream.
-pub fn gossip_stream_rng(world: &PacketWorld, node: usize) -> SimRng {
+pub fn gossip_stream_rng(world: &PacketWorld, node: usize) -> StreamRng {
     let base = SimRng::seed(world.config.seed).fork(STREAM_GOSSIP ^ (node as u64));
     if world.generation == 0 {
         base
     } else {
         base.fork(STREAM_REBUILD ^ world.generation)
     }
+    .into_stream()
 }
 
 /// Queue surgery for a generation bump without churn (publish, shift):

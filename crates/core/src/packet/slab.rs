@@ -9,8 +9,8 @@
 //!
 //! | slab | row holds | bytes per node |
 //! | --- | --- | --- |
-//! | `heads: Vec<NodeHead>` | the scalars, the gossip RNG, the three bitsets' words while the universe fits 64 documents, the child-state pointer | 112 |
-//! | `seen`, `served`: [`DenseFlowTable`] | one meter cell per document | 2 x 32 m |
+//! | `heads: Vec<NodeHead>` | the scalars, the gossip generator (a [`StreamRng`]), the three bitsets' words while the universe fits 64 documents, the child-state pointer | 104 |
+//! | `seen`, `served`: [`DenseFlowTable`] | one three-word meter cell per document | 2 x 24 m |
 //! | `buckets`: [`DocGrid`]`<TokenBucket>` | one token bucket per document | 24 m |
 //! | `words`: [`DocGrid`]`<u64>` | the three bitsets beyond 64 documents, `3 x ceil(m / 64)` words | 0 or 24 ceil(m / 64) |
 //! | `ranges: Vec<(u32, u32)>` | the `(start, len)` of the row's arrival streams in the two slabs below | 8 |
@@ -31,9 +31,15 @@
 //! have addresses that wait on nothing but the dense 8-byte table
 //! ([`NodeSlab::touch_arrival`]).
 //!
+//! The streams themselves — `(document, dense index, rate)` — are
+//! stored nowhere else either: [`PacketWorld::streams_of`] derives them
+//! from the world's mix where [`NodeSlab::resolve_node_arrivals`]
+//! writes the cells.
+//!
 //! Only a node that has children owns anything else: a boxed
-//! [`ChildState`] (its per-child-slot `flows` grid and child load
-//! estimates). A leaf owns no heap buffer at all, so building a slab
+//! [`ChildState`] (its per-child-slot `flows` grid, 24 m + 16 bytes a
+//! child, and child load estimates). A leaf owns no heap buffer at all,
+//! so building a slab
 //! allocates `O(slabs + interior nodes)` times and every per-document
 //! address a handler needs is `node x stride + doc` on a slab whose
 //! header is shared by all nodes and therefore hot.
@@ -49,7 +55,7 @@
 use super::{stream_rng, PacketWorld, UniverseGrowth};
 use ww_cache::{DenseFlowTable, MeterCell};
 use ww_model::{reserve_slack, DocGrid, NodeId};
-use ww_sim::{exp_delay, key_of, SimRng, SimTime, StreamRng, NO_KEY};
+use ww_sim::{exp_delay, key_of, SimTime, StreamRng, NO_KEY};
 
 /// EWMA factor of every packet-level rate meter.
 const METER_ALPHA: f64 = 0.5;
@@ -141,8 +147,9 @@ pub struct NodeHead {
     pub underload_streak: usize,
     /// Node-local request counter (request ids are `(node, counter)`).
     pub next_request: u64,
-    /// Gossip-loss randomness, forked purely from `(master seed, node)`.
-    pub gossip_rng: SimRng,
+    /// Gossip-loss randomness, forked purely from `(master seed, node)`
+    /// — the generator alone: the head never forks it again.
+    pub gossip_rng: StreamRng,
     /// The three bitsets' words while the universe fits one word each.
     sets: [u64; SETS],
     /// Per-child state; `None` for a leaf.
@@ -150,7 +157,7 @@ pub struct NodeHead {
 }
 
 impl NodeHead {
-    fn new(gossip_rng: SimRng) -> Self {
+    fn new(gossip_rng: StreamRng) -> Self {
         NodeHead {
             parent_est: None,
             served_total: 0,
@@ -263,7 +270,7 @@ impl NodeSlab {
             members.len(),
             world.table.len(),
         );
-        let streams = members.iter().map(|u| world.demand[u.index()].len()).sum();
+        let streams = members.iter().map(|&u| world.streams_of(u).len()).sum();
         slab.streams.reserve_exact(streams);
         slab.next.reserve_exact(streams);
         for &node in members {
@@ -626,12 +633,13 @@ impl NodeSlab {
         at: SimTime,
         mut alloc_seq: impl FnMut() -> u64,
     ) -> Option<(u128, u32)> {
-        let demand = &world.demand[node.index()];
+        let demand = world.streams_of(node);
         let node_rng = super::node_arrival_rng(world, node.index());
         let start = u32::try_from(self.streams.len()).expect("arrival streams fit 32 bits");
-        reserve_slack(&mut self.streams, demand.len());
-        reserve_slack(&mut self.next, demand.len());
-        for &(doc, index, rate) in demand {
+        let len = demand.len();
+        reserve_slack(&mut self.streams, len);
+        reserve_slack(&mut self.next, len);
+        for (doc, index, rate) in demand {
             let mut rng = stream_rng(&node_rng, world.generation, doc).into_stream();
             self.next.push(if rate > 0.0 {
                 let gap = exp_delay(&mut rng, 1.0 / rate);
@@ -641,7 +649,7 @@ impl NodeSlab {
             });
             self.streams.push(StreamCell { rng, rate, index });
         }
-        self.ranges[row] = (start, demand.len() as u32);
+        self.ranges[row] = (start, len as u32);
         self.front(row)
     }
 
@@ -959,14 +967,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_head_is_fourteen_words() {
+    fn a_head_is_thirteen_words() {
         // The fixed per-node cost the layout table in
-        // `docs/architecture.md` quotes; a leaf owns nothing else, and
-        // a stream costs a 48-byte cell and a 16-byte key.
-        assert_eq!(std::mem::size_of::<NodeHead>(), 112);
+        // `docs/architecture.md` quotes; a leaf owns nothing else, a
+        // document costs two 24-byte meter cells and a 24-byte bucket,
+        // and a stream a 48-byte cell and a 16-byte key.
+        assert_eq!(std::mem::size_of::<NodeHead>(), 104);
         assert_eq!(std::mem::size_of::<ChildState>(), 88);
+        assert_eq!(std::mem::size_of::<MeterCell>(), 24);
         assert_eq!(std::mem::size_of::<TokenBucket>(), 24);
         assert_eq!(std::mem::size_of::<StreamCell>(), 48);
-        assert_eq!(std::mem::size_of::<SimRng>(), 40);
+        assert_eq!(std::mem::size_of::<StreamRng>(), 32);
     }
 }

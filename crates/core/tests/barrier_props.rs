@@ -201,27 +201,33 @@ fn assert_world_matches_fresh(world: &PacketWorld) {
     let fresh = PacketWorld::new(&world.tree, &world.mix, world.config);
     prop_assert_eq!(&world.child_slot, &fresh.child_slot);
     // A universe never shrinks: the live table may keep documents a
-    // shift dropped from the mix, so the streams' dense indices are
-    // compared through it.
+    // shift dropped from the mix.
     for &doc in fresh.table.docs() {
         prop_assert!(
             world.table.index_of(doc).is_some(),
             "{doc:?} left the universe"
         );
     }
-    let through_live_table: Vec<Vec<(DocId, u32, f64)>> = fresh
-        .demand
-        .iter()
-        .map(|streams| {
-            streams
-                .iter()
-                .map(|&(d, _, r)| (d, world.table.index_of(d).expect("checked above"), r))
-                .collect()
-        })
-        .collect();
-    prop_assert_eq!(&world.demand, &through_live_table);
+    assert_streams_are_the_indexed_mix(world);
     prop_assert_eq!(world.alpha.to_bits(), fresh.alpha.to_bits());
     prop_assert_eq!(bits(world.oracle.as_slice()), bits(fresh.oracle.as_slice()));
+}
+
+/// The world stores no arrival streams: what [`PacketWorld::streams_of`]
+/// derives for every node is its mix row, each document looked up in
+/// the live table.
+fn assert_streams_are_the_indexed_mix(world: &PacketWorld) {
+    for node in world.tree.nodes() {
+        let through_live_table: Vec<(DocId, u32, f64)> = world
+            .mix
+            .demands_of(node)
+            .iter()
+            .map(|&(d, r)| (d, world.table.index_of(d).expect("in the universe"), r))
+            .collect();
+        let derived = world.streams_of(node);
+        prop_assert_eq!(derived.len(), through_live_table.len());
+        prop_assert_eq!(derived.collect::<Vec<_>>(), through_live_table, "{node:?}");
+    }
 }
 
 fn report_bits(r: &PacketSimReport) -> (Vec<u64>, Vec<u64>, u64, u64, u64) {
@@ -278,7 +284,7 @@ proptest! {
 
     /// After any script of barrier ops — applied as `apply_all` storms
     /// on one simulator, one `apply_op` at a time on another — the
-    /// world's maintained state (tree, child slots, demand streams,
+    /// world's maintained state (tree, child slots, derived streams,
     /// universe, alpha, oracle) equals a world built from scratch over
     /// the same tree and mix; the two simulators accept and reject the
     /// same ops and then run on bit-identically.
@@ -319,7 +325,8 @@ proptest! {
     /// words hold, with publishes that shift existing columns — every
     /// row of the node-state slab equals the per-node reference that
     /// followed the same ops struct by struct, pending-arrival keys
-    /// included, and the front invariant holds (one arrival head per
+    /// included, every node's derived streams are its mix row indexed
+    /// through the live table, and the front invariant holds (one arrival head per
     /// row in the calendar, under the row's minimum key); and the two
     /// simulators then run on bit-identically.
     #[test]
@@ -351,6 +358,7 @@ proptest! {
             }
             reference.commit(horizon);
             reference.assert_matches(batched.nodes());
+            assert_streams_are_the_indexed_mix(batched.world());
             assert_fronts(&batched);
 
             let mut reference = capture(&one_by_one);
@@ -359,6 +367,7 @@ proptest! {
                 let _ = reference.apply(op, horizon);
                 reference.commit(horizon);
                 reference.assert_matches(one_by_one.nodes());
+                assert_streams_are_the_indexed_mix(one_by_one.world());
                 assert_fronts(&one_by_one);
             }
         }

@@ -14,7 +14,7 @@ use ww_core::packet::{
     self, BarrierOp, NodeRef, NodeSlab, PacketWorld, Set, StreamCell, TokenBucket, UniverseGrowth,
 };
 use ww_model::{DocId, DocSet, ModelError, NodeId};
-use ww_sim::{exp_delay, key_of, SimRng, SimTime, NO_KEY};
+use ww_sim::{exp_delay, key_of, SimTime, StreamRng, NO_KEY};
 
 /// EWMA factor of the packet engine's meters.
 const ALPHA: f64 = 0.5;
@@ -35,7 +35,7 @@ pub struct NodeState {
     pub underload_streak: usize,
     /// Each arrival stream with its pending arrival's `(time, seq)` key.
     pub arrivals: Vec<(StreamCell, u128)>,
-    pub gossip_rng: SimRng,
+    pub gossip_rng: StreamRng,
     pub next_request: u64,
 }
 
@@ -274,9 +274,10 @@ impl Reference {
         }
         let at = SimTime::from_secs(at);
         for (i, state) in self.nodes.iter_mut().enumerate() {
-            state.arrivals = self.world.demand[i]
-                .iter()
-                .map(|&(doc, index, rate)| {
+            state.arrivals = self
+                .world
+                .streams_of(NodeId::new(i))
+                .map(|(doc, index, rate)| {
                     let mut rng = packet::arrival_stream_rng(&self.world, i, doc).into_stream();
                     let mut key = NO_KEY;
                     if rate > 0.0 {

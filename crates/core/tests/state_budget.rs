@@ -89,27 +89,26 @@ fn a_leaf_costs_its_payload_and_no_allocation() {
             built.allocations,
             edge.len()
         );
-        // A 112-byte head and its 8-byte stream range, two 32-byte
+        // A 104-byte head and its 8-byte stream range, two 24-byte
         // meter cells and a 24-byte bucket per document, a 48-byte cell
-        // and a 16-byte key per arrival stream: 1,336 bytes at eight
-        // documents (the per-node layout requested about 1.9 KiB
-        // without the pending arrivals, which sat in the calendar).
+        // and a 16-byte key per arrival stream: 1,200 bytes at eight
+        // documents and eight streams. Two-sided: a smaller cell must
+        // restate this figure, not slip under it.
         let (docs, streams) = (8, 8);
-        let payload = 112 + 8 + docs * (2 * 32 + 24) + streams * (48 + 16);
+        let payload = 104 + 8 + docs * (2 * 24 + 24) + streams * (48 + 16);
+        assert_eq!(payload, 1_200);
         let per_leaf = built.requested as f64 / edge.len() as f64;
         assert!(
-            per_leaf <= 1.02 * payload as f64,
+            (per_leaf - payload as f64).abs() <= 0.02 * payload as f64,
             "{per_leaf:.0} bytes of node state per leaf, payload {payload}"
         );
         assert_eq!(built.requested as usize, slab.state_bytes());
     }
 }
 
-/// What `PacketSim::new` keeps on the heap beyond its world's own, on
 /// `two_level(60, 60)` over a universe of 16 documents of which every
-/// leaf requests the first `streams`; and the calendar's radix
-/// high-water after priming.
-fn engine_bytes_and_radix_high_water(streams: usize) -> (i64, u64) {
+/// leaf requests the first `streams`.
+fn cdn_with_streams(streams: usize) -> (Tree, DocMix) {
     let tree = ww_topology::two_level(60, 60);
     let rates = ww_workload::leaf_only(&tree, 1.0);
     let full = ww_workload::shared_zipf_mix(&tree, &rates, 16, 1.0);
@@ -124,6 +123,14 @@ fn engine_bytes_and_radix_high_water(streams: usize) -> (i64, u64) {
     for doc in full.documents() {
         mix.set(tree.root(), doc, 0.5);
     }
+    (tree, mix)
+}
+
+/// What `PacketSim::new` keeps on the heap beyond its world's own on
+/// [`cdn_with_streams`], and the calendar's radix high-water after
+/// priming.
+fn engine_bytes_and_radix_high_water(streams: usize) -> (i64, u64) {
+    let (tree, mix) = cdn_with_streams(streams);
     let config = PacketSimConfig::default();
     let (world, _) = heap_use_of(|| PacketWorld::new(&tree, &mix, config));
     let (engine, mut sim) = heap_use_of(|| PacketSim::new(&tree, &mix, config));
@@ -154,6 +161,27 @@ fn pending_arrivals_cost_a_key_not_a_calendar_entry() {
     assert!(
         per_stream <= 80.0,
         "{per_stream:.1} bytes of engine per added arrival stream"
+    );
+}
+
+#[test]
+fn the_world_keeps_one_copy_of_the_demand() {
+    // What building the world requests beyond its clone of the mix:
+    // tree, universe, child slots, fold cache, oracle — nothing per
+    // arrival stream (a stored `(doc, index, rate)` list was 24 bytes a
+    // stream and a buffer per node with demand).
+    let beyond_the_mix = |streams: usize| {
+        let (tree, mix) = cdn_with_streams(streams);
+        let (copy, _) = heap_use_of(|| mix.clone());
+        let (built, world) = heap_use_of(|| PacketWorld::new(&tree, &mix, Default::default()));
+        assert_eq!(world.table.len(), 16);
+        (built.requested - copy.requested) as f64
+    };
+    let (eight, sixteen) = (beyond_the_mix(8), beyond_the_mix(16));
+    assert!(
+        (sixteen - eight).abs() <= 0.01 * eight,
+        "the world requests {eight} bytes beyond its mix at 8 streams a leaf, \
+         {sixteen} at 16"
     );
 }
 

@@ -23,7 +23,7 @@ use std::collections::BTreeSet;
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 use ww_model::{DocId, NodeId, Tree};
-use ww_pdes::{partition_subtrees, ShardHost};
+use ww_pdes::{partition_forest, ShardHost};
 use ww_workload::DocMix;
 
 fn protocol(detail: String) -> DistError {
@@ -68,9 +68,9 @@ pub fn run_worker(connect: &str) -> Result<(), DistError> {
     serve(&mut ctrl, &mut host, me)
 }
 
-/// Rebuilds the world from the assignment, derives the partition (the
-/// same pure function the coordinator ran), wires up the data mesh, and
-/// constructs the shard host.
+/// Rebuilds the world from the assignment, derives the partition once
+/// (the same pure function the coordinator ran), wires up the data mesh
+/// from it, and hands it to the shard host.
 fn build_host(assign: &Assign, listener: &TcpListener) -> Result<ShardHost, DistError> {
     let me = assign.shard_id;
     let tree = Tree::from_parents(&assign.parents)?;
@@ -78,7 +78,7 @@ fn build_host(assign: &Assign, listener: &TcpListener) -> Result<ShardHost, Dist
     for &(node, doc, rate) in &assign.demands {
         mix.set(NodeId::new(node), DocId::new(doc), rate);
     }
-    let partition = partition_subtrees(&tree, assign.shard_hint);
+    let (partition, shape) = partition_forest(&tree, assign.shard_hint);
     let digest = partition_digest(&partition.shard_of);
     if digest != assign.partition_digest {
         return Err(protocol(format!(
@@ -158,11 +158,11 @@ fn build_host(assign: &Assign, listener: &TcpListener) -> Result<ShardHost, Dist
         receivers.insert(peer, rx);
     }
 
-    Ok(ShardHost::worker(
+    Ok(ShardHost::worker_on(
         &tree,
         &mix,
         assign.config,
-        assign.shard_hint,
+        (partition, shape),
         me,
         assign.stall_ms.map(Duration::from_millis),
         |dst| Box::new(senders.remove(&dst).expect("sender for adjacent shard")),

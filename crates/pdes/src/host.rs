@@ -63,10 +63,18 @@ impl ShardHost {
     /// As [`PacketWorld::new`] on invalid inputs.
     pub fn replica(tree: &Tree, mix: &DocMix, config: PacketSimConfig, shard_hint: usize) -> Self {
         assert!(shard_hint > 0, "need at least one shard");
-        let world = PacketWorld::new(tree, mix, config);
-        let (partition, shape) = partition_forest(tree, shard_hint);
+        Self::replica_on(tree, mix, config, partition_forest(tree, shard_hint))
+    }
+
+    /// [`ShardHost::replica`] over a partition the caller derived.
+    fn replica_on(
+        tree: &Tree,
+        mix: &DocMix,
+        config: PacketSimConfig,
+        (partition, shape): (Partition, PartitionShape),
+    ) -> Self {
         ShardHost {
-            core: SimCore::new(world, partition),
+            core: SimCore::new(PacketWorld::new(tree, mix, config), partition),
             held: Vec::new(),
             links: None,
             shape,
@@ -94,10 +102,41 @@ impl ShardHost {
         shard_hint: usize,
         id: usize,
         stall_timeout: Option<Duration>,
+        wire_out: impl FnMut(usize) -> Box<dyn WireSender>,
+        wire_in: impl FnMut(usize) -> Box<dyn WireReceiver>,
+    ) -> Self {
+        Self::worker_on(
+            tree,
+            mix,
+            config,
+            partition_forest(tree, shard_hint),
+            id,
+            stall_timeout,
+            wire_out,
+            wire_in,
+        )
+    }
+
+    /// [`ShardHost::worker`] over a partition the caller has already
+    /// derived with [`partition_forest`] — a `ww-dist` worker needs it
+    /// before the host exists (for the handshake digest and for the
+    /// data mesh's adjacency) and should not pack the tree twice.
+    ///
+    /// # Panics
+    ///
+    /// As [`ShardHost::worker`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn worker_on(
+        tree: &Tree,
+        mix: &DocMix,
+        config: PacketSimConfig,
+        derived: (Partition, PartitionShape),
+        id: usize,
+        stall_timeout: Option<Duration>,
         mut wire_out: impl FnMut(usize) -> Box<dyn WireSender>,
         mut wire_in: impl FnMut(usize) -> Box<dyn WireReceiver>,
     ) -> Self {
-        let mut host = Self::replica(tree, mix, config, shard_hint);
+        let mut host = Self::replica_on(tree, mix, config, derived);
         let SimCore {
             world, partition, ..
         } = &host.core;

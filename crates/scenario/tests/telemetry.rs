@@ -263,6 +263,118 @@ fn armed_rebalancer_bit_identical_across_levels() {
 }
 
 // ---------------------------------------------------------------------
+// Key drift: docs/observability.md against what the engines emit
+
+/// A snapshot key with its run-specific indices replaced by the
+/// placeholders `docs/observability.md` writes.
+fn placeholder_form(key: &str) -> String {
+    let parts: Vec<&str> = key.split('.').collect();
+    let numeric = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    match parts[..] {
+        ["pdes", "shard", i, rest] if numeric(i) => format!("pdes.shard.{{i}}.{rest}"),
+        ["dist", "link", shard, rest] if numeric(shard) => format!("dist.link.{{shard}}.{rest}"),
+        ["pdes", "link", wire, rest] if wire.split('-').all(numeric) => {
+            format!("pdes.link.{{src}}-{{dst}}.{rest}")
+        }
+        _ => key.to_string(),
+    }
+}
+
+/// Every `core.*` / `pdes.*` / `dist.*` key and phase name the packet
+/// engines can emit: their static tables, what the shared snapshot
+/// helpers push, and everything full-level runs of the three engines
+/// (churn grammar; the parallel one with its controller armed) report.
+fn emitted_keys() -> std::collections::BTreeSet<String> {
+    use ww_core::packet::{push_queue_counters, push_state_counters, WorldTel};
+    use ww_core::packetsim::{CORE_KEYS, CORE_PHASES};
+    use ww_pdes::{PartitionShape, PDES_KEYS, PDES_PHASES};
+    use ww_telemetry::Snapshot;
+
+    let mut keys: std::collections::BTreeSet<String> = CORE_KEYS
+        .iter()
+        .chain(PDES_KEYS)
+        .map(|key| key.name)
+        .chain(CORE_PHASES.iter().chain(PDES_PHASES).copied())
+        .map(str::to_string)
+        .collect();
+    let mut pushed = Snapshot::new();
+    for prefix in ["core", "pdes"] {
+        push_queue_counters(&mut pushed, prefix, Default::default());
+        push_state_counters(&mut pushed, prefix, std::iter::empty());
+    }
+    PartitionShape::default().snapshot_into(&mut pushed);
+    let every_span = WorldTel {
+        refresh_count: 1,
+        structural_count: 1,
+        ..WorldTel::default()
+    };
+    every_span.snapshot_into(&mut pushed, true);
+    let mut snapshots = vec![pushed];
+    let armed = r#", "rebalance": {"trigger_imbalance": 1.05, "min_epoch_gap": 1}"#;
+    for (engine, tail) in [
+        (r#"{"kind": "packet_sim"}"#, CHURN_EVENTS.to_string()),
+        (
+            r#"{"kind": "packet_sim_par", "workers": 2}"#,
+            format!("{CHURN_EVENTS}{armed}"),
+        ),
+        (
+            r#"{"kind": "packet_sim_dist", "workers": 2}"#,
+            CHURN_EVENTS.to_string(),
+        ),
+    ] {
+        let outcome = run_one(&with_level(&packet_spec(engine, &tail), Level::Full));
+        snapshots.push(outcome.telemetry.expect("level full attaches a snapshot"));
+    }
+    for snap in &snapshots {
+        let names = (snap.counters.iter().map(|(name, _)| name))
+            .chain(snap.phases.iter().map(|(name, _)| name))
+            .chain(snap.hists.iter().map(|(name, _)| name));
+        keys.extend(names.map(|name| placeholder_form(name)));
+    }
+    // A link's park counters exist only once it parked a message, and
+    // no world this small overflows a ring: named here.
+    keys.insert("pdes.link.{src}-{dst}.parks".to_string());
+    keys.insert("pdes.link.{src}-{dst}.peak_parked".to_string());
+    keys
+}
+
+/// The `core.*` / `pdes.*` / `dist.*` keys `docs/observability.md`
+/// names in backticks (families like `core.phase.*` and bare prefixes
+/// are prose, not keys).
+fn documented_keys() -> std::collections::BTreeSet<String> {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/observability.md");
+    let text = std::fs::read_to_string(path).expect("docs/observability.md is readable");
+    text.split('`')
+        .skip(1)
+        .step_by(2)
+        .filter(|span| {
+            ["core.", "pdes.", "dist."]
+                .iter()
+                .any(|p| span.starts_with(p))
+        })
+        .filter(|span| !span.contains('*') && !span.ends_with('.') && !span.contains(' '))
+        .map(str::to_string)
+        .collect()
+}
+
+/// ROADMAP item 6's drift check: a key an engine emits is documented,
+/// and a documented key is one some engine emits.
+#[test]
+fn documented_keys_are_the_emitted_keys() {
+    let (emitted, documented) = (emitted_keys(), documented_keys());
+    let undocumented: Vec<_> = emitted.difference(&documented).collect();
+    assert!(
+        undocumented.is_empty(),
+        "emitted but not in docs/observability.md: {undocumented:?}"
+    );
+    let stale: Vec<_> = documented.difference(&emitted).collect();
+    assert!(
+        stale.is_empty(),
+        "in docs/observability.md but emitted by no engine: {stale:?}"
+    );
+}
+
+// ---------------------------------------------------------------------
 // JSONL traces
 
 #[test]
