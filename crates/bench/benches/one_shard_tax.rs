@@ -15,10 +15,16 @@
 //! a set of sibling regions, so the two halves are 30 regions each; a
 //! reading under ~1.5× on a two-core host is what the wires cost
 //! (`pdes.promises_per_kevent`, `pdes.merge_stalls_per_kevent`).
+//!
+//! A fourth row, `dist_packet_sim_w2`, runs the same two shards as
+//! `DistPacketSim` worker threads over loopback TCP: next to
+//! `par_packet_sim_w2` it reads what socket wires cost over in-process
+//! rings, the gap ROADMAP item 1 attributes layer by layer.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use ww_core::packetsim::{PacketSim, PacketSimConfig};
+use ww_dist::{DistMode, DistOptions, DistPacketSim};
 use ww_pdes::ParPacketSim;
 
 fn bench(c: &mut Criterion) {
@@ -40,7 +46,14 @@ fn bench(c: &mut Criterion) {
     let mut seq = PacketSim::new(&tree, &mix, config);
     let mut par = ParPacketSim::new(&tree, &mix, config, 1);
     let mut par2 = ParPacketSim::new(&tree, &mix, config, 2);
+    let threads = DistOptions {
+        mode: DistMode::Threads,
+        ..DistOptions::default()
+    };
+    let mut dist2 =
+        DistPacketSim::launch(&tree, &mix, config, 2, threads).expect("loopback launch");
     let (mut seq_horizon, mut par_horizon, mut par2_horizon) = (0.0, 0.0, 0.0);
+    let mut dist2_horizon = 0.0;
     for round in 1..=2 {
         group.bench_function(BenchmarkId::new("packet_sim", round), |b| {
             b.iter(|| {
@@ -60,8 +73,16 @@ fn bench(c: &mut Criterion) {
                 std::hint::black_box(par2.run(par2_horizon).processed_events)
             });
         });
+        group.bench_function(BenchmarkId::new("dist_packet_sim_w2", round), |b| {
+            b.iter(|| {
+                dist2_horizon += 1.0;
+                let report = dist2.run(dist2_horizon).expect("loopback run");
+                std::hint::black_box(report.processed_events)
+            });
+        });
     }
     group.finish();
+    dist2.shutdown();
 }
 
 criterion_group!(benches, bench);

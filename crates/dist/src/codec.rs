@@ -23,7 +23,7 @@ use std::fmt;
 use ww_core::packet::{BarrierOp, PacketEvent, PacketSimConfig};
 use ww_model::{DocId, NodeId};
 use ww_net::{DocRequest, RequestId};
-use ww_pdes::Wire;
+use ww_pdes::{Wire, PDES_KEYS};
 use ww_sim::SimTime;
 use ww_workload::DocMix;
 
@@ -132,6 +132,10 @@ pub struct WorkerReport {
     pub data_msgs: u64,
     /// Bytes this shard wrote to its outbound data wires.
     pub data_bytes: u64,
+    /// The shard's hot-path counters, one value per [`PDES_KEYS`] entry
+    /// in table order; a frame carrying any other count is a
+    /// [`CodecError::BadValue`].
+    pub pdes: Vec<u64>,
 }
 
 /// A 64-bit FNV-1a digest of a node → shard map (length, then every
@@ -795,6 +799,10 @@ fn put_body(out: &mut Vec<u8>, msg: &Msg) {
             put_u64(out, rep.peak_parked);
             put_u64(out, rep.data_msgs);
             put_u64(out, rep.data_bytes);
+            put_u32(out, rep.pdes.len() as u32);
+            for &v in &rep.pdes {
+                put_u64(out, v);
+            }
         }
         Msg::Shutdown => put_u8(out, TAG_SHUTDOWN),
         Msg::Fatal { msg } => {
@@ -936,15 +944,26 @@ pub fn decode_msg(body: &[u8]) -> Result<Msg, CodecError> {
             }
             let hops = r.u64()?;
             let counters = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
+            let (processed, parks, peak_parked) = (r.u64()?, r.u64()?, r.u64()?);
+            let (data_msgs, data_bytes) = (r.u64()?, r.u64()?);
+            if r.len(8)? != PDES_KEYS.len() {
+                return Err(CodecError::BadValue {
+                    what: "pdes counter slab",
+                });
+            }
+            let pdes = (0..PDES_KEYS.len())
+                .map(|_| r.u64())
+                .collect::<Result<_, _>>()?;
             Msg::Report(WorkerReport {
                 rates,
                 ledger: (counts, bytes, hops),
                 counters,
-                processed: r.u64()?,
-                parks: r.u64()?,
-                peak_parked: r.u64()?,
-                data_msgs: r.u64()?,
-                data_bytes: r.u64()?,
+                processed,
+                parks,
+                peak_parked,
+                data_msgs,
+                data_bytes,
+                pdes,
             })
         }
         TAG_SHUTDOWN => Msg::Shutdown,

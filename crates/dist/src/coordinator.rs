@@ -31,10 +31,10 @@ use ww_core::packet::{BarrierOp, BarrierOutcome, PacketCounters, PacketSimConfig
 use ww_core::packetsim::{PacketBackend, PacketSimReport};
 use ww_model::{NodeId, RateVector, Tree};
 use ww_net::TrafficLedger;
-use ww_pdes::{ShardHost, DEFAULT_STALL_TIMEOUT};
+use ww_pdes::{ShardHost, DEFAULT_STALL_TIMEOUT, PDES_KEYS};
 use ww_sim::SimTime;
 use ww_stats::{ConvergenceTrace, ExactSum};
-use ww_telemetry::{Histogram, Level, Snapshot};
+use ww_telemetry::{Counters, Histogram, Level, Snapshot};
 use ww_workload::DocMix;
 
 /// Tuning of a distributed launch.
@@ -112,6 +112,9 @@ pub struct DistPacketSim {
     /// Each worker's data-wire `(messages, bytes)` written, from the
     /// most recent report assembly.
     last_worker_data: Vec<(u64, u64)>,
+    /// Each worker's hot-path counter slab over [`PDES_KEYS`], from the
+    /// most recent report assembly.
+    last_worker_pdes: Vec<Counters>,
 }
 
 impl DistPacketSim {
@@ -293,6 +296,7 @@ impl DistPacketSim {
             apply_rtt: Histogram::new(level),
             last_worker_parks: (0, 0),
             last_worker_data: Vec::new(),
+            last_worker_pdes: Vec::new(),
         };
 
         // Wait for every worker's data mesh to come up. A worker that
@@ -519,6 +523,13 @@ impl DistPacketSim {
             .iter()
             .map(|rep| (rep.data_msgs, rep.data_bytes))
             .collect();
+        self.last_worker_pdes = slices
+            .iter()
+            .map(|rep| {
+                Counters::from_slots(PDES_KEYS, rep.pdes.clone())
+                    .expect("the codec admits one value per key")
+            })
+            .collect();
         Ok(PacketSimReport::assemble(
             &self.replica.world().oracle,
             &self.trace,
@@ -586,9 +597,11 @@ impl DistPacketSim {
 
     /// A deterministic snapshot of the coordinator-side observations:
     /// the replica's oracle-maintenance counters, the partition's shape,
-    /// worker back-pressure and data-wire totals from the last report,
-    /// the launch-handshake wall-clock, framed control-plane bytes per
-    /// worker link, and the epoch/apply round-trip histograms. Empty
+    /// the workers' hot-path counters over [`PDES_KEYS`] (merged
+    /// kind-aware), worker back-pressure and data-wire totals from the
+    /// last report, the launch-handshake wall-clock, framed
+    /// control-plane bytes per worker link, and the epoch/apply
+    /// round-trip histograms. Empty
     /// when [`DistOptions::telemetry`] is [`Level::Off`]. Observation
     /// only — never fed back into the run.
     pub fn telemetry_snapshot(&self) -> Snapshot {
@@ -600,6 +613,13 @@ impl DistPacketSim {
             .world()
             .oracle_telemetry()
             .snapshot_into(&mut snap, self.options.telemetry.spans_on());
+        // The workers' hot-path slabs, merged as `ParPacketSim` merges
+        // its shards': sums add, high-water marks take the max.
+        let mut merged = Counters::new(PDES_KEYS, self.options.telemetry);
+        for slab in &self.last_worker_pdes {
+            merged.merge_from(slab);
+        }
+        merged.snapshot_into(&mut snap);
         snap.push_counter("pdes.overflow.parks", self.last_worker_parks.0);
         snap.push_counter("pdes.overflow.peak_parked", self.last_worker_parks.1);
         self.replica.partition_shape().snapshot_into(&mut snap);

@@ -24,6 +24,7 @@ use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 use ww_model::{DocId, NodeId, Tree};
 use ww_pdes::{partition_forest, ShardHost};
+use ww_telemetry::Level;
 use ww_workload::DocMix;
 
 fn protocol(detail: String) -> DistError {
@@ -64,6 +65,10 @@ pub fn run_worker(connect: &str) -> Result<(), DistError> {
             return Err(e);
         }
     };
+    // The shard's hot-path counters always record — a few indexed adds
+    // per pass of the epoch loop — and travel home in every report; the
+    // coordinator's level decides whether anyone reads them.
+    host.set_telemetry(Level::Counters);
     ctrl.write_msg(&Msg::Ready)?;
     serve(&mut ctrl, &mut host, me)
 }
@@ -236,6 +241,7 @@ fn serve(ctrl: &mut FramedStream, host: &mut ShardHost, me: usize) -> Result<(),
                     peak_parked,
                     data_msgs,
                     data_bytes,
+                    pdes: host.pdes_counters(),
                 }))?;
             }
             Msg::Shutdown => return Ok(()),

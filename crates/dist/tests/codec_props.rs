@@ -7,7 +7,7 @@ use ww_core::packet::{BarrierOp, PacketEvent, PacketSimConfig};
 use ww_dist::{decode_msg, encode_msg, Assign, CodecError, FrameBuffer, Msg, WorkerReport};
 use ww_model::{DocId, NodeId};
 use ww_net::{DocRequest, RequestId};
-use ww_pdes::Wire;
+use ww_pdes::{Wire, PDES_KEYS};
 use ww_sim::SimTime;
 use ww_workload::DocMix;
 
@@ -195,8 +195,9 @@ fn arb_report() -> impl Strategy<Value = WorkerReport> {
             any::<u64>(),
             any::<u64>(),
         ),
+        proptest::collection::vec(any::<u64>(), PDES_KEYS.len()),
     )
-        .prop_map(|(rates, raw, counters, rest)| {
+        .prop_map(|(rates, raw, counters, rest, pdes)| {
             let mut counts = [0u64; 6];
             let mut bytes = [0u64; 6];
             counts.copy_from_slice(&raw[0..6]);
@@ -211,6 +212,7 @@ fn arb_report() -> impl Strategy<Value = WorkerReport> {
                 peak_parked,
                 data_msgs,
                 data_bytes,
+                pdes,
             }
         })
 }
@@ -390,6 +392,30 @@ fn bad_tag_and_bad_values_are_typed() {
         (huge, "mix nodes"),
     ] {
         assert_eq!(decode_msg(&bad), Err(CodecError::BadValue { what }));
+    }
+
+    // A worker's counter slab one value short or one long: a typed
+    // error, not a coordinator that merges slabs of different tables.
+    for len in [PDES_KEYS.len() - 1, PDES_KEYS.len() + 1] {
+        let report = WorkerReport {
+            rates: vec![1.0],
+            ledger: ([0; 6], [0; 6], 0),
+            counters: (0, 0, 0, 0),
+            processed: 0,
+            parks: 0,
+            peak_parked: 0,
+            data_msgs: 0,
+            data_bytes: 0,
+            pdes: vec![7; len],
+        };
+        let mut frame = Vec::new();
+        encode_msg(&Msg::Report(report), &mut frame);
+        assert_eq!(
+            decode_msg(&frame[4..]),
+            Err(CodecError::BadValue {
+                what: "pdes counter slab"
+            })
+        );
     }
 
     // Trailing garbage after a complete message.

@@ -125,6 +125,35 @@ fn random_tree_matches_sequential() {
     }
 }
 
+/// The workers' hot-path counters travel home in their reports: a
+/// two-worker run at counters level reports the shard loop's passes,
+/// promises and stage depth, and the events its slabs saw popped are
+/// exactly the events the report counts. Observation only — the report
+/// is still the sequential one.
+#[test]
+fn worker_counters_reach_the_coordinator() {
+    let (tree, mix) = random_mix(0xD157);
+    let config = PacketSimConfig {
+        seed: 7,
+        ..PacketSimConfig::default()
+    };
+    let seq = PacketSim::new(&tree, &mix, config).run(6.0);
+    let options = DistOptions {
+        telemetry: ww_telemetry::Level::Counters,
+        ..threads()
+    };
+    let mut dist = DistPacketSim::launch(&tree, &mix, config, 2, options).unwrap();
+    let rep = dist.run(6.0).unwrap();
+    assert_reports_identical(&seq, &rep, "counters level");
+    let snap = dist.telemetry_snapshot();
+    let counter = |key: &str| snap.counter(key).unwrap_or_else(|| panic!("{key} missing"));
+    assert!(counter("pdes.passes") > 0);
+    assert!(counter("pdes.promises.sent") > 0);
+    assert!(counter("pdes.stage.depth.high_water") >= 1);
+    assert_eq!(counter("pdes.events.popped"), rep.processed_events);
+    dist.shutdown();
+}
+
 /// Link failure, healing, invalidation, churn, and a publish, all
 /// mid-run, on any backend; the final report and the id the joiner took.
 fn churn_and_failures<B: PacketBackend>(sim: &mut B) -> (PacketSimReport, NodeId)

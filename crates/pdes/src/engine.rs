@@ -8,7 +8,7 @@
 //! (see [`crate::partition`]), and runs one `ShardCore` per shard on its
 //! own worker thread. What this module adds is only what a single shard
 //! has no use for: the links between shards (`ShardLinks`: wires,
-//! promises, the one-event merge stage), the epoch loop that
+//! promises, each wire's merge stage), the epoch loop that
 //! synchronizes over them, the thread scope, and the rebalance
 //! controller.
 //!
@@ -48,11 +48,23 @@
 //! messages park in an unbounded per-wire overflow queue, drained ahead
 //! of new traffic so per-wire FIFO is preserved (the park count and
 //! peak depth surface in the report). A shard consumes inbound events
-//! through a one-event *merge stage* per wire: only the head of each
-//! wire competes in the shard's `(time, key)` event merge, so
-//! cross-shard arrivals never churn the main queue at all. The
-//! `ww-dist` crate supplies socket-backed wires so shards can live in
-//! different OS processes.
+//! through a *merge stage* per wire — a FIFO of everything the wire has
+//! delivered and the shard has not yet executed: only the front of each
+//! stage competes in the shard's `(time, key)` event merge, so
+//! cross-shard arrivals never churn the main queue at all. A pass of the
+//! epoch loop reads every wire to its end (one socket `read` that comes
+//! back dry, on a `ww-dist` wire), so the `Promise` or `EpochEnd` behind
+//! a burst of events raises the wire's promise in the same pass as the
+//! burst — a stage that held one event stopped reading there, and a
+//! shard on the receiving end of a dense one-way stream advanced one
+//! inbound event per pass. Reading ahead cannot admit an event out of
+//! order: a message not yet read follows, on its wire, every message
+//! already read, so its timestamp is at or past every promise in hand
+//! and reading it can only raise the safe bound. By the same argument a
+//! pass whose promises in hand already cover its next local event skips
+//! the read, and a pass publishes once, its promise staged behind its
+//! events. The `ww-dist` crate supplies socket-backed wires so shards
+//! can live in different OS processes.
 //!
 //! # Determinism
 //!
@@ -60,16 +72,17 @@
 //! events draw `seq` from the shard's counter and inbound messages carry
 //! a key derived from `(sending shard, per-channel counter)` — a pure
 //! function of message content, never of wall-clock wire timing. Each
-//! wire carries monotone `(time, counter)` streams, so its staged head
+//! wire carries monotone `(time, counter)` streams, so its stage's front
 //! is always that wire's minimum and the merge over queue, timer rings
-//! and staged heads reproduces exactly the order a single queue holding
-//! every pending event would. The packet protocol's handlers are
-//! node-local and all its randomness is content-keyed per node, so the
-//! full run is a pure function of `(world, seed)`: independent of
-//! thread scheduling, of the worker count and of the transport, and
-//! bit-identical to the sequential `PacketSim` (traces,
-//! served rates, ledger, counters, processed-event counts). The golden
-//! tests in this crate and in `ww-scenario` pin exactly that.
+//! and stage fronts reproduces exactly the order a single queue holding
+//! every pending event would — however much of a wire was read when.
+//! The packet protocol's handlers are node-local and all its randomness
+//! is content-keyed per node, so the full run is a pure function of
+//! `(world, seed)`: independent of thread scheduling, of the worker
+//! count and of the transport, and bit-identical to the sequential
+//! `PacketSim` (traces, served rates, ledger, counters, processed-event
+//! counts). The golden tests in this crate and in `ww-scenario` pin
+//! exactly that.
 
 use crate::ops;
 use crate::partition::{partition_forest, PartitionShape};
@@ -114,12 +127,16 @@ pub static PDES_KEYS: &[Key] = &[
     Key::sum("pdes.merge.stalls"),
     Key::high_water("pdes.ring.occupancy.high_water"),
     Key::high_water("pdes.queue.depth.high_water"),
+    Key::sum("pdes.passes"),
+    Key::high_water("pdes.stage.depth.high_water"),
 ];
 const K_EVENTS_POPPED: usize = 0;
 const K_PROMISES_SENT: usize = 1;
 const K_MERGE_STALLS: usize = 2;
 const K_RING_HIGH_WATER: usize = 3;
 const K_QUEUE_DEPTH: usize = 4;
+const K_PASSES: usize = 5;
+const K_STAGE_DEPTH: usize = 6;
 
 /// Phase-timer table of the PDES epoch loop (recorded only at
 /// [`Level::Full`]): time spent computing events versus waiting at the
@@ -246,11 +263,11 @@ struct StagedEvent {
 pub(crate) struct InLink {
     pub(crate) peer: usize,
     pub(crate) rx: Box<dyn WireReceiver>,
-    /// The wire's head event, competing in the shard's event merge.
-    /// Per-wire `(time, counter)` streams are monotone, so this is
-    /// always the wire's minimum; while it is occupied the wire is not
-    /// read further.
-    staged: Option<StagedEvent>,
+    /// Every event the wire has delivered and the shard has not yet
+    /// executed, in wire order. Per-wire `(time, counter)` streams are
+    /// monotone, so the front is the wire's minimum and only it competes
+    /// in the shard's event merge.
+    staged: VecDeque<StagedEvent>,
     promise: SimTime,
     epoch_ended: bool,
 }
@@ -260,7 +277,7 @@ impl InLink {
         InLink {
             peer,
             rx,
-            staged: None,
+            staged: VecDeque::new(),
             promise: SimTime::ZERO,
             epoch_ended: false,
         }
@@ -329,9 +346,14 @@ impl ShardLinks {
     /// (Re)arms the telemetry slabs at `level`, zeroing any prior
     /// observations. Observation only — never read back by the event
     /// loop.
-    fn set_telemetry(&mut self, level: Level) {
+    pub(crate) fn set_telemetry(&mut self, level: Level) {
         self.tel = Counters::new(PDES_KEYS, level);
         self.tel_phases = Phases::new(PDES_PHASES, level);
+    }
+
+    /// The hot-path counter slab over [`PDES_KEYS`].
+    pub(crate) fn counters(&self) -> &Counters {
+        &self.tel
     }
 
     /// `(total messages ever parked, peak depth of any overflow queue)`
@@ -356,11 +378,17 @@ impl ShardLinks {
         self.in_links
             .iter()
             .enumerate()
-            .filter_map(|(li, link)| link.staged.as_ref().map(|s| (s.at, s.key, li)))
+            .filter_map(|(li, link)| link.staged.front().map(|s| (s.at, s.key, li)))
             .min()
     }
 
-    /// Time of the earliest pending event, staged heads included.
+    /// The smallest promise across the inbound wires (`None`: no
+    /// neighbors).
+    fn safe_time(&self) -> Option<SimTime> {
+        self.in_links.iter().map(|l| l.promise).min()
+    }
+
+    /// Time of the earliest pending event, staged fronts included.
     fn next_time(&self, core: &ShardCore) -> Option<SimTime> {
         let local = core.next_source().map(|(t, _, _)| t);
         let staged = self.next_staged().map(|(t, _, _)| t);
@@ -392,12 +420,14 @@ impl ShardLinks {
 
     /// Processes every pending event with `time <= bound`, in
     /// `(time, key)` order across the core's local sources and the
-    /// staged wire heads: the core runs alone up to the earliest staged
-    /// head (an inbound key orders after every local key of its instant,
-    /// so "up to" includes it), that head is delivered, its wire refills
-    /// the stage, and so on — the order a single queue holding every
-    /// pending event would produce. Returns whether anything was
-    /// processed.
+    /// staged wire fronts: the core runs alone up to the earliest staged
+    /// front (an inbound key orders after every local key of its
+    /// instant, so "up to" includes it), that event is delivered, and so
+    /// on — the order a single queue holding every pending event would
+    /// produce. Nothing is read here: whatever the wires still hold
+    /// follows, on its wire, a promise already in hand, so `bound` (at
+    /// most the smallest such promise) leaves it for the next pass.
+    /// Returns whether anything was processed.
     fn process_until(
         &mut self,
         core: &mut ShardCore,
@@ -409,14 +439,12 @@ impl ShardLinks {
             let staged = self.next_staged().filter(|&(at, _, _)| at <= bound);
             core.run_until(sim, staged.map_or(bound, |(at, _, _)| at));
             let Some((_, _, li)) = staged else { break };
-            let staged = self.in_links[li].staged.take().expect("staged head exists");
+            let front = self.in_links[li].staged.pop_front();
+            let front = front.expect("the merge picked a staged front");
             // The clock advance counts the inbound event as processed,
             // mirroring the pop a one-shard run performs for it.
-            core.queue.advance_to(staged.at);
-            core.deliver(sim, staged.at, staged.ev);
-            // Refill the merge stage so the wire's next event competes
-            // in the very next merge round.
-            self.poll_link(li)?;
+            core.queue.advance_to(front.at);
+            core.deliver(sim, front.at, front.ev);
         }
         self.route_remote(core, sim)?;
         let popped = core.queue.processed() - before;
@@ -426,48 +454,42 @@ impl ShardLinks {
         Ok(popped > 0)
     }
 
-    /// Reads wire `li` until its merge stage holds an event (or the
-    /// wire is dry), ratcheting promises along the way. Returns whether
-    /// anything arrived.
+    /// Reads wire `li` until it is dry, staging its events behind the
+    /// ones already staged and ratcheting its promise along the way.
+    /// Returns whether anything arrived.
     fn poll_link(&mut self, li: usize) -> Result<bool, LinkError> {
         let t_end = self.t_end;
         let lookahead = self.lookahead;
         let link = &mut self.in_links[li];
         let mut any = false;
-        while link.staged.is_none() {
-            match link.rx.try_recv()? {
-                Some(Wire::Event { at, counter, ev }) => {
+        while let Some(msg) = link.rx.try_recv()? {
+            any = true;
+            let promise = match msg {
+                Wire::Event { at, counter, ev } => {
                     let key = INBOUND | ((link.peer as u64) << COUNTER_BITS) | counter;
+                    link.staged.push_back(StagedEvent { at, key, ev });
                     // Per-channel send times are monotone, so an event
                     // at `at` also promises nothing earlier follows.
-                    if at > link.promise {
-                        link.promise = at;
-                    }
-                    link.staged = Some(StagedEvent { at, key, ev });
-                    any = true;
+                    at
                 }
-                Some(Wire::Promise { until }) => {
-                    if until > link.promise {
-                        link.promise = until;
-                    }
-                    any = true;
-                }
-                Some(Wire::EpochEnd) => {
+                Wire::Promise { until } => until,
+                Wire::EpochEnd => {
                     link.epoch_ended = true;
-                    let implied = t_end + lookahead;
-                    if implied > link.promise {
-                        link.promise = implied;
-                    }
-                    any = true;
+                    t_end + lookahead
                 }
-                None => break,
+            };
+            if promise > link.promise {
+                link.promise = promise;
             }
+        }
+        if any {
+            self.tel.record_max(K_STAGE_DEPTH, link.staged.len() as u64);
         }
         Ok(any)
     }
 
-    /// Polls every inbound wire up to its merge stage. Returns whether
-    /// anything arrived.
+    /// Reads every inbound wire to its end. Returns whether anything
+    /// arrived.
     fn poll_inbound(&mut self) -> Result<bool, LinkError> {
         let mut any = false;
         for li in 0..self.in_links.len() {
@@ -476,47 +498,17 @@ impl ShardLinks {
         Ok(any)
     }
 
-    /// Empties every merge stage and inbound wire into the shard queue
+    /// Empties every inbound wire and merge stage into the shard queue
     /// (events keep their content-derived keys). Used at the epoch-end
     /// handshake, where every in-flight event targets a time past the
     /// boundary: afterwards the queue holds the complete pending set,
     /// so barrier-time event surgery sees everything.
     fn spill_inbound(&mut self, core: &mut ShardCore) -> Result<bool, LinkError> {
-        let t_end = self.t_end;
-        let lookahead = self.lookahead;
-        let mut any = false;
-        for li in 0..self.in_links.len() {
-            if let Some(staged) = self.in_links[li].staged.take() {
+        let mut any = self.poll_inbound()?;
+        for link in &mut self.in_links {
+            for staged in link.staged.drain(..) {
                 core.queue.schedule_keyed(staged.at, staged.key, staged.ev);
                 any = true;
-            }
-            loop {
-                let link = &mut self.in_links[li];
-                let Some(msg) = link.rx.try_recv()? else {
-                    break;
-                };
-                any = true;
-                match msg {
-                    Wire::Event { at, counter, ev } => {
-                        let key = INBOUND | ((link.peer as u64) << COUNTER_BITS) | counter;
-                        if at > link.promise {
-                            link.promise = at;
-                        }
-                        core.queue.schedule_keyed(at, key, ev);
-                    }
-                    Wire::Promise { until } => {
-                        if until > link.promise {
-                            link.promise = until;
-                        }
-                    }
-                    Wire::EpochEnd => {
-                        link.epoch_ended = true;
-                        let implied = t_end + lookahead;
-                        if implied > link.promise {
-                            link.promise = implied;
-                        }
-                    }
-                }
             }
         }
         Ok(any)
@@ -629,9 +621,22 @@ fn run_epoch(
     links.tel.record_max(K_QUEUE_DEPTH, core.queue.len() as u64);
     let compute_span = links.tel_phases.begin();
     loop {
-        let mut progressed = links.poll_inbound()?;
+        links.tel.add(K_PASSES, 1);
+        // Read the wires only when the promises in hand do not already
+        // cover the next local event: whatever a wire still holds
+        // follows those promises, so it can wait for a pass that needs
+        // a higher bound — one socket `read` fewer per such pass.
+        let covered = matches!(
+            (links.safe_time(), links.next_time(core)),
+            (Some(safe), Some(next)) if next <= safe.min(t_end)
+        );
+        let mut progressed = if covered {
+            false
+        } else {
+            links.poll_inbound()?
+        };
 
-        let safe = links.in_links.iter().map(|l| l.promise).min();
+        let safe = links.safe_time();
         let mut bound = match safe {
             Some(s) => s.min(t_end),
             None => t_end,
@@ -646,10 +651,6 @@ fn run_epoch(
             }
         }
         progressed |= links.process_until(core, sim, bound)?;
-
-        // Publish the window's outbound batch *before* promising: a
-        // visible promise must never have unpublished events behind it.
-        progressed |= links.flush_out()?;
 
         // Null message: the earliest we could possibly send anything new
         // is one lookahead past the earliest thing we might yet process.
@@ -669,7 +670,6 @@ fn run_epoch(
             if promise > link.last_promise {
                 link.last_promise = promise;
                 link.push(Wire::Promise { until: promise })?;
-                link.publish()?;
                 progressed = true;
                 promises += 1;
             }
@@ -677,6 +677,10 @@ fn run_epoch(
         if promises > 0 {
             links.tel.add(K_PROMISES_SENT, promises);
         }
+        // One publish per pass, the promise staged behind the window's
+        // events: a visible promise must never have unpublished events
+        // behind it.
+        progressed |= links.flush_out()?;
 
         let local_done = next_local.is_none_or(|t| t > t_end);
         let inbound_done = links.in_links.iter().all(|l| l.promise > t_end);
@@ -731,7 +735,7 @@ fn run_epoch(
             }
             for link in &mut links.in_links {
                 link.epoch_ended = false;
-                debug_assert!(link.staged.is_none(), "merge stage empty at the barrier");
+                debug_assert!(link.staged.is_empty(), "merge stage empty at the barrier");
             }
             links.tel_phases.end(P_BARRIER_WAIT, wait_span);
             return Ok(partial);
@@ -1189,7 +1193,7 @@ impl ParPacketSim {
                 self.wire_counters.insert((id, link.peer), link.counter);
             }
             for link in &links.in_links {
-                debug_assert!(link.staged.is_none(), "merge stage empty at the barrier");
+                debug_assert!(link.staged.is_empty(), "merge stage empty at the barrier");
             }
         }
         let lookahead = SimTime::from_secs(self.core.world.config.link_delay);
@@ -1333,5 +1337,189 @@ impl PacketBackend for ParPacketSim {
 
     fn telemetry_snapshot(&self) -> Snapshot {
         ParPacketSim::telemetry_snapshot(self)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The merge stage's mechanism, on one shard driven by hand: what a
+    //! poll reads, what `process_until` delivers and in which order, and
+    //! that neither depends on how the wire's bytes were chunked.
+
+    use super::*;
+    use crate::partition::Partition;
+    use ww_model::DocId;
+    use ww_net::{DocRequest, RequestId};
+
+    /// A wire end that replays a script: `None` entries are the
+    /// momentarily dry reads a socket whose `read` hit `EAGAIN` in the
+    /// middle of a burst returns.
+    #[derive(Debug)]
+    struct Scripted(VecDeque<Option<Wire>>);
+
+    impl WireReceiver for Scripted {
+        fn try_recv(&mut self) -> Result<Option<Wire>, LinkError> {
+            Ok(self.0.pop_front().flatten())
+        }
+    }
+
+    /// Shard 1 of the path `0 ← 1 ← 2` cut on both edges (shard 0
+    /// holds the root and the leaf): its wire in from shard 0 reads
+    /// `rx`, and shard 0's end of its wire out is returned beside it.
+    /// Node 1 caches nothing, so every request it executes is forwarded
+    /// to the root — onto that wire, in execution order.
+    fn shard_one(
+        rx: Box<dyn WireReceiver>,
+    ) -> (SimCore, ShardCore, ShardLinks, Box<dyn WireReceiver>) {
+        let tree = Tree::from_parents(&[None, Some(0), Some(1)]).unwrap();
+        let mut mix = DocMix::new(3);
+        mix.set(NodeId::new(2), DocId::new(1), 1.0);
+        let world = PacketWorld::new(&tree, &mix, PacketSimConfig::default());
+        let partition = Partition {
+            shard_of: vec![0, 1, 0],
+            local_index: vec![0, 0, 1],
+            members: vec![vec![NodeId::new(0), NodeId::new(2)], vec![NodeId::new(1)]],
+        };
+        let core = ShardCore::new(&world, &partition, 1);
+        let (tx, to_root) = open_ring();
+        let mut links = ShardLinks::new(
+            &world,
+            2,
+            vec![OutLink::new(0, tx)],
+            vec![InLink::new(0, rx)],
+            None,
+        );
+        links.set_telemetry(Level::Counters);
+        (SimCore::new(world, partition), core, links, to_root)
+    }
+
+    /// A request for the one document, at node 1.
+    fn request(id: u64, from: Option<usize>) -> PacketEvent {
+        let origin = NodeId::new(from.unwrap_or(1));
+        PacketEvent::Packet {
+            node: NodeId::new(1),
+            from: from.map(NodeId::new),
+            request: DocRequest::new(RequestId::new(id), DocId::new(1), origin),
+            index: 0,
+        }
+    }
+
+    /// The burst: three requests from the leaf, 1 ms apart from t = 1,
+    /// then a promise that nothing before t = 1.5 follows.
+    fn burst() -> Vec<Wire> {
+        let mut wires: Vec<Wire> = (0..3)
+            .map(|k| Wire::Event {
+                at: SimTime::from_secs(1.0 + k as f64 * 1e-3),
+                counter: k + 1,
+                ev: request(100 + k, Some(2)),
+            })
+            .collect();
+        wires.push(Wire::Promise {
+            until: SimTime::from_secs(1.5),
+        });
+        wires
+    }
+
+    /// Two local requests: one at the first inbound event's instant,
+    /// one between the second and the third.
+    fn schedule_locals(core: &mut ShardCore) {
+        core.queue
+            .schedule(SimTime::from_secs(1.0), request(900, None));
+        core.queue
+            .schedule(SimTime::from_secs(1.0015), request(901, None));
+    }
+
+    /// The requests node 1 forwarded to the root, in execution order.
+    fn forwarded(to_root: &mut Box<dyn WireReceiver>) -> Vec<u64> {
+        std::iter::from_fn(|| to_root.try_recv().unwrap())
+            .filter_map(|wire| match wire {
+                Wire::Event {
+                    ev: PacketEvent::Packet { request, .. },
+                    ..
+                } => Some(request.id.value()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The single queue's order: local before inbound at t = 1, then by
+    /// time.
+    const ONE_QUEUE_ORDER: [u64; 5] = [900, 100, 101, 901, 102];
+
+    #[test]
+    fn one_poll_stages_the_whole_burst_and_the_promise_behind_it() {
+        let (mut tx, rx) = open_ring();
+        let (_sim, _core, mut links, _to_root) = shard_one(rx);
+        for wire in burst() {
+            tx.stage(wire).unwrap();
+        }
+        tx.commit().unwrap();
+        assert!(links.poll_link(0).unwrap());
+        let link = &links.in_links[0];
+        let staged: Vec<f64> = link.staged.iter().map(|s| s.at.as_secs()).collect();
+        assert_eq!(staged, [1.0, 1.001, 1.002]);
+        assert_eq!(link.promise, SimTime::from_secs(1.5));
+        assert_eq!(links.tel.get(K_STAGE_DEPTH), 3);
+        assert!(!links.poll_link(0).unwrap(), "the wire is dry");
+    }
+
+    #[test]
+    fn one_process_until_delivers_the_stage_in_key_order_after_local_ties() {
+        let (mut tx, rx) = open_ring();
+        let (sim, mut core, mut links, mut to_root) = shard_one(rx);
+        for wire in burst() {
+            tx.stage(wire).unwrap();
+        }
+        tx.commit().unwrap();
+        schedule_locals(&mut core);
+        links.poll_inbound().unwrap();
+        let bound = links.in_links[0].promise;
+        assert!(links.process_until(&mut core, &sim, bound).unwrap());
+        assert!(links.in_links[0].staged.is_empty());
+        links.flush_out().unwrap();
+        assert_eq!(forwarded(&mut to_root), ONE_QUEUE_ORDER);
+    }
+
+    /// What one poll left staged, as `(time, key)`, and the wire's
+    /// promise after it.
+    type Poll = (Vec<(SimTime, u64)>, SimTime);
+
+    /// Passes as the epoch loop runs them: read every wire to its end,
+    /// then process up to the promise in hand — until the script is
+    /// spent. Returns each pass's poll and the forwarding order.
+    fn passes(script: Vec<Option<Wire>>) -> (Vec<Poll>, Vec<u64>) {
+        let (sim, mut core, mut links, mut to_root) = shard_one(Box::new(Scripted(script.into())));
+        schedule_locals(&mut core);
+        let mut polls = Vec::new();
+        while links.poll_inbound().unwrap() {
+            let link = &links.in_links[0];
+            let staged = link.staged.iter().map(|s| (s.at, s.key)).collect();
+            polls.push((staged, link.promise));
+            links.process_until(&mut core, &sim, link.promise).unwrap();
+        }
+        links.flush_out().unwrap();
+        (polls, forwarded(&mut to_root))
+    }
+
+    #[test]
+    fn a_burst_read_in_two_parts_is_the_burst_read_in_one() {
+        let whole: Vec<Option<Wire>> = burst().into_iter().map(Some).collect();
+        let mut split = whole.clone();
+        split.insert(2, None);
+        let (one, one_order) = passes(whole);
+        let (two, two_order) = passes(split);
+        assert_eq!(one_order, ONE_QUEUE_ORDER);
+        assert_eq!(two_order, one_order);
+        // One pass for the whole burst; two for the split one, the first
+        // stopping at the second event's timestamp.
+        assert_eq!(one.len(), 1);
+        assert_eq!(two.len(), 2);
+        assert_eq!(two[0].1, SimTime::from_secs(1.001));
+        assert_eq!(two[1].1, one[0].1);
+        // What the second pass finds staged is what the single read
+        // staged past the first pass's bound.
+        let (staged, _) = &one[0];
+        assert_eq!(two[0].0, staged[..2]);
+        assert_eq!(two[1].0, staged[2..]);
     }
 }

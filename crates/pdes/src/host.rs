@@ -20,7 +20,7 @@
 //! network, only a digest of it, so that two builds which disagree fail
 //! at the handshake instead of diverging silently.
 
-use crate::engine::{run_shard, InLink, OutLink, ShardLinks};
+use crate::engine::{run_shard, InLink, OutLink, ShardLinks, PDES_KEYS};
 use crate::partition::{partition_forest, Partition, PartitionShape};
 use crate::transport::{LinkError, WireReceiver, WireSender};
 use std::time::Duration;
@@ -30,6 +30,7 @@ use ww_model::{ModelError, NodeId, Tree};
 use ww_net::TrafficLedger;
 use ww_sim::{SimQueue, SimTime};
 use ww_stats::ExactSum;
+use ww_telemetry::Level;
 use ww_workload::DocMix;
 
 /// The default stall timeout a distributed participant runs its epochs
@@ -288,6 +289,27 @@ impl ShardHost {
     /// data wires (zero for a replica, or over in-process wires).
     pub fn wire_traffic(&self) -> (u64, u64) {
         self.links.as_ref().map_or((0, 0), ShardLinks::traffic)
+    }
+
+    /// Arms the held shard's hot-path counters over [`PDES_KEYS`] at
+    /// `level` (phase timers too at [`Level::Full`]), zeroing prior
+    /// observations. Observation only, as on
+    /// [`ParPacketSim::set_telemetry`](crate::ParPacketSim::set_telemetry).
+    pub fn set_telemetry(&mut self, level: Level) {
+        if let Some(links) = &mut self.links {
+            links.set_telemetry(level);
+        }
+    }
+
+    /// The held shard's hot-path counters, one value per [`PDES_KEYS`]
+    /// entry in table order — zeros while unarmed, and for a replica.
+    /// What a distributed worker ships home for the coordinator to
+    /// merge.
+    pub fn pdes_counters(&self) -> Vec<u64> {
+        let tel = self.links.as_ref().map(ShardLinks::counters);
+        (0..PDES_KEYS.len())
+            .map(|id| tel.map_or(0, |tel| tel.get(id)))
+            .collect()
     }
 
     /// Whether the control link from `node` to its parent is failed.

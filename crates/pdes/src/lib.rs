@@ -14,7 +14,7 @@
 //!   (Chandy–Misra–Bryant), quiescing at every diffusion-epoch boundary
 //!   to sample the convergence trace. The shard-to-shard hot path rides
 //!   lock-free SPSC rings with per-lookahead-window batching and a
-//!   one-event merge stage per wire;
+//!   merge stage per wire that holds everything the wire has delivered;
 //! * [`rebalance`] makes the partition *adaptive*: at epoch barriers a
 //!   pure function of the deterministic per-node event counters can
 //!   re-pack the tree by observed load (the same packer, event

@@ -158,11 +158,21 @@ fn assert_matrix_bit_identical(events: &str) {
                             "{label}: {prefix}.state.bytes {bytes:?}"
                         );
                     }
+                    // Every sharded engine counts the passes of its
+                    // shard loop — the distributed one through its
+                    // workers' reports.
+                    if prefix != Some("core") {
+                        let passes = snap.counter("pdes.passes");
+                        assert!(passes > Some(0), "{label}: pdes.passes {passes:?}");
+                    }
                     // Every sharded engine says what the packer made
-                    // of the tree, and a distributed one what its
-                    // workers put on their shard-to-shard wires.
+                    // of the tree and how deep a merge stage got, and a
+                    // distributed one what its workers put on their
+                    // shard-to-shard wires.
                     let (engine, workers) = label.split_once("/w").unwrap_or((&label, "1"));
                     if workers != "1" {
+                        let depth = snap.counter("pdes.stage.depth.high_water");
+                        assert!(depth >= Some(1), "{label}: stage depth {depth:?}");
                         let pieces = snap.counter("pdes.partition.pieces");
                         let cut = snap.counter("pdes.partition.cut_edges");
                         assert!(

@@ -167,6 +167,18 @@ impl Counters {
         Counters::new(keys, Level::Off)
     }
 
+    /// A recording slab holding `slots`, one value per key in table
+    /// order — a slab recorded elsewhere (another process) and shipped
+    /// as its values, ready to [`merge_from`](Counters::merge_from).
+    /// `None` when `slots` is not one value per key.
+    pub fn from_slots(keys: &'static [Key], slots: Vec<u64>) -> Option<Counters> {
+        (slots.len() == keys.len()).then(|| Counters {
+            keys,
+            slots,
+            on: runtime_enabled(),
+        })
+    }
+
     /// True when this slab records.
     #[inline]
     pub fn is_on(&self) -> bool {
@@ -597,6 +609,24 @@ mod tests {
         } else {
             assert_eq!(a.get(0), 0);
         }
+    }
+
+    #[test]
+    fn a_shipped_slab_merges_like_the_one_it_was_read_from() {
+        let mut sent = Counters::new(KEYS, Level::Counters);
+        sent.add(0, 7);
+        sent.record_max(1, 4);
+        let values: Vec<u64> = (0..KEYS.len()).map(|id| sent.get(id)).collect();
+        let received = Counters::from_slots(KEYS, values).expect("one value per key");
+        let mut a = Counters::new(KEYS, Level::Counters);
+        a.add(0, 5);
+        a.record_max(1, 10);
+        a.merge_from(&received);
+        if runtime_enabled() {
+            assert_eq!((a.get(0), a.get(1), a.get(2)), (12, 10, 0));
+        }
+        assert!(Counters::from_slots(KEYS, vec![1, 2]).is_none());
+        assert!(Counters::from_slots(KEYS, vec![1, 2, 3, 4]).is_none());
     }
 
     #[test]
