@@ -596,16 +596,26 @@ impl PacketWorld {
     /// First gossip fire of node `i`: phases are staggered across nodes
     /// to avoid artificial synchrony.
     pub fn gossip_phase(&self, i: usize) -> SimTime {
-        let phase = (i as f64 + 1.0) / (self.len() as f64 + 1.0);
+        let phase = timer_phase(i, self.len());
         SimTime::from_secs(self.config.gossip_period * phase)
     }
 
     /// First diffusion fire of node `i` (offset half a period past the
     /// gossip phase so estimates exist before the first decision).
     pub fn diffusion_phase(&self, i: usize) -> SimTime {
-        let phase = (i as f64 + 1.0) / (self.len() as f64 + 1.0);
+        let phase = timer_phase(i, self.len());
         SimTime::from_secs(self.config.diffusion_period * (0.5 + 0.5 * phase))
     }
+}
+
+/// Where in its period node `i` of an `n`-node world fires its periodic
+/// timers, in `(0, 1)`: `(i + 1) / (n + 1)`, staggered by id.
+/// [`PacketWorld::gossip_phase`] and [`PacketWorld::diffusion_phase`]
+/// scale it to their periods, and the `ww-pdes` packer bands nodes by
+/// it, so a change to the stagger moves the packer's phase balance with
+/// it.
+pub fn timer_phase(i: usize, n: usize) -> f64 {
+    (i as f64 + 1.0) / (n as f64 + 1.0)
 }
 
 /// How a universe-growing barrier operation (publish, shifted mix with

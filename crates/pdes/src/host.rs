@@ -189,7 +189,7 @@ impl ShardHost {
     }
 
     /// What the packer made of the tree when the partition was derived
-    /// (observability: `pdes.partition.{pieces,cut_edges}`).
+    /// (observability: `pdes.partition.{pieces,cut_edges,phase_imbalance}`).
     pub fn partition_shape(&self) -> PartitionShape {
         self.shape
     }

@@ -13,12 +13,17 @@
 //!   or what one atomic node forces (when the opening loop stops short
 //!   of the bar, the heaviest shard holds only atomic pieces and was
 //!   the lightest, or under a fair share, when it took its last one);
+//! - the phase bar: every (shard, phase band) load is within
+//!   `max(1.1 × band mean, ⌈band mean⌉, heaviest node)`, or the shard
+//!   over it holds no whole-subtree piece the gate lets open (at least
+//!   two children heavier than `max(⌈total / (shards · 16)⌉, heaviest
+//!   node)`), recomputed here from the tree and the weights;
 //! - the counted cut edges are the real ones, at most one per non-root
 //!   piece;
 //! - re-planning on the partition a plan produced, from the same
 //!   counts, plans nothing.
 
-use crate::partition::{cut_edges, pack, partition_forest, Packing};
+use crate::partition::{band_of, cut_edges, pack, partition_forest, within_bar, Packing, BANDS};
 use crate::rebalance::rebalance_plan;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -87,6 +92,38 @@ fn check_packing(tree: &Tree, weights: &[u64], shards: usize, packing: &Packing)
         max * 10 * k <= total * 11 || max * k <= total + heaviest * k,
         "max {max} of total {total} on {shards} shards, heaviest node {heaviest}"
     );
+
+    let mut sub = weights.to_vec();
+    for u in tree.bottom_up() {
+        if let Some(p) = tree.parent(u) {
+            sub[p.index()] += sub[u.index()];
+        }
+    }
+    let tau = total.div_ceil((shards * BANDS) as u64).max(heaviest);
+    let mut gated = vec![false; shards];
+    for &u in &packing.whole_pieces {
+        let s = packing.shard_of[u];
+        let below = tree.subtree_nodes(NodeId::new(u));
+        assert!(below.iter().all(|v| packing.shard_of[v.index()] == s));
+        let heavy = (tree.children(NodeId::new(u)).iter())
+            .filter(|c| sub[c.index()] > tau)
+            .count();
+        gated[s] |= heavy >= 2;
+    }
+    let mut bands = vec![[0u64; BANDS]; shards];
+    for (u, &s) in packing.shard_of.iter().enumerate() {
+        bands[s][band_of(u, n)] += weights[u];
+    }
+    for b in 0..BANDS {
+        let band_total: u64 = bands.iter().map(|loads| loads[b]).sum();
+        for (s, loads) in bands.iter().enumerate() {
+            assert!(
+                within_bar(loads[b], band_total, shards, heaviest) || !gated[s],
+                "shard {s} holds {} of band {b}'s {band_total} and a piece the gate opens",
+                loads[b]
+            );
+        }
+    }
 
     let shape = packing.shape;
     assert_eq!(shape.cut_edges, cut_edges(tree, &packing.shard_of));

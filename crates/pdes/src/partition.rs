@@ -47,18 +47,45 @@
 //!    node force. The loop does not chase 1.00 — refining
 //!    `two_level(4, 4)` at four shards past what 21 nodes allow would
 //!    scatter it leaf by leaf, 16 cut edges where 4 do.
+//! 4. **Phase bands.** A node's gossip and diffusion timers fire at a
+//!    phase staggered by id ([`ww_core::packet::timer_phase`]), and ids
+//!    follow the tree, so a shard of whole subtrees gets its timer work
+//!    in bursts: `k_ary(2, 14)` split below the root gives each shard
+//!    half of every level's *contiguous* id range, and the two shards
+//!    take turns — one works while the other waits on its promises. So
+//!    the phase is cut into 16 bands (node `i` of `n` is in band
+//!    `⌊16 · (i + 1) / (n + 1)⌋`), and once step 3 has nothing left to
+//!    open, every (shard, band) load is held to the same bar over the
+//!    band — `max(1.1 × band mean, ⌈band mean⌉, heaviest node)`. While
+//!    one is above it — the worst first, by load ÷ band mean — the piece
+//!    on that shard with the most weight in that band is opened one
+//!    level and everything is repacked. Only a piece with **at least two
+//!    children heavier than** `τ = max(⌈total / (shards · 16)⌉,
+//!    heaviest node)` may be opened for phase: paths, caterpillars and
+//!    regions of leaves are never shattered for it.
 //!
-//! When the loop stops short of the bar the heaviest shard holds only
-//! atomic pieces, the last of them placed while that shard was the
+//! When the loop stops short of the total bar the heaviest shard holds
+//! only atomic pieces, the last of them placed while that shard was the
 //! lightest or had room under a fair share, so
-//! `max ≤ mean + heaviest node` always holds. Each
+//! `max ≤ mean + heaviest node` always holds; when it stops short of a
+//! band's bar, the shard over it holds no piece the gate lets open. Each
 //! non-root piece adds at most the one cut edge above its root, so cut
 //! edges ≤ pieces − 1.
+//!
+//! What comes out: `two_level(180, 180)` at two shards is ninety regions
+//! a side (its leaves alternate between the shards every 180 ids
+//! already, and no region passes the gate); `k_ary(2, 14)` at two is the
+//! sixteen depth-4 subtrees dealt alternately to the two shards, 16,384
+//! / 16,383 nodes in 31 pieces, every band within its bar — node 1's
+//! subtree against node 2's had put the first half of the leaf level —
+//! 125 ms of a 500 ms gossip period, against a 5 ms lookahead — on one
+//! shard.
 //!
 //! The [`Partition`] this produces — the node → (shard, row) map — is
 //! the shard driver's own (`ww_core::packet::driver`), re-exported here.
 
 use std::cmp::Reverse;
+use ww_core::packet::timer_phase;
 use ww_model::{NodeId, Tree};
 use ww_telemetry::Snapshot;
 
@@ -111,20 +138,25 @@ pub(crate) fn check_forest(tree: &Tree, shard_of: &[usize], shards: usize, shape
 }
 
 /// What the packer made of the tree — observability only
-/// (`pdes.partition.{pieces,cut_edges}`).
+/// (`pdes.partition.{pieces,cut_edges,phase_imbalance}`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PartitionShape {
     /// Pieces (singletons and whole subtrees) the packer placed.
     pub pieces: u64,
     /// Tree edges whose two ends landed on different shards.
     pub cut_edges: u64,
+    /// The worst (shard, phase band) load ÷ the band's mean over the
+    /// shards that hold anything, × 1000 (1000 = every band split
+    /// evenly).
+    pub phase_imbalance: u64,
 }
 
 impl PartitionShape {
-    /// Pushes `pdes.partition.{pieces,cut_edges}`.
+    /// Pushes `pdes.partition.{pieces,cut_edges,phase_imbalance}`.
     pub fn snapshot_into(&self, snap: &mut Snapshot) {
         snap.push_counter("pdes.partition.pieces", self.pieces);
         snap.push_counter("pdes.partition.cut_edges", self.cut_edges);
+        snap.push_counter("pdes.partition.phase_imbalance", self.phase_imbalance);
     }
 }
 
@@ -136,9 +168,47 @@ pub(crate) struct Packing {
     /// Weight placed on each shard.
     pub(crate) loads: Vec<u64>,
     pub(crate) shape: PartitionShape,
+    /// Roots of the pieces placed as whole subtrees.
+    #[cfg(test)]
+    pub(crate) whole_pieces: Vec<usize>,
 }
 
 const UNPLACED: usize = usize::MAX;
+
+/// Timer-phase bands per shard load (step 4 of the module docs). Sixteen
+/// is what `par_skew_w2`'s `k_ary(2, 14)` needs at two shards: a band is
+/// then two depth-4 subtrees' worth of the leaf level, so dealing those
+/// subtrees out alternately balances every band. Interleaving depth-5 or
+/// depth-6 subtrees instead read no faster on a two-core host
+/// (`docs/parallel.md`, "Performance notes").
+pub(crate) const BANDS: usize = 16;
+
+/// The phase band of node `u` of an `n`-node tree.
+pub(crate) fn band_of(u: usize, n: usize) -> usize {
+    ((BANDS as f64 * timer_phase(u, n)) as usize).min(BANDS - 1)
+}
+
+/// The packer's balance bar for `load` on one of `shards` shards that
+/// share `total`: `max(1.1 × mean, ⌈mean⌉, heaviest node)` — for whole
+/// shard loads and for one phase band's alike.
+pub(crate) fn within_bar(load: u64, total: u64, shards: usize, heaviest_node: u64) -> bool {
+    u128::from(load) * 10 * shards as u128 <= u128::from(total) * 11
+        || load <= total.div_ceil(shards as u64)
+        || load <= heaviest_node
+}
+
+/// One piece: an opened node as a singleton, any other root for its
+/// whole subtree.
+#[derive(Debug, Clone, Copy)]
+struct Piece {
+    root: usize,
+    weight: u64,
+    /// The piece's weight in each phase band.
+    bands: [u64; BANDS],
+    /// The phase gate: a whole subtree with at least two children
+    /// heavier than the packer's `tau`.
+    splits: bool,
+}
 
 /// The packer's working state; see the module docs.
 struct Packer<'a, W> {
@@ -147,43 +217,78 @@ struct Packer<'a, W> {
     /// Subtree weights.
     sub: Vec<u64>,
     opened: Vec<bool>,
-    /// Root node of every piece: an opened node is a singleton piece,
-    /// any other entry stands for its whole subtree.
-    pieces: Vec<usize>,
+    pieces: Vec<Piece>,
     /// Shard of the piece rooted at each node (`UNPLACED` elsewhere).
     home: Vec<usize>,
     loads: Vec<u64>,
+    /// Weight placed on each (shard, band).
+    band_loads: Vec<[u64; BANDS]>,
     /// `total / shards`, rounded down.
     fair_share: u64,
+    /// The phase gate's child weight: `max(⌈total / (shards · BANDS)⌉,
+    /// heaviest node)`.
+    tau: u64,
     /// Scratch of `shard_for`, one count per shard.
     adjacent: Vec<u32>,
+    /// Scratch of `whole`.
+    stack: Vec<usize>,
 }
 
 impl<W: Fn(usize) -> u64> Packer<'_, W> {
-    fn piece_weight(&self, u: usize) -> u64 {
-        if self.opened[u] {
-            (self.weight)(u)
-        } else {
-            self.sub[u]
-        }
-    }
-
     fn openable(&self, u: usize) -> bool {
         !self.opened[u] && !self.tree.is_leaf(NodeId::new(u))
     }
 
-    /// Opens the piece rooted at `u`, and in turn every resulting child
-    /// piece heavier than `limit`.
+    fn singleton(&self, u: usize) -> Piece {
+        let weight = (self.weight)(u);
+        let mut bands = [0; BANDS];
+        bands[band_of(u, self.tree.len())] = weight;
+        Piece {
+            root: u,
+            weight,
+            bands,
+            splits: false,
+        }
+    }
+
+    /// The whole subtree at `u` as a piece: one walk of it for the band
+    /// weights, so a piece costs its size once and `BANDS` words after.
+    fn whole(&mut self, u: usize) -> Piece {
+        let tree = self.tree;
+        let mut bands = [0; BANDS];
+        self.stack.push(u);
+        while let Some(v) = self.stack.pop() {
+            bands[band_of(v, tree.len())] += (self.weight)(v);
+            let children = tree.children(NodeId::new(v)).iter();
+            self.stack.extend(children.map(|c| c.index()));
+        }
+        let heavy_children = (tree.children(NodeId::new(u)).iter())
+            .filter(|c| self.sub[c.index()] > self.tau)
+            .count();
+        Piece {
+            root: u,
+            weight: self.sub[u],
+            bands,
+            splits: heavy_children >= 2,
+        }
+    }
+
+    /// Opens the piece rooted at `u` — already taken out of `pieces` —
+    /// and in turn every resulting child piece heavier than `limit`.
     fn open(&mut self, u: usize, limit: u64) {
         let tree = self.tree;
         let mut work = vec![u];
         while let Some(u) = work.pop() {
             self.opened[u] = true;
+            let piece = self.singleton(u);
+            self.pieces.push(piece);
             for c in tree.children(NodeId::new(u)) {
                 let c = c.index();
-                self.pieces.push(c);
                 if self.sub[c] > limit && self.openable(c) {
                     work.push(c);
+                } else {
+                    let piece = self.whole(c);
+                    self.pieces.push(piece);
                 }
             }
         }
@@ -221,21 +326,90 @@ impl<W: Fn(usize) -> u64> Packer<'_, W> {
     fn pack(&mut self) {
         let mut pieces = std::mem::take(&mut self.pieces);
         let tree = self.tree;
-        pieces.sort_unstable_by_key(|&u| {
-            let depth = tree.depth(NodeId::new(u));
-            (Reverse(self.piece_weight(u)), depth, Reverse(u))
+        pieces.sort_unstable_by_key(|p| {
+            let depth = tree.depth(NodeId::new(p.root));
+            (Reverse(p.weight), depth, Reverse(p.root))
         });
         self.loads.fill(0);
-        for &u in &pieces {
-            self.home[u] = UNPLACED;
+        self.band_loads.fill([0; BANDS]);
+        for p in &pieces {
+            self.home[p.root] = UNPLACED;
         }
-        for &u in &pieces {
-            let w = self.piece_weight(u);
-            let shard = self.shard_for(u, w);
-            self.home[u] = shard;
-            self.loads[shard] += w;
+        for p in &pieces {
+            let shard = self.shard_for(p.root, p.weight);
+            self.home[p.root] = shard;
+            self.loads[shard] += p.weight;
+            for (load, w) in self.band_loads[shard].iter_mut().zip(p.bands) {
+                *load += w;
+            }
         }
         self.pieces = pieces;
+    }
+
+    /// Step 3: while the heaviest shard is above the bar, its heaviest
+    /// openable piece (index into `pieces`).
+    fn over_total_bar(&self, total: u64, heaviest_node: u64) -> Option<usize> {
+        let (heavy, &max) = (self.loads.iter().enumerate())
+            .max_by_key(|&(s, &load)| (load, Reverse(s)))
+            .expect("at least one shard");
+        if within_bar(max, total, self.loads.len(), heaviest_node) {
+            return None;
+        }
+        // Pieces are in descending weight order: the first openable one
+        // on the heaviest shard is its heaviest.
+        (self.pieces.iter()).position(|p| self.home[p.root] == heavy && self.openable(p.root))
+    }
+
+    /// Step 4: the worst (shard, band) above the band's bar on a shard
+    /// holding a piece the gate lets open, and that shard's gated piece
+    /// with the most weight in the band (ties: the heavier piece).
+    fn over_phase_bar(&self, heaviest_node: u64) -> Option<usize> {
+        let shards = self.loads.len();
+        let mut totals = [0u64; BANDS];
+        for loads in &self.band_loads {
+            for (total, load) in totals.iter_mut().zip(loads) {
+                *total += load;
+            }
+        }
+        let mut gated = vec![false; shards];
+        for p in self.pieces.iter().filter(|p| p.splits) {
+            gated[self.home[p.root]] = true;
+        }
+        let mut worst: Option<(usize, usize)> = None;
+        for s in (0..shards).filter(|&s| gated[s]) {
+            for (b, &total) in totals.iter().enumerate() {
+                let load = self.band_loads[s][b];
+                if within_bar(load, total, shards, heaviest_node) {
+                    continue;
+                }
+                let worse = worst.is_none_or(|(ws, wb)| {
+                    u128::from(load) * u128::from(totals[wb])
+                        > u128::from(self.band_loads[ws][wb]) * u128::from(total)
+                });
+                if worse {
+                    worst = Some((s, b));
+                }
+            }
+        }
+        let (s, b) = worst?;
+        (self.pieces.iter().enumerate())
+            .filter(|(_, p)| p.splits && self.home[p.root] == s)
+            .min_by_key(|(_, p)| Reverse(p.bands[b]))
+            .map(|(i, _)| i)
+    }
+
+    /// The worst (shard, band) load ÷ the band's mean over the shards
+    /// holding anything, × 1000.
+    fn phase_imbalance(&self) -> u64 {
+        let used = self.loads.iter().filter(|&&load| load > 0).count() as u128;
+        (0..BANDS)
+            .filter_map(|b| {
+                let total: u64 = self.band_loads.iter().map(|loads| loads[b]).sum();
+                let worst = self.band_loads.iter().map(|loads| loads[b]).max()?;
+                (total > 0).then(|| u128::from(worst) * used * 1000 / u128::from(total))
+            })
+            .max()
+            .map_or(1000, |ratio| ratio as u64)
     }
 }
 
@@ -261,33 +435,35 @@ pub(crate) fn pack<W: Fn(usize) -> u64>(tree: &Tree, weight: W, shards: usize) -
         weight,
         sub,
         opened: vec![false; n],
-        pieces: vec![root],
+        pieces: Vec::new(),
         home: vec![UNPLACED; n],
         loads: vec![0; shards],
+        band_loads: vec![[0; BANDS]; shards],
         fair_share: total / shards as u64,
+        tau: total.div_ceil((shards * BANDS) as u64).max(heaviest_node),
         adjacent: vec![0; shards],
+        stack: Vec::new(),
     };
     packer.open(root, packer.fair_share);
     packer.pack();
     loop {
-        let (heavy, &max) = (packer.loads.iter().enumerate())
-            .max_by_key(|&(s, &load)| (load, Reverse(s)))
-            .expect("at least one shard");
-        let within_bar = u128::from(max) * 10 * shards as u128 <= u128::from(total) * 11
-            || max <= total.div_ceil(shards as u64)
-            || max <= heaviest_node;
-        if within_bar {
-            break;
-        }
-        // Pieces are in descending weight order: the first openable one
-        // on the heaviest shard is its heaviest.
-        let pick = (packer.pieces.iter().copied())
-            .find(|&u| packer.home[u] == heavy && packer.openable(u));
-        let Some(u) = pick else { break };
-        packer.open(u, packer.sub[u] / 2);
+        let pick = match packer.over_total_bar(total, heaviest_node) {
+            Some(i) => Some((i, packer.sub[packer.pieces[i].root] / 2)),
+            // One level at a time: the bar picks the next piece.
+            None => (packer.over_phase_bar(heaviest_node)).map(|i| (i, u64::MAX)),
+        };
+        let Some((i, limit)) = pick else { break };
+        let u = packer.pieces.swap_remove(i).root;
+        packer.open(u, limit);
         packer.pack();
     }
 
+    let phase_imbalance = packer.phase_imbalance();
+    #[cfg(test)]
+    let whole_pieces = (packer.pieces.iter())
+        .filter(|p| !packer.opened[p.root])
+        .map(|p| p.root)
+        .collect();
     let Packer {
         pieces,
         home,
@@ -303,9 +479,9 @@ pub(crate) fn pack<W: Fn(usize) -> u64>(tree: &Tree, weight: W, shards: usize) -
     }
     let cut_edges = pieces
         .iter()
-        .filter(|&&u| {
-            tree.parent(NodeId::new(u))
-                .is_some_and(|p| home[p.index()] != home[u])
+        .filter(|p| {
+            tree.parent(NodeId::new(p.root))
+                .is_some_and(|q| home[q.index()] != home[p.root])
         })
         .count();
     Packing {
@@ -314,7 +490,10 @@ pub(crate) fn pack<W: Fn(usize) -> u64>(tree: &Tree, weight: W, shards: usize) -
         shape: PartitionShape {
             pieces: pieces.len() as u64,
             cut_edges: cut_edges as u64,
+            phase_imbalance,
         },
+        #[cfg(test)]
+        whole_pieces,
     }
 }
 
@@ -544,15 +723,88 @@ mod tests {
         assert_eq!(p.cut_pairs(&tree), [(0, 1), (1, 0)], "still one wire pair");
     }
 
+    /// Node count per (shard, phase band) of a unit-weight partition.
+    fn band_counts(p: &Partition) -> Vec<[u64; BANDS]> {
+        let n = p.shard_of.len();
+        let mut counts = vec![[0u64; BANDS]; p.shards()];
+        for (u, &s) in p.shard_of.iter().enumerate() {
+            counts[s][band_of(u, n)] += 1;
+        }
+        counts
+    }
+
     #[test]
-    fn binary_tree_at_two_shards_splits_below_the_root() {
-        // `par_skew_w2`'s starting point, unchanged from the old peel:
-        // node 1's subtree | the root and node 2's subtree.
+    fn binary_tree_at_two_shards_balances_every_phase_band() {
+        // `par_skew_w2`'s starting point. Split below the root, node 1's
+        // subtree held the first half of every level's ids — bands 8–11
+        // of the leaf level whole — and the two shards took turns.
         let tree = ww_topology::k_ary(2, 14);
-        let p = partition_subtrees(&tree, 2);
-        let below_1 = tree.subtree_nodes(NodeId::new(1));
-        assert_eq!(p.members[1], below_1, "shard 1 is node 1's subtree");
-        assert_eq!(p.members[0].len(), tree.len() - below_1.len());
+        let (p, shape) = partition_forest(&tree, 2);
+        check_partition(&tree, &p, shape);
+        let mut sizes: Vec<usize> = p.members.iter().map(Vec::len).collect();
+        sizes.sort_unstable();
+        assert_eq!(sizes, [16_383, 16_384]);
+        let counts = band_counts(&p);
+        for b in 0..BANDS {
+            let total = counts[0][b] + counts[1][b];
+            for (s, loads) in counts.iter().enumerate() {
+                assert!(
+                    within_bar(loads[b], total, 2, 1),
+                    "shard {s} holds {} of band {b}'s {total} nodes",
+                    loads[b]
+                );
+            }
+        }
+        assert!(shape.phase_imbalance <= 1100, "{shape:?}");
+        // The pieces: the sixteen depth-4 subtrees whole, eight a side,
+        // and the fifteen nodes above them as singletons.
+        assert_eq!(shape.pieces, 31, "{shape:?}");
+        let mut whole = [0; 2];
+        for u in (15..31).map(NodeId::new) {
+            let s = p.shard_of[u.index()];
+            let below = tree.subtree_nodes(u);
+            assert!(
+                below.iter().all(|v| p.shard_of[v.index()] == s),
+                "{u} split"
+            );
+            whole[s] += 1;
+        }
+        assert_eq!(whole, [8, 8]);
+    }
+
+    /// A 64-bit FNV-1a digest of a node → shard map (length, then every
+    /// entry as a little-endian `u64`) — `ww_dist::codec::partition_digest`'s.
+    fn digest(shard_of: &[usize]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for word in std::iter::once(shard_of.len()).chain(shard_of.iter().copied()) {
+            for byte in (word as u64).to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn two_level_cdns_keep_the_phase_blind_partition() {
+        // `dist_cdn_w2`'s and `scaling_1m_parallel.json`'s trees: their
+        // regions already alternate between the shards every few
+        // hundred ids, and no region passes the phase gate, so the map
+        // is the one the packer made before it weighed phase — these
+        // digests were taken from it.
+        for (regions, shards, pinned) in [
+            (180, 2, 0xbeae_d463_f54d_78a5),
+            (180, 4, 0xc307_7e96_8aae_38e5),
+            (1000, 8, 0xceff_9bc3_a02a_a8e1),
+        ] {
+            let tree = ww_topology::two_level(regions, regions);
+            let (p, shape) = partition_forest(&tree, shards);
+            assert_eq!(
+                digest(&p.shard_of),
+                pinned,
+                "two_level({regions}, {regions}) at {shards}: {shape:?}"
+            );
+            assert_eq!(shape.pieces, regions as u64 + 1);
+        }
     }
 
     #[test]

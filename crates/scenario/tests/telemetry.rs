@@ -179,6 +179,10 @@ fn assert_matrix_bit_identical(events: &str) {
                             cut >= Some(1) && cut < pieces,
                             "{label}: {cut:?} cut edges, {pieces:?} pieces"
                         );
+                        // No shard holds less than a band's mean of its
+                        // worst band: 1000 is an even split.
+                        let phase = snap.counter("pdes.partition.phase_imbalance");
+                        assert!(phase >= Some(1000), "{label}: phase imbalance {phase:?}");
                         if engine == "packet_sim_dist" {
                             let msgs = snap.counter("dist.data.msgs");
                             let bytes = snap.counter("dist.data.bytes");
