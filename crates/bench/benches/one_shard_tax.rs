@@ -3,11 +3,12 @@
 //! on the same world, one simulated second per iteration.
 //!
 //! Both are the shard driver of `ww_core::packet::driver` over the same
-//! one-shard partition — `PacketSim` calls `run_until` to each sample
-//! boundary itself, the parallel engine reaches the same call through
-//! `run_epoch` with an empty link set — so the ratio reads ≈ 1.0 by
-//! construction (0.94–0.96 before the two loops were one; CHANGES.md,
-//! PR 21). A reading away from 1.0 means the loops have forked again.
+//! one-shard partition — `PacketSim` calls `run_until` to each barrier
+//! itself, the parallel engine reaches the same call through
+//! `ShardHost::run_epoch` with an empty link set — so the ratio reads
+//! ≈ 1.0 by construction (0.94–0.96 before the two loops were one;
+//! CHANGES.md, PR 21). A reading away from 1.0 means the loops have
+//! forked again.
 //!
 //! A third row, `par_packet_sim_w2`, runs the same world on two workers
 //! (static partition, no controller): "two workers ÷ sequential on a

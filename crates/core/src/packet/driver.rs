@@ -22,14 +22,16 @@
 //!
 //! A [`SimCore`] is the bookkeeping every participant of a run replicates
 //! — the world, the node → (shard, row) map, the failed-link flags, the
-//! barrier horizon, the open batch — and applies [`BarrierOp`]s over
-//! *the shards this participant holds*:
+//! barrier horizon and the schedule of sample barriers that advances it,
+//! the convergence trace, the open batch — and applies [`BarrierOp`]s
+//! over *the shards this participant holds*:
 //!
 //! * the sequential [`PacketSim`](crate::packetsim::PacketSim) holds the
 //!   single shard of [`Partition::single`] and has no wires;
-//! * `ww-pdes` holds every shard of a subtree partition, one thread
-//!   each, and adds rings, promises and the merge stage;
-//! * a `ww-dist` worker holds exactly one shard and adds sockets, and
+//! * every other participant is a `ww-pdes` `ShardHost`, which gives
+//!   each shard it holds links (wires, promises, the merge stage): the
+//!   in-process parallel engine's host holds every shard, one thread
+//!   each, over rings; a `ww-dist` worker's holds one, over sockets; and
 //!   the coordinator's replica holds none.
 //!
 //! Every per-node step of every barrier operation touches only that
@@ -575,9 +577,9 @@ pub fn held_mut(held: &mut [ShardCore], s: usize) -> Option<&mut ShardCore> {
 
 /// The replicated, shard-independent half of a run: the shared world,
 /// the node → (shard, row) map, the failed-link flags, the barrier
-/// horizon and the open batch. Identical on every participant, and
-/// mutated identically — every [`BarrierOp`] is a pure function of its
-/// arguments and this state.
+/// horizon, the convergence trace and the open batch. Identical on
+/// every participant, and mutated identically — every [`BarrierOp`] is
+/// a pure function of its arguments and this state.
 #[derive(Debug)]
 pub struct SimCore {
     /// Topology, demand, oracle and configuration.
@@ -591,6 +593,11 @@ pub struct SimCore {
     /// Simulated time the run has reached: the last barrier, and the
     /// one clock every barrier operation reads.
     pub horizon: SimTime,
+    /// Distance to the oracle at every diffusion-epoch boundary passed
+    /// so far; its length is the number of samples taken (the next is
+    /// due at `(len + 1) × diffusion_period`). Recorded only by a
+    /// participant that sees every shard's partial.
+    trace: ConvergenceTrace,
     /// Queue-surgery steps the open batch has accumulated. Whether a
     /// batch *is* open is the world's to say
     /// ([`PacketWorld::batch_open`]).
@@ -610,11 +617,44 @@ impl SimCore {
             world,
             partition,
             horizon: SimTime::ZERO,
+            trace: ConvergenceTrace::new(),
             batch: Vec::new(),
             tel_level: Level::Off,
             tel: Counters::off(CORE_KEYS),
             tel_phases: Phases::new(CORE_PHASES, Level::Off),
         }
+    }
+
+    /// The schedule every packet engine runs to `deadline`: the next
+    /// barrier on the way there and whether the trace is sampled at it.
+    /// That is each diffusion-epoch boundary still unsampled at or
+    /// before `deadline` (sampled), then `deadline` itself (not), then
+    /// `None` once the horizon is there. The caller advances every
+    /// shard to the barrier — every event at or before it executes
+    /// first, the boundary's own included — and, at a sample boundary,
+    /// hands the shards' folded distance to [`SimCore::record_sample`].
+    /// A later call with a larger deadline resumes the schedule, so
+    /// `run(k)` for `k = 1..n` is `run(n)`.
+    pub fn next_barrier(&self, deadline: SimTime) -> Option<(SimTime, bool)> {
+        let period = self.world.config.diffusion_period;
+        let boundary = SimTime::from_secs((self.trace.len() + 1) as f64 * period);
+        if boundary <= deadline {
+            Some((boundary, true))
+        } else {
+            (deadline > self.horizon).then_some((deadline, false))
+        }
+    }
+
+    /// Records the sample at the boundary [`SimCore::next_barrier`]
+    /// named: the distance to the oracle whose square `sum` folds over
+    /// every node.
+    pub fn record_sample(&mut self, sum: &ExactSum) {
+        self.trace.push(sum.value().sqrt());
+    }
+
+    /// The samples recorded so far.
+    pub fn trace(&self) -> &ConvergenceTrace {
+        &self.trace
     }
 
     /// Sets the observation level of the barrier path and of the
@@ -656,12 +696,7 @@ impl SimCore {
 
     /// The report at the horizon, for a participant that holds every
     /// shard. `overflow` is the wires' `(parks, peak parked)`.
-    pub fn report(
-        &self,
-        held: &mut [ShardCore],
-        trace: &ConvergenceTrace,
-        overflow: (u64, u64),
-    ) -> PacketSimReport {
+    pub fn report(&self, held: &mut [ShardCore], overflow: (u64, u64)) -> PacketSimReport {
         let now = self.horizon.as_secs().max(1e-9);
         let rates = (0..self.world.len())
             .map(|j| {
@@ -681,7 +716,7 @@ impl SimCore {
         let shard_events = held.iter().map(|s| s.queue.processed()).collect();
         PacketSimReport::assemble(
             &self.world.oracle,
-            trace,
+            &self.trace,
             rates,
             ledger,
             counters,

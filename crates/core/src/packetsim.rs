@@ -18,9 +18,9 @@
 //! handler is node-local, every random draw is content-keyed, and every
 //! cross-node effect is a timestamped message. [`PacketSim`] is the
 //! one-shard, zero-wire case of that driver — a [`SimCore`] over
-//! [`Partition::single`], the one [`ShardCore`] it names, and the
-//! convergence trace. The parallel engine runs one such shard per
-//! subtree and produces bit-identical results.
+//! [`Partition::single`] and the one [`ShardCore`] it names. The
+//! parallel engine runs one such shard per subtree and produces
+//! bit-identical results.
 //!
 //! # Performance
 //!
@@ -189,9 +189,6 @@ pub struct PacketSim {
     core: SimCore,
     /// The whole tree; row = node id.
     shard: ShardCore,
-    trace: ConvergenceTrace,
-    /// Diffusion-epoch samples taken so far (next at `(k+1) * period`).
-    epochs_sampled: u64,
 }
 
 impl PacketSim {
@@ -209,8 +206,6 @@ impl PacketSim {
         PacketSim {
             core: SimCore::new(world, partition),
             shard,
-            trace: ConvergenceTrace::new(),
-            epochs_sampled: 0,
         }
     }
 
@@ -236,45 +231,31 @@ impl PacketSim {
         snap
     }
 
-    /// Runs the simulation up to `duration` simulated seconds and
-    /// reports: advance to each diffusion-epoch boundary and sample the
-    /// global distance to the oracle there — every event at or before
-    /// the boundary first, then the observation — then advance to the
-    /// deadline. The schedule of every engine. May be called repeatedly
-    /// with increasing horizons; each call processes the events in
-    /// `(previous, duration]`.
+    /// Runs the simulation up to `duration` simulated seconds through
+    /// the schedule of every engine ([`SimCore::next_barrier`]) and
+    /// reports: at each diffusion-epoch boundary the global distance to
+    /// the oracle is sampled after every event at or before it. With no
+    /// other shard, nothing can arrive from outside, so a barrier is the
+    /// shard's bound. May be called repeatedly with increasing horizons;
+    /// each call processes the events in `(previous, duration]`.
     pub fn run(&mut self, duration: f64) -> PacketSimReport {
         let deadline = SimTime::from_secs(duration);
-        let period = self.core.world.config.diffusion_period;
-        loop {
-            let at = SimTime::from_secs((self.epochs_sampled + 1) as f64 * period);
-            if at > deadline {
-                break;
-            }
-            self.advance(at);
-            let sum = self.shard.trace_partial(&self.core, at.as_secs());
-            self.trace.push(sum.value().sqrt());
-            self.epochs_sampled += 1;
-        }
-        self.advance(deadline);
-        self.report()
-    }
-
-    /// Advances the shard to `t_end` and moves the horizon there. With
-    /// no other shard, nothing can arrive from outside: the bound is the
-    /// barrier itself.
-    fn advance(&mut self, t_end: SimTime) {
-        if t_end > self.core.horizon {
-            self.shard.run_until(&self.core, t_end);
+        while let Some((at, sample)) = self.core.next_barrier(deadline) {
+            self.shard.run_until(&self.core, at);
             debug_assert!(self.shard.remote.is_empty(), "one shard hosts every node");
-            self.core.horizon = t_end;
+            self.core.horizon = at;
+            if sample {
+                let sum = self.shard.trace_partial(&self.core, at.as_secs());
+                self.core.record_sample(&sum);
+            }
         }
+        self.report()
     }
 
     /// Produces the report at the current horizon (also usable mid-run).
     pub fn report(&mut self) -> PacketSimReport {
         self.core
-            .report(std::slice::from_mut(&mut self.shard), &self.trace, (0, 0))
+            .report(std::slice::from_mut(&mut self.shard), (0, 0))
     }
 
     /// The TLB oracle for the offered demand.

@@ -5,12 +5,13 @@
 //!
 //! The coordinator holds **no shard**. It keeps a
 //! [`ShardHost`]-replica of the shared bookkeeping (world, partition,
-//! horizon), drives epochs by broadcasting `RunEpoch` and merging the
-//! returned exact trace partials, mirrors every [`BarrierOp`] onto
-//! the replica and broadcasts it to the workers, and assembles the
-//! final [`PacketSimReport`] from per-worker slices. Determinism: the
-//! sample instants, the barrier schedule, and all mutation arguments
-//! are coordinator-chosen and identical to the sequential driver's; the
+//! horizon, trace), walks the replica's barrier schedule, drives each
+//! epoch by broadcasting `RunEpoch` and merging the returned exact trace
+//! partials, mirrors every [`BarrierOp`] onto the replica and
+//! broadcasts it to the workers, and assembles the final
+//! [`PacketSimReport`] from per-worker slices. Determinism: the sample
+//! instants, the barrier schedule, and all mutation arguments are
+//! coordinator-chosen and identical to the sequential driver's; the
 //! shards compute exactly what the in-process engine's shards compute;
 //! and the exact accumulator makes the merge order irrelevant — so the
 //! distributed run is bit-identical to the sequential and threaded
@@ -33,7 +34,7 @@ use ww_model::{NodeId, RateVector, Tree};
 use ww_net::TrafficLedger;
 use ww_pdes::{ShardHost, DEFAULT_STALL_TIMEOUT, PDES_KEYS};
 use ww_sim::SimTime;
-use ww_stats::{ConvergenceTrace, ExactSum};
+use ww_stats::ExactSum;
 use ww_telemetry::{Counters, Histogram, Level, Snapshot};
 use ww_workload::DocMix;
 
@@ -94,8 +95,6 @@ pub struct DistPacketSim {
     replica: ShardHost,
     workers: Vec<WorkerCtl>,
     children: Vec<Child>,
-    trace: ConvergenceTrace,
-    epochs_sampled: u64,
     options: DistOptions,
     shut_down: bool,
     /// Wall-clock of the launch handshake (listener bind through the
@@ -146,8 +145,8 @@ impl DistPacketSim {
         assert!(workers > 0, "need at least one worker");
         let t_handshake = options.telemetry.counters_on().then(Instant::now);
         let mut replica = ShardHost::replica(tree, mix, config, workers);
-        replica.set_telemetry_timing(options.telemetry.spans_on());
-        let shards = replica.shards();
+        replica.set_telemetry(options.telemetry);
+        let shards = replica.core().partition.shards();
 
         let listener = TcpListener::bind(options.listen.as_str())?;
         let ctrl_addr = listener.local_addr()?.to_string();
@@ -229,7 +228,7 @@ impl DistPacketSim {
             .collect();
         let demands = mix_demands(mix);
         let parents = tree.to_parents();
-        let digest = partition_digest(&replica.partition().shard_of);
+        let digest = partition_digest(&replica.core().partition.shard_of);
         let mut assigned = Vec::new();
         for (shard, (mut framed, _)) in conns.into_iter().enumerate() {
             if shard >= shards {
@@ -287,8 +286,6 @@ impl DistPacketSim {
             replica,
             workers: ctls,
             children,
-            trace: ConvergenceTrace::new(),
-            epochs_sampled: 0,
             options,
             shut_down: false,
             handshake_ns: 0,
@@ -332,12 +329,12 @@ impl DistPacketSim {
 
     /// The TLB oracle for the offered demand.
     pub fn oracle(&self) -> &RateVector {
-        &self.replica.world().oracle
+        &self.replica.core().world.oracle
     }
 
     /// The routing tree as the run currently sees it.
     pub fn tree(&self) -> &Tree {
-        &self.replica.world().tree
+        &self.replica.core().world.tree
     }
 
     /// One expected reply from worker `shard`, with full failure
@@ -385,13 +382,10 @@ impl DistPacketSim {
             })
     }
 
-    /// Advances every shard to `t_end` and moves the replica's horizon
-    /// there; with `sample`, merges and returns the workers' exact
-    /// trace partials.
+    /// Advances every shard to `t_end` — one broadcast `RunEpoch` —
+    /// and moves the replica's horizon there; with `sample`, merges and
+    /// returns the workers' exact trace partials.
     fn advance_all(&mut self, t_end: SimTime, sample: bool) -> Result<Option<ExactSum>, DistError> {
-        if t_end <= self.replica.horizon() {
-            return Ok(None);
-        }
         let t0 = self.epoch_rtt.is_on().then(Instant::now);
         for shard in 0..self.workers.len() {
             self.send(shard, &Msg::RunEpoch { t_end, sample })?;
@@ -433,17 +427,11 @@ impl DistPacketSim {
         Ok(merged)
     }
 
-    /// The next pending epoch-boundary sample time.
-    fn next_sample(&self) -> SimTime {
-        SimTime::from_secs(
-            (self.epochs_sampled + 1) as f64 * self.replica.world().config.diffusion_period,
-        )
-    }
-
     /// Runs the simulation up to `duration` simulated seconds and
-    /// reports — the epoch schedule, sample instants, and final barrier
-    /// are exactly [`ParPacketSim::run`](ww_pdes::ParPacketSim::run)'s.
-    /// May be called repeatedly with increasing horizons.
+    /// reports — the replica's schedule
+    /// ([`SimCore::next_barrier`](ww_core::packet::driver::SimCore::next_barrier)),
+    /// the one every engine runs. May be called repeatedly with
+    /// increasing horizons.
     ///
     /// # Errors
     ///
@@ -451,15 +439,11 @@ impl DistPacketSim {
     /// the configured timeouts, never as a hang.
     pub fn run(&mut self, duration: f64) -> Result<PacketSimReport, DistError> {
         let deadline = SimTime::from_secs(duration);
-        while self.next_sample() <= deadline {
-            let at = self.next_sample();
-            let sum = self
-                .advance_all(at, true)?
-                .expect("sample barriers always advance the horizon");
-            self.trace.push(sum.value().sqrt());
-            self.epochs_sampled += 1;
+        while let Some((at, sample)) = self.replica.core().next_barrier(deadline) {
+            if let Some(sum) = self.advance_all(at, sample)? {
+                self.replica.record_sample(&sum);
+            }
         }
-        self.advance_all(deadline, false)?;
         self.report()
     }
 
@@ -470,7 +454,7 @@ impl DistPacketSim {
     ///
     /// [`DistError`] when a worker dies or misbehaves.
     pub fn report(&mut self) -> Result<PacketSimReport, DistError> {
-        let now = self.replica.horizon().as_secs().max(1e-9);
+        let now = self.replica.core().horizon.as_secs().max(1e-9);
         for shard in 0..self.workers.len() {
             self.send(shard, &Msg::ReportRequest { now })?;
         }
@@ -486,14 +470,14 @@ impl DistPacketSim {
             }
         }
 
-        let n = self.replica.world().len();
+        let n = self.replica.core().world.len();
         let mut rates = vec![0.0f64; n];
         let mut ledger = TrafficLedger::new();
         let mut counters = PacketCounters::default();
         let mut overflow = (0u64, 0u64);
         let mut shard_events = Vec::with_capacity(slices.len());
         for (shard, rep) in slices.iter().enumerate() {
-            let members = &self.replica.partition().members[shard];
+            let members = &self.replica.core().partition.members[shard];
             if rep.rates.len() != members.len() {
                 return Err(DistError::Protocol {
                     detail: format!(
@@ -531,8 +515,8 @@ impl DistPacketSim {
             })
             .collect();
         Ok(PacketSimReport::assemble(
-            &self.replica.world().oracle,
-            &self.trace,
+            &self.replica.core().world.oracle,
+            self.replica.core().trace(),
             rates,
             ledger,
             counters,
@@ -610,7 +594,8 @@ impl DistPacketSim {
             return snap;
         }
         self.replica
-            .world()
+            .core()
+            .world
             .oracle_telemetry()
             .snapshot_into(&mut snap, self.options.telemetry.spans_on());
         // The workers' hot-path slabs, merged as `ParPacketSim` merges

@@ -14,7 +14,7 @@ use rand::SeedableRng;
 use ww_core::packet::{BarrierOp, BarrierOutcome};
 use ww_core::packetsim::{PacketBackend, PacketSim, PacketSimConfig, PacketSimReport};
 use ww_dist::{DistError, DistMode, DistOptions, DistPacketSim};
-use ww_model::{DocId, ModelError, NodeId, Tree};
+use ww_model::{DocId, ModelError, NodeId, RateVector, Tree};
 use ww_net::TrafficClass;
 use ww_pdes::ParPacketSim;
 use ww_topology::paper;
@@ -393,4 +393,135 @@ fn one_barrier_op_script_is_bit_identical_on_every_backend() {
         assert_eq!(got, verdicts, "dist verdicts, workers={workers}");
         assert_reports_identical(&seq, &rep, &format!("script dist workers={workers}"));
     }
+}
+
+/// The simulated numbers of a report, as bits: trace, served rates,
+/// final distance, processed events, served requests.
+type Fingerprint = (Vec<u64>, Vec<u64>, u64, u64, u64);
+
+fn fingerprint(r: &PacketSimReport) -> Fingerprint {
+    (
+        bits(r.trace.distances()),
+        bits(r.served_rates.as_slice()),
+        r.final_distance.to_bits(),
+        r.processed_events,
+        r.served_requests,
+    )
+}
+
+/// What the one barrier schedule (`SimCore::next_barrier`) promises,
+/// read off one backend: the promises it broke, and the fingerprint of
+/// its ten-second fig7 run for the backends to be compared by.
+///
+/// * `run(d)` processes `(previous, d]`, the deadline's own events
+///   included: on a demand-free three-node chain the only events are
+///   timer fires and gossip deliveries, and node 1's gossip timer
+///   (0.25 + 0.5 k) and diffusion timer (0.75 + k) both fire at
+///   exactly 0.75, so `run(0.75)` runs two events more than
+///   `run(0.7499)`, and both runs meet again at 1.
+/// * `run(k)` for `k = 1..10` is `run(10)`, and a repeated `run(10)`
+///   changes nothing.
+/// * A sample sees everything up to its boundary: the first one has
+///   the first second's requests served, so it is not the distance of
+///   a network that served nothing — the oracle's norm, which a sample
+///   taken before its epoch ran reads exactly.
+fn schedule_faults<B: PacketBackend>(
+    make: impl Fn(&Tree, &DocMix) -> B,
+) -> (Vec<String>, Fingerprint)
+where
+    B::Error: std::fmt::Debug,
+{
+    let mut faults = Vec::new();
+    let chain = Tree::from_parents(&[None, Some(0), Some(1)]).unwrap();
+    let quiet = DocMix::new(3);
+    let (mut at, mut short) = (make(&chain, &quiet), make(&chain, &quiet));
+    let on_the_dot = at.run(0.75).unwrap().processed_events;
+    let before = short.run(0.7499).unwrap().processed_events;
+    if on_the_dot != before + 2 {
+        faults.push(format!(
+            "run(0.75) processed {on_the_dot} events against run(0.7499)'s {before}"
+        ));
+    }
+    let (a, b) = (at.run(1.0).unwrap(), short.run(1.0).unwrap());
+    if a.processed_events != b.processed_events {
+        faults.push("the two chains part at 1".to_string());
+    }
+
+    let (tree, mix) = fig7_mix();
+    let mut stepped = make(&tree, &mix);
+    for k in 1..=10 {
+        stepped.run(k as f64).unwrap();
+    }
+    let stepped_rep = stepped.report().unwrap();
+    let oneshot = make(&tree, &mix).run(10.0).unwrap();
+    if fingerprint(&stepped_rep) != fingerprint(&oneshot) {
+        faults.push("run(1..=10) is not run(10)".to_string());
+    }
+    if fingerprint(&stepped.run(10.0).unwrap()) != fingerprint(&stepped_rep) {
+        faults.push("a repeated run(10) moved the report".to_string());
+    }
+    let idle = oneshot
+        .oracle
+        .euclidean_distance(&RateVector::zeros(tree.len()));
+    let first = oneshot.trace.initial().unwrap_or(idle);
+    if oneshot.trace.len() != 10 || first == idle {
+        faults.push(format!(
+            "{} samples, the first {first}: an idle network's is {idle}",
+            oneshot.trace.len()
+        ));
+    }
+    (faults, fingerprint(&oneshot))
+}
+
+/// [`schedule_faults`] on a thread of its own, so that a backend whose
+/// schedule never reaches a barrier — a shard loop spinning on an event
+/// it will not run — reads as a broken promise, not as a hung test.
+fn spawn_schedule_check<B: PacketBackend + 'static>(
+    make: impl Fn(&Tree, &DocMix) -> B + Send + 'static,
+) -> std::sync::mpsc::Receiver<(Vec<String>, Fingerprint)>
+where
+    B::Error: std::fmt::Debug,
+{
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(schedule_faults(make)));
+    rx
+}
+
+#[test]
+fn the_barrier_schedule_is_one_on_every_backend() {
+    let config = PacketSimConfig::default();
+    let mut checks = vec![(
+        "seq".to_string(),
+        spawn_schedule_check(move |tree, mix| PacketSim::new(tree, mix, config)),
+    )];
+    for workers in [1, 2, 4] {
+        let par =
+            spawn_schedule_check(move |tree, mix| ParPacketSim::new(tree, mix, config, workers));
+        checks.push((format!("par workers={workers}"), par));
+    }
+    for workers in [1, 2] {
+        let dist = spawn_schedule_check(move |tree, mix| {
+            DistPacketSim::launch(tree, mix, config, workers, threads()).unwrap()
+        });
+        checks.push((format!("dist workers={workers}"), dist));
+    }
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    let mut reference = None;
+    let mut faults = Vec::new();
+    for (backend, verdict) in checks {
+        let wait = deadline.saturating_duration_since(std::time::Instant::now());
+        let broken = match verdict.recv_timeout(wait) {
+            Ok((mut broken, run)) => {
+                if *reference.get_or_insert_with(|| run.clone()) != run {
+                    broken.push("its fig7 run is not the sequential one".to_string());
+                }
+                broken
+            }
+            Err(e) => vec![format!("no verdict ({e:?}): the check hung or panicked")],
+        };
+        if !broken.is_empty() {
+            faults.push((backend, broken));
+        }
+    }
+    assert!(faults.is_empty(), "{faults:#?}");
 }

@@ -5,12 +5,13 @@
 //! and report fold the sequential
 //! [`PacketSim`](ww_core::packetsim::PacketSim) is the one-shard case
 //! of — but splits the tree into shards, each a set of subtree pieces
-//! (see [`crate::partition`]), and runs one `ShardCore` per shard on its
-//! own worker thread. What this module adds is only what a single shard
-//! has no use for: the links between shards (`ShardLinks`: wires,
-//! promises, each wire's merge stage), the epoch loop that
-//! synchronizes over them, the thread scope, and the rebalance
-//! controller.
+//! (see [`crate::partition`]). It is a [`ShardHost`] that holds every
+//! shard — the participant type a `ww-dist` worker (one shard) and the
+//! coordinator's replica (none) are too, which dials the wires and runs
+//! the epochs — plus the rebalance controller. What this module adds to
+//! the shard driver is only what a single shard has no use for: the
+//! links between shards (`ShardLinks`: wires, promises, each wire's
+//! merge stage) and the epoch loop that synchronizes over them.
 //!
 //! # Synchronization
 //!
@@ -84,10 +85,9 @@
 //! counts). The golden tests in this crate and in `ww-scenario` pin
 //! exactly that.
 
-use crate::ops;
-use crate::partition::{partition_forest, PartitionShape};
+use crate::host::ShardHost;
 use crate::rebalance::{rebalance_plan, LoadSummary, RebalanceConfig};
-use crate::transport::{open_ring, LinkError, StageError, Wire, WireReceiver, WireSender};
+use crate::transport::{LinkError, StageError, Wire, WireReceiver, WireSender};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 use ww_core::packet::driver::{ShardCore, SimCore};
@@ -95,7 +95,7 @@ use ww_core::packet::{self, BarrierOp, BarrierOutcome, PacketEvent, PacketSimCon
 use ww_core::packetsim::{PacketBackend, PacketSimReport};
 use ww_model::{ModelError, NodeId, RateVector, Tree};
 use ww_sim::{LaneStats, SimQueue, SimTime};
-use ww_stats::{ConvergenceTrace, ExactSum};
+use ww_stats::ExactSum;
 use ww_telemetry::{Counters, Key, Level, Phases, Snapshot};
 use ww_workload::DocMix;
 
@@ -268,7 +268,7 @@ pub(crate) struct InLink {
     /// monotone, so the front is the wire's minimum and only it competes
     /// in the shard's event merge.
     staged: VecDeque<StagedEvent>,
-    promise: SimTime,
+    pub(crate) promise: SimTime,
     epoch_ended: bool,
 }
 
@@ -304,21 +304,16 @@ pub(crate) struct ShardLinks {
     /// Observation-only hot-path counters over [`PDES_KEYS`]. Owned by
     /// the shard, so recording is a plain indexed add — no atomics, no
     /// sharing; the driver merges slabs at snapshot time.
-    tel: Counters,
+    pub(crate) tel: Counters,
     /// Observation-only phase timers over [`PDES_PHASES`].
-    tel_phases: Phases,
+    pub(crate) tel_phases: Phases,
 }
 
 impl ShardLinks {
-    /// The links of one shard of a `shards`-way partition over `world`.
-    pub(crate) fn new(
-        world: &PacketWorld,
-        shards: usize,
-        outs: Vec<OutLink>,
-        ins: Vec<InLink>,
-        stall_timeout: Option<Duration>,
-    ) -> Self {
-        let mut links = ShardLinks {
+    /// The links of one shard of a run over `world`, before any wire is
+    /// dialed.
+    pub(crate) fn new(world: &PacketWorld, stall_timeout: Option<Duration>) -> Self {
+        ShardLinks {
             out_links: Vec::new(),
             in_links: Vec::new(),
             out_for: Vec::new(),
@@ -327,14 +322,12 @@ impl ShardLinks {
             stall_timeout,
             tel: Counters::off(PDES_KEYS),
             tel_phases: Phases::new(PDES_PHASES, Level::Off),
-        };
-        links.dial(shards, outs, ins);
-        links
+        }
     }
 
-    /// Replaces the wires (construction, and the re-dial after a
-    /// rebalance).
-    fn dial(&mut self, shards: usize, outs: Vec<OutLink>, ins: Vec<InLink>) {
+    /// Replaces the wires of a shard of a `shards`-way partition
+    /// (construction, and the re-dial after a rebalance).
+    pub(crate) fn dial(&mut self, shards: usize, outs: Vec<OutLink>, ins: Vec<InLink>) {
         self.out_for = vec![usize::MAX; shards];
         for (li, link) in outs.iter().enumerate() {
             self.out_for[link.peer] = li;
@@ -349,11 +342,6 @@ impl ShardLinks {
     pub(crate) fn set_telemetry(&mut self, level: Level) {
         self.tel = Counters::new(PDES_KEYS, level);
         self.tel_phases = Phases::new(PDES_PHASES, level);
-    }
-
-    /// The hot-path counter slab over [`PDES_KEYS`].
-    pub(crate) fn counters(&self) -> &Counters {
-        &self.tel
     }
 
     /// `(total messages ever parked, peak depth of any overflow queue)`
@@ -575,11 +563,11 @@ fn release_peers(links: &mut ShardLinks, t_end: SimTime) {
 /// When `sample` is set, the shard computes its partial of the
 /// convergence-trace sample at the quiesced boundary — rolling its own
 /// nodes' serve meters and folding the squared oracle distances into an
-/// exact accumulator — and ships it back to the driver alongside the
-/// epoch-end handshake (the worker's return value). The driver's
-/// per-epoch work thus shrinks from an `O(n)` pass over every node to
-/// an `O(shards)` merge, and because the fold is exact, the merged
-/// value is bit-identical to a driver-side pass in node order.
+/// exact accumulator — and ships it back alongside the epoch-end
+/// handshake (the return value). The participant's per-epoch work thus
+/// shrinks from an `O(n)` pass over every node to an `O(shards)` merge,
+/// and because the fold is exact, the merged value is bit-identical to
+/// one pass in node order.
 pub(crate) fn run_shard(
     core: &mut ShardCore,
     links: &mut ShardLinks,
@@ -589,7 +577,7 @@ pub(crate) fn run_shard(
 ) -> Result<Option<ExactSum>, LinkError> {
     links.t_end = t_end;
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_epoch(core, links, sim, t_end, sample)
+        epoch_loop(core, links, sim, t_end, sample)
     }));
     match caught {
         Ok(Ok(partial)) => Ok(partial),
@@ -604,9 +592,9 @@ pub(crate) fn run_shard(
     }
 }
 
-/// The epoch body of [`run_shard`] (split out so the panic/error release
-/// can wrap it).
-fn run_epoch(
+/// The epoch body of [`run_shard`], the shard loop (split out so the
+/// panic/error release can wrap it).
+fn epoch_loop(
     core: &mut ShardCore,
     links: &mut ShardLinks,
     sim: &SimCore,
@@ -616,8 +604,7 @@ fn run_epoch(
     let lookahead = links.lookahead;
     let promise_quantum = SimTime::from_secs(lookahead.as_secs() / PROMISE_QUANTA);
     let stall_timeout = links.stall_timeout;
-    let mut idle_spins = 0u32;
-    let mut idle_since: Option<Instant> = None;
+    let mut idle = Backoff::default();
     links.tel.record_max(K_QUEUE_DEPTH, core.queue.len() as u64);
     let compute_span = links.tel_phases.begin();
     loop {
@@ -703,8 +690,7 @@ fn run_epoch(
             // constantly, so back-pressure clears; back off when nothing
             // moves, and on a socket transport give up after the stall
             // timeout.
-            let mut wait_spins = 0u32;
-            let mut wait_since: Option<Instant> = None;
+            let mut wait = Backoff::default();
             loop {
                 let mut moved = links.spill_inbound(core)?;
                 moved |= links.flush_out()?;
@@ -714,23 +700,9 @@ fn run_epoch(
                     break;
                 }
                 if moved {
-                    wait_spins = 0;
-                    wait_since = None;
+                    wait.reset();
                 } else {
-                    wait_spins += 1;
-                    if wait_spins > 64 {
-                        if let Some(limit) = stall_timeout {
-                            let since = *wait_since.get_or_insert_with(Instant::now);
-                            if since.elapsed() > limit {
-                                return Err(LinkError::Stalled {
-                                    waited: since.elapsed(),
-                                });
-                            }
-                        }
-                        std::thread::sleep(Duration::from_micros(50));
-                    } else {
-                        std::thread::yield_now();
-                    }
+                    wait.wait(stall_timeout)?;
                 }
             }
             for link in &mut links.in_links {
@@ -742,25 +714,50 @@ fn run_epoch(
         }
 
         if progressed {
-            idle_spins = 0;
-            idle_since = None;
+            idle.reset();
         } else {
             links.tel.add(K_MERGE_STALLS, 1);
-            idle_spins += 1;
-            if idle_spins > 64 {
-                if let Some(limit) = stall_timeout {
-                    let since = *idle_since.get_or_insert_with(Instant::now);
-                    if since.elapsed() > limit {
-                        return Err(LinkError::Stalled {
-                            waited: since.elapsed(),
-                        });
-                    }
-                }
-                std::thread::sleep(Duration::from_micros(50));
-            } else {
-                std::thread::yield_now();
+            idle.wait(stall_timeout)?;
+        }
+    }
+}
+
+/// How a shard waits when a pass of its epoch loop moved nothing: it
+/// yields 64 times, then sleeps 50 µs a pass, and with a stall timeout
+/// set gives up with [`LinkError::Stalled`] once nothing has moved for
+/// that long.
+#[derive(Default)]
+struct Backoff {
+    /// Passes without progress since the last reset.
+    spins: u32,
+    /// When the sleeping started (read only with a stall timeout).
+    since: Option<Instant>,
+}
+
+impl Backoff {
+    /// Something moved: the next wait starts over.
+    fn reset(&mut self) {
+        self.spins = 0;
+        self.since = None;
+    }
+
+    /// Waits out one pass that moved nothing.
+    fn wait(&mut self, stall_timeout: Option<Duration>) -> Result<(), LinkError> {
+        self.spins += 1;
+        if self.spins <= 64 {
+            std::thread::yield_now();
+            return Ok(());
+        }
+        if let Some(limit) = stall_timeout {
+            let since = *self.since.get_or_insert_with(Instant::now);
+            if since.elapsed() > limit {
+                return Err(LinkError::Stalled {
+                    waited: since.elapsed(),
+                });
             }
         }
+        std::thread::sleep(Duration::from_micros(50));
+        Ok(())
     }
 }
 
@@ -792,19 +789,15 @@ fn run_epoch(
 /// ```
 #[derive(Debug)]
 pub struct ParPacketSim {
-    core: SimCore,
-    /// One driver shard per worker thread; position = shard id.
-    shards: Vec<ShardCore>,
-    /// Each shard's links, parallel to `shards`.
-    links: Vec<ShardLinks>,
-    trace: ConvergenceTrace,
-    epochs_sampled: u64,
+    /// Every shard of the partition with its links: the participant
+    /// that runs them, one worker thread per shard at each epoch.
+    host: ShardHost,
     /// Adaptive rebalancing knobs (`None`: static partition).
     rebalance: Option<RebalanceConfig>,
     /// Per-shard `queue.processed()` baseline at the start of the
     /// current observation window.
     window_base: Vec<u64>,
-    /// Epoch index when the current observation window opened.
+    /// Samples taken when the current observation window opened.
     window_start_epoch: u64,
     /// Per-shard `queue.processed()` at the previous epoch boundary
     /// (for the per-epoch imbalance high-water; observation only).
@@ -820,22 +813,7 @@ pub struct ParPacketSim {
     events_moved: u64,
     /// Observation-only timers over [`PDES_REBALANCE_PHASES`].
     rebalance_phases: Phases,
-    /// What the packer made of the tree, at construction or at the last
-    /// applied plan (observation only).
-    shape: PartitionShape,
-    /// Per-directed-cut outbound message counters, persisted across
-    /// wire re-dials: inbound merge keys embed this counter, so a
-    /// re-dialed wire must continue — never restart — its stream to
-    /// keep keys unique against events spilled before the rebalance.
-    wire_counters: std::collections::BTreeMap<(usize, usize), u64>,
-    /// Park counts of wires torn down by rebalancing (observability
-    /// carries across re-dials).
-    retired_parks: u64,
-    retired_peak_parked: u64,
 }
-
-/// The shard count's worth of `(outbound, inbound)` wire ends.
-type WireEnds = Vec<(Vec<OutLink>, Vec<InLink>)>;
 
 impl ParPacketSim {
     /// Builds a parallel simulator over `workers` shards (capped
@@ -849,44 +827,21 @@ impl ParPacketSim {
     /// [`PacketWorld::new`] rejects.
     pub fn new(tree: &Tree, mix: &DocMix, config: PacketSimConfig, workers: usize) -> Self {
         assert!(workers > 0, "need at least one worker");
-        let world = PacketWorld::new(tree, mix, config);
-        let (partition, shape) = partition_forest(tree, workers);
-        assert!(
-            partition.shards() == 1 || config.link_delay > 0.0,
-            "the parallel packet engine needs a positive link delay: \
-             cut-edge latency is its conservative lookahead"
-        );
-        let shards_n = partition.shards();
-        let shards = (0..shards_n)
-            .map(|id| ShardCore::new(&world, &partition, id))
-            .collect();
-        let mut sim = ParPacketSim {
-            core: SimCore::new(world, partition),
-            shards,
-            links: Vec::new(),
-            trace: ConvergenceTrace::new(),
-            epochs_sampled: 0,
+        let host = ShardHost::in_process(tree, mix, config, workers);
+        let shards = host.held.len();
+        ParPacketSim {
+            host,
             rebalance: None,
-            window_base: vec![0; shards_n],
+            window_base: vec![0; shards],
             window_start_epoch: 0,
-            epoch_base: vec![0; shards_n],
+            epoch_base: vec![0; shards],
             imbalance_hw: 1.0,
             rebalance_evals: 0,
             rebalance_applied: 0,
             nodes_migrated: 0,
             events_moved: 0,
             rebalance_phases: Phases::new(PDES_REBALANCE_PHASES, Level::Off),
-            shape,
-            wire_counters: std::collections::BTreeMap::new(),
-            retired_parks: 0,
-            retired_peak_parked: 0,
-        };
-        sim.links = sim
-            .open_wires(SimTime::ZERO)
-            .into_iter()
-            .map(|(outs, ins)| ShardLinks::new(&sim.core.world, shards_n, outs, ins, None))
-            .collect();
-        sim
+        }
     }
 
     /// [`ParPacketSim::new`]; the tuning argument carries nothing.
@@ -928,12 +883,12 @@ impl ParPacketSim {
         }
         self.rebalance = config;
         let on = self.rebalance.is_some();
-        for shard in &mut self.shards {
+        for shard in &mut self.host.held {
             shard.track_loads = on;
             shard.window_events.iter_mut().for_each(|w| *w = 0);
         }
-        self.window_base = self.shards.iter().map(|s| s.queue.processed()).collect();
-        self.window_start_epoch = self.epochs_sampled;
+        self.window_base = self.processed();
+        self.window_start_epoch = self.samples();
     }
 
     /// Selects the observation level: [`Level::Off`] (the default,
@@ -943,19 +898,8 @@ impl ParPacketSim {
     /// reported simulation number is bit-identical at every level; the
     /// golden tests in `ww-scenario` pin exactly that.
     pub fn set_telemetry(&mut self, level: Level) {
-        self.core.set_telemetry(level);
+        self.host.set_telemetry(level);
         self.rebalance_phases = Phases::new(PDES_REBALANCE_PHASES, level);
-        for links in &mut self.links {
-            links.set_telemetry(level);
-        }
-    }
-
-    /// `(parks, peak parked)` over every wire the run ever had.
-    fn wire_stats(&self) -> (u64, u64) {
-        self.links.iter().map(ShardLinks::wire_stats).fold(
-            (self.retired_parks, self.retired_peak_parked),
-            |(parks, peak), (p, k)| (parks + p, peak.max(k)),
-        )
     }
 
     /// A merged, deterministic snapshot of everything the run recorded:
@@ -966,27 +910,28 @@ impl ParPacketSim {
     /// barrier and epoch phase timers. Empty when telemetry is off.
     pub fn telemetry_snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::new();
-        let level = self.core.telemetry_level();
+        let host = &self.host;
+        let level = host.core.telemetry_level();
         if !level.counters_on() {
             return snap;
         }
-        self.core.push_telemetry(&mut snap);
+        host.core.push_telemetry(&mut snap);
         let mut merged = Counters::new(PDES_KEYS, level);
         let mut phases = Phases::new(PDES_PHASES, level);
         let mut lanes = LaneStats::default();
-        for (shard, links) in self.shards.iter().zip(&self.links) {
+        for (shard, links) in host.held.iter().zip(&host.links) {
             merged.merge_from(&links.tel);
             phases.merge_from(&links.tel_phases);
             lanes.merge(&shard.queue.lane_stats());
         }
         merged.snapshot_into(&mut snap);
         packet::push_queue_counters(&mut snap, "pdes", lanes);
-        packet::push_state_counters(&mut snap, "pdes", self.shards.iter().map(|s| &s.nodes));
-        let (parks, peak) = self.wire_stats();
+        packet::push_state_counters(&mut snap, "pdes", host.held.iter().map(|s| &s.nodes));
+        let (parks, peak) = host.wire_stats();
         snap.push_counter("pdes.overflow.parks", parks);
         snap.push_counter("pdes.overflow.peak_parked", peak);
-        self.shape.snapshot_into(&mut snap);
-        for shard in &self.shards {
+        host.shape.snapshot_into(&mut snap);
+        for shard in &host.held {
             snap.push_counter(
                 &format!("pdes.shard.{}.events", shard.id),
                 shard.queue.processed(),
@@ -1003,9 +948,9 @@ impl ParPacketSim {
             snap.push_counter("pdes.rebalance.nodes_migrated", self.nodes_migrated);
             snap.push_counter("pdes.rebalance.events_moved", self.events_moved);
         }
-        for (id, links) in self.links.iter().enumerate() {
+        for (shard, links) in host.held.iter().zip(&host.links) {
             for link in links.out_links.iter().filter(|link| link.parks > 0) {
-                let wire = format!("pdes.link.{id}-{}", link.peer);
+                let wire = format!("pdes.link.{}-{}", shard.id, link.peer);
                 snap.push_counter(&format!("{wire}.parks"), link.parks);
                 snap.push_counter(&format!("{wire}.peak_parked"), link.peak_parked);
             }
@@ -1019,7 +964,7 @@ impl ParPacketSim {
 
     /// Number of shards (= worker threads) this run uses.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.host.held.len()
     }
 
     /// The shard that currently hosts `node` — it changes only when the
@@ -1029,72 +974,32 @@ impl ParPacketSim {
     ///
     /// Panics if `node` is out of range.
     pub fn shard_of(&self, node: NodeId) -> usize {
-        self.core.partition.shard_of[node.index()]
+        self.host.core.partition.shard_of[node.index()]
     }
 
-    /// Advances every shard to `t_end` (one scoped worker thread per
-    /// shard; a lone shard runs on the caller's) and moves the horizon
-    /// there. With `sample` set, each worker folds its trace partial at
-    /// the quiesced boundary and the merged exact sum is returned.
-    fn advance_all(&mut self, t_end: SimTime, sample: bool) -> Option<ExactSum> {
-        if t_end <= self.core.horizon {
-            return None;
-        }
-        let sim = &self.core;
-        let mut pairs = self.shards.iter_mut().zip(&mut self.links);
-        let partials: Vec<_> = if pairs.len() == 1 {
-            let (shard, links) = pairs.next().expect("one shard");
-            vec![run_shard(shard, links, sim, t_end, sample)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = pairs
-                    .map(|(shard, links)| {
-                        scope.spawn(move || run_shard(shard, links, sim, t_end, sample))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            })
-        };
-        // Exactness makes the merge order irrelevant; shard order is
-        // used for definiteness.
-        let mut merged = sample.then(ExactSum::new);
-        for partial in partials {
-            let partial = partial.unwrap_or_else(|e| panic!("in-process wire failed: {e}"));
-            if let (Some(sum), Some(p)) = (&mut merged, partial) {
-                sum.merge(&p);
-            }
-        }
-        self.core.horizon = t_end;
-        merged
+    /// Samples taken so far.
+    fn samples(&self) -> u64 {
+        self.host.core.trace().len() as u64
     }
 
-    /// The next pending epoch-boundary sample time.
-    fn next_sample(&self) -> SimTime {
-        SimTime::from_secs(
-            (self.epochs_sampled + 1) as f64 * self.core.world.config.diffusion_period,
-        )
+    /// Every shard's `queue.processed()`, in shard order.
+    fn processed(&self) -> Vec<u64> {
+        self.host.held.iter().map(|s| s.queue.processed()).collect()
     }
 
     /// Observation only: folds this epoch's per-shard event-count
     /// deltas into the max/mean imbalance high-water mark.
     fn observe_epoch(&mut self) {
-        let shards = self.shards.len();
-        if shards < 2 {
+        if self.host.held.len() < 2 {
             return;
         }
-        let mut deltas = Vec::with_capacity(shards);
-        for (shard, base) in self.shards.iter().zip(self.epoch_base.iter_mut()) {
-            let now = shard.queue.processed();
-            deltas.push(now - *base);
-            *base = now;
-        }
+        let now = self.processed();
+        let deltas = now.iter().zip(&self.epoch_base).map(|(n, b)| n - b);
         let imbalance = LoadSummary {
-            shard_events: deltas,
+            shard_events: deltas.collect(),
         }
         .imbalance();
+        self.epoch_base = now;
         if imbalance > self.imbalance_hw {
             self.imbalance_hw = imbalance;
         }
@@ -1109,141 +1014,92 @@ impl ParPacketSim {
     /// observation of the same deterministic signal.
     fn maybe_rebalance(&mut self) {
         let Some(cfg) = self.rebalance else { return };
-        if self.shards.len() < 2
-            || self.epochs_sampled - self.window_start_epoch < cfg.min_epoch_gap
+        if self.host.held.len() < 2 || self.samples() - self.window_start_epoch < cfg.min_epoch_gap
         {
             return;
         }
         // Close the observation window: per-shard processed deltas are
         // the trigger signal (`queue.processed()` is deterministic).
-        let deltas: Vec<u64> = self
-            .shards
-            .iter()
+        let deltas = self
+            .processed()
+            .into_iter()
             .zip(&self.window_base)
-            .map(|(shard, base)| shard.queue.processed() - base)
-            .collect();
+            .map(|(n, b)| n - b);
         let window = LoadSummary {
-            shard_events: deltas,
+            shard_events: deltas.collect(),
         };
         if window.imbalance() >= cfg.trigger_imbalance {
             self.rebalance_evals += 1;
             // Gather the deterministic per-node attribution and plan.
-            let n = self.core.world.len();
-            let mut node_events = vec![0u64; n];
-            for (j, count) in node_events.iter_mut().enumerate() {
-                let s = self.core.partition.shard_of[j];
-                let li = self.core.partition.local_index[j] as usize;
-                *count = self.shards[s].window_events[li];
-            }
+            let core = &self.host.core;
+            let node_events: Vec<u64> = (0..core.world.len())
+                .map(|j| {
+                    let s = core.partition.shard_of[j];
+                    let li = core.partition.local_index[j] as usize;
+                    self.host.held[s].window_events[li]
+                })
+                .collect();
             let span = self.rebalance_phases.begin();
-            let plan = rebalance_plan(&self.core.world.tree, &self.core.partition, &node_events);
+            let plan = rebalance_plan(&core.world.tree, &core.partition, &node_events);
             self.rebalance_phases.end(P_REBALANCE_PLAN, span);
             if !plan.is_empty() {
                 self.rebalance_applied += 1;
                 self.nodes_migrated += plan.moves.len() as u64;
-                self.shape = plan.shape;
                 let span = self.rebalance_phases.begin();
-                self.events_moved += ops::apply_rebalance(&mut self.core, &mut self.shards, &plan);
-                self.rebuild_wires();
+                self.events_moved += self.host.apply_rebalance(plan);
                 self.rebalance_phases.end(P_REBALANCE_APPLY, span);
             }
             // Per-node attribution restarts only after an evaluation
             // actually spent it — zeroing is O(n), and paying it on
             // quiet windows would betray the O(shards) idle cost.
-            for shard in &mut self.shards {
+            for shard in &mut self.host.held {
                 shard.window_events.iter_mut().for_each(|w| *w = 0);
             }
         }
         // Open the next trigger window (whether or not anything moved).
-        self.window_base = self.shards.iter().map(|s| s.queue.processed()).collect();
-        self.window_start_epoch = self.epochs_sampled;
-    }
-
-    /// One ring per directed cut of the current partition: per-cut
-    /// message counters continue where `wire_counters` left them, and
-    /// every inbound end starts from `promise`.
-    fn open_wires(&self, promise: SimTime) -> WireEnds {
-        let mut ends: WireEnds = Vec::new();
-        ends.resize_with(self.shards.len(), Default::default);
-        for (src, dst) in self.core.partition.cut_pairs(&self.core.world.tree) {
-            let (tx, rx) = open_ring();
-            let mut out = OutLink::new(dst, tx);
-            out.counter = self.wire_counters.get(&(src, dst)).copied().unwrap_or(0);
-            ends[src].0.push(out);
-            let mut inl = InLink::new(src, rx);
-            inl.promise = promise;
-            ends[dst].1.push(inl);
-        }
-        ends
-    }
-
-    /// Tears down every inter-shard wire and re-dials the cut pairs of
-    /// the (just rebalanced) partition. Safe exactly at a barrier: the
-    /// `EpochEnd` handshake drained every wire, overflow queue, and
-    /// merge stage, so old channels hold nothing. Deterministic: the
-    /// cut pairs are a pure function of the partition, per-cut message
-    /// counters persist across re-dials (inbound merge keys embed
-    /// them), and fresh promises start at the truthful
-    /// `horizon + lookahead` every sender already guarantees.
-    fn rebuild_wires(&mut self) {
-        (self.retired_parks, self.retired_peak_parked) = self.wire_stats();
-        for (id, links) in self.links.iter().enumerate() {
-            for link in &links.out_links {
-                debug_assert!(link.overflow.is_empty(), "overflow drained at the barrier");
-                self.wire_counters.insert((id, link.peer), link.counter);
-            }
-            for link in &links.in_links {
-                debug_assert!(link.staged.is_empty(), "merge stage empty at the barrier");
-            }
-        }
-        let lookahead = SimTime::from_secs(self.core.world.config.link_delay);
-        let ends = self.open_wires(self.core.horizon + lookahead);
-        let shards_n = self.shards.len();
-        for (links, (outs, ins)) in self.links.iter_mut().zip(ends) {
-            links.dial(shards_n, outs, ins);
-        }
+        self.window_base = self.processed();
+        self.window_start_epoch = self.samples();
     }
 
     /// Runs the simulation up to `duration` simulated seconds and
     /// reports, exactly as [`PacketSim::run`](ww_core::packetsim::PacketSim::run):
-    /// one barrier + sample per diffusion epoch boundary, then a final
-    /// barrier at the horizon. May be called repeatedly with increasing
-    /// horizons.
+    /// the same schedule of barriers, each an epoch of every shard on
+    /// its own thread, and at each sample boundary the merged trace
+    /// sample, the imbalance observation and the rebalance controller.
+    /// May be called repeatedly with increasing horizons.
     pub fn run(&mut self, duration: f64) -> PacketSimReport {
         let deadline = SimTime::from_secs(duration);
-        while self.next_sample() <= deadline {
-            let at = self.next_sample();
-            let sum = self
-                .advance_all(at, true)
-                .expect("sample barriers always advance the horizon");
-            self.trace.push(sum.value().sqrt());
-            self.epochs_sampled += 1;
-            self.observe_epoch();
-            self.maybe_rebalance();
+        while let Some((at, sample)) = self.host.core.next_barrier(deadline) {
+            let partial = self.host.run_epoch(at, sample);
+            let partial = partial.unwrap_or_else(|e| panic!("in-process wire failed: {e}"));
+            if let Some(sum) = partial {
+                self.host.core.record_sample(&sum);
+                self.observe_epoch();
+                self.maybe_rebalance();
+            }
         }
-        self.advance_all(deadline, false);
         self.report()
     }
 
     /// Produces the report at the current horizon (also usable mid-run).
     pub fn report(&mut self) -> PacketSimReport {
-        let overflow = self.wire_stats();
-        self.core.report(&mut self.shards, &self.trace, overflow)
+        let overflow = self.host.wire_stats();
+        self.host.core.report(&mut self.host.held, overflow)
     }
 
     /// The TLB oracle for the offered demand.
     pub fn oracle(&self) -> &RateVector {
-        &self.core.world.oracle
+        &self.host.core.world.oracle
     }
 
     /// The routing tree this simulation runs on.
     pub fn tree(&self) -> &Tree {
-        &self.core.world.tree
+        &self.host.core.world.tree
     }
 
     /// The dense document table of this simulation's universe.
     pub fn doc_table(&self) -> &ww_model::DocTable {
-        &self.core.world.table
+        &self.host.core.world.table
     }
 
     /// Lifetime served-request count of one node.
@@ -1252,9 +1108,8 @@ impl ParPacketSim {
     ///
     /// Panics if `node` is out of range.
     pub fn served_total(&self, node: NodeId) -> u64 {
-        let s = self.core.partition.shard_of[node.index()];
-        let li = self.core.partition.local_index[node.index()] as usize;
-        self.shards[s].nodes.served_total(li)
+        let (s, li) = self.host.core.partition.home(node.index());
+        self.host.held[s].nodes.served_total(li)
     }
 
     /// Whether the control link from `node` to its parent is failed.
@@ -1263,7 +1118,7 @@ impl ParPacketSim {
     ///
     /// Panics if `node` is out of range.
     pub fn link_failed(&self, node: NodeId) -> bool {
-        self.core.failed_up[node.index()]
+        self.host.link_failed(node)
     }
 
     /// [`PacketBackend::apply_all`], for callers without the trait in
@@ -1281,14 +1136,14 @@ impl ParPacketSim {
     /// The shared world (topology, mix, oracle, configuration) as the
     /// simulation currently sees it.
     pub fn world(&self) -> &PacketWorld {
-        &self.core.world
+        &self.host.core.world
     }
 
     /// The replicated core and the shards, for in-crate tests that
-    /// drive [`ops`] directly.
+    /// drive [`ops`](crate::ops) directly.
     #[cfg(test)]
     pub(crate) fn parts_mut(&mut self) -> (&mut SimCore, &mut Vec<ShardCore>) {
-        (&mut self.core, &mut self.shards)
+        (&mut self.host.core, &mut self.host.held)
     }
 }
 
@@ -1312,7 +1167,7 @@ impl PacketBackend for ParPacketSim {
     }
 
     fn begin_batch(&mut self) -> Result<(), ModelError> {
-        self.core.begin_batch();
+        self.host.begin_batch();
         Ok(())
     }
 
@@ -1321,13 +1176,13 @@ impl PacketBackend for ParPacketSim {
     /// the renumbered former-last node staying on its own shard — no
     /// node state crosses a shard boundary.
     fn apply_op(&mut self, op: &BarrierOp) -> Result<BarrierOutcome, ModelError> {
-        self.core.apply_op(&mut self.shards, op)
+        self.host.apply_op(op)
     }
 
     /// Every shard applies the same composed event surgery to its queue
     /// and the arrival stage rebuilds once.
     fn commit_batch(&mut self) -> Result<(), ModelError> {
-        self.core.commit_batch(&mut self.shards);
+        self.host.commit_batch();
         Ok(())
     }
 
@@ -1348,6 +1203,7 @@ mod tests {
 
     use super::*;
     use crate::partition::Partition;
+    use crate::transport::open_ring;
     use ww_model::DocId;
     use ww_net::{DocRequest, RequestId};
 
@@ -1382,13 +1238,8 @@ mod tests {
         };
         let core = ShardCore::new(&world, &partition, 1);
         let (tx, to_root) = open_ring();
-        let mut links = ShardLinks::new(
-            &world,
-            2,
-            vec![OutLink::new(0, tx)],
-            vec![InLink::new(0, rx)],
-            None,
-        );
+        let mut links = ShardLinks::new(&world, None);
+        links.dial(2, vec![OutLink::new(0, tx)], vec![InLink::new(0, rx)]);
         links.set_telemetry(Level::Counters);
         (SimCore::new(world, partition), core, links, to_root)
     }

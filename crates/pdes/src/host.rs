@@ -1,18 +1,24 @@
-//! [`ShardHost`]: one participant of a partitioned packet run that
-//! holds **at most one shard**.
+//! [`ShardHost`]: one participant of a partitioned packet run — the
+//! replicated `SimCore` plus the shards it holds, **all, one or none**,
+//! each with its links.
 //!
-//! The in-process [`ParPacketSim`](crate::ParPacketSim) owns every
-//! shard and drives them on threads. A *distributed* run spreads the
-//! same shards over OS processes: each worker process hosts exactly one
-//! shard, and the coordinator hosts none — it keeps a replica of the
-//! shared bookkeeping (world, partition, horizon) to mirror barrier
-//! mutations and assemble reports. `ShardHost` is the harness both
-//! sides use. It owns the shard driver's `SimCore` plus the shards it
-//! holds (one `ShardCore` with its links, or none), runs epochs over
-//! externally supplied wires (sockets, in the `ww-dist` crate), and
-//! applies every [`BarrierOp`] through the one barrier path of
-//! `ww_core::packet::driver` — so a distributed run is bit-identical to
-//! the threaded and sequential ones by construction.
+//! Every packet engine but the sequential one is a participant of this
+//! one type:
+//!
+//! * the in-process [`ParPacketSim`](crate::ParPacketSim) is a host that
+//!   holds every shard, wired by SPSC rings, plus the rebalance
+//!   controller;
+//! * a `ww-dist` worker process holds one shard, wired by sockets;
+//! * the `ww-dist` coordinator keeps a replica that holds none — the
+//!   shared bookkeeping (world, partition, horizon, trace) it needs to
+//!   mirror barrier mutations and assemble reports.
+//!
+//! A host dials one wire per directed cut of the partition that touches
+//! a shard it holds — the one `cut_pairs` loop, over rings or sockets —
+//! runs each epoch over them ([`ShardHost::run_epoch`]), and applies
+//! every [`BarrierOp`] through the one barrier path of
+//! `ww_core::packet::driver` — so every engine is bit-identical to the
+//! sequential one by construction.
 //!
 //! Every participant derives the partition from the same
 //! `(tree, shard_hint)` pair via [`partition_forest`], which is a pure
@@ -21,8 +27,12 @@
 //! at the handshake instead of diverging silently.
 
 use crate::engine::{run_shard, InLink, OutLink, ShardLinks, PDES_KEYS};
+use crate::ops;
 use crate::partition::{partition_forest, Partition, PartitionShape};
-use crate::transport::{LinkError, WireReceiver, WireSender};
+use crate::rebalance::RebalancePlan;
+use crate::transport::{open_ring, LinkError, WireReceiver, WireSender};
+use std::collections::BTreeMap;
+use std::ops::Range;
 use std::time::Duration;
 use ww_core::packet::driver::{ShardCore, SimCore};
 use ww_core::packet::{BarrierOp, BarrierOutcome, PacketCounters, PacketSimConfig, PacketWorld};
@@ -30,7 +40,7 @@ use ww_model::{ModelError, NodeId, Tree};
 use ww_net::TrafficLedger;
 use ww_sim::{SimQueue, SimTime};
 use ww_stats::ExactSum;
-use ww_telemetry::Level;
+use ww_telemetry::{Counters, Level};
 use ww_workload::DocMix;
 
 /// The default stall timeout a distributed participant runs its epochs
@@ -40,18 +50,39 @@ use ww_workload::DocMix;
 /// propagates on its own.
 pub const DEFAULT_STALL_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// The ends of the directed wire `src → dst` a dialer hands a host: the
+/// sender when the host holds `src`, the receiver when it holds `dst`.
+type WireEnds = (Option<Box<dyn WireSender>>, Option<Box<dyn WireReceiver>>);
+
+/// Both ends of a fresh SPSC ring: the wires of a host that holds both
+/// sides of every cut.
+fn ring(_src: usize, _dst: usize) -> WireEnds {
+    let (tx, rx) = open_ring();
+    (Some(tx), Some(rx))
+}
+
 /// One participant of a partitioned packet-level run: the replicated
-/// shared state plus at most one locally held shard. See the module
-/// docs.
+/// shared state plus the shards it holds. See the module docs.
 #[derive(Debug)]
 pub struct ShardHost {
-    core: SimCore,
-    /// The shards this participant holds: one (with its links) on a
-    /// worker, none on the coordinator's replica.
-    held: Vec<ShardCore>,
-    links: Option<ShardLinks>,
-    /// What the packer made of the tree (observation only).
-    shape: PartitionShape,
+    pub(crate) core: SimCore,
+    /// The shards this participant holds, in shard-id order: every one
+    /// in process, one on a worker, none on the coordinator's replica.
+    pub(crate) held: Vec<ShardCore>,
+    /// Each held shard's links, parallel to `held` (and dropped after
+    /// the shards).
+    pub(crate) links: Vec<ShardLinks>,
+    /// What the packer made of the tree, at derivation or at the last
+    /// applied rebalance plan (observation only).
+    pub(crate) shape: PartitionShape,
+    /// Per-directed-cut outbound message counters, persisted across
+    /// wire re-dials: inbound merge keys embed this counter, so a
+    /// re-dialed wire must continue — never restart — its stream to
+    /// keep keys unique against events spilled before the rebalance.
+    wire_counters: BTreeMap<(usize, usize), u64>,
+    /// `(parks, peak parked)` of the wires re-dials tore down
+    /// (observability carries across re-dials).
+    retired_parks: (u64, u64),
 }
 
 impl ShardHost {
@@ -64,22 +95,26 @@ impl ShardHost {
     /// As [`PacketWorld::new`] on invalid inputs.
     pub fn replica(tree: &Tree, mix: &DocMix, config: PacketSimConfig, shard_hint: usize) -> Self {
         assert!(shard_hint > 0, "need at least one shard");
-        Self::replica_on(tree, mix, config, partition_forest(tree, shard_hint))
+        let derived = partition_forest(tree, shard_hint);
+        let world = PacketWorld::new(tree, mix, config);
+        Self::holding(world, derived, 0..0, None, |_, _| {
+            unreachable!("a replica dials no wire")
+        })
     }
 
-    /// [`ShardHost::replica`] over a partition the caller derived.
-    fn replica_on(
+    /// A host holding every shard of the partition derived from
+    /// `(tree, workers)`, wired by SPSC rings — the participant
+    /// [`ParPacketSim`](crate::ParPacketSim) runs.
+    pub(crate) fn in_process(
         tree: &Tree,
         mix: &DocMix,
         config: PacketSimConfig,
-        (partition, shape): (Partition, PartitionShape),
+        workers: usize,
     ) -> Self {
-        ShardHost {
-            core: SimCore::new(PacketWorld::new(tree, mix, config), partition),
-            held: Vec::new(),
-            links: None,
-            shape,
-        }
+        let world = PacketWorld::new(tree, mix, config);
+        let derived = partition_forest(tree, workers);
+        let all = 0..derived.0.shards();
+        Self::holding(world, derived, all, None, ring)
     }
 
     /// A host holding shard `id` of the partition derived from
@@ -137,55 +172,120 @@ impl ShardHost {
         mut wire_out: impl FnMut(usize) -> Box<dyn WireSender>,
         mut wire_in: impl FnMut(usize) -> Box<dyn WireReceiver>,
     ) -> Self {
-        let mut host = Self::replica_on(tree, mix, config, derived);
-        let SimCore {
-            world, partition, ..
-        } = &host.core;
+        let world = PacketWorld::new(tree, mix, config);
+        Self::holding(world, derived, id..id + 1, stall_timeout, |src, dst| {
+            if src == id {
+                (Some(wire_out(dst)), None)
+            } else {
+                (None, Some(wire_in(src)))
+            }
+        })
+    }
+
+    /// A host over `world` split by `derived` that holds the shards
+    /// `ids` — all, one or none — and dials their wires through `wire`.
+    /// Epochs run with `stall_timeout`.
+    fn holding(
+        world: PacketWorld,
+        (partition, shape): (Partition, PartitionShape),
+        ids: Range<usize>,
+        stall_timeout: Option<Duration>,
+        wire: impl FnMut(usize, usize) -> WireEnds,
+    ) -> Self {
         assert!(
-            id < partition.shards(),
-            "shard {id} out of range: the partition has {} shards",
+            ids.end <= partition.shards(),
+            "shard {} out of range: the partition has {} shards",
+            ids.end - 1,
             partition.shards()
         );
         assert!(
-            partition.shards() == 1 || config.link_delay > 0.0,
+            ids.is_empty() || partition.shards() == 1 || world.config.link_delay > 0.0,
             "the parallel packet engine needs a positive link delay: \
              cut-edge latency is its conservative lookahead"
         );
-        let mut outs = Vec::new();
-        let mut ins = Vec::new();
-        for (src, dst) in partition.cut_pairs(tree) {
-            if src == id {
-                outs.push(OutLink::new(dst, wire_out(dst)));
-            }
-            if dst == id {
-                ins.push(InLink::new(src, wire_in(src)));
-            }
-        }
-        host.links = Some(ShardLinks::new(
-            world,
-            partition.shards(),
-            outs,
-            ins,
-            stall_timeout,
-        ));
-        host.held.push(ShardCore::new(world, partition, id));
+        let held: Vec<ShardCore> = ids
+            .map(|id| ShardCore::new(&world, &partition, id))
+            .collect();
+        let links = held
+            .iter()
+            .map(|_| ShardLinks::new(&world, stall_timeout))
+            .collect();
+        let mut host = ShardHost {
+            core: SimCore::new(world, partition),
+            held,
+            links,
+            shape,
+            wire_counters: BTreeMap::new(),
+            retired_parks: (0, 0),
+        };
+        host.dial(SimTime::ZERO, wire);
         host
     }
 
-    /// The shard this host holds, if any.
-    pub fn owned_shard(&self) -> Option<usize> {
-        self.held.first().map(|shard| shard.id)
+    /// Dials one wire per directed cut `src → dst` of the partition
+    /// that touches a held shard, replacing the held shards' wires: the
+    /// sender joins `src`'s links and continues the cut's persisted
+    /// message counter, the receiver joins `dst`'s and starts from
+    /// `promise`.
+    fn dial(&mut self, promise: SimTime, mut wire: impl FnMut(usize, usize) -> WireEnds) {
+        let slot = |s: usize| self.held.iter().position(|shard| shard.id == s);
+        let mut ends: Vec<(Vec<OutLink>, Vec<InLink>)> =
+            self.held.iter().map(|_| Default::default()).collect();
+        for (src, dst) in self.core.partition.cut_pairs(&self.core.world.tree) {
+            let (out, inbound) = (slot(src), slot(dst));
+            if out.is_none() && inbound.is_none() {
+                continue;
+            }
+            let (tx, rx) = wire(src, dst);
+            if let (Some(i), Some(tx)) = (out, tx) {
+                let mut link = OutLink::new(dst, tx);
+                link.counter = self.wire_counters.get(&(src, dst)).copied().unwrap_or(0);
+                ends[i].0.push(link);
+            }
+            if let (Some(i), Some(rx)) = (inbound, rx) {
+                let mut link = InLink::new(src, rx);
+                link.promise = promise;
+                ends[i].1.push(link);
+            }
+        }
+        let shards = self.core.partition.shards();
+        for (links, (outs, ins)) in self.links.iter_mut().zip(ends) {
+            links.dial(shards, outs, ins);
+        }
     }
 
-    /// Number of shards in the (derived) partition — the worker count
-    /// of the distributed run.
-    pub fn shards(&self) -> usize {
-        self.core.partition.shards()
+    /// Applies a rebalance plan at the current barrier: the migration
+    /// of [`ops::apply_rebalance`] over the held shards — a host that
+    /// holds every shard — then a re-dial of the new partition's cut
+    /// pairs over fresh rings. Returns the pending items re-homed.
+    ///
+    /// The re-dial is safe exactly at a barrier: the `EpochEnd`
+    /// handshake drained every wire, overflow queue and merge stage, so
+    /// the old wires hold nothing. It is deterministic: the cut pairs
+    /// are a pure function of the partition, per-cut message counters
+    /// persist across re-dials (inbound merge keys embed them), and
+    /// fresh promises start at the truthful `horizon + lookahead` every
+    /// sender already guarantees.
+    pub(crate) fn apply_rebalance(&mut self, plan: RebalancePlan) -> u64 {
+        let moved = ops::apply_rebalance(&mut self.core, &mut self.held, &plan);
+        self.shape = plan.shape;
+        self.retired_parks = self.wire_stats();
+        for (shard, links) in self.held.iter().zip(&self.links) {
+            for link in &links.out_links {
+                debug_assert!(link.overflow.is_empty(), "overflow drained at the barrier");
+                self.wire_counters
+                    .insert((shard.id, link.peer), link.counter);
+            }
+        }
+        let lookahead = SimTime::from_secs(self.core.world.config.link_delay);
+        self.dial(self.core.horizon + lookahead, ring);
+        moved
     }
 
-    /// The node→shard partition every participant derived.
-    pub fn partition(&self) -> &Partition {
-        &self.core.partition
+    /// The replicated core: world, partition, horizon and the trace of
+    /// the samples recorded so far.
+    pub fn core(&self) -> &SimCore {
+        &self.core
     }
 
     /// What the packer made of the tree when the partition was derived
@@ -194,36 +294,26 @@ impl ShardHost {
         self.shape
     }
 
-    /// The shared world (topology, mix, oracle, configuration) as this
-    /// participant currently sees it.
-    pub fn world(&self) -> &PacketWorld {
-        &self.core.world
+    /// Records the sample at the boundary the last epoch reached — see
+    /// [`SimCore::record_sample`]; `sum` must fold every shard's partial.
+    pub fn record_sample(&mut self, sum: &ExactSum) {
+        self.core.record_sample(sum);
     }
 
-    /// Simulated time the run has reached (last barrier).
-    pub fn horizon(&self) -> SimTime {
-        self.core.horizon
-    }
-
-    /// Enables or disables span timing of the replicated world's oracle
-    /// refreshes (see [`PacketWorld::set_telemetry_timing`]).
-    /// Observation only.
-    pub fn set_telemetry_timing(&mut self, timed: bool) {
-        self.core.world.set_telemetry_timing(timed);
-    }
-
-    /// Runs the held shard's event loop up to the epoch boundary
-    /// `t_end` (conservatively synchronized over its wires), then moves
-    /// the horizon there. With `sample` set, returns the shard's exact
-    /// partial of the convergence-trace sample, folded at the quiesced
-    /// boundary. A host with no shard only advances its horizon.
+    /// The only epoch advance: runs every held shard's event loop up to
+    /// the epoch boundary `t_end`, conservatively synchronized over its
+    /// wires — a lone shard on the caller's thread, several on one
+    /// scoped thread each — then moves the horizon there. With no shard
+    /// held it only moves the horizon. With `sample` set, returns the
+    /// held shards' exact partials of the convergence-trace sample,
+    /// each folded at the quiesced boundary and merged in shard order.
     ///
     /// # Errors
     ///
     /// [`LinkError`] when a wire died or nothing made progress within
-    /// the stall timeout. The epoch is then torn mid-flight and the
-    /// simulation cannot continue; distributed drivers surface this as
-    /// a run failure.
+    /// the stall timeout (the first such shard's, in shard order). The
+    /// epoch is then torn mid-flight and the simulation cannot
+    /// continue; distributed drivers surface this as a run failure.
     pub fn run_epoch(
         &mut self,
         t_end: SimTime,
@@ -232,84 +322,115 @@ impl ShardHost {
         if t_end <= self.core.horizon {
             return Ok(None);
         }
-        let partial = match (self.held.first_mut(), &mut self.links) {
-            (Some(shard), Some(links)) => run_shard(shard, links, &self.core, t_end, sample)?,
-            _ => None,
-        };
-        self.core.horizon = t_end;
-        Ok(partial)
-    }
-
-    /// Serve rates of the held shard's member nodes at `now` (seconds),
-    /// in member order — the worker's slice of the final report. Empty
-    /// for a replica.
-    pub fn member_rates(&mut self, now: f64) -> Vec<f64> {
-        self.held.first_mut().map_or_else(Vec::new, |shard| {
-            (0..shard.nodes.len())
-                .map(|li| shard.nodes.measured_load(li, now))
+        let sim = &self.core;
+        let shards = self.held.iter_mut().zip(&mut self.links);
+        let partials: Vec<_> = if shards.len() < 2 {
+            shards
+                .map(|(shard, links)| run_shard(shard, links, sim, t_end, sample))
                 .collect()
-        })
-    }
-
-    /// Global node ids of the held shard's members, in the same order
-    /// as [`ShardHost::member_rates`].
-    pub fn members(&self) -> &[NodeId] {
-        match self.held.first() {
-            Some(shard) => &self.core.partition.members[shard.id],
-            None => &[],
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = shards
+                    .map(|(shard, links)| {
+                        scope.spawn(move || run_shard(shard, links, sim, t_end, sample))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            })
+        };
+        // Exactness makes the merge order irrelevant; shard order is
+        // used for definiteness.
+        let mut merged = sample.then(ExactSum::new);
+        for partial in partials {
+            if let (Some(sum), Some(p)) = (&mut merged, partial?) {
+                sum.merge(&p);
+            }
         }
+        self.core.horizon = t_end;
+        Ok(merged)
     }
 
-    /// The held shard's traffic ledger (empty for a replica).
+    /// Serve rates of the held shards' member nodes at `now` (seconds),
+    /// shard by shard in member order — a worker's slice of the final
+    /// report. Empty for a replica.
+    pub fn member_rates(&mut self, now: f64) -> Vec<f64> {
+        let mut rates = Vec::new();
+        for shard in &mut self.held {
+            rates.extend((0..shard.nodes.len()).map(|li| shard.nodes.measured_load(li, now)));
+        }
+        rates
+    }
+
+    /// The held shards' traffic ledgers, merged (empty for a replica).
     pub fn ledger(&self) -> TrafficLedger {
-        self.held
-            .first()
-            .map_or_else(TrafficLedger::new, |shard| shard.ledger.clone())
+        let mut ledger = TrafficLedger::new();
+        for shard in &self.held {
+            ledger.merge(&shard.ledger);
+        }
+        ledger
     }
 
-    /// The held shard's protocol counters (zero for a replica).
+    /// The held shards' protocol counters, merged (zero for a replica).
     pub fn counters(&self) -> PacketCounters {
-        self.held
-            .first()
-            .map_or_else(PacketCounters::default, |shard| shard.counters)
+        let mut counters = PacketCounters::default();
+        for shard in &self.held {
+            counters.merge(&shard.counters);
+        }
+        counters
     }
 
-    /// Events the held shard has processed so far.
+    /// Events the held shards have processed so far.
     pub fn processed_events(&self) -> u64 {
-        self.held.first().map_or(0, |shard| shard.queue.processed())
+        self.held.iter().map(|shard| shard.queue.processed()).sum()
     }
 
-    /// Back-pressure observability of the held shard's outbound wires:
-    /// `(total messages ever parked, peak depth of any overflow queue)`.
+    /// Back-pressure observability of every outbound wire the held
+    /// shards ever had: `(total messages ever parked, peak depth of any
+    /// overflow queue)`.
     pub fn wire_stats(&self) -> (u64, u64) {
-        self.links.as_ref().map_or((0, 0), ShardLinks::wire_stats)
+        self.links
+            .iter()
+            .map(ShardLinks::wire_stats)
+            .fold(self.retired_parks, |(parks, peak), (p, k)| {
+                (parks + p, peak.max(k))
+            })
     }
 
-    /// `(messages, bytes)` the held shard has written to its outbound
-    /// data wires (zero for a replica, or over in-process wires).
+    /// `(messages, bytes)` the held shards have written to their
+    /// outbound data wires (zero for a replica, or over in-process
+    /// wires).
     pub fn wire_traffic(&self) -> (u64, u64) {
-        self.links.as_ref().map_or((0, 0), ShardLinks::traffic)
+        self.links
+            .iter()
+            .map(ShardLinks::traffic)
+            .fold((0, 0), |(msgs, bytes), (m, b)| (msgs + m, bytes + b))
     }
 
-    /// Arms the held shard's hot-path counters over [`PDES_KEYS`] at
-    /// `level` (phase timers too at [`Level::Full`]), zeroing prior
-    /// observations. Observation only, as on
+    /// Selects the observation level of the barrier path and of the
+    /// held shards' hot-path counters over [`PDES_KEYS`] (phase timers
+    /// too at [`Level::Full`]), zeroing prior observations. Observation
+    /// only, as on
     /// [`ParPacketSim::set_telemetry`](crate::ParPacketSim::set_telemetry).
     pub fn set_telemetry(&mut self, level: Level) {
-        if let Some(links) = &mut self.links {
+        self.core.set_telemetry(level);
+        for links in &mut self.links {
             links.set_telemetry(level);
         }
     }
 
-    /// The held shard's hot-path counters, one value per [`PDES_KEYS`]
-    /// entry in table order — zeros while unarmed, and for a replica.
-    /// What a distributed worker ships home for the coordinator to
-    /// merge.
+    /// The held shards' hot-path counters, merged kind-aware, one value
+    /// per [`PDES_KEYS`] entry in table order — zeros while unarmed, and
+    /// for a replica. What a distributed worker ships home for the
+    /// coordinator to merge.
     pub fn pdes_counters(&self) -> Vec<u64> {
-        let tel = self.links.as_ref().map(ShardLinks::counters);
-        (0..PDES_KEYS.len())
-            .map(|id| tel.map_or(0, |tel| tel.get(id)))
-            .collect()
+        let mut merged = Counters::new(PDES_KEYS, Level::Counters);
+        for links in &self.links {
+            merged.merge_from(&links.tel);
+        }
+        (0..PDES_KEYS.len()).map(|id| merged.get(id)).collect()
     }
 
     /// Whether the control link from `node` to its parent is failed.
@@ -321,11 +442,9 @@ impl ShardHost {
         self.core.failed_up[node.index()]
     }
 
-    /// Opens a barrier batch — the barrier-replicated twin of
-    /// [`ParPacketSim`](crate::ParPacketSim)'s
-    /// [`begin_batch`](ww_core::packetsim::PacketBackend::begin_batch).
-    /// Every participant of a distributed run opens and commits the same
-    /// batch so their replicated state stays bit-identical.
+    /// Opens a barrier batch. Every participant of a distributed run
+    /// opens and commits the same batch so their replicated state stays
+    /// bit-identical.
     ///
     /// # Panics
     ///
@@ -335,7 +454,7 @@ impl ShardHost {
     }
 
     /// Closes the batch: one deferred oracle refresh, one composed
-    /// queue-surgery sweep over the held shard (if any), one arrival
+    /// queue-surgery sweep over every held shard, one arrival
     /// re-resolution.
     ///
     /// # Panics
@@ -345,11 +464,9 @@ impl ShardHost {
         self.core.commit_batch(&mut self.held);
     }
 
-    /// Applies one [`BarrierOp`] at the current barrier — the
-    /// barrier-replicated twin of [`ParPacketSim`](crate::ParPacketSim)'s
-    /// [`apply_op`](ww_core::packetsim::PacketBackend::apply_op). Must be
-    /// applied on **every** participant at the same barrier, in the same
-    /// order; with no batch open it runs as a batch of one locally.
+    /// Applies one [`BarrierOp`] at the current barrier. Must be applied
+    /// on **every** participant at the same barrier, in the same order;
+    /// with no batch open it runs as a batch of one locally.
     ///
     /// # Errors
     ///

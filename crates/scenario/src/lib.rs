@@ -95,7 +95,7 @@ pub use events::{
     Event, EventError, EventKindSpec, EventMarker, EventSpec, EventsSpec,
     DEFAULT_RECOVERY_THRESHOLD,
 };
-pub use runner::{drive, DriveResult, RunRow, Runner, ScenarioReport};
+pub use runner::{DriveResult, RunRow, Runner, ScenarioReport};
 pub use spec::{
     BaselineScheme, DocMixSpec, EngineSpec, PacketKnobs, PaperFigure, RatesSpec, RebalanceSpec,
     ScenarioSpec, Sweep, SweepParam, TelemetrySpec, Termination, TopologySpec, WorkloadSpec,

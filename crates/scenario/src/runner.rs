@@ -7,19 +7,21 @@
 //! live here, for every engine — the per-example `while round < n`
 //! loops this replaces are gone.
 //!
-//! Specs with an [`EventsSpec`] dynamics schedule take the event-driven
-//! drive path instead: the runner fires each scheduled event at its
-//! round (resolving node/doc references and workload generators against
-//! the *current*, possibly churned topology), records an [`EventMarker`]
-//! per event with recovery metrics (rounds back under the recovery
-//! threshold, peak distance, peak load), and folds the markers into the
-//! run's metric stream and text report. Static specs are driven by the
-//! untouched pre-dynamics loop, so their traces stay bit-identical.
+//! The same loop fires a spec's [`EventsSpec`] dynamics schedule: each
+//! scheduled event at its round (resolving node/doc references and
+//! workload generators against the *current*, possibly churned
+//! topology), with an [`EventMarker`] per event carrying recovery
+//! metrics (rounds back under the recovery threshold, peak distance,
+//! peak load), folded into the run's metric stream and text report. A
+//! spec without a schedule runs the same loop with nothing to fire.
 
 use crate::adapters::{BaselineEngine, BaselineParams, ClusterEngine, PacketAdapter};
 use crate::engine::{Engine, EngineReport, NullObserver, Observer, StepOutcome};
 use crate::error::SpecError;
-use crate::events::{Event, EventError, EventKindSpec, EventMarker, EventSpec, EventsSpec};
+use crate::events::{
+    Event, EventError, EventKindSpec, EventMarker, EventSpec, EventsSpec,
+    DEFAULT_RECOVERY_THRESHOLD,
+};
 use crate::spec::{
     DocMixSpec, EngineSpec, PacketKnobs, PaperFigure, RatesSpec, ScenarioSpec, Termination,
     TopologySpec,
@@ -190,10 +192,6 @@ impl Runner {
             if let Some(w) = tracer.as_mut() {
                 let _ = w.record(&run_start_record(&run_spec, &label));
             }
-            let dynamic = run_spec
-                .events
-                .as_ref()
-                .is_some_and(|e| !e.schedule.is_empty());
             let (result, markers) = {
                 let mut traced;
                 let obs: &mut dyn Observer = match tracer.as_mut() {
@@ -206,19 +204,7 @@ impl Runner {
                     }
                     None => &mut *observer,
                 };
-                if dynamic {
-                    let events = run_spec.events.as_ref().expect("checked above");
-                    let mut shadow = Shadow::of(&run_spec)?;
-                    drive_dynamic(engine.as_mut(), &run_spec, events, &mut shadow, obs)?
-                } else {
-                    // Static world: the original drive loop, untouched, so
-                    // event-free specs stay bit-identical to pre-dynamics
-                    // runs.
-                    (
-                        drive(engine.as_mut(), &run_spec.termination, obs),
-                        Vec::new(),
-                    )
-                }
+                drive(engine.as_mut(), &run_spec, obs)?
             };
             let mut outcome = engine.report();
             // Per-event markers ride in the metric stream, so every
@@ -365,80 +351,8 @@ impl Observer for TraceObserver<'_> {
     }
 }
 
-/// Drives `engine` until `termination` is satisfied, reporting every
-/// round to `observer`. This is the *only* termination loop — engines
-/// never self-terminate (one-shot engines signal [`StepOutcome::Done`]).
-pub fn drive(
-    engine: &mut dyn Engine,
-    termination: &Termination,
-    observer: &mut dyn Observer,
-) -> DriveResult {
-    let mut rounds = 0;
-    let mut converged = true;
-    let wants = observer.wants_convergence();
-    match *termination {
-        Termination::Rounds { max } => {
-            while rounds < max {
-                let outcome = engine.step();
-                rounds += 1;
-                observer.on_round(
-                    engine.round(),
-                    if wants { engine.convergence() } else { None },
-                );
-                if outcome == StepOutcome::Done {
-                    break;
-                }
-            }
-        }
-        Termination::Converged {
-            threshold,
-            max_rounds,
-        } => {
-            // The metric can be an O(n) pass, so each round computes it
-            // exactly once and reuses it for the loop check, the
-            // observer, and the final verdict.
-            let mut metric = engine.convergence();
-            loop {
-                if metric.is_some_and(|c| c <= threshold) {
-                    break;
-                }
-                if rounds >= max_rounds {
-                    converged = false;
-                    break;
-                }
-                let outcome = engine.step();
-                rounds += 1;
-                metric = engine.convergence();
-                observer.on_round(engine.round(), metric);
-                if outcome == StepOutcome::Done {
-                    converged = metric.is_some_and(|c| c <= threshold);
-                    break;
-                }
-            }
-        }
-        Termination::WallClock {
-            seconds,
-            max_rounds,
-        } => {
-            let start = Instant::now();
-            while rounds < max_rounds && start.elapsed().as_secs_f64() < seconds {
-                let outcome = engine.step();
-                rounds += 1;
-                observer.on_round(
-                    engine.round(),
-                    if wants { engine.convergence() } else { None },
-                );
-                if outcome == StepOutcome::Done {
-                    break;
-                }
-            }
-        }
-    }
-    DriveResult { rounds, converged }
-}
-
 // ---------------------------------------------------------------------
-// The event-driven drive path
+// The drive loop
 // ---------------------------------------------------------------------
 
 /// The runner's mirror of the world state engines mutate under events:
@@ -683,8 +597,11 @@ fn update_trackers(
     }
 }
 
-/// The event-interleaved drive loop. Differences from the static
-/// [`drive`]:
+/// Drives `engine` until the spec's termination rule is satisfied,
+/// reporting every round to `observer` and firing the spec's dynamics
+/// schedule, if any, between rounds. This is the *only* termination
+/// loop — engines never self-terminate (one-shot engines signal
+/// [`StepOutcome::Done`]):
 ///
 /// * every scheduled event fires once the engine has executed its
 ///   `round` (`round: 0` fires before any stepping);
@@ -694,14 +611,26 @@ fn update_trackers(
 ///   caps still apply unconditionally);
 /// * events scheduled past the run's final round never fire and produce
 ///   no markers (one-shot engines end after a single step).
-fn drive_dynamic(
+///
+/// A spec without a schedule resolves no event, so it builds no
+/// [`Shadow`] world.
+fn drive(
     engine: &mut dyn Engine,
     spec: &ScenarioSpec,
-    events: &EventsSpec,
-    shadow: &mut Shadow,
     observer: &mut dyn Observer,
 ) -> Result<(DriveResult, Vec<EventMarker>), SpecError> {
+    let no_events = EventsSpec {
+        schedule: Vec::new(),
+        recovery_threshold: DEFAULT_RECOVERY_THRESHOLD,
+        batched_barriers: false,
+    };
+    let events = spec.events.as_ref().unwrap_or(&no_events);
     let schedule = &events.schedule;
+    let mut shadow = if schedule.is_empty() {
+        None
+    } else {
+        Some(Shadow::of(spec)?)
+    };
     let mut markers: Vec<EventMarker> = Vec::new();
     let mut trackers: Vec<RecoveryTracker> = Vec::new();
     let mut next_event = 0usize;
@@ -711,9 +640,8 @@ fn drive_dynamic(
     let needs_metric = matches!(spec.termination, Termination::Converged { .. });
     let start = Instant::now();
     // The convergence metric can be an O(n) pass, so each iteration
-    // computes it at most once (mirroring the static `drive`) and shares
-    // the sample between the termination check, the observer, and the
-    // recovery trackers.
+    // computes it at most once and shares the sample between the
+    // termination check, the observer, and the recovery trackers.
     let mut metric = if needs_metric {
         engine.convergence()
     } else {
@@ -729,6 +657,7 @@ fn drive_dynamic(
             engine.barrier_begin();
         }
         while next_event < schedule.len() && schedule[next_event].round <= rounds {
+            let shadow = shadow.as_mut().expect("a schedule has a shadow world");
             let event = resolve_event(&schedule[next_event], next_event, spec.seed, shadow)?;
             let result = engine.apply(&event);
             observer.on_event(next_event, rounds, &event, result.as_ref().err());
