@@ -14,6 +14,15 @@
 //! times are validated on decode (finite, non-negative) so a malformed
 //! frame yields a typed [`CodecError`] instead of a panic downstream.
 //!
+//! Each type's layout is declared **once**, in a `layout!` line: a
+//! struct's fields in wire order, an enum's tag → variant → fields. The
+//! encoder and the decoder both walk that one declaration (scalars,
+//! options, vectors, arrays and tuples have one generic layout each), so
+//! the two halves cannot drift apart. Adding a frame means adding a
+//! variant to [`Msg`] and one line to its `layout!` with a fresh tag;
+//! `the_wire_bytes_are_pinned` in `tests/codec_props.rs` pins the bytes
+//! of every frame kind.
+//!
 //! The codec has no versioning or negotiation: both ends of every
 //! socket are the same build of the same binary (the coordinator spawns
 //! its workers, or CI launches matching processes). A tag this build
@@ -96,11 +105,11 @@ pub struct Assign {
     pub stall_ms: Option<u64>,
     /// The routing tree as a parent vector (`None` = root).
     pub parents: Vec<Option<usize>>,
-    /// Node count of the demand mix (= tree size).
-    pub mix_nodes: usize,
-    /// The demand mix as `(node, doc, rate)` triples, in the canonical
-    /// node-major order.
-    pub demands: Vec<(usize, u64, f64)>,
+    /// The demand mix over the tree's nodes (on the wire: the node
+    /// count, then `(node, doc, rate)` triples in canonical node-major
+    /// order — a demand outside the mix or a rate [`DocMix::set`] would
+    /// refuse fails the decode).
+    pub mix: DocMix,
     /// The shared run configuration (seed, periods, protocol knobs).
     pub config: PacketSimConfig,
     /// Data-plane listener of every shard, as `(shard, address)` —
@@ -227,74 +236,37 @@ pub enum Msg {
 }
 
 // ---------------------------------------------------------------------
-// Primitive writers.
+// One layout per type: `put` and `get` are two walks of it. Every
+// layout a data-plane frame walks is `#[inline(always)]`, so a `Wire`
+// encodes and decodes in one function: a call per nested layout cost
+// decode a few percent.
 
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
+/// A type with one wire layout, which [`encode_msg`] and [`decode_msg`]
+/// both walk.
+trait Codec: Sized {
+    /// The fewest bytes one value takes on the wire: a collection's
+    /// claimed length is checked against it before anything is
+    /// allocated.
+    const MIN: usize = 1;
+
+    fn put(&self, out: &mut Vec<u8>);
+
+    fn get(r: &mut Rd<'_>) -> Result<Self, CodecError>;
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// An enum whose tag byte has been read: the variant it names, decoded.
+trait Tagged: Sized {
+    fn variant(tag: u8, r: &mut Rd<'_>) -> Result<Self, CodecError>;
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    put_u8(out, u8::from(v));
-}
-
-fn put_usize(out: &mut Vec<u8>, v: usize) {
-    put_u64(out, v as u64);
-}
-
-fn put_time(out: &mut Vec<u8>, t: SimTime) {
-    put_f64(out, t.as_secs());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => put_u8(out, 0),
-        Some(x) => {
-            put_u8(out, 1);
-            put_u64(out, x);
-        }
-    }
-}
-
-fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
-    match v {
-        None => put_u8(out, 0),
-        Some(x) => {
-            put_u8(out, 1);
-            put_f64(out, x);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Primitive reader.
-
+/// A cursor over one frame body.
 struct Rd<'a> {
     b: &'a [u8],
     i: usize,
 }
 
 impl<'a> Rd<'a> {
-    fn new(b: &'a [u8]) -> Self {
-        Rd { b, i: 0 }
-    }
-
+    #[inline(always)]
     fn bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         let end = self.i.checked_add(n).ok_or(CodecError::Truncated)?;
         if end > self.b.len() {
@@ -305,511 +277,359 @@ impl<'a> Rd<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn bool(&mut self) -> Result<bool, CodecError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(CodecError::BadValue { what: "bool flag" }),
-        }
-    }
-
-    fn usize(&mut self) -> Result<usize, CodecError> {
-        self.u64()?.try_into().map_err(|_| CodecError::BadValue {
-            what: "index width",
-        })
-    }
-
-    fn time(&mut self) -> Result<SimTime, CodecError> {
-        let secs = self.f64()?;
-        if !secs.is_finite() || secs < 0.0 {
-            return Err(CodecError::BadValue { what: "sim time" });
-        }
-        Ok(SimTime::from_secs(secs))
-    }
-
-    fn str_(&mut self) -> Result<String, CodecError> {
-        let n = self.u32()? as usize;
-        let raw = self.bytes(n)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| CodecError::BadValue {
-            what: "utf-8 string",
-        })
-    }
-
-    fn opt_u64(&mut self) -> Result<Option<u64>, CodecError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            _ => Err(CodecError::BadValue {
-                what: "option flag",
-            }),
-        }
-    }
-
-    fn opt_f64(&mut self) -> Result<Option<f64>, CodecError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f64()?)),
-            _ => Err(CodecError::BadValue {
-                what: "option flag",
-            }),
-        }
+    #[inline(always)]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        Ok(self.bytes(N)?.try_into().expect("N bytes"))
     }
 
     /// A collection length. Bounded by what the body could possibly
     /// hold, so hostile lengths fail before any allocation.
+    #[inline(always)]
     fn len(&mut self, min_elem_bytes: usize) -> Result<usize, CodecError> {
-        let n = self.u32()? as usize;
+        let n = u32::get(self)? as usize;
         if n.saturating_mul(min_elem_bytes) > self.b.len() {
             return Err(CodecError::Truncated);
         }
         Ok(n)
     }
-
-    fn finish(self) -> Result<(), CodecError> {
-        if self.i == self.b.len() {
-            Ok(())
-        } else {
-            Err(CodecError::Truncated)
-        }
-    }
 }
 
-// ---------------------------------------------------------------------
-// Message tags. Data plane in the low range, control plane from 16.
-
-const TAG_EVENT: u8 = 1;
-const TAG_PROMISE: u8 = 2;
-const TAG_EPOCH_END: u8 = 3;
-const TAG_DATA_HELLO: u8 = 4;
-const TAG_HELLO: u8 = 16;
-const TAG_ASSIGN: u8 = 17;
-const TAG_SURPLUS: u8 = 18;
-const TAG_READY: u8 = 19;
-const TAG_RUN_EPOCH: u8 = 20;
-const TAG_EPOCH_DONE: u8 = 21;
-const TAG_APPLY: u8 = 22;
-const TAG_APPLIED: u8 = 23;
-const TAG_REPORT_REQUEST: u8 = 24;
-const TAG_REPORT: u8 = 25;
-const TAG_SHUTDOWN: u8 = 26;
-const TAG_FATAL: u8 = 27;
-const TAG_BATCH_BEGIN: u8 = 28;
-const TAG_BATCH_COMMIT: u8 = 29;
-
-// PacketEvent variant subtags, in declaration order.
-const EV_ARRIVAL: u8 = 0;
-const EV_PACKET: u8 = 1;
-const EV_GOSSIP: u8 = 2;
-const EV_COPY: u8 = 3;
-const EV_PROBE: u8 = 4;
-const EV_GRANT: u8 = 5;
-
-// BarrierOp variant subtags.
-const OP_FAIL: u8 = 0;
-const OP_HEAL: u8 = 1;
-const OP_INVALIDATE: u8 = 2;
-const OP_ADD_LEAF: u8 = 3;
-const OP_REMOVE_LEAF: u8 = 4;
-const OP_PUBLISH: u8 = 5;
-const OP_SET_MIX: u8 = 6;
-
-fn put_event(out: &mut Vec<u8>, ev: &PacketEvent) {
-    match ev {
-        // Never on a wire (an arrival targets its own node); encoded
-        // for completeness of the event codec.
-        PacketEvent::Arrival { node, stream } => {
-            put_u8(out, EV_ARRIVAL);
-            put_usize(out, node.index());
-            put_u32(out, *stream);
-        }
-        PacketEvent::Packet {
-            node,
-            from,
-            request,
-            index,
-        } => {
-            put_u8(out, EV_PACKET);
-            put_usize(out, node.index());
-            put_opt_u64(out, from.map(|n| n.index() as u64));
-            put_u64(out, request.id.value());
-            put_u64(out, request.doc.value());
-            put_usize(out, request.origin.index());
-            put_u32(out, request.hops);
-            put_u32(out, *index);
-        }
-        PacketEvent::GossipDeliver { to, from, load } => {
-            put_u8(out, EV_GOSSIP);
-            put_usize(out, to.index());
-            put_usize(out, from.index());
-            put_f64(out, *load);
-        }
-        PacketEvent::CopyInstall { node, index, rate } => {
-            put_u8(out, EV_COPY);
-            put_usize(out, node.index());
-            put_u32(out, *index);
-            put_f64(out, *rate);
-        }
-        PacketEvent::TunnelProbe {
-            node,
-            origin,
-            index,
-            rate,
-            hops,
-        } => {
-            put_u8(out, EV_PROBE);
-            put_usize(out, node.index());
-            put_usize(out, origin.index());
-            put_u32(out, *index);
-            put_f64(out, *rate);
-            put_u32(out, *hops);
-        }
-        PacketEvent::TunnelGrant {
-            node,
-            target,
-            index,
-            rate,
-        } => {
-            put_u8(out, EV_GRANT);
-            put_usize(out, node.index());
-            put_usize(out, target.index());
-            put_u32(out, *index);
-            put_f64(out, *rate);
-        }
-    }
+fn bad(what: &'static str) -> CodecError {
+    CodecError::BadValue { what }
 }
 
-fn read_node(r: &mut Rd<'_>) -> Result<NodeId, CodecError> {
-    Ok(NodeId::new(r.usize()?))
-}
+macro_rules! little_endian {
+    ($($t:ty),*) => {$(
+        impl Codec for $t {
+            const MIN: usize = std::mem::size_of::<$t>();
 
-fn read_event(r: &mut Rd<'_>) -> Result<PacketEvent, CodecError> {
-    let tag = r.u8()?;
-    Ok(match tag {
-        EV_ARRIVAL => PacketEvent::Arrival {
-            node: read_node(r)?,
-            stream: r.u32()?,
-        },
-        EV_PACKET => {
-            let node = read_node(r)?;
-            let from = match r.opt_u64()? {
-                None => None,
-                Some(raw) => Some(NodeId::new(raw.try_into().map_err(|_| {
-                    CodecError::BadValue {
-                        what: "index width",
-                    }
-                })?)),
-            };
-            let request = DocRequest {
-                id: RequestId::new(r.u64()?),
-                doc: DocId::new(r.u64()?),
-                origin: read_node(r)?,
-                hops: r.u32()?,
-            };
-            PacketEvent::Packet {
-                node,
-                from,
-                request,
-                index: r.u32()?,
+            #[inline(always)]
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+
+            #[inline(always)]
+            fn get(r: &mut Rd<'_>) -> Result<Self, CodecError> {
+                Ok(Self::from_le_bytes(r.array()?))
             }
         }
-        EV_GOSSIP => PacketEvent::GossipDeliver {
-            to: read_node(r)?,
-            from: read_node(r)?,
-            load: r.f64()?,
-        },
-        EV_COPY => PacketEvent::CopyInstall {
-            node: read_node(r)?,
-            index: r.u32()?,
-            rate: r.f64()?,
-        },
-        EV_PROBE => PacketEvent::TunnelProbe {
-            node: read_node(r)?,
-            origin: read_node(r)?,
-            index: r.u32()?,
-            rate: r.f64()?,
-            hops: r.u32()?,
-        },
-        EV_GRANT => PacketEvent::TunnelGrant {
-            node: read_node(r)?,
-            target: read_node(r)?,
-            index: r.u32()?,
-            rate: r.f64()?,
-        },
-        tag => return Err(CodecError::BadTag { tag }),
-    })
+    )*};
 }
 
-fn put_config(out: &mut Vec<u8>, c: &PacketSimConfig) {
-    put_u64(out, c.seed);
-    put_f64(out, c.link_delay);
-    put_f64(out, c.gossip_period);
-    put_f64(out, c.diffusion_period);
-    put_f64(out, c.measure_window);
-    put_opt_f64(out, c.alpha);
-    put_bool(out, c.tunneling);
-    put_usize(out, c.barrier_patience);
-    put_f64(out, c.gossip_loss);
-    put_f64(out, c.hysteresis);
-    put_f64(out, c.noise_sigmas);
+// `f64` as its raw IEEE-754 bits.
+little_endian!(u8, u32, u64, f64);
+
+/// Types that travel as another type's layout: `$to` converts on the
+/// way out, `$from` converts — and checks — on the way back.
+macro_rules! travels_as {
+    ($($t:ty as $raw:ty: |$v:ident| $to:expr, |$w:ident| $from:expr;)*) => {$(
+        impl Codec for $t {
+            const MIN: usize = <$raw as Codec>::MIN;
+
+            #[inline(always)]
+            fn put(&self, out: &mut Vec<u8>) {
+                let $v = *self;
+                Codec::put(&$to, out);
+            }
+
+            #[inline(always)]
+            fn get(r: &mut Rd<'_>) -> Result<Self, CodecError> {
+                let $w = <$raw as Codec>::get(r)?;
+                $from
+            }
+        }
+    )*};
 }
 
-fn read_config(r: &mut Rd<'_>) -> Result<PacketSimConfig, CodecError> {
-    Ok(PacketSimConfig {
-        seed: r.u64()?,
-        link_delay: r.f64()?,
-        gossip_period: r.f64()?,
-        diffusion_period: r.f64()?,
-        measure_window: r.f64()?,
-        alpha: r.opt_f64()?,
-        tunneling: r.bool()?,
-        barrier_patience: r.usize()?,
-        gossip_loss: r.f64()?,
-        hysteresis: r.f64()?,
-        noise_sigmas: r.f64()?,
-    })
+travels_as! {
+    bool as u8: |v| u8::from(v), |raw| match raw {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(bad("bool flag")),
+    };
+    usize as u64: |v| v as u64, |raw| raw.try_into().map_err(|_| bad("index width"));
+    SimTime as f64: |v| v.as_secs(), |secs| if secs.is_finite() && secs >= 0.0 {
+        Ok(SimTime::from_secs(secs))
+    } else {
+        Err(bad("sim time"))
+    };
+    NodeId as usize: |v| v.index(), |raw| Ok(NodeId::new(raw));
+    DocId as u64: |v| v.value(), |raw| Ok(DocId::new(raw));
+    RequestId as u64: |v| v.value(), |raw| Ok(RequestId::new(raw));
 }
 
-fn put_demands(out: &mut Vec<u8>, demands: &[(usize, u64, f64)]) {
-    put_u32(out, demands.len() as u32);
-    for &(node, doc, rate) in demands {
-        put_usize(out, node);
-        put_u64(out, doc);
-        put_f64(out, rate);
+impl Codec for String {
+    const MIN: usize = 4;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+
+    fn get(r: &mut Rd<'_>) -> Result<Self, CodecError> {
+        let n = u32::get(r)? as usize;
+        String::from_utf8(r.bytes(n)?.to_vec()).map_err(|_| bad("utf-8 string"))
     }
 }
 
-fn read_demands(r: &mut Rd<'_>) -> Result<Vec<(usize, u64, f64)>, CodecError> {
-    let n = r.len(24)?;
-    let mut demands = Vec::with_capacity(n);
-    for _ in 0..n {
-        demands.push((r.usize()?, r.u64()?, r.f64()?));
+impl<T: Codec> Codec for Option<T> {
+    #[inline(always)]
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            None => out.push(0),
+            Some(v) => {
+                out.push(1);
+                v.put(out);
+            }
+        }
     }
-    Ok(demands)
-}
 
-fn put_op(out: &mut Vec<u8>, op: &BarrierOp) {
-    match op {
-        BarrierOp::FailLink { node } => {
-            put_u8(out, OP_FAIL);
-            put_usize(out, node.index());
-        }
-        BarrierOp::HealLink { node } => {
-            put_u8(out, OP_HEAL);
-            put_usize(out, node.index());
-        }
-        BarrierOp::Invalidate { doc } => {
-            put_u8(out, OP_INVALIDATE);
-            put_u64(out, doc.value());
-        }
-        BarrierOp::AddLeaf { parent, rate } => {
-            put_u8(out, OP_ADD_LEAF);
-            put_usize(out, parent.index());
-            put_f64(out, *rate);
-        }
-        BarrierOp::RemoveLeaf { node } => {
-            put_u8(out, OP_REMOVE_LEAF);
-            put_usize(out, node.index());
-        }
-        BarrierOp::PublishDoc { doc, origin, rate } => {
-            put_u8(out, OP_PUBLISH);
-            put_u64(out, doc.value());
-            put_usize(out, origin.index());
-            put_f64(out, *rate);
-        }
-        BarrierOp::SetMix { mix } => {
-            put_u8(out, OP_SET_MIX);
-            put_usize(out, mix.len());
-            put_demands(out, &mix_demands(mix));
+    #[inline(always)]
+    fn get(r: &mut Rd<'_>) -> Result<Self, CodecError> {
+        match u8::get(r)? {
+            0 => Ok(None),
+            1 => T::get(r).map(Some),
+            _ => Err(bad("option flag")),
         }
     }
 }
 
-fn read_op(r: &mut Rd<'_>) -> Result<BarrierOp, CodecError> {
-    Ok(match r.u8()? {
-        OP_FAIL => BarrierOp::FailLink {
-            node: read_node(r)?,
-        },
-        OP_HEAL => BarrierOp::HealLink {
-            node: read_node(r)?,
-        },
-        OP_INVALIDATE => BarrierOp::Invalidate {
-            doc: DocId::new(r.u64()?),
-        },
-        OP_ADD_LEAF => BarrierOp::AddLeaf {
-            parent: read_node(r)?,
-            rate: r.f64()?,
-        },
-        OP_REMOVE_LEAF => BarrierOp::RemoveLeaf {
-            node: read_node(r)?,
-        },
-        OP_PUBLISH => BarrierOp::PublishDoc {
-            doc: DocId::new(r.u64()?),
-            origin: read_node(r)?,
-            rate: r.f64()?,
-        },
-        OP_SET_MIX => {
-            // One row is allocated per node before any demand is read;
-            // a tree the protocol could assign has far fewer nodes (its
-            // `Assign` frame spends 9 bytes on every parent pointer).
-            let nodes = r.usize()?;
-            if nodes > MAX_FRAME / 8 {
-                return Err(CodecError::BadValue { what: "mix nodes" });
-            }
-            let mut mix = DocMix::new(nodes);
-            for (node, doc, rate) in read_demands(r)? {
-                if node >= nodes || !rate.is_finite() || rate < 0.0 {
-                    return Err(CodecError::BadValue { what: "mix demand" });
-                }
-                mix.set(NodeId::new(node), DocId::new(doc), rate);
-            }
-            BarrierOp::SetMix { mix }
-        }
-        tag => return Err(CodecError::BadTag { tag }),
-    })
-}
+impl<T: Codec> Codec for Vec<T> {
+    const MIN: usize = 4;
 
-/// The demand mix as canonical `(node, doc, rate)` triples, node-major.
-pub(crate) fn mix_demands(mix: &DocMix) -> Vec<(usize, u64, f64)> {
-    let mut demands = Vec::new();
-    for j in 0..mix.len() {
-        for &(doc, rate) in mix.demands_of(NodeId::new(j)) {
-            demands.push((j, doc.value(), rate));
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        for v in self {
+            v.put(out);
         }
     }
-    demands
+
+    fn get(r: &mut Rd<'_>) -> Result<Self, CodecError> {
+        let n = r.len(T::MIN)?;
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(T::get(r)?);
+        }
+        Ok(v)
+    }
 }
 
-fn put_body(out: &mut Vec<u8>, msg: &Msg) {
-    match msg {
-        Msg::Wire(Wire::Event { at, counter, ev }) => {
-            put_u8(out, TAG_EVENT);
-            put_time(out, *at);
-            put_u64(out, *counter);
-            put_event(out, ev);
+impl<T: Codec + Copy + Default, const N: usize> Codec for [T; N] {
+    const MIN: usize = N * T::MIN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        for v in self {
+            v.put(out);
         }
-        Msg::Wire(Wire::Promise { until }) => {
-            put_u8(out, TAG_PROMISE);
-            put_time(out, *until);
+    }
+
+    fn get(r: &mut Rd<'_>) -> Result<Self, CodecError> {
+        let mut a = [T::default(); N];
+        for v in &mut a {
+            *v = T::get(r)?;
         }
-        Msg::Wire(Wire::EpochEnd) => put_u8(out, TAG_EPOCH_END),
-        Msg::DataHello { from_shard } => {
-            put_u8(out, TAG_DATA_HELLO);
-            put_usize(out, *from_shard);
-        }
-        Msg::Hello { data_addr } => {
-            put_u8(out, TAG_HELLO);
-            put_str(out, data_addr);
-        }
-        Msg::Assign(a) => {
-            put_u8(out, TAG_ASSIGN);
-            put_usize(out, a.shard_id);
-            put_usize(out, a.shard_hint);
-            put_u64(out, a.partition_digest);
-            put_opt_u64(out, a.stall_ms);
-            put_u32(out, a.parents.len() as u32);
-            for p in &a.parents {
-                put_opt_u64(out, p.map(|x| x as u64));
+        Ok(a)
+    }
+}
+
+macro_rules! tuple {
+    ($($t:ident . $i:tt),*) => {
+        impl<$($t: Codec),*> Codec for ($($t,)*) {
+            const MIN: usize = 0 $(+ $t::MIN)*;
+
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$i.put(out);)*
             }
-            put_usize(out, a.mix_nodes);
-            put_demands(out, &a.demands);
-            put_config(out, &a.config);
-            put_u32(out, a.peers.len() as u32);
-            for (shard, addr) in &a.peers {
-                put_usize(out, *shard);
-                put_str(out, addr);
+
+            fn get(r: &mut Rd<'_>) -> Result<Self, CodecError> {
+                Ok(($($t::get(r)?,)*))
             }
         }
-        Msg::Surplus => put_u8(out, TAG_SURPLUS),
-        Msg::Ready => put_u8(out, TAG_READY),
-        Msg::RunEpoch { t_end, sample } => {
-            put_u8(out, TAG_RUN_EPOCH);
-            put_time(out, *t_end);
-            put_bool(out, *sample);
+    };
+}
+
+tuple!(A.0, B.1);
+tuple!(A.0, B.1, C.2);
+tuple!(A.0, B.1, C.2, D.3);
+
+/// A `layout!` struct field's decode: its own [`Codec`], or the checked
+/// reader the layout names for it.
+macro_rules! read_field {
+    ($r:ident) => {
+        Codec::get($r)?
+    };
+    ($r:ident, $read:ident) => {
+        $read($r)?
+    };
+}
+
+/// A tag no `layout!` arm names: an error, or the tag of the enum the
+/// `_ =>` arm hands it to.
+macro_rules! other_tag {
+    ($tag:ident, $r:ident) => {
+        return Err(CodecError::BadTag { tag: $tag })
+    };
+    ($tag:ident, $r:ident, $other:ident) => {
+        Self::$other(Tagged::variant($tag, $r)?)
+    };
+}
+
+/// The one place a type's wire layout is stated. A struct lists its
+/// fields in wire order (`field: reader` for one whose decode a checked
+/// reader does). An enum maps each tag byte to a variant and that
+/// variant's fields in wire order; an `_ => Variant(inner)` arm hands
+/// every other tag to the inner enum, whose own tag it is.
+macro_rules! layout {
+    (struct $ty:ident { $($f:ident $(: $read:ident)?),* $(,)? }) => {
+        impl Codec for $ty {
+            #[inline(always)]
+            fn put(&self, out: &mut Vec<u8>) {
+                $(Codec::put(&self.$f, out);)*
+            }
+
+            #[inline(always)]
+            fn get(r: &mut Rd<'_>) -> Result<Self, CodecError> {
+                Ok(Self { $($f: read_field!(r $(, $read)?),)* })
+            }
         }
-        Msg::EpochDone { partial } => {
-            put_u8(out, TAG_EPOCH_DONE);
-            match partial {
-                None => put_u8(out, 0),
-                Some(limbs) => {
-                    put_u8(out, 1);
-                    put_u32(out, limbs.len() as u32);
-                    for &l in limbs {
-                        put_u64(out, l);
-                    }
+    };
+    (enum $ty:ident {
+        $($tag:literal => $var:ident $({ $($f:ident),* })? $(($x:ident))?,)*
+        $(_ => $other:ident($y:ident),)?
+    }) => {
+        impl Codec for $ty {
+            #[inline(always)]
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(Self::$var $({ $($f),* })? $(($x))? => {
+                        out.push($tag);
+                        $($(Codec::put($f, out);)*)?
+                        $(Codec::put($x, out);)?
+                    })*
+                    $(Self::$other($y) => Codec::put($y, out),)?
                 }
             }
-        }
-        Msg::BatchBegin => put_u8(out, TAG_BATCH_BEGIN),
-        Msg::Apply(op) => {
-            put_u8(out, TAG_APPLY);
-            put_op(out, op);
-        }
-        Msg::BatchCommit => put_u8(out, TAG_BATCH_COMMIT),
-        Msg::Applied { err } => {
-            put_u8(out, TAG_APPLIED);
-            match err {
-                None => put_u8(out, 0),
-                Some(e) => {
-                    put_u8(out, 1);
-                    put_str(out, e);
-                }
+
+            #[inline(always)]
+            fn get(r: &mut Rd<'_>) -> Result<Self, CodecError> {
+                let tag = u8::get(r)?;
+                Self::variant(tag, r)
             }
         }
-        Msg::ReportRequest { now } => {
-            put_u8(out, TAG_REPORT_REQUEST);
-            put_f64(out, *now);
-        }
-        Msg::Report(rep) => {
-            put_u8(out, TAG_REPORT);
-            put_u32(out, rep.rates.len() as u32);
-            for &r in &rep.rates {
-                put_f64(out, r);
-            }
-            let (counts, bytes, hops) = rep.ledger;
-            for c in counts {
-                put_u64(out, c);
-            }
-            for b in bytes {
-                put_u64(out, b);
-            }
-            put_u64(out, hops);
-            let (cp, tf, hs, sr) = rep.counters;
-            put_u64(out, cp);
-            put_u64(out, tf);
-            put_u64(out, hs);
-            put_u64(out, sr);
-            put_u64(out, rep.processed);
-            put_u64(out, rep.parks);
-            put_u64(out, rep.peak_parked);
-            put_u64(out, rep.data_msgs);
-            put_u64(out, rep.data_bytes);
-            put_u32(out, rep.pdes.len() as u32);
-            for &v in &rep.pdes {
-                put_u64(out, v);
+
+        impl Tagged for $ty {
+            #[inline(always)]
+            fn variant(tag: u8, r: &mut Rd<'_>) -> Result<Self, CodecError> {
+                Ok(match tag {
+                    $($tag => {
+                        $($(let $f = Codec::get(r)?;)*)?
+                        $(let $x = Codec::get(r)?;)?
+                        Self::$var $({ $($f),* })? $(($x))?
+                    })*
+                    tag => other_tag!(tag, r $(, $other)?),
+                })
             }
         }
-        Msg::Shutdown => put_u8(out, TAG_SHUTDOWN),
-        Msg::Fatal { msg } => {
-            put_u8(out, TAG_FATAL);
-            put_str(out, msg);
-        }
+    };
+}
+
+// Data plane in the low tags, control plane from 16. `Wire`'s tags are
+// `Msg`'s: a data-plane frame is the `Wire` itself.
+layout!(enum Msg {
+    4 => DataHello { from_shard },
+    16 => Hello { data_addr },
+    17 => Assign(assign),
+    18 => Surplus,
+    19 => Ready,
+    20 => RunEpoch { t_end, sample },
+    21 => EpochDone { partial },
+    22 => Apply(op),
+    23 => Applied { err },
+    24 => ReportRequest { now },
+    25 => Report(report),
+    26 => Shutdown,
+    27 => Fatal { msg },
+    28 => BatchBegin,
+    29 => BatchCommit,
+    _ => Wire(wire),
+});
+layout!(enum Wire {
+    1 => Event { at, counter, ev },
+    2 => Promise { until },
+    3 => EpochEnd,
+});
+// `Arrival` never crosses a wire (it targets its own node); it has a
+// tag so that every event has a layout.
+layout!(enum PacketEvent {
+    0 => Arrival { node, stream },
+    1 => Packet { node, from, request, index },
+    2 => GossipDeliver { to, from, load },
+    3 => CopyInstall { node, index, rate },
+    4 => TunnelProbe { node, origin, index, rate, hops },
+    5 => TunnelGrant { node, target, index, rate },
+});
+layout!(enum BarrierOp {
+    0 => FailLink { node },
+    1 => HealLink { node },
+    2 => Invalidate { doc },
+    3 => AddLeaf { parent, rate },
+    4 => RemoveLeaf { node },
+    5 => PublishDoc { doc, origin, rate },
+    6 => SetMix { mix },
+});
+layout!(struct DocRequest { id, doc, origin, hops });
+layout!(struct Assign {
+    shard_id, shard_hint, partition_digest, stall_ms, parents, mix, config, peers,
+});
+layout!(struct WorkerReport {
+    rates, ledger, counters, processed, parks, peak_parked, data_msgs, data_bytes,
+    pdes: pdes_slab,
+});
+layout!(struct PacketSimConfig {
+    seed, link_delay, gossip_period, diffusion_period, measure_window, alpha, tunneling,
+    barrier_patience, gossip_loss, hysteresis, noise_sigmas,
+});
+
+/// A demand mix travels as its node count and its `(node, doc, rate)`
+/// triples in canonical node-major order, and decodes only into a mix
+/// [`DocMix::set`] accepts.
+impl Codec for DocMix {
+    fn put(&self, out: &mut Vec<u8>) {
+        let demands: Vec<(usize, u64, f64)> = (0..self.len())
+            .flat_map(|j| {
+                let row = self.demands_of(NodeId::new(j));
+                row.iter().map(move |&(doc, rate)| (j, doc.value(), rate))
+            })
+            .collect();
+        (self.len(), demands).put(out);
     }
+
+    fn get(r: &mut Rd<'_>) -> Result<Self, CodecError> {
+        // One row is allocated per node before any demand is read; a
+        // tree the protocol could assign has far fewer nodes (its
+        // `Assign` frame spends 9 bytes on every parent pointer).
+        let nodes = usize::get(r)?;
+        if nodes > MAX_FRAME / 8 {
+            return Err(bad("mix nodes"));
+        }
+        let mut mix = DocMix::new(nodes);
+        for (node, doc, rate) in <Vec<(usize, u64, f64)>>::get(r)? {
+            if node >= nodes || !rate.is_finite() || rate < 0.0 {
+                return Err(bad("mix demand"));
+            }
+            mix.set(NodeId::new(node), DocId::new(doc), rate);
+        }
+        Ok(mix)
+    }
+}
+
+/// A worker's counter slab: one value per [`PDES_KEYS`] entry, the
+/// count checked before any value is read.
+fn pdes_slab(r: &mut Rd<'_>) -> Result<Vec<u64>, CodecError> {
+    if r.len(8)? != PDES_KEYS.len() {
+        return Err(bad("pdes counter slab"));
+    }
+    (0..PDES_KEYS.len()).map(|_| u64::get(r)).collect()
 }
 
 /// Appends `msg` to `out` as one length-prefixed frame.
@@ -821,8 +641,8 @@ fn put_body(out: &mut Vec<u8>, msg: &Msg) {
 /// never by the protocol's own traffic.
 pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
     let at = out.len();
-    put_u32(out, 0);
-    put_body(out, msg);
+    0u32.put(out);
+    msg.put(out);
     let len = out.len() - at - 4;
     assert!(len <= MAX_FRAME, "oversize frame: {len} bytes");
     out[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
@@ -835,143 +655,13 @@ pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
 /// [`CodecError`] on any malformed input: unknown tags, truncated or
 /// oversized bodies, out-of-domain field values, trailing bytes.
 pub fn decode_msg(body: &[u8]) -> Result<Msg, CodecError> {
-    let mut r = Rd::new(body);
-    let tag = r.u8()?;
-    let msg = match tag {
-        TAG_EVENT => {
-            let at = r.time()?;
-            let counter = r.u64()?;
-            let ev = read_event(&mut r)?;
-            Msg::Wire(Wire::Event { at, counter, ev })
-        }
-        TAG_PROMISE => Msg::Wire(Wire::Promise { until: r.time()? }),
-        TAG_EPOCH_END => Msg::Wire(Wire::EpochEnd),
-        TAG_DATA_HELLO => Msg::DataHello {
-            from_shard: r.usize()?,
-        },
-        TAG_HELLO => Msg::Hello {
-            data_addr: r.str_()?,
-        },
-        TAG_ASSIGN => {
-            let shard_id = r.usize()?;
-            let shard_hint = r.usize()?;
-            let partition_digest = r.u64()?;
-            let stall_ms = r.opt_u64()?;
-            let n = r.len(1)?;
-            let mut parents = Vec::with_capacity(n);
-            for _ in 0..n {
-                parents.push(match r.opt_u64()? {
-                    None => None,
-                    Some(raw) => Some(raw.try_into().map_err(|_| CodecError::BadValue {
-                        what: "index width",
-                    })?),
-                });
-            }
-            let mix_nodes = r.usize()?;
-            let demands = read_demands(&mut r)?;
-            let config = read_config(&mut r)?;
-            let np = r.len(12)?;
-            let mut peers = Vec::with_capacity(np);
-            for _ in 0..np {
-                peers.push((r.usize()?, r.str_()?));
-            }
-            Msg::Assign(Assign {
-                shard_id,
-                shard_hint,
-                partition_digest,
-                stall_ms,
-                parents,
-                mix_nodes,
-                demands,
-                config,
-                peers,
-            })
-        }
-        TAG_SURPLUS => Msg::Surplus,
-        TAG_READY => Msg::Ready,
-        TAG_RUN_EPOCH => Msg::RunEpoch {
-            t_end: r.time()?,
-            sample: r.bool()?,
-        },
-        TAG_EPOCH_DONE => {
-            let partial = match r.u8()? {
-                0 => None,
-                1 => {
-                    let n = r.len(8)?;
-                    let mut limbs = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        limbs.push(r.u64()?);
-                    }
-                    Some(limbs)
-                }
-                _ => {
-                    return Err(CodecError::BadValue {
-                        what: "option flag",
-                    })
-                }
-            };
-            Msg::EpochDone { partial }
-        }
-        TAG_BATCH_BEGIN => Msg::BatchBegin,
-        TAG_APPLY => Msg::Apply(read_op(&mut r)?),
-        TAG_BATCH_COMMIT => Msg::BatchCommit,
-        TAG_APPLIED => {
-            let err = match r.u8()? {
-                0 => None,
-                1 => Some(r.str_()?),
-                _ => {
-                    return Err(CodecError::BadValue {
-                        what: "option flag",
-                    })
-                }
-            };
-            Msg::Applied { err }
-        }
-        TAG_REPORT_REQUEST => Msg::ReportRequest { now: r.f64()? },
-        TAG_REPORT => {
-            let n = r.len(8)?;
-            let mut rates = Vec::with_capacity(n);
-            for _ in 0..n {
-                rates.push(r.f64()?);
-            }
-            let mut counts = [0u64; 6];
-            for c in &mut counts {
-                *c = r.u64()?;
-            }
-            let mut bytes = [0u64; 6];
-            for b in &mut bytes {
-                *b = r.u64()?;
-            }
-            let hops = r.u64()?;
-            let counters = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
-            let (processed, parks, peak_parked) = (r.u64()?, r.u64()?, r.u64()?);
-            let (data_msgs, data_bytes) = (r.u64()?, r.u64()?);
-            if r.len(8)? != PDES_KEYS.len() {
-                return Err(CodecError::BadValue {
-                    what: "pdes counter slab",
-                });
-            }
-            let pdes = (0..PDES_KEYS.len())
-                .map(|_| r.u64())
-                .collect::<Result<_, _>>()?;
-            Msg::Report(WorkerReport {
-                rates,
-                ledger: (counts, bytes, hops),
-                counters,
-                processed,
-                parks,
-                peak_parked,
-                data_msgs,
-                data_bytes,
-                pdes,
-            })
-        }
-        TAG_SHUTDOWN => Msg::Shutdown,
-        TAG_FATAL => Msg::Fatal { msg: r.str_()? },
-        tag => return Err(CodecError::BadTag { tag }),
-    };
-    r.finish()?;
-    Ok(msg)
+    let mut r = Rd { b: body, i: 0 };
+    let msg = Msg::get(&mut r)?;
+    if r.i == body.len() {
+        Ok(msg)
+    } else {
+        Err(CodecError::Truncated)
+    }
 }
 
 /// Incremental frame reassembly over an arbitrary chunking of the byte

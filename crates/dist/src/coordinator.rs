@@ -17,7 +17,7 @@
 //! distributed run is bit-identical to the sequential and threaded
 //! ones, which the golden tests pin at several worker counts.
 
-use crate::codec::{mix_demands, partition_digest, Assign, Msg, WorkerReport};
+use crate::codec::{partition_digest, Assign, Msg, WorkerReport};
 use crate::error::DistError;
 use crate::framed::FramedStream;
 use crate::spawn::{find_worker_bin, DistMode};
@@ -226,7 +226,6 @@ impl DistPacketSim {
             .enumerate()
             .map(|(shard, (_, addr))| (shard, addr.clone()))
             .collect();
-        let demands = mix_demands(mix);
         let parents = tree.to_parents();
         let digest = partition_digest(&replica.core().partition.shard_of);
         let mut assigned = Vec::new();
@@ -241,8 +240,7 @@ impl DistPacketSim {
                 partition_digest: digest,
                 stall_ms: options.stall_timeout.map(|d| d.as_millis() as u64),
                 parents: parents.clone(),
-                mix_nodes: mix.len(),
-                demands: demands.clone(),
+                mix: mix.clone(),
                 config,
                 peers: peers.clone(),
             }))?;

@@ -22,10 +22,9 @@ use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
-use ww_model::{DocId, NodeId, Tree};
+use ww_model::Tree;
 use ww_pdes::{partition_forest, ShardHost};
 use ww_telemetry::Level;
-use ww_workload::DocMix;
 
 fn protocol(detail: String) -> DistError {
     DistError::Protocol { detail }
@@ -79,10 +78,6 @@ pub fn run_worker(connect: &str) -> Result<(), DistError> {
 fn build_host(assign: &Assign, listener: &TcpListener) -> Result<ShardHost, DistError> {
     let me = assign.shard_id;
     let tree = Tree::from_parents(&assign.parents)?;
-    let mut mix = DocMix::new(assign.mix_nodes);
-    for &(node, doc, rate) in &assign.demands {
-        mix.set(NodeId::new(node), DocId::new(doc), rate);
-    }
     let (partition, shape) = partition_forest(&tree, assign.shard_hint);
     let digest = partition_digest(&partition.shard_of);
     if digest != assign.partition_digest {
@@ -165,7 +160,7 @@ fn build_host(assign: &Assign, listener: &TcpListener) -> Result<ShardHost, Dist
 
     Ok(ShardHost::worker_on(
         &tree,
-        &mix,
+        &assign.mix,
         assign.config,
         (partition, shape),
         me,

@@ -156,21 +156,20 @@ fn arb_assign() -> impl Strategy<Value = Assign> {
     (
         (0usize..8, 1usize..9, proptest::option::of(0u64..100_000)),
         proptest::collection::vec(proptest::option::of(0usize..64), 0..24),
-        arb_demands(),
+        arb_mix(),
         (any::<u64>(), 0.0001f64..10.0, 0.001f64..10.0, any::<u64>()),
         proptest::collection::vec((0usize..8, arb_string()), 0..8),
     )
         .prop_map(
-            |((shard_id, shard_hint, stall_ms), parents, demands, cfg, peers)| {
+            |((shard_id, shard_hint, stall_ms), parents, mix, cfg, peers)| {
                 let (seed, link_delay, diffusion_period, partition_digest) = cfg;
                 Assign {
                     shard_id,
                     shard_hint,
                     partition_digest,
                     stall_ms,
-                    mix_nodes: parents.len(),
                     parents,
-                    demands,
+                    mix,
                     config: PacketSimConfig {
                         seed,
                         link_delay,
@@ -251,8 +250,17 @@ fn arb_msg() -> BoxedStrategy<Msg> {
         .boxed()
 }
 
+/// Cases per property: `PROPTEST_CASES` when set (CI soaks with 2000),
+/// else enough for a tier-1 run.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(256)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// Every message round-trips through one frame unchanged.
     #[test]
@@ -312,6 +320,224 @@ proptest! {
         for cut in 0..body.len() {
             let _ = decode_msg(&body[..cut]);
         }
+    }
+}
+
+/// 64-bit FNV-1a of a byte stream.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One frame of every message, event and barrier-op variant, with both
+/// arms of every `Option` field.
+fn one_of_everything() -> Vec<Msg> {
+    let (t, node, doc) = (SimTime::from_secs, NodeId::new, DocId::new);
+    let request = |origin, hops| DocRequest {
+        id: RequestId::new(9),
+        doc: doc(2),
+        origin: node(origin),
+        hops,
+    };
+    let events = [
+        PacketEvent::Arrival {
+            node: node(3),
+            stream: 2,
+        },
+        PacketEvent::Packet {
+            node: node(4),
+            from: None,
+            request: request(4, 0),
+            index: 1,
+        },
+        PacketEvent::Packet {
+            node: node(1),
+            from: Some(node(4)),
+            request: request(4, 1),
+            index: 1,
+        },
+        PacketEvent::GossipDeliver {
+            to: node(1),
+            from: node(0),
+            load: 12.5,
+        },
+        PacketEvent::CopyInstall {
+            node: node(5),
+            index: 3,
+            rate: 0.25,
+        },
+        PacketEvent::TunnelProbe {
+            node: node(2),
+            origin: node(7),
+            index: 0,
+            rate: 1.5,
+            hops: 3,
+        },
+        PacketEvent::TunnelGrant {
+            node: node(6),
+            target: node(7),
+            index: 0,
+            rate: 1.5,
+        },
+    ];
+    let mut mix = DocMix::new(3);
+    mix.set(node(1), doc(4), 2.0);
+    mix.set(node(2), doc(0), 0.5);
+    mix.set(node(2), doc(4), 7.0);
+    let ops = [
+        BarrierOp::FailLink { node: node(2) },
+        BarrierOp::HealLink { node: node(2) },
+        BarrierOp::Invalidate { doc: doc(4) },
+        BarrierOp::AddLeaf {
+            parent: node(0),
+            rate: 3.0,
+        },
+        BarrierOp::RemoveLeaf { node: node(2) },
+        BarrierOp::PublishDoc {
+            doc: doc(8),
+            origin: node(1),
+            rate: 4.5,
+        },
+        BarrierOp::SetMix { mix: mix.clone() },
+    ];
+    let assign = |stall_ms, alpha| {
+        Msg::Assign(Assign {
+            shard_id: 1,
+            shard_hint: 2,
+            partition_digest: 0xfeed_beef,
+            stall_ms,
+            parents: vec![None, Some(0), Some(0)],
+            mix: mix.clone(),
+            config: PacketSimConfig {
+                alpha,
+                ..PacketSimConfig::default()
+            },
+            peers: vec![(0, "127.0.0.1:7001".into()), (1, "127.0.0.1:7002".into())],
+        })
+    };
+    let mut msgs: Vec<Msg> = (0u64..)
+        .zip(events)
+        .map(|(i, ev)| {
+            Msg::Wire(Wire::Event {
+                at: t(0.5 + i as f64),
+                counter: i,
+                ev,
+            })
+        })
+        .collect();
+    msgs.extend([
+        Msg::Wire(Wire::Promise { until: t(9.0) }),
+        Msg::Wire(Wire::EpochEnd),
+        Msg::DataHello { from_shard: 1 },
+        Msg::Hello {
+            data_addr: "127.0.0.1:7002".into(),
+        },
+        assign(Some(250), None),
+        assign(None, Some(0.2)),
+        Msg::Surplus,
+        Msg::Ready,
+        Msg::RunEpoch {
+            t_end: t(10.0),
+            sample: true,
+        },
+        Msg::EpochDone { partial: None },
+        Msg::EpochDone {
+            partial: Some(vec![1, u64::MAX, 0]),
+        },
+        Msg::BatchBegin,
+    ]);
+    msgs.extend(ops.into_iter().map(Msg::Apply));
+    msgs.extend([
+        Msg::BatchCommit,
+        Msg::Applied { err: None },
+        Msg::Applied {
+            err: Some("no such leaf".into()),
+        },
+        Msg::ReportRequest { now: 12.0 },
+        Msg::Report(WorkerReport {
+            rates: vec![1.0, 2.5],
+            ledger: ([1, 2, 3, 4, 5, 6], [7, 8, 9, 10, 11, 12], 13),
+            counters: (14, 15, 16, 17),
+            processed: 18,
+            parks: 19,
+            peak_parked: 20,
+            data_msgs: 21,
+            data_bytes: 22,
+            pdes: (0..PDES_KEYS.len() as u64).collect(),
+        }),
+        Msg::Shutdown,
+        Msg::Fatal {
+            msg: "stalled".into(),
+        },
+    ]);
+    msgs
+}
+
+/// The protocol's bytes, pinned: tags, field order, length prefixes and
+/// option flags of every frame kind. A layout edit that round-trips
+/// (two fields swapped on both sides) still fails here. The `Report`
+/// frame carries one counter per `PDES_KEYS` entry, so a key added to
+/// that table re-records the pin.
+#[test]
+fn the_wire_bytes_are_pinned() {
+    let msgs = one_of_everything();
+    let mut stream = Vec::new();
+    for msg in &msgs {
+        let at = stream.len();
+        encode_msg(msg, &mut stream);
+        assert_eq!(decode_msg(&stream[at + 4..]).as_ref(), Ok(msg));
+    }
+    assert_eq!(
+        (msgs.len(), stream.len(), fnv1a(&stream)),
+        (33, 1559, 0x02a1_4a7b_27da_cf9d),
+        "digest {:#018x}",
+        fnv1a(&stream)
+    );
+}
+
+/// An `Assign` carries its demand mix in `SetMix`'s layout and under
+/// its checks: a demand outside the mix, a rate `DocMix` refuses, or a
+/// node count no frame could describe decodes to a typed error instead
+/// of panicking the worker that rebuilds the world from it.
+#[test]
+fn a_malformed_assign_mix_is_typed() {
+    let mut mix = DocMix::new(2);
+    mix.set(NodeId::new(1), DocId::new(5), 3.0);
+    let assign = Assign {
+        shard_id: 0,
+        shard_hint: 1,
+        partition_digest: 0,
+        stall_ms: None,
+        parents: vec![None, Some(0)],
+        mix,
+        config: PacketSimConfig::default(),
+        peers: Vec::new(),
+    };
+    let mut frame = Vec::new();
+    encode_msg(&Msg::Assign(assign), &mut frame);
+    let body = &frame[4..];
+    // tag, shard id, hint, digest, `stall_ms` flag, two parents behind
+    // their count (`None`: a flag, `Some(0)`: a flag and a u64); then
+    // the mix: nodes: u64, demand count: u32, then the demand.
+    let nodes_at = 1 + 8 + 8 + 8 + 1 + (4 + 1 + 9);
+    let (node_at, rate_at) = (nodes_at + 12, nodes_at + 12 + 16);
+    let mut stray = body.to_vec();
+    stray[node_at] = 2;
+    let mut negative = body.to_vec();
+    negative[rate_at..rate_at + 8].copy_from_slice(&(-3.0f64).to_bits().to_le_bytes());
+    let mut nan = body.to_vec();
+    nan[rate_at..rate_at + 8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+    let mut huge = body.to_vec();
+    huge[nodes_at..nodes_at + 8].copy_from_slice(&(1u64 << 31).to_le_bytes());
+    assert!(decode_msg(body).is_ok());
+    for (bad, what) in [
+        (stray, "mix demand"),
+        (negative, "mix demand"),
+        (nan, "mix demand"),
+        (huge, "mix nodes"),
+    ] {
+        assert_eq!(decode_msg(&bad), Err(CodecError::BadValue { what }));
     }
 }
 

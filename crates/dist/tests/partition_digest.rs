@@ -46,8 +46,7 @@ fn a_worker_handed_a_wrong_digest_refuses_typed() {
         partition_digest: truth ^ 1,
         stall_ms: Some(1_000),
         parents: tree.to_parents(),
-        mix_nodes: mix.len(),
-        demands: vec![(7, 1, 50.0)],
+        mix,
         config: PacketSimConfig::default(),
         peers: vec![(0, data_addr.clone()), (1, data_addr)],
     }))
