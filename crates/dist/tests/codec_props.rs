@@ -541,6 +541,66 @@ fn a_malformed_assign_mix_is_typed() {
     }
 }
 
+/// An `Assign` whose config the worker's world or timers would refuse
+/// is a typed decode error naming the field — one case per checked
+/// field, on both sides of each range's edge. Values at the edge decode.
+#[test]
+fn an_out_of_range_assign_config_is_typed() {
+    let assign = |config| {
+        let mut mix = DocMix::new(2);
+        mix.set(NodeId::new(1), DocId::new(5), 3.0);
+        let mut frame = Vec::new();
+        let msg = Msg::Assign(Assign {
+            shard_id: 0,
+            shard_hint: 1,
+            partition_digest: 0,
+            stall_ms: None,
+            parents: vec![None, Some(0)],
+            mix,
+            config,
+            peers: Vec::new(),
+        });
+        encode_msg(&msg, &mut frame);
+        (decode_msg(&frame[4..]), msg)
+    };
+    type Edit = fn(&mut PacketSimConfig);
+    let refused: [(Edit, &str); 12] = [
+        (|c| c.link_delay = -0.001, "link delay"),
+        (|c| c.link_delay = f64::NAN, "link delay"),
+        (|c| c.link_delay = f64::INFINITY, "link delay"),
+        (|c| c.gossip_period = 0.0, "gossip period"),
+        (|c| c.gossip_period = f64::INFINITY, "gossip period"),
+        (|c| c.diffusion_period = -1.0, "diffusion period"),
+        (|c| c.measure_window = 0.0, "measure window"),
+        (|c| c.alpha = Some(1.0), "diffusion alpha"),
+        (|c| c.alpha = Some(0.0), "diffusion alpha"),
+        (|c| c.alpha = Some(f64::NAN), "diffusion alpha"),
+        (|c| c.gossip_loss = 1.5, "gossip loss"),
+        (|c| c.gossip_loss = -0.1, "gossip loss"),
+    ];
+    let accepted: [Edit; 5] = [
+        |_| {},
+        |c| c.link_delay = 0.0,
+        |c| c.alpha = Some(0.5),
+        |c| c.gossip_loss = 0.0,
+        |c| c.gossip_loss = 1.0,
+    ];
+    let config = |edit: Edit| {
+        let mut config = PacketSimConfig::default();
+        edit(&mut config);
+        config
+    };
+    for (edit, what) in refused {
+        let config = config(edit);
+        let refusal = Err(CodecError::BadValue { what });
+        assert_eq!(assign(config).0, refusal, "{config:?}");
+    }
+    for edit in accepted {
+        let (decoded, msg) = assign(config(edit));
+        assert_eq!(decoded, Ok(msg));
+    }
+}
+
 #[test]
 fn f64_payloads_are_bit_exact() {
     // Denormals, negative zero, and exact dyadics all survive: floats

@@ -324,6 +324,18 @@ impl<E> RadixQueue<E> {
         self.seq
     }
 
+    /// The radix heap's smallest entry as `(packed key, event)`, in
+    /// O(1) — the cached bucket-0 minimum, lanes ignored; its key is
+    /// never below [`SimQueue::peek_entry`]'s. A caller that schedules
+    /// only one kind of event through [`SimQueue::schedule`] /
+    /// [`SimQueue::schedule_keyed`] — the packet driver's arrival heads,
+    /// between barriers — learns the next such event before it is due.
+    #[inline]
+    pub fn peek_radix(&self) -> Option<(u128, &E)> {
+        let (key, at) = self.radix_min;
+        (key != NO_KEY).then(|| (key, &self.buckets[0][at].1))
+    }
+
     /// Every pending entry as `(packed key, event)`, in no particular
     /// order — a read-only walk for invariant checks.
     pub fn entries(&self) -> impl Iterator<Item = (u128, &E)> {

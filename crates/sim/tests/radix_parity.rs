@@ -7,9 +7,13 @@
 //! merge of a radix heap and in-order lanes; `EventQueue` ignores the
 //! in-order hint, so the scripts also pin "a hint never changes order",
 //! whether the hinted times are in order, out of order, or equal.
+//!
+//! `RadixQueue::peek_radix` is pinned here too: on scripts that never
+//! use a lane it names exactly what the next pop returns, and on mixed
+//! scripts its key is never below the merged minimum's.
 
 use proptest::prelude::*;
-use ww_sim::{EventQueue, RadixQueue, SimQueue, SimTime};
+use ww_sim::{key_of, time_of, EventQueue, RadixQueue, SimQueue, SimTime};
 
 /// One scripted queue operation. Times are offsets quantized to 0.25 s
 /// so distinct ops frequently collide on the exact same `f64`
@@ -157,6 +161,32 @@ fn drain_equal(heap: &mut EventQueue<u32>, radix: &mut RadixQueue<u32>) {
     }
 }
 
+/// `peek_radix` as `(packed key, event)`.
+fn peeked(radix: &RadixQueue<u32>) -> Option<(u128, u32)> {
+    radix.peek_radix().map(|(key, &e)| (key, e))
+}
+
+/// The merged minimum's packed key, as `peek_radix` would spell it.
+fn entry_key(radix: &RadixQueue<u32>) -> Option<u128> {
+    SimQueue::<u32>::peek_entry(radix).map(|(t, seq)| key_of(t, seq))
+}
+
+/// On a queue whose lanes are empty: the radix peek is the merged
+/// peek, and the next pop returns exactly the peeked event at the
+/// peeked key's time.
+fn assert_peek_is_next_pop(radix: &mut RadixQueue<u32>) -> Option<(u64, u32)> {
+    let peek = peeked(radix);
+    assert_eq!(
+        peek.map(|p| p.0),
+        entry_key(radix),
+        "the peek is the minimum"
+    );
+    let popped = radix.pop().map(|(t, e)| (t.as_secs().to_bits(), e));
+    let expected = peek.map(|(key, e)| (time_of(key).as_secs().to_bits(), e));
+    assert_eq!(popped, expected, "the peek names the next pop");
+    popped
+}
+
 /// Cases per property: `PROPTEST_CASES` when set (CI soaks with 2000),
 /// else enough for a tier-1 run.
 fn cases() -> u32 {
@@ -187,8 +217,72 @@ proptest! {
             prop_assert_eq!(heap.len(), SimQueue::<u32>::len(&radix));
             prop_assert_eq!(heap.processed(), SimQueue::<u32>::processed(&radix));
             prop_assert_eq!(heap.peek_entry(), SimQueue::<u32>::peek_entry(&radix));
+            if let Some((key, _)) = peeked(&radix) {
+                prop_assert!(Some(key) >= entry_key(&radix), "radix peek below the minimum");
+            }
         }
         drain_equal(&mut heap, &mut radix);
+    }
+
+    /// Scripts that never use a lane — plain and keyed schedules (keys
+    /// below popped ones included), pops, clock moves, both sweeps:
+    /// after every step the radix peek is the merged minimum, every pop
+    /// returns the event it named, and the heap agrees throughout.
+    #[test]
+    fn the_radix_peek_names_the_next_pop(
+        raw in proptest::collection::vec((0u8..=255, 0u8..=31), 1..160),
+    ) {
+        let mut heap: EventQueue<u32> = EventQueue::new();
+        let mut radix: RadixQueue<u32> = RadixQueue::new();
+        for (i, &(selector, slot)) in raw.iter().enumerate() {
+            let op = match decode(selector, slot) {
+                Op::ScheduleInOrder { slot } => Op::Schedule { slot },
+                op => op,
+            };
+            let a = apply(&mut heap, op, i as u64);
+            if let Op::Pop = op {
+                prop_assert_eq!(a.0, assert_peek_is_next_pop(&mut radix));
+            } else {
+                prop_assert_eq!(a, apply(&mut radix, op, i as u64), "op {:?} diverged", op);
+            }
+            prop_assert_eq!(peeked(&radix).map(|p| p.0), entry_key(&radix));
+        }
+        prop_assert_eq!(radix.lane_stats().admitted, 0);
+        loop {
+            let a = heap.pop().map(|(t, e)| (t.as_secs().to_bits(), e));
+            prop_assert_eq!(a, assert_peek_is_next_pop(&mut radix));
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+
+    /// Fills that land below the pivot force rebases (the pivot seeds
+    /// from the first insert, and every later key falls below it);
+    /// pops then move the pivot through `normalize`, and an in-place
+    /// sweep drops and rewrites entries. The peek names every pop.
+    #[test]
+    fn the_radix_peek_survives_rebases_and_sweeps(
+        fill in proptest::collection::vec(0u32..4000, 65..400),
+        pops in 0usize..60,
+        keep_per_mille in 0u32..1000,
+        salt in any::<u32>(),
+    ) {
+        let mut radix: RadixQueue<u32> = RadixQueue::new();
+        let at = |ms: u32| SimTime::from_secs(ms as f64 * 1e-3);
+        radix.schedule(at(4000), u32::MAX);
+        for (i, &ms) in fill.iter().enumerate() {
+            radix.schedule(at(ms), i as u32);
+            prop_assert_eq!(peeked(&radix).map(|p| p.0), entry_key(&radix));
+        }
+        for _ in 0..pops {
+            assert_peek_is_next_pop(&mut radix);
+        }
+        radix.filter_map_events(|e| {
+            let h = (e ^ salt).wrapping_mul(0x9E37_79B9) >> 16;
+            (h % 1000 < keep_per_mille).then_some(e / 2)
+        });
+        while assert_peek_is_next_pop(&mut radix).is_some() {}
     }
 
     /// The lanes on their own: only hinted events (no plain schedule
@@ -214,6 +308,9 @@ proptest! {
             prop_assert_eq!(a, b, "op {:?} diverged", op);
             prop_assert_eq!(heap.len(), SimQueue::<u32>::len(&radix));
             prop_assert_eq!(heap.peek_entry(), SimQueue::<u32>::peek_entry(&radix));
+            if let Some((key, _)) = peeked(&radix) {
+                prop_assert!(Some(key) >= entry_key(&radix), "radix peek below the minimum");
+            }
         }
         let stats = radix.lane_stats();
         let hinted = raw.iter().filter(|&&(s, _)| s % 16 <= 8).count() as u64;

@@ -38,6 +38,8 @@
 //! assert_eq!(snap.counter("demo.depth"), Some(17));
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
