@@ -108,6 +108,40 @@ impl Default for PacketSimConfig {
     }
 }
 
+impl PacketSimConfig {
+    /// The one statement of which values a world, its timers and its
+    /// meters accept: `Err` names the first field out of range. A delay
+    /// is finite and non-negative, a period or window finite and
+    /// positive, a configured `alpha` inside `(0, 1)` and the gossip loss
+    /// a probability. [`PacketWorld::new`] asserts it; a decoder can
+    /// refuse a configuration with it before building anything.
+    pub fn check(&self) -> Result<(), &'static str> {
+        let positive = |secs: f64| secs.is_finite() && secs > 0.0;
+        if !(self.link_delay.is_finite() && self.link_delay >= 0.0) {
+            Err("link delay")
+        } else if !positive(self.gossip_period) {
+            Err("gossip period")
+        } else if !positive(self.diffusion_period) {
+            Err("diffusion period")
+        } else if !positive(self.measure_window) {
+            Err("measure window")
+        } else if self.alpha.is_some_and(|a| !(a > 0.0 && a < 1.0)) {
+            Err("diffusion alpha")
+        } else if !(0.0..=1.0).contains(&self.gossip_loss) {
+            Err("gossip loss")
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Whether a run cut into `shards` shards has the lookahead the
+    /// conservative engines synchronise on: cut-edge latency, so a
+    /// positive link delay as soon as there is a cut.
+    pub fn has_lookahead(&self, shards: usize) -> bool {
+        shards <= 1 || self.link_delay > 0.0
+    }
+}
+
 /// The shared world of a packet-level run: topology, document universe,
 /// offered demand, oracle, and configuration. Immutable *within* an
 /// epoch — shards read it concurrently while their event loops run —
@@ -229,15 +263,13 @@ impl PacketWorld {
     ///
     /// # Panics
     ///
-    /// Panics if `mix` does not cover `tree` or config values are out of
-    /// range.
+    /// Panics if `mix` does not cover `tree` or a config value is out of
+    /// range ([`PacketSimConfig::check`]).
     pub fn new(tree: &Tree, mix: &DocMix, config: PacketSimConfig) -> Self {
         assert_eq!(mix.len(), tree.len(), "doc mix must cover the tree");
-        assert!(config.link_delay >= 0.0, "link delay must be >= 0");
-        assert!(
-            (0.0..=1.0).contains(&config.gossip_loss),
-            "gossip loss is a probability"
-        );
+        if let Err(what) = config.check() {
+            panic!("config {what} out of range: {config:?}");
+        }
         let table = DocTable::from_ids(mix.documents());
         let mut world = PacketWorld {
             tree: tree.clone(),
@@ -260,10 +292,6 @@ impl PacketWorld {
         };
         world.refresh_structural();
         world.refresh_oracle();
-        assert!(
-            world.alpha > 0.0 && world.alpha < 1.0,
-            "alpha must lie in (0, 1)"
-        );
         world
     }
 

@@ -25,6 +25,8 @@
 //! diff dist.txt seq.txt
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};

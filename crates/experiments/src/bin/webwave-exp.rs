@@ -16,6 +16,8 @@
 //!   paper's figures/tables (all engine-driven figures run through the
 //!   same Runner).
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use ww_experiments as exp;
 use ww_scenario::{Runner, ScenarioSpec};

@@ -199,7 +199,7 @@ impl ShardHost {
             partition.shards()
         );
         assert!(
-            ids.is_empty() || partition.shards() == 1 || world.config.link_delay > 0.0,
+            ids.is_empty() || world.config.has_lookahead(partition.shards()),
             "the parallel packet engine needs a positive link delay: \
              cut-edge latency is its conservative lookahead"
         );
