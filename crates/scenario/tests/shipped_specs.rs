@@ -23,26 +23,58 @@ fn shipped_specs() -> Vec<(String, String)> {
     specs
 }
 
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The printed grammar, pinned: every shipped spec by name, the byte
+/// length of its `to_json()` after a parse, and one digest over all the
+/// printed bytes in name order. A key renamed or reordered, a default
+/// printed differently, or a tag spelled differently fails here even
+/// when it still round-trips. A spec added under `scenarios/`, or a
+/// printed field added to the grammar, re-records the pin.
 #[test]
-fn the_twelve_advertised_specs_are_present() {
-    let names: Vec<String> = shipped_specs().into_iter().map(|(n, _)| n).collect();
-    for expected in [
-        "fig2b.json",
-        "flash_crowd.json",
-        "planetary_cdn.json",
-        "barrier_tunneling.json",
-        "baseline_shootout.json",
-        "scaling_100k.json",
-        "staleness_sweep.json",
-        "zipf_docmix_sweep.json",
-        "churn_storm.json",
-        "rolling_link_failures.json",
-        "publish_then_invalidate.json",
-        "hot_set_rotation.json",
-        "flash_crowd_rebalance.json",
-    ] {
-        assert!(names.iter().any(|n| n == expected), "missing {expected}");
+fn the_shipped_specs_print_pinned_bytes() {
+    let mut printed = Vec::new();
+    let mut lengths = Vec::new();
+    for (name, text) in shipped_specs() {
+        let spec = ScenarioSpec::from_json(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let json = spec.to_json();
+        lengths.push((name, json.len()));
+        printed.extend_from_slice(json.as_bytes());
     }
+    let expected: Vec<(String, usize)> = [
+        ("barrier_tunneling.json", 542),
+        ("baseline_shootout.json", 608),
+        ("churn_soak.json", 2453),
+        ("churn_storm.json", 1216),
+        ("dist_smoke.json", 819),
+        ("fig2b.json", 411),
+        ("flash_crowd.json", 730),
+        ("flash_crowd_rebalance.json", 839),
+        ("hot_set_rotation.json", 1154),
+        ("packet_churn_storm.json", 1606),
+        ("planetary_cdn.json", 467),
+        ("publish_then_invalidate.json", 942),
+        ("rolling_link_failures.json", 1070),
+        ("scaling_100k.json", 444),
+        ("scaling_1m_parallel.json", 746),
+        ("staleness_sweep.json", 526),
+        ("zipf_docmix_sweep.json", 639),
+    ]
+    .iter()
+    .map(|&(n, l)| (n.to_string(), l))
+    .collect();
+    assert_eq!(lengths, expected);
+    assert_eq!(
+        fnv1a(&printed),
+        0x3778_2dc0_f799_6038,
+        "digest {:#018x}",
+        fnv1a(&printed)
+    );
 }
 
 #[test]
