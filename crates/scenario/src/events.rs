@@ -30,6 +30,7 @@
 //! event reject it with a typed [`EventError`] — never a panic — and the
 //! runner records the rejection in the run's [`EventMarker`]s.
 
+use crate::json::Tagged;
 use crate::spec::{DocMixSpec, RatesSpec};
 use std::fmt;
 use ww_model::{DocId, NodeId, RateVector};
@@ -133,15 +134,7 @@ pub enum EventKindSpec {
 impl EventKindSpec {
     /// The spec spelling of this event kind (`"node_join"`, ...).
     pub fn kind(&self) -> &'static str {
-        match self {
-            EventKindSpec::NodeJoin { .. } => "node_join",
-            EventKindSpec::NodeLeave { .. } => "node_leave",
-            EventKindSpec::LinkFail { .. } => "link_fail",
-            EventKindSpec::LinkHeal { .. } => "link_heal",
-            EventKindSpec::DocPublish { .. } => "doc_publish",
-            EventKindSpec::DocUpdate { .. } => "doc_update",
-            EventKindSpec::WorkloadShift { .. } => "workload_shift",
-        }
+        self.tag()
     }
 }
 
@@ -199,15 +192,7 @@ pub enum Event {
 impl Event {
     /// The spec spelling of this event kind (`"node_join"`, ...).
     pub fn kind(&self) -> &'static str {
-        match self {
-            Event::NodeJoin { .. } => "node_join",
-            Event::NodeLeave { .. } => "node_leave",
-            Event::LinkFail { .. } => "link_fail",
-            Event::LinkHeal { .. } => "link_heal",
-            Event::DocPublish { .. } => "doc_publish",
-            Event::DocUpdate { .. } => "doc_update",
-            Event::WorkloadShift { .. } => "workload_shift",
-        }
+        self.tag()
     }
 }
 

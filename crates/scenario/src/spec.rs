@@ -12,6 +12,7 @@
 
 use crate::error::SpecError;
 use crate::events::EventsSpec;
+use crate::json::Tagged;
 use ww_telemetry::Level;
 
 /// Default master seed when a spec omits `"seed"`.
@@ -164,13 +165,7 @@ pub enum PaperFigure {
 impl PaperFigure {
     /// The spec spelling of this figure.
     pub fn as_str(self) -> &'static str {
-        match self {
-            PaperFigure::Fig2a => "fig2a",
-            PaperFigure::Fig2b => "fig2b",
-            PaperFigure::Fig4 => "fig4",
-            PaperFigure::Fig6 => "fig6",
-            PaperFigure::Fig7 => "fig7",
-        }
+        self.tag()
     }
 }
 
@@ -357,23 +352,6 @@ pub struct PacketKnobs {
     pub noise_sigmas: f64,
 }
 
-impl Default for PacketKnobs {
-    fn default() -> Self {
-        PacketKnobs {
-            alpha: None,
-            tunneling: true,
-            barrier_patience: 2,
-            link_delay: 0.005,
-            gossip_period: 0.5,
-            diffusion_period: 1.0,
-            measure_window: 1.0,
-            gossip_loss: 0.0,
-            hysteresis: 0.05,
-            noise_sigmas: 3.0,
-        }
-    }
-}
-
 impl PacketKnobs {
     /// The extra range rules of a sharded packet engine (`flavor` names
     /// it in the message): shards synchronize on the cut-edge latency,
@@ -399,16 +377,7 @@ impl PacketKnobs {
 impl EngineSpec {
     /// The spec spelling of this engine (`"rate_wave"`, ...).
     pub fn kind(&self) -> &'static str {
-        match self {
-            EngineSpec::RateWave { .. } => "rate_wave",
-            EngineSpec::DocSim { .. } => "doc_sim",
-            EngineSpec::PacketSim { .. } => "packet_sim",
-            EngineSpec::PacketSimPar { .. } => "packet_sim_par",
-            EngineSpec::PacketSimDist { .. } => "packet_sim_dist",
-            EngineSpec::ForestWave { .. } => "forest_wave",
-            EngineSpec::Cluster { .. } => "cluster",
-            EngineSpec::Baselines { .. } => "baselines",
-        }
+        self.tag()
     }
 }
 
@@ -445,14 +414,7 @@ impl BaselineScheme {
 
     /// The spec spelling of this scheme.
     pub fn as_str(self) -> &'static str {
-        match self {
-            BaselineScheme::NoCache => "no-cache",
-            BaselineScheme::Directory => "directory",
-            BaselineScheme::DnsRoundRobin => "dns-rr",
-            BaselineScheme::GleMigration => "gle-migration",
-            BaselineScheme::WebWave => "webwave",
-            BaselineScheme::WebFoldOracle => "webfold-oracle",
-        }
+        self.tag()
     }
 }
 
@@ -515,15 +477,7 @@ pub enum SweepParam {
 impl SweepParam {
     /// The spec spelling of this parameter.
     pub fn as_str(self) -> &'static str {
-        match self {
-            SweepParam::Staleness => "staleness",
-            SweepParam::Alpha => "alpha",
-            SweepParam::Tunneling => "tunneling",
-            SweepParam::GossipLoss => "gossip_loss",
-            SweepParam::Workers => "workers",
-            SweepParam::DocTheta => "doc_theta",
-            SweepParam::Seed => "seed",
-        }
+        self.tag()
     }
 }
 
