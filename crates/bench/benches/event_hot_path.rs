@@ -26,10 +26,17 @@
 //! * `wire_transfer`: per-event cost of moving a wire-sized message
 //!   through the lock-free SPSC ring, per-event publish vs one batched
 //!   commit per window.
+//! * `packet_loop`: the whole event loop — `PacketSim` over a fixed
+//!   window of simulated seconds — in ns per processed event, on
+//!   `two_level(60, 60)`, whose state fits in L2, and on
+//!   `two_level(180, 180)`, the `seq_cdn` world. The small world reads
+//!   the loop's instruction cost; the gap to the large one is its
+//!   memory cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use ww_cache::DenseFlowTable;
+use ww_core::packetsim::{PacketSim, PacketSimConfig};
 use ww_sim::{
     exp_delay, key_of, prefetch, time_of, EventQueue, RadixQueue, SimQueue, SimRng, SimTime,
     StreamRng,
@@ -333,11 +340,45 @@ fn bench_transfer(c: &mut Criterion) {
     group.finish();
 }
 
+/// Simulated seconds the `packet_loop` worlds run before and while
+/// they are timed. Events per simulated second drift for the first
+/// ~25 s (copies move down the tree, then requests stop climbing), so
+/// the timed window starts after that and is the same length on every
+/// run, whatever the host's speed.
+const LOOP_WARM_UP: f64 = 30.0;
+/// `(regions, timed simulated seconds)` per world: ~10 M events each.
+const LOOP_WINDOWS: [(usize, f64); 2] = [(60, 300.0), (180, 30.0)];
+
+/// Not a criterion loop: criterion picks the iteration count from the
+/// host's speed, and on a running engine that would move the timed
+/// window in simulated time, so a faster build would be timed on later,
+/// different seconds.
+fn packet_loop() {
+    for (regions, window) in LOOP_WINDOWS {
+        let tree = ww_topology::two_level(regions, regions);
+        let rates = ww_workload::leaf_only(&tree, 1.0);
+        let mix = ww_workload::shared_zipf_mix(&tree, &rates, 8, 1.0);
+        let mut sim = PacketSim::new(&tree, &mix, PacketSimConfig::default());
+        let before = sim.run(LOOP_WARM_UP).processed_events;
+        let start = Instant::now();
+        let after = sim.run(LOOP_WARM_UP + window).processed_events;
+        let elapsed = start.elapsed();
+        let events = std::hint::black_box(after) - before;
+        eprintln!(
+            "packet_loop/packet_sim/two_level_{regions}: {:.1} ns per event \
+             ({events} events, simulated seconds {LOOP_WARM_UP}..{})",
+            elapsed.as_nanos() as f64 / events as f64,
+            LOOP_WARM_UP + window
+        );
+    }
+}
+
 fn bench(c: &mut Criterion) {
     bench_queues(c);
     bench_arrivals(c);
     bench_meter_roll(c);
     bench_transfer(c);
+    packet_loop();
 }
 
 criterion_group!(benches, bench);

@@ -373,6 +373,7 @@ impl DenseFlowTable {
     }
 
     /// Rolls every meter's window forward to `now`.
+    #[inline]
     pub fn roll_to(&mut self, now: f64) {
         for row in 0..self.grid.row_count() {
             self.roll_row_to(row, now);
@@ -385,6 +386,7 @@ impl DenseFlowTable {
     /// # Panics
     ///
     /// Panics if `row` is outside the grid.
+    #[inline]
     pub fn roll_row_to(&mut self, row: usize, now: f64) {
         let (window_secs, alpha) = (self.window_secs, self.alpha);
         for cell in self.grid.row_mut(row) {
@@ -408,6 +410,7 @@ impl DenseFlowTable {
     /// # Panics
     ///
     /// Panics if `row` is outside the grid.
+    #[inline]
     pub fn row_total(&self, row: usize) -> f64 {
         self.grid.row(row).iter().map(MeterCell::rate_or_zero).sum()
     }
@@ -457,6 +460,7 @@ impl DenseFlowTable {
     /// # Panics
     ///
     /// Panics if `row` is outside the grid.
+    #[inline]
     pub fn row(&self, row: usize) -> &[MeterCell] {
         self.grid.row(row)
     }

@@ -1422,6 +1422,10 @@ pub fn on_gossip_timer(ctx: &mut NodeCtx<'_>, state: &mut NodeMut<'_>, t: SimTim
 /// Emits one gossip message from `node` to `nbr`, subject to the
 /// failure-injection loss probability. A severed control link emits
 /// nothing — the sender knows the link is down.
+// Forced inline, like `TimerRing::pop` / `rearm` (see there):
+// `on_gossip_timer` calls it twice and LLVM keeps a plain `#[inline]` a
+// call.
+#[inline(always)]
 fn gossip_to(
     ctx: &mut NodeCtx<'_>,
     state: &mut NodeMut<'_>,

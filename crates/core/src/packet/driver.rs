@@ -386,6 +386,7 @@ impl ShardCore {
     /// the two timer rings — the same total order one combined heap
     /// would produce. Ring fires carry sequence numbers from the queue's
     /// counter, so ties break the same way on every engine.
+    #[inline]
     pub fn next_source(&self) -> Option<(SimTime, u64, DriverSource)> {
         let mut best = self
             .queue

@@ -231,6 +231,7 @@ fn retain_rows<T>(rows: &mut Vec<T>, gone: &[bool]) {
 }
 
 /// The served rate of `row` over the rolling window ending at `now`.
+#[inline]
 fn load_of(served: &mut DenseFlowTable, row: usize, now: f64) -> f64 {
     served.roll_row_to(row, now);
     served.row_total(row)

@@ -191,6 +191,7 @@ impl Tree {
     }
 
     /// The root node (the document's home server).
+    #[inline]
     pub fn root(&self) -> NodeId {
         self.root
     }
@@ -200,6 +201,7 @@ impl Tree {
     /// # Panics
     ///
     /// Panics if `node` is out of range.
+    #[inline]
     pub fn parent(&self, node: NodeId) -> Option<NodeId> {
         self.parent[node.index()]
     }
@@ -227,6 +229,7 @@ impl Tree {
     /// # Panics
     ///
     /// Panics if `node` is out of range.
+    #[inline]
     pub fn children(&self, node: NodeId) -> &[NodeId] {
         &self.children[node.index()]
     }
@@ -236,6 +239,7 @@ impl Tree {
     /// # Panics
     ///
     /// Panics if `node` is out of range.
+    #[inline]
     pub fn depth(&self, node: NodeId) -> usize {
         self.depth[node.index()]
     }

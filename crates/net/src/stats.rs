@@ -44,6 +44,7 @@ pub struct TrafficLedger {
     hop_messages: u64,
 }
 
+#[inline]
 fn class_index(c: TrafficClass) -> usize {
     match c {
         TrafficClass::Request => 0,
@@ -63,6 +64,7 @@ impl TrafficLedger {
 
     /// Records one message of class `class` carrying `bytes` over
     /// `hops` links.
+    #[inline]
     pub fn record(&mut self, class: TrafficClass, bytes: u64, hops: u32) {
         let i = class_index(class);
         self.counts[i] += 1;

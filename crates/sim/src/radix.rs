@@ -131,12 +131,14 @@ pub const NO_KEY: u128 = u128::MAX;
 /// Packs `(time, seq)` into one radix key. For non-negative finite
 /// `f64`, `to_bits` is strictly monotone, so integer comparison of the
 /// packed key equals lexicographic `(time, seq)` comparison.
+#[inline]
 pub fn key_of(at: SimTime, seq: u64) -> u128 {
     ((at.as_secs().to_bits() as u128) << 64) | seq as u128
 }
 
 /// Unpacks the time half of a radix key (the sequence number is the
 /// low 64 bits: `key as u64`).
+#[inline]
 pub fn time_of(key: u128) -> SimTime {
     SimTime::from_secs(f64::from_bits((key >> 64) as u64))
 }
@@ -509,13 +511,20 @@ impl<E> RadixQueue<E> {
         self.lanes.iter().map(|lane| lane.len).sum()
     }
 
+    #[inline]
     fn assert_not_past(&self, at: SimTime) {
-        assert!(
-            at >= self.now,
-            "cannot schedule at {at} before current time {}",
-            self.now
-        );
+        if at < self.now {
+            scheduled_in_the_past(at, self.now);
+        }
     }
+}
+
+/// The panic of `RadixQueue::assert_not_past`, kept out of line so the
+/// check costs one compare and one branch where it inlines.
+#[cold]
+#[inline(never)]
+fn scheduled_in_the_past(at: SimTime, now: SimTime) -> ! {
+    panic!("cannot schedule at {at} before current time {now}")
 }
 
 impl<E> SimQueue<E> for RadixQueue<E> {

@@ -30,13 +30,17 @@ impl SimTime {
     ///
     /// # Panics
     ///
-    /// Panics if `secs` is NaN, infinite, or negative.
+    /// Panics if `secs` is NaN, infinite, or negative. `-0.0` is
+    /// accepted and stored as `+0.0`, so a time's bits — and with them
+    /// the packed radix key ([`key_of`](crate::key_of)) — order the way
+    /// the time does.
+    #[inline]
     pub fn from_secs(secs: f64) -> Self {
-        assert!(
-            secs.is_finite() && secs >= 0.0,
-            "sim time must be finite and non-negative, got {secs}"
-        );
-        SimTime(secs)
+        if !(secs.is_finite() && secs >= 0.0) {
+            invalid_secs(secs);
+        }
+        // `x + 0.0` is `x`, bit for bit, for every `x` but `-0.0`.
+        SimTime(secs + 0.0)
     }
 
     /// Creates a time from milliseconds.
@@ -44,6 +48,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics under the same conditions as [`SimTime::from_secs`].
+    #[inline]
     pub fn from_millis(ms: f64) -> Self {
         SimTime::from_secs(ms / 1000.0)
     }
@@ -53,30 +58,43 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics under the same conditions as [`SimTime::from_secs`].
+    #[inline]
     pub fn from_micros(us: f64) -> Self {
         SimTime::from_secs(us / 1_000_000.0)
     }
 
     /// Seconds since simulation start.
+    #[inline]
     pub fn as_secs(self) -> f64 {
         self.0
     }
 
     /// Saturating subtraction: `max(self - other, 0)`.
+    #[inline]
     pub fn saturating_sub(self, other: SimTime) -> SimTime {
         SimTime((self.0 - other.0).max(0.0))
     }
 }
 
+/// The panic of [`SimTime::from_secs`], kept out of line so an inlined
+/// constructor costs one compare and one branch.
+#[cold]
+#[inline(never)]
+fn invalid_secs(secs: f64) -> ! {
+    panic!("sim time must be finite and non-negative, got {secs}")
+}
+
 impl Eq for SimTime {}
 
 impl PartialOrd for SimTime {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for SimTime {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         // Construction forbids NaN, so this cannot fail.
         self.0.partial_cmp(&other.0).expect("SimTime is never NaN")
@@ -86,6 +104,7 @@ impl Ord for SimTime {
 impl Add for SimTime {
     type Output = SimTime;
 
+    #[inline]
     fn add(self, rhs: SimTime) -> SimTime {
         SimTime::from_secs(self.0 + rhs.0)
     }
@@ -98,6 +117,7 @@ impl Sub for SimTime {
     ///
     /// Panics if the result would be negative; use
     /// [`SimTime::saturating_sub`] when underflow is expected.
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimTime {
         SimTime::from_secs(self.0 - rhs.0)
     }
@@ -130,6 +150,19 @@ mod tests {
     #[should_panic(expected = "finite and non-negative")]
     fn nan_rejected() {
         let _ = SimTime::from_secs(f64::NAN);
+    }
+
+    #[test]
+    fn negative_zero_is_stored_as_zero() {
+        let t = SimTime::from_secs(-0.0);
+        assert_eq!(t.as_secs().to_bits(), 0.0f64.to_bits());
+        assert_eq!(t, SimTime::ZERO);
+        // Only `-0.0` changes: the other zero and the smallest subnormal
+        // keep their bits.
+        assert_eq!(SimTime::from_secs(0.0).as_secs().to_bits(), 0);
+        let tiny = f64::from_bits(1);
+        assert_eq!(SimTime::from_secs(tiny).as_secs().to_bits(), 1);
+        assert_eq!(SimTime::from_millis(-0.0).as_secs().to_bits(), 0);
     }
 
     #[test]

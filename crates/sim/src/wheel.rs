@@ -96,6 +96,7 @@ impl TimerRing {
     }
 
     /// Re-reads the cached front fire from the rotation.
+    #[inline]
     fn refresh_front(&mut self) {
         self.front = self.order.front().map(|&m| (self.next[m], self.seq[m], m));
     }
@@ -133,6 +134,7 @@ impl TimerRing {
     }
 
     /// The next fire as `(time, seq, member)`, if any member is armed.
+    #[inline]
     pub fn peek(&self) -> Option<(SimTime, u64, usize)> {
         self.front
     }
@@ -141,6 +143,12 @@ impl TimerRing {
     /// must [`rearm`](TimerRing::rearm) it (typically at the point in the
     /// event handler where the old code rescheduled the timer, so merge
     /// sequence numbers match the historical all-heap order).
+    // This and `rearm` are forced inline: at the packet driver's loop
+    // LLVM keeps a plain `#[inline]` a call, and as calls (with
+    // `ww-core`'s `gossip_to`) they cost ~2.5 % of the loop's time per
+    // event on an in-cache world (ten interleaved rounds, 9 of 10;
+    // 2-core Xeon under KVM).
+    #[inline(always)]
     pub fn pop(&mut self) -> Option<(SimTime, usize)> {
         let m = self.order.pop_front()?;
         self.armed[m] = false;
@@ -154,9 +162,12 @@ impl TimerRing {
     /// # Panics
     ///
     /// Panics if `member` is out of range or still armed.
+    #[inline(always)]
     pub fn rearm(&mut self, member: usize, seq: u64) {
         assert!(member < self.next.len(), "member out of range");
-        assert!(!self.armed[member], "member {member} is already armed");
+        if self.armed[member] {
+            already_armed(member);
+        }
         self.armed[member] = true;
         let fire = self.next[member] + self.period;
         self.next[member] = fire;
@@ -333,6 +344,14 @@ impl TimerRing {
     pub fn is_empty(&self) -> bool {
         self.order.is_empty()
     }
+}
+
+/// The panic of [`TimerRing::rearm`] on a member still armed, kept out
+/// of line so the inlined re-arm costs one compare and one branch.
+#[cold]
+#[inline(never)]
+fn already_armed(member: usize) -> ! {
+    panic!("member {member} is already armed")
 }
 
 #[cfg(test)]

@@ -11,6 +11,10 @@
 //! `RadixQueue::peek_radix` is pinned here too: on scripts that never
 //! use a lane it names exactly what the next pop returns, and on mixed
 //! scripts its key is never below the merged minimum's.
+//!
+//! Under all of it sits the packed key: `key_of` orders exactly as
+//! `(time, seq)` and `time_of` inverts it, for every time a [`SimTime`]
+//! can hold — zero, `-0.0`, subnormals and `f64::MAX` included.
 
 use proptest::prelude::*;
 use ww_sim::{key_of, time_of, EventQueue, RadixQueue, SimQueue, SimTime};
@@ -196,8 +200,44 @@ fn cases() -> u32 {
         .unwrap_or(192)
 }
 
+/// A finite non-negative `f64` drawn by `kind`: the edges (`0`, `-0`,
+/// the smallest subnormal, `f64::MAX`), any subnormal, any finite
+/// non-negative bit pattern, or a quarter-second grid point (so two
+/// draws often tie and the sequence numbers decide).
+fn edge_time(kind: u8, bits: u64) -> f64 {
+    match kind % 7 {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::from_bits(1),
+        3 => f64::MAX,
+        4 => f64::from_bits(bits % (1 << 52)),
+        5 => f64::from_bits(bits % (f64::MAX.to_bits() + 1)),
+        _ => (bits % 8) as f64 * 0.25,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// The packed key orders exactly as `(time, seq)` — `-0.0` equal to
+    /// `0.0` on both sides — and `time_of` returns the stored time bit
+    /// for bit, the sequence number sitting in the low 64 bits.
+    #[test]
+    fn packed_keys_order_as_time_then_seq(
+        (ka, a, s) in (0u8..=255, any::<u64>(), any::<u64>()),
+        (kb, b, r) in (0u8..=255, any::<u64>(), any::<u64>()),
+        tie in any::<bool>(),
+    ) {
+        let ta = SimTime::from_secs(edge_time(ka, a));
+        let tb = SimTime::from_secs(edge_time(kb, b));
+        let r = if tie { s } else { r };
+        prop_assert_eq!(key_of(ta, s).cmp(&key_of(tb, r)), (ta, s).cmp(&(tb, r)));
+        for (t, seq) in [(ta, s), (tb, r)] {
+            let key = key_of(t, seq);
+            prop_assert_eq!(time_of(key).as_secs().to_bits(), t.as_secs().to_bits());
+            prop_assert_eq!(key as u64, seq);
+        }
+    }
 
     /// Arbitrary op scripts: every observable of the two queues stays
     /// equal after every step, and a final full drain pops identical
