@@ -4,34 +4,39 @@
 //! published documents. This crate supplies the node-local machinery the
 //! protocol needs:
 //!
-//! * [`CacheStore`] — document copies with per-copy *serve fractions*
-//!   (the paper's "reduce the fraction of requests ... it chooses to
-//!   serve"),
-//! * [`FlowTable`] / [`RateMeter`] — per-child, per-document forwarded
-//!   rate accounting (`A_j` per document; Section 5, footnote 3),
-//! * [`plan_push`] / [`plan_shed`] — greedy policies choosing *which*
-//!   documents realize a diffusion decision of "shift x req/s".
+//! * [`DenseFlowTable`] / [`MeterCell`] — per-child, per-document
+//!   forwarded-rate accounting (`A_j` per document; Section 5, footnote
+//!   3): one three-word windowed EWMA cell per `(row, document index)`,
+//! * [`plan_push`] / [`plan_shed`] and their allocation-free dense forms
+//!   — greedy policies choosing *which* documents realize a diffusion
+//!   decision of "shift x req/s".
+//!
+//! Which documents a node holds, intercepts and serves lives in the
+//! packet engines' node slab (`ww_core::packet::NodeSlab`), not here.
 //!
 //! # Example
 //!
 //! ```
-//! use ww_model::{DocId, NodeId};
-//! use ww_cache::{CacheStore, FlowTable, plan_push};
+//! use ww_cache::{plan_push_dense, DenseFlowTable};
 //!
-//! let mut flows = FlowTable::new(1.0, 1.0);
+//! // Child row 0 forwards 10 req/s of document index 2 and 4 of index 0.
+//! let mut flows = DenseFlowTable::new(1.0, 1.0, 1, 4);
 //! for t in 0..10 {
-//!     flows.record(NodeId::new(2), DocId::new(7), t as f64 * 0.1);
+//!     flows.record(0, 2, t as f64 * 0.1);
+//! }
+//! for t in 0..4 {
+//!     flows.record(0, 0, t as f64 * 0.25);
 //! }
 //! flows.roll_to(1.0);
 //!
-//! // Diffusion decided to delegate 6 req/s to child n2: push d7 partially.
-//! let plan = plan_push(&flows.child_doc_rates(NodeId::new(2)), 6.0);
-//! assert_eq!(plan[0].doc, DocId::new(7));
-//! assert_eq!(plan[0].rate, 6.0);
-//!
-//! let mut store = CacheStore::new();
-//! store.insert(DocId::new(7), None);
-//! assert!(store.contains(DocId::new(7)));
+//! // Diffusion decided to delegate 12 req/s to that child: push index 2
+//! // whole and index 0 in part.
+//! let (mut rates, mut scratch, mut plan) = (Vec::new(), Vec::new(), Vec::new());
+//! flows.row_doc_rates(0, &mut rates);
+//! plan_push_dense(&rates, 12.0, &mut scratch, &mut plan);
+//! assert_eq!((plan[0].index, plan[0].full), (2, true));
+//! assert_eq!(plan[1].index, 0);
+//! assert!((plan[1].rate - 2.0).abs() < 1e-9);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -39,10 +44,8 @@
 
 pub mod meter;
 pub mod policy;
-pub mod store;
 
-pub use meter::{DenseFlowTable, FlowSnapshot, FlowTable, MeterCell, RateMeter};
+pub use meter::{DenseFlowTable, MeterCell};
 pub use policy::{
     plan_push, plan_push_dense, plan_shed, plan_shed_dense, plan_total, DenseRateSlice, RateSlice,
 };
-pub use store::{CacheStore, CachedCopy, StoreEntry};

@@ -14,17 +14,14 @@
 //! a division. `tests/old_cell` keeps the four-word cell and its
 //! always-dividing roll as the reference both are held to, bit for bit.
 
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use ww_model::{DocGrid, DocId, NodeId};
+use ww_model::DocGrid;
 
 /// The per-meter state of a windowed rate estimator: the open window,
 /// its event count, and the EWMA over the closed windows' rates — three
 /// words. The window length and the smoothing factor are *not* stored
-/// here — a [`RateMeter`] carries them beside its one cell, a
-/// [`DenseFlowTable`] once for its whole grid — and "one full window
-/// has elapsed" is the top bit of the count word, not an `Option` tag,
-/// so a grid cell is 24 bytes.
+/// here — a [`DenseFlowTable`] holds them once for its whole grid —
+/// and "one full window has elapsed" is the top bit of the count word,
+/// not an `Option` tag, so a grid cell is 24 bytes.
 ///
 /// Opaque outside this module: a cell can be copied between tables
 /// ([`DenseFlowTable::row`] / [`DenseFlowTable::row_mut`]) and compared,
@@ -111,190 +108,19 @@ impl std::fmt::Debug for MeterCell {
     }
 }
 
-/// Checks the two constants every meter shares.
-fn assert_meter_constants(window_secs: f64, alpha: f64) {
-    assert!(window_secs > 0.0, "window must be positive");
-    assert!(alpha > 0.0 && alpha <= 1.0, "alpha in (0, 1]");
-}
-
-/// A windowed rate estimator: counts events per fixed window and smooths
-/// successive window rates with an EWMA.
-#[derive(Debug, Clone)]
-pub struct RateMeter {
-    window_secs: f64,
-    alpha: f64,
-    cell: MeterCell,
-}
-
-impl RateMeter {
-    /// Creates a meter with the given measurement window and EWMA factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window_secs <= 0` or `alpha` is outside `(0, 1]`.
-    pub fn new(window_secs: f64, alpha: f64) -> Self {
-        RateMeter::new_anchored(window_secs, alpha, 0.0)
-    }
-
-    /// Creates a meter whose first window opens at `start` instead of
-    /// time zero — for state created mid-simulation (a joining node, a
-    /// freshly published document column), so the meter does not have to
-    /// roll through a history of empty windows it never observed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window_secs <= 0` or `alpha` is outside `(0, 1]`.
-    pub fn new_anchored(window_secs: f64, alpha: f64, start: f64) -> Self {
-        assert_meter_constants(window_secs, alpha);
-        RateMeter {
-            window_secs,
-            alpha,
-            cell: MeterCell::anchored(start),
-        }
-    }
-
-    /// Records one event at time `now` (seconds). Rolls the window forward
-    /// as needed, feeding completed windows into the smoother.
-    pub fn record(&mut self, now: f64) {
-        self.cell.record(now, self.window_secs, self.alpha);
-    }
-
-    /// Advances the window to contain `now`, closing out any completed
-    /// windows (including empty ones, which correctly pull the rate down).
-    pub fn roll_to(&mut self, now: f64) {
-        self.cell.roll_to(now, self.window_secs, self.alpha);
-    }
-
-    /// The smoothed rate estimate (events/second); `None` until one full
-    /// window has elapsed.
-    pub fn rate(&self) -> Option<f64> {
-        self.cell.rate()
-    }
-
-    /// The smoothed rate, defaulting to 0.0 before the first window closes.
-    pub fn rate_or_zero(&self) -> f64 {
-        self.cell.rate_or_zero()
-    }
-
-    /// Forgets every sample (the window stays anchored where it is).
-    /// Used when the measured quantity is invalidated wholesale — e.g. a
-    /// document re-publish voids every serve-rate estimate for it.
-    pub fn reset(&mut self) {
-        self.cell.reset();
-    }
-}
-
-/// Per-child, per-document forwarded-rate table of one node.
-///
-/// # Example
-///
-/// ```
-/// use ww_model::{DocId, NodeId};
-/// use ww_cache::FlowTable;
-///
-/// let mut flows = FlowTable::new(1.0, 1.0);
-/// // Child n2 forwards 3 requests for d7 during the first second.
-/// for t in [0.1, 0.5, 0.9] {
-///     flows.record(NodeId::new(2), DocId::new(7), t);
-/// }
-/// flows.roll_to(1.0); // close the first window
-/// assert!((flows.child_doc_rate(NodeId::new(2), DocId::new(7)) - 3.0).abs() < 1e-9);
-/// assert!((flows.child_total(NodeId::new(2)) - 3.0).abs() < 1e-9);
-/// ```
-#[derive(Debug, Clone)]
-pub struct FlowTable {
-    window_secs: f64,
-    alpha: f64,
-    meters: HashMap<(NodeId, DocId), RateMeter>,
-}
-
-impl FlowTable {
-    /// Creates a table with the given measurement window and smoothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window_secs <= 0` or `alpha` outside `(0, 1]`.
-    pub fn new(window_secs: f64, alpha: f64) -> Self {
-        assert_meter_constants(window_secs, alpha);
-        FlowTable {
-            window_secs,
-            alpha,
-            meters: HashMap::new(),
-        }
-    }
-
-    /// Records a request for `doc` forwarded by child `child` at `now`.
-    pub fn record(&mut self, child: NodeId, doc: DocId, now: f64) {
-        self.meters
-            .entry((child, doc))
-            .or_insert_with(|| RateMeter::new(self.window_secs, self.alpha))
-            .record(now);
-    }
-
-    /// Rolls every meter's window forward to `now`.
-    pub fn roll_to(&mut self, now: f64) {
-        for m in self.meters.values_mut() {
-            m.roll_to(now);
-        }
-    }
-
-    /// Estimated forwarded rate of `doc` from `child` (req/s).
-    pub fn child_doc_rate(&self, child: NodeId, doc: DocId) -> f64 {
-        self.meters
-            .get(&(child, doc))
-            .map_or(0.0, RateMeter::rate_or_zero)
-    }
-
-    /// Estimated aggregate forwarded rate `A_j` of `child` across docs.
-    pub fn child_total(&self, child: NodeId) -> f64 {
-        self.meters
-            .iter()
-            .filter(|((c, _), _)| *c == child)
-            .map(|(_, m)| m.rate_or_zero())
-            .sum()
-    }
-
-    /// Per-document rates forwarded by `child`, sorted descending by rate.
-    pub fn child_doc_rates(&self, child: NodeId) -> Vec<(DocId, f64)> {
-        let mut v: Vec<(DocId, f64)> = self
-            .meters
-            .iter()
-            .filter(|((c, _), _)| *c == child)
-            .map(|(&(_, d), m)| (d, m.rate_or_zero()))
-            .filter(|&(_, r)| r > 0.0)
-            .collect();
-        v.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("rates are finite")
-                .then(a.0.cmp(&b.0))
-        });
-        v
-    }
-
-    /// All children with any recorded flow.
-    pub fn children(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.meters.keys().map(|&(c, _)| c).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-}
-
 /// A dense, preallocated flow table: one rate meter per `(row, dense
 /// document index)` cell of a [`DocGrid`].
 ///
-/// [`FlowTable`] keys every meter by `(NodeId, DocId)` in a `HashMap`, so
-/// each record costs a hash + probe and every aggregate (`child_total`,
-/// `child_doc_rates`) scans and re-allocates. On the packet-level hot path
-/// a node touches its meters once per packet; `DenseFlowTable` instead
-/// addresses them by `row * stride + index` — rows are the nodes of one
-/// driver's slab (or an interior node's child slots), indices come from
-/// the simulation's [`ww_model::DocTable`]. The measurement window and
-/// the smoothing factor are stored once for the whole grid.
+/// On the packet-level hot path a node touches its meters once per
+/// packet, so they are addressed by `row * stride + index`, with no hash
+/// or probe — rows are the nodes of one driver's slab (or an interior
+/// node's child slots), indices come from the simulation's
+/// [`ww_model::DocTable`]. The measurement window and the smoothing
+/// factor are stored once for the whole grid.
 ///
 /// Totals are accumulated in ascending index order, which under a
-/// `DocTable` is ascending [`DocId`] order — a fixed, deterministic float
-/// accumulation order.
+/// `DocTable` is ascending [`DocId`](ww_model::DocId) order — a fixed,
+/// deterministic float accumulation order.
 ///
 /// # Example
 ///
@@ -338,8 +164,9 @@ impl DenseFlowTable {
     }
 
     /// A grid whose meters open their first window at `start` instead of
-    /// time zero — for state created mid-simulation, mirroring
-    /// [`RateMeter::new_anchored`].
+    /// time zero — for state created mid-simulation (a joining node, a
+    /// freshly published document column), so a meter does not roll
+    /// through a history of empty windows it never observed.
     ///
     /// # Panics
     ///
@@ -351,7 +178,8 @@ impl DenseFlowTable {
         docs: usize,
         start: f64,
     ) -> Self {
-        assert_meter_constants(window_secs, alpha);
+        assert!(window_secs > 0.0, "window must be positive");
+        assert!(alpha > 0.0 && alpha <= 1.0, "alpha in (0, 1]");
         DenseFlowTable {
             window_secs,
             alpha,
@@ -417,8 +245,7 @@ impl DenseFlowTable {
 
     /// Appends `(index, rate)` pairs with positive rate for `row` to
     /// `out` (cleared first), sorted descending by rate with ascending
-    /// index tie-break — the same order [`FlowTable::child_doc_rates`]
-    /// produces, without allocating.
+    /// index tie-break, without allocating.
     ///
     /// # Panics
     ///
@@ -545,26 +372,6 @@ impl DenseFlowTable {
     }
 }
 
-/// Serializable snapshot of a flow table (rates only).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FlowSnapshot {
-    /// `(child, doc, rate)` triples, sorted by child then doc.
-    pub flows: Vec<(NodeId, DocId, f64)>,
-}
-
-impl FlowSnapshot {
-    /// Captures the current rates from a table.
-    pub fn capture(table: &FlowTable) -> Self {
-        let mut flows: Vec<(NodeId, DocId, f64)> = table
-            .meters
-            .iter()
-            .map(|(&(c, d), m)| (c, d, m.rate_or_zero()))
-            .collect();
-        flows.sort_by_key(|&(c, d, _)| (c, d));
-        FlowSnapshot { flows }
-    }
-}
-
 #[cfg(test)]
 #[path = "../tests/old_cell/mod.rs"]
 mod old_cell;
@@ -677,136 +484,96 @@ mod tests {
 
     #[test]
     fn meter_measures_steady_rate() {
-        let mut m = RateMeter::new(1.0, 1.0);
+        let mut m = MeterCell::anchored(0.0);
         for i in 0..50 {
             let t = i as f64 * 0.1; // 10 events/second for 5 seconds
-            m.record(t);
+            m.record(t, 1.0, 1.0);
         }
-        m.roll_to(5.0);
+        m.roll_to(5.0, 1.0, 1.0);
         assert!((m.rate().unwrap() - 10.0).abs() < 1e-9);
     }
 
     #[test]
     fn meter_rate_none_before_first_window() {
-        let mut m = RateMeter::new(1.0, 0.5);
-        m.record(0.2);
+        let mut m = MeterCell::anchored(0.0);
+        m.record(0.2, 1.0, 0.5);
         assert!(m.rate().is_none());
         assert_eq!(m.rate_or_zero(), 0.0);
     }
 
     #[test]
     fn meter_decays_through_empty_windows() {
-        let mut m = RateMeter::new(1.0, 0.5);
+        let mut m = MeterCell::anchored(0.0);
         for i in 0..10 {
-            m.record(i as f64 * 0.1);
+            m.record(i as f64 * 0.1, 1.0, 0.5);
         }
-        m.roll_to(1.0);
+        m.roll_to(1.0, 1.0, 0.5);
         let busy = m.rate().unwrap();
-        m.roll_to(6.0); // five empty windows
+        m.roll_to(6.0, 1.0, 0.5); // five empty windows
         let idle = m.rate().unwrap();
         assert!(idle < busy * 0.1, "rate should decay: {idle} vs {busy}");
     }
 
     #[test]
     fn ewma_smooths_window_jitter() {
-        let mut m = RateMeter::new(1.0, 0.25);
+        let mut m = MeterCell::anchored(0.0);
         // Alternating 20/0 events per window; smoothed rate converges
         // toward the 10/s mean band rather than oscillating to extremes.
         for w in 0..20 {
             if w % 2 == 0 {
                 for i in 0..20 {
-                    m.record(w as f64 + i as f64 / 20.0);
+                    m.record(w as f64 + i as f64 / 20.0, 1.0, 0.25);
                 }
             }
         }
-        m.roll_to(20.0);
+        m.roll_to(20.0, 1.0, 0.25);
         let r = m.rate().unwrap();
         assert!(r > 4.0 && r < 16.0, "smoothed rate {r}");
     }
 
     #[test]
     fn flow_table_separates_children_and_docs() {
-        let mut f = FlowTable::new(1.0, 1.0);
-        let (c1, c2) = (NodeId::new(1), NodeId::new(2));
-        let (d1, d2) = (DocId::new(1), DocId::new(2));
+        // Rows are children, columns documents.
+        let mut f = DenseFlowTable::new(1.0, 1.0, 3, 3);
         for i in 0..10 {
-            f.record(c1, d1, i as f64 * 0.1);
+            f.record(1, 1, i as f64 * 0.1);
         }
         for i in 0..5 {
-            f.record(c1, d2, i as f64 * 0.2);
+            f.record(1, 2, i as f64 * 0.2);
         }
         for i in 0..2 {
-            f.record(c2, d1, i as f64 * 0.4);
+            f.record(2, 1, i as f64 * 0.4);
         }
         f.roll_to(1.0);
-        assert!((f.child_doc_rate(c1, d1) - 10.0).abs() < 1e-9);
-        assert!((f.child_doc_rate(c1, d2) - 5.0).abs() < 1e-9);
-        assert!((f.child_total(c1) - 15.0).abs() < 1e-9);
-        assert!((f.child_total(c2) - 2.0).abs() < 1e-9);
-        let rates = f.child_doc_rates(c1);
-        assert_eq!(rates[0].0, d1); // hottest first
-        assert_eq!(f.children(), vec![c1, c2]);
+        assert!((f.rate(1, 1) - 10.0).abs() < 1e-9);
+        assert!((f.rate(1, 2) - 5.0).abs() < 1e-9);
+        assert!((f.row_total(1) - 15.0).abs() < 1e-9);
+        assert!((f.row_total(2) - 2.0).abs() < 1e-9);
+        let mut rates = Vec::new();
+        f.row_doc_rates(1, &mut rates);
+        assert_eq!(rates, vec![(1, 10.0), (2, 5.0)]); // hottest first
     }
 
     #[test]
     fn unknown_flows_are_zero() {
-        let f = FlowTable::new(1.0, 1.0);
-        assert_eq!(f.child_doc_rate(NodeId::new(9), DocId::new(9)), 0.0);
-        assert_eq!(f.child_total(NodeId::new(9)), 0.0);
-        assert!(f.children().is_empty());
-    }
-
-    #[test]
-    fn dense_table_matches_sparse_table() {
-        // Same event stream through both tables; same rates out.
-        let mut sparse = FlowTable::new(1.0, 0.5);
-        let mut dense = DenseFlowTable::new(1.0, 0.5, 3, 4);
-        let events = [
-            (1usize, 0u32, 0.1),
-            (1, 0, 0.3),
-            (1, 2, 0.4),
-            (2, 3, 0.7),
-            (1, 0, 1.2),
-            (2, 3, 1.4),
-        ];
-        for &(child, doc, t) in &events {
-            sparse.record(NodeId::new(child), DocId::new(u64::from(doc)), t);
-            dense.record(child, doc, t);
-        }
-        sparse.roll_to(2.0);
-        dense.roll_to(2.0);
-        for child in 0..3usize {
-            for doc in 0..4u32 {
-                assert_eq!(
-                    sparse.child_doc_rate(NodeId::new(child), DocId::new(u64::from(doc))),
-                    dense.rate(child, doc),
-                    "cell ({child}, {doc})"
-                );
-            }
-            assert!(
-                (sparse.child_total(NodeId::new(child)) - dense.row_total(child)).abs() < 1e-12
-            );
-            let expect: Vec<(u32, f64)> = sparse
-                .child_doc_rates(NodeId::new(child))
-                .into_iter()
-                .map(|(d, r)| (d.value() as u32, r))
-                .collect();
-            let mut got = Vec::new();
-            dense.row_doc_rates(child, &mut got);
-            assert_eq!(expect, got, "row {child}");
-        }
+        let f = DenseFlowTable::new(1.0, 1.0, 2, 2);
+        assert_eq!(f.rate(1, 1), 0.0);
+        assert_eq!(f.row_total(1), 0.0);
+        let mut rates = vec![(0, 1.0)];
+        f.row_doc_rates(1, &mut rates);
+        assert!(rates.is_empty());
     }
 
     #[test]
     fn anchored_meter_skips_unobserved_history() {
         // A fresh meter anchored at t=100 closes its first window at 101,
         // not after rolling through a hundred empty ones.
-        let mut m = RateMeter::new_anchored(1.0, 1.0, 100.0);
-        for t in [100.1, 100.5, 100.9] {
-            m.record(t);
+        let mut t = DenseFlowTable::new_anchored(1.0, 1.0, 1, 1, 100.0);
+        for at in [100.1, 100.5, 100.9] {
+            t.record(0, 0, at);
         }
-        m.roll_to(101.0);
-        assert!((m.rate_or_zero() - 3.0).abs() < 1e-9);
+        t.roll_to(101.0);
+        assert!((t.rate(0, 0) - 3.0).abs() < 1e-9);
     }
 
     #[test]
@@ -926,17 +693,5 @@ mod tests {
         // and "warm" is a bit of the count, not an `Option` tag.
         assert_eq!(std::mem::size_of::<MeterCell>(), 24);
         assert_eq!(std::mem::size_of::<OldCell>(), 32);
-    }
-
-    #[test]
-    fn snapshot_is_sorted_and_complete() {
-        let mut f = FlowTable::new(1.0, 1.0);
-        f.record(NodeId::new(2), DocId::new(5), 0.1);
-        f.record(NodeId::new(1), DocId::new(9), 0.1);
-        f.roll_to(1.0);
-        let snap = FlowSnapshot::capture(&f);
-        assert_eq!(snap.flows.len(), 2);
-        assert_eq!(snap.flows[0].0, NodeId::new(1));
-        assert_eq!(snap.flows[1].0, NodeId::new(2));
     }
 }

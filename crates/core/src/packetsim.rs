@@ -642,6 +642,52 @@ mod tests {
     }
 
     #[test]
+    fn requests_are_served_only_on_their_path_to_the_root() {
+        // 0 -> {1, 2}, 1 -> 3, 2 -> 4; all demand at leaf 3, whose route
+        // is 3, 1, 0. Lossy gossip, then a failed control link on that
+        // route: neither may move service off the route, and every hop
+        // a request climbs is one tree level.
+        let tree = Tree::from_parents(&[None, Some(0), Some(0), Some(1), Some(2)]).unwrap();
+        let leaf = NodeId::new(3);
+        let mut mix = DocMix::new(tree.len());
+        mix.set(leaf, DocId::new(1), 240.0);
+        mix.set(leaf, DocId::new(2), 60.0);
+        let lossy = PacketSimConfig {
+            gossip_loss: 0.3,
+            ..PacketSimConfig::default()
+        };
+        let mut lossy = PacketSim::new(&tree, &mix, lossy);
+        let mut cut = PacketSim::new(&tree, &mix, PacketSimConfig::default());
+        cut.run(2.0);
+        cut.apply_op(&BarrierOp::FailLink { node: leaf }).unwrap();
+        for (label, sim) in [("lossy gossip", &mut lossy), ("failed uplink", &mut cut)] {
+            let report = sim.run(30.0);
+            let mut served = 0;
+            let mut hops = 0;
+            for u in tree.nodes() {
+                let total = sim.served_total(u);
+                if tree.is_ancestor(u, leaf) {
+                    hops += total * (tree.depth(leaf) - tree.depth(u)) as u64;
+                } else {
+                    assert_eq!(total, 0, "{label}: {u} is off the route");
+                }
+                served += total;
+            }
+            assert_eq!(served, report.served_requests, "{label}");
+            assert_eq!(
+                report.mean_hops.to_bits(),
+                (hops as f64 / served as f64).to_bits(),
+                "{label}: hops"
+            );
+            assert!(report.mean_hops <= tree.depth(leaf) as f64, "{label}");
+            assert!(
+                sim.served_total(NodeId::new(1)) > 0,
+                "{label}: copies reach the route"
+            );
+        }
+    }
+
+    #[test]
     fn invalidation_revokes_copies() {
         let (tree, mix) = fig7_mix();
         let mut sim = PacketSim::new(&tree, &mix, PacketSimConfig::default());

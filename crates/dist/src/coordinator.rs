@@ -319,10 +319,10 @@ impl DistPacketSim {
         Ok(sim)
     }
 
-    /// Number of shards actually running (≤ the requested worker
-    /// count on small trees).
+    /// Number of shards the partition holds (≤ the requested worker
+    /// count on small trees), before and after [`shutdown`](Self::shutdown).
     pub fn shard_count(&self) -> usize {
-        self.workers.len().max(1)
+        self.replica.core().partition.shards()
     }
 
     /// The TLB oracle for the offered demand.

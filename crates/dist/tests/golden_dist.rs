@@ -292,6 +292,17 @@ fn surplus_workers_are_excused() {
 }
 
 #[test]
+fn shard_count_reads_the_partition_before_and_after_shutdown() {
+    let (tree, mix) = fig7_mix();
+    let config = PacketSimConfig::default();
+    let mut dist = DistPacketSim::launch(&tree, &mix, config, 2, threads()).unwrap();
+    assert_eq!(dist.shard_count(), 2, "fig7 splits into two shards");
+    dist.run(1.0).unwrap();
+    dist.shutdown();
+    assert_eq!(dist.shard_count(), 2, "shutdown keeps the partition");
+}
+
+#[test]
 fn rejected_mutations_keep_participants_in_agreement() {
     // A model-rejected barrier op must fail on the coordinator *before*
     // any broadcast, leaving every participant consistent: the run

@@ -12,8 +12,6 @@
 //! * [`LoadAssignment`] — a served-rate vector together with the forwarded
 //!   rates `A_i` it induces, plus checkers for the paper's Constraints 1
 //!   (root forwards nothing) and 2 (*no sibling sharing*, `A_i >= 0`),
-//! * [`Document`] / [`Catalog`] — immutable published documents and the
-//!   per-home-server catalog,
 //! * [`DocTable`] / [`DocSet`] — the dense document-index layer: an
 //!   immutable bijection from the fixed document universe to contiguous
 //!   `u32` indices, plus fixed-universe bitsets, which the simulation
@@ -40,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod assignment;
-pub mod doc;
 pub mod docgrid;
 pub mod doctable;
 pub mod error;
@@ -49,13 +46,12 @@ pub mod load;
 pub mod tree;
 
 pub use assignment::LoadAssignment;
-pub use doc::{Catalog, Document};
 pub use docgrid::{reserve_slack, DocGrid};
 pub use doctable::{shift_columns, DocSet, DocTable};
 pub use error::ModelError;
 pub use ids::{DocId, NodeId};
 pub use load::RateVector;
-pub use tree::{LeafRemoval, Tree, TreeBuilder};
+pub use tree::{LeafRemoval, Tree};
 
 /// Result alias used across `ww-model`.
 pub type Result<T> = std::result::Result<T, ModelError>;

@@ -148,37 +148,6 @@ impl Tree {
         })
     }
 
-    /// Builds a tree from `(child, parent)` edges over nodes `0..n`.
-    ///
-    /// The single node not appearing as a child becomes the root.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the edges do not describe a single rooted tree
-    /// over `0..n` (see [`Tree::from_parents`]).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use ww_model::Tree;
-    /// let t = Tree::from_edges(3, &[(1, 0), (2, 0)]).unwrap();
-    /// assert_eq!(t.root().index(), 0);
-    /// ```
-    pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Result<Self> {
-        let mut parents: Vec<Option<usize>> = vec![None; n];
-        for &(child, parent) in edges {
-            if child >= n {
-                return Err(ModelError::ParentOutOfRange {
-                    node: NodeId::new(child),
-                    parent,
-                    len: n,
-                });
-            }
-            parents[child] = Some(parent);
-        }
-        Tree::from_parents(&parents)
-    }
-
     /// Number of nodes in the tree.
     pub fn len(&self) -> usize {
         self.parent.len()
@@ -583,67 +552,6 @@ impl Iterator for PathToRoot<'_> {
     }
 }
 
-/// Incremental builder for [`Tree`] (C-BUILDER).
-///
-/// Useful for generators that grow a tree node by node.
-///
-/// # Example
-///
-/// ```
-/// use ww_model::TreeBuilder;
-/// let mut b = TreeBuilder::new();
-/// let root = b.add_root();
-/// let child = b.add_child(root);
-/// let _grandchild = b.add_child(child);
-/// let tree = b.build().unwrap();
-/// assert_eq!(tree.len(), 3);
-/// assert_eq!(tree.height(), 2);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct TreeBuilder {
-    parents: Vec<Option<usize>>,
-}
-
-impl TreeBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        TreeBuilder::default()
-    }
-
-    /// Adds the root node. Call once, before any [`TreeBuilder::add_child`].
-    pub fn add_root(&mut self) -> NodeId {
-        let id = NodeId::new(self.parents.len());
-        self.parents.push(None);
-        id
-    }
-
-    /// Adds a child of `parent`, returning the new node's id.
-    pub fn add_child(&mut self, parent: NodeId) -> NodeId {
-        let id = NodeId::new(self.parents.len());
-        self.parents.push(Some(parent.index()));
-        id
-    }
-
-    /// Number of nodes added so far.
-    pub fn len(&self) -> usize {
-        self.parents.len()
-    }
-
-    /// `true` when no nodes have been added.
-    pub fn is_empty(&self) -> bool {
-        self.parents.is_empty()
-    }
-
-    /// Finalizes the builder into a validated [`Tree`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the same errors as [`Tree::from_parents`].
-    pub fn build(self) -> Result<Tree> {
-        Tree::from_parents(&self.parents)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -757,25 +665,6 @@ mod tests {
         let t = four_node_tree();
         let sub = t.subtree_nodes(NodeId::new(1));
         assert_eq!(sub, vec![NodeId::new(1), NodeId::new(3)]);
-    }
-
-    #[test]
-    fn from_edges_equivalent_to_from_parents() {
-        let a = Tree::from_edges(4, &[(1, 0), (2, 0), (3, 1)]).unwrap();
-        let b = four_node_tree();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn builder_produces_valid_trees() {
-        let mut b = TreeBuilder::new();
-        let r = b.add_root();
-        let c1 = b.add_child(r);
-        let _c2 = b.add_child(r);
-        let _g = b.add_child(c1);
-        let t = b.build().unwrap();
-        assert_eq!(t.len(), 4);
-        assert_eq!(t.leaf_count(), 2);
     }
 
     #[test]

@@ -1,38 +1,40 @@
-//! # ww-net — network substrate: packets, routers, injectable filters
+//! # ww-net — network substrate: packets, injectable filters, traffic ledger
 //!
 //! WebWave's architectural premise (paper, Sections 1 and 7) is that cache
 //! servers inject *packet filters* into their co-located routers so that
 //! document requests "stumble on" cache copies en route to the home
-//! server — no directory lookup, no redirect, no discovery protocol. This
-//! crate models that data path:
+//! server — no directory lookup, no redirect, no discovery protocol. The
+//! packet engines run that walk in `ww_core::packet::on_packet` over each
+//! node's filter bits; this crate supplies the pieces around it:
 //!
 //! * [`DocRequest`] / [`DocResponse`] — request packets climbing the
 //!   routing tree and their responses,
 //! * [`PacketFilter`] with [`ExactFilter`] and [`CountingBloomFilter`] —
 //!   the injectable filters (O(1) match, no false negatives), costed at
 //!   the DPF-measured [`DPF_FILTER_COST_US`] microseconds per packet,
-//! * [`Router`] / [`walk_to_service`] — per-hop forwarding with
-//!   interception and traffic counters,
-//! * [`TrafficLedger`] / [`ServiceTable`] — the message/byte accounting
+//! * [`TrafficLedger`] / [`TrafficClass`] — the message/byte accounting
 //!   behind the scalability comparisons.
 //!
 //! # Example
 //!
 //! ```
-//! use ww_model::{DocId, NodeId, Tree};
-//! use ww_net::{DocRequest, ExactFilter, PacketFilter, RequestId, Router, walk_to_service};
+//! use ww_model::{DocId, NodeId};
+//! use ww_net::{
+//!     DocRequest, DocResponse, ExactFilter, PacketFilter, RequestId, TrafficClass, TrafficLedger,
+//! };
 //!
-//! // A chain 0 <- 1 <- 2 with a cache copy of d7 at node 1.
-//! let tree = Tree::from_parents(&[None, Some(0), Some(1)]).unwrap();
-//! let mut routers: Vec<Router<ExactFilter>> = (0..3)
-//!     .map(|i| Router::new(NodeId::new(i), ExactFilter::new()))
-//!     .collect();
-//! routers[1].filter_mut().insert(DocId::new(7));
+//! // A cache at node 1 injects a filter for d7; a request from node 2
+//! // climbs one hop and is intercepted there.
+//! let mut filter = ExactFilter::new();
+//! filter.insert(DocId::new(7));
+//! let req = DocRequest::new(RequestId::new(0), DocId::new(7), NodeId::new(2)).hop();
+//! assert!(filter.matches(req.doc));
+//! let resp = DocResponse::serve(&req, NodeId::new(1));
+//! assert_eq!(resp.round_trip_hops, 2);
 //!
-//! let req = DocRequest::new(RequestId::new(0), DocId::new(7), NodeId::new(2));
-//! let (served_by, req) = walk_to_service(&tree, &mut routers, req);
-//! assert_eq!(served_by, NodeId::new(1)); // intercepted en route
-//! assert_eq!(req.hops, 1);
+//! let mut ledger = TrafficLedger::new();
+//! ledger.record(TrafficClass::Request, req.wire_bytes(), req.hops);
+//! assert_eq!(ledger.link_transmissions(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -40,10 +42,8 @@
 
 pub mod filter;
 pub mod packet;
-pub mod router;
 pub mod stats;
 
 pub use filter::{CountingBloomFilter, ExactFilter, PacketFilter, DPF_FILTER_COST_US};
 pub use packet::{DocRequest, DocResponse, RequestId};
-pub use router::{walk_to_service, RouteDecision, Router, RouterStats};
-pub use stats::{ServiceCounters, ServiceTable, TrafficClass, TrafficLedger, ALL_TRAFFIC_CLASSES};
+pub use stats::{TrafficClass, TrafficLedger, ALL_TRAFFIC_CLASSES};

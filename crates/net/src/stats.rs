@@ -7,7 +7,6 @@
 //! request.
 
 use serde::{Deserialize, Serialize};
-use ww_model::NodeId;
 
 /// Classes of control/data traffic the simulators account for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -137,104 +136,6 @@ impl TrafficLedger {
     }
 }
 
-/// Per-node served/forwarded request counters over a measurement window —
-/// what a WebWave server knows locally.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ServiceCounters {
-    /// Requests served locally (our `L_i` sample).
-    pub served: u64,
-    /// Requests forwarded upward (our `A_i` sample).
-    pub forwarded: u64,
-}
-
-impl ServiceCounters {
-    /// Creates zeroed counters.
-    pub fn new() -> Self {
-        ServiceCounters::default()
-    }
-
-    /// Converts counts over a window of `window_secs` into rates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window_secs` is not positive.
-    pub fn to_rates(&self, window_secs: f64) -> (f64, f64) {
-        assert!(window_secs > 0.0, "window must be positive");
-        (
-            self.served as f64 / window_secs,
-            self.forwarded as f64 / window_secs,
-        )
-    }
-
-    /// Zeroes the counters for the next window.
-    pub fn reset(&mut self) {
-        *self = ServiceCounters::default();
-    }
-}
-
-/// A per-node table of [`ServiceCounters`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ServiceTable {
-    counters: Vec<ServiceCounters>,
-}
-
-impl ServiceTable {
-    /// Creates a table for `n` nodes.
-    pub fn new(n: usize) -> Self {
-        ServiceTable {
-            counters: vec![ServiceCounters::default(); n],
-        }
-    }
-
-    /// Counters of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn get(&self, node: NodeId) -> &ServiceCounters {
-        &self.counters[node.index()]
-    }
-
-    /// Mutable counters of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn get_mut(&mut self, node: NodeId) -> &mut ServiceCounters {
-        &mut self.counters[node.index()]
-    }
-
-    /// Served-rate vector over a window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window_secs` is not positive.
-    pub fn served_rates(&self, window_secs: f64) -> Vec<f64> {
-        assert!(window_secs > 0.0, "window must be positive");
-        self.counters
-            .iter()
-            .map(|c| c.served as f64 / window_secs)
-            .collect()
-    }
-
-    /// Resets every node's counters.
-    pub fn reset(&mut self) {
-        for c in &mut self.counters {
-            c.reset();
-        }
-    }
-
-    /// Number of nodes covered.
-    pub fn len(&self) -> usize {
-        self.counters.len()
-    }
-
-    /// `true` when the table covers no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,27 +183,5 @@ mod tests {
         assert_eq!(a.count(TrafficClass::Tunnel), 2);
         assert_eq!(a.bytes(TrafficClass::Tunnel), 150);
         assert_eq!(a.link_transmissions(), 3);
-    }
-
-    #[test]
-    fn service_counters_to_rates() {
-        let mut c = ServiceCounters::new();
-        c.served = 90;
-        c.forwarded = 30;
-        let (l, a) = c.to_rates(3.0);
-        assert_eq!(l, 30.0);
-        assert_eq!(a, 10.0);
-        c.reset();
-        assert_eq!(c.served, 0);
-    }
-
-    #[test]
-    fn service_table_rates_vector() {
-        let mut t = ServiceTable::new(3);
-        t.get_mut(NodeId::new(1)).served = 20;
-        let rates = t.served_rates(2.0);
-        assert_eq!(rates, vec![0.0, 10.0, 0.0]);
-        t.reset();
-        assert_eq!(t.get(NodeId::new(1)).served, 0);
     }
 }

@@ -1,28 +1,10 @@
 //! Property-based tests for the network substrate.
 
 use proptest::prelude::*;
-use ww_model::{DocId, NodeId, Tree};
+use ww_model::{DocId, NodeId};
 use ww_net::{
-    walk_to_service, CountingBloomFilter, DocRequest, ExactFilter, PacketFilter, RequestId, Router,
-    TrafficLedger,
+    CountingBloomFilter, DocRequest, ExactFilter, PacketFilter, RequestId, TrafficLedger,
 };
-
-fn arb_tree() -> impl Strategy<Value = Tree> {
-    (1usize..=25)
-        .prop_flat_map(|n| {
-            let parents: Vec<BoxedStrategy<Option<usize>>> = (0..n)
-                .map(|i| {
-                    if i == 0 {
-                        Just(None).boxed()
-                    } else {
-                        (0..i).prop_map(Some).boxed()
-                    }
-                })
-                .collect();
-            parents
-        })
-        .prop_map(|p| Tree::from_parents(&p).expect("valid tree"))
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -59,37 +41,6 @@ proptest! {
         }
         for &d in &docs {
             prop_assert_eq!(exact.matches(DocId::new(d)), bloom.matches(DocId::new(d)));
-        }
-    }
-
-    /// A request walk always terminates at a node on the origin's path to
-    /// the root, with hops equal to the tree distance walked.
-    #[test]
-    fn walk_terminates_on_route(
-        (tree, origin_idx, cache_idx, doc) in arb_tree().prop_flat_map(|t| {
-            let n = t.len();
-            (Just(t), 0..n, 0..n, 0u64..50)
-        })
-    ) {
-        let origin = NodeId::new(origin_idx);
-        let mut routers: Vec<Router<ExactFilter>> = (0..tree.len())
-            .map(|i| Router::new(NodeId::new(i), ExactFilter::new()))
-            .collect();
-        routers[cache_idx].filter_mut().insert(DocId::new(doc));
-        let req = DocRequest::new(RequestId::new(1), DocId::new(doc), origin);
-        let (served_by, finished) = walk_to_service(&tree, &mut routers, req);
-        // Serving node lies on the origin's route.
-        prop_assert!(tree.path_to_root(origin).any(|u| u == served_by));
-        // Hop count equals depth difference.
-        prop_assert_eq!(
-            finished.hops as usize,
-            tree.depth(origin) - tree.depth(served_by)
-        );
-        // If the cache is on the route (and not the root), it intercepts
-        // at or before that point.
-        let cache = NodeId::new(cache_idx);
-        if tree.path_to_root(origin).any(|u| u == cache) {
-            prop_assert!(tree.depth(served_by) >= tree.depth(cache));
         }
     }
 

@@ -11,30 +11,35 @@
 //! * [`ConvergenceTrace`] — the per-iteration Euclidean-distance series
 //!   and its summaries,
 //! * [`linear_fit`] — ordinary least squares (also the log-linear seed),
-//! * [`Summary`], [`quantile`], [`Ewma`] — descriptive statistics used by
-//!   the workload generators and the packet-level simulator.
+//! * [`ExactSum`] — an order- and grouping-independent float sum, so the
+//!   sharded packet engines fold a trace sample in their workers and
+//!   still replay the sequential driver's sample bit for bit.
 //!
 //! # Example
 //!
 //! ```
-//! use ww_stats::{ConvergenceTrace, fit_exponential};
+//! use ww_stats::{ConvergenceTrace, ExactSum};
 //!
 //! let trace: ConvergenceTrace = (0..25).map(|t| 42.0 * 0.83f64.powi(t)).collect();
 //! let fit = trace.fit_gamma(0.0).unwrap();
 //! assert!((fit.gamma - 0.83).abs() < 1e-6);
+//!
+//! // An exact sum reads the same bits in any order.
+//! let (mut forward, mut backward) = (ExactSum::new(), ExactSum::new());
+//! trace.distances().iter().for_each(|&d| forward.add(d));
+//! trace.distances().iter().rev().for_each(|&d| backward.add(d));
+//! assert_eq!(forward.value().to_bits(), backward.value().to_bits());
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod convergence;
-pub mod descriptive;
 pub mod exact;
 pub mod expfit;
 pub mod linreg;
 
 pub use convergence::ConvergenceTrace;
-pub use descriptive::{quantile, Ewma, Summary};
 pub use exact::ExactSum;
 pub use expfit::{fit_exponential, ExponentialFit, FitError};
 pub use linreg::{linear_fit, LinearFit};

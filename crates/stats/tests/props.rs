@@ -1,7 +1,7 @@
 //! Property-based tests for the statistics substrate.
 
 use proptest::prelude::*;
-use ww_stats::{fit_exponential, linear_fit, quantile, ConvergenceTrace, Ewma, Summary};
+use ww_stats::{fit_exponential, linear_fit, ConvergenceTrace};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -49,46 +49,6 @@ proptest! {
             let sum_rx: f64 = resid.iter().zip(&xs).map(|(r, x)| r * x).sum();
             prop_assert!(sum_r.abs() < 1e-6 * (1.0 + ys.iter().map(|y| y.abs()).sum::<f64>()));
             prop_assert!(sum_rx.abs() < 1e-5 * (1.0 + xs.len() as f64 * 1e4));
-        }
-    }
-
-    /// Summary invariants: min <= mean <= max; stddev^2 == variance.
-    #[test]
-    fn summary_invariants(xs in proptest::collection::vec(-1000.0f64..1000.0, 1..100)) {
-        let s = Summary::of(&xs);
-        prop_assert!(s.min <= s.mean + 1e-9);
-        prop_assert!(s.mean <= s.max + 1e-9);
-        prop_assert!((s.stddev * s.stddev - s.variance).abs() < 1e-6);
-        prop_assert_eq!(s.n, xs.len());
-    }
-
-    /// Quantiles are monotone in q and bounded by min/max.
-    #[test]
-    fn quantile_monotone(xs in proptest::collection::vec(-100.0f64..100.0, 1..60)) {
-        let qs = [0.0, 0.25, 0.5, 0.75, 1.0];
-        let vals: Vec<f64> = qs.iter().map(|&q| quantile(&xs, q).unwrap()).collect();
-        for w in vals.windows(2) {
-            prop_assert!(w[0] <= w[1] + 1e-9);
-        }
-        let s = Summary::of(&xs);
-        prop_assert!((vals[0] - s.min).abs() < 1e-9);
-        prop_assert!((vals[4] - s.max).abs() < 1e-9);
-    }
-
-    /// EWMA stays within the range of its observations.
-    #[test]
-    fn ewma_bounded_by_observations(
-        alpha in 0.01f64..1.0,
-        xs in proptest::collection::vec(-50.0f64..50.0, 1..60)
-    ) {
-        let mut e = Ewma::new(alpha);
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &x in &xs {
-            e.observe(x);
-            lo = lo.min(x);
-            hi = hi.max(x);
-            let v = e.value().unwrap();
-            prop_assert!(v >= lo - 1e-9 && v <= hi + 1e-9, "EWMA {v} outside [{lo}, {hi}]");
         }
     }
 

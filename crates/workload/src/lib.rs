@@ -5,19 +5,21 @@
 //! future-work section calls for:
 //!
 //! * [`Zipf`] — skewed document popularity (hot published documents),
-//! * [`Poisson`], [`Deterministic`], [`OnOff`] — per-stream arrival
-//!   processes for the packet-level simulator,
 //! * rate assignment over trees ([`leaf_only`], [`uniform`],
 //!   [`random_uniform`], [`zipf_nodes`]) and time-varying processes
 //!   ([`ConstantRates`], [`DiurnalDrift`], [`StepChange`],
 //!   [`RandomWalkRates`]) for the "erratic request rates" study,
 //! * [`DocMix`] — per-node, per-document demand, the input of the
-//!   packet-level WebWave protocol.
+//!   packet-level WebWave protocol ([`shared_zipf_mix`],
+//!   [`regional_zipf_mix`]).
+//!
+//! The packet engines turn each `(node, document)` rate of a mix into a
+//! Poisson request stream themselves, drawing the gaps with
+//! `ww_sim::exp_delay` from the stream's own random number generator.
 //!
 //! # Example
 //!
 //! ```
-//! use rand::SeedableRng;
 //! use ww_topology::k_ary;
 //! use ww_workload::{leaf_only, shared_zipf_mix};
 //!
@@ -30,12 +32,10 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod arrivals;
 pub mod docmix;
 pub mod rates;
 pub mod zipf;
 
-pub use arrivals::{ArrivalProcess, Deterministic, OnOff, Poisson};
 pub use docmix::{regional_zipf_mix, shared_zipf_mix, DocMix};
 pub use rates::{
     leaf_only, random_uniform, uniform, zipf_nodes, ConstantRates, DiurnalDrift, RandomWalkRates,

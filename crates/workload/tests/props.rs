@@ -4,10 +4,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ww_model::{NodeId, Tree};
-use ww_workload::{
-    leaf_only, shared_zipf_mix, zipf_nodes, ArrivalProcess, DiurnalDrift, OnOff, Poisson,
-    RateProcess, Zipf,
-};
+use ww_workload::{leaf_only, shared_zipf_mix, zipf_nodes, DiurnalDrift, RateProcess, Zipf};
 
 fn arb_tree() -> impl Strategy<Value = Tree> {
     (1usize..=25)
@@ -55,40 +52,6 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..100 {
             prop_assert!(z.sample(&mut rng) < n);
-        }
-    }
-
-    /// Poisson gaps are positive and average near 1/rate.
-    #[test]
-    fn poisson_gap_statistics(rate in 0.1f64..10_000.0, seed in any::<u64>()) {
-        let mut p = Poisson::new(rate).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n = 5000;
-        let mut sum = 0.0;
-        for _ in 0..n {
-            let g = p.next_gap(&mut rng);
-            prop_assert!(g > 0.0 && g.is_finite());
-            sum += g;
-        }
-        let mean = sum / n as f64;
-        // Within 10% of 1/rate at this sample size (exponential CV = 1).
-        prop_assert!((mean * rate - 1.0).abs() < 0.1, "mean*rate = {}", mean * rate);
-    }
-
-    /// On/off processes produce positive gaps and a long-run rate below
-    /// the burst rate.
-    #[test]
-    fn onoff_rate_bounded(
-        on_rate in 1.0f64..1000.0,
-        mean_on in 0.01f64..5.0,
-        mean_off in 0.01f64..5.0,
-        seed in any::<u64>()
-    ) {
-        let mut b = OnOff::new(on_rate, mean_on, mean_off).unwrap();
-        prop_assert!(b.mean_rate() < on_rate);
-        let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..200 {
-            prop_assert!(b.next_gap(&mut rng) > 0.0);
         }
     }
 

@@ -27,8 +27,8 @@
 //!   plus an [`scenario::Engine`]/[`scenario::Runner`] pair driving every
 //!   simulator, the runtime, and the baselines (`scenarios/*.json`),
 //! * [`stats`] — the `a * gamma^t` convergence regression,
-//! * [`sim`] / [`net`] / [`cache`] — event kernel, routers + packet
-//!   filters, cache stores,
+//! * [`sim`] / [`net`] / [`cache`] — event kernel, packets + packet
+//!   filters + traffic ledger, flow meters + push/shed planning,
 //! * [`experiments`] — one runner per paper figure/table.
 //!
 //! # Quickstart
