@@ -3,12 +3,16 @@
 //! per packet the paper cites for DPF (Engler & Kaashoek).
 //!
 //! Prints our measured per-packet cost next to the DPF reference, then
-//! benchmarks filter match/insert at several table sizes.
+//! benchmarks the counting Bloom filter's match at two table sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::{Duration, Instant};
 use ww_model::DocId;
-use ww_net::{CountingBloomFilter, ExactFilter, PacketFilter, DPF_FILTER_COST_US};
+use ww_net::{CountingBloomFilter, PacketFilter};
+
+/// The DPF-measured per-packet filtering overhead, in microseconds
+/// (Engler & Kaashoek, SIGCOMM '96, as cited by the paper).
+const DPF_FILTER_COST_US: f64 = 1.51;
 
 fn quick_cost_us<F: PacketFilter>(filter: &F, probes: u64) -> f64 {
     let start = Instant::now();
@@ -24,18 +28,12 @@ fn quick_cost_us<F: PacketFilter>(filter: &F, probes: u64) -> f64 {
 }
 
 fn print_reference_table() {
-    let mut exact = ExactFilter::new();
     let mut bloom = CountingBloomFilter::for_capacity(100_000);
     for i in 0..100_000u64 {
-        exact.insert(DocId::new(i));
         bloom.insert(DocId::new(i));
     }
-    println!("A3 — packet filter cost per request (100k-entry tables)");
+    println!("A3 — packet filter cost per request (100k-entry table)");
     println!("  DPF reference (paper): {DPF_FILTER_COST_US:.2} us/packet");
-    println!(
-        "  exact filter:          {:.4} us/packet",
-        quick_cost_us(&exact, 1_000_000)
-    );
     println!(
         "  counting bloom:        {:.4} us/packet\n",
         quick_cost_us(&bloom, 1_000_000)
@@ -50,19 +48,10 @@ fn bench(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2))
         .warm_up_time(Duration::from_millis(500));
     for &size in &[1_000usize, 100_000] {
-        let mut exact = ExactFilter::new();
         let mut bloom = CountingBloomFilter::for_capacity(size);
         for i in 0..size as u64 {
-            exact.insert(DocId::new(i));
             bloom.insert(DocId::new(i));
         }
-        group.bench_with_input(BenchmarkId::new("exact_match", size), &size, |b, _| {
-            let mut i = 0u64;
-            b.iter(|| {
-                i = i.wrapping_add(1);
-                exact.matches(DocId::new(i % (2 * size as u64)))
-            })
-        });
         group.bench_with_input(BenchmarkId::new("bloom_match", size), &size, |b, _| {
             let mut i = 0u64;
             b.iter(|| {
@@ -71,15 +60,6 @@ fn bench(c: &mut Criterion) {
             })
         });
     }
-    group.bench_function("exact_insert_remove", |b| {
-        let mut f = ExactFilter::new();
-        let mut i = 0u64;
-        b.iter(|| {
-            i = i.wrapping_add(1);
-            f.insert(DocId::new(i));
-            f.remove(DocId::new(i));
-        })
-    });
     group.finish();
 }
 

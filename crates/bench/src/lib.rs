@@ -1,4 +1,4 @@
-//! Shared scenario builders and timing helpers for the criterion benches
+//! Shared scenario builders for the criterion benches
 //! under `benches/` (relative measurements during development). The
 //! repo's recorded benchmark is `ww-sysbench` — see
 //! `benchmark/README.md`.
@@ -8,7 +8,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::{Duration, Instant};
 use ww_model::{RateVector, Tree};
 use ww_workload::DocMix;
 
@@ -26,24 +25,6 @@ pub fn scaling_scenario(n: usize, depth: usize, seed: u64) -> (Tree, RateVector)
 /// scenario (the "globally hot documents" regime).
 pub fn scaling_mix(tree: &Tree, rates: &RateVector, docs: usize) -> DocMix {
     ww_workload::shared_zipf_mix(tree, rates, docs, 1.0)
-}
-
-/// Minimum-of-`samples` timing: runs `setup` then times `work` on its
-/// output, keeping the fastest sample. The minimum is the standard robust
-/// estimator against scheduler/thermal noise on shared machines.
-pub fn time_min<S, W, T>(samples: usize, mut setup: S, mut work: W) -> Duration
-where
-    S: FnMut() -> T,
-    W: FnMut(&mut T),
-{
-    let mut best = Duration::MAX;
-    for _ in 0..samples.max(1) {
-        let mut state = setup();
-        let start = Instant::now();
-        work(&mut state);
-        best = best.min(start.elapsed());
-    }
-    best
 }
 
 #[cfg(test)]
@@ -65,17 +46,5 @@ mod tests {
         let mix = scaling_mix(&tree, &rates, 16);
         assert_eq!(mix.len(), tree.len());
         assert!((mix.spontaneous().total() - rates.total()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn time_min_returns_a_sample() {
-        let d = time_min(
-            3,
-            || 0u64,
-            |x| {
-                *x = (0..1000u64).sum();
-            },
-        );
-        assert!(d > Duration::ZERO);
     }
 }

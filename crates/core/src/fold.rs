@@ -83,15 +83,6 @@ impl FoldedTree {
         self.fold_roots.len() == 1
     }
 
-    /// The root node of the fold containing `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn fold_root(&self, node: NodeId) -> NodeId {
-        self.fold_root_of[node.index()]
-    }
-
     /// `true` when two nodes ended up in the same fold.
     ///
     /// # Panics

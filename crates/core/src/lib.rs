@@ -48,13 +48,10 @@ pub mod wave;
 pub use docsim::{DocSim, DocSimConfig, DocSimStats};
 pub use fold::{webfold, webfold_with_order, FoldEvent, FoldOrder, FoldedTree};
 pub use packetsim::{PacketBackend, PacketSim, PacketSimConfig, PacketSimReport};
-pub use throughput::{
-    capacity_sweep, saturation_capacity, throughput_at_capacity, ThroughputReport,
-};
+pub use throughput::{saturation_capacity, throughput_at_capacity, ThroughputReport};
 pub use tlb::{
     check_feasibility, check_monotone_non_increasing, check_zero_interfold_flow, gle_feasible,
-    is_tlb, potential_barrier_nodes, random_feasible_assignment, tlb_report, Feasibility,
-    TlbReport, DEFAULT_TOL,
+    is_tlb, potential_barrier_nodes, random_feasible_assignment, Feasibility,
 };
-pub use tracking::{reconvergence_after_step, track, TrackingConfig, TrackingResult};
+pub use tracking::{track, TrackingConfig, TrackingResult};
 pub use wave::{RateWave, WaveConfig};

@@ -81,26 +81,6 @@ pub fn saturation_capacity(load: &RateVector) -> f64 {
     load.max()
 }
 
-/// Sweeps capacity over `points` values from 0 to `max_capacity` and
-/// reports throughput at each.
-///
-/// # Panics
-///
-/// Panics if `points == 0` or `max_capacity` is invalid.
-pub fn capacity_sweep(
-    load: &RateVector,
-    max_capacity: f64,
-    points: usize,
-) -> Vec<ThroughputReport> {
-    assert!(points > 0, "need at least one sweep point");
-    (0..points)
-        .map(|i| {
-            let c = max_capacity * (i + 1) as f64 / points as f64;
-            throughput_at_capacity(load, c)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,7 +98,9 @@ mod tests {
     #[test]
     fn throughput_monotone_in_capacity() {
         let load = RateVector::from(vec![5.0, 20.0, 9.0]);
-        let sweep = capacity_sweep(&load, 25.0, 10);
+        let sweep: Vec<_> = (1..=10)
+            .map(|i| throughput_at_capacity(&load, 25.0 * i as f64 / 10.0))
+            .collect();
         for w in sweep.windows(2) {
             assert!(w[1].served >= w[0].served);
         }

@@ -16,9 +16,6 @@ use crate::fold::{webfold, FoldedTree};
 use rand::Rng;
 use ww_model::{LoadAssignment, NodeId, RateVector, Tree};
 
-/// Default numeric tolerance for feasibility and comparison checks.
-pub const DEFAULT_TOL: f64 = 1e-9;
-
 /// A verdict on one assignment's relation to the paper's constraints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Feasibility {
@@ -138,42 +135,6 @@ pub fn is_tlb(tree: &Tree, spontaneous: &RateVector, candidate: &RateVector, tol
     a.iter().zip(&b).all(|(x, y)| (x - y).abs() <= tol)
 }
 
-/// Result of measuring an assignment against the TLB oracle.
-#[derive(Debug, Clone)]
-pub struct TlbReport {
-    /// The oracle assignment computed by WebFold.
-    pub oracle: RateVector,
-    /// Euclidean distance from the candidate to the oracle.
-    pub distance: f64,
-    /// Maximum load of the candidate.
-    pub max_load: f64,
-    /// Maximum load of the oracle (the minimized `L_max`).
-    pub optimal_max_load: f64,
-    /// Whether the candidate is feasible.
-    pub feasible: bool,
-}
-
-/// Measures `candidate` against the WebFold oracle.
-///
-/// # Panics
-///
-/// Panics if the vectors do not validate against `tree`.
-pub fn tlb_report(
-    tree: &Tree,
-    spontaneous: &RateVector,
-    candidate: &RateVector,
-    tol: f64,
-) -> TlbReport {
-    let oracle = webfold(tree, spontaneous).into_load();
-    TlbReport {
-        distance: candidate.euclidean_distance(&oracle),
-        max_load: candidate.max(),
-        optimal_max_load: oracle.max(),
-        feasible: check_feasibility(tree, spontaneous, candidate, tol).is_feasible(),
-        oracle,
-    }
-}
-
 /// The node-level *potential barrier* predicate of Section 5.2, at the
 /// load level: node `j` is a potential barrier when it has a parent `i`
 /// and two children `k`, `k'` with `L_k' >= L_j >= L_i > L_k`. The
@@ -210,21 +171,21 @@ mod tests {
     fn feasibility_checker_agrees_with_hand_examples() {
         let s = paper::fig2b();
         let tlb = paper::fig2b_tlb();
-        let f = check_feasibility(&s.tree, &s.spontaneous, &tlb, DEFAULT_TOL);
+        let f = check_feasibility(&s.tree, &s.spontaneous, &tlb, 1e-9);
         assert!(f.is_feasible());
         let gle = RateVector::uniform(5, 20.0);
-        let f = check_feasibility(&s.tree, &s.spontaneous, &gle, DEFAULT_TOL);
+        let f = check_feasibility(&s.tree, &s.spontaneous, &gle, 1e-9);
         assert!(!f.nss);
     }
 
     #[test]
     fn gle_feasibility_matches_fold_count() {
         let a = paper::fig2a();
-        assert!(gle_feasible(&a.tree, &a.spontaneous, DEFAULT_TOL));
+        assert!(gle_feasible(&a.tree, &a.spontaneous, 1e-9));
         assert!(webfold(&a.tree, &a.spontaneous).is_gle());
 
         let b = paper::fig2b();
-        assert!(!gle_feasible(&b.tree, &b.spontaneous, DEFAULT_TOL));
+        assert!(!gle_feasible(&b.tree, &b.spontaneous, 1e-9));
         assert!(!webfold(&b.tree, &b.spontaneous).is_gle());
     }
 
@@ -269,15 +230,6 @@ mod tests {
         let mut all_at_root = RateVector::zeros(s.tree.len());
         all_at_root[s.tree.root()] = s.total_demand();
         assert!(!is_tlb(&s.tree, &s.spontaneous, &all_at_root, 1e-9));
-    }
-
-    #[test]
-    fn tlb_report_distances() {
-        let s = paper::fig2b();
-        let r = tlb_report(&s.tree, &s.spontaneous, &paper::fig2b_tlb(), 1e-9);
-        assert!(r.feasible);
-        assert!(r.distance < 1e-9);
-        assert_eq!(r.max_load, r.optimal_max_load);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! recording how closely the protocol *tracks* the moving optimum.
 
 use crate::wave::{RateWave, WaveConfig};
-use ww_model::{RateVector, Tree};
+use ww_model::Tree;
 use ww_workload::RateProcess;
 
 /// Configuration of a tracking run.
@@ -93,31 +93,10 @@ pub fn track<P: RateProcess>(
     }
 }
 
-/// Convenience: measure how many rounds WebWave needs to re-converge
-/// after a single step change in demand (the simplest erratic regime).
-///
-/// Returns `(rounds_to_threshold, residual_distance)`.
-///
-/// # Panics
-///
-/// Panics if the vectors do not validate against `tree`.
-pub fn reconvergence_after_step(
-    tree: &Tree,
-    before: &RateVector,
-    after: &RateVector,
-    threshold_fraction: f64,
-    max_rounds: usize,
-) -> (usize, f64) {
-    let mut wave = RateWave::new(tree, before, WaveConfig::default());
-    wave.run_until(threshold_fraction * before.total(), max_rounds);
-    wave.set_spontaneous(after);
-    let rounds = wave.run_until(threshold_fraction * after.total(), max_rounds);
-    (rounds, wave.distance_to_tlb())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ww_model::RateVector;
     use ww_topology::paper;
     use ww_workload::{ConstantRates, DiurnalDrift, StepChange};
 
@@ -137,16 +116,6 @@ mod tests {
         // After the first few epochs the error is essentially zero.
         assert!(result.epoch_errors[9] < 1e-6);
         assert!(result.mean_relative_error < 0.2);
-    }
-
-    #[test]
-    fn step_change_recovers_quickly() {
-        let s = paper::fig2b();
-        let flipped = RateVector::from(vec![0.0, 0.0, 0.0, 10.0, 90.0]);
-        let (rounds, residual) =
-            reconvergence_after_step(&s.tree, &s.spontaneous, &flipped, 0.001, 50_000);
-        assert!(rounds < 50_000, "never reconverged");
-        assert!(residual <= 0.001 * flipped.total() + 1e-9);
     }
 
     #[test]

@@ -4,16 +4,16 @@
 //! Cybenko and Bertsekas & Tsitsiklis: each server periodically gossips its
 //! load and relegates a fraction `alpha` of any surplus to less loaded
 //! neighbors, converging to Global Load Equality (GLE) exponentially fast
-//! on connected networks. This crate implements that substrate in full:
+//! on connected networks. This crate implements its synchronous form:
 //!
 //! * [`DiffusionMatrix`] — `D = I - alpha L`, with Cybenko's feasibility
 //!   conditions enforced and a power-iteration [`DiffusionMatrix::contraction_factor`],
 //! * [`SyncDiffusion`] — the synchronous runner (`x(t) = D x(t-1)`),
-//! * [`AsyncDiffusion`] — bounded-delay asynchronous diffusion
-//!   (Bertsekas-Tsitsiklis), with exact mass conservation across in-flight
-//!   transfers,
 //! * [`hypercube_alpha`] / [`k_ary_n_cube_alpha`] / [`ring_alpha`] — the
 //!   optimal parameters of Xu & Lau, verified against the measured spectra.
+//!
+//! The bounded-delay asynchronous variant of Bertsekas & Tsitsiklis is
+//! background in the paper and is not modelled here.
 //!
 //! WebWave itself (crate `ww-core`) specializes this machinery to routing
 //! trees under the no-sibling-sharing constraint.
@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod alpha;
-pub mod asynchronous;
 pub mod matrix;
 pub mod sync;
 
@@ -45,6 +44,5 @@ pub use alpha::{
     from_spectrum_extremes, hypercube_alpha, k_ary_n_cube_alpha, ring_alpha, safe_alpha,
     OptimalAlpha,
 };
-pub use asynchronous::{AsyncConfig, AsyncDiffusion};
 pub use matrix::DiffusionMatrix;
 pub use sync::SyncDiffusion;

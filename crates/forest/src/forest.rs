@@ -44,33 +44,6 @@ impl Forest {
         })
     }
 
-    /// Builds a forest directly from explicit trees (which must all cover
-    /// the same node set).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::LengthMismatch`] when tree sizes differ.
-    pub fn from_trees(trees: Vec<Tree>) -> Result<Self, ModelError> {
-        let Some(first) = trees.first() else {
-            return Err(ModelError::EmptyTree);
-        };
-        let nodes = first.len();
-        for t in &trees {
-            if t.len() != nodes {
-                return Err(ModelError::LengthMismatch {
-                    expected: nodes,
-                    actual: t.len(),
-                });
-            }
-        }
-        let roots = trees.iter().map(Tree::root).collect();
-        Ok(Forest {
-            trees,
-            roots,
-            nodes,
-        })
-    }
-
     /// Number of trees (home servers).
     pub fn tree_count(&self) -> usize {
         self.trees.len()
@@ -203,16 +176,6 @@ mod tests {
         let g = path_graph(3);
         assert!(Forest::from_graph(&g, &[]).is_err());
         assert!(Forest::from_graph(&Graph::new(0), &[NodeId::new(0)]).is_err());
-    }
-
-    #[test]
-    fn from_trees_validates_shapes() {
-        let a = Tree::from_parents(&[None, Some(0)]).unwrap();
-        let b = Tree::from_parents(&[Some(1), None]).unwrap();
-        let f = Forest::from_trees(vec![a.clone(), b]).unwrap();
-        assert_eq!(f.tree_count(), 2);
-        let c = Tree::from_parents(&[None]).unwrap();
-        assert!(Forest::from_trees(vec![a, c]).is_err());
     }
 
     #[test]

@@ -133,16 +133,6 @@ impl LoadAssignment {
     pub fn through(&self, node: NodeId) -> f64 {
         self.served[node] + self.forwarded[node]
     }
-
-    /// Euclidean distance between this assignment's served rates and
-    /// another served-rate vector (e.g. the TLB oracle).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` has a different length.
-    pub fn distance_to(&self, other: &RateVector) -> f64 {
-        self.served.euclidean_distance(other)
-    }
 }
 
 /// Computes forwarded rates `A_i = E_i + sum_{j in C_i} A_j - L_i`
@@ -242,15 +232,6 @@ mod tests {
             LoadAssignment::new(&tree, &e, l),
             Err(ModelError::LengthMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn distance_to_oracle() {
-        let (tree, e) = chain3();
-        let l = RateVector::from(vec![10.0, 10.0, 10.0]);
-        let a = LoadAssignment::new(&tree, &e, l).unwrap();
-        let oracle = RateVector::from(vec![10.0, 10.0, 10.0]);
-        assert_eq!(a.distance_to(&oracle), 0.0);
     }
 
     #[test]

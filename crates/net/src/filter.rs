@@ -7,18 +7,12 @@
 //! per filtered packet; our filters model that architecture: O(1) match,
 //! dynamic insert/remove as cache contents change.
 //!
-//! Two implementations are provided: [`ExactFilter`] (a hash set — no
-//! false positives) and [`CountingBloomFilter`] (constant space and
+//! The implementation is [`CountingBloomFilter`]: constant space and
 //! removal support, with a tunable false-positive rate — false positives
-//! only cost an extra lookup at the cache, never a wrong answer).
+//! only cost an extra lookup at the cache, never a wrong answer.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use ww_model::DocId;
-
-/// The DPF-measured per-packet filtering overhead, in microseconds
-/// (Engler & Kaashoek, SIGCOMM '96, as cited by the paper).
-pub const DPF_FILTER_COST_US: f64 = 1.51;
 
 /// A router-resident packet filter over document ids.
 ///
@@ -41,50 +35,6 @@ pub trait PacketFilter {
     /// `true` when no documents are being intercepted.
     fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// An exact filter: a hash set of document ids. No false positives.
-///
-/// # Example
-///
-/// ```
-/// use ww_model::DocId;
-/// use ww_net::{ExactFilter, PacketFilter};
-/// let mut f = ExactFilter::new();
-/// f.insert(DocId::new(3));
-/// assert!(f.matches(DocId::new(3)));
-/// assert!(!f.matches(DocId::new(4)));
-/// f.remove(DocId::new(3));
-/// assert!(f.is_empty());
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ExactFilter {
-    docs: HashSet<DocId>,
-}
-
-impl ExactFilter {
-    /// Creates an empty filter.
-    pub fn new() -> Self {
-        ExactFilter::default()
-    }
-}
-
-impl PacketFilter for ExactFilter {
-    fn insert(&mut self, doc: DocId) {
-        self.docs.insert(doc);
-    }
-
-    fn remove(&mut self, doc: DocId) {
-        self.docs.remove(&doc);
-    }
-
-    fn matches(&self, doc: DocId) -> bool {
-        self.docs.contains(&doc)
-    }
-
-    fn len(&self) -> usize {
-        self.docs.len()
     }
 }
 
@@ -199,18 +149,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn exact_filter_basics() {
-        let mut f = ExactFilter::new();
-        assert!(f.is_empty());
-        f.insert(DocId::new(1));
-        f.insert(DocId::new(1));
-        assert_eq!(f.len(), 1);
-        assert!(f.matches(DocId::new(1)));
-        f.remove(DocId::new(1));
-        assert!(!f.matches(DocId::new(1)));
-    }
-
-    #[test]
     fn bloom_no_false_negatives() {
         let mut f = CountingBloomFilter::for_capacity(1000);
         for i in 0..1000u64 {
@@ -305,13 +243,8 @@ mod tests {
 
     #[test]
     fn filters_usable_as_trait_objects() {
-        let mut filters: Vec<Box<dyn PacketFilter>> = vec![
-            Box::new(ExactFilter::new()),
-            Box::new(CountingBloomFilter::for_capacity(16)),
-        ];
-        for f in &mut filters {
-            f.insert(DocId::new(5));
-            assert!(f.matches(DocId::new(5)));
-        }
+        let mut f: Box<dyn PacketFilter> = Box::new(CountingBloomFilter::for_capacity(16));
+        f.insert(DocId::new(5));
+        assert!(f.matches(DocId::new(5)));
     }
 }

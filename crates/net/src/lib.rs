@@ -9,9 +9,8 @@
 //!
 //! * [`DocRequest`] / [`DocResponse`] — request packets climbing the
 //!   routing tree and their responses,
-//! * [`PacketFilter`] with [`ExactFilter`] and [`CountingBloomFilter`] —
-//!   the injectable filters (O(1) match, no false negatives), costed at
-//!   the DPF-measured [`DPF_FILTER_COST_US`] microseconds per packet,
+//! * [`PacketFilter`] with [`CountingBloomFilter`] — the injectable
+//!   filter (O(1) match, removal, no false negatives),
 //! * [`TrafficLedger`] / [`TrafficClass`] — the message/byte accounting
 //!   behind the scalability comparisons.
 //!
@@ -20,12 +19,13 @@
 //! ```
 //! use ww_model::{DocId, NodeId};
 //! use ww_net::{
-//!     DocRequest, DocResponse, ExactFilter, PacketFilter, RequestId, TrafficClass, TrafficLedger,
+//!     CountingBloomFilter, DocRequest, DocResponse, PacketFilter, RequestId, TrafficClass,
+//!     TrafficLedger,
 //! };
 //!
 //! // A cache at node 1 injects a filter for d7; a request from node 2
 //! // climbs one hop and is intercepted there.
-//! let mut filter = ExactFilter::new();
+//! let mut filter = CountingBloomFilter::for_capacity(16);
 //! filter.insert(DocId::new(7));
 //! let req = DocRequest::new(RequestId::new(0), DocId::new(7), NodeId::new(2)).hop();
 //! assert!(filter.matches(req.doc));
@@ -44,6 +44,6 @@ pub mod filter;
 pub mod packet;
 pub mod stats;
 
-pub use filter::{CountingBloomFilter, ExactFilter, PacketFilter, DPF_FILTER_COST_US};
+pub use filter::{CountingBloomFilter, PacketFilter};
 pub use packet::{DocRequest, DocResponse, RequestId};
 pub use stats::{TrafficClass, TrafficLedger, ALL_TRAFFIC_CLASSES};

@@ -2,9 +2,7 @@
 
 use proptest::prelude::*;
 use ww_model::{DocId, NodeId};
-use ww_net::{
-    CountingBloomFilter, DocRequest, ExactFilter, PacketFilter, RequestId, TrafficLedger,
-};
+use ww_net::{CountingBloomFilter, DocRequest, PacketFilter, RequestId, TrafficLedger};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -26,22 +24,6 @@ proptest! {
             f.remove(DocId::new(d));
         }
         prop_assert_eq!(f.len(), 0);
-    }
-
-    /// Exact and Bloom filters agree on inserted membership.
-    #[test]
-    fn filters_agree_on_members(
-        docs in proptest::collection::hash_set(0u64..5_000, 1..100)
-    ) {
-        let mut exact = ExactFilter::new();
-        let mut bloom = CountingBloomFilter::for_capacity(docs.len());
-        for &d in &docs {
-            exact.insert(DocId::new(d));
-            bloom.insert(DocId::new(d));
-        }
-        for &d in &docs {
-            prop_assert_eq!(exact.matches(DocId::new(d)), bloom.matches(DocId::new(d)));
-        }
     }
 
     /// Ledger merge is associative in effect: counts add up.

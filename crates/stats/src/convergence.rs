@@ -74,23 +74,6 @@ impl ConvergenceTrace {
         self.distances.iter().position(|&d| d <= threshold)
     }
 
-    /// `true` when the series never rises by more than `tol` between
-    /// consecutive iterations — the monotone contraction Cybenko's result
-    /// guarantees for synchronous diffusion.
-    pub fn is_monotone_decreasing(&self, tol: f64) -> bool {
-        self.distances.windows(2).all(|w| w[1] <= w[0] + tol)
-    }
-
-    /// Per-step contraction factors `d_{t+1} / d_t` (skipping steps where
-    /// `d_t == 0`).
-    pub fn contraction_factors(&self) -> Vec<f64> {
-        self.distances
-            .windows(2)
-            .filter(|w| w[0] > 0.0)
-            .map(|w| w[1] / w[0])
-            .collect()
-    }
-
     /// Fits the paper's bounding model `a * gamma^t` to the trace.
     ///
     /// `floor` excludes the numerical-noise tail; see
@@ -141,29 +124,6 @@ mod tests {
         assert_eq!(t.iterations_to(16.0), Some(0));
         assert_eq!(t.iterations_to(4.0), Some(2));
         assert_eq!(t.iterations_to(0.0), None);
-    }
-
-    #[test]
-    fn monotonicity_detection() {
-        let t = geometric(10.0, 0.9, 20);
-        assert!(t.is_monotone_decreasing(0.0));
-        let bumpy = ConvergenceTrace::from_distances(vec![5.0, 4.0, 4.5, 3.0]);
-        assert!(!bumpy.is_monotone_decreasing(0.0));
-        assert!(bumpy.is_monotone_decreasing(0.6));
-    }
-
-    #[test]
-    fn contraction_factors_of_geometric_series() {
-        let t = geometric(8.0, 0.75, 6);
-        let f = t.contraction_factors();
-        assert_eq!(f.len(), 5);
-        assert!(f.iter().all(|&x| (x - 0.75).abs() < 1e-12));
-    }
-
-    #[test]
-    fn contraction_skips_zero_steps() {
-        let t = ConvergenceTrace::from_distances(vec![1.0, 0.0, 0.0]);
-        assert_eq!(t.contraction_factors(), vec![0.0]);
     }
 
     #[test]

@@ -119,11 +119,6 @@ impl ExactSum {
         assert_eq!(carry, 0, "ExactSum overflow on merge");
     }
 
-    /// `true` when nothing non-zero has been accumulated.
-    pub fn is_zero(&self) -> bool {
-        self.limbs.iter().all(|&l| l == 0)
-    }
-
     /// The raw accumulator limbs, least significant first — the exact
     /// state, suitable for transporting a partial sum across a process
     /// boundary and rebuilding it with [`ExactSum::from_limbs`].

@@ -2,7 +2,7 @@
 //!
 //! Section 2 of the paper grounds WebWave in the diffusion literature:
 //! Cybenko's hypercubes, Hong et al.'s nearest-neighbor averaging, Xu &
-//! Lau's k-ary n-cubes and Lüling & Monien's De Bruijn / ring networks.
+//! Lau's k-ary n-cubes and Lüling & Monien's ring networks.
 //! [`Graph`] plus the generators below let `ww-diffusion` reproduce the
 //! classic Global Load Equality results those works establish, which the
 //! tree-constrained WebWave is then compared against.
@@ -205,24 +205,6 @@ pub fn k_ary_n_cube(k: usize, n: usize) -> Graph {
     g
 }
 
-/// The binary De Bruijn graph of dimension `dim` (2^dim nodes), the other
-/// topology of Lüling & Monien's load balancer. Edges connect `u` to
-/// `(2u) mod n` and `(2u + 1) mod n`, undirected and deduplicated.
-///
-/// # Panics
-///
-/// Panics if `dim == 0` or `dim >= usize::BITS as usize`.
-pub fn de_bruijn(dim: usize) -> Graph {
-    assert!(dim > 0 && dim < usize::BITS as usize, "bad dimension");
-    let n = 1usize << dim;
-    let mut g = Graph::new(n);
-    for u in 0..n {
-        g.add_edge(u, (2 * u) % n);
-        g.add_edge(u, (2 * u + 1) % n);
-    }
-    g
-}
-
 /// The complete graph on `n` nodes — diffusion converges in one step with
 /// `alpha = 1/n`; useful as a best-case baseline.
 ///
@@ -289,14 +271,6 @@ mod tests {
         assert_eq!(g.len(), 9);
         assert!(g.nodes().all(|u| g.degree(u) == 4));
         assert!(g.is_connected());
-    }
-
-    #[test]
-    fn de_bruijn_connected() {
-        let g = de_bruijn(4);
-        assert_eq!(g.len(), 16);
-        assert!(g.is_connected());
-        assert!(g.max_degree() <= 4);
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! server to its clients. This crate generates those trees — deterministic
 //! shapes ([`path`], [`star`], [`k_ary`], [`caterpillar`], [`broom`],
 //! [`two_level`]), random families ([`random_tree_of_depth`],
-//! [`random_pruefer`], [`random_attachment`]) and the paper's hand-crafted
-//! example scenarios ([`paper::fig2a`] .. [`paper::fig7`]) — plus the
-//! classic diffusion [`Graph`] topologies ([`ring`], [`hypercube`],
-//! [`k_ary_n_cube`], [`de_bruijn`]) used by the GLE baselines of Section 2.
+//! [`random_recursive_bounded`], [`random_pruefer`]) and the paper's
+//! hand-crafted example scenarios ([`paper::fig2a`] .. [`paper::fig7`]) —
+//! plus the classic diffusion [`Graph`] topologies ([`ring`],
+//! [`hypercube`], [`k_ary_n_cube`], [`complete`]) used by the GLE
+//! baselines of Section 2.
 //!
 //! # Example
 //!
@@ -33,8 +34,6 @@ pub mod paper;
 pub mod random;
 pub mod trees;
 
-pub use graph::{complete, de_bruijn, hypercube, k_ary_n_cube, ring, Graph};
-pub use random::{
-    random_attachment, random_pruefer, random_recursive_bounded, random_tree_of_depth,
-};
+pub use graph::{complete, hypercube, k_ary_n_cube, ring, Graph};
+pub use random::{random_pruefer, random_recursive_bounded, random_tree_of_depth};
 pub use trees::{binary, broom, caterpillar, k_ary, path, star, two_level};

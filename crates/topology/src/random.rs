@@ -1,16 +1,17 @@
 //! Random tree generators.
 //!
 //! Section 5.1 of the paper evaluates WebWave convergence on random trees
-//! ("for a random tree with depth 9, gamma = 0.830734"). We provide three
+//! ("for a random tree with depth 9, gamma = 0.830734"). We provide two
 //! families:
 //!
 //! * [`random_recursive_bounded`] — nodes attach to a uniformly random
 //!   existing node whose depth allows the child to respect a depth bound;
 //!   the natural reading of "a random tree with depth d",
 //! * [`random_pruefer`] — a uniformly random labeled tree via Prüfer
-//!   sequences, re-rooted at node 0,
-//! * [`random_attachment`] — preferential / uniform attachment with a
-//!   fan-out cap, for Internet-like skew.
+//!   sequences, re-rooted at node 0.
+//!
+//! [`random_tree_of_depth`] grows the first family on a spine, so the
+//! height is exactly the one asked for.
 
 use rand::Rng;
 use ww_model::Tree;
@@ -166,35 +167,6 @@ fn edges_to_rooted_tree(n: usize, edges: &[(usize, usize)], root: usize) -> Tree
     Tree::from_parents(&parents).expect("edge list was a tree")
 }
 
-/// Random attachment tree with a fan-out cap: each new node attaches to a
-/// random existing node with fewer than `max_children` children.
-///
-/// With small `max_children` this produces deep, skinny, Internet-like
-/// access trees.
-///
-/// # Panics
-///
-/// Panics if `n == 0` or `max_children == 0`.
-pub fn random_attachment<R: Rng + ?Sized>(rng: &mut R, n: usize, max_children: usize) -> Tree {
-    assert!(n > 0, "tree must have at least one node");
-    assert!(max_children > 0, "fan-out cap must be positive");
-    let mut parents: Vec<Option<usize>> = vec![None];
-    let mut child_count = vec![0usize];
-    let mut open: Vec<usize> = vec![0];
-    for i in 1..n {
-        let slot = rng.gen_range(0..open.len());
-        let p = open[slot];
-        parents.push(Some(p));
-        child_count[p] += 1;
-        child_count.push(0);
-        if child_count[p] >= max_children {
-            open.swap_remove(slot);
-        }
-        open.push(i);
-    }
-    Tree::from_parents(&parents).expect("generated parents are valid")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,22 +224,6 @@ mod tests {
             edges.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
         normalized.sort_unstable();
         assert_eq!(normalized, vec![(0, 3), (1, 3), (2, 3), (3, 4), (4, 5)]);
-    }
-
-    #[test]
-    fn attachment_respects_fanout_cap() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let t = random_attachment(&mut rng, 200, 2);
-        for u in t.nodes() {
-            assert!(t.children(u).len() <= 2);
-        }
-    }
-
-    #[test]
-    fn attachment_cap_one_is_a_path() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let t = random_attachment(&mut rng, 20, 1);
-        assert_eq!(t.height(), 19);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! the published documents.
 
 use crate::Zipf;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 use ww_model::{DocId, NodeId, RateVector, Tree};
 
@@ -213,54 +212,9 @@ pub fn shared_zipf_mix(tree: &Tree, spontaneous: &RateVector, docs: usize, s: f6
     mix
 }
 
-/// Builds a mix where each node is interested in its *own* random subset of
-/// `docs_per_node` documents drawn from `universe` document ids, splitting
-/// its rate by Zipf(s) over that subset.
-///
-/// This "regional interest" regime creates the per-document diversity that
-/// produces potential barriers (Section 5.2): a parent may carry none of
-/// the documents an underloaded child requests.
-///
-/// # Panics
-///
-/// Panics if `docs_per_node == 0` or `universe == 0`.
-pub fn regional_zipf_mix<R: Rng + ?Sized>(
-    rng: &mut R,
-    tree: &Tree,
-    spontaneous: &RateVector,
-    universe: usize,
-    docs_per_node: usize,
-    s: f64,
-) -> DocMix {
-    assert_eq!(spontaneous.len(), tree.len(), "rates must match tree");
-    assert!(universe > 0 && docs_per_node > 0, "need documents");
-    let k = docs_per_node.min(universe);
-    let zipf = Zipf::new(k, s).expect("valid zipf parameters");
-    let mut mix = DocMix::new(tree.len());
-    for (node, rate) in spontaneous.iter() {
-        if rate <= 0.0 {
-            continue;
-        }
-        // Sample k distinct docs by partial Fisher-Yates over the universe.
-        let mut ids: Vec<usize> = (0..universe).collect();
-        for i in 0..k {
-            let j = rng.gen_range(i..universe);
-            ids.swap(i, j);
-        }
-        for (rank, share) in zipf.rate_split(rate).into_iter().enumerate() {
-            if share > 0.0 {
-                mix.set(node, DocId::new(ids[rank] as u64), share);
-            }
-        }
-    }
-    mix
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn tree() -> Tree {
         Tree::from_parents(&[None, Some(0), Some(0), Some(1)]).unwrap()
@@ -317,29 +271,6 @@ mod tests {
         }
         // Doc 0 is globally hottest.
         assert!(m.doc_total(DocId::new(0)) > m.doc_total(DocId::new(15)));
-    }
-
-    #[test]
-    fn regional_mix_uses_distinct_docs_per_node() {
-        let t = tree();
-        let e = RateVector::from(vec![0.0, 10.0, 10.0, 10.0]);
-        let mut rng = StdRng::seed_from_u64(11);
-        let m = regional_zipf_mix(&mut rng, &t, &e, 100, 4, 1.0);
-        for (node, rate) in e.iter() {
-            assert!((m.node_total(node) - rate).abs() < 1e-9);
-            if rate > 0.0 {
-                assert_eq!(m.demands_of(node).len(), 4);
-            }
-        }
-    }
-
-    #[test]
-    fn regional_mix_clamps_subset_to_universe() {
-        let t = tree();
-        let e = RateVector::from(vec![0.0, 0.0, 0.0, 9.0]);
-        let mut rng = StdRng::seed_from_u64(12);
-        let m = regional_zipf_mix(&mut rng, &t, &e, 2, 10, 1.0);
-        assert_eq!(m.demands_of(NodeId::new(3)).len(), 2);
     }
 
     #[test]

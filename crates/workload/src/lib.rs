@@ -10,8 +10,7 @@
 //!   ([`ConstantRates`], [`DiurnalDrift`], [`StepChange`],
 //!   [`RandomWalkRates`]) for the "erratic request rates" study,
 //! * [`DocMix`] — per-node, per-document demand, the input of the
-//!   packet-level WebWave protocol ([`shared_zipf_mix`],
-//!   [`regional_zipf_mix`]).
+//!   packet-level WebWave protocol ([`shared_zipf_mix`]).
 //!
 //! The packet engines turn each `(node, document)` rate of a mix into a
 //! Poisson request stream themselves, drawing the gaps with
@@ -36,7 +35,7 @@ pub mod docmix;
 pub mod rates;
 pub mod zipf;
 
-pub use docmix::{regional_zipf_mix, shared_zipf_mix, DocMix};
+pub use docmix::{shared_zipf_mix, DocMix};
 pub use rates::{
     leaf_only, random_uniform, uniform, zipf_nodes, ConstantRates, DiurnalDrift, RandomWalkRates,
     RateProcess, StepChange,

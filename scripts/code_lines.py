@@ -137,47 +137,62 @@ def test_module_files(path):
     return found
 
 
-def count_file(path, all_test):
-    """(code, test) line counts of one source file."""
+def classify(path, all_test):
+    """Yields (line number, text, has code, brace delta, in test) for every
+    line of one source file. `in test` marks the lines of `#[cfg(test)]`
+    items, and every line when `all_test` is set; the brace delta skips
+    braces in comments and literals."""
     scan = Scanner()
-    code = test = 0
     pending = False  # saw `#[cfg(test)]`, item not started yet
     depth = None  # brace depth inside a test item, None outside one
     with open(path, encoding="utf-8") as f:
-        for text in f:
-            stripped = text.strip()
+        for number, text in enumerate(f, 1):
             has_code, delta, ends = scan.line(text)
-            if not has_code:
-                continue
-            if all_test:
-                test += 1
-                continue
-            attrs, rest = split_attrs(stripped)
-            if depth is None and "#[cfg(test)]" in attrs:
-                pending = True
-            if pending or depth is not None:
-                test += 1
-                if depth is None and rest:
-                    pending, depth = False, 0
-                if depth is not None:
-                    depth += delta
-                    if depth <= 0 and (delta != 0 or ends):
-                        depth = None
-            else:
-                code += 1
+            if has_code and not all_test:
+                attrs, rest = split_attrs(text.strip())
+                if depth is None and "#[cfg(test)]" in attrs:
+                    pending = True
+                if pending or depth is not None:
+                    if depth is None and rest:
+                        pending, depth = False, 0
+                    if depth is not None:
+                        depth += delta
+                        if depth <= 0 and (delta != 0 or ends):
+                            yield number, text, has_code, delta, True
+                            depth = None
+                            continue
+            yield number, text, has_code, delta, all_test or pending or depth is not None
+
+
+def count_file(path, all_test):
+    """(code, test) line counts of one source file."""
+    code = test = 0
+    for _, _, has_code, _, in_test in classify(path, all_test):
+        if not has_code:
+            continue
+        if in_test:
+            test += 1
+        else:
+            code += 1
     return code, test
 
 
-def count_crate(src):
+def crate_files(src):
+    """Every `.rs` file under a crate's `src`, sorted, each with whether it
+    is compiled only under test."""
     files = []
     for dirpath, _, names in os.walk(src):
         files.extend(os.path.join(dirpath, n) for n in names if n.endswith(".rs"))
     test_files = set()
     for path in files:
         test_files.update(test_module_files(path))
+    return [(path, os.path.normpath(path) in test_files) for path in sorted(files)]
+
+
+def count_crate(src):
     code = test = 0
-    for path in sorted(files):
-        c, t = count_file(path, os.path.normpath(path) in test_files)
+    for path, all_test in crate_files(src):
+        c, t = count_file(path, all_test)
         code += c
         test += t
     return code, test
