@@ -389,6 +389,84 @@ fn documented_keys_are_the_emitted_keys() {
 }
 
 // ---------------------------------------------------------------------
+// The snapshots themselves, pinned
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Counters whose value moves from run to run: the shard loop's passes,
+/// promises and stalls, how full a ring got, the data-plane traffic
+/// (promises ride it) and the launch handshake.
+const VARIES: &[&str] = &[
+    "pdes.promises.sent",
+    "pdes.merge.stalls",
+    "pdes.ring.occupancy.high_water",
+    "pdes.passes",
+    "dist.handshake_ns",
+    "dist.data.msgs",
+    "dist.data.bytes",
+    "dist.link.0.data_bytes",
+    "dist.link.1.data_bytes",
+];
+
+/// What a `full`-level snapshot says over the churn world, pinned per
+/// engine: every entry's name in order, section by section, and the
+/// value of every counter not in [`VARIES`]. A key renamed, reordered,
+/// dropped or emitted under a new condition, or a counter that counts
+/// differently, fails here. The parallel engine runs with its
+/// controller armed, so the `rebalance.*` keys are in its snapshot.
+#[test]
+fn the_churn_snapshots_are_pinned() {
+    let armed = r#", "rebalance": {"trigger_imbalance": 1.05, "min_epoch_gap": 1}"#;
+    for (label, engine, tail, pinned) in [
+        (
+            "packet_sim",
+            r#"{"kind": "packet_sim"}"#,
+            CHURN_EVENTS.to_string(),
+            0xab8b_f802_78a2_78c0,
+        ),
+        (
+            "packet_sim_par/w2",
+            r#"{"kind": "packet_sim_par", "workers": 2}"#,
+            format!("{CHURN_EVENTS}{armed}"),
+            0xb289_474d_697c_3f6c,
+        ),
+        (
+            "packet_sim_dist/w2",
+            r#"{"kind": "packet_sim_dist", "workers": 2}"#,
+            CHURN_EVENTS.to_string(),
+            0xb509_e087_0f9c_394f,
+        ),
+    ] {
+        let outcome = run_one(&with_level(&packet_spec(engine, &tail), Level::Full));
+        let snap = outcome.telemetry.expect("level full attaches a snapshot");
+        let mut text = String::new();
+        for (name, value) in &snap.counters {
+            if VARIES.contains(&name.as_str()) {
+                text.push_str(&format!("counter {name}\n"));
+            } else {
+                text.push_str(&format!("counter {name} = {value}\n"));
+            }
+        }
+        for (name, _) in &snap.phases {
+            text.push_str(&format!("phase {name}\n"));
+        }
+        for (name, _) in &snap.hists {
+            text.push_str(&format!("histogram {name}\n"));
+        }
+        let digest = fnv1a(text.as_bytes());
+        assert_eq!(
+            digest, pinned,
+            "{label}: snapshot digest {digest:#018x}, pinned {pinned:#018x}:\n{text}"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
 // JSONL traces
 
 #[test]
