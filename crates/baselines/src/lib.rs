@@ -21,12 +21,11 @@
 //!
 //! ```
 //! use ww_topology::paper;
-//! use ww_baselines::compare_all;
+//! use ww_baselines::{no_caching, webwave};
 //!
 //! let s = paper::fig6();
-//! let rows = compare_all(&s.tree, &s.spontaneous);
-//! let webwave = rows.iter().find(|r| r.name == "webwave").unwrap();
-//! let nocache = rows.iter().find(|r| r.name == "no-cache").unwrap();
+//! let nocache = no_caching(&s.tree, &s.spontaneous);
+//! let webwave = webwave(&s.tree, &s.spontaneous, 4000, 2.0);
 //! assert!(webwave.max_load < nocache.max_load);
 //! ```
 
@@ -38,6 +37,6 @@ pub mod schemes;
 
 pub use metrics::{mean_service_hops, mean_tree_distance};
 pub use schemes::{
-    compare_all, directory_cache, dns_round_robin, gle_migration, no_caching, webfold_oracle,
-    webwave, SchemeReport,
+    directory_cache, dns_round_robin, gle_migration, no_caching, webfold_oracle, webwave,
+    SchemeReport,
 };

@@ -238,19 +238,6 @@ pub fn webfold_oracle(tree: &Tree, spontaneous: &RateVector) -> SchemeReport {
     }
 }
 
-/// Runs every scheme on the same workload and returns comparable reports.
-pub fn compare_all(tree: &Tree, spontaneous: &RateVector) -> Vec<SchemeReport> {
-    let replicas = (tree.len() / 4).clamp(1, 16);
-    vec![
-        no_caching(tree, spontaneous),
-        directory_cache(tree, spontaneous, 2.0),
-        dns_round_robin(tree, spontaneous, replicas),
-        gle_migration(tree, spontaneous, 2000),
-        webwave(tree, spontaneous, 4000, 2.0),
-        webfold_oracle(tree, spontaneous),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,15 +308,11 @@ mod tests {
     #[test]
     fn webwave_beats_no_cache_and_dns_on_max_load() {
         let s = paper::fig6();
-        let reports = compare_all(&s.tree, &s.spontaneous);
-        let get = |n: &str| {
-            reports
-                .iter()
-                .find(|r| r.name.starts_with(n))
-                .unwrap_or_else(|| panic!("{n} missing"))
-        };
-        assert!(get("webwave").max_load < get("no-cache").max_load);
-        assert!(get("webwave").max_load <= get("dns-rr").max_load + 1e-9);
+        let ww = webwave(&s.tree, &s.spontaneous, 4000, 2.0);
+        let replicas = (s.tree.len() / 4).clamp(1, 16);
+        let dns = dns_round_robin(&s.tree, &s.spontaneous, replicas);
+        assert!(ww.max_load < no_caching(&s.tree, &s.spontaneous).max_load);
+        assert!(ww.max_load <= dns.max_load + 1e-9);
     }
 
     #[test]
@@ -362,16 +345,5 @@ mod tests {
             light.control_msgs_per_request,
             heavy.control_msgs_per_request
         );
-    }
-
-    #[test]
-    fn compare_all_produces_six_rows() {
-        let s = paper::fig2a();
-        let reports = compare_all(&s.tree, &s.spontaneous);
-        assert_eq!(reports.len(), 6);
-        let names: Vec<&str> = reports.iter().map(|r| r.name.as_str()).collect();
-        assert!(names.contains(&"no-cache"));
-        assert!(names.contains(&"webwave"));
-        assert!(names.contains(&"webfold-oracle"));
     }
 }

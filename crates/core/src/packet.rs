@@ -44,9 +44,45 @@ use ww_cache::{plan_push_dense, plan_shed_dense, DenseRateSlice};
 use ww_diffusion::safe_alpha;
 use ww_model::{DocId, DocTable, LeafRemoval, ModelError, NodeId, RateVector, Tree};
 use ww_net::{DocRequest, DocResponse, RequestId, TrafficClass, TrafficLedger};
-use ww_sim::{exp_delay, LaneStats, SimQueue, SimRng, SimTime, StreamRng};
+use ww_sim::{exp_delay, SimQueue, SimRng, SimTime, StreamRng};
 use ww_telemetry::{PhaseStat, Snapshot};
 use ww_workload::DocMix;
+
+ww_telemetry::keys! {
+    /// Every telemetry key `ww-core` emits (`docs/observability.md`):
+    /// the world's oracle maintenance ([`WorldTel`]), then the tables
+    /// below.
+    pub static CORE_TELEMETRY = [
+        ORACLE_REFOLDS: Sum Run "core.oracle.refolds",
+        ORACLE_FULL_SWEEPS: Sum Run "core.oracle.full_sweeps",
+        ORACLE_REFRESH: Phase Wall "core.phase.oracle_refresh",
+        STRUCTURAL: Phase Wall "core.phase.structural",
+    ];
+    /// Counter slab of the barrier path. The per-packet hot loop
+    /// records nothing.
+    pub(crate) static CORE_KEYS = [
+        BARRIER_OPS: Sum Run "core.barrier.ops",
+        SURGERY_SWEEPS: Sum Partition "core.surgery.sweeps",
+        SURGERY_REMOVED: Sum Run "core.surgery.removed",
+    ];
+    /// Phase timers of the barrier path.
+    pub(crate) static CORE_PHASES = [
+        ARRIVAL_REBUILD: Phase Wall "core.phase.arrival_rebuild",
+        QUEUE_SURGERY: Phase Wall "core.phase.queue_surgery",
+        UNIVERSE_GROWTH: Phase Wall "core.phase.universe_growth",
+    ];
+    /// The sequential driver's queue and node state
+    /// ([`driver::ShardCore::telemetry`]).
+    pub(crate) static CORE_SHARD = [
+        QUEUE_LANE_ADMITTED: Sum Run "core.queue.lane_admitted",
+        QUEUE_LANE_FALLBACK: Sum Run "core.queue.lane_fallback",
+        QUEUE_LANE_HW: HighWater Run "core.queue.lane_hw",
+        QUEUE_RADIX_HW: HighWater Run "core.queue.radix_hw",
+        QUEUE_LANE_LEN: Sum Run "core.queue.lane_len",
+        STATE_BYTES: Sum Run "core.state.bytes",
+        STATE_NODES: Sum Run "core.state.nodes",
+    ];
+}
 
 /// Stream tag of per-node arrival randomness.
 const STREAM_ARRIVAL: u64 = 0xA221_0000;
@@ -228,22 +264,14 @@ impl WorldTel {
     /// refresh and structural phases that recorded at least one span (a
     /// run without barrier mutations has neither).
     pub fn snapshot_into(&self, snap: &mut Snapshot, spans: bool) {
-        snap.push_counter("core.oracle.refolds", self.refolds);
-        snap.push_counter("core.oracle.full_sweeps", self.full_sweeps);
-        for (name, ns, count) in [
-            (
-                "core.phase.oracle_refresh",
-                self.refresh_ns,
-                self.refresh_count,
-            ),
-            (
-                "core.phase.structural",
-                self.structural_ns,
-                self.structural_count,
-            ),
+        snap.push_counter(ORACLE_REFOLDS, &[], self.refolds);
+        snap.push_counter(ORACLE_FULL_SWEEPS, &[], self.full_sweeps);
+        for (key, ns, count) in [
+            (ORACLE_REFRESH, self.refresh_ns, self.refresh_count),
+            (STRUCTURAL, self.structural_ns, self.structural_count),
         ] {
             if spans && count > 0 {
-                snap.push_phase(name, PhaseStat { ns, count });
+                snap.push_phase(key, PhaseStat { ns, count });
             }
         }
     }
@@ -1206,42 +1234,6 @@ impl NodeCtx<'_> {
 /// drain and keeps plain [`SimQueue::schedule`].
 pub fn enqueue<Q: SimQueue<PacketEvent>>(queue: &mut Q, at: SimTime, event: PacketEvent) {
     queue.schedule_in_order(at, event);
-}
-
-/// Appends a queue's lane counters to a telemetry snapshot as
-/// `{prefix}.queue.lane_admitted`, `.lane_fallback`, `.lane_hw`,
-/// `.radix_hw` and `.lane_len` (`core` for the sequential driver,
-/// `pdes` for the shard-merged figures). `lane_admitted / (lane_admitted +
-/// lane_fallback)` is the share of outbox traffic that really was in
-/// key order — the input property the lanes' speed depends on.
-pub fn push_queue_counters(snap: &mut Snapshot, prefix: &str, stats: LaneStats) {
-    for (name, value) in [
-        ("lane_admitted", stats.admitted),
-        ("lane_fallback", stats.fell_back),
-        ("lane_hw", stats.lane_high_water),
-        ("radix_hw", stats.radix_high_water),
-        ("lane_len", stats.lane_len),
-    ] {
-        snap.push_counter(&format!("{prefix}.queue.{name}"), value);
-    }
-}
-
-/// Appends the size of a driver's node state to a telemetry snapshot as
-/// `{prefix}.state.bytes` (capacity bytes of the slabs and of the
-/// interior nodes' child state, see [`NodeSlab::state_bytes`]) and
-/// `{prefix}.state.nodes` (`core` for the sequential driver, `pdes`
-/// summed over shards). Read at snapshot time; nothing on the event
-/// path.
-pub fn push_state_counters<'a>(
-    snap: &mut Snapshot,
-    prefix: &str,
-    slabs: impl Iterator<Item = &'a NodeSlab>,
-) {
-    let (bytes, nodes) = slabs.fold((0, 0), |(bytes, nodes), slab| {
-        (bytes + slab.state_bytes(), nodes + slab.len())
-    });
-    snap.push_counter(&format!("{prefix}.state.bytes"), bytes as u64);
-    snap.push_counter(&format!("{prefix}.state.nodes"), nodes as u64);
 }
 
 /// The child of `cur` on the tree path down to `target`.

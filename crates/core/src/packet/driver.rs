@@ -56,6 +56,8 @@ use super::{
     apply_surgery, child_slot_map, enqueue, handle, on_diffusion, on_gossip_timer,
     parents_to_remap, set_link, BarrierOp, BarrierOutcome, NodeCtx, NodeMut, NodeSlab,
     PacketCounters, PacketEvent, PacketWorld, Scratch, SurgeryStep, UniverseGrowth,
+    ARRIVAL_REBUILD, BARRIER_OPS, CORE_KEYS, CORE_PHASES, QUEUE_SURGERY, SURGERY_REMOVED,
+    SURGERY_SWEEPS, UNIVERSE_GROWTH,
 };
 use crate::packetsim::PacketSimReport;
 use ww_model::{DocId, LeafRemoval, ModelError, NodeId, Tree};
@@ -63,28 +65,6 @@ use ww_net::{TrafficClass, TrafficLedger};
 use ww_sim::{key_of, time_of, RadixQueue, SimQueue, SimTime, TimerRing, NO_KEY};
 use ww_stats::{ConvergenceTrace, ExactSum};
 use ww_telemetry::{Counters, Key, Level, Phases, Snapshot};
-
-/// Counter key table of the barrier path (dense slots; see
-/// `docs/observability.md` for the naming scheme). The per-packet hot
-/// loop records nothing.
-pub static CORE_KEYS: &[Key] = &[
-    Key::sum("core.barrier.ops"),
-    Key::sum("core.surgery.sweeps"),
-    Key::sum("core.surgery.removed"),
-];
-const K_BARRIER_OPS: usize = 0;
-const K_SURGERY_SWEEPS: usize = 1;
-const K_SURGERY_REMOVED: usize = 2;
-
-/// Phase-name table of the barrier path.
-pub static CORE_PHASES: &[&str] = &[
-    "core.phase.arrival_rebuild",
-    "core.phase.queue_surgery",
-    "core.phase.universe_growth",
-];
-const P_ARRIVAL_REBUILD: usize = 0;
-const P_QUEUE_SURGERY: usize = 1;
-const P_UNIVERSE_GROWTH: usize = 2;
 
 /// One node changing shards, `from` → `to`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -331,6 +311,30 @@ pub struct ShardCore {
 }
 
 impl ShardCore {
+    /// This shard's queue and node-state counters over `keys`, a table of
+    /// seven (`CORE_SHARD` on the sequential driver, `ww-pdes`'s table
+    /// merged over shards by its kinds): the queue lanes' admitted and
+    /// fallen-back events, the lanes' and the radix heap's high-waters
+    /// and the lanes' length, then the capacity bytes of the slab and of
+    /// its interior nodes' child state ([`NodeSlab::state_bytes`]) and
+    /// its rows. `lane_admitted / (lane_admitted + lane_fallback)` is the
+    /// share of outbox traffic that really was in key order — the input
+    /// property the lanes' speed depends on. Read at snapshot time;
+    /// nothing on the event path.
+    pub fn telemetry(&self, keys: &'static [Key]) -> Counters {
+        let lanes = self.queue.lane_stats();
+        let slots = vec![
+            lanes.admitted,
+            lanes.fell_back,
+            lanes.lane_high_water,
+            lanes.radix_high_water,
+            lanes.lane_len,
+            self.nodes.state_bytes() as u64,
+            self.nodes.len() as u64,
+        ];
+        Counters::from_slots(keys, slots).expect("a table of seven keys")
+    }
+
     /// Builds shard `id` of `partition` over `world` and primes it:
     /// each member's first arrivals (keys into its row, the row's head
     /// into the queue), then its two staggered timers, in member order —
@@ -637,7 +641,7 @@ impl SimCore {
             trace: ConvergenceTrace::new(),
             batch: Vec::new(),
             tel_level: Level::Off,
-            tel: Counters::off(CORE_KEYS),
+            tel: Counters::new(CORE_KEYS, Level::Off),
             tel_phases: Phases::new(CORE_PHASES, Level::Off),
         }
     }
@@ -771,7 +775,7 @@ impl SimCore {
         if lone {
             self.begin_batch();
         }
-        self.tel.add(K_BARRIER_OPS, 1);
+        self.tel.add(BARRIER_OPS, 1);
         let result = match op {
             BarrierOp::AddLeaf { parent, rate } => self
                 .add_leaf(held, *parent, *rate)
@@ -830,11 +834,11 @@ impl SimCore {
             shard
                 .queue
                 .filter_map_events(|ev| apply_surgery(ev, &steps));
-            self.tel.add(K_SURGERY_SWEEPS, 1);
+            self.tel.add(SURGERY_SWEEPS, 1);
             self.tel
-                .add(K_SURGERY_REMOVED, (before - shard.queue.len()) as u64);
+                .add(SURGERY_REMOVED, (before - shard.queue.len()) as u64);
         }
-        self.tel_phases.end(P_QUEUE_SURGERY, span);
+        self.tel_phases.end(QUEUE_SURGERY, span);
 
         let span = self.tel_phases.begin();
         for shard in held.iter_mut() {
@@ -845,7 +849,7 @@ impl SimCore {
                 shard.resolve_arrivals(&self.world, row, NodeId::new(j), self.horizon);
             }
         }
-        self.tel_phases.end(P_ARRIVAL_REBUILD, span);
+        self.tel_phases.end(ARRIVAL_REBUILD, span);
     }
 
     /// Re-publish (update) a document: every cached copy outside the
@@ -954,7 +958,7 @@ impl SimCore {
                 let home = (shard.id == home_shard).then_some(home);
                 shard.nodes.grow(g, self.horizon.as_secs(), home);
             }
-            self.tel_phases.end(P_UNIVERSE_GROWTH, span);
+            self.tel_phases.end(UNIVERSE_GROWTH, span);
         }
         self.batch.push(SurgeryStep::Rebuild(growth));
     }

@@ -37,7 +37,7 @@
 //!   timer streams in [`TimerRing`](ww_sim::TimerRing)s; every message a
 //!   handler emits at `now + link_delay` or at `now` — already in key
 //!   order — in the queue's FIFO lanes (routed by
-//!   [`packet::enqueue`]); the next Poisson arrival of each stream as a
+//!   [`crate::packet::enqueue`]); the next Poisson arrival of each stream as a
 //!   16-byte key in its node's slab row, with only each row's earliest
 //!   in the radix heap. Ring fires carry
 //!   sequence numbers from the queue's global counter, so the merged
@@ -49,15 +49,14 @@
 //! topologies.
 
 use crate::packet::driver::{Partition, ShardCore, SimCore};
-use crate::packet::{self, BarrierOp, BarrierOutcome, NodeSlab, PacketCounters, PacketWorld};
+use crate::packet::{BarrierOp, BarrierOutcome, NodeSlab, PacketCounters, PacketWorld, CORE_SHARD};
 use ww_model::{ModelError, NodeId, RateVector, Tree};
 use ww_net::TrafficLedger;
-use ww_sim::{SimQueue, SimTime};
+use ww_sim::SimTime;
 use ww_stats::ConvergenceTrace;
 use ww_telemetry::{Level, Snapshot};
 use ww_workload::DocMix;
 
-pub use crate::packet::driver::{CORE_KEYS, CORE_PHASES};
 pub use crate::packet::PacketSimConfig;
 
 /// Outcome of a finished packet-level run.
@@ -225,8 +224,7 @@ impl PacketSim {
         let mut snap = Snapshot::new();
         if self.core.telemetry_level().counters_on() {
             self.core.push_telemetry(&mut snap);
-            packet::push_queue_counters(&mut snap, "core", self.shard.queue.lane_stats());
-            packet::push_state_counters(&mut snap, "core", std::iter::once(&self.shard.nodes));
+            self.shard.telemetry(CORE_SHARD).snapshot_into(&mut snap);
         }
         snap
     }

@@ -32,11 +32,29 @@ use ww_core::packet::{BarrierOp, BarrierOutcome, PacketCounters, PacketSimConfig
 use ww_core::packetsim::{PacketBackend, PacketSimReport};
 use ww_model::{NodeId, RateVector, Tree};
 use ww_net::TrafficLedger;
+use ww_pdes::engine::{OVERFLOW_PARKS, OVERFLOW_PEAK_PARKED};
 use ww_pdes::{ShardHost, DEFAULT_STALL_TIMEOUT, PDES_KEYS};
 use ww_sim::SimTime;
 use ww_stats::ExactSum;
 use ww_telemetry::{Counters, Histogram, Level, Snapshot};
 use ww_workload::DocMix;
+
+ww_telemetry::keys! {
+    /// Every telemetry key `ww-dist` emits (`docs/observability.md`),
+    /// all pushed by [`DistPacketSim::telemetry_snapshot`].
+    pub static DIST_TELEMETRY = [
+        HANDSHAKE_NS: Sum Wall "dist.handshake_ns",
+        BYTES_SENT: Sum Partition "dist.bytes.sent",
+        BYTES_RECEIVED: Sum Partition "dist.bytes.received",
+        LINK_BYTES_SENT: Sum Partition "dist.link.{shard}.bytes_sent",
+        LINK_BYTES_RECEIVED: Sum Partition "dist.link.{shard}.bytes_received",
+        DATA_MSGS: Sum Wall "dist.data.msgs",
+        DATA_BYTES: Sum Wall "dist.data.bytes",
+        LINK_DATA_BYTES: Sum Wall "dist.link.{shard}.data_bytes",
+        EPOCH_RTT: Histogram Wall "dist.epoch_rtt",
+        APPLY_RTT: Histogram Wall "dist.apply_rtt",
+    ];
+}
 
 /// Tuning of a distributed launch.
 #[derive(Debug, Clone)]
@@ -591,11 +609,9 @@ impl DistPacketSim {
         if !self.options.telemetry.counters_on() {
             return snap;
         }
-        self.replica
-            .core()
-            .world
-            .oracle_telemetry()
-            .snapshot_into(&mut snap, self.options.telemetry.spans_on());
+        let world = &self.replica.core().world;
+        let spans = self.options.telemetry.spans_on();
+        world.oracle_telemetry().snapshot_into(&mut snap, spans);
         // The workers' hot-path slabs, merged as `ParPacketSim` merges
         // its shards': sums add, high-water marks take the max.
         let mut merged = Counters::new(PDES_KEYS, self.options.telemetry);
@@ -603,40 +619,30 @@ impl DistPacketSim {
             merged.merge_from(slab);
         }
         merged.snapshot_into(&mut snap);
-        snap.push_counter("pdes.overflow.parks", self.last_worker_parks.0);
-        snap.push_counter("pdes.overflow.peak_parked", self.last_worker_parks.1);
+        snap.push_counter(OVERFLOW_PARKS, &[], self.last_worker_parks.0);
+        snap.push_counter(OVERFLOW_PEAK_PARKED, &[], self.last_worker_parks.1);
         self.replica.partition_shape().snapshot_into(&mut snap);
-        snap.push_counter("dist.handshake_ns", self.handshake_ns);
-        let mut sent = 0u64;
-        let mut received = 0u64;
-        for ctl in &self.workers {
-            sent += ctl.writer.bytes_sent();
-            received += ctl.rx_bytes.load(Ordering::Relaxed);
-        }
-        snap.push_counter("dist.bytes.sent", sent);
-        snap.push_counter("dist.bytes.received", received);
+        snap.push_counter(HANDSHAKE_NS, &[], self.handshake_ns);
+        let sent: u64 = self.workers.iter().map(|ctl| ctl.writer.bytes_sent()).sum();
+        let received = |ctl: &WorkerCtl| ctl.rx_bytes.load(Ordering::Relaxed);
+        snap.push_counter(BYTES_SENT, &[], sent);
+        snap.push_counter(BYTES_RECEIVED, &[], self.workers.iter().map(received).sum());
         for (shard, ctl) in self.workers.iter().enumerate() {
-            snap.push_counter(
-                &format!("dist.link.{shard}.bytes_sent"),
-                ctl.writer.bytes_sent(),
-            );
-            snap.push_counter(
-                &format!("dist.link.{shard}.bytes_received"),
-                ctl.rx_bytes.load(Ordering::Relaxed),
-            );
+            snap.push_counter(LINK_BYTES_SENT, &[shard], ctl.writer.bytes_sent());
+            snap.push_counter(LINK_BYTES_RECEIVED, &[shard], received(ctl));
         }
         // The data plane, as of the last report: what the workers wrote
         // to their shard-to-shard wires (`dist.bytes.*` above count the
         // control connections only).
         let (msgs, bytes) = (self.last_worker_data.iter())
             .fold((0, 0), |(m, b), &(msgs, bytes)| (m + msgs, b + bytes));
-        snap.push_counter("dist.data.msgs", msgs);
-        snap.push_counter("dist.data.bytes", bytes);
+        snap.push_counter(DATA_MSGS, &[], msgs);
+        snap.push_counter(DATA_BYTES, &[], bytes);
         for (shard, &(_, bytes)) in self.last_worker_data.iter().enumerate() {
-            snap.push_counter(&format!("dist.link.{shard}.data_bytes"), bytes);
+            snap.push_counter(LINK_DATA_BYTES, &[shard], bytes);
         }
-        self.epoch_rtt.snapshot_into("dist.epoch_rtt", &mut snap);
-        self.apply_rtt.snapshot_into("dist.apply_rtt", &mut snap);
+        self.epoch_rtt.snapshot_into(EPOCH_RTT, &mut snap);
+        self.apply_rtt.snapshot_into(APPLY_RTT, &mut snap);
         snap
     }
 

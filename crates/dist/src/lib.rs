@@ -42,7 +42,7 @@ pub mod worker;
 pub use codec::{
     decode_msg, encode_msg, Assign, CodecError, FrameBuffer, Msg, WorkerReport, MAX_FRAME,
 };
-pub use coordinator::{DistOptions, DistPacketSim};
+pub use coordinator::{DistOptions, DistPacketSim, DIST_TELEMETRY};
 pub use error::DistError;
 pub use framed::FramedStream;
 pub use link::{split_wires, SocketReceiver, SocketSender};

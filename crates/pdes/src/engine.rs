@@ -91,12 +91,12 @@ use crate::transport::{LinkError, StageError, Wire, WireReceiver, WireSender};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 use ww_core::packet::driver::{ShardCore, SimCore};
-use ww_core::packet::{self, BarrierOp, BarrierOutcome, PacketEvent, PacketSimConfig, PacketWorld};
+use ww_core::packet::{BarrierOp, BarrierOutcome, PacketEvent, PacketSimConfig, PacketWorld};
 use ww_core::packetsim::{PacketBackend, PacketSimReport};
 use ww_model::{ModelError, NodeId, RateVector, Tree};
-use ww_sim::{LaneStats, SimQueue, SimTime};
+use ww_sim::{SimQueue, SimTime};
 use ww_stats::ExactSum;
-use ww_telemetry::{Counters, Key, Level, Phases, Snapshot};
+use ww_telemetry::{Counters, Level, Phases, Snapshot};
 use ww_workload::DocMix;
 
 /// Tie-break bit marking inbound (cross-shard) events: at equal
@@ -117,42 +117,66 @@ pub(crate) const COUNTER_BITS: u32 = 40;
 /// ahead of the clock, for three more null messages per window.
 const PROMISE_QUANTA: f64 = 4.0;
 
-/// Counter key table of the PDES hot path. Each shard owns a dense slab
-/// over this table (lock-free by ownership); the driver merges the
-/// slabs kind-aware at snapshot time — sums add, high-water marks take
-/// the max. See `docs/observability.md` for the key scheme.
-pub static PDES_KEYS: &[Key] = &[
-    Key::sum("pdes.events.popped"),
-    Key::sum("pdes.promises.sent"),
-    Key::sum("pdes.merge.stalls"),
-    Key::high_water("pdes.ring.occupancy.high_water"),
-    Key::high_water("pdes.queue.depth.high_water"),
-    Key::sum("pdes.passes"),
-    Key::high_water("pdes.stage.depth.high_water"),
-];
-const K_EVENTS_POPPED: usize = 0;
-const K_PROMISES_SENT: usize = 1;
-const K_MERGE_STALLS: usize = 2;
-const K_RING_HIGH_WATER: usize = 3;
-const K_QUEUE_DEPTH: usize = 4;
-const K_PASSES: usize = 5;
-const K_STAGE_DEPTH: usize = 6;
-
-/// Phase-timer table of the PDES epoch loop (recorded only at
-/// [`Level::Full`]): time spent computing events versus waiting at the
-/// epoch-end handshake.
-pub static PDES_PHASES: &[&str] = &["pdes.phase.epoch_compute", "pdes.phase.barrier_wait"];
-const P_EPOCH_COMPUTE: usize = 0;
-const P_BARRIER_WAIT: usize = 1;
-
-/// Driver-side phase timers of the rebalance controller (recorded only
-/// at [`Level::Full`], reported only while a controller is armed):
-/// computing a plan, and applying one — the migration itself plus the
-/// wire re-dial.
-static PDES_REBALANCE_PHASES: &[&str] =
-    &["pdes.phase.rebalance_plan", "pdes.phase.rebalance_apply"];
-const P_REBALANCE_PLAN: usize = 0;
-const P_REBALANCE_APPLY: usize = 1;
+ww_telemetry::keys! {
+    /// Every telemetry key `ww-pdes` emits (`docs/observability.md`):
+    /// what [`ParPacketSim::telemetry_snapshot`] pushes one by one, then
+    /// the tables below.
+    pub static PDES_TELEMETRY = [
+        OVERFLOW_PARKS: Sum Wall "pdes.overflow.parks",
+        OVERFLOW_PEAK_PARKED: HighWater Wall "pdes.overflow.peak_parked",
+        PARTITION_PIECES: Sum Partition "pdes.partition.pieces",
+        PARTITION_CUT_EDGES: Sum Partition "pdes.partition.cut_edges",
+        PARTITION_PHASE_IMBALANCE: HighWater Partition "pdes.partition.phase_imbalance",
+        SHARD_EVENTS: Sum Partition "pdes.shard.{i}.events",
+        IMBALANCE: HighWater Partition "pdes.imbalance.max_over_mean",
+        REBALANCE_EVALUATIONS: Sum Partition "pdes.rebalance.evaluations",
+        REBALANCE_APPLIED: Sum Partition "pdes.rebalance.applied",
+        REBALANCE_NODES_MIGRATED: Sum Partition "pdes.rebalance.nodes_migrated",
+        REBALANCE_EVENTS_MOVED: Sum Partition "pdes.rebalance.events_moved",
+        LINK_PARKS: Sum Wall "pdes.link.{src}-{dst}.parks",
+        LINK_PEAK_PARKED: HighWater Wall "pdes.link.{src}-{dst}.peak_parked",
+    ];
+    /// Counter slab of the PDES hot path. Each shard owns one (lock-free
+    /// by ownership); the driver merges them kind-aware at snapshot time
+    /// — sums add, high-water marks take the max. A `ww-dist` worker
+    /// ships its slab home in this order, so the table is the layout of
+    /// `WorkerReport`'s counter frame.
+    pub static PDES_KEYS = [
+        EVENTS_POPPED: Sum Run "pdes.events.popped",
+        PROMISES_SENT: Sum Wall "pdes.promises.sent",
+        MERGE_STALLS: Sum Wall "pdes.merge.stalls",
+        RING_HIGH_WATER: HighWater Wall "pdes.ring.occupancy.high_water",
+        QUEUE_DEPTH: HighWater Partition "pdes.queue.depth.high_water",
+        PASSES: Sum Wall "pdes.passes",
+        STAGE_DEPTH: HighWater Wall "pdes.stage.depth.high_water",
+    ];
+    /// Phase timers of the PDES epoch loop (recorded only at
+    /// [`Level::Full`]): time spent computing events versus waiting at
+    /// the epoch-end handshake.
+    pub(crate) static PDES_PHASES = [
+        EPOCH_COMPUTE: Phase Wall "pdes.phase.epoch_compute",
+        BARRIER_WAIT: Phase Wall "pdes.phase.barrier_wait",
+    ];
+    /// Driver-side phase timers of the rebalance controller (recorded
+    /// only at [`Level::Full`], reported only while a controller is
+    /// armed): computing a plan, and applying one — the migration itself
+    /// plus the wire re-dial.
+    static REBALANCE_PHASES = [
+        REBALANCE_PLAN: Phase Wall "pdes.phase.rebalance_plan",
+        REBALANCE_APPLY: Phase Wall "pdes.phase.rebalance_apply",
+    ];
+    /// The shards' queues and node state, merged by kind
+    /// ([`ShardCore::telemetry`]).
+    static PDES_SHARD = [
+        QUEUE_LANE_ADMITTED: Sum Partition "pdes.queue.lane_admitted",
+        QUEUE_LANE_FALLBACK: Sum Run "pdes.queue.lane_fallback",
+        QUEUE_LANE_HW: HighWater Partition "pdes.queue.lane_hw",
+        QUEUE_RADIX_HW: HighWater Partition "pdes.queue.radix_hw",
+        QUEUE_LANE_LEN: Sum Partition "pdes.queue.lane_len",
+        STATE_BYTES: Sum Partition "pdes.state.bytes",
+        STATE_NODES: Sum Run "pdes.state.nodes",
+    ];
+}
 
 /// Placeholder argument of [`ParPacketSim::with_tuning`]: the hot path
 /// has one configuration (SPSC rings, one release store per promise
@@ -320,7 +344,7 @@ impl ShardLinks {
             lookahead: SimTime::from_secs(world.config.link_delay),
             t_end: SimTime::ZERO,
             stall_timeout,
-            tel: Counters::off(PDES_KEYS),
+            tel: Counters::new(PDES_KEYS, Level::Off),
             tel_phases: Phases::new(PDES_PHASES, Level::Off),
         }
     }
@@ -437,7 +461,7 @@ impl ShardLinks {
         self.route_remote(core, sim)?;
         let popped = core.queue.processed() - before;
         if popped > 0 {
-            self.tel.add(K_EVENTS_POPPED, popped);
+            self.tel.add(EVENTS_POPPED, popped);
         }
         Ok(popped > 0)
     }
@@ -471,7 +495,7 @@ impl ShardLinks {
             }
         }
         if any {
-            self.tel.record_max(K_STAGE_DEPTH, link.staged.len() as u64);
+            self.tel.record_max(STAGE_DEPTH, link.staged.len() as u64);
         }
         Ok(any)
     }
@@ -519,7 +543,7 @@ impl ShardLinks {
             }
         }
         if observe {
-            self.tel.record_max(K_RING_HIGH_WATER, high as u64);
+            self.tel.record_max(RING_HIGH_WATER, high as u64);
         }
         Ok(any)
     }
@@ -605,10 +629,10 @@ fn epoch_loop(
     let promise_quantum = SimTime::from_secs(lookahead.as_secs() / PROMISE_QUANTA);
     let stall_timeout = links.stall_timeout;
     let mut idle = Backoff::default();
-    links.tel.record_max(K_QUEUE_DEPTH, core.queue.len() as u64);
+    links.tel.record_max(QUEUE_DEPTH, core.queue.len() as u64);
     let compute_span = links.tel_phases.begin();
     loop {
-        links.tel.add(K_PASSES, 1);
+        links.tel.add(PASSES, 1);
         // Read the wires only when the promises in hand do not already
         // cover the next local event: whatever a wire still holds
         // follows those promises, so it can wait for a pass that needs
@@ -662,7 +686,7 @@ fn epoch_loop(
             }
         }
         if promises > 0 {
-            links.tel.add(K_PROMISES_SENT, promises);
+            links.tel.add(PROMISES_SENT, promises);
         }
         // One publish per pass, the promise staged behind the window's
         // events: a visible promise must never have unpublished events
@@ -672,7 +696,7 @@ fn epoch_loop(
         let local_done = next_local.is_none_or(|t| t > t_end);
         let inbound_done = links.in_links.iter().all(|l| l.promise > t_end);
         if local_done && inbound_done {
-            links.tel_phases.end(P_EPOCH_COMPUTE, compute_span);
+            links.tel_phases.end(EPOCH_COMPUTE, compute_span);
             let wait_span = links.tel_phases.begin();
             // Every event at or before the boundary has executed, so the
             // shard's nodes are exactly at the barrier instant: fold the
@@ -709,14 +733,14 @@ fn epoch_loop(
                 link.epoch_ended = false;
                 debug_assert!(link.staged.is_empty(), "merge stage empty at the barrier");
             }
-            links.tel_phases.end(P_BARRIER_WAIT, wait_span);
+            links.tel_phases.end(BARRIER_WAIT, wait_span);
             return Ok(partial);
         }
 
         if progressed {
             idle.reset();
         } else {
-            links.tel.add(K_MERGE_STALLS, 1);
+            links.tel.add(MERGE_STALLS, 1);
             idle.wait(stall_timeout)?;
         }
     }
@@ -811,7 +835,7 @@ pub struct ParPacketSim {
     nodes_migrated: u64,
     /// Queue events migrations re-homed (observation only).
     events_moved: u64,
-    /// Observation-only timers over [`PDES_REBALANCE_PHASES`].
+    /// Observation-only timers over [`REBALANCE_PHASES`].
     rebalance_phases: Phases,
 }
 
@@ -840,7 +864,7 @@ impl ParPacketSim {
             rebalance_applied: 0,
             nodes_migrated: 0,
             events_moved: 0,
-            rebalance_phases: Phases::new(PDES_REBALANCE_PHASES, Level::Off),
+            rebalance_phases: Phases::new(REBALANCE_PHASES, Level::Off),
         }
     }
 
@@ -899,7 +923,7 @@ impl ParPacketSim {
     /// golden tests in `ww-scenario` pin exactly that.
     pub fn set_telemetry(&mut self, level: Level) {
         self.host.set_telemetry(level);
-        self.rebalance_phases = Phases::new(PDES_REBALANCE_PHASES, level);
+        self.rebalance_phases = Phases::new(REBALANCE_PHASES, level);
     }
 
     /// A merged, deterministic snapshot of everything the run recorded:
@@ -918,41 +942,35 @@ impl ParPacketSim {
         host.core.push_telemetry(&mut snap);
         let mut merged = Counters::new(PDES_KEYS, level);
         let mut phases = Phases::new(PDES_PHASES, level);
-        let mut lanes = LaneStats::default();
+        let mut shards = Counters::new(PDES_SHARD, level);
         for (shard, links) in host.held.iter().zip(&host.links) {
             merged.merge_from(&links.tel);
             phases.merge_from(&links.tel_phases);
-            lanes.merge(&shard.queue.lane_stats());
+            shards.merge_from(&shard.telemetry(PDES_SHARD));
         }
         merged.snapshot_into(&mut snap);
-        packet::push_queue_counters(&mut snap, "pdes", lanes);
-        packet::push_state_counters(&mut snap, "pdes", host.held.iter().map(|s| &s.nodes));
+        shards.snapshot_into(&mut snap);
         let (parks, peak) = host.wire_stats();
-        snap.push_counter("pdes.overflow.parks", parks);
-        snap.push_counter("pdes.overflow.peak_parked", peak);
+        snap.push_counter(OVERFLOW_PARKS, &[], parks);
+        snap.push_counter(OVERFLOW_PEAK_PARKED, &[], peak);
         host.shape.snapshot_into(&mut snap);
         for shard in &host.held {
-            snap.push_counter(
-                &format!("pdes.shard.{}.events", shard.id),
-                shard.queue.processed(),
-            );
+            snap.push_counter(SHARD_EVENTS, &[shard.id], shard.queue.processed());
         }
         // Fixed-point (x1000): the snapshot carries u64 counters only.
-        snap.push_counter(
-            "pdes.imbalance.max_over_mean",
-            (self.imbalance_hw * 1000.0).round() as u64,
-        );
+        let imbalance = (self.imbalance_hw * 1000.0).round() as u64;
+        snap.push_counter(IMBALANCE, &[], imbalance);
         if self.rebalance.is_some() {
-            snap.push_counter("pdes.rebalance.evaluations", self.rebalance_evals);
-            snap.push_counter("pdes.rebalance.applied", self.rebalance_applied);
-            snap.push_counter("pdes.rebalance.nodes_migrated", self.nodes_migrated);
-            snap.push_counter("pdes.rebalance.events_moved", self.events_moved);
+            snap.push_counter(REBALANCE_EVALUATIONS, &[], self.rebalance_evals);
+            snap.push_counter(REBALANCE_APPLIED, &[], self.rebalance_applied);
+            snap.push_counter(REBALANCE_NODES_MIGRATED, &[], self.nodes_migrated);
+            snap.push_counter(REBALANCE_EVENTS_MOVED, &[], self.events_moved);
         }
         for (shard, links) in host.held.iter().zip(&host.links) {
             for link in links.out_links.iter().filter(|link| link.parks > 0) {
-                let wire = format!("pdes.link.{}-{}", shard.id, link.peer);
-                snap.push_counter(&format!("{wire}.parks"), link.parks);
-                snap.push_counter(&format!("{wire}.peak_parked"), link.peak_parked);
+                let wire = [shard.id, link.peer];
+                snap.push_counter(LINK_PARKS, &wire, link.parks);
+                snap.push_counter(LINK_PEAK_PARKED, &wire, link.peak_parked);
             }
         }
         phases.snapshot_into(&mut snap);
@@ -1041,13 +1059,13 @@ impl ParPacketSim {
                 .collect();
             let span = self.rebalance_phases.begin();
             let plan = rebalance_plan(&core.world.tree, &core.partition, &node_events);
-            self.rebalance_phases.end(P_REBALANCE_PLAN, span);
+            self.rebalance_phases.end(REBALANCE_PLAN, span);
             if !plan.is_empty() {
                 self.rebalance_applied += 1;
                 self.nodes_migrated += plan.moves.len() as u64;
                 let span = self.rebalance_phases.begin();
                 self.events_moved += self.host.apply_rebalance(plan);
-                self.rebalance_phases.end(P_REBALANCE_APPLY, span);
+                self.rebalance_phases.end(REBALANCE_APPLY, span);
             }
             // Per-node attribution restarts only after an evaluation
             // actually spent it — zeroing is O(n), and paying it on
@@ -1310,7 +1328,7 @@ mod tests {
         let staged: Vec<f64> = link.staged.iter().map(|s| s.at.as_secs()).collect();
         assert_eq!(staged, [1.0, 1.001, 1.002]);
         assert_eq!(link.promise, SimTime::from_secs(1.5));
-        assert_eq!(links.tel.get(K_STAGE_DEPTH), 3);
+        assert_eq!(links.tel.get(STAGE_DEPTH), 3);
         assert!(!links.poll_link(0).unwrap(), "the wire is dry");
     }
 

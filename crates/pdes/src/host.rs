@@ -430,7 +430,7 @@ impl ShardHost {
         for links in &self.links {
             merged.merge_from(&links.tel);
         }
-        (0..PDES_KEYS.len()).map(|id| merged.get(id)).collect()
+        PDES_KEYS.iter().map(|&key| merged.get(key)).collect()
     }
 
     /// Whether the control link from `node` to its parent is failed.

@@ -58,7 +58,7 @@ pub mod partition;
 pub mod rebalance;
 pub mod transport;
 
-pub use engine::{ParPacketSim, PdesTuning, PDES_KEYS, PDES_PHASES};
+pub use engine::{ParPacketSim, PdesTuning, PDES_KEYS, PDES_TELEMETRY};
 pub use host::{ShardHost, DEFAULT_STALL_TIMEOUT};
 pub use partition::{partition_forest, partition_subtrees, Partition, PartitionShape};
 pub use rebalance::{rebalance_plan, LoadSummary, Migration, RebalanceConfig, RebalancePlan};

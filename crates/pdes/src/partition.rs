@@ -84,6 +84,7 @@
 //! The [`Partition`] this produces — the node → (shard, row) map — is
 //! the shard driver's own (`ww_core::packet::driver`), re-exported here.
 
+use crate::engine::{PARTITION_CUT_EDGES, PARTITION_PHASE_IMBALANCE, PARTITION_PIECES};
 use std::cmp::Reverse;
 use ww_core::packet::timer_phase;
 use ww_model::{NodeId, Tree};
@@ -154,9 +155,9 @@ pub struct PartitionShape {
 impl PartitionShape {
     /// Pushes `pdes.partition.{pieces,cut_edges,phase_imbalance}`.
     pub fn snapshot_into(&self, snap: &mut Snapshot) {
-        snap.push_counter("pdes.partition.pieces", self.pieces);
-        snap.push_counter("pdes.partition.cut_edges", self.cut_edges);
-        snap.push_counter("pdes.partition.phase_imbalance", self.phase_imbalance);
+        snap.push_counter(PARTITION_PIECES, &[], self.pieces);
+        snap.push_counter(PARTITION_CUT_EDGES, &[], self.cut_edges);
+        snap.push_counter(PARTITION_PHASE_IMBALANCE, &[], self.phase_imbalance);
     }
 }
 

@@ -312,7 +312,7 @@ pub enum EngineSpec {
         /// Which schemes to run.
         schemes: Vec<BaselineScheme>,
         /// DNS round-robin replica count; `0` selects `n/4` clamped to
-        /// `1..=16` (the `compare_all` default).
+        /// `1..=16`, as [`BaselineParams`](crate::BaselineParams) does.
         replicas: usize,
         /// Directory lookup messages per request.
         lookup_msgs: f64,
@@ -400,7 +400,7 @@ pub enum BaselineScheme {
 }
 
 impl BaselineScheme {
-    /// Every scheme, in `compare_all` order.
+    /// Every scheme, in the order a `baselines` row lists them.
     pub fn all() -> Vec<BaselineScheme> {
         vec![
             BaselineScheme::NoCache,

@@ -17,7 +17,7 @@
 //!   `accepted: false` trace records.
 
 use ww_scenario::{EngineReport, Runner, ScenarioSpec};
-use ww_telemetry::{valid_metric_key, Level};
+use ww_telemetry::{valid_metric_key, Class, Key, Level};
 
 /// Renders an engine report into a canonical byte string: every metric
 /// bit-exact, the trace and load vectors bit-exact. Telemetry is
@@ -277,79 +277,16 @@ fn armed_rebalancer_bit_identical_across_levels() {
 }
 
 // ---------------------------------------------------------------------
-// Key drift: docs/observability.md against what the engines emit
+// Key drift: docs/observability.md against the declarations
 
-/// A snapshot key with its run-specific indices replaced by the
-/// placeholders `docs/observability.md` writes.
-fn placeholder_form(key: &str) -> String {
-    let parts: Vec<&str> = key.split('.').collect();
-    let numeric = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
-    match parts[..] {
-        ["pdes", "shard", i, rest] if numeric(i) => format!("pdes.shard.{{i}}.{rest}"),
-        ["dist", "link", shard, rest] if numeric(shard) => format!("dist.link.{{shard}}.{rest}"),
-        ["pdes", "link", wire, rest] if wire.split('-').all(numeric) => {
-            format!("pdes.link.{{src}}-{{dst}}.{rest}")
-        }
-        _ => key.to_string(),
-    }
-}
-
-/// Every `core.*` / `pdes.*` / `dist.*` key and phase name the packet
-/// engines can emit: their static tables, what the shared snapshot
-/// helpers push, and everything full-level runs of the three engines
-/// (churn grammar; the parallel one with its controller armed) report.
-fn emitted_keys() -> std::collections::BTreeSet<String> {
-    use ww_core::packet::{push_queue_counters, push_state_counters, WorldTel};
-    use ww_core::packetsim::{CORE_KEYS, CORE_PHASES};
-    use ww_pdes::{PartitionShape, PDES_KEYS, PDES_PHASES};
-    use ww_telemetry::Snapshot;
-
-    let mut keys: std::collections::BTreeSet<String> = CORE_KEYS
-        .iter()
-        .chain(PDES_KEYS)
-        .map(|key| key.name)
-        .chain(CORE_PHASES.iter().chain(PDES_PHASES).copied())
-        .map(str::to_string)
-        .collect();
-    let mut pushed = Snapshot::new();
-    for prefix in ["core", "pdes"] {
-        push_queue_counters(&mut pushed, prefix, Default::default());
-        push_state_counters(&mut pushed, prefix, std::iter::empty());
-    }
-    PartitionShape::default().snapshot_into(&mut pushed);
-    let every_span = WorldTel {
-        refresh_count: 1,
-        structural_count: 1,
-        ..WorldTel::default()
-    };
-    every_span.snapshot_into(&mut pushed, true);
-    let mut snapshots = vec![pushed];
-    let armed = r#", "rebalance": {"trigger_imbalance": 1.05, "min_epoch_gap": 1}"#;
-    for (engine, tail) in [
-        (r#"{"kind": "packet_sim"}"#, CHURN_EVENTS.to_string()),
-        (
-            r#"{"kind": "packet_sim_par", "workers": 2}"#,
-            format!("{CHURN_EVENTS}{armed}"),
-        ),
-        (
-            r#"{"kind": "packet_sim_dist", "workers": 2}"#,
-            CHURN_EVENTS.to_string(),
-        ),
-    ] {
-        let outcome = run_one(&with_level(&packet_spec(engine, &tail), Level::Full));
-        snapshots.push(outcome.telemetry.expect("level full attaches a snapshot"));
-    }
-    for snap in &snapshots {
-        let names = (snap.counters.iter().map(|(name, _)| name))
-            .chain(snap.phases.iter().map(|(name, _)| name))
-            .chain(snap.hists.iter().map(|(name, _)| name));
-        keys.extend(names.map(|name| placeholder_form(name)));
-    }
-    // A link's park counters exist only once it parked a message, and
-    // no world this small overflows a ring: named here.
-    keys.insert("pdes.link.{src}-{dst}.parks".to_string());
-    keys.insert("pdes.link.{src}-{dst}.peak_parked".to_string());
-    keys
+/// Every key the three packet-engine crates declare: the union of their
+/// `keys!` declarations.
+fn declared_keys() -> Vec<Key> {
+    (ww_core::packet::CORE_TELEMETRY.iter())
+        .chain(ww_pdes::PDES_TELEMETRY)
+        .chain(ww_dist::DIST_TELEMETRY)
+        .copied()
+        .collect()
 }
 
 /// The `core.*` / `pdes.*` / `dist.*` keys `docs/observability.md`
@@ -371,20 +308,137 @@ fn documented_keys() -> std::collections::BTreeSet<String> {
         .collect()
 }
 
-/// ROADMAP item 6's drift check: a key an engine emits is documented,
-/// and a documented key is one some engine emits.
+/// ROADMAP item 3's drift check: a declared key is documented, and a
+/// documented key is declared. An engine can emit only a declared key,
+/// so no run is needed.
 #[test]
 fn documented_keys_are_the_emitted_keys() {
-    let (emitted, documented) = (emitted_keys(), documented_keys());
-    let undocumented: Vec<_> = emitted.difference(&documented).collect();
+    let declared: std::collections::BTreeSet<String> = (declared_keys().iter())
+        .map(|key| key.name.to_string())
+        .collect();
+    assert_eq!(
+        declared.len(),
+        declared_keys().len(),
+        "a key is declared twice"
+    );
+    let documented = documented_keys();
+    let undocumented: Vec<_> = declared.difference(&documented).collect();
     assert!(
         undocumented.is_empty(),
-        "emitted but not in docs/observability.md: {undocumented:?}"
+        "declared but not in docs/observability.md: {undocumented:?}"
     );
-    let stale: Vec<_> = documented.difference(&emitted).collect();
+    let stale: Vec<_> = documented.difference(&declared).collect();
     assert!(
         stale.is_empty(),
-        "in docs/observability.md but emitted by no engine: {stale:?}"
+        "in docs/observability.md but declared nowhere: {stale:?}"
+    );
+}
+
+// ---------------------------------------------------------------------
+// Determinism classes
+
+/// Whether `name` is `template` with each `{..}` placeholder replaced by
+/// a run of digits.
+fn fits(template: &str, name: &str) -> bool {
+    let Some((head, rest)) = template.split_once('{') else {
+        return template == name;
+    };
+    let (_, rest) = rest.split_once('}').expect("a closed placeholder");
+    name.strip_prefix(head).is_some_and(|tail| {
+        let digits = tail.len() - tail.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+        digits > 0 && fits(rest, &tail[digits..])
+    })
+}
+
+/// Declared keys no world here exercises: no ring this small fills, so
+/// the park counters read 0 everywhere (as a `Run` key would) and a
+/// link's own park counters are never emitted.
+const UNEXERCISED: &[&str] = &[
+    "pdes.overflow.parks",
+    "pdes.overflow.peak_parked",
+    "pdes.link.{src}-{dst}.parks",
+    "pdes.link.{src}-{dst}.peak_parked",
+];
+
+/// Each declared key's class is what the packet engines report, twice
+/// each, over the event-free and the churn world at level `full`: a
+/// `Run` key — and only a `Run` key — reads the same on every backend
+/// that emits it; a `Partition` key reads the same across repeated runs
+/// of one backend. A `Wall` key is not `Run`; nothing here forces a
+/// timing-dependent value to move between two runs.
+#[test]
+fn every_declared_class_is_what_the_engines_report() {
+    let declared = declared_keys();
+    let armed = r#", "rebalance": {"trigger_imbalance": 1.05, "min_epoch_gap": 1}"#;
+    let par = |w: usize| format!(r#"{{"kind": "packet_sim_par", "workers": {w}}}"#);
+    let dist = |w: usize| format!(r#"{{"kind": "packet_sim_dist", "workers": {w}}}"#);
+    let backends = [
+        ("packet_sim", r#"{"kind": "packet_sim"}"#.to_string(), ""),
+        ("packet_sim_par/w1", par(1), ""),
+        ("packet_sim_par/w2", par(2), ""),
+        ("packet_sim_par/w4", par(4), ""),
+        ("packet_sim_par/w2+rebalance", par(2), armed),
+        ("packet_sim_par/w4+rebalance", par(4), armed),
+        ("packet_sim_dist/w1", dist(1), ""),
+        ("packet_sim_dist/w2", dist(2), ""),
+    ];
+    // Per declared key: (world, entry name, backend, value) readings.
+    let mut readings = std::collections::BTreeMap::<&str, Vec<_>>::new();
+    for (world, events) in ["", CHURN_EVENTS].into_iter().enumerate() {
+        for (label, engine, rebalance) in &backends {
+            for _ in 0..2 {
+                let spec = packet_spec(engine, &format!("{events}{rebalance}"));
+                let outcome = run_one(&with_level(&spec, Level::Full));
+                let snap = outcome.telemetry.expect("level full attaches a snapshot");
+                let counters = (snap.counters.iter()).map(|(name, v)| (name, v.to_string()));
+                let phases = (snap.phases.iter()).map(|(name, p)| (name, format!("{p:?}")));
+                let hists = (snap.hists.iter()).map(|(name, h)| (name, format!("{h:?}")));
+                for (name, value) in counters.chain(phases).chain(hists) {
+                    let key = (declared.iter().find(|key| fits(key.name, name)))
+                        .unwrap_or_else(|| panic!("{label} emits undeclared {name}"));
+                    let reading = (world, name.clone(), *label, value);
+                    readings.entry(key.name).or_default().push(reading);
+                }
+            }
+        }
+    }
+    let mut wrong = Vec::new();
+    for key in declared
+        .iter()
+        .filter(|key| !UNEXERCISED.contains(&key.name))
+    {
+        let seen = (readings.get(key.name)).unwrap_or_else(|| panic!("{} never read", key.name));
+        let mut backends_agree = std::collections::BTreeMap::<_, Vec<_>>::new();
+        let mut repeats_agree = std::collections::BTreeMap::<_, Vec<_>>::new();
+        for (world, name, label, value) in seen {
+            backends_agree.entry((world, name)).or_default().push(value);
+            repeats_agree
+                .entry((world, name, label))
+                .or_default()
+                .push(value);
+        }
+        let equal = |values: &Vec<&String>| values.iter().all(|v| *v == values[0]);
+        let observed = if backends_agree.values().all(equal) {
+            Class::Run
+        } else if repeats_agree.values().all(|v| v.len() == 2 && equal(v)) {
+            Class::Partition
+        } else {
+            Class::Wall
+        };
+        let holds = match key.class {
+            Class::Wall => observed != Class::Run,
+            class => observed == class,
+        };
+        if !holds {
+            wrong.push(format!(
+                "{} is {:?}, reads {observed:?}",
+                key.name, key.class
+            ));
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "declared classes the engines contradict: {wrong:#?}"
     );
 }
 

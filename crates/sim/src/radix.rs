@@ -161,18 +161,6 @@ pub struct LaneStats {
     pub lane_len: u64,
 }
 
-impl LaneStats {
-    /// Folds another queue's counters into this one, as a sharded
-    /// driver reports them: counts add, high-water marks take the max.
-    pub fn merge(&mut self, other: &LaneStats) {
-        self.admitted += other.admitted;
-        self.fell_back += other.fell_back;
-        self.lane_high_water = self.lane_high_water.max(other.lane_high_water);
-        self.radix_high_water = self.radix_high_water.max(other.radix_high_water);
-        self.lane_len += other.lane_len;
-    }
-}
-
 /// One FIFO of `(key, event)` entries, sorted by key because every push
 /// is checked against the back.
 #[derive(Debug)]

@@ -16,26 +16,36 @@
 //!    table and merges at barriers — the same epoch-fold shape the
 //!    engines already use for their ledgers. No atomics on the hot path.
 //! 3. **Cheap when off.** Every recording call starts with one branch on
-//!    a bool captured at construction ([`Level::Off`] clears it), and the
-//!    whole recording path compiles out when the crate is built without
-//!    its default `runtime` feature.
+//!    a bool captured at construction ([`Level::Off`] clears it).
+//!
+//! Every key is declared once, in its crate's [`keys!`] declaration:
+//! slabs record by the declared constant's slot, and a snapshot takes
+//! only a declared [`Key`].
 //!
 //! ```
-//! use ww_telemetry::{Counters, Key, Level};
+//! use ww_telemetry::Level;
 //!
-//! static KEYS: &[Key] = &[Key::sum("demo.events"), Key::high_water("demo.depth")];
-//! const EVENTS: usize = 0;
-//! const DEPTH: usize = 1;
+//! ww_telemetry::keys! {
+//!     /// Every key of the demo.
+//!     pub static DEMO_TELEMETRY = [];
+//!     /// The demo's counter slab.
+//!     static DEMO_KEYS = [
+//!         EVENTS: Sum Run "demo.events",
+//!         DEPTH: HighWater Partition "demo.depth",
+//!     ];
+//! }
 //!
-//! let mut a = Counters::new(KEYS, Level::Counters);
-//! let mut b = Counters::new(KEYS, Level::Counters);
+//! let mut a = ww_telemetry::Counters::new(DEMO_KEYS, Level::Counters);
+//! let mut b = ww_telemetry::Counters::new(DEMO_KEYS, Level::Counters);
 //! a.add(EVENTS, 3);
 //! b.add(EVENTS, 4);
 //! b.record_max(DEPTH, 17);
 //! a.merge_from(&b); // barrier merge: sums sum-keys, maxes high-water keys
-//! let snap = a.snapshot();
+//! let mut snap = ww_telemetry::Snapshot::new();
+//! a.snapshot_into(&mut snap);
 //! assert_eq!(snap.counter("demo.events"), Some(7));
 //! assert_eq!(snap.counter("demo.depth"), Some(17));
+//! assert_eq!(DEMO_TELEMETRY.len(), 2);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -64,13 +74,13 @@ impl Level {
     /// True when counters (and histograms) record at this level.
     #[inline]
     pub fn counters_on(self) -> bool {
-        runtime_enabled() && self != Level::Off
+        self != Level::Off
     }
 
     /// True when phase timers record at this level.
     #[inline]
     pub fn spans_on(self) -> bool {
-        runtime_enabled() && self == Level::Full
+        self == Level::Full
     }
 
     /// The spec/CLI spelling of this level.
@@ -99,48 +109,94 @@ impl fmt::Display for Level {
     }
 }
 
-/// True when the crate was built with its `runtime` feature (the
-/// default). Without it the recording paths compile to nothing.
-#[inline]
-pub const fn runtime_enabled() -> bool {
-    cfg!(feature = "runtime")
-}
-
-/// How a counter slot merges at barriers.
+/// What a key records, and how a slab of counters merges it at
+/// barriers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
-    /// Merged by addition (event counts, bytes, parks).
+    /// A counter merged by addition (event counts, bytes, parks).
     Sum,
-    /// Merged by maximum (occupancy high-waters, queue-depth peaks).
+    /// A counter merged by maximum (occupancy high-waters, queue-depth
+    /// peaks).
     HighWater,
+    /// A phase timer: total nanoseconds and span count.
+    Phase,
+    /// A latency histogram: sample count, sum and maximum.
+    Histogram,
 }
 
-/// One entry in a static counter key table: a dotted-path name (see
-/// `docs/observability.md` for the naming scheme) plus its merge kind.
-#[derive(Debug, Clone, Copy)]
+/// What a key's value is a function of: the projection of a snapshot
+/// that two runs can be diffed on. `crates/scenario/tests/telemetry.rs`
+/// checks every declared class against what the packet engines report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Class {
+    /// The spec alone: the same on every backend that emits it.
+    Run,
+    /// The spec and the partition: the same across repeated runs at one
+    /// worker count.
+    Partition,
+    /// Timing: may differ from run to run.
+    Wall,
+}
+
+/// One declared telemetry key: a constant a crate's [`keys!`]
+/// declaration emits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Key {
-    /// Dotted-path metric name, e.g. `"pdes.events.popped"`.
+    /// Dotted-path name (`docs/observability.md`). A `{i}`, `{shard}`,
+    /// `{src}` or `{dst}` placeholder stands for an index a snapshot
+    /// fills in: the key exists once per shard or per link.
     pub name: &'static str,
-    /// Merge behavior at barriers.
+    /// What it records.
     pub kind: Kind,
+    /// What its value is a function of.
+    pub class: Class,
+    /// Its position in the table that declares it: the slot a slab over
+    /// that table records it in.
+    pub slot: usize,
 }
 
-impl Key {
-    /// A sum-merged counter key.
-    pub const fn sum(name: &'static str) -> Key {
-        Key {
-            name,
-            kind: Kind::Sum,
-        }
-    }
-
-    /// A max-merged high-water key.
-    pub const fn high_water(name: &'static str) -> Key {
-        Key {
-            name,
-            kind: Kind::HighWater,
-        }
-    }
+/// The one place a crate states the telemetry keys it emits.
+///
+/// Each line declares one key constant, `NAME: Kind Class "dotted.name"`
+/// ([`Kind`], [`Class`]): a [`Key`] whose slot is the line's position in
+/// its table, visible as its table is. The first table lists the keys a
+/// snapshot pushes one by one, then every key of the tables after it: it
+/// is the union of what the crate emits. Each later table is a
+/// `&'static [Key]` that a [`Counters`] or [`Phases`] slab, or a helper
+/// pushing a fixed group, runs over in line order.
+#[macro_export]
+macro_rules! keys {
+    (
+        $(#[$all_meta:meta])*
+        $all_vis:vis static $all:ident = [$($hid:ident: $hkind:ident $hclass:ident $hname:literal),* $(,)?];
+        $(
+            $(#[$meta:meta])*
+            $vis:vis static $table:ident = [$($id:ident: $kind:ident $class:ident $name:literal),* $(,)?];
+        )*
+    ) => {
+        $crate::keys!(@consts [$all_vis] $all $($hid $hkind $hclass $hname)*);
+        $(
+            $crate::keys!(@consts [$vis] $table $($id $kind $class $name)*);
+            $(#[$meta])*
+            $vis static $table: &[$crate::Key] = &[$($id),*];
+        )*
+        $(#[$all_meta])*
+        $all_vis static $all: &[$crate::Key] = &[$($hid,)* $($($id),*),*];
+    };
+    (@consts [$vis:vis] $table:ident $($id:ident $kind:ident $class:ident $name:literal)*) => {
+        // Numbers the table's lines: a variant's discriminant is its slot.
+        #[allow(non_camel_case_types, clippy::upper_case_acronyms, dead_code)]
+        enum $table { $($id),* }
+        $(
+            #[doc = concat!("`", $name, "`: ", stringify!($kind), ", ", stringify!($class), ".")]
+            $vis const $id: $crate::Key = $crate::Key {
+                name: $name,
+                kind: $crate::Kind::$kind,
+                class: $crate::Class::$class,
+                slot: $table::$id as usize,
+            };
+        )*
+    };
 }
 
 /// A dense counter slab over a static key table. One owner, no locks:
@@ -156,17 +212,11 @@ pub struct Counters {
 impl Counters {
     /// A slab for `keys`, recording iff `level` enables counters.
     pub fn new(keys: &'static [Key], level: Level) -> Counters {
-        let on = level.counters_on();
         Counters {
             keys,
-            slots: if on { vec![0; keys.len()] } else { Vec::new() },
-            on,
+            slots: vec![0; keys.len()],
+            on: level.counters_on(),
         }
-    }
-
-    /// A disabled slab (identical to `new(keys, Level::Off)`).
-    pub fn off(keys: &'static [Key]) -> Counters {
-        Counters::new(keys, Level::Off)
     }
 
     /// A recording slab holding `slots`, one value per key in table
@@ -174,10 +224,10 @@ impl Counters {
     /// as its values, ready to [`merge_from`](Counters::merge_from).
     /// `None` when `slots` is not one value per key.
     pub fn from_slots(keys: &'static [Key], slots: Vec<u64>) -> Option<Counters> {
-        (slots.len() == keys.len()).then(|| Counters {
+        (slots.len() == keys.len()).then_some(Counters {
             keys,
             slots,
-            on: runtime_enabled(),
+            on: true,
         })
     }
 
@@ -187,19 +237,21 @@ impl Counters {
         self.on
     }
 
-    /// Adds `n` to slot `id` (a sum key's index in the key table).
+    /// Adds `n` to sum key `key` of this slab's table.
     #[inline]
-    pub fn add(&mut self, id: usize, n: u64) {
+    pub fn add(&mut self, key: Key, n: u64) {
         if self.on {
-            self.slots[id] += n;
+            debug_assert_eq!(self.keys[key.slot], key, "a key of another table");
+            self.slots[key.slot] += n;
         }
     }
 
-    /// Raises high-water slot `id` to `v` if `v` is larger.
+    /// Raises high-water key `key` to `v` if `v` is larger.
     #[inline]
-    pub fn record_max(&mut self, id: usize, v: u64) {
-        if self.on && v > self.slots[id] {
-            self.slots[id] = v;
+    pub fn record_max(&mut self, key: Key, v: u64) {
+        if self.on && v > self.slots[key.slot] {
+            debug_assert_eq!(self.keys[key.slot], key, "a key of another table");
+            self.slots[key.slot] = v;
         }
     }
 
@@ -216,26 +268,15 @@ impl Counters {
         );
         for (id, key) in self.keys.iter().enumerate() {
             match key.kind {
-                Kind::Sum => self.slots[id] += other.slots[id],
                 Kind::HighWater => self.slots[id] = self.slots[id].max(other.slots[id]),
+                _ => self.slots[id] += other.slots[id],
             }
         }
     }
 
-    /// The current value of slot `id` (0 when disabled).
-    pub fn get(&self, id: usize) -> u64 {
-        if self.on {
-            self.slots[id]
-        } else {
-            0
-        }
-    }
-
-    /// Exports every slot, in key-table order, into a fresh snapshot.
-    pub fn snapshot(&self) -> Snapshot {
-        let mut snap = Snapshot::new();
-        self.snapshot_into(&mut snap);
-        snap
+    /// The current value of `key` (0 when disabled).
+    pub fn get(&self, key: Key) -> u64 {
+        self.slots[key.slot]
     }
 
     /// Appends every slot, in key-table order, to `snap`.
@@ -243,20 +284,19 @@ impl Counters {
         if !self.on {
             return;
         }
-        for (id, key) in self.keys.iter().enumerate() {
-            snap.push_counter(key.name, self.slots[id]);
+        for (&key, &value) in self.keys.iter().zip(&self.slots) {
+            snap.push_counter(key, &[], value);
         }
     }
 }
 
-/// A span-style phase timer set over a static phase-name table. Active
+/// A span-style phase timer set over a static phase-key table. Active
 /// only at [`Level::Full`]; the clock is observation-only — elapsed
 /// times are accumulated for reporting and never read back.
 #[derive(Debug, Clone)]
 pub struct Phases {
-    names: &'static [&'static str],
-    ns: Vec<u64>,
-    count: Vec<u64>,
+    keys: &'static [Key],
+    stats: Vec<PhaseStat>,
     on: bool,
 }
 
@@ -266,21 +306,13 @@ pub struct Phases {
 pub struct SpanStart(Option<Instant>);
 
 impl Phases {
-    /// A timer set for `names`, recording iff `level` enables spans.
-    pub fn new(names: &'static [&'static str], level: Level) -> Phases {
-        let on = level.spans_on();
+    /// A timer set for `keys`, recording iff `level` enables spans.
+    pub fn new(keys: &'static [Key], level: Level) -> Phases {
         Phases {
-            names,
-            ns: if on { vec![0; names.len()] } else { Vec::new() },
-            count: if on { vec![0; names.len()] } else { Vec::new() },
-            on,
+            keys,
+            stats: vec![PhaseStat::default(); keys.len()],
+            on: level.spans_on(),
         }
-    }
-
-    /// True when this timer set records.
-    #[inline]
-    pub fn is_on(&self) -> bool {
-        self.on
     }
 
     /// Starts a span (reads the monotonic clock only when recording).
@@ -289,12 +321,14 @@ impl Phases {
         SpanStart(if self.on { Some(Instant::now()) } else { None })
     }
 
-    /// Ends a span started with [`Phases::begin`], crediting phase `id`.
+    /// Ends a span started with [`Phases::begin`], crediting phase
+    /// `key` of this set's table.
     #[inline]
-    pub fn end(&mut self, id: usize, start: SpanStart) {
+    pub fn end(&mut self, key: Key, start: SpanStart) {
         if let Some(t0) = start.0 {
-            self.ns[id] += t0.elapsed().as_nanos() as u64;
-            self.count[id] += 1;
+            debug_assert_eq!(self.keys[key.slot], key, "a key of another table");
+            self.stats[key.slot].ns += t0.elapsed().as_nanos() as u64;
+            self.stats[key.slot].count += 1;
         }
     }
 
@@ -304,39 +338,32 @@ impl Phases {
             return;
         }
         assert_eq!(
-            self.names.as_ptr(),
-            other.names.as_ptr(),
-            "merging phase sets with different name tables"
+            self.keys.as_ptr(),
+            other.keys.as_ptr(),
+            "merging phase sets with different key tables"
         );
-        for id in 0..self.names.len() {
-            self.ns[id] += other.ns[id];
-            self.count[id] += other.count[id];
+        for (stat, other) in self.stats.iter_mut().zip(&other.stats) {
+            stat.ns += other.ns;
+            stat.count += other.count;
         }
     }
 
-    /// Appends every phase, in name-table order, to `snap`.
+    /// Appends every phase, in key-table order, to `snap`.
     pub fn snapshot_into(&self, snap: &mut Snapshot) {
         if !self.on {
             return;
         }
-        for (id, name) in self.names.iter().enumerate() {
-            snap.push_phase(
-                name,
-                PhaseStat {
-                    ns: self.ns[id],
-                    count: self.count[id],
-                },
-            );
+        for (&key, &stat) in self.keys.iter().zip(&self.stats) {
+            snap.push_phase(key, stat);
         }
     }
 }
 
-/// A latency histogram with power-of-two nanosecond buckets: bucket `i`
-/// holds samples in `[2^i, 2^(i+1))` ns (bucket 0 holds 0–1 ns). Cheap
-/// enough for per-epoch round-trip timing at [`Level::Counters`].
-#[derive(Debug, Clone)]
+/// A latency summary: how many samples, their sum and the largest, in
+/// nanoseconds. Cheap enough for per-epoch round-trip timing at
+/// [`Level::Counters`].
+#[derive(Debug, Clone, Default)]
 pub struct Histogram {
-    buckets: [u64; 48],
     count: u64,
     sum_ns: u64,
     max_ns: u64,
@@ -346,12 +373,10 @@ pub struct Histogram {
 impl Histogram {
     /// A histogram recording iff `level` enables counters.
     pub fn new(level: Level) -> Histogram {
+        let on = level.counters_on();
         Histogram {
-            buckets: [0; 48],
-            count: 0,
-            sum_ns: 0,
-            max_ns: 0,
-            on: level.counters_on(),
+            on,
+            ..Histogram::default()
         }
     }
 
@@ -367,8 +392,6 @@ impl Histogram {
         if !self.on {
             return;
         }
-        let bucket = (64 - ns.leading_zeros() as usize).min(47);
-        self.buckets[bucket] += 1;
         self.count += 1;
         self.sum_ns = self.sum_ns.saturating_add(ns);
         self.max_ns = self.max_ns.max(ns);
@@ -382,13 +405,13 @@ impl Histogram {
         }
     }
 
-    /// Appends this histogram's summary to `snap` under `name`.
-    pub fn snapshot_into(&self, name: &str, snap: &mut Snapshot) {
+    /// Appends this histogram's summary to `snap` under `key`.
+    pub fn snapshot_into(&self, key: Key, snap: &mut Snapshot) {
         if !self.on {
             return;
         }
         snap.push_hist(
-            name,
+            key,
             HistStat {
                 count: self.count,
                 sum_ns: self.sum_ns,
@@ -399,7 +422,7 @@ impl Histogram {
 }
 
 /// Accumulated time in one phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PhaseStat {
     /// Total nanoseconds spent in the phase.
     pub ns: u64,
@@ -443,20 +466,36 @@ impl Snapshot {
         self.counters.is_empty() && self.phases.is_empty() && self.hists.is_empty()
     }
 
-    /// Appends a counter entry (dynamic keys — per-link, per-worker —
-    /// enter here at snapshot time, never on the hot path).
-    pub fn push_counter(&mut self, name: &str, value: u64) {
-        self.counters.push((name.to_string(), value));
+    /// Appends a counter entry under sum or high-water key `key`, its
+    /// placeholders filled by `args` in order (a per-shard or per-link
+    /// key is formatted here, at snapshot time, never on the hot path).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is not a counter or `args` is not one index per
+    /// placeholder.
+    pub fn push_counter(&mut self, key: Key, args: &[usize], value: u64) {
+        let name = name_of(key, &[Kind::Sum, Kind::HighWater], args);
+        self.counters.push((name, value));
     }
 
-    /// Appends a phase entry.
-    pub fn push_phase(&mut self, name: &str, stat: PhaseStat) {
-        self.phases.push((name.to_string(), stat));
+    /// Appends a phase entry under phase key `key`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is not a phase or has a placeholder.
+    pub fn push_phase(&mut self, key: Key, stat: PhaseStat) {
+        self.phases.push((name_of(key, &[Kind::Phase], &[]), stat));
     }
 
-    /// Appends a histogram entry.
-    pub fn push_hist(&mut self, name: &str, stat: HistStat) {
-        self.hists.push((name.to_string(), stat));
+    /// Appends a histogram entry under histogram key `key`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is not a histogram or has a placeholder.
+    pub fn push_hist(&mut self, key: Key, stat: HistStat) {
+        self.hists
+            .push((name_of(key, &[Kind::Histogram], &[]), stat));
     }
 
     /// Concatenates another layer's snapshot after this one's entries.
@@ -541,6 +580,24 @@ impl Snapshot {
     }
 }
 
+/// `key`'s name with each `{..}` placeholder replaced by the next of
+/// `args`, for a snapshot section that holds `kinds`.
+fn name_of(key: Key, kinds: &[Kind], args: &[usize]) -> String {
+    assert!(
+        kinds.contains(&key.kind),
+        "{} is a {:?} key",
+        key.name,
+        key.kind
+    );
+    let parts: Vec<&str> = key.name.split(['{', '}']).collect();
+    assert_eq!(parts.len(), 2 * args.len() + 1, "{}: {args:?}", key.name);
+    let mut name = parts[0].to_string();
+    for (arg, text) in args.iter().zip(parts.iter().skip(2).step_by(2)) {
+        name += &format!("{arg}{text}");
+    }
+    name
+}
+
 /// Validates a metric name against the repo-wide dotted-path scheme
 /// (`docs/observability.md`): one or more non-empty segments of
 /// lowercase ASCII letters, digits, `_` or `-`, joined by single dots.
@@ -588,45 +645,73 @@ impl TraceWriter {
 mod tests {
     use super::*;
 
-    static KEYS: &[Key] = &[
-        Key::sum("t.events"),
-        Key::high_water("t.depth"),
-        Key::sum("t.bytes"),
-    ];
+    keys! {
+        static ALL = [
+            LINK_BYTES: Sum Partition "t.link.{src}-{dst}.bytes",
+            RTT: Histogram Wall "t.rtt",
+        ];
+        static KEYS = [
+            EVENTS: Sum Run "t.events",
+            DEPTH: HighWater Partition "t.depth",
+            BYTES: Sum Run "t.bytes",
+        ];
+        static PHASES = [
+            PHASE_A: Phase Wall "t.phase.a",
+        ];
+    }
+
+    #[test]
+    fn a_declaration_numbers_each_table_and_lists_the_union() {
+        assert_eq!(
+            (EVENTS.slot, DEPTH.slot, BYTES.slot, PHASE_A.slot),
+            (0, 1, 2, 0)
+        );
+        assert_eq!(KEYS, &[EVENTS, DEPTH, BYTES]);
+        let names: Vec<&str> = ALL.iter().map(|key| key.name).collect();
+        assert_eq!(
+            names,
+            [
+                "t.link.{src}-{dst}.bytes",
+                "t.rtt",
+                "t.events",
+                "t.depth",
+                "t.bytes",
+                "t.phase.a"
+            ]
+        );
+        assert_eq!(
+            (DEPTH.kind, DEPTH.class),
+            (Kind::HighWater, Class::Partition)
+        );
+    }
 
     #[test]
     fn merge_respects_kinds() {
         let mut a = Counters::new(KEYS, Level::Counters);
         let mut b = Counters::new(KEYS, Level::Counters);
-        a.add(0, 5);
-        a.record_max(1, 10);
-        b.add(0, 7);
-        b.record_max(1, 4);
-        b.add(2, 100);
+        a.add(EVENTS, 5);
+        a.record_max(DEPTH, 10);
+        b.add(EVENTS, 7);
+        b.record_max(DEPTH, 4);
+        b.add(BYTES, 100);
         a.merge_from(&b);
-        if runtime_enabled() {
-            assert_eq!(a.get(0), 12);
-            assert_eq!(a.get(1), 10);
-            assert_eq!(a.get(2), 100);
-        } else {
-            assert_eq!(a.get(0), 0);
-        }
+        assert_eq!(a.get(EVENTS), 12);
+        assert_eq!(a.get(DEPTH), 10);
+        assert_eq!(a.get(BYTES), 100);
     }
 
     #[test]
     fn a_shipped_slab_merges_like_the_one_it_was_read_from() {
         let mut sent = Counters::new(KEYS, Level::Counters);
-        sent.add(0, 7);
-        sent.record_max(1, 4);
-        let values: Vec<u64> = (0..KEYS.len()).map(|id| sent.get(id)).collect();
+        sent.add(EVENTS, 7);
+        sent.record_max(DEPTH, 4);
+        let values: Vec<u64> = KEYS.iter().map(|&key| sent.get(key)).collect();
         let received = Counters::from_slots(KEYS, values).expect("one value per key");
         let mut a = Counters::new(KEYS, Level::Counters);
-        a.add(0, 5);
-        a.record_max(1, 10);
+        a.add(EVENTS, 5);
+        a.record_max(DEPTH, 10);
         a.merge_from(&received);
-        if runtime_enabled() {
-            assert_eq!((a.get(0), a.get(1), a.get(2)), (12, 10, 0));
-        }
+        assert_eq!((a.get(EVENTS), a.get(DEPTH), a.get(BYTES)), (12, 10, 0));
         assert!(Counters::from_slots(KEYS, vec![1, 2]).is_none());
         assert!(Counters::from_slots(KEYS, vec![1, 2, 3, 4]).is_none());
     }
@@ -634,29 +719,29 @@ mod tests {
     #[test]
     fn off_level_records_nothing() {
         let mut c = Counters::new(KEYS, Level::Off);
-        c.add(0, 5);
-        c.record_max(1, 9);
-        assert_eq!(c.get(0), 0);
-        assert!(c.snapshot().is_empty());
+        c.add(EVENTS, 5);
+        c.record_max(DEPTH, 9);
+        assert_eq!(c.get(EVENTS), 0);
+        let mut snap = Snapshot::new();
+        c.snapshot_into(&mut snap);
+        assert!(snap.is_empty());
     }
 
     #[test]
     fn phases_record_only_at_full() {
-        let mut p = Phases::new(&["t.phase.a"], Level::Counters);
+        let mut p = Phases::new(PHASES, Level::Counters);
         let t = p.begin();
-        p.end(0, t);
+        p.end(PHASE_A, t);
         let mut snap = Snapshot::new();
         p.snapshot_into(&mut snap);
         assert!(snap.phases.is_empty());
 
-        let mut p = Phases::new(&["t.phase.a"], Level::Full);
+        let mut p = Phases::new(PHASES, Level::Full);
         let t = p.begin();
-        p.end(0, t);
+        p.end(PHASE_A, t);
         let mut snap = Snapshot::new();
         p.snapshot_into(&mut snap);
-        if runtime_enabled() {
-            assert_eq!(snap.phase("t.phase.a").unwrap().count, 1);
-        }
+        assert_eq!(snap.phase("t.phase.a").unwrap().count, 1);
     }
 
     #[test]
@@ -667,22 +752,33 @@ mod tests {
         h.record_ns(1024);
         h.record_ns(u64::MAX);
         let mut snap = Snapshot::new();
-        h.snapshot_into("t.rtt", &mut snap);
-        if runtime_enabled() {
-            let stat = snap.hists[0].1;
-            assert_eq!(stat.count, 4);
-            assert_eq!(stat.max_ns, u64::MAX);
-        }
+        h.snapshot_into(RTT, &mut snap);
+        let stat = snap.hists[0].1;
+        assert_eq!(stat.count, 4);
+        assert_eq!(stat.max_ns, u64::MAX);
+    }
+
+    #[test]
+    fn a_templated_key_takes_one_index_per_placeholder() {
+        let mut snap = Snapshot::new();
+        snap.push_counter(LINK_BYTES, &[0, 3], 9);
+        assert_eq!(snap.counter("t.link.0-3.bytes"), Some(9));
+        let short = std::panic::catch_unwind(|| Snapshot::new().push_counter(LINK_BYTES, &[0], 9));
+        assert!(short.is_err());
+        let long = std::panic::catch_unwind(|| Snapshot::new().push_counter(EVENTS, &[0], 9));
+        assert!(long.is_err());
+        let phase = std::panic::catch_unwind(|| Snapshot::new().push_counter(PHASE_A, &[], 9));
+        assert!(phase.is_err());
     }
 
     #[test]
     fn snapshot_json_shape() {
         let mut snap = Snapshot::new();
-        snap.push_counter("a.b", 3);
-        snap.push_phase("p.q", PhaseStat { ns: 10, count: 2 });
+        snap.push_counter(EVENTS, &[], 3);
+        snap.push_phase(PHASE_A, PhaseStat { ns: 10, count: 2 });
         let json = snap.to_json();
         let text = serde_json::to_string(&json);
-        assert!(text.contains("\"a.b\""));
+        assert!(text.contains("\"t.events\""));
         assert!(text.contains("\"phases\""));
         let reparsed = serde_json::from_str(&text).unwrap();
         assert_eq!(serde_json::to_string(&reparsed), text);
@@ -695,7 +791,7 @@ mod tests {
             "distance_to_tlb",
             "event.3.leaf_join.round",
             "scheme.dns-rr.max_load",
-            "pdes.events.popped",
+            "demo.events.popped",
         ] {
             assert!(valid_metric_key(good), "{good} should be valid");
         }

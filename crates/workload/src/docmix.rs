@@ -145,13 +145,6 @@ impl DocMix {
         docs
     }
 
-    /// Total demand for one document across all nodes.
-    pub fn doc_total(&self, doc: DocId) -> f64 {
-        (0..self.len())
-            .map(|i| self.rate_of(NodeId::new(i), doc))
-            .sum()
-    }
-
     /// Adds `delta` req/s to the demand of `node` for `doc` (a publish,
     /// or demand re-homing from a departed child).
     ///
@@ -220,6 +213,13 @@ mod tests {
         Tree::from_parents(&[None, Some(0), Some(0), Some(1)]).unwrap()
     }
 
+    /// Total demand for document `doc` across all nodes.
+    fn doc_total(m: &DocMix, doc: u64) -> f64 {
+        (0..m.len())
+            .map(|i| m.rate_of(NodeId::new(i), DocId::new(doc)))
+            .sum()
+    }
+
     #[test]
     fn set_and_get() {
         let mut m = DocMix::new(2);
@@ -254,7 +254,7 @@ mod tests {
         m.set(NodeId::new(1), DocId::new(1), 3.0);
         m.set(NodeId::new(2), DocId::new(0), 4.0);
         assert_eq!(m.spontaneous().as_slice(), &[0.0, 5.0, 4.0]);
-        assert_eq!(m.doc_total(DocId::new(0)), 6.0);
+        assert_eq!(doc_total(&m, 0), 6.0);
         assert_eq!(m.documents(), vec![DocId::new(0), DocId::new(1)]);
     }
 
@@ -270,7 +270,7 @@ mod tests {
             );
         }
         // Doc 0 is globally hottest.
-        assert!(m.doc_total(DocId::new(0)) > m.doc_total(DocId::new(15)));
+        assert!(doc_total(&m, 0) > doc_total(&m, 15));
     }
 
     #[test]

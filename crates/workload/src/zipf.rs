@@ -28,7 +28,6 @@ use rand::Rng;
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
-    s: f64,
 }
 
 impl Zipf {
@@ -52,7 +51,7 @@ impl Zipf {
         for c in &mut cdf {
             *c /= total;
         }
-        Some(Zipf { cdf, s })
+        Some(Zipf { cdf })
     }
 
     /// Number of ranks.
@@ -63,11 +62,6 @@ impl Zipf {
     /// `true` when the distribution covers no ranks (not constructible).
     pub fn is_empty(&self) -> bool {
         self.cdf.is_empty()
-    }
-
-    /// The skew exponent `s`.
-    pub fn exponent(&self) -> f64 {
-        self.s
     }
 
     /// Exact probability of `rank`.

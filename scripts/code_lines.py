@@ -40,10 +40,12 @@ class Scanner:
         self.string = None  # None, '"' or the closing of a raw string
 
     def line(self, text):
-        """Returns (has_code, brace_delta, has_semicolon) for one line."""
+        """Returns (has_code, brace_delta, has_semicolon, text without its
+        comments) for one line."""
         code = False
         delta = 0
         ends = False
+        kept = []
         i, n = 0, len(text)
         while i < n:
             c = text[i]
@@ -57,22 +59,25 @@ class Scanner:
                 else:
                     i += 1
                 continue
+            start = i
             if self.string is not None:
                 code = True
                 if self.string == '"':
                     if c == "\\":
                         i += 2
-                        continue
-                    if c == '"':
-                        self.string = None
-                    i += 1
+                    else:
+                        if c == '"':
+                            self.string = None
+                        i += 1
                 elif text.startswith(self.string, i):
                     i += len(self.string)
                     self.string = None
                 else:
                     i += 1
+                kept.append(text[start:i])
                 continue
             if c.isspace():
+                kept.append(c)
                 i += 1
                 continue
             if text.startswith("//", i):
@@ -86,23 +91,22 @@ class Scanner:
             if raw and (i == 0 or not (text[i - 1].isalnum() or text[i - 1] == "_")):
                 self.string = '"' + raw.group(1)
                 i += raw.end()
-                continue
-            if c == '"':
+            elif c == '"':
                 self.string = '"'
                 i += 1
-                continue
-            if c == "'":
+            elif c == "'":
                 lit = CHAR_LITERAL.match(text, i)
                 i = lit.end() if lit else i + 1
-                continue
-            if c == "{":
-                delta += 1
-            elif c == "}":
-                delta -= 1
-            elif c == ";":
-                ends = True
-            i += 1
-        return code, delta, ends
+            else:
+                if c == "{":
+                    delta += 1
+                elif c == "}":
+                    delta -= 1
+                elif c == ";":
+                    ends = True
+                i += 1
+            kept.append(text[start:i])
+        return code, delta, ends, "".join(kept)
 
 
 def test_module_files(path):
@@ -138,16 +142,17 @@ def test_module_files(path):
 
 
 def classify(path, all_test):
-    """Yields (line number, text, has code, brace delta, in test) for every
-    line of one source file. `in test` marks the lines of `#[cfg(test)]`
-    items, and every line when `all_test` is set; the brace delta skips
-    braces in comments and literals."""
+    """Yields (line number, code, has code, brace delta, in test) for every
+    line of one source file. `code` is the line without its comments.
+    `in test` marks the lines of `#[cfg(test)]` items, and every line when
+    `all_test` is set; the brace delta skips braces in comments and
+    literals."""
     scan = Scanner()
     pending = False  # saw `#[cfg(test)]`, item not started yet
     depth = None  # brace depth inside a test item, None outside one
     with open(path, encoding="utf-8") as f:
         for number, text in enumerate(f, 1):
-            has_code, delta, ends = scan.line(text)
+            has_code, delta, ends, text = scan.line(text)
             if has_code and not all_test:
                 attrs, rest = split_attrs(text.strip())
                 if depth is None and "#[cfg(test)]" in attrs:
