@@ -287,28 +287,37 @@ fn credit(span: Option<std::time::Instant>, ns: &mut u64, count: &mut u64) {
 
 impl PacketWorld {
     /// Builds the world for `tree` under the per-node document demand
-    /// `mix`.
+    /// `mix`, from copies of both.
     ///
     /// # Panics
     ///
-    /// Panics if `mix` does not cover `tree` or a config value is out of
-    /// range ([`PacketSimConfig::check`]).
+    /// As [`PacketWorld::assert_inputs`].
     pub fn new(tree: &Tree, mix: &DocMix, config: PacketSimConfig) -> Self {
-        assert_eq!(mix.len(), tree.len(), "doc mix must cover the tree");
-        if let Err(what) = config.check() {
-            panic!("config {what} out of range: {config:?}");
-        }
+        Self::from_parts(tree.clone(), mix.clone(), config)
+    }
+
+    /// [`PacketWorld::new`] over a tree and a mix the world takes over —
+    /// a distributed worker's, decoded from its assignment, has no other
+    /// use for them.
+    ///
+    /// # Panics
+    ///
+    /// As [`PacketWorld::assert_inputs`].
+    pub fn from_parts(tree: Tree, mix: DocMix, config: PacketSimConfig) -> Self {
+        Self::assert_inputs(&tree, &mix, &config);
         let table = DocTable::from_ids(mix.documents());
+        let oracle = RateVector::zeros(tree.len());
+        let fold = IncrementalFold::new(&tree, &mix.spontaneous());
         let mut world = PacketWorld {
-            tree: tree.clone(),
+            tree,
             table,
             child_slot: Vec::new(),
-            mix: mix.clone(),
-            oracle: RateVector::zeros(tree.len()),
+            mix,
+            oracle,
             config,
             alpha: 0.5,
             generation: 0,
-            fold: IncrementalFold::new(tree, &mix.spontaneous()),
+            fold,
             batched: false,
             batch_dirty: false,
             tel: WorldTel {
@@ -321,6 +330,21 @@ impl PacketWorld {
         world.refresh_structural();
         world.refresh_oracle();
         world
+    }
+
+    /// Refuses inputs no world can be built from — the checks both
+    /// constructors run first, for a caller that must refuse them before
+    /// it builds the world.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mix` does not cover `tree` or a config value is out of
+    /// range ([`PacketSimConfig::check`]).
+    pub fn assert_inputs(tree: &Tree, mix: &DocMix, config: &PacketSimConfig) {
+        assert_eq!(mix.len(), tree.len(), "doc mix must cover the tree");
+        if let Err(what) = config.check() {
+            panic!("config {what} out of range: {config:?}");
+        }
     }
 
     /// Derives the child-slot index from the tree, from scratch.

@@ -118,6 +118,48 @@ pub struct Assign {
     pub peers: Vec<(usize, String)>,
 }
 
+/// An [`Assign`] whose tree, mix and peer table are borrowed: what the
+/// coordinator encodes, in `Assign`'s layout, without copying the world
+/// ([`AssignFrame`]).
+pub(crate) struct AssignRef<'a> {
+    pub(crate) shard_id: usize,
+    pub(crate) shard_hint: usize,
+    pub(crate) partition_digest: u64,
+    pub(crate) stall_ms: Option<u64>,
+    pub(crate) parents: &'a Vec<Option<usize>>,
+    pub(crate) mix: &'a DocMix,
+    pub(crate) config: PacketSimConfig,
+    pub(crate) peers: &'a Vec<(usize, String)>,
+}
+
+/// One encoded `Msg::Assign` frame for every worker. The workers'
+/// assignments differ in `shard_id` only, the first field of `Assign`'s
+/// layout, so the world is encoded once and each worker's copy is the
+/// same bytes re-addressed.
+pub(crate) struct AssignFrame(Vec<u8>);
+
+impl AssignFrame {
+    /// Where `shard_id` sits: after the length prefix and the tag.
+    const SHARD_ID: std::ops::Range<usize> = 5..13;
+
+    /// Encodes `assign` as the frame [`encode_msg`] would write for the
+    /// owned [`Assign`] it borrows from.
+    pub(crate) fn new(assign: &AssignRef<'_>) -> Self {
+        let mut out = Vec::new();
+        frame(&mut out, |out| {
+            out.push(ASSIGN);
+            assign.put(out);
+        });
+        AssignFrame(out)
+    }
+
+    /// The frame addressed to shard `shard_id`.
+    pub(crate) fn for_shard(&mut self, shard_id: usize) -> &[u8] {
+        self.0[Self::SHARD_ID].copy_from_slice(&(shard_id as u64).to_le_bytes());
+        &self.0
+    }
+}
+
 /// A worker's slice of the final report, returned for
 /// [`Msg::ReportRequest`].
 #[derive(Debug, Clone, PartialEq)]
@@ -477,9 +519,11 @@ macro_rules! other_tag {
 
 /// The one place a type's wire layout is stated. A struct lists its
 /// fields in wire order (`field: reader` for one whose decode a checked
-/// reader does). An enum maps each tag byte to a variant and that
-/// variant's fields in wire order; an `_ => Variant(inner)` arm hands
-/// every other tag to the inner enum, whose own tag it is.
+/// reader does); `also View` encodes a twin struct whose fields of the
+/// same names borrow what the owned type holds. An enum maps each tag
+/// byte to a variant and that variant's fields in wire order (`tag as
+/// NAME` also declares the tag as a constant); an `_ => Variant(inner)`
+/// arm hands every other tag to the inner enum, whose own tag it is.
 macro_rules! layout {
     (struct $ty:ident { $($f:ident $(: $read:ident)?),* $(,)? }) => {
         impl Codec for $ty {
@@ -494,10 +538,22 @@ macro_rules! layout {
             }
         }
     };
+    (struct $ty:ident also $view:ident { $($f:ident $(: $read:ident)?),* $(,)? }) => {
+        layout!(struct $ty { $($f $(: $read)?),* });
+
+        impl $view<'_> {
+            /// Encodes the borrowed fields in the owned type's layout.
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$f.put(out);)*
+            }
+        }
+    };
     (enum $ty:ident {
-        $($tag:literal => $var:ident $({ $($f:ident),* })? $(($x:ident))?,)*
+        $($tag:literal $(as $name:ident)? => $var:ident $({ $($f:ident),* })? $(($x:ident))?,)*
         $(_ => $other:ident($y:ident),)?
     }) => {
+        $($(const $name: u8 = $tag;)?)*
+
         impl Codec for $ty {
             #[inline(always)]
             fn put(&self, out: &mut Vec<u8>) {
@@ -535,16 +591,17 @@ macro_rules! layout {
 }
 
 // Data plane in the low tags, control plane from 16. `Wire`'s tags are
-// `Msg`'s: a data-plane frame is the `Wire` itself.
+// `Msg`'s: a data-plane frame is the `Wire` itself. The two frames the
+// coordinator encodes from borrowed parts name their tags (`as`).
 layout!(enum Msg {
     4 => DataHello { from_shard },
     16 => Hello { data_addr },
-    17 => Assign(assign),
+    17 as ASSIGN => Assign(assign),
     18 => Surplus,
     19 => Ready,
     20 => RunEpoch { t_end, sample },
     21 => EpochDone { partial },
-    22 => Apply(op),
+    22 as APPLY => Apply(op),
     23 => Applied { err },
     24 => ReportRequest { now },
     25 => Report(report),
@@ -579,7 +636,7 @@ layout!(enum BarrierOp {
     6 => SetMix { mix },
 });
 layout!(struct DocRequest { id, doc, origin, hops });
-layout!(struct Assign {
+layout!(struct Assign also AssignRef {
     shard_id, shard_hint, partition_digest, stall_ms, parents, mix,
     config: checked_config,
     peers,
@@ -603,17 +660,22 @@ fn checked_config(r: &mut Rd<'_>) -> Result<PacketSimConfig, CodecError> {
 }
 
 /// A demand mix travels as its node count and its `(node, doc, rate)`
-/// triples in canonical node-major order, and decodes only into a mix
-/// [`DocMix::set`] accepts.
+/// triples in canonical node-major order — the layout of
+/// `(usize, Vec<(usize, u64, f64)>)`, streamed from and into the rows
+/// without that vector — and decodes only into a mix [`DocMix::set`]
+/// accepts.
 impl Codec for DocMix {
     fn put(&self, out: &mut Vec<u8>) {
-        let demands: Vec<(usize, u64, f64)> = (0..self.len())
-            .flat_map(|j| {
-                let row = self.demands_of(NodeId::new(j));
-                row.iter().map(move |&(doc, rate)| (j, doc.value(), rate))
-            })
-            .collect();
-        (self.len(), demands).put(out);
+        let rows = || (0..self.len()).map(|j| self.demands_of(NodeId::new(j)));
+        let demands: usize = rows().map(<[_]>::len).sum();
+        self.len().put(out);
+        (demands as u32).put(out);
+        out.reserve(demands * <(usize, u64, f64)>::MIN);
+        for (j, row) in rows().enumerate() {
+            for &(doc, rate) in row {
+                (j, doc.value(), rate).put(out);
+            }
+        }
     }
 
     fn get(r: &mut Rd<'_>) -> Result<Self, CodecError> {
@@ -625,7 +687,17 @@ impl Codec for DocMix {
             return Err(bad("mix nodes"));
         }
         let mut mix = DocMix::new(nodes);
-        for (node, doc, rate) in <Vec<(usize, u64, f64)>>::get(r)? {
+        // The list's bytes are taken whole before any triple is
+        // checked, as the vector's decode took them: a truncated list
+        // is `Truncated` whatever it holds.
+        const TRIPLE: usize = <(usize, u64, f64)>::MIN;
+        let demands = r.len(TRIPLE)?;
+        let mut triples = Rd {
+            b: r.bytes(demands * TRIPLE)?,
+            i: 0,
+        };
+        for _ in 0..demands {
+            let (node, doc, rate) = <(usize, u64, f64)>::get(&mut triples)?;
             if node >= nodes || !rate.is_finite() || rate < 0.0 {
                 return Err(bad("mix demand"));
             }
@@ -652,9 +724,23 @@ fn pdes_slab(r: &mut Rd<'_>) -> Result<Vec<u64>, CodecError> {
 /// constructing a pathological message (a multi-gigabyte string field),
 /// never by the protocol's own traffic.
 pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
+    frame(out, |out| msg.put(out));
+}
+
+/// Appends `Msg::Apply(op)` to `out` as [`encode_msg`] frames it,
+/// without cloning `op` into a message.
+pub(crate) fn encode_apply(op: &BarrierOp, out: &mut Vec<u8>) {
+    frame(out, |out| {
+        out.push(APPLY);
+        op.put(out);
+    });
+}
+
+/// Appends the body `body` writes to `out` behind its length prefix.
+fn frame(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
     let at = out.len();
     0u32.put(out);
-    msg.put(out);
+    body(out);
     let len = out.len() - at - 4;
     assert!(len <= MAX_FRAME, "oversize frame: {len} bytes");
     out[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
@@ -676,9 +762,15 @@ pub fn decode_msg(body: &[u8]) -> Result<Msg, CodecError> {
     }
 }
 
+/// The buffer capacity a [`FrameBuffer`] keeps between frames: a larger
+/// frame's reservation is given back once the frame is consumed.
+const KEEP: usize = 64 * 1024;
+
 /// Incremental frame reassembly over an arbitrary chunking of the byte
 /// stream: [`feed`](FrameBuffer::feed) whatever the socket produced,
 /// then drain complete messages with [`next_msg`](FrameBuffer::next_msg).
+/// A frame larger than 64 KiB is reserved once, at its announced
+/// length, and its memory returned once it is consumed.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
@@ -695,11 +787,15 @@ impl FrameBuffer {
     pub fn feed(&mut self, bytes: &[u8]) {
         // Compact lazily so a long-lived connection doesn't grow without
         // bound.
-        if self.start > 0 && (self.start >= self.buf.len() || self.start > 64 * 1024) {
-            self.buf.drain(..self.start);
-            self.start = 0;
+        if self.start > 0 && (self.start >= self.buf.len() || self.start > KEEP) {
+            self.compact();
         }
         self.buf.extend_from_slice(bytes);
+    }
+
+    fn compact(&mut self) {
+        self.buf.drain(..self.start);
+        self.start = 0;
     }
 
     /// Bytes currently buffered but not yet consumed.
@@ -715,6 +811,10 @@ impl FrameBuffer {
     /// [`CodecError`] on a corrupt frame; the stream is then
     /// unrecoverable (framing is lost) and the connection must be torn
     /// down.
+    // Inline: a data wire's `try_recv` calls it on every pass of the
+    // shard loop, most of them finding nothing; the large-frame paths
+    // are cold calls so this stays small enough to inline.
+    #[inline]
     pub fn next_msg(&mut self) -> Result<Option<Msg>, CodecError> {
         let avail = &self.buf[self.start..];
         if avail.len() < 4 {
@@ -725,10 +825,148 @@ impl FrameBuffer {
             return Err(CodecError::Oversize { len: len as u64 });
         }
         if avail.len() < 4 + len {
+            if 4 + len > KEEP {
+                self.reserve(4 + len);
+            }
             return Ok(None);
         }
         let msg = decode_msg(&avail[4..4 + len])?;
         self.start += 4 + len;
+        if 4 + len > KEEP {
+            self.release();
+        }
         Ok(Some(msg))
+    }
+
+    /// Room for the rest of a large frame of `whole` bytes, reserved
+    /// once rather than grown chunk by chunk.
+    #[cold]
+    fn reserve(&mut self, whole: usize) {
+        self.compact();
+        self.buf.reserve_exact(whole - self.buf.len());
+    }
+
+    /// Gives a consumed large frame's room back; a stream of small
+    /// frames keeps its buffer.
+    #[cold]
+    fn release(&mut self) {
+        self.compact();
+        self.buf.shrink_to(KEEP);
+    }
+
+    /// The bytes the buffer holds room for.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn frame_of(msg: &Msg) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_msg(msg, &mut out);
+        out
+    }
+
+    fn mix() -> DocMix {
+        let mut mix = DocMix::new(3);
+        mix.set(NodeId::new(1), DocId::new(70), 2.0);
+        mix.set(NodeId::new(2), DocId::new(0), 0.0);
+        mix
+    }
+
+    #[test]
+    fn borrowed_frames_are_the_owned_messages_frames() {
+        let (parents, mix) = (vec![None, Some(0), Some(0)], mix());
+        let peers = vec![(0, "a:1".to_string()), (1, "b:2".to_string())];
+        let config = PacketSimConfig::default();
+        let mut frame = AssignFrame::new(&AssignRef {
+            shard_id: 0,
+            shard_hint: 2,
+            partition_digest: 9,
+            stall_ms: Some(5),
+            parents: &parents,
+            mix: &mix,
+            config,
+            peers: &peers,
+        });
+        for shard_id in [1, 0, 300] {
+            let owned = Msg::Assign(Assign {
+                shard_id,
+                shard_hint: 2,
+                partition_digest: 9,
+                stall_ms: Some(5),
+                parents: parents.clone(),
+                mix: mix.clone(),
+                config,
+                peers: peers.clone(),
+            });
+            assert_eq!(
+                frame.for_shard(shard_id),
+                frame_of(&owned),
+                "shard {shard_id}"
+            );
+        }
+        let ops = [
+            BarrierOp::SetMix { mix: mix.clone() },
+            BarrierOp::FailLink {
+                node: NodeId::new(2),
+            },
+        ];
+        for op in ops {
+            let mut out = vec![0xAA];
+            encode_apply(&op, &mut out);
+            assert_eq!(out[1..], frame_of(&Msg::Apply(op.clone())), "{op:?}");
+        }
+    }
+
+    #[test]
+    fn an_oversize_length_is_refused_before_anything_is_reserved() {
+        let mut frames = FrameBuffer::new();
+        frames.feed(&(MAX_FRAME as u32 + 1).to_le_bytes());
+        assert_eq!(
+            frames.next_msg(),
+            Err(CodecError::Oversize {
+                len: MAX_FRAME as u64 + 1
+            })
+        );
+        assert!(frames.capacity() < 64, "{} bytes held", frames.capacity());
+    }
+
+    #[test]
+    fn a_frame_fed_one_byte_at_a_time_reassembles() {
+        // A frame past `KEEP` between two small ones: the large one is
+        // reserved once, at its announced length, and given back.
+        let msgs = [
+            Msg::Ready,
+            Msg::Fatal {
+                msg: "x".repeat(3 * KEEP),
+            },
+            Msg::Apply(BarrierOp::SetMix { mix: mix() }),
+        ];
+        let stream: Vec<u8> = msgs.iter().flat_map(frame_of).collect();
+        let mut frames = FrameBuffer::new();
+        let mut got = Vec::new();
+        let mut reservations = Vec::new();
+        for &byte in &stream {
+            frames.feed(&[byte]);
+            while let Some(msg) = frames.next_msg().unwrap() {
+                got.push(msg);
+            }
+            if got.len() == 1 && frames.pending() >= 4 {
+                reservations.push(frames.capacity());
+            }
+        }
+        assert_eq!(got, msgs);
+        reservations.dedup();
+        assert_eq!(reservations, [4 + 1 + 4 + 3 * KEEP], "one reservation");
+        assert!(
+            frames.capacity() <= KEEP,
+            "{} bytes held",
+            frames.capacity()
+        );
     }
 }

@@ -17,7 +17,9 @@
 //! distributed run is bit-identical to the sequential and threaded
 //! ones, which the golden tests pin at several worker counts.
 
-use crate::codec::{partition_digest, Assign, Msg, WorkerReport};
+use crate::codec::{
+    encode_apply, encode_msg, partition_digest, AssignFrame, AssignRef, Msg, WorkerReport,
+};
 use crate::error::DistError;
 use crate::framed::FramedStream;
 use crate::spawn::{find_worker_bin, DistMode};
@@ -28,12 +30,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use ww_core::packet::{BarrierOp, BarrierOutcome, PacketCounters, PacketSimConfig};
+use ww_core::packet::{BarrierOp, BarrierOutcome, PacketCounters, PacketSimConfig, PacketWorld};
 use ww_core::packetsim::{PacketBackend, PacketSimReport};
 use ww_model::{NodeId, RateVector, Tree};
 use ww_net::TrafficLedger;
 use ww_pdes::engine::{OVERFLOW_PARKS, OVERFLOW_PEAK_PARKED};
-use ww_pdes::{ShardHost, DEFAULT_STALL_TIMEOUT, PDES_KEYS};
+use ww_pdes::{partition_forest, ShardHost, DEFAULT_STALL_TIMEOUT, PDES_KEYS};
 use ww_sim::SimTime;
 use ww_stats::ExactSum;
 use ww_telemetry::{Counters, Histogram, Level, Snapshot};
@@ -137,10 +139,12 @@ pub struct DistPacketSim {
 impl DistPacketSim {
     /// Launches a distributed run: binds the control listener, brings
     /// up `workers` workers per `options.mode`, hands each its shard
-    /// assignment, and waits until the full data mesh is up. The
-    /// partition is derived from `(tree, workers)` exactly as the
-    /// in-process engine derives it; on small trees fewer shards than
-    /// workers may result, and surplus workers are dismissed.
+    /// assignment, builds the replica while they build their worlds, and
+    /// waits until the full data mesh is up. The partition is derived
+    /// from `(tree, workers)` exactly as the in-process engine derives
+    /// it; on small trees fewer shards than workers may result, and
+    /// surplus workers are dismissed. The world is encoded once for all
+    /// workers and never copied on the way.
     ///
     /// # Errors
     ///
@@ -160,11 +164,13 @@ impl DistPacketSim {
         workers: usize,
         options: DistOptions,
     ) -> Result<Self, DistError> {
+        // Bad input is refused here, before any worker is contacted:
+        // the replica's world is built only once the assignments are out.
         assert!(workers > 0, "need at least one worker");
+        PacketWorld::assert_inputs(tree, mix, &config);
         let t_handshake = options.telemetry.counters_on().then(Instant::now);
-        let mut replica = ShardHost::replica(tree, mix, config, workers);
-        replica.set_telemetry(options.telemetry);
-        let shards = replica.core().partition.shards();
+        let derived = partition_forest(tree, workers);
+        let shards = derived.0.shards();
 
         let listener = TcpListener::bind(options.listen.as_str())?;
         let ctrl_addr = listener.local_addr()?.to_string();
@@ -244,26 +250,31 @@ impl DistPacketSim {
             .enumerate()
             .map(|(shard, (_, addr))| (shard, addr.clone()))
             .collect();
-        let parents = tree.to_parents();
-        let digest = partition_digest(&replica.core().partition.shard_of);
+        let mut assignment = AssignFrame::new(&AssignRef {
+            shard_id: 0,
+            shard_hint: workers,
+            partition_digest: partition_digest(&derived.0.shard_of),
+            stall_ms: options.stall_timeout.map(|d| d.as_millis() as u64),
+            parents: &tree.to_parents(),
+            mix,
+            config,
+            peers: &peers,
+        });
         let mut assigned = Vec::new();
         for (shard, (mut framed, _)) in conns.into_iter().enumerate() {
             if shard >= shards {
                 framed.write_msg(&Msg::Surplus)?;
                 continue;
             }
-            framed.write_msg(&Msg::Assign(Assign {
-                shard_id: shard,
-                shard_hint: workers,
-                partition_digest: digest,
-                stall_ms: options.stall_timeout.map(|d| d.as_millis() as u64),
-                parents: parents.clone(),
-                mix: mix.clone(),
-                config,
-                peers: peers.clone(),
-            }))?;
+            framed.write_frame(assignment.for_shard(shard))?;
             assigned.push(framed);
         }
+        drop(assignment);
+
+        // The workers decode and build their worlds while the replica
+        // builds its own.
+        let mut replica = ShardHost::replica(tree, mix, config, derived);
+        replica.set_telemetry(options.telemetry);
 
         // Split each control connection: a reader thread owns the
         // inbound half (so worker death surfaces as an inbox error the
@@ -385,17 +396,18 @@ impl DistPacketSim {
         }
     }
 
-    fn send(&mut self, shard: usize, msg: &Msg) -> Result<(), DistError> {
-        self.workers[shard]
-            .writer
-            .write_msg(msg)
-            .map_err(|e| match e {
+    /// Writes one frame — encoded once — to every worker.
+    fn send_all(&mut self, frame: &[u8]) -> Result<(), DistError> {
+        for (shard, ctl) in self.workers.iter_mut().enumerate() {
+            ctl.writer.write_frame(frame).map_err(|e| match e {
                 DistError::Io(io) => DistError::WorkerDied {
                     worker: shard,
                     detail: io.to_string(),
                 },
                 other => other,
-            })
+            })?;
+        }
+        Ok(())
     }
 
     /// Advances every shard to `t_end` — one broadcast `RunEpoch` —
@@ -403,9 +415,7 @@ impl DistPacketSim {
     /// returns the workers' exact trace partials.
     fn advance_all(&mut self, t_end: SimTime, sample: bool) -> Result<Option<ExactSum>, DistError> {
         let t0 = self.epoch_rtt.is_on().then(Instant::now);
-        for shard in 0..self.workers.len() {
-            self.send(shard, &Msg::RunEpoch { t_end, sample })?;
-        }
+        self.send_all(&encoded(&Msg::RunEpoch { t_end, sample }))?;
         self.replica
             .run_epoch(t_end, sample)
             .expect("a replica has no wires to fail");
@@ -471,9 +481,7 @@ impl DistPacketSim {
     /// [`DistError`] when a worker dies or misbehaves.
     pub fn report(&mut self) -> Result<PacketSimReport, DistError> {
         let now = self.replica.core().horizon.as_secs().max(1e-9);
-        for shard in 0..self.workers.len() {
-            self.send(shard, &Msg::ReportRequest { now })?;
-        }
+        self.send_all(&encoded(&Msg::ReportRequest { now }))?;
         let mut slices: Vec<WorkerReport> = Vec::with_capacity(self.workers.len());
         for shard in 0..self.workers.len() {
             match self.wait(shard)? {
@@ -541,15 +549,13 @@ impl DistPacketSim {
         ))
     }
 
-    /// Broadcasts one barrier message and requires every worker to
-    /// apply it cleanly (the replica already has — same arguments, same
+    /// Broadcasts one barrier frame and requires every worker to apply
+    /// it cleanly (the replica already has — same arguments, same
     /// state, same pure logic — so a worker-side rejection is a
     /// protocol desync, not a user error).
-    fn broadcast(&mut self, msg: &Msg) -> Result<(), DistError> {
+    fn broadcast(&mut self, frame: &[u8]) -> Result<(), DistError> {
         let t0 = self.apply_rtt.is_on().then(Instant::now);
-        for shard in 0..self.workers.len() {
-            self.send(shard, msg)?;
-        }
+        self.send_all(frame)?;
         for shard in 0..self.workers.len() {
             match self.wait(shard)? {
                 Msg::Applied { err: None } => {}
@@ -666,8 +672,9 @@ impl DistPacketSim {
             return;
         }
         self.shut_down = true;
-        for shard in 0..self.workers.len() {
-            let _ = self.send(shard, &Msg::Shutdown);
+        let frame = encoded(&Msg::Shutdown);
+        for ctl in &mut self.workers {
+            let _ = ctl.writer.write_frame(&frame);
         }
         // Dropping the writers closes the control sockets, so even a
         // worker that missed the Shutdown sees EOF and exits.
@@ -688,6 +695,13 @@ impl DistPacketSim {
             }
         }
     }
+}
+
+/// `msg` as one frame, for [`DistPacketSim::send_all`].
+fn encoded(msg: &Msg) -> Vec<u8> {
+    let mut frame = Vec::new();
+    encode_msg(msg, &mut frame);
+    frame
 }
 
 impl Drop for DistPacketSim {
@@ -722,17 +736,20 @@ impl PacketBackend for DistPacketSim {
     /// Panics if a batch is already open.
     fn begin_batch(&mut self) -> Result<(), DistError> {
         self.replica.begin_batch();
-        self.broadcast(&Msg::BatchBegin)
+        self.broadcast(&encoded(&Msg::BatchBegin))
     }
 
     /// First on the replica, then — only if the replica accepted it —
-    /// broadcast as one frame. With no batch open every participant
-    /// runs it as a batch of one locally, so a lone op costs one round
-    /// trip. A [`DistError::Model`] rejection was never broadcast: all
+    /// broadcast as one frame, encoded once from the borrowed op. With
+    /// no batch open every participant runs it as a batch of one
+    /// locally, so a lone op costs one round trip. A
+    /// [`DistError::Model`] rejection was never broadcast: all
     /// participants still agree.
     fn apply_op(&mut self, op: &BarrierOp) -> Result<BarrierOutcome, DistError> {
         let outcome = self.replica.apply_op(op)?;
-        self.broadcast(&Msg::Apply(op.clone()))?;
+        let mut frame = Vec::new();
+        encode_apply(op, &mut frame);
+        self.broadcast(&frame)?;
         Ok(outcome)
     }
 
@@ -743,7 +760,7 @@ impl PacketBackend for DistPacketSim {
     /// Panics if no batch is open.
     fn commit_batch(&mut self) -> Result<(), DistError> {
         self.replica.commit_batch();
-        self.broadcast(&Msg::BatchCommit)
+        self.broadcast(&encoded(&Msg::BatchCommit))
     }
 
     /// A no-op: the level is fixed at launch through

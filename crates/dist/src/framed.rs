@@ -13,7 +13,6 @@ use std::net::TcpStream;
 pub struct FramedStream {
     stream: TcpStream,
     frames: FrameBuffer,
-    out: Vec<u8>,
     bytes_out: u64,
     bytes_in: u64,
 }
@@ -30,7 +29,6 @@ impl FramedStream {
         Ok(FramedStream {
             stream,
             frames: FrameBuffer::new(),
-            out: Vec::with_capacity(4096),
             bytes_out: 0,
             bytes_in: 0,
         })
@@ -47,7 +45,6 @@ impl FramedStream {
         Ok(FramedStream {
             stream: self.stream.try_clone()?,
             frames: FrameBuffer::new(),
-            out: Vec::with_capacity(4096),
             bytes_out: 0,
             bytes_in: 0,
         })
@@ -59,10 +56,22 @@ impl FramedStream {
     ///
     /// An I/O error when the peer is gone.
     pub fn write_msg(&mut self, msg: &Msg) -> Result<(), DistError> {
-        self.out.clear();
-        encode_msg(msg, &mut self.out);
-        self.stream.write_all(&self.out)?;
-        self.bytes_out += self.out.len() as u64;
+        // A fresh buffer per message: a control connection sends a
+        // handful of frames an epoch, and keeps none of them after.
+        let mut frame = Vec::new();
+        encode_msg(msg, &mut frame);
+        self.write_frame(&frame)
+    }
+
+    /// Writes one already-encoded frame — the same bytes to every
+    /// worker of a broadcast — and flushes it to the socket.
+    ///
+    /// # Errors
+    ///
+    /// An I/O error when the peer is gone.
+    pub(crate) fn write_frame(&mut self, frame: &[u8]) -> Result<(), DistError> {
+        self.stream.write_all(frame)?;
+        self.bytes_out += frame.len() as u64;
         Ok(())
     }
 
@@ -116,6 +125,48 @@ impl FramedStream {
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(DistError::Io(e)),
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// Each end's frame-buffer capacity: what it holds between messages.
+    fn held(end: &FramedStream) -> usize {
+        end.frames.capacity()
+    }
+
+    #[test]
+    fn a_large_frame_leaves_no_large_buffer_behind() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let a = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (b, _) = listener.accept().unwrap();
+        let (mut a, mut b) = (FramedStream::new(a).unwrap(), FramedStream::new(b).unwrap());
+        let big = Msg::Fatal {
+            msg: "w".repeat(4 << 20),
+        };
+        for _ in 0..2 {
+            // A 4 MiB frame (too large for the socket's buffers, so the
+            // writer runs beside the reader) with a small one behind it.
+            let writer = std::thread::spawn({
+                let big = big.clone();
+                move || {
+                    a.write_msg(&big).unwrap();
+                    a.write_msg(&Msg::Ready).unwrap();
+                    a
+                }
+            });
+            assert_eq!(b.read_msg().unwrap(), big);
+            assert_eq!(b.read_msg().unwrap(), Msg::Ready);
+            a = writer.join().unwrap();
+            for end in [&a, &b] {
+                assert!(held(end) <= 64 * 1024, "{} bytes held", held(end));
+            }
+            // And back the other way.
+            std::mem::swap(&mut a, &mut b);
         }
     }
 }

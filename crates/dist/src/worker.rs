@@ -65,7 +65,7 @@ pub fn run_worker(connect: &str) -> Result<(), DistError> {
         Err(e) => return Err(e),
     };
     let me = assign.shard_id;
-    let mut host = match build_host(&assign, &listener) {
+    let mut host = match build_host(assign, &listener) {
         Ok(host) => host,
         Err(e) => {
             // Best effort: tell the coordinator why before leaving.
@@ -83,10 +83,13 @@ pub fn run_worker(connect: &str) -> Result<(), DistError> {
 
 /// Rebuilds the world from the assignment, derives the partition once
 /// (the same pure function the coordinator ran), wires up the data mesh
-/// from it, and hands it to the shard host.
-fn build_host(assign: &Assign, listener: &TcpListener) -> Result<ShardHost, DistError> {
+/// from it, and hands it to the shard host. The decoded tree and mix
+/// move into the host's world; nothing else of the assignment outlives
+/// this call.
+fn build_host(assign: Assign, listener: &TcpListener) -> Result<ShardHost, DistError> {
     let me = assign.shard_id;
     let tree = Tree::from_parents(&assign.parents)?;
+    drop(assign.parents);
     // What the codec cannot see in one field: the mix must cover the
     // tree, and a partition must be asked for at least one shard.
     if assign.mix.len() != tree.len() {
@@ -185,8 +188,8 @@ fn build_host(assign: &Assign, listener: &TcpListener) -> Result<ShardHost, Dist
     }
 
     Ok(ShardHost::worker_on(
-        &tree,
-        &assign.mix,
+        tree,
+        assign.mix,
         assign.config,
         (partition, shape),
         me,

@@ -1,10 +1,15 @@
 //! Codec round-trip properties: every message of the distributed
 //! protocol survives encode → arbitrary re-chunking → decode unchanged,
-//! and malformed frames always yield typed errors, never panics.
+//! and malformed frames always yield typed errors, never panics. A
+//! demand mix, which the codec streams row by row, is held to the
+//! reference encoding and decoder of its `(usize, Vec<(usize, u64,
+//! f64)>)` layout.
 
 use proptest::prelude::*;
 use ww_core::packet::{BarrierOp, PacketEvent, PacketSimConfig};
-use ww_dist::{decode_msg, encode_msg, Assign, CodecError, FrameBuffer, Msg, WorkerReport};
+use ww_dist::{
+    decode_msg, encode_msg, Assign, CodecError, FrameBuffer, Msg, WorkerReport, MAX_FRAME,
+};
 use ww_model::{DocId, NodeId};
 use ww_net::{DocRequest, RequestId};
 use ww_pdes::{Wire, PDES_KEYS};
@@ -710,4 +715,166 @@ fn bad_tag_and_bad_values_are_typed() {
     let mut body = frame[4..].to_vec();
     body.push(0);
     assert_eq!(decode_msg(&body), Err(CodecError::Truncated));
+}
+
+/// A mix with empty rows, zero rates and a universe wider than 64
+/// documents: `1..120` nodes, up to 300 demands over ids below 400, a
+/// quarter of them at rate zero.
+fn arb_wide_mix() -> impl Strategy<Value = DocMix> {
+    let demand = (0usize..120, 0u64..400, 0u8..4, 0.0f64..1.0e6);
+    (1usize..120, proptest::collection::vec(demand, 0..300)).prop_map(|(nodes, demands)| {
+        let mut mix = DocMix::new(nodes);
+        for (node, doc, kind, rate) in demands {
+            let rate = if kind == 0 { 0.0 } else { rate };
+            mix.set(NodeId::new(node % nodes), DocId::new(doc), rate);
+        }
+        mix
+    })
+}
+
+/// The reference encoding of a mix: its node count, then its demands
+/// collected into one `Vec<(usize, u64, f64)>` in node-major order and
+/// written in that vector's layout.
+fn reference_mix_bytes(mix: &DocMix) -> Vec<u8> {
+    let demands: Vec<(usize, u64, f64)> = (0..mix.len())
+        .flat_map(|j| {
+            let row = mix.demands_of(NodeId::new(j));
+            row.iter().map(move |&(doc, rate)| (j, doc.value(), rate))
+        })
+        .collect();
+    let mut out = (mix.len() as u64).to_le_bytes().to_vec();
+    out.extend((demands.len() as u32).to_le_bytes());
+    for (node, doc, rate) in demands {
+        out.extend((node as u64).to_le_bytes());
+        out.extend(doc.to_le_bytes());
+        out.extend(rate.to_bits().to_le_bytes());
+    }
+    out
+}
+
+/// The reference decoder of an `Apply(SetMix)` frame body: the node
+/// count (checked), the whole demand vector (its claimed length checked
+/// against the body, then every triple read), and only then every
+/// demand checked and set in order.
+fn reference_set_mix(body: &[u8]) -> Result<Msg, CodecError> {
+    assert_eq!(body[..2], [22, 6], "an Apply(SetMix) body");
+    let mut rest = &body[2..];
+    let mut word = |n: usize| {
+        if rest.len() < n {
+            return Err(CodecError::Truncated);
+        }
+        let (head, tail) = rest.split_at(n);
+        rest = tail;
+        let mut le = [0u8; 8];
+        le[..n].copy_from_slice(head);
+        Ok(u64::from_le_bytes(le))
+    };
+    let nodes = word(8)? as usize;
+    if nodes > MAX_FRAME / 8 {
+        return Err(CodecError::BadValue { what: "mix nodes" });
+    }
+    let count = word(4)? as usize;
+    if count.saturating_mul(24) > body.len() {
+        return Err(CodecError::Truncated);
+    }
+    let mut demands = Vec::with_capacity(count);
+    for _ in 0..count {
+        demands.push((word(8)? as usize, word(8)?, f64::from_bits(word(8)?)));
+    }
+    let mut mix = DocMix::new(nodes);
+    for (node, doc, rate) in demands {
+        if node >= nodes || !rate.is_finite() || rate < 0.0 {
+            return Err(CodecError::BadValue { what: "mix demand" });
+        }
+        mix.set(NodeId::new(node), DocId::new(doc), rate);
+    }
+    if !rest.is_empty() {
+        return Err(CodecError::Truncated);
+    }
+    Ok(Msg::Apply(BarrierOp::SetMix { mix }))
+}
+
+/// One of the ways a mix frame goes bad, applied to `body` (an
+/// `Apply(SetMix)` body) at demand `pick` of `count` and position
+/// `cut`: a stray node, a NaN, negative, infinite or negative-zero
+/// rate, an impossible or a shrunken node count, a wrong demand count,
+/// a cut body, and a bad demand ahead of a cut.
+fn spoil(body: &mut Vec<u8>, kind: u8, pick: usize, cut: usize) {
+    const NODES: usize = 2;
+    const COUNT: usize = NODES + 8;
+    let count = u32::from_le_bytes(body[COUNT..COUNT + 4].try_into().unwrap()) as usize;
+    let demand = |field: usize| COUNT + 4 + (pick % count.max(1)) * 24 + field * 8;
+    let put = |body: &mut Vec<u8>, at: usize, bytes: [u8; 8]| {
+        if count > 0 {
+            body[at..at + 8].copy_from_slice(&bytes);
+        }
+    };
+    let nodes = u64::from_le_bytes(body[NODES..NODES + 8].try_into().unwrap());
+    match kind {
+        0 => {}
+        1 => put(body, demand(0), (nodes + pick as u64).to_le_bytes()),
+        2 => put(body, demand(2), f64::NAN.to_bits().to_le_bytes()),
+        3 => put(
+            body,
+            demand(2),
+            (-1.0 - pick as f64).to_bits().to_le_bytes(),
+        ),
+        4 => put(body, demand(2), f64::INFINITY.to_bits().to_le_bytes()),
+        5 => put(body, demand(2), (-0.0f64).to_bits().to_le_bytes()),
+        6 => {
+            let huge = (MAX_FRAME / 8 + 1 + pick) as u64;
+            body[NODES..NODES + 8].copy_from_slice(&huge.to_le_bytes());
+        }
+        7 => {
+            let fewer = pick as u64 % nodes;
+            body[NODES..NODES + 8].copy_from_slice(&fewer.to_le_bytes());
+        }
+        8 => {
+            let claimed = match pick % 3 {
+                0 => count + 1,
+                1 => count.saturating_sub(1),
+                _ => u32::MAX as usize,
+            };
+            body[COUNT..COUNT + 4].copy_from_slice(&(claimed as u32).to_le_bytes());
+        }
+        9 => body.truncate(cut % (body.len() + 1)),
+        _ => {
+            put(body, demand(0), (nodes + 1).to_le_bytes());
+            body.truncate(body.len() - 1);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// The streamed mix encoding is byte for byte the reference's.
+    #[test]
+    fn a_streamed_mix_is_the_reference_encoding(mix in arb_wide_mix()) {
+        let mut frame = Vec::new();
+        encode_msg(&Msg::Apply(BarrierOp::SetMix { mix: mix.clone() }), &mut frame);
+        let mut expected = vec![22, 6];
+        expected.extend(reference_mix_bytes(&mix));
+        prop_assert_eq!(u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize, expected.len());
+        prop_assert_eq!(&frame[4..], &expected[..]);
+    }
+
+    /// The streamed decoder accepts what the reference accepts, into the
+    /// same mix, and refuses what it refuses, with the same error.
+    #[test]
+    fn the_streamed_decoder_refuses_what_the_reference_refuses(
+        mix in arb_wide_mix(),
+        kind in 0u8..11,
+        pick in 0usize..1000,
+        cut in any::<usize>(),
+    ) {
+        let mut frame = Vec::new();
+        encode_msg(&Msg::Apply(BarrierOp::SetMix { mix }), &mut frame);
+        let mut body = frame[4..].to_vec();
+        spoil(&mut body, kind, pick, cut);
+        // A cut through the tags is no mix frame at all.
+        if body.len() >= 2 {
+            prop_assert_eq!(decode_msg(&body), reference_set_mix(&body), "kind {}", kind);
+        }
+    }
 }

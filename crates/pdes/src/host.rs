@@ -86,16 +86,22 @@ pub struct ShardHost {
 }
 
 impl ShardHost {
-    /// A host holding **no** shard: the coordinator's replica. It
-    /// mirrors barrier mutations and serves world/partition metadata;
-    /// [`ShardHost::run_epoch`] only advances its horizon.
+    /// A host holding **no** shard: the coordinator's replica, over the
+    /// partition the coordinator derived with [`partition_forest`] (it
+    /// needs it before the replica exists, for the assignments it sends
+    /// while the replica's world builds). It mirrors barrier mutations
+    /// and serves world/partition metadata; [`ShardHost::run_epoch`]
+    /// only advances its horizon.
     ///
     /// # Panics
     ///
     /// As [`PacketWorld::new`] on invalid inputs.
-    pub fn replica(tree: &Tree, mix: &DocMix, config: PacketSimConfig, shard_hint: usize) -> Self {
-        assert!(shard_hint > 0, "need at least one shard");
-        let derived = partition_forest(tree, shard_hint);
+    pub fn replica(
+        tree: &Tree,
+        mix: &DocMix,
+        config: PacketSimConfig,
+        derived: (Partition, PartitionShape),
+    ) -> Self {
         let world = PacketWorld::new(tree, mix, config);
         Self::holding(world, derived, 0..0, None, |_, _| {
             unreachable!("a replica dials no wire")
@@ -117,9 +123,13 @@ impl ShardHost {
         Self::holding(world, derived, all, None, ring)
     }
 
-    /// A host holding shard `id` of the partition derived from
-    /// `(tree, shard_hint)` — a distributed worker. Wire endpoints for
-    /// the shard's cut edges are pulled from the two callbacks:
+    /// A host holding shard `id` of `derived`, the partition the caller
+    /// derived from `(tree, shard_hint)` with [`partition_forest`] — a
+    /// distributed worker, which needs it before the host exists (for
+    /// the handshake digest and for the data mesh's adjacency). The
+    /// world is built from `tree` and `mix`, moved in: a worker decoded
+    /// them for this and keeps no other copy. Wire endpoints for the
+    /// shard's cut edges are pulled from the two callbacks:
     /// `wire_out(dst)` must yield the sender of the directed wire
     /// `id → dst`, `wire_in(src)` the receiver of `src → id`, for every
     /// adjacent shard. Epochs run with `stall_timeout` (see
@@ -127,44 +137,13 @@ impl ShardHost {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is not a shard of the derived partition, if the
-    /// partition is non-trivial and `config.link_delay` is not positive
-    /// (no lookahead), or on any input [`PacketWorld::new`] rejects.
-    #[allow(clippy::too_many_arguments)]
-    pub fn worker(
-        tree: &Tree,
-        mix: &DocMix,
-        config: PacketSimConfig,
-        shard_hint: usize,
-        id: usize,
-        stall_timeout: Option<Duration>,
-        wire_out: impl FnMut(usize) -> Box<dyn WireSender>,
-        wire_in: impl FnMut(usize) -> Box<dyn WireReceiver>,
-    ) -> Self {
-        Self::worker_on(
-            tree,
-            mix,
-            config,
-            partition_forest(tree, shard_hint),
-            id,
-            stall_timeout,
-            wire_out,
-            wire_in,
-        )
-    }
-
-    /// [`ShardHost::worker`] over a partition the caller has already
-    /// derived with [`partition_forest`] — a `ww-dist` worker needs it
-    /// before the host exists (for the handshake digest and for the
-    /// data mesh's adjacency) and should not pack the tree twice.
-    ///
-    /// # Panics
-    ///
-    /// As [`ShardHost::worker`].
+    /// Panics if `id` is not a shard of `derived`, if the partition is
+    /// non-trivial and `config.link_delay` is not positive (no
+    /// lookahead), or on any input [`PacketWorld::new`] rejects.
     #[allow(clippy::too_many_arguments)]
     pub fn worker_on(
-        tree: &Tree,
-        mix: &DocMix,
+        tree: Tree,
+        mix: DocMix,
         config: PacketSimConfig,
         derived: (Partition, PartitionShape),
         id: usize,
@@ -172,7 +151,7 @@ impl ShardHost {
         mut wire_out: impl FnMut(usize) -> Box<dyn WireSender>,
         mut wire_in: impl FnMut(usize) -> Box<dyn WireReceiver>,
     ) -> Self {
-        let world = PacketWorld::new(tree, mix, config);
+        let world = PacketWorld::from_parts(tree, mix, config);
         Self::holding(world, derived, id..id + 1, stall_timeout, |src, dst| {
             if src == id {
                 (Some(wire_out(dst)), None)

@@ -11,7 +11,7 @@ use ww_core::packet::BarrierOp;
 use ww_core::packetsim::{PacketBackend, PacketSim, PacketSimConfig, PacketSimReport};
 use ww_model::{DocId, ModelError, NodeId, Tree};
 use ww_net::TrafficClass;
-use ww_pdes::{ParPacketSim, ShardHost, WireReceiver, WireSender};
+use ww_pdes::{partition_forest, ParPacketSim, ShardHost, WireReceiver, WireSender};
 use ww_topology::paper;
 use ww_workload::DocMix;
 
@@ -508,11 +508,11 @@ fn a_worker_host_rejects_bad_link_ops_with_a_typed_error() {
     // What a distributed worker runs when a frame names the root or a
     // node past the tree: a rejection, not a panic — and nothing moved.
     let (tree, mix) = fig7_mix();
-    let mut host = ShardHost::worker(
-        &tree,
-        &mix,
+    let mut host = ShardHost::worker_on(
+        tree.clone(),
+        mix,
         PacketSimConfig::default(),
-        1,
+        partition_forest(&tree, 1),
         0,
         None,
         |_| -> Box<dyn WireSender> { unreachable!("one shard has no cut edge") },

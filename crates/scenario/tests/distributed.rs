@@ -8,6 +8,10 @@
 //! `RUST_TEST_THREADS=1`, so scheduler interleaving differences cannot
 //! hide nondeterminism.
 
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::time::{Duration, Instant};
+use ww_dist::{encode_msg, DistMode, DistOptions, Msg};
 use ww_scenario::{EngineReport, EngineSpec, Runner, ScenarioSpec};
 
 /// The sequential twin of a `packet_sim_dist` spec: identical in every
@@ -103,6 +107,97 @@ fn dist_smoke_workers_sweep_rows_agree() {
     for row in &report.rows[1..] {
         assert_eq!(canonical(&row.outcome), first, "row {} diverges", row.label);
     }
+}
+
+/// One raw frame off `stream`: its length prefix and body, undecoded.
+fn read_frame(stream: &mut TcpStream) -> Vec<u8> {
+    let mut frame = vec![0u8; 4];
+    stream.read_exact(&mut frame).unwrap();
+    let len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
+    frame.resize(4 + len, 0);
+    stream.read_exact(&mut frame[4..]).unwrap();
+    frame
+}
+
+fn write_msg(stream: &mut TcpStream, msg: &Msg) {
+    let mut frame = Vec::new();
+    encode_msg(msg, &mut frame);
+    stream.write_all(&frame).unwrap();
+}
+
+/// 64-bit FNV-1a of a byte stream.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The coordinator encodes `dist_smoke.json`'s world once and sends every
+/// worker those bytes re-addressed. Each worker's `Assign` frame must be
+/// the frame the launch sent before that change — pinned here by length
+/// and digest, with `shard_id` (bytes 5..13: after the length prefix and
+/// the tag) read as zero — and carry its own shard id there. Two stand-in
+/// workers announce the same data address, so the peer table does not
+/// depend on which one connects first, then refuse their assignments.
+#[test]
+fn each_worker_is_sent_the_pinned_assign_frame() {
+    let spec = with_workers(&dist_smoke_base(), 2);
+    let port = TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap()
+        .port();
+    let listen = format!("127.0.0.1:{port}");
+    let coordinator = std::thread::spawn({
+        let listen = listen.clone();
+        move || {
+            let options = DistOptions {
+                mode: DistMode::External,
+                listen,
+                ..DistOptions::default()
+            };
+            Runner::new().dist_options(options).run(&spec).map(drop)
+        }
+    });
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut workers: Vec<TcpStream> = (0..2)
+        .map(|_| loop {
+            match TcpStream::connect(&listen) {
+                Ok(stream) => break stream,
+                Err(_) if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(10))
+                }
+                Err(e) => panic!("no coordinator at {listen}: {e}"),
+            }
+        })
+        .collect();
+    for stream in &mut workers {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        let data_addr = "127.0.0.1:9".to_string();
+        write_msg(stream, &Msg::Hello { data_addr });
+    }
+    let mut shards = Vec::new();
+    for stream in &mut workers {
+        let mut frame = read_frame(stream);
+        assert_eq!(frame[4], 17, "an Assign frame");
+        let shard_id = u64::from_le_bytes(frame[5..13].try_into().unwrap());
+        frame[5..13].fill(0);
+        assert_eq!(
+            (frame.len(), fnv1a(&frame)),
+            (2_663, 0x12d0_1c17_8943_6aa6),
+            "digest {:#018x}",
+            fnv1a(&frame)
+        );
+        shards.push(shard_id);
+        let msg = "refused by the test".to_string();
+        write_msg(stream, &Msg::Fatal { msg });
+    }
+    shards.sort_unstable();
+    assert_eq!(shards, [0, 1]);
+    let refused = coordinator.join().unwrap();
+    assert!(refused.is_err(), "the launch fails once both refuse");
 }
 
 #[test]
