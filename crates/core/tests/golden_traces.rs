@@ -206,3 +206,208 @@ fn both_engines_match_reference_on_a_random_scaling_tree() {
     assert_traces_bit_identical(dense.trace(), naive.trace());
     assert_eq!(dense.stats(), naive.stats());
 }
+
+// ---------------------------------------------------------------------
+// Pins of the dynamic paths. `NaiveRateWave` and `NaiveDocSim` follow
+// no churn, failed links or batches, so these runs have no reference
+// engine; each is pinned by one FNV-1a digest of everything it exposes.
+// ---------------------------------------------------------------------
+
+/// FNV-1a over a stream of 64-bit words, taken byte by byte.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn floats(&mut self, xs: &[f64]) {
+        self.word(xs.len() as u64);
+        for x in xs {
+            self.word(x.to_bits());
+        }
+    }
+}
+
+/// `tree` renumbered so that every child's id is below its parent's: the
+/// node at BFS position `p` takes id `n - 1 - p`. `rates` follow their
+/// nodes.
+fn children_first(
+    tree: &ww_model::Tree,
+    rates: &ww_model::RateVector,
+) -> (ww_model::Tree, ww_model::RateVector) {
+    let n = tree.len();
+    let mut new_id = vec![0; n];
+    for (p, u) in tree.bfs_order().iter().enumerate() {
+        new_id[u.index()] = n - 1 - p;
+    }
+    let mut parents = vec![None; n];
+    let mut moved = vec![0.0; n];
+    for u in tree.nodes() {
+        parents[new_id[u.index()]] = tree.parent(u).map(|p| new_id[p.index()]);
+        moved[new_id[u.index()]] = rates[u];
+    }
+    (
+        ww_model::Tree::from_parents(&parents).unwrap(),
+        ww_model::RateVector::from(moved),
+    )
+}
+
+/// The leaves of `tree` in ascending id order, and its first interior
+/// node that is not the root.
+fn leaves_and_inner(tree: &ww_model::Tree) -> (Vec<NodeId>, NodeId) {
+    let leaves = tree.nodes().filter(|&u| tree.is_leaf(u)).collect();
+    let inner = tree
+        .nodes()
+        .find(|&u| !tree.is_leaf(u) && tree.parent(u).is_some())
+        .expect("an interior node below the root");
+    (leaves, inner)
+}
+
+/// Runs `RateWave` through every dynamic path — two failed links, a
+/// join, a leave, a heal, a demand shift and a two-join batched barrier
+/// — and digests each trace sample and the final load and forwarded
+/// bits.
+fn rate_wave_digest(tree: &ww_model::Tree, rates: &ww_model::RateVector, staleness: usize) -> u64 {
+    use ww_model::RateVector;
+    let cfg = WaveConfig {
+        alpha: None,
+        staleness,
+    };
+    let (leaves, inner) = leaves_and_inner(tree);
+    let (gone, cut) = (leaves[0], leaves[1]);
+    let root = tree.root();
+    let mut w = RateWave::new(tree, rates, cfg);
+    w.run(25);
+    assert!(w.fail_link(inner));
+    assert!(w.fail_link(cut));
+    w.run(25);
+    w.add_leaf(inner, 17.5).unwrap();
+    w.run(25);
+    w.remove_leaf(gone).unwrap();
+    w.run(25);
+    assert!(w.heal_link(inner));
+    w.run(25);
+    let shifted: Vec<f64> = (0..w.tree().len())
+        .map(|i| ((i * 37) % 11) as f64 * 2.5)
+        .collect();
+    w.set_spontaneous(&RateVector::from(shifted));
+    w.run(25);
+    w.begin_batch();
+    w.add_leaf(root, 9.0).unwrap();
+    w.add_leaf(cut, 4.25).unwrap();
+    w.end_batch();
+    w.run(25);
+    let mut d = Digest::new();
+    d.floats(w.trace().distances());
+    d.floats(w.load().as_slice());
+    d.floats(w.forwarded().as_slice());
+    d.0
+}
+
+#[test]
+fn rate_wave_dynamics_are_pinned() {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(4242);
+    let tree = ww_topology::random_tree_of_depth(&mut rng, 300, 9);
+    let rates = ww_workload::random_uniform(&mut rng, &tree, 0.0, 60.0);
+    let (renumbered, moved) = children_first(&tree, &rates);
+    let got = [
+        rate_wave_digest(&tree, &rates, 0),
+        rate_wave_digest(&tree, &rates, 3),
+        rate_wave_digest(&renumbered, &moved, 0),
+        rate_wave_digest(&renumbered, &moved, 3),
+    ];
+    assert_eq!(
+        got,
+        [
+            0x3f82_324b_c81f_cdb7,
+            0xc09e_2069_9823_c9be,
+            0x2cca_330b_d286_460f,
+            0xac8c_0ec3_6f33_0733,
+        ],
+        "RateWave dynamics digests moved"
+    );
+}
+
+/// Runs `DocSim` through a publish of a new id, an invalidation, a mix
+/// change, a join, a leave and a failed link, and digests each trace
+/// sample, the final loads, the protocol counters, and every node's
+/// served rates and copies.
+fn doc_sim_digest(mut sim: DocSim, fresh: DocId, shifted: &ww_workload::DocMix) -> u64 {
+    let (leaves, inner) = leaves_and_inner(sim.tree());
+    let origin = *leaves.last().unwrap();
+    let stale = sim.doc_table().doc(0);
+    sim.run(30);
+    sim.publish_doc(fresh, origin, 55.0).unwrap();
+    sim.run(30);
+    sim.invalidate_doc(stale).unwrap();
+    sim.run(30);
+    sim.set_mix(shifted).unwrap();
+    sim.run(30);
+    sim.add_leaf(inner, 30.0).unwrap();
+    sim.run(30);
+    sim.remove_leaf(leaves[0]).unwrap();
+    sim.run(30);
+    assert!(sim.fail_link(inner));
+    sim.run(30);
+    let mut d = Digest::new();
+    d.floats(sim.trace().distances());
+    d.floats(sim.load().as_slice());
+    let s = sim.stats();
+    for c in [
+        s.copy_pushes,
+        s.copy_deletions,
+        s.tunnel_fetches,
+        s.barrier_suspicions,
+    ] {
+        d.word(c);
+    }
+    for u in sim.tree().nodes() {
+        for (_, doc) in sim.doc_table().iter() {
+            d.word(sim.served_rate(u, doc).to_bits());
+        }
+        for doc in sim.copies_at(u) {
+            d.word(doc.value());
+        }
+    }
+    d.0
+}
+
+#[test]
+fn doc_sim_dynamics_are_pinned() {
+    use ww_workload::DocMix;
+    // Figure 7 (documents 1, 2, 3): the publish of document 0 shifts
+    // every column; the new mix appends document 5.
+    let b = paper::fig7();
+    let mut shifted = DocMix::new(b.tree.len());
+    shifted.set(NodeId::new(3), DocId::new(1), 100.0);
+    shifted.set(NodeId::new(2), DocId::new(3), 120.0);
+    shifted.set(NodeId::new(1), DocId::new(5), 50.0);
+    let fig7 = doc_sim_digest(
+        DocSim::from_barrier_scenario(&b, DocSimConfig::default()),
+        DocId::new(0),
+        &shifted,
+    );
+    // A 16-document Zipf mix over fig6, re-skewed onto 20 documents.
+    let s = paper::fig6();
+    let mix = ww_workload::shared_zipf_mix(&s.tree, &s.spontaneous, 16, 1.0);
+    let shifted = ww_workload::shared_zipf_mix(&s.tree, &s.spontaneous, 20, 0.7);
+    let zipf = doc_sim_digest(
+        DocSim::new(&s.tree, &mix, DocSimConfig::default()),
+        DocId::new(40),
+        &shifted,
+    );
+    assert_eq!(
+        [fig7, zipf],
+        [0x4ce8_3bf1_f5da_7750, 0x3d79_3e98_ffaf_db10],
+        "DocSim dynamics digests moved"
+    );
+}
