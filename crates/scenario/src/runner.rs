@@ -129,7 +129,7 @@ impl Runner {
         };
         let mut dist = self.dist.clone();
         dist.telemetry = spec.telemetry.level;
-        let mut engine = resolve_engine(&spec, &dist)?;
+        let (mut engine, _) = resolve_engine(&spec, &dist)?;
         engine.set_telemetry(spec.telemetry.level);
         Ok(engine)
     }
@@ -187,7 +187,7 @@ impl Runner {
             // every other engine takes it through set_telemetry below.
             let mut dist = self.dist.clone();
             dist.telemetry = run_spec.telemetry.level;
-            let mut engine = resolve_engine(&run_spec, &dist)?;
+            let (mut engine, shadow) = resolve_engine(&run_spec, &dist)?;
             engine.set_telemetry(run_spec.telemetry.level);
             if let Some(w) = tracer.as_mut() {
                 let _ = w.record(&run_start_record(&run_spec, &label));
@@ -204,7 +204,7 @@ impl Runner {
                     }
                     None => &mut *observer,
                 };
-                drive(engine.as_mut(), &run_spec, obs)?
+                drive(engine.as_mut(), &run_spec, shadow, obs)?
             };
             let mut outcome = engine.report();
             // Per-event markers ride in the metric stream, so every
@@ -358,26 +358,14 @@ impl Observer for TraceObserver<'_> {
 /// The runner's mirror of the world state engines mutate under events:
 /// the current tree and per-node rates. Needed to resolve later events
 /// (node references, workload generators) against the churned topology
-/// without reaching into engine internals.
+/// without reaching into engine internals. [`resolve_engine`] builds it
+/// from the tree and rates it handed the engine.
 struct Shadow {
     tree: Tree,
     rates: RateVector,
 }
 
 impl Shadow {
-    /// Re-resolves the run's topology and rates exactly as
-    /// [`resolve_engine`] did (same seed, same draw order), so the shadow
-    /// starts identical to the engine's world.
-    fn of(spec: &ScenarioSpec) -> Result<Shadow, SpecError> {
-        let mut rng = StdRng::seed_from_u64(spec.seed);
-        let topo = resolve_topology(spec, &mut rng)?;
-        let rates = resolve_rates(spec, &topo, &mut rng)?;
-        Ok(Shadow {
-            tree: topo.tree,
-            rates,
-        })
-    }
-
     /// Mirrors an event the engine *accepted* onto the shadow state.
     fn apply(&mut self, event: &Event) {
         match event {
@@ -612,11 +600,12 @@ fn update_trackers(
 /// * events scheduled past the run's final round never fire and produce
 ///   no markers (one-shot engines end after a single step).
 ///
-/// A spec without a schedule resolves no event, so it builds no
-/// [`Shadow`] world.
+/// `shadow` is the world [`resolve_engine`] mirrored; a spec without a
+/// schedule resolves no event and has none.
 fn drive(
     engine: &mut dyn Engine,
     spec: &ScenarioSpec,
+    mut shadow: Option<Shadow>,
     observer: &mut dyn Observer,
 ) -> Result<(DriveResult, Vec<EventMarker>), SpecError> {
     let no_events = EventsSpec {
@@ -626,11 +615,6 @@ fn drive(
     };
     let events = spec.events.as_ref().unwrap_or(&no_events);
     let schedule = &events.schedule;
-    let mut shadow = if schedule.is_empty() {
-        None
-    } else {
-        Some(Shadow::of(spec)?)
-    };
     let mut markers: Vec<EventMarker> = Vec::new();
     let mut trackers: Vec<RecoveryTracker> = Vec::new();
     let mut next_event = 0usize;
@@ -947,15 +931,24 @@ fn packet_config(knobs: &PacketKnobs, seed: u64) -> Result<PacketSimConfig, Spec
 
 /// Spec → engine, with the spec's seed driving topology, workload, and
 /// engine randomness (in that order, from one generator — so a seed
-/// pins the whole run).
-fn resolve_engine(spec: &ScenarioSpec, dist: &DistOptions) -> Result<Box<dyn Engine>, SpecError> {
+/// pins the whole run). A spec with a dynamics schedule also gets the
+/// [`Shadow`] of the engine's starting world.
+fn resolve_engine(
+    spec: &ScenarioSpec,
+    dist: &DistOptions,
+) -> Result<(Box<dyn Engine>, Option<Shadow>), SpecError> {
     let mut rng = StdRng::seed_from_u64(spec.seed);
     let topo = resolve_topology(spec, &mut rng)?;
     let rates = resolve_rates(spec, &topo, &mut rng)?;
     let mix = resolve_mix(spec, &topo, &rates)?;
     let kind = spec.engine.kind();
+    let scheduled = spec.events.as_ref().is_some_and(|e| !e.schedule.is_empty());
+    let shadow = scheduled.then(|| Shadow {
+        tree: topo.tree.clone(),
+        rates: rates.clone(),
+    });
 
-    Ok(match &spec.engine {
+    let engine: Box<dyn Engine> = match &spec.engine {
         EngineSpec::RateWave { alpha, staleness } => Box::new(RateWave::new(
             &topo.tree,
             &rates,
@@ -1088,7 +1081,8 @@ fn resolve_engine(spec: &ScenarioSpec, dist: &DistOptions) -> Result<Box<dyn Eng
                 },
             ))
         }
-    })
+    };
+    Ok((engine, shadow))
 }
 
 fn render(spec: &ScenarioSpec, rows: &[RunRow]) -> String {
