@@ -125,8 +125,11 @@ impl EngineReport {
 /// One engine behind the unified API.
 ///
 /// Implemented by [`ww_core::wave::RateWave`],
-/// [`ww_core::docsim::DocSim`], the packet/cluster/baseline adapters in
-/// [`crate::adapters`], and [`ww_forest::ForestWave`].
+/// [`ww_core::docsim::DocSim`], [`ww_forest::ForestWave`], and the
+/// crate's packet, cluster and baseline adapters, which the [`Runner`]
+/// builds from a spec.
+///
+/// [`Runner`]: crate::Runner
 pub trait Engine {
     /// The engine kind, matching the spec spelling.
     fn kind(&self) -> &'static str;

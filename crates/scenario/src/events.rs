@@ -33,7 +33,7 @@
 use crate::json::Tagged;
 use crate::spec::{DocMixSpec, RatesSpec};
 use std::fmt;
-use ww_model::{DocId, NodeId, RateVector};
+use ww_model::{DocId, ModelError, NodeId, RateVector, Tree};
 use ww_workload::DocMix;
 
 /// Default [`EventsSpec::recovery_threshold`] when the spec omits it.
@@ -193,6 +193,47 @@ impl Event {
     /// The spec spelling of this event kind (`"node_join"`, ...).
     pub fn kind(&self) -> &'static str {
         self.tag()
+    }
+}
+
+/// The tree and per-node rates the accepted events have left: the
+/// runner's mirror of an engine's world, which later events resolve
+/// against, and the whole world of the one-shot engines.
+#[derive(Debug, Clone)]
+pub(crate) struct World {
+    pub(crate) tree: Tree,
+    pub(crate) rates: RateVector,
+}
+
+impl World {
+    /// Applies `event`: a join adds a leaf with its rate, a leave
+    /// re-homes the leaver's rate to its parent, a publish adds its rate
+    /// at the origin and a shift with rates replaces them. Link, update
+    /// and mix-only events leave the world as it is.
+    pub(crate) fn apply(&mut self, event: &Event) -> Result<(), ModelError> {
+        match event {
+            Event::NodeJoin { parent, rate } => {
+                self.tree.add_leaf(*parent)?;
+                let mut v = self.rates.clone().into_inner();
+                v.push(*rate);
+                self.rates = RateVector::from(v);
+            }
+            Event::NodeLeave { node } => {
+                let removal = self.tree.remove_leaf(*node)?;
+                let mut v = self.rates.clone().into_inner();
+                removal.rehome(&mut v);
+                self.rates = RateVector::from(v);
+            }
+            Event::DocPublish { origin, rate, .. } => self.rates[*origin] += rate,
+            Event::WorkloadShift {
+                rates: Some(rates), ..
+            } => self.rates = rates.clone(),
+            Event::LinkFail { .. }
+            | Event::LinkHeal { .. }
+            | Event::DocUpdate { .. }
+            | Event::WorkloadShift { rates: None, .. } => {}
+        }
+        Ok(())
     }
 }
 

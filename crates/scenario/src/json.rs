@@ -252,7 +252,7 @@ impl PacketKnobs {
 // paths.
 
 /// `alpha`, when given, lies in `(0, 1)`.
-fn unit_alpha(alpha: &Option<f64>) -> Result<(), String> {
+pub(crate) fn unit_alpha(alpha: &Option<f64>) -> Result<(), String> {
     match *alpha {
         Some(x) if x <= 0.0 || x >= 1.0 => Err(format!("alpha must lie in (0, 1), got {x}")),
         _ => Ok(()),

@@ -80,7 +80,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod adapters;
 pub mod engine;
 pub mod error;
 pub mod events;
@@ -88,7 +87,8 @@ pub mod json;
 pub mod runner;
 pub mod spec;
 
-pub use adapters::{BaselineEngine, BaselineParams, ClusterEngine, PacketAdapter};
+mod adapters;
+
 pub use engine::{Engine, EngineReport, MetricSink, NullObserver, Observer, StepOutcome};
 pub use error::SpecError;
 pub use events::{

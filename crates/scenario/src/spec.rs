@@ -12,7 +12,7 @@
 
 use crate::error::SpecError;
 use crate::events::EventsSpec;
-use crate::json::Tagged;
+use crate::json::{unit_alpha, Tagged};
 use ww_telemetry::Level;
 
 /// Default master seed when a spec omits `"seed"`.
@@ -312,7 +312,7 @@ pub enum EngineSpec {
         /// Which schemes to run.
         schemes: Vec<BaselineScheme>,
         /// DNS round-robin replica count; `0` selects `n/4` clamped to
-        /// `1..=16`, as [`BaselineParams`](crate::BaselineParams) does.
+        /// `1..=16`.
         replicas: usize,
         /// Directory lookup messages per request.
         lookup_msgs: f64,
@@ -511,12 +511,7 @@ impl Sweep {
                 }
             },
             SweepParam::Alpha => {
-                if value <= 0.0 || value >= 1.0 {
-                    return Err(SpecError::at(
-                        "sweep.values",
-                        format!("alpha must lie in (0, 1), got {value}"),
-                    ));
-                }
+                unit_alpha(&Some(value)).map_err(|e| SpecError::at("sweep.values", e))?;
                 let slot = match &mut spec.engine {
                     EngineSpec::RateWave { alpha, .. }
                     | EngineSpec::DocSim { alpha, .. }

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use ww_scenario::{
     BaselineScheme, DocMixSpec, EngineSpec, EventKindSpec, EventSpec, EventsSpec, PacketKnobs,
-    PaperFigure, RatesSpec, RebalanceSpec, ScenarioSpec, Sweep, SweepParam, TelemetrySpec,
+    PaperFigure, RatesSpec, RebalanceSpec, Runner, ScenarioSpec, Sweep, SweepParam, TelemetrySpec,
     Termination, TopologySpec, WorkloadSpec,
 };
 use ww_telemetry::Level;
@@ -391,6 +391,51 @@ fn arb_spec() -> BoxedStrategy<ScenarioSpec> {
         .boxed()
 }
 
+/// A signed rate parameter, or NaN or an infinity.
+fn arb_signed() -> BoxedStrategy<f64> {
+    (0usize..8)
+        .prop_flat_map(|choice| match choice {
+            0 => Just(f64::NAN).boxed(),
+            1 => Just(f64::INFINITY).boxed(),
+            2 => Just(f64::NEG_INFINITY).boxed(),
+            _ => (-100.0f64..100.0).boxed(),
+        })
+        .boxed()
+}
+
+/// Every rates generator with signed and non-finite parameters; explicit
+/// lists are sized for fig6's 14 nodes, or one short.
+fn arb_signed_rates() -> BoxedStrategy<RatesSpec> {
+    (0usize..6)
+        .prop_flat_map(|choice| match choice {
+            0 => Just(RatesSpec::Paper).boxed(),
+            1 => arb_signed()
+                .prop_map(|rate| RatesSpec::Uniform { rate })
+                .boxed(),
+            2 => arb_signed()
+                .prop_map(|rate| RatesSpec::LeafOnly { rate })
+                .boxed(),
+            3 => (arb_signed(), arb_signed())
+                .prop_map(|(lo, hi)| RatesSpec::RandomUniform { lo, hi })
+                .boxed(),
+            4 => (arb_signed(), arb_signed())
+                .prop_map(|(total, theta)| RatesSpec::ZipfNodes { total, theta })
+                .boxed(),
+            _ => proptest::collection::vec(arb_signed(), 13..15)
+                .prop_map(|rates| RatesSpec::Explicit { rates })
+                .boxed(),
+        })
+        .boxed()
+}
+
+/// The engines whose constructors take the generated rates.
+const RATE_ENGINES: [&str; 4] = [
+    r#"{"kind": "rate_wave"}"#,
+    r#"{"kind": "doc_sim"}"#,
+    r#"{"kind": "forest_wave", "roots": [0, 5]}"#,
+    r#"{"kind": "baselines", "gle_iterations": 50, "webwave_rounds": 50}"#,
+];
+
 /// Cases per property: `PROPTEST_CASES` when set (CI soaks with 2000),
 /// else enough for a tier-1 run.
 fn cases() -> u32 {
@@ -417,6 +462,24 @@ proptest! {
     #[test]
     fn rendering_is_deterministic(spec in arb_spec()) {
         prop_assert_eq!(spec.to_json(), spec.to_json());
+    }
+
+    /// Whatever a rates generator yields, resolving the spec gives an
+    /// engine that steps, or a SpecError: never a panic.
+    #[test]
+    fn generated_rates_resolve_or_refuse(rates in arb_signed_rates()) {
+        let workload = r#"{"rates": {"kind": "paper"},
+            "doc_mix": {"kind": "shared_zipf", "docs": 3, "theta": 1.0}}"#;
+        for engine in RATE_ENGINES {
+            let mut spec =
+                ScenarioSpec::from_json(&with(&[("workload", workload), ("engine", engine)]))
+                    .unwrap();
+            spec.workload.rates = rates.clone();
+            let outcome = std::panic::catch_unwind(|| {
+                Runner::new().resolve(&spec).map(|mut engine| engine.step())
+            });
+            prop_assert!(outcome.is_ok(), "{engine} panicked on {rates:?}");
+        }
     }
 }
 
