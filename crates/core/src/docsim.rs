@@ -15,10 +15,14 @@
 //!
 //! # Performance
 //!
-//! All per-(node, document) state — demand, serve allocations, served and
-//! forwarded flows — lives in [`DocGrid`] slabs whose rows are nodes and
-//! whose columns are the dense indices a [`DocTable`] assigns; per-node
-//! copy sets are [`DocSet`] bitsets. Rounds reuse preallocated scratch
+//! The tree, the universe, the demand mix, the links and the oracle are
+//! the packet engines' [`DocWorld`], mutated through its own join, leave,
+//! publish and shift. The engine's per-(node, document) state — serve
+//! allocations, served and forwarded flows — lives in [`DocGrid`] slabs
+//! whose rows are nodes and whose columns are the dense indices the
+//! world's [`DocTable`] assigns; per-node copy sets are [`DocSet`]
+//! bitsets. Each node's demand is read from its mix row
+//! ([`DocWorld::streams_of`]). Rounds reuse preallocated scratch
 //! buffers, so the steady state allocates nothing but the (amortized)
 //! trace. Decisions are computed in ascending dense-index
 //! order, which equals ascending [`DocId`] order, so results are
@@ -26,9 +30,8 @@
 //! ([`crate::reference::NaiveDocSim`]) — the golden-trace tests assert
 //! exactly that.
 
-use crate::fold::IncrementalFold;
+use crate::world::{DocWorld, UniverseGrowth, WorldConfig};
 use ww_cache::{plan_push_dense, plan_shed_dense, DenseRateSlice};
-use ww_diffusion::safe_alpha;
 use ww_model::{
     DocGrid, DocId, DocSet, DocTable, LeafRemoval, ModelError, NodeId, RateVector, Tree,
 };
@@ -45,6 +48,12 @@ pub struct DocSimConfig {
     /// How many consecutive underloaded-with-no-action periods a node
     /// tolerates before tunneling. The paper uses "more than two periods".
     pub barrier_patience: usize,
+}
+
+impl WorldConfig for DocSimConfig {
+    fn alpha(&self) -> Option<f64> {
+        self.alpha
+    }
 }
 
 impl Default for DocSimConfig {
@@ -86,12 +95,10 @@ pub struct DocSimStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DocSim {
-    tree: Tree,
-    /// Dense index <-> id bijection over the document universe (the
-    /// grids' columns).
-    table: DocTable,
-    /// Spontaneous demand per (node, doc).
-    demand: DocGrid<f64>,
+    /// Tree, universe, demand mix, link state, oracle and open batch —
+    /// the one document world the packet engines run on too. Its
+    /// universe's dense indices are the grids' columns.
+    world: DocWorld<DocSimConfig>,
     /// Which documents each node holds a copy of (root holds all).
     copies: Vec<DocSet>,
     /// Desired serve rate per (node, doc); root has no allocations (it
@@ -105,27 +112,13 @@ pub struct DocSim {
     load: RateVector,
     /// Snapshot of `load` at the start of the round (double buffer).
     load_snapshot: RateVector,
-    alpha: f64,
-    config: DocSimConfig,
     /// Consecutive underloaded-no-action periods per node.
     underload_streak: Vec<usize>,
-    /// Per node: `true` when the control link to its parent is failed —
-    /// no diffusion decisions, copy pushes, or tunneling cross the edge
-    /// (requests still flow; see the dynamics docs).
-    failed_up: Vec<bool>,
-    oracle: RateVector,
-    /// Summary cache behind `oracle`: churn re-folds only the touched
-    /// root paths instead of sweeping the whole tree.
-    fold: IncrementalFold,
-    /// `true` between [`DocSim::begin_batch`] and [`DocSim::end_batch`]:
-    /// oracle/flow refreshes and the per-event trace sample are deferred
-    /// to the batch commit.
-    batched: bool,
-    /// Whether a batched barrier deferred at least one refresh.
-    batch_dirty: bool,
     trace: ConvergenceTrace,
     stats: DocSimStats,
     round: usize,
+    /// Reusable scratch: one node's per-document through rates.
+    through_buf: Vec<f64>,
     /// Reusable scratch: candidate (index, rate) lists.
     cand_buf: Vec<(u32, f64)>,
     /// Reusable scratch: plan sorting buffer.
@@ -146,49 +139,27 @@ impl DocSim {
     /// `(0, 1)`.
     pub fn new(tree: &Tree, mix: &DocMix, config: DocSimConfig) -> Self {
         assert_eq!(mix.len(), tree.len(), "doc mix must cover the tree");
-        let n = tree.len();
-        let table = DocTable::from_ids(mix.documents());
-        let m = table.len();
-        let mut demand = DocGrid::new(n, m, 0.0);
-        for u in tree.nodes() {
-            for &(d, r) in mix.demands_of(u) {
-                if r > 0.0 {
-                    let k = table.index_of(d).expect("demand doc in universe");
-                    *demand.get_mut(u.index(), k) = r;
-                }
-            }
-        }
-        let mut copies: Vec<DocSet> = (0..n).map(|_| table.empty_set()).collect();
-        copies[tree.root().index()] = table.full_set();
-
-        let alpha = config.alpha.unwrap_or_else(|| safe_alpha(tree));
-        assert!(alpha > 0.0 && alpha < 1.0, "alpha must lie in (0, 1)");
-
-        let spontaneous = mix.spontaneous();
-        let mut fold = IncrementalFold::new(tree, &spontaneous);
-        let oracle = fold.refold_path(tree, &spontaneous).into_load();
-
+        let world = DocWorld::build(tree.clone(), mix.clone(), config);
+        assert!(
+            world.alpha > 0.0 && world.alpha < 1.0,
+            "alpha must lie in (0, 1)"
+        );
+        let (n, m) = (tree.len(), world.table.len());
+        let mut copies: Vec<DocSet> = (0..n).map(|_| world.table.empty_set()).collect();
+        copies[tree.root().index()] = world.table.full_set();
         let mut sim = DocSim {
-            tree: tree.clone(),
-            table,
-            demand,
+            world,
             copies,
             alloc: DocGrid::new(n, m, 0.0),
             served: DocGrid::new(n, m, 0.0),
             forwarded: DocGrid::new(n, m, 0.0),
             load: RateVector::zeros(n),
             load_snapshot: RateVector::zeros(n),
-            alpha,
-            config,
             underload_streak: vec![0; n],
-            failed_up: vec![false; n],
-            oracle,
-            fold,
-            batched: false,
-            batch_dirty: false,
             trace: ConvergenceTrace::new(),
             stats: DocSimStats::default(),
             round: 0,
+            through_buf: Vec::with_capacity(m),
             cand_buf: Vec::with_capacity(m),
             sort_buf: Vec::with_capacity(m),
             plan_buf: Vec::with_capacity(m),
@@ -217,20 +188,31 @@ impl DocSim {
     /// Documents iterate in ascending dense-index (= ascending id) order,
     /// so per-node load accumulates in a fixed deterministic order.
     fn recompute_flows(&mut self) {
+        let world = &self.world;
+        let through = &mut self.through_buf;
         self.load.fill(0.0);
-        for u in self.tree.bottom_up() {
+        for u in world.tree.bottom_up() {
             let i = u.index();
-            let is_root = self.tree.parent(u).is_none();
+            let is_root = world.tree.parent(u).is_none();
+            // Own demand first, then each child's forwarded rate in
+            // child order.
+            through.clear();
+            through.resize(world.table.len(), 0.0);
+            for (_, k, r) in world.streams_of(u) {
+                through[k as usize] = r;
+            }
+            for &c in world.tree.children(u) {
+                for (t, f) in through.iter_mut().zip(self.forwarded.row(c.index())) {
+                    *t += f;
+                }
+            }
             self.served.row_mut(i).fill(0.0);
             self.forwarded.row_mut(i).fill(0.0);
-            for k in 0..self.table.len() as u32 {
-                let mut through = *self.demand.get(i, k);
-                for &c in self.tree.children(u) {
-                    through += *self.forwarded.get(c.index(), k);
-                }
+            for (k, &through) in through.iter().enumerate() {
                 if through <= 0.0 {
                     continue;
                 }
+                let k = k as u32;
                 let served = if is_root {
                     through
                 } else if self.copies[i].contains(k) {
@@ -255,7 +237,7 @@ impl DocSim {
     /// tunneling, then a flow recomputation.
     pub fn step(&mut self) {
         self.round += 1;
-        let n = self.tree.len();
+        let n = self.world.tree.len();
 
         // Decisions are made against the loads at the start of the round
         // (synchronous gossip), applied to allocations, then flows are
@@ -264,10 +246,10 @@ impl DocSim {
 
         for c_idx in 0..n {
             let c = NodeId::new(c_idx);
-            let Some(p) = self.tree.parent(c) else {
+            let Some(p) = self.world.tree.parent(c) else {
                 continue;
             };
-            if self.failed_up[c_idx] {
+            if self.world.link_failed(c) {
                 // The control link is down: no diffusion decision, copy
                 // push, shed, or tunnel crosses this edge (requests still
                 // flow through it and are served upstream).
@@ -277,7 +259,7 @@ impl DocSim {
             if lp > lc {
                 // The child is underloaded: it should take over
                 // `alpha * (L_p - L_c)` of the load passing through it.
-                let want = self.alpha * (lp - lc);
+                let want = self.world.alpha * (lp - lc);
                 let taken = self.child_take(c, want);
                 let remaining = want - taken;
                 let pushed = if remaining > 1e-12 {
@@ -290,9 +272,8 @@ impl DocSim {
                     // moved: the parent may be a potential barrier.
                     self.underload_streak[c_idx] += 1;
                     self.stats.barrier_suspicions += 1;
-                    if self.config.tunneling
-                        && self.underload_streak[c_idx] > self.config.barrier_patience
-                    {
+                    let config = &self.world.config;
+                    if config.tunneling && self.underload_streak[c_idx] > config.barrier_patience {
                         self.tunnel(c, want);
                         self.underload_streak[c_idx] = 0;
                     }
@@ -302,7 +283,7 @@ impl DocSim {
             } else if lc > lp {
                 // The child is overloaded relative to its parent: shed
                 // load upward by reducing its own serve allocations.
-                let shed = self.alpha * (lc - lp);
+                let shed = self.world.alpha * (lc - lp);
                 self.child_shed(c, shed);
                 self.underload_streak[c_idx] = 0;
             } else {
@@ -365,7 +346,7 @@ impl DocSim {
         }
         plan_push_dense(caps, target, &mut self.sort_buf, &mut self.plan_buf);
         let mut pushed = 0.0;
-        let parent_is_root = self.tree.parent(p).is_none();
+        let parent_is_root = self.world.tree.parent(p).is_none();
         for slice in &self.plan_buf {
             let k = slice.index;
             if self.copies[ci].insert(k) {
@@ -456,12 +437,12 @@ impl DocSim {
 
     /// The TLB oracle for the aggregate demand.
     pub fn oracle(&self) -> &RateVector {
-        &self.oracle
+        &self.world.oracle
     }
 
     /// Euclidean distance from current loads to the TLB oracle.
     pub fn distance_to_tlb(&self) -> f64 {
-        self.load.euclidean_distance(&self.oracle)
+        self.load.euclidean_distance(&self.world.oracle)
     }
 
     /// Per-round distance trace.
@@ -476,7 +457,7 @@ impl DocSim {
 
     /// The dense document table of this simulation's universe.
     pub fn doc_table(&self) -> &DocTable {
-        &self.table
+        &self.world.table
     }
 
     /// Documents node `u` currently holds copies of, sorted.
@@ -488,7 +469,7 @@ impl DocSim {
         // Bitset iteration is ascending-index, i.e. already sorted by id.
         self.copies[u.index()]
             .iter()
-            .map(|k| self.table.doc(k))
+            .map(|k| self.world.table.doc(k))
             .collect()
     }
 
@@ -498,7 +479,7 @@ impl DocSim {
     ///
     /// Panics if `u` is out of range.
     pub fn served_rate(&self, u: NodeId, d: DocId) -> f64 {
-        match self.table.index_of(d) {
+        match self.world.table.index_of(d) {
             Some(k) => *self.served.get(u.index(), k),
             None => 0.0,
         }
@@ -511,7 +492,7 @@ impl DocSim {
 
     /// The routing tree this run currently operates on.
     pub fn tree(&self) -> &Tree {
-        &self.tree
+        &self.world.tree
     }
 
     /// Whether the control link from `node` to its parent is failed.
@@ -520,7 +501,7 @@ impl DocSim {
     ///
     /// Panics if `node` is out of range.
     pub fn link_failed(&self, node: NodeId) -> bool {
-        self.failed_up[node.index()]
+        self.world.link_failed(node)
     }
 
     /// Fails the control link between `node` and its parent: diffusion
@@ -532,11 +513,9 @@ impl DocSim {
     ///
     /// Panics if `node` is out of range or is the root.
     pub fn fail_link(&mut self, node: NodeId) -> bool {
-        assert!(
-            self.tree.parent(node).is_some(),
-            "the root has no uplink to fail"
-        );
-        !std::mem::replace(&mut self.failed_up[node.index()], true)
+        self.world
+            .set_link(node, true)
+            .unwrap_or_else(|e| panic!("cannot fail the uplink: {e}"))
     }
 
     /// Restores the control link between `node` and its parent. Returns
@@ -546,11 +525,9 @@ impl DocSim {
     ///
     /// Panics if `node` is out of range or is the root.
     pub fn heal_link(&mut self, node: NodeId) -> bool {
-        assert!(
-            self.tree.parent(node).is_some(),
-            "the root has no uplink to heal"
-        );
-        std::mem::replace(&mut self.failed_up[node.index()], false)
+        self.world
+            .set_link(node, false)
+            .unwrap_or_else(|e| panic!("cannot heal the uplink: {e}"))
     }
 
     /// Publishes a document: `origin`'s clients start requesting `doc` at
@@ -564,26 +541,12 @@ impl DocSim {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::NodeOutOfRange`] for an unknown origin or
-    /// [`ModelError::InvalidRate`] for a negative/non-finite rate.
+    /// As [`DocWorld::publish`]: an unknown origin, a negative or
+    /// non-finite rate, or a demand total that would overflow.
     pub fn publish_doc(&mut self, doc: DocId, origin: NodeId, rate: f64) -> Result<(), ModelError> {
-        let n = self.tree.len();
-        if origin.index() >= n {
-            return Err(ModelError::NodeOutOfRange {
-                node: origin,
-                len: n,
-            });
-        }
-        if !rate.is_finite() || rate < 0.0 {
-            return Err(ModelError::InvalidRate {
-                node: origin,
-                value: rate,
-            });
-        }
-        let k = self.grow_universe(doc);
-        *self.demand.get_mut(origin.index(), k) += rate;
-        self.copies[self.tree.root().index()].insert(k);
-        self.after_demand_change();
+        let growth = self.world.publish(doc, origin, rate)?;
+        self.grow(growth);
+        self.changed();
         Ok(())
     }
 
@@ -599,23 +562,18 @@ impl DocSim {
     /// Returns [`ModelError::UnknownDocument`] when `doc` is not in the
     /// universe.
     pub fn invalidate_doc(&mut self, doc: DocId) -> Result<(), ModelError> {
-        let Some(k) = self.table.index_of(doc) else {
+        let Some(k) = self.world.table.index_of(doc) else {
             return Err(ModelError::UnknownDocument { doc: doc.value() });
         };
-        let root = self.tree.root().index();
-        for i in 0..self.tree.len() {
+        let root = self.world.tree.root().index();
+        for i in 0..self.world.len() {
             if i == root {
                 continue;
             }
             self.copies[i].remove(k);
             *self.alloc.get_mut(i, k) = 0.0;
         }
-        if self.batched {
-            self.batch_dirty = true;
-        } else {
-            self.recompute_flows();
-            self.trace.push(self.distance_to_tlb());
-        }
+        self.changed();
         Ok(())
     }
 
@@ -628,79 +586,34 @@ impl DocSim {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::LengthMismatch`] when `mix` does not cover
-    /// the current tree.
+    /// As [`DocWorld::set_mix`]: `mix` does not cover the current tree,
+    /// or a node's demand total in it is not finite.
     pub fn set_mix(&mut self, mix: &DocMix) -> Result<(), ModelError> {
-        let n = self.tree.len();
-        if mix.len() != n {
-            return Err(ModelError::LengthMismatch {
-                expected: n,
-                actual: mix.len(),
-            });
-        }
-        for d in mix.documents() {
-            self.grow_universe(d);
-        }
-        self.demand = DocGrid::new(n, self.table.len(), 0.0);
-        for u in self.tree.nodes() {
-            for &(d, r) in mix.demands_of(u) {
-                if r > 0.0 {
-                    let k = self.table.index_of(d).expect("universe grown above");
-                    *self.demand.get_mut(u.index(), k) = r;
-                }
-            }
-        }
-        self.after_demand_change();
+        let growth = self.world.set_mix(mix)?;
+        self.grow(growth);
+        self.changed();
         Ok(())
     }
 
     /// A cache server joins as a new leaf under `parent`, bringing `rate`
     /// req/s of demand split across the universe **proportionally to the
-    /// current global per-document demand** (the newcomer's clients follow
-    /// the same popularity law everyone else does). The node starts with
-    /// no copies; its demand flows upward until diffusion reaches it.
+    /// current global per-document demand** ([`DocWorld::join`]). The
+    /// node starts with no copies; its demand flows upward until
+    /// diffusion reaches it.
     ///
     /// # Errors
     ///
-    /// [`ModelError::NodeOutOfRange`] for an unknown parent,
-    /// [`ModelError::InvalidRate`] for a bad rate or when `rate > 0` but
-    /// the universe carries no demand to model the split on.
+    /// As [`DocWorld::join`]: an unknown parent, a bad rate, `rate > 0`
+    /// in a universe carrying no demand to model the split on, or a
+    /// split that would overflow.
     pub fn add_leaf(&mut self, parent: NodeId, rate: f64) -> Result<NodeId, ModelError> {
-        if !rate.is_finite() || rate < 0.0 {
-            return Err(ModelError::InvalidRate {
-                node: parent,
-                value: rate,
-            });
+        let id = self.world.join(parent, rate)?;
+        self.copies.push(self.world.table.empty_set());
+        for grid in [&mut self.alloc, &mut self.served, &mut self.forwarded] {
+            grid.push_row(0.0);
         }
-        // Global per-document totals, for the newcomer's demand split.
-        let mut totals = vec![0.0; self.table.len()];
-        for i in 0..self.tree.len() {
-            for (t, d) in totals.iter_mut().zip(self.demand.row(i)) {
-                *t += d;
-            }
-        }
-        let grand: f64 = totals.iter().sum();
-        if rate > 0.0 && grand <= 0.0 {
-            return Err(ModelError::InvalidRate {
-                node: parent,
-                value: rate,
-            });
-        }
-        let id = self.tree.add_leaf(parent)?;
-        self.fold.on_join(&self.tree, id);
-        let row: Vec<f64> = if rate > 0.0 {
-            totals.iter().map(|t| rate * t / grand).collect()
-        } else {
-            vec![0.0; totals.len()]
-        };
-        self.demand.push_row_from(&row, 0.0);
-        self.copies.push(self.table.empty_set());
-        self.alloc.push_row(0.0);
-        self.served.push_row(0.0);
-        self.forwarded.push_row(0.0);
         self.underload_streak.push(0);
-        self.failed_up.push(false);
-        self.after_churn();
+        self.resized();
         Ok(id)
     }
 
@@ -712,85 +625,60 @@ impl DocSim {
     ///
     /// # Errors
     ///
-    /// As [`Tree::remove_leaf`]: unknown id, root, or interior node.
+    /// As [`DocWorld::leave`]: unknown id, root, interior node, or a
+    /// re-homed demand total that would overflow.
     pub fn remove_leaf(&mut self, node: NodeId) -> Result<LeafRemoval, ModelError> {
-        let removal = self.tree.remove_leaf(node)?;
-        self.fold.on_leave(&self.tree, &removal);
-        let i = node.index();
-        // Re-home the departed demand row to the (pre-compaction) parent:
-        // the grid rows are still in the old layout at this point.
-        let departed = self.demand.row(i).to_vec();
-        let parent_row = self.demand.row_mut(removal.parent_before().index());
-        for (cell, d) in parent_row.iter_mut().zip(departed) {
-            *cell += d;
-        }
-        for grid in [
-            &mut self.demand,
-            &mut self.alloc,
-            &mut self.served,
-            &mut self.forwarded,
-        ] {
+        let removal = self.world.leave(node)?;
+        let i = removal.removed.index();
+        for grid in [&mut self.alloc, &mut self.served, &mut self.forwarded] {
             grid.swap_remove_row(i);
         }
         self.copies.swap_remove(i);
         self.underload_streak.swap_remove(i);
-        self.failed_up.swap_remove(i);
-        self.after_churn();
+        self.resized();
         Ok(removal)
     }
 
-    /// Grows the dense universe by `doc` if absent; returns its index.
-    /// Insertion keeps ascending-id order, so columns at or above the
-    /// insertion point shift right by one across every grid and bitset.
-    fn grow_universe(&mut self, doc: DocId) -> u32 {
-        if let Some(k) = self.table.index_of(doc) {
-            return k;
+    /// Mirrors a universe growth in every per-document slab and copy set:
+    /// columns move to their new indices, and the home server receives a
+    /// copy of each fresh document.
+    fn grow(&mut self, growth: Option<UniverseGrowth>) {
+        let Some(g) = growth else {
+            return;
+        };
+        for grid in [&mut self.alloc, &mut self.served, &mut self.forwarded] {
+            grid.grow_docs(&g.old_to_new, g.new_len, 0.0);
         }
-        let table = DocTable::from_ids(self.table.docs().iter().copied().chain([doc]));
-        let k = table.index_of(doc).expect("just inserted");
-        let old_to_new: Vec<u32> = (0..self.table.len() as u32)
-            .map(|j| j + u32::from(j >= k))
-            .collect();
-        for grid in [
-            &mut self.demand,
-            &mut self.alloc,
-            &mut self.served,
-            &mut self.forwarded,
-        ] {
-            grid.grow_docs(&old_to_new, table.len(), 0.0);
-        }
-        for set in &mut self.copies {
-            let mut grown = table.empty_set();
-            for idx in set.iter() {
-                grown.insert(old_to_new[idx as usize]);
+        let root = self.world.tree.root().index();
+        for (i, set) in self.copies.iter_mut().enumerate() {
+            let mut grown = self.world.table.empty_set();
+            for k in set.iter() {
+                grown.insert(g.old_to_new[k as usize]);
+            }
+            if i == root {
+                for &k in &g.fresh {
+                    grown.insert(k);
+                }
             }
             *set = grown;
         }
-        self.table = table;
-        k
     }
 
-    /// Oracle + flow refresh after demand changed on a fixed tree — or,
-    /// inside a batched barrier, a deferral to [`DocSim::end_batch`].
-    fn after_demand_change(&mut self) {
-        if self.batched {
-            self.batch_dirty = true;
-            return;
-        }
-        let spontaneous = self.spontaneous();
-        self.oracle = self.fold.refold_path(&self.tree, &spontaneous).into_load();
-        self.recompute_flows();
-        self.trace.push(self.distance_to_tlb());
-    }
-
-    /// Full refresh after the tree itself changed: load vectors resize,
-    /// alpha re-derives (unless overridden), oracle and flows recompute.
-    fn after_churn(&mut self) {
-        let n = self.tree.len();
+    /// The tree changed size: the load vectors follow, then the refresh.
+    fn resized(&mut self) {
+        let n = self.world.len();
         self.load = RateVector::zeros(n);
         self.load_snapshot = RateVector::zeros(n);
-        self.alpha = self.config.alpha.unwrap_or_else(|| safe_alpha(&self.tree));
-        self.after_demand_change();
+        self.changed();
+    }
+
+    /// Flow refresh and trace sample after a mutation — or, inside a
+    /// batched barrier, a deferral to [`DocSim::end_batch`].
+    fn changed(&mut self) {
+        if !self.world.defer_refresh() {
+            self.recompute_flows();
+            self.trace.push(self.distance_to_tlb());
+        }
     }
 
     /// Opens a batched barrier: subsequent churn/demand events apply
@@ -802,8 +690,7 @@ impl DocSim {
     ///
     /// Panics if a batch is already open.
     pub fn begin_batch(&mut self) {
-        assert!(!self.batched, "batch already open");
-        self.batched = true;
+        self.world.begin_batch();
     }
 
     /// Closes a batched barrier: one oracle refold, one flow
@@ -816,18 +703,15 @@ impl DocSim {
     ///
     /// Panics if no batch is open.
     pub fn end_batch(&mut self) {
-        assert!(self.batched, "no batch open");
-        self.batched = false;
-        if std::mem::take(&mut self.batch_dirty) {
-            self.after_demand_change();
+        if self.world.end_batch() {
+            self.recompute_flows();
+            self.trace.push(self.distance_to_tlb());
         }
     }
 
     /// The current spontaneous (per-node total) demand vector.
     pub fn spontaneous(&self) -> RateVector {
-        (0..self.tree.len())
-            .map(|i| self.demand.row(i).iter().sum::<f64>())
-            .collect()
+        self.world.mix.spontaneous()
     }
 }
 
@@ -1125,6 +1009,67 @@ mod dynamics_tests {
             "distance {}",
             sim.distance_to_tlb()
         );
+    }
+    #[test]
+    fn a_shift_gives_the_home_server_its_new_documents() {
+        let mut sim = fig7_sim();
+        sim.run(100);
+        let mut mix = DocMix::new(4);
+        mix.set(NodeId::new(3), DocId::new(1), 100.0);
+        mix.set(NodeId::new(1), DocId::new(5), 50.0);
+        sim.set_mix(&mix).unwrap();
+        let docs = |ids: &[u64]| ids.iter().map(|&d| DocId::new(d)).collect::<Vec<_>>();
+        assert_eq!(sim.copies_at(sim.tree().root()), docs(&[1, 2, 3, 5]));
+    }
+
+    #[test]
+    fn a_batch_defers_every_refresh_to_its_end() {
+        let mut sim = fig7_sim();
+        sim.run(100);
+        let (oracle, samples) = (sim.oracle().clone(), sim.trace().len());
+        sim.begin_batch();
+        sim.publish_doc(DocId::new(9), NodeId::new(2), 40.0)
+            .unwrap();
+        sim.add_leaf(NodeId::new(3), 20.0).unwrap();
+        assert_eq!(sim.oracle(), &oracle, "the oracle refreshed mid-batch");
+        assert_eq!(sim.trace().len(), samples);
+        sim.end_batch();
+        assert_eq!(sim.trace().len(), samples + 1);
+        assert!((sim.oracle().total() - 420.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn overflowing_demand_is_refused_and_changes_nothing() {
+        let mut sim = fig7_sim();
+        sim.run(50);
+        let refuse = |sim: &mut DocSim, op: &dyn Fn(&mut DocSim) -> Result<(), ModelError>| {
+            let before = format!("{sim:?}");
+            let text = op(sim).expect_err("refused").to_string();
+            assert_eq!(
+                format!("{sim:?}"),
+                before,
+                "refusing {text} changed the sim"
+            );
+            text
+        };
+        let join = |sim: &mut DocSim| sim.add_leaf(NodeId::new(0), 1.7e308).map(drop);
+        assert_eq!(refuse(&mut sim, &join), "rate at n0 is invalid: inf");
+        // Node 3 hangs under node 1: two maxima there are one too many.
+        let publish =
+            |origin| move |sim: &mut DocSim| sim.publish_doc(DocId::new(9), origin, f64::MAX);
+        publish(NodeId::new(3))(&mut sim).unwrap();
+        publish(NodeId::new(1))(&mut sim).unwrap();
+        assert_eq!(
+            refuse(&mut sim, &publish(NodeId::new(3))),
+            "rate at n3 is invalid: inf"
+        );
+        let leave = |sim: &mut DocSim| sim.remove_leaf(NodeId::new(3)).map(drop);
+        assert_eq!(refuse(&mut sim, &leave), "rate at n1 is invalid: inf");
+        let mut overflowing = DocMix::new(4);
+        overflowing.set(NodeId::new(2), DocId::new(1), 1e308);
+        overflowing.set(NodeId::new(2), DocId::new(2), 1e308);
+        let shift = |sim: &mut DocSim| sim.set_mix(&overflowing);
+        assert_eq!(refuse(&mut sim, &shift), "rate at n2 is invalid: inf");
     }
 }
 

@@ -12,7 +12,9 @@
 //! * [`docsim`] — the document-level engine with cache copies, *potential
 //!   barriers* and **tunneling** (Section 5.2, Figure 7),
 //! * [`packetsim`] — the packet-level event-driven system: Poisson request
-//!   streams, routers with injected filters, gossip and diffusion timers.
+//!   streams, routers with injected filters, gossip and diffusion timers,
+//! * [`world`] — the one document world (tree, universe, demand mix, link
+//!   state, oracle) that [`docsim`] and the packet engines both mutate.
 //!
 //! # Quickstart
 //!
@@ -44,6 +46,7 @@ pub mod throughput;
 pub mod tlb;
 pub mod tracking;
 pub mod wave;
+pub mod world;
 
 pub use docsim::{DocSim, DocSimConfig, DocSimStats};
 pub use fold::{webfold, webfold_with_order, FoldEvent, FoldOrder, FoldedTree};

@@ -39,19 +39,17 @@ mod slab;
 
 pub use slab::{ChildState, NodeHead, NodeMut, NodeRef, NodeSlab, Set, StreamCell, TokenBucket};
 
-use crate::fold::IncrementalFold;
+use crate::world::{DocWorld, UniverseGrowth, WorldConfig};
 use ww_cache::{plan_push_dense, plan_shed_dense, DenseRateSlice};
-use ww_diffusion::safe_alpha;
-use ww_model::{DocId, DocTable, LeafRemoval, ModelError, NodeId, RateVector, Tree};
+use ww_model::{DocId, LeafRemoval, NodeId, Tree};
 use ww_net::{DocRequest, DocResponse, RequestId, TrafficClass, TrafficLedger};
 use ww_sim::{exp_delay, SimQueue, SimRng, SimTime, StreamRng};
-use ww_telemetry::{PhaseStat, Snapshot};
 use ww_workload::DocMix;
 
 ww_telemetry::keys! {
     /// Every telemetry key `ww-core` emits (`docs/observability.md`):
-    /// the world's oracle maintenance ([`WorldTel`]), then the tables
-    /// below.
+    /// the world's oracle maintenance ([`crate::world::WorldTel`]), then
+    /// the tables below.
     pub static CORE_TELEMETRY = [
         ORACLE_REFOLDS: Sum Run "core.oracle.refolds",
         ORACLE_FULL_SWEEPS: Sum Run "core.oracle.full_sweeps",
@@ -178,112 +176,16 @@ impl PacketSimConfig {
     }
 }
 
-/// The shared world of a packet-level run: topology, document universe,
-/// offered demand, oracle, and configuration. Immutable *within* an
-/// epoch — shards read it concurrently while their event loops run —
-/// and mutable only at epoch barriers, where the drivers apply churn,
-/// publishes, and workload shifts through [`PacketWorld::join`],
-/// [`PacketWorld::leave`], [`PacketWorld::publish`], and
-/// [`PacketWorld::set_mix`].
-#[derive(Debug, Clone)]
-pub struct PacketWorld {
-    /// The routing tree.
-    pub tree: Tree,
-    /// Dense document index of the simulated universe.
-    pub table: DocTable,
-    /// Slot of each node within its parent's child list (root: unused 0).
-    pub child_slot: Vec<usize>,
-    /// The live per-node, per-document demand mix — the one copy of the
-    /// offered demand; a node's arrival streams are derived from it
-    /// where they are resolved ([`PacketWorld::streams_of`]).
-    pub mix: DocMix,
-    /// The WebFold oracle for the offered demand.
-    pub oracle: RateVector,
-    /// Run configuration.
-    pub config: PacketSimConfig,
-    /// Resolved diffusion parameter.
-    pub alpha: f64,
-    /// Arrival-stage generation: bumped by every barrier operation that
-    /// re-resolves the arrival streams (churn, publish, shift). Folded
-    /// into the stream RNG forks, so rebuilt streams stay content-keyed.
-    pub generation: u64,
-    /// The incremental WebFold cache behind `oracle`: barrier mutations
-    /// dirty only root paths, so each oracle refresh re-folds
-    /// `O(depth)` summaries instead of sweeping all `n` nodes.
-    fold: IncrementalFold,
-    /// Whether a barrier batch is open (see [`PacketWorld::begin_batch`]).
-    batched: bool,
-    /// Whether a mutation deferred its oracle refresh to the batch end.
-    batch_dirty: bool,
-    /// Observation-only oracle bookkeeping (see `docs/observability.md`).
-    pub(crate) tel: WorldTel,
-}
-
-/// Observation-only counters the world keeps about its own oracle
-/// maintenance: how often the incremental refold ran versus a
-/// from-scratch sweep, and (when a driver asked for spans) how long the
-/// refreshes took. Plain integers off the per-packet path — they are
-/// read only by `telemetry_snapshot`, never by the simulation.
-#[derive(Debug, Clone, Default)]
-pub struct WorldTel {
-    /// Incremental `refold_path` refreshes since construction.
-    pub refolds: u64,
-    /// From-scratch WebFold sweeps (construction counts one).
-    pub full_sweeps: u64,
-    /// Accumulated oracle-refresh time (only when `timed`).
-    pub refresh_ns: u64,
-    /// Refresh spans recorded (only when `timed`).
-    pub refresh_count: u64,
-    /// Accumulated time the barrier mutators spent on the world's own
-    /// structural state — tree, mix, universe, child slots; everything
-    /// but the oracle refresh (only when `timed`).
-    pub structural_ns: u64,
-    /// Structural spans recorded: one per accepted join, leave, publish
-    /// or shift (only when `timed`).
-    pub structural_count: u64,
-    /// Whether the spans above read the monotonic clock (full-span
-    /// telemetry requested by the owning driver).
-    pub timed: bool,
-}
-
-impl WorldTel {
-    /// Opens a span when timing is on.
-    fn begin(&self) -> Option<std::time::Instant> {
-        self.timed.then(std::time::Instant::now)
-    }
-
-    fn end_refresh(&mut self, span: Option<std::time::Instant>) {
-        credit(span, &mut self.refresh_ns, &mut self.refresh_count);
-    }
-
-    fn end_structural(&mut self, span: Option<std::time::Instant>) {
-        credit(span, &mut self.structural_ns, &mut self.structural_count);
-    }
-
-    /// Appends the oracle-maintenance counters and — with `spans` — the
-    /// refresh and structural phases that recorded at least one span (a
-    /// run without barrier mutations has neither).
-    pub fn snapshot_into(&self, snap: &mut Snapshot, spans: bool) {
-        snap.push_counter(ORACLE_REFOLDS, &[], self.refolds);
-        snap.push_counter(ORACLE_FULL_SWEEPS, &[], self.full_sweeps);
-        for (key, ns, count) in [
-            (ORACLE_REFRESH, self.refresh_ns, self.refresh_count),
-            (STRUCTURAL, self.structural_ns, self.structural_count),
-        ] {
-            if spans && count > 0 {
-                snap.push_phase(key, PhaseStat { ns, count });
-            }
-        }
+impl WorldConfig for PacketSimConfig {
+    fn alpha(&self) -> Option<f64> {
+        self.alpha
     }
 }
 
-/// Closes a [`WorldTel`] span into its `(total ns, span count)` pair.
-fn credit(span: Option<std::time::Instant>, ns: &mut u64, count: &mut u64) {
-    if let Some(t0) = span {
-        *ns += t0.elapsed().as_nanos() as u64;
-        *count += 1;
-    }
-}
+/// The world of a packet-level run: the one [`DocWorld`] under the
+/// packet configuration. Shards read it concurrently while their event
+/// loops run; the drivers mutate it only at epoch barriers.
+pub type PacketWorld = DocWorld<PacketSimConfig>;
 
 impl PacketWorld {
     /// Builds the world for `tree` under the per-node document demand
@@ -305,31 +207,7 @@ impl PacketWorld {
     /// As [`PacketWorld::assert_inputs`].
     pub fn from_parts(tree: Tree, mix: DocMix, config: PacketSimConfig) -> Self {
         Self::assert_inputs(&tree, &mix, &config);
-        let table = DocTable::from_ids(mix.documents());
-        let oracle = RateVector::zeros(tree.len());
-        let fold = IncrementalFold::new(&tree, &mix.spontaneous());
-        let mut world = PacketWorld {
-            tree,
-            table,
-            child_slot: Vec::new(),
-            mix,
-            oracle,
-            config,
-            alpha: 0.5,
-            generation: 0,
-            fold,
-            batched: false,
-            batch_dirty: false,
-            tel: WorldTel {
-                // `IncrementalFold::new` seeds its cache with one
-                // from-scratch sweep.
-                full_sweeps: 1,
-                ..WorldTel::default()
-            },
-        };
-        world.refresh_structural();
-        world.refresh_oracle();
-        world
+        DocWorld::build(tree, mix, config)
     }
 
     /// Refuses inputs no world can be built from — the checks both
@@ -345,332 +223,6 @@ impl PacketWorld {
         if let Err(what) = config.check() {
             panic!("config {what} out of range: {config:?}");
         }
-    }
-
-    /// Derives the child-slot index from the tree, from scratch.
-    /// Construction only: the barrier mutators maintain it in place,
-    /// touching what their operation touched.
-    fn refresh_structural(&mut self) {
-        let n = self.tree.len();
-        self.child_slot = vec![0usize; n];
-        for u in 0..n {
-            self.reslot_children(NodeId::new(u));
-        }
-    }
-
-    /// Re-derives the child-slot index of `parent`'s children.
-    fn reslot_children(&mut self, parent: NodeId) {
-        for (slot, &c) in self.tree.children(parent).iter().enumerate() {
-            self.child_slot[c.index()] = slot;
-        }
-    }
-
-    /// The arrival streams of `node` as `(doc, dense index, rate)`, in
-    /// ascending document order: its mix row walked against the
-    /// universe. Both lists ascend, so each document is searched for
-    /// past the previous hit — a full row costs a comparison per
-    /// stream, a three-stream row in a 10,000-document universe three
-    /// short binary searches, never `O(m)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range; the iterator panics on a
-    /// demanded document outside the universe (the mutators grow the
-    /// universe before they touch the mix).
-    pub fn streams_of(
-        &self,
-        node: NodeId,
-    ) -> impl ExactSizeIterator<Item = (DocId, u32, f64)> + '_ {
-        let universe = self.table.docs();
-        let mut at = 0;
-        self.mix.demands_of(node).iter().map(move |&(doc, rate)| {
-            if universe.get(at) != Some(&doc) {
-                at += universe[at..].partition_point(|&known| known < doc);
-                assert_eq!(universe.get(at), Some(&doc), "demand doc in universe");
-            }
-            let index = at as u32;
-            at += 1;
-            (doc, index, rate)
-        })
-    }
-
-    /// A barrier mutation changed the offered demand or the topology:
-    /// refresh the oracle now, or once at [`PacketWorld::end_batch`]
-    /// when a batch is open, so a K-event barrier pays for one refold
-    /// instead of K.
-    fn oracle_changed(&mut self) {
-        if self.batched {
-            self.batch_dirty = true;
-        } else {
-            self.refresh_oracle();
-        }
-    }
-
-    /// The expensive half: diffusion parameter and WebFold oracle, the
-    /// latter through the incremental refold cache.
-    fn refresh_oracle(&mut self) {
-        let span = self.tel.begin();
-        self.alpha = self.config.alpha.unwrap_or_else(|| safe_alpha(&self.tree));
-        let spontaneous = self.mix.spontaneous();
-        self.oracle = self.fold.refold_path(&self.tree, &spontaneous).into_load();
-        self.tel.refolds += 1;
-        self.tel.end_refresh(span);
-    }
-
-    /// Opens a barrier batch: subsequent mutations keep the structural
-    /// derived state (child slots) current — later
-    /// mutations in the batch depend on it — but defer the oracle/alpha
-    /// refresh until [`PacketWorld::end_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a batch is already open.
-    pub fn begin_batch(&mut self) {
-        assert!(!self.batched, "a barrier batch is already open");
-        self.batched = true;
-    }
-
-    /// Whether a barrier batch is open — the one place that is tracked,
-    /// for the world and for every driver built on it.
-    pub fn batch_open(&self) -> bool {
-        self.batched
-    }
-
-    /// Closes the batch, performing the deferred oracle refresh once if
-    /// any mutation ran. The world is then bit-identical to one that
-    /// applied the same mutations unbatched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no batch is open.
-    pub fn end_batch(&mut self) {
-        assert!(self.batched, "no open barrier batch");
-        self.batched = false;
-        if std::mem::take(&mut self.batch_dirty) {
-            self.refresh_oracle();
-        }
-    }
-
-    /// Enables or disables span timing of oracle refreshes and of the
-    /// mutators' structural work. Observation only: the flag gates
-    /// reads of the monotonic clock, never anything the simulation
-    /// computes.
-    pub fn set_telemetry_timing(&mut self, timed: bool) {
-        self.tel.timed = timed;
-    }
-
-    /// The observation-only maintenance counters (refolds, full sweeps,
-    /// refresh and structural spans). See `docs/observability.md`.
-    pub fn oracle_telemetry(&self) -> &WorldTel {
-        &self.tel
-    }
-
-    /// A cache server joins as a new leaf under `parent`, bringing
-    /// `rate` req/s of demand split across the universe proportionally
-    /// to current global document popularity (the same law
-    /// `DocSim::add_leaf` applies). Bumps the arrival generation; the
-    /// driver must rebuild the arrival stage afterwards.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::NodeOutOfRange`] for an unknown parent,
-    /// [`ModelError::InvalidRate`] for a bad rate or when `rate > 0`
-    /// but the universe carries no demand to model the split on.
-    pub fn join(&mut self, parent: NodeId, rate: f64) -> Result<NodeId, ModelError> {
-        if parent.index() >= self.tree.len() {
-            return Err(ModelError::NodeOutOfRange {
-                node: parent,
-                len: self.tree.len(),
-            });
-        }
-        if !rate.is_finite() || rate < 0.0 {
-            return Err(ModelError::InvalidRate {
-                node: parent,
-                value: rate,
-            });
-        }
-        let span = self.tel.begin();
-        // Per-document global demand, accumulated in one pass over the
-        // nodes' streams (node order per document — the same float
-        // order a per-doc `doc_total` scan over the mix produces).
-        let mut totals = vec![0.0f64; self.table.len()];
-        for node in self.tree.nodes() {
-            for (_, k, r) in self.streams_of(node) {
-                totals[k as usize] += r;
-            }
-        }
-        let grand: f64 = totals.iter().sum();
-        if rate > 0.0 && grand <= 0.0 {
-            return Err(ModelError::InvalidRate {
-                node: parent,
-                value: rate,
-            });
-        }
-        let id = self.tree.add_leaf(parent)?;
-        self.fold.on_join(&self.tree, id);
-        let newcomer = self.mix.add_node();
-        debug_assert_eq!(id, newcomer);
-        if rate > 0.0 {
-            for (k, &t) in totals.iter().enumerate() {
-                if t > 0.0 {
-                    self.mix
-                        .set(newcomer, self.table.doc(k as u32), rate * t / grand);
-                }
-            }
-        }
-        // The newcomer holds the highest id, so it closes its parent's
-        // child list; nobody else's slot moved.
-        self.child_slot.push(self.tree.children(parent).len() - 1);
-        self.generation += 1;
-        self.tel.end_structural(span);
-        self.oracle_changed();
-        Ok(id)
-    }
-
-    /// A leaf cache server departs: its demand re-homes to its parent
-    /// and ids compact by swap-remove, exactly as
-    /// [`Tree::remove_leaf`]. Bumps the arrival generation; the driver
-    /// must apply the same compaction to its per-node state, perform the
-    /// event surgery of [`renumber_for_leave`], and rebuild the arrival
-    /// stage.
-    ///
-    /// # Errors
-    ///
-    /// As [`Tree::remove_leaf`]: unknown id, the root, or an interior
-    /// node.
-    pub fn leave(&mut self, node: NodeId) -> Result<LeafRemoval, ModelError> {
-        let span = self.tel.begin();
-        let removal = self.tree.remove_leaf(node)?;
-        self.fold.on_leave(&self.tree, &removal);
-        let departed = self.mix.swap_remove_node(node);
-        for (d, r) in departed {
-            if r > 0.0 {
-                self.mix.add_rate(removal.parent, d, r);
-            }
-        }
-        // Mirror the id compaction, then repair what it touched: the
-        // child lists of the (at most two) renumbered parents.
-        self.child_slot.swap_remove(node.index());
-        for p in parents_to_remap(&self.tree, &removal) {
-            self.reslot_children(p);
-        }
-        self.generation += 1;
-        self.tel.end_structural(span);
-        self.oracle_changed();
-        Ok(removal)
-    }
-
-    /// Publishes a document: `origin`'s clients start requesting `doc`
-    /// at `rate` req/s, added on top of any existing demand. A
-    /// first-time id grows the dense universe; the returned
-    /// [`UniverseGrowth`] tells the driver how to remap every node's
-    /// per-document state (`None`: the universe was unchanged). Bumps
-    /// the arrival generation.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::NodeOutOfRange`] for an unknown origin,
-    /// [`ModelError::InvalidRate`] for a negative/non-finite rate.
-    pub fn publish(
-        &mut self,
-        doc: DocId,
-        origin: NodeId,
-        rate: f64,
-    ) -> Result<Option<UniverseGrowth>, ModelError> {
-        let n = self.tree.len();
-        if origin.index() >= n {
-            return Err(ModelError::NodeOutOfRange {
-                node: origin,
-                len: n,
-            });
-        }
-        if !rate.is_finite() || rate < 0.0 {
-            return Err(ModelError::InvalidRate {
-                node: origin,
-                value: rate,
-            });
-        }
-        let span = self.tel.begin();
-        let growth = self.grow_universe([doc].into_iter());
-        self.mix.add_rate(origin, doc, rate);
-        self.generation += 1;
-        self.tel.end_structural(span);
-        self.oracle_changed();
-        Ok(growth)
-    }
-
-    /// Replaces the whole demand mix mid-run (hot-set rotation, Zipf
-    /// re-skew). Copies and serve allocations survive — exactly the
-    /// `DocSim::set_mix` contract — and first-time document ids grow
-    /// the universe via the returned [`UniverseGrowth`]. Bumps the
-    /// arrival generation.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::LengthMismatch`] when `mix` does not cover the
-    /// current tree.
-    pub fn set_mix(&mut self, mix: &DocMix) -> Result<Option<UniverseGrowth>, ModelError> {
-        let n = self.tree.len();
-        if mix.len() != n {
-            return Err(ModelError::LengthMismatch {
-                expected: n,
-                actual: mix.len(),
-            });
-        }
-        let span = self.tel.begin();
-        let growth = self.grow_universe(mix.documents().into_iter());
-        self.mix.clone_from(mix);
-        self.generation += 1;
-        self.tel.end_structural(span);
-        self.oracle_changed();
-        Ok(growth)
-    }
-
-    /// Grows the dense universe by any of `docs` not yet in the table.
-    /// Insertion keeps ascending-id order, so existing columns at or
-    /// above an insertion point shift right.
-    fn grow_universe(&mut self, docs: impl Iterator<Item = DocId>) -> Option<UniverseGrowth> {
-        let mut fresh_ids: Vec<DocId> =
-            docs.filter(|&d| self.table.index_of(d).is_none()).collect();
-        fresh_ids.sort_unstable();
-        fresh_ids.dedup();
-        if fresh_ids.is_empty() {
-            return None;
-        }
-        let new_table = DocTable::from_ids(
-            self.table
-                .docs()
-                .iter()
-                .copied()
-                .chain(fresh_ids.iter().copied()),
-        );
-        let old_to_new: Vec<u32> = self
-            .table
-            .docs()
-            .iter()
-            .map(|&d| new_table.index_of(d).expect("old doc kept"))
-            .collect();
-        let fresh: Vec<u32> = fresh_ids
-            .iter()
-            .map(|&d| new_table.index_of(d).expect("just inserted"))
-            .collect();
-        let new_len = new_table.len();
-        self.table = new_table;
-        Some(UniverseGrowth {
-            old_to_new,
-            fresh,
-            new_len,
-        })
-    }
-
-    /// Node count.
-    pub fn len(&self) -> usize {
-        self.tree.len()
-    }
-
-    /// `true` for the (degenerate) empty world.
-    pub fn is_empty(&self) -> bool {
-        self.tree.is_empty()
     }
 
     /// First gossip fire of node `i`: phases are staggered across nodes
@@ -696,30 +248,6 @@ impl PacketWorld {
 /// it.
 pub fn timer_phase(i: usize, n: usize) -> f64 {
     (i as f64 + 1.0) / (n as f64 + 1.0)
-}
-
-/// How a universe-growing barrier operation (publish, shifted mix with
-/// new ids) relocated the dense document indices: existing columns move
-/// to `old_to_new[old]`, and the brand-new documents land at `fresh`.
-/// Drivers apply the same remapping to every node's per-document state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UniverseGrowth {
-    /// New dense index of each old dense index.
-    pub old_to_new: Vec<u32>,
-    /// Dense indices of the newly inserted documents (ascending).
-    pub fresh: Vec<u32>,
-    /// Size of the grown universe.
-    pub new_len: usize,
-}
-
-impl UniverseGrowth {
-    /// `true` when every new document sorts after every old one, so no
-    /// existing column moved (`old_to_new` is the identity).
-    pub fn is_append(&self) -> bool {
-        self.fresh
-            .first()
-            .is_none_or(|&k| k as usize >= self.old_to_new.len())
-    }
 }
 
 /// One barrier-time mutation, in the uniform shape every packet driver
@@ -804,27 +332,6 @@ pub enum SurgeryStep {
         /// Former last id, now living at `removed` (when renumbered).
         moved: Option<NodeId>,
     },
-}
-
-/// Sets the failed state of the control link between `node` and its
-/// parent in a driver's failed-link map; `true` when the state changed.
-/// While failed, gossip stops crossing the link (estimates on both sides
-/// go stale), no copies are pushed or tunneled across, and the node's
-/// diffusion step ignores its parent. Request packets — the data plane —
-/// keep flowing.
-///
-/// # Errors
-///
-/// [`ModelError::NodeOutOfRange`] for an unknown id,
-/// [`ModelError::NoUplink`] for the root; the map is untouched.
-pub fn set_link(
-    tree: &Tree,
-    failed_up: &mut [bool],
-    node: NodeId,
-    failed: bool,
-) -> Result<bool, ModelError> {
-    tree.uplink(node)?;
-    Ok(std::mem::replace(&mut failed_up[node.index()], failed) != failed)
 }
 
 /// Applies a batch's surgery steps to one queued event, in batch order.
@@ -1200,7 +707,7 @@ pub struct Scratch {
 }
 
 /// Everything a handler may touch besides the target node's state: the
-/// static world, the (barrier-mutated) failed-link flags, the shard's
+/// static world (failed links included), the shard's
 /// ledger/counters/scratch, and the outbox of follow-up events.
 ///
 /// Outbox entries are `(fire time, event)`; the driver routes each to
@@ -1211,8 +718,6 @@ pub struct Scratch {
 pub struct NodeCtx<'a> {
     /// The static world.
     pub world: &'a PacketWorld,
-    /// Per node: `true` when the control link to its parent is failed.
-    pub failed_up: &'a [bool],
     /// Traffic ledger (per shard; merged at barriers).
     pub ledger: &'a mut TrafficLedger,
     /// Protocol counters (per shard; merged at barriers).
@@ -1240,9 +745,9 @@ impl NodeCtx<'_> {
     /// `true` when the control link between two tree neighbors is down.
     fn link_severed(&self, a: NodeId, b: NodeId) -> bool {
         if self.world.tree.parent(a) == Some(b) {
-            self.failed_up[a.index()]
+            self.world.link_failed(a)
         } else {
-            self.failed_up[b.index()]
+            self.world.link_failed(b)
         }
     }
 }
@@ -1484,7 +989,7 @@ pub fn on_diffusion(ctx: &mut NodeCtx<'_>, state: &mut NodeMut<'_>, t: SimTime, 
     let is_root = ctx.world.tree.parent(node).is_none();
     for slot in 0..ctx.world.tree.children(node).len() {
         let c = ctx.world.tree.children(node)[slot];
-        if ctx.failed_up[c.index()] {
+        if ctx.world.link_failed(c) {
             // Control link down: no copies move to this child.
             continue;
         }
@@ -1552,7 +1057,7 @@ pub fn on_diffusion(ctx: &mut NodeCtx<'_>, state: &mut NodeMut<'_>, t: SimTime, 
     // Compare against the parent: take over passing load, shed, or
     // eventually tunnel. A failed uplink suspends all of it (tunneling
     // included — the fetch path runs through the dead control link).
-    if ctx.world.tree.parent(node).is_some() && !ctx.failed_up[node.index()] {
+    if ctx.world.tree.parent(node).is_some() && !ctx.world.link_failed(node) {
         if let Some(pl) = state.head.parent_est {
             if ctx.significant_imbalance(pl, my_load) {
                 let want = ctx.world.alpha * (pl - my_load);

@@ -32,7 +32,7 @@
 //! depends on it.
 //!
 //! A [`SimCore`] is the bookkeeping every participant of a run replicates
-//! — the world, the node → (shard, row) map, the failed-link flags, the
+//! — the world (failed links included), the node → (shard, row) map, the
 //! barrier horizon and the schedule of sample barriers that advances it,
 //! the convergence trace, the open batch — and applies [`BarrierOp`]s
 //! over *the shards this participant holds*:
@@ -54,12 +54,12 @@
 
 use super::{
     apply_surgery, child_slot_map, enqueue, handle, on_diffusion, on_gossip_timer,
-    parents_to_remap, set_link, BarrierOp, BarrierOutcome, NodeCtx, NodeMut, NodeSlab,
-    PacketCounters, PacketEvent, PacketWorld, Scratch, SurgeryStep, UniverseGrowth,
-    ARRIVAL_REBUILD, BARRIER_OPS, CORE_KEYS, CORE_PHASES, QUEUE_SURGERY, SURGERY_REMOVED,
-    SURGERY_SWEEPS, UNIVERSE_GROWTH,
+    parents_to_remap, BarrierOp, BarrierOutcome, NodeCtx, NodeMut, NodeSlab, PacketCounters,
+    PacketEvent, PacketWorld, Scratch, SurgeryStep, ARRIVAL_REBUILD, BARRIER_OPS, CORE_KEYS,
+    CORE_PHASES, QUEUE_SURGERY, SURGERY_REMOVED, SURGERY_SWEEPS, UNIVERSE_GROWTH,
 };
 use crate::packetsim::PacketSimReport;
+use crate::world::UniverseGrowth;
 use ww_model::{DocId, LeafRemoval, ModelError, NodeId, Tree};
 use ww_net::{TrafficClass, TrafficLedger};
 use ww_sim::{key_of, time_of, RadixQueue, SimQueue, SimTime, TimerRing, NO_KEY};
@@ -432,7 +432,6 @@ impl ShardCore {
         }
         let mut ctx = NodeCtx {
             world: &sim.world,
-            failed_up: &sim.failed_up,
             ledger: &mut self.ledger,
             counters: &mut self.counters,
             out: &mut self.outbox,
@@ -597,20 +596,15 @@ pub fn held_mut(held: &mut [ShardCore], s: usize) -> Option<&mut ShardCore> {
 }
 
 /// The replicated, shard-independent half of a run: the shared world,
-/// the node → (shard, row) map, the failed-link flags, the barrier
-/// horizon, the convergence trace and the open batch. Identical on
+/// the node → (shard, row) map, the barrier horizon, the convergence trace and the open batch. Identical on
 /// every participant, and mutated identically — every [`BarrierOp`] is
 /// a pure function of its arguments and this state.
 #[derive(Debug)]
 pub struct SimCore {
-    /// Topology, demand, oracle and configuration.
+    /// Topology, demand, link state, oracle and configuration.
     pub world: PacketWorld,
     /// Where every node lives.
     pub partition: Partition,
-    /// Per node: `true` when the control link to its parent is failed.
-    /// Gossip, copy pushes and diffusion decisions stop crossing the
-    /// edge; request packets (the data plane) keep flowing.
-    pub failed_up: Vec<bool>,
     /// Simulated time the run has reached: the last barrier, and the
     /// one clock every barrier operation reads.
     pub horizon: SimTime,
@@ -621,7 +615,7 @@ pub struct SimCore {
     trace: ConvergenceTrace,
     /// Queue-surgery steps the open batch has accumulated. Whether a
     /// batch *is* open is the world's to say
-    /// ([`PacketWorld::batch_open`]).
+    /// ([`DocWorld::batch_open`](crate::world::DocWorld::batch_open)).
     batch: Vec<SurgeryStep>,
     tel_level: Level,
     /// Barrier-path counters over [`CORE_KEYS`], summed over held shards.
@@ -634,7 +628,6 @@ impl SimCore {
     /// The core of a fresh run over `world` split by `partition`.
     pub fn new(world: PacketWorld, partition: Partition) -> Self {
         SimCore {
-            failed_up: vec![false; world.len()],
             world,
             partition,
             horizon: SimTime::ZERO,
@@ -793,14 +786,14 @@ impl SimCore {
                 self.apply_growth(held, growth);
                 BarrierOutcome::Done
             }),
-            BarrierOp::FailLink { node } => {
-                set_link(&self.world.tree, &mut self.failed_up, *node, true)
-                    .map(BarrierOutcome::Toggled)
-            }
-            BarrierOp::HealLink { node } => {
-                set_link(&self.world.tree, &mut self.failed_up, *node, false)
-                    .map(BarrierOutcome::Toggled)
-            }
+            BarrierOp::FailLink { node } => self
+                .world
+                .set_link(*node, true)
+                .map(BarrierOutcome::Toggled),
+            BarrierOp::HealLink { node } => self
+                .world
+                .set_link(*node, false)
+                .map(BarrierOutcome::Toggled),
             BarrierOp::Invalidate { doc } => {
                 self.invalidate(held, *doc).map(|()| BarrierOutcome::Done)
             }
@@ -897,7 +890,6 @@ impl SimCore {
         let id = self.world.join(parent, rate)?;
         let (ps, parent_row) = self.partition.home(parent.index());
         let row = self.partition.add_node(ps);
-        self.failed_up.push(false);
         self.batch.push(SurgeryStep::Rebuild(None));
         if let Some(shard) = held_mut(held, ps) {
             debug_assert_eq!(row, shard.nodes.len());
@@ -931,7 +923,6 @@ impl SimCore {
             shard.diffusion_ring.swap_remove_member(row);
             shard.window_events.swap_remove(row);
         }
-        self.failed_up.swap_remove(r);
         self.batch.push(SurgeryStep::Leave {
             removed: removal.removed,
             moved: removal.moved,

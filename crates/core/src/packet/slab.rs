@@ -35,7 +35,7 @@
 //! events in between instead of stalling the loop.
 //!
 //! The streams themselves — `(document, dense index, rate)` — are
-//! stored nowhere else either: [`PacketWorld::streams_of`] derives them
+//! stored nowhere else either: [`DocWorld::streams_of`](crate::world::DocWorld::streams_of) derives them
 //! from the world's mix where [`NodeSlab::resolve_node_arrivals`]
 //! writes the cells.
 //!

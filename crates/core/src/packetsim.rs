@@ -286,7 +286,7 @@ impl PacketSim {
     ///
     /// Panics if `node` is out of range.
     pub fn link_failed(&self, node: NodeId) -> bool {
-        self.core.failed_up[node.index()]
+        self.core.world.link_failed(node)
     }
 
     /// [`PacketBackend::apply_all`], for callers without the trait in

@@ -19,7 +19,7 @@ use ww_core::packet::{
 use ww_core::packetsim::{PacketBackend, PacketSim, PacketSimConfig, PacketSimReport};
 use ww_model::{DocId, NodeId, Tree};
 use ww_net::{DocRequest, RequestId, TrafficLedger};
-use ww_sim::SimTime;
+use ww_sim::{SimQueue, SimTime};
 use ww_workload::DocMix;
 
 /// A small random world: tree, Zipf demand, configured simulator.
@@ -243,12 +243,10 @@ fn report_bits(r: &PacketSimReport) -> (Vec<u64>, Vec<u64>, u64, u64, u64) {
 /// Drives `state` through a fixed little history, so its bitsets, token
 /// buckets and meters all hold something worth preserving.
 fn exercise(world: &PacketWorld, state: &mut NodeMut<'_>, node: NodeId, salt: u32) {
-    let failed_up = vec![false; world.len()];
     let (mut ledger, mut counters) = (TrafficLedger::new(), PacketCounters::default());
     let (mut out, mut scratch) = (Vec::new(), Scratch::default());
     let mut ctx = NodeCtx {
         world,
-        failed_up: &failed_up,
         ledger: &mut ledger,
         counters: &mut counters,
         out: &mut out,
@@ -712,4 +710,153 @@ fn a_leaf_gains_its_first_child_and_loses_its_last() {
         (report_bits(&mid), report_bits(&end))
     };
     assert_eq!(run(false), run(true));
+}
+
+/// Asserts two simulators hold the same world, the same rows and the
+/// same calendar.
+fn assert_same_state(a: &PacketSim, b: &PacketSim, label: &str) {
+    assert_eq!(
+        format!("{:?}", a.world()),
+        format!("{:?}", b.world()),
+        "{label}: worlds differ"
+    );
+    capture(a).assert_matches(b.nodes());
+    let (queue_a, queue_b) = (&a.parts().1.queue, &b.parts().1.queue);
+    assert_eq!(
+        (queue_a.len(), queue_a.next_seq()),
+        (queue_b.len(), queue_b.next_seq()),
+        "{label}: calendars differ"
+    );
+}
+
+/// Demand that would overflow is refused with `InvalidRate`: a join
+/// whose split, a shift whose node total, a publish whose total and a
+/// leave whose re-homed total would not be finite. A refused op changes
+/// nothing, lone or batched: the engine equals one that never saw it.
+#[test]
+fn overflowing_demand_is_refused_and_changes_nothing() {
+    let tree = ww_topology::k_ary(2, 3);
+    let rates = ww_workload::leaf_only(&tree, 6.0);
+    let mix = ww_workload::shared_zipf_mix(&tree, &rates, 5, 1.0);
+    let n = NodeId::new;
+    let mut overflowing = DocMix::new(tree.len());
+    overflowing.set(n(9), DocId::new(1), 1e308);
+    overflowing.set(n(9), DocId::new(2), 1e308);
+    let publish = |origin| BarrierOp::PublishDoc {
+        doc: DocId::new(9),
+        origin,
+        rate: f64::MAX,
+    };
+    // Leaf 7 hangs under node 3; each holds a finite total until the
+    // second publish at 7 or the leave of 7 would add two maxima.
+    let script = [
+        (
+            BarrierOp::AddLeaf {
+                parent: n(0),
+                rate: 1.7e308,
+            },
+            Some("rate at n0 is invalid: inf"),
+        ),
+        (
+            BarrierOp::SetMix { mix: overflowing },
+            Some("rate at n9 is invalid: inf"),
+        ),
+        (
+            BarrierOp::AddLeaf {
+                parent: n(1),
+                rate: 6.0,
+            },
+            None,
+        ),
+        (publish(n(7)), None),
+        (publish(n(7)), Some("rate at n7 is invalid: inf")),
+        (publish(n(3)), None),
+        (
+            BarrierOp::RemoveLeaf { node: n(7) },
+            Some("rate at n3 is invalid: inf"),
+        ),
+    ];
+    let accepted: Vec<BarrierOp> = script
+        .iter()
+        .filter(|(_, refusal)| refusal.is_none())
+        .map(|(op, _)| op.clone())
+        .collect();
+    let fresh = || {
+        let mut sim = PacketSim::new(&tree, &mix, PacketSimConfig::default());
+        sim.run(2.0);
+        sim
+    };
+
+    let (mut lone, mut clean) = (fresh(), fresh());
+    for (op, refusal) in &script {
+        let verdict = lone.apply_op(op).map_err(|e| e.to_string());
+        match refusal {
+            Some(text) => assert_eq!(verdict, Err(text.to_string()), "{op:?}"),
+            None => {
+                assert!(verdict.is_ok(), "{op:?}: {verdict:?}");
+                clean.apply_op(op).expect("accepted on the clean twin");
+            }
+        }
+        assert_same_state(&lone, &clean, &format!("after {op:?}"));
+    }
+
+    let (mut batched, mut clean) = (fresh(), fresh());
+    let ops: Vec<BarrierOp> = script.iter().map(|(op, _)| op.clone()).collect();
+    let verdicts: Vec<Option<String>> = batched
+        .apply_all(&ops)
+        .into_iter()
+        .map(|r| r.err().map(|e| e.to_string()))
+        .collect();
+    let expected: Vec<Option<String>> = script
+        .iter()
+        .map(|(_, refusal)| refusal.map(str::to_string))
+        .collect();
+    assert_eq!(verdicts, expected);
+    assert!(clean.apply_all(&accepted).iter().all(Result::is_ok));
+    assert_same_state(&batched, &clean, "batched");
+}
+
+/// A barrier batch refreshes the oracle once, however many ops it
+/// holds, and ends on the oracle the same ops reach one at a time,
+/// where each accepted op refreshes it once.
+#[test]
+fn a_batch_refreshes_the_oracle_once() {
+    let (mut lone, mut batched) = (build_sim(12, 4, 5), build_sim(12, 4, 5));
+    let leaf = lone
+        .tree()
+        .nodes()
+        .filter(|&u| lone.tree().is_leaf(u))
+        .last();
+    let shifted = {
+        let tree = lone.tree();
+        let rates = ww_workload::uniform(tree, 7.0);
+        ww_workload::shared_zipf_mix(tree, &rates, 6, 0.8)
+    };
+    let ops = [
+        BarrierOp::PublishDoc {
+            doc: DocId::new(40),
+            origin: NodeId::new(3),
+            rate: 12.0,
+        },
+        BarrierOp::SetMix { mix: shifted },
+        BarrierOp::RemoveLeaf {
+            node: leaf.expect("a leaf"),
+        },
+        BarrierOp::AddLeaf {
+            parent: NodeId::new(0),
+            rate: 9.0,
+        },
+    ];
+    let refolds = |sim: &PacketSim| sim.world().oracle_telemetry().refolds;
+    let before = refolds(&batched);
+    assert!(batched.apply_all(&ops).iter().all(Result::is_ok));
+    assert_eq!(refolds(&batched) - before, 1, "one refresh per batch");
+    for op in &ops {
+        lone.apply_op(op).expect("the op applies");
+    }
+    assert_eq!(refolds(&lone) - before, ops.len() as u64);
+    assert_eq!(
+        bits(lone.oracle().as_slice()),
+        bits(batched.oracle().as_slice())
+    );
 }

@@ -11,8 +11,9 @@
 
 use ww_cache::{DenseFlowTable, MeterCell};
 use ww_core::packet::{
-    self, BarrierOp, NodeRef, NodeSlab, PacketWorld, Set, StreamCell, TokenBucket, UniverseGrowth,
+    self, BarrierOp, NodeRef, NodeSlab, PacketWorld, Set, StreamCell, TokenBucket,
 };
+use ww_core::world::UniverseGrowth;
 use ww_model::{DocId, DocSet, ModelError, NodeId};
 use ww_sim::{exp_delay, key_of, SimTime, StreamRng, NO_KEY};
 

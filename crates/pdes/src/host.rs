@@ -418,7 +418,7 @@ impl ShardHost {
     ///
     /// Panics if `node` is out of range.
     pub fn link_failed(&self, node: NodeId) -> bool {
-        self.core.failed_up[node.index()]
+        self.core.world.link_failed(node)
     }
 
     /// Opens a barrier batch. Every participant of a distributed run

@@ -537,3 +537,87 @@ fn a_worker_host_rejects_bad_link_ops_with_a_typed_error() {
     }
     assert!(tree.nodes().all(|u| !host.link_failed(u)));
 }
+
+/// Demand that would overflow is refused with `InvalidRate` on the
+/// parallel engine too, lone and batched, and changes nothing: a run
+/// that saw the refused join, shift and publish replays the sequential
+/// run that never saw them, and the world after the refused publish
+/// and leave equals the sequential world.
+#[test]
+fn overflowing_demand_is_refused_at_every_worker_count() {
+    let tree = ww_topology::k_ary(2, 3);
+    let rates = ww_workload::leaf_only(&tree, 6.0);
+    let mix = ww_workload::shared_zipf_mix(&tree, &rates, 5, 1.0);
+    let config = PacketSimConfig::default();
+    let n = NodeId::new;
+    let mut overflowing = DocMix::new(tree.len());
+    overflowing.set(n(9), DocId::new(1), 1e308);
+    overflowing.set(n(9), DocId::new(2), 1e308);
+    let refused = [
+        BarrierOp::AddLeaf {
+            parent: n(0),
+            rate: 1.7e308,
+        },
+        BarrierOp::SetMix { mix: overflowing },
+    ];
+    let join = BarrierOp::AddLeaf {
+        parent: n(1),
+        rate: 6.0,
+    };
+    let publish = |origin| BarrierOp::PublishDoc {
+        doc: DocId::new(9),
+        origin,
+        rate: f64::MAX,
+    };
+    // Two maxima at leaf 7 (second publish) or at its parent 3 (the
+    // leave re-homing 7's maximum onto 3's).
+    let tail = [
+        (publish(n(7)), None),
+        (publish(n(7)), Some("rate at n7 is invalid: inf")),
+        (publish(n(3)), None),
+        (
+            BarrierOp::RemoveLeaf { node: n(7) },
+            Some("rate at n3 is invalid: inf"),
+        ),
+    ];
+    let verdict = |r: Result<_, ModelError>| r.err().map(|e| e.to_string());
+
+    let mut seq = PacketSim::new(&tree, &mix, config);
+    seq.run(2.0);
+    seq.apply_op(&join).expect("the join applies");
+    let a = seq.run(5.0);
+    for (op, _) in &tail {
+        let _ = seq.apply_op(op);
+    }
+    for workers in [1, 2] {
+        for batched in [false, true] {
+            let label = format!("workers={workers} batched={batched}");
+            let mut par = ParPacketSim::new(&tree, &mix, config, workers);
+            par.run(2.0);
+            let ops: Vec<BarrierOp> = refused.iter().cloned().chain([join.clone()]).collect();
+            let verdicts: Vec<Option<String>> = if batched {
+                par.apply_all(&ops).into_iter().map(verdict).collect()
+            } else {
+                ops.iter().map(|op| verdict(par.apply_op(op))).collect()
+            };
+            assert_eq!(
+                verdicts,
+                [
+                    Some("rate at n0 is invalid: inf".to_string()),
+                    Some("rate at n9 is invalid: inf".to_string()),
+                    None
+                ],
+                "{label}"
+            );
+            assert_reports_identical(&a, &par.run(5.0), &label);
+            for (op, refusal) in &tail {
+                assert_eq!(verdict(par.apply_op(op)), refusal.map(str::to_string));
+            }
+            assert_eq!(
+                format!("{:?}", par.world()),
+                format!("{:?}", seq.world()),
+                "{label}"
+            );
+        }
+    }
+}

@@ -291,3 +291,45 @@ fn churn_dynamics_byte_identical_to_sequential_at_1_2_4_workers() {
         );
     }
 }
+
+/// A join whose demand split would overflow is refused by the
+/// coordinator's replica before anything is broadcast: a rejected
+/// marker, and the run replays the sequential twin, which refuses it
+/// too.
+#[test]
+fn an_overflowing_join_is_refused_before_the_broadcast() {
+    let spec = ScenarioSpec::from_json(
+        r#"{
+          "name": "distributed-overflowing-join",
+          "topology": {"kind": "k_ary", "arity": 2, "depth": 3},
+          "workload": {
+            "rates": {"kind": "leaf_only", "rate": 6.0},
+            "doc_mix": {"kind": "shared_zipf", "docs": 5, "theta": 1.0}
+          },
+          "engine": {"kind": "packet_sim_dist", "workers": 2},
+          "termination": {"kind": "rounds", "max": 6},
+          "events": {"schedule": [
+            {"round": 3, "kind": "node_join", "parent": 0, "rate": 1.7e308}
+          ]}
+        }"#,
+    )
+    .expect("overflowing join spec parses");
+    let mut canon = Vec::new();
+    for (spec, rejected) in [
+        (
+            sequential_twin(&spec),
+            "node_join event cannot apply: rate at n0 is invalid: inf",
+        ),
+        (
+            spec,
+            "node_join event cannot apply: barrier operation rejected: \
+             rate at n0 is invalid: inf",
+        ),
+    ] {
+        let report = Runner::new().run(&spec).expect("the run survives");
+        let row = &report.rows[0];
+        assert_eq!(row.events[0].rejected.as_deref(), Some(rejected));
+        canon.push(canonical(&row.outcome));
+    }
+    assert_eq!(canon[0], canon[1], "the refusal diverged from sequential");
+}

@@ -640,3 +640,41 @@ fn baselines_round_zero_world_is_pinned() {
     );
     assert_eq!(digest, 0x945c_52ee_da4b_7816, "digest {digest:#018x}");
 }
+
+/// A join whose demand split would overflow — a rate the parser accepts
+/// — ends in a rejected marker on every document-level engine, and the
+/// run goes on to its budget.
+#[test]
+fn an_overflowing_join_is_a_rejected_marker() {
+    for engine in [
+        r#"{"kind": "doc_sim"}"#,
+        r#"{"kind": "packet_sim"}"#,
+        r#"{"kind": "packet_sim_par", "workers": 2}"#,
+    ] {
+        let spec = ScenarioSpec::from_json(&format!(
+            r#"{{
+              "name": "overflowing-join",
+              "topology": {{"kind": "k_ary", "arity": 2, "depth": 3}},
+              "workload": {{
+                "rates": {{"kind": "leaf_only", "rate": 6.0}},
+                "doc_mix": {{"kind": "shared_zipf", "docs": 5, "theta": 1.0}}
+              }},
+              "engine": {engine},
+              "termination": {{"kind": "rounds", "max": 8}},
+              "events": {{"schedule": [
+                {{"round": 5, "kind": "node_join", "parent": 0, "rate": 1.7e308}}
+              ]}}
+            }}"#
+        ))
+        .unwrap_or_else(|e| panic!("{engine}: {e}"));
+        let report = Runner::new().run(&spec).expect("the run survives");
+        let row = &report.rows[0];
+        assert_eq!(row.events.len(), 1, "{engine}");
+        assert_eq!(
+            row.events[0].rejected.as_deref(),
+            Some("node_join event cannot apply: rate at n0 is invalid: inf"),
+            "{engine}"
+        );
+        assert_eq!(row.outcome.rounds, 8, "{engine}: the run continued");
+    }
+}
