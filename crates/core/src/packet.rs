@@ -849,7 +849,7 @@ fn on_arrival(
     // Issue the request packet at this node; ids are (node, counter).
     let id = RequestId::new(((node.index() as u64) << 32) | state.head.next_request);
     state.head.next_request += 1;
-    let request = DocRequest::new(id, ctx.world.table.doc(index), node);
+    let request = DocRequest::new(id, node);
     ctx.ledger
         .record(TrafficClass::Request, request.wire_bytes(), 0);
     ctx.out.push((

@@ -1,17 +1,23 @@
 //! Typed identifiers for nodes (cache servers) and published documents.
 //!
-//! Both are thin newtypes over `usize`/`u64` so that a node index can never
-//! be confused with a document id (C-NEWTYPE). Nodes are dense indices into
-//! the routing [`Tree`](crate::Tree); documents are sparse 64-bit ids chosen
-//! by the publisher.
+//! Both are thin newtypes so that a node index can never be confused with
+//! a document id (C-NEWTYPE). Nodes are dense indices into the routing
+//! [`Tree`](crate::Tree); documents are sparse 64-bit ids chosen by the
+//! publisher.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::num::NonZeroU32;
 
 /// Identifier of a cache server / router node in a routing tree.
 ///
 /// `NodeId` is a dense index: a tree with `n` nodes uses ids `0..n`, and the
 /// home server (root) is conventionally — but not necessarily — id `0`.
+///
+/// It is four bytes, and `Option<NodeId>` is four bytes too: the id
+/// stores `index + 1` in a [`NonZeroU32`], so the zero pattern is left
+/// for `None`. Indices run up to `u32::MAX - 1`; ordering, equality and
+/// the `Debug` / `Display` forms all follow the index.
 ///
 /// # Example
 ///
@@ -20,38 +26,68 @@ use std::fmt;
 /// let n = NodeId::new(3);
 /// assert_eq!(n.index(), 3);
 /// assert_eq!(format!("{n}"), "n3");
+/// assert_eq!(format!("{n:?}"), "NodeId(3)");
+/// assert_eq!(std::mem::size_of::<Option<NodeId>>(), 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
-pub struct NodeId(usize);
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+pub struct NodeId(NonZeroU32);
 
 impl NodeId {
     /// Creates a node id from a dense index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` exceeds `u32::MAX - 1` (see [`NodeId::checked`]).
+    #[inline]
     pub const fn new(index: usize) -> Self {
-        NodeId(index)
+        match NodeId::checked(index) {
+            Some(id) => id,
+            None => panic!("node index does not fit a NodeId"),
+        }
+    }
+
+    /// The node id of `index`, or `None` when it exceeds `u32::MAX - 1`
+    /// — what a decoder of untrusted input calls instead of
+    /// [`NodeId::new`].
+    #[inline]
+    pub const fn checked(index: usize) -> Option<Self> {
+        if index >= u32::MAX as usize {
+            return None;
+        }
+        match NonZeroU32::new(index as u32 + 1) {
+            Some(v) => Some(NodeId(v)),
+            None => None,
+        }
     }
 
     /// Returns the dense index of this node.
+    #[inline]
     pub const fn index(self) -> usize {
-        self.0
+        (self.0.get() - 1) as usize
     }
 }
 
 impl From<usize> for NodeId {
     fn from(index: usize) -> Self {
-        NodeId(index)
+        NodeId::new(index)
     }
 }
 
 impl From<NodeId> for usize {
     fn from(id: NodeId) -> usize {
-        id.0
+        id.index()
+    }
+}
+
+impl fmt::Debug for NodeId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("NodeId").field(&self.index()).finish()
     }
 }
 
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "n{}", self.0)
+        write!(f, "n{}", self.index())
     }
 }
 

@@ -27,8 +27,8 @@
 //! // climbs one hop and is intercepted there.
 //! let mut filter = CountingBloomFilter::for_capacity(16);
 //! filter.insert(DocId::new(7));
-//! let req = DocRequest::new(RequestId::new(0), DocId::new(7), NodeId::new(2)).hop();
-//! assert!(filter.matches(req.doc));
+//! let req = DocRequest::new(RequestId::new(0), NodeId::new(2)).hop();
+//! assert!(filter.matches(DocId::new(7)));
 //! let resp = DocResponse::serve(&req, NodeId::new(1));
 //! assert_eq!(resp.round_trip_hops, 2);
 //!

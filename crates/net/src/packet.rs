@@ -6,7 +6,7 @@
 //! counters so response-time and network-traffic metrics can be derived.
 
 use serde::{Deserialize, Serialize};
-use ww_model::{DocId, NodeId};
+use ww_model::NodeId;
 
 /// Unique identifier of one request in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -32,12 +32,15 @@ impl std::fmt::Display for RequestId {
 }
 
 /// A document request packet climbing the routing tree.
+///
+/// The request does not name its document: the packet that carries it
+/// does, once, as the document's dense index in the world's table (the
+/// one field a universe growth remaps). That keeps a request in flight
+/// at 16 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DocRequest {
     /// Unique id of this request.
     pub id: RequestId,
-    /// The document being requested.
-    pub doc: DocId,
     /// The node whose client issued the request.
     pub origin: NodeId,
     /// Hops traveled so far (incremented at each router).
@@ -46,10 +49,9 @@ pub struct DocRequest {
 
 impl DocRequest {
     /// Creates a fresh request at its origin (zero hops).
-    pub fn new(id: RequestId, doc: DocId, origin: NodeId) -> Self {
+    pub fn new(id: RequestId, origin: NodeId) -> Self {
         DocRequest {
             id,
-            doc,
             origin,
             hops: 0,
         }
@@ -76,8 +78,6 @@ impl DocRequest {
 pub struct DocResponse {
     /// Id of the request being answered.
     pub id: RequestId,
-    /// The document served.
-    pub doc: DocId,
     /// The node that served it (home server or a cache).
     pub served_by: NodeId,
     /// Hops from origin up to the serving node.
@@ -92,7 +92,6 @@ impl DocResponse {
     pub fn serve(request: &DocRequest, served_by: NodeId) -> Self {
         DocResponse {
             id: request.id,
-            doc: request.doc,
             served_by,
             up_hops: request.hops,
             round_trip_hops: request.hops * 2,
@@ -106,17 +105,16 @@ mod tests {
 
     #[test]
     fn hop_increments_only_hops() {
-        let r = DocRequest::new(RequestId::new(1), DocId::new(7), NodeId::new(3));
+        let r = DocRequest::new(RequestId::new(1), NodeId::new(3));
         let r2 = r.hop().hop();
         assert_eq!(r2.hops, 2);
-        assert_eq!(r2.doc, r.doc);
         assert_eq!(r2.origin, r.origin);
         assert_eq!(r2.id, r.id);
     }
 
     #[test]
     fn response_mirrors_request() {
-        let r = DocRequest::new(RequestId::new(9), DocId::new(2), NodeId::new(5))
+        let r = DocRequest::new(RequestId::new(9), NodeId::new(5))
             .hop()
             .hop()
             .hop();
@@ -134,7 +132,7 @@ mod tests {
 
     #[test]
     fn zero_hop_service_at_origin() {
-        let r = DocRequest::new(RequestId::new(0), DocId::new(0), NodeId::new(2));
+        let r = DocRequest::new(RequestId::new(0), NodeId::new(2));
         let resp = DocResponse::serve(&r, NodeId::new(2));
         assert_eq!(resp.round_trip_hops, 0);
     }

@@ -54,14 +54,13 @@ proptest! {
 
     /// Responses mirror their requests exactly.
     #[test]
-    fn response_mirrors_request(id in any::<u64>(), doc in any::<u64>(), hops in 0u32..100) {
-        let mut req = DocRequest::new(RequestId::new(id), DocId::new(doc), NodeId::new(0));
+    fn response_mirrors_request(id in any::<u64>(), hops in 0u32..100) {
+        let mut req = DocRequest::new(RequestId::new(id), NodeId::new(0));
         for _ in 0..hops {
             req = req.hop();
         }
         let resp = ww_net::DocResponse::serve(&req, NodeId::new(1));
         prop_assert_eq!(resp.id, RequestId::new(id));
-        prop_assert_eq!(resp.doc, DocId::new(doc));
         prop_assert_eq!(resp.up_hops, hops);
         prop_assert_eq!(resp.round_trip_hops, hops * 2);
     }

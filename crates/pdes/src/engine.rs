@@ -1268,7 +1268,7 @@ mod tests {
         PacketEvent::Packet {
             node: NodeId::new(1),
             from: from.map(NodeId::new),
-            request: DocRequest::new(RequestId::new(id), DocId::new(1), origin),
+            request: DocRequest::new(RequestId::new(id), origin),
             index: 0,
         }
     }

@@ -216,4 +216,12 @@ mod tests {
             other => panic!("expected Full, got {other:?}"),
         }
     }
+
+    #[test]
+    fn a_ring_slot_is_six_words() {
+        // `docs/parallel.md` quotes the slot: a 32-byte event, its time
+        // and its per-wire counter; `Promise` and `EpochEnd` fit in the
+        // event's tag niche.
+        assert_eq!(std::mem::size_of::<Wire>(), 48);
+    }
 }
