@@ -605,7 +605,7 @@ mod tests {
         assert!((t.rate(0, 0) - 1.0).abs() < 1e-9);
         assert_eq!(t.rate(0, 1), 0.0);
         assert!((t.rate(1, 2) - 1.0).abs() < 1e-9);
-        // The stride doubled to 4, so the next append finds room.
+        // The buffer's capacity doubled, so the next append finds room.
         let reserved = t.capacity_bytes();
         t.grow_docs(&[0, 1, 2], 4, 2.0);
         assert_eq!(t.capacity_bytes(), reserved);

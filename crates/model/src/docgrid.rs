@@ -25,12 +25,9 @@ pub fn reserve_slack<T>(v: &mut Vec<T>, additional: usize) {
     }
 }
 
-/// A dense grid of `T`, `rows x docs` live cells on a row stride that is
-/// a column *capacity*: it equals the column count at construction and
-/// exceeds it only once [`DocGrid::grow_docs`] has grown the grid, which
-/// reserves room so that the next appended document columns cost one
-/// cell per row and no allocation. Cells of a row past `docs` are spare
-/// and carry no state.
+/// A dense grid of `T`, `rows x docs` live cells, row-major on a row
+/// stride that equals the column count: [`DocGrid::grow_docs`] widens it
+/// to exactly the grown count, so no row carries spare cells.
 ///
 /// # Example
 ///
@@ -53,8 +50,7 @@ pub struct DocGrid<T> {
     cells: Vec<T>,
 }
 
-/// Equality of the live cells (and the shape). Spare columns hold no
-/// state and are not compared.
+/// Equality of the live cells and the shape (not of the capacity).
 impl<T: Copy + PartialEq> PartialEq for DocGrid<T> {
     fn eq(&self, other: &Self) -> bool {
         self.rows == other.rows
@@ -264,10 +260,11 @@ impl<T: Copy> DocGrid<T> {
     ///
     /// A universe grows in ascending-id order, so `old_to_new` is
     /// strictly increasing and the columns shift inside the existing
-    /// buffer, last row first and back to front. When the row stride is
-    /// exhausted it at least doubles, so a run of publishes pays for one
-    /// reallocation per grid, and each later append writes one cell per
-    /// row.
+    /// buffer, last row first and back to front. The row stride grows to
+    /// exactly `new_docs`, so no row carries spare columns. The buffer's
+    /// capacity still grows geometrically (`Vec::resize`), so a run of
+    /// publishes reallocates rarely, and the capacity past the live
+    /// cells is never written, so it is never resident.
     ///
     /// # Panics
     ///
@@ -277,7 +274,7 @@ impl<T: Copy> DocGrid<T> {
         assert_eq!(old_to_new.len(), self.docs, "mapping must cover old docs");
         let old_stride = self.stride;
         if new_docs > self.stride {
-            self.stride = new_docs.max(2 * self.stride);
+            self.stride = new_docs;
             self.cells.resize(self.rows * self.stride, fresh);
         }
         for row in (0..self.rows).rev() {
@@ -364,7 +361,8 @@ mod tests {
         let mut g = grid(2, 2);
         g.grow_docs(&[0, 2], 3, 0);
         assert_eq!((g.row(0), g.row(1)), (&[1, 0, 2][..], &[11, 0, 12][..]));
-        // The stride doubled to 4: the next append reallocates nothing.
+        // The stride is exactly 3, but the buffer's capacity doubled to
+        // eight cells: the next append reallocates nothing.
         let reserved = g.capacity_bytes();
         g.grow_docs(&[0, 1, 2], 4, 5);
         assert_eq!(g.capacity_bytes(), reserved);

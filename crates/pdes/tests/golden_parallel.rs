@@ -303,3 +303,41 @@ fn one_shard_run_is_the_sequential_run_structurally() {
     }
     assert_eq!(seq_snap.counter("core.barrier.ops"), Some(8));
 }
+
+/// The first world that fills a ring: the hub of a broom gossips to
+/// every bristle in one fire, and with two workers more of them sit
+/// across the cut than an in-process ring holds (4,096 slots). The
+/// sender parks the surplus in the wire's overflow queue; the run's
+/// report and its `full` snapshot count the parks, and every simulated
+/// number still equals the sequential run's.
+#[test]
+fn a_hub_that_fills_a_ring_parks_and_changes_nothing() {
+    let tree = ww_topology::broom(2, 10_000);
+    let rates = ww_workload::leaf_only(&tree, 0.2);
+    let mix = ww_workload::shared_zipf_mix(&tree, &rates, 2, 1.0);
+    let config = PacketSimConfig::default();
+    let hub = NodeId::new(1);
+    let seq = PacketSim::new(&tree, &mix, config).run(1.2);
+    let mut par = ParPacketSim::new(&tree, &mix, config, 2);
+    let across = (tree.children(hub).iter())
+        .filter(|&&c| par.shard_of(c) != par.shard_of(hub))
+        .count();
+    assert!(across > 4096, "{across} bristles across the cut");
+    par.set_telemetry(Level::Full);
+    let report = par.run(1.2);
+    assert_reports_identical(&seq, &report, "broom workers=2");
+    assert!(report.overflow_parks > 0, "the hub's fire parks");
+    assert!(report.overflow_peak_parked > 0);
+    let snap = par.telemetry_snapshot();
+    let read = |name: &str| (snap.counters.iter()).find_map(|(n, v)| (n == name).then_some(*v));
+    assert_eq!(read("pdes.overflow.parks"), Some(report.overflow_parks));
+    assert_eq!(
+        read("pdes.overflow.peak_parked"),
+        Some(report.overflow_peak_parked)
+    );
+    // The hub's wire out parks whatever the threads' timing: one fire
+    // stages more than the ring holds before anything is published.
+    let (from, to) = (par.shard_of(hub), 1 - par.shard_of(hub));
+    assert!(read(&format!("pdes.link.{from}-{to}.parks")) > Some(0));
+    assert!(read(&format!("pdes.link.{from}-{to}.peak_parked")) > Some(0));
+}

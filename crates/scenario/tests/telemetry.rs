@@ -352,7 +352,8 @@ fn fits(template: &str, name: &str) -> bool {
 
 /// Declared keys no world here exercises: no ring this small fills, so
 /// the park counters read 0 everywhere (as a `Run` key would) and a
-/// link's own park counters are never emitted.
+/// link's own park counters are never emitted. `ww-pdes`'s
+/// `a_hub_that_fills_a_ring_parks_and_changes_nothing` fills one.
 const UNEXERCISED: &[&str] = &[
     "pdes.overflow.parks",
     "pdes.overflow.peak_parked",

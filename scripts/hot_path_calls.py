@@ -40,6 +40,7 @@ DENY = [
     r"ww_sim::wheel::TimerRing::(peek|pop|rearm)$",
     r"ww_net::stats::TrafficLedger::record$",
     r"ww_model::tree::Tree::(parent|children|depth|root)$",
+    r"ww_model::ids::NodeId::(new|index)$",
     r"ww_cache::meter::DenseFlowTable::(row|row_total|roll_row_to)$",
     r"ww_core::packet::driver::ShardCore::next_source$",
     r"ww_core::packet::gossip_to$",
