@@ -72,9 +72,9 @@ fn appending_a_document_within_reserved_capacity_allocates_per_storm_not_per_nod
         origin: NodeId::new(100),
         rate: 20.0,
     };
-    // The first growth finds every slab exactly full and reserves
-    // spare columns: one reallocation per slab, plus one per interior
-    // node's child rows — not one per node.
+    // The first growth finds every slab exactly full and doubles its
+    // buffer: one reallocation per slab, plus one per interior node's
+    // child rows — not one per node.
     let (first, results) = allocations_of(|| sim.apply_all(&[publish(100)]));
     assert!(results[0].is_ok());
     assert!(

@@ -7,9 +7,8 @@
 //! node, never per leaf, a leaf must cost about its payload (a head, two
 //! meter rows, a bucket row, 64 bytes per arrival stream), a pending
 //! arrival must cost its 16-byte key in the row and nothing in the
-//! event calendar, and a universe growth that doubles the row stride
-//! must grow slab by slab, never holding a second copy of the whole
-//! state. A join + leave storm's allocation ceiling is
+//! event calendar, and a universe growth that widens every row must
+//! grow slab by slab, never holding a second copy of the whole state. A join + leave storm's allocation ceiling is
 //! `barrier_allocs.rs`'s.
 
 mod alloc_counter;
@@ -186,12 +185,13 @@ fn the_world_keeps_one_copy_of_the_demand() {
 }
 
 #[test]
-fn a_stride_doubling_publish_grows_slab_by_slab() {
+fn a_widening_publish_grows_slab_by_slab() {
     let (tree, mix) = cdn(60, 60);
     let mut sim = PacketSim::new(&tree, &mix, PacketSimConfig::default());
     sim.run(0.25);
     let before = live_now();
-    // A ninth document: every slab's row stride doubles to sixteen.
+    // A ninth document: every slab's rows widen to nine columns, and
+    // each slab's buffer doubles its capacity.
     let publish = BarrierOp::PublishDoc {
         doc: DocId::new(100),
         origin: NodeId::new(100),
