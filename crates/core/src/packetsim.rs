@@ -30,7 +30,7 @@
 //!   [`DocTable`](ww_model::DocTable) on one
 //!   [`NodeSlab`] for the whole tree: meter
 //!   cells, token buckets and copy/filter bits sit at
-//!   `node x stride + doc` of a handful of slabs — no hashing and no
+//!   `node x docs + doc` of a handful of slabs — no hashing and no
 //!   per-node header on the per-packet path.
 //! * Pending events sit in the cheapest structure that keeps their
 //!   class sorted, merged by `(time, seq)`: the two strictly periodic
