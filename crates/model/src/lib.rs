@@ -47,7 +47,7 @@ pub mod tree;
 
 pub use assignment::LoadAssignment;
 pub use docgrid::{reserve_slack, DocGrid};
-pub use doctable::{shift_columns, DocSet, DocTable};
+pub use doctable::{DocSet, DocTable};
 pub use error::ModelError;
 pub use ids::{DocId, NodeId};
 pub use load::RateVector;

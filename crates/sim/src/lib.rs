@@ -2,10 +2,12 @@
 //!
 //! The packet-level WebWave protocol (crate `ww-core`, module
 //! `distributed`) runs on this kernel: a total-order event queue
-//! ([`EventQueue`]), a validated simulation clock ([`SimTime`]) and
-//! forkable deterministic randomness ([`SimRng`]). Simulations are pure
-//! functions of their inputs and master seed — equal seeds replay equal
-//! histories, which the failure-injection tests rely on.
+//! ([`EventQueue`]), a validated simulation clock ([`SimTime`]) and a
+//! deterministic random fork tree: a [`SimRng`] is a seed that forks
+//! child seeds, a [`StreamRng`] the one generator a seed becomes.
+//! Simulations are pure functions of their inputs and master seed —
+//! equal seeds replay equal histories, which the failure-injection tests
+//! rely on.
 //!
 //! # Example
 //!
