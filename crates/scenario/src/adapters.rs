@@ -1,14 +1,13 @@
-//! [`Engine`] implementations for every simulator, the threaded runtime,
-//! and the baseline schemes.
+//! [`Engine`] implementations for every simulator and the baseline
+//! schemes.
 //!
 //! The round-stepped engines (`RateWave`, `DocSim`, `ForestWave`)
 //! implement the trait directly. The packet simulators — sequential,
 //! sharded, distributed, bit-identical to each other — advance one
 //! diffusion period of simulated time per engine round behind the one
-//! [`PacketAdapter`]; the threaded cluster
-//! ([`ClusterEngine`]) and the baseline schemes ([`BaselineEngine`]) are
-//! one-shot engines that do all their work in a single step and then
-//! report [`StepOutcome::Done`].
+//! [`PacketAdapter`]; the baseline schemes ([`BaselineEngine`]) are a
+//! one-shot engine that does all its work in a single step and then
+//! reports [`StepOutcome::Done`].
 
 use crate::engine::{Engine, MetricSink, StepOutcome};
 use crate::events::{Event, EventError, World};
@@ -20,7 +19,6 @@ use ww_core::packetsim::{PacketBackend, PacketSimReport};
 use ww_core::wave::RateWave;
 use ww_forest::ForestWave;
 use ww_model::{NodeId, RateVector, Tree};
-use ww_runtime::{run_cluster, ClusterConfig, ClusterReport};
 use ww_telemetry::{Level, Snapshot};
 
 /// Wraps an engine-level failure into the typed event rejection.
@@ -35,46 +33,6 @@ fn invalid(event: &Event, reason: impl std::fmt::Display) -> EventError {
 /// root), so link events can be applied without panicking.
 fn check_uplink(tree: &Tree, node: NodeId, event: &Event) -> Result<(), EventError> {
     tree.uplink(node).map(drop).map_err(|e| invalid(event, e))
-}
-
-/// Shared event handling for the one-shot engines (cluster, baselines):
-/// churn and workload shifts change their [`World`] *before* the single
-/// step runs; afterwards nothing can change. Document and link events
-/// have no meaning for a static assignment and are unsupported.
-fn apply_static(
-    engine: &'static str,
-    already_ran: bool,
-    world: &mut World,
-    event: &Event,
-) -> Result<(), EventError> {
-    match event {
-        Event::NodeJoin { .. } | Event::NodeLeave { .. } | Event::WorkloadShift { .. }
-            if already_ran =>
-        {
-            Err(invalid(
-                event,
-                format!("the one-shot {engine} engine already ran; schedule events at round 0"),
-            ))
-        }
-        Event::NodeJoin { rate, .. } if !rate.is_finite() || *rate < 0.0 => {
-            Err(invalid(event, format!("invalid rate {rate}")))
-        }
-        Event::NodeJoin { .. } | Event::NodeLeave { .. } => Ok(()),
-        Event::WorkloadShift {
-            rates: Some(shifted),
-            ..
-        } => check_rates(shifted, world.tree.len(), event),
-        Event::WorkloadShift { rates: None, .. } => Err(invalid(
-            event,
-            format!("the {engine} engine needs rates in a workload_shift"),
-        )),
-        _ => Err(EventError::Unsupported {
-            engine,
-            event: event.kind(),
-            supported: &["node_join", "node_leave", "workload_shift"],
-        }),
-    }?;
-    world.apply(event).map_err(|e| invalid(event, e))
 }
 
 /// Validates a resolved rates vector against the engine's node count.
@@ -498,75 +456,6 @@ impl<B: PacketBackend> Engine for PacketAdapter<B> {
     }
 }
 
-/// The threaded runtime behind the unified API: the whole cluster run
-/// (spawn, gossip, join) happens in one engine step.
-#[derive(Debug)]
-pub(crate) struct ClusterEngine {
-    world: World,
-    config: ClusterConfig,
-    report: Option<ClusterReport>,
-}
-
-impl ClusterEngine {
-    /// Prepares (but does not yet spawn) a cluster run on `world`.
-    pub(crate) fn new(world: World, config: ClusterConfig) -> Self {
-        ClusterEngine {
-            world,
-            config,
-            report: None,
-        }
-    }
-}
-
-impl Engine for ClusterEngine {
-    fn kind(&self) -> &'static str {
-        "cluster"
-    }
-
-    fn step(&mut self) -> StepOutcome {
-        if self.report.is_none() {
-            self.report = Some(run_cluster(
-                &self.world.tree,
-                &self.world.rates,
-                self.config,
-            ));
-        }
-        StepOutcome::Done
-    }
-
-    fn round(&self) -> usize {
-        usize::from(self.report.is_some())
-    }
-
-    fn convergence(&self) -> Option<f64> {
-        self.report.as_ref().map(|r| r.distance)
-    }
-
-    fn load(&self) -> Option<RateVector> {
-        self.report.as_ref().map(|r| r.loads.clone())
-    }
-
-    fn oracle(&self) -> Option<RateVector> {
-        self.report.as_ref().map(|r| r.oracle.clone())
-    }
-
-    fn trace(&self) -> Option<Vec<f64>> {
-        None
-    }
-
-    fn metrics(&self, sink: &mut dyn MetricSink) {
-        if let Some(r) = &self.report {
-            sink.metric("distance_to_tlb", r.distance);
-            sink.metric("max_load", r.loads.max());
-            sink.metric("messages", r.messages as f64);
-        }
-    }
-
-    fn apply(&mut self, event: &Event) -> Result<(), EventError> {
-        apply_static("cluster", self.report.is_some(), &mut self.world, event)
-    }
-}
-
 /// Parameters of a baseline run, mirroring the knobs of
 /// [`crate::spec::EngineSpec::Baselines`].
 #[derive(Debug, Clone, Copy)]
@@ -697,7 +586,38 @@ impl Engine for BaselineEngine {
         self.reports.clone()
     }
 
+    /// Churn and workload shifts change the [`World`] *before* the one
+    /// step runs; afterwards nothing can change. Document and link
+    /// events have no meaning for a static assignment and are
+    /// unsupported.
     fn apply(&mut self, event: &Event) -> Result<(), EventError> {
-        apply_static("baselines", self.stepped, &mut self.world, event)
+        match event {
+            Event::NodeJoin { .. } | Event::NodeLeave { .. } | Event::WorkloadShift { .. }
+                if self.stepped =>
+            {
+                Err(invalid(
+                    event,
+                    "the one-shot baselines engine already ran; schedule events at round 0",
+                ))
+            }
+            Event::NodeJoin { rate, .. } if !rate.is_finite() || *rate < 0.0 => {
+                Err(invalid(event, format!("invalid rate {rate}")))
+            }
+            Event::NodeJoin { .. } | Event::NodeLeave { .. } => Ok(()),
+            Event::WorkloadShift {
+                rates: Some(shifted),
+                ..
+            } => check_rates(shifted, self.world.tree.len(), event),
+            Event::WorkloadShift { rates: None, .. } => Err(invalid(
+                event,
+                "the baselines engine needs rates in a workload_shift",
+            )),
+            _ => Err(EventError::Unsupported {
+                engine: "baselines",
+                event: event.kind(),
+                supported: &["node_join", "node_leave", "workload_shift"],
+            }),
+        }?;
+        self.world.apply(event).map_err(|e| invalid(event, e))
     }
 }

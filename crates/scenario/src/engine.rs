@@ -1,5 +1,5 @@
-//! The unified engine abstraction: every simulator, the threaded
-//! runtime, and the baseline schemes drive through one trait.
+//! The unified engine abstraction: every simulator and the baseline
+//! schemes drive through one trait.
 //!
 //! An [`Engine`] advances in discrete rounds ([`Engine::step`]) and
 //! streams its summary numbers into a [`MetricSink`] instead of
@@ -126,7 +126,7 @@ impl EngineReport {
 ///
 /// Implemented by [`ww_core::wave::RateWave`],
 /// [`ww_core::docsim::DocSim`], [`ww_forest::ForestWave`], and the
-/// crate's packet, cluster and baseline adapters, which the [`Runner`]
+/// crate's packet and baseline adapters, which the [`Runner`]
 /// builds from a spec.
 ///
 /// [`Runner`]: crate::Runner
@@ -135,8 +135,7 @@ pub trait Engine {
     fn kind(&self) -> &'static str;
 
     /// Advances one round (protocol round, diffusion epoch, or — for
-    /// one-shot engines like the cluster and the baselines — the whole
-    /// run).
+    /// the one-shot baselines engine — the whole run).
     fn step(&mut self) -> StepOutcome;
 
     /// Rounds executed so far.

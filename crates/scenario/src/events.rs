@@ -198,7 +198,7 @@ impl Event {
 
 /// The tree and per-node rates the accepted events have left: the
 /// runner's mirror of an engine's world, which later events resolve
-/// against, and the whole world of the one-shot engines.
+/// against, and the whole world of the one-shot baselines engine.
 #[derive(Debug, Clone)]
 pub(crate) struct World {
     pub(crate) tree: Tree,

@@ -130,11 +130,6 @@ spec_layout!(enum EngineSpec "engine" where sharded_engine_knobs {
         coupled: bool = true,
         roots: Vec<usize> as "an array of node ids",
     },
-    "cluster" => Cluster {
-        alpha: Option<f64> where unit_alpha,
-        rounds: usize = 4000,
-        channel_capacity: usize = 1024,
-    },
     "baselines" => Baselines {
         schemes: Vec<BaselineScheme> as "an array of scheme names" = BaselineScheme::all(),
         replicas: usize = 0,

@@ -1,13 +1,13 @@
 //! # ww-scenario — one declarative spec and one `Engine` trait for every
-//! WebWave simulator, runtime, and baseline
+//! WebWave simulator and baseline
 //!
 //! The workspace has six ways to run the WebWave protocol — rate-level
 //! ([`ww_core::wave::RateWave`]), document-level
 //! ([`ww_core::docsim::DocSim`]), packet-level
 //! ([`ww_core::packetsim::PacketSim`]), sharded parallel packet-level
-//! ([`ww_pdes::ParPacketSim`]), multi-tree
-//! ([`ww_forest::ForestWave`]), and as real threads
-//! ([`ww_runtime::run_cluster`]) — plus the baseline schemes of
+//! ([`ww_pdes::ParPacketSim`]), packet-level on worker processes
+//! ([`ww_dist::DistPacketSim`]) and multi-tree
+//! ([`ww_forest::ForestWave`]) — plus the baseline schemes of
 //! `ww-baselines`. This crate puts them all behind one surface:
 //!
 //! * [`ScenarioSpec`] — a declarative description (topology generator,

@@ -15,7 +15,7 @@
 //! peak load), folded into the run's metric stream and text report. A
 //! spec without a schedule runs the same loop with nothing to fire.
 
-use crate::adapters::{BaselineEngine, BaselineParams, ClusterEngine, PacketAdapter};
+use crate::adapters::{BaselineEngine, BaselineParams, PacketAdapter};
 use crate::engine::{Engine, EngineReport, NullObserver, Observer, StepOutcome};
 use crate::error::SpecError;
 use crate::events::{
@@ -38,7 +38,6 @@ use ww_dist::{DistError, DistOptions, DistPacketSim};
 use ww_forest::{Coupling, Forest, ForestWave, ForestWaveConfig};
 use ww_model::{NodeId, RateVector, Tree};
 use ww_pdes::ParPacketSim;
-use ww_runtime::ClusterConfig;
 use ww_telemetry::TraceWriter;
 use ww_topology::{paper, Graph};
 use ww_workload::DocMix;
@@ -495,8 +494,8 @@ fn update_trackers(
 /// Drives `engine` until the spec's termination rule is satisfied,
 /// reporting every round to `observer` and firing the spec's dynamics
 /// schedule, if any, between rounds. This is the *only* termination
-/// loop — engines never self-terminate (one-shot engines signal
-/// [`StepOutcome::Done`]):
+/// loop — engines never self-terminate (the one-shot baselines engine
+/// signals [`StepOutcome::Done`]):
 ///
 /// * every scheduled event fires once the engine has executed its
 ///   `round` (`round: 0` fires before any stepping);
@@ -505,7 +504,7 @@ fn update_trackers(
 ///   system is the entire point of a dynamics spec (round and wall-clock
 ///   caps still apply unconditionally);
 /// * events scheduled past the run's final round never fire and produce
-///   no markers (one-shot engines end after a single step).
+///   no markers (the one-shot engine ends after a single step).
 ///
 /// `world` is the mirror [`resolve_engine`] handed over; a spec without a
 /// schedule resolves no event and has none.
@@ -962,18 +961,6 @@ fn resolve_engine(
                 },
             ))
         }
-        EngineSpec::Cluster {
-            alpha,
-            rounds,
-            channel_capacity,
-        } => Box::new(ClusterEngine::new(
-            world.clone(),
-            ClusterConfig {
-                alpha: *alpha,
-                rounds: *rounds,
-                channel_capacity: *channel_capacity,
-            },
-        )),
         EngineSpec::Baselines {
             schemes,
             replicas,

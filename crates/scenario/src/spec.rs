@@ -296,16 +296,6 @@ pub enum EngineSpec {
         /// Home-server node of each tree.
         roots: Vec<usize>,
     },
-    /// The threaded runtime ([`ww_runtime::run_cluster`]): one OS thread
-    /// per node. Runs to completion in a single engine round.
-    Cluster {
-        /// Diffusion parameter override.
-        alpha: Option<f64>,
-        /// Local protocol rounds each server executes.
-        rounds: usize,
-        /// Channel capacity per neighbor link.
-        channel_capacity: usize,
-    },
     /// The baseline schemes of `ww-baselines`, each producing one static
     /// assignment report. Runs to completion in a single engine round.
     Baselines {
@@ -515,8 +505,7 @@ impl Sweep {
                 let slot = match &mut spec.engine {
                     EngineSpec::RateWave { alpha, .. }
                     | EngineSpec::DocSim { alpha, .. }
-                    | EngineSpec::ForestWave { alpha, .. }
-                    | EngineSpec::Cluster { alpha, .. } => alpha,
+                    | EngineSpec::ForestWave { alpha, .. } => alpha,
                     EngineSpec::PacketSim { knobs }
                     | EngineSpec::PacketSimPar { knobs, .. }
                     | EngineSpec::PacketSimDist { knobs, .. } => &mut knobs.alpha,
@@ -723,9 +712,6 @@ impl ScenarioSpec {
         }
         if let Some(DocMixSpec::SharedZipf { docs, .. }) = &mut spec.workload.doc_mix {
             *docs = (*docs).min(32);
-        }
-        if let EngineSpec::Cluster { rounds, .. } = &mut spec.engine {
-            *rounds = (*rounds).min(500);
         }
         if let EngineSpec::Baselines {
             gle_iterations,

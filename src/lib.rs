@@ -21,11 +21,10 @@
 //!   document and packet granularity (barriers + tunneling included),
 //! * [`pdes`] — the sharded parallel packet engine (`ParPacketSim`),
 //!   bit-identical to [`packetsim`] at every worker count,
-//! * [`runtime`] — WebWave as real cooperating threads,
 //! * [`baselines`] — directory caches, DNS round-robin, no-cache,
 //! * [`scenario`] — the unified API: one declarative [`scenario::ScenarioSpec`]
 //!   plus an [`scenario::Engine`]/[`scenario::Runner`] pair driving every
-//!   simulator, the runtime, and the baselines (`scenarios/*.json`),
+//!   simulator and the baselines (`scenarios/*.json`),
 //! * [`stats`] — the `a * gamma^t` convergence regression,
 //! * [`sim`] / [`net`] / [`cache`] — event kernel, packets + packet
 //!   filters + traffic ledger, flow meters + push/shed planning,
@@ -93,7 +92,6 @@ pub use ww_forest as forest;
 pub use ww_model as model;
 pub use ww_net as net;
 pub use ww_pdes as pdes;
-pub use ww_runtime as runtime;
 pub use ww_scenario as scenario;
 pub use ww_sim as sim;
 pub use ww_stats as stats;

@@ -1,43 +1,14 @@
-//! Cross-crate integration: all four WebWave engines (rate-level,
-//! document-level, packet-level, threaded runtime) agree with the WebFold
-//! oracle on shared scenarios.
+//! Cross-crate integration: the three WebWave engines (rate-level,
+//! document-level, packet-level) agree with the WebFold oracle on shared
+//! scenarios.
 
 use webwave::docsim::{DocSim, DocSimConfig};
 use webwave::fold::webfold;
-use webwave::model::{DocId, NodeId, RateVector};
+use webwave::model::{DocId, NodeId};
 use webwave::packetsim::{PacketSim, PacketSimConfig};
-use webwave::runtime::{run_cluster, ClusterConfig, ClusterReport};
-use webwave::topology::paper::{self, Scenario};
+use webwave::topology::paper;
 use webwave::wave::{RateWave, WaveConfig};
 use webwave::workload::DocMix;
-
-/// What a thread-per-node run guarantees under *every* interleaving —
-/// the scheduler may starve a server for most of its neighbours'
-/// rounds, so how close the loads get to the fixed point (and how much
-/// delegated rate is still in a mailbox when a thread exits) is timing,
-/// not protocol. The protocol part: the report's oracle is the WebFold
-/// optimum of the offered demand, and no server ever serves more than
-/// flows through it (NSS) — its load stays within `[0, demand of its
-/// subtree]`, because a child can only ever have gossiped a forwarded
-/// rate its own subtree offers.
-fn assert_cluster_feasible(s: &Scenario, cluster: &ClusterReport) {
-    let oracle = webfold(&s.tree, &s.spontaneous).into_load();
-    assert_eq!(cluster.oracle.as_slice(), oracle.as_slice(), "{}", s.name);
-    let mut through: Vec<f64> = s.spontaneous.as_slice().to_vec();
-    for u in s.tree.bottom_up() {
-        if let Some(p) = s.tree.parent(u) {
-            through[p.index()] += through[u.index()];
-        }
-    }
-    for (u, load) in cluster.loads.iter() {
-        assert!(
-            load >= 0.0 && load <= through[u.index()] + 1e-9,
-            "{}: node {u} serves {load} of the {} passing through it",
-            s.name,
-            through[u.index()]
-        );
-    }
-}
 
 /// Every engine drives the Figure 2(b) workload to (or near) the same
 /// non-GLE TLB optimum.
@@ -63,14 +34,6 @@ fn engines_agree_on_fig2b() {
         "docsim distance {}",
         doc.distance_to_tlb()
     );
-
-    // Threaded runtime: asynchronous, so a relative tolerance.
-    let cluster = run_cluster(&s.tree, &s.spontaneous, ClusterConfig::default());
-    assert!(
-        cluster.distance < 0.05 * s.total_demand(),
-        "cluster distance {}",
-        cluster.distance
-    );
 }
 
 /// The packet-level engine, measured under Poisson noise, still heads to
@@ -93,24 +56,19 @@ fn packet_engine_tracks_oracle_on_fig7() {
     );
 }
 
-/// The rate engine and the threaded runtime see the same fixed point on
-/// every paper scenario: the rate engine reaches the oracle the runtime
-/// reports, and the runtime's loads are feasible against it. (How close
-/// the free-running threads get is thread timing — see
-/// [`assert_cluster_feasible`]; `ww-runtime`'s own tests bound it.)
+/// The rate engine reaches the WebFold oracle on every paper scenario.
 #[test]
-fn rate_and_runtime_share_fixed_points() {
+fn rate_engine_reaches_the_oracle_on_every_paper_scenario() {
     for s in paper::all_scenarios() {
+        let oracle = webfold(&s.tree, &s.spontaneous).into_load();
         let mut wave = RateWave::new(&s.tree, &s.spontaneous, WaveConfig::default());
         wave.run(6000);
-        let cluster = run_cluster(&s.tree, &s.spontaneous, ClusterConfig::default());
-        let gap = wave.load().euclidean_distance(&cluster.oracle);
+        let gap = wave.load().euclidean_distance(&oracle);
         assert!(
             gap < 1e-6 * s.total_demand(),
-            "{}: rate engine is {gap} from the runtime's oracle",
+            "{}: rate engine is {gap} from the oracle",
             s.name
         );
-        assert_cluster_feasible(&s, &cluster);
     }
 }
 
@@ -152,13 +110,6 @@ fn demand_conservation_across_engines() {
 
     let oracle = webfold(&s.tree, &s.spontaneous).into_load();
     assert!((oracle.total() - s.total_demand()).abs() < 1e-9);
-
-    // The threaded runtime conserves in the limit only (delegated rate
-    // can sit in a mailbox when a thread exits); what holds under every
-    // interleaving is its oracle's total and per-node feasibility.
-    let cluster = run_cluster(&s.tree, &s.spontaneous, ClusterConfig::default());
-    assert!((cluster.oracle.total() - s.total_demand()).abs() < 1e-9);
-    assert_cluster_feasible(&s, &cluster);
 }
 
 /// Warm-starting the rate engine from another engine's output stays put:
@@ -196,5 +147,4 @@ fn rate_engine_converges_on_larger_random_tree() {
     // And the result is feasible.
     let a = webwave::model::LoadAssignment::new(&tree, &demand, wave.load().clone()).unwrap();
     assert!(a.check_feasible(1e-6).is_ok());
-    let _ = RateVector::from(vec![0.0]); // keep import used in all cfgs
 }
