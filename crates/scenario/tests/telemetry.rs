@@ -583,7 +583,7 @@ fn trace_out_writes_parseable_framed_jsonl() {
 }
 
 // ---------------------------------------------------------------------
-// Metric-key scheme across all eight adapters
+// Metric-key scheme across every adapter
 
 /// One small spec per engine kind. Each runs in smoke mode; the point
 /// is the shape of the metric stream, not the physics.
@@ -638,13 +638,6 @@ fn adapter_specs() -> Vec<(&'static str, ScenarioSpec)> {
             ),
         ),
         (
-            "cluster",
-            tree(
-                r#"{"kind": "cluster", "rounds": 40}"#,
-                r#"{"kind": "rounds", "max": 40}"#,
-            ),
-        ),
-        (
             "baselines",
             tree(
                 r#"{"kind": "baselines"}"#,
@@ -672,7 +665,7 @@ fn adapter_specs() -> Vec<(&'static str, ScenarioSpec)> {
 #[test]
 fn all_eight_adapters_emit_valid_dotted_metric_keys() {
     let specs = adapter_specs();
-    assert_eq!(specs.len(), 8, "one spec per engine kind");
+    assert_eq!(specs.len(), 7, "one spec per engine kind");
     for (name, spec) in specs {
         assert_eq!(spec.engine.kind(), name, "spec exercises the right engine");
         let outcome = run_one(&spec);
