@@ -50,8 +50,9 @@
 
 use crate::packet::driver::{Partition, ShardCore, SimCore};
 use crate::packet::{BarrierOp, BarrierOutcome, NodeSlab, PacketCounters, PacketWorld, CORE_SHARD};
+use std::fmt::Write as _;
 use ww_model::{ModelError, NodeId, RateVector, Tree};
-use ww_net::TrafficLedger;
+use ww_net::{TrafficLedger, ALL_TRAFFIC_CLASSES};
 use ww_sim::SimTime;
 use ww_stats::ConvergenceTrace;
 use ww_telemetry::{Level, Snapshot};
@@ -89,25 +90,26 @@ pub struct PacketSimReport {
     /// Cross-shard wire messages that found their bounded ring (or
     /// socket buffer) full and parked in the sender's unbounded overflow
     /// queue. Back-pressure bookkeeping, not a simulation quantity:
-    /// always `0` for the sequential driver, and excluded from the
-    /// bit-identity the golden tests pin (it depends on transport and
+    /// always `0` for the sequential driver, and left out of
+    /// [`PacketSimReport::canonical`] (it depends on transport and
     /// thread timing, the numbers the simulation reports do not).
     pub overflow_parks: u64,
     /// Peak depth any single overflow queue reached — how far behind the
-    /// slowest wire fell. `0` when no message ever parked.
+    /// slowest wire fell. `0` when no message ever parked. Left out of
+    /// [`PacketSimReport::canonical`] like `overflow_parks`.
     pub overflow_peak_parked: u64,
     /// Events processed per shard, indexed by shard id (one entry — the
     /// whole run — for the sequential driver). Deterministic for a given
     /// worker count, but *partition-dependent*: the vector's length and
     /// split vary with the worker count and with adaptive rebalancing,
-    /// so the cross-worker golden comparisons exclude it (its **sum** is
-    /// `processed_events`, which they do pin).
+    /// so [`PacketSimReport::canonical`] leaves it out (its **sum** is
+    /// `processed_events`, which it keeps).
     pub shard_event_counts: Vec<u64>,
     /// Max/mean ratio of `shard_event_counts` — the whole-run load
     /// imbalance across shards, `1.0` meaning perfectly balanced (and
     /// trivially `1.0` for the sequential driver). Partition-dependent
-    /// like `shard_event_counts`, and likewise excluded from the
-    /// cross-worker bit-identity the golden tests pin.
+    /// like `shard_event_counts`, and likewise left out of
+    /// [`PacketSimReport::canonical`].
     pub imbalance: f64,
 }
 
@@ -161,6 +163,45 @@ impl PacketSimReport {
             imbalance: imbalance(&shard_events),
             shard_event_counts: shard_events,
         }
+    }
+
+    /// The report's bit-identity surface: one `name=<16 hex digits>`
+    /// line per partition-independent quantity, every float as its raw
+    /// IEEE-754 bits — the trace sample by sample, the served rates and
+    /// the oracle node by node, the final distance, the counters, the
+    /// mean hop count, and each traffic class's messages and bytes with
+    /// the ledger's link transmissions. Two runs of one world are the
+    /// same run exactly when these strings are equal: the sequential,
+    /// sharded and distributed engines at every worker count, and a
+    /// stepped run against a one-shot one. The four partition-dependent
+    /// fields (`overflow_parks`, `overflow_peak_parked`,
+    /// `shard_event_counts`, `imbalance`) are left out.
+    pub fn canonical(&self) -> String {
+        let mut out = String::new();
+        let mut line = |name: &str, bits: u64| {
+            let _ = writeln!(out, "{name}={bits:016x}");
+        };
+        for x in self.trace.distances() {
+            line("trace", x.to_bits());
+        }
+        for (node, x) in self.served_rates.iter() {
+            line(&format!("served_rates[{node}]"), x.to_bits());
+        }
+        for (node, x) in self.oracle.iter() {
+            line(&format!("oracle[{node}]"), x.to_bits());
+        }
+        line("final_distance", self.final_distance.to_bits());
+        line("served_requests", self.served_requests);
+        line("processed_events", self.processed_events);
+        line("copy_pushes", self.copy_pushes);
+        line("tunnel_fetches", self.tunnel_fetches);
+        line("mean_hops", self.mean_hops.to_bits());
+        for class in ALL_TRAFFIC_CLASSES {
+            line(&format!("count[{class:?}]"), self.ledger.count(class));
+            line(&format!("bytes[{class:?}]"), self.ledger.bytes(class));
+        }
+        line("link_transmissions", self.ledger.link_transmissions());
+        out
     }
 }
 
@@ -616,9 +657,7 @@ mod tests {
         let a = stepped.report();
         let mut oneshot = PacketSim::new(&tree, &mix, PacketSimConfig::default());
         let b = oneshot.run(10.0);
-        assert_eq!(a.served_requests, b.served_requests);
-        assert_eq!(a.trace.distances(), b.trace.distances());
-        assert_eq!(a.served_rates.as_slice(), b.served_rates.as_slice());
+        assert_eq!(a.canonical(), b.canonical(), "stepped vs one-shot");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use ww_core::packet::{
     self, BarrierOp, BarrierOutcome, NodeCtx, NodeMut, NodeSlab, PacketCounters, PacketEvent,
     PacketWorld, Scratch,
 };
-use ww_core::packetsim::{PacketBackend, PacketSim, PacketSimConfig, PacketSimReport};
+use ww_core::packetsim::{PacketBackend, PacketSim, PacketSimConfig};
 use ww_model::{DocId, NodeId, Tree};
 use ww_net::{DocRequest, RequestId, TrafficLedger};
 use ww_sim::{SimQueue, SimTime};
@@ -230,16 +230,6 @@ fn assert_streams_are_the_indexed_mix(world: &PacketWorld) {
     }
 }
 
-fn report_bits(r: &PacketSimReport) -> (Vec<u64>, Vec<u64>, u64, u64, u64) {
-    (
-        bits(r.trace.distances()),
-        bits(r.served_rates.as_slice()),
-        r.served_requests,
-        r.processed_events,
-        r.copy_pushes,
-    )
-}
-
 /// Drives `state` through a fixed little history, so its bitsets, token
 /// buckets and meters all hold something worth preserving.
 fn exercise(world: &PacketWorld, state: &mut NodeMut<'_>, node: NodeId, salt: u32) {
@@ -312,7 +302,7 @@ proptest! {
             assert_fronts(&batched);
         }
         let (a, b) = (batched.run(horizon + 2.0), one_by_one.run(horizon + 2.0));
-        prop_assert_eq!(report_bits(&a), report_bits(&b));
+        prop_assert_eq!(a.canonical(), b.canonical());
     }
 
     /// After every op of a random script — all seven kinds, invalid
@@ -369,7 +359,7 @@ proptest! {
             }
         }
         let (a, b) = (batched.run(horizon + 2.0), one_by_one.run(horizon + 2.0));
-        prop_assert_eq!(report_bits(&a), report_bits(&b));
+        prop_assert_eq!(a.canonical(), b.canonical());
         assert_fronts(&batched);
         assert_fronts(&one_by_one);
     }
@@ -585,11 +575,7 @@ proptest! {
             sim.run(4.0);
             let leaf = NodeId::new(sim.tree().len() - 1);
             leave(&mut sim, leaf);
-            let r = sim.run(6.0);
-            (
-                r.served_requests,
-                r.trace.distances().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            )
+            sim.run(6.0).canonical()
         };
         prop_assert_eq!(run(), run());
     }
@@ -659,7 +645,7 @@ fn first_publish_into_an_empty_universe() {
         assert_eq!(sim.doc_table().docs(), &[DocId::new(7)]);
         let report = sim.run(6.0);
         assert!(report.served_requests > 0, "the new demand is served");
-        report_bits(&report)
+        report.canonical()
     };
     assert_eq!(run(false), run(true));
 }
@@ -706,7 +692,7 @@ fn a_leaf_gains_its_first_child_and_loses_its_last() {
         assert!(sim.tree().is_leaf(leaf));
         let end = sim.run(10.0);
         assert!(end.served_requests > mid.served_requests);
-        (report_bits(&mid), report_bits(&end))
+        (mid.canonical(), end.canonical())
     };
     assert_eq!(run(false), run(true));
 }

@@ -27,11 +27,10 @@
 
 #![forbid(unsafe_code)]
 
-use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use ww_dist::{run_worker, DistError, DistMode, DistOptions};
-use ww_scenario::{EngineSpec, Runner, ScenarioReport, ScenarioSpec};
+use ww_scenario::{EngineSpec, Runner, ScenarioSpec};
 use ww_telemetry::Level;
 
 const USAGE: &str = "\
@@ -39,7 +38,7 @@ webwave-dist — distributed WebWave packet runs over TCP
 
 USAGE:
   webwave-dist worker --connect <addr>
-  webwave-dist run    --spec <path> [--workers N] [--mode auto|proc|thread]
+  webwave-dist run    --spec <path> [--workers N] [--mode proc|thread]
                       [--sequential] [--smoke]
                       [--telemetry off|counters|full] [--trace-out <path>]
   webwave-dist serve  --spec <path> --listen <addr> [--workers N] [--smoke]
@@ -50,7 +49,9 @@ dropped) and print a canonical report: every metric as raw IEEE-754
 bits, identical bytes for a distributed and a sequential run of the
 same spec. `--telemetry` and `--trace-out` override the spec's
 `telemetry` block; telemetry is observation-only and never appears in
-the canonical report.";
+the canonical report. `run --mode proc` (the default) spawns one worker
+process of this binary per worker; `--mode thread` runs the same worker
+code on threads of the coordinator's process.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -187,21 +188,6 @@ fn load_spec(args: &[String]) -> Result<ScenarioSpec, CliError> {
     Ok(spec)
 }
 
-/// Swaps a `packet_sim_dist` engine for its sequential twin: identical
-/// in every knob, run in-process by `PacketSim`.
-fn sequential_twin(spec: &mut ScenarioSpec) -> Result<(), CliError> {
-    spec.engine = match &spec.engine {
-        EngineSpec::PacketSimDist { knobs, .. } => EngineSpec::PacketSim { knobs: *knobs },
-        other => {
-            return Err(CliError::Run(format!(
-                "--sequential applies to packet_sim_dist specs, not {}",
-                other.kind()
-            )))
-        }
-    };
-    Ok(())
-}
-
 fn runner(args: &[String], options: DistOptions) -> Runner {
     let mut r = Runner::new().dist_options(options);
     if flag_present(args, "--smoke") {
@@ -226,17 +212,21 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     )?;
     let mut spec = load_spec(args)?;
     let mode = match flag_value(args, "--mode")?.as_deref() {
-        None | Some("auto") => DistMode::Auto,
-        Some("proc") | Some("process") | Some("processes") => DistMode::Processes,
-        Some("thread") | Some("threads") => DistMode::Threads,
+        None | Some("proc") => DistMode::Processes,
+        Some("thread") => DistMode::Threads,
         Some(m) => {
             return Err(CliError::Usage(format!(
-                "--mode {m:?} (expected auto, proc, or thread)"
+                "--mode {m:?} (expected proc or thread)"
             )))
         }
     };
     if flag_present(args, "--sequential") {
-        sequential_twin(&mut spec)?;
+        spec.engine = spec.engine.sequential_twin().ok_or_else(|| {
+            CliError::Run(format!(
+                "--sequential applies to packet_sim_par and packet_sim_dist specs, not {}",
+                spec.engine.kind()
+            ))
+        })?;
     }
     let options = DistOptions {
         mode,
@@ -245,7 +235,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let report = runner(args, options)
         .run(&spec)
         .map_err(|e| CliError::Run(format!("run failed: {e}")))?;
-    print!("{}", canonical(&report));
+    print!("{}", report.canonical());
     Ok(())
 }
 
@@ -277,32 +267,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let report = runner(args, options)
         .run(&spec)
         .map_err(|e| CliError::Run(format!("serve failed: {e}")))?;
-    print!("{}", canonical(&report));
+    print!("{}", report.canonical());
     Ok(())
-}
-
-/// Renders a report with every float as raw bits: the same bytes for a
-/// distributed and a sequential run of the same spec, so `diff` is the
-/// determinism check.
-fn canonical(report: &ScenarioReport) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "spec={}", report.name);
-    for row in &report.rows {
-        let _ = writeln!(out, "row label={:?} converged={}", row.label, row.converged);
-        let _ = writeln!(out, "rounds={}", row.outcome.rounds);
-        if let Some(trace) = &row.outcome.trace {
-            for x in trace {
-                let _ = writeln!(out, "trace={:016x}", x.to_bits());
-            }
-        }
-        if let Some(load) = &row.outcome.load {
-            for (node, x) in load.iter() {
-                let _ = writeln!(out, "load[{node}]={:016x}", x.to_bits());
-            }
-        }
-        for (name, value) in &row.outcome.metrics {
-            let _ = writeln!(out, "{name}={:016x}", value.to_bits());
-        }
-    }
-    out
 }

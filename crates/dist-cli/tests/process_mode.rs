@@ -14,7 +14,6 @@ use ww_core::packet::{BarrierOp, BarrierOutcome};
 use ww_core::packetsim::{PacketBackend, PacketSim, PacketSimConfig, PacketSimReport};
 use ww_dist::{DistMode, DistOptions, DistPacketSim};
 use ww_model::{DocId, NodeId, Tree};
-use ww_net::TrafficClass;
 use ww_topology::paper;
 use ww_workload::DocMix;
 
@@ -44,58 +43,6 @@ fn random_mix(seed: u64) -> (Tree, DocMix) {
     (tree, mix)
 }
 
-fn bits(xs: &[f64]) -> Vec<u64> {
-    xs.iter().map(|x| x.to_bits()).collect()
-}
-
-fn assert_reports_identical(a: &PacketSimReport, b: &PacketSimReport, label: &str) {
-    assert_eq!(
-        bits(a.trace.distances()),
-        bits(b.trace.distances()),
-        "{label}: traces diverge"
-    );
-    assert_eq!(
-        bits(a.served_rates.as_slice()),
-        bits(b.served_rates.as_slice()),
-        "{label}: served rates diverge"
-    );
-    assert_eq!(
-        a.final_distance.to_bits(),
-        b.final_distance.to_bits(),
-        "{label}: final distance diverges"
-    );
-    assert_eq!(a.served_requests, b.served_requests, "{label}: served");
-    assert_eq!(
-        a.processed_events, b.processed_events,
-        "{label}: processed events"
-    );
-    assert_eq!(a.copy_pushes, b.copy_pushes, "{label}: pushes");
-    assert_eq!(a.tunnel_fetches, b.tunnel_fetches, "{label}: fetches");
-    assert_eq!(
-        a.mean_hops.to_bits(),
-        b.mean_hops.to_bits(),
-        "{label}: mean hops"
-    );
-    for class in [
-        TrafficClass::Request,
-        TrafficClass::Response,
-        TrafficClass::Gossip,
-        TrafficClass::CopyPush,
-        TrafficClass::Tunnel,
-    ] {
-        assert_eq!(
-            a.ledger.count(class),
-            b.ledger.count(class),
-            "{label}: {class:?} count"
-        );
-        assert_eq!(
-            a.ledger.bytes(class),
-            b.ledger.bytes(class),
-            "{label}: {class:?} bytes"
-        );
-    }
-}
-
 #[test]
 fn worker_processes_match_sequential_at_1_2_4_workers() {
     let (tree, mix) = fig7_mix();
@@ -105,7 +52,11 @@ fn worker_processes_match_sequential_at_1_2_4_workers() {
     for workers in [1, 2, 4] {
         let mut dist = DistPacketSim::launch(&tree, &mix, config, workers, procs()).unwrap();
         let rep = dist.run(12.0).unwrap();
-        assert_reports_identical(&seq, &rep, &format!("fig7 process workers={workers}"));
+        assert_eq!(
+            seq.canonical(),
+            rep.canonical(),
+            "fig7 process workers={workers}"
+        );
         dist.shutdown();
     }
 }
@@ -156,7 +107,11 @@ fn worker_processes_replay_churn_bit_for_bit() {
         let mut dist = DistPacketSim::launch(&tree, &mix, config, workers, procs()).unwrap();
         let (b, got) = churn_and_failures(&mut dist);
         assert_eq!(got, newcomer, "churn ids agree across drivers");
-        assert_reports_identical(&a, &b, &format!("churn process workers={workers}"));
+        assert_eq!(
+            a.canonical(),
+            b.canonical(),
+            "churn process workers={workers}"
+        );
     }
 }
 

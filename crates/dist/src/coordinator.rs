@@ -88,7 +88,7 @@ pub struct DistOptions {
 impl Default for DistOptions {
     fn default() -> Self {
         DistOptions {
-            mode: DistMode::Auto,
+            mode: DistMode::default(),
             listen: "127.0.0.1:0".to_string(),
             stall_timeout: Some(DEFAULT_STALL_TIMEOUT),
             reply_timeout: Duration::from_secs(120),
@@ -176,7 +176,7 @@ impl DistPacketSim {
         let ctrl_addr = listener.local_addr()?.to_string();
 
         let mut children = Vec::new();
-        match options.mode.resolve() {
+        match options.mode {
             DistMode::Processes => {
                 let bin = find_worker_bin().ok_or_else(|| DistError::SpawnUnavailable {
                     detail: "WW_DIST_WORKER_BIN unset and no webwave-dist next to the \
@@ -208,7 +208,6 @@ impl DistPacketSim {
                 }
             }
             DistMode::External => {}
-            DistMode::Auto => unreachable!("resolve() never returns Auto"),
         }
 
         // Collect one Hello per worker (they connect in arbitrary order).

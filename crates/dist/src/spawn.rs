@@ -6,43 +6,19 @@ use std::path::PathBuf;
 /// its workers up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DistMode {
-    /// Spawn `webwave-dist worker` OS processes when the binary can be
-    /// found (see [`find_worker_bin`]), fall back to
-    /// [`DistMode::Threads`] otherwise. The environment variable
-    /// `WW_DIST_MODE` (`proc` | `thread`) overrides the choice.
-    #[default]
-    Auto,
-    /// Spawn one `webwave-dist worker` OS process per worker.
+    /// Spawn one `webwave-dist worker` OS process per worker (the binary
+    /// [`find_worker_bin`] locates).
     Processes,
     /// Spawn one in-process thread per worker, each running the *same*
     /// worker code over real loopback sockets — the full codec and
     /// socket path without needing the worker binary on disk. Runs are
     /// bit-identical to process mode by construction.
+    #[default]
     Threads,
     /// Spawn nothing; wait for externally launched workers to connect
     /// (the `webwave-dist serve` path, where CI or an operator starts
     /// worker processes by hand).
     External,
-}
-
-impl DistMode {
-    /// Resolves [`DistMode::Auto`] against the environment and the
-    /// filesystem; other modes pass through unchanged.
-    pub fn resolve(self) -> DistMode {
-        if self != DistMode::Auto {
-            return self;
-        }
-        match std::env::var("WW_DIST_MODE").as_deref() {
-            Ok("proc") | Ok("process") | Ok("processes") => return DistMode::Processes,
-            Ok("thread") | Ok("threads") => return DistMode::Threads,
-            _ => {}
-        }
-        if find_worker_bin().is_some() {
-            DistMode::Processes
-        } else {
-            DistMode::Threads
-        }
-    }
 }
 
 /// Locates the `webwave-dist` worker binary for process-mode spawning:

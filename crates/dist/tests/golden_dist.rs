@@ -15,7 +15,6 @@ use ww_core::packet::{BarrierOp, BarrierOutcome};
 use ww_core::packetsim::{PacketBackend, PacketSim, PacketSimConfig, PacketSimReport};
 use ww_dist::{DistError, DistMode, DistOptions, DistPacketSim};
 use ww_model::{DocId, ModelError, NodeId, RateVector, Tree};
-use ww_net::TrafficClass;
 use ww_pdes::ParPacketSim;
 use ww_topology::paper;
 use ww_workload::DocMix;
@@ -44,58 +43,6 @@ fn threads() -> DistOptions {
     }
 }
 
-fn bits(xs: &[f64]) -> Vec<u64> {
-    xs.iter().map(|x| x.to_bits()).collect()
-}
-
-fn assert_reports_identical(a: &PacketSimReport, b: &PacketSimReport, label: &str) {
-    assert_eq!(
-        bits(a.trace.distances()),
-        bits(b.trace.distances()),
-        "{label}: traces diverge"
-    );
-    assert_eq!(
-        bits(a.served_rates.as_slice()),
-        bits(b.served_rates.as_slice()),
-        "{label}: served rates diverge"
-    );
-    assert_eq!(
-        a.final_distance.to_bits(),
-        b.final_distance.to_bits(),
-        "{label}: final distance diverges"
-    );
-    assert_eq!(a.served_requests, b.served_requests, "{label}: served");
-    assert_eq!(
-        a.processed_events, b.processed_events,
-        "{label}: processed events"
-    );
-    assert_eq!(a.copy_pushes, b.copy_pushes, "{label}: pushes");
-    assert_eq!(a.tunnel_fetches, b.tunnel_fetches, "{label}: fetches");
-    assert_eq!(
-        a.mean_hops.to_bits(),
-        b.mean_hops.to_bits(),
-        "{label}: mean hops"
-    );
-    for class in [
-        TrafficClass::Request,
-        TrafficClass::Response,
-        TrafficClass::Gossip,
-        TrafficClass::CopyPush,
-        TrafficClass::Tunnel,
-    ] {
-        assert_eq!(
-            a.ledger.count(class),
-            b.ledger.count(class),
-            "{label}: {class:?} count"
-        );
-        assert_eq!(
-            a.ledger.bytes(class),
-            b.ledger.bytes(class),
-            "{label}: {class:?} bytes"
-        );
-    }
-}
-
 #[test]
 fn fig7_matches_sequential_at_every_worker_count() {
     let (tree, mix) = fig7_mix();
@@ -105,7 +52,7 @@ fn fig7_matches_sequential_at_every_worker_count() {
     for workers in [1, 2, 4] {
         let mut dist = DistPacketSim::launch(&tree, &mix, config, workers, threads()).unwrap();
         let rep = dist.run(12.0).unwrap();
-        assert_reports_identical(&seq, &rep, &format!("fig7 workers={workers}"));
+        assert_eq!(seq.canonical(), rep.canonical(), "fig7 workers={workers}");
         dist.shutdown();
     }
 }
@@ -121,7 +68,7 @@ fn random_tree_matches_sequential() {
     for workers in [2, 4] {
         let mut dist = DistPacketSim::launch(&tree, &mix, config, workers, threads()).unwrap();
         let rep = dist.run(6.0).unwrap();
-        assert_reports_identical(&seq, &rep, &format!("random workers={workers}"));
+        assert_eq!(seq.canonical(), rep.canonical(), "random workers={workers}");
     }
 }
 
@@ -144,7 +91,7 @@ fn worker_counters_reach_the_coordinator() {
     };
     let mut dist = DistPacketSim::launch(&tree, &mix, config, 2, options).unwrap();
     let rep = dist.run(6.0).unwrap();
-    assert_reports_identical(&seq, &rep, "counters level");
+    assert_eq!(seq.canonical(), rep.canonical(), "counters level");
     let snap = dist.telemetry_snapshot();
     let counter = |key: &str| snap.counter(key).unwrap_or_else(|| panic!("{key} missing"));
     assert!(counter("pdes.passes") > 0);
@@ -203,7 +150,7 @@ fn churn_and_failures_match_sequential() {
         let mut dist = DistPacketSim::launch(&tree, &mix, config, workers, threads()).unwrap();
         let (b, got) = churn_and_failures(&mut dist);
         assert_eq!(got, newcomer, "churn ids agree across drivers");
-        assert_reports_identical(&a, &b, &format!("churn workers={workers}"));
+        assert_eq!(a.canonical(), b.canonical(), "churn workers={workers}");
     }
 }
 
@@ -256,7 +203,7 @@ fn same_barrier_storm_batched_matches_sequential() {
             r.expect("storm op applies");
         }
         let b = dist.run(9.0).unwrap();
-        assert_reports_identical(&a, &b, &format!("storm workers={workers}"));
+        assert_eq!(a.canonical(), b.canonical(), "storm workers={workers}");
         dist.shutdown();
     }
 }
@@ -273,7 +220,7 @@ fn repeated_distributed_runs_are_deterministic() {
         .unwrap()
         .run(4.0)
         .unwrap();
-    assert_reports_identical(&one, &two, "rerun");
+    assert_eq!(one.canonical(), two.canonical(), "rerun");
 }
 
 #[test]
@@ -288,7 +235,7 @@ fn surplus_workers_are_excused() {
     let mut dist = DistPacketSim::launch(&tree, &mix, config, 6, threads()).unwrap();
     assert!(dist.shard_count() <= 2);
     let rep = dist.run(5.0).unwrap();
-    assert_reports_identical(&seq, &rep, "surplus workers");
+    assert_eq!(seq.canonical(), rep.canonical(), "surplus workers");
 }
 
 #[test]
@@ -325,7 +272,7 @@ fn rejected_mutations_keep_participants_in_agreement() {
         Err(DistError::Model(ModelError::UnknownDocument { .. }))
     ));
     let b = dist.run(8.0).unwrap();
-    assert_reports_identical(&a, &b, "rejected mutation");
+    assert_eq!(a.canonical(), b.canonical(), "rejected mutation");
 }
 
 /// One script over the whole mutation surface — all seven op kinds, a
@@ -396,33 +343,27 @@ fn one_barrier_op_script_is_bit_identical_on_every_backend() {
         let mut par = ParPacketSim::new(&tree, &mix, config, workers);
         let (got, rep) = one_script(&mut par);
         assert_eq!(got, verdicts, "par verdicts, workers={workers}");
-        assert_reports_identical(&seq, &rep, &format!("script par workers={workers}"));
+        assert_eq!(
+            seq.canonical(),
+            rep.canonical(),
+            "script par workers={workers}"
+        );
     }
     for workers in [1, 2] {
         let mut dist = DistPacketSim::launch(&tree, &mix, config, workers, threads()).unwrap();
         let (got, rep) = one_script(&mut dist);
         assert_eq!(got, verdicts, "dist verdicts, workers={workers}");
-        assert_reports_identical(&seq, &rep, &format!("script dist workers={workers}"));
+        assert_eq!(
+            seq.canonical(),
+            rep.canonical(),
+            "script dist workers={workers}"
+        );
     }
 }
 
-/// The simulated numbers of a report, as bits: trace, served rates,
-/// final distance, processed events, served requests.
-type Fingerprint = (Vec<u64>, Vec<u64>, u64, u64, u64);
-
-fn fingerprint(r: &PacketSimReport) -> Fingerprint {
-    (
-        bits(r.trace.distances()),
-        bits(r.served_rates.as_slice()),
-        r.final_distance.to_bits(),
-        r.processed_events,
-        r.served_requests,
-    )
-}
-
 /// What the one barrier schedule (`SimCore::next_barrier`) promises,
-/// read off one backend: the promises it broke, and the fingerprint of
-/// its ten-second fig7 run for the backends to be compared by.
+/// read off one backend: the promises it broke, and the canonical
+/// report of its ten-second fig7 run for the backends to be compared by.
 ///
 /// * `run(d)` processes `(previous, d]`, the deadline's own events
 ///   included: on a demand-free three-node chain the only events are
@@ -436,9 +377,7 @@ fn fingerprint(r: &PacketSimReport) -> Fingerprint {
 ///   the first second's requests served, so it is not the distance of
 ///   a network that served nothing — the oracle's norm, which a sample
 ///   taken before its epoch ran reads exactly.
-fn schedule_faults<B: PacketBackend>(
-    make: impl Fn(&Tree, &DocMix) -> B,
-) -> (Vec<String>, Fingerprint)
+fn schedule_faults<B: PacketBackend>(make: impl Fn(&Tree, &DocMix) -> B) -> (Vec<String>, String)
 where
     B::Error: std::fmt::Debug,
 {
@@ -465,10 +404,10 @@ where
     }
     let stepped_rep = stepped.report().unwrap();
     let oneshot = make(&tree, &mix).run(10.0).unwrap();
-    if fingerprint(&stepped_rep) != fingerprint(&oneshot) {
+    if stepped_rep.canonical() != oneshot.canonical() {
         faults.push("run(1..=10) is not run(10)".to_string());
     }
-    if fingerprint(&stepped.run(10.0).unwrap()) != fingerprint(&stepped_rep) {
+    if stepped.run(10.0).unwrap().canonical() != stepped_rep.canonical() {
         faults.push("a repeated run(10) moved the report".to_string());
     }
     let idle = oneshot
@@ -481,7 +420,7 @@ where
             oneshot.trace.len()
         ));
     }
-    (faults, fingerprint(&oneshot))
+    (faults, oneshot.canonical())
 }
 
 /// [`schedule_faults`] on a thread of its own, so that a backend whose
@@ -489,7 +428,7 @@ where
 /// it will not run — reads as a broken promise, not as a hung test.
 fn spawn_schedule_check<B: PacketBackend + 'static>(
     make: impl Fn(&Tree, &DocMix) -> B + Send + 'static,
-) -> std::sync::mpsc::Receiver<(Vec<String>, Fingerprint)>
+) -> std::sync::mpsc::Receiver<(Vec<String>, String)>
 where
     B::Error: std::fmt::Debug,
 {

@@ -807,9 +807,7 @@ impl Backoff {
 /// let config = PacketSimConfig::default();
 /// let seq = PacketSim::new(&tree, &mix, config).run(10.0);
 /// let par = ParPacketSim::new(&tree, &mix, config, 2).run(10.0);
-/// assert_eq!(seq.served_requests, par.served_requests);
-/// assert_eq!(seq.processed_events, par.processed_events);
-/// assert_eq!(seq.trace.distances(), par.trace.distances());
+/// assert_eq!(seq.canonical(), par.canonical());
 /// ```
 #[derive(Debug)]
 pub struct ParPacketSim {

@@ -10,7 +10,6 @@ use rand::SeedableRng;
 use ww_core::packet::BarrierOp;
 use ww_core::packetsim::{PacketBackend, PacketSim, PacketSimConfig, PacketSimReport};
 use ww_model::{DocId, ModelError, NodeId, Tree};
-use ww_net::TrafficClass;
 use ww_pdes::{partition_forest, ParPacketSim, ShardHost, WireReceiver, WireSender};
 use ww_topology::paper;
 use ww_workload::DocMix;
@@ -31,58 +30,6 @@ fn random_mix(seed: u64, nodes: usize) -> (Tree, DocMix) {
     let rates = ww_workload::zipf_nodes(&mut rng, &tree, 20.0 * nodes as f64, 1.0);
     let mix = ww_workload::shared_zipf_mix(&tree, &rates, 10, 1.0);
     (tree, mix)
-}
-
-fn bits(xs: &[f64]) -> Vec<u64> {
-    xs.iter().map(|x| x.to_bits()).collect()
-}
-
-fn assert_reports_identical(a: &PacketSimReport, b: &PacketSimReport, label: &str) {
-    assert_eq!(
-        bits(a.trace.distances()),
-        bits(b.trace.distances()),
-        "{label}: traces diverge"
-    );
-    assert_eq!(
-        bits(a.served_rates.as_slice()),
-        bits(b.served_rates.as_slice()),
-        "{label}: served rates diverge"
-    );
-    assert_eq!(
-        a.final_distance.to_bits(),
-        b.final_distance.to_bits(),
-        "{label}: final distance diverges"
-    );
-    assert_eq!(a.served_requests, b.served_requests, "{label}: served");
-    assert_eq!(
-        a.processed_events, b.processed_events,
-        "{label}: processed events"
-    );
-    assert_eq!(a.copy_pushes, b.copy_pushes, "{label}: pushes");
-    assert_eq!(a.tunnel_fetches, b.tunnel_fetches, "{label}: fetches");
-    assert_eq!(
-        a.mean_hops.to_bits(),
-        b.mean_hops.to_bits(),
-        "{label}: mean hops"
-    );
-    for class in [
-        TrafficClass::Request,
-        TrafficClass::Response,
-        TrafficClass::Gossip,
-        TrafficClass::CopyPush,
-        TrafficClass::Tunnel,
-    ] {
-        assert_eq!(
-            a.ledger.count(class),
-            b.ledger.count(class),
-            "{label}: {class:?} count"
-        );
-        assert_eq!(
-            a.ledger.bytes(class),
-            b.ledger.bytes(class),
-            "{label}: {class:?} bytes"
-        );
-    }
 }
 
 /// The barrier operations both drivers expose, scripted.
@@ -234,10 +181,10 @@ fn churned_run_matches_sequential_at_every_worker_count() {
     for workers in [1, 2, 4, 8] {
         let mut par = ParPacketSim::new(&tree, &mix, config, workers);
         let par_report = replay(&mut par, &script);
-        assert_reports_identical(
-            &seq_report,
-            &par_report,
-            &format!("dynamics workers={workers}"),
+        assert_eq!(
+            seq_report.canonical(),
+            par_report.canonical(),
+            "dynamics workers={workers}"
         );
         // Per-node lifetime counters agree too (posterior to renumbering).
         for j in 0..seq.tree().len() {
@@ -270,10 +217,10 @@ fn churned_run_matches_sequential_with_batching_on_and_off() {
             } else {
                 replay(&mut par, &script)
             };
-            assert_reports_identical(
-                &seq_report,
-                &par_report,
-                &format!("churn workers={workers} batching={batching}"),
+            assert_eq!(
+                seq_report.canonical(),
+                par_report.canonical(),
+                "churn workers={workers} batching={batching}"
             );
         }
     }
@@ -312,7 +259,11 @@ fn fig7_churn_storm_matches_sequential() {
     for workers in [1, 2, 4, 8] {
         let mut par = ParPacketSim::new(&tree, &mix, config, workers);
         let par_report = replay(&mut par, &script);
-        assert_reports_identical(&seq_report, &par_report, &format!("fig7 workers={workers}"));
+        assert_eq!(
+            seq_report.canonical(),
+            par_report.canonical(),
+            "fig7 workers={workers}"
+        );
     }
 }
 
@@ -377,7 +328,7 @@ fn same_barrier_storm_batched_matches_unbatched_at_every_worker_count() {
         r.expect("storm op applies");
     }
     let b = batched.run(9.0);
-    assert_reports_identical(&a, &b, "sequential batched");
+    assert_eq!(a.canonical(), b.canonical(), "sequential batched");
 
     for workers in [1, 2, 4] {
         let mut par = ParPacketSim::new(&tree, &mix, config, workers);
@@ -386,7 +337,11 @@ fn same_barrier_storm_batched_matches_unbatched_at_every_worker_count() {
             par.apply_op(op).expect("storm op applies");
         }
         let c = par.run(9.0);
-        assert_reports_identical(&a, &c, &format!("parallel unbatched workers={workers}"));
+        assert_eq!(
+            a.canonical(),
+            c.canonical(),
+            "parallel unbatched workers={workers}"
+        );
 
         let mut par = ParPacketSim::new(&tree, &mix, config, workers);
         par.run(3.0);
@@ -394,7 +349,11 @@ fn same_barrier_storm_batched_matches_unbatched_at_every_worker_count() {
             r.expect("storm op applies");
         }
         let d = par.run(9.0);
-        assert_reports_identical(&a, &d, &format!("parallel batched workers={workers}"));
+        assert_eq!(
+            a.canonical(),
+            d.canonical(),
+            "parallel batched workers={workers}"
+        );
     }
 }
 
@@ -435,7 +394,7 @@ fn rejected_op_mid_batch_leaves_survivors_identical() {
 
     assert_eq!(verdicts_a, vec![true, false, true]);
     assert_eq!(verdicts_a, verdicts_b, "per-op verdicts diverge");
-    assert_reports_identical(&a, &b, "rejected mid-batch");
+    assert_eq!(a.canonical(), b.canonical(), "rejected mid-batch");
 }
 
 #[test]
@@ -461,12 +420,7 @@ fn stepped_horizons_with_churn_match_one_shot_grouping() {
     grouped.run(4.0);
     grouped.apply_op(&join).unwrap();
     let b = grouped.run(10.0);
-    assert_eq!(a.served_requests, b.served_requests);
-    assert_eq!(bits(a.trace.distances()), bits(b.trace.distances()));
-    assert_eq!(
-        bits(a.served_rates.as_slice()),
-        bits(b.served_rates.as_slice())
-    );
+    assert_eq!(a.canonical(), b.canonical(), "stepped vs grouped");
 }
 
 #[test]
@@ -500,7 +454,7 @@ fn first_publish_into_an_empty_universe_matches_sequential() {
     par.apply_op(&publish).unwrap();
     let (a, b) = (seq.run(8.0), par.run(8.0));
     assert!(a.served_requests > 0, "the published demand is served");
-    assert_reports_identical(&a, &b, "first publish, 2 workers");
+    assert_eq!(a.canonical(), b.canonical(), "first publish, 2 workers");
 }
 
 #[test]
@@ -609,7 +563,7 @@ fn overflowing_demand_is_refused_at_every_worker_count() {
                 ],
                 "{label}"
             );
-            assert_reports_identical(&a, &par.run(5.0), &label);
+            assert_eq!(a.canonical(), par.run(5.0).canonical(), "{label}");
             for (op, refusal) in &tail {
                 assert_eq!(verdict(par.apply_op(op)), refusal.map(str::to_string));
             }

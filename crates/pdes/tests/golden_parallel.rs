@@ -7,7 +7,6 @@ use rand::SeedableRng;
 use ww_core::packet::BarrierOp;
 use ww_core::packetsim::{PacketBackend, PacketSim, PacketSimConfig, PacketSimReport};
 use ww_model::{DocId, ModelError, NodeId, Tree};
-use ww_net::TrafficClass;
 use ww_pdes::ParPacketSim;
 use ww_telemetry::Level;
 use ww_topology::paper;
@@ -32,58 +31,6 @@ fn random_mix(seed: u64) -> (Tree, DocMix) {
     (tree, mix)
 }
 
-fn bits(xs: &[f64]) -> Vec<u64> {
-    xs.iter().map(|x| x.to_bits()).collect()
-}
-
-fn assert_reports_identical(a: &PacketSimReport, b: &PacketSimReport, label: &str) {
-    assert_eq!(
-        bits(a.trace.distances()),
-        bits(b.trace.distances()),
-        "{label}: traces diverge"
-    );
-    assert_eq!(
-        bits(a.served_rates.as_slice()),
-        bits(b.served_rates.as_slice()),
-        "{label}: served rates diverge"
-    );
-    assert_eq!(
-        a.final_distance.to_bits(),
-        b.final_distance.to_bits(),
-        "{label}: final distance diverges"
-    );
-    assert_eq!(a.served_requests, b.served_requests, "{label}: served");
-    assert_eq!(
-        a.processed_events, b.processed_events,
-        "{label}: processed events"
-    );
-    assert_eq!(a.copy_pushes, b.copy_pushes, "{label}: pushes");
-    assert_eq!(a.tunnel_fetches, b.tunnel_fetches, "{label}: fetches");
-    assert_eq!(
-        a.mean_hops.to_bits(),
-        b.mean_hops.to_bits(),
-        "{label}: mean hops"
-    );
-    for class in [
-        TrafficClass::Request,
-        TrafficClass::Response,
-        TrafficClass::Gossip,
-        TrafficClass::CopyPush,
-        TrafficClass::Tunnel,
-    ] {
-        assert_eq!(
-            a.ledger.count(class),
-            b.ledger.count(class),
-            "{label}: {class:?} count"
-        );
-        assert_eq!(
-            a.ledger.bytes(class),
-            b.ledger.bytes(class),
-            "{label}: {class:?} bytes"
-        );
-    }
-}
-
 #[test]
 fn fig7_matches_sequential_at_every_worker_count() {
     let (tree, mix) = fig7_mix();
@@ -95,7 +42,7 @@ fn fig7_matches_sequential_at_every_worker_count() {
     );
     for workers in [1, 2, 4, 8] {
         let par = ParPacketSim::new(&tree, &mix, config, workers).run(20.0);
-        assert_reports_identical(&seq, &par, &format!("fig7 workers={workers}"));
+        assert_eq!(seq.canonical(), par.canonical(), "fig7 workers={workers}");
     }
 }
 
@@ -109,7 +56,7 @@ fn random_tree_matches_sequential_at_every_worker_count() {
     let seq = PacketSim::new(&tree, &mix, config).run(8.0);
     for workers in [1, 2, 4, 8] {
         let par = ParPacketSim::new(&tree, &mix, config, workers).run(8.0);
-        assert_reports_identical(&seq, &par, &format!("random workers={workers}"));
+        assert_eq!(seq.canonical(), par.canonical(), "random workers={workers}");
     }
 }
 
@@ -123,7 +70,7 @@ fn gossip_loss_randomness_is_shard_independent() {
     let seq = PacketSim::new(&tree, &mix, config).run(6.0);
     for workers in [2, 5] {
         let par = ParPacketSim::new(&tree, &mix, config, workers).run(6.0);
-        assert_reports_identical(&seq, &par, &format!("lossy workers={workers}"));
+        assert_eq!(seq.canonical(), par.canonical(), "lossy workers={workers}");
     }
 }
 
@@ -140,8 +87,8 @@ fn epoch_stepping_matches_one_shot() {
     let a = stepped.report();
     let b = ParPacketSim::new(&tree, &mix, config, 4).run(10.0);
     let c = PacketSim::new(&tree, &mix, config).run(10.0);
-    assert_reports_identical(&a, &b, "stepped vs one-shot");
-    assert_reports_identical(&a, &c, "stepped vs sequential");
+    assert_eq!(a.canonical(), b.canonical(), "stepped vs one-shot");
+    assert_eq!(a.canonical(), c.canonical(), "stepped vs sequential");
 }
 
 #[test]
@@ -164,7 +111,7 @@ fn link_failures_and_invalidation_match_sequential() {
     let mut par = ParPacketSim::new(&tree, &mix, config, 3);
     let b = faulted(&mut par);
 
-    assert_reports_identical(&a, &b, "faulted run");
+    assert_eq!(a.canonical(), b.canonical(), "faulted run");
     assert_eq!(
         seq.served_total(NodeId::new(2)),
         par.served_total(NodeId::new(2))
@@ -177,7 +124,7 @@ fn repeated_runs_are_deterministic() {
     let config = PacketSimConfig::default();
     let one = ParPacketSim::new(&tree, &mix, config, 4).run(5.0);
     let two = ParPacketSim::new(&tree, &mix, config, 4).run(5.0);
-    assert_reports_identical(&one, &two, "rerun");
+    assert_eq!(one.canonical(), two.canonical(), "rerun");
 }
 
 #[test]
@@ -272,7 +219,7 @@ fn one_shard_run_is_the_sequential_run_structurally() {
     );
     assert_eq!(seq_verdicts, par_verdicts);
     assert!(a.served_requests > 500, "the script does real work");
-    assert_reports_identical(&a, &b, "one shard");
+    assert_eq!(a.canonical(), b.canonical(), "one shard");
     assert_eq!(a.shard_event_counts, b.shard_event_counts);
     assert_eq!(a.imbalance.to_bits(), b.imbalance.to_bits());
 
@@ -325,7 +272,7 @@ fn a_hub_that_fills_a_ring_parks_and_changes_nothing() {
     assert!(across > 4096, "{across} bristles across the cut");
     par.set_telemetry(Level::Full);
     let report = par.run(1.2);
-    assert_reports_identical(&seq, &report, "broom workers=2");
+    assert_eq!(seq.canonical(), report.canonical(), "broom workers=2");
     assert!(report.overflow_parks > 0, "the hub's fire parks");
     assert!(report.overflow_peak_parked > 0);
     let snap = par.telemetry_snapshot();

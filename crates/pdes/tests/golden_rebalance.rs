@@ -11,7 +11,6 @@ use rand::SeedableRng;
 use ww_core::packet::BarrierOp;
 use ww_core::packetsim::{PacketBackend, PacketSim, PacketSimConfig, PacketSimReport};
 use ww_model::{DocId, ModelError, NodeId, Tree};
-use ww_net::TrafficClass;
 use ww_pdes::{ParPacketSim, RebalanceConfig};
 use ww_telemetry::Level;
 use ww_workload::DocMix;
@@ -25,62 +24,6 @@ fn skewed_mix(seed: u64, nodes: usize) -> (Tree, DocMix) {
     let rates = ww_workload::zipf_nodes(&mut rng, &tree, 20.0 * nodes as f64, 1.3);
     let mix = ww_workload::shared_zipf_mix(&tree, &rates, 12, 1.0);
     (tree, mix)
-}
-
-fn bits(xs: &[f64]) -> Vec<u64> {
-    xs.iter().map(|x| x.to_bits()).collect()
-}
-
-/// Everything partition-independent must match bit for bit. The
-/// partition-*dependent* diagnostics (`shard_event_counts`, `imbalance`,
-/// `overflow_parks`) are deliberately not compared — they describe how
-/// the work was split, not what was simulated.
-fn assert_reports_identical(a: &PacketSimReport, b: &PacketSimReport, label: &str) {
-    assert_eq!(
-        bits(a.trace.distances()),
-        bits(b.trace.distances()),
-        "{label}: traces diverge"
-    );
-    assert_eq!(
-        bits(a.served_rates.as_slice()),
-        bits(b.served_rates.as_slice()),
-        "{label}: served rates diverge"
-    );
-    assert_eq!(
-        a.final_distance.to_bits(),
-        b.final_distance.to_bits(),
-        "{label}: final distance diverges"
-    );
-    assert_eq!(a.served_requests, b.served_requests, "{label}: served");
-    assert_eq!(
-        a.processed_events, b.processed_events,
-        "{label}: processed events"
-    );
-    assert_eq!(a.copy_pushes, b.copy_pushes, "{label}: pushes");
-    assert_eq!(a.tunnel_fetches, b.tunnel_fetches, "{label}: fetches");
-    assert_eq!(
-        a.mean_hops.to_bits(),
-        b.mean_hops.to_bits(),
-        "{label}: mean hops"
-    );
-    for class in [
-        TrafficClass::Request,
-        TrafficClass::Response,
-        TrafficClass::Gossip,
-        TrafficClass::CopyPush,
-        TrafficClass::Tunnel,
-    ] {
-        assert_eq!(
-            a.ledger.count(class),
-            b.ledger.count(class),
-            "{label}: {class:?} count"
-        );
-        assert_eq!(
-            a.ledger.bytes(class),
-            b.ledger.bytes(class),
-            "{label}: {class:?} bytes"
-        );
-    }
 }
 
 /// An aggressive config: re-pack whenever the closed window shows any
@@ -117,10 +60,10 @@ fn event_free_rebalancing_matches_sequential_at_every_worker_count() {
             let mut par = ParPacketSim::new(&tree, &mix, config, workers);
             par.set_rebalance(rebalance);
             let rep = par.run(10.0);
-            assert_reports_identical(
-                &seq,
-                &rep,
-                &format!("workers={workers} rebalance={rebalance:?}"),
+            assert_eq!(
+                seq.canonical(),
+                rep.canonical(),
+                "workers={workers} rebalance={rebalance:?}"
             );
             // The partition-dependent diagnostics still reconcile: the
             // per-shard event counts cover every processed event.
@@ -249,10 +192,10 @@ fn churned_run_with_rebalancing_matches_sequential_at_every_worker_count() {
         let mut par = ParPacketSim::new(&tree, &mix, config, workers);
         par.set_rebalance(Some(eager()));
         let par_report = replay(&mut par, &script);
-        assert_reports_identical(
-            &seq_report,
-            &par_report,
-            &format!("churn+rebalance workers={workers}"),
+        assert_eq!(
+            seq_report.canonical(),
+            par_report.canonical(),
+            "churn+rebalance workers={workers}"
         );
         // Per-node lifetime counters survive migration too.
         for j in 0..seq.tree().len() {
@@ -281,7 +224,11 @@ fn skewed_run_actually_migrates_and_stays_identical() {
     adaptive.set_telemetry(Level::Counters);
     adaptive.set_rebalance(Some(eager()));
     let adaptive_rep = adaptive.run(10.0);
-    assert_reports_identical(&static_rep, &adaptive_rep, "static vs adaptive");
+    assert_eq!(
+        static_rep.canonical(),
+        adaptive_rep.canonical(),
+        "static vs adaptive"
+    );
 
     let snap = adaptive.telemetry_snapshot();
     let applied = snap
@@ -342,7 +289,7 @@ fn a_tree_the_cut_cannot_split_is_left_alone() {
         min_epoch_gap: 1,
     }));
     let rep = par.run(8.0);
-    assert_reports_identical(&seq, &rep, "one hot leaf, armed");
+    assert_eq!(seq.canonical(), rep.canonical(), "one hot leaf, armed");
     assert!(rep.imbalance > 1.2, "the split really is lopsided");
     let hot_events = rep.shard_event_counts[par.shard_of(hot)];
     assert!(
@@ -381,7 +328,7 @@ fn the_two_level_cdn_splits_evenly_and_is_left_alone() {
         min_epoch_gap: 1,
     }));
     let rep = par.run(8.0);
-    assert_reports_identical(&seq, &rep, "two-level CDN, armed");
+    assert_eq!(seq.canonical(), rep.canonical(), "two-level CDN, armed");
     assert!(rep.imbalance < 1.1, "imbalance {}", rep.imbalance);
     let snap = par.telemetry_snapshot();
     let counter = |key: &str| snap.counter(key).expect("counters present");
@@ -454,10 +401,10 @@ fn churn_right_after_a_migration_stays_identical() {
             outcome.expect("storm op applies");
         }
         let seq_report = seq.run(at + 4.0);
-        assert_reports_identical(
-            &seq_report,
-            &par_report,
-            &format!("storm after migration, workers={workers}"),
+        assert_eq!(
+            seq_report.canonical(),
+            par_report.canonical(),
+            "storm after migration, workers={workers}"
         );
         for j in 0..seq.tree().len() {
             assert_eq!(
@@ -544,10 +491,10 @@ fn barriers_that_meet_loaded_lanes_stay_identical() {
         assert!(held <= seq_held, "workers={workers}: {held} > {seq_held}");
         barrier_ops(&mut par);
         let par_report = par.run(6.0);
-        assert_reports_identical(
-            &seq_report,
-            &par_report,
-            &format!("loaded lanes, workers={workers}"),
+        assert_eq!(
+            seq_report.canonical(),
+            par_report.canonical(),
+            "loaded lanes, workers={workers}"
         );
         let snap = par.telemetry_snapshot();
         lanes_loaded(&snap, "pdes", "final");
@@ -618,7 +565,7 @@ fn rebalancing_is_deterministic_across_reruns() {
     };
     let (a, a_applied, a_migrated, a_hw) = run_once();
     let (b, b_applied, b_migrated, b_hw) = run_once();
-    assert_reports_identical(&a, &b, "rerun");
+    assert_eq!(a.canonical(), b.canonical(), "rerun");
     // Even the *decisions* replay: same windows, same plans, same moves.
     assert_eq!(a.shard_event_counts, b.shard_event_counts);
     assert_eq!(a.imbalance.to_bits(), b.imbalance.to_bits());

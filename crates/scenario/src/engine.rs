@@ -10,6 +10,7 @@
 //! plumbing the constructors used to expose.
 
 use crate::events::{Event, EventError};
+use std::fmt::Write as _;
 use ww_baselines::SchemeReport;
 use ww_model::RateVector;
 use ww_telemetry::{Level, Snapshot};
@@ -119,6 +120,25 @@ impl EngineReport {
     /// The last recorded convergence value.
     pub fn final_distance(&self) -> Option<f64> {
         self.trace.as_ref().and_then(|t| t.last().copied())
+    }
+
+    /// The report's bit-identity surface: the round count, then one
+    /// `name=<16 hex digits>` line per trace sample, per node's load and
+    /// per metric in emission order, every float as its raw IEEE-754
+    /// bits. Telemetry is left out: it is observation only, and a run
+    /// renders the same string at every telemetry level.
+    pub fn canonical(&self) -> String {
+        let mut out = format!("rounds={}\n", self.rounds);
+        for x in self.trace.iter().flatten() {
+            let _ = writeln!(out, "trace={:016x}", x.to_bits());
+        }
+        for (node, x) in self.load.iter().flat_map(RateVector::iter) {
+            let _ = writeln!(out, "load[{node}]={:016x}", x.to_bits());
+        }
+        for (name, value) in &self.metrics {
+            let _ = writeln!(out, "{name}={:016x}", value.to_bits());
+        }
+        out
     }
 }
 

@@ -369,6 +369,19 @@ impl EngineSpec {
     pub fn kind(&self) -> &'static str {
         self.tag()
     }
+
+    /// The sequential twin of a sharded packet engine (`packet_sim_par`
+    /// or `packet_sim_dist`): `packet_sim` with the same knobs, the run
+    /// it must reproduce bit for bit at every worker count. `None` for
+    /// every other engine.
+    pub fn sequential_twin(&self) -> Option<EngineSpec> {
+        match self {
+            EngineSpec::PacketSimPar { knobs, .. } | EngineSpec::PacketSimDist { knobs, .. } => {
+                Some(EngineSpec::PacketSim { knobs: *knobs })
+            }
+            _ => None,
+        }
+    }
 }
 
 /// The baseline schemes a [`EngineSpec::Baselines`] run can include.

@@ -12,49 +12,14 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 use ww_dist::{encode_msg, DistMode, DistOptions, Msg};
-use ww_scenario::{EngineReport, EngineSpec, Runner, ScenarioSpec};
+use ww_scenario::{EngineReport, Runner, ScenarioSpec, Sweep, SweepParam};
 
-/// The sequential twin of a `packet_sim_dist` spec: identical in every
-/// knob, engine swapped to `packet_sim`.
-fn sequential_twin(spec: &ScenarioSpec) -> ScenarioSpec {
-    let mut twin = spec.clone();
-    twin.engine = match &spec.engine {
-        EngineSpec::PacketSimDist { knobs, .. } => EngineSpec::PacketSim { knobs: *knobs },
-        other => panic!("not a packet_sim_dist spec: {other:?}"),
-    };
-    twin
-}
-
-/// The same spec with a different worker count.
-fn with_workers(spec: &ScenarioSpec, w: usize) -> ScenarioSpec {
-    let mut out = spec.clone();
-    match &mut out.engine {
-        EngineSpec::PacketSimDist { workers, .. } => *workers = w,
-        other => panic!("not a packet_sim_dist spec: {other:?}"),
-    }
-    out
-}
-
-/// Renders an engine report into a canonical byte string: every metric
-/// bit-exact, the trace and load vectors bit-exact.
-fn canonical(report: &EngineReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("rounds={}\n", report.rounds));
-    if let Some(trace) = &report.trace {
-        for x in trace {
-            out.push_str(&format!("trace={:016x}\n", x.to_bits()));
-        }
-    }
-    if let Some(load) = &report.load {
-        for (node, x) in load.iter() {
-            out.push_str(&format!("load[{node}]={:016x}\n", x.to_bits()));
-        }
-    }
-    for (name, value) in &report.metrics {
-        out.push_str(&format!("{name}={:016x}\n", value.to_bits()));
-    }
-    out
-}
+/// Re-targets a sharded spec at another worker count by the sweep's own
+/// `workers` rule.
+const WORKERS: Sweep = Sweep {
+    param: SweepParam::Workers,
+    values: Vec::new(),
+};
 
 fn load_spec(name: &str) -> ScenarioSpec {
     let path = format!("{}/../../scenarios/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -78,16 +43,23 @@ fn dist_smoke_base() -> ScenarioSpec {
 #[test]
 fn dist_smoke_matches_sequential_at_1_2_4_workers() {
     let base = dist_smoke_base();
-    let seq = run_one(&sequential_twin(&base));
-    let seq_canon = canonical(&seq);
+    let seq = run_one(&ScenarioSpec {
+        engine: base.engine.sequential_twin().expect("a sharded spec"),
+        ..base.clone()
+    });
+    let seq_canon = seq.canonical();
     assert!(
         seq.trace.as_ref().is_some_and(|t| !t.is_empty()),
         "sequential run must produce a trace"
     );
     for workers in [1, 2, 4] {
-        let outcome = run_one(&with_workers(&base, workers));
+        let outcome = run_one(
+            &WORKERS
+                .apply(&base, workers as f64)
+                .expect("a sharded spec"),
+        );
         assert_eq!(
-            canonical(&outcome),
+            outcome.canonical(),
             seq_canon,
             "dist_smoke workers={workers} diverges from sequential packet_sim"
         );
@@ -103,9 +75,9 @@ fn dist_smoke_workers_sweep_rows_agree() {
         .expect("sweep runs");
     assert_eq!(report.rows.len(), 3);
     assert_eq!(report.rows[0].label, "workers=1");
-    let first = canonical(&report.rows[0].outcome);
+    let first = report.rows[0].outcome.canonical();
     for row in &report.rows[1..] {
-        assert_eq!(canonical(&row.outcome), first, "row {} diverges", row.label);
+        assert_eq!(row.outcome.canonical(), first, "row {} diverges", row.label);
     }
 }
 
@@ -141,7 +113,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// depend on which one connects first, then refuse their assignments.
 #[test]
 fn each_worker_is_sent_the_pinned_assign_frame() {
-    let spec = with_workers(&dist_smoke_base(), 2);
+    let spec = WORKERS
+        .apply(&dist_smoke_base(), 2.0)
+        .expect("a sharded spec");
     let port = TcpListener::bind("127.0.0.1:0")
         .unwrap()
         .local_addr()
@@ -265,7 +239,10 @@ fn churn_dynamics_spec() -> ScenarioSpec {
 fn churn_dynamics_byte_identical_to_sequential_at_1_2_4_workers() {
     let base = churn_dynamics_spec();
     let seq_report = Runner::new()
-        .run(&sequential_twin(&base))
+        .run(&ScenarioSpec {
+            engine: base.engine.sequential_twin().expect("a sharded spec"),
+            ..base.clone()
+        })
         .expect("sequential churn spec runs");
     let seq_row = &seq_report.rows[0];
     assert_eq!(seq_row.events.len(), 7, "all seven events fire");
@@ -274,9 +251,11 @@ fn churn_dynamics_byte_identical_to_sequential_at_1_2_4_workers() {
         "packet_sim accepts the full event grammar: {:?}",
         seq_row.events
     );
-    let seq_canon = canonical(&seq_row.outcome);
+    let seq_canon = seq_row.outcome.canonical();
     for workers in [1, 2, 4] {
-        let spec = with_workers(&base, workers);
+        let spec = WORKERS
+            .apply(&base, workers as f64)
+            .expect("a sharded spec");
         let report = Runner::new().run(&spec).expect("churn spec runs");
         let row = &report.rows[0];
         assert!(
@@ -285,7 +264,7 @@ fn churn_dynamics_byte_identical_to_sequential_at_1_2_4_workers() {
             row.events
         );
         assert_eq!(
-            canonical(&row.outcome),
+            row.outcome.canonical(),
             seq_canon,
             "churn dynamics diverge from sequential at workers={workers}"
         );
@@ -317,7 +296,10 @@ fn an_overflowing_join_is_refused_before_the_broadcast() {
     let mut canon = Vec::new();
     for (spec, rejected) in [
         (
-            sequential_twin(&spec),
+            ScenarioSpec {
+                engine: spec.engine.sequential_twin().expect("a sharded spec"),
+                ..spec.clone()
+            },
             "node_join event cannot apply: rate at n0 is invalid: inf",
         ),
         (
@@ -329,7 +311,7 @@ fn an_overflowing_join_is_refused_before_the_broadcast() {
         let report = Runner::new().run(&spec).expect("the run survives");
         let row = &report.rows[0];
         assert_eq!(row.events[0].rejected.as_deref(), Some(rejected));
-        canon.push(canonical(&row.outcome));
+        canon.push(row.outcome.canonical());
     }
     assert_eq!(canon[0], canon[1], "the refusal diverged from sequential");
 }

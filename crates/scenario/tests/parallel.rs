@@ -11,49 +11,14 @@
 //! `RUST_TEST_THREADS=1`, so scheduler interleaving differences cannot
 //! hide nondeterminism.
 
-use ww_scenario::{EngineReport, EngineSpec, Runner, ScenarioSpec};
+use ww_scenario::{EngineReport, EngineSpec, Runner, ScenarioSpec, Sweep, SweepParam};
 
-/// The sequential twin of a `packet_sim_par` spec: identical in every
-/// knob, engine swapped to `packet_sim`.
-fn sequential_twin(spec: &ScenarioSpec) -> ScenarioSpec {
-    let mut twin = spec.clone();
-    twin.engine = match &spec.engine {
-        EngineSpec::PacketSimPar { knobs, .. } => EngineSpec::PacketSim { knobs: *knobs },
-        other => panic!("not a packet_sim_par spec: {other:?}"),
-    };
-    twin
-}
-
-/// The same spec with a different worker count.
-fn with_workers(spec: &ScenarioSpec, w: usize) -> ScenarioSpec {
-    let mut out = spec.clone();
-    match &mut out.engine {
-        EngineSpec::PacketSimPar { workers, .. } => *workers = w,
-        other => panic!("not a packet_sim_par spec: {other:?}"),
-    }
-    out
-}
-
-/// Renders an engine report into a canonical byte string: every metric
-/// bit-exact, the trace and load vectors bit-exact.
-fn canonical(report: &EngineReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("rounds={}\n", report.rounds));
-    if let Some(trace) = &report.trace {
-        for x in trace {
-            out.push_str(&format!("trace={:016x}\n", x.to_bits()));
-        }
-    }
-    if let Some(load) = &report.load {
-        for (node, x) in load.iter() {
-            out.push_str(&format!("load[{node}]={:016x}\n", x.to_bits()));
-        }
-    }
-    for (name, value) in &report.metrics {
-        out.push_str(&format!("{name}={:016x}\n", value.to_bits()));
-    }
-    out
-}
+/// Re-targets a sharded spec at another worker count by the sweep's own
+/// `workers` rule.
+const WORKERS: Sweep = Sweep {
+    param: SweepParam::Workers,
+    values: Vec::new(),
+};
 
 fn load_spec(name: &str) -> ScenarioSpec {
     let path = format!("{}/../../scenarios/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -85,16 +50,19 @@ fn run_smoke(spec: &ScenarioSpec) -> EngineReport {
 #[test]
 fn flash_crowd_golden_trace_matches_sequential_at_1_2_4_8_workers() {
     let par = parallel_twin_of_flash_crowd();
-    let seq = run_smoke(&sequential_twin(&par));
-    let seq_canon = canonical(&seq);
+    let seq = run_smoke(&ScenarioSpec {
+        engine: par.engine.sequential_twin().expect("a sharded spec"),
+        ..par.clone()
+    });
+    let seq_canon = seq.canonical();
     assert!(
         seq.trace.as_ref().is_some_and(|t| !t.is_empty()),
         "sequential run must produce a trace"
     );
     for workers in [1, 2, 4, 8] {
-        let outcome = run_smoke(&with_workers(&par, workers));
+        let outcome = run_smoke(&WORKERS.apply(&par, workers as f64).expect("a sharded spec"));
         assert_eq!(
-            canonical(&outcome),
+            outcome.canonical(),
             seq_canon,
             "flash_crowd workers={workers} diverges from sequential packet_sim"
         );
@@ -106,12 +74,15 @@ fn scaling_1m_golden_trace_matches_sequential_at_1_2_4_8_workers() {
     // The shipped million-node spec, shrunk by smoke mode to CI size —
     // same engine path, same resolution pipeline.
     let par = load_spec("scaling_1m_parallel.json");
-    let seq = run_smoke(&sequential_twin(&par));
-    let seq_canon = canonical(&seq);
+    let seq = run_smoke(&ScenarioSpec {
+        engine: par.engine.sequential_twin().expect("a sharded spec"),
+        ..par.clone()
+    });
+    let seq_canon = seq.canonical();
     for workers in [1, 2, 4, 8] {
-        let outcome = run_smoke(&with_workers(&par, workers));
+        let outcome = run_smoke(&WORKERS.apply(&par, workers as f64).expect("a sharded spec"));
         assert_eq!(
-            canonical(&outcome),
+            outcome.canonical(),
             seq_canon,
             "scaling_1m workers={workers} diverges from sequential packet_sim"
         );
@@ -151,7 +122,9 @@ fn dynamics_run_is_byte_identical_at_1_2_4_workers() {
     let mut renders = Vec::new();
     let mut canons = Vec::new();
     for workers in [1, 2, 4] {
-        let spec = with_workers(&base, workers);
+        let spec = WORKERS
+            .apply(&base, workers as f64)
+            .expect("a sharded spec");
         let report = Runner::new().run(&spec).expect("dynamics spec runs");
         assert_eq!(report.rows.len(), 1);
         let row = &report.rows[0];
@@ -161,7 +134,7 @@ fn dynamics_run_is_byte_identical_at_1_2_4_workers() {
             "packet_sim_par supports link failures and invalidation: {:?}",
             row.events
         );
-        canons.push(canonical(&row.outcome));
+        canons.push(row.outcome.canonical());
         renders.push(report.report);
     }
     assert_eq!(canons[0], canons[1], "metric stream differs at 2 workers");
@@ -210,7 +183,10 @@ fn churn_dynamics_accepted_and_byte_identical_to_sequential_at_1_2_4_workers() {
     // the sequential engine byte for byte while the world churns.
     let base = churn_dynamics_spec();
     let seq_report = Runner::new()
-        .run(&sequential_twin(&base))
+        .run(&ScenarioSpec {
+            engine: base.engine.sequential_twin().expect("a sharded spec"),
+            ..base.clone()
+        })
         .expect("sequential churn spec runs");
     let seq_row = &seq_report.rows[0];
     assert_eq!(seq_row.events.len(), 7, "all seven events fire");
@@ -219,12 +195,14 @@ fn churn_dynamics_accepted_and_byte_identical_to_sequential_at_1_2_4_workers() {
         "packet_sim accepts the full event grammar: {:?}",
         seq_row.events
     );
-    let seq_canon = canonical(&seq_row.outcome);
+    let seq_canon = seq_row.outcome.canonical();
     // The sequential report header names a different engine; compare
     // everything below it.
     let seq_render: String = seq_report.report.lines().skip(1).collect();
     for workers in [1, 2, 4] {
-        let spec = with_workers(&base, workers);
+        let spec = WORKERS
+            .apply(&base, workers as f64)
+            .expect("a sharded spec");
         let report = Runner::new().run(&spec).expect("churn spec runs");
         let row = &report.rows[0];
         assert!(
@@ -233,7 +211,7 @@ fn churn_dynamics_accepted_and_byte_identical_to_sequential_at_1_2_4_workers() {
             row.events
         );
         assert_eq!(
-            canonical(&row.outcome),
+            row.outcome.canonical(),
             seq_canon,
             "churn dynamics diverge from sequential at workers={workers}"
         );
@@ -262,12 +240,18 @@ fn rebalancing_spec_is_byte_identical_to_static_partition() {
     // identical canonical rows at several worker counts. Rebalancing is
     // an execution detail, not a semantic knob.
     let base = parallel_twin_of_flash_crowd();
-    let static_canon = canonical(&run_smoke(&base));
+    let static_canon = run_smoke(&base).canonical();
     for workers in [2, 4, 8] {
         for (trigger, gap) in [(1.05, 1), (1.5, 3)] {
-            let spec = with_rebalance(&with_workers(&base, workers), trigger, gap);
+            let spec = with_rebalance(
+                &WORKERS
+                    .apply(&base, workers as f64)
+                    .expect("a sharded spec"),
+                trigger,
+                gap,
+            );
             assert_eq!(
-                canonical(&run_smoke(&spec)),
+                run_smoke(&spec).canonical(),
                 static_canon,
                 "rebalance trigger={trigger} gap={gap} diverges at workers={workers}"
             );
@@ -279,7 +263,7 @@ fn rebalancing_spec_is_byte_identical_to_static_partition() {
 fn rebalancing_churn_spec_is_byte_identical_to_static_partition() {
     let base = churn_dynamics_spec();
     let report = Runner::new().run(&base).expect("churn spec runs");
-    let static_canon = canonical(&report.rows[0].outcome);
+    let static_canon = report.rows[0].outcome.canonical();
     let spec = with_rebalance(&base, 1.05, 1);
     let report = Runner::new()
         .run(&spec)
@@ -290,7 +274,7 @@ fn rebalancing_churn_spec_is_byte_identical_to_static_partition() {
         report.rows[0].events
     );
     assert_eq!(
-        canonical(&report.rows[0].outcome),
+        report.rows[0].outcome.canonical(),
         static_canon,
         "churn + rebalancing diverges from the static partition"
     );
@@ -359,8 +343,8 @@ fn workers_sweep_runs_and_rows_agree() {
     let report = Runner::new().smoke(true).run(&spec).expect("sweep runs");
     assert_eq!(report.rows.len(), 3);
     assert_eq!(report.rows[0].label, "workers=1");
-    let first = canonical(&report.rows[0].outcome);
+    let first = report.rows[0].outcome.canonical();
     for row in &report.rows[1..] {
-        assert_eq!(canonical(&row.outcome), first, "row {} diverges", row.label);
+        assert_eq!(row.outcome.canonical(), first, "row {} diverges", row.label);
     }
 }

@@ -9,7 +9,7 @@
 //! * **JSONL traces** — `telemetry.trace_out` writes one parseable
 //!   JSON object per line, framed `run_start` .. `run_end`.
 //! * **Metric-key scheme** — every adapter's `metrics()` output (all
-//!   eight engine kinds) uses dotted-path keys accepted by
+//!   seven engine kinds) uses dotted-path keys accepted by
 //!   [`ww_telemetry::valid_metric_key`], and emission order is stable
 //!   across identical runs.
 //! * **Observer error paths** — rejected dynamics events reach
@@ -18,28 +18,6 @@
 
 use ww_scenario::{EngineReport, Runner, ScenarioSpec};
 use ww_telemetry::{valid_metric_key, Class, Key, Level};
-
-/// Renders an engine report into a canonical byte string: every metric
-/// bit-exact, the trace and load vectors bit-exact. Telemetry is
-/// deliberately absent — this is the surface that must not move.
-fn canonical(report: &EngineReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("rounds={}\n", report.rounds));
-    if let Some(trace) = &report.trace {
-        for x in trace {
-            out.push_str(&format!("trace={:016x}\n", x.to_bits()));
-        }
-    }
-    if let Some(load) = &report.load {
-        for (node, x) in load.iter() {
-            out.push_str(&format!("load[{node}]={:016x}\n", x.to_bits()));
-        }
-    }
-    for (name, value) in &report.metrics {
-        out.push_str(&format!("{name}={:016x}\n", value.to_bits()));
-    }
-    out
-}
 
 /// A packet-engine spec on a 40-node ternary tree. `engine` is the
 /// engine object's JSON; `events` the (possibly empty) events block.
@@ -114,14 +92,14 @@ fn engine_matrix() -> Vec<(String, String)> {
 /// Runs the full level × engine matrix for one events block and checks
 /// every cell against the sequential telemetry-off baseline.
 fn assert_matrix_bit_identical(events: &str) {
-    let baseline = canonical(&run_one(&packet_spec(r#"{"kind": "packet_sim"}"#, events)));
+    let baseline = run_one(&packet_spec(r#"{"kind": "packet_sim"}"#, events)).canonical();
     assert!(baseline.contains("trace="), "baseline records a trace");
     for (label, engine) in engine_matrix() {
         let base = packet_spec(&engine, events);
         for level in [Level::Off, Level::Counters, Level::Full] {
             let outcome = run_one(&with_level(&base, level));
             assert_eq!(
-                canonical(&outcome),
+                outcome.canonical(),
                 baseline,
                 "{label} at level {level} diverges from sequential telemetry-off"
             );
@@ -244,14 +222,14 @@ fn armed_rebalancer_bit_identical_across_levels() {
         );
         ScenarioSpec::from_json(&text).expect("spec parses")
     };
-    let baseline = canonical(&run_one(&spec(r#"{"kind": "packet_sim"}"#, "")));
+    let baseline = run_one(&spec(r#"{"kind": "packet_sim"}"#, "")).canonical();
     let armed = spec(
         r#"{"kind": "packet_sim_par", "workers": 4}"#,
         r#", "rebalance": {"trigger_imbalance": 1.05, "min_epoch_gap": 1}"#,
     );
     for level in [Level::Off, Level::Counters, Level::Full] {
         let outcome = run_one(&with_level(&armed, level));
-        assert_eq!(canonical(&outcome), baseline, "armed at level {level}");
+        assert_eq!(outcome.canonical(), baseline, "armed at level {level}");
         let Some(snap) = outcome.telemetry.as_ref() else {
             assert_eq!(level, Level::Off);
             continue;
@@ -663,7 +641,7 @@ fn adapter_specs() -> Vec<(&'static str, ScenarioSpec)> {
 }
 
 #[test]
-fn all_eight_adapters_emit_valid_dotted_metric_keys() {
+fn every_adapter_emits_valid_dotted_metric_keys() {
     let specs = adapter_specs();
     assert_eq!(specs.len(), 7, "one spec per engine kind");
     for (name, spec) in specs {

@@ -8,8 +8,12 @@ script lives in), counts the lines of `src/**/*.rs` that hold code: not
 blank, not a `//` comment (doc comments included), not inside a
 `/* */` comment. Lines of `#[cfg(test)]` items — the attribute, the item
 and its body — are counted apart, and so is a whole file that is only
-compiled under test (`#[cfg(test)] mod name;`). Prints one row per crate
-and a total row: `code` is what ships, `test` the in-crate tests.
+compiled under test (`#[cfg(test)] mod name;`). A third count takes the
+crate's integration tests, `tests/**/*.rs`, by the same blank and comment
+rules. Prints one row per crate, a row for the workspace root's `tests/`
+(integration tests only) and a total row: `code` is what ships, `test`
+the in-crate tests, `integ` the integration tests. Exits 2 with this
+usage when the root has no `crates/`.
 
 Strings, raw strings and char literals are skipped when matching braces,
 so a brace inside a literal does not end an item early. Needs python3
@@ -182,16 +186,22 @@ def count_file(path, all_test):
     return code, test
 
 
-def crate_files(src):
-    """Every `.rs` file under a crate's `src`, sorted, each with whether it
-    is compiled only under test."""
+def rust_files(top):
+    """Every `.rs` file under `top`, sorted (none when it is absent)."""
     files = []
-    for dirpath, _, names in os.walk(src):
+    for dirpath, _, names in os.walk(top):
         files.extend(os.path.join(dirpath, n) for n in names if n.endswith(".rs"))
+    return sorted(files)
+
+
+def crate_files(src):
+    """Every `.rs` file under a crate's `src`, each with whether it is
+    compiled only under test."""
+    files = rust_files(src)
     test_files = set()
     for path in files:
         test_files.update(test_module_files(path))
-    return [(path, os.path.normpath(path) in test_files) for path in sorted(files)]
+    return [(path, os.path.normpath(path) in test_files) for path in files]
 
 
 def count_crate(src):
@@ -203,21 +213,30 @@ def count_crate(src):
     return code, test
 
 
+def count_integration(tests):
+    """Code lines of the integration tests under a `tests` directory."""
+    return sum(count_file(path, True)[1] for path in rust_files(tests))
+
+
 def main():
     root = sys.argv[1] if len(sys.argv) > 1 else os.path.join(os.path.dirname(__file__), "..")
     crates = os.path.join(root, "crates")
+    if not os.path.isdir(crates):
+        print(__doc__.strip(), file=sys.stderr)
+        sys.exit(2)
     rows = []
     for name in sorted(os.listdir(crates)):
         src = os.path.join(crates, name, "src")
         if os.path.isdir(src):
-            rows.append((name, *count_crate(src)))
+            integ = count_integration(os.path.join(crates, name, "tests"))
+            rows.append((name, *count_crate(src), integ))
+    rows.append(("tests/", 0, 0, count_integration(os.path.join(root, "tests"))))
     width = max(len(r[0]) for r in rows + [("total",)])
-    print(f"{'crate':<{width}} {'code':>7} {'test':>7}")
-    for name, code, test in rows:
-        print(f"{name:<{width}} {code:>7,} {test:>7,}")
-    total_code = sum(r[1] for r in rows)
-    total_test = sum(r[2] for r in rows)
-    print(f"{'total':<{width}} {total_code:>7,} {total_test:>7,}")
+    print(f"{'crate':<{width}} {'code':>7} {'test':>7} {'integ':>7}")
+    for name, *counts in rows:
+        print(f"{name:<{width}}" + "".join(f" {n:>7,}" for n in counts))
+    totals = [sum(r[k] for r in rows) for k in (1, 2, 3)]
+    print(f"{'total':<{width}}" + "".join(f" {n:>7,}" for n in totals))
 
 
 if __name__ == "__main__":
