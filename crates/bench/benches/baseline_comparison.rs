@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
-use ww_baselines as bl;
+use ww_core::baselines as bl;
 use ww_topology::random_tree_of_depth;
 
 fn bench(c: &mut Criterion) {

@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
-use ww_forest::{Coupling, Forest, ForestWave, ForestWaveConfig};
+use ww_core::forest::{Coupling, Forest, ForestWave, ForestWaveConfig};
 use ww_model::{NodeId, RateVector};
 use ww_topology::Graph;
 

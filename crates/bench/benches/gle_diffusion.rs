@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
-use ww_diffusion::{DiffusionMatrix, SyncDiffusion};
+use ww_core::diffusion::{DiffusionMatrix, SyncDiffusion};
 use ww_model::{NodeId, RateVector};
 use ww_topology::{hypercube, k_ary_n_cube, ring};
 

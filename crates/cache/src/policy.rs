@@ -9,11 +9,10 @@
 //! completion: push the hottest documents the child itself forwards, shed
 //! the coldest copies first.
 
-use serde::{Deserialize, Serialize};
 use ww_model::DocId;
 
 /// A planned change in how much of a document's passing rate a node serves.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateSlice {
     /// The document affected.
     pub doc: DocId,

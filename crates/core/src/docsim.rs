@@ -504,30 +504,17 @@ impl DocSim {
         self.world.link_failed(node)
     }
 
-    /// Fails the control link between `node` and its parent: diffusion
+    /// Sets the failed state of the control link between `node` and its
+    /// parent; `true` when the state changed. While failed, diffusion
     /// decisions, copy pushes, shedding, and tunneling stop crossing the
-    /// edge until [`DocSim::heal_link`]; requests still flow up the tree.
-    /// Returns `false` when the link was already failed.
+    /// edge; requests still flow up the tree.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `node` is out of range or is the root.
-    pub fn fail_link(&mut self, node: NodeId) -> bool {
-        self.world
-            .set_link(node, true)
-            .unwrap_or_else(|e| panic!("cannot fail the uplink: {e}"))
-    }
-
-    /// Restores the control link between `node` and its parent. Returns
-    /// `false` when the link was not failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or is the root.
-    pub fn heal_link(&mut self, node: NodeId) -> bool {
-        self.world
-            .set_link(node, false)
-            .unwrap_or_else(|e| panic!("cannot heal the uplink: {e}"))
+    /// [`ModelError::NodeOutOfRange`] for an unknown id,
+    /// [`ModelError::NoUplink`] for the root; the links are untouched.
+    pub fn set_link(&mut self, node: NodeId, failed: bool) -> Result<bool, ModelError> {
+        self.world.set_link(node, failed)
     }
 
     /// Publishes a document: `origin`'s clients start requesting `doc` at
@@ -975,14 +962,14 @@ mod dynamics_tests {
     #[test]
     fn failed_link_stalls_tunneling_until_healed() {
         let mut sim = fig7_sim();
-        sim.fail_link(NodeId::new(2));
+        sim.set_link(NodeId::new(2), true).unwrap();
         sim.run(600);
         // Node 2 sits behind the barrier *and* a dead control link: it
         // can neither receive pushes nor tunnel, so it never acquires a
         // copy and serves nothing (other nodes may still tunnel).
         assert_eq!(sim.load()[NodeId::new(2)], 0.0);
         assert!(sim.copies_at(NodeId::new(2)).is_empty());
-        sim.heal_link(NodeId::new(2));
+        sim.set_link(NodeId::new(2), false).unwrap();
         sim.run(1500);
         assert!(sim.copies_at(NodeId::new(2)).contains(&DocId::new(3)));
         assert!(

@@ -16,6 +16,15 @@
 //! * [`world`] — the one document world (tree, universe, demand mix, link
 //!   state, oracle) that [`docsim`] and the packet engines both mutate.
 //!
+//! Around it sit the paper's rate-level background and comparisons:
+//!
+//! * [`diffusion`] — the classic GLE diffusion substrate of Section 2
+//!   (Cybenko), with the `safe_alpha` every rate engine defaults to,
+//! * [`baselines`] — the schemes WebWave is argued against (no cache,
+//!   directory cache, DNS round-robin, GLE migration),
+//! * [`forest`] — WebWave over a forest of overlapping routing trees, the
+//!   paper's future work (Section 7).
+//!
 //! # Quickstart
 //!
 //! ```
@@ -37,8 +46,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod baselines;
+pub mod diffusion;
 pub mod docsim;
 pub mod fold;
+pub mod forest;
 pub mod packet;
 pub mod packetsim;
 pub mod reference;

@@ -9,11 +9,10 @@
 //! TLB assignment minimizes the maximum load and therefore serves the
 //! whole demand at the smallest possible capacity.
 
-use serde::{Deserialize, Serialize};
 use ww_model::RateVector;
 
 /// Throughput of one assignment at a given uniform capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThroughputReport {
     /// Uniform per-server capacity (req/s).
     pub capacity: f64,

@@ -38,9 +38,9 @@
 //! id-ordered vectors are rebuilt each round before the distance is
 //! taken. The golden-trace tests hold the two engines bit-for-bit equal.
 
+use crate::diffusion::safe_alpha;
 use crate::fold::IncrementalFold;
 use std::collections::VecDeque;
-use ww_diffusion::safe_alpha;
 use ww_model::{LeafRemoval, ModelError, NodeId, RateVector, Tree};
 use ww_stats::ConvergenceTrace;
 
@@ -506,45 +506,21 @@ impl RateWave {
         self.failed_up[node.index()]
     }
 
-    /// Fails the control link between `node` and its parent: no
-    /// diffusion transfer or gossip crosses the edge until
-    /// [`RateWave::heal_link`]. The *data* path is unaffected — requests
-    /// keep flowing up the tree (WebWave's control plane rides on top of
-    /// the existing HTTP routing substrate), so the subtree's demand is
-    /// still served, just no longer balanced across the cut.
+    /// Sets the failed state of the control link between `node` and its
+    /// parent; `true` when the state changed. While failed, no diffusion
+    /// transfer or gossip crosses the edge. The *data* path is unaffected —
+    /// requests keep flowing up the tree (WebWave's control plane rides on
+    /// top of the existing HTTP routing substrate), so the subtree's demand
+    /// is still served, just no longer balanced across the cut.
     ///
-    /// Returns `false` when the link was already failed.
+    /// # Errors
     ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or is the root (which has no
-    /// uplink).
-    pub fn fail_link(&mut self, node: NodeId) -> bool {
-        assert!(
-            self.tree.parent(node).is_some(),
-            "the root has no uplink to fail"
-        );
-        let fresh = !self.failed_up[node.index()];
-        self.failed_up[node.index()] = true;
-        self.failed_up_pos[self.pos_of[node.index()] as usize] = true;
-        fresh
-    }
-
-    /// Restores the control link between `node` and its parent. Returns
-    /// `false` when the link was not failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or is the root.
-    pub fn heal_link(&mut self, node: NodeId) -> bool {
-        assert!(
-            self.tree.parent(node).is_some(),
-            "the root has no uplink to heal"
-        );
-        let was = self.failed_up[node.index()];
-        self.failed_up[node.index()] = false;
-        self.failed_up_pos[self.pos_of[node.index()] as usize] = false;
-        was
+    /// [`ModelError::NodeOutOfRange`] for an unknown id,
+    /// [`ModelError::NoUplink`] for the root; the links are untouched.
+    pub fn set_link(&mut self, node: NodeId, failed: bool) -> Result<bool, ModelError> {
+        self.tree.uplink(node)?;
+        self.failed_up_pos[self.pos_of[node.index()] as usize] = failed;
+        Ok(std::mem::replace(&mut self.failed_up[node.index()], failed) != failed)
     }
 
     /// A cache server joins as a new leaf under `parent`, bringing `rate`
@@ -910,14 +886,14 @@ mod tests {
         let mut w = RateWave::new(&tree, &e, WaveConfig::default());
         // Sever the 1-2 link before any balancing: node 2's demand flows
         // up (data plane), but no load diffuses back down to node 2.
-        assert!(w.fail_link(NodeId::new(2)));
+        assert!(w.set_link(NodeId::new(2), true).unwrap());
         w.run(4000);
         assert_eq!(w.load()[NodeId::new(2)], 0.0);
         // Nodes 0 and 1 still balance the 0-1 edge between themselves.
         assert!(w.load()[NodeId::new(1)] > 1.0);
         assert!(w.distance_to_tlb() > 1.0);
         // Healing restores full convergence to the 30/30/30 TLB.
-        assert!(w.heal_link(NodeId::new(2)));
+        assert!(w.set_link(NodeId::new(2), false).unwrap());
         w.run(4000);
         assert!(
             w.distance_to_tlb() < 1e-6,

@@ -11,9 +11,9 @@
 //! then mirrors what a mutator returns ([`UniverseGrowth`],
 //! [`LeafRemoval`]) in its own per-node state.
 
+use crate::diffusion::safe_alpha;
 use crate::fold::IncrementalFold;
 use crate::packet::{ORACLE_FULL_SWEEPS, ORACLE_REFOLDS, ORACLE_REFRESH, STRUCTURAL};
-use ww_diffusion::safe_alpha;
 use ww_model::{DocId, DocTable, LeafRemoval, ModelError, NodeId, RateVector, Tree};
 use ww_telemetry::{PhaseStat, Snapshot};
 use ww_workload::DocMix;

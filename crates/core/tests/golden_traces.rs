@@ -288,14 +288,14 @@ fn rate_wave_digest(tree: &ww_model::Tree, rates: &ww_model::RateVector, stalene
     let root = tree.root();
     let mut w = RateWave::new(tree, rates, cfg);
     w.run(25);
-    assert!(w.fail_link(inner));
-    assert!(w.fail_link(cut));
+    assert!(w.set_link(inner, true).unwrap());
+    assert!(w.set_link(cut, true).unwrap());
     w.run(25);
     w.add_leaf(inner, 17.5).unwrap();
     w.run(25);
     w.remove_leaf(gone).unwrap();
     w.run(25);
-    assert!(w.heal_link(inner));
+    assert!(w.set_link(inner, false).unwrap());
     w.run(25);
     let shifted: Vec<f64> = (0..w.tree().len())
         .map(|i| ((i * 37) % 11) as f64 * 2.5)
@@ -365,7 +365,7 @@ fn doc_sim_digest(
     sim.run(30);
     sim.remove_leaf(leaves[0]).unwrap();
     sim.run(30);
-    assert!(sim.fail_link(inner));
+    assert!(sim.set_link(inner, true).unwrap());
     sim.run(30);
     let (leaves, _) = leaves_and_inner(sim.tree());
     sim.begin_batch();
@@ -446,14 +446,8 @@ fn doc_sim_apply(sim: &mut DocSim, op: &BarrierOp) -> Result<(), ModelError> {
         BarrierOp::PublishDoc { doc, origin, rate } => sim.publish_doc(*doc, *origin, *rate),
         BarrierOp::SetMix { mix } => sim.set_mix(mix),
         BarrierOp::Invalidate { doc } => sim.invalidate_doc(*doc),
-        BarrierOp::FailLink { node } => {
-            sim.fail_link(*node);
-            Ok(())
-        }
-        BarrierOp::HealLink { node } => {
-            sim.heal_link(*node);
-            Ok(())
-        }
+        BarrierOp::FailLink { node } => sim.set_link(*node, true).map(drop),
+        BarrierOp::HealLink { node } => sim.set_link(*node, false).map(drop),
     }
 }
 
@@ -530,6 +524,14 @@ fn world_mutator_refusals_are_pinned() {
             },
             "vector length 3 does not match tree size 4",
         ),
+        (
+            BarrierOp::FailLink { node: n0 },
+            "the root n0 has no uplink",
+        ),
+        (
+            BarrierOp::HealLink { node: n99 },
+            "node n99 is outside the 4-node tree",
+        ),
     ];
     // A demand-free universe gives a join nothing to split its rate by.
     let empty = DocMix::new(b.tree.len());
@@ -549,6 +551,88 @@ fn world_mutator_refusals_are_pinned() {
         let err = packet.apply_op(op).expect_err("PacketSim refuses");
         assert_eq!(err.to_string(), text, "PacketSim, {op:?}");
     }
+}
+
+/// `set_link` on the root or on an unknown id is a typed refusal on both
+/// round-stepped engines. It leaves every link and every load as it was,
+/// and the run goes on bit-equal to a twin that never saw the refusals.
+#[test]
+fn set_link_refusals_change_nothing() {
+    use ww_workload::DocMix;
+    let refusals = |root: NodeId, len: usize| {
+        let unknown = NodeId::new(99);
+        [
+            (root, true, ModelError::NoUplink { node: root }),
+            (root, false, ModelError::NoUplink { node: root }),
+            (
+                unknown,
+                true,
+                ModelError::NodeOutOfRange { node: unknown, len },
+            ),
+            (
+                unknown,
+                false,
+                ModelError::NodeOutOfRange { node: unknown, len },
+            ),
+        ]
+    };
+
+    let s = paper::fig6();
+    let (_, inner) = leaves_and_inner(&s.tree);
+    let mut w = RateWave::new(&s.tree, &s.spontaneous, WaveConfig::default());
+    w.run(10);
+    assert!(w.set_link(inner, true).unwrap());
+    let mut twin = w.clone();
+    let links = |w: &RateWave| s.tree.nodes().map(|u| w.link_failed(u)).collect::<Vec<_>>();
+    let before = (links(&w), bits(w.load().as_slice()));
+    for (node, failed, want) in refusals(s.tree.root(), s.tree.len()) {
+        assert_eq!(
+            w.set_link(node, failed),
+            Err(want),
+            "RateWave, {node} -> {failed}"
+        );
+        assert_eq!(
+            (links(&w), bits(w.load().as_slice())),
+            before,
+            "RateWave, {node}"
+        );
+    }
+    w.run(10);
+    twin.run(10);
+    assert_eq!(bits(w.load().as_slice()), bits(twin.load().as_slice()));
+
+    let b = paper::fig7();
+    let mut mix = DocMix::new(b.tree.len());
+    for d in &b.demands {
+        mix.set(d.origin, d.doc, d.rate);
+    }
+    let (_, inner) = leaves_and_inner(&b.tree);
+    let mut sim = DocSim::new(&b.tree, &mix, DocSimConfig::default());
+    sim.run(10);
+    assert!(sim.set_link(inner, true).unwrap());
+    let mut twin = sim.clone();
+    let links = |sim: &DocSim| {
+        b.tree
+            .nodes()
+            .map(|u| sim.link_failed(u))
+            .collect::<Vec<_>>()
+    };
+    let before = (links(&sim), bits(sim.load().as_slice()));
+    for (node, failed, want) in refusals(b.tree.root(), b.tree.len()) {
+        assert_eq!(
+            sim.set_link(node, failed),
+            Err(want),
+            "DocSim, {node} -> {failed}"
+        );
+        assert_eq!(
+            (links(&sim), bits(sim.load().as_slice())),
+            before,
+            "DocSim, {node}"
+        );
+    }
+    sim.run(10);
+    twin.run(10);
+    assert_eq!(bits(sim.load().as_slice()), bits(twin.load().as_slice()));
 }
 
 /// The bit patterns of `xs`.

@@ -5,10 +5,10 @@
 //! all read from the same code path.
 
 use crate::table::{f3, f6, Table};
-use ww_core::fold::webfold;
-use ww_diffusion::{
+use ww_core::diffusion::{
     hypercube_alpha, k_ary_n_cube_alpha, ring_alpha, DiffusionMatrix, SyncDiffusion,
 };
+use ww_core::fold::webfold;
 use ww_model::{NodeId, RateVector};
 use ww_scenario::{
     EngineSpec, PaperFigure, RatesSpec, Runner, ScenarioSpec, Sweep, SweepParam, TelemetrySpec,
@@ -506,7 +506,7 @@ pub fn gle_study() -> GleStudy {
 #[derive(Debug, Clone)]
 pub struct BaselineStudy {
     /// One report per scheme.
-    pub rows: Vec<ww_baselines::SchemeReport>,
+    pub rows: Vec<ww_core::baselines::SchemeReport>,
     /// Rendered report.
     pub report: String,
 }

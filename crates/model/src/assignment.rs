@@ -18,7 +18,6 @@
 //!   generate (no sibling sharing).
 
 use crate::{ModelError, NodeId, RateVector, Result, Tree};
-use serde::{Deserialize, Serialize};
 
 /// A served-rate vector `L` bound to a tree and spontaneous rates `E`,
 /// together with the forwarded rates `A` that flow conservation induces.
@@ -40,7 +39,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a.forwarded().as_slice(), &[0.0, 6.0]);
 /// assert!(a.check_feasible(1e-9).is_ok());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadAssignment {
     served: RateVector,
     forwarded: RateVector,

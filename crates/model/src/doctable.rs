@@ -26,7 +26,6 @@
 //!   all set operations are over dense indices `0..universe`.
 
 use crate::DocId;
-use serde::{Deserialize, Serialize};
 
 /// An immutable bijection between a fixed document universe and the dense
 /// indices `0..len`.
@@ -43,7 +42,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(table.doc(1), DocId::new(7));
 /// assert_eq!(table.index_of(DocId::new(9)), None);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DocTable {
     /// Sorted, deduplicated document ids; position = dense index.
     ids: Vec<DocId>,
@@ -129,7 +128,7 @@ impl DocTable {
 /// assert!(s.remove(3));
 /// assert_eq!(s.count(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DocSet {
     words: Vec<u64>,
     universe: usize,

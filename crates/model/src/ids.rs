@@ -5,7 +5,6 @@
 //! [`Tree`](crate::Tree); documents are sparse 64-bit ids chosen by the
 //! publisher.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::num::NonZeroU32;
 
@@ -29,7 +28,7 @@ use std::num::NonZeroU32;
 /// assert_eq!(format!("{n:?}"), "NodeId(3)");
 /// assert_eq!(std::mem::size_of::<Option<NodeId>>(), 4);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(NonZeroU32);
 
 impl NodeId {
@@ -105,8 +104,7 @@ impl fmt::Display for NodeId {
 /// assert_eq!(d.value(), 42);
 /// assert_eq!(format!("{d}"), "d42");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DocId(u64);
 
 impl DocId {

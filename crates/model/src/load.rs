@@ -7,7 +7,6 @@
 //! metrics need (Euclidean distance, max, sum, ...).
 
 use crate::{ModelError, NodeId, Result, Tree};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -26,8 +25,7 @@ use std::ops::{Index, IndexMut};
 /// assert_eq!(v.total(), 4.0);
 /// assert_eq!(v.max(), 4.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RateVector(Vec<f64>);
 
 impl RateVector {

@@ -7,7 +7,6 @@
 //! the traversal orders the WebFold / WebWave algorithms need.
 
 use crate::{ModelError, NodeId, Result};
-use serde::{Deserialize, Serialize};
 
 /// A rooted routing tree.
 ///
@@ -33,7 +32,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(tree.depth(NodeId::new(3)), 2);
 /// assert_eq!(tree.subtree_size(NodeId::new(1)), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tree {
     /// `parent[i]` is the parent of node `i`; `None` exactly at the root.
     parent: Vec<Option<NodeId>>,

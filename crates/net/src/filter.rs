@@ -11,7 +11,6 @@
 //! removal support, with a tunable false-positive rate — false positives
 //! only cost an extra lookup at the cache, never a wrong answer.
 
-use serde::{Deserialize, Serialize};
 use ww_model::DocId;
 
 /// A router-resident packet filter over document ids.
@@ -57,7 +56,7 @@ pub trait PacketFilter {
 /// slot (a small, bounded false-positive rate increase), which is the
 /// safe side of the trade. Reaching saturation takes 65 535 overlapping
 /// insertions on one slot, far beyond any realistic filter load.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CountingBloomFilter {
     counters: Vec<u16>,
     hashes: u32,

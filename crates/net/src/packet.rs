@@ -5,12 +5,10 @@
 //! may extract and serve it (paper, Sections 1 and 3). Packets carry hop
 //! counters so response-time and network-traffic metrics can be derived.
 
-use serde::{Deserialize, Serialize};
 use ww_model::NodeId;
 
 /// Unique identifier of one request in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RequestId(u64);
 
 impl RequestId {
@@ -37,7 +35,7 @@ impl std::fmt::Display for RequestId {
 /// does, once, as the document's dense index in the world's table (the
 /// one field a universe growth remaps). That keeps a request in flight
 /// at 16 bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DocRequest {
     /// Unique id of this request.
     pub id: RequestId,
@@ -74,7 +72,7 @@ impl DocRequest {
 
 /// The response to a [`DocRequest`]: where it was served and the total
 /// round-trip hop count (up to the server, back down to the origin).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DocResponse {
     /// Id of the request being answered.
     pub id: RequestId,

@@ -6,10 +6,8 @@
 //! comparison (experiment A1) can report messages and bytes per served
 //! request.
 
-use serde::{Deserialize, Serialize};
-
 /// Classes of control/data traffic the simulators account for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrafficClass {
     /// Client request packets traveling up the tree.
     Request,
@@ -36,7 +34,7 @@ pub const ALL_TRAFFIC_CLASSES: [TrafficClass; 6] = [
 ];
 
 /// Message/byte counters per traffic class.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TrafficLedger {
     counts: [u64; 6],
     bytes: [u64; 6],

@@ -12,13 +12,13 @@
 use crate::engine::{Engine, MetricSink, StepOutcome};
 use crate::events::{Event, EventError, World};
 use crate::spec::BaselineScheme;
-use ww_baselines::SchemeReport;
+use ww_core::baselines::SchemeReport;
 use ww_core::docsim::DocSim;
+use ww_core::forest::ForestWave;
 use ww_core::packet::BarrierOp;
 use ww_core::packetsim::{PacketBackend, PacketSimReport};
 use ww_core::wave::RateWave;
-use ww_forest::ForestWave;
-use ww_model::{NodeId, RateVector, Tree};
+use ww_model::RateVector;
 use ww_telemetry::{Level, Snapshot};
 
 /// Wraps an engine-level failure into the typed event rejection.
@@ -27,12 +27,6 @@ fn invalid(event: &Event, reason: impl std::fmt::Display) -> EventError {
         event: event.kind(),
         reason: reason.to_string(),
     }
-}
-
-/// Validates that `node` has an uplink in `tree` (exists and is not the
-/// root), so link events can be applied without panicking.
-fn check_uplink(tree: &Tree, node: NodeId, event: &Event) -> Result<(), EventError> {
-    tree.uplink(node).map(drop).map_err(|e| invalid(event, e))
 }
 
 /// Validates a resolved rates vector against the engine's node count.
@@ -99,16 +93,12 @@ impl Engine for RateWave {
             Event::NodeLeave { node } => RateWave::remove_leaf(self, *node)
                 .map(|_| ())
                 .map_err(|e| invalid(event, e)),
-            Event::LinkFail { node } => {
-                check_uplink(self.tree(), *node, event)?;
-                self.fail_link(*node);
-                Ok(())
-            }
-            Event::LinkHeal { node } => {
-                check_uplink(self.tree(), *node, event)?;
-                self.heal_link(*node);
-                Ok(())
-            }
+            Event::LinkFail { node } => RateWave::set_link(self, *node, true)
+                .map(|_| ())
+                .map_err(|e| invalid(event, e)),
+            Event::LinkHeal { node } => RateWave::set_link(self, *node, false)
+                .map(|_| ())
+                .map_err(|e| invalid(event, e)),
             Event::WorkloadShift {
                 rates: Some(rates), ..
             } => {
@@ -195,16 +185,12 @@ impl Engine for DocSim {
             Event::NodeLeave { node } => DocSim::remove_leaf(self, *node)
                 .map(|_| ())
                 .map_err(|e| invalid(event, e)),
-            Event::LinkFail { node } => {
-                check_uplink(self.tree(), *node, event)?;
-                self.fail_link(*node);
-                Ok(())
-            }
-            Event::LinkHeal { node } => {
-                check_uplink(self.tree(), *node, event)?;
-                self.heal_link(*node);
-                Ok(())
-            }
+            Event::LinkFail { node } => DocSim::set_link(self, *node, true)
+                .map(|_| ())
+                .map_err(|e| invalid(event, e)),
+            Event::LinkHeal { node } => DocSim::set_link(self, *node, false)
+                .map(|_| ())
+                .map_err(|e| invalid(event, e)),
             Event::DocPublish { doc, origin, rate } => self
                 .publish_doc(*doc, *origin, *rate)
                 .map_err(|e| invalid(event, e)),
@@ -498,21 +484,25 @@ impl BaselineEngine {
     fn run_scheme(&self, scheme: BaselineScheme) -> SchemeReport {
         let (tree, e, p) = (&self.world.tree, &self.world.rates, &self.params);
         match scheme {
-            BaselineScheme::NoCache => ww_baselines::no_caching(tree, e),
-            BaselineScheme::Directory => ww_baselines::directory_cache(tree, e, p.lookup_msgs),
+            BaselineScheme::NoCache => ww_core::baselines::no_caching(tree, e),
+            BaselineScheme::Directory => {
+                ww_core::baselines::directory_cache(tree, e, p.lookup_msgs)
+            }
             BaselineScheme::DnsRoundRobin => {
                 let replicas = if p.replicas == 0 {
                     (tree.len() / 4).clamp(1, 16)
                 } else {
                     p.replicas
                 };
-                ww_baselines::dns_round_robin(tree, e, replicas)
+                ww_core::baselines::dns_round_robin(tree, e, replicas)
             }
-            BaselineScheme::GleMigration => ww_baselines::gle_migration(tree, e, p.gle_iterations),
+            BaselineScheme::GleMigration => {
+                ww_core::baselines::gle_migration(tree, e, p.gle_iterations)
+            }
             BaselineScheme::WebWave => {
-                ww_baselines::webwave(tree, e, p.webwave_rounds, p.gossip_per_second)
+                ww_core::baselines::webwave(tree, e, p.webwave_rounds, p.gossip_per_second)
             }
-            BaselineScheme::WebFoldOracle => ww_baselines::webfold_oracle(tree, e),
+            BaselineScheme::WebFoldOracle => ww_core::baselines::webfold_oracle(tree, e),
         }
     }
 }

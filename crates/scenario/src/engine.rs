@@ -11,7 +11,7 @@
 
 use crate::events::{Event, EventError};
 use std::fmt::Write as _;
-use ww_baselines::SchemeReport;
+use ww_core::baselines::SchemeReport;
 use ww_model::RateVector;
 use ww_telemetry::{Level, Snapshot};
 
@@ -145,7 +145,7 @@ impl EngineReport {
 /// One engine behind the unified API.
 ///
 /// Implemented by [`ww_core::wave::RateWave`],
-/// [`ww_core::docsim::DocSim`], [`ww_forest::ForestWave`], and the
+/// [`ww_core::docsim::DocSim`], [`ww_core::forest::ForestWave`], and the
 /// crate's packet and baseline adapters, which the [`Runner`]
 /// builds from a spec.
 ///

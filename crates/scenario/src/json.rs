@@ -12,8 +12,7 @@
 //! == spec` exactly. `tests/shipped_specs.rs` pins the printed bytes and
 //! `tests/roundtrip.rs` the exact refusals.
 //!
-//! The mapping is written against the vendored `serde_json::Value`: the
-//! vendored `serde` derives are no-ops (see `vendor/serde/`).
+//! The mapping is written against the vendored `serde_json::Value`.
 
 use crate::error::SpecError;
 use crate::events::{Event, EventKindSpec, EventSpec, EventsSpec, DEFAULT_RECOVERY_THRESHOLD};

@@ -7,8 +7,8 @@
 //! ([`ww_core::packetsim::PacketSim`]), sharded parallel packet-level
 //! ([`ww_pdes::ParPacketSim`]), packet-level on worker processes
 //! ([`ww_dist::DistPacketSim`]) and multi-tree
-//! ([`ww_forest::ForestWave`]) — plus the baseline schemes of
-//! `ww-baselines`. This crate puts them all behind one surface:
+//! ([`ww_core::forest::ForestWave`]) — plus the baseline schemes of
+//! [`ww_core::baselines`]. This crate puts them all behind one surface:
 //!
 //! * [`ScenarioSpec`] — a declarative description (topology generator,
 //!   workload, engine choice, protocol knobs, seed, termination rule,

@@ -32,10 +32,10 @@ use serde_json::{Map, Value};
 use std::fmt::Write as _;
 use std::time::Instant;
 use ww_core::docsim::{DocSim, DocSimConfig};
+use ww_core::forest::{Coupling, Forest, ForestWave, ForestWaveConfig};
 use ww_core::packetsim::{PacketSim, PacketSimConfig};
 use ww_core::wave::{RateWave, WaveConfig};
 use ww_dist::{DistError, DistOptions, DistPacketSim};
-use ww_forest::{Coupling, Forest, ForestWave, ForestWaveConfig};
 use ww_model::{NodeId, RateVector, Tree};
 use ww_pdes::ParPacketSim;
 use ww_telemetry::TraceWriter;

@@ -285,7 +285,7 @@ pub enum EngineSpec {
         /// Worker processes (= subtree shards, capped by the topology).
         workers: usize,
     },
-    /// Multi-tree forest WebWave ([`ww_forest::ForestWave`]): the
+    /// Multi-tree forest WebWave ([`ww_core::forest::ForestWave`]): the
     /// topology is taken as an undirected graph, re-rooted at each of
     /// `roots`, and the workload demand is offered to every tree.
     ForestWave {
@@ -296,8 +296,9 @@ pub enum EngineSpec {
         /// Home-server node of each tree.
         roots: Vec<usize>,
     },
-    /// The baseline schemes of `ww-baselines`, each producing one static
-    /// assignment report. Runs to completion in a single engine round.
+    /// The baseline schemes of [`ww_core::baselines`], each producing one
+    /// static assignment report. Runs to completion in a single engine
+    /// round.
     Baselines {
         /// Which schemes to run.
         schemes: Vec<BaselineScheme>,

@@ -6,7 +6,6 @@
 //! with helpers to summarize it and fit the paper's `a * gamma^t` bound.
 
 use crate::expfit::{fit_exponential, ExponentialFit, FitError};
-use serde::{Deserialize, Serialize};
 
 /// A per-iteration distance-to-optimum series.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// let fit = trace.fit_gamma(0.0).unwrap();
 /// assert!((fit.gamma - 0.5).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ConvergenceTrace {
     distances: Vec<f64>,
 }

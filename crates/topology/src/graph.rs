@@ -3,11 +3,10 @@
 //! Section 2 of the paper grounds WebWave in the diffusion literature:
 //! Cybenko's hypercubes, Hong et al.'s nearest-neighbor averaging, Xu &
 //! Lau's k-ary n-cubes and Lüling & Monien's ring networks.
-//! [`Graph`] plus the generators below let `ww-diffusion` reproduce the
+//! [`Graph`] plus the generators below let `ww_core::diffusion` reproduce the
 //! classic Global Load Equality results those works establish, which the
 //! tree-constrained WebWave is then compared against.
 
-use serde::{Deserialize, Serialize};
 use ww_model::{NodeId, Tree};
 
 /// A simple undirected graph over dense node ids.
@@ -22,7 +21,7 @@ use ww_model::{NodeId, Tree};
 /// assert_eq!(g.degree(ww_model::NodeId::new(1)), 2);
 /// assert!(g.is_connected());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     adj: Vec<Vec<NodeId>>,
     edges: usize,

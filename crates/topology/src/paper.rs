@@ -15,11 +15,10 @@
 //!   the other; correct TLB serves 90 requests at every node, but the
 //!   middle server caches none of d3 and blocks diffusion until tunneling.
 
-use serde::{Deserialize, Serialize};
 use ww_model::{DocId, NodeId, RateVector, Tree};
 
 /// A named workload scenario: a routing tree plus spontaneous request rates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Human-readable name ("fig2a", "fig6", ...).
     pub name: String,
@@ -174,7 +173,7 @@ pub fn fig6() -> Scenario {
 }
 
 /// One document's demand in the Figure 7 barrier scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DocDemand {
     /// The document requested.
     pub doc: DocId,
@@ -185,7 +184,7 @@ pub struct DocDemand {
 }
 
 /// The Figure 7 potential-barrier scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BarrierScenario {
     /// The four-node tree (0 = home server, 1 = middle, 2 and 3 = leaves).
     pub tree: Tree,

@@ -7,7 +7,6 @@
 //! the published documents.
 
 use crate::Zipf;
-use serde::{Deserialize, Serialize};
 use ww_model::{DocId, NodeId, RateVector, Tree};
 
 /// Demand for documents at every node: `rate_of(node, doc)` in req/s.
@@ -25,7 +24,7 @@ use ww_model::{DocId, NodeId, RateVector, Tree};
 /// assert_eq!(mix.node_total(NodeId::new(1)), 12.0);
 /// assert_eq!(mix.spontaneous().as_slice(), &[0.0, 12.0]);
 /// ```
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub struct DocMix {
     /// Per node: sorted list of (doc, rate) pairs.
     demands: Vec<Vec<(DocId, f64)>>,

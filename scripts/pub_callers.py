@@ -8,8 +8,8 @@ static declared under `<repo-root>/crates/*/src` (default: the checkout
 this script lives in) that nothing outside its own tests names:
 
 * its name appears in no other `.rs` file of the repository (`target/`,
-  `vendor/` and hidden directories skipped), not counting a crate
-  root's `pub use` re-export; and
+  `vendor/` and hidden directories skipped), not counting a `pub use`
+  re-export (a crate root's or a module root's); and
 * in its own file, the name appears only on its definition line or in
   `#[cfg(test)]` items.
 
@@ -59,12 +59,11 @@ def rust_files(root):
 
 
 def mentions(path, all_test):
-    """(line number, words, in test) for every line of one file, a crate
-    root's `pub use` statements left out."""
-    root = os.path.basename(path) == "lib.rs" and os.path.basename(os.path.dirname(path)) == "src"
+    """(line number, words, in test) for every line of one file, its
+    `pub use` statements left out."""
     in_use = False
     for number, text, _, _, in_test in classify(path, all_test):
-        if root and (in_use or text.lstrip().startswith("pub use ")):
+        if in_use or text.lstrip().startswith("pub use "):
             in_use = ";" not in text
             continue
         yield number, set(WORD.findall(text)), in_test

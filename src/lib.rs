@@ -76,19 +76,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use ww_baselines as baselines;
 pub use ww_cache as cache;
+pub use ww_core::baselines;
+pub use ww_core::diffusion;
 pub use ww_core::docsim;
 pub use ww_core::fold;
+pub use ww_core::forest;
 pub use ww_core::packet;
 pub use ww_core::packetsim;
 pub use ww_core::throughput;
 pub use ww_core::tlb;
 pub use ww_core::tracking;
 pub use ww_core::wave;
-pub use ww_diffusion as diffusion;
 pub use ww_experiments as experiments;
-pub use ww_forest as forest;
 pub use ww_model as model;
 pub use ww_net as net;
 pub use ww_pdes as pdes;
