@@ -9,8 +9,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
+use ww_core::stats::fit_exponential;
 use ww_core::wave::{RateWave, WaveConfig};
-use ww_stats::fit_exponential;
 use ww_topology::random_tree_of_depth;
 
 fn bench(c: &mut Criterion) {

@@ -4,7 +4,7 @@
 //! `scenarios/scaling_1m_parallel.json`'s million-node CDN at eight.
 //!
 //! ```text
-//! cargo bench --offline -p ww-bench --bench partition_forest
+//! cargo bench --offline -p webwave --bench partition_forest
 //! ```
 //!
 //! The phase bands walk every piece once when it is made, so a packing

@@ -10,7 +10,25 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
 use ww_core::fold::{webfold, webfold_with_order, FoldOrder};
+use ww_model::{RateVector, Tree};
 use ww_topology::random_tree_of_depth;
+use ww_workload::DocMix;
+
+/// A deterministic random tree plus random spontaneous rates:
+/// `random_tree_of_depth(n, depth)` with `random_uniform(0..100)` demand,
+/// both seeded from `seed`.
+fn scaling_scenario(n: usize, depth: usize, seed: u64) -> (Tree, RateVector) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let tree = random_tree_of_depth(&mut rng, n, depth);
+    let rates = ww_workload::random_uniform(&mut rng, &tree, 0.0, 100.0);
+    (tree, rates)
+}
+
+/// A shared-Zipf document mix over `docs` documents for a scaling
+/// scenario (the "globally hot documents" regime).
+fn scaling_mix(tree: &Tree, rates: &RateVector, docs: usize) -> DocMix {
+    ww_workload::shared_zipf_mix(tree, rates, docs, 1.0)
+}
 
 fn ablation_report() {
     println!("A2 — fold-order ablation (max-load-first vs scan order), 200 random instances");
@@ -77,7 +95,7 @@ fn bench_rate_wave_engines(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(300))
         .sample_size(10);
     for &n in &[1_000usize, 10_000] {
-        let (tree, e) = ww_bench::scaling_scenario(n, 12, n as u64);
+        let (tree, e) = scaling_scenario(n, 12, n as u64);
         let rounds = if n <= 1_000 { 200 } else { 50 };
         group.bench_with_input(BenchmarkId::new("dense", n), &n, |b, _| {
             b.iter(|| {
@@ -108,8 +126,8 @@ fn bench_docsim_engines(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(300))
         .sample_size(10);
     let n = 1_000usize;
-    let (tree, e) = ww_bench::scaling_scenario(n, 12, n as u64 ^ 0xD0C);
-    let mix = ww_bench::scaling_mix(&tree, &e, 64);
+    let (tree, e) = scaling_scenario(n, 12, n as u64 ^ 0xD0C);
+    let mix = scaling_mix(&tree, &e, 64);
     group.bench_function(BenchmarkId::new("dense", n), |b| {
         b.iter(|| {
             let mut s = DocSim::new(&tree, &mix, DocSimConfig::default());

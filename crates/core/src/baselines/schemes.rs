@@ -14,7 +14,8 @@
 //!   directory; the report measures that violation.
 //!
 //! Every scheme returns a [`SchemeReport`] with the same metrics so the
-//! comparison experiment (`A1` in DESIGN.md) can print one table.
+//! comparison experiment (A1, `ww_experiments::baseline_study`) can
+//! print one table.
 
 use crate::baselines::metrics::{mean_service_hops, mean_tree_distance};
 use crate::diffusion::{DiffusionMatrix, SyncDiffusion};

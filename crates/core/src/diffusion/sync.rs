@@ -3,7 +3,7 @@
 //! All nodes exchange load simultaneously with perfect information:
 //! `x(t) = D x(t-1)`. Converges to the uniform distribution exponentially
 //! fast on connected graphs; the per-iteration Euclidean distance to
-//! uniform is recorded so the decay can be fitted with `ww-stats`.
+//! uniform is recorded so the decay can be fitted with [`crate::stats`].
 
 use crate::diffusion::DiffusionMatrix;
 use ww_model::RateVector;

@@ -30,12 +30,12 @@
 //! ([`crate::reference::NaiveDocSim`]) — the golden-trace tests assert
 //! exactly that.
 
+use crate::stats::ConvergenceTrace;
 use crate::world::{DocWorld, UniverseGrowth, WorldConfig};
 use ww_cache::{plan_push_dense, plan_shed_dense, DenseRateSlice};
 use ww_model::{
     DocGrid, DocId, DocSet, DocTable, LeafRemoval, ModelError, NodeId, RateVector, Tree,
 };
-use ww_stats::ConvergenceTrace;
 use ww_workload::DocMix;
 
 /// Configuration of a document-level WebWave run.

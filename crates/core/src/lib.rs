@@ -23,7 +23,9 @@
 //! * [`baselines`] — the schemes WebWave is argued against (no cache,
 //!   directory cache, DNS round-robin, GLE migration),
 //! * [`forest`] — WebWave over a forest of overlapping routing trees, the
-//!   paper's future work (Section 7).
+//!   paper's future work (Section 7),
+//! * [`stats`] — convergence traces, the `a * gamma^t` regression of
+//!   Section 5.1 and the exact sum the sharded engines fold samples with.
 //!
 //! # Quickstart
 //!
@@ -54,6 +56,7 @@ pub mod forest;
 pub mod packet;
 pub mod packetsim;
 pub mod reference;
+pub mod stats;
 pub mod throughput;
 pub mod tlb;
 pub mod tracking;

@@ -59,11 +59,11 @@ use super::{
     CORE_PHASES, QUEUE_SURGERY, SURGERY_REMOVED, SURGERY_SWEEPS, UNIVERSE_GROWTH,
 };
 use crate::packetsim::PacketSimReport;
+use crate::stats::{ConvergenceTrace, ExactSum};
 use crate::world::UniverseGrowth;
 use ww_model::{DocId, LeafRemoval, ModelError, NodeId, Tree};
 use ww_net::{TrafficClass, TrafficLedger};
 use ww_sim::{key_of, time_of, RadixQueue, SimQueue, SimTime, TimerRing, NO_KEY};
-use ww_stats::{ConvergenceTrace, ExactSum};
 use ww_telemetry::{Counters, Key, Level, Phases, Snapshot};
 
 /// One node changing shards, `from` → `to`.

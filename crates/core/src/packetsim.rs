@@ -50,11 +50,11 @@
 
 use crate::packet::driver::{Partition, ShardCore, SimCore};
 use crate::packet::{BarrierOp, BarrierOutcome, NodeSlab, PacketCounters, PacketWorld, CORE_SHARD};
+use crate::stats::ConvergenceTrace;
 use std::fmt::Write as _;
 use ww_model::{ModelError, NodeId, RateVector, Tree};
 use ww_net::{TrafficLedger, ALL_TRAFFIC_CLASSES};
 use ww_sim::SimTime;
-use ww_stats::ConvergenceTrace;
 use ww_telemetry::{Level, Snapshot};
 use ww_workload::DocMix;
 

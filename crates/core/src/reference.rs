@@ -24,10 +24,10 @@
 
 use crate::docsim::{DocSimConfig, DocSimStats};
 use crate::fold::webfold;
+use crate::stats::ConvergenceTrace;
 use std::collections::{HashMap, HashSet, VecDeque};
 use ww_cache::{plan_push, plan_shed};
 use ww_model::{DocId, NodeId, RateVector, Tree};
-use ww_stats::ConvergenceTrace;
 use ww_workload::DocMix;
 
 /// The original clone-per-round rate-level WebWave engine.

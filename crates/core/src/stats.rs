@@ -1,9 +1,9 @@
-//! # ww-stats — statistics substrate for the WebWave reproduction
+//! Statistics for the WebWave reproduction.
 //!
 //! The paper's quantitative claims are statistical: WebWave's distance to
 //! the TLB optimum shrinks like `a * gamma^t`, and the rate `gamma` is
 //! estimated by nonlinear regression (S-PLUS `nls`, Section 5.1). This
-//! crate supplies those tools natively:
+//! module supplies those tools natively:
 //!
 //! * [`fit_exponential`] — Gauss-Newton least squares for `a * gamma^t`
 //!   with parameter standard errors (the paper's `gamma = 0.830734,
@@ -18,7 +18,7 @@
 //! # Example
 //!
 //! ```
-//! use ww_stats::{ConvergenceTrace, ExactSum};
+//! use ww_core::stats::{ConvergenceTrace, ExactSum};
 //!
 //! let trace: ConvergenceTrace = (0..25).map(|t| 42.0 * 0.83f64.powi(t)).collect();
 //! let fit = trace.fit_gamma(0.0).unwrap();
@@ -30,9 +30,6 @@
 //! trace.distances().iter().rev().for_each(|&d| backward.add(d));
 //! assert_eq!(forward.value().to_bits(), backward.value().to_bits());
 //! ```
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod convergence;
 pub mod exact;

@@ -5,14 +5,14 @@
 //! produced by WebFold." A [`ConvergenceTrace`] is exactly that series,
 //! with helpers to summarize it and fit the paper's `a * gamma^t` bound.
 
-use crate::expfit::{fit_exponential, ExponentialFit, FitError};
+use crate::stats::expfit::{fit_exponential, ExponentialFit, FitError};
 
 /// A per-iteration distance-to-optimum series.
 ///
 /// # Example
 ///
 /// ```
-/// use ww_stats::ConvergenceTrace;
+/// use ww_core::stats::ConvergenceTrace;
 /// let mut trace = ConvergenceTrace::new();
 /// for t in 0..10 {
 ///     trace.push(16.0 * 0.5f64.powi(t));

@@ -36,7 +36,7 @@ const BASE_EXP: i32 = -1088;
 /// # Example
 ///
 /// ```
-/// use ww_stats::ExactSum;
+/// use ww_core::stats::ExactSum;
 ///
 /// let xs = [0.1, 0.2, 0.3, 1e-300, 1e17];
 /// let mut forward = ExactSum::new();

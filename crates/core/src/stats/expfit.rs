@@ -12,7 +12,7 @@
 //! standard errors from the Jacobian at the optimum — the same quantities
 //! S-PLUS's `nls` prints.
 
-use crate::linreg::linear_fit;
+use crate::stats::linreg::linear_fit;
 
 /// Result of fitting `y_t = a * gamma^t`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,7 +75,7 @@ impl std::error::Error for FitError {}
 /// # Example
 ///
 /// ```
-/// use ww_stats::fit_exponential;
+/// use ww_core::stats::fit_exponential;
 /// // A perfect geometric decay: a = 8, gamma = 0.5.
 /// let ys: Vec<f64> = (0..12).map(|t| 8.0 * 0.5f64.powi(t)).collect();
 /// let fit = fit_exponential(&ys, 0.0).unwrap();

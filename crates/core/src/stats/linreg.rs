@@ -34,7 +34,7 @@ pub struct LinearFit {
 /// # Example
 ///
 /// ```
-/// use ww_stats::linear_fit;
+/// use ww_core::stats::linear_fit;
 /// let xs = [0.0, 1.0, 2.0, 3.0];
 /// let ys = [1.0, 3.0, 5.0, 7.0];
 /// let fit = linear_fit(&xs, &ys).unwrap();

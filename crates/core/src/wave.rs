@@ -40,9 +40,9 @@
 
 use crate::diffusion::safe_alpha;
 use crate::fold::IncrementalFold;
+use crate::stats::ConvergenceTrace;
 use std::collections::VecDeque;
 use ww_model::{LeafRemoval, ModelError, NodeId, RateVector, Tree};
-use ww_stats::ConvergenceTrace;
 
 /// Configuration of a rate-level WebWave run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]

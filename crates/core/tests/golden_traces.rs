@@ -16,8 +16,8 @@ use ww_topology::paper;
 
 /// Asserts two traces are identical to the last bit.
 fn assert_traces_bit_identical(
-    dense: &ww_stats::ConvergenceTrace,
-    naive: &ww_stats::ConvergenceTrace,
+    dense: &ww_core::stats::ConvergenceTrace,
+    naive: &ww_core::stats::ConvergenceTrace,
 ) {
     assert_eq!(dense.len(), naive.len(), "trace lengths differ");
     for (round, (d, n)) in dense.distances().iter().zip(naive.distances()).enumerate() {

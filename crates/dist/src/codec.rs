@@ -250,7 +250,7 @@ pub enum Msg {
     /// Worker → coordinator: the epoch completed.
     EpochDone {
         /// The shard's exact trace partial (the
-        /// [`ExactSum`](ww_stats::ExactSum) limbs), when sampling.
+        /// [`ExactSum`](ww_core::stats::ExactSum) limbs), when sampling.
         partial: Option<Vec<u64>>,
     },
     /// Coordinator → worker: open a barrier batch — ops until

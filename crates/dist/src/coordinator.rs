@@ -32,12 +32,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ww_core::packet::{BarrierOp, BarrierOutcome, PacketCounters, PacketSimConfig, PacketWorld};
 use ww_core::packetsim::{PacketBackend, PacketSimReport};
+use ww_core::stats::ExactSum;
 use ww_model::{NodeId, RateVector, Tree};
 use ww_net::TrafficLedger;
 use ww_pdes::engine::{OVERFLOW_PARKS, OVERFLOW_PEAK_PARKED};
 use ww_pdes::{partition_forest, ShardHost, DEFAULT_STALL_TIMEOUT, PDES_KEYS};
 use ww_sim::SimTime;
-use ww_stats::ExactSum;
 use ww_telemetry::{Counters, Histogram, Level, Snapshot};
 use ww_workload::DocMix;
 

@@ -1,20 +1,21 @@
-//! One runner per paper figure/table (the experiment index of DESIGN.md).
+//! One runner per paper figure/table (the experiment index is the
+//! [crate doc](crate)).
 //!
 //! Every function returns a structured result plus a rendered text report
-//! so the `webwave-exp` binary, the integration tests and `EXPERIMENTS.md`
-//! all read from the same code path.
+//! so the `webwave-exp` binary and the integration tests read from the
+//! same code path.
 
 use crate::table::{f3, f6, Table};
 use ww_core::diffusion::{
     hypercube_alpha, k_ary_n_cube_alpha, ring_alpha, DiffusionMatrix, SyncDiffusion,
 };
 use ww_core::fold::webfold;
+use ww_core::stats::{fit_exponential, ExponentialFit};
 use ww_model::{NodeId, RateVector};
 use ww_scenario::{
     EngineSpec, PaperFigure, RatesSpec, Runner, ScenarioSpec, Sweep, SweepParam, TelemetrySpec,
     Termination, TopologySpec, WorkloadSpec, DEFAULT_SEED,
 };
-use ww_stats::{fit_exponential, ExponentialFit};
 use ww_topology::{self as topology, paper, Graph};
 
 /// A spec skeleton every engine-driven figure shares: named scenario,

@@ -1,6 +1,6 @@
 //! # ww-experiments — regenerating every figure and table of the paper
 //!
-//! One runner per experiment id from `DESIGN.md`:
+//! One runner per experiment id:
 //!
 //! | id | function | paper artifact |
 //! |----|----------|----------------|

@@ -789,19 +789,4 @@ mod tests {
         assert_eq!(r.moved, None);
         assert_eq!(t, four_node_tree());
     }
-
-    #[test]
-    fn serde_round_trip() {
-        let t = four_node_tree();
-        let json = serde_json_like(&t);
-        // Minimal structural smoke check without a JSON dependency: the
-        // Debug form of the round-tripped parents matches.
-        assert_eq!(json, t.to_parents());
-    }
-
-    /// Stand-in for a serializer round trip that avoids extra dependencies:
-    /// exercises `to_parents` -> `from_parents` fidelity.
-    fn serde_json_like(t: &Tree) -> Vec<Option<usize>> {
-        Tree::from_parents(&t.to_parents()).unwrap().to_parents()
-    }
 }

@@ -93,9 +93,9 @@ use std::time::{Duration, Instant};
 use ww_core::packet::driver::{ShardCore, SimCore};
 use ww_core::packet::{BarrierOp, BarrierOutcome, PacketEvent, PacketSimConfig, PacketWorld};
 use ww_core::packetsim::{PacketBackend, PacketSimReport};
+use ww_core::stats::ExactSum;
 use ww_model::{ModelError, NodeId, RateVector, Tree};
 use ww_sim::{SimQueue, SimTime};
-use ww_stats::ExactSum;
 use ww_telemetry::{Counters, Level, Phases, Snapshot};
 use ww_workload::DocMix;
 

@@ -36,10 +36,10 @@ use std::ops::Range;
 use std::time::Duration;
 use ww_core::packet::driver::{ShardCore, SimCore};
 use ww_core::packet::{BarrierOp, BarrierOutcome, PacketCounters, PacketSimConfig, PacketWorld};
+use ww_core::stats::ExactSum;
 use ww_model::{ModelError, NodeId, Tree};
 use ww_net::TrafficLedger;
 use ww_sim::{SimQueue, SimTime};
-use ww_stats::ExactSum;
 use ww_telemetry::{Counters, Level};
 use ww_workload::DocMix;
 

@@ -17,12 +17,12 @@
 use crate::error::SpecError;
 use crate::events::{Event, EventKindSpec, EventSpec, EventsSpec, DEFAULT_RECOVERY_THRESHOLD};
 use crate::spec::{
-    BaselineScheme, DocMixSpec, EngineSpec, PacketKnobs, PaperFigure, RatesSpec, RebalanceSpec,
-    ScenarioSpec, Sweep, SweepParam, TelemetrySpec, Termination, TopologySpec, WorkloadSpec,
-    DEFAULT_SEED,
+    BaselineScheme, DocMixSpec, EngineSpec, PacketKnobs, PaperFigure, RatesSpec, ScenarioSpec,
+    Sweep, SweepParam, TelemetrySpec, Termination, TopologySpec, WorkloadSpec, DEFAULT_SEED,
 };
 use serde_json::{Map, Value};
 use std::fmt;
+use ww_pdes::RebalanceConfig;
 use ww_telemetry::Level;
 
 impl ScenarioSpec {
@@ -73,7 +73,7 @@ spec_layout!(struct ScenarioSpec where rebalance_on_a_sharded_engine {
     #[omit_none] sweep: Option<Sweep>,
     #[omit_none] events: Option<EventsSpec>,
     #[null_is_default] telemetry: TelemetrySpec = TelemetrySpec::default(),
-    #[omit_none] rebalance: Option<RebalanceSpec>,
+    #[omit_none] rebalance: Option<RebalanceConfig>,
 });
 spec_layout!(enum TopologySpec "topology" {
     "paper" => Paper { figure: PaperFigure },
@@ -181,7 +181,7 @@ spec_layout!(struct TelemetrySpec {
     #[null_is_default] level: Level = Level::Off,
     trace_out: Option<String> as "a file path string",
 });
-spec_layout!(struct RebalanceSpec {
+spec_layout!(struct RebalanceConfig {
     trigger_imbalance: f64 where imbalance_ratio,
     min_epoch_gap: u64 where some_epochs = 1,
 });

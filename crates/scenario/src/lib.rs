@@ -97,7 +97,7 @@ pub use events::{
 };
 pub use runner::{DriveResult, RunRow, Runner, ScenarioReport};
 pub use spec::{
-    BaselineScheme, DocMixSpec, EngineSpec, PacketKnobs, PaperFigure, RatesSpec, RebalanceSpec,
-    ScenarioSpec, Sweep, SweepParam, TelemetrySpec, Termination, TopologySpec, WorkloadSpec,
-    DEFAULT_SEED,
+    BaselineScheme, DocMixSpec, EngineSpec, PacketKnobs, PaperFigure, RatesSpec, ScenarioSpec,
+    Sweep, SweepParam, TelemetrySpec, Termination, TopologySpec, WorkloadSpec, DEFAULT_SEED,
 };
+pub use ww_pdes::RebalanceConfig;

@@ -400,15 +400,12 @@ fn resolve_event(
             Ok(NodeId::new(node))
         }
     };
-    let check_uplink = |node: usize, field: &str| {
+    let check_link = |node: usize, field: &str| {
         let id = check_node(node, field)?;
-        if world.tree.parent(id).is_none() {
-            return Err(SpecError::at(
-                at(field),
-                format!("node {node} is the root and has no uplink"),
-            ));
+        match world.tree.uplink(id) {
+            Ok(_) => Ok(id),
+            Err(e) => Err(SpecError::at(at(field), e.to_string())),
         }
-        Ok(id)
     };
     Ok(match &spec.kind {
         EventKindSpec::NodeJoin { parent, rate } => Event::NodeJoin {
@@ -416,7 +413,7 @@ fn resolve_event(
             rate: *rate,
         },
         EventKindSpec::NodeLeave { node } => {
-            let id = check_uplink(*node, "node")?;
+            let id = check_link(*node, "node")?;
             if !world.tree.is_leaf(id) {
                 return Err(SpecError::at(
                     at("node"),
@@ -429,10 +426,10 @@ fn resolve_event(
             Event::NodeLeave { node: id }
         }
         EventKindSpec::LinkFail { node } => Event::LinkFail {
-            node: check_uplink(*node, "node")?,
+            node: check_link(*node, "node")?,
         },
         EventKindSpec::LinkHeal { node } => Event::LinkHeal {
-            node: check_uplink(*node, "node")?,
+            node: check_link(*node, "node")?,
         },
         EventKindSpec::DocPublish { doc, origin, rate } => Event::DocPublish {
             doc: ww_model::DocId::new(*doc),
@@ -823,15 +820,6 @@ fn require_mix(mix: Option<DocMix>, engine: &str) -> Result<DocMix, SpecError> {
     })
 }
 
-/// Spec-level rebalance knobs → the engine-level config. `None` when the
-/// spec has no `rebalance` block.
-fn rebalance_config(spec: &ScenarioSpec) -> Option<ww_pdes::RebalanceConfig> {
-    spec.rebalance.map(|r| ww_pdes::RebalanceConfig {
-        trigger_imbalance: r.trigger_imbalance,
-        min_epoch_gap: r.min_epoch_gap,
-    })
-}
-
 /// Spec-level packet knobs → the engine-level config, refused with the
 /// knob's path where [`PacketSimConfig::check`] (the ranges the packet
 /// world asserts) refuses it.
@@ -920,7 +908,7 @@ fn resolve_engine(
             let config = packet_config(knobs, spec.seed)?;
             knobs.check_sharded("parallel", *workers)?;
             let mut sim = ParPacketSim::new(&world.tree, &mix, config, *workers);
-            sim.set_rebalance(rebalance_config(spec));
+            sim.set_rebalance(spec.rebalance);
             Box::new(PacketAdapter::new(kind, sim, config.diffusion_period))
         }
         EngineSpec::PacketSimDist { knobs, workers } => {

@@ -13,6 +13,7 @@
 use crate::error::SpecError;
 use crate::events::EventsSpec;
 use crate::json::{unit_alpha, Tagged};
+use ww_pdes::RebalanceConfig;
 use ww_telemetry::Level;
 
 /// Default master seed when a spec omits `"seed"`.
@@ -52,24 +53,7 @@ pub struct ScenarioSpec {
     /// executes which node, never the simulated trace — reports stay
     /// bit-identical with the block present, absent, or at any
     /// threshold.
-    pub rebalance: Option<RebalanceSpec>,
-}
-
-/// Adaptive shard rebalancing knobs: when the per-shard event-count
-/// imbalance (max over mean) observed across a window of
-/// `min_epoch_gap` epochs reaches `trigger_imbalance`, the partition is
-/// re-packed around the observed per-node loads and nodes migrate at
-/// the epoch barrier. Both the observation and the re-packing are pure
-/// functions of deterministic event counts, so the decision sequence is
-/// identical on every run and at every worker count.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RebalanceSpec {
-    /// Max-over-mean per-shard event ratio that arms a re-packing (≥ 1;
-    /// e.g. `1.2` tolerates 20% skew).
-    pub trigger_imbalance: f64,
-    /// Epochs per observation window (≥ 1): rebalancing is evaluated at
-    /// most once per `min_epoch_gap` epoch barriers.
-    pub min_epoch_gap: u64,
+    pub rebalance: Option<RebalanceConfig>,
 }
 
 /// Observation-only instrumentation settings: how much the run records

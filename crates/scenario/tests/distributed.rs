@@ -180,7 +180,7 @@ fn rebalance_block_is_rejected_at_launch_with_a_typed_error() {
     // processes, so a `rebalance` block must fail loudly — builder's
     // choice: a typed refusal, never a silently static run.
     let mut spec = dist_smoke_base();
-    spec.rebalance = Some(ww_scenario::RebalanceSpec {
+    spec.rebalance = Some(ww_scenario::RebalanceConfig {
         trigger_imbalance: 1.2,
         min_epoch_gap: 2,
     });

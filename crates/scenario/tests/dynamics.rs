@@ -568,6 +568,30 @@ fn generator_refusals_are_pinned_at_construction_and_mid_run() {
     }
 }
 
+/// The node refusals of `link_fail` and `node_leave`, word for word: the
+/// root is refused with the model's own `Tree::uplink` error, and a node
+/// outside the tree as it stands when the event fires (a join grew it to
+/// 5 nodes first) with the runner's range check.
+#[test]
+fn link_fail_and_node_leave_refusals_are_pinned() {
+    let uniform = r#"{"rates": {"kind": "uniform", "rate": 1.0}}"#;
+    let join = r#"{"round": 1, "kind": "node_join", "parent": 0, "rate": 2.0}"#;
+    for kind in ["link_fail", "node_leave"] {
+        let root = format!(r#"{{"round": 2, "kind": "{kind}", "node": 0}}"#);
+        assert_eq!(
+            run_refusal(uniform, &format!("{join}, {root}")),
+            "events.schedule[1].node: the root n0 has no uplink",
+            "{kind}"
+        );
+        let outside = format!(r#"{{"round": 2, "kind": "{kind}", "node": 5}}"#);
+        assert_eq!(
+            run_refusal(uniform, &format!("{join}, {outside}")),
+            "events.schedule[1].node: node 5 is outside the current 5-node topology",
+            "{kind}"
+        );
+    }
+}
+
 /// `rate_wave` through mid-run `uniform`, `leaf_only` and `explicit`
 /// shifts, each generated on the tree of its fire time (a join grew it
 /// to 8 nodes first), pinned by one digest of the rendered report.

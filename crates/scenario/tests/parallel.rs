@@ -226,7 +226,7 @@ fn churn_dynamics_accepted_and_byte_identical_to_sequential_at_1_2_4_workers() {
 /// The same spec with an adaptive-rebalancing block.
 fn with_rebalance(spec: &ScenarioSpec, trigger: f64, gap: u64) -> ScenarioSpec {
     let mut out = spec.clone();
-    out.rebalance = Some(ww_scenario::RebalanceSpec {
+    out.rebalance = Some(ww_scenario::RebalanceConfig {
         trigger_imbalance: trigger,
         min_epoch_gap: gap,
     });

@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 use ww_scenario::{
     BaselineScheme, DocMixSpec, EngineSpec, EventKindSpec, EventSpec, EventsSpec, PacketKnobs,
-    PaperFigure, RatesSpec, RebalanceSpec, Runner, ScenarioSpec, Sweep, SweepParam, TelemetrySpec,
-    Termination, TopologySpec, WorkloadSpec,
+    PaperFigure, RatesSpec, RebalanceConfig, Runner, ScenarioSpec, Sweep, SweepParam,
+    TelemetrySpec, Termination, TopologySpec, WorkloadSpec,
 };
 use ww_telemetry::Level;
 
@@ -327,9 +327,9 @@ fn arb_events() -> BoxedStrategy<Option<EventsSpec>> {
     .boxed()
 }
 
-fn arb_rebalance() -> BoxedStrategy<Option<RebalanceSpec>> {
+fn arb_rebalance() -> BoxedStrategy<Option<RebalanceConfig>> {
     proptest::option::of(
-        (1.0f64..4.0, 1u64..20).prop_map(|(trigger_imbalance, min_epoch_gap)| RebalanceSpec {
+        (1.0f64..4.0, 1u64..20).prop_map(|(trigger_imbalance, min_epoch_gap)| RebalanceConfig {
             trigger_imbalance,
             min_epoch_gap,
         }),

@@ -2,7 +2,7 @@
 //!
 //! The original figures are drawings whose exact node counts are illegible
 //! in the scanned copy; each scenario here is reconstructed to satisfy every
-//! property the text states about it (see `DESIGN.md`, "Substitutions"):
+//! property the text states about it:
 //!
 //! * **Figure 2** — one tree, two spontaneous-rate vectors: (a) admits a
 //!   TLB assignment that is also GLE, (b) does not.

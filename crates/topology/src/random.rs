@@ -231,5 +231,9 @@ mod tests {
         let t1 = random_pruefer(&mut StdRng::seed_from_u64(11), 30);
         let t2 = random_pruefer(&mut StdRng::seed_from_u64(11), 30);
         assert_eq!(t1.to_parents(), t2.to_parents());
+        let d1 = random_tree_of_depth(&mut StdRng::seed_from_u64(42), 200, 8);
+        let d2 = random_tree_of_depth(&mut StdRng::seed_from_u64(42), 200, 8);
+        assert_eq!(d1.len(), 200);
+        assert_eq!(d1.to_parents(), d2.to_parents());
     }
 }

@@ -13,8 +13,8 @@ lists
   line of its `src/`, `tests/`, `benches/` or `examples/`, comments
   included (a doc example compiles against the dev-dependencies).
 
-An entry is named by its key with hyphens as underscores (`ww-stats` is
-`ww_stats`), matched as a word. Code lines leave comments out the way
+An entry is named by its key with hyphens as underscores (`ww-core` is
+`ww_core`), matched as a word. Code lines leave comments out the way
 `code_lines.py` does. Matching is by word, not by path, so a clean run
 is not a proof that every edge is used, only that no edge is plainly
 unused.
@@ -33,10 +33,7 @@ from code_lines import classify, rust_files
 
 # Edges kept although nothing names them, each with its reason. Keys are
 # `crate -> dependency`, the crate by its package name.
-ALLOW = {
-    "ww-cache -> ww-stats": "removing it fails `--locked`: waits for the `benchmark/` PR",
-    "ww-scenario -> ww-stats": "removing it fails `--locked`: waits for the `benchmark/` PR",
-}
+ALLOW = {}
 
 WORD = re.compile(r"\w+")
 

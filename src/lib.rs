@@ -84,6 +84,7 @@ pub use ww_core::fold;
 pub use ww_core::forest;
 pub use ww_core::packet;
 pub use ww_core::packetsim;
+pub use ww_core::stats;
 pub use ww_core::throughput;
 pub use ww_core::tlb;
 pub use ww_core::tracking;
@@ -94,6 +95,5 @@ pub use ww_net as net;
 pub use ww_pdes as pdes;
 pub use ww_scenario as scenario;
 pub use ww_sim as sim;
-pub use ww_stats as stats;
 pub use ww_topology as topology;
 pub use ww_workload as workload;
