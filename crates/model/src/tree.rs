@@ -789,4 +789,18 @@ mod tests {
         assert_eq!(r.moved, None);
         assert_eq!(t, four_node_tree());
     }
+
+    /// The parent vector is the tree's serialized form (scenario files and
+    /// the distributed codec carry it): encoding a decoded tree gives the
+    /// same vector back, also after churn has renumbered nodes.
+    #[test]
+    fn serde_round_trip() {
+        let mut t = four_node_tree();
+        t.add_leaf(NodeId::new(2)).unwrap();
+        t.remove_leaf(NodeId::new(3)).unwrap();
+        let encoded = t.to_parents();
+        let decoded = Tree::from_parents(&encoded).unwrap();
+        assert_eq!(decoded, t);
+        assert_eq!(decoded.to_parents(), encoded);
+    }
 }

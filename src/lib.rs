@@ -97,3 +97,27 @@ pub use ww_scenario as scenario;
 pub use ww_sim as sim;
 pub use ww_topology as topology;
 pub use ww_workload as workload;
+
+#[cfg(test)]
+mod tests {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The scaling benches build their instances from a seed (a random
+    /// tree of bounded depth plus uniform demand); equal seeds must give
+    /// equal instances, or bench runs are not comparable.
+    #[test]
+    fn scaling_scenario_is_deterministic() {
+        let build = |seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let tree = crate::topology::random_tree_of_depth(&mut rng, 200, 8);
+            let rates = crate::workload::random_uniform(&mut rng, &tree, 0.0, 100.0);
+            (tree, rates)
+        };
+        let (t1, r1) = build(42);
+        let (t2, r2) = build(42);
+        assert_eq!(t1.len(), 200);
+        assert_eq!(t1, t2);
+        assert_eq!(r1.as_slice(), r2.as_slice());
+    }
+}
