@@ -10,10 +10,12 @@ blank, not a `//` comment (doc comments included), not inside a
 and its body — are counted apart, and so is a whole file that is only
 compiled under test (`#[cfg(test)] mod name;`). A third count takes the
 crate's integration tests, `tests/**/*.rs`, by the same blank and comment
-rules. Prints one row per crate, a row for the workspace root's `tests/`
-(integration tests only) and a total row: `code` is what ships, `test`
-the in-crate tests, `integ` the integration tests. Exits 2 with this
-usage when the root has no `crates/`.
+rules. Prints one row per crate, a `webwave` row for the root package
+(`src/**/*.rs`, binaries included, with the root `tests/` as its
+integration tests), a `benches/` row (every code line of the root's
+criterion benches, in the `code` column) and a total row: `code` is what
+ships, `test` the in-crate tests, `integ` the integration tests. Exits 2
+with this usage when the root has no `crates/`.
 
 Strings, raw strings and char literals are skipped when matching braces,
 so a brace inside a literal does not end an item early. Needs python3
@@ -230,7 +232,10 @@ def main():
         if os.path.isdir(src):
             integ = count_integration(os.path.join(crates, name, "tests"))
             rows.append((name, *count_crate(src), integ))
-    rows.append(("tests/", 0, 0, count_integration(os.path.join(root, "tests"))))
+    integ = count_integration(os.path.join(root, "tests"))
+    rows.append(("webwave", *count_crate(os.path.join(root, "src")), integ))
+    benches = rust_files(os.path.join(root, "benches"))
+    rows.append(("benches/", sum(sum(count_file(path, False)) for path in benches), 0, 0))
     width = max(len(r[0]) for r in rows + [("total",)])
     print(f"{'crate':<{width}} {'code':>7} {'test':>7} {'integ':>7}")
     for name, *counts in rows:
