@@ -6,7 +6,7 @@
 //! track where demand actually is, and classical load migration ignores
 //! the constraint that requests must *find* their server without lookups.
 //! This module implements those alternatives so the claims become
-//! measurable (experiment A1, `ww_experiments::baseline_study`):
+//! measurable (experiment A1, `webwave::experiments::baseline_study`):
 //!
 //! * [`no_caching`] — home server only,
 //! * [`directory_cache`] — Harvest/ICP-style cooperative cache with a

@@ -17,7 +17,7 @@
 //!
 //! The module's experiments show coupling strictly reduces the global
 //! maximum load whenever trees overlap asymmetrically — see
-//! `ForestWave`'s tests and the `forest_coupling` bench.
+//! `ForestWave`'s tests and `webwave::experiments::forest_study`.
 //!
 //! # Example
 //!

@@ -7,7 +7,8 @@
 //! worker code (codec, TCP loopback data mesh, control protocol) in a
 //! thread of this process, so the entire socket path is exercised
 //! without needing the `webwave-dist` binary on disk. Process-mode
-//! golden tests live with the binary in `dist-cli`.
+//! golden tests live with the binary, in the root package's
+//! `tests/process_mode.rs`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

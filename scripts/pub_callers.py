@@ -4,8 +4,9 @@
 Usage: python3 scripts/pub_callers.py [repo-root]
 
 Lists every `pub` fn, struct, enum, union, trait, type alias, const or
-static declared under `<repo-root>/crates/*/src` (default: the checkout
-this script lives in) that nothing outside its own tests names:
+static declared under `<repo-root>/crates/*/src` or the root package's
+`<repo-root>/src` (default: the checkout this script lives in) that
+nothing outside its own tests names:
 
 * its name appears in no other `.rs` file of the repository (`target/`,
   `vendor/` and hidden directories skipped), not counting a `pub use`
@@ -97,8 +98,8 @@ def main():
     )
     sources = {}  # crate source file -> compiled only under test
     crates = os.path.join(root, "crates")
-    for name in sorted(os.listdir(crates)):
-        src = os.path.join(crates, name, "src")
+    srcs = [os.path.join(crates, name, "src") for name in sorted(os.listdir(crates))]
+    for src in srcs + [os.path.join(root, "src")]:
         if os.path.isdir(src):
             for path, all_test in crate_files(src):
                 sources[os.path.normpath(path)] = all_test

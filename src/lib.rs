@@ -76,6 +76,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod experiments;
+
 pub use ww_cache as cache;
 pub use ww_core::baselines;
 pub use ww_core::diffusion;
@@ -89,7 +91,6 @@ pub use ww_core::throughput;
 pub use ww_core::tlb;
 pub use ww_core::tracking;
 pub use ww_core::wave;
-pub use ww_experiments as experiments;
 pub use ww_model as model;
 pub use ww_net as net;
 pub use ww_pdes as pdes;
