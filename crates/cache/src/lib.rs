@@ -45,7 +45,7 @@
 pub mod meter;
 pub mod policy;
 
-pub use meter::{DenseFlowTable, MeterCell};
+pub use meter::{sort_hottest_first, DenseFlowTable, MeterCell};
 pub use policy::{
     plan_push, plan_push_dense, plan_shed, plan_shed_dense, plan_total, DenseRateSlice, RateSlice,
 };

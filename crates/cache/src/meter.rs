@@ -23,9 +23,12 @@ use ww_model::DocGrid;
 /// and "one full window has elapsed" is the top bit of the count word,
 /// not an `Option` tag, so a grid cell is 24 bytes.
 ///
-/// Opaque outside this module: a cell can be copied between tables
+/// Its fields are private: a cell can be copied between tables
 /// ([`DenseFlowTable::row`] / [`DenseFlowTable::row_mut`]) and compared,
-/// which is all a row migration or a cell-for-cell test needs.
+/// and a cell kept outside a table (the packet engines' per-document
+/// serve slots) runs the same state machine through the single-cell
+/// operations below, with the window and the smoothing factor passed in
+/// as a table passes its own.
 #[derive(Clone, Copy, PartialEq)]
 pub struct MeterCell {
     window_start: f64,
@@ -40,7 +43,8 @@ pub struct MeterCell {
 const WARM: u64 = 1 << 63;
 
 impl MeterCell {
-    fn anchored(start: f64) -> Self {
+    /// A cold meter whose first window opens at `start`.
+    pub fn anchored(start: f64) -> Self {
         MeterCell {
             window_start: start,
             smoothed: 0.0,
@@ -57,7 +61,7 @@ impl MeterCell {
     /// warm average of zero bits stays at; any other average decays by
     /// the same expression a busy window runs.
     #[inline]
-    fn roll_to(&mut self, now: f64, window_secs: f64, alpha: f64) {
+    pub fn roll_to(&mut self, now: f64, window_secs: f64, alpha: f64) {
         while now >= self.window_start + window_secs {
             let count = self.state & !WARM;
             if count != 0 {
@@ -75,8 +79,9 @@ impl MeterCell {
         }
     }
 
+    /// Rolls to `now`, then counts one event in the open window.
     #[inline]
-    fn record(&mut self, now: f64, window_secs: f64, alpha: f64) {
+    pub fn record(&mut self, now: f64, window_secs: f64, alpha: f64) {
         self.roll_to(now, window_secs, alpha);
         self.state += 1;
     }
@@ -87,12 +92,16 @@ impl MeterCell {
         (self.state & WARM != 0).then_some(self.smoothed)
     }
 
+    /// The smoothed rate; `+0.0` until one full window has elapsed.
     #[inline]
-    fn rate_or_zero(&self) -> f64 {
+    pub fn rate_or_zero(&self) -> f64 {
         self.smoothed
     }
 
-    fn reset(&mut self) {
+    /// Forgets the count and the average — not the window, which stays
+    /// where the last roll left it, and not rolled: the meter is cold
+    /// again until its next window closes.
+    pub fn reset(&mut self) {
         self.state = 0;
         self.smoothed = 0.0;
     }
@@ -106,6 +115,20 @@ impl std::fmt::Debug for MeterCell {
             .field("smoothed", &self.rate())
             .finish()
     }
+}
+
+/// Sorts `(index, rate)` pairs descending by rate, ties by ascending
+/// index — the order [`DenseFlowTable::row_doc_rates`] hands out.
+///
+/// # Panics
+///
+/// Panics if a rate is NaN.
+pub fn sort_hottest_first(rates: &mut [(u32, f64)]) {
+    rates.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .expect("rates are finite")
+            .then(a.0.cmp(&b.0))
+    });
 }
 
 /// A dense, preallocated flow table: one rate meter per `(row, dense
@@ -258,11 +281,7 @@ impl DenseFlowTable {
                 out.push((k as u32, r));
             }
         }
-        out.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("rates are finite")
-                .then(a.0.cmp(&b.0))
-        });
+        sort_hottest_first(out);
     }
 
     /// Number of document columns in the grid.

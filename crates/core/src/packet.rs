@@ -892,11 +892,7 @@ fn on_packet(
         // Intercepted: serve if the token bucket grants it; otherwise
         // put the packet back on its path (a filter false-positive in
         // rate terms).
-        if state.has(Set::Alloc, index) {
-            state.buckets[index as usize].try_take(now)
-        } else {
-            false
-        }
+        state.bucket(index).is_some_and(|b| b.try_take(now))
     } else {
         false
     };
@@ -1013,18 +1009,12 @@ pub fn on_diffusion(ctx: &mut NodeCtx<'_>, state: &mut NodeMut<'_>, t: SimTime, 
                 .flows
                 .row_doc_rates(slot, &mut ctx.scratch.cand);
         } else {
-            ctx.scratch.cand.clear();
-            for k in 0..m as u32 {
-                let s = state.served_rate(k);
-                if s <= 0.0 {
-                    continue;
-                }
-                let f = state.kids().flows.rate(slot, k);
-                let cap = s.min(f);
-                if cap > 0.0 {
-                    ctx.scratch.cand.push((k, cap));
-                }
-            }
+            state.served_rates(&mut ctx.scratch.cand);
+            let flows = &state.kids().flows;
+            ctx.scratch.cand.retain_mut(|(k, cap)| {
+                *cap = cap.min(flows.rate(slot, *k));
+                *cap > 0.0
+            });
         }
         plan_push_dense(
             &ctx.scratch.cand,
@@ -1046,8 +1036,7 @@ pub fn on_diffusion(ctx: &mut NodeCtx<'_>, state: &mut NodeMut<'_>, t: SimTime, 
             ));
             if !is_root {
                 // Give up the corresponding share of our own allocation.
-                if state.has(Set::Alloc, slice.index) {
-                    let b = &mut state.buckets[slice.index as usize];
+                if let Some(b) = state.bucket(slice.index) {
                     b.rate = (b.rate - slice.rate).max(0.0);
                 }
             }
@@ -1083,11 +1072,7 @@ pub fn on_diffusion(ctx: &mut NodeCtx<'_>, state: &mut NodeMut<'_>, t: SimTime, 
                 let mut taken = 0.0;
                 for pi in 0..ctx.scratch.plan.len() {
                     let slice = ctx.scratch.plan[pi];
-                    let k = slice.index;
-                    if state.insert(Set::Alloc, k) {
-                        state.buckets[k as usize] = TokenBucket::new(0.0, now);
-                    }
-                    state.buckets[k as usize].rate += slice.rate;
+                    state.allocate(slice.index, slice.rate, now);
                     taken += slice.rate;
                 }
                 if taken <= 1e-9 {
@@ -1113,8 +1098,7 @@ pub fn on_diffusion(ctx: &mut NodeCtx<'_>, state: &mut NodeMut<'_>, t: SimTime, 
                 );
                 for pi in 0..ctx.scratch.plan.len() {
                     let slice = ctx.scratch.plan[pi];
-                    if state.has(Set::Alloc, slice.index) {
-                        let b = &mut state.buckets[slice.index as usize];
+                    if let Some(b) = state.bucket(slice.index) {
                         b.rate = (b.rate - slice.rate).max(0.0);
                     }
                 }
@@ -1214,10 +1198,7 @@ fn on_copy_install(state: &mut NodeMut<'_>, t: SimTime, index: u32, rate: f64) {
     if state.insert(Set::Copies, index) {
         state.insert(Set::Filter, index);
     }
-    if state.insert(Set::Alloc, index) {
-        state.buckets[index as usize] = TokenBucket::new(0.0, now);
-    }
-    state.buckets[index as usize].rate += rate;
+    state.allocate(index, rate, now);
 }
 
 #[cfg(test)]

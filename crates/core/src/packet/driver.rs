@@ -836,6 +836,7 @@ impl SimCore {
         let span = self.tel_phases.begin();
         for shard in held.iter_mut() {
             shard.nodes.clear_arrivals();
+            shard.nodes.pack_slots();
         }
         for j in 0..self.world.len() {
             if let Some((shard, row)) = self.row_of(held, j) {

@@ -9,13 +9,16 @@
 //!
 //! | slab | row holds | bytes per node |
 //! | --- | --- | --- |
-//! | `heads: Vec<NodeHead>` | the scalars, the gossip generator (a [`StreamRng`]), the three bitsets' words while the universe fits 64 documents, the child-state pointer | 104 |
-//! | `seen`, `served`: [`DenseFlowTable`] | one three-word meter cell per document | 2 x 24 m |
-//! | `buckets`: [`DocGrid`]`<TokenBucket>` | one token bucket per document | 24 m |
-//! | `words`: [`DocGrid`]`<u64>` | the three bitsets beyond 64 documents, `3 x ceil(m / 64)` words | 0 or 24 ceil(m / 64) |
-//! | `ranges: Vec<(u32, u32)>` | the `(start, len)` of the row's arrival streams in the two slabs below | 8 |
+//! | `heads: Vec<NodeHead>` | the scalars, the gossip generator (a [`StreamRng`]), the four bitsets' words while the universe fits 64 documents, the child-state pointer, the row's creation and last whole-row roll | 128 |
+//! | `seen`: [`DenseFlowTable`] | one three-word meter cell per document | 24 m |
+//! | `words`: [`DocGrid`]`<u64>` | the four bitsets beyond 64 documents, `4 x ceil(m / 64)` words | 0 or 32 ceil(m / 64) |
+//! | `spans: Vec<Spans>` | the `(start, len)` of the row's arrival streams in the two slabs below and of its serve slots in the slot pool | 16 |
 //! | `streams: Vec<StreamCell>` | one cell per arrival stream: its generator, its rate, its document's dense index | 48 per stream |
 //! | `next: Vec<u128>` | each stream's **pending arrival**, as the calendar's packed `(time, seq)` key ([`NO_KEY`] for a zero-rate stream) | 16 per stream |
+//! | `slots: SlotPool` | one serve slot — token bucket and served meter — per document the node has ever allocated or served | 48 per slot |
+//!
+//! Beside them the slab keeps when each document column was created
+//! (`born`, 8 bytes a document, once per slab).
 //!
 //! A pending arrival lives nowhere else. The calendar holds one
 //! [`PacketEvent::Arrival`] per row — the row's earliest stream, under
@@ -26,37 +29,65 @@
 //! `(start, len)`-addressed array rather than a [`DocGrid`] row because
 //! demand is sparse (a `leaf_only` workload gives interior nodes none)
 //! and a grid would spend 64 bytes x documents on every node without
-//! streams. The ranges sit in a table of their own, not in the head, so
+//! streams. The spans sit in a table of their own, not in the head, so
 //! the lines an arrival and its leaf packet touch — key row, stream
-//! cell, head, `seen` row — have addresses that wait on nothing but the
-//! dense 8-byte table. A leaf fires about once per simulated second, so
-//! those lines are cold; the driver prefetches them one arrival ahead
-//! ([`NodeSlab::prefetch_arrival`]), and the misses run under the
-//! events in between instead of stalling the loop.
+//! cell, head, `seen` row, serve slots — have addresses that wait on
+//! nothing but the dense 16-byte table. A leaf fires about once per
+//! simulated second, so those lines are cold; the driver prefetches
+//! them one arrival ahead ([`NodeSlab::prefetch_arrival`]), and the
+//! misses run under the events in between instead of stalling the loop.
 //!
 //! The streams themselves — `(document, dense index, rate)` — are
 //! stored nowhere else either: [`DocWorld::streams_of`](crate::world::DocWorld::streams_of) derives them
 //! from the world's mix where [`NodeSlab::resolve_node_arrivals`]
 //! writes the cells.
 //!
+//! Every node sees every document and every child forwards it, so
+//! `seen` and the children's `flows` are dense. Only a server serves: a
+//! node serves a document under a live allocation ([`Set::Alloc`]), the
+//! home server serves every document. So the token buckets and served
+//! meters live in **serve slots**, one per document the node has ever
+//! allocated or served — the home server's row is fully slotted — found
+//! through a fourth bitset beside the three [`Set`]s: a slot's place in
+//! its row's run is the rank of its document in that bitset, a popcount
+//! rather than a scan. A slot stays until its row leaves. The slots hold
+//! exactly what one bucket and one meter per document held:
+//!
+//! - A bucket outside [`Set::Alloc`] is dead: every reader checks the
+//!   set, and every insertion into it starts the bucket over.
+//! - A meter nothing was recorded in holds `+0.0`, so a sum over the
+//!   slots in index order is the sum over every document, bit for bit.
+//! - Such a meter's state is a function of its anchor — the later of its
+//!   row's and its column's creation — and of the row's last whole-row
+//!   roll ([`NodeSlab::measured_load`]). A slot made later starts as
+//!   that meter: anchored, and rolled to the row's last roll, not to
+//!   the present. An invalidated slot is reset without a roll, which no
+//!   fresh meter equals, so it is kept, not dropped.
+//!
+//! The pool is one slab-wide buffer, each row's run contiguous. A row
+//! that gains a slot moves its run to the end of the buffer unless it is
+//! there already; the holes it leaves are packed away, in place, once
+//! they are a fifth of the buffer, and at every barrier commit
+//! ([`NodeSlab::pack_slots`]).
+//!
 //! Only a node that has children owns anything else: a boxed
 //! [`ChildState`] (its per-child-slot `flows` grid, 24 m + 16 bytes a
 //! child, and child load estimates). A leaf owns no heap buffer at all,
-//! so building a slab
-//! allocates `O(slabs + interior nodes)` times and every per-document
-//! address a handler needs is `node x docs + doc` on a slab whose
-//! header is shared by all nodes and therefore hot.
+//! so building a slab allocates `O(slabs + interior nodes)` times and
+//! every dense per-document address a handler needs is
+//! `node x docs + doc` on a slab whose header is shared by all nodes and
+//! therefore hot.
 //!
 //! Barrier operations are row operations, shared by the three engines:
 //! join = [`NodeSlab::push_node`], leave = [`NodeSlab::swap_remove_node`]
 //! (the id compaction the tree already does), publish / `set_mix` =
-//! [`NodeSlab::grow`] (one column shift per slab), `Invalidate` =
+//! [`NodeSlab::grow`] (one column shift per dense slab), `Invalidate` =
 //! [`NodeSlab::invalidate_row`] down one column, shard migration =
 //! [`NodeSlab::take_rows`] on the donor and [`NodeSlab::push_row_from`]
 //! on the recipient.
 
 use super::{stream_rng, PacketWorld, UniverseGrowth};
-use ww_cache::{DenseFlowTable, MeterCell};
+use ww_cache::{sort_hottest_first, DenseFlowTable, MeterCell};
 use ww_model::{reserve_slack, DocGrid, NodeId};
 use ww_sim::{exp_delay, key_of, prefetch, SimTime, StreamRng, NO_KEY};
 
@@ -98,6 +129,14 @@ impl TokenBucket {
     }
 }
 
+/// What a node keeps for one document it serves: the bucket shaping its
+/// allocation and the meter of what it served.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ServeSlot {
+    bucket: TokenBucket,
+    served: MeterCell,
+}
+
 /// The three per-node document sets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Set {
@@ -109,8 +148,11 @@ pub enum Set {
     Alloc = 2,
 }
 
+/// The fourth bitset: documents the node holds a serve slot for.
+const SLOTTED: usize = 3;
+
 /// Bitsets per node.
-const SETS: usize = 3;
+const SETS: usize = 4;
 
 /// The child-side state of a node that has children: per-child-slot,
 /// per-document forwarded-rate meters and the children's latest gossiped
@@ -153,14 +195,18 @@ pub struct NodeHead {
     /// Gossip-loss randomness, forked purely from `(master seed, node)`
     /// — the generator alone: the head never forks it again.
     pub gossip_rng: StreamRng,
-    /// The three bitsets' words while the universe fits one word each.
+    /// The four bitsets' words while the universe fits one word each.
     sets: [u64; SETS],
     /// Per-child state; `None` for a leaf.
     kids: Option<Box<ChildState>>,
+    /// When the row was created: the earliest anchor of its meters.
+    born: f64,
+    /// The instant of the row's last whole-row roll of its served meters.
+    rolled: f64,
 }
 
 impl NodeHead {
-    fn new(gossip_rng: StreamRng) -> Self {
+    fn new(gossip_rng: StreamRng, born: f64) -> Self {
         NodeHead {
             parent_est: None,
             served_total: 0,
@@ -169,31 +215,111 @@ impl NodeHead {
             gossip_rng,
             sets: [0; SETS],
             kids: None,
+            born,
+            rolled: born,
         }
+    }
+
+    /// The served meter of a document this row holds no slot for, whose
+    /// column was created at `column_born`: never recorded, anchored at
+    /// the later of the two creations, rolled by the row's whole-row
+    /// rolls alone.
+    fn unslotted_meter(&self, column_born: f64, window: f64) -> MeterCell {
+        let mut meter = MeterCell::anchored(self.born.max(column_born));
+        meter.roll_to(self.rolled, window, METER_ALPHA);
+        meter
     }
 }
 
-/// The protocol state of every node one driver hosts, as slabs (see the
-/// module docs). Row `i` is the driver's local node `i`.
-#[derive(Debug)]
-pub struct NodeSlab {
-    heads: Vec<NodeHead>,
-    /// Size of the document universe every per-document slab covers.
-    docs: usize,
-    /// Measurement window of every meter, seconds.
-    window: f64,
-    /// The three bitsets of every node beyond 64 documents, one row of
-    /// `3 x set_words` words per node; no columns while the universe
-    /// fits the heads' inline words.
-    words: DocGrid<u64>,
-    seen: DenseFlowTable,
-    served: DenseFlowTable,
-    buckets: DocGrid<TokenBucket>,
-    /// `(start, len)` of each row's streams in `streams` and `next`.
-    ranges: Vec<(u32, u32)>,
-    streams: Vec<StreamCell>,
-    /// Each stream's pending arrival as a packed `(time, seq)` key.
-    next: Vec<u128>,
+/// Where one row's runs sit in the slab-wide buffers: its arrival
+/// streams in `streams` / `next`, its serve slots in the slot pool.
+#[derive(Debug, Clone, Copy, Default)]
+struct Spans {
+    stream_start: u32,
+    stream_len: u32,
+    slot_start: u32,
+    slot_len: u32,
+}
+
+impl Spans {
+    fn streams(&self) -> std::ops::Range<usize> {
+        self.stream_start as usize..(self.stream_start + self.stream_len) as usize
+    }
+
+    fn slots(&self) -> std::ops::Range<usize> {
+        self.slot_start as usize..(self.slot_start + self.slot_len) as usize
+    }
+}
+
+/// An index into a slab-wide buffer, as a span stores it.
+fn to_u32(at: usize) -> u32 {
+    u32::try_from(at).expect("slab buffers fit 32-bit indices")
+}
+
+/// Every row's serve slots in one buffer, each row's run contiguous and
+/// in ascending document order. `holes` counts the cells no run covers:
+/// the old places of runs that moved to the end, departed rows' runs.
+#[derive(Debug, Default)]
+struct SlotPool {
+    cells: Vec<ServeSlot>,
+    holes: usize,
+}
+
+impl SlotPool {
+    /// Inserts `slot` as the `rank`-th of row `row`'s run, after moving
+    /// the run to the end of the buffer unless it is there already.
+    fn insert(&mut self, spans: &mut [Spans], row: usize, rank: usize, slot: ServeSlot) {
+        let len = spans[row].slot_len as usize;
+        // Pack once the holes are a fifth of the buffer, and an eighth
+        // of a slot per row: the copies that made them pay for the
+        // pack's sort of the rows.
+        if 4 * self.holes >= self.cells.len() - self.holes && 8 * self.holes >= spans.len() {
+            self.pack(spans);
+        }
+        // The buffer doubles when it grows: each growth copies it and
+        // frees the old one, and an allocator does not always hand a
+        // freed buffer back to the system.
+        if spans[row].slots().end == self.cells.len() {
+            self.cells.reserve(1);
+        } else {
+            self.cells.reserve(len + 1);
+            let start = self.cells.len();
+            self.cells.extend_from_within(spans[row].slots());
+            self.holes += len;
+            spans[row].slot_start = to_u32(start);
+        }
+        self.cells
+            .insert(spans[row].slot_start as usize + rank, slot);
+        spans[row].slot_len += 1;
+    }
+
+    /// Closes the holes in place: every run moves down to follow the one
+    /// before it in the buffer.
+    fn pack(&mut self, spans: &mut [Spans]) {
+        if self.holes == 0 {
+            return;
+        }
+        let mut order: Vec<u32> = (0..to_u32(spans.len())).collect();
+        order.sort_unstable_by_key(|&row| spans[row as usize].slot_start);
+        let mut end = 0;
+        for row in order {
+            let span = &mut spans[row as usize];
+            self.cells.copy_within(span.slots(), end);
+            span.slot_start = to_u32(end);
+            end += span.slot_len as usize;
+        }
+        self.cells.truncate(end);
+        self.holes = 0;
+    }
+}
+
+/// The place of `k`'s slot in its row's run: the members of the slotted
+/// bitset `words` below `k`.
+#[inline]
+fn rank(words: &[u64], k: u32) -> usize {
+    let (word, bit) = ((k / 64) as usize, k % 64);
+    let below: u32 = words[..word].iter().map(|w| w.count_ones()).sum();
+    (below + (words[word] & ((1u64 << bit) - 1)).count_ones()) as usize
 }
 
 /// Words per bitset a universe of `docs` documents needs in the word
@@ -230,37 +356,75 @@ fn retain_rows<T>(rows: &mut Vec<T>, gone: &[bool]) {
     rows.shrink_to_fit();
 }
 
-/// The served rate of `row` over the rolling window ending at `now`.
+/// The served rate of a row over the rolling window ending at `now`:
+/// rolls the row's slots and notes the roll in its head.
 #[inline]
-fn load_of(served: &mut DenseFlowTable, row: usize, now: f64) -> f64 {
-    served.roll_row_to(row, now);
-    served.row_total(row)
+fn load_of(head: &mut NodeHead, run: &mut [ServeSlot], docs: usize, window: f64, now: f64) -> f64 {
+    head.rolled = head.rolled.max(now);
+    // The sum over every document starts at `-0.0` and adds a `+0.0`
+    // for each one without a slot, so it reads `-0.0` only over an empty
+    // universe.
+    let mut total = if docs == 0 { -0.0 } else { 0.0 };
+    for slot in run {
+        slot.served.roll_to(now, window, METER_ALPHA);
+        total += slot.served.rate_or_zero();
+    }
+    total
 }
 
 /// Members of a bitset, ascending.
 fn members(words: &[u64]) -> impl Iterator<Item = u32> + '_ {
     words.iter().enumerate().flat_map(|(wi, &w)| {
-        (0..64u32)
-            .filter(move |b| w >> b & 1 == 1)
-            .map(move |b| wi as u32 * 64 + b)
+        let mut rest = w;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros();
+                rest &= rest - 1;
+                wi as u32 * 64 + bit
+            })
+        })
     })
 }
 
+/// The state of every node one driver hosts, as slabs (see the module
+/// docs). Row `i` is the driver's local node `i`.
+#[derive(Debug)]
+pub struct NodeSlab {
+    heads: Vec<NodeHead>,
+    /// Size of the document universe every per-document slab covers.
+    docs: usize,
+    /// Measurement window of every meter, seconds.
+    window: f64,
+    /// The four bitsets of every node beyond 64 documents, one row of
+    /// `4 x set_words` words per node; no columns while the universe
+    /// fits the heads' inline words.
+    words: DocGrid<u64>,
+    seen: DenseFlowTable,
+    /// When each document column was created.
+    born: Vec<f64>,
+    spans: Vec<Spans>,
+    streams: Vec<StreamCell>,
+    /// Each stream's pending arrival as a packed `(time, seq)` key.
+    next: Vec<u128>,
+    slots: SlotPool,
+}
+
 impl NodeSlab {
-    /// `rows` nodes over a universe of `docs` documents, heads and
-    /// arrival streams still to be pushed.
-    fn with_rows(window: f64, rows: usize, docs: usize) -> Self {
+    /// `rows` nodes over a universe whose columns were created at
+    /// `born`, heads and arrival streams still to be pushed.
+    fn with_rows(window: f64, rows: usize, born: Vec<f64>) -> Self {
+        let docs = born.len();
         NodeSlab {
             heads: Vec::with_capacity(rows),
             docs,
             window,
             words: DocGrid::new(rows, SETS * set_words_for(docs), 0),
             seen: DenseFlowTable::new(window, METER_ALPHA, rows, docs),
-            served: DenseFlowTable::new(window, METER_ALPHA, rows, docs),
-            buckets: DocGrid::new(rows, docs, TokenBucket::new(0.0, 0.0)),
-            ranges: Vec::with_capacity(rows),
+            born,
+            spans: Vec::with_capacity(rows),
             streams: Vec::new(),
             next: Vec::new(),
+            slots: SlotPool::default(),
         }
     }
 
@@ -269,14 +433,15 @@ impl NodeSlab {
     /// cold. Arrival streams are resolved separately
     /// ([`NodeSlab::resolve_node_arrivals`]).
     pub fn new(world: &PacketWorld, members: &[NodeId]) -> Self {
-        let mut slab = NodeSlab::with_rows(
-            world.config.measure_window,
-            members.len(),
-            world.table.len(),
-        );
+        let docs = world.table.len();
+        let mut slab =
+            NodeSlab::with_rows(world.config.measure_window, members.len(), vec![0.0; docs]);
         let streams = members.iter().map(|&u| world.streams_of(u).len()).sum();
         slab.streams.reserve_exact(streams);
         slab.next.reserve_exact(streams);
+        if members.contains(&world.tree.root()) {
+            slab.slots.cells.reserve_exact(docs);
+        }
         for &node in members {
             slab.push_head(world, node, 0.0);
         }
@@ -284,10 +449,10 @@ impl NodeSlab {
     }
 
     /// Pushes the head of `node` (and, for an interior node, its child
-    /// state), created at `at`. The caller has sized the other slabs to
+    /// state), created at `at`. The caller has sized the dense slabs to
     /// hold the row.
     fn push_head(&mut self, world: &PacketWorld, node: NodeId, at: f64) {
-        let mut head = NodeHead::new(super::gossip_stream_rng(world, node.index()));
+        let mut head = NodeHead::new(super::gossip_stream_rng(world, node.index()), at);
         let children = world.tree.children(node).len();
         if children > 0 {
             head.kids = Some(Box::new(ChildState {
@@ -303,14 +468,15 @@ impl NodeSlab {
         }
         reserve_slack(&mut self.heads, 1);
         self.heads.push(head);
-        reserve_slack(&mut self.ranges, 1);
-        self.ranges.push((0, 0));
+        reserve_slack(&mut self.spans, 1);
+        self.spans.push(Spans::default());
         if node == world.tree.root() {
             let row = self.heads.len() - 1;
             let docs = self.docs as u32;
             let mut home = self.node_mut(row);
             for k in 0..docs {
                 home.insert(Set::Copies, k);
+                home.slot_mut(k);
             }
         }
     }
@@ -328,24 +494,25 @@ impl NodeSlab {
     /// Capacity bytes of every slab plus the interior nodes' child
     /// state — what the node state costs in memory right now.
     pub fn state_bytes(&self) -> usize {
+        use std::mem::size_of;
         let kids: usize = self
             .heads
             .iter()
             .filter_map(|h| h.kids.as_deref())
             .map(|k| {
-                std::mem::size_of::<ChildState>()
+                size_of::<ChildState>()
                     + k.flows.capacity_bytes()
-                    + k.est.capacity() * std::mem::size_of::<Option<f64>>()
+                    + k.est.capacity() * size_of::<Option<f64>>()
             })
             .sum();
-        self.heads.capacity() * std::mem::size_of::<NodeHead>()
+        self.heads.capacity() * size_of::<NodeHead>()
             + self.words.capacity_bytes()
             + self.seen.capacity_bytes()
-            + self.served.capacity_bytes()
-            + self.buckets.capacity_bytes()
-            + self.ranges.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.streams.capacity() * std::mem::size_of::<StreamCell>()
-            + self.next.capacity() * std::mem::size_of::<u128>()
+            + self.born.capacity() * size_of::<f64>()
+            + self.spans.capacity() * size_of::<Spans>()
+            + self.streams.capacity() * size_of::<StreamCell>()
+            + self.next.capacity() * size_of::<u128>()
+            + self.slots.cells.capacity() * size_of::<ServeSlot>()
             + kids
     }
 
@@ -360,12 +527,13 @@ impl NodeSlab {
             head: &mut self.heads[row],
             row,
             docs: self.docs,
+            window: self.window,
             words: self.words.row_mut(row),
             seen: &mut self.seen,
-            served: &mut self.served,
-            buckets: self.buckets.row_mut(row),
-            ranges: &self.ranges,
+            born: &self.born,
+            spans: &mut self.spans,
             streams: &mut self.streams,
+            slots: &mut self.slots,
         }
     }
 
@@ -376,49 +544,45 @@ impl NodeSlab {
     /// Panics if `row` is out of range.
     pub fn node(&self, row: usize) -> NodeRef<'_> {
         let head = &self.heads[row];
-        let streams = self.stream_range(row);
+        let spans = self.spans[row];
         NodeRef {
             head,
             docs: self.docs,
+            window: self.window,
             words: if self.words.doc_count() == 0 {
                 &head.sets[..]
             } else {
                 self.words.row(row)
             },
             seen: self.seen.row(row),
-            served: self.served.row(row),
-            buckets: self.buckets.row(row),
-            streams: &self.streams[streams.clone()],
-            next: &self.next[streams],
+            born: &self.born,
+            slots: &self.slots.cells[spans.slots()],
+            streams: &self.streams[spans.streams()],
+            next: &self.next[spans.streams()],
         }
-    }
-
-    /// Where the streams of local node `row` sit in `streams` / `next`.
-    #[inline]
-    fn stream_range(&self, row: usize) -> std::ops::Range<usize> {
-        let (start, len) = self.ranges[row];
-        start as usize..(start + len) as usize
     }
 
     /// Prefetches what the arrival of `stream` at local node `row` and
     /// the leaf packet it issues will touch: the row's keys (re-heading
     /// scans them all), the stream's cell, the head (`next_request`,
-    /// the bitsets the packet tests) and the `seen` row the packet
-    /// records into. The driver calls it for the *next* arrival, so the
-    /// misses overlap the events in between. A hint only — it changes
-    /// nothing.
+    /// the bitsets the packet tests), the `seen` row the packet records
+    /// into and the serve slots an intercepting leaf draws a token
+    /// from. The driver calls it for the *next* arrival, so the misses
+    /// overlap the events in between. A hint only — it changes nothing.
     ///
     /// # Panics
     ///
     /// Panics if `row` or `stream` is out of range.
     #[inline]
     pub fn prefetch_arrival(&self, row: usize, stream: u32) {
-        let keys = self.stream_range(row);
+        let spans = self.spans[row];
+        let keys = spans.streams();
         let cell = keys.start + stream as usize;
         prefetch(&self.next[keys]);
         prefetch(&self.streams[cell]);
         prefetch(&self.heads[row]);
         prefetch(self.seen.row(row));
+        prefetch(&self.slots.cells[spans.slots()]);
     }
 
     /// Stores `key` as the pending arrival of `stream` at local node
@@ -429,7 +593,7 @@ impl NodeSlab {
     /// Panics if `row` or `stream` is out of range.
     #[inline]
     pub fn set_arrival_key(&mut self, row: usize, stream: u32, key: u128) {
-        let streams = self.stream_range(row);
+        let streams = self.spans[row].streams();
         self.next[streams][stream as usize] = key;
     }
 
@@ -442,7 +606,7 @@ impl NodeSlab {
     /// Panics if `row` is out of range.
     #[inline]
     pub fn front(&self, row: usize) -> Option<(u128, u32)> {
-        let keys = &self.next[self.stream_range(row)];
+        let keys = &self.next[self.spans[row].streams()];
         let (stream, &key) = keys.iter().enumerate().min_by_key(|&(_, &key)| key)?;
         (key != NO_KEY).then_some((key, stream as u32))
     }
@@ -456,7 +620,7 @@ impl NodeSlab {
         self.heads[row].served_total
     }
 
-    /// The measured load of local node `row`: rolls its serve meter to
+    /// The measured load of local node `row`: rolls its serve meters to
     /// `now` and returns its total rate — the per-node quantity behind
     /// gossip, the convergence trace and the final report. Drivers must
     /// sample at the *same* instants (epoch boundaries, report time) for
@@ -466,7 +630,8 @@ impl NodeSlab {
     ///
     /// Panics if `row` is out of range.
     pub fn measured_load(&mut self, row: usize, now: f64) -> f64 {
-        load_of(&mut self.served, row, now)
+        let run = &mut self.slots.cells[self.spans[row].slots()];
+        load_of(&mut self.heads[row], run, self.docs, self.window, now)
     }
 
     /// A node joins as the slab's last row, cold, its meters anchored at
@@ -475,8 +640,6 @@ impl NodeSlab {
     pub fn push_node(&mut self, world: &PacketWorld, node: NodeId, at: f64) {
         self.words.push_row(0);
         self.seen.push_row(at);
-        self.served.push_row(at);
-        self.buckets.push_row(TokenBucket::new(0.0, at));
         self.push_head(world, node, at);
     }
 
@@ -516,30 +679,31 @@ impl NodeSlab {
 
     /// Removes local node `row`, moving the last row into its place —
     /// the id compaction a leave applies to the tree. The departed
-    /// node's streams are reclaimed by the commit's re-resolution.
+    /// node's streams are reclaimed by the commit's re-resolution, its
+    /// serve slots by the next packing.
     ///
     /// # Panics
     ///
     /// Panics if `row` is out of range.
     pub fn swap_remove_node(&mut self, row: usize) {
+        self.slots.holes += self.spans[row].slot_len as usize;
         self.heads.swap_remove(row);
-        self.ranges.swap_remove(row);
+        self.spans.swap_remove(row);
         self.words.swap_remove_row(row);
         self.seen.swap_remove_row(row);
-        self.served.swap_remove_row(row);
-        self.buckets.swap_remove_row(row);
     }
 
     /// Moves every node's per-document state to a grown universe, in
-    /// place and slab by slab: bitset members, token buckets and meter
-    /// cells shift to their new columns inside the buffers they already
-    /// occupy; fresh columns start empty, anchored at `at`. The home
-    /// server (at `home`, when this slab hosts it) additionally receives
-    /// the only copy of each new document. A grid's rows are exactly as
-    /// wide as the universe, so every growth moves each row to its new
-    /// place — whole, with one copy, when the growth is an append; the
-    /// buffers grow geometrically, so a run of publishes reallocates
-    /// rarely.
+    /// place and slab by slab: bitset members and meter cells shift to
+    /// their new columns inside the buffers they already occupy; fresh
+    /// columns start empty, anchored at `at`. Serve slots keep their
+    /// places: a run is in document order, which the growth keeps. The
+    /// home server (at `home`, when this slab hosts it) additionally
+    /// receives the only copy of each new document, and its slot. A
+    /// dense grid's rows are exactly as wide as the universe, so every
+    /// growth moves each row to its new place — whole, with one copy,
+    /// when the growth is an append; the buffers grow geometrically, so a
+    /// run of publishes reallocates rarely.
     pub fn grow(&mut self, growth: &UniverseGrowth, at: f64, home: Option<usize>) {
         let (old_words, new_words) = (self.words.doc_count() / SETS, set_words_for(growth.new_len));
         if new_words != old_words {
@@ -572,14 +736,12 @@ impl NodeSlab {
             }
         }
         self.docs = growth.new_len;
-        self.buckets.grow_docs(
-            &growth.old_to_new,
-            growth.new_len,
-            TokenBucket::new(0.0, at),
-        );
+        let mut born = vec![at; growth.new_len];
+        for (old, &new) in growth.old_to_new.iter().enumerate() {
+            born[new as usize] = self.born[old];
+        }
+        self.born = born;
         self.seen.grow_docs(&growth.old_to_new, growth.new_len, at);
-        self.served
-            .grow_docs(&growth.old_to_new, growth.new_len, at);
         for kids in self.heads.iter_mut().filter_map(|h| h.kids.as_mut()) {
             kids.flows.grow_docs(&growth.old_to_new, growth.new_len, at);
         }
@@ -587,6 +749,7 @@ impl NodeSlab {
             let mut home = self.node_mut(row);
             for &k in &growth.fresh {
                 home.insert(Set::Copies, k);
+                home.slot_mut(k);
             }
         }
     }
@@ -603,8 +766,10 @@ impl NodeSlab {
         }
         node.remove(Set::Filter, k);
         node.remove(Set::Alloc, k);
-        node.buckets[k as usize].rate = 0.0;
-        self.served.clear_cell(row, k);
+        // A copy arrived with an allocation, so the slot is there.
+        let slot = node.slot_mut(k);
+        slot.bucket.rate = 0.0;
+        slot.served.reset();
         true
     }
 
@@ -616,6 +781,14 @@ impl NodeSlab {
     pub fn clear_arrivals(&mut self) {
         self.streams.clear();
         self.next.clear();
+    }
+
+    /// Packs the serve slots at a barrier's commit: the holes runs left
+    /// behind close, and the buffer hands its spare capacity back, so
+    /// between barriers it holds the live slots and what the epoch adds.
+    pub fn pack_slots(&mut self) {
+        self.slots.pack(&mut self.spans);
+        self.slots.cells.shrink_to_fit();
     }
 
     /// Resolves the arrival streams of local node `row` (global id
@@ -643,7 +816,7 @@ impl NodeSlab {
     ) -> Option<(u128, u32)> {
         let demand = world.streams_of(node);
         let node_rng = super::node_arrival_rng(world, node.index());
-        let start = u32::try_from(self.streams.len()).expect("arrival streams fit 32 bits");
+        let start = to_u32(self.streams.len());
         let len = demand.len();
         reserve_slack(&mut self.streams, len);
         reserve_slack(&mut self.next, len);
@@ -657,7 +830,9 @@ impl NodeSlab {
             });
             self.streams.push(StreamCell { rng, rate, index });
         }
-        self.ranges[row] = (start, len as u32);
+        let spans = &mut self.spans[row];
+        spans.stream_start = start;
+        spans.stream_len = len as u32;
         self.front(row)
     }
 
@@ -670,7 +845,7 @@ impl NodeSlab {
     ///
     /// Panics if a row is out of range or listed twice.
     pub fn take_rows(&mut self, gone: &[usize]) -> NodeSlab {
-        let mut taken = NodeSlab::with_rows(self.window, 0, self.docs);
+        let mut taken = NodeSlab::with_rows(self.window, 0, self.born.clone());
         let mut leaves = vec![false; self.heads.len()];
         for &row in gone {
             assert!(
@@ -680,32 +855,38 @@ impl NodeSlab {
             taken.push_row_from(self, row);
         }
         retain_rows(&mut self.heads, &leaves);
-        retain_rows(&mut self.ranges, &leaves);
+        retain_rows(&mut self.spans, &leaves);
         self.words.retain_rows(|row| !leaves[row]);
         self.seen.retain_rows(|row| !leaves[row]);
-        self.served.retain_rows(|row| !leaves[row]);
-        self.buckets.retain_rows(|row| !leaves[row]);
-        // The survivors' streams and pending arrivals, packed in row
-        // order.
-        let kept = self.ranges.iter().map(|r| r.1 as usize).sum();
+        // The survivors' streams, pending arrivals and serve slots,
+        // packed in row order.
+        let kept = self.spans.iter().map(|s| s.stream_len as usize).sum();
         let mut streams = Vec::with_capacity(kept);
         let mut next = Vec::with_capacity(kept);
-        for range in &mut self.ranges {
-            let old = range.0 as usize..(range.0 + range.1) as usize;
-            range.0 = streams.len() as u32;
-            streams.extend_from_slice(&self.streams[old.clone()]);
-            next.extend_from_slice(&self.next[old]);
+        let kept = self.spans.iter().map(|s| s.slot_len as usize).sum();
+        let mut slots = Vec::with_capacity(kept);
+        for spans in &mut self.spans {
+            let (old_streams, old_slots) = (spans.streams(), spans.slots());
+            spans.stream_start = to_u32(streams.len());
+            streams.extend_from_slice(&self.streams[old_streams.clone()]);
+            next.extend_from_slice(&self.next[old_streams]);
+            spans.slot_start = to_u32(slots.len());
+            slots.extend_from_slice(&self.slots.cells[old_slots]);
         }
         self.streams = streams;
         self.next = next;
+        self.slots = SlotPool {
+            cells: slots,
+            holes: 0,
+        };
         taken
     }
 
     /// Moves row `row` of `from` to the end of this slab — the recipient
     /// side of a shard migration; the row's pending arrivals travel
-    /// with it, still under the donor's sequence numbers. `from`'s row
-    /// is left hollow (no child state, default scalars): the caller
-    /// discards or compacts it.
+    /// with it, still under the donor's sequence numbers, and so do its
+    /// serve slots. `from`'s row is left hollow (no child state, default
+    /// scalars): the caller discards or compacts it.
     ///
     /// # Panics
     ///
@@ -713,60 +894,88 @@ impl NodeSlab {
     /// of range.
     pub fn push_row_from(&mut self, from: &mut NodeSlab, row: usize) {
         assert_eq!(self.docs, from.docs, "shards grow with one universe");
-        let hollow = NodeHead::new(from.heads[row].gossip_rng.clone());
+        let hollow = NodeHead::new(from.heads[row].gossip_rng.clone(), 0.0);
         let head = std::mem::replace(&mut from.heads[row], hollow);
-        let moved = from.stream_range(row);
-        let start = u32::try_from(self.streams.len()).expect("arrival streams fit 32 bits");
-        reserve_slack(&mut self.streams, moved.len());
-        reserve_slack(&mut self.next, moved.len());
-        self.streams.extend_from_slice(&from.streams[moved.clone()]);
-        self.next.extend_from_slice(&from.next[moved.clone()]);
-        reserve_slack(&mut self.ranges, 1);
-        self.ranges.push((start, moved.len() as u32));
+        let moved = from.spans[row];
+        let stream_start = to_u32(self.streams.len());
+        reserve_slack(&mut self.streams, moved.stream_len as usize);
+        reserve_slack(&mut self.next, moved.stream_len as usize);
+        self.streams
+            .extend_from_slice(&from.streams[moved.streams()]);
+        self.next.extend_from_slice(&from.next[moved.streams()]);
+        let slot_start = to_u32(self.slots.cells.len());
+        reserve_slack(&mut self.slots.cells, moved.slot_len as usize);
+        self.slots
+            .cells
+            .extend_from_slice(&from.slots.cells[moved.slots()]);
+        reserve_slack(&mut self.spans, 1);
+        self.spans.push(Spans {
+            stream_start,
+            slot_start,
+            ..moved
+        });
         reserve_slack(&mut self.heads, 1);
         self.heads.push(head);
         self.words.push_row_from(from.words.row(row));
         self.seen.push_row_from(from.seen.row(row));
-        self.served.push_row_from(from.served.row(row));
-        self.buckets.push_row_from(from.buckets.row(row));
     }
 }
 
 /// The one row of a [`NodeSlab`] an event targets, borrowed for the
 /// handler that runs it: the node's head plus its slices of the slabs.
-/// Every per-document address is `row x docs + doc`.
+/// Every dense per-document address is `row x docs + doc`; a serve slot
+/// is found by its document's rank among the row's slotted ones.
 pub struct NodeMut<'a> {
     /// The node's scalars.
     pub head: &'a mut NodeHead,
     row: usize,
     docs: usize,
-    /// The node's three bitsets in the word slab (empty while they live
+    window: f64,
+    /// The node's four bitsets in the word slab (empty while they live
     /// in the head).
     words: &'a mut [u64],
     seen: &'a mut DenseFlowTable,
-    served: &'a mut DenseFlowTable,
-    /// Serve allocations, one token bucket per dense index;
-    /// [`Set::Alloc`] marks the live ones.
-    pub buckets: &'a mut [TokenBucket],
-    /// Every row's stream range and the stream slab: only an arrival
-    /// resolves the node's own cells ([`NodeMut::stream_mut`]), so no
-    /// other event pays for the range lookup.
-    ranges: &'a [(u32, u32)],
+    /// When each document column was created.
+    born: &'a [f64],
+    /// Every row's spans and the slabs they address: only an arrival
+    /// resolves the node's own stream cells ([`NodeMut::stream_mut`]),
+    /// only a serve or an allocation its slots, so no other event pays
+    /// for the span lookup.
+    spans: &'a mut [Spans],
     streams: &'a mut [StreamCell],
+    slots: &'a mut SlotPool,
 }
 
 impl NodeMut<'_> {
-    /// The word and bit of member `k` of `set`.
+    /// The words of bitset `set`: the head's one while the universe
+    /// fits it.
     #[inline]
-    fn bit(&mut self, set: Set, k: u32) -> (&mut u64, u64) {
-        assert!((k as usize) < self.docs, "doc index out of universe");
-        let word = if self.words.is_empty() {
-            &mut self.head.sets[set as usize]
+    fn set_words(&self, set: usize) -> &[u64] {
+        if self.words.is_empty() {
+            std::slice::from_ref(&self.head.sets[set])
         } else {
             let per_set = self.words.len() / SETS;
-            &mut self.words[set as usize * per_set + (k / 64) as usize]
+            &self.words[set * per_set..(set + 1) * per_set]
+        }
+    }
+
+    /// The word and bit of member `k` of bitset `set`.
+    #[inline]
+    fn bit(&mut self, set: usize, k: u32) -> (&mut u64, u64) {
+        assert!((k as usize) < self.docs, "doc index out of universe");
+        let word = if self.words.is_empty() {
+            &mut self.head.sets[set]
+        } else {
+            let per_set = self.words.len() / SETS;
+            &mut self.words[set * per_set + (k / 64) as usize]
         };
         (word, 1u64 << (k % 64))
+    }
+
+    #[inline]
+    fn has_bit(&self, set: usize, k: u32) -> bool {
+        assert!((k as usize) < self.docs, "doc index out of universe");
+        self.set_words(set)[(k / 64) as usize] >> (k % 64) & 1 == 1
     }
 
     /// `true` when `k` is a member of `set`.
@@ -776,14 +985,7 @@ impl NodeMut<'_> {
     /// Panics if `k` is outside the universe.
     #[inline]
     pub fn has(&self, set: Set, k: u32) -> bool {
-        assert!((k as usize) < self.docs, "doc index out of universe");
-        let word = if self.words.is_empty() {
-            self.head.sets[set as usize]
-        } else {
-            let per_set = self.words.len() / SETS;
-            self.words[set as usize * per_set + (k / 64) as usize]
-        };
-        word >> (k % 64) & 1 == 1
+        self.has_bit(set as usize, k)
     }
 
     /// Inserts `k` into `set`; `true` when it was newly inserted.
@@ -793,7 +995,7 @@ impl NodeMut<'_> {
     /// Panics if `k` is outside the universe.
     #[inline]
     pub fn insert(&mut self, set: Set, k: u32) -> bool {
-        let (word, bit) = self.bit(set, k);
+        let (word, bit) = self.bit(set as usize, k);
         let fresh = *word & bit == 0;
         *word |= bit;
         fresh
@@ -806,7 +1008,7 @@ impl NodeMut<'_> {
     /// Panics if `k` is outside the universe.
     #[inline]
     pub fn remove(&mut self, set: Set, k: u32) -> bool {
-        let (word, bit) = self.bit(set, k);
+        let (word, bit) = self.bit(set as usize, k);
         let present = *word & bit != 0;
         *word &= !bit;
         present
@@ -820,9 +1022,67 @@ impl NodeMut<'_> {
     /// Panics if the node has no such stream.
     #[inline]
     pub fn stream_mut(&mut self, stream: u32) -> &mut StreamCell {
-        let (start, len) = self.ranges[self.row];
-        assert!(stream < len, "stream out of the node's range");
-        &mut self.streams[(start + stream) as usize]
+        let spans = self.spans[self.row];
+        assert!(stream < spans.stream_len, "stream out of the node's range");
+        &mut self.streams[(spans.stream_start + stream) as usize]
+    }
+
+    /// Where the node's slot for `k` sits in the pool, if it holds one.
+    // Forced inline: every serve and allocation looks a slot up, and
+    // LLVM keeps a plain `#[inline]` a call.
+    #[inline(always)]
+    fn slot_at(&self, k: u32) -> Option<usize> {
+        if self.has_bit(SLOTTED, k) {
+            Some(self.spans[self.row].slot_start as usize + rank(self.set_words(SLOTTED), k))
+        } else {
+            None
+        }
+    }
+
+    /// The node's slot for `k`, made on first use as the meter the node
+    /// would hold for `k` had it kept one all along.
+    fn slot_mut(&mut self, k: u32) -> &mut ServeSlot {
+        let at = match self.slot_at(k) {
+            Some(at) => at,
+            None => {
+                let served = self
+                    .head
+                    .unslotted_meter(self.born[k as usize], self.window);
+                // Dead until an allocation starts it over.
+                let bucket = TokenBucket::new(0.0, 0.0);
+                let rank = rank(self.set_words(SLOTTED), k);
+                let (word, bit) = self.bit(SLOTTED, k);
+                *word |= bit;
+                self.slots
+                    .insert(self.spans, self.row, rank, ServeSlot { bucket, served });
+                self.spans[self.row].slot_start as usize + rank
+            }
+        };
+        &mut self.slots.cells[at]
+    }
+
+    /// The live token bucket of `k`: `None` unless `k` is in
+    /// [`Set::Alloc`].
+    // Forced inline, like `slot_at`: the leaf serve path and two
+    // diffusion sites call it.
+    #[inline(always)]
+    pub(super) fn bucket(&mut self, k: u32) -> Option<&mut TokenBucket> {
+        if !self.has(Set::Alloc, k) {
+            return None;
+        }
+        let at = self.slot_at(k).expect("an allocation holds a slot");
+        Some(&mut self.slots.cells[at].bucket)
+    }
+
+    /// Grants `rate` more req/s of `k`'s serve allocation at `now`; a
+    /// fresh allocation starts its bucket over.
+    pub(super) fn allocate(&mut self, k: u32, rate: f64, now: f64) {
+        let fresh = self.insert(Set::Alloc, k);
+        let bucket = &mut self.slot_mut(k).bucket;
+        if fresh {
+            *bucket = TokenBucket::new(0.0, now);
+        }
+        bucket.rate += rate;
     }
 
     /// Records one request for dense index `k` seen at this node.
@@ -832,9 +1092,16 @@ impl NodeMut<'_> {
     }
 
     /// Records one request for dense index `k` served by this node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node holds no slot for `k`: only the home server
+    /// and an allocation serve.
     #[inline]
     pub(super) fn record_served(&mut self, k: u32, now: f64) {
-        self.served.record(self.row, k, now);
+        let at = self.slot_at(k).expect("a server holds a slot");
+        let window = self.window;
+        self.slots.cells[at].served.record(now, window, METER_ALPHA);
     }
 
     /// Rolls the node's `seen` meters to `now`.
@@ -851,19 +1118,35 @@ impl NodeMut<'_> {
     /// Smoothed rate this node serves `k` at.
     #[inline]
     pub(super) fn served_rate(&self, k: u32) -> f64 {
-        self.served.rate(self.row, k)
+        self.slot_at(k)
+            .map_or(0.0, |at| self.slots.cells[at].served.rate_or_zero())
     }
 
-    /// The node's served documents by descending rate (see
-    /// [`DenseFlowTable::row_doc_rates`]).
+    /// The node's served documents with a positive rate, `(index, rate)`
+    /// by ascending index, into `out` (cleared first).
+    pub(super) fn served_rates(&self, out: &mut Vec<(u32, f64)>) {
+        out.clear();
+        let run = &self.slots.cells[self.spans[self.row].slots()];
+        for (k, slot) in members(self.set_words(SLOTTED)).zip(run) {
+            let rate = slot.served.rate_or_zero();
+            if rate > 0.0 {
+                out.push((k, rate));
+            }
+        }
+    }
+
+    /// The node's served documents by descending rate, ties by
+    /// ascending index (see [`sort_hottest_first`]).
     pub(super) fn served_doc_rates(&self, out: &mut Vec<(u32, f64)>) {
-        self.served.row_doc_rates(self.row, out);
+        self.served_rates(out);
+        sort_hottest_first(out);
     }
 
     /// The measured load of the node: its served rate over the rolling
     /// window (see [`NodeSlab::measured_load`]).
     pub fn measured_load(&mut self, now: f64) -> f64 {
-        load_of(self.served, self.row, now)
+        let run = &mut self.slots.cells[self.spans[self.row].slots()];
+        load_of(self.head, run, self.docs, self.window, now)
     }
 
     /// The per-child state; only events from or about a child reach
@@ -886,20 +1169,21 @@ impl NodeMut<'_> {
 
 /// One row of a [`NodeSlab`], read-only: everything the node's state
 /// consists of, for reports, tests and `Debug` renderings. Two views are
-/// equal when every live field is, bit for bit.
+/// equal when every live field is, bit for bit: every document's served
+/// meter, slotted or not, and the buckets of [`Set::Alloc`].
 #[derive(Clone, Copy)]
 pub struct NodeRef<'a> {
     /// The node's scalars.
     pub head: &'a NodeHead,
     docs: usize,
+    window: f64,
     words: &'a [u64],
     /// Per-doc meters of all requests seen at this node (own +
     /// children).
     pub seen: &'a [MeterCell],
-    /// Per-doc meters of what this node served.
-    pub served: &'a [MeterCell],
-    /// Token buckets, one per dense index.
-    pub buckets: &'a [TokenBucket],
+    born: &'a [f64],
+    /// The node's serve slots, in document order.
+    slots: &'a [ServeSlot],
     /// Arrival streams, one per demand stream.
     pub streams: &'a [StreamCell],
     /// Each stream's pending arrival as a packed `(time, seq)` key
@@ -908,17 +1192,66 @@ pub struct NodeRef<'a> {
 }
 
 impl<'a> NodeRef<'a> {
+    fn set_words(&self, set: usize) -> &'a [u64] {
+        let per_set = self.words.len() / SETS;
+        &self.words[set * per_set..(set + 1) * per_set]
+    }
+
     /// Members of `set`, ascending.
     pub fn members(&self, set: Set) -> impl Iterator<Item = u32> + 'a {
-        let per_set = self.words.len() / SETS;
         let docs = self.docs as u32;
-        members(&self.words[set as usize * per_set..(set as usize + 1) * per_set])
-            .filter(move |&k| k < docs)
+        members(self.set_words(set as usize)).filter(move |&k| k < docs)
+    }
+
+    /// The node's slot for `k`, if it holds one.
+    fn slot(&self, k: u32) -> Option<&'a ServeSlot> {
+        let words = self.set_words(SLOTTED);
+        (words[(k / 64) as usize] >> (k % 64) & 1 == 1).then(|| &self.slots[rank(words, k)])
+    }
+
+    /// The meter of what this node served of `k`: its slot's, or — for
+    /// a document it never allocated or served — the meter it would
+    /// hold had it kept one for every document.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is outside the universe.
+    pub fn served(&self, k: u32) -> MeterCell {
+        assert!((k as usize) < self.docs, "doc index out of universe");
+        self.slot(k).map_or_else(
+            || {
+                self.head
+                    .unslotted_meter(self.born[k as usize], self.window)
+            },
+            |slot| slot.served,
+        )
+    }
+
+    /// The live token bucket of `k`: `None` unless `k` is in
+    /// [`Set::Alloc`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is outside the universe.
+    pub fn bucket(&self, k: u32) -> Option<&'a TokenBucket> {
+        assert!((k as usize) < self.docs, "doc index out of universe");
+        let alloc = self.set_words(Set::Alloc as usize);
+        let live = alloc[(k / 64) as usize] >> (k % 64) & 1 == 1;
+        live.then(|| &self.slot(k).expect("an allocation holds a slot").bucket)
     }
 
     /// The per-child state; `None` for a leaf.
     pub fn kids(&self) -> Option<&'a ChildState> {
         self.head.kids.as_deref()
+    }
+
+    fn served_cells(&self) -> impl Iterator<Item = MeterCell> + '_ {
+        (0..self.docs as u32).map(|k| self.served(k))
+    }
+
+    fn live_buckets(&self) -> impl Iterator<Item = (u32, TokenBucket)> + '_ {
+        self.members(Set::Alloc)
+            .map(|k| (k, *self.bucket(k).expect("a member")))
     }
 }
 
@@ -935,8 +1268,8 @@ impl PartialEq for NodeRef<'_> {
                 .into_iter()
                 .all(|s| self.members(s).eq(other.members(s)))
             && self.seen == other.seen
-            && self.served == other.served
-            && self.buckets == other.buckets
+            && self.served_cells().eq(other.served_cells())
+            && self.live_buckets().eq(other.live_buckets())
             && self.streams == other.streams
             && self.next == other.next
             && self.kids() == other.kids()
@@ -947,7 +1280,8 @@ impl PartialEq for NodeRef<'_> {
 /// renderings are equal bits — bar the pending-arrival keys: their
 /// sequence halves belong to the hosting shard's calendar (a migration
 /// redraws them, as it does the timer fires'), so they are compared as
-/// keys, through [`NodeRef::next`].
+/// keys, through [`NodeRef::next`]. Served meters are rendered for every
+/// document, buckets for the live allocations.
 impl std::fmt::Debug for NodeRef<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let set = |s| self.members(s).collect::<Vec<_>>();
@@ -961,8 +1295,8 @@ impl std::fmt::Debug for NodeRef<'_> {
             .field("filter", &set(Set::Filter))
             .field("alloc_set", &set(Set::Alloc))
             .field("seen", &self.seen)
-            .field("served", &self.served)
-            .field("buckets", &self.buckets)
+            .field("served", &self.served_cells().collect::<Vec<_>>())
+            .field("buckets", &self.live_buckets().collect::<Vec<_>>())
             .field("streams", &self.streams)
             .field("kids", &self.kids())
             .finish()
@@ -974,12 +1308,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_head_is_thirteen_words() {
+    fn a_head_is_sixteen_words() {
         // The fixed per-node cost the layout table in
-        // `docs/architecture.md` quotes; a leaf owns nothing else, a
-        // document costs two 24-byte meter cells and a 24-byte bucket,
-        // and a stream a 48-byte cell and a 16-byte key.
-        assert_eq!(std::mem::size_of::<NodeHead>(), 104);
+        // `docs/architecture.md` quotes, with the row's 16-byte spans;
+        // a leaf owns nothing else, a document costs a 24-byte `seen`
+        // cell, a served document a 48-byte slot (bucket and meter), and
+        // a stream a 48-byte cell and a 16-byte key.
+        assert_eq!(std::mem::size_of::<NodeHead>(), 128);
+        assert_eq!(std::mem::size_of::<Spans>(), 16);
+        assert_eq!(std::mem::size_of::<ServeSlot>(), 48);
         assert_eq!(std::mem::size_of::<ChildState>(), 80);
         assert_eq!(std::mem::size_of::<MeterCell>(), 24);
         assert_eq!(std::mem::size_of::<TokenBucket>(), 24);

@@ -28,10 +28,11 @@
 //!
 //! * All per-document state is addressed through the simulation's
 //!   [`DocTable`](ww_model::DocTable) on one
-//!   [`NodeSlab`] for the whole tree: meter
-//!   cells, token buckets and copy/filter bits sit at
-//!   `node x docs + doc` of a handful of slabs — no hashing and no
-//!   per-node header on the per-packet path.
+//!   [`NodeSlab`] for the whole tree: `seen` meter
+//!   cells and copy/filter bits sit at `node x docs + doc` of a
+//!   handful of slabs, and a serving node's token bucket and served
+//!   meter in a serve slot found by one popcount — no hashing, no scan
+//!   and no per-node header on the per-packet path.
 //! * Pending events sit in the cheapest structure that keeps their
 //!   class sorted, merged by `(time, seq)`: the two strictly periodic
 //!   timer streams in [`TimerRing`](ww_sim::TimerRing)s; every message a

@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ww_core::packet::{
     self, BarrierOp, BarrierOutcome, NodeCtx, NodeMut, NodeSlab, PacketCounters, PacketEvent,
-    PacketWorld, Scratch,
+    PacketWorld, Scratch, TokenBucket,
 };
 use ww_core::packetsim::{PacketBackend, PacketSim, PacketSimConfig};
 use ww_model::{DocId, NodeId, Tree};
@@ -896,4 +896,140 @@ fn packets_in_flight_keep_their_documents_across_growth() {
         let after = in_flight(&sim);
         assert_eq!(after, before, "{op:?} moved a request's document");
     }
+}
+
+/// A token bucket's refill-and-take, as the reference runs it.
+fn take_token(bucket: &mut TokenBucket, now: f64) -> bool {
+    bucket.tokens = (bucket.tokens + bucket.rate * (now - bucket.last)).min(2.0);
+    bucket.last = now;
+    let granted = bucket.tokens >= 1.0;
+    if granted {
+        bucket.tokens -= 1.0;
+    }
+    granted
+}
+
+/// One step of [`serve_slots_keep_the_dense_meters_across_an_invalidation`].
+enum Step {
+    /// A copy of document `k` lands at the leaf with `rate` req/s.
+    Install(u32, f64),
+    /// A client request for document `k` reaches the leaf.
+    Request(u32),
+    /// A whole-row roll: the leaf's measured load is sampled.
+    Sample,
+    /// Document `k` is re-published: the leaf's copy is revoked.
+    Invalidate(u32),
+}
+
+/// A leaf keeps serve slots only for what it serves; the per-node
+/// reference keeps a served meter and a bucket for every document and
+/// runs the same script on them. After every step the leaf's row —
+/// densified: an unslotted document's meter is what its slot would hold
+/// — equals the reference cell for cell, window starts and the warm bit
+/// included, and bucket for bucket over the live allocations. The script
+/// has a leaf get a copy and serve it, an invalidation land between two
+/// whole-row rolls, and the leaf serve that document again; and a slot
+/// made three windows after the row's last roll, for a document whose
+/// meter that roll warmed.
+#[test]
+fn serve_slots_keep_the_dense_meters_across_an_invalidation() {
+    let tree = Tree::from_parents(&[None, Some(0)]).expect("a root and a leaf");
+    let mut mix = DocMix::new(2);
+    for d in 0..3 {
+        mix.set(NodeId::new(1), DocId::new(d), 5.0);
+    }
+    let world = PacketWorld::new(&tree, &mix, PacketSimConfig::default());
+    let window = world.config.measure_window;
+    let ids: Vec<NodeId> = tree.nodes().collect();
+    let mut slab = NodeSlab::new(&world, &ids);
+    let mut reference = Reference::capture(&world, &slab, 0);
+    let (leaf, row) = (NodeId::new(1), 1);
+    let script = [
+        (0.1, Step::Install(1, 3.0)),
+        (0.2, Step::Request(1)),
+        (0.5, Step::Request(1)),
+        (0.9, Step::Request(0)),
+        (1.5, Step::Sample),
+        (1.6, Step::Request(1)),
+        (2.2, Step::Invalidate(1)),
+        (2.4, Step::Request(1)),
+        (3.5, Step::Sample),
+        (3.6, Step::Install(1, 2.0)),
+        (3.7, Step::Request(1)),
+        (6.7, Step::Install(2, 4.0)),
+        (6.8, Step::Request(2)),
+        (6.9, Step::Request(1)),
+        (8.5, Step::Sample),
+        (8.6, Step::Request(2)),
+        (9.5, Step::Sample),
+    ];
+    let (mut ledger, mut counters) = (TrafficLedger::new(), PacketCounters::default());
+    let (mut out, mut scratch) = (Vec::new(), Scratch::default());
+    for (i, (at, step)) in script.iter().enumerate() {
+        let now = at * window;
+        let t = SimTime::from_secs(now);
+        let mut ctx = NodeCtx {
+            world: &world,
+            ledger: &mut ledger,
+            counters: &mut counters,
+            out: &mut out,
+            scratch: &mut scratch,
+        };
+        let expect = &mut reference.nodes[row];
+        match *step {
+            Step::Install(k, rate) => {
+                let event = PacketEvent::CopyInstall {
+                    node: leaf,
+                    index: k,
+                    rate,
+                };
+                packet::handle(&mut ctx, &mut slab.node_mut(row), t, event);
+                if expect.alloc_set.insert(k) {
+                    expect.alloc[k as usize] = TokenBucket::new(0.0, now);
+                }
+                expect.alloc[k as usize].rate += rate;
+            }
+            Step::Request(k) => {
+                let request = DocRequest::new(RequestId::new(i as u64), leaf);
+                let event = PacketEvent::Packet {
+                    node: leaf,
+                    from: None,
+                    request,
+                    index: k,
+                };
+                packet::handle(&mut ctx, &mut slab.node_mut(row), t, event);
+                if expect.filter.contains(k)
+                    && expect.alloc_set.contains(k)
+                    && take_token(&mut expect.alloc[k as usize], now)
+                {
+                    expect.served.record(0, k, now);
+                }
+            }
+            Step::Sample => {
+                slab.measured_load(row, now);
+                expect.served.roll_row_to(0, now);
+            }
+            Step::Invalidate(k) => {
+                assert!(
+                    slab.invalidate_row(row, k),
+                    "step {i}: the leaf held a copy"
+                );
+                let doc = world.table.doc(k);
+                reference
+                    .apply(&BarrierOp::Invalidate { doc }, now)
+                    .expect("a known document");
+            }
+        }
+        // Everything but the served meters and the buckets is dense in
+        // both layouts: take it from the slab.
+        let expect = &mut reference.nodes[row];
+        let fresh = per_node::capture_node(&world, slab.node(row));
+        *expect = per_node::NodeState {
+            served: expect.served.clone(),
+            alloc: expect.alloc.clone(),
+            ..fresh
+        };
+        reference.assert_matches(&slab);
+    }
+    assert!(counters.served_requests >= 5, "the leaf served");
 }

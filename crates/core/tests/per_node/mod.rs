@@ -91,6 +91,7 @@ pub fn capture_node(world: &PacketWorld, row: NodeRef<'_>) -> NodeState {
         t.row_mut(0).copy_from_slice(cells);
         t
     };
+    let docs = 0..world.table.len() as u32;
     NodeState {
         copies: set(Set::Copies),
         filter: set(Set::Filter),
@@ -98,8 +99,12 @@ pub fn capture_node(world: &PacketWorld, row: NodeRef<'_>) -> NodeState {
             .kids()
             .map_or_else(|| table(world, 0, 0.0), |k| k.flows.clone()),
         seen: one_row(row.seen),
-        served: one_row(row.served),
-        alloc: row.buckets.to_vec(),
+        served: one_row(&densified_served(row)),
+        // Only the live buckets are state; a dead one is rewritten
+        // before it is read again.
+        alloc: docs
+            .map(|k| row.bucket(k).copied().unwrap_or(TokenBucket::new(0.0, 0.0)))
+            .collect(),
         alloc_set: set(Set::Alloc),
         parent_est: row.head.parent_est,
         child_est: row.kids().map_or_else(Vec::new, |k| k.est.clone()),
@@ -301,10 +306,16 @@ impl Reference {
     }
 }
 
-/// `row` holds exactly `expect`: meter cells including window starts,
-/// bucket `rate / tokens / last`, bitset members, RNG states, stream
-/// cells with their pending-arrival keys, and — for an interior node —
-/// child rows and estimates.
+/// The served meter of every document of `row`, slotted or not.
+pub fn densified_served(row: NodeRef<'_>) -> Vec<MeterCell> {
+    (0..row.seen.len() as u32).map(|k| row.served(k)).collect()
+}
+
+/// `row` holds exactly `expect`: meter cells including window starts
+/// (every served meter, the unslotted ones densified), the bucket
+/// `rate / tokens / last` of every live allocation, bitset members, RNG
+/// states, stream cells with their pending-arrival keys, and — for an
+/// interior node — child rows and estimates.
 pub fn assert_node_eq(expect: &NodeState, row: NodeRef<'_>, i: usize) {
     let bits = |x: Option<f64>| x.map(f64::to_bits);
     for (set, members) in [
@@ -315,8 +326,18 @@ pub fn assert_node_eq(expect: &NodeState, row: NodeRef<'_>, i: usize) {
         assert!(members.iter().eq(row.members(set)), "node {i}: {set:?}");
     }
     assert_eq!(expect.seen.row(0), row.seen, "node {i}: seen");
-    assert_eq!(expect.served.row(0), row.served, "node {i}: served");
-    assert_eq!(&expect.alloc[..], row.buckets, "node {i}: buckets");
+    assert_eq!(
+        expect.served.row(0),
+        &densified_served(row)[..],
+        "node {i}: served"
+    );
+    for k in expect.alloc_set.iter() {
+        assert_eq!(
+            Some(&expect.alloc[k as usize]),
+            row.bucket(k),
+            "node {i}: bucket {k}"
+        );
+    }
     assert_eq!(
         bits(expect.parent_est),
         bits(row.head.parent_est),

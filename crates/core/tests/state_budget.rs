@@ -4,8 +4,10 @@
 //! The packet engines keep every node's protocol state in a handful of
 //! slabs ([`NodeSlab`]); only a node that has children owns anything of
 //! its own. So building the state of a tree must allocate per *interior*
-//! node, never per leaf, a leaf must cost about its payload (a head, two
-//! meter rows, a bucket row, 64 bytes per arrival stream), a pending
+//! node, never per leaf, a leaf must cost about its payload (a head, a
+//! `seen` meter row, 64 bytes per arrival stream, and 48 bytes per
+//! document it has allocated or served — none for a leaf that serves
+//! nothing), a pending
 //! arrival must cost its 16-byte key in the row and nothing in the
 //! event calendar, and a universe growth that widens every row must
 //! grow slab by slab, never holding a second copy of the whole state. A join + leave storm's allocation ceiling is
@@ -14,9 +16,14 @@
 mod alloc_counter;
 
 use alloc_counter::{heap_use_of, live_now, CountingAlloc};
-use ww_core::packet::{BarrierOp, NodeSlab, PacketWorld};
+use std::collections::BTreeSet;
+use ww_core::packet::{
+    self, BarrierOp, NodeCtx, NodeSlab, PacketCounters, PacketEvent, PacketWorld, Scratch,
+};
 use ww_core::packetsim::{PacketSim, PacketSimConfig};
 use ww_model::{DocId, NodeId, Tree};
+use ww_net::TrafficLedger;
+use ww_sim::SimTime;
 use ww_telemetry::Level;
 use ww_workload::DocMix;
 
@@ -26,9 +33,14 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// A CDN-shaped tree (`regions` regional caches, `leaves` edge caches
 /// under each) whose leaves request 8 shared documents.
 fn cdn(regions: usize, leaves: usize) -> (Tree, DocMix) {
+    cdn_over(regions, leaves, 8)
+}
+
+/// [`cdn`] over a universe of `docs` shared documents.
+fn cdn_over(regions: usize, leaves: usize, docs: usize) -> (Tree, DocMix) {
     let tree = ww_topology::two_level(regions, leaves);
     let rates = ww_workload::leaf_only(&tree, 1.0);
-    let mix = ww_workload::shared_zipf_mix(&tree, &rates, 8, 1.0);
+    let mix = ww_workload::shared_zipf_mix(&tree, &rates, docs, 1.0);
     (tree, mix)
 }
 
@@ -88,14 +100,14 @@ fn a_leaf_costs_its_payload_and_no_allocation() {
             built.allocations,
             edge.len()
         );
-        // A 104-byte head and its 8-byte stream range, two 24-byte
-        // meter cells and a 24-byte bucket per document, a 48-byte cell
-        // and a 16-byte key per arrival stream: 1,200 bytes at eight
-        // documents and eight streams. Two-sided: a smaller cell must
-        // restate this figure, not slip under it.
+        // A leaf that serves nothing: a 128-byte head and its 16-byte
+        // spans, a 24-byte `seen` cell per document, a 48-byte cell and
+        // a 16-byte key per arrival stream — 848 bytes at eight
+        // documents and eight streams, and no serve slot. Two-sided: a
+        // smaller cell must restate this figure, not slip under it.
         let (docs, streams) = (8, 8);
-        let payload = 104 + 8 + docs * (2 * 24 + 24) + streams * (48 + 16);
-        assert_eq!(payload, 1_200);
+        let payload = 128 + 16 + docs * 24 + streams * (48 + 16);
+        assert_eq!(payload, 848);
         let per_leaf = built.requested as f64 / edge.len() as f64;
         assert!(
             (per_leaf - payload as f64).abs() <= 0.02 * payload as f64,
@@ -103,6 +115,64 @@ fn a_leaf_costs_its_payload_and_no_allocation() {
         );
         assert_eq!(built.requested as usize, slab.state_bytes());
     }
+}
+
+#[test]
+fn serve_state_follows_serving_pairs() {
+    // Leaves only, over a 64-document universe: no copies yet, so no
+    // leaf holds a serve slot.
+    let (tree, mix) = cdn_over(60, 60, 64);
+    let world = PacketWorld::new(&tree, &mix, PacketSimConfig::default());
+    assert_eq!(world.table.len(), 64);
+    let edge: Vec<NodeId> = tree.nodes().filter(|&u| tree.is_leaf(u)).collect();
+    let mut slab = NodeSlab::new(&world, &edge);
+    let streams: usize = edge.iter().map(|&u| world.streams_of(u).len()).sum();
+    let cold = slab.state_bytes();
+    // A row is its 128-byte head, its 16-byte spans and its `seen` row;
+    // the slab adds each column's 8-byte creation time and each stream's
+    // cell and key.
+    assert_eq!(
+        cold,
+        edge.len() * (128 + 16 + 64 * 24) + 64 * 8 + streams * 64
+    );
+
+    // Copy installs, some repeated: each (leaf, document) pair served
+    // for the first time adds one 48-byte slot, and nothing else.
+    let (mut ledger, mut counters) = (TrafficLedger::new(), PacketCounters::default());
+    let (mut out, mut scratch) = (Vec::new(), Scratch::default());
+    let mut ctx = NodeCtx {
+        world: &world,
+        ledger: &mut ledger,
+        counters: &mut counters,
+        out: &mut out,
+        scratch: &mut scratch,
+    };
+    let mut pairs = BTreeSet::new();
+    for step in 0..20_000u32 {
+        let row = (step.wrapping_mul(2_654_435_761) % edge.len() as u32) as usize;
+        let index = step.wrapping_mul(40_503) % 64;
+        pairs.insert((row, index));
+        let install = PacketEvent::CopyInstall {
+            node: edge[row],
+            index,
+            rate: 1.0,
+        };
+        let t = SimTime::from_secs(0.001 * f64::from(step));
+        packet::handle(&mut ctx, &mut slab.node_mut(row), t, install);
+    }
+    // Between barriers the buffer holds the slots, the holes of runs
+    // that moved (packed once they reach a quarter of the slots) and
+    // the spare room of a buffer that doubles: at most 2.5 times the
+    // live slots.
+    let slots = pairs.len() * 48;
+    let between = slab.state_bytes() - cold;
+    assert!(
+        2 * between <= 5 * slots,
+        "{between} bytes of slot buffer for {slots} bytes of slots"
+    );
+    // A barrier packs it down to exactly the slots.
+    slab.pack_slots();
+    assert_eq!(slab.state_bytes() - cold, slots);
 }
 
 /// `two_level(60, 60)` over a universe of 16 documents of which every

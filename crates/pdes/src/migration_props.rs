@@ -17,12 +17,12 @@
 //!
 //! Rows move, not structs: a node's row is read through
 //! [`NodeSlab::node`](ww_core::packet::NodeSlab::node) before and after
-//! — meter cells with their window starts, token buckets, bitset
+//! — meter cells with their window starts, live token buckets, bitset
 //! members (inline words at 6 documents, the word slab at 70), stream
 //! cells and pending-arrival keys out of the shared stream slabs (a
 //! 70-key row is what the re-head scan walks), and an interior node's
 //! child rows and estimates — so a row that arrives next to another
-//! node's bucket row or stream range shows as a node wearing another
+//! node's serve slots or stream range shows as a node wearing another
 //! node's state.
 
 use crate::engine::ParPacketSim;

@@ -45,6 +45,8 @@ DENY = [
     r"ww_core::packet::driver::ShardCore::next_source$",
     r"ww_core::packet::gossip_to$",
     r"ww_core::packet::slab::load_of$",
+    r"ww_core::packet::slab::rank$",
+    r"ww_core::packet::slab::NodeMut::(slot_at|bucket|record_served)$",
 ]
 
 CALL = re.compile(r"^\s*([0-9a-f]+):\s+(call|jmp)\s+(.*)$")
