@@ -144,6 +144,7 @@ fn list_specs(dir: &str) -> ExitCode {
         }
     };
     entries.sort();
+    let mut invalid = false;
     for path in entries {
         match std::fs::read_to_string(&path)
             .map_err(|e| e.to_string())
@@ -162,10 +163,17 @@ fn list_specs(dir: &str) -> ExitCode {
                     sweep
                 );
             }
-            Err(e) => println!("{}: INVALID — {e}", path.display()),
+            Err(e) => {
+                invalid = true;
+                println!("{}: INVALID — {e}", path.display());
+            }
         }
     }
-    ExitCode::SUCCESS
+    if invalid {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
 }
 
 fn main() -> ExitCode {

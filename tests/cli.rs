@@ -2,7 +2,8 @@
 //! report of a distributed run is byte-identical to the sequential
 //! `--sequential` run of the same spec, in self-spawning mode and in
 //! the `serve` + external-worker topology CI uses. `webwave-exp`: a bad
-//! selector or flag fails loudly, and `list` reads every shipped spec.
+//! selector or flag fails loudly, and `list` reads every shipped spec
+//! and exits 1 when a spec in the directory does not parse.
 
 use std::net::TcpListener;
 use std::process::{Command, Output, Stdio};
@@ -169,4 +170,28 @@ fn list_names_every_shipped_spec() {
         assert!(line.starts_with(&prefix), "{line} names {prefix}");
         assert!(!line.contains("INVALID"), "{line}");
     }
+}
+
+#[test]
+fn list_exits_1_on_an_invalid_spec() {
+    let dir = std::env::temp_dir().join(format!("webwave-exp-list-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create a scratch spec directory");
+    let good = std::fs::read_to_string(spec_path()).expect("read a shipped spec");
+    std::fs::write(dir.join("a_good.json"), good).expect("write the good spec");
+    std::fs::write(
+        dir.join("b_bad.json"),
+        r#"{"name": "x", "engine": {"kind": "nope"}}"#,
+    )
+    .expect("write the bad spec");
+    let out = exp()
+        .args(["list", dir.to_str().expect("a UTF-8 path")])
+        .output()
+        .expect("spawn webwave-exp list");
+    std::fs::remove_dir_all(&dir).expect("remove the scratch spec directory");
+    assert_eq!(out.status.code(), Some(1), "list over a bad spec exits 1");
+    let stdout = String::from_utf8(out.stdout).expect("UTF-8");
+    let lines: Vec<_> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "one line per spec:\n{stdout}");
+    assert!(!lines[0].contains("INVALID"), "{}", lines[0]);
+    assert!(lines[1].contains("b_bad.json: INVALID"), "{}", lines[1]);
 }
