@@ -474,13 +474,13 @@ fn the_churn_snapshots_are_pinned() {
             "packet_sim",
             r#"{"kind": "packet_sim"}"#,
             CHURN_EVENTS.to_string(),
-            0x8356_c11b_6fc7_aab4,
+            0x78df_362d_fa12_d81e,
         ),
         (
             "packet_sim_par/w2",
             r#"{"kind": "packet_sim_par", "workers": 2}"#,
             format!("{CHURN_EVENTS}{armed}"),
-            0x0ba7_f127_8f89_69a7,
+            0x6c7d_3dc4_4ee5_90fb,
         ),
         (
             "packet_sim_dist/w2",
