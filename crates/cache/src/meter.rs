@@ -378,17 +378,6 @@ impl DenseFlowTable {
         self.grid
             .grow_docs(old_to_new, new_docs, MeterCell::anchored(now));
     }
-
-    /// Resets the meter of one cell — cache-invalidation support: a
-    /// re-published document voids the rate a node measured for its old
-    /// version.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cell is outside the grid.
-    pub fn clear_cell(&mut self, row: usize, index: u32) {
-        self.grid.get_mut(row, index).reset();
-    }
 }
 
 #[cfg(test)]
@@ -667,7 +656,7 @@ mod tests {
         t.record(1, 0, 2.1);
         t.record(1, 1, 2.2);
         t.roll_to(3.0);
-        t.clear_cell(1, 0);
+        t.row_mut(1)[0].reset();
         assert_eq!(t.rate(1, 0), 0.0);
         assert!((t.rate(1, 1) - 1.0).abs() < 1e-9);
     }

@@ -193,7 +193,7 @@ proptest! {
                     }
                 }
                 7 => {
-                    table.clear_cell(row, k);
+                    table.row_mut(row)[k as usize].reset();
                     model[row][k as usize].reset();
                 }
                 8 => {

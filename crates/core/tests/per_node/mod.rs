@@ -264,7 +264,7 @@ impl Reference {
                 state.alloc_set.remove(k);
                 state.alloc[k as usize].rate = 0.0;
                 // One cell of a one-row table is its whole column.
-                state.served.clear_cell(0, k);
+                state.served.row_mut(0)[k as usize].reset();
             }
         }
         Ok(())
