@@ -11,7 +11,7 @@
 
 use crate::engine::{Engine, MetricSink, StepOutcome};
 use crate::events::{Event, EventError, World};
-use crate::spec::BaselineScheme;
+use crate::spec::{BaselineParams, BaselineScheme};
 use ww_core::baselines::SchemeReport;
 use ww_core::docsim::DocSim;
 use ww_core::forest::ForestWave;
@@ -440,22 +440,6 @@ impl<B: PacketBackend> Engine for PacketAdapter<B> {
         let snap = self.sim.telemetry_snapshot();
         (!snap.is_empty()).then_some(snap)
     }
-}
-
-/// Parameters of a baseline run, mirroring the knobs of
-/// [`crate::spec::EngineSpec::Baselines`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct BaselineParams {
-    /// DNS replica count; `0` selects `(n / 4).clamp(1, 16)`.
-    pub(crate) replicas: usize,
-    /// Directory lookup messages per request.
-    pub(crate) lookup_msgs: f64,
-    /// GLE-migration iterations.
-    pub(crate) gle_iterations: usize,
-    /// WebWave rounds before reporting.
-    pub(crate) webwave_rounds: usize,
-    /// Gossip messages per second amortized into the WebWave row.
-    pub(crate) gossip_per_second: f64,
 }
 
 /// The baseline schemes behind the unified API: one engine step computes

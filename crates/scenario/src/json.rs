@@ -17,11 +17,14 @@
 use crate::error::SpecError;
 use crate::events::{Event, EventKindSpec, EventSpec, EventsSpec, DEFAULT_RECOVERY_THRESHOLD};
 use crate::spec::{
-    BaselineScheme, DocMixSpec, EngineSpec, PacketKnobs, PaperFigure, RatesSpec, ScenarioSpec,
+    BaselineParams, BaselineScheme, DocMixSpec, EngineSpec, PaperFigure, RatesSpec, ScenarioSpec,
     Sweep, SweepParam, TelemetrySpec, Termination, TopologySpec, WorkloadSpec, DEFAULT_SEED,
 };
 use serde_json::{Map, Value};
 use std::fmt;
+use ww_core::docsim::DocSimConfig;
+use ww_core::packet::PacketSimConfig;
+use ww_core::wave::WaveConfig;
 use ww_pdes::RebalanceConfig;
 use ww_telemetry::Level;
 
@@ -60,6 +63,60 @@ impl ScenarioSpec {
     }
 }
 
+impl Sweep {
+    /// Produces the spec for one sweep value: the swept key is set in the
+    /// spec's JSON form and read back through its declaration, so a value
+    /// past a declared check is refused at `sweep.values` with the
+    /// check's own message. A parameter whose key the spec does not have
+    /// is refused at `sweep.param`.
+    pub fn apply(&self, base: &ScenarioSpec, value: f64) -> Result<ScenarioSpec, SpecError> {
+        let mut spec = base.clone();
+        spec.sweep = None;
+        let to = match self.param {
+            SweepParam::Tunneling => Value::Bool(value != 0.0),
+            _ => Value::Number(value),
+        };
+        // Every other parameter is spelled as its engine key.
+        let set = match self.param {
+            SweepParam::Seed => set_key(&mut spec, "seed", to),
+            SweepParam::DocTheta => match &mut spec.workload.doc_mix {
+                Some(mix) => set_key(mix, "theta", to),
+                None => None,
+            },
+            param => set_key(&mut spec.engine, param.as_str(), to),
+        };
+        let applies = match self.param {
+            SweepParam::Staleness => "applies only to the rate_wave engine",
+            SweepParam::Alpha => "does not apply to the baselines engine",
+            SweepParam::Tunneling => "applies only to the doc_sim / packet_sim family of engines",
+            SweepParam::GossipLoss => "applies only to the packet_sim family of engines",
+            SweepParam::Workers => "applies only to the packet_sim_par / packet_sim_dist engines",
+            SweepParam::DocTheta => "requires a shared_zipf doc mix",
+            SweepParam::Seed => "applies to every spec",
+        };
+        match set {
+            None => Err(SpecError::at(
+                "sweep.param",
+                format!("\"{}\" {applies}", self.param.as_str()),
+            )),
+            Some(Err(refusal)) => Err(SpecError::at("sweep.values", refusal.message)),
+            Some(Ok(())) => Ok(spec),
+        }
+    }
+}
+
+/// Sets `key` in `object`'s JSON form to `to` and reads the object back
+/// through its declaration; `None` when the form has no such key.
+fn set_key<T: Object>(object: &mut T, key: &str, to: Value) -> Option<Result<(), SpecError>> {
+    let mut map = Map::new();
+    object.write_in(&mut map);
+    if !map.contains_key(key) {
+        return None;
+    }
+    map.insert(key, to);
+    Some(T::read_in(&map, &Path::Root).map(|read| *object = read))
+}
+
 // ---------------------------------------------------------------------
 // The declarations: the one statement of the spec grammar.
 
@@ -75,14 +132,14 @@ spec_layout!(struct ScenarioSpec where rebalance_on_a_sharded_engine {
     #[null_is_default] telemetry: TelemetrySpec = TelemetrySpec::default(),
     #[omit_none] rebalance: Option<RebalanceConfig>,
 });
-spec_layout!(enum TopologySpec "topology" {
+spec_layout!(enum TopologySpec "topology" where depth_fits {
     "paper" => Paper { figure: PaperFigure },
-    "path" => Path { nodes: usize },
-    "star" => Star { nodes: usize },
-    "k_ary" => KAry { arity: usize, depth: usize },
-    "two_level" => TwoLevel { regions: usize, leaves: usize },
-    "caterpillar" => Caterpillar { spine: usize, legs: usize },
-    "broom" => Broom { handle: usize, bristles: usize },
+    "path" => Path { nodes: usize where at_least_one },
+    "star" => Star { nodes: usize where at_least_one },
+    "k_ary" => KAry { arity: usize where at_least_one, depth: usize },
+    "two_level" => TwoLevel { regions: usize where at_least_one, leaves: usize where at_least_one },
+    "caterpillar" => Caterpillar { spine: usize where at_least_one, legs: usize },
+    "broom" => Broom { handle: usize where at_least_one, bristles: usize },
     "random_depth" => RandomDepth { nodes: usize, depth: usize },
     "explicit" => Explicit {
         parents: Vec<Option<usize>> as "an array of parent ids (null for the root)",
@@ -95,50 +152,59 @@ spec_layout!(tags PaperFigure "figure" {
     "fig6" => Fig6,
     "fig7" => Fig7,
 });
-// rustfmt would take this declaration (and `EventSpec`'s) for Rust and
-// put each attribute on a line of its own.
+// rustfmt would take this declaration (and `BaselineParams`' and
+// `EventSpec`'s) for Rust and reshape it.
 #[rustfmt::skip]
 spec_layout!(struct WorkloadSpec {
     rates: RatesSpec,
     #[omit_none] doc_mix: Option<DocMixSpec>,
 });
-spec_layout!(enum RatesSpec "rates" {
+spec_layout!(enum RatesSpec "rates" where ordered_finite_bounds {
     "paper" => Paper,
     "uniform" => Uniform { rate: f64 },
     "leaf_only" => LeafOnly { rate: f64 },
     "random_uniform" => RandomUniform { lo: f64, hi: f64 },
-    "zipf_nodes" => ZipfNodes { total: f64, theta: f64 },
+    "zipf_nodes" => ZipfNodes { total: f64, theta: f64 where zipf_theta },
     "explicit" => Explicit { rates: Vec<f64> as "an array of numbers" },
 });
 spec_layout!(enum DocMixSpec "doc mix" {
     "paper" => Paper,
-    "shared_zipf" => SharedZipf { docs: usize, theta: f64 },
+    "shared_zipf" => SharedZipf { docs: usize where at_least_one, theta: f64 where zipf_theta },
 });
-spec_layout!(enum EngineSpec "engine" where sharded_engine_knobs {
-    "rate_wave" => RateWave { alpha: Option<f64> where unit_alpha, staleness: usize = 0 },
-    "doc_sim" => DocSim {
-        alpha: Option<f64> where unit_alpha,
-        tunneling: bool = true,
-        barrier_patience: usize = 2,
+spec_layout!(enum EngineSpec "engine" where sharded_lookahead {
+    "rate_wave" => RateWave { #[flatten] config: WaveConfig },
+    "doc_sim" => DocSim { #[flatten] config: DocSimConfig },
+    "packet_sim" => PacketSim { #[flatten] config: PacketSimConfig },
+    "packet_sim_par" => PacketSimPar {
+        #[flatten] config: PacketSimConfig,
+        workers: usize where at_least_one = 4,
     },
-    "packet_sim" => PacketSim { #[flatten] knobs: PacketKnobs },
-    "packet_sim_par" => PacketSimPar { #[flatten] knobs: PacketKnobs, workers: usize = 4 },
-    "packet_sim_dist" => PacketSimDist { #[flatten] knobs: PacketKnobs, workers: usize = 2 },
+    "packet_sim_dist" => PacketSimDist {
+        #[flatten] config: PacketSimConfig,
+        workers: usize where at_least_one = 2,
+    },
     "forest_wave" => ForestWave {
         alpha: Option<f64> where unit_alpha,
         coupled: bool = true,
-        roots: Vec<usize> as "an array of node ids",
+        roots: Vec<usize> as "an array of node ids" where some_roots,
     },
     "baselines" => Baselines {
-        schemes: Vec<BaselineScheme> as "an array of scheme names" = BaselineScheme::all(),
-        replicas: usize = 0,
-        lookup_msgs: f64 = 2.0,
-        gle_iterations: usize = 2000,
-        webwave_rounds: usize = 4000,
-        gossip_per_second: f64 = 2.0,
+        schemes: Vec<BaselineScheme> as "an array of scheme names" where some_schemes
+            = BaselineScheme::all(),
+        #[flatten] params: BaselineParams,
     },
 });
-spec_layout!(struct PacketKnobs {
+spec_layout!(struct WaveConfig {
+    alpha: Option<f64> where unit_alpha,
+    staleness: usize = 0,
+});
+spec_layout!(struct DocSimConfig {
+    alpha: Option<f64> where unit_alpha,
+    tunneling: bool = true,
+    barrier_patience: usize = 2,
+});
+spec_layout!(struct PacketSimConfig where packet_ranges {
+    #[skip] seed: u64 = DEFAULT_SEED,
     alpha: Option<f64> where unit_alpha,
     tunneling: bool = true,
     barrier_patience: usize = 2,
@@ -149,6 +215,14 @@ spec_layout!(struct PacketKnobs {
     gossip_loss: f64 = 0.0,
     hysteresis: f64 = 0.05,
     noise_sigmas: f64 = 3.0,
+});
+#[rustfmt::skip]
+spec_layout!(struct BaselineParams {
+    replicas: usize = 0,
+    lookup_msgs: f64 = 2.0,
+    gle_iterations: usize = 2000,
+    webwave_rounds: usize = 4000,
+    gossip_per_second: f64 = 2.0,
 });
 spec_layout!(tags BaselineScheme "scheme" {
     .."all" => BaselineScheme::all(),
@@ -209,48 +283,57 @@ spec_layout!(enum EventKindSpec "event" also Event where shift_changes_something
     },
 });
 
-/// Every knob at its declared default.
-impl Default for PacketKnobs {
+/// Every parameter at its declared default.
+impl Default for BaselineParams {
     fn default() -> Self {
-        Self::read_in(&Map::new(), &Path::Root).expect("every knob has a default")
-    }
-}
-
-impl PacketKnobs {
-    /// The refusal of the knob [`PacketSimConfig::check`] names
-    /// (`"gossip period"`; `"diffusion alpha"` is `alpha`), at its
-    /// `engine.<key>` path and with its value.
-    ///
-    /// [`PacketSimConfig::check`]: ww_core::packet::PacketSimConfig::check
-    pub(crate) fn refusal(&self, what: &str) -> SpecError {
-        let mut map = Map::new();
-        self.write_in(&mut map);
-        let knob = map
-            .iter()
-            .find(|(key, _)| what.ends_with(&key.replace('_', " ")));
-        match knob {
-            Some((key, value)) => SpecError::at(
-                format!("engine.{key}"),
-                format!("{what} out of range, got {}", serde_json::to_string(value)),
-            ),
-            None => SpecError::at("engine", format!("{what} out of range")),
-        }
+        Self::read_in(&Map::new(), &Path::Root).expect("every parameter has a default")
     }
 }
 
 // ---------------------------------------------------------------------
-// The checks a declaration names. `key: T where check` runs
-// `check(&value)` once the key is read, and a refusal is an error at the
-// key's path. `struct T where rule` runs `rule(&value, path)` once the
-// whole value is read: the four cross-field rules, which name their own
-// paths.
+// The checks a declaration names: every check of a spec value that needs
+// no built tree. `key: T where check` runs `check(&value)` once the key
+// is read, and a refusal is an error at the key's path. `struct T where
+// rule` runs `rule(&value, path)` once the whole value is read: the
+// cross-field rules, which name their own paths. What needs the world
+// (explicit-rates length, roots in range, `paper` availability, node
+// references, generated rates) is refused at resolution.
 
 /// `alpha`, when given, lies in `(0, 1)`.
-pub(crate) fn unit_alpha(alpha: &Option<f64>) -> Result<(), String> {
+fn unit_alpha(alpha: &Option<f64>) -> Result<(), String> {
     match *alpha {
-        Some(x) if x <= 0.0 || x >= 1.0 => Err(format!("alpha must lie in (0, 1), got {x}")),
+        Some(x) if !(x > 0.0 && x < 1.0) => Err(format!("alpha must lie in (0, 1), got {x}")),
         _ => Ok(()),
     }
+}
+
+fn at_least_one(x: &usize) -> Result<(), String> {
+    if *x == 0 {
+        return Err("must be at least 1".into());
+    }
+    Ok(())
+}
+
+/// A Zipf exponent the generators can take.
+fn zipf_theta(theta: &f64) -> Result<(), String> {
+    if theta.is_finite() && *theta >= 0.0 {
+        return Ok(());
+    }
+    Err(format!("must be finite and non-negative, got {theta}"))
+}
+
+fn some_roots(roots: &[usize]) -> Result<(), String> {
+    if roots.is_empty() {
+        return Err("needs at least one root".into());
+    }
+    Ok(())
+}
+
+fn some_schemes(schemes: &[BaselineScheme]) -> Result<(), String> {
+    if schemes.is_empty() {
+        return Err("needs at least one scheme".into());
+    }
+    Ok(())
 }
 
 fn event_rate(rate: &f64) -> Result<(), String> {
@@ -319,14 +402,80 @@ fn shift_changes_something(kind: &EventKindSpec, path: &Path) -> Result<(), Spec
     Ok(())
 }
 
-fn sharded_engine_knobs(engine: &EngineSpec, _path: &Path) -> Result<(), SpecError> {
-    match engine {
-        EngineSpec::PacketSimPar { knobs, workers } => knobs.check_sharded("parallel", *workers),
-        EngineSpec::PacketSimDist { knobs, workers } => {
-            knobs.check_sharded("distributed", *workers)
-        }
+/// A random tree of depth `depth` has at least `depth + 1` nodes.
+fn depth_fits(topology: &TopologySpec, path: &Path) -> Result<(), SpecError> {
+    match *topology {
+        TopologySpec::RandomDepth { nodes, depth } if nodes <= depth => Err(SpecError::at(
+            &Path::Key(path, "nodes"),
+            format!(
+                "a depth-{depth} tree needs at least {} nodes",
+                depth as u128 + 1
+            ),
+        )),
         _ => Ok(()),
     }
+}
+
+/// `random_uniform` draws from `[lo, hi)`: ordered, finite bounds.
+fn ordered_finite_bounds(rates: &RatesSpec, path: &Path) -> Result<(), SpecError> {
+    let RatesSpec::RandomUniform { lo, hi } = *rates else {
+        return Ok(());
+    };
+    if hi < lo {
+        return Err(SpecError::at(
+            &Path::Key(path, "hi"),
+            format!("upper bound {hi} is below lower bound {lo}"),
+        ));
+    }
+    if !(lo.is_finite() && hi.is_finite()) {
+        return Err(SpecError::at(
+            path,
+            format!("bounds must be finite, got {lo} and {hi}"),
+        ));
+    }
+    Ok(())
+}
+
+/// The ranges the packet world accepts ([`PacketSimConfig::check`]),
+/// refused at the path of the knob the check names (`"gossip period"`;
+/// `"diffusion alpha"` is `alpha`), with its value.
+fn packet_ranges(config: &PacketSimConfig, path: &Path) -> Result<(), SpecError> {
+    let Err(what) = config.check() else {
+        return Ok(());
+    };
+    let mut map = Map::new();
+    config.write_in(&mut map);
+    let knob = map
+        .iter()
+        .find(|(key, _)| what.ends_with(&key.replace('_', " ")));
+    Err(match knob {
+        Some((key, value)) => SpecError::at(
+            &Path::Key(path, key),
+            format!("{what} out of range, got {}", serde_json::to_string(value)),
+        ),
+        None => SpecError::at(path, format!("{what} out of range")),
+    })
+}
+
+/// A sharded packet engine synchronizes its shards on the cut-edge
+/// latency, so its link delay must be positive.
+fn sharded_lookahead(engine: &EngineSpec, path: &Path) -> Result<(), SpecError> {
+    let (flavor, config) = match engine {
+        EngineSpec::PacketSimPar { config, .. } => ("parallel", config),
+        EngineSpec::PacketSimDist { config, .. } => ("distributed", config),
+        _ => return Ok(()),
+    };
+    if config.link_delay > 0.0 {
+        return Ok(());
+    }
+    Err(SpecError::at(
+        &Path::Key(path, "link_delay"),
+        format!(
+            "the {flavor} engine needs a positive link delay (its conservative \
+             lookahead), got {}",
+            config.link_delay
+        ),
+    ))
 }
 
 /// Only the sharded engines have shards to re-balance. `packet_sim_dist`
@@ -599,6 +748,11 @@ fn read_key<T: Field>(
     }
 }
 
+/// A `#[skip]` field's value: its declared default.
+fn skipped<T>(default: Option<T>) -> T {
+    default.expect("a #[skip] field declares its default")
+}
+
 /// Where a value sits in the document (`events.schedule[2].rate`),
 /// rendered only when an error names it.
 enum Path<'a> {
@@ -656,11 +810,15 @@ macro_rules! spec_field {
     (keys $out:ident $map:ident $path:ident [flatten] $f:ident $t:ty) => {
         <$t as Object>::keys($map, $path, $out)?
     };
+    (keys $out:ident $map:ident $path:ident [skip] $f:ident $t:ty) => {};
     (keys $out:ident $map:ident $path:ident [$($a:ident)?] $f:ident $t:ty) => {
         $out.push(stringify!($f))
     };
     (read $map:ident $path:ident [flatten] $f:ident $t:ty, $what:expr, $default:expr) => {
         <$t as Object>::read_in($map, $path)?
+    };
+    (read $map:ident $path:ident [skip] $f:ident $t:ty, $what:expr, $default:expr) => {
+        skipped::<$t>($default)
     };
     (read $map:ident $path:ident [null_is_default] $f:ident $t:ty, $what:expr, $default:expr) => {
         read_key::<$t>($map, $path, stringify!($f), $what, $default, true)?
@@ -670,6 +828,9 @@ macro_rules! spec_field {
     };
     (write $map:ident [flatten] $f:ident) => {
         $f.write_in($map)
+    };
+    (write $map:ident [skip] $f:ident) => {
+        let _ = $f;
     };
     (write $map:ident [omit_none] $f:ident) => {
         if let Some(v) = $f {
@@ -689,7 +850,8 @@ macro_rules! spec_field {
 ///   unless its type is an `Option`. `#[omit_none]` leaves a `None` out
 ///   of the print instead of printing `null`; `#[null_is_default]` reads
 ///   a `null` as the default; `#[flatten]` puts the type's own keys in
-///   this object.
+///   this object; `#[skip]` makes a field no key at all: it reads as its
+///   default and prints nothing.
 /// - `enum T "thing" { "tag" => Variant { key: Type, .. }, .. }` maps each
 ///   `kind` tag to a variant and its keys; `also U` gives an enum with
 ///   the same variant names the same tags.

@@ -97,7 +97,10 @@ pub use events::{
 };
 pub use runner::{DriveResult, RunRow, Runner, ScenarioReport};
 pub use spec::{
-    BaselineScheme, DocMixSpec, EngineSpec, PacketKnobs, PaperFigure, RatesSpec, ScenarioSpec,
+    BaselineParams, BaselineScheme, DocMixSpec, EngineSpec, PaperFigure, RatesSpec, ScenarioSpec,
     Sweep, SweepParam, TelemetrySpec, Termination, TopologySpec, WorkloadSpec, DEFAULT_SEED,
 };
+pub use ww_core::docsim::DocSimConfig;
+pub use ww_core::packet::PacketSimConfig;
+pub use ww_core::wave::WaveConfig;
 pub use ww_pdes::RebalanceConfig;

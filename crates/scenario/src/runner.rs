@@ -15,7 +15,7 @@
 //! peak load), folded into the run's metric stream and text report. A
 //! spec without a schedule runs the same loop with nothing to fire.
 
-use crate::adapters::{BaselineEngine, BaselineParams, PacketAdapter};
+use crate::adapters::{BaselineEngine, PacketAdapter};
 use crate::engine::{Engine, EngineReport, NullObserver, Observer, StepOutcome};
 use crate::error::SpecError;
 use crate::events::{
@@ -23,18 +23,17 @@ use crate::events::{
     DEFAULT_RECOVERY_THRESHOLD,
 };
 use crate::spec::{
-    DocMixSpec, EngineSpec, PacketKnobs, PaperFigure, RatesSpec, ScenarioSpec, Termination,
-    TopologySpec,
+    DocMixSpec, EngineSpec, PaperFigure, RatesSpec, ScenarioSpec, Termination, TopologySpec,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde_json::{Map, Value};
 use std::fmt::Write as _;
 use std::time::Instant;
-use ww_core::docsim::{DocSim, DocSimConfig};
+use ww_core::docsim::DocSim;
 use ww_core::forest::{Coupling, Forest, ForestWave, ForestWaveConfig};
 use ww_core::packetsim::{PacketSim, PacketSimConfig};
-use ww_core::wave::{RateWave, WaveConfig};
+use ww_core::wave::RateWave;
 use ww_dist::{DistError, DistOptions, DistPacketSim};
 use ww_model::{NodeId, RateVector, Tree};
 use ww_pdes::ParPacketSim;
@@ -132,12 +131,14 @@ impl Runner {
     ///
     /// # Errors
     ///
-    /// Returns a [`SpecError`] naming the offending field when the spec
-    /// is internally inconsistent (e.g. a document engine without a doc
+    /// Returns a [`SpecError`] naming the offending field when a value
+    /// fails its declared check (the refusal
+    /// [`ScenarioSpec::from_json`] gives the spec's printed form) or the
+    /// spec does not fit its world (e.g. a document engine without a doc
     /// mix, explicit rates of the wrong length, a generator yielding a
     /// negative rate, forest roots out of range).
     pub fn resolve(&self, spec: &ScenarioSpec) -> Result<Box<dyn Engine>, SpecError> {
-        Ok(self.engine(&self.prepare(spec))?.0)
+        Ok(self.engine(&self.prepare(spec)?)?.0)
     }
 
     /// Runs a spec (expanding its sweep) with no observer.
@@ -160,7 +161,7 @@ impl Runner {
         spec: &ScenarioSpec,
         observer: &mut dyn Observer,
     ) -> Result<ScenarioReport, SpecError> {
-        let spec = self.prepare(spec);
+        let spec = self.prepare(spec)?;
         let runs: Vec<(String, ScenarioSpec)> = match &spec.sweep {
             None => vec![(String::new(), spec.clone())],
             Some(sweep) => {
@@ -251,13 +252,19 @@ impl Runner {
         })
     }
 
-    /// The spec this runner runs for `spec`: itself, or its smoke shrink.
-    fn prepare(&self, spec: &ScenarioSpec) -> ScenarioSpec {
-        if self.smoke {
+    /// The spec this runner runs for `spec` — itself, or its smoke
+    /// shrink — checked through the declarations. A sweep row is read
+    /// back through them by [`Sweep::apply`](crate::Sweep::apply).
+    fn prepare(&self, spec: &ScenarioSpec) -> Result<ScenarioSpec, SpecError> {
+        let spec = if self.smoke {
             spec.smoke()
         } else {
             spec.clone()
-        }
+        };
+        // However the spec was made (built in Rust, shrunk, edited from
+        // the command line), it gets the refusal its printed form gets.
+        ScenarioSpec::from_value(&spec.to_value())?;
+        Ok(spec)
     }
 
     /// Resolves one unswept run's engine at the run's telemetry level,
@@ -666,13 +673,6 @@ fn resolve_topology(
     spec: &ScenarioSpec,
     rng: &mut StdRng,
 ) -> Result<(Tree, Option<RateVector>, Option<DocMix>), SpecError> {
-    let positive = |value: usize, field: &str| {
-        if value == 0 {
-            Err(SpecError::at(field, "must be at least 1"))
-        } else {
-            Ok(value)
-        }
-    };
     let tree = match &spec.topology {
         TopologySpec::Paper {
             figure: PaperFigure::Fig7,
@@ -694,28 +694,13 @@ fn resolve_topology(
             };
             return Ok((s.tree, Some(s.spontaneous), None));
         }
-        TopologySpec::Path { nodes } => ww_topology::path(positive(*nodes, "topology.nodes")?),
-        TopologySpec::Star { nodes } => ww_topology::star(positive(*nodes, "topology.nodes")?),
-        TopologySpec::KAry { arity, depth } => {
-            ww_topology::k_ary(positive(*arity, "topology.arity")?, *depth)
-        }
-        TopologySpec::TwoLevel { regions, leaves } => ww_topology::two_level(
-            positive(*regions, "topology.regions")?,
-            positive(*leaves, "topology.leaves")?,
-        ),
-        TopologySpec::Caterpillar { spine, legs } => {
-            ww_topology::caterpillar(positive(*spine, "topology.spine")?, *legs)
-        }
-        TopologySpec::Broom { handle, bristles } => {
-            ww_topology::broom(positive(*handle, "topology.handle")?, *bristles)
-        }
+        TopologySpec::Path { nodes } => ww_topology::path(*nodes),
+        TopologySpec::Star { nodes } => ww_topology::star(*nodes),
+        TopologySpec::KAry { arity, depth } => ww_topology::k_ary(*arity, *depth),
+        TopologySpec::TwoLevel { regions, leaves } => ww_topology::two_level(*regions, *leaves),
+        TopologySpec::Caterpillar { spine, legs } => ww_topology::caterpillar(*spine, *legs),
+        TopologySpec::Broom { handle, bristles } => ww_topology::broom(*handle, *bristles),
         TopologySpec::RandomDepth { nodes, depth } => {
-            if *nodes < depth + 1 {
-                return Err(SpecError::at(
-                    "topology.nodes",
-                    format!("a depth-{depth} tree needs at least {} nodes", depth + 1),
-                ));
-            }
             ww_topology::random_tree_of_depth(rng, *nodes, *depth)
         }
         TopologySpec::Explicit { parents } => Tree::from_parents(parents)
@@ -739,25 +724,8 @@ fn resolve_rates(
         RatesSpec::Paper => paper.map_err(|refusal| SpecError::at(path, refusal))?,
         RatesSpec::Uniform { rate } => ww_workload::uniform(tree, *rate),
         RatesSpec::LeafOnly { rate } => ww_workload::leaf_only(tree, *rate),
-        RatesSpec::RandomUniform { lo, hi } => {
-            if hi < lo {
-                return Err(SpecError::at(
-                    format!("{path}.hi"),
-                    format!("upper bound {hi} is below lower bound {lo}"),
-                ));
-            }
-            if !(lo.is_finite() && hi.is_finite()) {
-                return Err(SpecError::at(
-                    path,
-                    format!("bounds must be finite, got {lo} and {hi}"),
-                ));
-            }
-            ww_workload::random_uniform(rng, tree, *lo, *hi)
-        }
-        RatesSpec::ZipfNodes { total, theta } => {
-            zipf_theta(*theta, path)?;
-            ww_workload::zipf_nodes(rng, tree, *total, *theta)
-        }
+        RatesSpec::RandomUniform { lo, hi } => ww_workload::random_uniform(rng, tree, *lo, *hi),
+        RatesSpec::ZipfNodes { total, theta } => ww_workload::zipf_nodes(rng, tree, *total, *theta),
         RatesSpec::Explicit { rates } => {
             if rates.len() != tree.len() {
                 return Err(SpecError::at(
@@ -791,24 +759,17 @@ fn resolve_mix(
     match spec {
         DocMixSpec::Paper => paper.map_err(|refusal| SpecError::at(path, refusal)),
         DocMixSpec::SharedZipf { docs, theta } => {
-            if *docs == 0 {
-                return Err(SpecError::at(format!("{path}.docs"), "must be at least 1"));
-            }
-            zipf_theta(*theta, path)?;
             Ok(ww_workload::shared_zipf_mix(tree, rates, *docs, *theta))
         }
     }
 }
 
-/// Refuses a Zipf exponent the generators cannot take.
-fn zipf_theta(theta: f64, path: &str) -> Result<(), SpecError> {
-    if theta.is_finite() && theta >= 0.0 {
-        return Ok(());
+/// A packet engine's config, seeded by the spec's `seed`.
+fn seeded(config: &PacketSimConfig, spec: &ScenarioSpec) -> PacketSimConfig {
+    PacketSimConfig {
+        seed: spec.seed,
+        ..*config
     }
-    Err(SpecError::at(
-        format!("{path}.theta"),
-        format!("must be finite and non-negative, got {theta}"),
-    ))
 }
 
 fn require_mix(mix: Option<DocMix>, engine: &str) -> Result<DocMix, SpecError> {
@@ -818,27 +779,6 @@ fn require_mix(mix: Option<DocMix>, engine: &str) -> Result<DocMix, SpecError> {
             format!("the {engine} engine needs a document mix (shared_zipf, or paper on fig7)"),
         )
     })
-}
-
-/// Spec-level packet knobs → the engine-level config, refused with the
-/// knob's path where [`PacketSimConfig::check`] (the ranges the packet
-/// world asserts) refuses it.
-fn packet_config(knobs: &PacketKnobs, seed: u64) -> Result<PacketSimConfig, SpecError> {
-    let config = PacketSimConfig {
-        seed,
-        link_delay: knobs.link_delay,
-        gossip_period: knobs.gossip_period,
-        diffusion_period: knobs.diffusion_period,
-        measure_window: knobs.measure_window,
-        alpha: knobs.alpha,
-        tunneling: knobs.tunneling,
-        barrier_patience: knobs.barrier_patience,
-        gossip_loss: knobs.gossip_loss,
-        hysteresis: knobs.hysteresis,
-        noise_sigmas: knobs.noise_sigmas,
-    };
-    config.check().map_err(|what| knobs.refusal(what))?;
-    Ok(config)
 }
 
 /// Spec → engine, with the spec's seed driving topology, workload, and
@@ -870,51 +810,32 @@ fn resolve_engine(
     let world = World { tree, rates };
 
     let engine: Box<dyn Engine> = match &spec.engine {
-        EngineSpec::RateWave { alpha, staleness } => Box::new(RateWave::new(
-            &world.tree,
-            &world.rates,
-            WaveConfig {
-                alpha: *alpha,
-                staleness: *staleness,
-            },
-        )),
-        EngineSpec::DocSim {
-            alpha,
-            tunneling,
-            barrier_patience,
-        } => {
-            let mix = require_mix(mix, kind)?;
-            Box::new(DocSim::new(
-                &world.tree,
-                &mix,
-                DocSimConfig {
-                    alpha: *alpha,
-                    tunneling: *tunneling,
-                    barrier_patience: *barrier_patience,
-                },
-            ))
+        EngineSpec::RateWave { config } => {
+            Box::new(RateWave::new(&world.tree, &world.rates, *config))
         }
-        EngineSpec::PacketSim { knobs } => {
+        EngineSpec::DocSim { config } => {
             let mix = require_mix(mix, kind)?;
-            let config = packet_config(knobs, spec.seed)?;
+            Box::new(DocSim::new(&world.tree, &mix, *config))
+        }
+        EngineSpec::PacketSim { config } => {
+            let mix = require_mix(mix, kind)?;
+            let config = seeded(config, spec);
             Box::new(PacketAdapter::new(
                 kind,
                 PacketSim::new(&world.tree, &mix, config),
                 config.diffusion_period,
             ))
         }
-        EngineSpec::PacketSimPar { knobs, workers } => {
+        EngineSpec::PacketSimPar { config, workers } => {
             let mix = require_mix(mix, kind)?;
-            let config = packet_config(knobs, spec.seed)?;
-            knobs.check_sharded("parallel", *workers)?;
+            let config = seeded(config, spec);
             let mut sim = ParPacketSim::new(&world.tree, &mix, config, *workers);
             sim.set_rebalance(spec.rebalance);
             Box::new(PacketAdapter::new(kind, sim, config.diffusion_period))
         }
-        EngineSpec::PacketSimDist { knobs, workers } => {
+        EngineSpec::PacketSimDist { config, workers } => {
             let mix = require_mix(mix, kind)?;
-            let config = packet_config(knobs, spec.seed)?;
-            knobs.check_sharded("distributed", *workers)?;
+            let config = seeded(config, spec);
             // Adaptive rebalancing would migrate node state between
             // single-shard worker processes, which the wire protocol does
             // not carry: rejected up front rather than silently dropped.
@@ -936,9 +857,6 @@ fn resolve_engine(
             coupled,
             roots,
         } => {
-            if roots.is_empty() {
-                return Err(SpecError::at("engine.roots", "needs at least one root"));
-            }
             for (i, &r) in roots.iter().enumerate() {
                 if r >= world.tree.len() {
                     return Err(SpecError::at(
@@ -965,28 +883,8 @@ fn resolve_engine(
                 },
             ))
         }
-        EngineSpec::Baselines {
-            schemes,
-            replicas,
-            lookup_msgs,
-            gle_iterations,
-            webwave_rounds,
-            gossip_per_second,
-        } => {
-            if schemes.is_empty() {
-                return Err(SpecError::at("engine.schemes", "needs at least one scheme"));
-            }
-            Box::new(BaselineEngine::new(
-                world.clone(),
-                schemes.clone(),
-                BaselineParams {
-                    replicas: *replicas,
-                    lookup_msgs: *lookup_msgs,
-                    gle_iterations: *gle_iterations,
-                    webwave_rounds: *webwave_rounds,
-                    gossip_per_second: *gossip_per_second,
-                },
-            ))
+        EngineSpec::Baselines { schemes, params } => {
+            Box::new(BaselineEngine::new(world.clone(), schemes.clone(), *params))
         }
     };
     let scheduled = spec.events.as_ref().is_some_and(|e| !e.schedule.is_empty());

@@ -10,9 +10,11 @@
 //! `docs/scenarios.md`); [`ScenarioSpec::smoke`] shrinks any spec to a
 //! seconds-scale variant for CI smoke runs.
 
-use crate::error::SpecError;
 use crate::events::EventsSpec;
-use crate::json::{unit_alpha, Tagged};
+use crate::json::Tagged;
+use ww_core::docsim::DocSimConfig;
+use ww_core::packet::PacketSimConfig;
+use ww_core::wave::WaveConfig;
 use ww_pdes::RebalanceConfig;
 use ww_telemetry::Level;
 
@@ -216,33 +218,29 @@ pub enum DocMixSpec {
     },
 }
 
-/// Engine choice plus protocol knobs. `alpha: None` always means the safe
-/// default `1 / (max_degree + 1)`.
+/// Engine choice plus protocol knobs. Each engine's knobs are its own
+/// config type, flattened into the `engine` object. `alpha: None` always
+/// means the safe default `1 / (max_degree + 1)`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineSpec {
     /// Rate-level synchronous WebWave ([`ww_core::wave::RateWave`]).
     RateWave {
-        /// Diffusion parameter override.
-        alpha: Option<f64>,
-        /// Gossip staleness in rounds.
-        staleness: usize,
+        /// Diffusion parameter override and gossip staleness.
+        config: WaveConfig,
     },
     /// Document-level WebWave with barriers and tunneling
     /// ([`ww_core::docsim::DocSim`]).
     DocSim {
-        /// Diffusion parameter override.
-        alpha: Option<f64>,
-        /// Enable tunneling.
-        tunneling: bool,
-        /// Underloaded periods tolerated before tunneling.
-        barrier_patience: usize,
+        /// Diffusion parameter override and tunneling.
+        config: DocSimConfig,
     },
     /// Packet-level event-driven WebWave
     /// ([`ww_core::packetsim::PacketSim`]); one engine round is one
     /// diffusion period of simulated time.
     PacketSim {
-        /// The protocol knobs.
-        knobs: PacketKnobs,
+        /// The protocol knobs. `seed` is no key: resolution sets it to
+        /// the spec's `seed`.
+        config: PacketSimConfig,
     },
     /// Sharded parallel packet-level WebWave
     /// ([`ww_pdes::ParPacketSim`]): the same protocol as `packet_sim`,
@@ -252,7 +250,7 @@ pub enum EngineSpec {
     PacketSimPar {
         /// The protocol knobs; `link_delay` must be positive (it is the
         /// conservative lookahead between shards).
-        knobs: PacketKnobs,
+        config: PacketSimConfig,
         /// Worker threads (= subtree shards, capped by the topology).
         workers: usize,
     },
@@ -265,7 +263,7 @@ pub enum EngineSpec {
     PacketSimDist {
         /// The protocol knobs; `link_delay` must be positive (it is the
         /// conservative lookahead between shards).
-        knobs: PacketKnobs,
+        config: PacketSimConfig,
         /// Worker processes (= subtree shards, capped by the topology).
         workers: usize,
     },
@@ -286,67 +284,25 @@ pub enum EngineSpec {
     Baselines {
         /// Which schemes to run.
         schemes: Vec<BaselineScheme>,
-        /// DNS round-robin replica count; `0` selects `n/4` clamped to
-        /// `1..=16`.
-        replicas: usize,
-        /// Directory lookup messages per request.
-        lookup_msgs: f64,
-        /// GLE-migration diffusion iterations.
-        gle_iterations: usize,
-        /// Rounds the WebWave row runs before reporting.
-        webwave_rounds: usize,
-        /// Gossip messages per second amortized into the WebWave row.
-        gossip_per_second: f64,
+        /// The schemes' parameters.
+        params: BaselineParams,
     },
 }
 
-/// The protocol knobs the three packet engines share (`packet_sim`,
-/// `packet_sim_par`, `packet_sim_dist`). The default is the JSON
-/// default of every field.
+/// The parameters of the baseline schemes.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PacketKnobs {
-    /// Diffusion parameter override.
-    pub alpha: Option<f64>,
-    /// Enable tunneling.
-    pub tunneling: bool,
-    /// Underloaded periods tolerated before tunneling.
-    pub barrier_patience: usize,
-    /// One-way per-hop link latency, seconds.
-    pub link_delay: f64,
-    /// Gossip period, seconds.
-    pub gossip_period: f64,
-    /// Diffusion period, seconds (also the engine-round length).
-    pub diffusion_period: f64,
-    /// Rate-measurement window, seconds.
-    pub measure_window: f64,
-    /// Gossip-loss probability (failure injection).
-    pub gossip_loss: f64,
-    /// Relative hysteresis deadband.
-    pub hysteresis: f64,
-    /// Absolute deadband in Poisson sigmas.
-    pub noise_sigmas: f64,
-}
-
-impl PacketKnobs {
-    /// The extra range rules of a sharded packet engine (`flavor` names
-    /// it in the message): shards synchronize on the cut-edge latency,
-    /// and there must be at least one.
-    pub(crate) fn check_sharded(&self, flavor: &str, workers: usize) -> Result<(), SpecError> {
-        if self.link_delay <= 0.0 {
-            return Err(SpecError::at(
-                "engine.link_delay",
-                format!(
-                    "the {flavor} engine needs a positive link delay \
-                     (its conservative lookahead), got {}",
-                    self.link_delay
-                ),
-            ));
-        }
-        if workers == 0 {
-            return Err(SpecError::at("engine.workers", "must be at least 1"));
-        }
-        Ok(())
-    }
+pub struct BaselineParams {
+    /// DNS round-robin replica count; `0` selects `n/4` clamped to
+    /// `1..=16`.
+    pub replicas: usize,
+    /// Directory lookup messages per request.
+    pub lookup_msgs: f64,
+    /// GLE-migration diffusion iterations.
+    pub gle_iterations: usize,
+    /// Rounds the WebWave row runs before reporting.
+    pub webwave_rounds: usize,
+    /// Gossip messages per second amortized into the WebWave row.
+    pub gossip_per_second: f64,
 }
 
 impl EngineSpec {
@@ -361,8 +317,8 @@ impl EngineSpec {
     /// every other engine.
     pub fn sequential_twin(&self) -> Option<EngineSpec> {
         match self {
-            EngineSpec::PacketSimPar { knobs, .. } | EngineSpec::PacketSimDist { knobs, .. } => {
-                Some(EngineSpec::PacketSim { knobs: *knobs })
+            EngineSpec::PacketSimPar { config, .. } | EngineSpec::PacketSimDist { config, .. } => {
+                Some(EngineSpec::PacketSim { config: *config })
             }
             _ => None,
         }
@@ -446,7 +402,7 @@ pub struct Sweep {
 /// Parameters a [`Sweep`] can vary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepParam {
-    /// `engine.staleness` (rate_wave only); value truncated to usize.
+    /// `engine.staleness` (rate_wave only); a whole number.
     Staleness,
     /// `engine.alpha` (any protocol engine).
     Alpha,
@@ -454,11 +410,12 @@ pub enum SweepParam {
     Tunneling,
     /// `engine.gossip_loss` (packet_sim / packet_sim_par).
     GossipLoss,
-    /// `engine.workers` (packet_sim_par only); value truncated to usize.
+    /// `engine.workers` (packet_sim_par / packet_sim_dist); a whole
+    /// number, at least 1.
     Workers,
     /// `workload.doc_mix.theta` (shared_zipf mixes).
     DocTheta,
-    /// `seed`; value truncated to u64.
+    /// `seed`; a whole number up to 2^53.
     Seed,
 }
 
@@ -470,125 +427,6 @@ impl SweepParam {
 }
 
 impl Sweep {
-    /// Produces the spec for one sweep value, or an error naming the
-    /// incompatible field when the parameter does not apply.
-    pub fn apply(&self, base: &ScenarioSpec, value: f64) -> Result<ScenarioSpec, SpecError> {
-        let mut spec = base.clone();
-        spec.sweep = None;
-        // Swept values bypass the JSON field parsers, so each parameter
-        // re-imposes its own range rule here — an out-of-range value must
-        // surface as a SpecError, never as an engine-constructor panic.
-        let whole = |value: f64| {
-            if value < 0.0 || value.fract() != 0.0 {
-                Err(SpecError::at(
-                    "sweep.values",
-                    format!("expected a non-negative integer, got {value}"),
-                ))
-            } else {
-                Ok(value)
-            }
-        };
-        match self.param {
-            SweepParam::Staleness => match &mut spec.engine {
-                EngineSpec::RateWave { staleness, .. } => *staleness = whole(value)? as usize,
-                _ => {
-                    return Err(SpecError::at(
-                        "sweep.param",
-                        "\"staleness\" applies only to the rate_wave engine",
-                    ))
-                }
-            },
-            SweepParam::Alpha => {
-                unit_alpha(&Some(value)).map_err(|e| SpecError::at("sweep.values", e))?;
-                let slot = match &mut spec.engine {
-                    EngineSpec::RateWave { alpha, .. }
-                    | EngineSpec::DocSim { alpha, .. }
-                    | EngineSpec::ForestWave { alpha, .. } => alpha,
-                    EngineSpec::PacketSim { knobs }
-                    | EngineSpec::PacketSimPar { knobs, .. }
-                    | EngineSpec::PacketSimDist { knobs, .. } => &mut knobs.alpha,
-                    EngineSpec::Baselines { .. } => {
-                        return Err(SpecError::at(
-                            "sweep.param",
-                            "\"alpha\" does not apply to the baselines engine",
-                        ))
-                    }
-                };
-                *slot = Some(value);
-            }
-            SweepParam::Tunneling => {
-                let slot = match &mut spec.engine {
-                    EngineSpec::DocSim { tunneling, .. } => tunneling,
-                    EngineSpec::PacketSim { knobs }
-                    | EngineSpec::PacketSimPar { knobs, .. }
-                    | EngineSpec::PacketSimDist { knobs, .. } => &mut knobs.tunneling,
-                    _ => return Err(SpecError::at(
-                        "sweep.param",
-                        "\"tunneling\" applies only to the doc_sim / packet_sim family of engines",
-                    )),
-                };
-                *slot = value != 0.0;
-            }
-            SweepParam::GossipLoss => match &mut spec.engine {
-                EngineSpec::PacketSim { knobs }
-                | EngineSpec::PacketSimPar { knobs, .. }
-                | EngineSpec::PacketSimDist { knobs, .. } => {
-                    if !(0.0..=1.0).contains(&value) {
-                        return Err(SpecError::at(
-                            "sweep.values",
-                            format!("gossip_loss is a probability, got {value}"),
-                        ));
-                    }
-                    knobs.gossip_loss = value;
-                }
-                _ => {
-                    return Err(SpecError::at(
-                        "sweep.param",
-                        "\"gossip_loss\" applies only to the packet_sim family of engines",
-                    ))
-                }
-            },
-            SweepParam::Workers => {
-                match &mut spec.engine {
-                    EngineSpec::PacketSimPar { workers, .. }
-                    | EngineSpec::PacketSimDist { workers, .. } => {
-                        let w = whole(value)?;
-                        if w < 1.0 {
-                            return Err(SpecError::at(
-                                "sweep.values",
-                                format!("workers must be at least 1, got {value}"),
-                            ));
-                        }
-                        *workers = w as usize;
-                    }
-                    _ => return Err(SpecError::at(
-                        "sweep.param",
-                        "\"workers\" applies only to the packet_sim_par / packet_sim_dist engines",
-                    )),
-                }
-            }
-            SweepParam::DocTheta => match &mut spec.workload.doc_mix {
-                Some(DocMixSpec::SharedZipf { theta, .. }) => {
-                    if value < 0.0 {
-                        return Err(SpecError::at(
-                            "sweep.values",
-                            format!("doc_theta must be non-negative, got {value}"),
-                        ));
-                    }
-                    *theta = value;
-                }
-                _ => {
-                    return Err(SpecError::at(
-                        "sweep.param",
-                        "\"doc_theta\" requires a shared_zipf doc mix",
-                    ))
-                }
-            },
-            SweepParam::Seed => spec.seed = whole(value)? as u64,
-        }
-        Ok(spec)
-    }
-
     /// The row label for one sweep value (`"staleness=3"`).
     pub fn label(&self, value: f64) -> String {
         match self.param {
@@ -711,14 +549,9 @@ impl ScenarioSpec {
         if let Some(DocMixSpec::SharedZipf { docs, .. }) = &mut spec.workload.doc_mix {
             *docs = (*docs).min(32);
         }
-        if let EngineSpec::Baselines {
-            gle_iterations,
-            webwave_rounds,
-            ..
-        } = &mut spec.engine
-        {
-            *gle_iterations = (*gle_iterations).min(500);
-            *webwave_rounds = (*webwave_rounds).min(500);
+        if let EngineSpec::Baselines { params, .. } = &mut spec.engine {
+            params.gle_iterations = params.gle_iterations.min(500);
+            params.webwave_rounds = params.webwave_rounds.min(500);
         }
         spec
     }

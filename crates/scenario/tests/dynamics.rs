@@ -481,8 +481,9 @@ fn report_digest(json: &str) -> u64 {
     fnv1a(report.report.as_bytes())
 }
 
-/// The refusal of a spec the parser accepts but the runner cannot
-/// resolve, at construction or when a scheduled event fires.
+/// The refusal of a spec: at parse time when a value fails its declared
+/// check, else by the runner at construction or when a scheduled event
+/// fires.
 fn run_refusal(workload: &str, schedule: &str) -> String {
     let json = format!(
         r#"{{
@@ -494,8 +495,7 @@ fn run_refusal(workload: &str, schedule: &str) -> String {
           "events": {{"schedule": [{schedule}]}}
         }}"#
     );
-    let spec = ScenarioSpec::from_json(&json).unwrap_or_else(|e| panic!("parse {json}: {e}"));
-    match Runner::new().run(&spec) {
+    match ScenarioSpec::from_json(&json).and_then(|spec| Runner::new().run(&spec)) {
         Ok(_) => panic!("{json} ran"),
         Err(e) => e.to_string(),
     }

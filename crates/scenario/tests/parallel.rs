@@ -32,8 +32,8 @@ fn parallel_twin_of_flash_crowd() -> ScenarioSpec {
     let spec = load_spec("flash_crowd.json");
     let mut par = spec.clone();
     par.engine = match &spec.engine {
-        EngineSpec::PacketSim { knobs } => EngineSpec::PacketSimPar {
-            knobs: *knobs,
+        EngineSpec::PacketSim { config } => EngineSpec::PacketSimPar {
+            config: *config,
             workers: 4,
         },
         other => panic!("flash_crowd should be packet_sim, found {other:?}"),

@@ -3,9 +3,10 @@
 
 use proptest::prelude::*;
 use ww_scenario::{
-    BaselineScheme, DocMixSpec, EngineSpec, EventKindSpec, EventSpec, EventsSpec, PacketKnobs,
-    PaperFigure, RatesSpec, RebalanceConfig, Runner, ScenarioSpec, Sweep, SweepParam,
-    TelemetrySpec, Termination, TopologySpec, WorkloadSpec,
+    BaselineParams, BaselineScheme, DocMixSpec, DocSimConfig, EngineSpec, EventKindSpec, EventSpec,
+    EventsSpec, PacketSimConfig, PaperFigure, RatesSpec, RebalanceConfig, Runner, ScenarioSpec,
+    Sweep, SweepParam, TelemetrySpec, Termination, TopologySpec, WaveConfig, WorkloadSpec,
+    DEFAULT_SEED,
 };
 use ww_telemetry::Level;
 
@@ -118,8 +119,8 @@ fn arb_alpha() -> BoxedStrategy<Option<f64>> {
 }
 
 /// Every knob varies, so a knob the grammar mishandles fails the round
-/// trip.
-fn arb_knobs() -> impl Strategy<Value = PacketKnobs> {
+/// trip. `seed` is no key: it reads back as its declared default.
+fn arb_knobs() -> impl Strategy<Value = PacketSimConfig> {
     (
         (arb_alpha(), 0usize..2, 0usize..6),
         (0.001f64..0.1, 0.1f64..2.0, 0.1f64..2.0, 0.1f64..3.0),
@@ -130,7 +131,8 @@ fn arb_knobs() -> impl Strategy<Value = PacketKnobs> {
                 (alpha, t, barrier_patience),
                 (link_delay, gossip_period, diffusion_period, measure_window),
                 (gossip_loss, hysteresis, noise_sigmas),
-            )| PacketKnobs {
+            )| PacketSimConfig {
+                seed: DEFAULT_SEED,
                 alpha,
                 tunneling: t == 1,
                 barrier_patience,
@@ -149,23 +151,27 @@ fn arb_engine() -> BoxedStrategy<EngineSpec> {
     (0usize..7)
         .prop_flat_map(|choice| match choice {
             6 => (arb_knobs(), 1usize..8)
-                .prop_map(|(knobs, workers)| EngineSpec::PacketSimDist { knobs, workers })
+                .prop_map(|(config, workers)| EngineSpec::PacketSimDist { config, workers })
                 .boxed(),
             5 => (arb_knobs(), 1usize..16)
-                .prop_map(|(knobs, workers)| EngineSpec::PacketSimPar { knobs, workers })
+                .prop_map(|(config, workers)| EngineSpec::PacketSimPar { config, workers })
                 .boxed(),
             0 => (arb_alpha(), 0usize..10)
-                .prop_map(|(alpha, staleness)| EngineSpec::RateWave { alpha, staleness })
+                .prop_map(|(alpha, staleness)| EngineSpec::RateWave {
+                    config: WaveConfig { alpha, staleness },
+                })
                 .boxed(),
             1 => (arb_alpha(), 0usize..2, 0usize..6)
                 .prop_map(|(alpha, t, barrier_patience)| EngineSpec::DocSim {
-                    alpha,
-                    tunneling: t == 1,
-                    barrier_patience,
+                    config: DocSimConfig {
+                        alpha,
+                        tunneling: t == 1,
+                        barrier_patience,
+                    },
                 })
                 .boxed(),
             2 => arb_knobs()
-                .prop_map(|knobs| EngineSpec::PacketSim { knobs })
+                .prop_map(|config| EngineSpec::PacketSim { config })
                 .boxed(),
             3 => (
                 arb_alpha(),
@@ -198,11 +204,13 @@ fn arb_engine() -> BoxedStrategy<EngineSpec> {
                         }
                         EngineSpec::Baselines {
                             schemes,
-                            replicas: mask % 8,
-                            lookup_msgs,
-                            gle_iterations,
-                            webwave_rounds,
-                            gossip_per_second,
+                            params: BaselineParams {
+                                replicas: mask % 8,
+                                lookup_msgs,
+                                gle_iterations,
+                                webwave_rounds,
+                                gossip_per_second,
+                            },
                         }
                     },
                 )
@@ -912,11 +920,13 @@ fn incompatible_sweep_is_rejected_at_resolution() {
 
 /// A knob the packet world refuses (`PacketSimConfig::check`: one row
 /// per range it states) is a `SpecError` at the knob's path on every
-/// packet engine, not a panic. Most of them parse: `gossip_loss: 1.5`
-/// and `gossip_period: 0` do.
+/// packet engine, not a panic. The runner checks a spec built in Rust
+/// through the declarations, so each refusal is the one `from_json`
+/// gives its printed form: `alpha`'s is the declared alpha check, which
+/// every engine shares and which runs before the world's ranges.
 #[test]
 fn out_of_range_packet_knobs_are_refused_at_resolution() {
-    type Edit = fn(&mut PacketKnobs);
+    type Edit = fn(&mut PacketSimConfig);
     let rows: [(Edit, &str); 6] = [
         (
             |k| k.link_delay = -1.0,
@@ -936,7 +946,7 @@ fn out_of_range_packet_knobs_are_refused_at_resolution() {
         ),
         (
             |k| k.alpha = Some(1.5),
-            "engine.alpha: diffusion alpha out of range, got 1.5",
+            "engine.alpha: alpha must lie in (0, 1), got 1.5",
         ),
         (
             |k| k.gossip_loss = 1.5,
@@ -954,24 +964,332 @@ fn out_of_range_packet_knobs_are_refused_at_resolution() {
         ("termination", r#"{"kind": "rounds", "max": 1}"#),
     ]))
     .unwrap();
-    let knobs = PacketKnobs::default();
+    let config = PacketSimConfig::default();
     for engine in [
-        EngineSpec::PacketSim { knobs },
-        EngineSpec::PacketSimPar { knobs, workers: 2 },
+        EngineSpec::PacketSim { config },
+        EngineSpec::PacketSimPar { config, workers: 2 },
     ] {
         for (edit, expected) in rows {
             let mut spec = ScenarioSpec {
                 engine: engine.clone(),
                 ..base.clone()
             };
-            if let EngineSpec::PacketSim { knobs } | EngineSpec::PacketSimPar { knobs, .. } =
+            if let EngineSpec::PacketSim { config } | EngineSpec::PacketSimPar { config, .. } =
                 &mut spec.engine
             {
-                edit(knobs);
+                edit(config);
             }
             let err = ww_scenario::Runner::new().run(&spec).expect_err(expected);
             assert_eq!(err.to_string(), expected, "{}", engine.kind());
         }
+    }
+}
+
+/// A valid spec on every engine and generator the table below edits.
+fn refusal_base() -> ScenarioSpec {
+    ScenarioSpec::from_json(&with(&[
+        ("topology", r#"{"kind": "path", "nodes": 4}"#),
+        (
+            "workload",
+            r#"{"rates": {"kind": "uniform", "rate": 1},
+                "doc_mix": {"kind": "shared_zipf", "docs": 2, "theta": 1}}"#,
+        ),
+        ("termination", r#"{"kind": "rounds", "max": 1}"#),
+    ]))
+    .unwrap()
+}
+
+/// Every value check that needs no built tree, run both ways: the
+/// document `from_json` reads and the spec built in Rust that `Runner`
+/// runs give the same refusal, word for word.
+#[test]
+fn value_refusals_read_the_same_from_json_and_from_rust() {
+    type Edit = fn(&mut ScenarioSpec);
+    fn packet(spec: &mut ScenarioSpec) -> &mut PacketSimConfig {
+        spec.engine = EngineSpec::PacketSimPar {
+            config: PacketSimConfig::default(),
+            workers: 2,
+        };
+        match &mut spec.engine {
+            EngineSpec::PacketSimPar { config, .. } => config,
+            _ => unreachable!(),
+        }
+    }
+    let rows: [(Edit, &str); 25] = [
+        (
+            |s| s.topology = TopologySpec::Path { nodes: 0 },
+            "topology.nodes: must be at least 1",
+        ),
+        (
+            |s| s.topology = TopologySpec::Star { nodes: 0 },
+            "topology.nodes: must be at least 1",
+        ),
+        (
+            |s| s.topology = TopologySpec::KAry { arity: 0, depth: 2 },
+            "topology.arity: must be at least 1",
+        ),
+        (
+            |s| {
+                s.topology = TopologySpec::TwoLevel {
+                    regions: 0,
+                    leaves: 2,
+                }
+            },
+            "topology.regions: must be at least 1",
+        ),
+        (
+            |s| {
+                s.topology = TopologySpec::TwoLevel {
+                    regions: 2,
+                    leaves: 0,
+                }
+            },
+            "topology.leaves: must be at least 1",
+        ),
+        (
+            |s| s.topology = TopologySpec::Caterpillar { spine: 0, legs: 2 },
+            "topology.spine: must be at least 1",
+        ),
+        (
+            |s| {
+                s.topology = TopologySpec::Broom {
+                    handle: 0,
+                    bristles: 2,
+                }
+            },
+            "topology.handle: must be at least 1",
+        ),
+        (
+            |s| s.topology = TopologySpec::RandomDepth { nodes: 3, depth: 3 },
+            "topology.nodes: a depth-3 tree needs at least 4 nodes",
+        ),
+        (
+            |s| {
+                s.topology = TopologySpec::RandomDepth {
+                    nodes: 5,
+                    depth: usize::MAX,
+                }
+            },
+            "topology.nodes: a depth-18446744073709551615 tree needs at least \
+             18446744073709551616 nodes",
+        ),
+        (
+            |s| s.workload.rates = RatesSpec::RandomUniform { lo: 5.0, hi: 2.0 },
+            "workload.rates.hi: upper bound 2 is below lower bound 5",
+        ),
+        (
+            |s| {
+                s.workload.rates = RatesSpec::ZipfNodes {
+                    total: 10.0,
+                    theta: -1.0,
+                }
+            },
+            "workload.rates.theta: must be finite and non-negative, got -1",
+        ),
+        (
+            |s| {
+                s.workload.doc_mix = Some(DocMixSpec::SharedZipf {
+                    docs: 0,
+                    theta: 1.0,
+                })
+            },
+            "workload.doc_mix.docs: must be at least 1",
+        ),
+        (
+            |s| {
+                s.workload.doc_mix = Some(DocMixSpec::SharedZipf {
+                    docs: 2,
+                    theta: -0.5,
+                })
+            },
+            "workload.doc_mix.theta: must be finite and non-negative, got -0.5",
+        ),
+        (
+            |s| {
+                s.engine = EngineSpec::RateWave {
+                    config: WaveConfig {
+                        alpha: Some(1.5),
+                        staleness: 0,
+                    },
+                }
+            },
+            "engine.alpha: alpha must lie in (0, 1), got 1.5",
+        ),
+        (
+            |s| {
+                s.engine = EngineSpec::ForestWave {
+                    alpha: None,
+                    coupled: true,
+                    roots: vec![],
+                }
+            },
+            "engine.roots: needs at least one root",
+        ),
+        (
+            |s| {
+                s.engine = EngineSpec::Baselines {
+                    schemes: vec![],
+                    params: BaselineParams::default(),
+                }
+            },
+            "engine.schemes: needs at least one scheme",
+        ),
+        (
+            |s| packet(s).gossip_loss = 1.5,
+            "engine.gossip_loss: gossip loss out of range, got 1.5",
+        ),
+        (
+            |s| packet(s).gossip_period = 0.0,
+            "engine.gossip_period: gossip period out of range, got 0",
+        ),
+        (
+            |s| packet(s).link_delay = -1.0,
+            "engine.link_delay: link delay out of range, got -1",
+        ),
+        (
+            |s| packet(s).link_delay = 0.0,
+            "engine.link_delay: the parallel engine needs a positive link delay \
+             (its conservative lookahead), got 0",
+        ),
+        (
+            |s| {
+                s.engine = EngineSpec::PacketSimDist {
+                    config: PacketSimConfig::default(),
+                    workers: 0,
+                }
+            },
+            "engine.workers: must be at least 1",
+        ),
+        (
+            |s| {
+                s.events = Some(EventsSpec {
+                    schedule: vec![EventSpec {
+                        round: 1,
+                        kind: EventKindSpec::WorkloadShift {
+                            rates: Some(RatesSpec::RandomUniform { lo: 5.0, hi: 2.0 }),
+                            doc_mix: None,
+                            seed: None,
+                        },
+                    }],
+                    recovery_threshold: 0.1,
+                    batched_barriers: false,
+                })
+            },
+            "events.schedule[0].rates.hi: upper bound 2 is below lower bound 5",
+        ),
+        (
+            |s| {
+                packet(s);
+                s.rebalance = Some(RebalanceConfig {
+                    trigger_imbalance: 0.5,
+                    min_epoch_gap: 1,
+                })
+            },
+            "rebalance.trigger_imbalance: expected a finite max-over-mean ratio of at least 1, \
+             got 0.5",
+        ),
+        (
+            |s| s.seed = 1 << 60,
+            "seed: 1152921504606846976 exceeds 2^53 and cannot round-trip through JSON",
+        ),
+        (
+            |s| {
+                s.sweep = Some(Sweep {
+                    param: SweepParam::Seed,
+                    values: vec![],
+                })
+            },
+            "sweep.values: sweep needs at least one value",
+        ),
+    ];
+    for (edit, expected) in rows {
+        let mut spec = refusal_base();
+        edit(&mut spec);
+        assert_eq!(verdict(&spec.to_json()), expected, "from_json");
+        let ran = Runner::new()
+            .run(&spec)
+            .map(|_| ())
+            .map_err(|e| e.to_string());
+        assert_eq!(ran, Err(expected.to_string()), "Runner::run");
+    }
+}
+
+/// A sweep row past a declared check is refused at `sweep.values` with
+/// the check's own message, never a panic; a parameter the engine has no
+/// key for is refused at `sweep.param`.
+#[test]
+fn a_sweep_row_past_a_declared_check_is_refused_at_sweep_values() {
+    let rows = [
+        (
+            r#"{"kind": "rate_wave"}"#,
+            SweepParam::Alpha,
+            1.5,
+            "sweep.values: alpha must lie in (0, 1), got 1.5",
+        ),
+        (
+            r#"{"kind": "rate_wave"}"#,
+            SweepParam::Alpha,
+            f64::NAN,
+            "sweep.values: alpha must lie in (0, 1), got NaN",
+        ),
+        (
+            r#"{"kind": "rate_wave"}"#,
+            SweepParam::Staleness,
+            2.5,
+            "sweep.values: expected a non-negative integer, got 2.5",
+        ),
+        (
+            r#"{"kind": "packet_sim"}"#,
+            SweepParam::GossipLoss,
+            1.5,
+            "sweep.values: gossip loss out of range, got 1.5",
+        ),
+        (
+            r#"{"kind": "packet_sim_par"}"#,
+            SweepParam::Workers,
+            0.0,
+            "sweep.values: must be at least 1",
+        ),
+        (
+            r#"{"kind": "doc_sim"}"#,
+            SweepParam::DocTheta,
+            -1.0,
+            "sweep.values: must be finite and non-negative, got -1",
+        ),
+        (
+            r#"{"kind": "doc_sim"}"#,
+            SweepParam::Seed,
+            -1.0,
+            "sweep.values: expected a non-negative integer, got -1",
+        ),
+        (
+            r#"{"kind": "baselines"}"#,
+            SweepParam::Alpha,
+            0.5,
+            r#"sweep.param: "alpha" does not apply to the baselines engine"#,
+        ),
+        (
+            r#"{"kind": "doc_sim"}"#,
+            SweepParam::GossipLoss,
+            0.5,
+            r#"sweep.param: "gossip_loss" applies only to the packet_sim family of engines"#,
+        ),
+    ];
+    for (engine, param, value, expected) in rows {
+        let mut spec = refusal_base();
+        spec.engine = ScenarioSpec::from_json(&one("engine", engine))
+            .unwrap()
+            .engine;
+        spec.sweep = Some(Sweep {
+            param,
+            values: vec![value],
+        });
+        let outcome = std::panic::catch_unwind(|| Runner::new().run(&spec).map(|_| ()));
+        let refused = outcome.unwrap_or_else(|_| panic!("{engine} {param:?} {value} panicked"));
+        assert_eq!(
+            refused.map_err(|e| e.to_string()),
+            Err(expected.to_string())
+        );
     }
 }
 
@@ -991,9 +1309,11 @@ fn packet_sim_par_parses_with_defaults_and_round_trips() {
     )
     .unwrap();
     match &spec.engine {
-        EngineSpec::PacketSimPar { knobs, workers } => {
+        EngineSpec::PacketSimPar { config, workers } => {
             assert_eq!(*workers, 3);
-            assert_eq!(knobs.link_delay, 0.005);
+            assert_eq!(config.link_delay, 0.005);
+            // The declared defaults are the engine's own.
+            assert_eq!(*config, PacketSimConfig::default());
         }
         other => panic!("parsed {other:?}"),
     }

@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release --example publisher_flash_crowd`
 
-use webwave::scenario::{EngineSpec, Runner, ScenarioSpec, Termination};
+use webwave::scenario::{BaselineParams, EngineSpec, Runner, ScenarioSpec, Termination};
 
 fn main() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/flash_crowd.json");
@@ -27,11 +27,7 @@ fn main() {
     shootout.name = "flash-crowd-baselines".to_string();
     shootout.engine = EngineSpec::Baselines {
         schemes: webwave::scenario::BaselineScheme::all(),
-        replicas: 0,
-        lookup_msgs: 2.0,
-        gle_iterations: 2000,
-        webwave_rounds: 4000,
-        gossip_per_second: 2.0,
+        params: BaselineParams::default(),
     };
     shootout.termination = Termination::Rounds { max: 1 };
     println!("\nscheme comparison (rate level):");

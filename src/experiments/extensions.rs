@@ -9,8 +9,8 @@ use ww_core::tracking::{track, TrackingConfig};
 use ww_core::wave::WaveConfig;
 use ww_model::{NodeId, RateVector};
 use ww_scenario::{
-    BaselineScheme, EngineSpec, PaperFigure, RatesSpec, Runner, ScenarioSpec, TelemetrySpec,
-    Termination, TopologySpec, WorkloadSpec, DEFAULT_SEED,
+    BaselineParams, BaselineScheme, EngineSpec, PaperFigure, RatesSpec, Runner, ScenarioSpec,
+    TelemetrySpec, Termination, TopologySpec, WorkloadSpec, DEFAULT_SEED,
 };
 use ww_topology::paper;
 use ww_workload::{DiurnalDrift, RandomWalkRates, StepChange};
@@ -129,11 +129,7 @@ pub fn throughput_study() -> ThroughputStudy {
         },
         engine: EngineSpec::Baselines {
             schemes: BaselineScheme::all(),
-            replicas: 0,
-            lookup_msgs: 2.0,
-            gle_iterations: 2000,
-            webwave_rounds: 4000,
-            gossip_per_second: 2.0,
+            params: BaselineParams::default(),
         },
         termination: Termination::Rounds { max: 1 },
         seed: DEFAULT_SEED,

@@ -13,8 +13,8 @@ use ww_core::fold::webfold;
 use ww_core::stats::{fit_exponential, ExponentialFit};
 use ww_model::{NodeId, RateVector};
 use ww_scenario::{
-    EngineSpec, PaperFigure, RatesSpec, Runner, ScenarioSpec, Sweep, SweepParam, TelemetrySpec,
-    Termination, TopologySpec, WorkloadSpec, DEFAULT_SEED,
+    BaselineParams, DocSimConfig, EngineSpec, PaperFigure, RatesSpec, Runner, ScenarioSpec, Sweep,
+    SweepParam, TelemetrySpec, Termination, TopologySpec, WaveConfig, WorkloadSpec, DEFAULT_SEED,
 };
 use ww_topology::{self as topology, paper, Graph};
 
@@ -190,8 +190,7 @@ pub fn fig6b(rounds: usize) -> ConvergenceResult {
             figure: PaperFigure::Fig6,
         },
         EngineSpec::RateWave {
-            alpha: None,
-            staleness: 0,
+            config: WaveConfig::default(),
         },
         Termination::Rounds { max: rounds },
     );
@@ -283,8 +282,7 @@ pub fn gamma_study(depths: &[usize], nodes: usize, rounds: usize, seed: u64) -> 
                 "gamma-trial",
                 TopologySpec::RandomDepth { nodes, depth },
                 EngineSpec::RateWave {
-                    alpha: None,
-                    staleness: 0,
+                    config: WaveConfig::default(),
                 },
                 Termination::Rounds { max: rounds },
             );
@@ -357,9 +355,7 @@ pub fn fig7(rounds: usize) -> Fig7Result {
             figure: PaperFigure::Fig7,
         },
         EngineSpec::DocSim {
-            alpha: None,
-            tunneling: true,
-            barrier_patience: 2,
+            config: DocSimConfig::default(),
         },
         Termination::Rounds { max: rounds },
     );
@@ -519,11 +515,7 @@ pub fn baseline_study(seed: u64) -> BaselineStudy {
     let mut out = String::new();
     let baselines_engine = EngineSpec::Baselines {
         schemes: ww_scenario::BaselineScheme::all(),
-        replicas: 0,
-        lookup_msgs: 2.0,
-        gle_iterations: 2000,
-        webwave_rounds: 4000,
-        gossip_per_second: 2.0,
+        params: BaselineParams::default(),
     };
     let fig6_spec = figure_spec(
         "baselines-fig6",

@@ -1,7 +1,8 @@
 //! End-to-end tests of the command lines. `webwave-dist`: the canonical
 //! report of a distributed run is byte-identical to the sequential
 //! `--sequential` run of the same spec, in self-spawning mode and in
-//! the `serve` + external-worker topology CI uses. `webwave-exp`: a bad
+//! the `serve` + external-worker topology CI uses, and a bad
+//! `--workers` override is refused. `webwave-exp`: a bad
 //! selector or flag fails loudly, and `list` reads every shipped spec
 //! and exits 1 when a spec in the directory does not parse.
 
@@ -122,6 +123,31 @@ fn usage_errors_are_loud_and_typed() {
         .output()
         .expect("spawn");
     assert_eq!(out.status.code(), Some(1), "serve requires --listen");
+}
+
+/// A `--workers` override is checked like the spec's own `workers` key:
+/// the run is refused before any worker starts.
+#[test]
+fn zero_workers_override_is_refused_by_the_declared_check() {
+    let out = bin()
+        .args([
+            "run",
+            "--spec",
+            &spec_path(),
+            "--mode",
+            "thread",
+            "--workers",
+            "0",
+        ])
+        .output()
+        .expect("spawn webwave-dist run --workers 0");
+    assert_eq!(out.status.code(), Some(2), "a refused run exits 2");
+    assert!(out.stdout.is_empty(), "nothing runs, nothing prints");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("engine.workers: must be at least 1"),
+        "{stderr}"
+    );
 }
 
 #[test]
