@@ -27,8 +27,7 @@
 //! The hot path avoids hashing and sorting:
 //!
 //! * All per-document state is addressed through the simulation's
-//!   [`DocTable`](ww_model::DocTable) on one
-//!   [`NodeSlab`] for the whole tree: `seen` meter
+//!   [`DocTable`] on one [`NodeSlab`] for the whole tree: `seen` meter
 //!   cells and copy/filter bits sit at `node x docs + doc` of a
 //!   handful of slabs, and a serving node's token bucket and served
 //!   meter in a serve slot found by one popcount — no hashing, no scan
@@ -53,7 +52,7 @@ use crate::packet::driver::{Partition, ShardCore, SimCore};
 use crate::packet::{BarrierOp, BarrierOutcome, NodeSlab, PacketCounters, PacketWorld, CORE_SHARD};
 use crate::stats::ConvergenceTrace;
 use std::fmt::Write as _;
-use ww_model::{ModelError, NodeId, RateVector, Tree};
+use ww_model::{DocTable, ModelError, NodeId, RateVector, Tree};
 use ww_net::{TrafficLedger, ALL_TRAFFIC_CLASSES};
 use ww_sim::SimTime;
 use ww_telemetry::{Level, Snapshot};
@@ -298,21 +297,6 @@ impl PacketSim {
             .report(std::slice::from_mut(&mut self.shard), (0, 0))
     }
 
-    /// The TLB oracle for the offered demand.
-    pub fn oracle(&self) -> &RateVector {
-        &self.core.world.oracle
-    }
-
-    /// The routing tree this simulation runs on.
-    pub fn tree(&self) -> &Tree {
-        &self.core.world.tree
-    }
-
-    /// The dense document table of this simulation's universe.
-    pub fn doc_table(&self) -> &ww_model::DocTable {
-        &self.core.world.table
-    }
-
     /// Lifetime served-request count of one node.
     ///
     /// # Panics
@@ -320,15 +304,6 @@ impl PacketSim {
     /// Panics if `node` is out of range.
     pub fn served_total(&self, node: NodeId) -> u64 {
         self.shard.nodes.served_total(node.index())
-    }
-
-    /// Whether the control link from `node` to its parent is failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn link_failed(&self, node: NodeId) -> bool {
-        self.core.world.link_failed(node)
     }
 
     /// [`PacketBackend::apply_all`], for callers without the trait in
@@ -340,12 +315,6 @@ impl PacketSim {
     /// Panics if a batch is already open.
     pub fn apply_all(&mut self, ops: &[BarrierOp]) -> Vec<Result<BarrierOutcome, ModelError>> {
         PacketBackend::apply_all(self, ops).expect("an in-process batch opens and closes")
-    }
-
-    /// The shared world (topology, mix, oracle, configuration) as the
-    /// simulation currently sees it.
-    pub fn world(&self) -> &PacketWorld {
-        &self.core.world
     }
 
     /// Every node's protocol state; row = node id.
@@ -384,11 +353,33 @@ pub trait PacketBackend {
     /// The report at the current horizon.
     fn report(&mut self) -> Result<PacketSimReport, Self::Error>;
 
+    /// The shared world (topology, mix, oracle, configuration) as the
+    /// run currently sees it.
+    fn world(&self) -> &PacketWorld;
+
     /// The TLB oracle for the offered demand.
-    fn oracle(&self) -> &RateVector;
+    fn oracle(&self) -> &RateVector {
+        &self.world().oracle
+    }
 
     /// The routing tree as the run currently sees it.
-    fn tree(&self) -> &Tree;
+    fn tree(&self) -> &Tree {
+        &self.world().tree
+    }
+
+    /// The dense document table of the run's universe.
+    fn doc_table(&self) -> &DocTable {
+        &self.world().table
+    }
+
+    /// Whether the control link from `node` to its parent is failed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range.
+    fn link_failed(&self, node: NodeId) -> bool {
+        self.world().link_failed(node)
+    }
 
     /// Opens a barrier batch: ops applied until
     /// [`PacketBackend::commit_batch`] share one oracle refresh, one
@@ -443,12 +434,8 @@ impl PacketBackend for PacketSim {
         Ok(PacketSim::report(self))
     }
 
-    fn oracle(&self) -> &RateVector {
-        PacketSim::oracle(self)
-    }
-
-    fn tree(&self) -> &Tree {
-        PacketSim::tree(self)
+    fn world(&self) -> &PacketWorld {
+        &self.core.world
     }
 
     fn begin_batch(&mut self) -> Result<(), ModelError> {

@@ -18,7 +18,7 @@ mod alloc_counter;
 
 use alloc_counter::{allocations_of, CountingAlloc};
 use ww_core::packet::BarrierOp;
-use ww_core::packetsim::{PacketSim, PacketSimConfig};
+use ww_core::packetsim::{PacketBackend, PacketSim, PacketSimConfig};
 use ww_model::{DocId, NodeId};
 
 #[global_allocator]

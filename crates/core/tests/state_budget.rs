@@ -20,7 +20,7 @@ use std::collections::BTreeSet;
 use ww_core::packet::{
     self, BarrierOp, NodeCtx, NodeSlab, PacketCounters, PacketEvent, PacketWorld, Scratch,
 };
-use ww_core::packetsim::{PacketSim, PacketSimConfig};
+use ww_core::packetsim::{PacketBackend, PacketSim, PacketSimConfig};
 use ww_model::{DocId, NodeId, Tree};
 use ww_net::TrafficLedger;
 use ww_sim::SimTime;

@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 use ww_core::packet::{BarrierOp, BarrierOutcome, PacketCounters, PacketSimConfig, PacketWorld};
 use ww_core::packetsim::{PacketBackend, PacketSimReport};
 use ww_core::stats::ExactSum;
-use ww_model::{NodeId, RateVector, Tree};
+use ww_model::Tree;
 use ww_net::TrafficLedger;
 use ww_pdes::engine::{OVERFLOW_PARKS, OVERFLOW_PEAK_PARKED};
 use ww_pdes::{partition_forest, ShardHost, DEFAULT_STALL_TIMEOUT, PDES_KEYS};
@@ -353,16 +353,6 @@ impl DistPacketSim {
         self.replica.core().partition.shards()
     }
 
-    /// The TLB oracle for the offered demand.
-    pub fn oracle(&self) -> &RateVector {
-        &self.replica.core().world.oracle
-    }
-
-    /// The routing tree as the run currently sees it.
-    pub fn tree(&self) -> &Tree {
-        &self.replica.core().world.tree
-    }
-
     /// One expected reply from worker `shard`, with full failure
     /// typing: EOF → [`DistError::WorkerDied`], a `Fatal` message →
     /// [`DistError::WorkerFailed`], silence past the reply timeout →
@@ -577,15 +567,6 @@ impl DistPacketSim {
         Ok(())
     }
 
-    /// Whether the control link from `node` to its parent is failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn link_failed(&self, node: NodeId) -> bool {
-        self.replica.link_failed(node)
-    }
-
     /// [`PacketBackend::apply_all`], for callers without the trait in
     /// scope.
     ///
@@ -720,12 +701,8 @@ impl PacketBackend for DistPacketSim {
         DistPacketSim::report(self)
     }
 
-    fn oracle(&self) -> &RateVector {
-        DistPacketSim::oracle(self)
-    }
-
-    fn tree(&self) -> &Tree {
-        DistPacketSim::tree(self)
+    fn world(&self) -> &PacketWorld {
+        &self.replica.core().world
     }
 
     /// Opens the batch on the replica, then on every worker.

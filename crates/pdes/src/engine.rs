@@ -94,7 +94,7 @@ use ww_core::packet::driver::{ShardCore, SimCore};
 use ww_core::packet::{BarrierOp, BarrierOutcome, PacketEvent, PacketSimConfig, PacketWorld};
 use ww_core::packetsim::{PacketBackend, PacketSimReport};
 use ww_core::stats::ExactSum;
-use ww_model::{ModelError, NodeId, RateVector, Tree};
+use ww_model::{ModelError, NodeId, Tree};
 use ww_sim::{SimQueue, SimTime};
 use ww_telemetry::{Counters, Level, Phases, Snapshot};
 use ww_workload::DocMix;
@@ -1103,21 +1103,6 @@ impl ParPacketSim {
         self.host.core.report(&mut self.host.held, overflow)
     }
 
-    /// The TLB oracle for the offered demand.
-    pub fn oracle(&self) -> &RateVector {
-        &self.host.core.world.oracle
-    }
-
-    /// The routing tree this simulation runs on.
-    pub fn tree(&self) -> &Tree {
-        &self.host.core.world.tree
-    }
-
-    /// The dense document table of this simulation's universe.
-    pub fn doc_table(&self) -> &ww_model::DocTable {
-        &self.host.core.world.table
-    }
-
     /// Lifetime served-request count of one node.
     ///
     /// # Panics
@@ -1126,15 +1111,6 @@ impl ParPacketSim {
     pub fn served_total(&self, node: NodeId) -> u64 {
         let (s, li) = self.host.core.partition.home(node.index());
         self.host.held[s].nodes.served_total(li)
-    }
-
-    /// Whether the control link from `node` to its parent is failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn link_failed(&self, node: NodeId) -> bool {
-        self.host.link_failed(node)
     }
 
     /// [`PacketBackend::apply_all`], for callers without the trait in
@@ -1147,12 +1123,6 @@ impl ParPacketSim {
     /// Panics if a batch is already open.
     pub fn apply_all(&mut self, ops: &[BarrierOp]) -> Vec<Result<BarrierOutcome, ModelError>> {
         PacketBackend::apply_all(self, ops).expect("an in-process batch opens and closes")
-    }
-
-    /// The shared world (topology, mix, oracle, configuration) as the
-    /// simulation currently sees it.
-    pub fn world(&self) -> &PacketWorld {
-        &self.host.core.world
     }
 
     /// The replicated core and the shards, for in-crate tests that
@@ -1174,12 +1144,8 @@ impl PacketBackend for ParPacketSim {
         Ok(ParPacketSim::report(self))
     }
 
-    fn oracle(&self) -> &RateVector {
-        ParPacketSim::oracle(self)
-    }
-
-    fn tree(&self) -> &Tree {
-        ParPacketSim::tree(self)
+    fn world(&self) -> &PacketWorld {
+        &self.host.core.world
     }
 
     fn begin_batch(&mut self) -> Result<(), ModelError> {

@@ -37,7 +37,7 @@ use std::time::Duration;
 use ww_core::packet::driver::{ShardCore, SimCore};
 use ww_core::packet::{BarrierOp, BarrierOutcome, PacketCounters, PacketSimConfig, PacketWorld};
 use ww_core::stats::ExactSum;
-use ww_model::{ModelError, NodeId, Tree};
+use ww_model::{ModelError, Tree};
 use ww_net::TrafficLedger;
 use ww_sim::{SimQueue, SimTime};
 use ww_telemetry::{Counters, Level};
@@ -410,15 +410,6 @@ impl ShardHost {
             merged.merge_from(&links.tel);
         }
         PDES_KEYS.iter().map(|&key| merged.get(key)).collect()
-    }
-
-    /// Whether the control link from `node` to its parent is failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn link_failed(&self, node: NodeId) -> bool {
-        self.core.world.link_failed(node)
     }
 
     /// Opens a barrier batch. Every participant of a distributed run

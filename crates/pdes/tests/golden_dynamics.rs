@@ -489,7 +489,7 @@ fn a_worker_host_rejects_bad_link_ops_with_a_typed_error() {
             host.commit_batch();
         }
     }
-    assert!(tree.nodes().all(|u| !host.link_failed(u)));
+    assert!(tree.nodes().all(|u| !host.core().world.link_failed(u)));
 }
 
 /// Demand that would overflow is refused with `InvalidRate` on the

@@ -9,7 +9,7 @@
 //! one-shot engine that does all its work in a single step and then
 //! reports [`StepOutcome::Done`].
 
-use crate::engine::{Engine, MetricSink, StepOutcome};
+use crate::engine::{Engine, EngineReport, StepOutcome};
 use crate::events::{Event, EventError, World};
 use crate::spec::{BaselineParams, BaselineScheme};
 use ww_core::baselines::SchemeReport;
@@ -19,7 +19,6 @@ use ww_core::packet::BarrierOp;
 use ww_core::packetsim::{PacketBackend, PacketSimReport};
 use ww_core::wave::RateWave;
 use ww_model::RateVector;
-use ww_telemetry::{Level, Snapshot};
 
 /// Wraps an engine-level failure into the typed event rejection.
 fn invalid(event: &Event, reason: impl std::fmt::Display) -> EventError {
@@ -27,6 +26,11 @@ fn invalid(event: &Event, reason: impl std::fmt::Display) -> EventError {
         event: event.kind(),
         reason: reason.to_string(),
     }
+}
+
+/// A report's metric list, in emission order.
+fn metrics<const N: usize>(pairs: [(&str, f64); N]) -> Vec<(String, f64)> {
+    pairs.map(|(name, value)| (name.to_string(), value)).into()
 }
 
 /// Validates a resolved rates vector against the engine's node count.
@@ -44,45 +48,17 @@ fn check_rates(rates: &RateVector, n: usize, event: &Event) -> Result<(), EventE
 }
 
 impl Engine for RateWave {
-    fn kind(&self) -> &'static str {
-        "rate_wave"
-    }
-
     fn step(&mut self) -> StepOutcome {
         RateWave::step(self);
         StepOutcome::Running
-    }
-
-    fn round(&self) -> usize {
-        RateWave::round(self)
     }
 
     fn convergence(&self) -> Option<f64> {
         Some(self.distance_to_tlb())
     }
 
-    fn load(&self) -> Option<RateVector> {
-        Some(RateWave::load(self).clone())
-    }
-
     fn max_load(&self) -> Option<f64> {
         Some(RateWave::load(self).max())
-    }
-
-    fn oracle(&self) -> Option<RateVector> {
-        Some(RateWave::oracle(self).clone())
-    }
-
-    fn trace(&self) -> Option<Vec<f64>> {
-        Some(RateWave::trace(self).distances().to_vec())
-    }
-
-    fn metrics(&self, sink: &mut dyn MetricSink) {
-        sink.metric("alpha", self.alpha());
-        sink.metric("distance_to_tlb", self.distance_to_tlb());
-        let load = RateWave::load(self);
-        sink.metric("max_load", load.max());
-        sink.metric("total_load", load.total());
     }
 
     fn apply(&mut self, event: &Event) -> Result<(), EventError> {
@@ -131,50 +107,36 @@ impl Engine for RateWave {
     fn barrier_commit(&mut self) {
         RateWave::end_batch(self);
     }
+
+    fn report(&self) -> EngineReport {
+        let load = RateWave::load(self);
+        EngineReport {
+            metrics: metrics([
+                ("alpha", self.alpha()),
+                ("distance_to_tlb", self.distance_to_tlb()),
+                ("max_load", load.max()),
+                ("total_load", load.total()),
+            ]),
+            load: Some(load.clone()),
+            oracle: Some(RateWave::oracle(self).clone()),
+            trace: Some(RateWave::trace(self).distances().to_vec()),
+            ..EngineReport::default()
+        }
+    }
 }
 
 impl Engine for DocSim {
-    fn kind(&self) -> &'static str {
-        "doc_sim"
-    }
-
     fn step(&mut self) -> StepOutcome {
         DocSim::step(self);
         StepOutcome::Running
-    }
-
-    fn round(&self) -> usize {
-        DocSim::round(self)
     }
 
     fn convergence(&self) -> Option<f64> {
         Some(self.distance_to_tlb())
     }
 
-    fn load(&self) -> Option<RateVector> {
-        Some(DocSim::load(self).clone())
-    }
-
     fn max_load(&self) -> Option<f64> {
         Some(DocSim::load(self).max())
-    }
-
-    fn oracle(&self) -> Option<RateVector> {
-        Some(DocSim::oracle(self).clone())
-    }
-
-    fn trace(&self) -> Option<Vec<f64>> {
-        Some(DocSim::trace(self).distances().to_vec())
-    }
-
-    fn metrics(&self, sink: &mut dyn MetricSink) {
-        let stats = self.stats();
-        sink.metric("distance_to_tlb", self.distance_to_tlb());
-        sink.metric("max_load", DocSim::load(self).max());
-        sink.metric("copy_pushes", stats.copy_pushes as f64);
-        sink.metric("copy_deletions", stats.copy_deletions as f64);
-        sink.metric("tunnel_fetches", stats.tunnel_fetches as f64);
-        sink.metric("barrier_suspicions", stats.barrier_suspicions as f64);
     }
 
     fn apply(&mut self, event: &Event) -> Result<(), EventError> {
@@ -212,20 +174,30 @@ impl Engine for DocSim {
     fn barrier_commit(&mut self) {
         DocSim::end_batch(self);
     }
+
+    fn report(&self) -> EngineReport {
+        let (load, stats) = (DocSim::load(self), self.stats());
+        EngineReport {
+            metrics: metrics([
+                ("distance_to_tlb", self.distance_to_tlb()),
+                ("max_load", load.max()),
+                ("copy_pushes", stats.copy_pushes as f64),
+                ("copy_deletions", stats.copy_deletions as f64),
+                ("tunnel_fetches", stats.tunnel_fetches as f64),
+                ("barrier_suspicions", stats.barrier_suspicions as f64),
+            ]),
+            load: Some(load.clone()),
+            oracle: Some(DocSim::oracle(self).clone()),
+            trace: Some(DocSim::trace(self).distances().to_vec()),
+            ..EngineReport::default()
+        }
+    }
 }
 
 impl Engine for ForestWave {
-    fn kind(&self) -> &'static str {
-        "forest_wave"
-    }
-
     fn step(&mut self) -> StepOutcome {
         ForestWave::step(self);
         StepOutcome::Running
-    }
-
-    fn round(&self) -> usize {
-        ForestWave::round(self)
     }
 
     /// No TLB oracle exists over a forest; convergence is measured as
@@ -238,23 +210,8 @@ impl Engine for ForestWave {
         }
     }
 
-    fn load(&self) -> Option<RateVector> {
-        Some(self.total_load())
-    }
-
-    fn oracle(&self) -> Option<RateVector> {
-        None
-    }
-
-    fn trace(&self) -> Option<Vec<f64>> {
-        Some(self.max_load_trace().to_vec())
-    }
-
-    fn metrics(&self, sink: &mut dyn MetricSink) {
-        let total = self.total_load();
-        sink.metric("max_total_load", total.max());
-        sink.metric("total_load", total.total());
-        sink.metric("trees", self.loads().len() as f64);
+    fn max_load(&self) -> Option<f64> {
+        Some(self.total_load().max())
     }
 
     /// Forest runs support workload shifts only: the shifted rates are
@@ -282,6 +239,22 @@ impl Engine for ForestWave {
                 event: event.kind(),
                 supported: &["workload_shift"],
             }),
+        }
+    }
+
+    /// No TLB oracle exists over a forest: the trace is the per-round
+    /// maximum total load.
+    fn report(&self) -> EngineReport {
+        let total = self.total_load();
+        EngineReport {
+            metrics: metrics([
+                ("max_total_load", total.max()),
+                ("total_load", total.total()),
+                ("trees", self.loads().len() as f64),
+            ]),
+            load: Some(total),
+            trace: Some(self.max_load_trace().to_vec()),
+            ..EngineReport::default()
         }
     }
 }
@@ -356,10 +329,6 @@ impl<B: PacketBackend> PacketAdapter<B> {
 }
 
 impl<B: PacketBackend> Engine for PacketAdapter<B> {
-    fn kind(&self) -> &'static str {
-        self.kind
-    }
-
     fn step(&mut self) -> StepOutcome {
         self.epochs += 1;
         let deadline = self.diffusion_period * self.epochs as f64;
@@ -370,42 +339,12 @@ impl<B: PacketBackend> Engine for PacketAdapter<B> {
         StepOutcome::Running
     }
 
-    fn round(&self) -> usize {
-        self.epochs
-    }
-
     fn convergence(&self) -> Option<f64> {
         self.last.as_ref().map(|r| r.final_distance)
     }
 
-    fn load(&self) -> Option<RateVector> {
-        self.last.as_ref().map(|r| r.served_rates.clone())
-    }
-
     fn max_load(&self) -> Option<f64> {
         self.last.as_ref().map(|r| r.served_rates.max())
-    }
-
-    fn oracle(&self) -> Option<RateVector> {
-        Some(self.sim.oracle().clone())
-    }
-
-    fn trace(&self) -> Option<Vec<f64>> {
-        self.last.as_ref().map(|r| r.trace.distances().to_vec())
-    }
-
-    fn metrics(&self, sink: &mut dyn MetricSink) {
-        if let Some(r) = &self.last {
-            sink.metric("final_distance", r.final_distance);
-            sink.metric("served_requests", r.served_requests as f64);
-            sink.metric("mean_hops", r.mean_hops);
-            sink.metric("copy_pushes", r.copy_pushes as f64);
-            sink.metric("tunnel_fetches", r.tunnel_fetches as f64);
-            sink.metric(
-                "control_msgs_per_request",
-                r.ledger.control_overhead_per_request(),
-            );
-        }
     }
 
     /// The packet engines honor the full event grammar: churn, link
@@ -432,13 +371,28 @@ impl<B: PacketBackend> Engine for PacketAdapter<B> {
         }
     }
 
-    fn set_telemetry(&mut self, level: Level) {
-        self.sim.set_telemetry(level);
-    }
-
-    fn telemetry(&self) -> Option<Snapshot> {
-        let snap = self.sim.telemetry_snapshot();
-        (!snap.is_empty()).then_some(snap)
+    fn report(&self) -> EngineReport {
+        let last = self.last.as_ref();
+        EngineReport {
+            load: last.map(|r| r.served_rates.clone()),
+            oracle: Some(self.sim.oracle().clone()),
+            trace: last.map(|r| r.trace.distances().to_vec()),
+            metrics: last.map_or_else(Vec::new, |r| {
+                metrics([
+                    ("final_distance", r.final_distance),
+                    ("served_requests", r.served_requests as f64),
+                    ("mean_hops", r.mean_hops),
+                    ("copy_pushes", r.copy_pushes as f64),
+                    ("tunnel_fetches", r.tunnel_fetches as f64),
+                    (
+                        "control_msgs_per_request",
+                        r.ledger.control_overhead_per_request(),
+                    ),
+                ])
+            }),
+            telemetry: Some(self.sim.telemetry_snapshot()).filter(|snap| !snap.is_empty()),
+            ..EngineReport::default()
+        }
     }
 }
 
@@ -463,6 +417,14 @@ impl BaselineEngine {
             reports: Vec::new(),
             stepped: false,
         }
+    }
+
+    /// The load of the scheme row named `name`, once the step ran.
+    fn load_of(&self, name: &str) -> Option<&RateVector> {
+        self.reports
+            .iter()
+            .find(|r| r.name == name)
+            .map(|r| &r.load)
     }
 
     fn run_scheme(&self, scheme: BaselineScheme) -> SchemeReport {
@@ -492,10 +454,6 @@ impl BaselineEngine {
 }
 
 impl Engine for BaselineEngine {
-    fn kind(&self) -> &'static str {
-        "baselines"
-    }
-
     fn step(&mut self) -> StepOutcome {
         if !self.stepped {
             self.reports = self.schemes.iter().map(|&s| self.run_scheme(s)).collect();
@@ -504,60 +462,12 @@ impl Engine for BaselineEngine {
         StepOutcome::Done
     }
 
-    fn round(&self) -> usize {
-        usize::from(self.stepped)
-    }
-
     fn convergence(&self) -> Option<f64> {
         None
     }
 
-    /// The WebWave row's load when present (the scheme the table is
-    /// about); otherwise none.
-    fn load(&self) -> Option<RateVector> {
-        self.reports
-            .iter()
-            .find(|r| r.name == "webwave")
-            .map(|r| r.load.clone())
-    }
-
-    fn oracle(&self) -> Option<RateVector> {
-        self.reports
-            .iter()
-            .find(|r| r.name == "webfold-oracle")
-            .map(|r| r.load.clone())
-    }
-
-    fn trace(&self) -> Option<Vec<f64>> {
-        None
-    }
-
-    fn metrics(&self, sink: &mut dyn MetricSink) {
-        // Dotted-path keys per the workspace metric scheme (scheme names
-        // like "dns-rr" are single segments; see docs/observability.md).
-        for r in &self.reports {
-            sink.metric(&format!("scheme.{}.max_load", r.name), r.max_load);
-            sink.metric(
-                &format!("scheme.{}.distance_to_gle", r.name),
-                r.distance_to_gle,
-            );
-            sink.metric(
-                &format!("scheme.{}.control_msgs_per_request", r.name),
-                r.control_msgs_per_request,
-            );
-            sink.metric(
-                &format!("scheme.{}.data_hops_per_request", r.name),
-                r.data_hops_per_request,
-            );
-            sink.metric(
-                &format!("scheme.{}.violates_nss", r.name),
-                f64::from(u8::from(r.violates_nss)),
-            );
-        }
-    }
-
-    fn scheme_reports(&self) -> Vec<SchemeReport> {
-        self.reports.clone()
+    fn max_load(&self) -> Option<f64> {
+        self.load_of("webwave").map(RateVector::max)
     }
 
     /// Churn and workload shifts change the [`World`] *before* the one
@@ -593,5 +503,29 @@ impl Engine for BaselineEngine {
             }),
         }?;
         self.world.apply(event).map_err(|e| invalid(event, e))
+    }
+
+    /// The load is the WebWave row's (the scheme the table is about),
+    /// the oracle the WebFold row's, each when selected.
+    fn report(&self) -> EngineReport {
+        // Dotted-path keys per the workspace metric scheme (scheme names
+        // like "dns-rr" are single segments; see docs/observability.md).
+        let metrics = self.reports.iter().flat_map(|r| {
+            [
+                ("max_load", r.max_load),
+                ("distance_to_gle", r.distance_to_gle),
+                ("control_msgs_per_request", r.control_msgs_per_request),
+                ("data_hops_per_request", r.data_hops_per_request),
+                ("violates_nss", f64::from(u8::from(r.violates_nss))),
+            ]
+            .map(|(name, value)| (format!("scheme.{}.{name}", r.name), value))
+        });
+        EngineReport {
+            load: self.load_of("webwave").cloned(),
+            oracle: self.load_of("webfold-oracle").cloned(),
+            metrics: metrics.collect(),
+            schemes: self.reports.clone(),
+            ..EngineReport::default()
+        }
     }
 }

@@ -49,14 +49,6 @@ pub struct EventsSpec {
     /// counts as re-converged; drives each marker's
     /// [`recovery_rounds`](EventMarker::recovery_rounds).
     pub recovery_threshold: f64,
-    /// When `true`, the runner wraps every same-round event group in
-    /// [`Engine::barrier_begin`](crate::Engine::barrier_begin) /
-    /// [`Engine::barrier_commit`](crate::Engine::barrier_commit), so
-    /// engines with batch support pay one oracle/queue refresh per
-    /// barrier instead of one per event. Default `false`: existing
-    /// scenarios replay the per-event path, bit-identical to earlier
-    /// builds.
-    pub batched_barriers: bool,
 }
 
 /// One scheduled event: fires after the engine has executed `round`

@@ -194,27 +194,29 @@ spec_layout!(enum EngineSpec "engine" where sharded_lookahead {
         #[flatten] params: BaselineParams,
     },
 });
-spec_layout!(struct WaveConfig {
+// The engines' own configs: every key defaults to the engine's
+// `Default`, so a knob's default is stated once, in `ww-core`.
+spec_layout!(struct WaveConfig: Default {
     alpha: Option<f64> where unit_alpha,
-    staleness: usize = 0,
+    staleness: usize,
 });
-spec_layout!(struct DocSimConfig {
+spec_layout!(struct DocSimConfig: Default {
     alpha: Option<f64> where unit_alpha,
-    tunneling: bool = true,
-    barrier_patience: usize = 2,
+    tunneling: bool,
+    barrier_patience: usize,
 });
-spec_layout!(struct PacketSimConfig where packet_ranges {
-    #[skip] seed: u64 = DEFAULT_SEED,
+spec_layout!(struct PacketSimConfig: Default where packet_ranges {
+    #[skip] seed: u64,
     alpha: Option<f64> where unit_alpha,
-    tunneling: bool = true,
-    barrier_patience: usize = 2,
-    link_delay: f64 = 0.005,
-    gossip_period: f64 = 0.5,
-    diffusion_period: f64 = 1.0,
-    measure_window: f64 = 1.0,
-    gossip_loss: f64 = 0.0,
-    hysteresis: f64 = 0.05,
-    noise_sigmas: f64 = 3.0,
+    tunneling: bool,
+    barrier_patience: usize,
+    link_delay: f64,
+    gossip_period: f64,
+    diffusion_period: f64,
+    measure_window: f64,
+    gossip_loss: f64,
+    hysteresis: f64,
+    noise_sigmas: f64,
 });
 #[rustfmt::skip]
 spec_layout!(struct BaselineParams {
@@ -262,7 +264,6 @@ spec_layout!(struct RebalanceConfig {
 spec_layout!(struct EventsSpec where sorted_by_round {
     schedule: Vec<EventSpec> as "an array of events",
     recovery_threshold: f64 where non_negative = DEFAULT_RECOVERY_THRESHOLD,
-    batched_barriers: bool = false,
 });
 #[rustfmt::skip]
 spec_layout!(struct EventSpec {
@@ -803,6 +804,20 @@ macro_rules! first {
     };
 }
 
+/// A struct key's default: its own `= default`, else — in a `T: Default`
+/// declaration — the field of `T::default()`, else none.
+macro_rules! key_default {
+    ([] $f:ident) => {
+        None
+    };
+    ([Default] $f:ident) => {
+        Some(<Self as Default>::default().$f)
+    };
+    ([$($from:ident)?] $f:ident $default:expr) => {
+        Some($default)
+    };
+}
+
 /// One declared key's part of a walk over its object: its `keys`, its
 /// `read` or its `write`. A `#[flatten]` key hands the walk to its own
 /// type's keys.
@@ -851,7 +866,8 @@ macro_rules! spec_field {
 ///   of the print instead of printing `null`; `#[null_is_default]` reads
 ///   a `null` as the default; `#[flatten]` puts the type's own keys in
 ///   this object; `#[skip]` makes a field no key at all: it reads as its
-///   default and prints nothing.
+///   default and prints nothing. `struct T: Default { .. }` takes every
+///   key's default from `T::default()` unless the key declares its own.
 /// - `enum T "thing" { "tag" => Variant { key: Type, .. }, .. }` maps each
 ///   `kind` tag to a variant and its keys; `also U` gives an enum with
 ///   the same variant names the same tags.
@@ -861,7 +877,13 @@ macro_rules! spec_field {
 /// `where rule` after a struct's or an enum's name runs once the whole
 /// value is read.
 macro_rules! spec_layout {
-    (struct $ty:ident $(where $rule:path)? {
+    (struct $ty:ident $(where $rule:path)? { $($body:tt)* }) => {
+        spec_layout!(@struct $ty [] $(where $rule)? { $($body)* });
+    };
+    (struct $ty:ident: Default $(where $rule:path)? { $($body:tt)* }) => {
+        spec_layout!(@struct $ty [Default] $(where $rule)? { $($body)* });
+    };
+    (@struct $ty:ident $from:tt $(where $rule:path)? {
         $($(#[$a:ident])? $f:ident: $t:ty $(as $what:literal)? $(where $check:path)?
             $(= $default:expr)?),* $(,)?
     }) => {
@@ -876,7 +898,7 @@ macro_rules! spec_layout {
             fn read_in(map: &Map, path: &Path) -> Result<Self, SpecError> {
                 $(
                     let $f = spec_field!(read map path [$($a)?] $f $t,
-                        first!($($what,)? <$t as Field>::WHAT), first!($(Some($default),)? None));
+                        first!($($what,)? <$t as Field>::WHAT), key_default!($from $f $($default)?));
                     $($check(&$f).map_err(|e| SpecError::at(&Path::Key(path, stringify!($f)), e))?;)?
                 )*
                 let value = Self { $($f),* };
@@ -977,4 +999,4 @@ macro_rules! spec_layout {
         }
     };
 }
-use {first, spec_field, spec_layout};
+use {first, key_default, spec_field, spec_layout};

@@ -14,9 +14,9 @@
 //!   workload, engine choice, protocol knobs, seed, termination rule,
 //!   optional parameter sweep) that round-trips through JSON, so new
 //!   workloads are data (`scenarios/*.json`), not new `main` functions;
-//! * [`Engine`] — the common stepping/metrics/reporting trait, with a
-//!   streaming [`Observer`]/[`MetricSink`] API replacing the per-engine
-//!   report plumbing;
+//! * [`Engine`] — the common stepping/event/reporting trait, with a
+//!   streaming [`Observer`] API replacing the per-engine report
+//!   plumbing;
 //! * [`Runner`] — resolves a spec into a boxed engine and drives it to
 //!   termination (round budget, convergence threshold, or wall-clock),
 //!   emitting a uniform [`ScenarioReport`].
@@ -89,7 +89,7 @@ pub mod spec;
 
 mod adapters;
 
-pub use engine::{Engine, EngineReport, MetricSink, NullObserver, Observer, StepOutcome};
+pub use engine::{Engine, EngineReport, NullObserver, Observer, StepOutcome};
 pub use error::SpecError;
 pub use events::{
     Event, EventError, EventKindSpec, EventMarker, EventSpec, EventsSpec,

@@ -138,7 +138,7 @@ impl Runner {
     /// mix, explicit rates of the wrong length, a generator yielding a
     /// negative rate, forest roots out of range).
     pub fn resolve(&self, spec: &ScenarioSpec) -> Result<Box<dyn Engine>, SpecError> {
-        Ok(self.engine(&self.prepare(spec)?)?.0)
+        Ok(resolve_engine(&self.prepare(spec)?, &self.dist)?.0)
     }
 
     /// Runs a spec (expanding its sweep) with no observer.
@@ -185,7 +185,7 @@ impl Runner {
         };
         let mut rows = Vec::with_capacity(runs.len());
         for (label, run_spec) in runs {
-            let (mut engine, world) = self.engine(&run_spec)?;
+            let (mut engine, world) = resolve_engine(&run_spec, &self.dist)?;
             if let Some(w) = tracer.as_mut() {
                 let _ = w.record(&run_start_record(&run_spec, &label));
             }
@@ -204,6 +204,8 @@ impl Runner {
                 drive(engine.as_mut(), &run_spec, world, obs)?
             };
             let mut outcome = engine.report();
+            outcome.engine = run_spec.engine.kind().to_string();
+            outcome.rounds = result.rounds;
             // Per-event markers ride in the metric stream, so every
             // consumer of the uniform report sees the dynamics timeline.
             for m in &markers {
@@ -265,19 +267,6 @@ impl Runner {
         // the command line), it gets the refusal its printed form gets.
         ScenarioSpec::from_value(&spec.to_value())?;
         Ok(spec)
-    }
-
-    /// Resolves one unswept run's engine at the run's telemetry level,
-    /// with the [`World`] mirror its dynamics schedule needs.
-    fn engine(&self, spec: &ScenarioSpec) -> Result<(Box<dyn Engine>, Option<World>), SpecError> {
-        // The distributed engine fixes its level at launch (it times the
-        // worker handshake), so the level rides in DistOptions; every
-        // other engine takes it through set_telemetry.
-        let mut dist = self.dist.clone();
-        dist.telemetry = spec.telemetry.level;
-        let (mut engine, world) = resolve_engine(spec, &dist)?;
-        engine.set_telemetry(spec.telemetry.level);
-        Ok((engine, world))
     }
 }
 
@@ -537,7 +526,6 @@ fn drive(
     let no_events = EventsSpec {
         schedule: Vec::new(),
         recovery_threshold: DEFAULT_RECOVERY_THRESHOLD,
-        batched_barriers: false,
     };
     let events = spec.events.as_ref().unwrap_or(&no_events);
     let schedule = &events.schedule;
@@ -558,15 +546,19 @@ fn drive(
         None
     };
     loop {
-        // Fire everything due at this round count. With batched
-        // barriers, the whole same-round group becomes one barrier:
-        // engines defer their shared refresh work to the commit.
+        // Fire everything due at this round count. Two or more events
+        // due together are one barrier, so engines defer their shared
+        // refresh work to the commit; every engine applies a lone event
+        // as a barrier of its own.
         let mut fired = false;
-        let due = next_event < schedule.len() && schedule[next_event].round <= rounds;
-        if due && events.batched_barriers {
+        let due = schedule[next_event..]
+            .iter()
+            .take_while(|e| e.round <= rounds)
+            .count();
+        if due > 1 {
             engine.barrier_begin();
         }
-        while next_event < schedule.len() && schedule[next_event].round <= rounds {
+        for _ in 0..due {
             let world = world.as_mut().expect("a schedule has a world mirror");
             let event = resolve_event(&schedule[next_event], next_event, spec.seed, world)?;
             let result = engine.apply(&event);
@@ -592,7 +584,7 @@ fn drive(
             }
             next_event += 1;
         }
-        if due && events.batched_barriers {
+        if due > 1 {
             engine.barrier_commit();
         }
         if fired {
@@ -645,7 +637,7 @@ fn drive(
         } else {
             None
         };
-        observer.on_round(engine.round(), if wants { metric } else { None });
+        observer.on_round(rounds, if wants { metric } else { None });
         if !trackers.is_empty() {
             update_trackers(
                 metric,
@@ -783,8 +775,9 @@ fn require_mix(mix: Option<DocMix>, engine: &str) -> Result<DocMix, SpecError> {
 
 /// Spec → engine, with the spec's seed driving topology, workload, and
 /// engine randomness (in that order, from one generator — so a seed
-/// pins the whole run). A spec with a dynamics schedule also gets the
-/// engine's starting [`World`], to mirror the events on.
+/// pins the whole run), at the spec's telemetry level. A spec with a
+/// dynamics schedule also gets the engine's starting [`World`], to
+/// mirror the events on.
 fn resolve_engine(
     spec: &ScenarioSpec,
     dist: &DistOptions,
@@ -820,17 +813,16 @@ fn resolve_engine(
         EngineSpec::PacketSim { config } => {
             let mix = require_mix(mix, kind)?;
             let config = seeded(config, spec);
-            Box::new(PacketAdapter::new(
-                kind,
-                PacketSim::new(&world.tree, &mix, config),
-                config.diffusion_period,
-            ))
+            let mut sim = PacketSim::new(&world.tree, &mix, config);
+            sim.set_telemetry(spec.telemetry.level);
+            Box::new(PacketAdapter::new(kind, sim, config.diffusion_period))
         }
         EngineSpec::PacketSimPar { config, workers } => {
             let mix = require_mix(mix, kind)?;
             let config = seeded(config, spec);
             let mut sim = ParPacketSim::new(&world.tree, &mix, config, *workers);
             sim.set_rebalance(spec.rebalance);
+            sim.set_telemetry(spec.telemetry.level);
             Box::new(PacketAdapter::new(kind, sim, config.diffusion_period))
         }
         EngineSpec::PacketSimDist { config, workers } => {
@@ -846,7 +838,13 @@ fn resolve_engine(
                         .into(),
                 })
             } else {
-                DistPacketSim::launch(&world.tree, &mix, config, *workers, dist.clone())
+                // The level rides in the launch options: it decides
+                // whether the worker handshake is timed.
+                let options = DistOptions {
+                    telemetry: spec.telemetry.level,
+                    ..dist.clone()
+                };
+                DistPacketSim::launch(&world.tree, &mix, config, *workers, options)
             };
             let sim = launched
                 .map_err(|e| SpecError::at("engine", format!("distributed launch failed: {e}")))?;

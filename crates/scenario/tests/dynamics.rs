@@ -4,7 +4,7 @@
 //! per-event timeline.
 
 use std::path::PathBuf;
-use ww_scenario::{Event, EventError, Observer, Runner, ScenarioSpec};
+use ww_scenario::{Event, EventError, Observer, Runner, ScenarioSpec, Sweep, SweepParam};
 
 fn load_spec(name: &str) -> ScenarioSpec {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -30,7 +30,6 @@ fn empty_schedule_is_bit_identical_to_no_events_field() {
     with_empty.events = Some(ww_scenario::EventsSpec {
         schedule: Vec::new(),
         recovery_threshold: 1e-3,
-        batched_barriers: false,
     });
     let runner = Runner::new();
     let a = runner.run(&static_spec).expect("static run");
@@ -361,100 +360,67 @@ fn observer_receives_event_callbacks() {
     assert_eq!(spy.rounds, report.rows[0].outcome.rounds);
 }
 
-/// Batched barriers on the analytical engine: the churn-soak spec run
-/// with `batched_barriers` on and off must accept every event and land
-/// on the bit-identical final load vector. The only permitted
-/// difference is trace density — one oracle sample per *barrier*
-/// instead of one per *event* — so the batched trace is strictly
-/// shorter while its final entry matches bit for bit.
+/// Events due in the same round are one barrier. (a) On `rate_wave`,
+/// two joins in one round add one oracle refresh to the trace, exactly
+/// as one join does. (b) The packet churn storm regrouped into two
+/// same-round groups reads the same on the sequential engine and on the
+/// sharded one at every worker count.
 #[test]
-fn churn_soak_batched_barriers_match_unbatched_final_state() {
-    let mut spec = load_spec("churn_soak.json");
-    let runner = Runner::new().smoke(true);
+fn a_same_round_group_is_one_barrier() {
+    let joins = |count: usize| {
+        let schedule: Vec<String> = (0..count)
+            .map(|_| r#"{"round": 3, "kind": "node_join", "parent": 2, "rate": 30.0}"#.into())
+            .collect();
+        let spec = ScenarioSpec::from_json(&format!(
+            r#"{{
+                "name": "joins",
+                "topology": {{"kind": "paper", "figure": "fig2b"}},
+                "workload": {{"rates": {{"kind": "paper"}}}},
+                "engine": {{"kind": "rate_wave"}},
+                "termination": {{"kind": "rounds", "max": 10}},
+                "events": {{"schedule": [{}]}}
+            }}"#,
+            schedule.join(", ")
+        ))
+        .expect("spec parses");
+        let report = Runner::new().run(&spec).expect("joins run");
+        let row = &report.rows[0];
+        assert!(row.events.iter().all(|m| m.accepted()));
+        row.outcome.trace.as_ref().expect("trace").len()
+    };
+    assert_eq!(joins(2), joins(1), "two same-round joins are one barrier");
+    assert_eq!(joins(1), joins(0) + 1, "a join refreshes the oracle once");
 
-    spec.events.as_mut().expect("events").batched_barriers = false;
-    let unbatched = runner.run(&spec).expect("unbatched soak");
-    spec.events.as_mut().expect("events").batched_barriers = true;
-    let batched = runner.run(&spec).expect("batched soak");
-
-    let (ru, rb) = (&unbatched.rows[0], &batched.rows[0]);
-    for m in ru.events.iter().chain(rb.events.iter()) {
-        assert!(
-            m.accepted(),
-            "event[{}] rejected: {:?}",
-            m.index,
-            m.rejected
-        );
-    }
-    let lu = ru.outcome.load.as_ref().expect("unbatched load");
-    let lb = rb.outcome.load.as_ref().expect("batched load");
-    assert_eq!(
-        bits(lu.as_slice()),
-        bits(lb.as_slice()),
-        "final load diverges between batched and unbatched barriers"
-    );
-    let tu = ru.outcome.trace.as_ref().expect("unbatched trace");
-    let tb = rb.outcome.trace.as_ref().expect("batched trace");
-    assert!(
-        tb.len() < tu.len(),
-        "batched trace ({}) must sample fewer oracle refreshes than unbatched ({})",
-        tb.len(),
-        tu.len()
-    );
-    assert_eq!(
-        tu.last().unwrap().to_bits(),
-        tb.last().unwrap().to_bits(),
-        "final distance diverges"
-    );
-}
-
-/// Batched barriers on the packet engine are *fully* bit-identical to
-/// one-at-a-time application — traces included — because batching only
-/// coalesces the oracle refresh and queue surgery, never the event
-/// stream. Coalesce the whole storm into two same-round barriers so
-/// each `barrier_commit` really covers several ops.
-#[test]
-fn packet_storm_batched_barriers_are_bit_identical_to_unbatched() {
-    let mut spec = load_spec("packet_churn_storm.json");
+    let mut par = load_spec("packet_churn_storm.json");
+    for (i, e) in par
+        .events
+        .as_mut()
+        .expect("events")
+        .schedule
+        .iter_mut()
+        .enumerate()
     {
-        let events = spec.events.as_mut().expect("events");
-        for (i, e) in events.schedule.iter_mut().enumerate() {
-            // Two joins, a workload shift, and both leaves share one
-            // barrier; the publish/update pair shares the second.
-            e.round = if i < 5 { 2 } else { 4 };
-        }
+        // Two joins, a workload shift and both leaves share one barrier;
+        // the publish/update pair shares the second.
+        e.round = if i < 5 { 2 } else { 4 };
     }
     let runner = Runner::new().smoke(true);
-
-    spec.events.as_mut().expect("events").batched_barriers = false;
-    let unbatched = runner.run(&spec).expect("unbatched storm");
-    spec.events.as_mut().expect("events").batched_barriers = true;
-    let batched = runner.run(&spec).expect("batched storm");
-
-    let (ru, rb) = (&unbatched.rows[0], &batched.rows[0]);
-    for m in ru.events.iter().chain(rb.events.iter()) {
-        assert!(
-            m.accepted(),
-            "event[{}] rejected: {:?}",
-            m.index,
-            m.rejected
-        );
+    let seq = ScenarioSpec {
+        engine: par.engine.sequential_twin().expect("a sharded spec"),
+        ..par.clone()
+    };
+    let seq = runner.run(&seq).expect("sequential storm");
+    assert!(seq.rows[0].events.iter().all(|m| m.accepted()));
+    for workers in [1, 2, 4] {
+        let par = Sweep {
+            param: SweepParam::Workers,
+            values: Vec::new(),
+        }
+        .apply(&par, workers as f64)
+        .expect("a sharded spec");
+        let par = runner.run(&par).expect("sharded storm");
+        assert_eq!(par.canonical(), seq.canonical(), "workers={workers}");
     }
-    let tu = ru.outcome.trace.as_ref().expect("unbatched trace");
-    let tb = rb.outcome.trace.as_ref().expect("batched trace");
-    assert_eq!(bits(tu), bits(tb), "packet traces diverge under batching");
-    let lu = ru.outcome.load.as_ref().expect("unbatched load");
-    let lb = rb.outcome.load.as_ref().expect("batched load");
-    assert_eq!(
-        bits(lu.as_slice()),
-        bits(lb.as_slice()),
-        "packet served rates diverge under batching"
-    );
-    assert_eq!(
-        ru.outcome.metric("served_requests"),
-        rb.outcome.metric("served_requests"),
-        "served totals diverge under batching"
-    );
 }
 
 /// 64-bit FNV-1a over `bytes`.

@@ -311,10 +311,9 @@ fn arb_events() -> BoxedStrategy<Option<EventsSpec>> {
     proptest::option::of((
         proptest::collection::vec((0usize..30, arb_event_kind()), 0..6),
         0.0f64..10.0,
-        proptest::prelude::any::<bool>(),
     ))
     .prop_map(|maybe| {
-        maybe.map(|(raw, recovery_threshold, batched_barriers)| {
+        maybe.map(|(raw, recovery_threshold)| {
             // The parser requires non-decreasing rounds: prefix-sum the
             // generated deltas.
             let mut round = 0;
@@ -328,7 +327,6 @@ fn arb_events() -> BoxedStrategy<Option<EventsSpec>> {
             EventsSpec {
                 schedule,
                 recovery_threshold,
-                batched_barriers,
             }
         })
     })
@@ -630,7 +628,9 @@ fn malformed_specs_fail_with_their_exact_errors() {
         (one("sweep", r#"{"param": "alpha", "values": [0.5], "step": 1}"#), "sweep.step: unknown field (expected one of: param, values)".into()),
         (one("telemetry", r#"{"level": "off", "path": "t.jsonl"}"#), "telemetry.path: unknown field (expected one of: level, trace_out)".into()),
         (with(&[par, ("rebalance", r#"{"trigger_imbalance": 1.2, "gap": 1}"#)]), "rebalance.gap: unknown field (expected one of: trigger_imbalance, min_epoch_gap)".into()),
-        (one("events", r#"{"schedule": [], "threshold": 1}"#), "events.threshold: unknown field (expected one of: schedule, recovery_threshold, batched_barriers)".into()),
+        (one("events", r#"{"schedule": [], "threshold": 1}"#), "events.threshold: unknown field (expected one of: schedule, recovery_threshold)".into()),
+        // A retired key is unknown too, never silently ignored.
+        (one("events", r#"{"schedule": [], "batched_barriers": "yes"}"#), "events.batched_barriers: unknown field (expected one of: schedule, recovery_threshold)".into()),
         // ... and on every variant.
         (one("topology", r#"{"kind": "path", "nodes": 3, "size": 1}"#), "topology.size: unknown field (expected one of: kind, nodes)".into()),
         (one("topology", r#"{"kind": "star", "nodes": 3, "size": 1}"#), "topology.size: unknown field (expected one of: kind, nodes)".into()),
@@ -672,7 +672,6 @@ fn malformed_specs_fail_with_their_exact_errors() {
         (one("workload", r#"{"rates": {"kind": "uniform", "rate": true}}"#), "workload.rates.rate: expected a number, got boolean".into()),
         (one("seed", r#""7""#), "seed: expected a number, got string".into()),
         (one("engine", r#"{"kind": "doc_sim", "tunneling": 1}"#), "engine.tunneling: expected a boolean, got number".into()),
-        (one("events", r#"{"schedule": [], "batched_barriers": "yes"}"#), "events.batched_barriers: expected a boolean, got string".into()),
         (one("engine", r#"{"kind": "rate_wave", "alpha": "0.5"}"#), "engine.alpha: expected a number, got string".into()),
         (one("telemetry", r#"{"trace_out": 7}"#), "telemetry.trace_out: expected a file path string, got number".into()),
         (one("topology", r#"{"kind": "paper", "figure": 6}"#), "topology.figure: expected a string, got number".into()),
@@ -1172,7 +1171,6 @@ fn value_refusals_read_the_same_from_json_and_from_rust() {
                         },
                     }],
                     recovery_threshold: 0.1,
-                    batched_barriers: false,
                 })
             },
             "events.schedule[0].rates.hi: upper bound 2 is below lower bound 5",
@@ -1293,32 +1291,48 @@ fn a_sweep_row_past_a_declared_check_is_refused_at_sweep_values() {
     }
 }
 
+/// Every engine with a config type, given only its `kind`, parses to
+/// that type's `Default` (the declarations state no default of their
+/// own) and round-trips.
 #[test]
 fn packet_sim_par_parses_with_defaults_and_round_trips() {
-    let spec = ScenarioSpec::from_json(
-        r#"{
-          "name": "par",
-          "topology": {"kind": "k_ary", "arity": 2, "depth": 3},
-          "workload": {
-            "rates": {"kind": "leaf_only", "rate": 10.0},
-            "doc_mix": {"kind": "shared_zipf", "docs": 4, "theta": 1.0}
-          },
-          "engine": {"kind": "packet_sim_par", "workers": 3},
-          "termination": {"kind": "rounds", "max": 2}
-        }"#,
-    )
-    .unwrap();
-    match &spec.engine {
-        EngineSpec::PacketSimPar { config, workers } => {
-            assert_eq!(*workers, 3);
-            assert_eq!(config.link_delay, 0.005);
-            // The declared defaults are the engine's own.
-            assert_eq!(*config, PacketSimConfig::default());
-        }
-        other => panic!("parsed {other:?}"),
+    let packet = PacketSimConfig::default();
+    let table = [
+        (
+            "rate_wave",
+            EngineSpec::RateWave {
+                config: WaveConfig::default(),
+            },
+        ),
+        (
+            "doc_sim",
+            EngineSpec::DocSim {
+                config: DocSimConfig::default(),
+            },
+        ),
+        ("packet_sim", EngineSpec::PacketSim { config: packet }),
+        (
+            "packet_sim_par",
+            EngineSpec::PacketSimPar {
+                config: packet,
+                workers: 4,
+            },
+        ),
+        (
+            "packet_sim_dist",
+            EngineSpec::PacketSimDist {
+                config: packet,
+                workers: 2,
+            },
+        ),
+    ];
+    for (kind, expected) in table {
+        let doc = one("engine", &format!(r#"{{"kind": "{kind}"}}"#));
+        let spec = ScenarioSpec::from_json(&doc).unwrap_or_else(|e| panic!("{kind}: {e}"));
+        assert_eq!(spec.engine, expected, "{kind}");
+        let reparsed = ScenarioSpec::from_json(&spec.to_json()).unwrap();
+        assert_eq!(reparsed, spec, "{kind}");
     }
-    let reparsed = ScenarioSpec::from_json(&spec.to_json()).unwrap();
-    assert_eq!(reparsed, spec);
 }
 
 #[test]

@@ -5,7 +5,7 @@
 use webwave::docsim::{DocSim, DocSimConfig};
 use webwave::fold::webfold;
 use webwave::model::{DocId, NodeId};
-use webwave::packetsim::{PacketSim, PacketSimConfig};
+use webwave::packetsim::{PacketBackend, PacketSim, PacketSimConfig};
 use webwave::topology::paper;
 use webwave::wave::{RateWave, WaveConfig};
 use webwave::workload::DocMix;
