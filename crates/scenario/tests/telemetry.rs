@@ -675,9 +675,9 @@ fn event_marker_metric_keys_follow_the_scheme() {
 
 #[test]
 fn metric_emission_order_is_stable_across_identical_runs() {
-    // MetricSink consumers (the canonical renderer, the JSONL trace,
-    // the golden tests) all depend on emission order, so it must be a
-    // pure function of the run.
+    // The report's metric consumers (the canonical renderer, the JSONL
+    // trace, the golden tests) all depend on emission order, so it must
+    // be a pure function of the run.
     let spec = packet_spec(r#"{"kind": "packet_sim"}"#, CHURN_EVENTS);
     let first: Vec<String> = run_one(&spec)
         .metrics
