@@ -796,7 +796,7 @@ pub fn handle(ctx: &mut NodeCtx<'_>, state: &mut NodeMut<'_>, t: SimTime, event:
                 state.head.parent_est = Some(load);
             } else {
                 let slot = ctx.world.child_slot[from.index()];
-                state.kids().est[slot] = Some(load);
+                state.kids().set_est(slot, load);
             }
         }
         PacketEvent::CopyInstall { node, index, rate } => {
@@ -881,7 +881,7 @@ fn on_packet(
     let now = t.as_secs();
     if let Some(child) = from {
         let slot = ctx.world.child_slot[child.index()];
-        state.kids().flows.record(slot, index, now);
+        state.record_flow(slot, index, now);
     }
     state.record_seen(index, now);
 
@@ -976,7 +976,7 @@ pub fn on_diffusion(ctx: &mut NodeCtx<'_>, state: &mut NodeMut<'_>, t: SimTime, 
     let now = t.as_secs();
     let m = ctx.world.table.len();
     if let Some(kids) = state.kids_opt() {
-        kids.flows.roll_to(now);
+        kids.roll_flows(now);
     }
     state.roll_seen(now);
     let my_load = state.measured_load(now);
@@ -989,13 +989,13 @@ pub fn on_diffusion(ctx: &mut NodeCtx<'_>, state: &mut NodeMut<'_>, t: SimTime, 
             // Control link down: no copies move to this child.
             continue;
         }
-        let Some(child_load) = state.kids().est[slot] else {
+        let Some(child_load) = state.kids().est(slot) else {
             continue;
         };
         if !ctx.significant_imbalance(my_load, child_load) {
             continue;
         }
-        let a_c = state.kids().flows.row_total(slot);
+        let a_c = state.kids().flow_total(slot);
         let target = (ctx.world.alpha * (my_load - child_load)).min(a_c);
         if target <= 0.0 {
             continue;
@@ -1004,15 +1004,12 @@ pub fn on_diffusion(ctx: &mut NodeCtx<'_>, state: &mut NodeMut<'_>, t: SimTime, 
         if is_root {
             // The root serves everything that reaches it; it can push
             // any doc the child forwards.
-            state
-                .kids()
-                .flows
-                .row_doc_rates(slot, &mut ctx.scratch.cand);
+            state.kids().flow_doc_rates(slot, &mut ctx.scratch.cand);
         } else {
             state.served_rates(&mut ctx.scratch.cand);
-            let flows = &state.kids().flows;
+            let kids = state.kids();
             ctx.scratch.cand.retain_mut(|(k, cap)| {
-                *cap = cap.min(flows.rate(slot, *k));
+                *cap = cap.min(kids.flow_rate(slot, *k));
                 *cap > 0.0
             });
         }

@@ -3,12 +3,12 @@
 //!
 //! A join or a leave touches one root path and one or two child lists,
 //! so the number of allocations a churn storm performs must not grow
-//! with the node count; and once a universe growth has reserved spare
-//! document columns, appending the next document must not allocate per
-//! node at all. Both used to fail by construction: every barrier op
-//! rebuilt one `Vec` per node (demand streams, arrival RNGs), and every
-//! growth rebuilt ten. Since the node state lives in slabs, even the
-//! growth that *does* reallocate does so slab by slab.
+//! with the node count; and appending a document must allocate a
+//! constant number of times — no row holds a column for a document
+//! nothing has requested yet. Both used to fail by construction: every
+//! barrier op rebuilt one `Vec` per node (demand streams, arrival RNGs),
+//! and every growth rebuilt ten; later, every growth widened each dense
+//! slab and each interior node's child rows.
 //!
 //! The counting allocator (`alloc_counter`, shared with
 //! `state_budget.rs`) keeps its counts per thread, so the tests stay
@@ -72,13 +72,14 @@ fn appending_a_document_within_reserved_capacity_allocates_per_storm_not_per_nod
         origin: NodeId::new(100),
         rate: 20.0,
     };
-    // The first growth finds every slab exactly full and doubles its
-    // buffer: one reallocation per slab, plus one per interior node's
-    // child rows — not one per node.
+    // No row has recorded the new document, so the first growth widens
+    // no `seen` run and no child grid: what it allocates is the world's
+    // and the barrier's own, and the one new stream's — a count that
+    // does not depend on the tree (44 on this one).
     let (first, results) = allocations_of(|| sim.apply_all(&[publish(100)]));
     assert!(results[0].is_ok());
     assert!(
-        first < nodes / 8,
+        first < 64,
         "the first growth allocated {first} times on {nodes} nodes"
     );
     sim.run(0.5);

@@ -11,7 +11,7 @@
 
 use ww_cache::{DenseFlowTable, MeterCell};
 use ww_core::packet::{
-    self, BarrierOp, NodeRef, NodeSlab, PacketWorld, Set, StreamCell, TokenBucket,
+    self, BarrierOp, ChildState, NodeRef, NodeSlab, PacketWorld, Set, StreamCell, TokenBucket,
 };
 use ww_core::world::UniverseGrowth;
 use ww_model::{DocId, DocSet, ModelError, NodeId};
@@ -95,11 +95,9 @@ pub fn capture_node(world: &PacketWorld, row: NodeRef<'_>) -> NodeState {
     NodeState {
         copies: set(Set::Copies),
         filter: set(Set::Filter),
-        flows: row
-            .kids()
-            .map_or_else(|| table(world, 0, 0.0), |k| k.flows.clone()),
-        seen: one_row(row.seen),
-        served: one_row(&densified_served(row)),
+        flows: densified_flows(world, row),
+        seen: one_row(&densified(row, NodeRef::seen)),
+        served: one_row(&densified(row, NodeRef::served)),
         // Only the live buckets are state; a dead one is rewritten
         // before it is read again.
         alloc: docs
@@ -107,7 +105,9 @@ pub fn capture_node(world: &PacketWorld, row: NodeRef<'_>) -> NodeState {
             .collect(),
         alloc_set: set(Set::Alloc),
         parent_est: row.head.parent_est,
-        child_est: row.kids().map_or_else(Vec::new, |k| k.est.clone()),
+        child_est: row
+            .kids()
+            .map_or_else(Vec::new, |k| (0..k.slots()).map(|s| k.est(s)).collect()),
         served_total: row.head.served_total,
         underload_streak: row.head.underload_streak,
         arrivals: row
@@ -306,13 +306,34 @@ impl Reference {
     }
 }
 
-/// The served meter of every document of `row`, slotted or not.
-pub fn densified_served(row: NodeRef<'_>) -> Vec<MeterCell> {
-    (0..row.seen.len() as u32).map(|k| row.served(k)).collect()
+/// One meter of every document of `row`, read through `meter` —
+/// [`NodeRef::seen`] or [`NodeRef::served`]: held or not.
+pub fn densified<'a>(
+    row: NodeRef<'a>,
+    meter: impl Fn(&NodeRef<'a>, u32) -> MeterCell,
+) -> Vec<MeterCell> {
+    (0..row.docs() as u32).map(|k| meter(&row, k)).collect()
+}
+
+/// The `flows` meters of every child slot and document of `row`, held
+/// or not, as a dense table (no rows for a leaf).
+pub fn densified_flows(world: &PacketWorld, row: NodeRef<'_>) -> DenseFlowTable {
+    let slots = row.kids().map_or(0, ChildState::slots);
+    let mut flows = table(world, slots, 0.0);
+    for slot in 0..slots {
+        flows.row_mut(slot).copy_from_slice(&flow_row(row, slot));
+    }
+    flows
+}
+
+/// The `flows` meters of child slot `slot` of `row`, held or not.
+fn flow_row(row: NodeRef<'_>, slot: usize) -> Vec<MeterCell> {
+    (0..row.docs() as u32).map(|k| row.flow(slot, k)).collect()
 }
 
 /// `row` holds exactly `expect`: meter cells including window starts
-/// (every served meter, the unslotted ones densified), the bucket
+/// (every `seen`, `flows` and served meter, the ones the row does not
+/// hold densified), the bucket
 /// `rate / tokens / last` of every live allocation, bitset members, RNG
 /// states, stream cells with their pending-arrival keys, and — for an
 /// interior node — child rows and estimates.
@@ -325,10 +346,14 @@ pub fn assert_node_eq(expect: &NodeState, row: NodeRef<'_>, i: usize) {
     ] {
         assert!(members.iter().eq(row.members(set)), "node {i}: {set:?}");
     }
-    assert_eq!(expect.seen.row(0), row.seen, "node {i}: seen");
+    assert_eq!(
+        expect.seen.row(0),
+        &densified(row, NodeRef::seen)[..],
+        "node {i}: seen"
+    );
     assert_eq!(
         expect.served.row(0),
-        &densified_served(row)[..],
+        &densified(row, NodeRef::served)[..],
         "node {i}: served"
     );
     for k in expect.alloc_set.iter() {
@@ -365,13 +390,17 @@ pub fn assert_node_eq(expect: &NodeState, row: NodeRef<'_>, i: usize) {
             );
         }
         Some(kids) => {
-            assert_eq!(expect.flows, kids.flows, "node {i}: flows");
-            let est = |v: &[Option<f64>]| v.iter().map(|&x| bits(x)).collect::<Vec<_>>();
-            assert_eq!(
-                est(&expect.child_est),
-                est(&kids.est),
-                "node {i}: child_est"
-            );
+            assert_eq!(expect.flows.row_count(), kids.slots(), "node {i}");
+            for slot in 0..kids.slots() {
+                assert_eq!(
+                    expect.flows.row(slot),
+                    &flow_row(row, slot)[..],
+                    "node {i}: flows of slot {slot}"
+                );
+            }
+            let est: Vec<_> = (0..kids.slots()).map(|s| bits(kids.est(s))).collect();
+            let expect_est: Vec<_> = expect.child_est.iter().map(|&x| bits(x)).collect();
+            assert_eq!(expect_est, est, "node {i}: child_est");
         }
     }
 }

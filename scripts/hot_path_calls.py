@@ -47,6 +47,8 @@ DENY = [
     r"ww_core::packet::slab::load_of$",
     r"ww_core::packet::slab::rank$",
     r"ww_core::packet::slab::NodeMut::(slot_at|bucket|record_served)$",
+    r"ww_core::packet::slab::NodeMut::(record_seen|seen_rate|record_flow)$",
+    r"ww_core::packet::slab::ChildState::(record|flow_rate|flow_total)$",
 ]
 
 CALL = re.compile(r"^\s*([0-9a-f]+):\s+(call|jmp)\s+(.*)$")
