@@ -12,7 +12,7 @@
 //! | `heads: Vec<NodeHead>` | the scalars, the gossip generator (a [`StreamRng`]), the four bitsets' words while the universe fits 64 documents, the child-state pointer, the row's creation | 120 |
 //! | `words`: [`DocGrid`]`<u64>` | the four bitsets beyond 64 documents, `4 x ceil(m / 64)` words | 0 or 32 ceil(m / 64) |
 //! | `spans: Vec<Spans>` | the `(start, len)` of the row's arrival streams in the two slabs below, of its serve slots in the slot pool and of its `seen` meters in the seen pool | 24 |
-//! | `streams: Vec<StreamCell>` | one cell per arrival stream: its generator, its rate, its document's dense index | 48 per stream |
+//! | `streams: Vec<StreamCell>` | one cell per arrival stream: its generator | 32 per stream |
 //! | `next: Vec<u128>` | each stream's **pending arrival**, as the calendar's packed `(time, seq)` key ([`NO_KEY`] for a zero-rate stream) | 16 per stream |
 //! | `slots: RunPool<ServeSlot>` | one serve slot — token bucket and served meter — per document the node has ever allocated or served | 48 per slot |
 //! | `seen: RunPool<MeterCell>` | one three-word meter per document up to the highest the node has recorded (every document of the universe the slab was built over) | 24 per recorded document |
@@ -37,10 +37,14 @@
 //! them one arrival ahead ([`NodeSlab::prefetch_arrival`]), and the
 //! misses run under the events in between instead of stalling the loop.
 //!
-//! The streams themselves — `(document, dense index, rate)` — are
-//! stored nowhere else either: [`DocWorld::streams_of`](crate::world::DocWorld::streams_of) derives them
-//! from the world's mix where [`NodeSlab::resolve_node_arrivals`]
-//! writes the cells.
+//! A stream's document and rate are not stored here at all: stream `j`
+//! of a node is entry `j` of its row of the world's mix, which
+//! [`NodeSlab::resolve_node_arrivals`] walks to fork the cells
+//! ([`DocWorld::streams_of`](crate::world::DocWorld::streams_of)) and
+//! a fire reads ([`DocWorld::stream_of`](crate::world::DocWorld::stream_of));
+//! the driver prefetches that entry with the row's lines. Every barrier
+//! operation that changes the mix rebuilds every row's cells at its
+//! commit, so a row never disagrees with its mix row while events run.
 //!
 //! A node sees a document only if a request for it passes through, and
 //! a child forwards one only if its subtree asks for it: a document
@@ -301,20 +305,16 @@ impl ChildState {
     }
 }
 
-/// One arrival stream of a node: its generator and the two constants a
-/// fire needs, on one line. The document id is
-/// `world.table.doc(index)`; the stream's pending arrival is its entry
-/// in the slab's key row.
+/// One arrival stream of a node: its generator alone. Stream `j` of a
+/// node is entry `j` of its mix row, whose document and rate a fire
+/// reads from the world ([`DocWorld::stream_of`](crate::world::DocWorld::stream_of));
+/// the stream's pending arrival is its entry in the slab's key row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamCell {
     /// Inter-arrival randomness, forked purely from
     /// `(master seed, node, doc, generation)` — independent of any
     /// global counter.
     pub rng: StreamRng,
-    /// Constant arrival rate, req/s.
-    pub rate: f64,
-    /// Dense index of the stream's document.
-    pub index: u32,
 }
 
 /// The fixed-size part of one node's protocol state.
@@ -1033,7 +1033,7 @@ impl NodeSlab {
     /// At a barrier the driver must have dropped every stale
     /// [`PacketEvent::Arrival`](super::PacketEvent::Arrival) head from
     /// its queue and called [`NodeSlab::clear_arrivals`] first. The
-    /// pass writes 64 bytes per stream into the rows and touches no
+    /// pass writes 48 bytes per stream into the rows and touches no
     /// queue; it forks the per-node prefix once.
     pub fn resolve_node_arrivals(
         &mut self,
@@ -1049,7 +1049,7 @@ impl NodeSlab {
         let len = demand.len();
         reserve_slack(&mut self.streams, len);
         reserve_slack(&mut self.next, len);
-        for (doc, index, rate) in demand {
+        for (doc, _, rate) in demand {
             let mut rng = stream_rng(&node_rng, world.generation, doc).into_stream();
             self.next.push(if rate > 0.0 {
                 let gap = exp_delay(&mut rng, 1.0 / rate);
@@ -1057,7 +1057,7 @@ impl NodeSlab {
             } else {
                 NO_KEY
             });
-            self.streams.push(StreamCell { rng, rate, index });
+            self.streams.push(StreamCell { rng });
         }
         self.spans[row].streams = Run {
             start,
@@ -1624,8 +1624,9 @@ mod tests {
         // `docs/architecture.md` quotes, with the row's 24-byte spans;
         // a leaf owns nothing else, a document it records costs a
         // 24-byte `seen` cell, a served document a 48-byte slot (bucket
-        // and meter), a stream a 48-byte cell and a 16-byte key, and a
-        // child its parent a 16-byte slot beside its `flows` row.
+        // and meter), a stream a 32-byte cell (its generator alone) and
+        // a 16-byte key, and a child its parent a 16-byte slot beside
+        // its `flows` row.
         assert_eq!(std::mem::size_of::<NodeHead>(), 120);
         assert_eq!(std::mem::size_of::<Spans>(), 24);
         assert_eq!(std::mem::size_of::<ServeSlot>(), 48);
@@ -1633,7 +1634,7 @@ mod tests {
         assert_eq!(std::mem::size_of::<ChildSlot>(), 16);
         assert_eq!(std::mem::size_of::<MeterCell>(), 24);
         assert_eq!(std::mem::size_of::<TokenBucket>(), 24);
-        assert_eq!(std::mem::size_of::<StreamCell>(), 48);
+        assert_eq!(std::mem::size_of::<StreamCell>(), 32);
         assert_eq!(std::mem::size_of::<StreamRng>(), 32);
     }
 

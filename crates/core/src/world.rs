@@ -223,6 +223,21 @@ impl<C: WorldConfig> DocWorld<C> {
         })
     }
 
+    /// Demand stream `stream` of `node` as `(dense index, rate)`: entry
+    /// `stream` of its mix row — what an arrival fires on. A slab's
+    /// stream cells are rebuilt from these rows at every barrier that
+    /// changes one, so the two never disagree while events run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` or `stream` is out of range.
+    #[inline]
+    pub fn stream_of(&self, node: NodeId, stream: u32) -> (u32, f64) {
+        let (doc, rate) = self.mix.demands_of(node)[stream as usize];
+        let index = self.table.index_of(doc).expect("demand doc in universe");
+        (index, rate)
+    }
+
     /// `node`'s demand total once `extra` (sorted by document) is added
     /// to its row, summed in document order as [`DocMix::node_total`]
     /// will sum the merged row.

@@ -283,7 +283,7 @@ impl Reference {
             state.arrivals = self
                 .world
                 .streams_of(NodeId::new(i))
-                .map(|(doc, index, rate)| {
+                .map(|(doc, _, rate)| {
                     let mut rng = packet::arrival_stream_rng(&self.world, i, doc).into_stream();
                     let mut key = NO_KEY;
                     if rate > 0.0 {
@@ -291,7 +291,7 @@ impl Reference {
                         key = key_of(at + SimTime::from_secs(gap), self.next_seq);
                         self.next_seq += 1;
                     }
-                    (StreamCell { rng, rate, index }, key)
+                    (StreamCell { rng }, key)
                 })
                 .collect();
         }

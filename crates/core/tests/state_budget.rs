@@ -104,13 +104,13 @@ fn a_leaf_costs_its_payload_and_no_allocation() {
         );
         // A leaf that serves nothing: a 120-byte head and its 24-byte
         // spans, a 24-byte `seen` cell per document of the universe the
-        // slab was built over, a 48-byte cell and a 16-byte key per
-        // arrival stream — 848 bytes at eight documents and eight
-        // streams, and no serve slot. Two-sided: a smaller cell must
-        // restate this figure, not slip under it.
+        // slab was built over, a 32-byte cell (the generator) and a
+        // 16-byte key per arrival stream — 720 bytes at eight documents
+        // and eight streams, and no serve slot. Two-sided: a smaller
+        // cell must restate this figure, not slip under it.
         let (docs, streams) = (8, 8);
-        let payload = 120 + 24 + docs * 24 + streams * (48 + 16);
-        assert_eq!(payload, 848);
+        let payload = 120 + 24 + docs * 24 + streams * (32 + 16);
+        assert_eq!(payload, 720);
         let per_leaf = built.requested as f64 / edge.len() as f64;
         assert!(
             (per_leaf - payload as f64).abs() <= 0.02 * payload as f64,
@@ -133,10 +133,10 @@ fn serve_state_follows_serving_pairs() {
     let cold = slab.state_bytes();
     // A row is its 120-byte head, its 24-byte spans and its `seen` run;
     // the slab adds each column's 8-byte creation time and each stream's
-    // cell and key.
+    // 32-byte cell and 16-byte key.
     assert_eq!(
         cold,
-        edge.len() * (120 + 24 + 64 * 24) + 64 * 8 + streams * 64
+        edge.len() * (120 + 24 + 64 * 24) + 64 * 8 + streams * (32 + 16)
     );
 
     // Copy installs, some repeated: each (leaf, document) pair served
@@ -226,7 +226,7 @@ fn pending_arrivals_cost_a_key_not_a_calendar_entry() {
     );
     let (sixteen, radix_hw) = engine_bytes_and_radix_high_water(16);
     assert!(radix_hw <= 3_601, "{radix_hw} entries at 16 streams a leaf");
-    // Eight more streams on each of 3,600 leaves: a 48-byte cell and a
+    // Eight more streams on each of 3,600 leaves: a 32-byte cell and a
     // 16-byte key each, and nothing that grows with them in the queue
     // (a calendar entry alone is 80 bytes).
     let per_stream = (sixteen - eight) as f64 / (3_600.0 * 8.0);
@@ -296,7 +296,7 @@ fn an_appending_publish_widens_no_row() {
     let (tree, mix) = cdn(60, 60);
     let mut sim = PacketSim::new(&tree, &mix, PacketSimConfig::default());
     let streams: usize = tree.nodes().map(|u| sim.world().streams_of(u).len()).sum();
-    let slack = (streams / 16) as i64 * (48 + 16);
+    let slack = (streams / 16) as i64 * (32 + 16);
     let (_, growth, state) = publish_into(&mut sim, 100);
     assert!(
         growth.retained < slack + 1024,

@@ -69,6 +69,7 @@ impl DocTable {
     }
 
     /// The dense index of `doc`, or `None` when it is outside the universe.
+    #[inline]
     pub fn index_of(&self, doc: DocId) -> Option<u32> {
         self.ids.binary_search(&doc).ok().map(|i| i as u32)
     }
