@@ -949,4 +949,26 @@ proptest! {
             prop_assert_eq!(decode_msg(&body), reference_set_mix(&body), "kind {}", kind);
         }
     }
+
+    /// A frame whose triples come in any order decodes into a mix `==`
+    /// to the node-major frame's: the decoder sets each demand where it
+    /// belongs, whatever row the mix's buffer last grew.
+    #[test]
+    fn shuffled_mix_triples_decode_to_the_node_major_mix(
+        mix in arb_wide_mix(),
+        keys in proptest::collection::vec(any::<u64>(), 300),
+    ) {
+        let mut frame = Vec::new();
+        encode_msg(&Msg::Apply(BarrierOp::SetMix { mix: mix.clone() }), &mut frame);
+        let body = &frame[4..];
+        // The tags, the node count and the triple count, then the triples.
+        let (head, triples) = body.split_at(2 + 8 + 4);
+        let mut order: Vec<(u64, &[u8])> = keys.iter().copied().zip(triples.chunks(24)).collect();
+        order.sort_by_key(|&(key, _)| key);
+        let mut shuffled = head.to_vec();
+        shuffled.extend(order.iter().flat_map(|&(_, triple)| triple));
+        let decoded = decode_msg(&shuffled).expect("a shuffled frame decodes");
+        prop_assert_eq!(&decoded, &decode_msg(body).expect("the frame decodes"));
+        prop_assert_eq!(decoded, Msg::Apply(BarrierOp::SetMix { mix }));
+    }
 }
