@@ -479,7 +479,7 @@ impl ShardCore {
                         let (shard, row) = sim.partition.home(node.index());
                         debug_assert_eq!(shard, self.id, "arrival heads are local");
                         self.nodes.prefetch_arrival(row, stream);
-                        prefetch(&sim.world.mix.demands_of(node)[stream as usize]);
+                        prefetch(sim.world.mix.demands_of(node).cell(stream as usize));
                     }
                 }
                 self.deliver(sim, t, event);
@@ -551,7 +551,7 @@ impl ShardCore {
                 let (cells, mix) = (view.streams.len(), demand.len());
                 return Err(format!("{node}: {cells} stream cells for {mix} demands"));
             }
-            for (stream, (&(_, rate), &key)) in demand.iter().zip(view.next).enumerate() {
+            for (stream, ((_, rate), &key)) in demand.iter().zip(view.next).enumerate() {
                 let armed = key != NO_KEY && time_of(key) >= sim.horizon;
                 if (rate > 0.0 && !armed) || (rate <= 0.0 && key != NO_KEY) {
                     return Err(format!(

@@ -217,7 +217,7 @@ impl NaiveDocSim {
         let docs = mix.documents();
         let mut demand: Vec<HashMap<DocId, f64>> = vec![HashMap::new(); n];
         for u in tree.nodes() {
-            for &(d, r) in mix.demands_of(u) {
+            for (d, r) in mix.demands_of(u).iter() {
                 if r > 0.0 {
                     demand[u.index()].insert(d, r);
                 }

@@ -212,7 +212,7 @@ impl<C: WorldConfig> DocWorld<C> {
     ) -> impl ExactSizeIterator<Item = (DocId, u32, f64)> + '_ {
         let universe = self.table.docs();
         let mut at = 0;
-        self.mix.demands_of(node).iter().map(move |&(doc, rate)| {
+        self.mix.demands_of(node).iter().map(move |(doc, rate)| {
             if universe.get(at) != Some(&doc) {
                 at += universe[at..].partition_point(|&known| known < doc);
                 assert_eq!(universe.get(at), Some(&doc), "demand doc in universe");
@@ -224,16 +224,17 @@ impl<C: WorldConfig> DocWorld<C> {
     }
 
     /// Demand stream `stream` of `node` as `(dense index, rate)`: entry
-    /// `stream` of its mix row — what an arrival fires on. A slab's
-    /// stream cells are rebuilt from these rows at every barrier that
-    /// changes one, so the two never disagree while events run.
+    /// `stream` of its mix row, its code read back as the document —
+    /// what an arrival fires on. A slab's stream cells are rebuilt from
+    /// these rows at every barrier that changes one, so the two never
+    /// disagree while events run.
     ///
     /// # Panics
     ///
     /// Panics if `node` or `stream` is out of range.
     #[inline]
     pub fn stream_of(&self, node: NodeId, stream: u32) -> (u32, f64) {
-        let (doc, rate) = self.mix.demands_of(node)[stream as usize];
+        let (doc, rate) = self.mix.demands_of(node).get(stream as usize);
         let index = self.table.index_of(doc).expect("demand doc in universe");
         (index, rate)
     }
@@ -241,24 +242,24 @@ impl<C: WorldConfig> DocWorld<C> {
     /// `node`'s demand total once `extra` (sorted by document) is added
     /// to its row, summed in document order as [`DocMix::node_total`]
     /// will sum the merged row.
-    fn total_with(&self, node: NodeId, extra: &[(DocId, f64)]) -> f64 {
+    fn total_with(&self, node: NodeId, extra: impl Iterator<Item = (DocId, f64)>) -> f64 {
         let mut row = self.mix.demands_of(node).iter().peekable();
-        let mut extra = extra.iter().peekable();
+        let mut extra = extra.peekable();
         std::iter::from_fn(|| match (row.peek(), extra.peek()) {
-            (Some(&&(a, x)), Some(&&(b, y))) if a == b => {
+            (Some(&(a, x)), Some(&(b, y))) if a == b => {
                 row.next();
                 extra.next();
                 Some(x + y)
             }
-            (Some(&&(a, x)), Some(&&(b, _))) if a < b => {
+            (Some(&(a, x)), Some(&(b, _))) if a < b => {
                 row.next();
                 Some(x)
             }
-            (_, Some(&&(_, y))) => {
+            (_, Some(&(_, y))) => {
                 extra.next();
                 Some(y)
             }
-            (Some(&&(_, x)), None) => {
+            (Some(&(_, x)), None) => {
                 row.next();
                 Some(x)
             }
@@ -414,7 +415,10 @@ impl<C: WorldConfig> DocWorld<C> {
     pub fn leave(&mut self, node: NodeId) -> Result<LeafRemoval, ModelError> {
         if let Ok(parent) = self.tree.uplink(node) {
             if self.tree.is_leaf(node) {
-                finite(parent, self.total_with(parent, self.mix.demands_of(node)))?;
+                finite(
+                    parent,
+                    self.total_with(parent, self.mix.demands_of(node).iter()),
+                )?;
             }
         }
         let span = self.tel.begin();
@@ -466,7 +470,7 @@ impl<C: WorldConfig> DocWorld<C> {
             });
         }
         valid_rate(origin, rate)?;
-        finite(origin, self.total_with(origin, &[(doc, rate)]))?;
+        finite(origin, self.total_with(origin, [(doc, rate)].into_iter()))?;
         let span = self.tel.begin();
         let growth = self.grow_universe([doc].into_iter());
         self.mix.add_rate(origin, doc, rate);

@@ -38,7 +38,7 @@ fn build_spaced_sim(nodes: usize, docs: usize, seed: u64) -> PacketSim {
     let dense = build_sim(nodes, docs, seed);
     let mut mix = DocMix::new(nodes);
     for node in dense.tree().nodes() {
-        for &(doc, rate) in dense.world().mix.demands_of(node) {
+        for (doc, rate) in dense.world().mix.demands_of(node).iter() {
             mix.set(node, DocId::new(3 * doc.value() + 1), rate);
         }
     }
@@ -222,7 +222,7 @@ fn assert_streams_are_the_indexed_mix(world: &PacketWorld) {
             .mix
             .demands_of(node)
             .iter()
-            .map(|&(d, r)| (d, world.table.index_of(d).expect("in the universe"), r))
+            .map(|(d, r)| (d, world.table.index_of(d).expect("in the universe"), r))
             .collect();
         let derived = world.streams_of(node);
         prop_assert_eq!(derived.len(), through_live_table.len());

@@ -26,7 +26,7 @@ use ww_model::{DocId, NodeId, Tree};
 use ww_net::TrafficLedger;
 use ww_sim::SimTime;
 use ww_telemetry::Level;
-use ww_workload::DocMix;
+use ww_workload::{DocEntry, DocMix};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -186,7 +186,7 @@ fn cdn_with_streams(streams: usize) -> (Tree, DocMix) {
     let full = ww_workload::shared_zipf_mix(&tree, &rates, 16, 1.0);
     let mut mix = DocMix::new(tree.len());
     for node in tree.nodes() {
-        for &(doc, rate) in full.demands_of(node).iter().take(streams) {
+        for (doc, rate) in full.demands_of(node).iter().take(streams) {
             mix.set(node, doc, rate);
         }
     }
@@ -257,13 +257,38 @@ fn the_world_keeps_one_copy_of_the_demand() {
     );
 }
 
+#[test]
+fn a_mix_entry_is_twelve_bytes() {
+    // A rate and a 4-byte document code, packed: 16 bytes as a
+    // `(DocId, f64)` pair.
+    assert_eq!(std::mem::size_of::<DocEntry>(), 12);
+    let tree = ww_topology::two_level(60, 60);
+    let rates = ww_workload::leaf_only(&tree, 1.0);
+    let (built, mix) = heap_use_of(|| ww_workload::shared_zipf_mix(&tree, &rates, 8, 1.0));
+    let entries: usize = tree.nodes().map(|u| mix.demands_of(u).len()).sum();
+    assert_eq!(entries, 3_600 * 8);
+    // A copy requests exactly its entries, an 8-byte span per node and
+    // the code table: an id per code and a `(document, code)` pair in
+    // the sorted side table.
+    let exact = 12 * entries + 8 * tree.len() + 8 * (8 + 16);
+    let (copy, _) = heap_use_of(|| mix.clone());
+    assert_eq!(copy.requested as usize, exact);
+    // The build keeps at most a sixteenth of its entries as slack.
+    let slack = 12 * (entries / 16 + 1);
+    assert!(
+        built.retained as usize <= exact + slack,
+        "the mix of cdn(60, 60) holds {} bytes, {exact} of them exact",
+        built.retained
+    );
+}
+
 /// [`cdn`] with its documents' ids moved up by ten, so that a publish
 /// can sort below every one of them.
 fn cdn_above_ten() -> (Tree, DocMix) {
     let (tree, dense) = cdn(60, 60);
     let mut mix = DocMix::new(tree.len());
     for node in tree.nodes() {
-        for &(doc, rate) in dense.demands_of(node) {
+        for (doc, rate) in dense.demands_of(node).iter() {
             mix.set(node, DocId::new(doc.value() + 10), rate);
         }
     }

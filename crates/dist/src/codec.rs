@@ -42,7 +42,7 @@ use ww_model::{DocId, NodeId};
 use ww_net::{DocRequest, RequestId};
 use ww_pdes::{Wire, PDES_KEYS};
 use ww_sim::SimTime;
-use ww_workload::DocMix;
+use ww_workload::{DemandRow, DocMix};
 
 /// Hard cap on one frame's payload, bytes. A length prefix above this is
 /// treated as stream corruption ([`CodecError::Oversize`]) rather than
@@ -691,12 +691,12 @@ fn node_parents(r: &mut Rd<'_>) -> Result<Vec<Option<usize>>, CodecError> {
 impl Codec for DocMix {
     fn put(&self, out: &mut Vec<u8>) {
         let rows = || (0..self.len()).map(|j| self.demands_of(NodeId::new(j)));
-        let demands: usize = rows().map(<[_]>::len).sum();
+        let demands: usize = rows().map(DemandRow::len).sum();
         self.len().put(out);
         (demands as u32).put(out);
         out.reserve(demands * <(usize, u64, f64)>::MIN);
         for (j, row) in rows().enumerate() {
-            for &(doc, rate) in row {
+            for (doc, rate) in row.iter() {
                 (j, doc.value(), rate).put(out);
             }
         }

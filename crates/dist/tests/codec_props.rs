@@ -811,7 +811,7 @@ fn reference_mix_bytes(mix: &DocMix) -> Vec<u8> {
     let demands: Vec<(usize, u64, f64)> = (0..mix.len())
         .flat_map(|j| {
             let row = mix.demands_of(NodeId::new(j));
-            row.iter().map(move |&(doc, rate)| (j, doc.value(), rate))
+            row.iter().map(move |(doc, rate)| (j, doc.value(), rate))
         })
         .collect();
     let mut out = (mix.len() as u64).to_le_bytes().to_vec();
@@ -948,6 +948,32 @@ proptest! {
         if body.len() >= 2 {
             prop_assert_eq!(decode_msg(&body), reference_set_mix(&body), "kind {}", kind);
         }
+    }
+
+    /// Codes never reach the wire: the same demands set in reverse, so
+    /// that the mix codes its documents in another order, encode to the
+    /// same bytes, and so does the mix the frame decodes into.
+    #[test]
+    fn a_mix_encodes_the_same_whatever_its_codes(mix in arb_wide_mix()) {
+        let frame_of = |mix: DocMix| {
+            let mut frame = Vec::new();
+            encode_msg(&Msg::Apply(BarrierOp::SetMix { mix }), &mut frame);
+            frame
+        };
+        let demands: Vec<(NodeId, DocId, f64)> = (0..mix.len())
+            .map(NodeId::new)
+            .flat_map(|u| mix.demands_of(u).iter().map(move |(d, r)| (u, d, r)))
+            .collect();
+        let mut reversed = DocMix::new(mix.len());
+        for &(u, d, r) in demands.iter().rev() {
+            reversed.set(u, d, r);
+        }
+        let frame = frame_of(mix);
+        prop_assert_eq!(&frame_of(reversed), &frame);
+        let Ok(Msg::Apply(BarrierOp::SetMix { mix: decoded })) = decode_msg(&frame[4..]) else {
+            panic!("the frame decodes");
+        };
+        prop_assert_eq!(&frame_of(decoded), &frame);
     }
 
     /// A frame whose triples come in any order decodes into a mix `==`

@@ -431,7 +431,7 @@ fn barriers_that_meet_loaded_lanes_stay_identical() {
     // front of them all.
     let mut mix = DocMix::new(tree.len());
     for u in tree.nodes() {
-        for &(doc, rate) in dense.demands_of(u) {
+        for (doc, rate) in dense.demands_of(u).iter() {
             mix.set(u, DocId::new(2 * doc.value() + 1), rate);
         }
     }

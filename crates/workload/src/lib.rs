@@ -35,7 +35,7 @@ pub mod docmix;
 pub mod rates;
 pub mod zipf;
 
-pub use docmix::{shared_zipf_mix, DocMix};
+pub use docmix::{shared_zipf_mix, DemandRow, DocEntry, DocMix};
 pub use rates::{
     leaf_only, random_uniform, uniform, zipf_nodes, ConstantRates, DiurnalDrift, RandomWalkRates,
     RateProcess, StepChange,
