@@ -164,8 +164,8 @@ pub fn sort_hottest_first(rates: &mut [(u32, f64)]) {
 /// past it as cold meters.
 ///
 /// Totals are accumulated in ascending index order, which under a
-/// `DocTable` is ascending [`DocId`](ww_model::DocId) order — a fixed,
-/// deterministic float accumulation order.
+/// `DocTable` is the documents' birth order — a fixed, deterministic
+/// float accumulation order.
 ///
 /// # Example
 ///
@@ -363,19 +363,16 @@ impl DenseFlowTable {
         self.grid.reorder_rows(map, MeterCell::anchored(now));
     }
 
-    /// Grows the grid's document columns **in place**: the column of old
-    /// index `old` moves to `old_to_new[old]`, and every other one of
-    /// the `new_docs` columns starts as fresh meters anchored at `now`.
-    /// Measured history survives; see [`DocGrid::grow_docs`] for how
-    /// the rows move.
+    /// Widens the grid to `new_docs` document columns **in place**: the
+    /// old columns keep their indices, and the new ones start as fresh
+    /// meters anchored at `now`. Measured history survives; see
+    /// [`DocGrid::grow_docs`] for how the rows move.
     ///
     /// # Panics
     ///
-    /// Panics if `old_to_new` does not cover the old columns or is not
-    /// strictly increasing into `0..new_docs`.
-    pub fn grow_docs(&mut self, old_to_new: &[u32], new_docs: usize, now: f64) {
-        self.grid
-            .grow_docs(old_to_new, new_docs, MeterCell::anchored(now));
+    /// Panics if `new_docs` is below the current column count.
+    pub fn grow_docs(&mut self, new_docs: usize, now: f64) {
+        self.grid.grow_docs(new_docs, MeterCell::anchored(now));
     }
 }
 
@@ -601,22 +598,22 @@ mod tests {
     }
 
     #[test]
-    fn grow_docs_shifts_in_place_and_reserves_room() {
+    fn grow_docs_widens_in_place_and_reserves_room() {
         let mut t = DenseFlowTable::new(1.0, 1.0, 2, 2);
         t.record(0, 0, 0.1);
         t.record(1, 1, 0.2);
         t.roll_to(1.0);
-        // Insert a new column between the two old ones: 0 -> 0, 1 -> 2.
-        t.grow_docs(&[0, 2], 3, 1.0);
+        // Append a column: the old ones keep their indices.
+        t.grow_docs(3, 1.0);
         assert_eq!((t.row_count(), t.doc_count()), (2, 3));
         assert!((t.rate(0, 0) - 1.0).abs() < 1e-9);
-        assert_eq!(t.rate(0, 1), 0.0);
-        assert!((t.rate(1, 2) - 1.0).abs() < 1e-9);
-        // The buffer's capacity doubled, so the next append finds room.
+        assert_eq!(t.rate(0, 2), 0.0);
+        assert!((t.rate(1, 1) - 1.0).abs() < 1e-9);
+        // The buffer's capacity doubled, so the next growth finds room.
         let reserved = t.capacity_bytes();
-        t.grow_docs(&[0, 1, 2], 4, 2.0);
+        t.grow_docs(4, 2.0);
         assert_eq!(t.capacity_bytes(), reserved);
-        assert!((t.rate(1, 2) - 1.0).abs() < 1e-9);
+        assert!((t.rate(1, 1) - 1.0).abs() < 1e-9);
         // The fresh column meters from its anchor point onward.
         t.record(0, 3, 2.5);
         t.roll_to(3.0);
@@ -667,7 +664,7 @@ mod tests {
         assert_eq!((t.row_count(), t.doc_count()), (3, 0));
         assert_eq!(t.row_total(2), 0.0);
         t.roll_to(5.0);
-        t.grow_docs(&[], 1, 5.0);
+        t.grow_docs(1, 5.0);
         assert_eq!((t.row_count(), t.doc_count()), (3, 1));
         t.record(2, 0, 5.5);
         t.roll_to(6.0);
@@ -679,7 +676,7 @@ mod tests {
         // A leaf's per-child table: no rows until it gains a child.
         let mut t = DenseFlowTable::new(1.0, 1.0, 0, 2);
         t.roll_to(3.0);
-        t.grow_docs(&[0, 2], 3, 3.0);
+        t.grow_docs(3, 3.0);
         assert_eq!((t.row_count(), t.doc_count()), (0, 3));
         t.reorder_rows(&[], 3.0);
         assert_eq!(t.row_count(), 0);

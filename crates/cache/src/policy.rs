@@ -130,8 +130,9 @@ pub fn plan_total(plan: &[RateSlice]) -> f64 {
 ///
 /// The dense engines keep per-document state in flat slabs addressed by
 /// `u32` indices; planning directly over indices avoids the id↔index
-/// translation on the hot path. Because a `DocTable` assigns indices in
-/// ascending id order, the tie-breaking below (`index` ascending) is
+/// translation on the hot path. The tie-breaking below is by `index`
+/// ascending, a document's birth order under its `DocTable`; where the
+/// universe was born in id order (a fixed one always is) that is
 /// *exactly* the id-ascending tie-break of [`plan_push`] / [`plan_shed`],
 /// so dense plans match sparse plans slice for slice.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -289,7 +290,8 @@ mod tests {
     }
 
     /// Dense planning mirrors sparse planning slice-for-slice when indices
-    /// are assigned in ascending doc-id order (the `DocTable` invariant).
+    /// are assigned in ascending doc-id order (as `DocTable::from_ids`
+    /// assigns them).
     #[test]
     fn dense_plans_match_sparse_plans() {
         let sparse = vec![

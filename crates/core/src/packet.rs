@@ -323,8 +323,10 @@ pub enum BarrierOutcome {
 #[derive(Debug, Clone)]
 pub enum SurgeryStep {
     /// The sweep of a demand re-resolution (join/publish/shift): drop
-    /// arrival heads, remap document indices when the universe grew.
-    Rebuild(Option<UniverseGrowth>),
+    /// arrival heads, as every row's streams are re-resolved and
+    /// re-headed. Every other event keeps its `(time, seq)` key and its
+    /// dense document index: a growing universe only appends columns.
+    Rebuild,
     /// The sweep of a leave: drop arrival heads and the departed node's
     /// events, renumber the compacted former-last id.
     Leave {
@@ -341,7 +343,10 @@ pub fn apply_surgery(ev: PacketEvent, steps: &[SurgeryStep]) -> Option<PacketEve
     let mut ev = ev;
     for step in steps {
         ev = match step {
-            SurgeryStep::Rebuild(growth) => remap_for_rebuild(ev, growth.as_ref())?,
+            SurgeryStep::Rebuild => match ev {
+                PacketEvent::Arrival { .. } => return None,
+                ev => ev,
+            },
             SurgeryStep::Leave { removed, moved } => renumber_for_leave(ev, *removed, *moved)?,
         };
     }
@@ -385,59 +390,6 @@ pub fn gossip_stream_rng(world: &PacketWorld, node: usize) -> StreamRng {
         base.fork(STREAM_REBUILD ^ world.generation)
     }
     .into_stream()
-}
-
-/// Queue surgery for a generation bump without churn (publish, shift):
-/// stale arrival heads vanish — every row's streams are re-resolved and
-/// re-headed — and, when the
-/// universe grew, surviving events' dense document indices shift to
-/// their new columns. Everything else keeps its `(time, seq)` key.
-pub fn remap_for_rebuild(ev: PacketEvent, growth: Option<&UniverseGrowth>) -> Option<PacketEvent> {
-    let k = |index: u32| growth.map_or(index, |g| g.old_to_new[index as usize]);
-    match ev {
-        PacketEvent::Arrival { .. } => None,
-        PacketEvent::Packet {
-            node,
-            from,
-            request,
-            index,
-        } => Some(PacketEvent::Packet {
-            node,
-            from,
-            request,
-            index: k(index),
-        }),
-        PacketEvent::CopyInstall { node, index, rate } => Some(PacketEvent::CopyInstall {
-            node,
-            index: k(index),
-            rate,
-        }),
-        PacketEvent::TunnelProbe {
-            node,
-            origin,
-            index,
-            rate,
-            hops,
-        } => Some(PacketEvent::TunnelProbe {
-            node,
-            origin,
-            index: k(index),
-            rate,
-            hops,
-        }),
-        PacketEvent::TunnelGrant {
-            node,
-            target,
-            index,
-            rate,
-        } => Some(PacketEvent::TunnelGrant {
-            node,
-            target,
-            index: k(index),
-            rate,
-        }),
-        gossip @ PacketEvent::GossipDeliver { .. } => Some(gossip),
-    }
 }
 
 /// Queue surgery for a barrier-time leave: stale arrival heads vanish, every
@@ -1119,7 +1071,8 @@ fn start_tunnel(
 ) {
     let m = ctx.world.table.len();
     // Hottest seen-but-not-held document; ties break toward the
-    // smaller index (= smaller id), matching the sparse sort order.
+    // smaller index (= the earlier born), matching the sparse sort
+    // order on a universe born in id order.
     let mut best: Option<(u32, f64)> = None;
     for k in 0..m as u32 {
         let r = state.seen_rate(k);

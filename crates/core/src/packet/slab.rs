@@ -95,8 +95,8 @@
 //! Barrier operations are row operations, shared by the three engines:
 //! join = [`NodeSlab::push_node`], leave = [`NodeSlab::swap_remove_node`]
 //! (the id compaction the tree already does), publish / `set_mix` =
-//! [`NodeSlab::grow`] (nothing per row for an append; a column shift of
-//! every ragged row for a document that sorts below), `Invalidate` =
+//! [`NodeSlab::grow`] (nothing per row: a new document's column is
+//! past every old one), `Invalidate` =
 //! [`NodeSlab::invalidate_row`] down one column, shard migration =
 //! [`NodeSlab::take_rows`] on the donor and [`NodeSlab::push_row_from`]
 //! on the recipient.
@@ -251,8 +251,7 @@ impl ChildState {
     #[inline(never)]
     fn widen(&mut self, docs: usize, columns_born: &[f64]) {
         let old = self.flows.doc_count();
-        let same: Vec<u32> = (0..to_u32(old)).collect();
-        self.flows.grow_docs(&same, docs, 0.0);
+        self.flows.grow_docs(docs, 0.0);
         for (row, slot) in self.slots.iter().enumerate() {
             for (cell, &column) in self.flows.row_mut(row)[old..]
                 .iter_mut()
@@ -419,19 +418,6 @@ fn set_words_for(docs: usize) -> usize {
         0
     } else {
         docs.div_ceil(64)
-    }
-}
-
-/// Moves a bitset's members to their columns in a grown universe.
-/// Ascending mapping: moving members highest first never lands one on a
-/// member still waiting to move.
-fn shift_members(words: &mut [u64], old_to_new: &[u32]) {
-    for (old, &new) in old_to_new.iter().enumerate().rev() {
-        let (ow, ob) = (old / 64, 1u64 << (old % 64));
-        if new as usize != old && words[ow] & ob != 0 {
-            words[ow] &= !ob;
-            words[new as usize / 64] |= 1u64 << (new % 64);
-        }
     }
 }
 
@@ -783,21 +769,18 @@ impl NodeSlab {
         self.words.swap_remove_row(row);
     }
 
-    /// Moves every node's per-document state to a grown universe: fresh
-    /// columns start empty, anchored at `at`, and the home server (at
-    /// `home`, when this slab hosts it) receives the only copy of each
-    /// new document, and its slot. Serve slots keep their places: a run
-    /// is in document order, which the growth keeps.
+    /// Widens every node's per-document state to a grown universe, whose
+    /// new documents take the columns past the old ones (created at
+    /// `at`): the home server (at `home`, when this slab hosts it)
+    /// receives the only copy of each new document, and its slot.
     ///
-    /// An append — every new document sorts after the old ones — leaves
-    /// every row as it is: a ragged `seen` run or `flows` grid ends at
-    /// or before the old universe's last column, and a fresh column past
-    /// it holds cold meters only. A document that sorts below shifts
-    /// columns: bitset members move in place, the `seen` runs are
-    /// rebuilt into one buffer, each child grid shifts in place, fresh
-    /// columns inside a row starting cold at `at`.
+    /// Nothing else changes per row: a ragged `seen` run or `flows` grid
+    /// ends at or before the old universe's last column, a fresh column
+    /// past it holds cold meters only, and serve slots keep their
+    /// places. Only the bitsets widen, when they outgrow their words.
     pub fn grow(&mut self, growth: &UniverseGrowth, at: f64, home: Option<usize>) {
-        let (old_words, new_words) = (self.words.doc_count() / SETS, set_words_for(growth.new_len));
+        let docs = growth.end as usize;
+        let (old_words, new_words) = (self.words.doc_count() / SETS, set_words_for(docs));
         if new_words != old_words {
             // The bitsets outgrew their words: widen them (out of
             // the heads, the first time).
@@ -815,60 +798,16 @@ impl NodeSlab {
             }
             self.words = words;
         }
-        if !growth.is_append() {
-            for (row, head) in self.heads.iter_mut().enumerate() {
-                let sets = if new_words == 0 {
-                    &mut head.sets[..]
-                } else {
-                    self.words.row_mut(row)
-                };
-                for set in sets.chunks_exact_mut(new_words.max(1)) {
-                    shift_members(set, &growth.old_to_new);
-                }
-            }
-            self.shift_seen(&growth.old_to_new, at);
-            for kids in self.heads.iter_mut().filter_map(|h| h.kids.as_mut()) {
-                let map = &growth.old_to_new[..kids.flows.doc_count()];
-                if let Some(&last) = map.last() {
-                    kids.flows.grow_docs(map, last as usize + 1, at);
-                }
-            }
-        }
-        self.docs = growth.new_len;
-        let mut born = vec![at; growth.new_len];
-        for (old, &new) in growth.old_to_new.iter().enumerate() {
-            born[new as usize] = self.born[old];
-        }
-        self.born = born;
+        self.docs = docs;
+        self.born.reserve_exact(docs - self.born.len());
+        self.born.resize(docs, at);
         if let Some(row) = home {
             let mut home = self.node_mut(row);
-            for &k in &growth.fresh {
+            for k in growth.clone() {
                 home.insert(Set::Copies, k);
                 home.slot_mut(k);
             }
         }
-    }
-
-    /// Rebuilds every row's `seen` run over a grown universe, in row
-    /// order: each old column's meter moves to `old_to_new`'s column,
-    /// and the fresh columns up to the run's last start cold at `at`.
-    fn shift_seen(&mut self, old_to_new: &[u32], at: f64) {
-        let shifted = |run: Run| match run.len {
-            0 => 0,
-            len => old_to_new[len as usize - 1] + 1,
-        };
-        let total = self.spans.iter().map(|s| shifted(s.seen) as usize).sum();
-        let mut cells = Vec::with_capacity(total);
-        for span in &mut self.spans {
-            let start = cells.len();
-            cells.resize(start + shifted(span.seen) as usize, MeterCell::anchored(at));
-            for (cell, &new) in self.seen.of(span.seen).iter().zip(old_to_new) {
-                cells[start + new as usize] = *cell;
-            }
-            span.seen.start = to_u32(start);
-            span.seen.len = shifted(span.seen);
-        }
-        self.seen.replace(cells);
     }
 
     /// Revokes the cached copy of dense index `k` at local node `row`

@@ -7,9 +7,8 @@
 //! `row * docs + doc` of one buffer, so an access loads no per-row
 //! header first. Every barrier operation is a row or column operation on
 //! the grid: a join pushes a row, a leave swap-removes one, a publish
-//! widens every row in place (each row moves a run of consecutive
-//! columns at a time; an append is one run), a shard migration compacts
-//! the donor's rows and appends to the recipient's.
+//! widens every row in place (each row moves with one copy), a shard
+//! migration compacts the donor's rows and appends to the recipient's.
 
 /// Makes room for `additional` more elements in a slab-sized vector
 /// that grows a row at a time: a full buffer grows by a sixteenth of
@@ -35,11 +34,11 @@ pub fn reserve_slack<T>(v: &mut Vec<T>, additional: usize) {
 ///
 /// let mut g = DocGrid::new(2, 2, 0u32);
 /// *g.get_mut(1, 1) = 7;
-/// g.grow_docs(&[0, 2], 3, 0); // a column inserted between the two
-/// assert_eq!(g.row(1), &[0, 0, 7]);
+/// g.grow_docs(3, 0); // a column appended to every row
+/// assert_eq!(g.row(1), &[0, 7, 0]);
 /// g.push_row(1);
 /// g.swap_remove_row(0);
-/// assert_eq!((g.row(0), g.row(1)), (&[1, 1, 1][..], &[0, 0, 7][..]));
+/// assert_eq!((g.row(0), g.row(1)), (&[1, 1, 1][..], &[0, 7, 0][..]));
 /// ```
 #[derive(Debug, Clone)]
 pub struct DocGrid<T> {
@@ -243,76 +242,35 @@ impl<T: Copy> DocGrid<T> {
         }
     }
 
-    /// Grows the document columns **in place**: the column of old index
-    /// `old` moves to `old_to_new[old]`, and every other one of the
-    /// `new_docs` columns becomes `fresh`. This is how a growing
-    /// document universe (a publish, a shifted mix with new ids) reaches
-    /// every dense per-document slab while its history survives.
+    /// Widens every row to `new_docs` columns **in place**: the old
+    /// columns keep their indices, and the new ones, at the end of each
+    /// row, start as `fresh`. A document's column is its birth order
+    /// ([`DocTable`](crate::DocTable)), so this is how a growing
+    /// universe (a publish, a shifted mix with new ids) reaches every
+    /// dense per-document slab while its history survives.
     ///
-    /// A universe grows in ascending-id order, so `old_to_new` is
-    /// strictly increasing and the rows move inside the existing buffer,
-    /// last row first. Each row moves one run at a time, back to front:
-    /// a run is a stretch of old columns that land on consecutive new
-    /// ones, it moves with one `copy_within`, and the cells between runs
-    /// are filled. An append (every new id sorts after the old ones) is
-    /// one run per row. Rows are exactly `new_docs` wide afterwards. The
-    /// buffer's capacity grows geometrically (`Vec::resize`), so a run of
-    /// publishes reallocates rarely, and the capacity past the live cells
-    /// is never written, so it is never resident.
+    /// The rows move inside the existing buffer, last row first, each
+    /// with one `copy_within`, and their new columns are filled. Rows
+    /// are exactly `new_docs` wide afterwards. The buffer's capacity
+    /// grows geometrically (`Vec::resize`), so a run of publishes
+    /// reallocates rarely, and the capacity past the live cells is
+    /// never written, so it is never resident.
     ///
     /// # Panics
     ///
-    /// Panics if `old_to_new` does not cover the old columns or is not
-    /// strictly increasing into `0..new_docs`.
-    pub fn grow_docs(&mut self, old_to_new: &[u32], new_docs: usize, fresh: T) {
-        assert_eq!(old_to_new.len(), self.docs, "mapping must cover old docs");
-        assert!(
-            old_to_new.windows(2).all(|w| w[0] < w[1])
-                && old_to_new.last().is_none_or(|&k| (k as usize) < new_docs),
-            "columns must map in ascending order into the grown universe"
-        );
-        let old = self.docs;
-        if new_docs > old {
-            self.cells.resize(self.rows * new_docs, fresh);
-        }
-        // A row's new cells start at `dst >= src`, and every column maps
-        // at or after its old index: the fill after a run writes at
-        // `src + k` or later and the run's copy at `src + from` or later,
-        // so no cell still to be read is overwritten (the rows not yet
-        // moved lie before `src`).
+    /// Panics if `new_docs` is below the current column count.
+    pub fn grow_docs(&mut self, new_docs: usize, fresh: T) {
+        assert!(new_docs >= self.docs, "a universe never shrinks");
+        self.cells.resize(self.rows * new_docs, fresh);
+        // A row lands at or after where it was, and the rows not yet
+        // moved lie before it: no cell still to be read is overwritten.
         for row in (0..self.rows).rev() {
-            let (src, dst) = (row * old, row * new_docs);
-            let (mut k, mut end) = (old, new_docs);
-            while k > 0 {
-                let from = run_start(old_to_new, k);
-                let to = old_to_new[from] as usize;
-                self.cells[dst + to + (k - from)..dst + end].fill(fresh);
-                self.cells.copy_within(src + from..src + k, dst + to);
-                (k, end) = (from, to);
-            }
-            self.cells[dst..dst + end].fill(fresh);
+            let (src, dst) = (row * self.docs, row * new_docs);
+            self.cells.copy_within(src..src + self.docs, dst);
+            self.cells[dst + self.docs..dst + new_docs].fill(fresh);
         }
         self.docs = new_docs;
     }
-}
-
-/// The first old column of the run that ends at old column `k - 1`: the
-/// longest stretch `from..k` whose columns land on consecutive new ones.
-/// `old_to_new` is strictly increasing, so `old_to_new[c] - c` never
-/// decreases with `c` and the run is where it equals its value at
-/// `k - 1`, found by bisection.
-fn run_start(old_to_new: &[u32], k: usize) -> usize {
-    let shift = old_to_new[k - 1] as usize - (k - 1);
-    let (mut lo, mut hi) = (0, k - 1);
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if old_to_new[mid] as usize - mid == shift {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    lo
 }
 
 #[cfg(test)]
@@ -383,20 +341,20 @@ mod tests {
     #[test]
     fn columns_grow_on_a_strided_buffer() {
         let mut g = grid(2, 2);
-        g.grow_docs(&[0, 2], 3, 0);
-        assert_eq!((g.row(0), g.row(1)), (&[1, 0, 2][..], &[11, 0, 12][..]));
+        g.grow_docs(3, 0);
+        assert_eq!((g.row(0), g.row(1)), (&[1, 2, 0][..], &[11, 12, 0][..]));
         // Rows are exactly 3 wide, but the buffer's capacity doubled to
-        // eight cells: the next growth, an append, reallocates nothing.
+        // eight cells: the next growth reallocates nothing.
         let reserved = g.capacity_bytes();
-        g.grow_docs(&[0, 1, 2], 4, 5);
+        g.grow_docs(4, 5);
         assert_eq!(g.capacity_bytes(), reserved);
-        assert_eq!(g.row(1), &[11, 0, 12, 5]);
+        assert_eq!(g.row(1), &[11, 12, 0, 5]);
         // Rows pushed and removed after the growth stay aligned.
         g.push_row(6);
         g.swap_remove_row(0);
         assert_eq!(
             (g.row(0), g.row(1)),
-            (&[6, 6, 6, 6][..], &[11, 0, 12, 5][..])
+            (&[6, 6, 6, 6][..], &[11, 12, 0, 5][..])
         );
     }
 
@@ -407,7 +365,7 @@ mod tests {
         g.swap_remove_row(0);
         g.reorder_rows(&[Some(1), Some(0), None], 0);
         assert_eq!((g.row_count(), g.doc_count()), (3, 0));
-        g.grow_docs(&[], 2, 4);
+        g.grow_docs(2, 4);
         assert_eq!(g.row(2), &[4, 4]);
     }
 }

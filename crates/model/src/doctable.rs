@@ -1,51 +1,72 @@
 //! Dense document indexing: [`DocTable`] and [`DocSet`].
 //!
-//! The simulation engines operate over a *small, fixed universe* of
+//! The simulation engines operate over a *small, growing universe* of
 //! published documents. Routing per-document state through
 //! `HashMap<DocId, f64>` / `HashSet<DocId>` puts a hash + probe on every
 //! hot-path access and scatters the working set across the heap. A
-//! [`DocTable`] instead maps the universe once to contiguous `u32` *dense
+//! [`DocTable`] instead maps the universe to contiguous `u32` *dense
 //! indices*, so engines can keep per-document state in flat `Vec<f64>`
 //! slabs (`node * doc_count + doc_index`) and per-node membership in
 //! [`DocSet`] bitsets — cache-line friendly, allocation-free accesses.
 //!
 //! # Invariants
 //!
-//! * A table is **immutable** after construction. A simulation whose
-//!   universe grows (a publish) builds a new table and moves its dense
-//!   state with [`DocSet::grow`] and
-//!   [`DocGrid::grow_docs`](crate::DocGrid::grow_docs), in place.
-//! * Indices are assigned in **ascending [`DocId`] order** and are
-//!   contiguous in `0..len`. Iterating `0..len` therefore visits documents
-//!   in sorted id order — engines rely on this for deterministic,
-//!   reproducible float accumulation order.
+//! * A document's index is its **birth order**: [`DocTable::from_ids`]
+//!   numbers its initial set in ascending [`DocId`] order, and every
+//!   later [`DocTable::insert`] of an id not seen before takes the next
+//!   index, `len`. A table only grows and an index never moves, so a
+//!   growing universe (a publish) only appends columns: dense state
+//!   widens in place ([`DocSet::grow`],
+//!   [`DocGrid::grow_docs`](crate::DocGrid::grow_docs)).
+//! * Iterating `0..len` visits documents in birth order — a fixed,
+//!   reproducible float accumulation order, and ascending id order for
+//!   a table whose later ids all sorted above the ones before them.
 //! * `index_of` and `doc` are exact inverses over the table's universe:
 //!   `table.doc(table.index_of(d).unwrap()) == d` and
 //!   `table.index_of(table.doc(i)) == Some(i)`.
 //! * A [`DocSet`] is bound to a universe *size* (not a specific table);
 //!   all set operations are over dense indices `0..universe`.
 
-use crate::DocId;
+use crate::{reserve_slack, DocId};
 
-/// An immutable bijection between a fixed document universe and the dense
-/// indices `0..len`.
+/// A bijection between a growing document universe and the dense
+/// indices `0..len`, issued in birth order.
 ///
 /// # Example
 ///
 /// ```
 /// use ww_model::{DocId, DocTable};
 ///
-/// let table = DocTable::from_ids([DocId::new(7), DocId::new(2), DocId::new(7)]);
+/// let mut table = DocTable::from_ids([DocId::new(7), DocId::new(2), DocId::new(7)]);
 /// assert_eq!(table.len(), 2); // duplicates collapse
 /// assert_eq!(table.index_of(DocId::new(2)), Some(0)); // ascending id order
 /// assert_eq!(table.index_of(DocId::new(7)), Some(1));
 /// assert_eq!(table.doc(1), DocId::new(7));
-/// assert_eq!(table.index_of(DocId::new(9)), None);
+/// assert_eq!(table.index_of(DocId::new(1)), None);
+/// assert_eq!(table.insert(DocId::new(1)), 2); // a later id is born last
+/// assert_eq!(table.insert(DocId::new(2)), 0); // a known id keeps its index
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct DocTable {
-    /// Sorted, deduplicated document ids; position = dense index.
+    /// Document ids; position = dense index.
     ids: Vec<DocId>,
+    /// `(id, dense index)` for every entry of `ids`, sorted by id.
+    by_id: Vec<(DocId, u32)>,
+}
+
+impl Clone for DocTable {
+    fn clone(&self) -> Self {
+        DocTable {
+            ids: self.ids.clone(),
+            by_id: self.by_id.clone(),
+        }
+    }
+
+    /// Overwrites this table in place, reusing its buffers.
+    fn clone_from(&mut self, source: &Self) {
+        self.ids.clone_from(&source.ids);
+        self.by_id.clone_from(&source.by_id);
+    }
 }
 
 impl DocTable {
@@ -55,7 +76,8 @@ impl DocTable {
         let mut ids: Vec<DocId> = ids.into_iter().collect();
         ids.sort_unstable();
         ids.dedup();
-        DocTable { ids }
+        let by_id = (0..).zip(&ids).map(|(i, &d)| (d, i)).collect();
+        DocTable { ids, by_id }
     }
 
     /// Number of documents in the universe.
@@ -71,7 +93,26 @@ impl DocTable {
     /// The dense index of `doc`, or `None` when it is outside the universe.
     #[inline]
     pub fn index_of(&self, doc: DocId) -> Option<u32> {
-        self.ids.binary_search(&doc).ok().map(|i| i as u32)
+        let at = self.by_id.binary_search_by_key(&doc, |&(d, _)| d).ok()?;
+        Some(self.by_id[at].1)
+    }
+
+    /// The dense index of `doc`, issued as the next one (`len`) when the
+    /// table has not seen it. Both tables grow by sixteenths: a publish
+    /// into a wide universe adds one document, and should not double
+    /// the tables for it.
+    pub fn insert(&mut self, doc: DocId) -> u32 {
+        match self.by_id.binary_search_by_key(&doc, |&(d, _)| d) {
+            Ok(at) => self.by_id[at].1,
+            Err(at) => {
+                let index = u32::try_from(self.ids.len()).expect("a table indexes 2^32 documents");
+                reserve_slack(&mut self.ids, 1);
+                reserve_slack(&mut self.by_id, 1);
+                self.ids.push(doc);
+                self.by_id.insert(at, (doc, index));
+                index
+            }
+        }
     }
 
     /// The document at dense index `idx`.
@@ -83,14 +124,14 @@ impl DocTable {
         self.ids[idx as usize]
     }
 
-    /// The universe in dense-index (= ascending id) order.
+    /// The universe in dense-index (= birth) order.
     pub fn docs(&self) -> &[DocId] {
         &self.ids
     }
 
-    /// Iterates `(dense index, id)` pairs in index order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, DocId)> + '_ {
-        self.ids.iter().enumerate().map(|(i, &d)| (i as u32, d))
+    /// `(id, dense index)` for every document, in ascending id order.
+    pub fn by_id(&self) -> &[(DocId, u32)] {
+        &self.by_id
     }
 
     /// An empty, all-zeros membership set sized for this universe.
@@ -113,7 +154,7 @@ impl DocTable {
 ///
 /// Replaces `HashSet<DocId>` on simulation hot paths: membership is one
 /// shift + mask, iteration walks set bits in ascending index order (which
-/// is ascending [`DocId`] order under the owning [`DocTable`]).
+/// is birth order under the owning [`DocTable`]).
 ///
 /// # Example
 ///
@@ -241,7 +282,6 @@ mod tests {
         let t = DocTable::from_ids([DocId::new(9), DocId::new(1), DocId::new(9), DocId::new(4)]);
         assert_eq!(t.len(), 3);
         assert_eq!(t.docs(), &[DocId::new(1), DocId::new(4), DocId::new(9)]);
-        assert_eq!(t.iter().collect::<Vec<_>>().len(), 3);
     }
 
     #[test]

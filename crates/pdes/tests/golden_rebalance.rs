@@ -421,13 +421,13 @@ fn barriers_that_meet_loaded_lanes_stay_identical() {
     // The queue keeps in-flight messages (`Packet`, `CopyInstall`,
     // `GossipDeliver`) in FIFO lanes beside its radix heap, and every
     // barrier path must cover both: a leave renumbers or drops them, a
-    // universe-growing publish remaps the document index each carries,
+    // universe-growing publish keeps the document index each carries,
     // a rebalance extracts a migrant's share and replays it elsewhere.
     // A long link delay keeps the lanes well stocked (one Little's-law
     // worth of every stream), the counters prove they were non-empty at
     // each barrier, and the result must still be the sequential bits.
     let (tree, dense) = skewed_mix(0x1A9E5, 48);
-    // Spread the ids out (1, 3, 5, ...) so a first-time id can land in
+    // Spread the ids out (1, 3, 5, ...) so a first-time id can sort in
     // front of them all.
     let mut mix = DocMix::new(tree.len());
     for u in tree.nodes() {
@@ -451,8 +451,8 @@ fn barriers_that_meet_loaded_lanes_stay_identical() {
         driver
             .apply_op(&BarrierOp::RemoveLeaf { node: leaf })
             .expect("leave applies");
-        // A first-time id below every existing one: the universe grows
-        // at the front, so *every* in-flight index shifts.
+        // A first-time id below every existing one: it still takes the
+        // next column, so no in-flight index moves.
         let publish = BarrierOp::PublishDoc {
             doc: DocId::new(0),
             origin: NodeId::new(1),
@@ -476,7 +476,10 @@ fn barriers_that_meet_loaded_lanes_stay_identical() {
     let universe = seq.doc_table().len();
     barrier_ops(&mut seq);
     assert_eq!(seq.doc_table().len(), universe + 1, "the publish grows it");
-    assert_eq!(seq.doc_table().index_of(DocId::new(0)), Some(0));
+    assert_eq!(
+        seq.doc_table().index_of(DocId::new(0)),
+        Some(universe as u32)
+    );
     let seq_report = seq.run(6.0);
 
     for workers in [2, 4] {

@@ -8,7 +8,9 @@
 
 use crate::Zipf;
 use std::fmt;
-use ww_model::{reserve_slack, DocId, Growth, NodeId, PoolKind, RateVector, Run, RunPool, Tree};
+use ww_model::{
+    reserve_slack, DocId, DocTable, Growth, NodeId, PoolKind, RateVector, Run, RunPool, Tree,
+};
 
 /// Demand for documents at every node: `rate_of(node, doc)` in req/s.
 ///
@@ -26,10 +28,10 @@ use ww_model::{reserve_slack, DocId, Growth, NodeId, PoolKind, RateVector, Run, 
 /// not request a sixteenth of them all.
 ///
 /// An entry is a [`DocEntry`], 12 bytes: the rate and a 4-byte code
-/// for its document. The codes index the mix's own table of the
-/// documents it has seen, issued in first-seen order, so a new
-/// document never renumbers an entry; a sorted side table answers
-/// `DocId → code`. Codes are layout only: every reader, `==` and
+/// for its document. The codes are the indices of the mix's own
+/// [`DocTable`] of the documents it has seen, issued in first-seen
+/// order, so a new document never renumbers an entry. Codes are layout
+/// only: every reader, `==` and
 /// `Debug` see `(doc, rate)` pairs, and two mixes that issued their
 /// codes in different orders are equal when their rows are.
 ///
@@ -52,14 +54,12 @@ pub struct DocMix {
     entries: RunPool<DocEntry, Rows>,
     /// Per node: where its row sits in `entries`.
     spans: Vec<Run>,
-    /// Per code: its document, in the order the mix first saw them.
-    docs: Vec<DocId>,
-    /// `(document, code)` for every entry of `docs`, sorted by document.
-    codes: Vec<(DocId, u32)>,
+    /// The documents the mix has seen: a code is a document's index.
+    table: DocTable,
 }
 
 /// One demand entry: a rate and the code of its document in its mix's
-/// table. Packed to 12 bytes, four fewer than `(DocId, f64)`; its
+/// [`DocTable`]. Packed to 12 bytes, four fewer than `(DocId, f64)`; its
 /// fields are only ever read and written by value, so no reference to
 /// the unaligned rate is taken.
 #[repr(C, packed(4))]
@@ -148,8 +148,7 @@ impl Clone for DocMix {
         DocMix {
             entries: self.entries.clone(),
             spans: self.spans.clone(),
-            docs: self.docs.clone(),
-            codes: self.codes.clone(),
+            table: self.table.clone(),
         }
     }
 
@@ -159,8 +158,7 @@ impl Clone for DocMix {
     fn clone_from(&mut self, source: &Self) {
         self.entries.clone_from(&source.entries);
         self.spans.clone_from(&source.spans);
-        self.docs.clone_from(&source.docs);
-        self.codes.clone_from(&source.codes);
+        self.table.clone_from(&source.table);
     }
 }
 
@@ -187,8 +185,7 @@ impl DocMix {
         DocMix {
             entries: RunPool::new(),
             spans: vec![Run::default(); n],
-            docs: Vec::new(),
-            codes: Vec::new(),
+            table: DocTable::default(),
         }
     }
 
@@ -216,7 +213,7 @@ impl DocMix {
     /// search behind the same append test built the mixes about 12 %
     /// slower.
     fn find(&self, span: Run, doc: DocId) -> Result<usize, usize> {
-        let (row, docs) = (self.entries.of(span), &self.docs);
+        let (row, docs) = (self.entries.of(span), self.table.docs());
         let doc_at = |i: usize| docs[row[i].code as usize];
         let mut at = row.len();
         while at > 0 && doc_at(at - 1) > doc {
@@ -228,27 +225,9 @@ impl DocMix {
         }
     }
 
-    /// The code of `doc`, issued as the next one if the mix has not
-    /// seen it yet. The tables grow by sixteenths, as the rows do: a
-    /// publish into a wide universe adds one document, and should not
-    /// double the table for it.
-    fn code_of(&mut self, doc: DocId) -> u32 {
-        match self.codes.binary_search_by_key(&doc, |&(d, _)| d) {
-            Ok(i) => self.codes[i].1,
-            Err(i) => {
-                let code = u32::try_from(self.docs.len()).expect("a mix codes 2^32 documents");
-                reserve_slack(&mut self.docs, 1);
-                reserve_slack(&mut self.codes, 1);
-                self.docs.push(doc);
-                self.codes.insert(i, (doc, code));
-                code
-            }
-        }
-    }
-
     /// Writes `rate` for `doc` into `node`'s row at `at`, what
     /// [`DocMix::find`] returned for them: an overwrite, or an insert
-    /// with the document's code.
+    /// with the document's code (issued if the mix has not seen it).
     fn put(&mut self, node: NodeId, doc: DocId, at: Result<usize, usize>, rate: f64) {
         assert!(
             rate.is_finite() && rate >= 0.0,
@@ -260,7 +239,7 @@ impl DocMix {
                 self.entries.cells_mut()[start + i].rate = rate;
             }
             Err(i) => {
-                let code = self.code_of(doc);
+                let code = self.table.insert(doc);
                 let entry = DocEntry { rate, code };
                 self.entries.insert(&mut self.spans, node.index(), i, entry);
                 self.entries.pack_if_holey(&mut self.spans);
@@ -301,7 +280,7 @@ impl DocMix {
     pub fn demands_of(&self, node: NodeId) -> DemandRow<'_> {
         DemandRow {
             cells: self.entries.of(self.spans[node.index()]),
-            docs: &self.docs,
+            docs: self.table.docs(),
         }
     }
 
@@ -325,18 +304,18 @@ impl DocMix {
 
     /// The set of distinct documents appearing anywhere in the mix, sorted.
     ///
-    /// One pass over the entries marks their codes, and the sorted side
-    /// table lists the marked ones: linear in the mix. A document the
-    /// table still holds but no row demands (its rows departed) is not
-    /// listed.
+    /// One pass over the entries marks their codes, and the table's
+    /// sorted side lists the marked ones: linear in the mix. A document
+    /// the table still holds but no row demands (its rows departed) is
+    /// not listed.
     pub fn documents(&self) -> Vec<DocId> {
-        let mut demanded = vec![false; self.docs.len()];
+        let mut demanded = vec![false; self.table.len()];
         for &span in &self.spans {
             for entry in self.entries.of(span) {
                 demanded[entry.code as usize] = true;
             }
         }
-        (self.codes.iter())
+        (self.table.by_id().iter())
             .filter(|&&(_, code)| demanded[code as usize])
             .map(|&(doc, _)| doc)
             .collect()
