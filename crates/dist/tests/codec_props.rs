@@ -253,17 +253,8 @@ fn arb_msg() -> BoxedStrategy<Msg> {
         .boxed()
 }
 
-/// Cases per property: `PROPTEST_CASES` when set (CI soaks with 2000),
-/// else enough for a tier-1 run.
-fn cases() -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(256)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
+    #![proptest_config(ProptestConfig::with_env_cases(256))]
 
     /// Every message round-trips through one frame unchanged.
     #[test]
@@ -918,7 +909,7 @@ fn spoil(body: &mut Vec<u8>, kind: u8, pick: usize, cut: usize) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
+    #![proptest_config(ProptestConfig::with_env_cases(256))]
 
     /// The streamed mix encoding is byte for byte the reference's.
     #[test]

@@ -194,17 +194,8 @@ fn queue_views(sim: &mut ParPacketSim) -> Vec<QueueView> {
         .collect()
 }
 
-/// Cases per property: `PROPTEST_CASES` when set (CI soaks with 2000,
-/// in release), else enough for a tier-1 run.
-fn cases() -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(40)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
+    #![proptest_config(ProptestConfig::with_env_cases(40))]
 
     #[test]
     fn bulk_migration_matches_one_move_at_a_time(

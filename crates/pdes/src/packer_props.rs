@@ -131,17 +131,8 @@ fn check_packing(tree: &Tree, weights: &[u64], shards: usize, packing: &Packing)
     assert!(shape.pieces <= n as u64, "{shape:?}");
 }
 
-/// Cases per property: `PROPTEST_CASES` when set, else enough for a
-/// tier-1 run.
-fn cases() -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(96)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
+    #![proptest_config(ProptestConfig::with_env_cases(96))]
 
     #[test]
     fn packing_covers_balances_and_ignores_child_order(

@@ -435,17 +435,8 @@ const RATE_ENGINES: [&str; 4] = [
     r#"{"kind": "baselines", "gle_iterations": 50, "webwave_rounds": 50}"#,
 ];
 
-/// Cases per property: `PROPTEST_CASES` when set (CI soaks with 2000),
-/// else enough for a tier-1 run.
-fn cases() -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(256)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
+    #![proptest_config(ProptestConfig::with_env_cases(256))]
 
     /// Serialize → parse must reproduce the spec exactly (field-for-field,
     /// bit-for-bit on floats).

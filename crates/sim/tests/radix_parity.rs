@@ -191,15 +191,6 @@ fn assert_peek_is_next_pop(radix: &mut RadixQueue<u32>) -> Option<(u64, u32)> {
     popped
 }
 
-/// Cases per property: `PROPTEST_CASES` when set (CI soaks with 2000),
-/// else enough for a tier-1 run.
-fn cases() -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(192)
-}
-
 /// A finite non-negative `f64` drawn by `kind`: the edges (`0`, `-0`,
 /// the smallest subnormal, `f64::MAX`), any subnormal, any finite
 /// non-negative bit pattern, or a quarter-second grid point (so two
@@ -217,7 +208,7 @@ fn edge_time(kind: u8, bits: u64) -> f64 {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
+    #![proptest_config(ProptestConfig::with_env_cases(192))]
 
     /// The packed key orders exactly as `(time, seq)` — `-0.0` equal to
     /// `0.0` on both sides — and `time_of` returns the stored time bit

@@ -103,17 +103,8 @@ fn drain(ring: &mut TimerRing, identity: &[usize]) -> Vec<(usize, SimTime, u64)>
     fires
 }
 
-/// Cases per property: `PROPTEST_CASES` when set (CI soaks with 2000),
-/// else enough for a tier-1 run.
-fn cases() -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(256)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
+    #![proptest_config(ProptestConfig::with_env_cases(256))]
 
     #[test]
     fn remove_members_matches_one_swap_remove_per_leaver(
