@@ -32,8 +32,8 @@ impl std::fmt::Display for RequestId {
 /// A document request packet climbing the routing tree.
 ///
 /// The request does not name its document: the packet that carries it
-/// does, once, as the document's dense index in the world's table (the
-/// one field a universe growth remaps). That keeps a request in flight
+/// does, once, as the document's dense index in the world's table,
+/// which a universe growth never moves. That keeps a request in flight
 /// at 16 bytes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DocRequest {
