@@ -145,9 +145,9 @@ impl DocSim {
             world.alpha > 0.0 && world.alpha < 1.0,
             "alpha must lie in (0, 1)"
         );
-        let (n, m) = (tree.len(), world.table.len());
-        let mut copies: Vec<DocSet> = (0..n).map(|_| world.table.empty_set()).collect();
-        copies[tree.root().index()] = world.table.full_set();
+        let (n, m) = (tree.len(), world.mix.table().len());
+        let mut copies: Vec<DocSet> = (0..n).map(|_| world.mix.table().empty_set()).collect();
+        copies[tree.root().index()] = world.mix.table().full_set();
         let mut sim = DocSim {
             world,
             copies,
@@ -198,7 +198,7 @@ impl DocSim {
             // Own demand first, then each child's forwarded rate in
             // child order.
             through.clear();
-            through.resize(world.table.len(), 0.0);
+            through.resize(world.mix.table().len(), 0.0);
             for (_, k, r) in world.streams_of(u) {
                 through[k as usize] = r;
             }
@@ -458,7 +458,7 @@ impl DocSim {
 
     /// The dense document table of this simulation's universe.
     pub fn doc_table(&self) -> &DocTable {
-        &self.world.table
+        self.world.mix.table()
     }
 
     /// Documents node `u` currently holds copies of, in dense-index
@@ -470,7 +470,7 @@ impl DocSim {
     pub fn copies_at(&self, u: NodeId) -> Vec<DocId> {
         self.copies[u.index()]
             .iter()
-            .map(|k| self.world.table.doc(k))
+            .map(|k| self.world.mix.table().doc(k))
             .collect()
     }
 
@@ -480,7 +480,7 @@ impl DocSim {
     ///
     /// Panics if `u` is out of range.
     pub fn served_rate(&self, u: NodeId, d: DocId) -> f64 {
-        match self.world.table.index_of(d) {
+        match self.world.mix.table().index_of(d) {
             Some(k) => *self.served.get(u.index(), k),
             None => 0.0,
         }
@@ -550,7 +550,7 @@ impl DocSim {
     /// Returns [`ModelError::UnknownDocument`] when `doc` is not in the
     /// universe.
     pub fn invalidate_doc(&mut self, doc: DocId) -> Result<(), ModelError> {
-        let Some(k) = self.world.table.index_of(doc) else {
+        let Some(k) = self.world.mix.table().index_of(doc) else {
             return Err(ModelError::UnknownDocument { doc: doc.value() });
         };
         let root = self.world.tree.root().index();
@@ -596,7 +596,7 @@ impl DocSim {
     /// split that would overflow.
     pub fn add_leaf(&mut self, parent: NodeId, rate: f64) -> Result<NodeId, ModelError> {
         let id = self.world.join(parent, rate)?;
-        self.copies.push(self.world.table.empty_set());
+        self.copies.push(self.world.mix.table().empty_set());
         for grid in [&mut self.alloc, &mut self.served, &mut self.forwarded] {
             grid.push_row(0.0);
         }

@@ -926,7 +926,7 @@ fn gossip_to(
 /// tunnel. The driver re-arms the timer after draining the outbox.
 pub fn on_diffusion(ctx: &mut NodeCtx<'_>, state: &mut NodeMut<'_>, t: SimTime, node: NodeId) {
     let now = t.as_secs();
-    let m = ctx.world.table.len();
+    let m = ctx.world.mix.table().len();
     if let Some(kids) = state.kids_opt() {
         kids.roll_flows(now);
     }
@@ -1069,7 +1069,7 @@ fn start_tunnel(
     node: NodeId,
     want: f64,
 ) {
-    let m = ctx.world.table.len();
+    let m = ctx.world.mix.table().len();
     // Hottest seen-but-not-held document; ties break toward the
     // smaller index (= the earlier born), matching the sparse sort
     // order on a universe born in id order.

@@ -867,7 +867,7 @@ impl SimCore {
     /// node's depth in hops). Demand is unchanged; requests fall back to
     /// the home server until diffusion re-spreads the new version.
     fn invalidate(&mut self, held: &mut [ShardCore], doc: DocId) -> Result<(), ModelError> {
-        let Some(k) = self.world.table.index_of(doc) else {
+        let Some(k) = self.world.mix.table().index_of(doc) else {
             return Err(ModelError::UnknownDocument { doc: doc.value() });
         };
         let root = self.world.tree.root();

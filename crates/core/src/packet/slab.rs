@@ -509,7 +509,7 @@ impl NodeSlab {
     /// universe. Arrival streams are resolved separately
     /// ([`NodeSlab::resolve_node_arrivals`]).
     pub fn new(world: &PacketWorld, members: &[NodeId]) -> Self {
-        let docs = world.table.len();
+        let docs = world.mix.table().len();
         let mut slab =
             NodeSlab::with_rows(world.config.measure_window, members.len(), vec![0.0; docs]);
         let streams = members.iter().map(|&u| world.streams_of(u).len()).sum();

@@ -369,7 +369,7 @@ pub trait PacketBackend {
 
     /// The dense document table of the run's universe.
     fn doc_table(&self) -> &DocTable {
-        &self.world().table
+        self.world().mix.table()
     }
 
     /// Whether the control link from `node` to its parent is failed.

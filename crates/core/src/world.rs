@@ -14,7 +14,7 @@
 use crate::diffusion::safe_alpha;
 use crate::fold::IncrementalFold;
 use crate::packet::{ORACLE_FULL_SWEEPS, ORACLE_REFOLDS, ORACLE_REFRESH, STRUCTURAL};
-use ww_model::{DocId, DocTable, LeafRemoval, ModelError, NodeId, RateVector, Tree};
+use ww_model::{DocId, LeafRemoval, ModelError, NodeId, RateVector, Tree};
 use ww_telemetry::{PhaseStat, Snapshot};
 use ww_workload::DocMix;
 
@@ -35,13 +35,14 @@ pub trait WorldConfig: Copy + std::fmt::Debug {
 pub struct DocWorld<C> {
     /// The routing tree.
     pub tree: Tree,
-    /// Dense document index of the simulated universe.
-    pub table: DocTable,
     /// Slot of each node within its parent's child list (root: unused 0).
     pub child_slot: Vec<usize>,
     /// The live per-node, per-document demand mix — the one copy of the
     /// offered demand; a node's demand streams are derived from it where
-    /// they are read ([`DocWorld::streams_of`]).
+    /// they are read ([`DocWorld::streams_of`]). Its table
+    /// ([`DocMix::table`]) is the simulated universe: an entry's code is
+    /// its document's dense index, the column of every per-document
+    /// state.
     pub mix: DocMix,
     /// The WebFold oracle for the offered demand.
     pub oracle: RateVector,
@@ -156,15 +157,14 @@ impl<C: WorldConfig> DocWorld<C> {
     /// Builds the world for `tree` under the per-node document demand
     /// `mix`, taking both over. The caller has checked that `mix` covers
     /// `tree` and that `config` is in range.
-    pub(crate) fn build(tree: Tree, mix: DocMix, config: C) -> Self {
-        let table = DocTable::from_ids(mix.documents());
+    pub(crate) fn build(tree: Tree, mut mix: DocMix, config: C) -> Self {
+        mix.recode();
         let oracle = RateVector::zeros(tree.len());
         let fold = IncrementalFold::new(&tree, &mix.spontaneous());
         let mut world = DocWorld {
             failed_up: vec![false; tree.len()],
             child_slot: vec![0; tree.len()],
             tree,
-            table,
             mix,
             oracle,
             config,
@@ -195,50 +195,32 @@ impl<C: WorldConfig> DocWorld<C> {
     }
 
     /// The demand streams of `node` as `(doc, dense index, rate)`, in
-    /// ascending document order: its mix row walked against the
-    /// universe's side table sorted by id. Both lists ascend, so each
-    /// document is searched for past the previous hit — a full row
-    /// costs a comparison per stream, a three-stream row in a
-    /// 10,000-document universe three short binary searches, never
-    /// `O(m)`.
+    /// ascending document order: its mix row as it stands, each entry's
+    /// code being its document's dense index.
     ///
     /// # Panics
     ///
-    /// Panics if `node` is out of range; the iterator panics on a
-    /// demanded document outside the universe (the mutators grow the
-    /// universe before they touch the mix).
+    /// Panics if `node` is out of range.
     pub fn streams_of(
         &self,
         node: NodeId,
     ) -> impl ExactSizeIterator<Item = (DocId, u32, f64)> + '_ {
-        let universe = self.table.by_id();
-        let id_at = |at: usize| universe.get(at).map(|&(known, _)| known);
-        let mut at = 0;
-        self.mix.demands_of(node).iter().map(move |(doc, rate)| {
-            if id_at(at) != Some(doc) {
-                at += universe[at..].partition_point(|&(known, _)| known < doc);
-                assert_eq!(id_at(at), Some(doc), "demand doc in universe");
-            }
-            let index = universe[at].1;
-            at += 1;
-            (doc, index, rate)
-        })
+        self.mix.demands_of(node).iter_coded()
     }
 
     /// Demand stream `stream` of `node` as `(dense index, rate)`: entry
-    /// `stream` of its mix row, its code read back as the document —
-    /// what an arrival fires on. A slab's stream cells are rebuilt from
-    /// these rows at every barrier that changes one, so the two never
-    /// disagree while events run.
+    /// `stream` of its mix row, code and rate — what an arrival fires
+    /// on. A slab's stream cells are rebuilt from these rows at every
+    /// barrier that changes one, so the two never disagree while events
+    /// run.
     ///
     /// # Panics
     ///
     /// Panics if `node` or `stream` is out of range.
     #[inline]
     pub fn stream_of(&self, node: NodeId, stream: u32) -> (u32, f64) {
-        let (doc, rate) = self.mix.demands_of(node).get(stream as usize);
-        let index = self.table.index_of(doc).expect("demand doc in universe");
-        (index, rate)
+        let entry = *self.mix.demands_of(node).cell(stream as usize);
+        (entry.code(), entry.rate())
     }
 
     /// `node`'s demand total once `extra` (sorted by document) is added
@@ -368,7 +350,7 @@ impl<C: WorldConfig> DocWorld<C> {
         // Per-document global demand, accumulated in one pass over the
         // nodes' streams (node order per document — the same float
         // order a per-doc `doc_total` scan over the mix produces).
-        let mut totals = vec![0.0f64; self.table.len()];
+        let mut totals = vec![0.0f64; self.mix.table().len()];
         for node in self.tree.nodes() {
             for (_, k, r) in self.streams_of(node) {
                 totals[k as usize] += r;
@@ -392,7 +374,7 @@ impl<C: WorldConfig> DocWorld<C> {
         let newcomer = self.mix.add_node();
         debug_assert_eq!(id, newcomer);
         for (k, share) in shares() {
-            self.mix.set(newcomer, self.table.doc(k), share);
+            self.mix.set(newcomer, self.mix.table().doc(k), share);
         }
         // The newcomer holds the highest id, so it closes its parent's
         // child list; nobody else's slot moved.
@@ -474,8 +456,9 @@ impl<C: WorldConfig> DocWorld<C> {
         valid_rate(origin, rate)?;
         finite(origin, self.total_with(origin, [(doc, rate)].into_iter()))?;
         let span = self.tel.begin();
-        let growth = self.grow_universe([doc].into_iter());
+        let old = self.mix.table().len();
         self.mix.add_rate(origin, doc, rate);
+        let growth = self.grown_since(old);
         self.generation += 1;
         self.tel.end_structural(span);
         self.oracle_changed();
@@ -504,8 +487,9 @@ impl<C: WorldConfig> DocWorld<C> {
             finite(u, mix.node_total(u))?;
         }
         let span = self.tel.begin();
-        let growth = self.grow_universe(mix.documents().into_iter());
-        self.mix.clone_from(mix);
+        let old = self.mix.table().len();
+        self.mix.copy_rows_from(mix);
+        let growth = self.grown_since(old);
         self.generation += 1;
         self.tel.end_structural(span);
         self.oracle_changed();
@@ -545,17 +529,14 @@ impl<C: WorldConfig> DocWorld<C> {
         }
     }
 
-    /// Grows the dense universe by any of `docs` not yet in the table,
-    /// each taking the next index: existing columns never move. A
-    /// publish names one document and a shift lists its mix's in
-    /// ascending order, so the new ones are born in id order.
-    fn grow_universe(&mut self, docs: impl Iterator<Item = DocId>) -> Option<UniverseGrowth> {
-        let old = self.table.len() as u32;
-        for doc in docs {
-            self.table.insert(doc);
-        }
-        let new = self.table.len() as u32;
-        (new > old).then_some(old..new)
+    /// The columns the universe grew by since it held `old` documents.
+    /// The mix issues a new document the next index, so existing
+    /// columns never move: a publish names one document and a shift's
+    /// new ones are born in ascending id order
+    /// ([`DocMix::copy_rows_from`]).
+    fn grown_since(&self, old: usize) -> Option<UniverseGrowth> {
+        let new = self.mix.table().len();
+        (new > old).then_some(old as u32..new as u32)
     }
 
     /// Node count.

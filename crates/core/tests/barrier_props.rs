@@ -148,9 +148,11 @@ fn materialize(pick: &Pick, shadow: &mut Tree, stretch: u64) -> BarrierOp {
             docs,
             every,
         } => {
+            // Documents set in descending id order, so the shift mix's
+            // first-seen codes are never its ascending ranks.
             let mut mix = DocMix::new(n);
             for i in (0..n).step_by(every) {
-                for k in 0..docs {
+                for k in (0..docs).rev() {
                     let doc = DocId::new((first_doc + 3 * k as u64) * stretch);
                     mix.set(NodeId::new(i), doc, 4.0 / (k + 1) as f64);
                 }
@@ -202,9 +204,9 @@ fn assert_world_matches_fresh(world: &PacketWorld) {
     prop_assert_eq!(&world.child_slot, &fresh.child_slot);
     // A universe never shrinks: the live table may keep documents a
     // shift dropped from the mix.
-    for &doc in fresh.table.docs() {
+    for &doc in fresh.mix.table().docs() {
         prop_assert!(
-            world.table.index_of(doc).is_some(),
+            world.mix.table().index_of(doc).is_some(),
             "{doc:?} left the universe"
         );
     }
@@ -214,19 +216,23 @@ fn assert_world_matches_fresh(world: &PacketWorld) {
 }
 
 /// The world stores no arrival streams: what [`PacketWorld::streams_of`]
-/// derives for every node is its mix row, each document looked up in
-/// the live table.
+/// derives for every node, and what [`PacketWorld::stream_of`] reads for
+/// each of its streams, is its mix row, each document looked up in the
+/// live table.
 fn assert_streams_are_the_indexed_mix(world: &PacketWorld) {
+    let table = world.mix.table();
     for node in world.tree.nodes() {
-        let through_live_table: Vec<(DocId, u32, f64)> = world
-            .mix
-            .demands_of(node)
-            .iter()
-            .map(|(d, r)| (d, world.table.index_of(d).expect("in the universe"), r))
+        let through_live_table: Vec<(DocId, u32, f64)> = (world.mix.demands_of(node).iter())
+            .map(|(d, r)| (d, table.index_of(d).expect("in the universe"), r))
             .collect();
         let derived = world.streams_of(node);
         prop_assert_eq!(derived.len(), through_live_table.len());
-        prop_assert_eq!(derived.collect::<Vec<_>>(), through_live_table, "{node:?}");
+        let derived: Vec<_> = derived.collect();
+        prop_assert_eq!(&derived, &through_live_table, "{node:?}");
+        for (s, &(_, index, rate)) in (0..).zip(&through_live_table) {
+            let read = world.stream_of(node, s);
+            prop_assert_eq!(read, (index, rate), "{node:?} stream {s}");
+        }
     }
 }
 
@@ -242,7 +248,7 @@ fn exercise(world: &PacketWorld, state: &mut NodeMut<'_>, node: NodeId, salt: u3
         out: &mut out,
         scratch: &mut scratch,
     };
-    let m = world.table.len() as u32;
+    let m = world.mix.table().len() as u32;
     let children = world.tree.children(node).to_vec();
     for step in 0..40u32 {
         let t = SimTime::from_secs(0.05 * step as f64);
@@ -1016,7 +1022,7 @@ fn serve_slots_keep_the_dense_meters_across_an_invalidation() {
                     slab.invalidate_row(row, k),
                     "step {i}: the leaf held a copy"
                 );
-                let doc = world.table.doc(k);
+                let doc = world.mix.table().doc(k);
                 reference
                     .apply(&BarrierOp::Invalidate { doc }, now)
                     .expect("a known document");
@@ -1189,8 +1195,7 @@ fn late_cells_match_the_dense_reference() {
         let t = SimTime::from_secs(now);
         match *step {
             Late::Request { at, from, id } => {
-                let k = world
-                    .table
+                let k = (world.mix.table())
                     .index_of(DocId::new(id))
                     .expect("a known document");
                 let (node, from) = (NodeId::new(at), from.map(NodeId::new));
@@ -1268,7 +1273,7 @@ fn late_cells_match_the_dense_reference() {
         reference.assert_matches(&slab);
     }
     assert_eq!(
-        world.table.docs().last(),
+        world.mix.table().docs().last(),
         Some(&DocId::new(1)),
         "the last publish is the last column"
     );

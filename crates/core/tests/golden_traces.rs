@@ -167,9 +167,17 @@ fn docsim_matches_reference_with_aggressive_alpha_and_deletions() {
 #[test]
 fn docsim_matches_reference_on_zipf_mix() {
     // A wider universe (16 docs over the fig6 tree) exercises slab
-    // indexing well beyond the 3-document barrier scenario.
+    // indexing well beyond the 3-document barrier scenario. Each row
+    // is set in descending document order, so the mix first sees its
+    // documents against the ascending order its columns must take.
     let s = paper::fig6();
-    let mix = ww_workload::shared_zipf_mix(&s.tree, &s.spontaneous, 16, 1.0);
+    let zipf = ww_workload::shared_zipf_mix(&s.tree, &s.spontaneous, 16, 1.0);
+    let mut mix = ww_workload::DocMix::new(s.tree.len());
+    for u in s.tree.nodes() {
+        for (doc, rate) in zipf.demands_of(u).iter().rev() {
+            mix.set(u, doc, rate);
+        }
+    }
     let cfg = DocSimConfig::default();
     let mut dense = DocSim::new(&s.tree, &mix, cfg);
     let mut naive = NaiveDocSim::new(&s.tree, &mix, cfg);
@@ -684,7 +692,7 @@ fn both_engines_see_one_world() {
             .unwrap_or_else(|e| panic!("PacketSim, {op:?}: {e}"));
         let world = packet.world();
         assert_eq!(doc.tree().to_parents(), world.tree.to_parents(), "{op:?}");
-        assert_eq!(doc.doc_table().docs(), world.table.docs(), "{op:?}");
+        assert_eq!(doc.doc_table().docs(), world.mix.table().docs(), "{op:?}");
         assert_eq!(
             bits(doc.spontaneous().as_slice()),
             bits(world.mix.spontaneous().as_slice()),

@@ -45,7 +45,7 @@ fn table(world: &PacketWorld, rows: usize, at: f64) -> DenseFlowTable {
         world.config.measure_window,
         ALPHA,
         rows,
-        world.table.len(),
+        world.mix.table().len(),
         at,
     )
 }
@@ -56,16 +56,16 @@ pub fn init_state_at(world: &PacketWorld, node: NodeId, at: f64) -> NodeState {
     let children = world.tree.children(node).len();
     NodeState {
         copies: if node == world.tree.root() {
-            world.table.full_set()
+            world.mix.table().full_set()
         } else {
-            world.table.empty_set()
+            world.mix.table().empty_set()
         },
-        filter: world.table.empty_set(),
+        filter: world.mix.table().empty_set(),
         flows: table(world, children, at),
         seen: table(world, 1, at),
         served: table(world, 1, at),
-        alloc: vec![TokenBucket::new(0.0, at); world.table.len()],
-        alloc_set: world.table.empty_set(),
+        alloc: vec![TokenBucket::new(0.0, at); world.mix.table().len()],
+        alloc_set: world.mix.table().empty_set(),
         parent_est: None,
         child_est: vec![None; children],
         served_total: 0,
@@ -80,7 +80,7 @@ pub fn init_state_at(world: &PacketWorld, node: NodeId, at: f64) -> NodeState {
 /// One slab row as an owning struct.
 pub fn capture_node(world: &PacketWorld, row: NodeRef<'_>) -> NodeState {
     let set = |s: Set| {
-        let mut members = world.table.empty_set();
+        let mut members = world.mix.table().empty_set();
         for k in row.members(s) {
             members.insert(k);
         }
@@ -91,7 +91,7 @@ pub fn capture_node(world: &PacketWorld, row: NodeRef<'_>) -> NodeState {
         t.row_mut(0).copy_from_slice(cells);
         t
     };
-    let docs = 0..world.table.len() as u32;
+    let docs = 0..world.mix.table().len() as u32;
     NodeState {
         copies: set(Set::Copies),
         filter: set(Set::Filter),
@@ -258,7 +258,7 @@ impl Reference {
     }
 
     fn invalidate(&mut self, doc: DocId) -> Result<(), ModelError> {
-        let Some(k) = self.world.table.index_of(doc) else {
+        let Some(k) = self.world.mix.table().index_of(doc) else {
             return Err(ModelError::UnknownDocument { doc: doc.value() });
         };
         let root = self.world.tree.root().index();

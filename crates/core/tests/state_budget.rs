@@ -125,7 +125,7 @@ fn serve_state_follows_serving_pairs() {
     // leaf holds a serve slot.
     let (tree, mix) = cdn_over(60, 60, 64);
     let world = PacketWorld::new(&tree, &mix, PacketSimConfig::default());
-    assert_eq!(world.table.len(), 64);
+    assert_eq!(world.mix.table().len(), 64);
     let edge: Vec<NodeId> = tree.nodes().filter(|&u| tree.is_leaf(u)).collect();
     let mut slab = NodeSlab::new(&world, &edge);
     let streams: usize = edge.iter().map(|&u| world.streams_of(u).len()).sum();
@@ -245,7 +245,7 @@ fn the_world_keeps_one_copy_of_the_demand() {
         let (tree, mix) = cdn_with_streams(streams);
         let (copy, _) = heap_use_of(|| mix.clone());
         let (built, world) = heap_use_of(|| PacketWorld::new(&tree, &mix, Default::default()));
-        assert_eq!(world.table.len(), 16);
+        assert_eq!(world.mix.table().len(), 16);
         (built.requested - copy.requested) as f64
     };
     let (eight, sixteen) = (beyond_the_mix(8), beyond_the_mix(16));

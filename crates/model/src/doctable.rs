@@ -46,27 +46,12 @@ use crate::{reserve_slack, DocId};
 /// assert_eq!(table.insert(DocId::new(1)), 2); // a later id is born last
 /// assert_eq!(table.insert(DocId::new(2)), 0); // a known id keeps its index
 /// ```
-#[derive(Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DocTable {
     /// Document ids; position = dense index.
     ids: Vec<DocId>,
     /// `(id, dense index)` for every entry of `ids`, sorted by id.
     by_id: Vec<(DocId, u32)>,
-}
-
-impl Clone for DocTable {
-    fn clone(&self) -> Self {
-        DocTable {
-            ids: self.ids.clone(),
-            by_id: self.by_id.clone(),
-        }
-    }
-
-    /// Overwrites this table in place, reusing its buffers.
-    fn clone_from(&mut self, source: &Self) {
-        self.ids.clone_from(&source.ids);
-        self.by_id.clone_from(&source.by_id);
-    }
 }
 
 impl DocTable {

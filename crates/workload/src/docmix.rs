@@ -29,10 +29,13 @@ use ww_model::{
 ///
 /// An entry is a [`DocEntry`], 12 bytes: the rate and a 4-byte code
 /// for its document. The codes are the indices of the mix's own
-/// [`DocTable`] of the documents it has seen, issued in first-seen
-/// order, so a new document never renumbers an entry. Codes are layout
-/// only: every reader, `==` and
-/// `Debug` see `(doc, rate)` pairs, and two mixes that issued their
+/// [`DocTable`] of the documents it has seen ([`DocMix::table`]),
+/// issued in first-seen order, so a new document never renumbers an
+/// entry — unless [`DocMix::recode`] renumbered them by ascending id,
+/// as a world does once when it takes a mix over, or
+/// [`DocMix::copy_rows_from`] translated a copy into this mix's
+/// numbering. Codes are layout only: every `(doc, rate)` reader, `==`
+/// and `Debug` see the same pairs, and two mixes that issued their
 /// codes in different orders are equal when their rows are.
 ///
 /// # Example
@@ -47,8 +50,9 @@ use ww_model::{
 /// assert_eq!(mix.rate_of(NodeId::new(1), DocId::new(7)), 12.0);
 /// assert_eq!(mix.node_total(NodeId::new(1)), 12.0);
 /// assert_eq!(mix.spontaneous().as_slice(), &[0.0, 12.0]);
-/// assert_eq!(mix.demands_of(NodeId::new(1)).get(0), (DocId::new(7), 12.0));
+/// assert_eq!(mix.demands_of(NodeId::new(1)).iter().next(), Some((DocId::new(7), 12.0)));
 /// ```
+#[derive(Clone)]
 pub struct DocMix {
     /// Every node's row, each contiguous and sorted by document.
     entries: RunPool<DocEntry, Rows>,
@@ -67,6 +71,20 @@ pub struct DocMix {
 pub struct DocEntry {
     rate: f64,
     code: u32,
+}
+
+impl DocEntry {
+    /// The demand, in req/s.
+    #[inline]
+    pub fn rate(self) -> f64 {
+        self.rate
+    }
+
+    /// The document's index in its mix's [`DocTable`].
+    #[inline]
+    pub fn code(self) -> u32 {
+        self.code
+    }
 }
 
 /// The entry pool: a node's span is its row's run.
@@ -99,18 +117,8 @@ impl<'a> DemandRow<'a> {
         self.cells.is_empty()
     }
 
-    /// Entry `j` as `(doc, rate)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of range.
-    #[inline]
-    pub fn get(self, j: usize) -> (DocId, f64) {
-        let entry = *self.cell(j);
-        (self.docs[entry.code as usize], entry.rate)
-    }
-
-    /// Entry `j` as stored — what a prefetch of the entry touches.
+    /// Entry `j` as stored: what an arrival reads, and what the
+    /// look-ahead prefetches before it.
     ///
     /// # Panics
     ///
@@ -122,10 +130,15 @@ impl<'a> DemandRow<'a> {
 
     /// The entries as `(doc, rate)`, in ascending document order.
     pub fn iter(self) -> impl DoubleEndedIterator<Item = (DocId, f64)> + ExactSizeIterator + 'a {
+        self.iter_coded().map(|(doc, _, rate)| (doc, rate))
+    }
+
+    /// The entries as `(doc, code, rate)`, in ascending document order.
+    pub fn iter_coded(
+        self,
+    ) -> impl DoubleEndedIterator<Item = (DocId, u32, f64)> + ExactSizeIterator + 'a {
         let docs = self.docs;
-        self.cells
-            .iter()
-            .map(move |entry| (docs[entry.code as usize], entry.rate))
+        (self.cells.iter()).map(move |&entry| (docs[entry.code as usize], entry.code, entry.rate))
     }
 }
 
@@ -140,25 +153,6 @@ impl PartialEq for DemandRow<'_> {
 impl fmt::Debug for DemandRow<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-impl Clone for DocMix {
-    fn clone(&self) -> Self {
-        DocMix {
-            entries: self.entries.clone(),
-            spans: self.spans.clone(),
-            table: self.table.clone(),
-        }
-    }
-
-    /// Overwrites this mix in place, reusing its buffers — a workload
-    /// shift replaces a live mix of the same shape, and should not pay
-    /// an allocation for it.
-    fn clone_from(&mut self, source: &Self) {
-        self.entries.clone_from(&source.entries);
-        self.spans.clone_from(&source.spans);
-        self.table.clone_from(&source.table);
     }
 }
 
@@ -197,6 +191,12 @@ impl DocMix {
     /// `true` when the mix covers no nodes.
     pub fn is_empty(&self) -> bool {
         self.spans.is_empty()
+    }
+
+    /// The documents the mix has seen: a code is a document's index.
+    /// It may hold documents no row demands any more.
+    pub fn table(&self) -> &DocTable {
+        &self.table
     }
 
     /// Every node's row, in node order.
@@ -309,16 +309,64 @@ impl DocMix {
     /// the table still holds but no row demands (its rows departed) is
     /// not listed.
     pub fn documents(&self) -> Vec<DocId> {
-        let mut demanded = vec![false; self.table.len()];
+        let demanded = self.demanded(self.table.len());
+        (self.table.by_id().iter())
+            .filter(|&&(_, code)| demanded[code as usize])
+            .map(|&(doc, _)| doc)
+            .collect()
+    }
+
+    /// Per code below `codes`: whether a row's entry carries it.
+    fn demanded(&self, codes: usize) -> Vec<bool> {
+        let mut demanded = vec![false; codes];
         for &span in &self.spans {
             for entry in self.entries.of(span) {
                 demanded[entry.code as usize] = true;
             }
         }
-        (self.table.by_id().iter())
-            .filter(|&&(_, code)| demanded[code as usize])
-            .map(|&(doc, _)| doc)
-            .collect()
+        demanded
+    }
+
+    /// Renumbers the mix by ascending id over the documents its rows
+    /// demand — the numbering `DocTable::from_ids(self.documents())`
+    /// gives — and forgets the documents no row demands. Rows, `==`,
+    /// `Debug` and [`DocMix::documents`] are unchanged. A world does
+    /// this once to the mix it takes over, so an entry's code is its
+    /// document's column.
+    pub fn recode(&mut self) {
+        let from = std::mem::take(&mut self.table);
+        self.translate(&from);
+    }
+
+    /// Overwrites every row with `source`'s, reusing this mix's buffers
+    /// (a workload shift replaces a live mix of the same shape, and
+    /// should not pay an allocation for it), but keeping its numbering:
+    /// the documents `source` demands that this mix has not seen take
+    /// the next codes, in ascending id order, and each copied entry's
+    /// code is translated. The result is `==` to `source`.
+    pub fn copy_rows_from(&mut self, source: &DocMix) {
+        self.entries.clone_from(&source.entries);
+        self.spans.clone_from(&source.spans);
+        self.translate(&source.table);
+    }
+
+    /// Re-codes every live entry, whose code is an index into `from`,
+    /// to its document's index in this mix's table, inserting the
+    /// documents the rows demand in ascending id order.
+    fn translate(&mut self, from: &DocTable) {
+        let demanded = self.demanded(from.len());
+        let mut codes = vec![0; from.len()];
+        for &(doc, code) in from.by_id() {
+            if demanded[code as usize] {
+                codes[code as usize] = self.table.insert(doc);
+            }
+        }
+        let cells = self.entries.cells_mut();
+        for span in &self.spans {
+            for entry in &mut cells[span.range()] {
+                entry.code = codes[entry.code as usize];
+            }
+        }
     }
 
     /// Adds `delta` req/s to the demand of `node` for `doc` (a publish,

@@ -41,13 +41,12 @@ DENY = [
     r"ww_net::stats::TrafficLedger::record$",
     r"ww_model::tree::Tree::(parent|children|depth|root)$",
     r"ww_model::ids::NodeId::(new|index)$",
-    r"ww_model::doctable::DocTable::index_of$",
     r"ww_cache::meter::DenseFlowTable::(row|row_total|roll_row_to)$",
     r"ww_core::packet::driver::ShardCore::next_source$",
     r"ww_core::packet::gossip_to$",
     r"ww_core::world::DocWorld<.*>::stream_of$",
     r"ww_workload::docmix::DocMix::demands_of$",
-    r"ww_workload::docmix::DemandRow::(get|cell)$",
+    r"ww_workload::docmix::DemandRow::cell$",
     r"ww_model::runpool::(Run::range|RunPool<.*>::(of|cells|cells_mut))$",
     r"ww_core::packet::slab::load_of$",
     r"ww_core::packet::slab::rank$",
