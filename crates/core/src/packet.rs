@@ -68,7 +68,6 @@ ww_telemetry::keys! {
         ARRIVAL_REBUILD: Phase Wall "core.phase.arrival_rebuild",
         QUEUE_SURGERY: Phase Wall "core.phase.queue_surgery",
         UNIVERSE_GROWTH: Phase Wall "core.phase.universe_growth",
-        SLOT_PACKING: Phase Wall "core.phase.slot_packing",
     ];
     /// The sequential driver's queue and node state
     /// ([`driver::ShardCore::telemetry`]).

@@ -58,7 +58,7 @@ use super::{
     apply_surgery, child_slot_map, enqueue, handle, on_diffusion, on_gossip_timer,
     parents_to_remap, BarrierOp, BarrierOutcome, NodeCtx, NodeMut, NodeSlab, PacketCounters,
     PacketEvent, PacketWorld, Scratch, SurgeryStep, ARRIVAL_REBUILD, BARRIER_OPS, CORE_KEYS,
-    CORE_PHASES, QUEUE_SURGERY, SLOT_PACKING, SURGERY_REMOVED, SURGERY_SWEEPS, UNIVERSE_GROWTH,
+    CORE_PHASES, QUEUE_SURGERY, SURGERY_REMOVED, SURGERY_SWEEPS, UNIVERSE_GROWTH,
 };
 use crate::packetsim::PacketSimReport;
 use crate::stats::{ConvergenceTrace, ExactSum};
@@ -815,8 +815,8 @@ impl SimCore {
     /// Closes the batch: one deferred oracle refresh, one composed
     /// `filter_map_events` sweep over every held shard's queue (the
     /// rows' stale heads drop, surviving events are renumbered past a
-    /// leave), the slot pools packed, then every row refilled in
-    /// place with its streams' fresh first arrivals and re-headed, in
+    /// leave), then every row refilled in place with its streams'
+    /// fresh first arrivals and re-headed, in
     /// **global node order** — so each node's events keep the relative
     /// order they get in a one-shard queue.
     ///
@@ -840,12 +840,6 @@ impl SimCore {
                 .add(SURGERY_REMOVED, (before - shard.queue.len()) as u64);
         }
         self.tel_phases.end(QUEUE_SURGERY, span);
-
-        let span = self.tel_phases.begin();
-        for shard in held.iter_mut() {
-            shard.nodes.pack_slots();
-        }
-        self.tel_phases.end(SLOT_PACKING, span);
 
         let span = self.tel_phases.begin();
         for shard in held.iter_mut() {

@@ -79,12 +79,12 @@
 //!   kept, not dropped.
 //!
 //! The slots and the `seen` meters each live in a [`RunPool`]: one
-//! slab-wide buffer, each row's run contiguous. A row whose run gains a
-//! cell moves the run to the end of the buffer unless it is there
-//! already; the holes it leaves are packed away, in place, once they are
-//! a fifth of the buffer, and — the slots, which an epoch of copy
-//! spreading moves at many rows — at every barrier commit
-//! ([`NodeSlab::pack_slots`]).
+//! slab-wide buffer, each row's run contiguous, read and written
+//! through the row's run alone. A row whose run gains a cell moves the
+//! run to the end of the buffer unless it is there already, and a row
+//! that leaves — by a leave or a migration — leaves its runs as holes.
+//! The pool packs them away itself, in place, once they are a fifth of
+//! its buffer; the slab never packs.
 //!
 //! Only a node that has children owns anything else: a boxed
 //! [`ChildState`] (its per-child-slot `flows` grid, 24 bytes a column
@@ -372,7 +372,8 @@ struct Spans {
 /// The serve slot pool. Its buffer doubles when it grows — an epoch of
 /// copy spreading gives slots to many rows, each growth copies the
 /// buffer and frees the old one, and an allocator does not always hand
-/// a freed buffer back to the system.
+/// a freed buffer back to the system — and it keeps what it grew to:
+/// nothing shrinks it at a barrier.
 #[derive(Debug)]
 enum SlotRuns {}
 
@@ -707,7 +708,7 @@ impl NodeSlab {
     ///
     /// Panics if `row` is out of range.
     pub fn measured_load(&mut self, row: usize, now: f64) -> f64 {
-        let run = &mut self.slots.cells_mut()[self.spans[row].slots.range()];
+        let run = self.slots.of_mut(self.spans[row].slots);
         load_of(run, self.docs, self.window, now)
     }
 
@@ -755,17 +756,17 @@ impl NodeSlab {
 
     /// Removes local node `row`, moving the last row into its place —
     /// the id compaction a leave applies to the tree. The departed
-    /// node's streams are reclaimed by the commit's re-resolution, its
-    /// serve slots and `seen` meters by the next packing.
+    /// node's streams are reclaimed by the commit's re-resolution; its
+    /// serve slots and `seen` meters become holes in their pools.
     ///
     /// # Panics
     ///
     /// Panics if `row` is out of range.
     pub fn swap_remove_node(&mut self, row: usize) {
-        self.slots.vacate(self.spans[row].slots);
-        self.seen.vacate(self.spans[row].seen);
+        let gone = self.spans.swap_remove(row);
+        self.slots.vacate(&mut self.spans, [gone.slots]);
+        self.seen.vacate(&mut self.spans, [gone.seen]);
         self.heads.swap_remove(row);
-        self.spans.swap_remove(row);
         self.words.swap_remove_row(row);
     }
 
@@ -839,16 +840,6 @@ impl NodeSlab {
         self.next.clear();
     }
 
-    /// Packs the serve slots at a barrier's commit: the holes runs left
-    /// behind close, and the buffer hands its spare capacity back, so
-    /// between barriers it holds the live slots and what the epoch adds.
-    /// The `seen` runs are left to their own pool's packing: an epoch
-    /// widens few of them, and packing a pool sorts every row.
-    pub fn pack_slots(&mut self) {
-        self.slots.pack(&mut self.spans);
-        self.slots.shrink_to_fit();
-    }
-
     /// Resolves the arrival streams of local node `row` (global id
     /// `node`): one cell per demand stream, its generator forked from
     /// `(seed, node, doc, generation)`, appended to the stream slab, and
@@ -896,9 +887,10 @@ impl NodeSlab {
     }
 
     /// Detaches the rows `gone` (distinct, any order) into a slab of
-    /// their own, in that order, and closes the gaps among the survivors
-    /// in one stable pass per slab — the donor side of a shard
-    /// migration.
+    /// their own, in that order — the donor side of a shard migration.
+    /// The survivors' streams and keys close ranks in one stable pass;
+    /// the departed serve slots and `seen` meters become holes in their
+    /// pools, as a leave's do.
     ///
     /// # Panics
     ///
@@ -913,11 +905,12 @@ impl NodeSlab {
             );
             taken.push_row_from(self, row);
         }
+        let departed: Vec<Spans> = gone.iter().map(|&row| self.spans[row]).collect();
         retain_rows(&mut self.heads, &leaves);
         retain_rows(&mut self.spans, &leaves);
         self.words.retain_rows(|row| !leaves[row]);
-        // The survivors' streams, pending arrivals, serve slots and
-        // `seen` meters, packed in row order.
+        // The survivors' streams and pending arrivals, packed in row
+        // order.
         let kept = self.spans.iter().map(|s| s.streams.len as usize).sum();
         let mut streams = Vec::with_capacity(kept);
         let mut next = Vec::with_capacity(kept);
@@ -929,8 +922,10 @@ impl NodeSlab {
         }
         self.streams = streams;
         self.next = next;
-        self.slots.keep_in_row_order(&mut self.spans);
-        self.seen.keep_in_row_order(&mut self.spans);
+        self.slots
+            .vacate(&mut self.spans, departed.iter().map(|s| s.slots));
+        self.seen
+            .vacate(&mut self.spans, departed.iter().map(|s| s.seen));
         taken
     }
 
@@ -1078,16 +1073,20 @@ impl NodeMut<'_> {
         &mut self.streams[(run.start + stream) as usize]
     }
 
-    /// Where the node's slot for `k` sits in the pool, if it holds one.
+    /// Where the node's slot for `k` sits in the row's run, if it holds
+    /// one.
     // Forced inline: every serve and allocation looks a slot up, and
     // LLVM keeps a plain `#[inline]` a call.
     #[inline(always)]
     fn slot_at(&self, k: u32) -> Option<usize> {
-        if self.has_bit(SLOTTED, k) {
-            Some(self.spans[self.row].slots.start as usize + rank(self.set_words(SLOTTED), k))
-        } else {
-            None
-        }
+        self.has_bit(SLOTTED, k)
+            .then(|| rank(self.set_words(SLOTTED), k))
+    }
+
+    /// Slot `at` of the node's run.
+    #[inline]
+    fn slot_cell(&mut self, at: usize) -> &mut ServeSlot {
+        self.slots.cell_mut(self.spans[self.row].slots, at)
     }
 
     /// The node's slot for `k`, made on first use as the meter the node
@@ -1104,10 +1103,10 @@ impl NodeMut<'_> {
                 *word |= bit;
                 let slot = ServeSlot { bucket, served };
                 self.slots.insert(self.spans, self.row, rank, slot);
-                self.spans[self.row].slots.start as usize + rank
+                rank
             }
         };
-        &mut self.slots.cells_mut()[at]
+        self.slot_cell(at)
     }
 
     /// The live token bucket of `k`: `None` unless `k` is in
@@ -1120,7 +1119,7 @@ impl NodeMut<'_> {
             return None;
         }
         let at = self.slot_at(k).expect("an allocation holds a slot");
-        Some(&mut self.slots.cells_mut()[at].bucket)
+        Some(&mut self.slot_cell(at).bucket)
     }
 
     /// Grants `rate` more req/s of `k`'s serve allocation at `now`; a
@@ -1141,8 +1140,10 @@ impl NodeMut<'_> {
         if k >= self.spans[self.row].seen.len {
             self.widen_seen(k);
         }
-        let at = (self.spans[self.row].seen.start + k) as usize;
-        self.seen.cells_mut()[at].record(now, self.window, METER_ALPHA);
+        let run = self.spans[self.row].seen;
+        self.seen
+            .cell_mut(run, k as usize)
+            .record(now, self.window, METER_ALPHA);
     }
 
     /// Widens the row's `seen` run to column `k`: cold meters, each at
@@ -1183,15 +1184,13 @@ impl NodeMut<'_> {
     pub(super) fn record_served(&mut self, k: u32, now: f64) {
         let at = self.slot_at(k).expect("a server holds a slot");
         let window = self.window;
-        self.slots.cells_mut()[at]
-            .served
-            .record(now, window, METER_ALPHA);
+        self.slot_cell(at).served.record(now, window, METER_ALPHA);
     }
 
     /// Rolls the node's live `seen` meters to `now`.
     pub(super) fn roll_seen(&mut self, now: f64) {
         let window = self.window;
-        for cell in &mut self.seen.cells_mut()[self.spans[self.row].seen.range()] {
+        for cell in self.seen.of_mut(self.spans[self.row].seen) {
             cell.roll_live(now, window, METER_ALPHA);
         }
     }
@@ -1201,7 +1200,7 @@ impl NodeMut<'_> {
     pub(super) fn seen_rate(&self, k: u32) -> f64 {
         let run = self.spans[self.row].seen;
         if k < run.len {
-            self.seen.cells()[(run.start + k) as usize].rate_or_zero()
+            self.seen.cell(run, k as usize).rate_or_zero()
         } else {
             0.0
         }
@@ -1210,8 +1209,9 @@ impl NodeMut<'_> {
     /// Smoothed rate this node serves `k` at.
     #[inline]
     pub(super) fn served_rate(&self, k: u32) -> f64 {
+        let run = self.spans[self.row].slots;
         self.slot_at(k)
-            .map_or(0.0, |at| self.slots.cells()[at].served.rate_or_zero())
+            .map_or(0.0, |at| self.slots.cell(run, at).served.rate_or_zero())
     }
 
     /// The node's served documents with a positive rate, `(index, rate)`
@@ -1237,7 +1237,7 @@ impl NodeMut<'_> {
     /// The measured load of the node: its served rate over the rolling
     /// window (see [`NodeSlab::measured_load`]).
     pub fn measured_load(&mut self, now: f64) -> f64 {
-        let run = &mut self.slots.cells_mut()[self.spans[self.row].slots.range()];
+        let run = self.slots.of_mut(self.spans[self.row].slots);
         load_of(run, self.docs, self.window, now)
     }
 

@@ -4,16 +4,22 @@
 //! `seen` meters, its demand entries — as one contiguous run of a single
 //! buffer, and a [`Run`] per row says where. Reading a row is one span
 //! load and then the cells, with no per-row heap block between them.
+//! The pool is the only code that knows where a cell sits in the
+//! buffer: a caller reads and writes a row through its run
+//! ([`RunPool::of`], [`RunPool::cell`] and their `_mut` forms).
 //!
 //! A run at the end of the buffer grows in place; any other run that
 //! grows moves to the end first, leaving a hole where it was, and a
-//! departed row's run becomes a hole ([`RunPool::vacate`]). The buffer
-//! packs in place once the holes are a fifth of it and an eighth of a
-//! cell per row ([`RunPool::pack_if_holey`]), so appending rows in row
-//! order never copies a run and no order of edits lets the buffer
-//! outgrow its rows. A pool's [`PoolKind`] says where a row keeps its
-//! run and how a full buffer makes room ([`Growth`]); both are fixed at
-//! compile time, so an access calls nothing.
+//! departed row's run becomes a hole ([`RunPool::vacate`]). Callers
+//! never pack. The pool checks its holes after every edit that makes
+//! them — an [`insert`](RunPool::insert), an
+//! [`extend`](RunPool::extend), a [`vacate`](RunPool::vacate) — and
+//! packs in place once they are a fifth of the buffer and an eighth of
+//! a cell per row, so appending rows in row order never copies a run
+//! and no order of edits lets the buffer outgrow its rows. A pool's
+//! [`PoolKind`] says where a row keeps its run and how a full buffer
+//! makes room ([`Growth`]); both are fixed at compile time, so an
+//! access calls nothing.
 
 use crate::reserve_slack;
 use std::marker::PhantomData;
@@ -90,13 +96,16 @@ pub trait PoolKind {
 ///     }
 /// }
 /// let mut pool = RunPool::<u32, Rows>::new();
-/// let mut runs = vec![pool.push_run(&[1, 2]), pool.push_run(&[3])];
+/// let mut runs = vec![pool.push_run(&[1, 2]), pool.push_run(&[3, 4, 5, 6, 7, 8, 9])];
 /// // Row 0 is not last: it moves to the end, leaving two holes.
-/// pool.insert(&mut runs, 0, 2, 9);
-/// assert_eq!(pool.of(runs[0]), &[1, 2, 9]);
-/// assert_eq!(pool.holes(), 2);
-/// pool.pack(&mut runs);
-/// assert_eq!(pool.cells(), &[3, 1, 2, 9]);
+/// pool.insert(&mut runs, 0, 2, 10);
+/// assert_eq!(pool.of(runs[0]), &[1, 2, 10]);
+/// assert_eq!((pool.len(), pool.holes()), (12, 2));
+/// // Row 1 leaves: nine holes in twelve cells, so the pool packs.
+/// let gone = runs.swap_remove(1);
+/// pool.vacate(&mut runs, [gone]);
+/// assert_eq!((pool.len(), pool.holes()), (3, 0));
+/// assert_eq!(pool.of(runs[0]), &[1, 2, 10]);
 /// ```
 #[derive(Debug)]
 pub struct RunPool<T, K> {
@@ -139,22 +148,45 @@ impl<T: Copy, K: PoolKind> RunPool<T, K> {
         }
     }
 
-    /// The whole buffer, holes included.
-    #[inline]
-    pub fn cells(&self) -> &[T] {
-        &self.cells
-    }
-
-    /// The whole buffer, holes included, to write cells in place.
-    #[inline]
-    pub fn cells_mut(&mut self) -> &mut [T] {
-        &mut self.cells
-    }
-
     /// The cells of `run`.
     #[inline]
     pub fn of(&self, run: Run) -> &[T] {
         &self.cells[run.range()]
+    }
+
+    /// The cells of `run`, to write in place.
+    #[inline]
+    pub fn of_mut(&mut self, run: Run) -> &mut [T] {
+        &mut self.cells[run.range()]
+    }
+
+    /// Cell `i` of `run`: one bounds check, against the buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell lies past the buffer, and in a debug build if
+    /// `i` is past the run.
+    #[inline]
+    pub fn cell(&self, run: Run, i: usize) -> &T {
+        debug_assert!(i < run.len as usize, "cell past the run's end");
+        &self.cells[run.start as usize + i]
+    }
+
+    /// Cell `i` of `run`, to write in place (see [`RunPool::cell`]).
+    #[inline]
+    pub fn cell_mut(&mut self, run: Run, i: usize) -> &mut T {
+        debug_assert!(i < run.len as usize, "cell past the run's end");
+        &mut self.cells[run.start as usize + i]
+    }
+
+    /// The buffer's cells: every run's plus the holes.
+    pub fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// `true` when the buffer holds no cell.
+    pub fn is_empty(&self) -> bool {
+        self.cells.is_empty()
     }
 
     /// The cells no run covers.
@@ -174,14 +206,12 @@ impl<T: Copy, K: PoolKind> RunPool<T, K> {
         self.holes = 0;
     }
 
-    /// Counts `run`, which no row addresses any more, as holes.
-    pub fn vacate(&mut self, run: Run) {
-        self.holes += run.len as usize;
-    }
-
-    /// Hands the buffer's spare capacity back.
-    pub fn shrink_to_fit(&mut self) {
-        self.cells.shrink_to_fit();
+    /// Counts the runs of the rows that left, `gone`, as holes, and
+    /// packs once if they are past the limit. The caller has removed
+    /// the rows from `spans` first: it addresses the rows that stay.
+    pub fn vacate(&mut self, spans: &mut [K::Row], gone: impl IntoIterator<Item = Run>) {
+        self.holes += gone.into_iter().map(|run| run.len as usize).sum::<usize>();
+        self.pack_if_holey(spans);
     }
 
     /// Inserts `cell` at place `at` of row `row`'s run.
@@ -196,6 +226,7 @@ impl<T: Copy, K: PoolKind> RunPool<T, K> {
         );
         let run = self.make_room(spans, row, 1);
         self.cells.insert(run.start as usize + at, cell);
+        self.pack_if_holey(spans);
     }
 
     /// Appends `cells` to the end of row `row`'s run.
@@ -211,16 +242,15 @@ impl<T: Copy, K: PoolKind> RunPool<T, K> {
     ) {
         self.make_room(spans, row, cells.len());
         self.cells.extend(cells);
+        self.pack_if_holey(spans);
     }
 
     /// Makes room for `added` cells at the end of row `row`'s run, and
-    /// counts them in it: the buffer packs first if its holes are past
-    /// the limit, and the run moves to the end of the buffer unless it
-    /// is there already. Returns the grown run; the caller writes its
+    /// counts them in it: the run moves to the end of the buffer unless
+    /// it is there already. Returns the grown run; the caller writes its
     /// last `added` cells, which the buffer does not hold yet.
     #[inline]
     fn make_room(&mut self, spans: &mut [K::Row], row: usize, added: usize) -> Run {
-        self.pack_if_holey(spans);
         let run = *K::run(&mut spans[row]);
         if run.range().end == self.cells.len() {
             self.reserve(added, false);
@@ -266,7 +296,7 @@ impl<T: Copy, K: PoolKind> RunPool<T, K> {
     /// of a cell per row of `spans`: the copies that made them pay for
     /// the pack's sort of the rows.
     #[inline]
-    pub fn pack_if_holey(&mut self, spans: &mut [K::Row]) {
+    fn pack_if_holey(&mut self, spans: &mut [K::Row]) {
         if 4 * self.holes >= self.cells.len() - self.holes && 8 * self.holes >= spans.len() {
             self.pack(spans);
         }
@@ -274,7 +304,7 @@ impl<T: Copy, K: PoolKind> RunPool<T, K> {
 
     /// Closes the holes in place: every run moves down to follow the one
     /// before it in the buffer.
-    pub fn pack(&mut self, spans: &mut [K::Row]) {
+    fn pack(&mut self, spans: &mut [K::Row]) {
         if self.holes == 0 {
             return;
         }
@@ -289,20 +319,6 @@ impl<T: Copy, K: PoolKind> RunPool<T, K> {
         }
         self.cells.truncate(end);
         self.holes = 0;
-    }
-
-    /// The runs of the rows of `spans`, packed into a buffer of their
-    /// own in row order — the survivors of a migration.
-    pub fn keep_in_row_order(&mut self, spans: &mut [K::Row]) {
-        let kept = spans.iter_mut().map(|s| K::run(s).len as usize).sum();
-        let mut cells = Vec::with_capacity(kept);
-        for span in spans {
-            let run = K::run(span);
-            let start = to_u32(cells.len());
-            cells.extend_from_slice(&self.cells[run.range()]);
-            run.start = start;
-        }
-        self.replace(cells);
     }
 }
 
@@ -368,7 +384,7 @@ mod tests {
         }
         let live: usize = runs.iter().map(|r| r.len as usize).sum();
         assert_eq!(live, 200 * 10);
-        assert_eq!(pool.cells().len(), live + pool.holes());
+        assert_eq!(pool.len(), live + pool.holes());
         assert!(
             pool.holes() < (live / 4).max(25) + 10,
             "{} holes",

@@ -1,7 +1,10 @@
 //! Property-based tests for the domain model.
 
 use proptest::prelude::*;
-use ww_model::{assignment, DocId, DocTable, LoadAssignment, NodeId, RateVector, Tree};
+use ww_model::{
+    assignment, DocId, DocTable, Growth, LoadAssignment, NodeId, PoolKind, RateVector, Run,
+    RunPool, Tree,
+};
 
 fn arb_tree() -> impl Strategy<Value = Tree> {
     (1usize..=30)
@@ -18,6 +21,116 @@ fn arb_tree() -> impl Strategy<Value = Tree> {
             parents
         })
         .prop_map(|p| Tree::from_parents(&p).expect("valid tree"))
+}
+
+/// A run pool whose rows are their runs, its buffer growing by growth
+/// `G` (0 doubling, 1 sixteenths, 2 moves by holes).
+enum Rows<const G: u8> {}
+
+impl<const G: u8> PoolKind for Rows<G> {
+    type Row = Run;
+    const GROWTH: Growth = match G {
+        0 => Growth::Doubling,
+        1 => Growth::Sixteenths,
+        _ => Growth::MovesByHoles,
+    };
+    fn run(row: &mut Run) -> &mut Run {
+        row
+    }
+}
+
+/// Every row of `pool` reads its reference row, the buffer holds the
+/// live cells and the counted holes, and the holes are under the pack
+/// limit.
+fn check_pool<K: PoolKind<Row = Run>>(
+    pool: &RunPool<u32, K>,
+    runs: &[Run],
+    rows: &[Vec<u32>],
+    step: usize,
+) {
+    prop_assert_eq!(runs.len(), rows.len());
+    for (row, (&run, cells)) in runs.iter().zip(rows).enumerate() {
+        prop_assert_eq!(pool.of(run), &cells[..], "row {} after step {}", row, step);
+        for (i, cell) in cells.iter().enumerate() {
+            prop_assert_eq!(pool.cell(run, i), cell);
+        }
+    }
+    let live: usize = rows.iter().map(Vec::len).sum();
+    let holes = pool.holes();
+    prop_assert_eq!(pool.len(), live + holes, "live + holes after step {}", step);
+    prop_assert!(
+        holes == 0 || 4 * holes < live || 8 * holes < rows.len(),
+        "{} holes beside {} live cells of {} rows after step {}: past the pack limit",
+        holes,
+        live,
+        rows.len(),
+        step
+    );
+}
+
+/// Runs `ops` on a pool of kind `K` and on a `Vec` of rows, checking
+/// the pool after every step. An op is `(kind, a, b)`: push a run of
+/// `a % 5` cells; insert one cell into row `a` at place `b`; extend row
+/// `a` by `b % 4` cells; row `a` leaves by swap-remove; the rows whose
+/// bit is set in `a` leave at once, the others keeping their order (a
+/// migration's donor side); the pool is copied over a second pool by
+/// `clone_from`, and the copy carries on.
+fn run_pool_matches_rows<K: PoolKind<Row = Run>>(ops: &[(u8, u32, u32)]) {
+    let (mut pool, mut spare) = (RunPool::<u32, K>::new(), RunPool::<u32, K>::new());
+    let (mut runs, mut rows): (Vec<Run>, Vec<Vec<u32>>) = (Vec::new(), Vec::new());
+    let mut next = 0u32;
+    let mut fresh = |n: u32| {
+        next += n;
+        (next - n..next).collect::<Vec<u32>>()
+    };
+    for (step, &(kind, a, b)) in ops.iter().enumerate() {
+        let n = rows.len();
+        let row = a as usize % n.max(1);
+        match kind {
+            0 => {
+                let cells = fresh(a % 5);
+                runs.push(pool.push_run(&cells));
+                rows.push(cells);
+            }
+            1 if n > 0 => {
+                let at = b as usize % (rows[row].len() + 1);
+                let cell = fresh(1)[0];
+                pool.insert(&mut runs, row, at, cell);
+                rows[row].insert(at, cell);
+            }
+            2 if n > 0 => {
+                let cells = fresh(b % 4);
+                pool.extend(&mut runs, row, cells.iter().copied());
+                rows[row].extend(cells);
+            }
+            3 if n > 0 => {
+                let gone = runs.swap_remove(row);
+                pool.vacate(&mut runs, [gone]);
+                rows.swap_remove(row);
+            }
+            4 => {
+                let leaves = |row: usize| (a >> (row % 32)) & 1 == 1;
+                let gone: Vec<Run> = (0..n).filter(|&r| leaves(r)).map(|r| runs[r]).collect();
+                let mut r = 0;
+                runs.retain(|_| {
+                    r += 1;
+                    !leaves(r - 1)
+                });
+                let mut r = 0;
+                rows.retain(|_| {
+                    r += 1;
+                    !leaves(r - 1)
+                });
+                pool.vacate(&mut runs, gone);
+            }
+            5 => {
+                spare.clone_from(&pool);
+                std::mem::swap(&mut pool, &mut spare);
+            }
+            _ => continue,
+        }
+        check_pool(&pool, &runs, &rows, step);
+    }
 }
 
 proptest! {
@@ -424,5 +537,19 @@ proptest! {
         if extra > 0 {
             prop_assert!(!set.contains(100 + extra as u32 - 1));
         }
+    }
+
+    /// Random edits of a `RunPool` under each growth rule read as the
+    /// same edits of a `Vec` of rows, and after every edit the pool's
+    /// holes are counted and under the pack limit: the pool packs after
+    /// every write and every departure, and a departure of several rows
+    /// packs once, after all of them.
+    #[test]
+    fn run_pool_edits_match_a_vec_of_rows(
+        ops in proptest::collection::vec((0u8..6, any::<u32>(), any::<u32>()), 1..80),
+    ) {
+        run_pool_matches_rows::<Rows<0>>(&ops);
+        run_pool_matches_rows::<Rows<1>>(&ops);
+        run_pool_matches_rows::<Rows<2>>(&ops);
     }
 }

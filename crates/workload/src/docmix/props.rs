@@ -187,7 +187,7 @@ fn check(mix: &DocMix, rows: &Reference) {
     // The buffer: live entries plus counted holes, under the pack limit.
     let live: usize = mix.spans.iter().map(|s| s.len as usize).sum();
     let holes = mix.entries.holes();
-    prop_assert_eq!(mix.entries.cells().len(), live + holes, "live + holes");
+    prop_assert_eq!(mix.entries.len(), live + holes, "live + holes");
     // The code table: every live entry's code issued.
     for &span in &mix.spans {
         for entry in mix.entries.of(span) {

@@ -47,7 +47,7 @@ DENY = [
     r"ww_core::world::DocWorld<.*>::stream_of$",
     r"ww_workload::docmix::DocMix::demands_of$",
     r"ww_workload::docmix::DemandRow::cell$",
-    r"ww_model::runpool::(Run::range|RunPool<.*>::(of|cells|cells_mut))$",
+    r"ww_model::runpool::(Run::range|RunPool<.*>::(of|of_mut|cell|cell_mut))$",
     r"ww_core::packet::slab::load_of$",
     r"ww_core::packet::slab::rank$",
     r"ww_core::packet::slab::NodeMut::(slot_at|bucket|record_served)$",
