@@ -474,13 +474,13 @@ fn the_churn_snapshots_are_pinned() {
             "packet_sim",
             r#"{"kind": "packet_sim"}"#,
             CHURN_EVENTS.to_string(),
-            0x2609_d06d_7a43_1918,
+            0x27cb_e99c_0e03_6c8c,
         ),
         (
             "packet_sim_par/w2",
             r#"{"kind": "packet_sim_par", "workers": 2}"#,
             format!("{CHURN_EVENTS}{armed}"),
-            0x64b4_6fbe_65fe_283e,
+            0xcf22_240f_24a5_c322,
         ),
         (
             "packet_sim_dist/w2",
